@@ -1,10 +1,8 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
 # one-shot smoke run of the parallelism sweeps. fuzz-smoke runs the fuzz
 # targets briefly (CI runs it as a separate job).
-.PHONY: check vet build test bench-smoke bench fuzz-smoke \
-	lint cover bench-json bench-json-batch bench-json-fieldsweep \
-	bench-update profile-batch tidy-check wire-regen \
-	fleet-smoke fleet-soak-json fleet-update
+.PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
+	lint cover tidy-check wire-regen
 
 check: vet build test bench-smoke
 
@@ -20,8 +18,14 @@ test:
 bench-smoke:
 	go test -run='^$$' -bench=Parallelism -benchtime=1x ./...
 
+# bench runs the repository's one benchmark (see benchmark/README.md).
 bench:
-	go test -run='^$$' -bench=. -benchmem ./...
+	go run ./benchmark -workload all
+
+# bench-pair measures BASE=<git ref> against the working tree in alternating
+# pairs and applies the bounds of BENCHMARK.json (scripts/bench_pair.py).
+bench-pair:
+	python3 scripts/bench_pair.py $(BASE)
 
 fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzConnRecv -fuzztime=10s ./internal/transport
@@ -52,101 +56,6 @@ cover:
 	go test -coverprofile=coverage.out -covermode=atomic ./...
 	go tool cover -html=coverage.out -o coverage.html
 	go tool cover -func=coverage.out | tail -1
-
-# bench-json emits the schema-stable BENCH_*.json document on the pinned
-# workload the CI regression gate compares against bench_baseline.json.
-# It stays on the legacy engines (math/big field, MODP base OT) so the
-# regression gate keeps covering that path now that batched serving runs
-# on the fast pair. Flag changes here must be mirrored into a regenerated
-# baseline.
-bench-json:
-	go run ./cmd/ppdc-bench -group 512 -parallelism 1 -queries 16 -json bench
-
-# bench-json-batch emits the batched fast-session workload document on the
-# pinned config: the fast engine pair (limb field backend, x25519 base OT,
-# fixed-key AES OT pads), batch=64, inflight=2. queries=8192 so the
-# post-handshake wall is long enough to measure steady-state throughput (at
-# these speeds a 128-query run finishes in ~10ms and even a ~100ms wall
-# swings tens of percent run to run on shared hosts; ~400ms of steady
-# state keeps the number inside a few percent). CI compares it against the
-# committed BENCH_classify_batch.json with the same 20% gate.
-bench-json-batch:
-	go run ./cmd/ppdc-bench -group x25519 -field-backend limb -pad aes -parallelism 1 \
-		-queries 8192 -batch 64 -inflight 2 \
-		-json -out BENCH_classify_batch.current.json bench
-
-# bench-json-fieldsweep emits the field-backend × OT-group comparison table
-# (BENCH_field_backends.json): the batched workload across
-# {big,limb} × {modp512-test,x25519} plus the limb+x25519 speedups.
-bench-json-fieldsweep:
-	go run ./cmd/ppdc-bench -parallelism 1 -queries 1024 -batch 64 -inflight 2 \
-		-json -out BENCH_field_backends.current.json fieldsweep
-
-# profile-batch runs the pinned batched workload under the CPU and heap
-# profilers and leaves batch.cpu.pprof / batch.mem.pprof behind for
-# `go tool pprof`. Same flags as bench-json-batch so the hot paths match
-# what the regression gate measures.
-profile-batch:
-	go run ./cmd/ppdc-bench -group x25519 -field-backend limb -pad aes -parallelism 1 \
-		-queries 8192 -batch 64 -inflight 2 \
-		-cpuprofile batch.cpu.pprof -memprofile batch.mem.pprof \
-		-json -out BENCH_classify_batch.profile.json bench
-
-# bench-update regenerates the committed baselines in place with the
-# exact pinned flags (deterministic workload; wall times reflect the
-# machine it runs on). Run it when a change legitimately moves protocol
-# cost, then commit the refreshed documents.
-bench-update:
-	go run ./cmd/ppdc-bench -group 512 -parallelism 1 -queries 16 -json -out bench_baseline.json bench
-	go run ./cmd/ppdc-bench -group x25519 -field-backend limb -pad aes -parallelism 1 \
-		-queries 8192 -batch 64 -inflight 2 \
-		-json -out BENCH_classify_batch.json bench
-	go run ./cmd/ppdc-bench -parallelism 1 -queries 1024 -batch 64 -inflight 2 \
-		-json -out BENCH_field_backends.json fieldsweep
-
-# fleet-smoke exercises the fleet serving stack end to end: the
-# experiments-level soak tests (mem + tcp transports) plus two small
-# real-socket soaks through ppdc-loadgen — 3 replicas behind a gateway,
-# pipelined clients, every hop a loopback TCP connection; the second run
-# redials with session resumption so the ticket path sees real sockets.
-fleet-smoke:
-	go test ./internal/experiments -run TestBenchFleet -count=1
-	go run ./cmd/ppdc-loadgen -replicas 3 -clients 24 -queries 4 -transport tcp soak
-	go run ./cmd/ppdc-loadgen -replicas 3 -clients 24 -queries 4 -transport tcp \
-		-field-backend limb -group x25519 -pad aes -resume -sessions 2 soak
-
-# fleet-soak-json emits the fleet soak document on the pinned CI config:
-# the fast engine (limb field backend, x25519 base OT, AES pads,
-# parallelism 1), 3 replicas, 200 concurrent pipelined clients over
-# loopback TCP, each running 3 sessions with resumption so the measured
-# phase covers the resumed-handshake redial path. CI compares it against
-# the committed full-handshake bench_fleet_baseline.json (same shape,
-# resume off) with the 20% throughput gate plus the >=3x resume_speedup
-# gate; flag changes here must be mirrored into a regenerated baseline.
-fleet-soak-json:
-	go run ./cmd/ppdc-loadgen -replicas 3 -clients 200 -queries 8 \
-		-batch 4 -inflight 2 -transport tcp \
-		-field-backend limb -group x25519 -pad aes -parallelism 1 \
-		-sessions 3 -resume \
-		-json -out BENCH_fleet.current.json soak
-
-# fleet-update regenerates both committed fleet documents in place: the
-# CI baseline (TCP, 200 clients, full handshake on every redial — the
-# reference the resumed soak is gated against) and the showcase soak
-# (in-process mem transport, 10k concurrent pipelined clients with
-# resumption — fd-free, so the only limits are memory and CPU). Both run
-# the fast engine; wall numbers reflect the machine they run on.
-fleet-update:
-	go run ./cmd/ppdc-loadgen -replicas 3 -clients 200 -queries 8 \
-		-batch 4 -inflight 2 -transport tcp \
-		-field-backend limb -group x25519 -pad aes -parallelism 1 \
-		-sessions 3 \
-		-json -out bench_fleet_baseline.json soak
-	go run ./cmd/ppdc-loadgen -replicas 3 -clients 10000 -queries 8 \
-		-batch 4 -inflight 2 -transport mem \
-		-field-backend limb -group x25519 -pad aes -parallelism 1 \
-		-sessions 3 -resume \
-		-json -out BENCH_fleet.json soak
 
 tidy-check:
 	go mod tidy -diff

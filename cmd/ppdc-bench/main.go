@@ -5,27 +5,68 @@
 //
 //	ppdc-bench [flags] <experiment>
 //
-// where <experiment> is one of: table1, table2, fig5, fig6, fig7, fig8,
-// fig9, fig10, bench, fieldsweep, compare, all.
+// `ppdc-bench -h` lists the experiments and flags. Performance is measured
+// by `go run ./benchmark`, not here.
 package main
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/field"
 	"repro/internal/ot"
-	"repro/internal/transport"
 )
+
+// experimentTable is the one list of experiments: dispatch, the usage
+// text and the "all" run are all derived from it, in the paper's order.
+var experimentTable = []struct {
+	name string
+	run  func(experiments.Options) error
+	// series marks experiments that emit a -csv series.
+	series bool
+	// paper marks the paper's own tables and figures, which "all" runs.
+	paper bool
+}{
+	{"table1", runTable1, true, true},
+	{"fig5", runFig5, false, true},
+	{"fig6", runFig6, false, true},
+	{"fig7", runFig7, false, true},
+	{"fig8", runFig8, false, true},
+	{"fig9", runFig9, true, true},
+	{"table2", runTable2, true, true},
+	{"fig10", runFig10, true, true},
+	{"fig8x", runFig8x, false, false},
+	{"ablation", runAblations, false, false},
+}
+
+// experimentNames lists every accepted <experiment> argument, or only
+// those that emit a -csv series.
+func experimentNames(seriesOnly bool) string {
+	var names []string
+	for _, e := range experimentTable {
+		if e.series || !seriesOnly {
+			names = append(names, e.name)
+		}
+	}
+	if !seriesOnly {
+		names = append(names, "all")
+	}
+	return strings.Join(names, ", ")
+}
+
+// usageText is the -h header above the flag list.
+func usageText() string {
+	return fmt.Sprintf("usage: ppdc-bench [flags] <experiment>\nexperiments: %s\n-csv series: %s\nflags:\n",
+		experimentNames(false), experimentNames(true))
+}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -39,61 +80,51 @@ func run(args []string) error {
 	var (
 		seed      = fs.Uint64("seed", 1, "deterministic data seed")
 		group     = fs.String("group", "512", "OT group: 512 (toy/fast), 1024, 1536, 2048, x25519")
-		backend   = fs.String("field-backend", "", "field arithmetic engine: big (default) or limb")
-		codec     = fs.String("codec", "", "envelope codec: empty negotiates (binary preferred), gob or binary pin one")
-		padName   = fs.String("pad", "", "OT pad function the client offers: empty or sha256 (legacy), aes (fixed-key AES)")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 		memProf   = fs.String("memprofile", "", "write an allocation profile (after the experiment) to this file")
 		quick     = fs.Bool("quick", false, "subsample protocol-heavy experiments")
 		fullScale = fs.Bool("full", false, "use the paper's full test-set sizes")
-		csvPath   = fs.String("csv", "", "also write the experiment's series to a CSV file (single experiments only)")
+		csvPath   = fs.String("csv", "", "also write the experiment's series to a CSV file")
 		par       = fs.Int("parallelism", 0, "worker pool bound per endpoint (0 = all cores, 1 = serial)")
-		jsonOut   = fs.Bool("json", false, "bench: emit the machine-readable BENCH_<name>.json document")
-		outPath   = fs.String("out", "", "bench: write the JSON document here instead of BENCH_<name>.json")
-		queries   = fs.Int("queries", 8, "bench: classify round trips to measure")
-		batch     = fs.Int("batch", 0, "bench: samples per batched request (0 = serial round-trip workload)")
-		inflight  = fs.Int("inflight", 1, "bench: batches kept in flight on the connection (with -batch)")
-		basePath  = fs.String("baseline", "bench_baseline.json", "compare: committed baseline document")
-		curPath   = fs.String("current", "", "compare: freshly produced BENCH_*.json document")
-		maxReg    = fs.Float64("max-regress", 0.20, "compare: maximum tolerated throughput regression (fraction)")
 	)
+	fs.Usage = func() {
+		fmt.Fprint(fs.Output(), usageText())
+		fs.PrintDefaults()
+	}
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("need one experiment: table1, table2, fig5, fig6, fig7, fig8, fig8x, fig9, fig10, ablation, bench, fieldsweep, compare, all")
+		return fmt.Errorf("need one experiment: %s", experimentNames(false))
+	}
+	name := fs.Arg(0)
+	all := name == "all"
+	var selected []func(experiments.Options) error
+	for _, e := range experimentTable {
+		if e.name != name && !(all && e.paper) {
+			continue
+		}
+		if *csvPath != "" && (all || !e.series) {
+			return fmt.Errorf("-csv needs one experiment that emits a series (%s), not %q", experimentNames(true), name)
+		}
+		selected = append(selected, e.run)
+	}
+	if len(selected) == 0 {
+		return fmt.Errorf("unknown experiment %q (want one of: %s)", name, experimentNames(false))
 	}
 	g, err := ot.GroupByName(*group)
 	if err != nil {
 		return err
 	}
-	fb, err := field.ResolveBackend(*backend)
-	if err != nil {
-		return err
-	}
-	wc, err := transport.ResolveWireCodec(*codec)
-	if err != nil {
-		return err
-	}
-	pad, err := ot.ResolvePad(*padName)
-	if err != nil {
-		return err
-	}
 	opts := experiments.Options{
-		Seed:         *seed,
-		Group:        g,
-		Quick:        *quick,
-		FullScale:    *fullScale,
-		Parallelism:  *par,
-		FieldBackend: fb,
-		WireCodec:    wc,
-		PadFunc:      pad,
+		Seed:        *seed,
+		Group:       g,
+		Quick:       *quick,
+		FullScale:   *fullScale,
+		Parallelism: *par,
 	}
 	csvOut = *csvPath
-	if csvOut != "" && fs.Arg(0) == "all" {
-		return fmt.Errorf("-csv works with a single experiment, not \"all\"")
-	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
@@ -123,46 +154,15 @@ func run(args []string) error {
 			_ = f.Close()
 		}()
 	}
-	switch fs.Arg(0) {
-	case "table1":
-		return runTable1(opts)
-	case "table2":
-		return runTable2(opts)
-	case "fig5":
-		return runFig5(opts)
-	case "fig6":
-		return runFig6(opts)
-	case "fig7":
-		return runFig7(opts)
-	case "fig8":
-		return runFig8(opts)
-	case "fig9":
-		return runFig9(opts)
-	case "fig10":
-		return runFig10(opts)
-	case "fig8x":
-		return runFig8x(opts)
-	case "ablation":
-		return runAblations(opts)
-	case "bench":
-		return runBench(opts, *queries, *batch, *inflight, *jsonOut, *outPath)
-	case "fieldsweep":
-		return runFieldSweep(opts, *queries, *batch, *inflight, *jsonOut, *outPath)
-	case "compare":
-		return runCompare(*basePath, *curPath, *maxReg)
-	case "all":
-		for _, f := range []func(experiments.Options) error{
-			runTable1, runFig5, runFig6, runFig7, runFig8, runFig9, runTable2, runFig10,
-		} {
-			if err := f(opts); err != nil {
-				return err
-			}
+	for _, f := range selected {
+		if err := f(opts); err != nil {
+			return err
+		}
+		if all {
 			fmt.Println()
 		}
-		return nil
-	default:
-		return fmt.Errorf("unknown experiment %q", fs.Arg(0))
 	}
+	return nil
 }
 
 // csvOut, when set, receives the active experiment's series.
@@ -430,143 +430,6 @@ func runAblations(opts experiments.Options) error {
 		fmt.Println()
 	}
 	return nil
-}
-
-// runBench measures instrumented classify round trips — serial with
-// -batch 0, or the batched fast-session pipeline with -batch B and
-// -inflight K — and either prints a human-readable phase breakdown or,
-// with -json, writes the schema-stable BENCH_<name>.json document the CI
-// regression gate consumes.
-func runBench(opts experiments.Options, queries, batch, inflight int, jsonOut bool, outPath string) error {
-	var doc *experiments.BenchDoc
-	var err error
-	phaseNames := experiments.BenchPhaseNames()
-	if batch > 0 {
-		doc, err = experiments.BenchClassifyBatch(opts, queries, batch, inflight)
-		phaseNames = experiments.BatchBenchPhaseNames()
-	} else {
-		doc, err = experiments.BenchClassifyRoundTrip(opts, queries)
-	}
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		if outPath == "" {
-			outPath = fmt.Sprintf("BENCH_%s.json", doc.Name)
-		}
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("bench: %.2f qps over %d queries (document written to %s)\n",
-			doc.ThroughputQPS, doc.Queries, outPath)
-		return nil
-	}
-	fmt.Printf("Bench: %s (%s, group %s, seed %d)\n", doc.Name, doc.Config.Dataset, doc.Config.Group, doc.Config.Seed)
-	if doc.Config.BatchSize > 0 {
-		fmt.Printf("batching: %d samples per request, %d batches in flight\n", doc.Config.BatchSize, doc.Config.Inflight)
-	}
-	fmt.Printf("throughput: %.2f queries/s (%d queries in %v)\n",
-		doc.ThroughputQPS, doc.Queries, time.Duration(doc.WallNS).Round(time.Millisecond))
-	fmt.Printf("wire: %d B in / %d B out, %d msgs in / %d msgs out, %d OT instances\n",
-		doc.BytesIn, doc.BytesOut, doc.MsgsIn, doc.MsgsOut, doc.OTInstances)
-	w := newTable("phase\tcount\ttotal\tmean")
-	for _, name := range phaseNames {
-		p := doc.Phases[name]
-		fmt.Fprintf(w, "%s\t%d\t%v\t%v\n", name, p.Count,
-			time.Duration(p.TotalNS).Round(time.Microsecond),
-			time.Duration(p.MeanNS).Round(time.Microsecond))
-	}
-	return w.Flush()
-}
-
-// runFieldSweep measures the batched classify workload across the
-// field-backend × OT-group grid and either prints the comparison table or,
-// with -json, writes the BENCH_field_backends.json document. The -group
-// and -field-backend flags are ignored: the sweep owns both axes.
-func runFieldSweep(opts experiments.Options, queries, batch, inflight int, jsonOut bool, outPath string) error {
-	if batch <= 0 {
-		batch = 64
-	}
-	doc, err := experiments.BenchFieldBackendSweep(opts, queries, batch, inflight)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		if outPath == "" {
-			outPath = fmt.Sprintf("BENCH_%s.json", doc.Name)
-		}
-		raw, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(outPath, append(raw, '\n'), 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("fieldsweep: limb+x25519 %.2fx qps, mask %.2fx, interpolate %.2fx vs big+modp512-test; aes pad %.2fx vs sha256 (document written to %s)\n",
-			doc.QPSSpeedup, doc.SenderMaskSpeedup, doc.ReceiverInterpolateSpeedup, doc.PadSpeedup, outPath)
-		return nil
-	}
-	fmt.Printf("Field backend sweep: %s, %d queries, batch %d, inflight %d, parallelism %d, seed %d\n",
-		doc.Dataset, doc.Queries, doc.BatchSize, doc.Inflight, doc.Parallelism, doc.Seed)
-	w := newTable("backend\tgroup\tpad\tpar\tqps\tmask mean\tinterpolate mean")
-	for _, c := range doc.Combos {
-		padCell := c.PadFunc
-		if padCell == "" {
-			padCell = "sha256"
-		}
-		parCell := strconv.Itoa(c.Parallelism)
-		if c.Parallelism == 0 {
-			parCell = "-"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%.1f\t%v\t%v\n", c.FieldBackend, c.Group, padCell, parCell, c.ThroughputQPS,
-			time.Duration(c.PhaseMeansNS["ompe.sender.mask_ns"]).Round(time.Microsecond),
-			time.Duration(c.PhaseMeansNS["ompe.receiver.interpolate_ns"]).Round(time.Microsecond))
-	}
-	if err := w.Flush(); err != nil {
-		return err
-	}
-	fmt.Printf("limb+x25519 vs big+modp512-test: %.2fx qps, %.2fx sender mask, %.2fx receiver interpolate\n",
-		doc.QPSSpeedup, doc.SenderMaskSpeedup, doc.ReceiverInterpolateSpeedup)
-	fmt.Printf("aes pad vs sha256 (limb+x25519): %.2fx qps\n", doc.PadSpeedup)
-	return nil
-}
-
-// runCompare gates a fresh bench document against the committed
-// baseline, exiting nonzero on a throughput regression beyond maxReg.
-func runCompare(basePath, curPath string, maxReg float64) error {
-	if curPath == "" {
-		return fmt.Errorf("compare needs -current pointing at a BENCH_*.json document")
-	}
-	baseline, err := readBenchDoc(basePath)
-	if err != nil {
-		return err
-	}
-	current, err := readBenchDoc(curPath)
-	if err != nil {
-		return err
-	}
-	if err := experiments.CompareBench(baseline, current, maxReg); err != nil {
-		return err
-	}
-	fmt.Printf("bench compare: ok (%.2f qps vs baseline %.2f qps, gate %.0f%%)\n",
-		current.ThroughputQPS, baseline.ThroughputQPS, 100*maxReg)
-	return nil
-}
-
-func readBenchDoc(path string) (*experiments.BenchDoc, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var doc experiments.BenchDoc
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &doc, nil
 }
 
 func runFig8x(opts experiments.Options) error {

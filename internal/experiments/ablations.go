@@ -18,6 +18,9 @@ type AblationRow struct {
 	Name string
 	// PerQuery is the measured per-query protocol cost.
 	PerQuery time.Duration
+	// Pairs is the OMPE pair count M per query, set by the sweeps that
+	// vary it (mask degree, cover factor).
+	Pairs int
 	// Note carries configuration detail (message counts, field size, ...).
 	Note string
 }
@@ -58,6 +61,11 @@ func measure(model *svm.Model, samples [][]float64, params classify.Params, opts
 		return 0, nil, err
 	}
 	client.SetParallelism(opts.Parallelism)
+	// One untimed query first: the first configuration of a sweep would
+	// otherwise carry the process's cold-start cost.
+	if _, err := classify.ClassifyWith(trainer, client, samples[0], opts.Rand); err != nil {
+		return 0, nil, err
+	}
 	start := time.Now()
 	for q := 0; q < ablationQueries; q++ {
 		if _, err := classify.ClassifyWith(trainer, client, samples[q%len(samples)], opts.Rand); err != nil {
@@ -92,6 +100,7 @@ func AblationMaskDegree(opts Options, degrees []int) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{
 			Name:     fmt.Sprintf("q=%d", q),
 			PerQuery: per,
+			Pairs:    op.TotalPairs(),
 			Note:     fmt.Sprintf("m=%d genuine of M=%d pairs", op.GenuineCount(), op.TotalPairs()),
 		})
 	}
@@ -122,6 +131,7 @@ func AblationCoverFactor(opts Options, factors []int) ([]AblationRow, error) {
 		rows = append(rows, AblationRow{
 			Name:     fmt.Sprintf("k=%d", k),
 			PerQuery: per,
+			Pairs:    op.TotalPairs(),
 			Note:     fmt.Sprintf("M=%d pairs", op.TotalPairs()),
 		})
 	}

@@ -148,8 +148,8 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[1].PerQuery <= rows[0].PerQuery {
-		t.Fatalf("mask-degree sweep should grow: %+v", rows)
+	if len(rows) != 2 || rows[1].Pairs <= rows[0].Pairs {
+		t.Fatalf("mask-degree sweep should grow the pair count: %+v", rows)
 	}
 	modeRows, err := experiments.AblationModes(opts)
 	if err != nil {
@@ -162,8 +162,8 @@ func TestAblationsRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cf) != 2 {
-		t.Fatalf("%d cover rows", len(cf))
+	if len(cf) != 2 || cf[1].Pairs <= cf[0].Pairs {
+		t.Fatalf("cover-factor sweep should grow the pair count: %+v", cf)
 	}
 }
 

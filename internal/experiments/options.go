@@ -12,7 +12,6 @@ import (
 	"io"
 	"math/rand/v2"
 
-	"repro/internal/field"
 	"repro/internal/ot"
 )
 
@@ -37,17 +36,6 @@ type Options struct {
 	// messages and results are bit-identical at any degree given the same
 	// Rand stream.
 	Parallelism int
-	// FieldBackend selects the field-arithmetic engine for protocol
-	// experiments (zero value: math/big; field.BackendLimb runs the
-	// fixed-width fast path over 2^255−19).
-	FieldBackend field.Backend
-	// WireCodec pins the envelope codec for transport experiments
-	// (empty negotiates the default: binary preferred, gob fallback).
-	WireCodec string
-	// PadFunc selects the OT-extension pad family the client offers for
-	// fast sessions (zero value: the legacy SHA-256 pad; ot.PadAES
-	// offers the fixed-key AES pad, granted when the server supports it).
-	PadFunc ot.PadFunc
 }
 
 func (o Options) withDefaults() Options {

@@ -143,58 +143,6 @@ func (h HistSnapshot) Mean() int64 {
 	return h.Sum / h.Count
 }
 
-// Quantile estimates the q-th quantile (0 < q <= 1) from the fixed
-// bucket counts, interpolating linearly inside the target bucket and
-// clamping to the recorded Min/Max so the coarse power-of-four geometry
-// cannot report a value outside the observed range. Returns 0 when the
-// histogram is empty.
-func (h HistSnapshot) Quantile(q float64) int64 {
-	if h.Count == 0 || len(h.Buckets) == 0 {
-		return 0
-	}
-	if q <= 0 {
-		return h.Min
-	}
-	if q >= 1 {
-		return h.Max
-	}
-	rank := q * float64(h.Count)
-	cum := int64(0)
-	for i, c := range h.Buckets {
-		if c == 0 {
-			continue
-		}
-		prev := cum
-		cum += c
-		if float64(cum) < rank {
-			continue
-		}
-		// The rank falls inside bucket i, spanning (lo, hi].
-		var lo, hi int64
-		if i == 0 {
-			lo = 0
-		} else {
-			lo = histBounds[i-1]
-		}
-		if i < len(histBounds) {
-			hi = histBounds[i]
-		} else {
-			// Overflow bucket: the best finite upper bound is the max.
-			hi = h.Max
-		}
-		frac := (rank - float64(prev)) / float64(c)
-		v := lo + int64(frac*float64(hi-lo))
-		if v < h.Min {
-			v = h.Min
-		}
-		if v > h.Max {
-			v = h.Max
-		}
-		return v
-	}
-	return h.Max
-}
-
 // Snapshot is a consistent-enough point-in-time copy of a registry:
 // individual values are read atomically (the set of values is not
 // globally fenced, which is fine for monitoring and benchmark reports).
