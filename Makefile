@@ -1,6 +1,7 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
-# one-shot smoke run of the parallelism sweeps. fuzz-smoke runs the fuzz
-# targets briefly (CI runs it as a separate job).
+# one-shot smoke run of the parallelism sweeps and of the two x25519
+# micro-benchmarks the OT group work is sized with. fuzz-smoke runs the
+# fuzz targets briefly (CI runs it as a separate job).
 .PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
 	lint cover tidy-check wire-regen
 
@@ -17,6 +18,7 @@ test:
 
 bench-smoke:
 	go test -run='^$$' -bench=Parallelism -benchtime=1x ./...
+	go test -run='^$$' -bench='^(BenchmarkIKNPBase|BenchmarkKofN)$$/^x25519$$' -benchtime=1x ./internal/ot
 
 # bench runs the repository's one benchmark (see benchmark/README.md).
 bench:
@@ -35,6 +37,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzOMPEWire -fuzztime=10s ./internal/ompe
 	go test -run='^$$' -fuzz=FuzzFromBytes -fuzztime=10s ./internal/field
 	go test -run='^$$' -fuzz=FuzzLimbVsBig -fuzztime=10s ./internal/field/limb
+	go test -run='^$$' -fuzz=FuzzScalarMult -fuzztime=10s ./internal/ec25519
 
 # wire-regen rewrites the golden wire transcripts under
 # internal/transport/testdata/wire — a committed wire-format contract, so

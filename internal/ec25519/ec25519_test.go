@@ -249,3 +249,40 @@ func BenchmarkScalarMult(b *testing.B) {
 		p.ScalarMult(k, &base)
 	}
 }
+
+// BenchmarkDecode prices what the OT layer pays once per received element.
+func BenchmarkDecode(b *testing.B) {
+	k, _ := rand.Int(rand.Reader, ec25519.Order())
+	var p ec25519.Point
+	enc := p.ScalarBaseMult(k).Bytes()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := p.Decode(enc); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkEncode compares one inversion per point with one per batch.
+func BenchmarkEncode(b *testing.B) {
+	pts := make([]*ec25519.Point, 19)
+	for i := range pts {
+		k, _ := rand.Int(rand.Reader, ec25519.Order())
+		pts[i] = new(ec25519.Point).ScalarBaseMult(k)
+	}
+	dst := make([]byte, len(pts)*ec25519.PointLen)
+	b.Run("per-point", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, p := range pts {
+				p.PutBytes(dst[j*ec25519.PointLen:])
+			}
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if err := ec25519.EncodeBatch(dst, pts); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

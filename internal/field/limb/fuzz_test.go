@@ -72,6 +72,15 @@ func FuzzLimbVsBig(f *testing.F) {
 			t.Fatalf("mul: %v vs %v", got, want)
 		}
 
+		if got, want := r.Square(&ea).ToBig(), fl.Mul(a, a); got.Cmp(want) != 0 {
+			t.Fatalf("square: %v vs %v", got, want)
+		}
+		// Aliased receiver, and the dedicated squaring against Mul(x, x).
+		sq, mm := eb, eb
+		if !sq.Square(&sq).Equal(mm.Mul(&mm, &mm)) {
+			t.Fatalf("square(b) != mul(b, b) for %v", b)
+		}
+
 		_, limbInvErr := r.Inv(&ea)
 		wantInv, bigInvErr := fl.Inv(a)
 		if (limbInvErr == nil) != (bigInvErr == nil) {

@@ -105,6 +105,50 @@ func TestArithmeticMatchesBig(t *testing.T) {
 	}
 }
 
+// TestSquareMatchesMul checks the dedicated squaring against Mul(x, x) —
+// the implementation it replaced — on the residues where a carry or the
+// final subtraction can go wrong, on random residues, and in place.
+func TestSquareMatchesMul(t *testing.T) {
+	p := limb.Modulus()
+	vals := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(19), big.NewInt(38),
+		new(big.Int).Sub(p, big.NewInt(1)),
+		new(big.Int).Sub(p, big.NewInt(2)),
+		new(big.Int).Rsh(p, 1),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 254), big.NewInt(1)),
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 192), big.NewInt(1)),
+		new(big.Int).Lsh(big.NewInt(1), 128),
+		new(big.Int).SetUint64(^uint64(0)),
+	}
+	for i := 0; i < 2000; i++ {
+		v, err := rand.Int(rand.Reader, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals = append(vals, v)
+	}
+	for _, v := range vals {
+		var x, sq, mul limb.Element
+		if err := x.SetBig(v); err != nil {
+			t.Fatal(err)
+		}
+		mul.Mul(&x, &x)
+		if !sq.Square(&x).Equal(&mul) {
+			t.Fatalf("square(%v) = %v, mul gives %v", v, sq.ToBig(), mul.ToBig())
+		}
+		if !x.Square(&x).Equal(&mul) {
+			t.Fatalf("in-place square(%v) differs", v)
+		}
+		// Chains of squarings keep every intermediate canonical.
+		for j := 0; j < 8; j++ {
+			mul.Mul(&x, &x)
+			if !x.Square(&x).Equal(&mul) {
+				t.Fatalf("square chain from %v diverged at step %d", v, j)
+			}
+		}
+	}
+}
+
 func TestArithmeticEdgeValues(t *testing.T) {
 	f := bigField(t)
 	p := f.Modulus()
@@ -287,6 +331,16 @@ func BenchmarkLimbMul(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		z.Mul(&x, &y)
+	}
+}
+
+func BenchmarkLimbSquare(b *testing.B) {
+	var x, z limb.Element
+	x.SetUint64(0xdeadbeefcafebabe)
+	x.Inv(&x) // a full-width residue
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		z.Square(&x)
 	}
 }
 

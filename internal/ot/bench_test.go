@@ -56,18 +56,30 @@ func BenchmarkTree1ofN(b *testing.B) {
 	}
 }
 
+// BenchmarkKofN prices a whole k-of-n Naor–Pinkas transfer (both roles, in
+// memory) per group. 3of6 is the similarity protocol's dot-product round,
+// 9of18 its area round — the shape `ot.kofn_area_ms` of the repository
+// benchmark times; `make bench-smoke` runs the x25519 cases once.
 func BenchmarkKofN(b *testing.B) {
-	g := ot.Group512Test()
-	msgs := benchMessages(b, 6)
-	indices := []int{0, 2, 4}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ot.TransferKofN(g, msgs, indices, rand.Reader); err != nil {
-			b.Fatal(err)
+	for _, g := range []ot.Group{ot.Group512Test(), ot.X25519()} {
+		for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
+			b.Run(fmt.Sprintf("%s/%dof%d", g.Name(), shape.k, shape.n), func(b *testing.B) {
+				msgs := benchMessages(b, shape.n)
+				indices := make([]int, shape.k)
+				for i := range indices {
+					indices[i] = 2 * i
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := ot.TransferKofNParallel(g, msgs, indices, 1, rand.Reader); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(shape.k)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
+			})
 		}
 	}
-	b.ReportMetric(float64(len(indices))*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
 }
 
 // BenchmarkKofNParallel sweeps the worker-pool bound on a wide batch
@@ -166,16 +178,6 @@ func BenchmarkDirectBatch1of2(b *testing.B) {
 			if _, err := ot.Transfer1of2(g, msgs, j%2, rand.Reader); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-func BenchmarkIKNPBasePhase(b *testing.B) {
-	g := ot.Group512Test()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := ot.NewIKNP(g, rand.Reader); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -12,11 +12,19 @@
 //
 // Two DDH group backends are provided: the classic safe-prime MODP
 // subgroups the paper benchmarks against (ModpGroup), and the edwards25519
-// prime-order subgroup (X25519Group), whose scalar multiplications are
-// microseconds instead of milliseconds. Both present group elements to
-// this package as *big.Int — for the curve, the integer is the 32-byte
-// compressed point encoding — so every protocol message, serialization,
-// and key-derivation path is backend-agnostic.
+// prime-order subgroup (X25519Group), whose scalar multiplications cost
+// tens of microseconds instead of milliseconds.
+//
+// On the wire a group element is a *big.Int — for the curve, the integer
+// of the 32-byte compressed point encoding — so message structs,
+// serialization and key derivation are backend-agnostic. Inside the
+// package it is a decoded Element: Group.Decode turns a received integer
+// into one exactly once, and that decode is the validation (an integer
+// that is not a group element never reaches the arithmetic); all
+// Naor–Pinkas arithmetic runs on decoded elements; Group.Encode turns a
+// whole batch back into wire integers at the end, which lets the curve
+// share one field inversion across the batch instead of paying one per
+// element.
 package ot
 
 import (
@@ -31,9 +39,16 @@ import (
 	"repro/internal/obs"
 )
 
-// Group is a DDH group for the Naor–Pinkas transfers. Elements and
-// scalars travel as *big.Int (see the package comment for the curve
-// encoding); implementations must be safe for concurrent use.
+// Element is a decoded group element. It is opaque to the protocol code
+// and meaningful only to the Group that produced it (a *big.Int residue
+// for ModpGroup, a curve point for X25519Group); handing a Group an
+// Element of another group is a programming error and panics.
+type Element any
+
+// Group is a DDH group for the Naor–Pinkas transfers. Scalars are
+// *big.Int, elements are decoded Elements between Decode and Encode (see
+// the package comment); implementations must be safe for concurrent use
+// and never modify an Element they are handed.
 //
 // Element sampling is split into a cheap seed draw and an expensive
 // finish so batch constructors can consume the rng serially — keeping the
@@ -47,35 +62,35 @@ type Group interface {
 	Bits() int
 	// ElementLen returns the fixed byte length of a serialized element.
 	ElementLen() int
+	// Decode validates a wire integer and returns the element it encodes;
+	// anything that is not the canonical encoding of a group element is an
+	// error.
+	Decode(x *big.Int) (Element, error)
+	// Encode returns the wire integers of elems, in order. It fails only
+	// on an Element no operation of this Group produces.
+	Encode(elems []Element) ([]*big.Int, error)
 	// Exp returns base^e (multiplicative notation; scalar multiplication
-	// for curve backends). base must satisfy ValidElement.
-	Exp(base, e *big.Int) *big.Int
+	// for curve backends).
+	Exp(base Element, e *big.Int) Element
 	// ExpG returns g^e for the group generator, typically via a fixed-base
 	// table.
-	ExpG(e *big.Int) *big.Int
-	// Mul returns the group product a·b of two valid elements.
-	Mul(a, b *big.Int) *big.Int
-	// Inv returns the group inverse of a valid element.
-	Inv(a *big.Int) (*big.Int, error)
-	// ValidElement reports whether x decodes to a group element.
-	ValidElement(x *big.Int) bool
+	ExpG(e *big.Int) Element
+	// ExpSeed returns ElementFromSeed(seed)^e. A party that drew the seed
+	// itself can use it where it would otherwise raise the sampled
+	// element to e; a backend whose seeds are discrete logarithms answers
+	// from its fixed-base table.
+	ExpSeed(seed, e *big.Int) Element
+	// Mul returns the group product a·b.
+	Mul(a, b Element) Element
+	// Inv returns the group inverse of a.
+	Inv(a Element) Element
 	// RandomScalar samples a uniform non-zero exponent.
 	RandomScalar(rng io.Reader) (*big.Int, error)
 	// RandomElementSeed draws the serial randomness behind one element.
 	RandomElementSeed(rng io.Reader) (*big.Int, error)
 	// ElementFromSeed deterministically finishes a seed into a uniform
 	// group element. It must be safe to call from multiple goroutines.
-	ElementFromSeed(seed *big.Int) *big.Int
-}
-
-// randomElement samples a uniform group element (seed + finish in one
-// step, for the serial construction paths).
-func randomElement(g Group, rng io.Reader) (*big.Int, error) {
-	seed, err := g.RandomElementSeed(rng)
-	if err != nil {
-		return nil, err
-	}
-	return g.ElementFromSeed(seed), nil
+	ElementFromSeed(seed *big.Int) Element
 }
 
 // ModpGroup is a subgroup of Z_p^* of prime order q = (p-1)/2 for a safe
@@ -188,9 +203,15 @@ func (g *ModpGroup) Bits() int { return g.P.BitLen() }
 func (g *ModpGroup) ElementLen() int { return (g.P.BitLen() + 7) / 8 }
 
 // Exp returns base^e mod P.
-func (g *ModpGroup) Exp(base, e *big.Int) *big.Int {
+func (g *ModpGroup) Exp(base Element, e *big.Int) Element {
 	obs.Add(obs.CtrGroupExp, 1)
-	return new(big.Int).Exp(base, e, g.P)
+	return new(big.Int).Exp(base.(*big.Int), e, g.P)
+}
+
+// ExpSeed returns (seed²)^e mod P: MODP seeds are not logarithms, so this
+// is the generic exponentiation of the sampled element.
+func (g *ModpGroup) ExpSeed(seed, e *big.Int) Element {
+	return g.Exp(g.ElementFromSeed(seed), e)
 }
 
 // fixedBaseWindow is the digit width (bits) of the fixed-base table. Width
@@ -216,11 +237,11 @@ func (g *ModpGroup) buildFixedBase() {
 		row := make([]*big.Int, (1<<w)-1)
 		row[0] = new(big.Int).Set(base)
 		for v := 2; v < 1<<w; v++ {
-			row[v-1] = g.Mul(row[v-2], base)
+			row[v-1] = g.mulMod(row[v-2], base)
 		}
 		windows[j] = row
 		// Advance to the next window's base: base^(2^w) = base^(2^w−1)·base.
-		base = g.Mul(row[len(row)-1], base)
+		base = g.mulMod(row[len(row)-1], base)
 	}
 	g.fixedBase.windows = windows
 }
@@ -229,7 +250,7 @@ func (g *ModpGroup) buildFixedBase() {
 // table. One batch OT run performs a g^r or g^x exponentiation per
 // instance; they all share this table. Exponents beyond the subgroup
 // order's bit length fall back to generic Exp.
-func (g *ModpGroup) ExpG(e *big.Int) *big.Int {
+func (g *ModpGroup) ExpG(e *big.Int) Element {
 	if e.Sign() < 0 {
 		return g.Exp(g.G, e)
 	}
@@ -256,22 +277,35 @@ func (g *ModpGroup) ExpG(e *big.Int) *big.Int {
 }
 
 // Mul returns a*b mod P.
-func (g *ModpGroup) Mul(a, b *big.Int) *big.Int {
+func (g *ModpGroup) Mul(a, b Element) Element {
+	return g.mulMod(a.(*big.Int), b.(*big.Int))
+}
+
+func (g *ModpGroup) mulMod(a, b *big.Int) *big.Int {
 	return new(big.Int).Mod(new(big.Int).Mul(a, b), g.P)
 }
 
-// Inv returns a^{-1} mod P.
-func (g *ModpGroup) Inv(a *big.Int) (*big.Int, error) {
-	inv := new(big.Int).ModInverse(a, g.P)
-	if inv == nil {
-		return nil, fmt.Errorf("ot: %v not invertible in group", a)
-	}
-	return inv, nil
+// Inv returns a^{-1} mod P (P is prime and a decoded element is in
+// [1, P), so the inverse exists).
+func (g *ModpGroup) Inv(a Element) Element {
+	return new(big.Int).ModInverse(a.(*big.Int), g.P)
 }
 
-// ValidElement reports whether x is in [1, P).
-func (g *ModpGroup) ValidElement(x *big.Int) bool {
-	return x != nil && x.Sign() > 0 && x.Cmp(g.P) < 0
+// Decode accepts the integers in [1, P); the residue is its own element.
+func (g *ModpGroup) Decode(x *big.Int) (Element, error) {
+	if x == nil || x.Sign() <= 0 || x.Cmp(g.P) >= 0 {
+		return nil, fmt.Errorf("%w: element outside [1, p)", ErrBadMessage)
+	}
+	return x, nil
+}
+
+// Encode returns the residues themselves.
+func (g *ModpGroup) Encode(elems []Element) ([]*big.Int, error) {
+	out := make([]*big.Int, len(elems))
+	for i, e := range elems {
+		out[i] = e.(*big.Int)
+	}
+	return out, nil
 }
 
 // Equal reports whether two MODP groups share the same parameters.
@@ -301,6 +335,6 @@ func (g *ModpGroup) RandomElementSeed(rng io.Reader) (*big.Int, error) {
 }
 
 // ElementFromSeed squares the seed into the subgroup.
-func (g *ModpGroup) ElementFromSeed(seed *big.Int) *big.Int {
-	return g.Mul(seed, seed)
+func (g *ModpGroup) ElementFromSeed(seed *big.Int) Element {
+	return g.mulMod(seed, seed)
 }

@@ -153,7 +153,6 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 		ciphers1: make([]cipher.Block, iknpKappa),
 	}
 	recv.baseSenders = make([]*Sender, iknpKappa)
-	setups := make([]*SenderSetup, iknpKappa)
 	for i := 0; i < iknpKappa; i++ {
 		recv.seed0[i] = make([]byte, treeKeyLen)
 		recv.seed1[i] = make([]byte, treeKeyLen)
@@ -170,12 +169,17 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 		if recv.ciphers1[i], err = aes.NewCipher(recv.seed1[i]); err != nil {
 			return nil, nil, err
 		}
-		s, setup, err := NewSender(group, [][]byte{recv.seed0[i], recv.seed1[i]}, rng)
+		// The base senders only read the seed pair, which nothing mutates
+		// afterwards, so they share it with the receiver state.
+		s, err := drawSender(group, [][]byte{recv.seed0[i], recv.seed1[i]}, rng)
 		if err != nil {
 			return nil, nil, fmt.Errorf("ot: iknp base sender %d: %w", i, err)
 		}
 		recv.baseSenders[i] = s
-		setups[i] = setup
+	}
+	setups, err := setupsFor(recv.baseSenders, 1)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
 	return recv, &IKNPBaseSetup{Setups: setups}, nil
 }
@@ -193,16 +197,15 @@ func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPS
 	if _, err := io.ReadFull(rng, send.s); err != nil {
 		return nil, nil, err
 	}
-	send.baseReceivers = make([]*Receiver, iknpKappa)
-	choices := make([]*ReceiverChoice, iknpKappa)
-	for i := 0; i < iknpKappa; i++ {
-		r, c, err := NewReceiver(group, 2, getBit(send.s, i), setup.Setups[i], rng)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ot: iknp base receiver %d: %w", i, err)
-		}
-		send.baseReceivers[i] = r
-		choices[i] = c
+	bits := make([]int, iknpKappa)
+	for i := range bits {
+		bits[i] = getBit(send.s, i)
 	}
+	receivers, choices, err := chooseAll(group, 2, bits, setup.Setups, 1, rng)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
+	}
+	send.baseReceivers = receivers
 	return send, &IKNPBaseChoice{Choices: choices}, nil
 }
 
@@ -212,13 +215,9 @@ func (r *IKNPReceiver) BaseRespond(choice *IKNPBaseChoice, rng io.Reader) (*IKNP
 	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSenders == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfers := make([]*SenderTransfer, iknpKappa)
-	for i, s := range r.baseSenders {
-		tr, err := s.Respond(choice.Choices[i], rng)
-		if err != nil {
-			return nil, fmt.Errorf("ot: iknp base respond %d: %w", i, err)
-		}
-		transfers[i] = tr
+	transfers, err := respondAll(r.baseSenders, choice.Choices, 1, rng)
+	if err != nil {
+		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
 	r.baseSenders = nil // one-shot
 	return &IKNPBaseTransfer{Transfers: transfers}, nil
@@ -229,15 +228,15 @@ func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
 	if tr == nil || len(tr.Transfers) != iknpKappa || s.baseReceivers == nil {
 		return fmt.Errorf("%w: bad base transfer", ErrIKNP)
 	}
+	seeds, err := recoverAll(s.baseReceivers, tr.Transfers, 1)
+	if err != nil {
+		return fmt.Errorf("ot: iknp base recover: %w", err)
+	}
 	// Retain the recovered seeds alongside the expanded ciphers: a session
 	// snapshot (see resume.go) must carry the raw key material, because a
 	// cipher.Block cannot be serialized back into its key.
 	s.seeds = make([]byte, iknpKappa*treeKeyLen)
-	for i, r := range s.baseReceivers {
-		seed, err := r.Recover(tr.Transfers[i])
-		if err != nil {
-			return fmt.Errorf("ot: iknp base recover %d: %w", i, err)
-		}
+	for i, seed := range seeds {
 		if len(seed) != treeKeyLen {
 			return fmt.Errorf("%w: base seed %d has length %d", ErrIKNP, i, len(seed))
 		}

@@ -4,10 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 
 	"repro/internal/obs"
-	"repro/internal/parallel"
 )
 
 // ErrDuplicateIndex reports repeated indices in a k-out-of-n choice.
@@ -33,9 +31,10 @@ type BatchTransfer struct {
 // 1-out-of-n instances (honest-but-curious; see package doc).
 //
 // The per-instance exponentiations — the OT bottleneck — are distributed
-// across a worker pool (internal/parallel). All randomness is drawn
-// serially before any parallel region, so the rng stream and every message
-// are bit-identical at any parallelism degree.
+// across a worker pool (internal/parallel) by the instance-slice steps of
+// naorpinkas.go. All randomness is drawn serially before any parallel
+// region, so the rng stream and every message are bit-identical at any
+// parallelism degree.
 type BatchSender struct {
 	senders []*Sender
 	par     int
@@ -55,48 +54,28 @@ func NewBatchSenderParallel(group Group, msgs [][]byte, k, parallelism int, rng 
 	if k < 1 || k > len(msgs) {
 		return nil, nil, fmt.Errorf("ot: invalid k=%d for n=%d", k, len(msgs))
 	}
-	if len(msgs) < 2 {
-		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", len(msgs))
-	}
-	for _, m := range msgs[1:] {
-		if len(m) != len(msgs[0]) {
-			return nil, nil, ErrMessageLen
-		}
+	if err := checkMessages(msgs); err != nil {
+		return nil, nil, err
 	}
 	// One defensive copy of the messages, shared read-only by all k
-	// instances (the serial construction copied them per instance).
-	copied := make([][]byte, len(msgs))
-	for i, m := range msgs {
-		copied[i] = append([]byte(nil), m...)
-	}
-	// Draw every instance's constraint randomness serially, in the same
-	// nested order as instance-by-instance construction; only the heavy
-	// seed-to-element finish (a subgroup squaring for MODP groups, a
-	// scalar multiplication for curves) runs in parallel.
-	raw := make([][]*big.Int, k)
-	for i := 0; i < k; i++ {
-		rs := make([]*big.Int, len(msgs)-1)
-		for j := range rs {
-			x, err := group.RandomElementSeed(rng)
-			if err != nil {
-				return nil, nil, fmt.Errorf("ot: instance %d: %w", i, err)
-			}
-			rs[j] = x
-		}
-		raw[i] = rs
-	}
+	// instances.
+	copied := copyMessages(msgs)
+	// Draw every instance's constraint randomness serially, instance by
+	// instance; only the heavy seed-to-element finish (a subgroup squaring
+	// for MODP groups, a scalar multiplication for curves) runs in
+	// parallel.
 	senders := make([]*Sender, k)
-	setups := make([]*SenderSetup, k)
-	_ = parallel.For(parallelism, k, func(i int) error {
-		cs := make([]*big.Int, len(raw[i]))
-		for j, x := range raw[i] {
-			cs[j] = group.ElementFromSeed(x)
+	for i := range senders {
+		s, err := drawSender(group, copied, rng)
+		if err != nil {
+			return nil, nil, instanceErr(i, err)
 		}
-		setup := &SenderSetup{Cs: cs}
-		senders[i] = &Sender{group: group, msgs: copied, setup: setup}
-		setups[i] = setup
-		return nil
-	})
+		senders[i] = s
+	}
+	setups, err := setupsFor(senders, parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
 	obs.Add(obs.CtrOTInstances, int64(k))
 	return &BatchSender{senders: senders, par: parallelism}, &BatchSetup{Setups: setups}, nil
 }
@@ -108,29 +87,7 @@ func (bs *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransf
 	if choice == nil || len(choice.Choices) != len(bs.senders) {
 		return nil, fmt.Errorf("%w: want %d choices", ErrBadMessage, len(bs.senders))
 	}
-	// Validate every choice and draw every ephemeral exponent serially
-	// (matching the serial instance order), then fan out the
-	// exponentiation-heavy responses.
-	rs := make([]*big.Int, len(bs.senders))
-	for i, s := range bs.senders {
-		if err := s.checkChoice(choice.Choices[i]); err != nil {
-			return nil, fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		r, err := s.group.RandomScalar(rng)
-		if err != nil {
-			return nil, fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		rs[i] = r
-	}
-	transfers := make([]*SenderTransfer, len(bs.senders))
-	err := parallel.For(bs.par, len(bs.senders), func(i int) error {
-		tr, err := bs.senders[i].respond(choice.Choices[i], rs[i])
-		if err != nil {
-			return fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		transfers[i] = tr
-		return nil
-	})
+	transfers, err := respondAll(bs.senders, choice.Choices, bs.par, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -164,30 +121,7 @@ func NewBatchReceiverParallel(group Group, n int, indices []int, setup *BatchSet
 		}
 		seen[idx] = true
 	}
-	// Per instance: validate, then draw the secret exponent — the same
-	// order as serial construction — before the parallel exponentiations.
-	xs := make([]*big.Int, len(indices))
-	for i, idx := range indices {
-		if err := checkReceiverArgs(group, n, idx, setup.Setups[i]); err != nil {
-			return nil, nil, fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		x, err := group.RandomScalar(rng)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		xs[i] = x
-	}
-	receivers := make([]*Receiver, len(indices))
-	choices := make([]*ReceiverChoice, len(indices))
-	err := parallel.For(parallelism, len(indices), func(i int) error {
-		r, c, err := newReceiverWithSecret(group, n, indices[i], setup.Setups[i], xs[i])
-		if err != nil {
-			return fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		receivers[i] = r
-		choices[i] = c
-		return nil
-	})
+	receivers, choices, err := chooseAll(group, n, indices, setup.Setups, parallelism, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -201,19 +135,7 @@ func (br *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	if tr == nil || len(tr.Transfers) != len(br.receivers) {
 		return nil, fmt.Errorf("%w: want %d transfers", ErrBadMessage, len(br.receivers))
 	}
-	out := make([][]byte, len(br.receivers))
-	err := parallel.For(br.par, len(br.receivers), func(i int) error {
-		m, err := br.receivers[i].Recover(tr.Transfers[i])
-		if err != nil {
-			return fmt.Errorf("ot: instance %d: %w", i, err)
-		}
-		out[i] = m
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return recoverAll(br.receivers, tr.Transfers, br.par)
 }
 
 // Transfer1of2 runs a complete in-memory 1-out-of-2 transfer: the receiver

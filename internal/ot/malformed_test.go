@@ -1,0 +1,142 @@
+package ot_test
+
+import (
+	"crypto/rand"
+	"errors"
+	"math/big"
+	"testing"
+
+	"repro/internal/ec25519"
+	"repro/internal/field/limb"
+	"repro/internal/ot"
+)
+
+// wireOfLE returns the wire integer of a compressed point given as a
+// little-endian y and a sign bit: the big-endian reading of the 32 bytes.
+func wireOfLE(y *big.Int, sign byte) *big.Int {
+	be := y.FillBytes(make([]byte, ec25519.PointLen))
+	enc := make([]byte, ec25519.PointLen)
+	for i := range enc {
+		enc[i] = be[ec25519.PointLen-1-i]
+	}
+	enc[ec25519.PointLen-1] |= sign << 7
+	return new(big.Int).SetBytes(enc)
+}
+
+// malformedElements lists, per group, integers that are not the canonical
+// encoding of a group element.
+func malformedElements(t *testing.T) map[string]map[string]*big.Int {
+	t.Helper()
+	var offCurve *big.Int
+	for y := int64(2); y < 40 && offCurve == nil; y++ {
+		enc := wireOfLE(big.NewInt(y), 0).FillBytes(make([]byte, ec25519.PointLen))
+		if new(ec25519.Point).Decode(enc) != nil {
+			offCurve = wireOfLE(big.NewInt(y), 0)
+		}
+	}
+	if offCurve == nil {
+		t.Fatal("no off-curve y below 40")
+	}
+	modp := ot.Group512Test()
+	return map[string]map[string]*big.Int{
+		"x25519": {
+			"off-curve y":   offCurve,
+			"y = p":         wireOfLE(limb.Modulus(), 0),
+			"y = p+1":       wireOfLE(new(big.Int).Add(limb.Modulus(), big.NewInt(1)), 0),
+			"negative zero": wireOfLE(big.NewInt(1), 1),
+			"over-long":     new(big.Int).Lsh(big.NewInt(1), 260),
+			"negative":      big.NewInt(-1),
+			"nil":           nil,
+		},
+		"modp512-test": {
+			"zero":     big.NewInt(0),
+			"P":        new(big.Int).Set(modp.P),
+			"P+1":      new(big.Int).Add(modp.P, big.NewInt(1)),
+			"negative": big.NewInt(-1),
+			"nil":      nil,
+		},
+	}
+}
+
+// TestMalformedElementsRejected feeds every malformed integer in every
+// position a peer controls — PK0, R, and a constraint C_j both at and away
+// from the chosen index — through the single-transfer and the batched
+// (worker-pool) entry points, and wants ErrBadMessage every time: there is
+// no arithmetic on an element that did not decode, and no panic.
+func TestMalformedElementsRejected(t *testing.T) {
+	bad := malformedElements(t)
+	const n, sigma = 4, 2
+	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
+		msgs := randomMessages(t, n, 16)
+		sender, setup, err := ot.NewSender(g, msgs, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		receiver, choice, err := ot.NewReceiver(g, n, sigma, setup, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := sender.Respond(choice, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indices := []int{sigma, 0, 3}
+		bSender, bSetup, err := ot.NewBatchSenderParallel(g, msgs, len(indices), 4, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bReceiver, bChoice, err := ot.NewBatchReceiverParallel(g, n, indices, bSetup, 4, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bTr, err := bSender.Respond(bChoice, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for name, x := range bad[g.Name()] {
+			t.Run(g.Name()+"/"+name, func(t *testing.T) {
+				want := func(what string, err error) {
+					t.Helper()
+					if !errors.Is(err, ot.ErrBadMessage) {
+						t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
+					}
+				}
+				_, err := sender.Respond(&ot.ReceiverChoice{PK0: x}, rand.Reader)
+				want("Respond(PK0)", err)
+				_, err = receiver.Recover(&ot.SenderTransfer{R: x, Cts: tr.Cts})
+				want("Recover(R)", err)
+				for j := 0; j < n-1; j++ { // j = sigma−1 is the constraint the receiver uses
+					cs := append([]*big.Int(nil), setup.Cs...)
+					cs[j] = x
+					_, _, err = ot.NewReceiver(g, n, sigma, &ot.SenderSetup{Cs: cs}, rand.Reader)
+					want("NewReceiver(C_j)", err)
+				}
+
+				// The same three positions inside the last instance of a batch.
+				last := len(indices) - 1
+				choices := append([]*ot.ReceiverChoice(nil), bChoice.Choices...)
+				choices[last] = &ot.ReceiverChoice{PK0: x}
+				_, err = bSender.Respond(&ot.BatchChoice{Choices: choices}, rand.Reader)
+				want("batch Respond(PK0)", err)
+				transfers := append([]*ot.SenderTransfer(nil), bTr.Transfers...)
+				transfers[last] = &ot.SenderTransfer{R: x, Cts: bTr.Transfers[last].Cts}
+				_, err = bReceiver.Recover(&ot.BatchTransfer{Transfers: transfers})
+				want("batch Recover(R)", err)
+				setups := append([]*ot.SenderSetup(nil), bSetup.Setups...)
+				cs := append([]*big.Int(nil), setups[last].Cs...)
+				cs[0] = x
+				setups[last] = &ot.SenderSetup{Cs: cs}
+				_, _, err = ot.NewBatchReceiverParallel(g, n, indices, &ot.BatchSetup{Setups: setups}, 4, rand.Reader)
+				want("batch NewReceiver(C_j)", err)
+			})
+		}
+
+		// The untampered messages still go through afterwards: a rejected
+		// message leaves the endpoints usable.
+		got, err := receiver.Recover(tr)
+		if err != nil || string(got) != string(msgs[sigma]) {
+			t.Fatalf("%s: honest transfer after the rejections: %q, %v", g.Name(), got, err)
+		}
+	}
+}

@@ -41,7 +41,7 @@ func TestGroupsAreSafePrimes(t *testing.T) {
 				t.Fatal("P != 2Q+1")
 			}
 			// g generates the order-q subgroup: g^q == 1.
-			if g.Exp(g.G, g.Q).Cmp(big.NewInt(1)) != 0 {
+			if g.Exp(g.G, g.Q).(*big.Int).Cmp(big.NewInt(1)) != 0 {
 				t.Fatal("generator does not have order Q")
 			}
 		})
@@ -271,8 +271,8 @@ func TestChoiceHidesIndex(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !g.ValidElement(choice.PK0) {
-				t.Fatal("PK0 not a valid element")
+			if _, err := g.Decode(choice.PK0); err != nil {
+				t.Fatalf("PK0 not a valid element: %v", err)
 			}
 			key := choice.PK0.String()
 			if seen[key] {

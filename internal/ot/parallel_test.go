@@ -59,8 +59,8 @@ func TestExpGMatchesExp(t *testing.T) {
 		exps = append(exps, e)
 	}
 	for _, e := range exps {
-		want := g.Exp(g.G, e)
-		if got := g.ExpG(e); got.Cmp(want) != 0 {
+		want := g.Exp(g.G, e).(*big.Int)
+		if got := g.ExpG(e).(*big.Int); got.Cmp(want) != 0 {
 			t.Fatalf("ExpG(%v) = %v, want %v", e, got, want)
 		}
 	}

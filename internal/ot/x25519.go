@@ -11,21 +11,26 @@ import (
 )
 
 // X25519Group adapts the edwards25519 prime-order subgroup (internal/
-// ec25519) to the Group interface. A group element is the 32-byte
-// compressed point encoding, carried as the big-endian *big.Int of those
-// bytes so that the Naor–Pinkas message structs, gob wire format, and
-// key-derivation path (elem.FillBytes) are identical to the MODP
-// backends'. "Exponentiation" is scalar multiplication; per-operation
-// cost drops from milliseconds (modp2048 square-and-multiply) to tens of
-// microseconds, which is what makes per-session base-OT setup disappear
-// under IKNP amortization.
+// ec25519) to the Group interface. On the wire an element is the 32-byte
+// compressed point encoding, read as a big-endian *big.Int so that the
+// Naor–Pinkas message structs, both wire codecs and the key-derivation
+// input are the MODP backends'; in memory it is an *ec25519.Point.
 //
-// Random elements are sampled as g^s for a secret uniform scalar s — the
-// sampler's knowledge of s is harmless in the paper's honest-but-curious
-// model, where the Naor–Pinkas constraint elements are chosen by the
-// sender about its own messages. The seed/finish split lets batch
-// constructors draw s serially and run the scalar multiplications in
-// parallel, keeping wire bytes deterministic at any parallelism.
+// Decode is the expensive direction — a square root in the field, about
+// 5 µs — and is paid once per received element; Encode costs one field
+// inversion (also about 5 µs) per *batch* plus a fraction of a microsecond
+// per element. "Exponentiation" is scalar multiplication: about 10 µs
+// from the basepoint table, about 60 µs for an arbitrary point, against
+// milliseconds for a modp2048 exponentiation.
+//
+// Random elements are sampled as [s]·B for a secret uniform scalar s, so
+// a seed is the element's discrete logarithm and ExpSeed is a table
+// lookup: [s·e]·B. The sampler's knowledge of s is harmless — the
+// Naor–Pinkas constraint elements are chosen by the sender, about its own
+// messages; it is the *receiver* who must not know their logarithms, and
+// it sees only the points (DESIGN.md §11). The seed/finish split lets
+// batch constructors draw s serially and run the scalar multiplications
+// in parallel, keeping wire bytes deterministic at any parallelism.
 type X25519Group struct{}
 
 // X25519 returns the edwards25519 OT group backend.
@@ -40,8 +45,8 @@ func (g *X25519Group) Bits() int { return 255 }
 // ElementLen returns the compressed point size (32 bytes).
 func (g *X25519Group) ElementLen() int { return ec25519.PointLen }
 
-// decodePoint interprets a wire integer as a compressed point.
-func (g *X25519Group) decodePoint(x *big.Int) (*ec25519.Point, error) {
+// Decode interprets a wire integer as a canonical compressed point.
+func (g *X25519Group) Decode(x *big.Int) (Element, error) {
 	if x == nil || x.Sign() < 0 || x.BitLen() > 8*ec25519.PointLen {
 		return nil, fmt.Errorf("%w: element out of range", ErrBadMessage)
 	}
@@ -49,67 +54,54 @@ func (g *X25519Group) decodePoint(x *big.Int) (*ec25519.Point, error) {
 	x.FillBytes(buf[:])
 	var p ec25519.Point
 	if err := p.Decode(buf[:]); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	return &p, nil
 }
 
-func encodePoint(p *ec25519.Point) *big.Int {
-	return new(big.Int).SetBytes(p.Bytes())
-}
-
-// identityElem is the wire form of the neutral element, returned by the
-// error-less group operations for inputs that fail to decode. Protocol
-// paths never hit it: every element is checked with ValidElement on
-// receipt, before any arithmetic.
-func identityElem() *big.Int {
-	var id ec25519.Point
-	return encodePoint(id.SetIdentity())
+// Encode compresses the points with one shared field inversion.
+func (g *X25519Group) Encode(elems []Element) ([]*big.Int, error) {
+	pts := make([]*ec25519.Point, len(elems))
+	for i, e := range elems {
+		pts[i] = e.(*ec25519.Point)
+	}
+	buf := make([]byte, len(pts)*ec25519.PointLen)
+	if err := ec25519.EncodeBatch(buf, pts); err != nil {
+		return nil, fmt.Errorf("ot: %w", err)
+	}
+	out := make([]*big.Int, len(pts))
+	for i := range out {
+		out[i] = new(big.Int).SetBytes(buf[i*ec25519.PointLen : (i+1)*ec25519.PointLen])
+	}
+	return out, nil
 }
 
 // Exp returns [e]·base.
-func (g *X25519Group) Exp(base, e *big.Int) *big.Int {
+func (g *X25519Group) Exp(base Element, e *big.Int) Element {
 	obs.Add(obs.CtrGroupExp, 1)
-	p, err := g.decodePoint(base)
-	if err != nil {
-		return identityElem()
-	}
-	return encodePoint(p.ScalarMult(e, p))
+	return new(ec25519.Point).ScalarMult(e, base.(*ec25519.Point))
 }
 
 // ExpG returns [e]·B via the fixed-base table.
-func (g *X25519Group) ExpG(e *big.Int) *big.Int {
+func (g *X25519Group) ExpG(e *big.Int) Element {
 	obs.Add(obs.CtrGroupExp, 1)
-	var p ec25519.Point
-	return encodePoint(p.ScalarBaseMult(e))
+	return new(ec25519.Point).ScalarBaseMult(e)
+}
+
+// ExpSeed returns [e]·([seed]·B) = [seed·e]·B via the fixed-base table.
+func (g *X25519Group) ExpSeed(seed, e *big.Int) Element {
+	obs.Add(obs.CtrGroupExp, 1)
+	return new(ec25519.Point).ScalarBaseMult(new(big.Int).Mul(seed, e))
 }
 
 // Mul returns the point sum a + b.
-func (g *X25519Group) Mul(a, b *big.Int) *big.Int {
-	pa, err := g.decodePoint(a)
-	if err != nil {
-		return identityElem()
-	}
-	pb, err := g.decodePoint(b)
-	if err != nil {
-		return identityElem()
-	}
-	return encodePoint(pa.Add(pa, pb))
+func (g *X25519Group) Mul(a, b Element) Element {
+	return new(ec25519.Point).Add(a.(*ec25519.Point), b.(*ec25519.Point))
 }
 
 // Inv returns the point negation −a.
-func (g *X25519Group) Inv(a *big.Int) (*big.Int, error) {
-	p, err := g.decodePoint(a)
-	if err != nil {
-		return nil, fmt.Errorf("ot: %w", err)
-	}
-	return encodePoint(p.Neg(p)), nil
-}
-
-// ValidElement reports whether x decodes to a canonical curve point.
-func (g *X25519Group) ValidElement(x *big.Int) bool {
-	_, err := g.decodePoint(x)
-	return err == nil
+func (g *X25519Group) Inv(a Element) Element {
+	return new(ec25519.Point).Neg(a.(*ec25519.Point))
 }
 
 // RandomScalar samples a uniform scalar in [1, L).
@@ -128,7 +120,6 @@ func (g *X25519Group) RandomElementSeed(rng io.Reader) (*big.Int, error) {
 }
 
 // ElementFromSeed finishes the sample: [seed]·B.
-func (g *X25519Group) ElementFromSeed(seed *big.Int) *big.Int {
-	var p ec25519.Point
-	return encodePoint(p.ScalarBaseMult(seed))
+func (g *X25519Group) ElementFromSeed(seed *big.Int) Element {
+	return new(ec25519.Point).ScalarBaseMult(seed)
 }

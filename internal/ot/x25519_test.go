@@ -3,6 +3,7 @@ package ot_test
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 
@@ -36,9 +37,22 @@ func TestX25519GroupByName(t *testing.T) {
 	}
 }
 
+// encodeAll returns the wire integers of the elements, failing the test on
+// an encoder error.
+func encodeAll(t *testing.T, g ot.Group, elems ...ot.Element) []*big.Int {
+	t.Helper()
+	wire, err := g.Encode(elems)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return wire
+}
+
 // TestX25519GroupOps checks the DDH-group contract the Naor–Pinkas
 // construction relies on: ExpG agrees with Exp on the generator's image,
-// Mul/Inv cancel, and exponent arithmetic is homomorphic.
+// Mul/Inv cancel, exponent arithmetic is homomorphic, ExpSeed is the
+// exponentiation of the sampled element, and every result survives the
+// wire (Encode then Decode) unchanged.
 func TestX25519GroupOps(t *testing.T) {
 	g := ot.X25519()
 	a, err := g.RandomScalar(rand.Reader)
@@ -51,55 +65,56 @@ func TestX25519GroupOps(t *testing.T) {
 	}
 	ga := g.ExpG(a)
 	gb := g.ExpG(b)
-	if !g.ValidElement(ga) || !g.ValidElement(gb) {
-		t.Fatal("generator powers not valid elements")
-	}
-	// (g^a)^b == (g^b)^a == g^(ab)
-	ab := g.Exp(ga, b)
-	ba := g.Exp(gb, a)
-	if ab.Cmp(ba) != 0 {
-		t.Fatal("Exp not commutative in the exponent")
-	}
-	// g^a · g^b == g^(a+b)
-	sum := g.Mul(ga, gb)
-	if sum.Cmp(g.ExpG(new(big.Int).Add(a, b))) != 0 {
-		t.Fatal("Mul does not match exponent addition")
-	}
-	// g^a · (g^a)^{-1} is the identity, and multiplying by it is a no-op.
-	inv, err := g.Inv(ga)
-	if err != nil {
-		t.Fatal(err)
-	}
+	inv := g.Inv(ga)
 	id := g.Mul(ga, inv)
-	if got := g.Mul(gb, id); got.Cmp(gb) != 0 {
-		t.Fatal("identity element not neutral")
-	}
-	// Random elements are valid and do not repeat.
-	e1, err := g.RandomElementSeed(rand.Reader)
+	seed, err := g.RandomElementSeed(rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	el := g.ElementFromSeed(e1)
-	if !g.ValidElement(el) {
-		t.Fatal("sampled element invalid")
+	el := g.ElementFromSeed(seed)
+	w := encodeAll(t, g,
+		g.Exp(ga, b), g.Exp(gb, a), // 0, 1: (g^a)^b == (g^b)^a
+		g.Mul(ga, gb), g.ExpG(new(big.Int).Add(a, b)), // 2, 3: g^a · g^b == g^(a+b)
+		g.Mul(gb, id), gb, // 4, 5: g^a · (g^a)^{-1} is neutral
+		g.ExpSeed(seed, a), g.Exp(el, a), // 6, 7: the seed shortcut
+		el, ga)
+	for i := 0; i < 8; i += 2 {
+		if w[i].Cmp(w[i+1]) != 0 {
+			t.Fatalf("group law %d violated: %v != %v", i/2, w[i], w[i+1])
+		}
+	}
+	if w[8].Cmp(w[9]) == 0 {
+		t.Fatal("sampled element equals g^a")
+	}
+	for i, x := range w {
+		back, err := g.Decode(x)
+		if err != nil {
+			t.Fatalf("element %d does not decode: %v", i, err)
+		}
+		if again := encodeAll(t, g, back); again[0].Cmp(x) != 0 {
+			t.Fatalf("element %d changes across decode/encode", i)
+		}
+	}
+	if empty := encodeAll(t, g); len(empty) != 0 {
+		t.Fatalf("empty batch encoded to %d integers", len(empty))
 	}
 }
 
-func TestX25519ValidElementRejects(t *testing.T) {
+func TestX25519DecodeRejects(t *testing.T) {
 	g := ot.X25519()
-	if g.ValidElement(nil) {
-		t.Fatal("nil accepted")
-	}
-	if g.ValidElement(new(big.Int).Lsh(big.NewInt(1), 260)) {
-		t.Fatal("out-of-range accepted")
-	}
-	if g.ValidElement(new(big.Int).Neg(big.NewInt(5))) {
-		t.Fatal("negative accepted")
+	for name, x := range map[string]*big.Int{
+		"nil":          nil,
+		"out of range": new(big.Int).Lsh(big.NewInt(1), 260),
+		"negative":     big.NewInt(-5),
+	} {
+		if _, err := g.Decode(x); !errors.Is(err, ot.ErrBadMessage) {
+			t.Fatalf("%s: err = %v, want ErrBadMessage", name, err)
+		}
 	}
 	// Scan a few small integers: any off-curve y must be rejected.
 	rejected := 0
 	for v := int64(0); v < 32; v++ {
-		if !g.ValidElement(big.NewInt(v)) {
+		if _, err := g.Decode(big.NewInt(v)); err != nil {
 			rejected++
 		}
 	}
