@@ -369,10 +369,10 @@ func runFig10(opts experiments.Options) error {
 		return err
 	}
 	fmt.Println("Fig. 10: Computational Cost Comparison of Similarity Evaluation")
-	w := newTable("dims\tprivate (full, with OT)\tprivate core (masking arith.)\tordinary (full)\tordinary core (metric arith.)")
+	w := newTable("dims\tprivate (full, with OT)\tprivate core (masking arith.)\tcore field elements\tordinary (full)\tordinary core (metric arith.)")
 	for _, r := range rows {
-		fmt.Fprintf(w, "%d\t%v\t%v\t%v\t%v\n",
-			r.Dim, r.Private.Round(time.Microsecond), r.PrivateCore.Round(time.Microsecond),
+		fmt.Fprintf(w, "%d\t%v\t%v\t%d\t%v\t%v\n",
+			r.Dim, r.Private.Round(time.Microsecond), r.PrivateCore.Round(time.Microsecond), r.CoreElements,
 			r.Ordinary.Round(time.Microsecond), r.OrdinaryCore)
 	}
 	if err := w.Flush(); err != nil {

@@ -130,10 +130,14 @@ func TestFig10Shapes(t *testing.T) {
 		t.Fatalf("%d rows", len(rows))
 	}
 	// The paper's claim: dimension growth hits the private masking
-	// arithmetic much harder than the ordinary metric arithmetic.
-	first, last := rows[0], rows[len(rows)-1]
-	if last.PrivateCore <= first.PrivateCore {
-		t.Errorf("private core should grow with dimension: %v -> %v", first.PrivateCore, last.PrivateCore)
+	// arithmetic much harder than the ordinary metric arithmetic. Growth is
+	// asserted on the work count, not on two sub-millisecond timings taken
+	// while other packages' tests share the cores.
+	for i := 1; i < len(rows); i++ {
+		if rows[i].CoreElements <= rows[i-1].CoreElements {
+			t.Errorf("private core work should grow with dimension: dim %d handles %d field elements, dim %d handles %d",
+				rows[i-1].Dim, rows[i-1].CoreElements, rows[i].Dim, rows[i].CoreElements)
+		}
 	}
 	for _, r := range rows {
 		if r.PrivateCore < 100*r.OrdinaryCore {

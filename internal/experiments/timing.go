@@ -178,10 +178,17 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 // clear metric arithmetic given precomputed centroids — those two series
 // reproduce the paper's shape: per-dimension cost of the private scheme
 // grows much faster than the ordinary scheme's single multiplication.
+//
+// CoreElements is the work PrivateCore times, as a count that depends only
+// on the dimension and the protocol parameters: the field elements one
+// evaluation masks and evaluates (see privateMaskingCore). Two timings of a
+// few hundred microseconds cannot be ordered reliably on a shared host; the
+// count can.
 type Fig10Row struct {
 	Dim          int
 	Private      time.Duration
 	PrivateCore  time.Duration
+	CoreElements int
 	Ordinary     time.Duration
 	OrdinaryCore time.Duration
 }
@@ -226,7 +233,7 @@ func Fig10(opts Options, dims []int) ([]Fig10Row, error) {
 			}
 			ordTotal += time.Since(start)
 		}
-		privCore, err := privateMaskingCore(dim, opts)
+		privCore, coreElements, err := privateMaskingCore(dim, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -238,6 +245,7 @@ func Fig10(opts Options, dims []int) ([]Fig10Row, error) {
 			Dim:          dim,
 			Private:      privTotal / time.Duration(reps),
 			PrivateCore:  privCore,
+			CoreElements: coreElements,
 			Ordinary:     ordTotal / time.Duration(reps),
 			OrdinaryCore: ordCore,
 		})
@@ -288,38 +296,48 @@ func ordinaryCore(wA []float64, bA float64, wB []float64, bB float64, metric sim
 // two n-dimensional linear rounds ("one additional dimension requires more
 // random polynomials", §VI-B.2). The area round is n-independent and the
 // OT cost is constant in n, so this series carries the dimension scaling.
-func privateMaskingCore(dim int, opts Options) (time.Duration, error) {
+// Beside the time per evaluation it returns the field elements one
+// evaluation handles: per round, M request pairs of one point and n masked
+// components each, and the M masked evaluations the sender answers with.
+func privateMaskingCore(dim int, opts Options) (time.Duration, int, error) {
 	f := field.Default()
 	wEnc, err := f.RandVec(opts.Rand, dim)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	linEval, err := mvpoly.NewLinear(f, wEnc, f.FromInt64(1))
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	linParams := ompe.Params{Field: f, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2, Group: opts.Group}
 
 	input, err := f.RandVec(opts.Rand, dim)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 
 	const iters = 20
+	var req *ompe.EvalRequest
+	var evals [][]byte
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		// Rounds 1 and 2: n-dimensional linear OMPE arithmetic.
 		for r := 0; r < 2; r++ {
-			_, req, err := ompe.NewReceiver(linParams, input, opts.Rand)
-			if err != nil {
-				return 0, err
+			if _, req, err = ompe.NewReceiver(linParams, input, opts.Rand); err != nil {
+				return 0, 0, err
 			}
-			if _, err := ompe.MaskedEvaluations(linParams, linEval, req, opts.Rand); err != nil {
-				return 0, err
+			if evals, err = ompe.MaskedEvaluations(linParams, linEval, req, opts.Rand); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
-	return time.Since(start) / iters, nil
+	elapsed := time.Since(start)
+	// Every round has the same shape: count the last one, twice.
+	elements := len(evals)
+	for _, pair := range req.Pairs {
+		elements += 1 + len(pair.Z)
+	}
+	return elapsed / iters, 2 * elements, nil
 }
 
 // randomHyperplane samples a random unit normal and a small offset whose

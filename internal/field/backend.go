@@ -14,7 +14,8 @@ import (
 //   - BackendBig is the portable math/big path. It works over every
 //     built-in prime and allocates per operation.
 //   - BackendLimb is the fixed-width [4]uint64 path (internal/field/limb)
-//     with Montgomery multiplication and zero allocations per element op.
+//     on plain residues — a 512-bit product folded by 2^256 ≡ 38 — with
+//     zero allocations per element op.
 //     It is only valid over the 2^255−19 field.
 //
 // The zero value selects BackendBig, so gob-decoded structs from peers

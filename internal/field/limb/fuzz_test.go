@@ -19,6 +19,13 @@ func FuzzLimbVsBig(f *testing.F) {
 	f.Add(make([]byte, 32), make([]byte, 32))
 	f.Add(bytes.Repeat([]byte{0xff}, 32), bytes.Repeat([]byte{0xff}, 32))
 	f.Add(fl.Modulus().Bytes(), big.NewInt(19).FillBytes(make([]byte, 32)))
+	pm1 := new(big.Int).Sub(fl.Modulus(), big.NewInt(1)).Bytes()
+	for _, a := range edgeOperands() {
+		// Each edge operand against itself and against p − 1.
+		raw := a.FillBytes(make([]byte, 32))
+		f.Add(raw, raw)
+		f.Add(raw, pm1)
+	}
 	f.Fuzz(func(t *testing.T, rawA, rawB []byte) {
 		if len(rawA) > 32 || len(rawB) > 32 {
 			return

@@ -4,20 +4,19 @@
 // zero heap allocations, in contrast to the math/big path where each Mul
 // carries a division and at least one allocation.
 //
-// Elements are kept in Montgomery form (x·R mod p with R = 2^256)
-// internally; multiplication is a 4-limb CIOS Montgomery reduction whose
-// final conditional subtraction is the only normalization step (the lazy
-// reduction of the classic algorithm). Conversion in and out of Montgomery
-// form happens only at the serialization boundary, where the encoding is
-// the same canonical fixed-width big-endian byte string the math/big field
-// produces — so wire bytes are backend-independent representations of the
-// same residues.
-//
-// The Montgomery constants collapse for this prime: R mod p = 38 and
-// R² mod p = 1444, because 2^256 = 2·(p + 19) ≡ 38 (mod p).
+// An Element holds the plain canonical residue in [0, p), so the limbs are
+// the integer itself and serialization is a byte swap: the encoding is the
+// same canonical fixed-width big-endian byte string the math/big field
+// produces, and wire bytes are backend-independent representations of the
+// same residues. Multiplication forms the full 512-bit product and reduces
+// it with the shape of the prime instead of a generic Montgomery loop:
+// 2^256 = 2·(p + 19) ≡ 38 (mod p) folds the high half onto the low in four
+// word multiplications, 2^255 ≡ 19 folds the few bits left above the
+// modulus, and one conditional subtraction restores the canonical range.
 package limb
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -32,23 +31,12 @@ const ElementLen = 32
 // Limbs is the fixed limb count of an element.
 const Limbs = 4
 
-// p = 2^255 − 19, little-endian limbs.
-var pLimbs = [Limbs]uint64{
-	0xffffffffffffffed,
-	0xffffffffffffffff,
-	0xffffffffffffffff,
-	0x7fffffffffffffff,
-}
-
-// montInv = −p⁻¹ mod 2^64, derived from the low limb by Newton iteration
-// (five doublings of precision reach 64 bits).
-var montInv = func() uint64 {
-	inv := pLimbs[0] // correct mod 2^4 already for odd p
-	for i := 0; i < 5; i++ {
-		inv *= 2 - pLimbs[0]*inv
-	}
-	return -inv
-}()
+// p = 2^255 − 19, little-endian limbs; the two middle limbs are equal.
+const (
+	p0 = 0xffffffffffffffed
+	p1 = 0xffffffffffffffff
+	p3 = 0x7fffffffffffffff
+)
 
 var (
 	// ErrNotCanonical reports an encoding or integer outside [0, p).
@@ -57,16 +45,12 @@ var (
 	ErrNoInverse = errors.New("limb: zero has no multiplicative inverse")
 )
 
-// Element is a field element in Montgomery form. The zero value is the
-// additive identity and ready to use.
+// Element is a field element: the canonical residue in [0, p) as four
+// little-endian 64-bit limbs. The zero value is the additive identity and
+// ready to use.
 type Element [Limbs]uint64
 
-// rSquared is R² mod p in plain form — multiplying by it through montMul
-// converts a plain residue into Montgomery form.
-var rSquared = Element{1444, 0, 0, 0}
-
-// one is 1 in Montgomery form: R mod p = 38.
-var one = Element{38, 0, 0, 0}
+var one = Element{1, 0, 0, 0}
 
 // Modulus returns p as a big integer.
 func Modulus() *big.Int {
@@ -111,15 +95,14 @@ func (z *Element) Equal(x *Element) bool {
 
 // Add sets z = x + y mod p and returns z.
 func (z *Element) Add(x, y *Element) *Element {
-	var c uint64
-	z[0], c = bits.Add64(x[0], y[0], 0)
-	z[1], c = bits.Add64(x[1], y[1], c)
-	z[2], c = bits.Add64(x[2], y[2], c)
-	z[3], c = bits.Add64(x[3], y[3], c)
-	// x, y < p < 2^255, so the raw sum fits 256 bits (c is always 0) and a
-	// single conditional subtraction restores the canonical range.
-	_ = c
-	z.condSubP()
+	// x, y < p < 2^255, so the raw sum fits 256 bits (the last carry is
+	// always 0) and a single conditional subtraction restores the canonical
+	// range.
+	s0, c := bits.Add64(x[0], y[0], 0)
+	s1, c := bits.Add64(x[1], y[1], c)
+	s2, c := bits.Add64(x[2], y[2], c)
+	s3, _ := bits.Add64(x[3], y[3], c)
+	z.condSubP(s0, s1, s2, s3)
 	return z
 }
 
@@ -132,10 +115,10 @@ func (z *Element) Sub(x, y *Element) *Element {
 	z[3], b = bits.Sub64(x[3], y[3], b)
 	if b != 0 {
 		var c uint64
-		z[0], c = bits.Add64(z[0], pLimbs[0], 0)
-		z[1], c = bits.Add64(z[1], pLimbs[1], c)
-		z[2], c = bits.Add64(z[2], pLimbs[2], c)
-		z[3], _ = bits.Add64(z[3], pLimbs[3], c)
+		z[0], c = bits.Add64(z[0], p0, 0)
+		z[1], c = bits.Add64(z[1], p1, c)
+		z[2], c = bits.Add64(z[2], p1, c)
+		z[3], _ = bits.Add64(z[3], p3, c)
 	}
 	return z
 }
@@ -146,98 +129,134 @@ func (z *Element) Neg(x *Element) *Element {
 		return z.SetZero()
 	}
 	var b uint64
-	z[0], b = bits.Sub64(pLimbs[0], x[0], 0)
-	z[1], b = bits.Sub64(pLimbs[1], x[1], b)
-	z[2], b = bits.Sub64(pLimbs[2], x[2], b)
-	z[3], _ = bits.Sub64(pLimbs[3], x[3], b)
+	z[0], b = bits.Sub64(p0, x[0], 0)
+	z[1], b = bits.Sub64(p1, x[1], b)
+	z[2], b = bits.Sub64(p1, x[2], b)
+	z[3], _ = bits.Sub64(p3, x[3], b)
 	return z
 }
 
-// condSubP subtracts p once when z >= p.
-func (z *Element) condSubP() {
-	var b uint64
-	var t Element
-	t[0], b = bits.Sub64(z[0], pLimbs[0], 0)
-	t[1], b = bits.Sub64(z[1], pLimbs[1], b)
-	t[2], b = bits.Sub64(z[2], pLimbs[2], b)
-	t[3], b = bits.Sub64(z[3], pLimbs[3], b)
+// condSubP sets z to the 256-bit integer (v3 v2 v1 v0), less p when it is
+// at least p. The branch is deliberate: after reduce it is taken with
+// probability ≈ 2^-250, and a mask-select measured slower.
+func (z *Element) condSubP(v0, v1, v2, v3 uint64) {
+	*z = Element{v0, v1, v2, v3}
+	s0, b := bits.Sub64(v0, p0, 0)
+	s1, b := bits.Sub64(v1, p1, b)
+	s2, b := bits.Sub64(v2, p1, b)
+	s3, b := bits.Sub64(v3, p3, b)
 	if b == 0 {
-		*z = t
+		*z = Element{s0, s1, s2, s3}
 	}
 }
 
-// madd returns the 128-bit value t + a·b + c as (hi, lo). The sum cannot
-// overflow: (2^64−1)² + 2·(2^64−1) = 2^128 − 1.
-func madd(a, b, t, c uint64) (hi, lo uint64) {
-	hi, lo = bits.Mul64(a, b)
-	var carry uint64
-	lo, carry = bits.Add64(lo, t, 0)
-	hi += carry
-	lo, carry = bits.Add64(lo, c, 0)
-	hi += carry
-	return hi, lo
-}
-
-// Mul sets z = x·y mod p (inputs and output in Montgomery form) by the
-// 4-limb CIOS method: interleaved multiply and Montgomery reduction with a
-// single final conditional subtraction.
+// reduce sets z to the 512-bit integer (t7 … t0) mod p and returns z.
 //
-// The reduction step exploits p = 2^255 − 19: adding m·p is adding
-// (m << 255) − 19·m, which costs one 64×64 multiply (19·m), a borrow
-// chain, and two word-shifted adds — instead of the four madds a generic
-// modulus needs. The intermediate t − 19·m may dip negative before the
-// (m << 255) term lands; the chain runs in two's complement over the
-// six-word window, and the final sum is exact because the true value is
-// non-negative and fits the window.
-func (z *Element) Mul(x, y *Element) *Element {
-	var t [Limbs + 1]uint64
-	var tExtra uint64 // the (s+2)-th word of CIOS; always 0 or 1
-	for i := 0; i < Limbs; i++ {
-		// t += x[i] · y
-		var c uint64
-		c, t[0] = madd(x[i], y[0], t[0], 0)
-		c, t[1] = madd(x[i], y[1], t[1], c)
-		c, t[2] = madd(x[i], y[2], t[2], c)
-		c, t[3] = madd(x[i], y[3], t[3], c)
-		var o uint64
-		t[4], o = bits.Add64(t[4], c, 0)
-		tExtra += o
-		// Reduce: add m·p = (m << 255) − 19·m with m chosen so the low
-		// word cancels, then shift one word.
-		m := t[0] * montInv
-		hi19, lo19 := bits.Mul64(m, 19)
-		var b uint64
-		_, b = bits.Sub64(t[0], lo19, 0) // ≡ 0 mod 2^64 by choice of m
-		r1, b := bits.Sub64(t[1], hi19, b)
-		r2, b := bits.Sub64(t[2], 0, b)
-		r3, b := bits.Sub64(t[3], 0, b)
-		r4, b := bits.Sub64(t[4], 0, b)
-		r5 := tExtra - b
-		r3, c = bits.Add64(r3, m<<63, 0)
-		r4, c = bits.Add64(r4, m>>1, c)
-		r5 += c
-		t[0], t[1], t[2], t[3], t[4] = r1, r2, r3, r4, r5
-		tExtra = 0
-	}
-	z[0], z[1], z[2], z[3] = t[0], t[1], t[2], t[3]
-	if t[4] != 0 {
-		var b uint64
-		z[0], b = bits.Sub64(z[0], pLimbs[0], 0)
-		z[1], b = bits.Sub64(z[1], pLimbs[1], b)
-		z[2], b = bits.Sub64(z[2], pLimbs[2], b)
-		z[3], _ = bits.Sub64(z[3], pLimbs[3], b)
-		return z
-	}
-	z.condSubP()
+// 2^256 ≡ 38, so the value is congruent to lo + 38·hi: one more row
+// product, at most 38 in its fifth word. The bits of that sum at and above
+// 2^255 (seven at most) fold back by 2^255 ≡ 19, leaving a value below
+// 2^255 + 19·78 < 2p that the single conditional subtraction makes
+// canonical.
+func (z *Element) reduce(t0, t1, t2, t3, t4, t5, t6, t7 uint64) *Element {
+	h0, l0 := bits.Mul64(38, t4)
+	h1, l1 := bits.Mul64(38, t5)
+	h2, l2 := bits.Mul64(38, t6)
+	t4, l3 := bits.Mul64(38, t7)
+	var c uint64
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	t4, c = bits.Add64(t4, 0, c) // leaves c = 0: see Mul
+	t0, c = bits.Add64(t0, l0, c)
+	t1, c = bits.Add64(t1, l1, c)
+	t2, c = bits.Add64(t2, l2, c)
+	t3, c = bits.Add64(t3, l3, c)
+	t4, _ = bits.Add64(t4, 0, c)
+	top := t4<<1 | t3>>63
+	t0, c = bits.Add64(t0, 19*top, 0)
+	t1, c = bits.Add64(t1, 0, c)
+	t2, c = bits.Add64(t2, 0, c)
+	t3 = t3&(1<<63-1) + c
+	z.condSubP(t0, t1, t2, t3)
 	return z
+}
+
+// Mul sets z = x·y mod p and returns z. The 512-bit product is the sum of
+// four row products x[i]·y, each added one word higher than the last: the
+// sixteen multiplications are independent of one another, and nothing of
+// the modulus enters until reduce.
+//
+// Each row is one carry chain. Its first half joins the four partial
+// products into the five-word row (a word times four words is below 2^320,
+// so the chain's carry out of the fifth word is always 0); its second half
+// adds the row into t and takes that zero carry as its carry in. The link
+// costs nothing and keeps the compiler from interleaving the two halves,
+// which would make it recompute the flags of one after every step of the
+// other.
+func (z *Element) Mul(x, y *Element) *Element {
+	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
+	var c uint64
+
+	a := x[0]
+	h0, t0 := bits.Mul64(a, y0)
+	h1, t1 := bits.Mul64(a, y1)
+	h2, t2 := bits.Mul64(a, y2)
+	t4, t3 := bits.Mul64(a, y3)
+	t1, c = bits.Add64(t1, h0, 0)
+	t2, c = bits.Add64(t2, h1, c)
+	t3, c = bits.Add64(t3, h2, c)
+	t4, _ = bits.Add64(t4, 0, c)
+
+	a = x[1]
+	h0, l0 := bits.Mul64(a, y0)
+	h1, l1 := bits.Mul64(a, y1)
+	h2, l2 := bits.Mul64(a, y2)
+	t5, l3 := bits.Mul64(a, y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	t5, c = bits.Add64(t5, 0, c)
+	t1, c = bits.Add64(t1, l0, c)
+	t2, c = bits.Add64(t2, l1, c)
+	t3, c = bits.Add64(t3, l2, c)
+	t4, c = bits.Add64(t4, l3, c)
+	t5, _ = bits.Add64(t5, 0, c)
+
+	a = x[2]
+	h0, l0 = bits.Mul64(a, y0)
+	h1, l1 = bits.Mul64(a, y1)
+	h2, l2 = bits.Mul64(a, y2)
+	t6, l3 := bits.Mul64(a, y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	t6, c = bits.Add64(t6, 0, c)
+	t2, c = bits.Add64(t2, l0, c)
+	t3, c = bits.Add64(t3, l1, c)
+	t4, c = bits.Add64(t4, l2, c)
+	t5, c = bits.Add64(t5, l3, c)
+	t6, _ = bits.Add64(t6, 0, c)
+
+	a = x[3]
+	h0, l0 = bits.Mul64(a, y0)
+	h1, l1 = bits.Mul64(a, y1)
+	h2, l2 = bits.Mul64(a, y2)
+	t7, l3 := bits.Mul64(a, y3)
+	l1, c = bits.Add64(l1, h0, 0)
+	l2, c = bits.Add64(l2, h1, c)
+	l3, c = bits.Add64(l3, h2, c)
+	t7, c = bits.Add64(t7, 0, c)
+	t3, c = bits.Add64(t3, l0, c)
+	t4, c = bits.Add64(t4, l1, c)
+	t5, c = bits.Add64(t5, l2, c)
+	t6, c = bits.Add64(t6, l3, c)
+	t7, _ = bits.Add64(t7, 0, c)
+	return z.reduce(t0, t1, t2, t3, t4, t5, t6, t7)
 }
 
 // Square sets z = x² mod p and returns z. It forms the 512-bit square with
 // ten 64×64 multiplications (each cross product once, doubled by a shift)
-// instead of Mul's sixteen, then Montgomery-reduces the low half on its
-// own: REDC(lo + 2^256·hi) = REDC(lo) + hi, and REDC(lo) ≤ p while
-// hi < p/2, so the sum fits four words and needs one conditional
-// subtraction.
+// instead of Mul's sixteen and ends in the same reduce.
 func (z *Element) Square(x *Element) *Element {
 	h01, l01 := bits.Mul64(x[0], x[1])
 	h02, l02 := bits.Mul64(x[0], x[2])
@@ -274,29 +293,7 @@ func (z *Element) Square(x *Element) *Element {
 	t5, c := bits.Add64(s5<<1|s4>>63, h22, c)
 	t6, c := bits.Add64(s6<<1|s5>>63, l33, c)
 	t7 := s6>>63 + h33 + c
-
-	// Four reduction rounds over the low half, the same m·p =
-	// (m << 255) − 19·m step as Mul. The running value stays below
-	// 2^192 + p, so the window is four words and the transient fifth
-	// (r4) always cancels.
-	for i := 0; i < Limbs; i++ {
-		m := w0 * montInv
-		hi19, _ := bits.Mul64(m, 19) // low word equals w0 by choice of m
-		r1, b := bits.Sub64(w1, hi19, 0)
-		r2, b := bits.Sub64(w2, 0, b)
-		r3, b := bits.Sub64(w3, 0, b)
-		r4 := -b
-		r3, c = bits.Add64(r3, m<<63, 0)
-		r4 += m>>1 + c
-		w0, w1, w2, w3 = r1, r2, r3, r4
-	}
-
-	z[0], c = bits.Add64(w0, t4, 0)
-	z[1], c = bits.Add64(w1, t5, c)
-	z[2], c = bits.Add64(w2, t6, c)
-	z[3], _ = bits.Add64(w3, t7, c)
-	z.condSubP()
-	return z
+	return z.reduce(w0, w1, w2, w3, t4, t5, t6, t7)
 }
 
 // sqn squares z in place n times.
@@ -404,56 +401,47 @@ func BatchInvertScratch(xs, scratch []Element) error {
 	return nil
 }
 
-// isCanonicalPlain reports whether the plain (non-Montgomery) limbs are < p.
-func isCanonicalPlain(v *[Limbs]uint64) bool {
-	var b uint64
-	_, b = bits.Sub64(v[0], pLimbs[0], 0)
-	_, b = bits.Sub64(v[1], pLimbs[1], b)
-	_, b = bits.Sub64(v[2], pLimbs[2], b)
-	_, b = bits.Sub64(v[3], pLimbs[3], b)
-	return b != 0
+// load sets z to the 32 big-endian bytes of b read as an integer below
+// 2^256, canonical or not.
+func (z *Element) load(b []byte) {
+	_ = b[ElementLen-1]
+	z[0] = binary.BigEndian.Uint64(b[24:])
+	z[1] = binary.BigEndian.Uint64(b[16:])
+	z[2] = binary.BigEndian.Uint64(b[8:])
+	z[3] = binary.BigEndian.Uint64(b[0:])
 }
 
 // SetBytes parses the canonical fixed-width big-endian encoding (the same
-// 32-byte form field.Field.Bytes produces), rejecting values >= p.
+// 32-byte form field.Field.Bytes produces), rejecting values >= p and
+// leaving z unmodified when it does.
 func (z *Element) SetBytes(b []byte) error {
 	if len(b) != ElementLen {
 		return fmt.Errorf("limb: element must be %d bytes, got %d", ElementLen, len(b))
 	}
-	var v [Limbs]uint64
-	for i := 0; i < Limbs; i++ {
-		v[i] = uint64(b[31-8*i]) | uint64(b[30-8*i])<<8 | uint64(b[29-8*i])<<16 | uint64(b[28-8*i])<<24 |
-			uint64(b[27-8*i])<<32 | uint64(b[26-8*i])<<40 | uint64(b[25-8*i])<<48 | uint64(b[24-8*i])<<56
-	}
-	if !isCanonicalPlain(&v) {
+	var v Element
+	v.load(b)
+	// v is canonical exactly when v − p borrows.
+	_, bw := bits.Sub64(v[0], p0, 0)
+	_, bw = bits.Sub64(v[1], p1, bw)
+	_, bw = bits.Sub64(v[2], p1, bw)
+	_, bw = bits.Sub64(v[3], p3, bw)
+	if bw == 0 {
 		return ErrNotCanonical
 	}
 	*z = v
-	z.Mul(z, &rSquared)
 	return nil
 }
 
-// PutBytes writes the canonical fixed-width big-endian encoding into dst,
-// which must be at least ElementLen bytes. It allocates nothing.
+// PutBytes writes the canonical fixed-width big-endian encoding — the
+// limbs, byte-swapped — into dst, which must be at least ElementLen bytes.
+// It allocates nothing.
 func (z *Element) PutBytes(dst []byte) {
 	_ = dst[ElementLen-1]
-	var t Element
-	t.Mul(z, &one1) // Montgomery reduction by 1 leaves the plain residue
-	for i := 0; i < Limbs; i++ {
-		v := t[i]
-		dst[31-8*i] = byte(v)
-		dst[30-8*i] = byte(v >> 8)
-		dst[29-8*i] = byte(v >> 16)
-		dst[28-8*i] = byte(v >> 24)
-		dst[27-8*i] = byte(v >> 32)
-		dst[26-8*i] = byte(v >> 40)
-		dst[25-8*i] = byte(v >> 48)
-		dst[24-8*i] = byte(v >> 56)
-	}
+	binary.BigEndian.PutUint64(dst[24:], z[0])
+	binary.BigEndian.PutUint64(dst[16:], z[1])
+	binary.BigEndian.PutUint64(dst[8:], z[2])
+	binary.BigEndian.PutUint64(dst[0:], z[3])
 }
-
-// one1 is the plain integer 1, used to strip the Montgomery factor.
-var one1 = Element{1, 0, 0, 0}
 
 // Bytes returns the canonical fixed-width big-endian encoding.
 func (z *Element) Bytes() []byte {
@@ -465,7 +453,7 @@ func (z *Element) Bytes() []byte {
 // SetUint64 sets z to the given small integer.
 func (z *Element) SetUint64(v uint64) *Element {
 	*z = Element{v, 0, 0, 0}
-	return z.Mul(z, &rSquared)
+	return z
 }
 
 // SetBig sets z from a canonical big integer in [0, p), rejecting anything
@@ -495,6 +483,14 @@ func (z *Element) ToBig() *big.Int {
 	return new(big.Int).SetBytes(z.Bytes())
 }
 
+// setWide sets z to the 32 big-endian bytes of b reduced mod p: the integer
+// is below 2^256 = 2p + 38, so at most two subtractions.
+func (z *Element) setWide(b []byte) {
+	z.load(b)
+	z.condSubP(z[0], z[1], z[2], z[3])
+	z.condSubP(z[0], z[1], z[2], z[3])
+}
+
 // Rand sets z to a field element derived from 32 rng bytes reduced mod p.
 // The 2^−250 sampling bias against the smallest residues is cryptographically
 // irrelevant for masks and decoys; what matters for the protocol is that the
@@ -505,16 +501,7 @@ func (z *Element) Rand(rng io.Reader) error {
 	if _, err := io.ReadFull(rng, buf[:]); err != nil {
 		return fmt.Errorf("limb: sample element: %w", err)
 	}
-	var v [Limbs]uint64
-	for i := 0; i < Limbs; i++ {
-		v[i] = uint64(buf[31-8*i]) | uint64(buf[30-8*i])<<8 | uint64(buf[29-8*i])<<16 | uint64(buf[28-8*i])<<24 |
-			uint64(buf[27-8*i])<<32 | uint64(buf[26-8*i])<<40 | uint64(buf[25-8*i])<<48 | uint64(buf[24-8*i])<<56
-	}
-	// v < 2^256 = 2p + 38, so at most two conditional subtractions.
-	*z = v
-	z.condSubP()
-	z.condSubP()
-	z.Mul(z, &rSquared)
+	z.setWide(buf[:])
 	return nil
 }
 
@@ -530,39 +517,24 @@ func (z *Element) RandNonZero(rng io.Reader) error {
 	}
 }
 
-// RandBytes writes a uniform field element directly in canonical encoded
-// form into dst (exactly ElementLen bytes), consuming the same 32 rng bytes
-// and producing the same residue as Rand followed by PutBytes — but without
-// the two Montgomery domain conversions, which the caller does not need
-// when the element only exists to be serialized (decoy records).
+// RandBytes fills dst, whose length must be a multiple of ElementLen, with
+// the canonical encodings of len(dst)/ElementLen uniform field elements —
+// the same rng bytes in the same order, and the same residues, as one Rand
+// and PutBytes per slot. The rng is read once, straight into dst, and each
+// slot is then reduced in place: for elements that only exist to be
+// serialized (decoy records) that is one interface call per record instead
+// of one per element.
 func RandBytes(rng io.Reader, dst []byte) error {
-	if len(dst) != ElementLen {
-		return fmt.Errorf("limb: element must be %d bytes, got %d", ElementLen, len(dst))
+	if len(dst)%ElementLen != 0 {
+		return fmt.Errorf("limb: element buffer must be a multiple of %d bytes, got %d", ElementLen, len(dst))
 	}
-	var buf [ElementLen]byte
-	if _, err := io.ReadFull(rng, buf[:]); err != nil {
-		return fmt.Errorf("limb: sample element: %w", err)
+	if _, err := io.ReadFull(rng, dst); err != nil {
+		return fmt.Errorf("limb: sample elements: %w", err)
 	}
-	var v [Limbs]uint64
-	for i := 0; i < Limbs; i++ {
-		v[i] = uint64(buf[31-8*i]) | uint64(buf[30-8*i])<<8 | uint64(buf[29-8*i])<<16 | uint64(buf[28-8*i])<<24 |
-			uint64(buf[27-8*i])<<32 | uint64(buf[26-8*i])<<40 | uint64(buf[25-8*i])<<48 | uint64(buf[24-8*i])<<56
-	}
-	// v < 2^256 = 2p + 38, so at most two conditional subtractions; the
-	// limbs stay in the plain (non-Montgomery) domain throughout.
-	e := (*Element)(&v)
-	e.condSubP()
-	e.condSubP()
-	for i := 0; i < Limbs; i++ {
-		w := e[i]
-		dst[31-8*i] = byte(w)
-		dst[30-8*i] = byte(w >> 8)
-		dst[29-8*i] = byte(w >> 16)
-		dst[28-8*i] = byte(w >> 24)
-		dst[27-8*i] = byte(w >> 32)
-		dst[26-8*i] = byte(w >> 40)
-		dst[25-8*i] = byte(w >> 48)
-		dst[24-8*i] = byte(w >> 56)
+	var e Element
+	for ; len(dst) > 0; dst = dst[ElementLen:] {
+		e.setWide(dst)
+		e.PutBytes(dst)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/rand"
 	"math/big"
+	mrand "math/rand"
 	"testing"
 
 	"repro/internal/field"
@@ -177,6 +178,86 @@ func TestArithmeticEdgeValues(t *testing.T) {
 				t.Fatalf("sub(%v,%v) = %v, want %v", a, b, got, want)
 			}
 		}
+	}
+}
+
+// edgeOperands are the canonical residues where a carry, a fold or the final
+// subtraction of reduce can go wrong: the small constants of the prime's
+// shape, the top of the range ((p − 1)² maximises the high half of the
+// product and with it both folds), an all-ones word in each limb (the top
+// limb of a canonical residue stops at 2^63 − 1) and the lone high bits.
+func edgeOperands() []*big.Int {
+	p := limb.Modulus()
+	pow := func(n uint) *big.Int { return new(big.Int).Lsh(big.NewInt(1), n) }
+	ops := []*big.Int{
+		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(19), big.NewInt(38),
+		new(big.Int).Sub(p, big.NewInt(1)), // 2^255 − 20
+		new(big.Int).Sub(p, big.NewInt(2)),
+		new(big.Int).Sub(p, big.NewInt(19)),
+		pow(128), pow(192), pow(254),
+	}
+	ones := new(big.Int).SetUint64(^uint64(0))
+	for i := uint(0); i < limb.Limbs; i++ {
+		w := new(big.Int).Lsh(ones, 64*i)
+		ops = append(ops, w.And(w, p))
+	}
+	return ops
+}
+
+// TestMulReduceEdges checks every arithmetic operation against math/big on
+// the edge operands crossed with themselves and on random pairs, and that
+// each result is the canonical residue — not merely a congruent one.
+func TestMulReduceEdges(t *testing.T) {
+	f := bigField(t)
+	p := f.Modulus()
+	check := func(op string, a, b *big.Int, got *limb.Element, want *big.Int) {
+		t.Helper()
+		// ToBig reads the limbs as they are: a congruent result left in
+		// [p, 2^256) fails here.
+		if g := got.ToBig(); g.Cmp(want) != 0 || g.Cmp(p) >= 0 {
+			t.Fatalf("%s(%v, %v) = %v, want %v", op, a, b, g, want)
+		}
+	}
+	pair := func(a, b *big.Int, inv bool) {
+		t.Helper()
+		var ea, eb, r limb.Element
+		if err := ea.SetBig(a); err != nil {
+			t.Fatal(err)
+		}
+		if err := eb.SetBig(b); err != nil {
+			t.Fatal(err)
+		}
+		check("mul", a, b, r.Mul(&ea, &eb), f.Mul(a, b))
+		check("square", a, a, r.Square(&ea), f.Mul(a, a))
+		check("add", a, b, r.Add(&ea, &eb), f.Add(a, b))
+		check("sub", a, b, r.Sub(&ea, &eb), f.Sub(a, b))
+		check("neg", a, a, r.Neg(&ea), f.Neg(a))
+		if !inv || a.Sign() == 0 {
+			return
+		}
+		if _, err := r.Inv(&ea); err != nil {
+			t.Fatal(err)
+		}
+		want, err := f.Inv(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("inv", a, a, &r, want)
+	}
+	ops := edgeOperands()
+	for _, a := range ops {
+		for _, b := range ops {
+			pair(a, b, true)
+		}
+	}
+	n := 100000
+	if testing.Short() {
+		n = 2000
+	}
+	rng := mrand.New(mrand.NewSource(1))
+	for i := 0; i < n; i++ {
+		// Inv is 265 dependent multiplications: sample it.
+		pair(new(big.Int).Rand(rng, p), new(big.Int).Rand(rng, p), i%50 == 0)
 	}
 }
 
@@ -367,30 +448,61 @@ func BenchmarkLimbInv(b *testing.B) {
 	}
 }
 
-// TestRandBytesMatchesRandPutBytes pins RandBytes to the reference draw:
-// same rng bytes in, same canonical encoding out.
+// TestRandBytesMatchesRandPutBytes pins RandBytes to the reference draw —
+// same rng bytes in, same canonical encodings out as one Rand+PutBytes per
+// slot — at one, two and a decoy record's worth of elements, with the
+// leading slots set to the integers around each subtraction of the
+// reduction (2^256 − 1 and 2p need two).
 func TestRandBytesMatchesRandPutBytes(t *testing.T) {
-	seed := make([]byte, 32*200)
-	if _, err := rand.Read(seed); err != nil {
-		t.Fatal(err)
+	p := limb.Modulus()
+	twoP := new(big.Int).Lsh(p, 1)
+	edges := []*big.Int{
+		new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1)),
+		p, new(big.Int).Sub(p, big.NewInt(1)),
+		twoP, new(big.Int).Sub(twoP, big.NewInt(1)),
 	}
-	var ref limb.Element
-	refRng := bytes.NewReader(seed)
-	fastRng := bytes.NewReader(seed)
-	var want, got [limb.ElementLen]byte
-	for i := 0; i < 200; i++ {
-		if err := ref.Rand(refRng); err != nil {
-			t.Fatal(err)
-		}
-		ref.PutBytes(want[:])
-		if err := limb.RandBytes(fastRng, got[:]); err != nil {
-			t.Fatal(err)
-		}
-		if want != got {
-			t.Fatalf("draw %d: RandBytes %x != Rand+PutBytes %x", i, got, want)
+	for _, k := range []int{1, 2, 500} {
+		// Rotating the edges puts each of them in slot 0 of some draw, so
+		// k = 1 sees them all.
+		for rot := range edges {
+			seed := make([]byte, k*limb.ElementLen)
+			if _, err := rand.Read(seed); err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < k && j < len(edges); j++ {
+				edges[(j+rot)%len(edges)].FillBytes(seed[j*limb.ElementLen : (j+1)*limb.ElementLen])
+			}
+			fastRng := bytes.NewReader(seed)
+			got := make([]byte, len(seed))
+			if err := limb.RandBytes(fastRng, got); err != nil {
+				t.Fatal(err)
+			}
+			if fastRng.Len() != 0 {
+				t.Fatalf("k=%d: RandBytes left %d rng bytes unread", k, fastRng.Len())
+			}
+			refRng := bytes.NewReader(seed)
+			var ref limb.Element
+			var want [limb.ElementLen]byte
+			for j := 0; j < k; j++ {
+				if err := ref.Rand(refRng); err != nil {
+					t.Fatal(err)
+				}
+				ref.PutBytes(want[:])
+				slot := got[j*limb.ElementLen : (j+1)*limb.ElementLen]
+				if !bytes.Equal(slot, want[:]) {
+					t.Fatalf("k=%d slot %d: RandBytes %x != Rand+PutBytes %x", k, j, slot, want)
+				}
+				in := new(big.Int).SetBytes(seed[j*limb.ElementLen : (j+1)*limb.ElementLen])
+				if new(big.Int).SetBytes(slot).Cmp(in.Mod(in, p)) != 0 {
+					t.Fatalf("k=%d slot %d: %x is not the draw reduced mod p", k, j, slot)
+				}
+			}
 		}
 	}
-	if err := limb.RandBytes(bytes.NewReader(seed), make([]byte, 31)); err == nil {
-		t.Fatal("RandBytes accepted short dst")
+	if err := limb.RandBytes(bytes.NewReader(make([]byte, 64)), make([]byte, 31)); err == nil {
+		t.Fatal("RandBytes accepted a dst that is not a whole number of elements")
+	}
+	if err := limb.RandBytes(bytes.NewReader(make([]byte, 33)), make([]byte, 64)); err == nil {
+		t.Fatal("RandBytes accepted a short rng")
 	}
 }

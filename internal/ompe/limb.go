@@ -89,14 +89,12 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 		rec := packed[i*stride : (i+1)*stride]
 		points[i].PutBytes(rec[:limb.ElementLen])
 		if !isGenuine[i] {
-			// Decoy components are drawn straight into their wire slots:
-			// RandBytes consumes the same rng bytes and yields the same
-			// canonical encoding as Rand+PutBytes, minus two Montgomery
-			// conversions per element.
-			for j := 0; j < n; j++ {
-				if err := limb.RandBytes(rng, rec[(1+j)*limb.ElementLen:(2+j)*limb.ElementLen]); err != nil {
-					return nil, nil, err
-				}
+			// A decoy's n components are drawn straight into their wire
+			// slots in one read: RandBytes consumes the same rng bytes in
+			// the same order, and yields the same canonical encodings, as
+			// one Rand+PutBytes per component.
+			if err := limb.RandBytes(rng, rec[limb.ElementLen:]); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
