@@ -8,11 +8,8 @@ import (
 	"repro/internal/ot"
 )
 
-// BenchmarkDirect1ofN vs BenchmarkTree1ofN quantify the crossover between
-// the direct Naor–Pinkas construction (n+1 exponentiations) and the tree
-// construction (≈3·log₂ n exponentiations + n hashes). OMPE uses the
-// direct form because its message counts are small (M = m·k ≈ 6–36);
-// the tree form wins once M grows past a few dozen.
+// BenchmarkDirect1ofN prices the direct Naor–Pinkas 1-of-n construction
+// (n+1 exponentiations) across message counts.
 
 func benchMessages(b *testing.B, n int) [][]byte {
 	b.Helper()
@@ -34,21 +31,6 @@ func BenchmarkDirect1ofN(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := ot.Transfer1ofN(g, msgs, i%n, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkTree1ofN(b *testing.B) {
-	g := ot.Group512Test()
-	for _, n := range []int{4, 16, 64, 256} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			msgs := benchMessages(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ot.Transfer1ofNTree(g, msgs, i%n, rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 			}

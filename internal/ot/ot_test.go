@@ -347,103 +347,3 @@ func ExampleTransfer1ofN() {
 	fmt.Println(string(got))
 	// Output: bravo
 }
-
-func TestTree1ofNEveryIndex(t *testing.T) {
-	g := testGroup()
-	for _, n := range []int{2, 3, 5, 8, 13} {
-		msgs := randomMessages(t, n, 32)
-		for sigma := 0; sigma < n; sigma++ {
-			got, err := ot.Transfer1ofNTree(g, msgs, sigma, rand.Reader)
-			if err != nil {
-				t.Fatalf("n=%d sigma=%d: %v", n, sigma, err)
-			}
-			if !bytes.Equal(got, msgs[sigma]) {
-				t.Fatalf("n=%d sigma=%d: wrong message", n, sigma)
-			}
-		}
-	}
-}
-
-func TestTreeValidation(t *testing.T) {
-	g := testGroup()
-	msgs := randomMessages(t, 4, 16)
-	if _, _, err := ot.NewTreeSender(g, msgs[:1], rand.Reader); err == nil {
-		t.Fatal("single message should fail")
-	}
-	if _, _, err := ot.NewTreeSender(g, [][]byte{{1}, {1, 2}}, rand.Reader); err == nil {
-		t.Fatal("unequal lengths should fail")
-	}
-	_, setup, err := ot.NewTreeSender(g, msgs, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := ot.NewTreeReceiver(g, 4, 4, setup, rand.Reader); err == nil {
-		t.Fatal("sigma out of range should fail")
-	}
-	if _, _, err := ot.NewTreeReceiver(g, 4, 0, nil, rand.Reader); err == nil {
-		t.Fatal("nil setup should fail")
-	}
-	bad := &ot.TreeSetup{Levels: setup.Levels[:1], Cts: setup.Cts}
-	if _, _, err := ot.NewTreeReceiver(g, 4, 0, bad, rand.Reader); err == nil {
-		t.Fatal("wrong level count should fail")
-	}
-}
-
-// TestTreeNonChosenUnreadable: the receiver's path keys must not decrypt
-// any other index.
-func TestTreeNonChosenUnreadable(t *testing.T) {
-	g := testGroup()
-	msgs := randomMessages(t, 8, 24)
-	sender, setup, err := ot.NewTreeSender(g, msgs, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver, choice, err := ot.NewTreeReceiver(g, 8, 5, setup, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sender.Respond(choice, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := receiver.Recover(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msgs[5]) {
-		t.Fatal("chosen message wrong")
-	}
-	// Swap another ciphertext into the chosen slot: the receiver's path
-	// pad (index-separated) must not decrypt it.
-	setup2 := &ot.TreeSetup{Levels: setup.Levels, Cts: append([][]byte(nil), setup.Cts...)}
-	setup2.Cts[5] = setup.Cts[6]
-	receiver2, choice2, err := ot.NewTreeReceiver(g, 8, 5, setup2, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr2, err := sender.Respond(choice2, rand.Reader)
-	if err != nil {
-		// The level senders are one-shot; rebuild a fresh sender for the
-		// second exchange.
-		sender2, setup3, err := ot.NewTreeSender(g, msgs, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		setup3.Cts[5] = setup3.Cts[6]
-		receiver2, choice2, err = ot.NewTreeReceiver(g, 8, 5, setup3, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr2, err = sender2.Respond(choice2, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	leaked, err := receiver2.Recover(tr2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(leaked, msgs[6]) {
-		t.Fatal("tree receiver decrypted a non-chosen message")
-	}
-}

@@ -1,196 +1,19 @@
 package ot
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"io"
 	"math/bits"
 )
 
-// Tree-based 1-out-of-n oblivious transfer (Naor–Pinkas tree
-// construction): the sender draws one key pair per index bit, encrypts
-// message i under the hash of the keys selected by i's bits, and the
-// receiver runs ⌈log₂ n⌉ parallel 1-out-of-2 transfers to learn exactly
-// the keys on its own index's path. Public-key work drops from n+1
-// exponentiations to 2·⌈log₂ n⌉+⌈log₂ n⌉ per transfer, at the cost of n
-// hash evaluations — the better trade once n grows past a dozen or so
-// (BenchmarkAblation in the root bench suite quantifies the crossover).
-//
-// Semi-honest security: the receiver learns one key per level, which
-// decrypts exactly one ciphertext (the index whose bits all match its
-// choices); the sender sees only the 1-of-2 public keys, which are
-// uniform.
+// Tree-key pads: the extension's k-of-n expansion (extkofn.go) encrypts
+// message i under a pad derived from one key per bit of i, so a receiver
+// holding the keys on its own index's path decrypts exactly that message.
 
+// treeKeyLen is the length of a tree key (and of an IKNP base seed).
 const treeKeyLen = 16
 
-// TreeSetup carries the per-level 1-of-2 setups plus the ciphertexts.
-type TreeSetup struct {
-	Levels []*SenderSetup
-	Cts    [][]byte
-}
-
-// TreeChoice carries the receiver's per-level 1-of-2 choices.
-type TreeChoice struct {
-	Levels []*ReceiverChoice
-}
-
-// TreeTransfer carries the per-level 1-of-2 transfers.
-type TreeTransfer struct {
-	Levels []*SenderTransfer
-}
-
-// TreeSender is the sender role of a tree 1-of-n transfer.
-type TreeSender struct {
-	levels []*Sender
-}
-
-// NewTreeSender prepares a tree transfer of the given equal-length
-// messages.
-func NewTreeSender(group Group, msgs [][]byte, rng io.Reader) (*TreeSender, *TreeSetup, error) {
-	n := len(msgs)
-	if n < 2 {
-		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
-	}
-	for _, m := range msgs[1:] {
-		if len(m) != len(msgs[0]) {
-			return nil, nil, ErrMessageLen
-		}
-	}
-	depth := treeDepth(n)
-	// One random key pair per level.
-	keys := make([][2][]byte, depth)
-	for j := range keys {
-		for b := 0; b < 2; b++ {
-			k := make([]byte, treeKeyLen)
-			if _, err := rand.Read(k); err != nil {
-				return nil, nil, err
-			}
-			keys[j][b] = k
-		}
-	}
-	cts := make([][]byte, n)
-	ctFlat := make([]byte, n*len(msgs[0]))
-	path := make([][]byte, depth)
-	for i, m := range msgs {
-		for j := 0; j < depth; j++ {
-			path[j] = keys[j][(i>>j)&1]
-		}
-		ct := ctFlat[i*len(m) : (i+1)*len(m)]
-		treePadXor(ct, m, path, i)
-		cts[i] = ct
-	}
-	// One 1-of-2 OT per level carrying that level's key pair.
-	senders := make([]*Sender, depth)
-	setups := make([]*SenderSetup, depth)
-	for j := 0; j < depth; j++ {
-		s, setup, err := NewSender(group, [][]byte{keys[j][0], keys[j][1]}, rng)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ot: tree level %d: %w", j, err)
-		}
-		senders[j] = s
-		setups[j] = setup
-	}
-	return &TreeSender{levels: senders}, &TreeSetup{Levels: setups, Cts: cts}, nil
-}
-
-// Respond answers the receiver's per-level choices.
-func (ts *TreeSender) Respond(choice *TreeChoice, rng io.Reader) (*TreeTransfer, error) {
-	if choice == nil || len(choice.Levels) != len(ts.levels) {
-		return nil, fmt.Errorf("%w: want %d level choices", ErrBadMessage, len(ts.levels))
-	}
-	transfers := make([]*SenderTransfer, len(ts.levels))
-	for j, s := range ts.levels {
-		tr, err := s.Respond(choice.Levels[j], rng)
-		if err != nil {
-			return nil, fmt.Errorf("ot: tree level %d: %w", j, err)
-		}
-		transfers[j] = tr
-	}
-	return &TreeTransfer{Levels: transfers}, nil
-}
-
-// TreeReceiver is the receiver role of a tree 1-of-n transfer.
-type TreeReceiver struct {
-	levels []*Receiver
-	sigma  int
-	depth  int
-	n      int
-	cts    [][]byte
-}
-
-// NewTreeReceiver prepares the choice of index sigma given the sender's
-// setup.
-func NewTreeReceiver(group Group, n, sigma int, setup *TreeSetup, rng io.Reader) (*TreeReceiver, *TreeChoice, error) {
-	if n < 2 {
-		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
-	}
-	if sigma < 0 || sigma >= n {
-		return nil, nil, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n)
-	}
-	depth := treeDepth(n)
-	if setup == nil || len(setup.Levels) != depth || len(setup.Cts) != n {
-		return nil, nil, fmt.Errorf("%w: malformed tree setup", ErrBadMessage)
-	}
-	receivers := make([]*Receiver, depth)
-	choices := make([]*ReceiverChoice, depth)
-	for j := 0; j < depth; j++ {
-		bit := (sigma >> j) & 1
-		r, c, err := NewReceiver(group, 2, bit, setup.Levels[j], rng)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ot: tree level %d: %w", j, err)
-		}
-		receivers[j] = r
-		choices[j] = c
-	}
-	cts := make([][]byte, n)
-	for i, ct := range setup.Cts {
-		cts[i] = append([]byte(nil), ct...)
-	}
-	tr := &TreeReceiver{levels: receivers, sigma: sigma, depth: depth, n: n, cts: cts}
-	return tr, &TreeChoice{Levels: choices}, nil
-}
-
-// Recover decrypts the chosen message.
-func (tr *TreeReceiver) Recover(transfer *TreeTransfer) ([]byte, error) {
-	if transfer == nil || len(transfer.Levels) != tr.depth {
-		return nil, fmt.Errorf("%w: want %d level transfers", ErrBadMessage, tr.depth)
-	}
-	keys := make([][]byte, tr.depth)
-	for j, r := range tr.levels {
-		k, err := r.Recover(transfer.Levels[j])
-		if err != nil {
-			return nil, fmt.Errorf("ot: tree level %d: %w", j, err)
-		}
-		if len(k) != treeKeyLen {
-			return nil, fmt.Errorf("%w: level %d key length %d", ErrBadMessage, j, len(k))
-		}
-		keys[j] = k
-	}
-	ct := tr.cts[tr.sigma]
-	out := make([]byte, len(ct))
-	treePadXor(out, ct, keys, tr.sigma)
-	return out, nil
-}
-
-// Transfer1ofNTree runs a complete in-memory tree transfer.
-func Transfer1ofNTree(group Group, msgs [][]byte, sigma int, rng io.Reader) ([]byte, error) {
-	sender, setup, err := NewTreeSender(group, msgs, rng)
-	if err != nil {
-		return nil, err
-	}
-	receiver, choice, err := NewTreeReceiver(group, len(msgs), sigma, setup, rng)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := sender.Respond(choice, rng)
-	if err != nil {
-		return nil, err
-	}
-	return receiver.Recover(tr)
-}
-
+// treeDepth is the number of index bits, one key pair per bit.
 func treeDepth(n int) int {
 	return bits.Len(uint(n - 1))
 }

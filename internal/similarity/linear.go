@@ -97,27 +97,26 @@ const (
 	RoundArea
 )
 
-// scale exponents of the three rounds' results.
-const (
-	dotScaleExp  = 2 // S·S products of two base-scale encodings
-	areaScaleExp = 9 // bracket1 (S⁴) · bracket2 (S⁵)
-)
+// dotScaleExp is the scale exponent of a dot round's result: S·S products
+// of two base-scale encodings.
+const dotScaleExp = 2
+
+// linearAreaExp is the hyperplane's area-round scale: Eq. (7) with both
+// dot rounds at S² and c3 at S.
+var linearAreaExp = areaExp(dotScaleExp, dotScaleExp, 1)
 
 // ErrRound reports a protocol message for the wrong round.
 var ErrRound = errors.New("similarity: round mismatch")
 
-// specFor derives the public spec from params and dimension.
-func specFor(dim int, p Params) (Spec, error) {
-	p = p.withDefaults()
+// specFor derives the public spec from params, dimension and the field
+// headroom (in bits) the variant's rounds need.
+func specFor(dim int, p Params, need int) (Spec, error) {
 	if err := p.Metric.Validate(); err != nil {
 		return Spec{}, err
 	}
 	if dim < 2 {
 		return Spec{}, fmt.Errorf("similarity: need >= 2 dims, got %d", dim)
 	}
-	// Field sizing: rounds 1-2 need 2·fb + amplifier bits; round 3 needs
-	// 9·fb. 40 value bits + slack cover the metric's magnitudes.
-	need := max(2*int(p.FracBits)+p.AmplifierBits, areaScaleExp*int(p.FracBits)) + 40 + 24
 	f, err := resolveField(p.FieldBackend, need)
 	if err != nil {
 		return Spec{}, err
@@ -177,8 +176,9 @@ func (s Spec) Codec() (*fixedpoint.Codec, error) {
 	return fixedpoint.NewCodec(f, s.FracBits)
 }
 
-// ompeParams derives the OMPE parameters of one round.
-func (s Spec) ompeParams(round Round) (ompe.Params, error) {
+// ompeParams derives the OMPE parameters of a round whose polynomial has
+// the given degree.
+func (s Spec) ompeParams(degree int) (ompe.Params, error) {
 	group, err := ot.GroupByName(s.GroupName)
 	if err != nil {
 		return ompe.Params{}, err
@@ -186,10 +186,6 @@ func (s Spec) ompeParams(round Round) (ompe.Params, error) {
 	codec, err := s.Codec()
 	if err != nil {
 		return ompe.Params{}, err
-	}
-	degree := 1
-	if round == RoundArea {
-		degree = 4
 	}
 	backend, err := field.ResolveBackend(s.FieldBackend)
 	if err != nil {
@@ -216,82 +212,74 @@ type ClearShare struct {
 
 // linEval is a bias-free linear evaluator c·z over the field.
 type linEval struct {
-	f   *field.Field
-	c   field.Vec
-	deg int
+	f *field.Field
+	c field.Vec
 }
 
 func (e *linEval) NumVars() int { return len(e.c) }
 
 func (e *linEval) Eval(z field.Vec) (*big.Int, error) { return e.f.Dot(e.c, z) }
 
+// normSq is |v|².
+func normSq(v []float64) float64 {
+	acc := 0.0
+	for _, x := range v {
+		acc += x * x
+	}
+	return acc
+}
+
 // Alice is the responder: she holds model A and answers Bob's three OMPE
 // rounds. One Alice value serves a single evaluation (fresh r_am, r_aw,
 // r_b per evaluation).
 type Alice struct {
-	spec  Spec
-	codec *fixedpoint.Codec
-
-	wA []float64
-	mA []float64
-
-	ram, raw, rb *big.Int
-	clear        *ClearShare
-
-	parallelism int
-
-	round  Round
-	sender *ompe.Sender
+	responder
+	spec           Spec
+	normM2, normW2 float64 // |mA|², |wA|²
 }
 
 // NewAlice prepares the responder for one evaluation of the linear model
 // (wA, bA) over the agreed geometry.
 func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, error) {
 	params = params.withDefaults()
-	spec, err := specFor(len(wA), params)
+	// Field sizing: rounds 1-2 need 2·fb + amplifier bits; round 3 needs
+	// 9·fb. 40 value bits + slack cover the metric's magnitudes.
+	fb := int(params.FracBits)
+	spec, err := specFor(len(wA), params, max(2*fb+params.AmplifierBits, int(linearAreaExp)*fb)+40+24)
 	if err != nil {
 		return nil, err
 	}
-	codec, err := spec.Codec()
+	mA, err := linearCentroid(wA, bA, spec.Metric)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan := obs.Start(obs.PhaseSimBoundary)
-	pts, err := LinearBoundaryPoints(wA, bA, spec.Metric)
+	r, err := newResponder(spec, 1, params.Parallelism, rng)
 	if err != nil {
 		return nil, err
 	}
-	mA, err := Centroid(pts)
+	encM, err := r.codec.EncodeVec(mA)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan.End()
-	f := codec.Field()
-	bound := new(big.Int).Lsh(big.NewInt(1), uint(spec.AmplifierBits))
-	ram, err := f.RandBounded(rng, bound)
+	encW, err := r.codec.EncodeVec(wA)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := f.RandBounded(rng, bound)
+	f := r.codec.Field()
+	r.centroid, r.normal = &linEval{f: f, c: encM}, &linEval{f: f, c: encW}
+	r.normalsWant = 1
+	return &Alice{responder: r, spec: spec, normM2: normSq(mA), normW2: normSq(wA)}, nil
+}
+
+// linearCentroid is the centroid of a hyperplane's boundary points.
+func linearCentroid(w []float64, b float64, m Metric) ([]float64, error) {
+	span := obs.Start(obs.PhaseSimBoundary)
+	defer span.End()
+	pts, err := LinearBoundaryPoints(w, b, m)
 	if err != nil {
 		return nil, err
 	}
-	rb, err := f.Rand(rng)
-	if err != nil {
-		return nil, err
-	}
-	a := &Alice{
-		spec:        spec,
-		codec:       codec,
-		wA:          append([]float64(nil), wA...),
-		mA:          mA,
-		ram:         ram,
-		raw:         raw,
-		rb:          rb,
-		parallelism: params.Parallelism,
-		round:       RoundCentroid,
-	}
-	return a, nil
+	return Centroid(pts)
 }
 
 // Spec returns the public contract for Bob.
@@ -304,162 +292,18 @@ func (a *Alice) HandleClearShare(cs *ClearShare) error {
 		math.IsNaN(cs.NormW2) || math.IsInf(cs.NormW2, 0) {
 		return errors.New("similarity: invalid clear share")
 	}
-	a.clear = cs
+	a.area = &areaTerms{
+		c1: a.normM2 + cs.NormM2,
+		c3: 0.25 / (a.normW2 * cs.NormW2),
+		e1: dotScaleExp, e2: dotScaleExp, c3Exp: 1,
+	}
 	return nil
-}
-
-// HandleRequest answers the OMPE request of the given round.
-func (a *Alice) HandleRequest(round Round, req *ompe.EvalRequest, rng io.Reader) (*ot.BatchSetup, error) {
-	if round != a.round {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, a.round)
-	}
-	span := obs.Start(obs.PhaseOfSimilarityRound(int(round)))
-	defer span.End()
-	params, err := a.spec.ompeParams(round)
-	if err != nil {
-		return nil, err
-	}
-	params.Parallelism = a.parallelism
-	eval, opts, err := a.buildRound(round)
-	if err != nil {
-		return nil, err
-	}
-	sender, err := ompe.NewSender(params, eval, opts...)
-	if err != nil {
-		return nil, err
-	}
-	setup, err := sender.HandleRequest(req, rng)
-	if err != nil {
-		return nil, err
-	}
-	a.sender = sender
-	return setup, nil
-}
-
-// HandleChoice finishes the OT of the current round.
-func (a *Alice) HandleChoice(round Round, choice *ot.BatchChoice, rng io.Reader) (*ot.BatchTransfer, error) {
-	if round != a.round || a.sender == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, a.round)
-	}
-	tr, err := a.sender.HandleChoice(choice, rng)
-	if err != nil {
-		return nil, err
-	}
-	a.sender = nil
-	a.round++
-	obs.Add(obs.CtrSimilarityRounds, 1)
-	return tr, nil
-}
-
-func (a *Alice) buildRound(round Round) (ompe.Evaluator, []ompe.SenderOption, error) {
-	f := a.codec.Field()
-	switch round {
-	case RoundCentroid:
-		enc, err := a.codec.EncodeVec(a.mA)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &linEval{f: f, c: enc}, []ompe.SenderOption{ompe.WithAmplifier(a.ram)}, nil
-	case RoundNormal:
-		enc, err := a.codec.EncodeVec(a.wA)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &linEval{f: f, c: enc},
-			[]ompe.SenderOption{ompe.WithAmplifier(a.raw), ompe.WithShift(a.rb)}, nil
-	case RoundArea:
-		return a.buildAreaEvaluator()
-	default:
-		return nil, nil, fmt.Errorf("similarity: unknown round %d", round)
-	}
-}
-
-// buildAreaEvaluator assembles Eq. (7):
-//
-//	T²(x1,x2) = [(c1 − 2·d1·x1)² + c2] · [c4/4 − (c3/4)·d2·(d3 + x2)²]
-//
-// with d1 = r_am⁻¹, d2 = r_aw⁻² (the paper writes r_aw⁻¹; the square is
-// required for (d3+x2)² = r_aw²·(wA·wB)² to cancel), d3 = −r_b, and the ¼
-// folded into c3, c4 to save a multiplication. Scale plan: x1 at S², c1 at
-// S², c2 at S⁴, c3/4 at S, c4/4 at S⁵ → result at S⁹.
-func (a *Alice) buildAreaEvaluator() (ompe.Evaluator, []ompe.SenderOption, error) {
-	if a.clear == nil {
-		return nil, nil, errors.New("similarity: clear share missing before area round")
-	}
-	f := a.codec.Field()
-	normMA2 := 0.0
-	for _, v := range a.mA {
-		normMA2 += v * v
-	}
-	normWA2 := 0.0
-	for _, v := range a.wA {
-		normWA2 += v * v
-	}
-	if normWA2 == 0 {
-		return nil, nil, errors.New("similarity: zero normal vector")
-	}
-	m := a.spec.Metric
-	s0 := math.Sin(m.Theta0)
-
-	encC1, err := a.codec.EncodeAtScale(normMA2+a.clear.NormM2, a.codec.ScalePow(dotScaleExp))
-	if err != nil {
-		return nil, nil, err
-	}
-	encC2, err := a.codec.EncodeAtScale(math.Pow(m.L0, 4), a.codec.ScalePow(4))
-	if err != nil {
-		return nil, nil, err
-	}
-	encC3, err := a.codec.EncodeAtScale(0.25/(normWA2*a.clear.NormW2), a.codec.ScalePow(1))
-	if err != nil {
-		return nil, nil, err
-	}
-	encC4, err := a.codec.EncodeAtScale(0.25*(1+s0*s0), a.codec.ScalePow(5))
-	if err != nil {
-		return nil, nil, err
-	}
-	d1, err := f.Inv(a.ram)
-	if err != nil {
-		return nil, nil, err
-	}
-	rawSq := f.Mul(a.raw, a.raw)
-	d2, err := f.Inv(rawSq)
-	if err != nil {
-		return nil, nil, err
-	}
-	d3 := f.Neg(a.rb)
-	two := big.NewInt(2)
-
-	eval := ompe.EvaluatorFunc(2, func(z field.Vec) (*big.Int, error) {
-		if len(z) != 2 {
-			return nil, fmt.Errorf("similarity: area round arity %d", len(z))
-		}
-		// bracket1 = (c1 − 2·d1·z1)² + c2, at S⁴.
-		t1 := f.Sub(encC1, f.Mul(two, f.Mul(d1, z[0])))
-		bracket1 := f.Add(f.Mul(t1, t1), encC2)
-		// bracket2 = c4/4 − (c3/4)·d2·(d3+z2)², at S⁵.
-		t2 := f.Add(d3, z[1])
-		bracket2 := f.Sub(encC4, f.Mul(encC3, f.Mul(d2, f.Mul(t2, t2))))
-		return f.Mul(bracket1, bracket2), nil
-	})
-	one := big.NewInt(1)
-	return eval, []ompe.SenderOption{ompe.WithAmplifier(one)}, nil
 }
 
 // Bob is the requester: he holds model B and learns T.
 type Bob struct {
-	spec  Spec
-	codec *fixedpoint.Codec
-
-	wB []float64
-	mB []float64
-
-	normM2, normW2 float64
-
-	parallelism int
-
-	round    Round
-	receiver *ompe.Receiver
-	x1, x2   *big.Int
+	requester
+	clear ClearShare
 }
 
 // NewBob prepares the requester from Alice's public spec and Bob's own
@@ -468,131 +312,26 @@ func NewBob(spec Spec, wB []float64, bB float64) (*Bob, error) {
 	if len(wB) != spec.Dim {
 		return nil, fmt.Errorf("similarity: model dim %d, spec dim %d", len(wB), spec.Dim)
 	}
-	codec, err := spec.Codec()
+	mB, err := linearCentroid(wB, bB, spec.Metric)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan := obs.Start(obs.PhaseSimBoundary)
-	pts, err := LinearBoundaryPoints(wB, bB, spec.Metric)
-	if err != nil {
-		return nil, err
-	}
-	mB, err := Centroid(pts)
-	if err != nil {
-		return nil, err
-	}
-	boundarySpan.End()
-	normM2, normW2 := 0.0, 0.0
-	for _, v := range mB {
-		normM2 += v * v
-	}
-	for _, v := range wB {
-		normW2 += v * v
-	}
+	normW2 := normSq(wB)
 	if normW2 == 0 {
 		return nil, errors.New("similarity: zero normal vector")
 	}
-	return &Bob{
-		spec:   spec,
-		codec:  codec,
-		wB:     append([]float64(nil), wB...),
-		mB:     mB,
-		normM2: normM2,
-		normW2: normW2,
-		round:  RoundCentroid,
-	}, nil
+	r, err := newRequester(spec, 1, mB, [][]float64{wB})
+	if err != nil {
+		return nil, err
+	}
+	r.resultExp = linearAreaExp
+	return &Bob{requester: r, clear: ClearShare{NormM2: normSq(mB), NormW2: normW2}}, nil
 }
 
 // ClearShare returns the values Bob sends Alice in the clear.
 func (b *Bob) ClearShare() *ClearShare {
-	return &ClearShare{NormM2: b.normM2, NormW2: b.normW2}
-}
-
-// SetParallelism bounds Bob's local worker pool (<= 0 selects GOMAXPROCS,
-// 1 forces the serial path). Purely local: it does not change any protocol
-// message given the same randomness stream.
-func (b *Bob) SetParallelism(n int) { b.parallelism = n }
-
-// StartRound opens the OMPE receiver for the given round and returns the
-// evaluation request.
-func (b *Bob) StartRound(round Round, rng io.Reader) (*ompe.EvalRequest, error) {
-	if round != b.round || b.receiver != nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	var input field.Vec
-	switch round {
-	case RoundCentroid:
-		enc, err := b.codec.EncodeVec(b.mB)
-		if err != nil {
-			return nil, err
-		}
-		input = enc
-	case RoundNormal:
-		enc, err := b.codec.EncodeVec(b.wB)
-		if err != nil {
-			return nil, err
-		}
-		input = enc
-	case RoundArea:
-		if b.x1 == nil || b.x2 == nil {
-			return nil, errors.New("similarity: area round before dot rounds")
-		}
-		input = field.Vec{b.x1, b.x2}
-	default:
-		return nil, fmt.Errorf("similarity: unknown round %d", round)
-	}
-	params, err := b.spec.ompeParams(round)
-	if err != nil {
-		return nil, err
-	}
-	params.Parallelism = b.parallelism
-	receiver, req, err := ompe.NewReceiver(params, input, rng)
-	if err != nil {
-		return nil, err
-	}
-	b.receiver = receiver
-	return req, nil
-}
-
-// HandleSetup advances the OT of the current round.
-func (b *Bob) HandleSetup(round Round, setup *ot.BatchSetup, rng io.Reader) (*ot.BatchChoice, error) {
-	if round != b.round || b.receiver == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	return b.receiver.HandleSetup(setup, rng)
-}
-
-// FinishRound completes the current round. After RoundArea it returns the
-// final result; earlier rounds return nil.
-func (b *Bob) FinishRound(round Round, tr *ot.BatchTransfer) (*Result, error) {
-	if round != b.round || b.receiver == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	value, err := b.receiver.Finish(tr)
-	if err != nil {
-		return nil, err
-	}
-	b.receiver = nil
-	switch round {
-	case RoundCentroid:
-		b.x1 = value
-	case RoundNormal:
-		b.x2 = value
-	case RoundArea:
-		t2, err := b.codec.DecodeAtScale(value, b.codec.ScalePow(areaScaleExp))
-		if err != nil {
-			return nil, err
-		}
-		if t2 < 0 {
-			// Fixed-point rounding can nick slightly below zero when the
-			// models are near-identical; clamp.
-			t2 = 0
-		}
-		b.round++
-		return &Result{T: math.Sqrt(t2), TSquared: t2}, nil
-	}
-	b.round++
-	return nil, nil
+	cs := b.clear
+	return &cs
 }
 
 // EvaluatePrivate runs a complete in-memory private evaluation between two
@@ -611,30 +350,5 @@ func EvaluatePrivate(wA []float64, bA float64, wB []float64, bB float64, params 
 	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
 		return nil, err
 	}
-	for _, round := range []Round{RoundCentroid, RoundNormal, RoundArea} {
-		req, err := bob.StartRound(round, rng)
-		if err != nil {
-			return nil, err
-		}
-		setup, err := alice.HandleRequest(round, req, rng)
-		if err != nil {
-			return nil, err
-		}
-		choice, err := bob.HandleSetup(round, setup, rng)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := alice.HandleChoice(round, choice, rng)
-		if err != nil {
-			return nil, err
-		}
-		result, err := bob.FinishRound(round, tr)
-		if err != nil {
-			return nil, err
-		}
-		if round == RoundArea {
-			return result, nil
-		}
-	}
-	return nil, errors.New("similarity: protocol did not complete")
+	return evaluate(&alice.responder, &bob.requester, rng)
 }

@@ -8,8 +8,11 @@
 // The metric side (this file) computes boundary points over the bounded
 // data space (Eq. 5), centroids, cosine similarity and the triangle area,
 // both for linear models (closed form) and for kernel models (boundary
-// roots by bisection along box edges). The protocol side (linear.go,
-// nonlinear.go) computes the same metric privately with three OMPE rounds.
+// roots by bisection along box edges). The protocol side computes the same
+// metric privately with three OMPE rounds: one round machine (rounds.go)
+// runs both the hyperplane variant of §V-B (linear.go) and the kernelised
+// variant of §V-C (nonlinear.go), which differ only in construction, clear
+// shares and the kernel's area-scale announcement.
 package similarity
 
 import (
@@ -334,79 +337,39 @@ func EvaluateKernel(a, b *svm.Model, m Metric) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	kmm, err := kernelCross(a, b, mA, mB)
-	if err != nil {
-		return nil, err
+	// K(mA,mA), K(mB,mB), K(mA,mB) and the same for the normals.
+	var km, kw [3]float64
+	for i, pair := range [3][2][]float64{{mA, mA}, {mB, mB}, {mA, mB}} {
+		if km[i], err = a.Kernel.Eval(pair[0], pair[1]); err != nil {
+			return nil, err
+		}
 	}
-	l2 := kmm.aa + kmm.bb - 2*kmm.ab
-	if l2 < 0 {
-		l2 = 0
+	for i, pair := range [3][2]*svm.Model{{a, a}, {b, b}, {a, b}} {
+		if kw[i], err = featureDot(pair[0], pair[1]); err != nil {
+			return nil, err
+		}
 	}
-	kww, err := normalGram(a, b)
-	if err != nil {
-		return nil, err
-	}
-	if kww.aa <= 0 || kww.bb <= 0 {
+	l2 := max(km[0]+km[1]-2*km[2], 0)
+	if kw[0] <= 0 || kw[1] <= 0 {
 		return nil, errors.New("similarity: non-positive feature-space norm")
 	}
-	cosT := kww.ab / math.Sqrt(kww.aa*kww.bb)
+	cosT := kw[2] / math.Sqrt(kw[0]*kw[1])
 	t2 := TriangleSquared(l2, cosT, m)
 	return &Result{T: math.Sqrt(t2), TSquared: t2, L: math.Sqrt(l2), CosTheta: cosT}, nil
 }
 
-type gram struct{ aa, bb, ab float64 }
-
-// kernelCross computes K(mA,mA), K(mB,mB), K(mA,mB) for the centroid
-// distance in feature space.
-func kernelCross(a, b *svm.Model, mA, mB []float64) (gram, error) {
-	kaa, err := a.Kernel.Eval(mA, mA)
-	if err != nil {
-		return gram{}, err
-	}
-	kbb, err := b.Kernel.Eval(mB, mB)
-	if err != nil {
-		return gram{}, err
-	}
-	kab, err := a.Kernel.Eval(mA, mB)
-	if err != nil {
-		return gram{}, err
-	}
-	return gram{aa: kaa, bb: kbb, ab: kab}, nil
-}
-
-// normalGram computes K(wA,wA), K(wB,wB), K(wA,wB) where w = Σ αy·φ(x)
-// is the feature-space normal: K(wA,wB) = Σ_s Σ_t αyA_s·αyB_t·K(xA_s,xB_t).
-func normalGram(a, b *svm.Model) (gram, error) {
-	selfDot := func(m *svm.Model) (float64, error) {
-		acc := 0.0
-		for i, xi := range m.SupportVectors {
-			for j, xj := range m.SupportVectors {
-				k, err := m.Kernel.Eval(xi, xj)
-				if err != nil {
-					return 0, err
-				}
-				acc += m.AlphaY[i] * m.AlphaY[j] * k
-			}
-		}
-		return acc, nil
-	}
-	kaa, err := selfDot(a)
-	if err != nil {
-		return gram{}, err
-	}
-	kbb, err := selfDot(b)
-	if err != nil {
-		return gram{}, err
-	}
-	kab := 0.0
+// featureDot is K(wA,wB) = Σ_s Σ_t αyA_s·αyB_t·K(xA_s,xB_t), the inner
+// product of two feature-space normals w = Σ αy·φ(x) under A's kernel.
+func featureDot(a, b *svm.Model) (float64, error) {
+	acc := 0.0
 	for i, xi := range a.SupportVectors {
 		for j, xj := range b.SupportVectors {
 			k, err := a.Kernel.Eval(xi, xj)
 			if err != nil {
-				return gram{}, err
+				return 0, err
 			}
-			kab += a.AlphaY[i] * b.AlphaY[j] * k
+			acc += a.AlphaY[i] * b.AlphaY[j] * k
 		}
 	}
-	return gram{aa: kaa, bb: kbb, ab: kab}, nil
+	return acc, nil
 }

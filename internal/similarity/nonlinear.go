@@ -11,7 +11,6 @@ import (
 	"repro/internal/fixedpoint"
 	"repro/internal/obs"
 	"repro/internal/ompe"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
@@ -33,7 +32,13 @@ import (
 //
 // where A = Σ_t Enc(αyB_t) is an aggregate Bob discloses so Alice can set
 // d3 = −r_b·A (a scalar sum of multipliers — comparable in kind to the
-// |wB|² the paper already sends in the clear; documented in DESIGN.md).
+// |wB|² the paper already sends in the clear; DESIGN.md §V lists every
+// disclosure of both variants).
+//
+// Everything after construction runs on the hyperplane's round machine
+// (rounds.go): the kernel variant only supplies different dot-round
+// evaluators, |S_B| RoundNormal instances weighted by Enc(αyB_t), and the
+// area-round exponents (2p, 2p+2, announced c3 exponent).
 //
 // Only the polynomial kernel is supported, matching the paper's nonlinear
 // experiments.
@@ -68,9 +73,13 @@ type AreaScale struct {
 	TotalExp uint
 }
 
-// kernelDotExp returns the scale exponent of a polynomial-kernel value
-// (a0·x·z + b0)^p computed on base-scale encodings.
-func kernelDotExp(k svm.Kernel) uint { return uint(2 * k.Degree) }
+// kernelExps returns the scale exponents of x1 and x2: a polynomial-kernel
+// value (a0·x·z + b0)^p on base-scale encodings sits at S^2p, and x2
+// carries αy on both sides.
+func kernelExps(k svm.Kernel) (e1, e2 uint) { return uint(2 * k.Degree), uint(2*k.Degree) + 2 }
+
+// maxC3Exp is the headroom for the adaptive c3 exponent.
+const maxC3Exp = 16
 
 // defaultKernelFracBits keeps the very deep kernel-area scale inside the
 // built-in primes.
@@ -78,28 +87,15 @@ const defaultKernelFracBits = 12
 
 // KernelAlice is the responder for the kernelized evaluation.
 type KernelAlice struct {
-	spec  KernelSpec
-	codec *fixedpoint.Codec
-	model *svm.Model
-	mA    []float64
-
-	ram, raw, rb *big.Int
-	clear        *KernelClearShare
+	responder
+	spec         KernelSpec
+	kmama, kwawa float64 // K(mA,mA), K(wA,wA)
 	areaScale    *AreaScale
-
-	parallelism int
-
-	round      Round
-	round2Seen int
-	sender     *ompe.Sender
 }
 
 // NewKernelAlice prepares the responder around a polynomial-kernel model.
 func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlice, error) {
-	if model == nil {
-		return nil, errors.New("similarity: nil model")
-	}
-	if err := model.Validate(); err != nil {
+	if err := validateKernelModel(model); err != nil {
 		return nil, err
 	}
 	if model.Kernel.Kind != svm.KernelPolynomial {
@@ -109,84 +105,78 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if params.FracBits == 24 {
 		params.FracBits = defaultKernelFracBits
 	}
-	spec, err := kernelSpecFor(model.Kernel, model.Dim, params)
+	// Field sizing: the normal rounds need (e2+1)·fb + amplifier bits, the
+	// area round its worst-case exponent times fb, plus value-bit slack.
+	e1, e2 := kernelExps(model.Kernel)
+	fb := int(params.FracBits)
+	base, err := specFor(model.Dim, params, max(int(e2+1)*fb+params.AmplifierBits, int(areaExp(e1, e2, maxC3Exp))*fb)+48+24)
 	if err != nil {
 		return nil, err
 	}
-	codec, err := spec.Codec()
+	spec := KernelSpec{Spec: base, Kernel: model.Kernel}
+	mA, err := kernelCentroid(model, spec.Metric)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan := obs.Start(obs.PhaseSimBoundary)
-	pts, err := KernelBoundaryPoints(model, spec.Metric)
+	r, err := newResponder(spec.Spec, model.Kernel.Degree, params.Parallelism, rng)
 	if err != nil {
 		return nil, err
 	}
-	mA, err := Centroid(pts)
+	// P(z) = (a0·mA·z + b0)^p and P(z) = Σ_s αyA_s·(a0·xA_s·z + b0)^p.
+	if r.centroid, err = kernelEval(r.codec, model.Kernel, spec.Dim, [][]float64{mA}, nil); err != nil {
+		return nil, err
+	}
+	if r.normal, err = kernelEval(r.codec, model.Kernel, spec.Dim, model.SupportVectors, model.AlphaY); err != nil {
+		return nil, err
+	}
+	kmama, err := model.Kernel.Eval(mA, mA)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan.End()
-	f := codec.Field()
-	bound := new(big.Int).Lsh(big.NewInt(1), uint(spec.AmplifierBits))
-	ram, err := f.RandBounded(rng, bound)
+	kwawa, err := featureNorm(model)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := f.RandBounded(rng, bound)
-	if err != nil {
-		return nil, err
-	}
-	rb, err := f.Rand(rng)
-	if err != nil {
-		return nil, err
-	}
-	return &KernelAlice{
-		spec:        spec,
-		codec:       codec,
-		model:       model,
-		mA:          mA,
-		ram:         ram,
-		raw:         raw,
-		rb:          rb,
-		parallelism: params.Parallelism,
-		round:       RoundCentroid,
-	}, nil
+	return &KernelAlice{responder: r, spec: spec, kmama: kmama, kwawa: kwawa}, nil
 }
 
-func kernelSpecFor(k svm.Kernel, dim int, p Params) (KernelSpec, error) {
-	if err := p.Metric.Validate(); err != nil {
-		return KernelSpec{}, err
+// validateKernelModel rejects nil and malformed models.
+func validateKernelModel(model *svm.Model) error {
+	if model == nil {
+		return errors.New("similarity: nil model")
 	}
-	e1 := kernelDotExp(k)           // x1 exponent
-	e2 := e1 + 2                    // x2 exponent (αy on both sides)
-	maxC3 := uint(16)               // headroom for the adaptive c3 exponent
-	totalMax := 2*e1 + 2*e2 + maxC3 // worst-case area exponent
-	need := max(int(e2+1)*int(p.FracBits)+p.AmplifierBits, int(totalMax)*int(p.FracBits)) + 48 + 24
-	f, err := resolveField(p.FieldBackend, need)
+	return model.Validate()
+}
+
+// kernelCentroid is the centroid of a kernel model's boundary points.
+func kernelCentroid(model *svm.Model, m Metric) ([]float64, error) {
+	span := obs.Start(obs.PhaseSimBoundary)
+	defer span.End()
+	pts, err := KernelBoundaryPoints(model, m)
 	if err != nil {
-		return KernelSpec{}, err
+		return nil, err
 	}
-	return KernelSpec{
-		Spec: Spec{
-			Dim:           dim,
-			Metric:        p.Metric,
-			MaskDegree:    p.MaskDegree,
-			CoverFactor:   p.CoverFactor,
-			AmplifierBits: p.AmplifierBits,
-			FieldBits:     f.Bits(),
-			FracBits:      p.FracBits,
-			GroupName:     p.Group.Name(),
-			FieldBackend:  backendSpecName(p.FieldBackend, f),
-		},
-		Kernel: k,
-	}, nil
+	return Centroid(pts)
+}
+
+// featureNorm is K(w,w) for a model's feature-space normal, which must be
+// positive for the angle to be defined.
+func featureNorm(model *svm.Model) (float64, error) {
+	k, err := featureDot(model, model)
+	if err != nil {
+		return 0, err
+	}
+	if k <= 0 {
+		return 0, errors.New("similarity: non-positive feature-space norm")
+	}
+	return k, nil
 }
 
 // Spec returns the public contract.
 func (a *KernelAlice) Spec() KernelSpec { return a.spec }
 
-// HandleClearShare stores Bob's cleartext values.
+// HandleClearShare stores Bob's cleartext values, fixes the number of
+// RoundNormal instances at |S_B| and the area round's adaptive scale.
 func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
 	if cs == nil || cs.KwBwB <= 0 || cs.NumSupport < 1 || cs.AlphaSum == nil ||
 		math.IsNaN(cs.KmBmB) || math.IsInf(cs.KmBmB, 0) ||
@@ -196,221 +186,70 @@ func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
 	if !a.codec.Field().Contains(cs.AlphaSum) {
 		return errors.New("similarity: alpha sum not in field")
 	}
-	a.clear = cs
+	c3 := 0.25 / (a.kwawa * cs.KwBwB)
+	// Pick the c3 exponent so that c3·S^exp has at least fracBits
+	// significant bits (but at least 1, at most the headroom).
+	sBits := float64(a.spec.FracBits)
+	c3Exp := uint(math.Min(maxC3Exp, math.Max(1, math.Ceil((sBits-math.Log2(c3))/sBits))))
+	e1, e2 := kernelExps(a.spec.Kernel)
+	a.areaScale = &AreaScale{C3Exp: c3Exp, TotalExp: areaExp(e1, e2, c3Exp)}
+	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, c3: c3, e1: e1, e2: e2, c3Exp: c3Exp, alphaSum: cs.AlphaSum}
+	a.normalsWant = cs.NumSupport
 	return nil
 }
 
-// AnnounceAreaScale computes and returns the adaptive area-round scale.
-// Valid after the clear share arrives.
+// AnnounceAreaScale returns the adaptive area-round scale Bob needs to
+// decode. Valid after the clear share arrives.
 func (a *KernelAlice) AnnounceAreaScale() (*AreaScale, error) {
-	if a.clear == nil {
+	if a.areaScale == nil {
 		return nil, errors.New("similarity: clear share missing")
 	}
-	if a.areaScale != nil {
-		return a.areaScale, nil
-	}
-	kwawa, err := a.normalSelfGram()
-	if err != nil {
-		return nil, err
-	}
-	c3 := 0.25 / (kwawa * a.clear.KwBwB)
-	// Pick the c3 exponent so that c3·S^exp has at least fracBits
-	// significant bits (but at least 1, at most the headroom).
-	exp := uint(1)
-	sBits := float64(a.spec.FracBits)
-	if c3 > 0 {
-		needBits := -math.Log2(c3) + sBits
-		exp = uint(math.Max(1, math.Ceil(needBits/sBits)))
-	}
-	if exp > 16 {
-		exp = 16
-	}
-	e1 := kernelDotExp(a.spec.Kernel)
-	e2 := e1 + 2
-	a.areaScale = &AreaScale{C3Exp: exp, TotalExp: 2*e1 + 2*e2 + exp}
 	return a.areaScale, nil
 }
 
-func (a *KernelAlice) normalSelfGram() (float64, error) {
-	acc := 0.0
-	for i, xi := range a.model.SupportVectors {
-		for j, xj := range a.model.SupportVectors {
-			k, err := a.model.Kernel.Eval(xi, xj)
-			if err != nil {
-				return 0, err
-			}
-			acc += a.model.AlphaY[i] * a.model.AlphaY[j] * k
-		}
-	}
-	if acc <= 0 {
-		return 0, errors.New("similarity: non-positive feature-space norm")
-	}
-	return acc, nil
-}
-
-// HandleRequest answers one OMPE request. Round 2 is repeated NumSupport
-// times (idx = 0..NumSupport-1, strictly in order).
-func (a *KernelAlice) HandleRequest(round Round, req *ompe.EvalRequest, rng io.Reader) (*ot.BatchSetup, error) {
-	if round != a.round {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, a.round)
-	}
-	span := obs.Start(obs.PhaseOfSimilarityRound(int(round)))
-	defer span.End()
-	eval, opts, degree, err := a.buildRound(round)
+// kernelEval builds Σ_s w_s·(a0·x_s·z + b0)^p over the given rows, with
+// w_s = Enc(alphaY[s]) or 1 when alphaY is nil.
+func kernelEval(codec *fixedpoint.Codec, k svm.Kernel, dim int, rows [][]float64, alphaY []float64) (ompe.Evaluator, error) {
+	f := codec.Field()
+	encB0, err := codec.EncodeAtScale(k.B0, codec.ScalePow(2))
 	if err != nil {
 		return nil, err
 	}
-	params, err := a.spec.ompeParamsKernel(round, degree)
-	if err != nil {
-		return nil, err
-	}
-	params.Parallelism = a.parallelism
-	sender, err := ompe.NewSender(params, eval, opts...)
-	if err != nil {
-		return nil, err
-	}
-	setup, err := sender.HandleRequest(req, rng)
-	if err != nil {
-		return nil, err
-	}
-	a.sender = sender
-	return setup, nil
-}
-
-// HandleChoice finishes the OT of the current round (or round-2 instance).
-func (a *KernelAlice) HandleChoice(round Round, choice *ot.BatchChoice, rng io.Reader) (*ot.BatchTransfer, error) {
-	if round != a.round || a.sender == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, a.round)
-	}
-	tr, err := a.sender.HandleChoice(choice, rng)
-	if err != nil {
-		return nil, err
-	}
-	a.sender = nil
-	obs.Add(obs.CtrSimilarityRounds, 1)
-	if round == RoundNormal {
-		a.round2Seen++
-		if a.clear == nil || a.round2Seen < a.clear.NumSupport {
-			return tr, nil // stay in round 2 for the next support vector
-		}
-	}
-	a.round++
-	return tr, nil
-}
-
-// ompeParamsKernel mirrors Spec.ompeParams with a per-round degree.
-func (s KernelSpec) ompeParamsKernel(round Round, degree int) (ompe.Params, error) {
-	group, err := ot.GroupByName(s.GroupName)
-	if err != nil {
-		return ompe.Params{}, err
-	}
-	codec, err := s.Codec()
-	if err != nil {
-		return ompe.Params{}, err
-	}
-	backend, err := field.ResolveBackend(s.FieldBackend)
-	if err != nil {
-		return ompe.Params{}, err
-	}
-	return ompe.Params{
-		Field:         codec.Field(),
-		PolyDegree:    degree,
-		MaskDegree:    s.MaskDegree,
-		CoverFactor:   s.CoverFactor,
-		AmplifierBits: s.AmplifierBits,
-		Group:         group,
-		Backend:       backend,
-	}, nil
-}
-
-func (a *KernelAlice) buildRound(round Round) (ompe.Evaluator, []ompe.SenderOption, int, error) {
-	k := a.spec.Kernel
-	switch round {
-	case RoundCentroid:
-		// P(z) = (a0·mA·z + b0)^p.
-		eval, err := a.kernelEval(a.mA, nil)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return eval, []ompe.SenderOption{ompe.WithAmplifier(a.ram)}, k.Degree, nil
-	case RoundNormal:
-		// P(z) = Σ_s αyA_s·(a0·xA_s·z + b0)^p.
-		eval, err := a.kernelEval(nil, a.model)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return eval, []ompe.SenderOption{ompe.WithAmplifier(a.raw), ompe.WithShift(a.rb)}, k.Degree, nil
-	case RoundArea:
-		eval, opts, err := a.buildKernelAreaEvaluator()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return eval, opts, 4, nil
-	default:
-		return nil, nil, 0, fmt.Errorf("similarity: unknown round %d", round)
-	}
-}
-
-// kernelEval builds either the single-vector kernel polynomial (centroid
-// given) or the full decision-style sum over a model's support vectors.
-func (a *KernelAlice) kernelEval(centroid []float64, model *svm.Model) (ompe.Evaluator, error) {
-	f := a.codec.Field()
-	k := a.spec.Kernel
-	encB0, err := a.codec.EncodeAtScale(k.B0, a.codec.ScalePow(2))
-	if err != nil {
-		return nil, err
-	}
-	type row struct {
-		vec   field.Vec
-		alpha *big.Int // nil for the centroid form
-	}
-	var rows []row
-	if centroid != nil {
-		scaled := make([]float64, len(centroid))
-		for j, v := range centroid {
+	vecs := make([]field.Vec, len(rows))
+	var alphas []*big.Int
+	for s, x := range rows {
+		scaled := make([]float64, len(x))
+		for j, v := range x {
 			scaled[j] = k.A0 * v
 		}
-		enc, err := a.codec.EncodeVec(scaled)
-		if err != nil {
+		if vecs[s], err = codec.EncodeVec(scaled); err != nil {
 			return nil, err
 		}
-		rows = append(rows, row{vec: enc})
-	} else {
-		for s, sv := range model.SupportVectors {
-			scaled := make([]float64, len(sv))
-			for j, v := range sv {
-				scaled[j] = k.A0 * v
-			}
-			enc, err := a.codec.EncodeVec(scaled)
+		if alphaY != nil {
+			alpha, err := codec.EncodeAtScale(alphaY[s], codec.Scale())
 			if err != nil {
 				return nil, err
 			}
-			alpha, err := a.codec.EncodeAtScale(model.AlphaY[s], a.codec.Scale())
-			if err != nil {
-				return nil, err
-			}
-			rows = append(rows, row{vec: enc, alpha: alpha})
+			alphas = append(alphas, alpha)
 		}
 	}
-	dim := a.spec.Dim
-	p := k.Degree
 	return ompe.EvaluatorFunc(dim, func(z field.Vec) (*big.Int, error) {
 		if len(z) != dim {
 			return nil, fmt.Errorf("similarity: arity %d, want %d", len(z), dim)
 		}
 		acc := new(big.Int)
-		for _, r := range rows {
-			inner, err := f.Dot(r.vec, z)
+		for s, vec := range vecs {
+			inner, err := f.Dot(vec, z)
 			if err != nil {
 				return nil, err
 			}
 			inner = f.Add(inner, encB0)
 			pow := f.One()
-			for i := 0; i < p; i++ {
+			for i := 0; i < k.Degree; i++ {
 				pow = f.Mul(pow, inner)
 			}
-			if r.alpha != nil {
-				pow = f.Mul(r.alpha, pow)
+			if alphas != nil {
+				pow = f.Mul(alphas[s], pow)
 			}
 			acc = f.Add(acc, pow)
 		}
@@ -418,101 +257,17 @@ func (a *KernelAlice) kernelEval(centroid []float64, model *svm.Model) (ompe.Eva
 	}), nil
 }
 
-// buildKernelAreaEvaluator assembles the kernelized Eq. (7) with adaptive
-// scales: x1 at S^e1, x2 at S^e2, c1 at S^e1, c2 at S^{2e1}, c3/4 at
-// S^c3Exp, c4/4 at S^{2e2+c3Exp}; result at S^{2e1+2e2+c3Exp}.
-func (a *KernelAlice) buildKernelAreaEvaluator() (ompe.Evaluator, []ompe.SenderOption, error) {
-	if a.clear == nil {
-		return nil, nil, errors.New("similarity: clear share missing before area round")
-	}
-	scale, err := a.AnnounceAreaScale()
-	if err != nil {
-		return nil, nil, err
-	}
-	f := a.codec.Field()
-	k := a.spec.Kernel
-	e1 := kernelDotExp(k)
-
-	kmama, err := k.Eval(a.mA, a.mA)
-	if err != nil {
-		return nil, nil, err
-	}
-	kwawa, err := a.normalSelfGram()
-	if err != nil {
-		return nil, nil, err
-	}
-	m := a.spec.Metric
-	s0 := math.Sin(m.Theta0)
-
-	encC1, err := a.codec.EncodeAtScale(kmama+a.clear.KmBmB, a.codec.ScalePow(e1))
-	if err != nil {
-		return nil, nil, err
-	}
-	encC2, err := a.codec.EncodeAtScale(math.Pow(m.L0, 4), a.codec.ScalePow(2*e1))
-	if err != nil {
-		return nil, nil, err
-	}
-	encC3, err := a.codec.EncodeAtScale(0.25/(kwawa*a.clear.KwBwB), a.codec.ScalePow(scale.C3Exp))
-	if err != nil {
-		return nil, nil, err
-	}
-	e2 := e1 + 2
-	encC4, err := a.codec.EncodeAtScale(0.25*(1+s0*s0), a.codec.ScalePow(2*e2+scale.C3Exp))
-	if err != nil {
-		return nil, nil, err
-	}
-	d1, err := f.Inv(a.ram)
-	if err != nil {
-		return nil, nil, err
-	}
-	d2, err := f.Inv(f.Mul(a.raw, a.raw))
-	if err != nil {
-		return nil, nil, err
-	}
-	// d3 cancels the aggregated shift r_b·A.
-	d3 := f.Neg(f.Mul(a.rb, a.clear.AlphaSum))
-	two := big.NewInt(2)
-
-	eval := ompe.EvaluatorFunc(2, func(z field.Vec) (*big.Int, error) {
-		if len(z) != 2 {
-			return nil, fmt.Errorf("similarity: area round arity %d", len(z))
-		}
-		t1 := f.Sub(encC1, f.Mul(two, f.Mul(d1, z[0])))
-		bracket1 := f.Add(f.Mul(t1, t1), encC2)
-		t2 := f.Add(d3, z[1])
-		bracket2 := f.Sub(encC4, f.Mul(encC3, f.Mul(d2, f.Mul(t2, t2))))
-		return f.Mul(bracket1, bracket2), nil
-	})
-	return eval, []ompe.SenderOption{ompe.WithAmplifier(big.NewInt(1))}, nil
-}
-
 // KernelBob is the requester for the kernelized evaluation.
 type KernelBob struct {
-	spec  KernelSpec
-	codec *fixedpoint.Codec
-	model *svm.Model
-	mB    []float64
-
-	clear     *KernelClearShare
-	areaScale *AreaScale
-
-	parallelism int
-
-	round     Round
-	round2Idx int
-	receiver  *ompe.Receiver
-	x1        *big.Int
-	x2Acc     *big.Int
-	encAlphaB []*big.Int
+	requester
+	kernel svm.Kernel
+	clear  *KernelClearShare
 }
 
 // NewKernelBob prepares the requester around his own polynomial-kernel
 // model, from Alice's public spec.
 func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
-	if model == nil {
-		return nil, errors.New("similarity: nil model")
-	}
-	if err := model.Validate(); err != nil {
+	if err := validateKernelModel(model); err != nil {
 		return nil, err
 	}
 	if model.Kernel != spec.Kernel {
@@ -521,175 +276,57 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	if model.Dim != spec.Dim {
 		return nil, fmt.Errorf("similarity: model dim %d, spec dim %d", model.Dim, spec.Dim)
 	}
-	codec, err := spec.Codec()
+	mB, err := kernelCentroid(model, spec.Metric)
 	if err != nil {
 		return nil, err
 	}
-	boundarySpan := obs.Start(obs.PhaseSimBoundary)
-	pts, err := KernelBoundaryPoints(model, spec.Metric)
+	r, err := newRequester(spec.Spec, spec.Kernel.Degree, mB, model.SupportVectors)
 	if err != nil {
 		return nil, err
 	}
-	mB, err := Centroid(pts)
-	if err != nil {
-		return nil, err
-	}
-	boundarySpan.End()
-	f := codec.Field()
-	encAlpha := make([]*big.Int, len(model.AlphaY))
+	f := r.codec.Field()
+	r.weights = make([]*big.Int, len(model.AlphaY))
 	alphaSum := new(big.Int)
 	for t, a := range model.AlphaY {
-		enc, err := codec.EncodeAtScale(a, codec.Scale())
-		if err != nil {
+		if r.weights[t], err = r.codec.EncodeAtScale(a, r.codec.Scale()); err != nil {
 			return nil, err
 		}
-		encAlpha[t] = enc
-		alphaSum = f.Add(alphaSum, enc)
+		alphaSum = f.Add(alphaSum, r.weights[t])
 	}
 	kmbmb, err := model.Kernel.Eval(mB, mB)
 	if err != nil {
 		return nil, err
 	}
-	kwbwb := 0.0
-	for i, xi := range model.SupportVectors {
-		for j, xj := range model.SupportVectors {
-			kv, err := model.Kernel.Eval(xi, xj)
-			if err != nil {
-				return nil, err
-			}
-			kwbwb += model.AlphaY[i] * model.AlphaY[j] * kv
-		}
-	}
-	if kwbwb <= 0 {
-		return nil, errors.New("similarity: non-positive feature-space norm")
+	kwbwb, err := featureNorm(model)
+	if err != nil {
+		return nil, err
 	}
 	return &KernelBob{
-		spec:  spec,
-		codec: codec,
-		model: model,
-		mB:    mB,
+		requester: r,
+		kernel:    spec.Kernel,
 		clear: &KernelClearShare{
 			KmBmB:      kmbmb,
 			KwBwB:      kwbwb,
 			NumSupport: len(model.SupportVectors),
 			AlphaSum:   alphaSum,
 		},
-		round:     RoundCentroid,
-		x2Acc:     new(big.Int),
-		encAlphaB: encAlpha,
 	}, nil
 }
 
 // ClearShare returns Bob's cleartext values.
 func (b *KernelBob) ClearShare() *KernelClearShare { return b.clear }
 
-// SetParallelism bounds Bob's local worker pool (<= 0 selects GOMAXPROCS,
-// 1 forces the serial path). Purely local: it does not change any protocol
-// message given the same randomness stream.
-func (b *KernelBob) SetParallelism(n int) { b.parallelism = n }
-
 // SetAreaScale stores Alice's announced area scale (needed to decode).
 func (b *KernelBob) SetAreaScale(s *AreaScale) error {
-	if s == nil || s.C3Exp < 1 || s.C3Exp > 16 {
+	if s == nil || s.C3Exp < 1 || s.C3Exp > maxC3Exp {
 		return errors.New("similarity: invalid area scale")
 	}
-	e1 := kernelDotExp(b.spec.Kernel)
-	e2 := e1 + 2
-	if s.TotalExp != 2*e1+2*e2+s.C3Exp {
+	e1, e2 := kernelExps(b.kernel)
+	if s.TotalExp != areaExp(e1, e2, s.C3Exp) {
 		return errors.New("similarity: inconsistent area scale")
 	}
-	b.areaScale = s
+	b.resultExp = s.TotalExp
 	return nil
-}
-
-// StartRound opens the OMPE receiver for the given round. RoundNormal
-// repeats once per own support vector.
-func (b *KernelBob) StartRound(round Round, rng io.Reader) (*ompe.EvalRequest, error) {
-	if round != b.round || b.receiver != nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	var input field.Vec
-	var degree int
-	switch round {
-	case RoundCentroid:
-		enc, err := b.codec.EncodeVec(b.mB)
-		if err != nil {
-			return nil, err
-		}
-		input = enc
-		degree = b.spec.Kernel.Degree
-	case RoundNormal:
-		enc, err := b.codec.EncodeVec(b.model.SupportVectors[b.round2Idx])
-		if err != nil {
-			return nil, err
-		}
-		input = enc
-		degree = b.spec.Kernel.Degree
-	case RoundArea:
-		if b.x1 == nil || b.areaScale == nil {
-			return nil, errors.New("similarity: area round prerequisites missing")
-		}
-		input = field.Vec{b.x1, b.x2Acc}
-		degree = 4
-	default:
-		return nil, fmt.Errorf("similarity: unknown round %d", round)
-	}
-	params, err := b.spec.ompeParamsKernel(round, degree)
-	if err != nil {
-		return nil, err
-	}
-	params.Parallelism = b.parallelism
-	receiver, req, err := ompe.NewReceiver(params, input, rng)
-	if err != nil {
-		return nil, err
-	}
-	b.receiver = receiver
-	return req, nil
-}
-
-// HandleSetup advances the current round's OT.
-func (b *KernelBob) HandleSetup(round Round, setup *ot.BatchSetup, rng io.Reader) (*ot.BatchChoice, error) {
-	if round != b.round || b.receiver == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	return b.receiver.HandleSetup(setup, rng)
-}
-
-// FinishRound completes the current round (or round-2 instance). After
-// RoundArea it returns the final result.
-func (b *KernelBob) FinishRound(round Round, tr *ot.BatchTransfer) (*Result, error) {
-	if round != b.round || b.receiver == nil {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrRound, round, b.round)
-	}
-	value, err := b.receiver.Finish(tr)
-	if err != nil {
-		return nil, err
-	}
-	b.receiver = nil
-	f := b.codec.Field()
-	switch round {
-	case RoundCentroid:
-		b.x1 = value
-		b.round++
-	case RoundNormal:
-		// x2 += Enc(αyB_t)·(r_aw·P(xB_t) + r_b)
-		b.x2Acc = f.Add(b.x2Acc, f.Mul(b.encAlphaB[b.round2Idx], value))
-		b.round2Idx++
-		if b.round2Idx >= len(b.model.SupportVectors) {
-			b.round++
-		}
-	case RoundArea:
-		t2, err := b.codec.DecodeAtScale(value, b.codec.ScalePow(b.areaScale.TotalExp))
-		if err != nil {
-			return nil, err
-		}
-		if t2 < 0 {
-			t2 = 0
-		}
-		b.round++
-		return &Result{T: math.Sqrt(t2), TSquared: t2}, nil
-	}
-	return nil, nil
 }
 
 // EvaluatePrivateKernel runs a complete in-memory kernelized evaluation.
@@ -713,32 +350,5 @@ func EvaluatePrivateKernel(modelA, modelB *svm.Model, params Params, rng io.Read
 	if err := bob.SetAreaScale(scale); err != nil {
 		return nil, err
 	}
-	runOne := func(round Round) (*Result, error) {
-		req, err := bob.StartRound(round, rng)
-		if err != nil {
-			return nil, err
-		}
-		setup, err := alice.HandleRequest(round, req, rng)
-		if err != nil {
-			return nil, err
-		}
-		choice, err := bob.HandleSetup(round, setup, rng)
-		if err != nil {
-			return nil, err
-		}
-		tr, err := alice.HandleChoice(round, choice, rng)
-		if err != nil {
-			return nil, err
-		}
-		return bob.FinishRound(round, tr)
-	}
-	if _, err := runOne(RoundCentroid); err != nil {
-		return nil, err
-	}
-	for t := 0; t < len(modelB.SupportVectors); t++ {
-		if _, err := runOne(RoundNormal); err != nil {
-			return nil, fmt.Errorf("round 2 instance %d: %w", t, err)
-		}
-	}
-	return runOne(RoundArea)
+	return evaluate(&alice.responder, &bob.requester, rng)
 }

@@ -2,7 +2,9 @@ package similarity_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/dataset"
@@ -51,7 +53,21 @@ func TestRoundOrderEnforced(t *testing.T) {
 func TestAreaRoundRequiresClearShare(t *testing.T) {
 	alice, bob := newPair(t)
 	// Skip the clear share entirely and run rounds 1-2.
-	for _, round := range []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal} {
+	runRounds(t, alice, bob, similarity.RoundCentroid, similarity.RoundNormal)
+	req, err := bob.StartRound(similarity.RoundArea, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := alice.HandleRequest(similarity.RoundArea, req, rand.Reader); err == nil {
+		t.Fatal("area round without a clear share should fail")
+	}
+}
+
+// runRounds drives the given rounds in memory and returns the last result.
+func runRounds(t *testing.T, alice responder, bob requester, rounds ...similarity.Round) *similarity.Result {
+	t.Helper()
+	var res *similarity.Result
+	for _, round := range rounds {
 		req, err := bob.StartRound(round, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
@@ -68,17 +84,60 @@ func TestAreaRoundRequiresClearShare(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := bob.FinishRound(round, tr); err != nil {
+		if res, err = bob.FinishRound(round, tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	req, err := bob.StartRound(similarity.RoundArea, rand.Reader)
+	return res
+}
+
+// TestNoRoundPastArea: once the area round has finished, both sides of
+// both variants refuse every further round.
+func TestNoRoundPastArea(t *testing.T) {
+	alice, bob := newPair(t)
+	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
+		t.Fatal(err)
+	}
+	if res := runRounds(t, alice, bob, similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea); res == nil {
+		t.Fatal("area round returned no result")
+	}
+	refusePastArea(t, alice, bob)
+
+	kalice, kbob := kernelPair(t)
+	scale, err := kalice.AnnounceAreaScale()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := alice.HandleRequest(similarity.RoundArea, req, rand.Reader); err == nil {
-		t.Fatal("area round without a clear share should fail")
+	if err := kbob.SetAreaScale(scale); err != nil {
+		t.Fatal(err)
 	}
+	runRounds(t, kalice, kbob, kernelRounds(kbob.ClearShare().NumSupport, true)...)
+	refusePastArea(t, kalice, kbob)
+}
+
+func refusePastArea(t *testing.T, alice responder, bob requester) {
+	t.Helper()
+	for _, round := range []similarity.Round{similarity.RoundArea, similarity.RoundArea + 1} {
+		if _, err := bob.StartRound(round, rand.Reader); !errors.Is(err, similarity.ErrRound) {
+			t.Fatalf("Bob StartRound(%d) after the area round: %v, want ErrRound", round, err)
+		}
+		if _, err := alice.HandleRequest(round, nil, rand.Reader); !errors.Is(err, similarity.ErrRound) {
+			t.Fatalf("Alice HandleRequest(%d) after the area round: %v, want ErrRound", round, err)
+		}
+	}
+}
+
+// kernelRounds lists the kernel variant's rounds: the centroid round, n
+// normal instances and, if area, the area round.
+func kernelRounds(n int, area bool) []similarity.Round {
+	rounds := []similarity.Round{similarity.RoundCentroid}
+	for range n {
+		rounds = append(rounds, similarity.RoundNormal)
+	}
+	if area {
+		rounds = append(rounds, similarity.RoundArea)
+	}
+	return rounds
 }
 
 func TestClearShareValidation(t *testing.T) {
@@ -142,22 +201,116 @@ func TestFreshRandomizersPerEvaluation(t *testing.T) {
 	}
 }
 
-// TestKernelRoundSequence: KernelBob enforces one RoundNormal instance per
-// own support vector, and KernelAlice tracks the count via the clear share.
+// TestKernelRoundSequence: each side counts RoundNormal instances from its
+// own knowledge of |S_B| and refuses the area round early.
 func TestKernelRoundSequence(t *testing.T) {
-	// Covered end-to-end by TestKernelPrivateMatchesPlaintext; here check
-	// the misuse paths.
-	spec := similarity.KernelSpec{}
-	if _, err := similarity.NewKernelBob(spec, nil); err == nil {
+	if _, err := similarity.NewKernelBob(similarity.KernelSpec{}, nil); err == nil {
 		t.Fatal("nil model should fail")
+	}
+	if _, err := similarity.NewKernelAlice(nil, fastParams(), rand.Reader); err == nil {
+		t.Fatal("nil model should fail")
+	}
+
+	t.Run("alice-needs-clear-share", func(t *testing.T) {
+		modelA, modelB := kernelModels(t)
+		alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob, err := similarity.NewKernelBob(alice.Spec(), modelB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.AnnounceAreaScale(); err == nil {
+			t.Fatal("area scale before the clear share should fail")
+		}
+		runRounds(t, alice, bob, similarity.RoundCentroid)
+		req, err := bob.StartRound(similarity.RoundNormal, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.HandleRequest(similarity.RoundNormal, req, rand.Reader); err == nil {
+			t.Fatal("normal round before the clear share should fail")
+		}
+	})
+
+	t.Run("alice-counts-normals", func(t *testing.T) {
+		alice, bob := kernelPair(t)
+		// Alice is told of one more support vector than Bob runs: when Bob
+		// moves on to the area round, she is still waiting for a normal.
+		cs := *bob.ClearShare()
+		cs.NumSupport++
+		if err := alice.HandleClearShare(&cs); err != nil {
+			t.Fatal(err)
+		}
+		scale, err := alice.AnnounceAreaScale()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bob.SetAreaScale(scale); err != nil {
+			t.Fatal(err)
+		}
+		runRounds(t, alice, bob, kernelRounds(cs.NumSupport-1, false)...)
+		req, err := bob.StartRound(similarity.RoundArea, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alice.HandleRequest(similarity.RoundArea, req, rand.Reader); !errors.Is(err, similarity.ErrRound) {
+			t.Fatalf("area round after %d of %d normals: %v, want ErrRound", cs.NumSupport-1, cs.NumSupport, err)
+		}
+	})
+
+	t.Run("bob-needs-area-scale", func(t *testing.T) {
+		alice, bob := kernelPair(t)
+		n := bob.ClearShare().NumSupport
+		runRounds(t, alice, bob, kernelRounds(n, false)...)
+		if _, err := bob.StartRound(similarity.RoundArea, rand.Reader); err == nil {
+			t.Fatal("area round before SetAreaScale should fail")
+		}
+	})
+}
+
+// TestKernelClearShareValidation: Alice refuses every malformed kernel
+// clear share and accepts Bob's genuine one.
+func TestKernelClearShareValidation(t *testing.T) {
+	alice, bob := kernelPair(t)
+	codec, err := alice.Spec().Codec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := codec.Field().Modulus()
+	good := *bob.ClearShare()
+	with := func(edit func(*similarity.KernelClearShare)) *similarity.KernelClearShare {
+		cs := good
+		edit(&cs)
+		return &cs
+	}
+	bad := map[string]*similarity.KernelClearShare{
+		"nil":                nil,
+		"no-support":         with(func(c *similarity.KernelClearShare) { c.NumSupport = 0 }),
+		"negative-support":   with(func(c *similarity.KernelClearShare) { c.NumSupport = -1 }),
+		"nil-alpha-sum":      with(func(c *similarity.KernelClearShare) { c.AlphaSum = nil }),
+		"alpha-sum-p":        with(func(c *similarity.KernelClearShare) { c.AlphaSum = new(big.Int).Set(p) }),
+		"alpha-sum-above-p":  with(func(c *similarity.KernelClearShare) { c.AlphaSum = new(big.Int).Lsh(p, 1) }),
+		"alpha-sum-negative": with(func(c *similarity.KernelClearShare) { c.AlphaSum = big.NewInt(-1) }),
+		"kmbmb-nan":          with(func(c *similarity.KernelClearShare) { c.KmBmB = math.NaN() }),
+		"kmbmb-inf":          with(func(c *similarity.KernelClearShare) { c.KmBmB = math.Inf(-1) }),
+		"kwbwb-nan":          with(func(c *similarity.KernelClearShare) { c.KwBwB = math.NaN() }),
+		"kwbwb-inf":          with(func(c *similarity.KernelClearShare) { c.KwBwB = math.Inf(1) }),
+		"kwbwb-zero":         with(func(c *similarity.KernelClearShare) { c.KwBwB = 0 }),
+		"kwbwb-negative":     with(func(c *similarity.KernelClearShare) { c.KwBwB = -1 }),
+	}
+	for name, cs := range bad {
+		if err := alice.HandleClearShare(cs); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if err := alice.HandleClearShare(&good); err != nil {
+		t.Fatalf("genuine clear share: %v", err)
 	}
 }
 
 func TestSetAreaScaleValidation(t *testing.T) {
-	_, bob := newPair(t)
-	_ = bob // linear Bob has no area scale; exercise the kernel one below.
-
-	// Build a tiny kernel pair for the validation paths.
 	alice, kbob := kernelPair(t)
 	scale, err := alice.AnnounceAreaScale()
 	if err != nil {
@@ -176,7 +329,7 @@ func TestSetAreaScaleValidation(t *testing.T) {
 	}
 }
 
-func kernelPair(t *testing.T) (*similarity.KernelAlice, *similarity.KernelBob) {
+func kernelModels(t *testing.T) (*svm.Model, *svm.Model) {
 	t.Helper()
 	spec, err := datasetSpec()
 	if err != nil {
@@ -200,6 +353,14 @@ func kernelPair(t *testing.T) (*similarity.KernelAlice, *similarity.KernelBob) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return modelA, modelB
+}
+
+// kernelPair builds a kernel Alice and Bob with Bob's clear share handed
+// over.
+func kernelPair(t *testing.T) (*similarity.KernelAlice, *similarity.KernelBob) {
+	t.Helper()
+	modelA, modelB := kernelModels(t)
 	alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)

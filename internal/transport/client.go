@@ -184,8 +184,7 @@ func EvaluateSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, wB []
 		if err := conn.Send(bob.ClearShare()); err != nil {
 			return err
 		}
-		rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
-		out, err = runBobRounds(conn, rounds, bob.StartRound, bob.HandleSetup, bob.FinishRound, rng)
+		out, err = runBobRounds(conn, bob, rng)
 		return err
 	})
 	if err != nil {
@@ -194,21 +193,24 @@ func EvaluateSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, wB []
 	return out, nil
 }
 
+// similarityRequester is Bob's round machine, shared by both variants.
+type similarityRequester interface {
+	NextRound() similarity.Round
+	StartRound(similarity.Round, io.Reader) (*evalRequest, error)
+	HandleSetup(similarity.Round, *batchSetup, io.Reader) (*batchChoice, error)
+	FinishRound(similarity.Round, *batchTransfer) (*similarity.Result, error)
+}
+
 // runBobRounds drives Bob's per-round OMPE exchange for both the linear
-// and kernelized similarity protocols; the final round yields the result.
-func runBobRounds(
-	conn *Conn,
-	rounds []similarity.Round,
-	start func(similarity.Round, io.Reader) (*evalRequest, error),
-	handle func(similarity.Round, *batchSetup, io.Reader) (*batchChoice, error),
-	finish func(similarity.Round, *batchTransfer) (*similarity.Result, error),
-	rng io.Reader,
-) (*similarity.Result, error) {
-	for _, round := range rounds {
+// and kernelized similarity protocols, in the order Bob's round machine
+// reports; the final round yields the result.
+func runBobRounds(conn *Conn, bob similarityRequester, rng io.Reader) (*similarity.Result, error) {
+	var result *similarity.Result
+	for round := bob.NextRound(); round <= similarity.RoundArea; round = bob.NextRound() {
 		if err := conn.Send(&RoundHeader{Round: round}); err != nil {
 			return nil, err
 		}
-		req, err := start(round, rng)
+		req, err := bob.StartRound(round, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -219,7 +221,7 @@ func runBobRounds(
 		if err != nil {
 			return nil, err
 		}
-		choice, err := handle(round, setup, rng)
+		choice, err := bob.HandleSetup(round, setup, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -230,15 +232,11 @@ func runBobRounds(
 		if err != nil {
 			return nil, err
 		}
-		result, err := finish(round, tr)
-		if err != nil {
+		if result, err = bob.FinishRound(round, tr); err != nil {
 			return nil, err
 		}
-		if round == similarity.RoundArea {
-			return result, nil
-		}
 	}
-	return nil, fmt.Errorf("transport: similarity protocol did not complete")
+	return result, nil
 }
 
 // EvaluateKernelSimilarity runs a full kernelized similarity evaluation
@@ -285,12 +283,7 @@ func EvaluateKernelSimilarityContext(ctx context.Context, rw io.ReadWriteCloser,
 		if err := bob.SetAreaScale(scale); err != nil {
 			return err
 		}
-		rounds := []similarity.Round{similarity.RoundCentroid}
-		for t := 0; t < len(modelB.SupportVectors); t++ {
-			rounds = append(rounds, similarity.RoundNormal)
-		}
-		rounds = append(rounds, similarity.RoundArea)
-		out, err = runBobRounds(conn, rounds, bob.StartRound, bob.HandleSetup, bob.FinishRound, rng)
+		out, err = runBobRounds(conn, bob, rng)
 		return err
 	})
 	if err != nil {

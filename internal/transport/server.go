@@ -518,38 +518,7 @@ func (s *Server) serveSimilarity(conn *Conn, hello *Hello, rng io.Reader) error 
 	if err := alice.HandleClearShare(clear); err != nil {
 		return err
 	}
-	for _, round := range []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea} {
-		header, err := Recv[*RoundHeader](conn)
-		if err != nil {
-			return err
-		}
-		if header.Round != round {
-			return fmt.Errorf("transport: round %d, want %d", header.Round, round)
-		}
-		req, err := Recv[*evalRequest](conn)
-		if err != nil {
-			return err
-		}
-		setup, err := alice.HandleRequest(round, req, rng)
-		if err != nil {
-			return err
-		}
-		if err := conn.Send(setup); err != nil {
-			return err
-		}
-		choice, err := Recv[*batchChoice](conn)
-		if err != nil {
-			return err
-		}
-		tr, err := alice.HandleChoice(round, choice, rng)
-		if err != nil {
-			return err
-		}
-		if err := conn.Send(tr); err != nil {
-			return err
-		}
-	}
-	return nil
+	return serveSimilarityRounds(conn, alice, rng)
 }
 
 // serveKernelSimilarity runs one kernelized similarity evaluation as
@@ -585,12 +554,22 @@ func (s *Server) serveKernelSimilarity(conn *Conn, trainer *classify.Trainer, he
 	if err := conn.Send(scale); err != nil {
 		return err
 	}
-	rounds := []similarity.Round{similarity.RoundCentroid}
-	for t := 0; t < clear.NumSupport; t++ {
-		rounds = append(rounds, similarity.RoundNormal)
-	}
-	rounds = append(rounds, similarity.RoundArea)
-	for _, round := range rounds {
+	return serveSimilarityRounds(conn, alice, rng)
+}
+
+// similarityResponder is Alice's round machine, shared by both variants.
+type similarityResponder interface {
+	NextRound() similarity.Round
+	HandleRequest(similarity.Round, *evalRequest, io.Reader) (*batchSetup, error)
+	HandleChoice(similarity.Round, *batchChoice, io.Reader) (*batchTransfer, error)
+}
+
+// serveSimilarityRounds answers Bob's OMPE rounds in the order Alice's
+// round machine expects them, until it reports the evaluation complete.
+// The peer's declared counts never size anything here: each RoundNormal
+// instance costs the peer its own four messages.
+func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader) error {
+	for round := alice.NextRound(); round <= similarity.RoundArea; round = alice.NextRound() {
 		header, err := Recv[*RoundHeader](conn)
 		if err != nil {
 			return err

@@ -4,7 +4,9 @@ import (
 	"crypto/rand"
 	"errors"
 	"math"
+	"math/big"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -218,37 +220,42 @@ func TestUnknownServiceRejected(t *testing.T) {
 	}
 }
 
-// TestKernelSimilarityOverPipe drives the kernelized similarity protocol
-// over an in-memory connection against the plaintext kernel metric.
-func TestKernelSimilarityOverPipe(t *testing.T) {
+// trainPoly trains a paper-polynomial model on a small diabetes draw.
+func trainPoly(t *testing.T, seed uint64) *svm.Model {
+	t.Helper()
 	spec, err := dataset.SpecByName("diabetes")
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.TrainSize, spec.TestSize = 40, 10
-	trainA, _, err := dataset.Generate(spec, dataset.Options{Seed: 21})
+	train, _, err := dataset.Generate(spec, dataset.Options{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainB, _, err := dataset.Generate(spec, dataset.Options{Seed: 22})
+	model, err := svm.Train(train.X, train.Y, svm.Config{Kernel: svm.PaperPolynomial(spec.Dim), C: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	kern := svm.PaperPolynomial(spec.Dim)
-	modelA, err := svm.Train(trainA.X, trainA.Y, svm.Config{Kernel: kern, C: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	modelB, err := svm.Train(trainB.X, trainB.Y, svm.Config{Kernel: kern, C: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	trainer, err := classify.NewTrainer(modelA, classify.Params{Group: ot.Group512Test()})
+	return model
+}
+
+// kernelSimServer serves the kernelized similarity protocol for model.
+func kernelSimServer(t *testing.T, model *svm.Model) *transport.Server {
+	t.Helper()
+	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := quietServer(t, trainer)
 	srv.EnableKernelSimilarity(similarity.Params{Group: ot.Group512Test()})
+	return srv
+}
+
+// TestKernelSimilarityOverPipe drives the kernelized similarity protocol
+// over an in-memory connection against the plaintext kernel metric.
+func TestKernelSimilarityOverPipe(t *testing.T) {
+	modelA, modelB := trainPoly(t, 21), trainPoly(t, 22)
+	srv := kernelSimServer(t, modelA)
 
 	serverSide, clientSide := net.Pipe()
 	done := make(chan struct{})
@@ -273,6 +280,50 @@ func TestKernelSimilarityOverPipe(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("server session did not end")
 	}
+}
+
+// TestKernelSimilarityHostileNumSupport: |S_B| is a field Bob declares on
+// the wire. A ~60-byte clear share claiming 2^24 support vectors, followed
+// by a hang-up, must end the session without the server allocating
+// anything sized by the claim.
+func TestKernelSimilarityHostileNumSupport(t *testing.T) {
+	srv := kernelSimServer(t, trainPoly(t, 21))
+	serverSide, clientSide := net.Pipe()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		srv.ServeConn(serverSide)
+	}()
+
+	conn := transport.NewConn(clientSide)
+	if err := conn.Send(&transport.Hello{Service: "similarity-kernel"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.Recv[*similarity.KernelSpec](conn); err != nil {
+		t.Fatal(err)
+	}
+	hostile := &similarity.KernelClearShare{KmBmB: 1, KwBwB: 1, NumSupport: 1 << 24, AlphaSum: big.NewInt(1)}
+	if err := conn.Send(hostile); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := transport.Recv[*similarity.AreaScale](conn); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.Close()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("server session did not end")
+	}
+	runtime.ReadMemStats(&after)
+	grew := after.TotalAlloc - before.TotalAlloc
+	if grew >= 16<<20 {
+		t.Fatalf("session allocated %d MB for a declared |S_B| of 2^24", grew>>20)
+	}
+	t.Logf("session allocated %d KB", grew>>10)
 }
 
 // TestTruncatedStreamErrors: a mid-protocol connection drop must surface
