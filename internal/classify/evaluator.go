@@ -72,15 +72,45 @@ func buildLinearEvaluator(codec *fixedpoint.Codec, w []float64, b float64) (*eva
 	return ev, nil
 }
 
-// buildPolyDirectEvaluator encodes the kernel-form polynomial decision
-// function d(t) = Σ_s αy_s·(a0·x_s·t + b0)^p + b for direct evaluation on
-// arbitrary field vectors (the paper's nonlinear construction). The result
-// decodes at scale exponent 2p+1.
-func buildPolyDirectEvaluator(codec *fixedpoint.Codec, m *svm.Model) (*evaluator, error) {
-	f := codec.Field()
-	p := m.Kernel.Degree
-	scaleExp := uint(2*p + 1)
+// polyDirect is a polynomial-kernel model's decision function
+// d(t) = Σ_s αy_s·(a0·x_s·t + b0)^p + b encoded into the protocol field:
+// rows a0·x_s at scale exponent 1, b0 at 2, αy_s at 1 and b at 2p+1, so
+// the result decodes at scale exponent 2p+1.
+type polyDirect struct {
+	f      *field.Field
+	n, p   int
+	a0x    []field.Vec
+	b0     *big.Int
+	alphaY []*big.Int
+	bias   *big.Int
+}
 
+// buildPolyDirectEvaluator builds the direct-mode evaluator of a
+// polynomial-kernel model (the paper's nonlinear construction), in
+// whichever of two forms of the same polynomial needs fewer
+// multiplications per point: the expanded trie (C(n+p, p) − 1) when
+// C(n+p, p) ≤ |S|·(n+p), else the kernel form (|S|·(n+p+1)). Both give
+// the same residue at every point, so the choice never reaches the wire.
+func buildPolyDirectEvaluator(codec *fixedpoint.Codec, m *svm.Model) (*evaluator, error) {
+	pd, err := encodePolyDirect(codec, m)
+	if err != nil {
+		return nil, err
+	}
+	if useKernelSum(pd.n, pd.p, len(pd.alphaY)) {
+		return pd.trieEvaluator()
+	}
+	return pd.kernelFormEvaluator()
+}
+
+// useKernelSum is the size rule: expand when the trie has no more nodes
+// than the kernel form spends multiplications, |S|·(n+p). It depends only
+// on the model's shape and also bounds the trie's memory by the model's.
+func useKernelSum(n, p, numSV int) bool {
+	return mvpoly.KernelSumNodes(n, p).Cmp(big.NewInt(int64(numSV)*int64(n+p))) <= 0
+}
+
+func encodePolyDirect(codec *fixedpoint.Codec, m *svm.Model) (*polyDirect, error) {
+	p := m.Kernel.Degree
 	encA0X := make([]field.Vec, len(m.SupportVectors))
 	for s, sv := range m.SupportVectors {
 		scaled := make([]float64, len(sv))
@@ -105,38 +135,58 @@ func buildPolyDirectEvaluator(codec *fixedpoint.Codec, m *svm.Model) (*evaluator
 		}
 		encAlphaY[s] = enc
 	}
-	encBias, err := codec.EncodeAtScale(m.Bias, scaleAt(codec, scaleExp))
+	encBias, err := codec.EncodeAtScale(m.Bias, scaleAt(codec, uint(2*p+1)))
 	if err != nil {
 		return nil, err
 	}
+	return &polyDirect{f: codec.Field(), n: m.Dim, p: p, a0x: encA0X, b0: encB0, alphaY: encAlphaY, bias: encBias}, nil
+}
 
-	n := m.Dim
-	ev := &evaluator{
-		numVars:  n,
-		degree:   p,
-		scaleExp: scaleExp,
-		evalFn: func(z field.Vec) (*big.Int, error) {
-			if len(z) != n {
-				return nil, fmt.Errorf("classify: arity %d, want %d", len(z), n)
+func (pd *polyDirect) shell() *evaluator {
+	return &evaluator{numVars: pd.n, degree: pd.p, scaleExp: uint(2*pd.p + 1)}
+}
+
+// trieEvaluator expands the decision function once into an
+// mvpoly.KernelSum and evaluates that.
+func (pd *polyDirect) trieEvaluator() (*evaluator, error) {
+	sum, err := mvpoly.NewKernelSum(pd.f, pd.alphaY, pd.a0x, pd.b0, pd.p, pd.bias)
+	if err != nil {
+		return nil, fmt.Errorf("classify: expand decision function: %w", err)
+	}
+	ev := pd.shell()
+	ev.evalFn = sum.Eval
+	if pd.f.SupportsLimb() {
+		ev.evalLimbFn = sum.EvalLimb
+	}
+	return ev, nil
+}
+
+// kernelFormEvaluator evaluates the decision function term by term: one
+// dot product and p multiplications per support vector.
+func (pd *polyDirect) kernelFormEvaluator() (*evaluator, error) {
+	f, n, p := pd.f, pd.n, pd.p
+	ev := pd.shell()
+	ev.evalFn = func(z field.Vec) (*big.Int, error) {
+		if len(z) != n {
+			return nil, fmt.Errorf("classify: arity %d, want %d", len(z), n)
+		}
+		acc := new(big.Int).Set(pd.bias)
+		for s := range pd.a0x {
+			inner, err := f.Dot(pd.a0x[s], z) // scale exp 2
+			if err != nil {
+				return nil, err
 			}
-			acc := new(big.Int).Set(encBias)
-			for s := range encA0X {
-				inner, err := f.Dot(encA0X[s], z) // scale exp 2
-				if err != nil {
-					return nil, err
-				}
-				inner = f.Add(inner, encB0)
-				pow := f.One()
-				for i := 0; i < p; i++ {
-					pow = f.Mul(pow, inner)
-				} // scale exp 2p
-				acc = f.Add(acc, f.Mul(encAlphaY[s], pow))
-			}
-			return acc, nil
-		},
+			inner = f.Add(inner, pd.b0)
+			pow := f.One()
+			for i := 0; i < p; i++ {
+				pow = f.Mul(pow, inner)
+			} // scale exp 2p
+			acc = f.Add(acc, f.Mul(pd.alphaY[s], pow))
+		}
+		return acc, nil
 	}
 	if f.SupportsLimb() {
-		if err := attachPolyDirectLimb(ev, encA0X, encB0, encAlphaY, encBias, p); err != nil {
+		if err := attachPolyDirectLimb(ev, pd.a0x, pd.b0, pd.alphaY, pd.bias, p); err != nil {
 			return nil, err
 		}
 	}

@@ -86,7 +86,7 @@ func attachLinearLimb(ev *evaluator, encW field.Vec, encB *big.Int) error {
 	return nil
 }
 
-// attachPolyDirectLimb mirrors buildPolyDirectEvaluator's closure:
+// attachPolyDirectLimb mirrors kernelFormEvaluator's closure:
 // Σ_s αy_s·(a0·x_s·z + b0)^p + b.
 func attachPolyDirectLimb(ev *evaluator, encA0X []field.Vec, encB0 *big.Int, encAlphaY []*big.Int, encBias *big.Int, p int) error {
 	lX := make([][]limb.Element, len(encA0X))

@@ -12,7 +12,10 @@
 //   - ModeDirect follows the paper: the trainer evaluates the kernel-form
 //     decision function on cover vectors over the raw n inputs, and the
 //     composed masking degree is p·q. RBF and sigmoid kernels are first
-//     truncated to Taylor polynomials (internal/kernel).
+//     truncated to Taylor polynomials (internal/kernel). A polynomial
+//     kernel's decision function is expanded once on the trainer into a
+//     monomial trie when that needs fewer multiplications per point; the
+//     values, and so the protocol, are unchanged.
 //   - ModeExpanded pre-expands the polynomial-kernel decision function
 //     into its n' = C(n+p-1, n-1) monomial variates τ (§IV-B's
 //     observation) and runs the *linear* protocol over τ-space. This

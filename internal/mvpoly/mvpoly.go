@@ -3,7 +3,9 @@
 // float-coefficient expansion utilities of paper §IV-B: a polynomial-kernel
 // decision function (a0·xᵀt + b0)^p over n variables expands into
 // n' = C(n+p-1, n-1) monomial variates τ_j = Π t_i^{k_i}, turning the
-// nonlinear protocol into the linear one over τ-space.
+// nonlinear protocol into the linear one over τ-space. KernelSum is the
+// same expansion kept on the trainer over the field, where it only
+// changes how the decision function is computed.
 package mvpoly
 
 import (
@@ -209,29 +211,6 @@ func expsKey(exps []uint) string {
 		b = append(b, byte(e), byte(e>>8), ',')
 	}
 	return string(b)
-}
-
-// ExpandDotPower expands coeff*(a·x)^p into homogeneous degree-p field
-// terms using the multinomial theorem (paper §IV-B). The number of terms is
-// C(n+p-1, n-1); callers must keep n and p small enough for that to be
-// tractable (the direct kernel-form protocol avoids expansion entirely).
-func ExpandDotPower(f *field.Field, a field.Vec, p int, coeff *big.Int) (*Poly, error) {
-	if p < 1 {
-		return nil, ErrBadDegree
-	}
-	n := len(a)
-	var terms []Term
-	for _, exps := range Compositions(n, p) {
-		c := new(big.Int).Set(Multinomial(p, exps))
-		c = f.Mul(f.FromBig(c), coeff)
-		for i, e := range exps {
-			for k := uint(0); k < e; k++ {
-				c = f.Mul(c, a[i])
-			}
-		}
-		terms = append(terms, Term{Coeff: c, Exps: exps})
-	}
-	return New(f, n, terms)
 }
 
 // Compositions enumerates every way to write total as an ordered sum of n

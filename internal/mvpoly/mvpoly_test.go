@@ -105,8 +105,9 @@ func TestAddAndScalarMul(t *testing.T) {
 	}
 }
 
-// TestExpandDotPowerMatchesDirect: the multinomial expansion of (a·x)^p
-// must agree with computing the dot product and cubing (§IV-B).
+// TestExpandDotPowerMatchesDirect: the multinomial expansion of 3·(a·x)^p
+// — a KernelSum with one row and b0 = 0 — must agree with computing the
+// dot product and raising it to the p-th power (§IV-B).
 func TestExpandDotPowerMatchesDirect(t *testing.T) {
 	f := fld()
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -118,7 +119,7 @@ func TestExpandDotPowerMatchesDirect(t *testing.T) {
 				a[i] = f.FromInt64(int64(rng.IntN(41) - 20))
 				x[i] = f.FromInt64(int64(rng.IntN(41) - 20))
 			}
-			expanded, err := mvpoly.ExpandDotPower(f, a, p, f.FromInt64(3))
+			expanded, err := mvpoly.NewKernelSum(f, []*big.Int{f.FromInt64(3)}, []field.Vec{a}, f.Zero(), p, f.Zero())
 			if err != nil {
 				t.Fatal(err)
 			}
