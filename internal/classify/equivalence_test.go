@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/classify"
 	"repro/internal/field"
+	"repro/internal/mvpoly"
 	"repro/internal/svm"
 )
 
@@ -16,11 +19,24 @@ import (
 // rngs below, as produced at 27a7abe, when the direct-mode trainer still
 // evaluated the kernel form Σ_s αy_s(a_s·z + b0)^p + b term by term.
 // Rewriting how the trainer computes its decision function must never
-// change which bytes travel.
+// change which bytes travel. The sigmoid, linear and kernel-form cubic
+// digests were recorded at 718e7d7, when each of those decision functions
+// still had its own hand-written evaluator.
 var parentTranscripts = map[string]string{
-	"cubic/big521":     "25aefa0ea94806fbd816a0cb1d923d71dae99f892634005bb6c0f21831ed6ada",
-	"quadratic/limb16": "5edc0fc8b47cf4bba3ef150f5283efb2db3b41d1ab7933d20800bc66b87721fa",
+	"cubic/big521":         "25aefa0ea94806fbd816a0cb1d923d71dae99f892634005bb6c0f21831ed6ada",
+	"quadratic/limb16":     "5edc0fc8b47cf4bba3ef150f5283efb2db3b41d1ab7933d20800bc66b87721fa",
+	"sigmoid/big":          "f4c9786e562f5ce8f704cb35023a9267445ea932f3e8bf80a2ff1cee928ce6f2",
+	"linear/limb16":        "dc614fd0335961cd97cf33ea8c0566b1957e8bc9297ea5b60213deb3842742ff",
+	"cubic-kernelform/big": "9f396557d80d6f910bd9e7eeb26384e079804a88310918384020ca00aa4cd317",
 }
+
+// kernelFormSVs is the support-vector count the kernel-form cubic case
+// keeps: at n = 8, p = 3 the expansion has C(11, 3) = 165 monomials, more
+// than |S|·(n+p) = 110, so the size rule evaluates the kernel form.
+const kernelFormSVs = 10
+
+// sigmoidTerms is the Taylor truncation of the sigmoid case.
+const sigmoidTerms = 3
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.
 type detReader struct {
@@ -52,21 +68,59 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	cases := []struct {
 		name    string
 		kernel  svm.Kernel
+		c       float64
 		backend field.Backend
 		mutate  func(*classify.Params)
+		// trim, when set, cuts the trained model down before serving it.
+		trim func(*svm.Model)
+		// decision, when set, is the plaintext decision value the private
+		// label must agree with (samples within 1e-6 of zero are skipped);
+		// otherwise the label must equal Model.Classify.
+		decision func(*testing.T, *svm.Model, []float64) float64
 	}{
 		// The paper's cubic (b0 = 0): the protocol asks for ~270 bits, so
 		// the field is 2^521−1 on math/big.
-		{"cubic/big521", svm.PaperPolynomial(8), field.BackendBig, nil},
+		{name: "cubic/big521", kernel: svm.PaperPolynomial(8), c: 100, backend: field.BackendBig},
 		// A degree-2 model with b0 ≠ 0, trimmed to fit the limb field.
-		{"quadratic/limb16", svm.Polynomial(1.0/8, 1, 2), field.BackendLimb, func(p *classify.Params) {
+		{name: "quadratic/limb16", kernel: svm.Polynomial(1.0/8, 1, 2), c: 100, backend: field.BackendLimb, mutate: func(p *classify.Params) {
 			p.FieldBackend = field.BackendLimb
 			p.FracBits = 16
 		}},
+		// The Taylor-truncated sigmoid: odd powers 1, 3, 5 of a0·x_s·t + c0.
+		{name: "sigmoid/big", kernel: svm.Sigmoid(0.125, 0), c: 10, backend: field.BackendBig,
+			mutate: func(p *classify.Params) { p.TaylorTerms = sigmoidTerms },
+			decision: func(t *testing.T, m *svm.Model, sample []float64) float64 {
+				return truncatedSigmoidDecision(t, m, sample, sigmoidTerms)
+			}},
+		{name: "linear/limb16", kernel: svm.Linear(), c: 100, backend: field.BackendLimb, mutate: func(p *classify.Params) {
+			p.FieldBackend = field.BackendLimb
+			p.FracBits = 16
+		}},
+		// The paper's cubic with too few support vectors to expand.
+		{name: "cubic-kernelform/big", kernel: svm.PaperPolynomial(8), c: 100, backend: field.BackendBig,
+			trim: func(m *svm.Model) {
+				m.SupportVectors = m.SupportVectors[:kernelFormSVs]
+				m.AlphaY = m.AlphaY[:kernelFormSVs]
+			},
+			decision: func(t *testing.T, m *svm.Model, sample []float64) float64 {
+				d, err := m.Decision(sample)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
+			}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			model, test := trainSmall(t, tc.kernel, 100)
+			model, test := trainSmall(t, tc.kernel, tc.c)
+			if tc.trim != nil {
+				tc.trim(model)
+				n, p := int64(model.Dim), int64(model.Kernel.Degree)
+				if mvpoly.KernelSumNodes(model.Dim, model.Kernel.Degree).Cmp(big.NewInt(int64(len(model.AlphaY))*(n+p))) <= 0 {
+					t.Fatalf("|S| = %d at n = %d, p = %d is in the trie's range of the size rule", len(model.AlphaY), n, p)
+				}
+			}
+			checked := 0
 			for _, par := range []int{1, 4} {
 				params := fastParams()
 				params.Parallelism = par
@@ -77,7 +131,7 @@ func TestTranscriptsMatchParent(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.name == "cubic/big521" && trainer.Spec().FieldBits != 521 {
+				if (tc.name == "cubic/big521" || tc.name == "cubic-kernelform/big") && trainer.Spec().FieldBits != 521 {
 					t.Fatalf("cubic model on a %d-bit field, want 521", trainer.Spec().FieldBits)
 				}
 				spec := trainer.SessionSpec(tc.backend)
@@ -118,10 +172,22 @@ func TestTranscriptsMatchParent(t *testing.T) {
 						t.Fatal(err)
 					}
 					for i, sample := range samples {
-						want, err := model.Classify(sample)
-						if err != nil {
-							t.Fatal(err)
+						var want int
+						if tc.decision == nil {
+							if want, err = model.Classify(sample); err != nil {
+								t.Fatal(err)
+							}
+						} else {
+							d := tc.decision(t, model, sample)
+							if math.Abs(d) < 1e-6 {
+								continue
+							}
+							want = 1
+							if d < 0 {
+								want = -1
+							}
 						}
+						checked++
 						if labels[i] != want {
 							t.Errorf("par=%d session %d sample %d: private label %d, Model.Classify %d", par, session, i, labels[i], want)
 						}
@@ -130,6 +196,9 @@ func TestTranscriptsMatchParent(t *testing.T) {
 				if got := hex.EncodeToString(h.Sum(nil)); got != parentTranscripts[tc.name] {
 					t.Errorf("par=%d: response digest %s, parent produced %s", par, got, parentTranscripts[tc.name])
 				}
+			}
+			if checked == 0 {
+				t.Fatal("no label checked")
 			}
 		})
 	}
