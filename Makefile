@@ -1,9 +1,9 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
 # one-shot smoke run of the parallelism sweeps, of the two x25519
 # micro-benchmarks the OT group work is sized with, of the limb-field
-# and curve kernels under them, and of the direct-mode decision function
-# in its two forms. fuzz-smoke runs the fuzz targets briefly
-# (CI runs it as a separate job).
+# and curve kernels under them, of the decision-function sum in its two
+# forms, and of one kernelized similarity evaluation. fuzz-smoke runs the
+# fuzz targets briefly (CI runs it as a separate job).
 .PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
 	lint cover tidy-check wire-regen
 
@@ -23,7 +23,8 @@ bench-smoke:
 	go test -run='^$$' -bench='^(BenchmarkIKNPBase|BenchmarkKofN)$$/^x25519$$' -benchtime=1x ./internal/ot
 	go test -run='^$$' -bench='^(BenchmarkLimbMul|BenchmarkLimbSquare|BenchmarkLimbInv)$$' -benchtime=1x ./internal/field/limb
 	go test -run='^$$' -bench='^(BenchmarkScalarMult|BenchmarkScalarBaseMult)$$' -benchtime=1x ./internal/ec25519
-	go test -run='^$$' -bench='^BenchmarkPolyDirectEval$$' -benchtime=1x ./internal/classify
+	go test -run='^$$' -bench='^BenchmarkKernelSumEval$$' -benchtime=1x ./internal/mvpoly
+	go test -run='^$$' -bench='^BenchmarkKernelSimilarity$$' -benchtime=1x ./internal/similarity
 
 # bench runs the repository's one benchmark (see benchmark/README.md).
 bench:

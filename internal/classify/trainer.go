@@ -114,7 +114,7 @@ type Trainer struct {
 	model     *svm.Model
 	params    Params
 	codec     *fixedpoint.Codec
-	eval      *evaluator
+	eval      ompe.LimbEvaluator
 	expansion *mvpoly.FloatExpansion
 	spec      Spec
 }

@@ -8,32 +8,152 @@ import (
 	"repro/internal/field/limb"
 )
 
-// maxKernelSumNodes caps the trie a KernelSum may allocate. Callers choose
-// the trie only when it is the cheaper form, which keeps it far below this.
+// maxKernelSumNodes caps the trie a KernelSum may allocate. The size rule
+// never expands past it.
 const maxKernelSumNodes = 1 << 24
 
-// KernelSum is the polynomial-kernel decision function
+// KernelSum is a sum of univariate polynomials of linear forms,
 //
-//	d(z) = Σ_s w_s·(a_s·z + b0)^p + bias
+//	d(z) = Σ_s Σ_{j=0..p} c_{s,j}·(a_s·z + b0)^j + bias
 //
-// over a prime field, expanded once into its C(n+p, p) monomials of degree
-// ≤ p and stored as a trie over nondecreasing variable indices in DFS
-// preorder: the node reached by the path (v_1 ≤ … ≤ v_j) holds the
-// coefficient of z_{v_1}·…·z_{v_j}, which is
+// over a prime field: the SVM decision function of a linear, polynomial
+// or Taylor-truncated sigmoid kernel (§IV) and Alice's polynomials in the
+// kernel similarity protocol (§V-C) all have this shape.
 //
-//	C(p, j) · b0^(p−j) · multinomial(j; e) · Σ_s w_s·Π_i a_s[v_i]  (mod P)
+// It is held in one of two forms of the same element of F_P[z], so both
+// give the same residue at every point; NewKernelSum picks the one with
+// fewer multiplications per point from the shape alone.
 //
-// with e the exponent vector of the path, plus bias at the root. The
-// expansion is the same element of F_P[z] as the kernel form, so both
-// evaluate to the same residue at every point. Evaluation is a nested
-// Horner, node = c + Σ_{v ≥ last} z_v·child_v: one multiplication per
-// edge, and on math/big one reduction per inner node.
+// The trie expands d into its C(n+p, p) monomials of degree ≤ p, stored
+// over nondecreasing variable indices in DFS preorder: the node reached
+// by the path (v_1 ≤ … ≤ v_d) holds the coefficient of z_{v_1}·…·z_{v_d},
+//
+//	multinomial(d; e) · Σ_s W_{s,d}·Π_i a_s[v_i]  (mod P),
+//	W_{s,d} = Σ_{j≥d} c_{s,j}·C(j, d)·b0^(j−d),
+//
+// with e the exponent vector of the path, plus bias at the root.
+// Evaluation is a nested Horner, node = c + Σ_{v ≥ last} z_v·child_v: one
+// multiplication per edge, and on math/big one reduction per inner node.
+//
+// The kernel form evaluates the sum row by row: one dot product and a
+// Horner pass over c_s per row, |S|·(n+p) multiplications.
 //
 // A KernelSum is immutable after construction and safe for concurrent
 // Eval and EvalLimb.
 type KernelSum struct {
+	nvars int
+	// limb reports that the field is 2^255−19 and the form holds limb
+	// copies of its constants.
+	limb bool
+	form interface {
+		eval(z field.Vec) *big.Int
+		evalLimb(z []limb.Element) limb.Element
+	}
+}
+
+// KernelSumNodes returns C(n+p, p), the number of monomials of degree ≤ p
+// in n variables and so the node count of a KernelSum's trie.
+func KernelSumNodes(n, p int) *big.Int {
+	return binomial(n+p, p)
+}
+
+// NewKernelSum builds Σ_s Σ_j coeffs[s][j]·(rows[s]·z + b0)^j + bias.
+// Every coefficient vector has p+1 entries, indexed by power; every row
+// has the same length n ≥ 1; the field elements are used as given.
+//
+// It expands the trie when that has no more nodes than the kernel form
+// spends multiplications, C(n+p, p) ≤ |S|·(n+p), and fits the node cap;
+// otherwise it keeps the kernel form. The rule depends only on the shape,
+// which also bounds the trie's memory by the inputs'.
+func NewKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int) (*KernelSum, error) {
+	return newKernelSum(f, coeffs, rows, b0, p, bias, expandCheaper)
+}
+
+// expandCheaper is NewKernelSum's size rule.
+func expandCheaper(n, p, numRows int) bool {
+	nodes := KernelSumNodes(n, p)
+	return nodes.Cmp(big.NewInt(int64(numRows)*int64(n+p))) <= 0 && nodes.Cmp(big.NewInt(maxKernelSumNodes)) <= 0
+}
+
+func newKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int, expand func(n, p, numRows int) bool) (*KernelSum, error) {
+	if p < 1 {
+		return nil, ErrBadDegree
+	}
+	if len(rows) != len(coeffs) {
+		return nil, fmt.Errorf("mvpoly: %d rows but %d coefficient vectors", len(rows), len(coeffs))
+	}
+	if len(rows) == 0 || len(rows[0]) == 0 {
+		return nil, fmt.Errorf("mvpoly: kernel sum needs at least one non-empty row")
+	}
+	n := len(rows[0])
+	for s, row := range rows {
+		if len(row) != n {
+			return nil, fmt.Errorf("%w: row %d has %d components, want %d", ErrArity, s, len(row), n)
+		}
+		if len(coeffs[s]) != p+1 {
+			return nil, fmt.Errorf("mvpoly: row %d has %d coefficients, want p+1 = %d", s, len(coeffs[s]), p+1)
+		}
+	}
+	k := &KernelSum{nvars: n, limb: f.SupportsLimb()}
+	var err error
+	if expand(n, p, len(rows)) {
+		k.form, err = newTrie(f, coeffs, rows, b0, p, bias, k.limb)
+	} else {
+		k.form, err = newKernelForm(f, coeffs, rows, b0, bias, k.limb)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return k, nil
+}
+
+// NumVars returns the arity n.
+func (k *KernelSum) NumVars() int { return k.nvars }
+
+// Expanded reports whether the sum is held as the monomial trie rather
+// than the kernel form.
+func (k *KernelSum) Expanded() bool {
+	_, ok := k.form.(*kernelTrie)
+	return ok
+}
+
+// Eval evaluates the sum at a field point. Its only allocations are a
+// few accumulators, made once per call.
+func (k *KernelSum) Eval(z field.Vec) (*big.Int, error) {
+	if len(z) != k.nvars {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrArity, len(z), k.nvars)
+	}
+	return k.form.eval(z), nil
+}
+
+// EvalLimb evaluates the sum at a limb point (the ompe.LimbEvaluator
+// contract) without allocating. Only valid when the field is 2^255−19.
+func (k *KernelSum) EvalLimb(z []limb.Element, out *limb.Element) error {
+	if !k.limb {
+		return fmt.Errorf("mvpoly: limb evaluation requires the 2^255−19 field")
+	}
+	if len(z) != k.nvars {
+		return fmt.Errorf("%w: got %d, want %d", ErrArity, len(z), k.nvars)
+	}
+	v := k.form.evalLimb(z)
+	out.Set(&v)
+	return nil
+}
+
+// limbVec copies canonical field elements into limb elements.
+func limbVec(xs []*big.Int) ([]limb.Element, error) {
+	out := make([]limb.Element, len(xs))
+	for i, x := range xs {
+		if err := out[i].SetBig(x); err != nil {
+			return nil, fmt.Errorf("mvpoly: limb-encode constant: %w", err)
+		}
+	}
+	return out, nil
+}
+
+// kernelTrie is the expanded form.
+type kernelTrie struct {
 	mod    *big.Int
-	nvars  int
 	degree int
 	// Per node, in preorder: coefficient, the variable on the edge from
 	// the parent (unused at the root), and one past the last node of the
@@ -45,40 +165,18 @@ type KernelSum struct {
 	lcoeffs []limb.Element
 }
 
-// KernelSumNodes returns C(n+p, p), the number of monomials of degree ≤ p
-// in n variables and so the node count of a KernelSum's trie.
-func KernelSumNodes(n, p int) *big.Int {
-	return binomial(n+p, p)
-}
-
-// NewKernelSum expands Σ_s weights[s]·(rows[s]·z + b0)^p + bias. Every row
-// must have the same length n ≥ 1; the field elements are used as given.
-// The build makes one prefix-product walk of the trie per row, summing
-// unreduced products into each node and reducing once per node.
-func NewKernelSum(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int) (*KernelSum, error) {
-	if p < 1 {
-		return nil, ErrBadDegree
-	}
-	if len(rows) != len(weights) {
-		return nil, fmt.Errorf("mvpoly: %d rows but %d weights", len(rows), len(weights))
-	}
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		return nil, fmt.Errorf("mvpoly: kernel sum needs at least one non-empty row")
-	}
+// newTrie expands the sum with one prefix-product walk of the trie per
+// row, summing unreduced products into each node and reducing once per
+// node.
+func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int, withLimb bool) (*kernelTrie, error) {
 	n := len(rows[0])
-	for s, row := range rows {
-		if len(row) != n {
-			return nil, fmt.Errorf("%w: row %d has %d components, want %d", ErrArity, s, len(row), n)
-		}
-	}
 	count := KernelSumNodes(n, p)
 	if !count.IsInt64() || count.Int64() > maxKernelSumNodes {
 		return nil, fmt.Errorf("mvpoly: kernel sum of degree %d over %d variables has %v monomials (max %d)", p, n, count, maxKernelSumNodes)
 	}
 	nodes := int(count.Int64())
-	k := &KernelSum{
+	k := &kernelTrie{
 		mod:    f.Modulus(),
-		nvars:  n,
 		degree: p,
 		coeffs: make([]*big.Int, nodes),
 		vars:   make([]int, nodes),
@@ -86,10 +184,9 @@ func NewKernelSum(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big.
 	}
 	depth := make([]int, nodes)
 
-	// Lay out the trie, parking each node's integer factor
-	// p!/((p−j)!·Π e_v!) = C(p, j)·multinomial(j; e) in its coefficient
-	// slot. The factor grows by (p−j)/(e_v+1) along an edge that raises
-	// e_v; the division is exact.
+	// Lay out the trie, parking each node's multinomial(d; e) in its
+	// coefficient slot. The multinomial grows by (d+1)/(e_v+1) along an
+	// edge that raises e_v; the division is exact.
 	next := 0
 	var layout func(d, last, run int, factor *big.Int)
 	layout = func(d, last, run int, factor *big.Int) {
@@ -103,7 +200,7 @@ func NewKernelSum(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big.
 				if d > 0 && v == last {
 					r = run
 				}
-				child := new(big.Int).Mul(factor, big.NewInt(int64(p-d)))
+				child := new(big.Int).Mul(factor, big.NewInt(int64(d+1)))
 				child.Quo(child, big.NewInt(int64(r+1)))
 				k.vars[next] = v
 				layout(d+1, v, r+1, child)
@@ -113,96 +210,117 @@ func NewKernelSum(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big.
 	}
 	layout(0, 0, 0, big.NewInt(1))
 
-	// Σ_s w_s·Π a_s[v_i] per node. prefix[d] holds the current path's
-	// reduced product at depth d; a leaf's product is summed unreduced.
-	sums := make([]big.Int, nodes)
-	prefix := make([]big.Int, p+1)
-	var prod big.Int
-	for s, row := range rows {
-		prefix[0].Set(weights[s])
-		sums[0].Add(&sums[0], weights[s])
-		for i := 1; i < nodes; i++ {
-			d := depth[i]
-			prod.Mul(&prefix[d-1], row[k.vars[i]])
-			sums[i].Add(&sums[i], &prod)
-			if d < p {
-				prefix[d].Mod(&prod, k.mod)
-			}
-		}
-	}
-
 	b0Pow := make([]*big.Int, p+1) // b0Pow[i] = b0^i mod P
 	b0Pow[0] = big.NewInt(1)
 	for i := 1; i <= p; i++ {
 		b0Pow[i] = f.Mul(b0Pow[i-1], b0)
 	}
+	// When every row is a pure power c_{s,p}·(a_s·z + b0)^p, W_{s,d}
+	// factors into c_{s,p} times the row-independent depthW[d] =
+	// C(p, d)·b0^(p−d), applied once per node after the walk. Otherwise
+	// each row carries its own W_{s,d} and depthW is 1.
+	pure := true
+	for _, c := range coeffs {
+		for _, cj := range c[:p] {
+			pure = pure && cj.Sign() == 0
+		}
+	}
+	depthW := make([]*big.Int, p+1)
+	var rowW [][]*big.Int
+	if pure {
+		for d := range depthW {
+			depthW[d] = f.Mul(f.Reduce(binomial(p, d)), b0Pow[p-d])
+		}
+	} else {
+		rowW = make([][]*big.Int, len(rows))
+		for s, c := range coeffs {
+			rowW[s] = make([]*big.Int, p+1)
+			for d := 0; d <= p; d++ {
+				w := new(big.Int)
+				for j := d; j <= p; j++ {
+					w.Add(w, f.Mul(f.Mul(c[j], binomial(j, d)), b0Pow[j-d]))
+				}
+				rowW[s][d] = f.Reduce(w)
+			}
+		}
+		for d := range depthW {
+			depthW[d] = big.NewInt(1)
+		}
+	}
+
+	// Σ_s W_{s,d}·Π_i a_s[v_i] per node, without depthW. prefix[d] holds
+	// the current path's reduced product at depth d, starting from c_{s,p}
+	// for pure powers and from 1 otherwise; a leaf's product is summed
+	// unreduced.
+	sums := make([]big.Int, nodes)
+	prefix := make([]big.Int, p+1)
+	var prod big.Int
+	for s, row := range rows {
+		if pure {
+			prefix[0].Set(coeffs[s][p])
+			sums[0].Add(&sums[0], coeffs[s][p])
+		} else {
+			prefix[0].SetInt64(1)
+			sums[0].Add(&sums[0], rowW[s][0])
+		}
+		for i := 1; i < nodes; i++ {
+			d := depth[i]
+			prod.Mul(&prefix[d-1], row[k.vars[i]])
+			if d < p {
+				prefix[d].Mod(&prod, k.mod)
+			}
+			if !pure {
+				prod.Mul(&prod, rowW[s][d])
+			}
+			sums[i].Add(&sums[i], &prod)
+		}
+	}
+
 	for i := range k.coeffs {
 		c := f.Mul(f.Reduce(&sums[i]), k.coeffs[i])
-		k.coeffs[i] = f.Mul(c, b0Pow[p-depth[i]])
+		k.coeffs[i] = f.Mul(c, depthW[depth[i]])
 	}
 	k.coeffs[0] = f.Add(k.coeffs[0], bias)
 
-	if f.SupportsLimb() {
-		k.lcoeffs = make([]limb.Element, nodes)
-		for i, c := range k.coeffs {
-			if err := k.lcoeffs[i].SetBig(c); err != nil {
-				return nil, fmt.Errorf("mvpoly: limb-encode coefficient %d: %w", i, err)
-			}
+	if withLimb {
+		var err error
+		if k.lcoeffs, err = limbVec(k.coeffs); err != nil {
+			return nil, err
 		}
 	}
 	return k, nil
 }
 
-// NumVars returns the arity n.
-func (k *KernelSum) NumVars() int { return k.nvars }
-
-// NumNodes returns the trie's node count, C(n+p, p).
-func (k *KernelSum) NumNodes() int { return len(k.coeffs) }
-
-// Eval evaluates the kernel sum at a field point. Its only allocations are
-// one accumulator per trie level and a product, made once per call.
-func (k *KernelSum) Eval(z field.Vec) (*big.Int, error) {
-	if len(z) != k.nvars {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrArity, len(z), k.nvars)
-	}
+func (k *kernelTrie) eval(z field.Vec) *big.Int {
 	acc := make([]big.Int, k.degree+1)
-	var prod big.Int
-	k.evalNode(0, z, acc, &prod)
-	return &acc[0], nil
+	var prod, q big.Int
+	k.evalNode(0, z, acc, &prod, &q)
+	return &acc[0]
 }
 
 // evalNode sets acc[0] to the value of inner node i; acc[1:] is scratch
-// for the levels below it.
-func (k *KernelSum) evalNode(i int, z field.Vec, acc []big.Int, prod *big.Int) {
+// for the levels below it. It reduces with QuoRem into the reused
+// quotient q, which on non-negative operands is Mod without its per-call
+// allocation.
+func (k *kernelTrie) evalNode(i int, z field.Vec, acc []big.Int, prod, q *big.Int) {
 	a := &acc[0]
 	a.Set(k.coeffs[i])
 	for j := i + 1; j < k.end[i]; j = k.end[j] {
 		c := k.coeffs[j]
 		if k.end[j] != j+1 {
-			k.evalNode(j, z, acc[1:], prod)
+			k.evalNode(j, z, acc[1:], prod, q)
 			c = &acc[1]
 		}
 		a.Add(a, prod.Mul(z[k.vars[j]], c))
 	}
-	a.Mod(a, k.mod)
+	q.QuoRem(a, k.mod, a)
 }
 
-// EvalLimb evaluates the kernel sum at a limb point (the
-// ompe.LimbEvaluator contract) without allocating. Only valid when the
-// field is 2^255−19.
-func (k *KernelSum) EvalLimb(z []limb.Element, out *limb.Element) error {
-	if k.lcoeffs == nil {
-		return fmt.Errorf("mvpoly: limb evaluation requires the 2^255−19 field")
-	}
-	if len(z) != k.nvars {
-		return fmt.Errorf("%w: got %d, want %d", ErrArity, len(z), k.nvars)
-	}
-	v := k.evalNodeLimb(0, z)
-	out.Set(&v)
-	return nil
+func (k *kernelTrie) evalLimb(z []limb.Element) limb.Element {
+	return k.evalNodeLimb(0, z)
 }
 
-func (k *KernelSum) evalNodeLimb(i int, z []limb.Element) limb.Element {
+func (k *kernelTrie) evalNodeLimb(i int, z []limb.Element) limb.Element {
 	acc := k.lcoeffs[i]
 	var t limb.Element
 	for j := i + 1; j < k.end[i]; j = k.end[j] {
@@ -213,6 +331,86 @@ func (k *KernelSum) evalNodeLimb(i int, z []limb.Element) limb.Element {
 			t.Mul(&z[k.vars[j]], &c)
 		}
 		acc.Add(&acc, &t)
+	}
+	return acc
+}
+
+// kernelForm is the row-by-row form. It shares the caller's rows and
+// coefficient vectors, which are never written.
+type kernelForm struct {
+	mod      *big.Int
+	rows     []field.Vec
+	coeffs   [][]*big.Int
+	b0, bias *big.Int
+	// Limb copies of the constants when the field is 2^255−19.
+	lrows, lcoeffs [][]limb.Element
+	lb0, lbias     limb.Element
+}
+
+func newKernelForm(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0, bias *big.Int, withLimb bool) (*kernelForm, error) {
+	k := &kernelForm{mod: f.Modulus(), rows: rows, coeffs: coeffs, b0: b0, bias: bias}
+	if !withLimb {
+		return k, nil
+	}
+	k.lrows = make([][]limb.Element, len(rows))
+	k.lcoeffs = make([][]limb.Element, len(rows))
+	var err error
+	for s := range rows {
+		if k.lrows[s], err = limbVec(rows[s]); err != nil {
+			return nil, err
+		}
+		if k.lcoeffs[s], err = limbVec(coeffs[s]); err != nil {
+			return nil, err
+		}
+	}
+	if err := k.lb0.SetBig(b0); err != nil {
+		return nil, fmt.Errorf("mvpoly: limb-encode b0: %w", err)
+	}
+	if err := k.lbias.SetBig(bias); err != nil {
+		return nil, fmt.Errorf("mvpoly: limb-encode bias: %w", err)
+	}
+	return k, nil
+}
+
+// eval reduces with QuoRem into a reused quotient, which on non-negative
+// operands is Mod without its per-call allocation.
+func (k *kernelForm) eval(z field.Vec) *big.Int {
+	acc := new(big.Int).Set(k.bias)
+	var u, h, t, q big.Int
+	for s, row := range k.rows {
+		t.Set(k.b0)
+		for i, a := range row {
+			t.Add(&t, h.Mul(a, z[i]))
+		}
+		q.QuoRem(&t, k.mod, &u)
+		c := k.coeffs[s]
+		h.Set(c[len(c)-1])
+		for j := len(c) - 2; j >= 0; j-- {
+			t.Mul(&h, &u)
+			t.Add(&t, c[j])
+			q.QuoRem(&t, k.mod, &h)
+		}
+		acc.Add(acc, &h)
+	}
+	return acc.Mod(acc, k.mod)
+}
+
+func (k *kernelForm) evalLimb(z []limb.Element) limb.Element {
+	acc := k.lbias
+	var u, h, t limb.Element
+	for s, row := range k.lrows {
+		u = k.lb0
+		for i := range row {
+			t.Mul(&row[i], &z[i])
+			u.Add(&u, &t)
+		}
+		c := k.lcoeffs[s]
+		h = c[len(c)-1]
+		for j := len(c) - 2; j >= 0; j-- {
+			h.Mul(&h, &u)
+			h.Add(&h, &c[j])
+		}
+		acc.Add(&acc, &h)
 	}
 	return acc
 }

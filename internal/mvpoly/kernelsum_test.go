@@ -9,15 +9,18 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/field"
 	"repro/internal/field/limb"
+	"repro/internal/fixedpoint"
 	"repro/internal/mvpoly"
+	"repro/internal/svm"
 )
 
-// kernelFormRef is the reference the trie is checked against: the kernel
-// form Σ_s w_s·(a_s·z + b0)^p + bias computed term by term, one dot
-// product and p multiplications per row.
-func kernelFormRef(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int, z field.Vec) *big.Int {
+// kernelFormRef is the reference both forms are checked against: the sum
+// Σ_s Σ_j c_{s,j}·(a_s·z + b0)^j + bias computed term by term, each power
+// of the row's linear form built up by repeated multiplication.
+func kernelFormRef(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0, bias *big.Int, z field.Vec) *big.Int {
 	acc := new(big.Int).Set(bias)
 	for s, row := range rows {
 		inner, err := f.Dot(row, z)
@@ -26,38 +29,104 @@ func kernelFormRef(f *field.Field, weights []*big.Int, rows []field.Vec, b0 *big
 		}
 		inner = f.Add(inner, b0)
 		pow := f.One()
-		for i := 0; i < p; i++ {
+		for _, c := range coeffs[s] {
+			acc = f.Add(acc, f.Mul(c, pow))
 			pow = f.Mul(pow, inner)
 		}
-		acc = f.Add(acc, f.Mul(weights[s], pow))
 	}
 	return acc
 }
 
-// randKernel draws a kernel sum's inputs uniformly from the whole field.
-func randKernel(t *testing.T, f *field.Field, rng io.Reader, n, rows int, zeroB0 bool) ([]*big.Int, []field.Vec, *big.Int, *big.Int) {
+// Coefficient shapes the callers pass: a pure power c_{s,p} (polynomial
+// kernels, linear, §V-C), odd powers only (the Taylor-truncated sigmoid)
+// and every power.
+var coeffShapes = []string{"pure", "odd", "dense"}
+
+// kernelInputs is one kernel sum's constants.
+type kernelInputs struct {
+	coeffs   [][]*big.Int
+	rows     []field.Vec
+	b0, bias *big.Int
+}
+
+// randKernel draws a kernel sum's inputs uniformly from the whole field,
+// with the zero coefficients the shape asks for.
+func randKernel(t testing.TB, f *field.Field, rng io.Reader, n, rows, p int, shape string, zeroB0 bool) kernelInputs {
 	t.Helper()
-	weights, err := f.RandVec(rng, rows)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := make([]field.Vec, rows)
-	for s := range a {
-		if a[s], err = f.RandVec(rng, n); err != nil {
+	in := kernelInputs{coeffs: make([][]*big.Int, rows), rows: make([]field.Vec, rows), b0: f.Zero()}
+	var err error
+	for s := range in.rows {
+		if in.rows[s], err = f.RandVec(rng, n); err != nil {
 			t.Fatal(err)
 		}
+		if in.coeffs[s], err = f.RandVec(rng, p+1); err != nil {
+			t.Fatal(err)
+		}
+		for j := range in.coeffs[s] {
+			if (shape == "pure" && j < p) || (shape == "odd" && j%2 == 0) {
+				in.coeffs[s][j] = f.Zero()
+			}
+		}
 	}
-	b0 := f.Zero()
 	if !zeroB0 {
-		if b0, err = f.Rand(rng); err != nil {
+		if in.b0, err = f.Rand(rng); err != nil {
 			t.Fatal(err)
 		}
 	}
-	bias, err := f.Rand(rng)
+	if in.bias, err = f.Rand(rng); err != nil {
+		t.Fatal(err)
+	}
+	return in
+}
+
+// bothForms builds the trie and the kernel form of one sum.
+func bothForms(t testing.TB, f *field.Field, in kernelInputs, p int) (trie, kernelForm *mvpoly.KernelSum) {
+	t.Helper()
+	trie, err := mvpoly.NewKernelSumForm(f, in.coeffs, in.rows, in.b0, p, in.bias, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return weights, a, b0, bias
+	kernelForm, err = mvpoly.NewKernelSumForm(f, in.coeffs, in.rows, in.b0, p, in.bias, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !trie.Expanded() || kernelForm.Expanded() {
+		t.Fatalf("forced forms report Expanded %v, %v", trie.Expanded(), kernelForm.Expanded())
+	}
+	return trie, kernelForm
+}
+
+// checkAgainstRef evaluates every sum at uniform full-field points, on
+// math/big and, over 2^255−19, on limbs, against kernelFormRef.
+func checkAgainstRef(t *testing.T, f *field.Field, rng io.Reader, in kernelInputs, points int, sums ...*mvpoly.KernelSum) {
+	t.Helper()
+	n := len(in.rows[0])
+	for trial := 0; trial < points; trial++ {
+		z, err := f.RandVec(rng, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := kernelFormRef(f, in.coeffs, in.rows, in.b0, in.bias, z)
+		for _, ks := range sums {
+			got, err := ks.Eval(z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Cmp(want) != 0 {
+				t.Fatalf("Eval (expanded %v) = %v, reference %v", ks.Expanded(), got, want)
+			}
+			if !f.SupportsLimb() {
+				continue
+			}
+			var out limb.Element
+			if err := ks.EvalLimb(limbPoint(t, z), &out); err != nil {
+				t.Fatal(err)
+			}
+			if out.ToBig().Cmp(want) != 0 {
+				t.Fatalf("EvalLimb (expanded %v) = %v, reference %v", ks.Expanded(), out.ToBig(), want)
+			}
+		}
+	}
 }
 
 // seededReader is a deterministic io.Reader for drawing field elements.
@@ -72,7 +141,7 @@ func (s *seededReader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func limbPoint(t *testing.T, z field.Vec) []limb.Element {
+func limbPoint(t testing.TB, z field.Vec) []limb.Element {
 	t.Helper()
 	out := make([]limb.Element, len(z))
 	for i, x := range z {
@@ -83,58 +152,46 @@ func limbPoint(t *testing.T, z field.Vec) []limb.Element {
 	return out
 }
 
-// TestKernelSumMatchesKernelForm compares the trie with the kernel form on
-// uniform full-field points, over both fields the classifier uses.
-func TestKernelSumMatchesKernelForm(t *testing.T) {
-	f521, err := field.Mersenne(field.MersenneExp521)
+func field521(t testing.TB) *field.Field {
+	t.Helper()
+	f, err := field.Mersenne(field.MersenneExp521)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return f
+}
+
+// TestKernelSumMatchesKernelForm compares both forms, and the form the
+// size rule picks, with the reference on uniform full-field points, over
+// both fields the classifier uses, for every coefficient shape.
+func TestKernelSumMatchesKernelForm(t *testing.T) {
 	fields := []struct {
 		name string
 		f    *field.Field
-	}{{"p521", f521}, {"p25519", field.Default()}}
+	}{{"p521", field521(t)}, {"p25519", field.Default()}}
 	seed := seededReader(30)
 	rng := &seed
 	for _, fc := range fields {
-		for _, p := range []int{1, 2, 3, 4} {
+		for p := 1; p <= 5; p++ {
 			for _, zeroB0 := range []bool{true, false} {
 				for _, n := range []int{1, 2, 8} {
 					for _, rows := range []int{1, 218} {
 						name := fmt.Sprintf("%s/p%d/b0zero=%v/n%d/S%d", fc.name, p, zeroB0, n, rows)
 						t.Run(name, func(t *testing.T) {
-							f := fc.f
-							weights, a, b0, bias := randKernel(t, f, rng, n, rows, zeroB0)
-							ks, err := mvpoly.NewKernelSum(f, weights, a, b0, p, bias)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if want := mvpoly.KernelSumNodes(n, p); int64(ks.NumNodes()) != want.Int64() {
-								t.Fatalf("%d nodes, want C(n+p, p) = %v", ks.NumNodes(), want)
-							}
-							for trial := 0; trial < 8; trial++ {
-								z, err := f.RandVec(rng, n)
-								if err != nil {
-									t.Fatal(err)
-								}
-								want := kernelFormRef(f, weights, a, b0, p, bias, z)
-								got, err := ks.Eval(z)
-								if err != nil {
-									t.Fatal(err)
-								}
-								if got.Cmp(want) != 0 {
-									t.Fatalf("Eval = %v, kernel form %v", got, want)
-								}
-								if !f.SupportsLimb() {
-									continue
-								}
-								var out limb.Element
-								if err := ks.EvalLimb(limbPoint(t, z), &out); err != nil {
-									t.Fatal(err)
-								}
-								if out.ToBig().Cmp(want) != 0 {
-									t.Fatalf("EvalLimb = %v, kernel form %v", out.ToBig(), want)
-								}
+							for _, shape := range coeffShapes {
+								t.Run(shape, func(t *testing.T) {
+									f := fc.f
+									in := randKernel(t, f, rng, n, rows, p, shape, zeroB0)
+									trie, kernelForm := bothForms(t, f, in, p)
+									auto, err := mvpoly.NewKernelSum(f, in.coeffs, in.rows, in.b0, p, in.bias)
+									if err != nil {
+										t.Fatal(err)
+									}
+									if auto.Expanded() != mvpoly.ExpandCheaper(n, p, rows) {
+										t.Fatalf("NewKernelSum expanded %v, size rule says %v", auto.Expanded(), !auto.Expanded())
+									}
+									checkAgainstRef(t, f, rng, in, 4, trie, kernelForm, auto)
+								})
 							}
 						})
 					}
@@ -144,92 +201,268 @@ func TestKernelSumMatchesKernelForm(t *testing.T) {
 	}
 }
 
-func TestKernelSumValidation(t *testing.T) {
-	f := fld()
-	one := []*big.Int{f.One()}
-	row := []field.Vec{{f.One(), f.One()}}
-	if _, err := mvpoly.NewKernelSum(f, one, row, f.Zero(), 0, f.Zero()); !errors.Is(err, mvpoly.ErrBadDegree) {
-		t.Fatalf("degree 0: %v", err)
+// TestPolyDirectFormsAgree checks, at the shapes of the direct-mode
+// polynomial models classify's transcript test serves, that the size rule
+// picks the trie and that both forms give the same residue at uniform
+// full-field points.
+func TestPolyDirectFormsAgree(t *testing.T) {
+	cases := []struct {
+		name          string
+		f             *field.Field
+		n, p, numRows int
+		zeroB0        bool
+	}{
+		{"cubic/big521", field521(t), 8, 3, 50, true},
+		{"cubic/limb", field.Default(), 8, 3, 50, true},
+		{"quadratic-b0/limb", field.Default(), 8, 2, 38, false},
 	}
-	if _, err := mvpoly.NewKernelSum(f, []*big.Int{f.One(), f.One()}, row, f.Zero(), 2, f.Zero()); err == nil {
-		t.Fatal("mismatched weights accepted")
-	}
-	if _, err := mvpoly.NewKernelSum(f, nil, nil, f.Zero(), 2, f.Zero()); err == nil {
-		t.Fatal("empty kernel sum accepted")
-	}
-	ragged := []field.Vec{{f.One(), f.One()}, {f.One()}}
-	if _, err := mvpoly.NewKernelSum(f, []*big.Int{f.One(), f.One()}, ragged, f.Zero(), 2, f.Zero()); !errors.Is(err, mvpoly.ErrArity) {
-		t.Fatalf("ragged rows: %v", err)
-	}
-	if _, err := mvpoly.NewKernelSum(f, one, []field.Vec{make(field.Vec, 500)}, f.Zero(), 9, f.Zero()); err == nil {
-		t.Fatal("a trie of C(509, 9) nodes was accepted")
-	}
-
-	ks, err := mvpoly.NewKernelSum(f, one, row, f.One(), 3, f.Zero())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ks.Eval(field.Vec{f.One()}); !errors.Is(err, mvpoly.ErrArity) {
-		t.Fatalf("Eval at the wrong arity: %v", err)
-	}
-	var out limb.Element
-	if err := ks.EvalLimb(make([]limb.Element, 3), &out); !errors.Is(err, mvpoly.ErrArity) {
-		t.Fatalf("EvalLimb at the wrong arity: %v", err)
-	}
-
-	f521, err := field.Mersenne(field.MersenneExp521)
-	if err != nil {
-		t.Fatal(err)
-	}
-	big521, err := mvpoly.NewKernelSum(f521, one, row, f.One(), 3, f.Zero())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := big521.EvalLimb(make([]limb.Element, 2), &out); err == nil {
-		t.Fatal("EvalLimb over 2^521−1 succeeded")
+	seed := seededReader(32)
+	rng := &seed
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if !mvpoly.ExpandCheaper(tc.n, tc.p, tc.numRows) {
+				t.Fatalf("size rule keeps the kernel form for n=%d p=%d |S|=%d", tc.n, tc.p, tc.numRows)
+			}
+			in := randKernel(t, tc.f, rng, tc.n, tc.numRows, tc.p, "pure", tc.zeroB0)
+			trie, kernelForm := bothForms(t, tc.f, in, tc.p)
+			checkAgainstRef(t, tc.f, rng, in, 20, trie, kernelForm)
+		})
 	}
 }
 
-// TestKernelSumConcurrentEval evaluates one trie from several goroutines
+// TestKernelSumSizeRule pins which form the size rule picks,
+// C(n+p, p) ≤ |S|·(n+p) under the node cap, at the shapes the callers
+// build.
+func TestKernelSumSizeRule(t *testing.T) {
+	cases := []struct {
+		name          string
+		n, p, numRows int
+		expand        bool
+	}{
+		{"served-cubic", 8, 3, 218, true},
+		{"cubic-boundary", 8, 3, 15, true},
+		{"cubic-below-boundary", 8, 3, 14, false},
+		{"similarity-centroid", 8, 3, 1, false},
+		{"sigmoid-T3", 8, 5, 44, false},
+		{"linear-n8", 8, 1, 1, true},
+		{"linear-n500", 500, 1, 1, true},
+		{"madelon-cubic", 500, 3, 40, false},
+		// C(503, 3) ≈ 2.1·10⁷ ≤ |S|·(n+p) but above the 2^24 node cap.
+		{"madelon-cubic-over-cap", 500, 3, 100000, false},
+	}
+	for _, tc := range cases {
+		if got := mvpoly.ExpandCheaper(tc.n, tc.p, tc.numRows); got != tc.expand {
+			t.Errorf("%s: n=%d p=%d |S|=%d: expand %v, want %v", tc.name, tc.n, tc.p, tc.numRows, got, tc.expand)
+		}
+	}
+}
+
+func TestKernelSumValidation(t *testing.T) {
+	f := fld()
+	zero, one := f.Zero(), f.One()
+	cubic := [][]*big.Int{{zero, zero, zero, one}}
+	row := []field.Vec{{one, one}}
+	if _, err := mvpoly.NewKernelSum(f, [][]*big.Int{{zero}}, row, zero, 0, zero); !errors.Is(err, mvpoly.ErrBadDegree) {
+		t.Fatalf("degree 0: %v", err)
+	}
+	if _, err := mvpoly.NewKernelSum(f, [][]*big.Int{cubic[0], cubic[0]}, row, zero, 3, zero); err == nil {
+		t.Fatal("more coefficient vectors than rows accepted")
+	}
+	if _, err := mvpoly.NewKernelSum(f, nil, nil, zero, 2, zero); err == nil {
+		t.Fatal("empty kernel sum accepted")
+	}
+	if _, err := mvpoly.NewKernelSum(f, [][]*big.Int{{zero, zero, zero, zero, one}}, row, zero, 3, zero); err == nil {
+		t.Fatal("coefficient vector longer than p+1 accepted")
+	}
+	if _, err := mvpoly.NewKernelSum(f, [][]*big.Int{{zero, one}}, row, zero, 3, zero); err == nil {
+		t.Fatal("coefficient vector shorter than p+1 accepted")
+	}
+	ragged := []field.Vec{{one, one}, {one}}
+	if _, err := mvpoly.NewKernelSum(f, [][]*big.Int{cubic[0], cubic[0]}, ragged, zero, 3, zero); !errors.Is(err, mvpoly.ErrArity) {
+		t.Fatalf("ragged rows: %v", err)
+	}
+	nonic := [][]*big.Int{make([]*big.Int, 10)}
+	for j := range nonic[0] {
+		nonic[0][j] = one
+	}
+	if _, err := mvpoly.NewKernelSumForm(f, nonic, []field.Vec{make(field.Vec, 500)}, zero, 9, zero, true); err == nil {
+		t.Fatal("a trie of C(509, 9) nodes was accepted")
+	}
+
+	f521 := field521(t)
+	for _, expand := range []bool{true, false} {
+		ks, err := mvpoly.NewKernelSumForm(f, cubic, row, one, 3, zero, expand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ks.Eval(field.Vec{one}); !errors.Is(err, mvpoly.ErrArity) {
+			t.Fatalf("expanded %v: Eval at the wrong arity: %v", expand, err)
+		}
+		var out limb.Element
+		if err := ks.EvalLimb(make([]limb.Element, 3), &out); !errors.Is(err, mvpoly.ErrArity) {
+			t.Fatalf("expanded %v: EvalLimb at the wrong arity: %v", expand, err)
+		}
+		big521, err := mvpoly.NewKernelSumForm(f521, cubic, row, one, 3, zero, expand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := big521.EvalLimb(make([]limb.Element, 2), &out); err == nil {
+			t.Fatalf("expanded %v: EvalLimb over 2^521−1 succeeded", expand)
+		}
+	}
+}
+
+// TestKernelSumConcurrentEval evaluates each form from several goroutines
 // at once; run under -race it checks that evaluation shares no scratch.
 func TestKernelSumConcurrentEval(t *testing.T) {
 	f := fld()
 	seed := seededReader(31)
 	rng := &seed
-	weights, a, b0, bias := randKernel(t, f, rng, 8, 40, false)
-	ks, err := mvpoly.NewKernelSum(f, weights, a, b0, 3, bias)
-	if err != nil {
-		t.Fatal(err)
-	}
+	in := randKernel(t, f, rng, 8, 40, 3, "dense", false)
+	trie, kernelForm := bothForms(t, f, in, 3)
 	points := make([]field.Vec, 16)
 	wants := make([]*big.Int, len(points))
+	var err error
 	for i := range points {
 		if points[i], err = f.RandVec(rng, 8); err != nil {
 			t.Fatal(err)
 		}
-		wants[i] = kernelFormRef(f, weights, a, b0, 3, bias, points[i])
+		wants[i] = kernelFormRef(f, in.coeffs, in.rows, in.b0, in.bias, points[i])
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 8; r++ {
-				i := (w + r) % len(points)
-				got, err := ks.Eval(points[i])
-				if err != nil || got.Cmp(wants[i]) != 0 {
-					t.Errorf("worker %d point %d: Eval = %v, %v; want %v", w, i, got, err, wants[i])
+	for _, ks := range []*mvpoly.KernelSum{trie, kernelForm} {
+		var wg sync.WaitGroup
+		for w := 0; w < 4; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for r := 0; r < 8; r++ {
+					i := (w + r) % len(points)
+					got, err := ks.Eval(points[i])
+					if err != nil || got.Cmp(wants[i]) != 0 {
+						t.Errorf("expanded %v worker %d point %d: Eval = %v, %v; want %v", ks.Expanded(), w, i, got, err, wants[i])
+					}
+					z := make([]limb.Element, len(points[i]))
+					for j, x := range points[i] {
+						_ = z[j].SetBig(x) // canonical by construction
+					}
+					var out limb.Element
+					if err := ks.EvalLimb(z, &out); err != nil || out.ToBig().Cmp(wants[i]) != 0 {
+						t.Errorf("expanded %v worker %d point %d: EvalLimb = %v, %v; want %v", ks.Expanded(), w, i, out.ToBig(), err, wants[i])
+					}
 				}
-				z := make([]limb.Element, len(points[i]))
-				for j, x := range points[i] {
-					_ = z[j].SetBig(x) // canonical by construction
-				}
-				var out limb.Element
-				if err := ks.EvalLimb(z, &out); err != nil || out.ToBig().Cmp(wants[i]) != 0 {
-					t.Errorf("worker %d point %d: EvalLimb = %v, %v; want %v", w, i, out.ToBig(), err, wants[i])
-				}
-			}
-		}(w)
+			}(w)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
 }
+
+// servedCubic encodes the decision function of the benchmark's served
+// model, the paper's cubic trained on the full synthetic diabetes set
+// (218 support vectors, n = 8), the way the classifier's direct mode
+// does: rows a0·x_s and c_{s,3} = αy_s at the base scale, b0 = 0.
+func servedCubic(b *testing.B, codec *fixedpoint.Codec) kernelInputs {
+	b.Helper()
+	spec, err := dataset.SpecByName("diabetes")
+	if err != nil {
+		b.Fatal(err)
+	}
+	train, _, err := dataset.Generate(spec, dataset.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := svm.Train(train.X, train.Y, svm.Config{Kernel: svm.PaperPolynomial(spec.Dim), C: spec.PolyC})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(m.SupportVectors) != 218 {
+		b.Fatalf("served model has %d support vectors, want 218", len(m.SupportVectors))
+	}
+	f := codec.Field()
+	in := kernelInputs{coeffs: make([][]*big.Int, len(m.AlphaY)), rows: make([]field.Vec, len(m.AlphaY)), b0: f.Zero()}
+	for s, sv := range m.SupportVectors {
+		scaled := make([]float64, len(sv))
+		for j, v := range sv {
+			scaled[j] = m.Kernel.A0 * v
+		}
+		if in.rows[s], err = codec.EncodeVec(scaled); err != nil {
+			b.Fatal(err)
+		}
+		alpha, err := codec.EncodeAtScale(m.AlphaY[s], codec.Scale())
+		if err != nil {
+			b.Fatal(err)
+		}
+		in.coeffs[s] = []*big.Int{f.Zero(), f.Zero(), f.Zero(), alpha}
+	}
+	if in.bias, err = codec.EncodeAtScale(m.Bias, codec.ScalePow(7)); err != nil {
+		b.Fatal(err)
+	}
+	return in
+}
+
+// BenchmarkKernelSumEval times one evaluation at a uniform field point,
+// in both forms: the served cubic on 2^521−1 as the big-backend trainer
+// runs it (24 fractional bits) and on 2^255−19 limbs (16), and a linear
+// model w·z + b at n = 8 and n = 500 on 2^255−19, on math/big and limbs.
+func BenchmarkKernelSumEval(b *testing.B) {
+	type config struct {
+		name string
+		f    *field.Field
+		in   kernelInputs
+		p    int
+		limb bool // evaluate with EvalLimb
+	}
+	var configs []config
+	for _, c := range []struct {
+		name     string
+		f        *field.Field
+		fracBits uint
+	}{{"cubic/big521", field521(b), 24}, {"cubic/limb", field.Default(), 16}} {
+		codec, err := fixedpoint.NewCodec(c.f, c.fracBits)
+		if err != nil {
+			b.Fatal(err)
+		}
+		configs = append(configs, config{c.name, c.f, servedCubic(b, codec), 3, c.f.SupportsLimb()})
+	}
+	seed := seededReader(33)
+	for _, n := range []int{8, 500} {
+		f := field.Default()
+		in := randKernel(b, f, &seed, n, 1, 1, "pure", true)
+		configs = append(configs,
+			config{fmt.Sprintf("linear-n%d/big", n), f, in, 1, false},
+			config{fmt.Sprintf("linear-n%d/limb", n), f, in, 1, true})
+	}
+	for _, cfg := range configs {
+		trie, kernelForm := bothForms(b, cfg.f, cfg.in, cfg.p)
+		z, err := cfg.f.RandVec(&seed, len(cfg.in.rows[0]))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, form := range []struct {
+			name string
+			ks   *mvpoly.KernelSum
+		}{{"kernel", kernelForm}, {"trie", trie}} {
+			b.Run(fmt.Sprintf("%s/%s", form.name, cfg.name), func(b *testing.B) {
+				b.ReportAllocs()
+				if cfg.limb {
+					lz := limbPoint(b, z)
+					var out limb.Element
+					for i := 0; i < b.N; i++ {
+						if err := form.ks.EvalLimb(lz, &out); err != nil {
+							b.Fatal(err)
+						}
+					}
+					return
+				}
+				for i := 0; i < b.N; i++ {
+					out, err := form.ks.Eval(z)
+					if err != nil {
+						b.Fatal(err)
+					}
+					benchSink = out
+				}
+			})
+		}
+	}
+}
+
+var benchSink *big.Int

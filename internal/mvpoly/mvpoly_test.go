@@ -106,8 +106,8 @@ func TestAddAndScalarMul(t *testing.T) {
 }
 
 // TestExpandDotPowerMatchesDirect: the multinomial expansion of 3·(a·x)^p
-// — a KernelSum with one row and b0 = 0 — must agree with computing the
-// dot product and raising it to the p-th power (§IV-B).
+// — a KernelSum trie with one row and b0 = 0 — must agree with computing
+// the dot product and raising it to the p-th power (§IV-B).
 func TestExpandDotPowerMatchesDirect(t *testing.T) {
 	f := fld()
 	rng := rand.New(rand.NewPCG(5, 6))
@@ -119,7 +119,12 @@ func TestExpandDotPowerMatchesDirect(t *testing.T) {
 				a[i] = f.FromInt64(int64(rng.IntN(41) - 20))
 				x[i] = f.FromInt64(int64(rng.IntN(41) - 20))
 			}
-			expanded, err := mvpoly.NewKernelSum(f, []*big.Int{f.FromInt64(3)}, []field.Vec{a}, f.Zero(), p, f.Zero())
+			c := make([]*big.Int, p+1)
+			for j := range c {
+				c[j] = f.Zero()
+			}
+			c[p] = f.FromInt64(3)
+			expanded, err := mvpoly.NewKernelSumForm(f, [][]*big.Int{c}, []field.Vec{a}, f.Zero(), p, f.Zero(), true)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -55,9 +55,10 @@ var (
 var zeroShift = new(big.Int)
 
 // Evaluator is the sender's secret function: a multivariate polynomial over
-// the protocol field. Implementations include mvpoly.Poly, the kernel-form
-// SVM decision functions in internal/classify, and the triangle-metric
-// polynomial in internal/similarity.
+// the protocol field. Implementations include mvpoly.Poly, mvpoly.KernelSum
+// (every SVM decision function but RBF's, and the similarity dot rounds),
+// classify's RBF evaluator, and the triangle-metric polynomial in
+// internal/similarity.
 type Evaluator interface {
 	// NumVars returns the input arity.
 	NumVars() int

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fixedpoint"
+	"repro/internal/mvpoly"
 	"repro/internal/obs"
 	"repro/internal/ompe"
 	"repro/internal/ot"
@@ -26,7 +27,8 @@ type Params struct {
 	AmplifierBits int
 	// Group is the OT group (default ot.Group2048).
 	Group ot.Group
-	// FracBits is the fixed-point precision (default 24).
+	// FracBits is the fixed-point precision (default 24; 12 for the
+	// kernel variant).
 	FracBits uint
 	// FieldBackend selects the field-arithmetic engine (zero value: the
 	// math/big path). field.BackendLimb pins the field to 2^255−19, which
@@ -210,15 +212,10 @@ type ClearShare struct {
 	NormW2 float64
 }
 
-// linEval is a bias-free linear evaluator c·z over the field.
-type linEval struct {
-	f *field.Field
-	c field.Vec
+// dotSum is the bias-free linear form c·z: a one-row degree-1 kernel sum.
+func dotSum(f *field.Field, c field.Vec) (*mvpoly.KernelSum, error) {
+	return mvpoly.NewKernelSum(f, [][]*big.Int{{f.Zero(), f.One()}}, []field.Vec{c}, f.Zero(), 1, f.Zero())
 }
-
-func (e *linEval) NumVars() int { return len(e.c) }
-
-func (e *linEval) Eval(z field.Vec) (*big.Int, error) { return e.f.Dot(e.c, z) }
 
 // normSq is |v|².
 func normSq(v []float64) float64 {
@@ -266,7 +263,12 @@ func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, e
 		return nil, err
 	}
 	f := r.codec.Field()
-	r.centroid, r.normal = &linEval{f: f, c: encM}, &linEval{f: f, c: encW}
+	if r.centroid, err = dotSum(f, encM); err != nil {
+		return nil, err
+	}
+	if r.normal, err = dotSum(f, encW); err != nil {
+		return nil, err
+	}
 	r.normalsWant = 1
 	return &Alice{responder: r, spec: spec, normM2: normSq(mA), normW2: normSq(wA)}, nil
 }

@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/fixedpoint"
+	"repro/internal/mvpoly"
 	"repro/internal/obs"
-	"repro/internal/ompe"
 	"repro/internal/svm"
 )
 
@@ -81,8 +81,9 @@ func kernelExps(k svm.Kernel) (e1, e2 uint) { return uint(2 * k.Degree), uint(2*
 // maxC3Exp is the headroom for the adaptive c3 exponent.
 const maxC3Exp = 16
 
-// defaultKernelFracBits keeps the very deep kernel-area scale inside the
-// built-in primes.
+// defaultKernelFracBits is the kernel variant's precision when the caller
+// sets none: it keeps the very deep kernel-area scale inside the built-in
+// primes.
 const defaultKernelFracBits = 12
 
 // KernelAlice is the responder for the kernelized evaluation.
@@ -101,10 +102,10 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if model.Kernel.Kind != svm.KernelPolynomial {
 		return nil, fmt.Errorf("similarity: kernel variant supports polynomial kernels, got %v", model.Kernel.Kind)
 	}
-	params = params.withDefaults()
-	if params.FracBits == 24 {
+	if params.FracBits == 0 {
 		params.FracBits = defaultKernelFracBits
 	}
+	params = params.withDefaults()
 	// Field sizing: the normal rounds need (e2+1)·fb + amplifier bits, the
 	// area round its worst-case exponent times fb, plus value-bit slack.
 	e1, e2 := kernelExps(model.Kernel)
@@ -123,10 +124,10 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 		return nil, err
 	}
 	// P(z) = (a0·mA·z + b0)^p and P(z) = Σ_s αyA_s·(a0·xA_s·z + b0)^p.
-	if r.centroid, err = kernelEval(r.codec, model.Kernel, spec.Dim, [][]float64{mA}, nil); err != nil {
+	if r.centroid, err = kernelSum(r.codec, model.Kernel, [][]float64{mA}, nil); err != nil {
 		return nil, err
 	}
-	if r.normal, err = kernelEval(r.codec, model.Kernel, spec.Dim, model.SupportVectors, model.AlphaY); err != nil {
+	if r.normal, err = kernelSum(r.codec, model.Kernel, model.SupportVectors, model.AlphaY); err != nil {
 		return nil, err
 	}
 	kmama, err := model.Kernel.Eval(mA, mA)
@@ -207,16 +208,16 @@ func (a *KernelAlice) AnnounceAreaScale() (*AreaScale, error) {
 	return a.areaScale, nil
 }
 
-// kernelEval builds Σ_s w_s·(a0·x_s·z + b0)^p over the given rows, with
+// kernelSum builds Σ_s w_s·(a0·x_s·z + b0)^p over the given rows, with
 // w_s = Enc(alphaY[s]) or 1 when alphaY is nil.
-func kernelEval(codec *fixedpoint.Codec, k svm.Kernel, dim int, rows [][]float64, alphaY []float64) (ompe.Evaluator, error) {
+func kernelSum(codec *fixedpoint.Codec, k svm.Kernel, rows [][]float64, alphaY []float64) (*mvpoly.KernelSum, error) {
 	f := codec.Field()
 	encB0, err := codec.EncodeAtScale(k.B0, codec.ScalePow(2))
 	if err != nil {
 		return nil, err
 	}
 	vecs := make([]field.Vec, len(rows))
-	var alphas []*big.Int
+	coeffs := make([][]*big.Int, len(rows))
 	for s, x := range rows {
 		scaled := make([]float64, len(x))
 		for j, v := range x {
@@ -225,36 +226,19 @@ func kernelEval(codec *fixedpoint.Codec, k svm.Kernel, dim int, rows [][]float64
 		if vecs[s], err = codec.EncodeVec(scaled); err != nil {
 			return nil, err
 		}
+		c := make([]*big.Int, k.Degree+1)
+		for j := range c {
+			c[j] = f.Zero()
+		}
+		c[k.Degree] = f.One()
 		if alphaY != nil {
-			alpha, err := codec.EncodeAtScale(alphaY[s], codec.Scale())
-			if err != nil {
+			if c[k.Degree], err = codec.EncodeAtScale(alphaY[s], codec.Scale()); err != nil {
 				return nil, err
 			}
-			alphas = append(alphas, alpha)
 		}
+		coeffs[s] = c
 	}
-	return ompe.EvaluatorFunc(dim, func(z field.Vec) (*big.Int, error) {
-		if len(z) != dim {
-			return nil, fmt.Errorf("similarity: arity %d, want %d", len(z), dim)
-		}
-		acc := new(big.Int)
-		for s, vec := range vecs {
-			inner, err := f.Dot(vec, z)
-			if err != nil {
-				return nil, err
-			}
-			inner = f.Add(inner, encB0)
-			pow := f.One()
-			for i := 0; i < k.Degree; i++ {
-				pow = f.Mul(pow, inner)
-			}
-			if alphas != nil {
-				pow = f.Mul(alphas[s], pow)
-			}
-			acc = f.Add(acc, pow)
-		}
-		return acc, nil
-	}), nil
+	return mvpoly.NewKernelSum(f, coeffs, vecs, encB0, k.Degree, f.Zero())
 }
 
 // KernelBob is the requester for the kernelized evaluation.

@@ -386,3 +386,34 @@ func paperPoly(dim int) svm.Kernel { return svm.PaperPolynomial(dim) }
 func trainSVM(x [][]float64, y []int, k svm.Kernel, c float64) (*svm.Model, error) {
 	return svm.Train(x, y, svm.Config{Kernel: k, C: c})
 }
+
+// TestKernelAliceFracBits: the kernel variant defaults to 12 fractional
+// bits but honours any precision the caller sets, and 24 bits still fit
+// the field and match the plaintext metric.
+func TestKernelAliceFracBits(t *testing.T) {
+	modelA, modelB := kernelModels(t)
+	for _, tc := range []struct{ set, want uint }{{0, 12}, {24, 24}, {16, 16}} {
+		params := fastParams()
+		params.FracBits = tc.set
+		alice, err := similarity.NewKernelAlice(modelA, params, rand.Reader)
+		if err != nil {
+			t.Fatalf("FracBits %d: %v", tc.set, err)
+		}
+		if got := alice.Spec().FracBits; got != tc.want {
+			t.Errorf("FracBits %d: spec advertises %d, want %d", tc.set, got, tc.want)
+		}
+	}
+	params := fastParams()
+	params.FracBits = 24
+	got, err := similarity.EvaluatePrivateKernel(modelA, modelB, params, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := similarity.EvaluateKernel(modelA, modelB, similarity.DefaultMetric())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(got.TSquared-want.TSquared) > 1e-4*(1+math.Abs(want.TSquared)) {
+		t.Fatalf("FracBits 24: T² private %g, plaintext %g", got.TSquared, want.TSquared)
+	}
+}
