@@ -36,9 +36,9 @@ bench-pair:
 	python3 scripts/bench_pair.py $(BASE)
 
 fuzz-smoke:
-	go test -run='^$$' -fuzz=FuzzConnRecv -fuzztime=10s ./internal/transport
 	go test -run='^$$' -fuzz=FuzzBinaryFrameRecv -fuzztime=10s ./internal/transport
 	go test -run='^$$' -fuzz=FuzzWireMsgs -fuzztime=10s ./internal/transport
+	go test -run='^$$' -fuzz=FuzzPeekHello -fuzztime=10s ./internal/gateway
 	go test -run='^$$' -fuzz=FuzzOTWire -fuzztime=10s ./internal/ot
 	go test -run='^$$' -fuzz=FuzzOMPEWire -fuzztime=10s ./internal/ompe
 	go test -run='^$$' -fuzz=FuzzFromBytes -fuzztime=10s ./internal/field

@@ -53,8 +53,7 @@ func run(args []string) error {
 		redial   = fs.Int("redial", 0, "with -fast: redial up to this many times when the session dies mid-query (against a ppdc-gateway fleet, a fresh session fails over to a surviving replica)")
 		resume   = fs.Bool("resume", false, "with -fast: offer session resumption — harvest the trainer's ticket at clean close, and (with -redial) present it on the next dial to skip the base OTs")
 		backend  = fs.String("field-backend", "", "field engine to request: limb (default) or big; the session falls back to big unless the trainer supports limb")
-		codec    = fs.String("codec", "", "envelope codec to offer: empty negotiates (binary preferred, gob fallback), gob pins legacy envelopes, binary offers only binary")
-		padName  = fs.String("pad", "", "OT pad to offer: aes offers the fixed-key AES pads (granted only when the trainer supports them); empty or sha256 stays on the legacy SHA-256 pads")
+		padName  = fs.String("pad", "", "OT pad to offer: aes offers the fixed-key AES pads (granted only when the trainer supports them); empty or sha256 stays on the SHA-256 pads")
 		batch    = fs.Int("batch", 0, "samples per batched request (0 = one request per sample)")
 		inflight = fs.Int("inflight", 1, "batches kept in flight on the connection (with -batch and -fast)")
 
@@ -79,9 +78,6 @@ func run(args []string) error {
 	if _, err := field.ResolveBackend(*backend); err != nil {
 		return err
 	}
-	if _, err := transport.ResolveWireCodec(*codec); err != nil {
-		return err
-	}
 	if _, err := ot.ResolvePad(*padName); err != nil {
 		return err
 	}
@@ -90,7 +86,6 @@ func run(args []string) error {
 		MessageDeadline: *msgDeadline,
 		MaxAttempts:     *retries,
 		FieldBackend:    *backend,
-		WireCodec:       *codec,
 		PadFunc:         *padName,
 		OfferResume:     *resume,
 	}

@@ -61,8 +61,7 @@ func run(args []string) error {
 		kernelName = fs.String("kernel", "linear", "kernel: linear or poly")
 		groupName  = fs.String("group", "2048", "OT group: 512 (toy), 1024, 1536, 2048, x25519")
 		backend    = fs.String("field-backend", "", "field arithmetic engine offered to clients: big (default) or limb")
-		codec      = fs.String("codec", "", "envelope codec policy: empty grants binary to capable clients with gob fallback; gob pins legacy gob-only envelopes")
-		padName    = fs.String("pad", "", "OT pad policy: empty grants the fixed-key AES pads to clients that offer them (SHA-256 otherwise); sha256 pins the legacy pads for every session")
+		padName    = fs.String("pad", "", "OT pad policy: empty grants the fixed-key AES pads to clients that offer them (SHA-256 otherwise); sha256 pins the SHA-256 pads for every session")
 		resume     = fs.Bool("resume", true, "mint session resumption tickets for clients that offer them; false declines every offer and ticket (those clients fall back to full handshakes)")
 		seed       = fs.Uint64("seed", 1, "synthetic data seed")
 		c          = fs.Float64("C", 0, "soft-margin penalty (0 = dataset default)")
@@ -163,14 +162,6 @@ func run(args []string) error {
 	srv := transport.NewServerSource(modelReg)
 	srv.MaxSessions = *maxSessions
 	srv.DisableResume = !*resume
-	switch *codec {
-	case "":
-		// Default policy: grant binary when offered, gob otherwise.
-	case transport.CodecGob:
-		srv.WireCodecs = []string{transport.CodecGob}
-	default:
-		return fmt.Errorf("-codec must be empty or %q", transport.CodecGob)
-	}
 	if pad, err := ot.ResolvePad(*padName); err != nil {
 		return err
 	} else if *padName != "" {

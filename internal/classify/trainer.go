@@ -39,26 +39,20 @@ type Spec struct {
 	// FieldBackend names the field-arithmetic engine for this session
 	// ("limb" or empty for math/big). Trainers advertise it when they
 	// were built with the limb backend; session handshakes clear it for
-	// clients that do not request it, so legacy peers — whose gob
-	// decoders simply drop the unknown field — interoperate unchanged on
-	// the math/big path.
+	// clients that do not request it, so those run the math/big path.
 	FieldBackend string
-	// WireCodec names the envelope codec granted for the rest of the
-	// session ("binary" or empty for gob). The Spec itself always
-	// crosses in gob so legacy peers — whose decoders drop the unknown
-	// field — stay on gob. See internal/transport.
+	// WireCodec is not encoded on the wire and is ignored.
+	//
+	// Deprecated: every session speaks the binary framing.
 	WireCodec string
 	// PadFunc names the OT-extension pad family granted for this session
-	// ("aes" or empty for the legacy SHA-256 pad). Like WireCodec it is
-	// a per-session negotiation outcome, not part of the trainer's
-	// contract: legacy peers drop the unknown field and run SHA-256.
+	// ("aes" or empty for the SHA-256 pad). It is a per-session
+	// negotiation outcome, not part of the trainer's contract.
 	PadFunc string
 	// ResumeGranted reports that the server accepted the client's
 	// resumption ticket: both sides skip the base OT phase and restore
 	// the extension state the ticket sealed. A per-session negotiation
-	// outcome like WireCodec/PadFunc, never part of the trainer's
-	// contract; legacy peers drop the unknown field and run full
-	// handshakes.
+	// outcome like PadFunc, never part of the trainer's contract.
 	ResumeGranted bool
 }
 
@@ -214,7 +208,7 @@ func (t *Trainer) NewSessionFor(spec Spec) (*ompe.Sender, error) {
 
 // sessionParams derives the trainer-side OMPE parameters for a session
 // spec, rejecting specs that diverge from the published contract anywhere
-// but the negotiable field backend and wire codec.
+// but the per-session negotiation outcomes (and the ignored WireCodec).
 func (t *Trainer) sessionParams(spec Spec) (ompe.Params, error) {
 	contract := spec
 	contract.FieldBackend = t.spec.FieldBackend

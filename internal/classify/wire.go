@@ -6,10 +6,7 @@ import (
 	"repro/internal/wire"
 )
 
-// EncodeWire implements the wire codec. The Spec normally crosses the
-// wire in gob (it is the message that negotiates the codec), but the
-// binary form exists so golden transcripts and future protocol versions
-// can carry it inside binary frames too.
+// EncodeWire implements the wire codec. WireCodec is not encoded.
 func (s *Spec) EncodeWire(w *wire.Writer) {
 	s.Kernel.EncodeWire(w)
 	w.Int(s.Dim)
@@ -22,19 +19,8 @@ func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Uint(s.FracBits)
 	w.String(s.GroupName)
 	w.String(s.FieldBackend)
-	w.String(s.WireCodec)
-	// Optional tails (see wire.Reader.More), append-only: the pad tail is
-	// omitted for the legacy SHA-256 pad, so an un-negotiated Spec is
-	// byte-identical to a pre-negotiation build's and old recordings
-	// decode unchanged. The resume tail rides behind it; granting resume
-	// forces the pad tail present (possibly empty) so the two stay
-	// positionally unambiguous.
-	if s.PadFunc != "" || s.ResumeGranted {
-		w.String(s.PadFunc)
-	}
-	if s.ResumeGranted {
-		w.Bool(true)
-	}
+	w.String(s.PadFunc)
+	w.Bool(s.ResumeGranted)
 }
 
 // DecodeWire implements the wire codec.
@@ -50,15 +36,8 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.FracBits = r.Uint()
 	s.GroupName = r.String()
 	s.FieldBackend = r.String()
-	s.WireCodec = r.String()
-	s.PadFunc = ""
-	s.ResumeGranted = false
-	if r.More() {
-		s.PadFunc = r.String()
-	}
-	if r.More() {
-		s.ResumeGranted = r.Bool()
-	}
+	s.PadFunc = r.String()
+	s.ResumeGranted = r.Bool()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -20,7 +20,6 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		FracBits:      16,
 		GroupName:     "x25519",
 		FieldBackend:  "limb",
-		WireCodec:     "binary",
 		PadFunc:       "aes",
 		ResumeGranted: true,
 	}
@@ -49,53 +48,17 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	if out2 != *in {
 		t.Fatalf("stream round trip mismatch")
 	}
-	// The pad and resume fields are optional tails, append-only: cutting
-	// the encoding exactly before the pad tail yields a legacy
-	// (pre-negotiation) Spec encoding, and cutting before the resume tail
-	// yields a pad-era encoding; both must decode cleanly to the
-	// corresponding truncated spec. Every other prefix is a genuine
-	// truncation and must fail.
-	noPad := *in
-	noPad.PadFunc = ""
-	noPad.ResumeGranted = false
-	base, err := noPad.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary (no pad): %v", err)
-	}
-	if !bytes.Equal(base, data[:len(base)]) {
-		t.Fatalf("pad tail is not an append-only extension")
-	}
-	noResume := *in
-	noResume.ResumeGranted = false
-	padEra, err := noResume.MarshalBinary()
-	if err != nil {
-		t.Fatalf("MarshalBinary (no resume): %v", err)
-	}
-	if !bytes.Equal(padEra, data[:len(padEra)]) {
-		t.Fatalf("resume tail is not an append-only extension")
+	// The layout is fixed: WireCodec never reaches the wire, and every
+	// strict prefix is a truncation that must fail.
+	withCodec := *in
+	withCodec.WireCodec = "binary"
+	if b, err := withCodec.MarshalBinary(); err != nil || !bytes.Equal(b, data) {
+		t.Fatalf("WireCodec changed the encoding (err %v)", err)
 	}
 	for n := 0; n < len(data); n++ {
 		var tr Spec
-		err := tr.UnmarshalBinary(data[:n])
-		switch n {
-		case len(base):
-			if err != nil {
-				t.Fatalf("legacy-layout prefix failed to decode: %v", err)
-			}
-			if tr != noPad {
-				t.Fatalf("legacy-layout prefix decoded to %+v, want %+v", tr, noPad)
-			}
-		case len(padEra):
-			if err != nil {
-				t.Fatalf("pad-era prefix failed to decode: %v", err)
-			}
-			if tr != noResume {
-				t.Fatalf("pad-era prefix decoded to %+v, want %+v", tr, noResume)
-			}
-		default:
-			if err == nil {
-				t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
-			}
+		if err := tr.UnmarshalBinary(data[:n]); err == nil {
+			t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
 		}
 	}
 }

@@ -18,8 +18,7 @@ import (
 //     zero allocations per element op.
 //     It is only valid over the 2^255−19 field.
 //
-// The zero value selects BackendBig, so gob-decoded structs from peers
-// that predate the seam keep their legacy behavior.
+// The zero value selects BackendBig.
 type Backend string
 
 const (

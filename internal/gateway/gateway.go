@@ -1,12 +1,12 @@
 // Package gateway is the fleet's front door: it shards client sessions
 // across N trainer replicas. The protocol is session-oriented — one
-// connection carries one negotiated session (handshake, codec switch,
-// then any number of pipelined queries) — so affinity is structural: the
-// gateway picks a replica per accepted connection and splices raw bytes
-// both ways for the connection's lifetime. The replica sees the pristine
-// client byte stream (the gateway never re-frames, so codec negotiation,
-// golden transcripts, and wire determinism are untouched), and a session
-// can never straddle two replicas.
+// connection carries one negotiated session (handshake, then any number
+// of pipelined queries) — so affinity is structural: the gateway picks a
+// replica per accepted connection and splices raw bytes both ways for the
+// connection's lifetime. The replica sees the pristine client byte stream
+// (the gateway never re-frames, so golden transcripts and wire
+// determinism are untouched), and a session can never straddle two
+// replicas.
 //
 // On top of the splice the gateway adds fleet mechanics: least-loaded
 // routing over healthy replicas, dial failover (a replica that refuses a
@@ -33,8 +33,8 @@ import (
 )
 
 // ErrFleetBusy is reported to clients shed at the gateway's MaxSessions
-// cap. It crosses the wire as a transport error envelope; clients detect
-// it with IsFleetBusy.
+// cap. It crosses the wire as a transport error frame; clients detect it
+// with IsFleetBusy.
 var ErrFleetBusy = errors.New("gateway: fleet at capacity")
 
 // ErrNoReplicas is reported to clients when no healthy replica accepted
@@ -45,9 +45,14 @@ var ErrNoReplicas = errors.New("gateway: no healthy replicas")
 // drains.
 var ErrShuttingDown = errors.New("gateway: shutting down")
 
+// helloDeadline bounds the gateway's pre-routing exchanges with a client:
+// the Hello peek and the rejection answers. A variable so tests can
+// shorten it.
+var helloDeadline = 5 * time.Second
+
 // IsFleetBusy reports whether err is ErrFleetBusy, locally or as the
 // remote form a shed client receives (remote errors cross as text inside
-// an ErrRemote envelope, so sentinel identity does not survive the wire).
+// an error frame, so sentinel identity does not survive the wire).
 func IsFleetBusy(err error) bool {
 	return errors.Is(err, ErrFleetBusy) ||
 		(errors.Is(err, transport.ErrRemote) && strings.Contains(err.Error(), ErrFleetBusy.Error()))
@@ -207,20 +212,32 @@ func (g *Gateway) Serve(ln net.Listener) error {
 // verbatim, so the replica still sees the pristine client stream and the
 // splice semantics are unchanged. A ticket whose minter is unknown,
 // down, or draining routes least-loaded as before — the receiving
-// replica declines the foreign ticket into a full handshake.
+// replica declines the foreign ticket into a full handshake. The peek runs
+// under helloDeadline, so a client that connects and says nothing gives
+// its session slot back instead of holding it.
 func (g *Gateway) ServeConn(client net.Conn) {
 	if err := g.register(client); err != nil {
 		g.reject(client, err)
 		return
 	}
 	defer g.deregister(client)
-	rec := &recordingConn{Conn: client}
+	rec := &recordingReader{r: client}
 	var mintID []byte
-	if hello, err := transport.PeekHello(rec); err == nil {
+	// Best effort: a connection that refuses deadlines is peeked without
+	// one.
+	_ = client.SetDeadline(time.Now().Add(helloDeadline))
+	hello, err := transport.PeekHello(rec)
+	_ = client.SetDeadline(time.Time{})
+	switch {
+	case err == nil:
 		if id, ok := transport.TicketMintID(hello.ResumeTicket); ok {
 			mintID = id
 		}
-	} else {
+	case errors.Is(err, transport.ErrTimeout):
+		g.logf("gateway: peek hello: %v", err)
+		_ = client.Close()
+		return
+	default:
 		// An unreadable Hello still routes: the replica owns protocol
 		// errors, the gateway only moves bytes.
 		g.logf("gateway: peek hello: %v", err)
@@ -256,22 +273,23 @@ func (g *Gateway) ServeConn(client net.Conn) {
 	obs.Set(obs.GaugeReplicaSessions(rep.index), rep.active.Load())
 }
 
-// recordingConn captures every byte read from the client so the Hello
-// peek can be replayed to the chosen replica.
-type recordingConn struct {
-	net.Conn
+// recordingReader captures every byte read from the client so the Hello
+// peek can be replayed to the chosen replica. PeekHello's exact reads and
+// its payload bound keep the recording to one Hello frame at most.
+type recordingReader struct {
+	r   io.Reader
 	buf []byte
 }
 
-func (rc *recordingConn) Read(p []byte) (int, error) {
-	n, err := rc.Conn.Read(p)
+func (rr *recordingReader) Read(p []byte) (int, error) {
+	n, err := rr.r.Read(p)
 	if n > 0 {
-		rc.buf = append(rc.buf, p[:n]...)
+		rr.buf = append(rr.buf, p[:n]...)
 	}
 	return n, err
 }
 
-func (rc *recordingConn) recorded() []byte { return rc.buf }
+func (rr *recordingReader) recorded() []byte { return rr.buf }
 
 // register admits a session under the drain flag and the shed cap.
 func (g *Gateway) register(client net.Conn) error {
@@ -300,14 +318,14 @@ func (g *Gateway) deregister(client net.Conn) {
 }
 
 // reject answers the client's session attempt with a typed error on the
-// protocol's error envelope: the Hello is drained first (over
-// synchronous pipes, writing before reading would deadlock both sides),
-// the error goes out, and the client's handshake surfaces it as
-// ErrRemote text matched by IsFleetBusy/IsNoReplicas.
+// protocol's error frame: the Hello is drained first (over synchronous
+// pipes, writing before reading would deadlock both sides), the error
+// goes out, and the client's handshake surfaces it as ErrRemote text
+// matched by IsFleetBusy/IsNoReplicas.
 func (g *Gateway) reject(client net.Conn, cause error) {
 	g.logf("gateway: reject session: %v", cause)
 	conn := transport.NewConn(client)
-	conn.SetMessageDeadline(5 * time.Second)
+	conn.SetMessageDeadline(helloDeadline)
 	_, _ = transport.Recv[*transport.Hello](conn)
 	_ = conn.SendErr(cause)
 	_ = conn.Close()
@@ -318,7 +336,7 @@ func (g *Gateway) reject(client net.Conn, cause error) {
 func (g *Gateway) rejectHelloConsumed(client net.Conn, cause error) {
 	g.logf("gateway: reject session: %v", cause)
 	conn := transport.NewConn(client)
-	conn.SetMessageDeadline(5 * time.Second)
+	conn.SetMessageDeadline(helloDeadline)
 	_ = conn.SendErr(cause)
 	_ = conn.Close()
 }
@@ -417,11 +435,10 @@ func (g *Gateway) publishHealth() {
 // and runs the cheap "resume-info" whoami to learn the replica's ticket
 // mint identity. Probing runs for down replicas (to revive them) and up
 // ones (to catch silent deaths before a client session pays the dial
-// timeout). A replica that answers the dial but errors the whoami — a
-// legacy build, or one with resumption disabled — still counts alive; it
-// just never attracts ticket affinity. The first sweep runs immediately
-// so mint identities are known before the first resuming redial, not one
-// interval in.
+// timeout). A replica that answers the dial but errors the whoami — one
+// with resumption disabled — still counts alive; it just never attracts
+// ticket affinity. The first sweep runs immediately so mint identities
+// are known before the first resuming redial, not one interval in.
 func (g *Gateway) probeLoop() {
 	ticker := time.NewTicker(g.opts.HealthInterval)
 	defer ticker.Stop()
@@ -462,7 +479,7 @@ func (g *Gateway) probeMintID(rep *replica, conn net.Conn) {
 	}
 	info, err := transport.Recv[*transport.ResumeInfo](tc)
 	if err != nil {
-		// A definitive "no" (legacy service table, resumption disabled)
+		// A definitive "no" (resumption disabled, no such service)
 		// clears any stale identity; transport noise keeps the last one.
 		if errors.Is(err, transport.ErrRemote) {
 			rep.setMintID(nil)

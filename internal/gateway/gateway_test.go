@@ -332,7 +332,7 @@ func TestGatewayShutdownRejectsNewSessions(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// A connection handed to ServeConn after shutdown gets the typed
-	// shutting-down answer on the protocol's error envelope.
+	// shutting-down answer on the protocol's error frame.
 	client, server := net.Pipe()
 	go f.gw.ServeConn(server)
 	_, err := transport.NewFastClassifyClientContext(context.Background(), client, transport.Options{MessageDeadline: 2 * time.Second}, rand.Reader)

@@ -178,10 +178,10 @@ const (
 
 // Counter names.
 const (
-	// CtrBytesIn / CtrBytesOut count wire bytes at the transport
-	// envelope (gob stream, both directions named from the local
-	// process's point of view), summed over every endpoint in the
-	// process regardless of role.
+	// CtrBytesIn / CtrBytesOut count wire bytes at the transport frame
+	// layer (both directions named from the local process's point of
+	// view), summed over every endpoint in the process regardless of
+	// role.
 	CtrBytesIn  = "transport.bytes_in"
 	CtrBytesOut = "transport.bytes_out"
 	// Role-split byte counters: when client and server share a process

@@ -189,7 +189,7 @@ type Pair struct {
 // Pairs on the math/big engine, Packed on the limb engine. Packed holds
 // the M records back to back, each (1+numVars)·32 bytes of canonical
 // fixed-width encodings — v_i first, then the z_i components — which
-// keeps the gob payload a single byte slice instead of M·(1+numVars)
+// keeps the payload a single byte slice instead of M·(1+numVars)
 // big.Ints.
 type EvalRequest struct {
 	Pairs  []Pair

@@ -11,14 +11,13 @@ import (
 
 // PadFunc names the symmetric pad family a session's OT extension uses for
 // its correlation-robust row hashes and tree-key pads. It is negotiated in
-// the transport Hello alongside the group, field backend, and wire codec:
-// the client offers a set, the server grants one, and both endpoints must
-// derive identical pads or every transfer decrypts to garbage.
+// the transport Hello alongside the group and field backend: the client
+// offers a set, the server grants one, and both endpoints must derive
+// identical pads or every transfer decrypts to garbage.
 //
-//   - PadSHA256 is the legacy pad: one SHA-256 compression per row/tree
-//     pad (rowHashXor, treePadXor). It is the implied default when a peer's
-//     Hello predates pad negotiation, so committed golden transcripts and
-//     old binaries keep interoperating byte-for-byte.
+//   - PadSHA256 is the default pad: one SHA-256 compression per row/tree
+//     pad (rowHashXor, treePadXor). It is implied when a Hello offers no
+//     pad.
 //   - PadAES is the fixed-key AES pad: a single AES-128 call per 16-byte
 //     block through a Matyas–Meyer–Oseas compression under one process-wide
 //     fixed key (crypto/aes, AES-NI on amd64). Security rests on the usual

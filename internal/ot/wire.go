@@ -10,7 +10,7 @@ import (
 // Binary wire encodings for every OT message type. Each type implements
 // encoding.BinaryMarshaler/Unmarshaler and io.WriterTo/ReaderFrom via a
 // single EncodeWire/DecodeWire pair (see internal/wire); the transport's
-// binary codec frames these encodings, and the golden-transcript suite
+// frames carry these encodings, and the golden-transcript suite
 // pins their bytes.
 
 // EncodeWire implements the wire codec.

@@ -13,7 +13,7 @@ import (
 // X25519Group adapts the edwards25519 prime-order subgroup (internal/
 // ec25519) to the Group interface. On the wire an element is the 32-byte
 // compressed point encoding, read as a big-endian *big.Int so that the
-// Naor–Pinkas message structs, both wire codecs and the key-derivation
+// Naor–Pinkas message structs, their wire encodings and the key-derivation
 // input are the MODP backends'; in memory it is an *ec25519.Point.
 //
 // Decode is the expensive direction — a square root in the field, about

@@ -79,11 +79,6 @@ type Spec struct {
 	// per-session negotiation: Alice picks, the Spec tells Bob, and both
 	// sides speak the matching wire form.
 	FieldBackend string
-	// WireCodec names the envelope codec granted for the rest of the
-	// session ("binary" or empty for gob). The Spec itself always
-	// crosses in gob; legacy gob decoders drop the unknown field and
-	// stay on gob. See internal/transport.
-	WireCodec string
 }
 
 // Round identifies the three OMPE rounds of §V-B.

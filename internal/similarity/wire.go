@@ -6,12 +6,10 @@ import (
 	"repro/internal/wire"
 )
 
-// Binary wire encodings for the similarity message types. Spec and
-// KernelSpec normally cross in gob (they carry the codec grant) but
-// implement the binary form too so transcripts and future versions can
-// frame them natively.
+// Binary wire encodings for the similarity message types.
 
-// EncodeWire implements the wire codec.
+// EncodeWire implements the wire codec. The Spec ends in a reserved empty
+// string, so recorded transcripts keep their bytes.
 func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Int(s.Dim)
 	s.Metric.EncodeWire(w)
@@ -22,7 +20,7 @@ func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Uint(s.FracBits)
 	w.String(s.GroupName)
 	w.String(s.FieldBackend)
-	w.String(s.WireCodec)
+	w.String("")
 }
 
 // DecodeWire implements the wire codec.
@@ -36,7 +34,7 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.FracBits = r.Uint()
 	s.GroupName = r.String()
 	s.FieldBackend = r.String()
-	s.WireCodec = r.String()
+	_ = r.String()
 }
 
 // MarshalBinary implements encoding.BinaryMarshaler.

@@ -32,7 +32,6 @@ func sampleSpec() Spec {
 		FracBits:      12,
 		GroupName:     "modp512",
 		FieldBackend:  "limb",
-		WireCodec:     "binary",
 	}
 }
 

@@ -345,8 +345,8 @@ func TestConnSendRecvAllocs(t *testing.T) {
 	rw := &loopback{}
 	cc := transport.NewConn(rw)
 	msg := &transport.Hello{Service: "alloc-probe"}
-	// Warm up: gob sends type descriptions on the first message of a
-	// connection; steady-state cost is what matters.
+	// Warm up: the first message grows the connection's reusable
+	// buffers; steady-state cost is what matters.
 	if err := cc.Send(msg); err != nil {
 		t.Fatal(err)
 	}

@@ -24,10 +24,6 @@ type ClassifyClient struct {
 	rand   io.Reader
 }
 
-// WireCodec reports the envelope codec negotiated for this session
-// (CodecBinary or CodecGob).
-func (c *ClassifyClient) WireCodec() string { return c.conn.Codec() }
-
 // DialClassify connects to a trainer server over TCP and performs the
 // handshake, retrying the dial with the default backoff policy.
 func DialClassify(addr string, timeout time.Duration, rng io.Reader) (*ClassifyClient, error) {
@@ -63,23 +59,16 @@ func NewClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, opts O
 	conn := newConnRole(rw, roleClient)
 	conn.SetMessageDeadline(opts.messageDeadline())
 	var client *classify.Client
-	offered := opts.offeredCodecs()
 	pads := opts.offeredPads()
 	err := conn.RunContext(ctx, func() error {
-		if err := conn.Send(&Hello{Service: "classify", FieldBackend: opts.requestedBackend(), WireCodecs: offered, PadFuncs: pads}); err != nil {
+		if err := opts.sendHello(conn, &Hello{Service: "classify", FieldBackend: opts.requestedBackend(), PadFuncs: pads}); err != nil {
 			return err
 		}
 		spec, err := Recv[*classify.Spec](conn)
 		if err != nil {
 			return err
 		}
-		if err := validateGrant(spec.WireCodec, offered); err != nil {
-			return err
-		}
 		if err := validatePadGrant(spec.PadFunc, pads); err != nil {
-			return err
-		}
-		if err := conn.UseCodec(spec.WireCodec); err != nil {
 			return err
 		}
 		client, err = classify.NewClient(*spec)
@@ -162,19 +151,12 @@ func EvaluateSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, wB []
 	conn.SetMessageDeadline(opts.messageDeadline())
 	defer func() { _ = conn.Close() }()
 	var out *similarity.Result
-	offered := opts.offeredCodecs()
 	err := conn.RunContext(ctx, func() error {
-		if err := conn.Send(&Hello{Service: "similarity-linear", WireCodecs: offered}); err != nil {
+		if err := opts.sendHello(conn, &Hello{Service: "similarity-linear"}); err != nil {
 			return err
 		}
 		spec, err := Recv[*similarity.Spec](conn)
 		if err != nil {
-			return err
-		}
-		if err := validateGrant(spec.WireCodec, offered); err != nil {
-			return err
-		}
-		if err := conn.UseCodec(spec.WireCodec); err != nil {
 			return err
 		}
 		bob, err := similarity.NewBob(*spec, wB, bB)
@@ -254,19 +236,12 @@ func EvaluateKernelSimilarityContext(ctx context.Context, rw io.ReadWriteCloser,
 	conn.SetMessageDeadline(opts.messageDeadline())
 	defer func() { _ = conn.Close() }()
 	var out *similarity.Result
-	offered := opts.offeredCodecs()
 	err := conn.RunContext(ctx, func() error {
-		if err := conn.Send(&Hello{Service: "similarity-kernel", WireCodecs: offered}); err != nil {
+		if err := opts.sendHello(conn, &Hello{Service: "similarity-kernel"}); err != nil {
 			return err
 		}
 		spec, err := Recv[*similarity.KernelSpec](conn)
 		if err != nil {
-			return err
-		}
-		if err := validateGrant(spec.WireCodec, offered); err != nil {
-			return err
-		}
-		if err := conn.UseCodec(spec.WireCodec); err != nil {
 			return err
 		}
 		bob, err := similarity.NewKernelBob(*spec, modelB)
@@ -335,10 +310,6 @@ func (c *FastClassifyClient) Resumed() bool { return c.resumed }
 // is single-use: present it on exactly one redial.
 func (c *FastClassifyClient) ResumeState() *ResumeState { return c.resumeState }
 
-// WireCodec reports the envelope codec negotiated for this session
-// (CodecBinary or CodecGob).
-func (c *FastClassifyClient) WireCodec() string { return c.conn.Codec() }
-
 // Spec reports the negotiated session spec, including the granted OT pad
 // function ("" means the legacy SHA-256 pad).
 func (c *FastClassifyClient) Spec() classify.Spec { return c.session.Spec() }
@@ -356,31 +327,24 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 	conn := newConnRole(rw, roleClient)
 	conn.SetMessageDeadline(opts.messageDeadline())
 	var session *classify.FastClient
-	offered := opts.offeredCodecs()
 	pads := opts.offeredPads()
 	offerResume := opts.OfferResume || opts.Resume != nil
 	var specSum []byte
 	resumed := false
 	start := time.Now()
 	err := conn.RunContext(ctx, func() error {
-		hello := &Hello{Service: "classify-fast", FieldBackend: opts.requestedBackend(), WireCodecs: offered, PadFuncs: pads, ResumeOffered: offerResume}
+		hello := &Hello{Service: "classify-fast", FieldBackend: opts.requestedBackend(), PadFuncs: pads, ResumeOffered: offerResume}
 		if opts.Resume != nil {
 			hello.ResumeTicket = opts.Resume.Ticket
 		}
-		if err := conn.Send(hello); err != nil {
+		if err := opts.sendHello(conn, hello); err != nil {
 			return err
 		}
 		spec, err := Recv[*classify.Spec](conn)
 		if err != nil {
 			return err
 		}
-		if err := validateGrant(spec.WireCodec, offered); err != nil {
-			return err
-		}
 		if err := validatePadGrant(spec.PadFunc, pads); err != nil {
-			return err
-		}
-		if err := conn.UseCodec(spec.WireCodec); err != nil {
 			return err
 		}
 		specSum = specResumeSum(*spec)
@@ -482,7 +446,8 @@ func (c *FastClassifyClient) ClassifyContext(ctx context.Context, sample []float
 
 // Close ends the session cleanly. When the session offered resumption,
 // Close waits for the server's ticket answer to the Done and harvests the
-// ResumeState; a legacy server just closes, which reads as "no ticket".
+// ResumeState; a server that mints nothing just closes, which reads as
+// "no ticket".
 func (c *FastClassifyClient) Close() error {
 	err := c.conn.Send(&Done{})
 	if err == nil && c.resumeOffered {

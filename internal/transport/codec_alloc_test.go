@@ -1,9 +1,8 @@
 package transport_test
 
-// Allocation pinning for the binary send path: the point of the
-// hand-rolled codec is that a batched request costs no reflection and no
-// per-message encoder state, so its steady-state allocation count must
-// sit strictly below the gob baseline for the same payload.
+// Allocation pinning for the send path: a batched request costs no
+// reflection and no per-message encoder state, so its steady-state
+// allocation count is pinned under an absolute ceiling.
 
 import (
 	"bytes"
@@ -36,43 +35,25 @@ func allocProbeBatch() *transport.ClassifyBatchRequest {
 	return &transport.ClassifyBatchRequest{Evals: evals}
 }
 
-// sendAllocs measures steady-state allocations per Send of msg under the
-// given codec, with writes discarded so buffer growth in the sink does
-// not pollute the count.
-func sendAllocs(t *testing.T, codec string, msg any) float64 {
-	t.Helper()
+// TestBinaryBatchSendAllocs measures steady-state allocations per Send,
+// with writes discarded so buffer growth in the sink does not pollute the
+// count. The only per-message allocations should be the big.Int magnitude
+// buffers (96 field elements in this probe) plus small fixed overhead.
+// Headroom, not exactness.
+func TestBinaryBatchSendAllocs(t *testing.T) {
+	msg := allocProbeBatch()
 	conn := transport.NewConn(&byteStream{r: bytes.NewReader(nil)})
-	if err := conn.UseCodec(codec); err != nil {
-		t.Fatal(err)
-	}
-	// Warm up: gob ships type descriptors on first use; the binary path
-	// grows its reusable encode buffer once.
+	// Warm up: the reusable encode buffer grows once.
 	if err := conn.Send(msg); err != nil {
 		t.Fatal(err)
 	}
-	return testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(100, func() {
 		if err := conn.Send(msg); err != nil {
 			t.Fatal(err)
 		}
 	})
-}
-
-// TestBinaryBatchSendAllocsBelowGob pins the relative cost: encoding a
-// batched request over binary frames must allocate strictly less than
-// the reflection-driven gob envelope for the identical payload.
-func TestBinaryBatchSendAllocsBelowGob(t *testing.T) {
-	msg := allocProbeBatch()
-	binAllocs := sendAllocs(t, transport.CodecBinary, msg)
-	gobAllocs := sendAllocs(t, transport.CodecGob, msg)
-	t.Logf("send allocs/op: binary %.1f, gob %.1f", binAllocs, gobAllocs)
-	if binAllocs >= gobAllocs {
-		t.Fatalf("binary send costs %.1f allocs/op, gob baseline %.1f — the zero-reflection path regressed", binAllocs, gobAllocs)
-	}
-	// Absolute pin: the only per-message allocations on the binary path
-	// should be the big.Int magnitude buffers (96 field elements in this
-	// probe) plus small fixed overhead. Headroom, not exactness.
-	const maxBinary = 160
-	if binAllocs > maxBinary {
-		t.Fatalf("binary send costs %.1f allocs/op, want <= %d (per-message buffer construction crept back in)", binAllocs, maxBinary)
+	const maxAllocs = 160
+	if allocs > maxAllocs {
+		t.Fatalf("batch send costs %.1f allocs/op, want <= %d (per-message buffer construction crept back in)", allocs, maxAllocs)
 	}
 }

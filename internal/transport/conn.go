@@ -1,121 +1,39 @@
 // Package transport carries the protocol state machines over real
-// connections: a typed message layer (gob-encoded envelopes over any
-// io.ReadWriteCloser) plus a TCP server and client for the classification
-// and similarity protocols. The same code paths drive in-memory net.Pipe
-// connections in tests and TCP sockets in the cmd/ binaries, making the
-// system an actual distributed deployment rather than a single-process
-// simulation.
+// connections: a typed message layer (versioned binary frames over any
+// io.ReadWriteCloser, from a session's first byte to its last) plus a TCP
+// server and client for the classification and similarity protocols. The
+// same code paths drive in-memory net.Pipe connections in tests and TCP
+// sockets in the cmd/ binaries, making the system an actual distributed
+// deployment rather than a single-process simulation.
 package transport
 
 import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
-	"math/big"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/obs"
 	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/similarity"
-	"repro/internal/svm"
 	"repro/internal/wire"
 )
 
-// envelope wraps every message with an error channel (a party that fails
-// mid-protocol reports the failure instead of going silent) and a stream
-// ID correlating pipelined requests with their responses. Stream 0 is the
-// unpipelined default.
-type envelope struct {
-	Err     string
-	Stream  uint32
-	Payload any
-}
-
-// envPool recycles send-side envelopes; the decode side reuses one
-// per-conn envelope instead (the decoder is single-reader by contract).
-var envPool = sync.Pool{New: func() any { return new(envelope) }}
-
-// writeBufPool recycles per-conn write buffers: gob emits each message in
-// several small writes, and buffering them costs one pooled 32 KiB slab
-// instead of per-message syscalls and scratch allocations.
+// writeBufPool recycles per-conn write buffers: a frame's header and
+// payload go out as one flush of a pooled 32 KiB slab instead of two
+// syscalls per message.
 var writeBufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 32<<10) }}
 
-var (
-	registerOnce sync.Once
-	warmErr      error
-)
-
-// wireTypes is the canonical envelope payload list. Order matters: gob
-// assigns wire type IDs from a process-global counter in first-encode
-// order, so registerTypes warm-encodes one zero value of each type in
-// this exact order. That pins the IDs before any session runs — every
-// process emits identical gob bytes for identical messages, instead of
-// bytes that depend on which message type the process happened to
-// encode first (the golden-transcript suite relies on this).
-func wireTypes() []any {
-	return []any{
-		&classify.Spec{},
-		&ompe.EvalRequest{},
-		&ot.BatchSetup{},
-		&ot.BatchChoice{},
-		&ot.BatchTransfer{},
-		&similarity.Spec{},
-		&similarity.ClearShare{},
-		&similarity.KernelSpec{Kernel: svm.Linear()},
-		&similarity.KernelClearShare{AlphaSum: new(big.Int)},
-		&similarity.AreaScale{},
-		&Hello{},
-		&RoundHeader{},
-		&Done{},
-		&ot.IKNPBaseSetup{},
-		&ot.IKNPBaseChoice{},
-		&ot.IKNPBaseTransfer{},
-		&ompe.FastRequest{
-			Eval: &ompe.EvalRequest{},
-			OT:   &ot.ExtKofNRequest{IKNP: &ot.IKNPReceiverMsg{}},
-		},
-		&ompe.FastResponse{OT: &ot.ExtKofNResponse{IKNP: &ot.IKNPSenderMsg{}}},
-		&ompe.FastBatchRequest{OT: &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{}}},
-		&ompe.FastBatchResponse{OT: &ot.ExtKofNBatchResponse{IKNP: &ot.IKNPSenderMsg{}}},
-		&ClassifyBatchRequest{},
-		&ClassifyBatchSetups{},
-		&ClassifyBatchChoices{},
-		&ClassifyBatchTransfers{},
-		&SessionTicket{},
-		&ResumeInfo{},
-	}
-}
-
-func registerTypes() {
-	registerOnce.Do(func() {
-		types := wireTypes()
-		for _, v := range types {
-			gob.Register(v)
-		}
-		enc := gob.NewEncoder(io.Discard)
-		for _, v := range types {
-			if err := enc.Encode(&envelope{Payload: v}); err != nil && warmErr == nil {
-				// Zero values of every wire type encode; a failure here
-				// means a type changed incompatibly. Recorded so the
-				// conformance suite can fail loudly on it.
-				warmErr = fmt.Errorf("transport: gob warm-encode %T: %w", v, err)
-			}
-		}
-	})
-}
-
 // Slow-path (one-shot Naor–Pinkas) batch messages: B independent one-shot
-// sessions ride each envelope, so a batch costs the same four round trips
+// sessions ride each frame, so a batch costs the same four round trips
 // a single query does. The fast path batches deeper (ompe.FastBatchRequest
 // shares one OT-extension round); these exist so both client surfaces
 // offer ClassifyBatch.
@@ -146,26 +64,17 @@ type Hello struct {
 	// "similarity-kernel".
 	Service string
 	// FieldBackend is the field-arithmetic engine the client requests for
-	// classification sessions ("limb", "big", or empty for math/big —
-	// which is what legacy clients implicitly send, since gob omits the
-	// absent field). The server grants "limb" only when its trainer
-	// supports it; the granted backend comes back in the Spec.
+	// classification sessions ("limb", "big", or empty for math/big). The
+	// server grants "limb" only when its trainer supports it; the granted
+	// backend comes back in the Spec.
 	FieldBackend string
-	// WireCodecs lists the envelope codecs the client can speak, in
-	// preference order (CodecBinary, CodecGob). Legacy clients send
-	// nothing — gob omits the absent field — which reads as gob-only.
-	// The granted codec comes back in the spec's WireCodec field, and
-	// both sides switch after the spec exchange.
-	WireCodecs []string
 	// PadFuncs lists the OT-extension pad families the client can run,
-	// in preference order ("aes", "sha256"). Legacy clients send nothing,
-	// which reads as SHA-256-only; the granted pad comes back in the
-	// spec's PadFunc field.
+	// in preference order ("aes", "sha256"). An empty offer reads as
+	// SHA-256-only; the granted pad comes back in the spec's PadFunc
+	// field.
 	PadFuncs []string
 	// ResumeOffered asks the server to mint a resumption ticket at the
-	// clean end of this session. Legacy clients send nothing (gob omits
-	// the absent field), which reads as no offer; legacy servers drop the
-	// unknown field and mint nothing.
+	// clean end of this session.
 	ResumeOffered bool
 	// ResumeTicket carries a sealed resumption ticket from a previous
 	// session. The server validates it and, on success, grants resumption
@@ -212,30 +121,13 @@ func wrapIO(op string, err error) error {
 type Conn struct {
 	rw io.ReadWriteCloser
 	bw *bufio.Writer
-	// br is the connection-owned read buffer. It is shared between the
-	// gob decoder and the binary frame reader: gob.NewDecoder wraps any
-	// non-ByteReader source in its own bufio and would read past message
-	// boundaries, stealing bytes from whatever codec runs next. A
-	// *bufio.Reader is a ByteReader, so gob reads exactly one message at
-	// a time and a mid-session codec switch loses nothing.
-	br  *bufio.Reader
-	enc *gob.Encoder
-	dec *gob.Decoder
+	br *bufio.Reader
 
-	// codec selects the active envelope encoding. It changes only at the
-	// negotiated switch point (after the spec exchange), which happens
-	// before any concurrent senders or receivers are spawned.
-	codec codecID
-
-	// encBuf and recvBuf are the reused binary-codec scratch buffers
-	// (payload encode target and frame payload, respectively). encBuf is
-	// guarded by sendMu; recvBuf by the single-receiver contract.
+	// encBuf and recvBuf are the reused scratch buffers (payload encode
+	// target and frame payload, respectively). encBuf is guarded by
+	// sendMu; recvBuf by the single-receiver contract.
 	encBuf  []byte
 	recvBuf []byte
-
-	// recvEnv is the reused decode target. gob leaves fields absent from
-	// the wire untouched on decode, so every field is reset before reuse.
-	recvEnv envelope
 
 	// deadline, when non-zero, bounds each message exchange on net.Conn
 	// transports.
@@ -268,7 +160,7 @@ const (
 	roleServer = "server"
 )
 
-// countingStream counts wire bytes at the transport envelope. Counting
+// countingStream counts wire bytes at the transport frame layer. Counting
 // happens per Read/Write call (one recorder call each), so the disabled
 // path costs a single no-op interface call per syscall-sized chunk.
 type countingStream struct {
@@ -330,10 +222,8 @@ func countStream(rw io.ReadWriteCloser, role string) io.ReadWriteCloser {
 	return cs
 }
 
-// NewConn wraps a byte stream in the typed message layer. The gob
-// encoder/decoder pair is built once here — type descriptions cross the
-// wire once per connection, not once per message — and the write buffer
-// comes from a pool shared by all connections.
+// NewConn wraps a byte stream in the typed message layer. The write
+// buffer comes from a pool shared by all connections.
 func NewConn(rw io.ReadWriteCloser) *Conn {
 	return newConnRole(rw, "")
 }
@@ -342,32 +232,22 @@ func NewConn(rw io.ReadWriteCloser) *Conn {
 // (the protocol clients pass roleClient, the server roleServer; untagged
 // connections feed only the process totals).
 func newConnRole(rw io.ReadWriteCloser, role string) *Conn {
-	registerTypes()
 	rw = countStream(rw, role)
 	bw := writeBufPool.Get().(*bufio.Writer)
 	bw.Reset(rw)
-	br := bufio.NewReaderSize(rw, 32<<10)
-	return &Conn{rw: rw, bw: bw, br: br, enc: gob.NewEncoder(bw), dec: gob.NewDecoder(br)}
+	return &Conn{rw: rw, bw: bw, br: bufio.NewReaderSize(rw, 32<<10)}
 }
 
-// UseCodec switches the connection's envelope codec. Both peers must
-// switch at the same protocol point (after the spec exchange); callers
-// must not have sends or receives in flight.
+// UseCodec accepts CodecBinary, the only framing a connection speaks, and
+// refuses any other name with ErrWireCodec.
+//
+// Deprecated: every connection speaks binary frames from its first byte;
+// there is nothing to switch.
 func (c *Conn) UseCodec(name string) error {
-	id, err := codecByName(name)
-	if err != nil {
-		return err
+	if name != CodecBinary {
+		return fmt.Errorf("%w: %q", ErrWireCodec, name)
 	}
-	c.codec = id
 	return nil
-}
-
-// Codec reports the active envelope codec name.
-func (c *Conn) Codec() string {
-	if c.codec == codecBinaryID {
-		return CodecBinary
-	}
-	return CodecGob
 }
 
 // SetMessageDeadline bounds each subsequent Send/Recv when the underlying
@@ -384,34 +264,17 @@ func (c *Conn) arm() {
 	}
 }
 
-// sendEnvelope encodes one envelope through the pooled write buffer and
-// flushes it as a single message.
-func (c *Conn) sendEnvelope(stream uint32, errStr string, v any) error {
+// send writes one frame: the payload is encoded into the reused scratch
+// buffer via the type-switch registry (no reflection), then header and
+// payload go out through the pooled write buffer as a single flush. An
+// error string (or a nil message) goes out as an error frame.
+func (c *Conn) send(stream uint32, errStr string, v any) error {
 	c.sendMu.Lock()
 	defer c.sendMu.Unlock()
 	if c.closed.Load() {
 		return net.ErrClosed
 	}
 	c.arm()
-	if c.codec == codecBinaryID {
-		return c.sendBinaryLocked(stream, errStr, v)
-	}
-	env := envPool.Get().(*envelope)
-	env.Stream, env.Err, env.Payload = stream, errStr, v
-	err := c.enc.Encode(env)
-	env.Stream, env.Err, env.Payload = 0, "", nil
-	envPool.Put(env)
-	if err == nil {
-		err = c.bw.Flush()
-	}
-	return err
-}
-
-// sendBinaryLocked writes one binary frame: the payload is encoded into
-// the reused scratch buffer via the type-switch registry (no
-// reflection), then header and payload go out through the pooled write
-// buffer as a single flush. Callers hold sendMu.
-func (c *Conn) sendBinaryLocked(stream uint32, errStr string, v any) error {
 	var tag byte
 	payload := c.encBuf[:0]
 	if errStr != "" || v == nil {
@@ -420,7 +283,7 @@ func (c *Conn) sendBinaryLocked(stream uint32, errStr string, v any) error {
 	} else {
 		t, m, ok := binMsg(v)
 		if !ok {
-			return fmt.Errorf("transport: no binary frame tag for %T", v)
+			return fmt.Errorf("transport: no frame tag for %T", v)
 		}
 		tag = t
 		ww := wire.NewAppendWriter(payload)
@@ -448,28 +311,36 @@ func (c *Conn) sendBinaryLocked(stream uint32, errStr string, v any) error {
 	return c.bw.Flush()
 }
 
-// recvBinary reads one binary frame from the shared read buffer. The
-// header is validated (version, payload bound) before any payload byte
-// is read, so version skew and oversized frames fail fast.
-func (c *Conn) recvBinary() (any, uint32, error) {
+// readFrameHeader reads and validates one frame header (version, payload
+// bound) before any payload byte is read, so version skew and oversized
+// frames fail fast.
+func readFrameHeader(r io.Reader) (tag byte, stream uint32, n int, err error) {
 	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(c.br, hdr[:]); err != nil {
-		return nil, 0, err
+	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+		return 0, 0, 0, err
 	}
 	if hdr[0] != wireVersion {
-		return nil, 0, fmt.Errorf("%w: got 0x%02x, want 0x%02x", ErrWireVersion, hdr[0], wireVersion)
+		return 0, 0, 0, fmt.Errorf("%w: got 0x%02x, want 0x%02x", ErrWireVersion, hdr[0], wireVersion)
 	}
-	tag := hdr[1]
-	stream := binary.BigEndian.Uint32(hdr[2:6])
-	n := binary.BigEndian.Uint32(hdr[6:10])
-	if n > maxFramePayload {
-		return nil, 0, fmt.Errorf("transport: frame payload %d exceeds %d: %w", n, maxFramePayload, wire.ErrOversize)
+	size := binary.BigEndian.Uint32(hdr[6:10])
+	if size > maxFramePayload {
+		return 0, 0, 0, fmt.Errorf("transport: frame payload %d exceeds %d: %w", size, maxFramePayload, wire.ErrOversize)
 	}
-	if cap(c.recvBuf) < int(n) {
-		c.recvBuf = make([]byte, n)
+	return hdr[1], binary.BigEndian.Uint32(hdr[2:6]), int(size), nil
+}
+
+// recvFrame reads one frame from the connection's read buffer. The
+// payload buffer grows only as bytes actually arrive (wire.ReadChunked),
+// so a header declaring a huge payload costs one chunk until the peer
+// sends it.
+func (c *Conn) recvFrame() (any, uint32, error) {
+	tag, stream, n, err := readFrameHeader(c.br)
+	if err != nil {
+		return nil, 0, err
 	}
-	buf := c.recvBuf[:n]
-	if _, err := io.ReadFull(c.br, buf); err != nil {
+	buf, err := wire.ReadChunked(c.br, c.recvBuf, n)
+	c.recvBuf = buf
+	if err != nil {
 		return nil, 0, err
 	}
 	if tag == tagErr {
@@ -491,7 +362,7 @@ func (c *Conn) Send(v any) error { return c.SendStream(0, v) }
 // SendStream transmits one message tagged with a stream ID, correlating
 // pipelined requests with their responses.
 func (c *Conn) SendStream(stream uint32, v any) error {
-	if err := c.sendEnvelope(stream, "", v); err != nil {
+	if err := c.send(stream, "", v); err != nil {
 		return wrapIO("send", err)
 	}
 	obs.Add(obs.CtrMsgsOut, 1)
@@ -500,36 +371,22 @@ func (c *Conn) SendStream(stream uint32, v any) error {
 
 // SendErr reports a protocol failure to the peer.
 func (c *Conn) SendErr(cause error) error {
-	return c.sendEnvelope(0, cause.Error(), nil)
+	return c.send(0, cause.Error(), nil)
 }
 
 // recvStreamAny receives the next message of any payload type along with
 // its stream ID.
 func (c *Conn) recvStreamAny() (any, uint32, error) {
 	c.arm()
-	if c.codec == codecBinaryID {
-		payload, stream, err := c.recvBinary()
-		if err != nil {
-			if errors.Is(err, ErrRemote) {
-				return nil, stream, err
-			}
-			return nil, 0, wrapIO("recv", err)
+	payload, stream, err := c.recvFrame()
+	if err != nil {
+		if errors.Is(err, ErrRemote) {
+			return nil, stream, err
 		}
-		obs.Add(obs.CtrMsgsIn, 1)
-		return payload, stream, nil
-	}
-	// Reset before decode: gob omits zero-valued fields on the wire and
-	// leaves them untouched in the target, so stale values would leak
-	// between messages otherwise.
-	c.recvEnv.Err, c.recvEnv.Stream, c.recvEnv.Payload = "", 0, nil
-	if err := c.dec.Decode(&c.recvEnv); err != nil {
 		return nil, 0, wrapIO("recv", err)
 	}
 	obs.Add(obs.CtrMsgsIn, 1)
-	if c.recvEnv.Err != "" {
-		return nil, c.recvEnv.Stream, fmt.Errorf("%w: %s", ErrRemote, c.recvEnv.Err)
-	}
-	return c.recvEnv.Payload, c.recvEnv.Stream, nil
+	return payload, stream, nil
 }
 
 // recvAny receives the next message of any payload type.
@@ -592,27 +449,31 @@ func (c *Conn) RunContext(ctx context.Context, fn func() error) error {
 	return err
 }
 
-// PeekHello decodes the session-opening Hello directly from a raw byte
-// stream. It exists for the gateway's ticket-affinity routing: the
-// gateway records every byte its decoder consumes from the client and
-// replays them verbatim to whichever replica it picks, so the replica
-// still sees the pristine client stream. The Hello always crosses in gob
-// (codec negotiation happens after it), and no client bytes follow it
-// until the server's spec reply, so the decoder's read-ahead can only
-// ever buffer Hello bytes — all of which the caller's recorder captured.
+// PeekHello reads the session-opening Hello frame directly from a raw
+// byte stream. It exists for the gateway's ticket-affinity routing: the
+// gateway records every byte read here and replays them verbatim to
+// whichever replica it picks, so the replica still sees the pristine
+// client stream. Reads are exact — header, then exactly the declared
+// payload — and a frame that is not a Hello, or declares more than
+// maxHelloPayload bytes, is refused before any payload byte is read.
 func PeekHello(r io.Reader) (*Hello, error) {
-	registerTypes()
-	dec := gob.NewDecoder(r)
-	var env envelope
-	if err := dec.Decode(&env); err != nil {
+	tag, _, n, err := readFrameHeader(r)
+	if err != nil {
 		return nil, wrapIO("peek hello", err)
 	}
-	if env.Err != "" {
-		return nil, fmt.Errorf("%w: %s", ErrRemote, env.Err)
+	if tag != tagHello {
+		return nil, fmt.Errorf("transport: peek hello: frame tag 0x%02x, want 0x%02x", tag, tagHello)
 	}
-	hello, ok := env.Payload.(*Hello)
-	if !ok {
-		return nil, fmt.Errorf("transport: unexpected message %T, want *Hello", env.Payload)
+	if n > maxHelloPayload {
+		return nil, fmt.Errorf("transport: peek hello: payload %d exceeds %d: %w", n, maxHelloPayload, wire.ErrOversize)
+	}
+	payload := make([]byte, n)
+	if _, err := io.ReadFull(r, payload); err != nil {
+		return nil, wrapIO("peek hello", err)
+	}
+	hello := new(Hello)
+	if err := wire.Unmarshal(payload, hello); err != nil {
+		return nil, fmt.Errorf("transport: peek hello: %w", err)
 	}
 	return hello, nil
 }

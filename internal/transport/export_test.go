@@ -5,9 +5,8 @@ package transport
 // each service's message sequence.
 func (c *Conn) RecvAnyForTest() (any, error) { return c.recvAny() }
 
-// WarmGobForTest forces the canonical gob type-ID warm-up and reports
-// whether any wire type failed to encode.
-func WarmGobForTest() error {
-	registerTypes()
-	return warmErr
-}
+// Frame bounds, for the hostile-length tests.
+const (
+	MaxFramePayload = maxFramePayload
+	MaxHelloPayload = maxHelloPayload
+)

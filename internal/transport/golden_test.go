@@ -5,17 +5,15 @@ package transport_test
 // records the raw bytes in each direction. The recordings are committed
 // under testdata/wire/ and pin the wire format: TestGoldenWire re-runs
 // each session and fails on any byte drift, then replays the committed
-// bytes through the live decoders, so both encode and decode stay
-// compatible with every transcript ever shipped.
+// bytes through the live decoders, so encode and decode both stay
+// pinned to the committed transcripts.
 //
 // Regeneration is deliberate, never incidental:
 //
 //	PPDC_WIRE_REGEN=1 make wire-regen
 //
 // rewrites the files (after verifying back-to-back runs are
-// byte-identical). TestWireDecodeCompat additionally honors
-// PPDC_WIRE_DIR, letting CI replay a previous release's transcripts
-// against HEAD's decoders.
+// byte-identical).
 
 import (
 	"bytes"
@@ -36,61 +34,50 @@ import (
 	"repro/internal/wire"
 )
 
-// Container versions: v1 carries no pad field and keeps every transcript
-// recorded before pad negotiation byte-identical; v2 appends the
-// negotiated pad name. Pad-less scenarios still encode as v1 so a regen
-// run leaves the legacy files untouched.
-const (
-	goldenMagic   = "PPDCWIREv1"
-	goldenMagicV2 = "PPDCWIREv2"
-)
+// goldenMagic opens every transcript container. v3 has no codec field
+// (every session speaks one framing) and always carries the pad name.
+const goldenMagic = "PPDCWIREv3"
 
 var goldenDir = filepath.Join("testdata", "wire")
 
 type goldenScenario struct {
 	name    string
 	service string // classify-serial | classify-batch | similarity
-	codec   string // transport.CodecBinary | transport.CodecGob
 	group   string // modp512 | x25519
 	backend string // big | limb (classify services only)
 	pad     string // "" (legacy SHA-256) | aes
 }
 
-// goldenScenarios spans the full conformance matrix: each classify
-// service across {binary,gob} x {modp512,x25519} x {big,limb}, the
-// linear similarity protocol across codecs and groups, and the batched
-// classify service with the negotiated fixed-key AES pad on the limb
-// backend across codecs and groups.
+// goldenScenarios spans the conformance matrix: each classify service
+// across {modp512,x25519} x {big,limb}, the linear similarity protocol
+// across groups, and the batched classify service with the negotiated
+// fixed-key AES pad on the limb backend across groups. Names carry the
+// "binary" infix of the one framing, which keeps the transcript file
+// names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {
-		for _, codec := range []string{transport.CodecBinary, transport.CodecGob} {
-			for _, group := range []string{"modp512", "x25519"} {
-				for _, backend := range []string{"big", "limb"} {
-					out = append(out, goldenScenario{
-						name:    fmt.Sprintf("%s_%s_%s_%s", service, codec, group, backend),
-						service: service, codec: codec, group: group, backend: backend,
-					})
-				}
+		for _, group := range []string{"modp512", "x25519"} {
+			for _, backend := range []string{"big", "limb"} {
+				out = append(out, goldenScenario{
+					name:    fmt.Sprintf("%s_binary_%s_%s", service, group, backend),
+					service: service, group: group, backend: backend,
+				})
 			}
 		}
 	}
-	for _, codec := range []string{transport.CodecBinary, transport.CodecGob} {
-		for _, group := range []string{"modp512", "x25519"} {
-			out = append(out, goldenScenario{
-				name:    fmt.Sprintf("similarity_%s_%s", codec, group),
-				service: "similarity", codec: codec, group: group,
-			})
-		}
+	for _, group := range []string{"modp512", "x25519"} {
+		out = append(out, goldenScenario{
+			name:    "similarity_binary_" + group,
+			service: "similarity", group: group,
+		})
 	}
-	for _, codec := range []string{transport.CodecBinary, transport.CodecGob} {
-		for _, group := range []string{"modp512", "x25519"} {
-			out = append(out, goldenScenario{
-				name:    fmt.Sprintf("classify-batch_%s_%s_limb_aes", codec, group),
-				service: "classify-batch", codec: codec, group: group,
-				backend: "limb", pad: string(ot.PadAES),
-			})
-		}
+	for _, group := range []string{"modp512", "x25519"} {
+		out = append(out, goldenScenario{
+			name:    fmt.Sprintf("classify-batch_binary_%s_limb_aes", group),
+			service: "classify-batch", group: group,
+			backend: "limb", pad: string(ot.PadAES),
+		})
 	}
 	return out
 }
@@ -112,7 +99,7 @@ func goldenGroup(t *testing.T, name string) ot.Group {
 func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	t.Helper()
 	group := goldenGroup(t, sc.group)
-	opts := transport.Options{WireCodec: sc.codec, FieldBackend: sc.backend, PadFunc: sc.pad}
+	opts := transport.Options{FieldBackend: sc.backend, PadFunc: sc.pad}
 
 	model, test := trainLinear(t, 91)
 	params := classify.Params{Group: group, Parallelism: 1}
@@ -200,23 +187,14 @@ func recordSession(t *testing.T, srv *transport.Server, client func(net.Conn) er
 
 // encodeGolden frames a transcript in the wire codec's own container
 // format: magic, scenario metadata, then the two direction blobs.
-// Scenarios without a negotiated pad encode in the v1 container so a
-// regeneration run reproduces the pre-negotiation files byte for byte.
 func encodeGolden(sc goldenScenario, c2s, s2c []byte) ([]byte, error) {
 	w := wire.NewAppendWriter(nil)
-	if sc.pad == "" {
-		w.String(goldenMagic)
-	} else {
-		w.String(goldenMagicV2)
-	}
+	w.String(goldenMagic)
 	w.String(sc.name)
 	w.String(sc.service)
-	w.String(sc.codec)
 	w.String(sc.group)
 	w.String(sc.backend)
-	if sc.pad != "" {
-		w.String(sc.pad)
-	}
+	w.String(sc.pad)
 	w.ByteSlice(c2s)
 	w.ByteSlice(s2c)
 	return w.Bytes(), w.Err()
@@ -229,19 +207,15 @@ type goldenFile struct {
 
 func decodeGolden(data []byte) (*goldenFile, error) {
 	r := wire.NewReader(data)
-	magic := r.String()
-	if r.Err() == nil && magic != goldenMagic && magic != goldenMagicV2 {
+	if magic := r.String(); r.Err() == nil && magic != goldenMagic {
 		return nil, fmt.Errorf("bad transcript magic %q", magic)
 	}
 	var g goldenFile
 	g.scenario.name = r.String()
 	g.scenario.service = r.String()
-	g.scenario.codec = r.String()
 	g.scenario.group = r.String()
 	g.scenario.backend = r.String()
-	if magic == goldenMagicV2 {
-		g.scenario.pad = r.String()
-	}
+	g.scenario.pad = r.String()
 	g.c2s = r.ByteSlice()
 	g.s2c = r.ByteSlice()
 	if err := r.Done(); err != nil {
@@ -251,18 +225,11 @@ func decodeGolden(data []byte) (*goldenFile, error) {
 }
 
 // replayDirection feeds one direction of a recorded session through the
-// live decoders: the bootstrap message in gob, the rest in the session
-// codec. Returns the number of messages decoded.
-func replayDirection(t *testing.T, codec string, stream []byte) int {
+// live decoders. Returns the number of messages decoded.
+func replayDirection(t *testing.T, stream []byte) int {
 	t.Helper()
 	conn := transport.NewConn(&byteStream{r: bytes.NewReader(stream)})
-	if _, err := conn.RecvAnyForTest(); err != nil {
-		t.Fatalf("bootstrap message: %v", err)
-	}
-	if err := conn.UseCodec(codec); err != nil {
-		t.Fatal(err)
-	}
-	n := 1
+	n := 0
 	for {
 		if _, err := conn.RecvAnyForTest(); err != nil {
 			if errors.Is(err, io.EOF) {
@@ -326,44 +293,12 @@ func TestGoldenWire(t *testing.T) {
 				t.Errorf("server-to-client bytes drifted from golden transcript (%d vs %d bytes): %s",
 					len(s2c), len(g.s2c), describeDrift(s2c, g.s2c))
 			}
-			if nc := replayDirection(t, g.scenario.codec, g.c2s); nc < 2 {
+			if nc := replayDirection(t, g.c2s); nc < 2 {
 				t.Fatalf("implausibly short client stream: %d messages", nc)
 			}
-			if ns := replayDirection(t, g.scenario.codec, g.s2c); ns < 2 {
+			if ns := replayDirection(t, g.s2c); ns < 2 {
 				t.Fatalf("implausibly short server stream: %d messages", ns)
 			}
-		})
-	}
-}
-
-// TestWireDecodeCompat replays every transcript in a directory through
-// HEAD's decoders — no session re-run, just decode. CI points
-// PPDC_WIRE_DIR at a previous release's testdata/wire to prove HEAD
-// still reads every byte stream older builds ever produced.
-func TestWireDecodeCompat(t *testing.T) {
-	dir := os.Getenv("PPDC_WIRE_DIR")
-	if dir == "" {
-		dir = goldenDir
-	}
-	entries, err := filepath.Glob(filepath.Join(dir, "*.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) == 0 {
-		t.Fatalf("no transcripts under %s", dir)
-	}
-	for _, path := range entries {
-		t.Run(filepath.Base(path), func(t *testing.T) {
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g, err := decodeGolden(raw)
-			if err != nil {
-				t.Fatal(err)
-			}
-			replayDirection(t, g.scenario.codec, g.c2s)
-			replayDirection(t, g.scenario.codec, g.s2c)
 		})
 	}
 }

@@ -66,29 +66,25 @@ type Options struct {
 	// (e.g. for backend-comparison benchmarks).
 	FieldBackend string
 
-	// WireCodec pins the envelope codec the client offers in its Hello.
-	// Empty offers both (binary preferred, gob fallback) and lets the
-	// server pick; CodecGob pins the legacy gob envelopes (e.g. when
-	// talking to a peer whose binary framing is suspect); CodecBinary
-	// offers only binary — a gob-only server will still answer in gob,
-	// and the client rejects the session rather than mis-frame.
+	// WireCodec must be empty or CodecBinary; any other value fails the
+	// handshake with ErrWireCodec.
+	//
+	// Deprecated: every session speaks the binary framing.
 	WireCodec string
 
 	// PadFunc selects the OT-extension pad family the client offers in
-	// its Hello. Empty offers nothing (the session runs the legacy
-	// SHA-256 pad, and the Hello is byte-identical to a pre-negotiation
-	// build's); "aes" offers the fixed-key AES pad with SHA-256 as the
-	// implicit fallback — a legacy server grants nothing and the session
-	// runs SHA-256 unchanged. Unlike the field backend, the pad is never
-	// requested by default: it changes the symmetric derivations on both
-	// endpoints, so it is strictly opt-in.
+	// its Hello. Empty offers nothing (the session runs the SHA-256 pad);
+	// "aes" offers the fixed-key AES pad with SHA-256 as the implicit
+	// fallback — a server that does not grant it runs SHA-256 unchanged.
+	// Unlike the field backend, the pad is never requested by default: it
+	// changes the symmetric derivations on both endpoints, so it is
+	// strictly opt-in.
 	PadFunc string
 
 	// OfferResume asks the server to mint a session-resumption ticket at
 	// the clean end of a fast session (FastClassifyClient.ResumeState
-	// harvests it at Close). Strictly opt-in: an offer-less Hello is
-	// byte-identical to a pre-resumption build's, and legacy servers drop
-	// the unknown field. Setting Resume implies the offer.
+	// harvests it at Close). Strictly opt-in; setting Resume implies the
+	// offer.
 	OfferResume bool
 
 	// Resume presents a previously harvested ResumeState on the next fast
@@ -129,20 +125,20 @@ func (o Options) requestedBackend() string {
 	return o.FieldBackend
 }
 
-// offeredCodecs resolves the codec offer for the Hello: the default
-// offers binary with gob fallback; an explicit setting narrows the offer
-// to that codec alone.
-func (o Options) offeredCodecs() []string {
-	if o.WireCodec == "" {
-		return defaultWireCodecs()
+// sendHello opens a client session: it refuses a WireCodec other than
+// the binary framing, then sends the Hello.
+func (o Options) sendHello(conn *Conn, hello *Hello) error {
+	if o.WireCodec != "" {
+		if err := conn.UseCodec(o.WireCodec); err != nil {
+			return err
+		}
 	}
-	return []string{o.WireCodec}
+	return conn.Send(hello)
 }
 
 // offeredPads resolves the pad offer for the Hello: empty by default —
-// the legacy SHA-256 pad needs no negotiation, and offering nothing
-// keeps the Hello bit-identical to older builds' — and a single-element
-// offer when a pad is pinned explicitly.
+// the SHA-256 pad needs no negotiation — and a single-element offer when
+// a pad is pinned explicitly.
 func (o Options) offeredPads() []string {
 	if o.PadFunc == "" || o.PadFunc == string(ot.PadSHA256) {
 		return nil

@@ -1,13 +1,11 @@
 package transport
 
-// OT-pad negotiation (DESIGN.md §14). The pad family rides the same
-// Hello/spec exchange as the wire codec: the client's Hello lists the pad
-// functions it can run, the server grants one in the spec's PadFunc
-// field, and both endpoints hand the grant to their OT extension before
-// the base phase. Legacy peers send and read nothing — gob drops the
-// unknown fields — so the zero-valued grant means the SHA-256 pad every
-// build has always used, and committed golden transcripts stay
-// byte-identical: a default client offers no pads at all.
+// OT-pad negotiation (DESIGN.md §14). The pad family rides the Hello/spec
+// exchange: the client's Hello lists the pad functions it can run, the
+// server grants one in the spec's PadFunc field, and both endpoints hand
+// the grant to their OT extension before the base phase. The zero-valued
+// grant means the SHA-256 pad, and a default client offers no pads at
+// all.
 
 import (
 	"fmt"
@@ -25,8 +23,8 @@ func defaultPadFuncs() []string {
 // grantPadFunc picks the session pad from the client's offer and the
 // server's support list: the first supported pad the client offered,
 // falling back to SHA-256 (which every peer speaks). The returned grant
-// is "" for SHA-256 so legacy clients — which never read the field — see
-// the zero value they expect.
+// is "" for SHA-256, the zero value a client that offered nothing
+// expects.
 func grantPadFunc(offered, supported []string) string {
 	for _, name := range supported {
 		if name == string(ot.PadSHA256) {

@@ -74,20 +74,13 @@ type Server struct {
 	Logf func(format string, args ...any)
 	// Rand is the entropy source (default crypto/rand.Reader).
 	Rand io.Reader
-	// WireCodecs lists the envelope codecs this server will grant, in
-	// preference order. Nil grants the defaults (binary when the client
-	// offers it, gob otherwise); []string{CodecGob} pins a gob-only
-	// trainer, which binary-preferring clients negotiate down to.
-	WireCodecs []string
 	// PadFuncs lists the OT-extension pad families this server will
 	// grant, in preference order. Nil grants the defaults (the AES pad
 	// when the client offers it, SHA-256 otherwise); []string{"sha256"}
-	// pins a legacy-pad server, which AES-offering clients negotiate
-	// down to.
+	// pins the SHA-256 pad, which AES-offering clients negotiate down to.
 	PadFuncs []string
 	// DisableResume turns off session-resumption tickets: no tickets are
-	// minted, and presented tickets are declined into full handshakes
-	// (the behavior a pre-resumption server exhibits implicitly).
+	// minted, and presented tickets are declined into full handshakes.
 	DisableResume bool
 	// TicketTTL bounds minted tickets' validity (default
 	// DefaultTicketTTL).
@@ -314,9 +307,9 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 	case "classify":
 		err = s.serveClassify(conn, trainer, hello, rng)
 	case "similarity-linear":
-		err = s.serveSimilarity(conn, hello, rng)
+		err = s.serveSimilarity(conn, rng)
 	case "similarity-kernel":
-		err = s.serveKernelSimilarity(conn, trainer, hello, rng)
+		err = s.serveKernelSimilarity(conn, trainer, rng)
 	case "classify-fast":
 		err = s.serveClassifyFast(conn, trainer, hello, rng)
 	default:
@@ -334,33 +327,18 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// sessionSpec resolves the backend and codec negotiation for one
-// session: the client's requested engine (from its Hello) is granted
-// only when the trainer supports it, the codec grant is folded into the
-// spec's WireCodec field, and the granted spec is what goes back on the
-// wire.
+// sessionSpec resolves the backend and pad negotiation for one session:
+// the client's requested engine (from its Hello) is granted only when the
+// trainer supports it, the pad grant is folded into the spec's PadFunc
+// field, and the granted spec is what goes back on the wire.
 func (s *Server) sessionSpec(trainer *classify.Trainer, hello *Hello) (classify.Spec, error) {
 	requested, err := field.ResolveBackend(hello.FieldBackend)
 	if err != nil {
 		return classify.Spec{}, err
 	}
 	spec := trainer.SessionSpec(requested)
-	spec.WireCodec = s.grantCodec(hello)
 	spec.PadFunc = s.grantPad(hello)
 	return spec, nil
-}
-
-// supportedCodecs resolves the server's codec support list.
-func (s *Server) supportedCodecs() []string {
-	if len(s.WireCodecs) == 0 {
-		return defaultWireCodecs()
-	}
-	return s.WireCodecs
-}
-
-// grantCodec picks the session codec from the client's offer.
-func (s *Server) grantCodec(hello *Hello) string {
-	return grantWireCodec(hello.WireCodecs, s.supportedCodecs())
 }
 
 // supportedPads resolves the server's pad support list.
@@ -445,12 +423,7 @@ func (s *Server) serveClassify(conn *Conn, trainer *classify.Trainer, hello *Hel
 	if err != nil {
 		return err
 	}
-	// The spec crosses in gob (it carries the codec grant); the switch
-	// happens right after, before any protocol message.
 	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	if err := conn.UseCodec(spec.WireCodec); err != nil {
 		return err
 	}
 	for {
@@ -495,7 +468,7 @@ func (s *Server) serveClassify(conn *Conn, trainer *classify.Trainer, hello *Hel
 }
 
 // serveSimilarity runs one linear similarity evaluation as Alice.
-func (s *Server) serveSimilarity(conn *Conn, hello *Hello, rng io.Reader) error {
+func (s *Server) serveSimilarity(conn *Conn, rng io.Reader) error {
 	if !s.simEnabled {
 		return errors.New("similarity service not enabled")
 	}
@@ -504,11 +477,7 @@ func (s *Server) serveSimilarity(conn *Conn, hello *Hello, rng io.Reader) error 
 		return err
 	}
 	spec := alice.Spec()
-	spec.WireCodec = s.grantCodec(hello)
 	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	if err := conn.UseCodec(spec.WireCodec); err != nil {
 		return err
 	}
 	clear, err := Recv[*similarity.ClearShare](conn)
@@ -524,7 +493,7 @@ func (s *Server) serveSimilarity(conn *Conn, hello *Hello, rng io.Reader) error 
 // serveKernelSimilarity runs one kernelized similarity evaluation as
 // Alice: clear share, area-scale announcement, then the centroid round,
 // |S_B| normal rounds, and the area round.
-func (s *Server) serveKernelSimilarity(conn *Conn, trainer *classify.Trainer, hello *Hello, rng io.Reader) error {
+func (s *Server) serveKernelSimilarity(conn *Conn, trainer *classify.Trainer, rng io.Reader) error {
 	if !s.kernelSimEnabled {
 		return errors.New("kernel similarity service not enabled")
 	}
@@ -533,11 +502,7 @@ func (s *Server) serveKernelSimilarity(conn *Conn, trainer *classify.Trainer, he
 		return err
 	}
 	spec := alice.Spec()
-	spec.WireCodec = s.grantCodec(hello)
 	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	if err := conn.UseCodec(spec.WireCodec); err != nil {
 		return err
 	}
 	clear, err := Recv[*similarity.KernelClearShare](conn)
@@ -604,7 +569,7 @@ func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader)
 }
 
 // serveClassifyBatch answers one slow-path batch: B one-shot senders, one
-// envelope per protocol step. Senders draw randomness in sample order, so
+// frame per protocol step. Senders draw randomness in sample order, so
 // a fixed server rng still yields deterministic wire bytes.
 func (s *Server) serveClassifyBatch(conn *Conn, trainer *classify.Trainer, spec classify.Spec, req *ClassifyBatchRequest, rng io.Reader) error {
 	if len(req.Evals) == 0 {
@@ -670,9 +635,6 @@ func (s *Server) serveClassifyFast(conn *Conn, trainer *classify.Trainer, hello 
 	resumeState := s.grantResume(hello, spec)
 	spec.ResumeGranted = resumeState != nil
 	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	if err := conn.UseCodec(spec.WireCodec); err != nil {
 		return err
 	}
 	var fast *classify.FastTrainer
@@ -766,7 +728,7 @@ readLoop:
 
 // fastReadyQueue bounds how many computed responses may wait behind the
 // flusher: one in flight on the wire plus one buffered keeps the worker
-// computing batch N+1 while batch N's envelope is still being written,
+// computing batch N+1 while batch N's frame is still being written,
 // without letting responses pile up unboundedly.
 const fastReadyQueue = 2
 
@@ -807,7 +769,7 @@ func (s *Server) runFastWorker(conn *Conn, fast *classify.FastTrainer, jobs <-ch
 	}
 	// Close the ready queue and let already-computed responses flush
 	// before reporting: the peer sees every answer that precedes a
-	// failure, in order, then the error envelope.
+	// failure, in order, then the error frame.
 	close(ready)
 	<-flushDone
 	if workErr != nil {

@@ -1,11 +1,25 @@
 package transport
 
-// Binary wire encodings for the transport-layer message types, plus the
-// frame tag registry mapping payload types to their wire tags. Tags are
-// part of the wire contract: existing values must never be renumbered,
-// new types append.
+// The frame layout (DESIGN.md §12), the frame tag registry mapping
+// payload types to their wire tags, and the binary encodings of the
+// transport-layer message types. Every message of a session, the Hello
+// included, crosses as one frame:
+//
+//	+---------+---------+-----------------+-----------------+=========+
+//	| version |   tag   |  stream (u32BE) |  length (u32BE) | payload |
+//	|  1 byte |  1 byte |     4 bytes     |     4 bytes     | n bytes |
+//	+---------+---------+-----------------+-----------------+=========+
+//
+// version is wireVersion (0x01); any other value is rejected with
+// ErrWireVersion before the payload is read, so version skew fails fast
+// instead of hanging. tag identifies the payload type (tag 0 carries a
+// remote error string instead of a message). length bounds the payload
+// at maxFramePayload, and the receive buffer grows only as payload bytes
+// arrive. Tags are part of the wire contract: existing values must never
+// be renumbered, new types append.
 
 import (
+	"errors"
 	"io"
 
 	"repro/internal/classify"
@@ -14,6 +28,39 @@ import (
 	"repro/internal/similarity"
 	"repro/internal/wire"
 )
+
+// wireVersion is the frame version this build speaks.
+const wireVersion byte = 0x01
+
+// frameHeaderSize is the fixed frame header:
+// version(1) + tag(1) + stream(4) + length(4).
+const frameHeaderSize = 10
+
+// maxFramePayload bounds a frame payload. It matches the decode bound of
+// the wire primitives; a header announcing more is rejected before any
+// payload byte is read.
+const maxFramePayload = 64 << 20
+
+// maxHelloPayload bounds the Hello payload PeekHello accepts: a few short
+// strings plus at most one resumption ticket, which takes 2,185 bytes (a
+// 28-byte header and nonce, the sealed κ = 128 base seeds at 16 bytes
+// each, the contract digest and the GCM tag).
+const maxHelloPayload = 4 << 10
+
+// ErrWireVersion reports a frame whose version byte does not match this
+// build's wireVersion. A peer that opens with anything but a frame — a
+// gob stream starts with a message length, never 0x01 — fails here.
+var ErrWireVersion = errors.New("transport: wire version mismatch")
+
+// ErrWireCodec reports a wire codec name other than CodecBinary.
+var ErrWireCodec = errors.New("transport: unsupported wire codec")
+
+// CodecBinary names the versioned binary framing, the only one a
+// connection speaks.
+//
+// Deprecated: there is no codec to choose; Options.WireCodec and
+// Conn.UseCodec accept this name only so existing callers keep building.
+const CodecBinary = "binary"
 
 // Frame tags. Tag 0 is reserved for the error frame (payload is the
 // remote error string, not a message).
@@ -110,8 +157,7 @@ func binMsg(v any) (byte, wire.Msg, bool) {
 
 // newBinPayload allocates the concrete payload type for a frame tag. The
 // returned value is both the decode target (wire.Msg) and the payload
-// handed to Recv's type assertions (any), so the concrete types here
-// must match what the gob path produces.
+// handed to Recv's type assertions (any).
 func newBinPayload(tag byte) (wire.Msg, bool) {
 	switch tag {
 	case tagHello:
@@ -175,27 +221,12 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 func (h *Hello) EncodeWire(w *wire.Writer) {
 	w.String(h.Service)
 	w.String(h.FieldBackend)
-	w.Count(len(h.WireCodecs))
-	for _, c := range h.WireCodecs {
-		w.String(c)
+	w.Count(len(h.PadFuncs))
+	for _, p := range h.PadFuncs {
+		w.String(p)
 	}
-	// Optional tails (see wire.Reader.More), append-only: the pad tail is
-	// omitted when no pads are offered, so a pad-less Hello is
-	// byte-identical to a pre-negotiation build's and old recordings
-	// decode unchanged. The resume tail rides behind it; offering resume
-	// forces the pad tail present (possibly empty) so the two stay
-	// positionally unambiguous.
-	resume := h.ResumeOffered || len(h.ResumeTicket) > 0
-	if len(h.PadFuncs) > 0 || resume {
-		w.Count(len(h.PadFuncs))
-		for _, p := range h.PadFuncs {
-			w.String(p)
-		}
-	}
-	if resume {
-		w.Bool(h.ResumeOffered)
-		w.ByteSlice(h.ResumeTicket)
-	}
+	w.Bool(h.ResumeOffered)
+	w.ByteSlice(h.ResumeTicket)
 }
 
 // DecodeWire implements the wire codec.
@@ -203,34 +234,9 @@ func (h *Hello) DecodeWire(r *wire.Reader) {
 	h.Service = r.String()
 	h.FieldBackend = r.String()
 	n := r.Count()
-	if r.Err() != nil {
-		return
-	}
-	h.WireCodecs = nil
-	for i := 0; i < n; i++ {
-		h.WireCodecs = append(h.WireCodecs, r.String())
-		if r.Err() != nil {
-			return
-		}
-	}
 	h.PadFuncs = nil
-	h.ResumeOffered = false
-	h.ResumeTicket = nil
-	if !r.More() {
-		return
-	}
-	np := r.Count()
-	if r.Err() != nil {
-		return
-	}
-	for i := 0; i < np; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		h.PadFuncs = append(h.PadFuncs, r.String())
-		if r.Err() != nil {
-			return
-		}
-	}
-	if !r.More() {
-		return
 	}
 	h.ResumeOffered = r.Bool()
 	h.ResumeTicket = r.ByteSlice()

@@ -259,23 +259,6 @@ func (r *Reader) Done() error {
 	return r.err
 }
 
-// More reports whether unread input remains, gating optional trailing
-// fields appended to a message's encoding after transcripts of the
-// original layout shipped: encoders write the tail only when it is
-// non-zero, so pre-extension bytes simply end earlier and decode to the
-// zero tail. Only slice mode can see the input bound; stream mode
-// reports true (current encoders of extended messages always run against
-// slice-mode Unmarshal, and a truncated stream still fails typed).
-func (r *Reader) More() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.r == nil {
-		return r.off < len(r.buf)
-	}
-	return true
-}
-
 // remaining reports the unread byte count in slice mode (stream mode has
 // no known bound and returns MaxBytes).
 func (r *Reader) remaining() int {
@@ -432,25 +415,43 @@ func (r *Reader) ByteSlice() []byte {
 		r.off += n
 		return out
 	}
-	// Stream mode: grow in bounded chunks so a hostile length prefix
-	// cannot force a huge up-front allocation before any payload bytes
-	// actually arrive off the stream.
-	const chunk = 1 << 20
-	out := make([]byte, min(n, chunk))
-	filled := 0
-	for {
-		m, err := io.ReadFull(r.r, out[filled:])
-		r.n += int64(m)
-		if err != nil {
-			r.fail(fmt.Errorf("%w: %v", ErrTruncated, err))
-			return nil
-		}
-		filled = len(out)
-		if filled == n {
-			return out
-		}
-		out = append(out, make([]byte, min(n-filled, chunk))...)
+	out, err := ReadChunked(r.r, make([]byte, 0, min(n, readChunk)), n)
+	r.n += int64(len(out))
+	if err != nil {
+		r.fail(fmt.Errorf("%w: %v", ErrTruncated, err))
+		return nil
 	}
+	return out
+}
+
+// readChunk bounds how far ReadChunked's buffer may run ahead of the bytes
+// that have actually arrived.
+const readChunk = 1 << 20
+
+// ReadChunked reads exactly n bytes from r into buf[:0] and returns the
+// filled slice. A full buffer grows only once its bytes have arrived, by
+// at least one 1 MiB chunk and at most doubling, so a hostile length
+// prefix costs one chunk until its payload actually arrives; a recycled
+// buf with enough capacity is filled in place. A stream that ends early
+// fails with io.ErrUnexpectedEOF.
+func ReadChunked(r io.Reader, buf []byte, n int) ([]byte, error) {
+	buf = buf[:0]
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(n, max(len(buf)+readChunk, 2*cap(buf))))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(r, buf[len(buf):min(n, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
 }
 
 // String reads a length-prefixed string.
