@@ -25,7 +25,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/gateway"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/svm"
 	"repro/internal/transport"
 )
@@ -53,7 +52,6 @@ func run(args []string) error {
 		redial   = fs.Int("redial", 0, "with -fast: redial up to this many times when the session dies mid-query (against a ppdc-gateway fleet, a fresh session fails over to a surviving replica)")
 		resume   = fs.Bool("resume", false, "with -fast: offer session resumption — harvest the trainer's ticket at clean close, and (with -redial) present it on the next dial to skip the base OTs")
 		backend  = fs.String("field-backend", "", "field engine to request: limb (default) or big; the session falls back to big unless the trainer supports limb")
-		padName  = fs.String("pad", "", "OT pad to offer: aes offers the fixed-key AES pads (granted only when the trainer supports them); empty or sha256 stays on the SHA-256 pads")
 		batch    = fs.Int("batch", 0, "samples per batched request (0 = one request per sample)")
 		inflight = fs.Int("inflight", 1, "batches kept in flight on the connection (with -batch and -fast)")
 
@@ -78,15 +76,11 @@ func run(args []string) error {
 	if _, err := field.ResolveBackend(*backend); err != nil {
 		return err
 	}
-	if _, err := ot.ResolvePad(*padName); err != nil {
-		return err
-	}
 	opts := transport.Options{
 		DialTimeout:     *timeout,
 		MessageDeadline: *msgDeadline,
 		MaxAttempts:     *retries,
 		FieldBackend:    *backend,
-		PadFunc:         *padName,
 		OfferResume:     *resume,
 	}
 	if *msgDeadline <= 0 {

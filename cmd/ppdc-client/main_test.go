@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestParseSample(t *testing.T) {
 	got, err := parseSample("0.5, -1, 0.25", 3)
@@ -24,5 +27,10 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 	}
 	if err := run(nil); err == nil {
 		t.Fatal("missing mode should fail")
+	}
+	// The negative batch keeps the call from dialing should the removed
+	// flag ever parse again.
+	if err := run([]string{"classify", "-pad=aes", "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("removed -pad flag: got %v, want an undefined-flag error", err)
 	}
 }

@@ -61,7 +61,6 @@ func run(args []string) error {
 		kernelName = fs.String("kernel", "linear", "kernel: linear or poly")
 		groupName  = fs.String("group", "2048", "OT group: 512 (toy), 1024, 1536, 2048, x25519")
 		backend    = fs.String("field-backend", "", "field arithmetic engine offered to clients: big (default) or limb")
-		padName    = fs.String("pad", "", "OT pad policy: empty grants the fixed-key AES pads to clients that offer them (SHA-256 otherwise); sha256 pins the SHA-256 pads for every session")
 		resume     = fs.Bool("resume", true, "mint session resumption tickets for clients that offer them; false declines every offer and ticket (those clients fall back to full handshakes)")
 		seed       = fs.Uint64("seed", 1, "synthetic data seed")
 		c          = fs.Float64("C", 0, "soft-margin penalty (0 = dataset default)")
@@ -162,11 +161,6 @@ func run(args []string) error {
 	srv := transport.NewServerSource(modelReg)
 	srv.MaxSessions = *maxSessions
 	srv.DisableResume = !*resume
-	if pad, err := ot.ResolvePad(*padName); err != nil {
-		return err
-	} else if *padName != "" {
-		srv.PadFuncs = []string{string(pad)}
-	}
 	if *msgDeadline <= 0 {
 		srv.MessageDeadline = transport.NoDeadline
 	} else {

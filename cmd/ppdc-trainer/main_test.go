@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,5 +44,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-group", "9999"}); err == nil {
 		t.Fatal("unknown group should fail")
+	}
+	// The unknown group keeps the call from training and serving should
+	// the removed flag ever parse again.
+	if err := run([]string{"-pad=sha256", "-group", "9999"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("removed -pad flag: got %v, want an undefined-flag error", err)
 	}
 }

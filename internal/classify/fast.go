@@ -113,7 +113,7 @@ func (ft *FastTrainer) Snapshot() (*ot.IKNPSenderState, error) { return ft.sessi
 func (fc *FastClient) Snapshot() (*ot.IKNPReceiverState, error) { return fc.session.Snapshot() }
 
 // Spec reports the session spec the client was built from (including the
-// negotiated pad function).
+// negotiated field backend).
 func (fc *FastClient) Spec() Spec { return fc.client.Spec() }
 
 // FinishBase completes the client's base phase.

@@ -45,14 +45,14 @@ type Spec struct {
 	//
 	// Deprecated: every session speaks the binary framing.
 	WireCodec string
-	// PadFunc names the OT-extension pad family granted for this session
-	// ("aes" or empty for the SHA-256 pad). It is a per-session
-	// negotiation outcome, not part of the trainer's contract.
+	// PadFunc is not encoded on the wire and is ignored.
+	//
+	// Deprecated: every session runs the fixed-key AES pad.
 	PadFunc string
 	// ResumeGranted reports that the server accepted the client's
 	// resumption ticket: both sides skip the base OT phase and restore
 	// the extension state the ticket sealed. A per-session negotiation
-	// outcome like PadFunc, never part of the trainer's contract.
+	// outcome like FieldBackend, never part of the trainer's contract.
 	ResumeGranted bool
 }
 
@@ -83,10 +83,6 @@ func (s Spec) OMPEParams() (ompe.Params, error) {
 	if err != nil {
 		return ompe.Params{}, err
 	}
-	pad, err := ot.ResolvePad(s.PadFunc)
-	if err != nil {
-		return ompe.Params{}, err
-	}
 	return ompe.Params{
 		Field:         codec.Field(),
 		PolyDegree:    degree,
@@ -95,7 +91,6 @@ func (s Spec) OMPEParams() (ompe.Params, error) {
 		AmplifierBits: s.AmplifierBits,
 		Group:         group,
 		Backend:       backend,
-		Pad:           pad,
 	}, nil
 }
 
@@ -208,7 +203,8 @@ func (t *Trainer) NewSessionFor(spec Spec) (*ompe.Sender, error) {
 
 // sessionParams derives the trainer-side OMPE parameters for a session
 // spec, rejecting specs that diverge from the published contract anywhere
-// but the per-session negotiation outcomes (and the ignored WireCodec).
+// but the per-session negotiation outcomes (and the ignored WireCodec and
+// PadFunc).
 func (t *Trainer) sessionParams(spec Spec) (ompe.Params, error) {
 	contract := spec
 	contract.FieldBackend = t.spec.FieldBackend

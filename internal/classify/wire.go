@@ -6,7 +6,8 @@ import (
 	"repro/internal/wire"
 )
 
-// EncodeWire implements the wire codec. WireCodec is not encoded.
+// EncodeWire implements the wire codec. WireCodec and PadFunc are not
+// encoded.
 func (s *Spec) EncodeWire(w *wire.Writer) {
 	s.Kernel.EncodeWire(w)
 	w.Int(s.Dim)
@@ -19,7 +20,6 @@ func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Uint(s.FracBits)
 	w.String(s.GroupName)
 	w.String(s.FieldBackend)
-	w.String(s.PadFunc)
 	w.Bool(s.ResumeGranted)
 }
 
@@ -36,7 +36,6 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.FracBits = r.Uint()
 	s.GroupName = r.String()
 	s.FieldBackend = r.String()
-	s.PadFunc = r.String()
 	s.ResumeGranted = r.Bool()
 }
 

@@ -20,7 +20,6 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		FracBits:      16,
 		GroupName:     "x25519",
 		FieldBackend:  "limb",
-		PadFunc:       "aes",
 		ResumeGranted: true,
 	}
 	data, err := in.MarshalBinary()
@@ -48,12 +47,13 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	if out2 != *in {
 		t.Fatalf("stream round trip mismatch")
 	}
-	// The layout is fixed: WireCodec never reaches the wire, and every
-	// strict prefix is a truncation that must fail.
-	withCodec := *in
-	withCodec.WireCodec = "binary"
-	if b, err := withCodec.MarshalBinary(); err != nil || !bytes.Equal(b, data) {
-		t.Fatalf("WireCodec changed the encoding (err %v)", err)
+	// The layout is fixed: WireCodec and PadFunc never reach the wire,
+	// and every strict prefix is a truncation that must fail.
+	deprecated := *in
+	deprecated.WireCodec = "binary" //nolint:staticcheck // the deprecated surface is under test
+	deprecated.PadFunc = "aes"      //nolint:staticcheck // the deprecated surface is under test
+	if b, err := deprecated.MarshalBinary(); err != nil || !bytes.Equal(b, data) {
+		t.Fatalf("WireCodec or PadFunc changed the encoding (err %v)", err)
 	}
 	for n := 0; n < len(data); n++ {
 		var tr Spec

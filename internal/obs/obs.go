@@ -147,8 +147,8 @@ const (
 	// PhaseOTTranspose times the κ-column → m-row bit transpose.
 	PhaseOTTranspose = "ot.transpose_ns"
 	// PhaseOTPad times pad application: correlation-robust row hashes
-	// plus tree-key encryption/decryption of the k-of-n payloads. This is
-	// the symmetric tail the PadFunc negotiation exists to shrink.
+	// plus tree-key encryption/decryption of the k-of-n payloads, both on
+	// the fixed-key AES pad.
 	PhaseOTPad = "ot.pad_ns"
 
 	// PhaseClassifyRoundTrip times one complete private classification

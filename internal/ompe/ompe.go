@@ -103,10 +103,9 @@ type Params struct {
 	// results are bit-identical at every parallelism degree given the same
 	// rng stream.
 	Parallelism int
-	// Pad selects the OT extension's symmetric pad family (row hashes and
-	// tree-key pads) for fast sessions. Both parties must agree on it per
-	// session, like Group; the zero value is the legacy SHA-256 pad, so
-	// un-negotiated sessions interoperate with old peers byte-for-byte.
+	// Pad is ignored.
+	//
+	// Deprecated: every session runs the fixed-key AES pad.
 	Pad ot.PadFunc
 }
 
@@ -132,9 +131,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: nil OT group", ErrParams)
 	}
 	if err := p.Field.CheckBackend(p.Backend); err != nil {
-		return fmt.Errorf("%w: %v", ErrParams, err)
-	}
-	if _, err := ot.ResolvePad(string(p.Pad)); err != nil {
 		return fmt.Errorf("%w: %v", ErrParams, err)
 	}
 	return nil

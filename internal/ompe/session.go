@@ -62,7 +62,6 @@ func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot
 	if err != nil {
 		return nil, nil, err
 	}
-	iknp.SetPad(params.Pad)
 	iknp.SetParallelism(params.Parallelism)
 	return &SessionReceiver{params: params, iknp: iknp}, setup, nil
 }
@@ -80,7 +79,6 @@ func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.IKNPBaseSetup
 	if err != nil {
 		return nil, nil, err
 	}
-	iknp.SetPad(params.Pad)
 	iknp.SetParallelism(params.Parallelism)
 	return &SessionSender{params: params, eval: eval, iknp: iknp}, choice, nil
 }
@@ -100,7 +98,6 @@ func ResumeSessionSender(params Params, eval Evaluator, state *ot.IKNPSenderStat
 	if err != nil {
 		return nil, err
 	}
-	iknp.SetPad(params.Pad)
 	iknp.SetParallelism(params.Parallelism)
 	return &SessionSender{params: params, eval: eval, iknp: iknp}, nil
 }
@@ -115,7 +112,6 @@ func ResumeSessionReceiver(params Params, state *ot.IKNPReceiverState) (*Session
 	if err != nil {
 		return nil, err
 	}
-	iknp.SetPad(params.Pad)
 	iknp.SetParallelism(params.Parallelism)
 	return &SessionReceiver{params: params, iknp: iknp}, nil
 }

@@ -45,7 +45,6 @@ type ExtKofNQuery struct {
 	indices []int
 	n       int
 	depth   int
-	pad     PadFunc
 }
 
 // checkKofNIndices validates one sample's index set for a k-of-n query.
@@ -96,7 +95,6 @@ func NewExtKofNQuery(r *IKNPReceiver, n int, indices []int) (*ExtKofNQuery, *Ext
 		indices: append([]int(nil), indices...),
 		n:       n,
 		depth:   depth,
-		pad:     r.pad,
 	}
 	return q, &ExtKofNRequest{IKNP: msg, K: len(indices), N: n}, nil
 }
@@ -127,7 +125,7 @@ func drawTreeKeys(rng io.Reader, k, depth int, x0, x1 [][]byte) ([][][2][]byte, 
 // encryptInstances writes the k×n ciphertext block of one sample into dst
 // (k·n·msgLen bytes, instance-major): message m is encrypted under
 // instance i's key path for index m.
-func encryptInstances(pad PadFunc, keys [][][2][]byte, msgs [][]byte, depth int, dst []byte) {
+func encryptInstances(keys [][][2][]byte, msgs [][]byte, depth int, dst []byte) {
 	k := len(keys)
 	n := len(msgs)
 	msgLen := len(msgs[0])
@@ -137,7 +135,7 @@ func encryptInstances(pad PadFunc, keys [][][2][]byte, msgs [][]byte, depth int,
 			for j := 0; j < depth; j++ {
 				path[j] = keys[i][j][(m>>j)&1]
 			}
-			pad.treePadXor(dst[(i*n+m)*msgLen:(i*n+m+1)*msgLen], msgs[m], path, m)
+			treePadXor(dst[(i*n+m)*msgLen:(i*n+m+1)*msgLen], msgs[m], path, m)
 		}
 	}
 }
@@ -183,7 +181,7 @@ func ExtKofNRespond(s *IKNPSender, req *ExtKofNRequest, msgs [][]byte, rng io.Re
 	msgLen := len(msgs[0])
 	cts := make([]byte, k*n*msgLen)
 	span := obs.Start(obs.PhaseOTPad)
-	encryptInstances(s.pad, keys, msgs, depth, cts)
+	encryptInstances(keys, msgs, depth, cts)
 	span.End()
 	return &ExtKofNResponse{IKNP: iknpResp, Cts: cts, MsgLen: msgLen}, nil
 }
@@ -191,7 +189,7 @@ func ExtKofNRespond(s *IKNPSender, req *ExtKofNRequest, msgs [][]byte, rng io.Re
 // recoverSample decrypts one sample's chosen messages from its flat
 // ciphertext block, given that sample's path keys in (instance, level)
 // order.
-func recoverSample(pad PadFunc, cts []byte, msgLen int, pathKeys [][]byte, indices []int, n, depth int) ([][]byte, error) {
+func recoverSample(cts []byte, msgLen int, pathKeys [][]byte, indices []int, n, depth int) ([][]byte, error) {
 	if msgLen < 0 || len(cts) != len(indices)*n*msgLen {
 		return nil, fmt.Errorf("%w: ciphertext block length %d for k=%d n=%d msgLen=%d", ErrIKNP, len(cts), len(indices), n, msgLen)
 	}
@@ -208,7 +206,7 @@ func recoverSample(pad PadFunc, cts []byte, msgLen int, pathKeys [][]byte, indic
 		}
 		ct := cts[(i*n+idx)*msgLen : (i*n+idx+1)*msgLen]
 		x := flat[i*msgLen : (i+1)*msgLen]
-		pad.treePadXor(x, ct, path, idx)
+		treePadXor(x, ct, path, idx)
 		out[i] = x
 	}
 	return out, nil
@@ -223,7 +221,7 @@ func (q *ExtKofNQuery) Recover(resp *ExtKofNResponse) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recoverSample(q.pad, resp.Cts, resp.MsgLen, pathKeys, q.indices, q.n, q.depth)
+	return recoverSample(resp.Cts, resp.MsgLen, pathKeys, q.indices, q.n, q.depth)
 }
 
 // Batched k-of-n: one IKNP Extend call covers all B samples' choice bits,
@@ -257,7 +255,6 @@ type ExtKofNBatchQuery struct {
 	indices [][]int
 	n       int
 	depth   int
-	pad     PadFunc
 	par     int
 }
 
@@ -288,7 +285,7 @@ func NewExtKofNBatchQuery(r *IKNPReceiver, n int, indices [][]int) (*ExtKofNBatc
 	if err != nil {
 		return nil, nil, err
 	}
-	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n, depth: depth, pad: r.pad, par: r.par}
+	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n, depth: depth, par: r.par}
 	return q, &ExtKofNBatchRequest{IKNP: msg, K: k, N: n, B: len(indices)}, nil
 }
 
@@ -342,7 +339,7 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 	// the ciphertext blob is bit-identical at every parallelism degree.
 	span := obs.Start(obs.PhaseOTPad)
 	_ = parallel.For(s.par, req.B, func(b int) error {
-		encryptInstances(s.pad, perSample[b], msgs[b], depth, cts[b*block:(b+1)*block])
+		encryptInstances(perSample[b], msgs[b], depth, cts[b*block:(b+1)*block])
 		return nil
 	})
 	span.End()
@@ -377,7 +374,7 @@ func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, err
 	err = parallel.For(q.par, len(q.indices), func(b int) error {
 		idx := q.indices[b]
 		stride := b * k2 * q.depth
-		got, err := recoverSample(q.pad, resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+len(idx)*q.depth], idx, q.n, q.depth)
+		got, err := recoverSample(resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+len(idx)*q.depth], idx, q.n, q.depth)
 		if err != nil {
 			return fmt.Errorf("ot: batch sample %d: %w", b, err)
 		}

@@ -3,7 +3,6 @@ package ot
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,8 +30,8 @@ import (
 // The PRG G is AES-128 in counter mode (the 16-byte seeds are AES keys,
 // each expanded through a cipher built once per session), columns are
 // turned into rows with an 8×8 bit-block transpose, and the correlation-
-// robust hash H is a single SHA-256 compression for the common short
-// messages — together these keep the extension's per-transfer cost to a
+// robust hash H is a fixed-key AES-128 compression per 16-byte block
+// (pad.go) — together these keep the extension's per-transfer cost to a
 // few dozen nanoseconds of symmetric work.
 
 // iknpKappa is the computational security parameter (base-OT count).
@@ -67,10 +66,9 @@ type IKNPSenderMsg struct {
 type IKNPSender struct {
 	s       []byte // κ choice bits, packed
 	ciphers []cipher.Block
-	seeds   []byte  // κ recovered base seeds, flat 16-byte rows (kept for Snapshot)
-	batch   uint32  // lockstep batch counter: fresh PRG columns per batch
-	pad     PadFunc // negotiated row/tree pad family
-	par     int     // parallelism degree for the pure fan-out regions
+	seeds   []byte // κ recovered base seeds, flat 16-byte rows (kept for Snapshot)
+	batch   uint32 // lockstep batch counter: fresh PRG columns per batch
+	par     int    // parallelism degree for the pure fan-out regions
 
 	// Per-batch scratch reused across Respond calls (the response only
 	// references its own fresh Y0/Y1 buffers, never these).
@@ -87,9 +85,8 @@ type IKNPReceiver struct {
 	seed1    [][]byte
 	ciphers0 []cipher.Block
 	ciphers1 []cipher.Block
-	batch    uint32  // lockstep batch counter: fresh PRG columns per batch
-	pad      PadFunc // negotiated row/tree pad family
-	par      int     // parallelism degree for the pure fan-out regions
+	batch    uint32 // lockstep batch counter: fresh PRG columns per batch
+	par      int    // parallelism degree for the pure fan-out regions
 
 	baseSenders []*Sender // base-phase state, nil once finished
 }
@@ -104,7 +101,6 @@ type IKNPExtension struct {
 	r   []byte // m choice bits, packed
 	m   int
 	t   [][]byte // κ columns of m bits
-	pad PadFunc  // copied from the receiver at Extend time
 	par int
 }
 
@@ -122,13 +118,15 @@ type (
 	IKNPBaseTransfer struct{ Transfers []*SenderTransfer }
 )
 
-// SetPad selects the pad family this endpoint derives row hashes and tree
-// pads with. Both endpoints of a session must agree (the transport
-// negotiates it in the Hello); the zero value is the legacy SHA-256 pad.
-func (s *IKNPSender) SetPad(pad PadFunc) { s.pad = pad }
+// SetPad does nothing.
+//
+// Deprecated: every session runs the fixed-key AES pad.
+func (s *IKNPSender) SetPad(PadFunc) {}
 
-// SetPad selects the receiver's pad family (see IKNPSender.SetPad).
-func (r *IKNPReceiver) SetPad(pad PadFunc) { r.pad = pad }
+// SetPad does nothing.
+//
+// Deprecated: every session runs the fixed-key AES pad.
+func (r *IKNPReceiver) SetPad(PadFunc) {}
 
 // SetParallelism bounds the worker fan-out of the sender's pure crypto
 // regions (PRG fills, row pads, tree encryption). Randomness is never
@@ -289,7 +287,6 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 	}
 	cols := (m + 7) / 8
 	r.batch++
-	ext.pad = r.pad
 	ext.par = r.par
 	ext.t = make([][]byte, iknpKappa)
 	tFlat := make([]byte, iknpKappa*cols)
@@ -368,15 +365,14 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 	spanT.End()
 	out := &IKNPSenderMsg{Y0: make([]byte, m*msgLen), Y1: make([]byte, m*msgLen), MsgLen: msgLen}
 	spanP := obs.Start(obs.PhaseOTPad)
-	pad := s.pad
 	_ = parallel.For(s.par, m, func(j int) error {
-		var rowQS [iknpRowBytes]byte
-		rowQ := rows[j*iknpRowBytes : (j+1)*iknpRowBytes]
+		rowQ := (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:])
+		rowQS := *rowQ
 		for i := range rowQS {
-			rowQS[i] = rowQ[i] ^ s.s[i]
+			rowQS[i] ^= s.s[i]
 		}
-		pad.rowPadXor(out.Y0[j*msgLen:(j+1)*msgLen], x0[j], j, rowQ)
-		pad.rowPadXor(out.Y1[j*msgLen:(j+1)*msgLen], x1[j], j, rowQS[:])
+		rowPadXor(out.Y0[j*msgLen:(j+1)*msgLen], x0[j], j, rowQ)
+		rowPadXor(out.Y1[j*msgLen:(j+1)*msgLen], x1[j], j, &rowQS)
 		return nil
 	})
 	spanP.End()
@@ -396,14 +392,13 @@ func (e *IKNPExtension) Recover(msg *IKNPSenderMsg) ([][]byte, error) {
 	spanT.End()
 	flat := make([]byte, e.m*msgLen)
 	spanP := obs.Start(obs.PhaseOTPad)
-	pad := e.pad
 	_ = parallel.For(e.par, e.m, func(j int) error {
 		ct := msg.Y0[j*msgLen : (j+1)*msgLen]
 		if getBit(e.r, j) == 1 {
 			ct = msg.Y1[j*msgLen : (j+1)*msgLen]
 		}
 		x := flat[j*msgLen : (j+1)*msgLen]
-		pad.rowPadXor(x, ct, j, rows[j*iknpRowBytes:(j+1)*iknpRowBytes])
+		rowPadXor(x, ct, j, (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:]))
 		out[j] = x
 		return nil
 	})
@@ -429,50 +424,6 @@ func prgInto(blk cipher.Block, column int, batch uint32, dst []byte) {
 			off += copy(dst[off:], ks[:])
 		}
 	}
-}
-
-// iknpHashPrefix domain-separates the correlation-robust hash.
-const iknpHashPrefix = "ppdc-iknp-hash-v1"
-
-// rowHashXor writes dst = src ⊕ H(j, row). For messages up to one
-// SHA-256 output (every OMPE payload: field elements and tree keys are
-// ≤ 32 bytes) the hash is a single stack-buffer Sum256; longer messages
-// fall back to counter mode.
-func rowHashXor(dst, src []byte, j int, row []byte) {
-	if len(src) <= sha256.Size && len(row) == iknpRowBytes {
-		var buf [len(iknpHashPrefix) + 8 + iknpRowBytes]byte
-		copy(buf[:], iknpHashPrefix)
-		binary.BigEndian.PutUint32(buf[len(iknpHashPrefix):], uint32(j))
-		binary.BigEndian.PutUint32(buf[len(iknpHashPrefix)+4:], 0)
-		copy(buf[len(iknpHashPrefix)+8:], row)
-		sum := sha256.Sum256(buf[:])
-		for b := range src {
-			dst[b] = src[b] ^ sum[b]
-		}
-		return
-	}
-	pad := rowHash(j, row, len(src))
-	for b := range src {
-		dst[b] = src[b] ^ pad[b]
-	}
-}
-
-// rowHash is the correlation-robust hash H(j, row) expanded to msgLen
-// (counter mode; rowHashXor's single-shot fast path is its counter-0
-// prefix).
-func rowHash(j int, row []byte, msgLen int) []byte {
-	out := make([]byte, 0, msgLen)
-	var block [8]byte
-	for counter := uint32(0); len(out) < msgLen; counter++ {
-		h := sha256.New()
-		h.Write([]byte(iknpHashPrefix))
-		binary.BigEndian.PutUint32(block[:4], uint32(j))
-		binary.BigEndian.PutUint32(block[4:], counter)
-		h.Write(block[:])
-		h.Write(row)
-		out = h.Sum(out)
-	}
-	return out[:msgLen]
 }
 
 // transposeColumns turns κ packed bit-columns (column i, bit j = transfer

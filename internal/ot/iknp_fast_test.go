@@ -61,56 +61,3 @@ func TestTransposeColumns(t *testing.T) {
 		}
 	}
 }
-
-// TestRowHashXorMatchesCounterMode pins the single-compression fast path
-// to the counter-mode derivation it shortcuts.
-func TestRowHashXorMatchesCounterMode(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	row := make([]byte, iknpRowBytes)
-	for _, msgLen := range []int{1, 16, 32, 33, 100} {
-		for b := range row {
-			row[b] = byte(rng.Uint32())
-		}
-		src := make([]byte, msgLen)
-		for b := range src {
-			src[b] = byte(rng.Uint32())
-		}
-		dst := make([]byte, msgLen)
-		rowHashXor(dst, src, 42, row)
-		pad := rowHash(42, row, msgLen)
-		for b := range src {
-			if dst[b] != src[b]^pad[b] {
-				t.Fatalf("msgLen=%d byte %d: fast path diverges from counter mode", msgLen, b)
-			}
-		}
-	}
-}
-
-// TestTreePadXorMatchesCounterMode pins the stack-buffer tree-pad fast
-// path to treePadFromKeys, including the fallback sizes.
-func TestTreePadXorMatchesCounterMode(t *testing.T) {
-	rng := rand.New(rand.NewPCG(10, 10))
-	for _, depth := range []int{1, 3, 8, 9} {
-		path := make([][]byte, depth)
-		for j := range path {
-			path[j] = make([]byte, treeKeyLen)
-			for b := range path[j] {
-				path[j][b] = byte(rng.Uint32())
-			}
-		}
-		for _, msgLen := range []int{1, 32, 33, 80} {
-			src := make([]byte, msgLen)
-			for b := range src {
-				src[b] = byte(rng.Uint32())
-			}
-			dst := make([]byte, msgLen)
-			treePadXor(dst, src, path, 5)
-			pad := treePadFromKeys(path, 5, msgLen)
-			for b := range src {
-				if dst[b] != src[b]^pad[b] {
-					t.Fatalf("depth=%d msgLen=%d byte %d: fast path diverges", depth, msgLen, b)
-				}
-			}
-		}
-	}
-}

@@ -4,79 +4,31 @@ import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
-	"errors"
-	"fmt"
+	"encoding/binary"
 	"sync"
 )
 
-// PadFunc names the symmetric pad family a session's OT extension uses for
-// its correlation-robust row hashes and tree-key pads. It is negotiated in
-// the transport Hello alongside the group and field backend: the client
-// offers a set, the server grants one, and both endpoints must derive
-// identical pads or every transfer decrypts to garbage.
+// The OT extension's correlation-robust row hashes (iknp.go) and its
+// tree-key pads (extkofn.go) are one construction: a Matyas–Meyer–Oseas
+// compression y = E(x) ⊕ x under one process-wide fixed AES-128 key
+// (crypto/aes, AES-NI on amd64), a single AES call per 16-byte block.
+// Security rests on the usual fixed-key-AES-as-random-permutation model
+// for correlation-robust hashing from the OT-extension literature (Guo et
+// al. 2019 analyze exactly this family); the semi-honest setting here
+// needs nothing stronger.
+
+// PadFunc names an OT-extension pad family.
 //
-//   - PadSHA256 is the default pad: one SHA-256 compression per row/tree
-//     pad (rowHashXor, treePadXor). It is implied when a Hello offers no
-//     pad.
-//   - PadAES is the fixed-key AES pad: a single AES-128 call per 16-byte
-//     block through a Matyas–Meyer–Oseas compression under one process-wide
-//     fixed key (crypto/aes, AES-NI on amd64). Security rests on the usual
-//     fixed-key-AES-as-random-permutation model for correlation-robust
-//     hashing from the OT-extension literature (Guo et al. 2019 analyze
-//     exactly this family); the semi-honest setting here needs nothing
-//     stronger. It exists because the SHA-256 pads dominate the serving
-//     profile once field arithmetic runs on the limb backend.
+// Deprecated: every session runs the fixed-key AES pad.
 type PadFunc string
 
-const (
-	// PadSHA256 is the legacy SHA-256 pad (the zero value "" means the
-	// same, so un-negotiated sessions land here).
-	PadSHA256 PadFunc = "sha256"
-	// PadAES is the fixed-key AES-128 MMO pad.
-	PadAES PadFunc = "aes"
-)
+// PadAES names the fixed-key AES-128 MMO pad.
+//
+// Deprecated: it is the only pad; naming it has no effect.
+const PadAES PadFunc = "aes"
 
-// ErrPadFunc reports an unknown or un-offered pad function.
-var ErrPadFunc = errors.New("ot: unsupported pad function")
-
-// ResolvePad maps a flag/wire string to a PadFunc ("" selects the legacy
-// SHA-256 pad).
-func ResolvePad(name string) (PadFunc, error) {
-	switch name {
-	case "", string(PadSHA256):
-		return PadSHA256, nil
-	case string(PadAES):
-		return PadAES, nil
-	}
-	return "", fmt.Errorf("%w: %q", ErrPadFunc, name)
-}
-
-// SupportedPads lists every pad this build implements, preference-last
-// (legacy first) so an unordered membership check reads naturally.
-func SupportedPads() []string {
-	return []string{string(PadSHA256), string(PadAES)}
-}
-
-// rowPadXor writes dst = src ⊕ H_pad(j, row) for one extended transfer.
-func (p PadFunc) rowPadXor(dst, src []byte, j int, row []byte) {
-	if p == PadAES {
-		rowPadXorAES(dst, src, j, row)
-		return
-	}
-	rowHashXor(dst, src, j, row)
-}
-
-// treePadXor writes dst = src ⊕ pad(path, index) for one tree ciphertext.
-func (p PadFunc) treePadXor(dst, src []byte, path [][]byte, index int) {
-	if p == PadAES {
-		treePadXorAES(dst, src, path, index)
-		return
-	}
-	treePadXor(dst, src, path, index)
-}
-
-// padAESKey fixes the process-wide AES key: pads need no secrecy in the
-// key itself (the row/path inputs carry the secret), only a public random
+// padAES fixes the process-wide AES key: pads need no secrecy in the key
+// itself (the row/path inputs carry the secret), only a public random
 // permutation, so a published constant is exactly right and lets every
 // session share one expanded key schedule.
 var padAES cipher.Block
@@ -110,85 +62,49 @@ func (s *mmoScratch) compress() {
 	}
 }
 
-// mmoBlock computes one MMO compression into dst (dst may alias x). Used
-// by tests and one-off derivations; the hot loops drive mmoScratch
-// directly.
-func mmoBlock(dst, x *[aes.BlockSize]byte) {
-	s := mmoPool.Get().(*mmoScratch)
-	s.x = *x
-	s.compress()
-	*dst = s.y
-	mmoPool.Put(s)
-}
-
-// rowPadXorAES is the AES row pad: block i of the pad is the MMO
-// compression of the 16-byte row with the tweak (j, i) folded in, so one
-// AES call covers a 16-byte payload (the tree keys every fast-session
-// transfer actually carries) and two cover a 32-byte field element.
-func rowPadXorAES(dst, src []byte, j int, row []byte) {
-	if len(row) != iknpRowBytes {
-		// Row width is fixed by the extension; anything else is a caller
-		// bug, but fall back to the generic derivation rather than panic.
-		rowHashXor(dst, src, j, row)
-		return
-	}
-	s := mmoPool.Get().(*mmoScratch)
-	for off := 0; off < len(src); off += aes.BlockSize {
-		copy(s.x[:], row)
-		s.x[0] ^= byte(uint32(j))
-		s.x[1] ^= byte(uint32(j) >> 8)
-		s.x[2] ^= byte(uint32(j) >> 16)
-		s.x[3] ^= byte(uint32(j) >> 24)
-		s.x[4] ^= byte(off / aes.BlockSize)
+// xorPad writes dst = src ⊕ pad, where block i of the pad is the MMO
+// compression of seed with the tweak (index, i) folded in: index as a
+// little-endian uint32 over bytes 0–3, the block counter i likewise over
+// bytes 4–7. The 32-bit counter keeps every block of a payload up to
+// 64 GiB distinct.
+func (s *mmoScratch) xorPad(dst, src []byte, seed *[aes.BlockSize]byte, index int) {
+	for off, i := 0, uint32(0); off < len(src); off, i = off+aes.BlockSize, i+1 {
+		s.x = *seed
+		binary.LittleEndian.PutUint32(s.x[0:4], binary.LittleEndian.Uint32(s.x[0:4])^uint32(index))
+		binary.LittleEndian.PutUint32(s.x[4:8], binary.LittleEndian.Uint32(s.x[4:8])^i)
 		s.compress()
-		n := len(src) - off
-		if n > aes.BlockSize {
-			n = aes.BlockSize
-		}
+		n := min(len(src)-off, aes.BlockSize)
 		for b := 0; b < n; b++ {
 			dst[off+b] = src[off+b] ^ s.y[b]
 		}
 	}
+}
+
+// rowPadXor writes dst = src ⊕ H(j, row) for one extended transfer: block
+// i of H is the MMO compression of the row with the tweak (j, i), so one
+// AES call covers a 16-byte payload (the tree keys every fast-session
+// transfer carries) and two cover a 32-byte field element.
+func rowPadXor(dst, src []byte, j int, row *[iknpRowBytes]byte) {
+	s := mmoPool.Get().(*mmoScratch)
+	s.xorPad(dst, src, row, j)
 	mmoPool.Put(s)
 }
 
-// treePadXorAES is the AES tree pad: the path keys are absorbed through an
-// MMO Merkle–Damgård chain (one AES call per 16-byte level key), then the
-// digest is expanded with the (index, counter) tweak — one more AES call
-// per 16 payload bytes.
-func treePadXorAES(dst, src []byte, path [][]byte, index int) {
-	for _, k := range path {
-		if len(k) != treeKeyLen {
-			// Tree keys are fixed-width by construction; fall back to the
-			// generic SHA derivation for robustness on malformed input.
-			treePadXor(dst, src, path, index)
-			return
-		}
-	}
+// treePadXor writes dst = src ⊕ pad(path, index) for one tree ciphertext:
+// the path keys are absorbed through an MMO Merkle–Damgård chain (one AES
+// call per level key), then the digest is expanded with the (index,
+// counter) tweak. Every key must be treeKeyLen bytes: drawTreeKeys draws
+// them at that width and recoverSample rejects any other.
+func treePadXor(dst, src []byte, path [][]byte, index int) {
 	s := mmoPool.Get().(*mmoScratch)
 	var h [aes.BlockSize]byte
 	for _, k := range path {
-		for i := 0; i < aes.BlockSize; i++ {
+		for i := range s.x {
 			s.x[i] = h[i] ^ k[i]
 		}
 		s.compress()
 		h = s.y
 	}
-	for off := 0; off < len(src); off += aes.BlockSize {
-		s.x = h
-		s.x[0] ^= byte(uint32(index))
-		s.x[1] ^= byte(uint32(index) >> 8)
-		s.x[2] ^= byte(uint32(index) >> 16)
-		s.x[3] ^= byte(uint32(index) >> 24)
-		s.x[4] ^= byte(off / aes.BlockSize)
-		s.compress()
-		n := len(src) - off
-		if n > aes.BlockSize {
-			n = aes.BlockSize
-		}
-		for b := 0; b < n; b++ {
-			dst[off+b] = src[off+b] ^ s.y[b]
-		}
-	}
+	s.xorPad(dst, src, &h, index)
 	mmoPool.Put(s)
 }

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/sha256"
-	"errors"
+	"encoding/binary"
 	"math/rand"
 	"testing"
 )
@@ -27,27 +27,31 @@ func naiveMMO(t *testing.T, x [16]byte) [16]byte {
 	return y
 }
 
-// naiveRowPadAES derives the row pad exactly as pad.go documents it:
-// block i of the pad is MMO(row ⊕ tweak(j, i)), truncated to the payload.
-func naiveRowPadAES(t *testing.T, size, j int, row []byte) []byte {
+// naiveExpand expands a 16-byte seed per spec: block i of the pad is
+// MMO(seed ⊕ tweak(index, i)), the index little-endian over bytes 0–3 and
+// the block counter little-endian over bytes 4–7, truncated to size.
+func naiveExpand(t *testing.T, size int, seed [16]byte, index int) []byte {
 	t.Helper()
 	pad := make([]byte, 0, size)
 	for off := 0; off < size; off += 16 {
-		var x [16]byte
-		copy(x[:], row)
-		x[0] ^= byte(uint32(j))
-		x[1] ^= byte(uint32(j) >> 8)
-		x[2] ^= byte(uint32(j) >> 16)
-		x[3] ^= byte(uint32(j) >> 24)
-		x[4] ^= byte(off / 16)
-		y := naiveMMO(t, x)
-		n := size - off
-		if n > 16 {
-			n = 16
+		var tweak [16]byte
+		binary.LittleEndian.PutUint32(tweak[0:4], uint32(index))
+		binary.LittleEndian.PutUint32(tweak[4:8], uint32(off/16))
+		x := seed
+		for i := range x {
+			x[i] ^= tweak[i]
 		}
-		pad = append(pad, y[:n]...)
+		y := naiveMMO(t, x)
+		pad = append(pad, y[:min(size-off, 16)]...)
 	}
 	return pad
+}
+
+// naiveRowPadAES derives the row pad exactly as pad.go documents it: the
+// row itself is the seed, the transfer index the tweak.
+func naiveRowPadAES(t *testing.T, size, j int, row []byte) []byte {
+	t.Helper()
+	return naiveExpand(t, size, [16]byte(row), j)
 }
 
 // naiveTreePadAES derives the tree pad per spec: absorb the path keys
@@ -63,37 +67,26 @@ func naiveTreePadAES(t *testing.T, size int, path [][]byte, index int) []byte {
 		}
 		h = naiveMMO(t, x)
 	}
-	pad := make([]byte, 0, size)
-	for off := 0; off < size; off += 16 {
-		x := h
-		x[0] ^= byte(uint32(index))
-		x[1] ^= byte(uint32(index) >> 8)
-		x[2] ^= byte(uint32(index) >> 16)
-		x[3] ^= byte(uint32(index) >> 24)
-		x[4] ^= byte(off / 16)
-		y := naiveMMO(t, x)
-		n := size - off
-		if n > 16 {
-			n = 16
-		}
-		pad = append(pad, y[:n]...)
-	}
-	return pad
+	return naiveExpand(t, size, h, index)
 }
+
+// longPad is a 257-block payload: block 256 is the first whose counter
+// does not fit in one byte.
+const longPad = 257 * aes.BlockSize
 
 // TestRowPadAESDifferential checks the production AES row pad against the
 // naive spec reference across payload sizes and transfer indices.
 func TestRowPadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, size := range []int{1, 15, 16, 17, 31, 32, 33, 48, 64} {
+	for _, size := range []int{1, 15, 16, 17, 31, 32, 33, 48, 64, longPad} {
 		for _, j := range []int{0, 1, 255, 1 << 16, 1<<31 - 1} {
-			row := make([]byte, iknpRowBytes)
-			rng.Read(row)
+			var row [iknpRowBytes]byte
+			rng.Read(row[:])
 			src := make([]byte, size)
 			rng.Read(src)
 			got := make([]byte, size)
-			rowPadXorAES(got, src, j, row)
-			want := naiveRowPadAES(t, size, j, row)
+			rowPadXor(got, src, j, &row)
+			want := naiveRowPadAES(t, size, j, row[:])
 			for i := range want {
 				want[i] ^= src[i]
 			}
@@ -109,7 +102,7 @@ func TestRowPadAESDifferential(t *testing.T) {
 func TestTreePadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, depth := range []int{1, 2, 5, 9} {
-		for _, size := range []int{1, 16, 17, 32, 80} {
+		for _, size := range []int{1, 16, 17, 32, 80, longPad} {
 			path := make([][]byte, depth)
 			for i := range path {
 				path[i] = make([]byte, treeKeyLen)
@@ -118,7 +111,7 @@ func TestTreePadAESDifferential(t *testing.T) {
 			src := make([]byte, size)
 			rng.Read(src)
 			got := make([]byte, size)
-			treePadXorAES(got, src, path, 12345)
+			treePadXor(got, src, path, 12345)
 			want := naiveTreePadAES(t, size, path, 12345)
 			for i := range want {
 				want[i] ^= src[i]
@@ -130,85 +123,25 @@ func TestTreePadAESDifferential(t *testing.T) {
 	}
 }
 
-// TestPadDispatch pins the PadFunc method dispatch: SHA-256 (and the ""
-// zero value) reach the legacy derivations, AES reaches the MMO pads, and
-// malformed widths fall back to the legacy derivations instead of
-// panicking.
-func TestPadDispatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	row := make([]byte, iknpRowBytes)
-	rng.Read(row)
-	src := make([]byte, 40)
-	rng.Read(src)
-
-	legacy := make([]byte, len(src))
-	rowHashXor(legacy, src, 3, row)
-	for _, p := range []PadFunc{"", PadSHA256} {
-		got := make([]byte, len(src))
-		p.rowPadXor(got, src, 3, row)
-		if !bytes.Equal(got, legacy) {
-			t.Fatalf("pad %q: row dispatch does not match legacy SHA-256", p)
-		}
-	}
-	aesOut := make([]byte, len(src))
-	PadAES.rowPadXor(aesOut, src, 3, row)
-	direct := make([]byte, len(src))
-	rowPadXorAES(direct, src, 3, row)
-	if !bytes.Equal(aesOut, direct) {
-		t.Fatal("PadAES row dispatch does not reach the AES pad")
-	}
-	if bytes.Equal(aesOut, legacy) {
-		t.Fatal("AES and SHA-256 row pads agree — dispatch is not switching")
-	}
-
-	// Malformed row width: the AES path must fall back to the legacy
-	// derivation so both peers still agree.
-	shortRow := row[:iknpRowBytes-1]
-	fallback := make([]byte, len(src))
-	PadAES.rowPadXor(fallback, src, 3, shortRow)
-	legacyShort := make([]byte, len(src))
-	rowHashXor(legacyShort, src, 3, shortRow)
-	if !bytes.Equal(fallback, legacyShort) {
-		t.Fatal("malformed-width row did not fall back to the legacy pad")
-	}
-
+// TestPadBlockCounterDoesNotWrap pins the 32-bit block counter: a one-byte
+// counter would hand block 256 of a long payload exactly block 0's pad (a
+// two-time pad), for the row pad and the tree pad alike.
+func TestPadBlockCounterDoesNotWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var row [iknpRowBytes]byte
+	rng.Read(row[:])
 	path := [][]byte{make([]byte, treeKeyLen), make([]byte, treeKeyLen)}
 	rng.Read(path[0])
 	rng.Read(path[1])
-	treeLegacy := make([]byte, len(src))
-	treePadXor(treeLegacy, src, path, 6)
-	treeSHA := make([]byte, len(src))
-	PadSHA256.treePadXor(treeSHA, src, path, 6)
-	if !bytes.Equal(treeSHA, treeLegacy) {
-		t.Fatal("PadSHA256 tree dispatch does not match legacy derivation")
-	}
-	treeAES := make([]byte, len(src))
-	PadAES.treePadXor(treeAES, src, path, 6)
-	if bytes.Equal(treeAES, treeLegacy) {
-		t.Fatal("AES and SHA-256 tree pads agree — dispatch is not switching")
-	}
-	badPath := [][]byte{path[0][:treeKeyLen-2]}
-	badOut := make([]byte, len(src))
-	PadAES.treePadXor(badOut, src, badPath, 6)
-	badLegacy := make([]byte, len(src))
-	treePadXor(badLegacy, src, badPath, 6)
-	if !bytes.Equal(badOut, badLegacy) {
-		t.Fatal("malformed-width tree key did not fall back to the legacy pad")
-	}
-}
-
-func TestResolvePad(t *testing.T) {
-	for name, want := range map[string]PadFunc{
-		"":       PadSHA256,
-		"sha256": PadSHA256,
-		"aes":    PadAES,
+	zero := make([]byte, longPad)
+	for name, pad := range map[string]func(dst []byte){
+		"row":  func(dst []byte) { rowPadXor(dst, zero, 3, &row) },
+		"tree": func(dst []byte) { treePadXor(dst, zero, path, 3) },
 	} {
-		got, err := ResolvePad(name)
-		if err != nil || got != want {
-			t.Fatalf("ResolvePad(%q) = %q, %v; want %q", name, got, err, want)
+		got := make([]byte, longPad)
+		pad(got)
+		if bytes.Equal(got[256*aes.BlockSize:], got[:aes.BlockSize]) {
+			t.Errorf("%s pad: block 256 repeats block 0", name)
 		}
-	}
-	if _, err := ResolvePad("chacha"); !errors.Is(err, ErrPadFunc) {
-		t.Fatalf("ResolvePad(chacha) = %v; want ErrPadFunc", err)
 	}
 }

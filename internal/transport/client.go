@@ -59,16 +59,12 @@ func NewClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, opts O
 	conn := newConnRole(rw, roleClient)
 	conn.SetMessageDeadline(opts.messageDeadline())
 	var client *classify.Client
-	pads := opts.offeredPads()
 	err := conn.RunContext(ctx, func() error {
-		if err := opts.sendHello(conn, &Hello{Service: "classify", FieldBackend: opts.requestedBackend(), PadFuncs: pads}); err != nil {
+		if err := opts.sendHello(conn, &Hello{Service: "classify", FieldBackend: opts.requestedBackend()}); err != nil {
 			return err
 		}
 		spec, err := Recv[*classify.Spec](conn)
 		if err != nil {
-			return err
-		}
-		if err := validatePadGrant(spec.PadFunc, pads); err != nil {
 			return err
 		}
 		client, err = classify.NewClient(*spec)
@@ -310,8 +306,8 @@ func (c *FastClassifyClient) Resumed() bool { return c.resumed }
 // is single-use: present it on exactly one redial.
 func (c *FastClassifyClient) ResumeState() *ResumeState { return c.resumeState }
 
-// Spec reports the negotiated session spec, including the granted OT pad
-// function ("" means the legacy SHA-256 pad).
+// Spec reports the negotiated session spec, including the granted field
+// backend and resumption outcome.
 func (c *FastClassifyClient) Spec() classify.Spec { return c.session.Spec() }
 
 // NewFastClassifyClient performs the handshake and base phase on an
@@ -327,13 +323,12 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 	conn := newConnRole(rw, roleClient)
 	conn.SetMessageDeadline(opts.messageDeadline())
 	var session *classify.FastClient
-	pads := opts.offeredPads()
 	offerResume := opts.OfferResume || opts.Resume != nil
 	var specSum []byte
 	resumed := false
 	start := time.Now()
 	err := conn.RunContext(ctx, func() error {
-		hello := &Hello{Service: "classify-fast", FieldBackend: opts.requestedBackend(), PadFuncs: pads, ResumeOffered: offerResume}
+		hello := &Hello{Service: "classify-fast", FieldBackend: opts.requestedBackend(), ResumeOffered: offerResume}
 		if opts.Resume != nil {
 			hello.ResumeTicket = opts.Resume.Ticket
 		}
@@ -342,9 +337,6 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 		}
 		spec, err := Recv[*classify.Spec](conn)
 		if err != nil {
-			return err
-		}
-		if err := validatePadGrant(spec.PadFunc, pads); err != nil {
 			return err
 		}
 		specSum = specResumeSum(*spec)

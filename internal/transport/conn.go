@@ -68,11 +68,6 @@ type Hello struct {
 	// server grants "limb" only when its trainer supports it; the granted
 	// backend comes back in the Spec.
 	FieldBackend string
-	// PadFuncs lists the OT-extension pad families the client can run,
-	// in preference order ("aes", "sha256"). An empty offer reads as
-	// SHA-256-only; the granted pad comes back in the spec's PadFunc
-	// field.
-	PadFuncs []string
 	// ResumeOffered asks the server to mint a resumption ticket at the
 	// clean end of this session.
 	ResumeOffered bool

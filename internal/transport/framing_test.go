@@ -175,7 +175,7 @@ func TestPeekHelloBounds(t *testing.T) {
 		if st == nil {
 			t.Fatal("no ticket harvested")
 		}
-		hello := &transport.Hello{Service: "classify-fast", FieldBackend: "limb", PadFuncs: []string{"aes"}, ResumeOffered: true, ResumeTicket: st.Ticket}
+		hello := &transport.Hello{Service: "classify-fast", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: st.Ticket}
 		got, err := transport.PeekHello(bytes.NewReader(encodeFrame(t, hello)))
 		if err != nil {
 			t.Fatal(err)

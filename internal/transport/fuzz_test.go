@@ -74,14 +74,14 @@ func wireFuzzSamples() []struct {
 		name  string
 		proto wireCodecMsg
 	}{
-		{"Hello", &transport.Hello{Service: "classify", FieldBackend: "limb", PadFuncs: []string{"aes", "sha256"}, ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
+		{"Hello", &transport.Hello{Service: "classify", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
 		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
 		{"Done", &transport.Done{}},
 		{"ClassifyBatchRequest", &transport.ClassifyBatchRequest{Evals: []*ompe.EvalRequest{fuzzEval()}}},
 		{"ClassifyBatchSetups", &transport.ClassifyBatchSetups{Setups: []*ot.BatchSetup{{Setups: []*ot.SenderSetup{{Cs: []*big.Int{big.NewInt(9)}}}}}}},
 		{"ClassifyBatchChoices", &transport.ClassifyBatchChoices{Choices: []*ot.BatchChoice{{Choices: []*ot.ReceiverChoice{{PK0: big.NewInt(5)}}}}}},
 		{"ClassifyBatchTransfers", &transport.ClassifyBatchTransfers{Transfers: []*ot.BatchTransfer{{Transfers: []*ot.SenderTransfer{{R: big.NewInt(3), Cts: [][]byte{{1}}}}}}}},
-		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", FieldBackend: "big", PadFunc: "aes", ResumeGranted: true}},
+		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", FieldBackend: "big", ResumeGranted: true}},
 		{"SessionTicket", &transport.SessionTicket{Ticket: []byte{0x50, 0x50, 0x44, 0x43, 0x54, 0x4B, 0x54, 0x31, 1, 2, 3, 4}}},
 		{"ResumeInfo", &transport.ResumeInfo{MintID: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},
 		{"SimilaritySpec", &simSpec},
@@ -199,7 +199,7 @@ func FuzzBinaryFrameRecv(f *testing.F) {
 	f.Add([]byte{0x02, 0x01, 0, 0, 0, 0, 0, 0, 0, 0})             // wrong version
 	f.Add([]byte{0x01, 0xEE, 0, 0, 0, 0, 0, 0, 0, 0})             // unknown tag
 	f.Add([]byte{0x01, 0x01, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF}) // hostile length
-	valid := encodeFrame(f, &transport.Hello{Service: "classify", PadFuncs: []string{"aes"}})
+	valid := encodeFrame(f, &transport.Hello{Service: "classify"})
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(append(valid, valid...))

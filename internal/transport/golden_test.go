@@ -34,9 +34,9 @@ import (
 	"repro/internal/wire"
 )
 
-// goldenMagic opens every transcript container. v3 has no codec field
-// (every session speaks one framing) and always carries the pad name.
-const goldenMagic = "PPDCWIREv3"
+// goldenMagic opens every transcript container. v4 has no codec or pad
+// field: every session speaks one framing and runs one OT pad.
+const goldenMagic = "PPDCWIREv4"
 
 var goldenDir = filepath.Join("testdata", "wire")
 
@@ -45,15 +45,12 @@ type goldenScenario struct {
 	service string // classify-serial | classify-batch | similarity
 	group   string // modp512 | x25519
 	backend string // big | limb (classify services only)
-	pad     string // "" (legacy SHA-256) | aes
 }
 
 // goldenScenarios spans the conformance matrix: each classify service
-// across {modp512,x25519} x {big,limb}, the linear similarity protocol
-// across groups, and the batched classify service with the negotiated
-// fixed-key AES pad on the limb backend across groups. Names carry the
-// "binary" infix of the one framing, which keeps the transcript file
-// names stable.
+// across {modp512,x25519} x {big,limb} and the linear similarity protocol
+// across groups. Names carry the "binary" infix of the one framing, which
+// keeps the transcript file names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {
@@ -70,13 +67,6 @@ func goldenScenarios() []goldenScenario {
 		out = append(out, goldenScenario{
 			name:    "similarity_binary_" + group,
 			service: "similarity", group: group,
-		})
-	}
-	for _, group := range []string{"modp512", "x25519"} {
-		out = append(out, goldenScenario{
-			name:    fmt.Sprintf("classify-batch_binary_%s_limb_aes", group),
-			service: "classify-batch", group: group,
-			backend: "limb", pad: string(ot.PadAES),
 		})
 	}
 	return out
@@ -99,7 +89,7 @@ func goldenGroup(t *testing.T, name string) ot.Group {
 func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	t.Helper()
 	group := goldenGroup(t, sc.group)
-	opts := transport.Options{FieldBackend: sc.backend, PadFunc: sc.pad}
+	opts := transport.Options{FieldBackend: sc.backend}
 
 	model, test := trainLinear(t, 91)
 	params := classify.Params{Group: group, Parallelism: 1}
@@ -194,7 +184,6 @@ func encodeGolden(sc goldenScenario, c2s, s2c []byte) ([]byte, error) {
 	w.String(sc.service)
 	w.String(sc.group)
 	w.String(sc.backend)
-	w.String(sc.pad)
 	w.ByteSlice(c2s)
 	w.ByteSlice(s2c)
 	return w.Bytes(), w.Err()
@@ -215,7 +204,6 @@ func decodeGolden(data []byte) (*goldenFile, error) {
 	g.scenario.service = r.String()
 	g.scenario.group = r.String()
 	g.scenario.backend = r.String()
-	g.scenario.pad = r.String()
 	g.c2s = r.ByteSlice()
 	g.s2c = r.ByteSlice()
 	if err := r.Done(); err != nil {

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/field"
 	"repro/internal/obs"
-	"repro/internal/ot"
 )
 
 // Defaults for Options fields left zero.
@@ -72,13 +71,9 @@ type Options struct {
 	// Deprecated: every session speaks the binary framing.
 	WireCodec string
 
-	// PadFunc selects the OT-extension pad family the client offers in
-	// its Hello. Empty offers nothing (the session runs the SHA-256 pad);
-	// "aes" offers the fixed-key AES pad with SHA-256 as the implicit
-	// fallback — a server that does not grant it runs SHA-256 unchanged.
-	// Unlike the field backend, the pad is never requested by default: it
-	// changes the symmetric derivations on both endpoints, so it is
-	// strictly opt-in.
+	// PadFunc is ignored.
+	//
+	// Deprecated: every session runs the fixed-key AES pad.
 	PadFunc string
 
 	// OfferResume asks the server to mint a session-resumption ticket at
@@ -134,16 +129,6 @@ func (o Options) sendHello(conn *Conn, hello *Hello) error {
 		}
 	}
 	return conn.Send(hello)
-}
-
-// offeredPads resolves the pad offer for the Hello: empty by default —
-// the SHA-256 pad needs no negotiation — and a single-element offer when
-// a pad is pinned explicitly.
-func (o Options) offeredPads() []string {
-	if o.PadFunc == "" || o.PadFunc == string(ot.PadSHA256) {
-		return nil
-	}
-	return []string{o.PadFunc}
 }
 
 // messageDeadline resolves the effective per-message deadline (0 = none).

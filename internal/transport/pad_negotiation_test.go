@@ -1,12 +1,11 @@
 package transport_test
 
-// Pad-function negotiation, end to end: the AES↔SHA interop matrix over
-// real sessions, refusal of a grant the client never offered, and wire
-// determinism of the AES pad across server parallelism.
+// The OT pad over real sessions: every session runs the fixed-key AES
+// pad whatever the deprecated Options.PadFunc says, and its wire bytes
+// stay deterministic across server parallelism.
 
 import (
 	"bytes"
-	"errors"
 	"net"
 	"testing"
 	"time"
@@ -16,10 +15,9 @@ import (
 	"repro/internal/transport"
 )
 
-// runPadSession performs one fast batched session with the given client
-// pad option and server support list and returns the negotiated spec and
-// the labels.
-func runPadSession(t *testing.T, clientPad string, serverPads []string) (classify.Spec, []int, []int) {
+// runPadSession performs one fast batched session against a default
+// server with the given client pad option and returns the labels.
+func runPadSession(t *testing.T, clientPad string) (got, want []int) {
 	t.Helper()
 	model, test := trainLinear(t, 41)
 	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
@@ -27,9 +25,8 @@ func runPadSession(t *testing.T, clientPad string, serverPads []string) (classif
 		t.Fatal(err)
 	}
 	samples := test.X[:4]
-	want := localReference(t, trainer, samples)
+	want = localReference(t, trainer, samples)
 	srv := quietServer(t, trainer)
-	srv.PadFuncs = serverPads
 
 	serverSide, clientSide := net.Pipe()
 	done := make(chan struct{})
@@ -37,16 +34,14 @@ func runPadSession(t *testing.T, clientPad string, serverPads []string) (classif
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClientContext(t.Context(), clientSide,
-		transport.Options{PadFunc: clientPad}, newDetReader("pad-matrix-client"))
+	opts := transport.Options{PadFunc: clientPad} //nolint:staticcheck // the deprecated surface is under test
+	fc, err := transport.NewFastClassifyClientContext(t.Context(), clientSide, opts, newDetReader("pad-matrix-client"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fc.ClassifyBatch(samples)
-	if err != nil {
+	if got, err = fc.ClassifyBatch(samples); err != nil {
 		t.Fatal(err)
 	}
-	spec := fc.Spec()
 	if err := fc.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -55,74 +50,34 @@ func runPadSession(t *testing.T, clientPad string, serverPads []string) (classif
 	case <-time.After(15 * time.Second):
 		t.Fatal("server session did not end")
 	}
-	return spec, got, want
+	return got, want
 }
 
-// TestPadNegotiationMatrix drives the AES↔SHA interop matrix: both-AES
-// sessions negotiate the AES pad, mixed sessions fall back to the legacy
-// SHA-256 pad, and every combination still classifies correctly (a pad
-// mismatch between the endpoints would turn every transfer to garbage,
-// so correct labels prove both sides agreed).
+// TestPadNegotiationMatrix runs every value a client may still set in the
+// deprecated Options.PadFunc, including the retired "sha256", against a
+// default server. Each must classify correctly: a pad mismatch between
+// the endpoints would turn every transfer to garbage, so correct labels
+// prove both sides ran the one pad.
 func TestPadNegotiationMatrix(t *testing.T) {
 	cases := []struct {
 		name      string
 		clientPad string
-		serverPad []string // nil = default support (aes preferred)
-		wantGrant string
 	}{
-		{"aes client, default server", "aes", nil, "aes"},
-		{"aes client, sha-pinned server", "aes", []string{"sha256"}, ""},
-		{"legacy client, default server", "", nil, ""},
-		{"sha client, default server", "sha256", nil, ""},
+		{"legacy client, default server", ""},
+		{"aes client, default server", "aes"},
+		{"sha client, default server", "sha256"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			spec, got, want := runPadSession(t, tc.clientPad, tc.serverPad)
-			if spec.PadFunc != tc.wantGrant {
-				t.Fatalf("negotiated pad %q, want %q", spec.PadFunc, tc.wantGrant)
-			}
+			got, want := runPadSession(t, tc.clientPad)
 			checkLabels(t, got, want, tc.name)
 		})
 	}
 }
 
-// TestPadGrantRefusedWhenUnoffered hand-rolls a misbehaving server that
-// grants the AES pad to a client that never offered it. The client must
-// refuse the handshake with the typed pad error instead of silently
-// running a pad the operator did not opt into.
-func TestPadGrantRefusedWhenUnoffered(t *testing.T) {
-	model, _ := trainLinear(t, 42)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serverSide, clientSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		conn := transport.NewConn(serverSide)
-		if _, err := transport.Recv[*transport.Hello](conn); err != nil {
-			return
-		}
-		spec := trainer.Spec()
-		spec.PadFunc = "aes" // never offered by this client
-		_ = conn.Send(&spec)
-	}()
-	_, err = transport.NewFastClassifyClientContext(t.Context(), clientSide,
-		transport.Options{}, newDetReader("pad-refusal-client"))
-	if !errors.Is(err, ot.ErrPadFunc) {
-		t.Fatalf("handshake error = %v, want ot.ErrPadFunc", err)
-	}
-	select {
-	case <-done:
-	case <-time.After(15 * time.Second):
-		t.Fatal("rogue server did not finish")
-	}
-}
-
-// runDeterministicAESBatch is runDeterministicBatch with the AES pad
-// negotiated on both ends.
-func runDeterministicAESBatch(t *testing.T, parallelism int, samples [][]float64) (sent, received []byte) {
+// runDeterministicAESBatch is runDeterministicBatch with the deprecated
+// client pad option set to clientPad.
+func runDeterministicAESBatch(t *testing.T, parallelism int, clientPad string, samples [][]float64) (sent, received []byte) {
 	t.Helper()
 	model, _ := trainLinear(t, 43)
 	trainer, err := classify.NewTrainer(model, classify.Params{
@@ -141,13 +96,10 @@ func runDeterministicAESBatch(t *testing.T, parallelism int, samples [][]float64
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClientContext(t.Context(), rc,
-		transport.Options{PadFunc: "aes"}, newDetReader("aes-batch-determinism-client"))
+	opts := transport.Options{PadFunc: clientPad} //nolint:staticcheck // the deprecated surface is under test
+	fc, err := transport.NewFastClassifyClientContext(t.Context(), rc, opts, newDetReader("aes-batch-determinism-client"))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if pad := fc.Spec().PadFunc; pad != "aes" {
-		t.Fatalf("negotiated pad %q, want aes", pad)
 	}
 	if _, err := fc.ClassifyBatch(samples); err != nil {
 		t.Fatal(err)
@@ -166,21 +118,25 @@ func runDeterministicAESBatch(t *testing.T, parallelism int, samples [][]float64
 }
 
 // TestBatchWireDeterminismAESPad: the serial-rng discipline must hold on
-// the AES pad path too — wire bytes bit-identical across server
-// parallelism with fixed randomness.
+// the AES pad path — wire bytes bit-identical across server parallelism
+// with fixed randomness — and the deprecated Options.PadFunc must be a
+// no-op, so "aes" and "" give byte-identical transcripts.
 func TestBatchWireDeterminismAESPad(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full sessions")
+		t.Skip("three full sessions")
 	}
-	model, test := trainLinear(t, 43)
-	_ = model
+	_, test := trainLinear(t, 43)
 	samples := test.X[:6]
-	sent1, recv1 := runDeterministicAESBatch(t, 1, samples)
-	sent4, recv4 := runDeterministicAESBatch(t, 4, samples)
+	sent1, recv1 := runDeterministicAESBatch(t, 1, "aes", samples)
+	sent4, recv4 := runDeterministicAESBatch(t, 4, "aes", samples)
 	if !bytes.Equal(sent1, sent4) {
 		t.Fatal("client wire bytes differ across server parallelism (AES pad)")
 	}
 	if !bytes.Equal(recv1, recv4) {
 		t.Fatal("server wire bytes differ across parallelism (AES pad fan-out leaked into randomness order)")
+	}
+	sentDefault, recvDefault := runDeterministicAESBatch(t, 1, "", samples)
+	if !bytes.Equal(sent1, sentDefault) || !bytes.Equal(recv1, recvDefault) {
+		t.Fatal(`Options.PadFunc "aes" and "" produced different transcripts`)
 	}
 }

@@ -74,11 +74,6 @@ type Server struct {
 	Logf func(format string, args ...any)
 	// Rand is the entropy source (default crypto/rand.Reader).
 	Rand io.Reader
-	// PadFuncs lists the OT-extension pad families this server will
-	// grant, in preference order. Nil grants the defaults (the AES pad
-	// when the client offers it, SHA-256 otherwise); []string{"sha256"}
-	// pins the SHA-256 pad, which AES-offering clients negotiate down to.
-	PadFuncs []string
 	// DisableResume turns off session-resumption tickets: no tickets are
 	// minted, and presented tickets are declined into full handshakes.
 	DisableResume bool
@@ -327,31 +322,15 @@ func (s *Server) logf(format string, args ...any) {
 	}
 }
 
-// sessionSpec resolves the backend and pad negotiation for one session:
-// the client's requested engine (from its Hello) is granted only when the
-// trainer supports it, the pad grant is folded into the spec's PadFunc
-// field, and the granted spec is what goes back on the wire.
+// sessionSpec resolves the backend negotiation for one session: the
+// client's requested engine (from its Hello) is granted only when the
+// trainer supports it, and the granted spec is what goes back on the wire.
 func (s *Server) sessionSpec(trainer *classify.Trainer, hello *Hello) (classify.Spec, error) {
 	requested, err := field.ResolveBackend(hello.FieldBackend)
 	if err != nil {
 		return classify.Spec{}, err
 	}
-	spec := trainer.SessionSpec(requested)
-	spec.PadFunc = s.grantPad(hello)
-	return spec, nil
-}
-
-// supportedPads resolves the server's pad support list.
-func (s *Server) supportedPads() []string {
-	if len(s.PadFuncs) == 0 {
-		return defaultPadFuncs()
-	}
-	return s.PadFuncs
-}
-
-// grantPad picks the session OT pad from the client's offer.
-func (s *Server) grantPad(hello *Hello) string {
-	return grantPadFunc(hello.PadFuncs, s.supportedPads())
+	return trainer.SessionSpec(requested), nil
 }
 
 // ticketer lazily builds the per-process ticket mint (see Server field

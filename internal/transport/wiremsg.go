@@ -221,10 +221,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 func (h *Hello) EncodeWire(w *wire.Writer) {
 	w.String(h.Service)
 	w.String(h.FieldBackend)
-	w.Count(len(h.PadFuncs))
-	for _, p := range h.PadFuncs {
-		w.String(p)
-	}
 	w.Bool(h.ResumeOffered)
 	w.ByteSlice(h.ResumeTicket)
 }
@@ -233,11 +229,6 @@ func (h *Hello) EncodeWire(w *wire.Writer) {
 func (h *Hello) DecodeWire(r *wire.Reader) {
 	h.Service = r.String()
 	h.FieldBackend = r.String()
-	n := r.Count()
-	h.PadFuncs = nil
-	for i := 0; i < n && r.Err() == nil; i++ {
-		h.PadFuncs = append(h.PadFuncs, r.String())
-	}
 	h.ResumeOffered = r.Bool()
 	h.ResumeTicket = r.ByteSlice()
 }
