@@ -3,12 +3,13 @@
 //
 //	ppdc-client classify -addr host:7707 -sample "0.1,-0.3,..."
 //	ppdc-client classify -addr host:7707 -dataset diabetes -n 20
-//	ppdc-client classify -addr host:7707 -fast -batch 64 -inflight 4 -n 256
+//	ppdc-client classify -addr host:7707 -batch 64 -inflight 4 -n 256
 //	ppdc-client similarity -addr host:7707 -dataset diabetes -seed 2
 //
-// In classify mode the client's samples never leave the process in the
-// clear; in similarity mode the client trains its own linear model and
-// learns only the triangle metric T.
+// In classify mode the client opens one IKNP session (a base phase at dial
+// time, then two messages per query) and its samples never leave the
+// process in the clear; in similarity mode the client trains its own
+// linear model and learns only the triangle metric T.
 package main
 
 import (
@@ -48,12 +49,11 @@ func run(args []string) error {
 		dsName   = fs.String("dataset", "diabetes", "synthetic dataset for test samples / own model")
 		n        = fs.Int("n", 5, "number of test samples to classify")
 		seed     = fs.Uint64("seed", 2, "synthetic data seed (client side)")
-		fast     = fs.Bool("fast", false, "use the IKNP fast session (one base phase, then no public-key ops per query)")
-		redial   = fs.Int("redial", 0, "with -fast: redial up to this many times when the session dies mid-query (against a ppdc-gateway fleet, a fresh session fails over to a surviving replica)")
-		resume   = fs.Bool("resume", false, "with -fast: offer session resumption — harvest the trainer's ticket at clean close, and (with -redial) present it on the next dial to skip the base OTs")
+		redial   = fs.Int("redial", 0, "redial up to this many times when the session dies mid-query (against a ppdc-gateway fleet, a fresh session fails over to a surviving replica)")
+		resume   = fs.Bool("resume", false, "offer session resumption — harvest the trainer's ticket at clean close, and (with -redial) present it on the next dial to skip the base OTs")
 		backend  = fs.String("field-backend", "", "field engine to request: limb (default) or big; the session falls back to big unless the trainer supports limb")
 		batch    = fs.Int("batch", 0, "samples per batched request (0 = one request per sample)")
-		inflight = fs.Int("inflight", 1, "batches kept in flight on the connection (with -batch and -fast)")
+		inflight = fs.Int("inflight", 1, "batches kept in flight on the connection (with -batch)")
 
 		timeout     = fs.Duration("timeout", transport.DefaultDialTimeout, "per-attempt dial timeout")
 		retries     = fs.Int("retries", transport.DefaultMaxAttempts, "total dial attempts (exponential backoff + jitter between them)")
@@ -94,16 +94,10 @@ func run(args []string) error {
 		if *inflight < 1 {
 			return fmt.Errorf("-inflight must be >= 1")
 		}
-		if *inflight > 1 && (*batch == 0 || !*fast) {
-			return fmt.Errorf("-inflight > 1 needs -fast and -batch > 0 (pipelining rides the fast-session stream framing)")
+		if *inflight > 1 && *batch == 0 {
+			return fmt.Errorf("-inflight > 1 needs -batch > 0 (pipelining keeps whole batches in flight)")
 		}
-		if *redial > 0 && !*fast {
-			return fmt.Errorf("-redial needs -fast (session recovery rides the fast-session client)")
-		}
-		if *resume && !*fast {
-			return fmt.Errorf("-resume needs -fast (tickets snapshot the fast session's OT extension state)")
-		}
-		return runClassify(*addr, *sample, *dsName, *n, *seed, *fast, *batch, *inflight, *redial, opts)
+		return runClassify(*addr, *sample, *dsName, *n, *seed, *batch, *inflight, *redial, opts)
 	case "similarity":
 		return runSimilarity(*addr, *dsName, *seed, opts)
 	default:
@@ -111,12 +105,14 @@ func run(args []string) error {
 	}
 }
 
-func runClassify(addr, sampleCSV, dsName string, n int, seed uint64, fast bool, batch, inflight, redial int, opts transport.Options) error {
+func runClassify(addr, sampleCSV, dsName string, n int, seed uint64, batch, inflight, redial int, opts transport.Options) error {
 	ctx := context.Background()
 	var classifyFn func([]float64) (int, error)
 	var batchFn func([][]float64) ([]int, error)
-	var spec classifySpec
-	if fast && redial > 0 {
+	// dim is the trainer's sample dimension, known once a direct session
+	// has its spec (the fleet client dials lazily, so it stays 0 there).
+	dim := 0
+	if redial > 0 {
 		client := gateway.NewFleetClient(nil, addr, opts, rand.Reader, redial)
 		defer func() { _ = client.Close() }()
 		classifyFn = func(sample []float64) (int, error) {
@@ -132,46 +128,21 @@ func runClassify(addr, sampleCSV, dsName string, n int, seed uint64, fast bool, 
 			}
 		}
 		fmt.Printf("fleet client: sessions redial up to %d time(s) on failure\n", redial)
-	} else if fast {
+	} else {
 		client, err := transport.DialClassifyFastContext(ctx, addr, opts, rand.Reader)
 		if err != nil {
 			return err
 		}
 		defer func() { _ = client.Close() }()
-		// The fast client's spec is negotiated at dial time; re-dial the
-		// plain service just for display would be wasteful, so derive the
-		// shape from the first query instead.
+		spec := client.Spec()
+		dim = spec.Dim
 		classifyFn = client.Classify
 		if batch > 0 {
 			batchFn = func(samples [][]float64) ([]int, error) {
 				return client.ClassifyPipelined(ctx, samples, batch, inflight)
 			}
 		}
-		fmt.Printf("connected (fast session): base phase complete\n")
-	} else {
-		client, err := transport.DialClassifyContext(ctx, addr, opts, rand.Reader)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = client.Close() }()
-		s := client.Spec()
-		spec = classifySpec{kind: s.Kernel.Kind.String(), dim: s.Dim, group: s.GroupName}
-		classifyFn = client.Classify
-		if batch > 0 {
-			batchFn = func(samples [][]float64) ([]int, error) {
-				labels := make([]int, 0, len(samples))
-				for lo := 0; lo < len(samples); lo += batch {
-					hi := min(lo+batch, len(samples))
-					part, err := client.ClassifyBatch(samples[lo:hi])
-					if err != nil {
-						return nil, err
-					}
-					labels = append(labels, part...)
-				}
-				return labels, nil
-			}
-		}
-		fmt.Printf("connected: %s kernel, %d dims, OT group %s\n", spec.kind, spec.dim, spec.group)
+		fmt.Printf("connected: %s kernel, %d dims, OT group %s\n", spec.Kernel.Kind, spec.Dim, spec.GroupName)
 	}
 
 	ds, err := dataset.SpecByName(dsName)
@@ -191,8 +162,8 @@ func runClassify(addr, sampleCSV, dsName string, n int, seed uint64, fast bool, 
 		return nil
 	}
 
-	if spec.dim != 0 && ds.Dim != spec.dim {
-		return fmt.Errorf("dataset %s has %d dims; trainer expects %d", dsName, ds.Dim, spec.dim)
+	if dim != 0 && ds.Dim != dim {
+		return fmt.Errorf("dataset %s has %d dims; trainer expects %d", dsName, ds.Dim, dim)
 	}
 	_, test, err := dataset.Generate(ds, dataset.Options{Seed: seed})
 	if err != nil {
@@ -258,13 +229,6 @@ func runSimilarity(addr, dsName string, seed uint64, opts transport.Options) err
 	fmt.Printf("similarity T = %.6f (10³T = %.3f) in %v\n", res.T, res.T*1000, time.Since(start).Round(time.Millisecond))
 	fmt.Println("smaller T means more similar trained models")
 	return nil
-}
-
-// classifySpec carries display fields of the negotiated contract.
-type classifySpec struct {
-	kind  string
-	dim   int
-	group string
 }
 
 func parseSample(csv string, dim int) ([]float64, error) {

@@ -33,4 +33,7 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 	if err := run([]string{"classify", "-pad=aes", "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 		t.Fatalf("removed -pad flag: got %v, want an undefined-flag error", err)
 	}
+	if err := run([]string{"classify", "-fast", "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("removed -fast flag: got %v, want an undefined-flag error", err)
+	}
 }

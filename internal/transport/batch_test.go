@@ -72,8 +72,9 @@ func checkLabels(t *testing.T, got, want []int, what string) {
 	}
 }
 
-// TestClassifyBatchOverPipe drives the slow-path batched exchange and
-// checks every label against the local plaintext reference.
+// TestClassifyBatchOverPipe sends back-to-back batches of different sizes
+// on one session, checks that an empty batch fails on the client without
+// disturbing the session, and that a single query still follows.
 func TestClassifyBatchOverPipe(t *testing.T) {
 	model, test := trainLinear(t, 21)
 	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
@@ -90,16 +91,24 @@ func TestClassifyBatchOverPipe(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	cc, err := transport.NewClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cc.ClassifyBatch(samples)
+	got, err := cc.ClassifyBatch(samples[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkLabels(t, got, want, "slow batch")
-	// A single query on the same session must still work after a batch.
+	checkLabels(t, got, want[:5], "first batch")
+	got, err = cc.ClassifyBatch(samples[5:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkLabels(t, got, want[5:], "second batch")
+	if _, err := cc.ClassifyBatch(nil); err == nil {
+		t.Fatal("empty batch should fail")
+	}
+	// The refused batch never reached the wire: the session still serves.
 	single, err := cc.Classify(samples[0])
 	if err != nil {
 		t.Fatal(err)

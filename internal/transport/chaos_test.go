@@ -34,7 +34,7 @@ type chaosCase struct {
 
 // chaosMatrix covers the five required fault types. Hard faults appear at
 // two byte offsets each — during the handshake and mid-OT — so both the
-// session-setup and round-trip paths are exercised.
+// session-setup and OT paths are exercised.
 func chaosMatrix() []chaosCase {
 	hardTimeout := []error{transport.ErrTimeout}
 	injected := []error{faultnet.ErrInjected}
@@ -44,7 +44,8 @@ func chaosMatrix() []chaosCase {
 		{name: "partial-writes", profile: faultnet.Profile{ChunkWrites: 7}, wantOK: true},
 		{name: "latency+partial-writes", profile: faultnet.Profile{Latency: time.Millisecond, ChunkWrites: 64, Seed: 7}, wantOK: true},
 		// Handshake offsets land inside the ~100-byte Hello and spec reply;
-		// mid-OT offsets sit past it but inside the ~4KB query exchange
+		// mid-OT offsets sit past it, inside the ~4KB similarity query
+		// exchange and inside the classification session's IKNP base phase
 		// (measured for the 512-bit test group).
 		{name: "write-error-handshake", profile: faultnet.Profile{FailWriteAfter: 16}, wantErr: injected},
 		{name: "write-error-mid-ot", profile: faultnet.Profile{FailWriteAfter: 1024}, wantErr: injected},
@@ -159,7 +160,7 @@ func TestChaosClassify(t *testing.T) {
 					srv := quietServer(t, trainer)
 					srv.MessageDeadline = chaosOpts.MessageDeadline
 					runChaos(t, tc, srv, func(rw *faultnet.Conn) error {
-						cc, err := transport.NewClassifyClientContext(t.Context(), rw, chaosOptsFor(codec), rand.Reader)
+						cc, err := transport.NewFastClassifyClientContext(t.Context(), rw, chaosOptsFor(codec), rand.Reader)
 						if err != nil {
 							return err
 						}
@@ -250,7 +251,7 @@ func TestChaosServerSideFaults(t *testing.T) {
 
 					clientDone := make(chan error, 1)
 					go func() {
-						cc, err := transport.NewClassifyClientContext(t.Context(), clientSide, chaosOptsFor(codec), rand.Reader)
+						cc, err := transport.NewFastClassifyClientContext(t.Context(), clientSide, chaosOptsFor(codec), rand.Reader)
 						if err != nil {
 							clientDone <- err
 							return
@@ -285,10 +286,10 @@ func TestChaosServerSideFaults(t *testing.T) {
 	}
 }
 
-// meterConn counts bytes in each direction, so fast-path chaos offsets
-// can be measured rather than hardcoded: the IKNP base handshake is two
-// orders of magnitude larger than the slow-path handshake and its size
-// varies with group-element encodings.
+// meterConn counts bytes in each direction, so chaos offsets inside a
+// session's queries can be measured rather than hardcoded: the IKNP base
+// handshake before them is tens of kilobytes and its size varies with
+// group-element encodings.
 type meterConn struct {
 	net.Conn
 	wrote atomic.Int64

@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"math/big"
 	"time"
 
 	"repro/internal/classify"
@@ -16,122 +15,6 @@ import (
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
-
-// ClassifyClient drives the classification protocol over a connection.
-type ClassifyClient struct {
-	conn   *Conn
-	client *classify.Client
-	rand   io.Reader
-}
-
-// DialClassify connects to a trainer server over TCP and performs the
-// handshake, retrying the dial with the default backoff policy.
-func DialClassify(addr string, timeout time.Duration, rng io.Reader) (*ClassifyClient, error) {
-	return DialClassifyContext(context.Background(), addr, Options{DialTimeout: timeout}, rng)
-}
-
-// DialClassifyContext dials with retry/backoff per opts and performs the
-// handshake under ctx.
-func DialClassifyContext(ctx context.Context, addr string, opts Options, rng io.Reader) (*ClassifyClient, error) {
-	nc, err := dialRetry(ctx, addr, opts)
-	if err != nil {
-		return nil, err
-	}
-	cc, err := NewClassifyClientContext(ctx, nc, opts, rng)
-	if err != nil {
-		_ = nc.Close()
-		return nil, err
-	}
-	return cc, nil
-}
-
-// NewClassifyClient performs the handshake on an established stream with
-// default options.
-func NewClassifyClient(rw io.ReadWriteCloser, rng io.Reader) (*ClassifyClient, error) {
-	return NewClassifyClientContext(context.Background(), rw, Options{}, rng)
-}
-
-// NewClassifyClientContext performs the handshake on an established
-// stream, bounding each message by opts.MessageDeadline and the whole
-// handshake by ctx.
-func NewClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, opts Options, rng io.Reader) (*ClassifyClient, error) {
-	rng = entropy.Buffered(rng)
-	conn := newConnRole(rw, roleClient)
-	conn.SetMessageDeadline(opts.messageDeadline())
-	var client *classify.Client
-	err := conn.RunContext(ctx, func() error {
-		if err := opts.sendHello(conn, &Hello{Service: "classify", FieldBackend: opts.requestedBackend()}); err != nil {
-			return err
-		}
-		spec, err := Recv[*classify.Spec](conn)
-		if err != nil {
-			return err
-		}
-		client, err = classify.NewClient(*spec)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ClassifyClient{conn: conn, client: client, rand: rng}, nil
-}
-
-// Spec returns the trainer's published protocol contract.
-func (c *ClassifyClient) Spec() classify.Spec { return c.client.Spec() }
-
-// Classify runs one private classification round trip.
-func (c *ClassifyClient) Classify(sample []float64) (int, error) {
-	return c.ClassifyContext(context.Background(), sample)
-}
-
-// ClassifyContext runs one private classification round trip, abandoning
-// the session if ctx is canceled mid-exchange.
-func (c *ClassifyClient) ClassifyContext(ctx context.Context, sample []float64) (int, error) {
-	span := obs.Start(obs.PhaseClassifyRoundTrip)
-	receiver, req, err := c.client.NewSession(sample, c.rand)
-	if err != nil {
-		return 0, err
-	}
-	var result *big.Int
-	err = c.conn.RunContext(ctx, func() error {
-		if err := c.conn.Send(req); err != nil {
-			return err
-		}
-		setup, err := Recv[*batchSetup](c.conn)
-		if err != nil {
-			return err
-		}
-		choice, err := receiver.HandleSetup(setup, c.rand)
-		if err != nil {
-			return err
-		}
-		if err := c.conn.Send(choice); err != nil {
-			return err
-		}
-		tr, err := Recv[*batchTransfer](c.conn)
-		if err != nil {
-			return err
-		}
-		result, err = receiver.Finish(tr)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	label, err := c.client.Interpret(result)
-	if err != nil {
-		return 0, err
-	}
-	span.End()
-	obs.Add(obs.CtrClassifyQueries, 1)
-	return label, nil
-}
-
-// Close ends the session cleanly.
-func (c *ClassifyClient) Close() error {
-	_ = c.conn.Send(&Done{})
-	return c.conn.Close()
-}
 
 // EvaluateSimilarity runs a full linear similarity evaluation as Bob
 // against a server hosting model A, using Bob's own model (wB, bB).
@@ -471,84 +354,6 @@ func DialKernelSimilarityContext(ctx context.Context, addr string, modelB *svm.M
 		return nil, err
 	}
 	return EvaluateKernelSimilarityContext(ctx, nc, modelB, opts, rng)
-}
-
-// ClassifyBatch runs B one-shot classifications in a single four-message
-// exchange (amortizing round trips; the per-sample crypto is unchanged).
-func (c *ClassifyClient) ClassifyBatch(samples [][]float64) ([]int, error) {
-	return c.ClassifyBatchContext(context.Background(), samples)
-}
-
-// ClassifyBatchContext is ClassifyBatch under ctx.
-func (c *ClassifyClient) ClassifyBatchContext(ctx context.Context, samples [][]float64) ([]int, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("transport: empty batch")
-	}
-	span := obs.Start(obs.PhaseClassifyBatch)
-	receivers := make([]*ompe.Receiver, len(samples))
-	req := &ClassifyBatchRequest{Evals: make([]*ompe.EvalRequest, len(samples))}
-	for i, sample := range samples {
-		receiver, eval, err := c.client.NewSession(sample, c.rand)
-		if err != nil {
-			return nil, fmt.Errorf("transport: batch sample %d: %w", i, err)
-		}
-		receivers[i] = receiver
-		req.Evals[i] = eval
-	}
-	results := make([]*big.Int, len(samples))
-	err := c.conn.RunContext(ctx, func() error {
-		if err := c.conn.Send(req); err != nil {
-			return err
-		}
-		setups, err := Recv[*ClassifyBatchSetups](c.conn)
-		if err != nil {
-			return err
-		}
-		if len(setups.Setups) != len(samples) {
-			return fmt.Errorf("transport: %d setups for %d samples", len(setups.Setups), len(samples))
-		}
-		choices := &ClassifyBatchChoices{Choices: make([]*batchChoice, len(samples))}
-		for i, setup := range setups.Setups {
-			choice, err := receivers[i].HandleSetup(setup, c.rand)
-			if err != nil {
-				return err
-			}
-			choices.Choices[i] = choice
-		}
-		if err := c.conn.Send(choices); err != nil {
-			return err
-		}
-		transfers, err := Recv[*ClassifyBatchTransfers](c.conn)
-		if err != nil {
-			return err
-		}
-		if len(transfers.Transfers) != len(samples) {
-			return fmt.Errorf("transport: %d transfers for %d samples", len(transfers.Transfers), len(samples))
-		}
-		for i, tr := range transfers.Transfers {
-			results[i], err = receivers[i].Finish(tr)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	labels := make([]int, len(results))
-	for i, result := range results {
-		label, err := c.client.Interpret(result)
-		if err != nil {
-			return nil, err
-		}
-		labels[i] = label
-	}
-	span.End()
-	obs.Add(obs.CtrClassifyBatches, 1)
-	obs.Add(obs.CtrClassifyQueries, int64(len(samples)))
-	obs.Observe(obs.HistBatchSize, int64(len(samples)))
-	return labels, nil
 }
 
 // ClassifyBatch runs B fast-path classifications in one message pair: all

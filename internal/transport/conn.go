@@ -21,8 +21,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/ompe"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/wire"
 )
@@ -32,36 +30,10 @@ import (
 // syscalls per message.
 var writeBufPool = sync.Pool{New: func() any { return bufio.NewWriterSize(io.Discard, 32<<10) }}
 
-// Slow-path (one-shot Naor–Pinkas) batch messages: B independent one-shot
-// sessions ride each frame, so a batch costs the same four round trips
-// a single query does. The fast path batches deeper (ompe.FastBatchRequest
-// shares one OT-extension round); these exist so both client surfaces
-// offer ClassifyBatch.
-
-// ClassifyBatchRequest packs B one-shot evaluation requests.
-type ClassifyBatchRequest struct {
-	Evals []*ompe.EvalRequest
-}
-
-// ClassifyBatchSetups answers with B OT setups, in request order.
-type ClassifyBatchSetups struct {
-	Setups []*ot.BatchSetup
-}
-
-// ClassifyBatchChoices carries B OT choices, in request order.
-type ClassifyBatchChoices struct {
-	Choices []*ot.BatchChoice
-}
-
-// ClassifyBatchTransfers completes B transfers, in request order.
-type ClassifyBatchTransfers struct {
-	Transfers []*ot.BatchTransfer
-}
-
 // Hello opens a session and selects the service.
 type Hello struct {
-	// Service is one of "classify", "classify-fast", "similarity-linear",
-	// "similarity-kernel".
+	// Service is one of "classify-fast" (the IKNP classification
+	// session), "similarity-linear", "similarity-kernel" or "resume-info".
 	Service string
 	// FieldBackend is the field-arithmetic engine the client requests for
 	// classification sessions ("limb", "big", or empty for math/big). The

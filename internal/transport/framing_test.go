@@ -57,7 +57,7 @@ func TestWireCodecOption(t *testing.T) {
 	serverSide, clientSide := net.Pipe()
 	defer serverSide.Close()
 	opts := transport.Options{WireCodec: "gob", MessageDeadline: time.Second} //nolint:staticcheck // the deprecated surface is under test
-	if _, err := transport.NewClassifyClientContext(t.Context(), clientSide, opts, rand.Reader); !errors.Is(err, transport.ErrWireCodec) {
+	if _, err := transport.NewFastClassifyClientContext(t.Context(), clientSide, opts, rand.Reader); !errors.Is(err, transport.ErrWireCodec) {
 		t.Fatalf("handshake with WireCodec gob = %v, want ErrWireCodec", err)
 	}
 }

@@ -10,9 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/field"
-	"repro/internal/ompe"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 	"repro/internal/transport"
@@ -51,13 +48,6 @@ func typedWireErr(err error) bool {
 		errors.Is(err, wire.ErrTrailing)
 }
 
-func fuzzEval() *ompe.EvalRequest {
-	return &ompe.EvalRequest{
-		Pairs:  []ompe.Pair{{V: big.NewInt(7), Z: field.Vec{big.NewInt(1), big.NewInt(2)}}},
-		Packed: []byte{1, 2, 3},
-	}
-}
-
 // wireFuzzSamples covers every envelope payload type that is not already
 // fuzzed by its own package (ot and ompe have dedicated targets): the
 // transport frame payloads plus the classify/similarity/svm specs.
@@ -77,10 +67,6 @@ func wireFuzzSamples() []struct {
 		{"Hello", &transport.Hello{Service: "classify", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
 		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
 		{"Done", &transport.Done{}},
-		{"ClassifyBatchRequest", &transport.ClassifyBatchRequest{Evals: []*ompe.EvalRequest{fuzzEval()}}},
-		{"ClassifyBatchSetups", &transport.ClassifyBatchSetups{Setups: []*ot.BatchSetup{{Setups: []*ot.SenderSetup{{Cs: []*big.Int{big.NewInt(9)}}}}}}},
-		{"ClassifyBatchChoices", &transport.ClassifyBatchChoices{Choices: []*ot.BatchChoice{{Choices: []*ot.ReceiverChoice{{PK0: big.NewInt(5)}}}}}},
-		{"ClassifyBatchTransfers", &transport.ClassifyBatchTransfers{Transfers: []*ot.BatchTransfer{{Transfers: []*ot.SenderTransfer{{R: big.NewInt(3), Cts: [][]byte{{1}}}}}}}},
 		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", FieldBackend: "big", ResumeGranted: true}},
 		{"SessionTicket", &transport.SessionTicket{Ticket: []byte{0x50, 0x50, 0x44, 0x43, 0x54, 0x4B, 0x54, 0x31, 1, 2, 3, 4}}},
 		{"ResumeInfo", &transport.ResumeInfo{MintID: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},

@@ -47,10 +47,11 @@ type goldenScenario struct {
 	backend string // big | limb (classify services only)
 }
 
-// goldenScenarios spans the conformance matrix: each classify service
-// across {modp512,x25519} x {big,limb} and the linear similarity protocol
-// across groups. Names carry the "binary" infix of the one framing, which
-// keeps the transcript file names stable.
+// goldenScenarios spans the conformance matrix: the classification
+// session queried one sample at a time (classify-serial) and by one batch
+// (classify-batch), each across {modp512,x25519} x {big,limb}, and the
+// linear similarity protocol across groups. Names carry the "binary"
+// infix of the one framing, which keeps the transcript file names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {
@@ -124,16 +125,16 @@ func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	switch sc.service {
 	case "classify-serial":
 		return recordSession(t, srv, func(rc net.Conn) error {
-			cc, err := transport.NewClassifyClientContext(t.Context(), rc, opts, clientRand)
+			fc, err := transport.NewFastClassifyClientContext(t.Context(), rc, opts, clientRand)
 			if err != nil {
 				return err
 			}
 			for _, sample := range test.X[:2] {
-				if _, err := cc.ClassifyContext(t.Context(), sample); err != nil {
+				if _, err := fc.ClassifyContext(t.Context(), sample); err != nil {
 					return err
 				}
 			}
-			return cc.Close()
+			return fc.Close()
 		})
 	case "classify-batch":
 		return recordSession(t, srv, func(rc net.Conn) error {

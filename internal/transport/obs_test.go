@@ -23,9 +23,11 @@ func withRegistry(t *testing.T) *obs.Registry {
 }
 
 // TestClassifySessionMetrics locks in the acceptance criterion: one
-// classify round trip over net.Pipe must light up every protocol phase
-// (mask, decoy, OT, interpolate), the wire-byte counters, and the
-// server-side session accounting.
+// classification session over net.Pipe — the base phase, one single
+// query and one batch — must light up every protocol phase (mask, decoy,
+// OT extension, interpolate), the wire-byte counters, and the server-side
+// session accounting. The batch is there because the sender mask and the
+// receiver interpolation spans sit on the batch path.
 func TestClassifySessionMetrics(t *testing.T) {
 	g := withRegistry(t)
 	model, test := trainLinear(t, 21)
@@ -42,11 +44,14 @@ func TestClassifySessionMetrics(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cc.Classify(test.X[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cc.ClassifyBatch(test.X[1:3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := cc.Close(); err != nil {
@@ -60,11 +65,12 @@ func TestClassifySessionMetrics(t *testing.T) {
 		obs.PhaseReceiverDecoy,
 		obs.PhaseReceiverInterpolate,
 		obs.PhaseSenderMask,
-		obs.PhaseOTSenderSetup,
-		obs.PhaseOTSenderRespond,
-		obs.PhaseOTReceiverChoice,
-		obs.PhaseOTReceiverRecover,
+		obs.PhaseOTExtend,
+		obs.PhaseOTTranspose,
+		obs.PhaseOTPad,
 		obs.PhaseClassifyRoundTrip,
+		obs.PhaseClassifyBatch,
+		obs.PhaseHandshakeFull,
 	} {
 		h, ok := snap.Histograms[phase]
 		if !ok || h.Count == 0 {
@@ -77,7 +83,8 @@ func TestClassifySessionMetrics(t *testing.T) {
 	}
 	for _, ctr := range []string{
 		obs.CtrBytesIn, obs.CtrBytesOut, obs.CtrMsgsIn, obs.CtrMsgsOut,
-		obs.CtrOTInstances, obs.CtrClassifyQueries, obs.CtrSessionsServed,
+		obs.CtrOTInstances, obs.CtrClassifyQueries, obs.CtrClassifyBatches,
+		obs.CtrSessionsServed,
 	} {
 		if v := snap.Counters[ctr]; v <= 0 {
 			t.Errorf("counter %s = %d, want > 0", ctr, v)
@@ -112,7 +119,7 @@ func TestSessionRejectionMetrics(t *testing.T) {
 		defer close(done1)
 		srv.ServeConn(serverSide1)
 	}()
-	cc, err := transport.NewClassifyClient(clientSide1, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSide1, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +134,7 @@ func TestSessionRejectionMetrics(t *testing.T) {
 		defer close(done2)
 		srv.ServeConn(serverSide2)
 	}()
-	_, err = transport.NewClassifyClient(clientSide2, rand.Reader)
+	_, err = transport.NewFastClassifyClient(clientSide2, rand.Reader)
 	if !errors.Is(err, transport.ErrRemote) {
 		t.Fatalf("second session error = %v, want ErrRemote", err)
 	}

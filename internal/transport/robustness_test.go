@@ -30,15 +30,16 @@ func newTrainer(t *testing.T, seed uint64) (*classify.Trainer, []float64) {
 	return trainer, test.X[0]
 }
 
-// TestSessionSlotFreedOnMidOTDisconnect: a client that vanishes after
-// receiving BatchSetup but before sending its choice must not pin its
-// session slot — with MaxSessions=1, a subsequent client gets served.
+// TestSessionSlotFreedOnMidOTDisconnect: a client that vanishes in the
+// middle of the IKNP base phase — after receiving the base OT choice but
+// before sending the base transfer — must not pin its session slot: with
+// MaxSessions=1, a subsequent client gets served.
 func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 	trainer, sample := newTrainer(t, 41)
 	srv := quietServer(t, trainer)
 	srv.MaxSessions = 1
 
-	// Client A: drive the protocol by hand up to mid-OT, then vanish.
+	// Client A: drive the base phase by hand up to mid-OT, then vanish.
 	serverSideA, clientSideA := net.Pipe()
 	doneA := make(chan struct{})
 	go func() {
@@ -46,28 +47,25 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 		srv.ServeConn(serverSideA)
 	}()
 	connA := transport.NewConn(clientSideA)
-	if err := connA.Send(&transport.Hello{Service: "classify"}); err != nil {
+	if err := connA.Send(&transport.Hello{Service: "classify-fast"}); err != nil {
 		t.Fatal(err)
 	}
 	spec, err := transport.Recv[*classify.Spec](connA)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clientA, err := classify.NewClient(*spec)
+	_, setup, err := classify.NewFastClient(*spec, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, req, err := clientA.NewSession(sample, rand.Reader)
-	if err != nil {
+	if err := connA.Send(setup); err != nil {
 		t.Fatal(err)
 	}
-	if err := connA.Send(req); err != nil {
+	if _, err := transport.Recv[*ot.IKNPBaseChoice](connA); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.Recv[*ot.BatchSetup](connA); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-OT: the server has sent BatchSetup and waits for BatchChoice.
+	// Mid-OT: the server has sent its base choice and waits for the base
+	// transfer.
 	if err := connA.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 		defer close(doneB)
 		srv.ServeConn(serverSideB)
 	}()
-	cc, err := transport.NewClassifyClient(clientSideB, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSideB, rand.Reader)
 	if err != nil {
 		t.Fatalf("client B rejected after A's slot should have freed: %v", err)
 	}
@@ -113,7 +111,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 
 	serverSideA, clientSideA := net.Pipe()
 	go srv.ServeConn(serverSideA)
-	ccA, err := transport.NewClassifyClient(clientSideA, rand.Reader)
+	ccA, err := transport.NewFastClassifyClient(clientSideA, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +126,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 		defer close(doneB)
 		srv.ServeConn(serverSideB)
 	}()
-	_, err = transport.NewClassifyClient(clientSideB, rand.Reader)
+	_, err = transport.NewFastClassifyClient(clientSideB, rand.Reader)
 	if err == nil {
 		t.Fatal("second client should be rejected at capacity 1")
 	}
@@ -153,7 +151,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 	go func() { _ = srv.Serve(ln) }()
 
-	cc, err := transport.DialClassify(ln.Addr().String(), 5*time.Second, rand.Reader)
+	cc, err := transport.DialClassifyFast(ln.Addr().String(), 5*time.Second, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +182,7 @@ func TestShutdownDrainsInFlight(t *testing.T) {
 	}
 
 	// New connections are refused (listener is gone).
-	if _, err := transport.DialClassify(ln.Addr().String(), 300*time.Millisecond, rand.Reader); err == nil {
+	if _, err := transport.DialClassifyFast(ln.Addr().String(), 300*time.Millisecond, rand.Reader); err == nil {
 		t.Fatal("dial after shutdown should fail")
 	}
 }
@@ -205,7 +203,7 @@ func TestShutdownForceClosesStragglers(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 	conn := transport.NewConn(clientSide)
-	if err := conn.Send(&transport.Hello{Service: "classify"}); err != nil {
+	if err := conn.Send(&transport.Hello{Service: "classify-fast"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := transport.Recv[*classify.Spec](conn); err != nil {
@@ -261,7 +259,7 @@ func TestMessageDeadlineTable(t *testing.T) {
 			result := make(chan error, 1)
 			start := time.Now()
 			go func() {
-				cc, err := transport.NewClassifyClientContext(context.Background(), rw, opts, rand.Reader)
+				cc, err := transport.NewFastClassifyClientContext(context.Background(), rw, opts, rand.Reader)
 				if err != nil {
 					result <- err
 					return
@@ -315,11 +313,14 @@ func TestContextCancelMidRoundTrip(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	// Stall the client's view of the network after the handshake bytes;
-	// with deadlines disabled only the context can unblock it.
-	rw := faultnet.Wrap(clientSide, faultnet.Profile{StallAfter: 500})
+	// Stall the client's view of the network halfway through the query,
+	// past the measured handshake bytes; with deadlines disabled only the
+	// context can unblock it.
+	hsWrote, hsRead, totalWrote, totalRead := measureFastBatch(t, trainer, [][]float64{sample})
+	hs := hsWrote + hsRead
+	rw := faultnet.Wrap(clientSide, faultnet.Profile{StallAfter: hs + (totalWrote+totalRead-hs)/2})
 	opts := transport.Options{MessageDeadline: transport.NoDeadline}
-	cc, err := transport.NewClassifyClientContext(context.Background(), rw, opts, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), rw, opts, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestDialRetryExhausts(t *testing.T) {
 		JitterSeed:  99,
 	}
 	start := time.Now()
-	_, err := transport.DialClassifyContext(context.Background(), "127.0.0.1:1", opts, rand.Reader)
+	_, err := transport.DialClassifyFastContext(context.Background(), "127.0.0.1:1", opts, rand.Reader)
 	if err == nil {
 		t.Fatal("dial to dead port should fail")
 	}
@@ -407,7 +408,7 @@ func TestDialRetryRecovers(t *testing.T) {
 		BackoffMax:  400 * time.Millisecond,
 		JitterSeed:  7,
 	}
-	cc, err := transport.DialClassifyContext(context.Background(), addr, opts, rand.Reader)
+	cc, err := transport.DialClassifyFastContext(context.Background(), addr, opts, rand.Reader)
 	if err != nil {
 		t.Fatalf("retrying dial never reached the late server: %v", err)
 	}
@@ -429,7 +430,7 @@ func TestDialRetryHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := transport.DialClassifyContext(ctx, "127.0.0.1:1", opts, rand.Reader)
+	_, err := transport.DialClassifyFastContext(ctx, "127.0.0.1:1", opts, rand.Reader)
 	if err == nil {
 		t.Fatal("canceled dial should fail")
 	}

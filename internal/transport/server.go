@@ -46,7 +46,7 @@ type StaticTrainer struct{ Trainer *classify.Trainer }
 func (s StaticTrainer) CurrentTrainer() *classify.Trainer { return s.Trainer }
 
 // Server hosts a trainer's protocol endpoints: privacy-preserving
-// classification (one-shot and IKNP fast sessions) and, when enabled,
+// classification (the IKNP session) and, when enabled,
 // linear and kernelized similarity evaluation. It serves concurrent
 // sessions, one goroutine per connection.
 type Server struct {
@@ -288,9 +288,9 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 		return
 	}
 	// Capture the session's trainer exactly once: every protocol step of
-	// this session — specs, one-shot senders, fast sessions, kernel
-	// similarity — derives from this one value, so a registry hot-swap
-	// concurrent with the session can never mix model versions.
+	// this session — specs, fast sessions, kernel similarity — derives
+	// from this one value, so a registry hot-swap concurrent with the
+	// session can never mix model versions.
 	trainer := s.source.CurrentTrainer()
 	if trainer == nil {
 		err := errors.New("transport: no model published")
@@ -299,8 +299,6 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 		return
 	}
 	switch hello.Service {
-	case "classify":
-		err = s.serveClassify(conn, trainer, hello, rng)
 	case "similarity-linear":
 		err = s.serveSimilarity(conn, rng)
 	case "similarity-kernel":
@@ -391,58 +389,6 @@ func (s *Server) mintTicket(conn *Conn, fast *classify.FastTrainer, spec classif
 	}
 	if err := conn.Send(&SessionTicket{Ticket: ticket}); err == nil {
 		obs.Add(obs.CtrTicketsMinted, 1)
-	}
-}
-
-// serveClassify answers any number of classification queries on one
-// session: EvalRequest → BatchSetup → BatchChoice → BatchTransfer, until
-// Done or EOF.
-func (s *Server) serveClassify(conn *Conn, trainer *classify.Trainer, hello *Hello, rng io.Reader) error {
-	spec, err := s.sessionSpec(trainer, hello)
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	for {
-		payload, err := conn.recvAny()
-		if err != nil {
-			return err
-		}
-		switch msg := payload.(type) {
-		case *Done:
-			return nil
-		case *evalRequest:
-			sender, err := trainer.NewSessionFor(spec)
-			if err != nil {
-				return err
-			}
-			setup, err := sender.HandleRequest(msg, rng)
-			if err != nil {
-				return err
-			}
-			if err := conn.Send(setup); err != nil {
-				return err
-			}
-			choice, err := Recv[*batchChoice](conn)
-			if err != nil {
-				return err
-			}
-			tr, err := sender.HandleChoice(choice, rng)
-			if err != nil {
-				return err
-			}
-			if err := conn.Send(tr); err != nil {
-				return err
-			}
-		case *ClassifyBatchRequest:
-			if err := s.serveClassifyBatch(conn, trainer, spec, msg, rng); err != nil {
-				return err
-			}
-		default:
-			return fmt.Errorf("transport: unexpected message %T", payload)
-		}
 	}
 }
 
@@ -545,49 +491,6 @@ func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader)
 		}
 	}
 	return nil
-}
-
-// serveClassifyBatch answers one slow-path batch: B one-shot senders, one
-// frame per protocol step. Senders draw randomness in sample order, so
-// a fixed server rng still yields deterministic wire bytes.
-func (s *Server) serveClassifyBatch(conn *Conn, trainer *classify.Trainer, spec classify.Spec, req *ClassifyBatchRequest, rng io.Reader) error {
-	if len(req.Evals) == 0 {
-		return fmt.Errorf("transport: empty classify batch")
-	}
-	obs.Observe(obs.HistBatchSize, int64(len(req.Evals)))
-	senders := make([]*ompe.Sender, len(req.Evals))
-	setups := &ClassifyBatchSetups{Setups: make([]*batchSetup, len(req.Evals))}
-	for i, eval := range req.Evals {
-		sender, err := trainer.NewSessionFor(spec)
-		if err != nil {
-			return err
-		}
-		setup, err := sender.HandleRequest(eval, rng)
-		if err != nil {
-			return fmt.Errorf("transport: batch sample %d: %w", i, err)
-		}
-		senders[i] = sender
-		setups.Setups[i] = setup
-	}
-	if err := conn.Send(setups); err != nil {
-		return err
-	}
-	choices, err := Recv[*ClassifyBatchChoices](conn)
-	if err != nil {
-		return err
-	}
-	if len(choices.Choices) != len(senders) {
-		return fmt.Errorf("transport: %d choices for batch of %d", len(choices.Choices), len(senders))
-	}
-	transfers := &ClassifyBatchTransfers{Transfers: make([]*batchTransfer, len(senders))}
-	for i, choice := range choices.Choices {
-		tr, err := senders[i].HandleChoice(choice, rng)
-		if err != nil {
-			return fmt.Errorf("transport: batch sample %d: %w", i, err)
-		}
-		transfers.Transfers[i] = tr
-	}
-	return conn.Send(transfers)
 }
 
 // fastJob is one queued fast-session request with its stream tag.

@@ -3,10 +3,12 @@ package transport_test
 import (
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math"
 	"math/big"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -64,7 +66,7 @@ func TestClassifyOverPipe(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +123,7 @@ func TestClassifyOverTCPConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			cc, err := transport.DialClassify(ln.Addr().String(), 5*time.Second, rand.Reader)
+			cc, err := transport.DialClassifyFast(ln.Addr().String(), 5*time.Second, rand.Reader)
 			if err != nil {
 				errCh <- err
 				return
@@ -191,7 +193,9 @@ func TestSimilarityOverPipe(t *testing.T) {
 	}
 }
 
-// TestUnknownServiceRejected checks the handshake's failure path.
+// TestUnknownServiceRejected checks the handshake's failure path,
+// including a peer that still asks for the retired one-shot "classify"
+// service: it must fail fast with a typed remote error, not a spec.
 func TestUnknownServiceRejected(t *testing.T) {
 	model, _ := trainLinear(t, 15)
 	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
@@ -199,24 +203,30 @@ func TestUnknownServiceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv := quietServer(t, trainer)
-	serverSide, clientSide := net.Pipe()
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		srv.ServeConn(serverSide)
-	}()
+	for _, service := range []string{"nonsense", "classify"} {
+		serverSide, clientSide := net.Pipe()
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			srv.ServeConn(serverSide)
+		}()
 
-	conn := transport.NewConn(clientSide)
-	if err := conn.Send(&transport.Hello{Service: "nonsense"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.Recv[*transport.Done](conn); err == nil {
-		t.Fatal("expected an error for unknown service")
-	}
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("server session did not end")
+		conn := transport.NewConn(clientSide)
+		if err := conn.Send(&transport.Hello{Service: service}); err != nil {
+			t.Fatal(err)
+		}
+		_, err := transport.Recv[*transport.Done](conn)
+		if !errors.Is(err, transport.ErrRemote) {
+			t.Fatalf("service %q: got %v, want ErrRemote", service, err)
+		}
+		if want := fmt.Sprintf("unknown service %q", service); !strings.Contains(err.Error(), want) {
+			t.Fatalf("service %q: error %v does not say %s", service, err, want)
+		}
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("server session did not end")
+		}
 	}
 }
 
@@ -342,7 +352,7 @@ func TestTruncatedStreamErrors(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,9 +487,6 @@ func TestFastClassifyOverPipe(t *testing.T) {
 // every client constructor.
 func TestDialFailures(t *testing.T) {
 	const dead = "127.0.0.1:1" // reserved port, nothing listens
-	if _, err := transport.DialClassify(dead, 200*time.Millisecond, rand.Reader); err == nil {
-		t.Fatal("DialClassify to dead address should fail")
-	}
 	if _, err := transport.DialClassifyFast(dead, 200*time.Millisecond, rand.Reader); err == nil {
 		t.Fatal("DialClassifyFast to dead address should fail")
 	}

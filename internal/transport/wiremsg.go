@@ -65,33 +65,30 @@ const CodecBinary = "binary"
 // Frame tags. Tag 0 is reserved for the error frame (payload is the
 // remote error string, not a message).
 const (
-	tagErr                    byte = 0
-	tagHello                  byte = 1
-	tagClassifySpec           byte = 2
-	tagEvalRequest            byte = 3
-	tagBatchSetup             byte = 4
-	tagBatchChoice            byte = 5
-	tagBatchTransfer          byte = 6
-	tagSimilaritySpec         byte = 7
-	tagClearShare             byte = 8
-	tagKernelSpec             byte = 9
-	tagKernelClearShare       byte = 10
-	tagAreaScale              byte = 11
-	tagRoundHeader            byte = 12
-	tagDone                   byte = 13
-	tagIKNPBaseSetup          byte = 14
-	tagIKNPBaseChoice         byte = 15
-	tagIKNPBaseTransfer       byte = 16
-	tagFastRequest            byte = 17
-	tagFastResponse           byte = 18
-	tagFastBatchRequest       byte = 19
-	tagFastBatchResponse      byte = 20
-	tagClassifyBatchRequest   byte = 21
-	tagClassifyBatchSetups    byte = 22
-	tagClassifyBatchChoices   byte = 23
-	tagClassifyBatchTransfers byte = 24
-	tagSessionTicket          byte = 25
-	tagResumeInfo             byte = 26
+	tagErr               byte = 0
+	tagHello             byte = 1
+	tagClassifySpec      byte = 2
+	tagEvalRequest       byte = 3
+	tagBatchSetup        byte = 4
+	tagBatchChoice       byte = 5
+	tagBatchTransfer     byte = 6
+	tagSimilaritySpec    byte = 7
+	tagClearShare        byte = 8
+	tagKernelSpec        byte = 9
+	tagKernelClearShare  byte = 10
+	tagAreaScale         byte = 11
+	tagRoundHeader       byte = 12
+	tagDone              byte = 13
+	tagIKNPBaseSetup     byte = 14
+	tagIKNPBaseChoice    byte = 15
+	tagIKNPBaseTransfer  byte = 16
+	tagFastRequest       byte = 17
+	tagFastResponse      byte = 18
+	tagFastBatchRequest  byte = 19
+	tagFastBatchResponse byte = 20
+	// 21–24: retired, do not reuse.
+	tagSessionTicket byte = 25
+	tagResumeInfo    byte = 26
 )
 
 // binMsg resolves a payload to its frame tag and wire encoder. The type
@@ -138,14 +135,6 @@ func binMsg(v any) (byte, wire.Msg, bool) {
 		return tagFastBatchRequest, m, true
 	case *ompe.FastBatchResponse:
 		return tagFastBatchResponse, m, true
-	case *ClassifyBatchRequest:
-		return tagClassifyBatchRequest, m, true
-	case *ClassifyBatchSetups:
-		return tagClassifyBatchSetups, m, true
-	case *ClassifyBatchChoices:
-		return tagClassifyBatchChoices, m, true
-	case *ClassifyBatchTransfers:
-		return tagClassifyBatchTransfers, m, true
 	case *SessionTicket:
 		return tagSessionTicket, m, true
 	case *ResumeInfo:
@@ -200,14 +189,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 		return new(ompe.FastBatchRequest), true
 	case tagFastBatchResponse:
 		return new(ompe.FastBatchResponse), true
-	case tagClassifyBatchRequest:
-		return new(ClassifyBatchRequest), true
-	case tagClassifyBatchSetups:
-		return new(ClassifyBatchSetups), true
-	case tagClassifyBatchChoices:
-		return new(ClassifyBatchChoices), true
-	case tagClassifyBatchTransfers:
-		return new(ClassifyBatchTransfers), true
 	case tagSessionTicket:
 		return new(SessionTicket), true
 	case tagResumeInfo:
@@ -280,119 +261,3 @@ func (d *Done) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, d) }
 
 // ReadFrom implements io.ReaderFrom.
 func (d *Done) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, d) }
-
-// encodePtrSeq writes a count-prefixed sequence of required pointers.
-func encodePtrSeq[T any, P interface {
-	*T
-	wire.Msg
-}](w *wire.Writer, seq []P) {
-	w.Count(len(seq))
-	for _, m := range seq {
-		if m == nil {
-			w.BigInt(nil) // typed ErrNilValue via the sticky writer
-			return
-		}
-		m.EncodeWire(w)
-	}
-}
-
-// decodePtrSeq reads a count-prefixed sequence of required pointers.
-func decodePtrSeq[T any, P interface {
-	*T
-	wire.Msg
-}](r *wire.Reader) []P {
-	n := r.Count()
-	if r.Err() != nil {
-		return nil
-	}
-	seq := make([]P, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		m := P(new(T))
-		m.DecodeWire(r)
-		if r.Err() != nil {
-			return nil
-		}
-		seq = append(seq, m)
-	}
-	return seq
-}
-
-// EncodeWire implements the wire codec.
-func (b *ClassifyBatchRequest) EncodeWire(w *wire.Writer) { encodePtrSeq(w, b.Evals) }
-
-// DecodeWire implements the wire codec.
-func (b *ClassifyBatchRequest) DecodeWire(r *wire.Reader) {
-	b.Evals = decodePtrSeq[ompe.EvalRequest, *ompe.EvalRequest](r)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *ClassifyBatchRequest) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (b *ClassifyBatchRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *ClassifyBatchRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *ClassifyBatchRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
-// EncodeWire implements the wire codec.
-func (b *ClassifyBatchSetups) EncodeWire(w *wire.Writer) { encodePtrSeq(w, b.Setups) }
-
-// DecodeWire implements the wire codec.
-func (b *ClassifyBatchSetups) DecodeWire(r *wire.Reader) {
-	b.Setups = decodePtrSeq[ot.BatchSetup, *ot.BatchSetup](r)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *ClassifyBatchSetups) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (b *ClassifyBatchSetups) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *ClassifyBatchSetups) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *ClassifyBatchSetups) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
-// EncodeWire implements the wire codec.
-func (b *ClassifyBatchChoices) EncodeWire(w *wire.Writer) { encodePtrSeq(w, b.Choices) }
-
-// DecodeWire implements the wire codec.
-func (b *ClassifyBatchChoices) DecodeWire(r *wire.Reader) {
-	b.Choices = decodePtrSeq[ot.BatchChoice, *ot.BatchChoice](r)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *ClassifyBatchChoices) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (b *ClassifyBatchChoices) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *ClassifyBatchChoices) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *ClassifyBatchChoices) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
-// EncodeWire implements the wire codec.
-func (b *ClassifyBatchTransfers) EncodeWire(w *wire.Writer) { encodePtrSeq(w, b.Transfers) }
-
-// DecodeWire implements the wire codec.
-func (b *ClassifyBatchTransfers) DecodeWire(r *wire.Reader) {
-	b.Transfers = decodePtrSeq[ot.BatchTransfer, *ot.BatchTransfer](r)
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (b *ClassifyBatchTransfers) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (b *ClassifyBatchTransfers) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *ClassifyBatchTransfers) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *ClassifyBatchTransfers) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }

@@ -40,17 +40,17 @@ const NoDeadline = transport.NoDeadline
 // evaluation. It serves concurrent sessions.
 type Server = transport.Server
 
-// NetworkClient drives the classification protocol against a remote
-// trainer.
-type NetworkClient = transport.ClassifyClient
+// NetworkClient drives the IKNP classification session against a remote
+// trainer: one base phase at dial time, then two messages per query.
+type NetworkClient = transport.FastClassifyClient
 
 // NewServer builds a protocol server around a trainer.
 func NewServer(t *Trainer) *Server { return transport.NewServer(t) }
 
-// DialClassify connects to a trainer server over TCP, performing the
-// spec handshake.
+// DialClassify connects to a trainer server over TCP and runs the
+// session's spec handshake and base phase.
 func DialClassify(addr string, timeout time.Duration, rng io.Reader) (*NetworkClient, error) {
-	return transport.DialClassify(addr, timeout, rng)
+	return transport.DialClassifyFast(addr, timeout, rng)
 }
 
 // DialSimilarity runs a full private similarity evaluation as Bob against
@@ -76,25 +76,9 @@ func Serve(s *Server, addr string) error {
 	return s.Serve(ln)
 }
 
-// FastNetworkClient drives the IKNP fast classification session against a
-// remote trainer: one base phase at dial time, two messages per query.
-type FastNetworkClient = transport.FastClassifyClient
-
-// DialClassifyFast connects to a trainer server over TCP and runs the
-// fast session's base phase.
-func DialClassifyFast(addr string, timeout time.Duration, rng io.Reader) (*FastNetworkClient, error) {
-	return transport.DialClassifyFast(addr, timeout, rng)
-}
-
 // DialClassifyContext is DialClassify with retry/backoff and deadlines
-// from opts, and the handshake bounded by ctx.
+// from opts, and the handshake and base phase bounded by ctx.
 func DialClassifyContext(ctx context.Context, addr string, opts DialOptions, rng io.Reader) (*NetworkClient, error) {
-	return transport.DialClassifyContext(ctx, addr, opts, rng)
-}
-
-// DialClassifyFastContext is DialClassifyFast with retry/backoff and
-// deadlines from opts, and the base phase bounded by ctx.
-func DialClassifyFastContext(ctx context.Context, addr string, opts DialOptions, rng io.Reader) (*FastNetworkClient, error) {
 	return transport.DialClassifyFastContext(ctx, addr, opts, rng)
 }
 

@@ -206,7 +206,7 @@ type (
 )
 
 // NewFastPair runs the session base phase in memory and returns paired
-// endpoints (single-process use; over the network use DialClassifyFast).
+// endpoints (single-process use; over the network use DialClassify).
 func NewFastPair(t *Trainer, rng io.Reader) (*FastTrainer, *FastClient, error) {
 	return classify.NewFastPair(t, rng)
 }
