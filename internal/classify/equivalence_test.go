@@ -16,16 +16,19 @@ import (
 
 // parentTranscripts pins the SHA-256 over every trainer response of two
 // fast sessions (one batch of four samples each) under the deterministic
-// rngs below, as produced at a501c4a with the fixed-key AES pad granted
-// in the session spec (that commit still defaulted to a SHA-256 pad).
-// Rewriting how the trainer computes its decision function, or how the OT
-// extension is wired, must never change which bytes travel.
+// rngs below. They were re-recorded when the IKNP base phase became one
+// Naor–Pinkas batch: the client now draws one constraint seed and one r
+// for all κ base transfers instead of κ of each, so its deterministic rng
+// reaches every later draw (the batch's masks, the second session's
+// seeds) at another position and every response differs. Rewriting how
+// the trainer computes its decision function, or how the OT extension is
+// wired, must never change which bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/big521":         "9e889e57e340c1ce0d05083f7828c1bb5dd1b00c54277c9855c00d10240fa8e1",
-	"quadratic/limb16":     "f41817ffadf069c462697e7f3957e885249042409741dfc7845a6acb903016c5",
-	"sigmoid/big":          "5464c253f05c888818f8de8fcf9382c6391b63c6c0478ee4fa6f8125cbecbada",
-	"linear/limb16":        "c3dd2532278fc069c3de85d1d24c6b7a93ce4f9452a8bbc445f5a48a70230260",
-	"cubic-kernelform/big": "2ac08cff424cc636aff24ccd8ca42721664db8f5351ddf1555bce4443cb2fc3c",
+	"cubic/big521":         "58382284c3ee3d5fa3e28833444abe14fa992139ae64aa00b09eb3e5f8d8d557",
+	"quadratic/limb16":     "a99109021420cb7b04d055c62b260de70c0fe1fb2b0272f08501a53bc0401248",
+	"sigmoid/big":          "5defe4f63f43e64d3d6ce19cf9ea4bae8920c29f2b0335af9c67e6a67ba0b4d5",
+	"linear/limb16":        "0026dd4495f38b6928caafdb024c99571a82e6918e13a72332966699a64841d2",
+	"cubic-kernelform/big": "0bd73a6ddd74b30f1b181f3ad01e893641abdf0ade623cb6a3a9598a0d65fde0",
 }
 
 // kernelFormSVs is the support-vector count the kernel-form cubic case

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/ecdh"
 	"crypto/rand"
+	"fmt"
 	"math/big"
 	"testing"
 
@@ -285,4 +286,46 @@ func BenchmarkEncode(b *testing.B) {
 			}
 		}
 	})
+}
+
+// tableWidths are the widths BenchmarkTableBuild and BenchmarkTableMult
+// price: 8 is the basepoint's, 4–6 the candidates for a table built for
+// one batch of multiplications.
+var tableWidths = []int{4, 5, 6, 8}
+
+func benchPoint(b *testing.B) ec25519.Point {
+	k, _ := rand.Int(rand.Reader, ec25519.Order())
+	var p ec25519.Point
+	p.ScalarBaseMult(k)
+	return p
+}
+
+// BenchmarkTableBuild prices building the table of one point; together
+// with BenchmarkTableMult and BenchmarkScalarMult it sets how many
+// multiplications by one point pay for a table.
+func BenchmarkTableBuild(b *testing.B) {
+	p := benchPoint(b)
+	for _, w := range tableWidths {
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				ec25519.NewTable(&p, w)
+			}
+		})
+	}
+}
+
+func BenchmarkTableMult(b *testing.B) {
+	p := benchPoint(b)
+	k, _ := rand.Int(rand.Reader, ec25519.Order())
+	for _, w := range tableWidths {
+		tab := ec25519.NewTable(&p, w)
+		b.Run(fmt.Sprintf("w=%d", w), func(b *testing.B) {
+			var v ec25519.Point
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				v.ScalarMultTable(k, tab)
+			}
+		})
+	}
 }

@@ -11,8 +11,8 @@ import (
 )
 
 // The implementations this package shipped before the dedicated doubling,
-// the signed-digit ladder and the affine basepoint table, kept as the
-// differential oracles for their replacements: the unified addition with
+// the signed-digit ladder and the affine tables, kept as the differential
+// oracles for their replacements: the unified addition with
 // the 2d multiplication inline, doubling as Add(p, p), the 4-bit windowed
 // variable-base multiplication and the 64×15 nibble table.
 
@@ -239,6 +239,49 @@ func TestScalarBaseMultMatchesReference(t *testing.T) {
 	}
 }
 
+// TestScalarMultTableMatchesReference holds the table multiplication to
+// the 4-bit windowed reference at every width, on the basepoint, on a
+// random point and on a point with a torsion component, across the edge
+// scalars (0, 1, L−1, L, unreduced and negative values, every byte at the
+// ±128 digit boundary).
+func TestScalarMultTableMatchesReference(t *testing.T) {
+	var random, mixed Point
+	refScalarBaseMult(&random, randomScalars(t, 1)[0])
+	refAdd(&mixed, &random, torsion8(t))
+	b := basepoint
+	points := map[string]*Point{"B": &b, "random": &random, "mixed": &mixed}
+	for w := 1; w <= 8; w++ {
+		scalars := edgeScalars()
+		if w == 4 || w == 8 {
+			scalars = append(scalars, randomScalars(t, 40)...)
+		}
+		for name, p := range points {
+			tab := NewTable(p, w)
+			for _, k := range scalars {
+				var want, got Point
+				refScalarMult(&want, k, p)
+				if !got.ScalarMultTable(k, tab).Equal(&want) {
+					t.Fatalf("w=%d: [%v]·%s: table disagrees with the reference", w, k, name)
+				}
+				checkExtended(t, "ScalarMultTable result", &got)
+			}
+		}
+	}
+}
+
+func TestNewTableRejectsWidth(t *testing.T) {
+	for _, w := range []int{0, 9} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("NewTable(B, %d) did not panic", w)
+				}
+			}()
+			NewTable(&basepoint, w)
+		}()
+	}
+}
+
 func TestDoubleAndAddMatchReference(t *testing.T) {
 	points := edgePoints(t)
 	for i, k := range randomScalars(t, 8) {
@@ -319,7 +362,8 @@ func TestEncodeBatchMatchesBytes(t *testing.T) {
 	}
 }
 
-// FuzzScalarMult drives both multiplications against their references
+// FuzzScalarMult drives the three multiplications (the ladder, a width-4
+// table of the point, the basepoint table) against their references
 // with arbitrary scalars (any length, so far beyond L) and arbitrary
 // points: the point bytes are decoded when they happen to be a valid
 // encoding (which may carry a torsion component) and otherwise hashed
@@ -347,6 +391,10 @@ func FuzzScalarMult(f *testing.F) {
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
 			t.Fatal("equal points encode differently")
 		}
+		if !got.ScalarMultTable(k, NewTable(&p, 4)).Equal(&want) {
+			t.Fatalf("[%v]·%x: width-4 table disagrees with reference", k, p.Bytes())
+		}
+		checkExtended(t, "ScalarMultTable result", &got)
 		refScalarBaseMult(&want, k)
 		if !got.ScalarBaseMult(k).Equal(&want) {
 			t.Fatalf("[%v]·B: table disagrees with reference", k)

@@ -1,6 +1,7 @@
 package ec25519
 
 import (
+	"fmt"
 	"math/big"
 	"sync"
 
@@ -94,76 +95,112 @@ func (v *Point) ScalarMult(k *big.Int, p *Point) *Point {
 	return v.Set(&acc)
 }
 
-// baseTable caches affine multiples of the basepoint, one row per scalar
-// byte: rows[j][n−1] = n·256^j·B for n in [1, 128]. With signed byte
-// digits in [−128, 128] a fixed-base multiplication is at most 32 mixed
-// additions and no doublings. 32·128 entries of three field elements are
-// 384 KiB, built once on first use.
-var baseTable struct {
-	once sync.Once
-	rows [PointLen][128]affineCached
+// Table holds affine multiples of one point P for fixed-base
+// multiplication with signed w-bit digits: row j holds n·2^(w·j)·P for n
+// in [1, 2^(w−1)]. A multiplication is then one mixed addition per
+// non-zero digit and no doublings. Width trades build cost and memory for
+// speed: width 8 (32 rows × 128 entries, 384 KiB, at most 32 additions)
+// is the basepoint's table, built once; width 4 (64 rows × 8 entries,
+// 48 KiB, at most 64 additions) costs about as much to build as five
+// ladder multiplications, so it pays for a point that is multiplied more
+// times than that and then dropped.
+type Table struct {
+	w       uint
+	rows    int
+	entries []affineCached // row-major, 2^(w−1) entries per row
 }
 
-func buildBaseTable() {
-	base := basepoint
-	var multiples [128]Point
-	zs := make([]limb.Element, 2*len(multiples))
-	for j := range baseTable.rows {
+// NewTable builds the width-w table of p, 1 ≤ w ≤ 8. Its rows cover 254
+// bits, one more than a reduced scalar, so the signed recoding's last
+// carry always lands in a row.
+func NewTable(p *Point, w int) *Table {
+	if w < 1 || w > 8 {
+		panic(fmt.Sprintf("ec25519: table width %d outside [1, 8]", w))
+	}
+	half := 1 << (w - 1)
+	t := &Table{w: uint(w), rows: (254 + w - 1) / w}
+	multiples := make([]Point, t.rows*half)
+	base := *p
+	for j := 0; j < t.rows; j++ {
+		row := multiples[j*half : (j+1)*half]
 		var bc cached
 		bc.set(&base)
-		multiples[0] = base
-		for n := 1; n < len(multiples); n++ {
-			multiples[n].addCached(&multiples[n-1], &bc)
+		row[0] = base
+		for n := 1; n < half; n++ {
+			row[n].addCached(&row[n-1], &bc)
 		}
-		// Next row's base: 256^(j+1)·B = 2·(128·256^j·B).
-		base.Double(&multiples[len(multiples)-1])
-
-		// Normalize the row to Z = 1 with one shared inversion.
-		for n := range multiples {
-			zs[n] = multiples[n].z
-		}
-		if err := limb.BatchInvertScratch(zs[:len(multiples)], zs[len(multiples):]); err != nil {
-			panic("ec25519: basepoint multiple with Z = 0")
-		}
-		for n := range multiples {
-			var x, y limb.Element
-			x.Mul(&multiples[n].x, &zs[n])
-			y.Mul(&multiples[n].y, &zs[n])
-			e := &baseTable.rows[j][n]
-			e.yPlusX.Add(&y, &x)
-			e.yMinusX.Sub(&y, &x)
-			e.xy2d.Mul(&x, &y)
-			e.xy2d.Mul(&e.xy2d, &constD2)
-		}
+		// Next row's base: 2^w·base = 2·(2^(w−1)·base).
+		base.Double(&row[half-1])
 	}
+
+	// Normalize every entry to Z = 1 with one shared inversion.
+	zs := make([]limb.Element, 2*len(multiples))
+	for n := range multiples {
+		zs[n] = multiples[n].z
+	}
+	if err := limb.BatchInvertScratch(zs[:len(multiples)], zs[len(multiples):]); err != nil {
+		panic("ec25519: table of invalid point")
+	}
+	t.entries = make([]affineCached, len(multiples))
+	for n := range multiples {
+		var x, y limb.Element
+		x.Mul(&multiples[n].x, &zs[n])
+		y.Mul(&multiples[n].y, &zs[n])
+		e := &t.entries[n]
+		e.yPlusX.Add(&y, &x)
+		e.yMinusX.Sub(&y, &x)
+		e.xy2d.Mul(&x, &y)
+		e.xy2d.Mul(&e.xy2d, &constD2)
+	}
+	return t
 }
 
-// ScalarBaseMult sets v = [k mod L]·B from the basepoint table (one mixed
-// addition per non-zero signed byte of the scalar, no doublings) and
-// returns v.
-func (v *Point) ScalarBaseMult(k *big.Int) *Point {
-	baseTable.once.Do(buildBaseTable)
+// ScalarMultTable sets v = [k mod L]·P for the point P that t was built
+// from (one mixed addition per non-zero signed digit of the scalar, no
+// doublings) and returns v.
+func (v *Point) ScalarMultTable(k *big.Int, t *Table) *Point {
 	scalar := reduceScalar(k)
+	var words [5]uint64 // little-endian, one spare so reads never run off
+	for i := 0; i < PointLen; i++ {
+		words[i/8] |= uint64(scalar[PointLen-1-i]) << (8 * uint(i%8))
+	}
+	half := uint64(1) << (t.w - 1)
+	mask := half<<1 - 1
 	var acc Point
 	acc.SetIdentity()
-	carry := 0
-	for j := range baseTable.rows {
-		// Byte j counts from the least significant end. A byte above 128
-		// becomes byte − 256 and carries one into the next; the top byte
-		// of a reduced scalar is at most 0x10, so the last carry is zero.
-		d := int(scalar[PointLen-1-j]) + carry
-		carry = 0
-		if d > 128 {
-			d -= 256
-			carry = 1
+	carry := uint64(0)
+	for j := 0; j < t.rows; j++ {
+		pos := uint(j) * t.w
+		idx, off := pos/64, pos%64
+		window := words[idx] >> off
+		if off > 64-t.w {
+			window |= words[idx+1] << (64 - off)
 		}
+		// A digit above 2^(w−1) becomes digit − 2^w and carries one into
+		// the next window.
+		d := window&mask + carry
+		carry = 0
+		row := t.entries[uint64(j)*half:]
 		switch {
-		case d > 0:
-			acc.addAffine(&acc, &baseTable.rows[j][d-1])
-		case d < 0:
-			var neg affineCached
-			acc.addAffine(&acc, neg.neg(&baseTable.rows[j][-d-1]))
+		case d == 0:
+		case d <= half:
+			acc.addAffine(&acc, &row[d-1])
+		default:
+			carry = 1
+			if n := mask + 1 - d; n != 0 {
+				var neg affineCached
+				acc.addAffine(&acc, neg.neg(&row[n-1]))
+			}
 		}
 	}
 	return v.Set(&acc)
+}
+
+// baseTable is the basepoint's width-8 table, built on first use.
+var baseTable = sync.OnceValue(func() *Table { return NewTable(&basepoint, 8) })
+
+// ScalarBaseMult sets v = [k mod L]·B from the basepoint table (at most 32
+// mixed additions, no doublings) and returns v.
+func (v *Point) ScalarBaseMult(k *big.Int) *Point {
+	return v.ScalarMultTable(k, baseTable())
 }

@@ -3,6 +3,7 @@ package ot
 import (
 	"bytes"
 	"errors"
+	"math/big"
 	"reflect"
 	"sort"
 	"testing"
@@ -42,6 +43,15 @@ func FuzzOTWire(f *testing.F) {
 	f.Add([]byte{})
 	// Maximal varint: a hostile length prefix with no payload behind it.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// Wrong-shape base messages: the pre-batch base setup (κ one-constraint
+	// setups), and base transfers with 2κ−1 ciphertexts and with a short one.
+	for _, m := range wrongShapeBaseMsgs() {
+		data, err := m.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
@@ -69,4 +79,23 @@ func FuzzOTWire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// wrongShapeBaseMsgs are well-encoded messages of the wrong shape for the
+// IKNP base phase.
+func wrongShapeBaseMsgs() []wireMsg {
+	legacy := make([]*SenderSetup, iknpKappa)
+	for i := range legacy {
+		legacy[i] = &SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+	}
+	cts := make([][]byte, 2*iknpKappa-1)
+	for i := range cts {
+		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
+	}
+	short := append([][]byte{{1, 2, 3}}, cts...)[:2*iknpKappa]
+	return []wireMsg{
+		&BatchSetup{Setups: legacy},
+		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: cts}},
+		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: short}},
+	}
 }

@@ -72,6 +72,10 @@ type Group interface {
 	// Exp returns base^e (multiplicative notation; scalar multiplication
 	// for curve backends).
 	Exp(base Element, e *big.Int) Element
+	// ExpMany returns base^e for every e in es, in order: one base raised
+	// to many exponents, which a backend may answer from a table built
+	// for that base once the batch is large enough to pay for it.
+	ExpMany(base Element, es []*big.Int) []Element
 	// ExpG returns g^e for the group generator, typically via a fixed-base
 	// table.
 	ExpG(e *big.Int) Element
@@ -206,6 +210,17 @@ func (g *ModpGroup) ElementLen() int { return (g.P.BitLen() + 7) / 8 }
 func (g *ModpGroup) Exp(base Element, e *big.Int) Element {
 	obs.Add(obs.CtrGroupExp, 1)
 	return new(big.Int).Exp(base.(*big.Int), e, g.P)
+}
+
+// ExpMany returns base^e mod P for each exponent; a MODP table for an
+// arbitrary base would cost more to build than the exponentiations it
+// saves at the batch sizes the protocols use.
+func (g *ModpGroup) ExpMany(base Element, es []*big.Int) []Element {
+	out := make([]Element, len(es))
+	for i, e := range es {
+		out[i] = g.Exp(base, e)
+	}
+	return out
 }
 
 // ExpSeed returns (seed²)^e mod P: MODP seeds are not logarithms, so this

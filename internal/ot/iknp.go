@@ -75,7 +75,7 @@ type IKNPSender struct {
 	qFlat []byte
 	rows  []byte
 
-	baseReceivers []*Receiver // base-phase state, nil once finished
+	baseReceiver *Receiver // base-phase state, nil once finished
 }
 
 // IKNPReceiver is the OT-extension receiver: it inputs m choice bits and
@@ -88,7 +88,7 @@ type IKNPReceiver struct {
 	batch    uint32 // lockstep batch counter: fresh PRG columns per batch
 	par      int    // parallelism degree for the pure fan-out regions
 
-	baseSenders []*Sender // base-phase state, nil once finished
+	baseSender *Sender // base-phase state, nil once finished
 }
 
 // IKNPExtension is the receiver-side state of one Extend batch. Each
@@ -104,18 +104,20 @@ type IKNPExtension struct {
 	par int
 }
 
-// Base-phase messages: κ parallel 1-of-2 transfers in which the
-// OT-extension receiver plays the base-OT sender of its seed pairs. Three
-// messages total, so the base phase fits one round trip plus one message
-// over a transport.
+// Base-phase messages: one batch of κ 1-of-2 transfers (naorpinkas.go)
+// in which the OT-extension receiver plays the base-OT sender of its seed
+// pairs. Three messages total, so the base phase fits one round trip plus
+// one message over a transport.
 type (
-	// IKNPBaseSetup is the extension receiver's first message.
-	IKNPBaseSetup struct{ Setups []*SenderSetup }
-	// IKNPBaseChoice is the extension sender's reply (choices under its
+	// IKNPBaseSetup is the extension receiver's first message: the one
+	// constraint the κ transfers share.
+	IKNPBaseSetup struct{ Setup *SenderSetup }
+	// IKNPBaseChoice is the extension sender's reply (κ choices under its
 	// secret vector s).
 	IKNPBaseChoice struct{ Choices []*ReceiverChoice }
-	// IKNPBaseTransfer completes the seed delivery.
-	IKNPBaseTransfer struct{ Transfers []*SenderTransfer }
+	// IKNPBaseTransfer completes the seed delivery: one R and 2κ
+	// ciphertexts, seed j of transfer i at slot 2i + j.
+	IKNPBaseTransfer struct{ Transfer *SenderTransfer }
 )
 
 // SetPad does nothing.
@@ -150,16 +152,18 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 		ciphers0: make([]cipher.Block, iknpKappa),
 		ciphers1: make([]cipher.Block, iknpKappa),
 	}
-	recv.baseSenders = make([]*Sender, iknpKappa)
+	// The base sender only reads the seed pairs, which nothing mutates
+	// afterwards, so it shares them with the receiver state.
+	pairs := make([][][]byte, iknpKappa)
+	// Every seed in one read, pair by pair: seed0_0, seed1_0, seed0_1, …
+	flat := make([]byte, 2*iknpKappa*treeKeyLen)
+	if _, err := io.ReadFull(rng, flat); err != nil {
+		return nil, nil, err
+	}
 	for i := 0; i < iknpKappa; i++ {
-		recv.seed0[i] = make([]byte, treeKeyLen)
-		recv.seed1[i] = make([]byte, treeKeyLen)
-		if _, err := io.ReadFull(rng, recv.seed0[i]); err != nil {
-			return nil, nil, err
-		}
-		if _, err := io.ReadFull(rng, recv.seed1[i]); err != nil {
-			return nil, nil, err
-		}
+		pair := flat[2*i*treeKeyLen:]
+		recv.seed0[i] = pair[:treeKeyLen:treeKeyLen]
+		recv.seed1[i] = pair[treeKeyLen : 2*treeKeyLen : 2*treeKeyLen]
 		var err error
 		if recv.ciphers0[i], err = aes.NewCipher(recv.seed0[i]); err != nil {
 			return nil, nil, err
@@ -167,26 +171,25 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 		if recv.ciphers1[i], err = aes.NewCipher(recv.seed1[i]); err != nil {
 			return nil, nil, err
 		}
-		// The base senders only read the seed pair, which nothing mutates
-		// afterwards, so they share it with the receiver state.
-		s, err := drawSender(group, [][]byte{recv.seed0[i], recv.seed1[i]}, rng)
-		if err != nil {
-			return nil, nil, fmt.Errorf("ot: iknp base sender %d: %w", i, err)
-		}
-		recv.baseSenders[i] = s
+		pairs[i] = [][]byte{recv.seed0[i], recv.seed1[i]}
 	}
-	setups, err := setupsFor(recv.baseSenders, 1)
+	s, err := drawSender(group, pairs, rng)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ot: iknp base sender: %w", err)
+	}
+	setups, err := setupsFor([]*Sender{s}, 1)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
-	return recv, &IKNPBaseSetup{Setups: setups}, nil
+	recv.baseSender = s
+	return recv, &IKNPBaseSetup{Setup: setups[0]}, nil
 }
 
 // NewIKNPSenderBase creates the extension sender from the receiver's
 // base setup, returning its choice message.
 func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPSender, *IKNPBaseChoice, error) {
-	if setup == nil || len(setup.Setups) != iknpKappa {
-		return nil, nil, fmt.Errorf("%w: base setup must carry %d transfers", ErrIKNP, iknpKappa)
+	if setup == nil || setup.Setup == nil || len(setup.Setup.Cs) != 1 {
+		return nil, nil, fmt.Errorf("%w: base setup must carry 1 constraint", ErrIKNP)
 	}
 	send := &IKNPSender{
 		s:       make([]byte, iknpKappa/8),
@@ -199,34 +202,42 @@ func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPS
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receivers, choices, err := chooseAll(group, 2, bits, setup.Setups, 1, rng)
+	receivers, choices, err := chooseAll(group, 2, [][]int{bits}, []*SenderSetup{setup.Setup}, 1, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
-	send.baseReceivers = receivers
+	send.baseReceiver = receivers[0]
 	return send, &IKNPBaseChoice{Choices: choices}, nil
 }
 
 // BaseRespond is the extension receiver's answer to the sender's base
 // choices.
 func (r *IKNPReceiver) BaseRespond(choice *IKNPBaseChoice, rng io.Reader) (*IKNPBaseTransfer, error) {
-	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSenders == nil {
+	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfers, err := respondAll(r.baseSenders, choice.Choices, 1, rng)
+	transfers, err := respondAll([]*Sender{r.baseSender}, choice.Choices, 1, rng)
 	if err != nil {
 		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
-	r.baseSenders = nil // one-shot
-	return &IKNPBaseTransfer{Transfers: transfers}, nil
+	r.baseSender = nil // one-shot
+	return &IKNPBaseTransfer{Transfer: transfers[0]}, nil
 }
 
 // BaseFinish completes the extension sender's base phase.
 func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
-	if tr == nil || len(tr.Transfers) != iknpKappa || s.baseReceivers == nil {
+	if tr == nil || tr.Transfer == nil || s.baseReceiver == nil {
 		return fmt.Errorf("%w: bad base transfer", ErrIKNP)
 	}
-	seeds, err := recoverAll(s.baseReceivers, tr.Transfers, 1)
+	if len(tr.Transfer.Cts) != 2*iknpKappa {
+		return fmt.Errorf("%w: base transfer carries %d ciphertexts, want %d", ErrIKNP, len(tr.Transfer.Cts), 2*iknpKappa)
+	}
+	for i, ct := range tr.Transfer.Cts {
+		if len(ct) != treeKeyLen {
+			return fmt.Errorf("%w: base ciphertext %d has length %d, want %d", ErrIKNP, i, len(ct), treeKeyLen)
+		}
+	}
+	seeds, err := recoverAll([]*Receiver{s.baseReceiver}, []*SenderTransfer{tr.Transfer}, 1)
 	if err != nil {
 		return fmt.Errorf("ot: iknp base recover: %w", err)
 	}
@@ -235,15 +246,12 @@ func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
 	// cipher.Block cannot be serialized back into its key.
 	s.seeds = make([]byte, iknpKappa*treeKeyLen)
 	for i, seed := range seeds {
-		if len(seed) != treeKeyLen {
-			return fmt.Errorf("%w: base seed %d has length %d", ErrIKNP, i, len(seed))
-		}
 		copy(s.seeds[i*treeKeyLen:], seed)
 		if s.ciphers[i], err = aes.NewCipher(seed); err != nil {
 			return err
 		}
 	}
-	s.baseReceivers = nil
+	s.baseReceiver = nil
 	return nil
 }
 

@@ -60,13 +60,14 @@ func NewBatchSenderParallel(group Group, msgs [][]byte, k, parallelism int, rng 
 	// One defensive copy of the messages, shared read-only by all k
 	// instances.
 	copied := copyMessages(msgs)
-	// Draw every instance's constraint randomness serially, instance by
+	// Each instance is a batch of one with constraints of its own. Draw
+	// every instance's constraint randomness serially, instance by
 	// instance; only the heavy seed-to-element finish (a subgroup squaring
 	// for MODP groups, a scalar multiplication for curves) runs in
 	// parallel.
 	senders := make([]*Sender, k)
 	for i := range senders {
-		s, err := drawSender(group, copied, rng)
+		s, err := drawSender(group, [][][]byte{copied}, rng)
 		if err != nil {
 			return nil, nil, instanceErr(i, err)
 		}
@@ -121,7 +122,11 @@ func NewBatchReceiverParallel(group Group, n int, indices []int, setup *BatchSet
 		}
 		seen[idx] = true
 	}
-	receivers, choices, err := chooseAll(group, n, indices, setup.Setups, parallelism, rng)
+	sigmas := make([][]int, len(indices))
+	for i := range sigmas {
+		sigmas[i] = indices[i : i+1 : i+1]
+	}
+	receivers, choices, err := chooseAll(group, n, sigmas, setup.Setups, parallelism, rng)
 	if err != nil {
 		return nil, nil, err
 	}

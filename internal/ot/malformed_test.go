@@ -140,3 +140,95 @@ func TestMalformedElementsRejected(t *testing.T) {
 		}
 	}
 }
+
+// TestMalformedIKNPBaseRejected feeds the extension sender base messages
+// of the wrong shape — including the layout of a peer from before the κ
+// base transfers became one batch, κ one-constraint setups — and
+// malformed elements in the shared R, and wants ErrIKNP or ErrBadMessage
+// every time, never a panic; the honest transfer still completes after
+// the rejections.
+func TestMalformedIKNPBaseRejected(t *testing.T) {
+	bad := malformedElements(t)
+	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
+		t.Run(g.Name(), func(t *testing.T) {
+			recv, setup, err := ot.NewIKNPReceiverBase(g, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ot.ErrIKNP) && !errors.Is(err, ot.ErrBadMessage) {
+					t.Errorf("%s: err = %v, want ErrIKNP or ErrBadMessage", what, err)
+				}
+			}
+			c := setup.Setup.Cs[0]
+			legacy := make([]*ot.SenderSetup, 128)
+			for i := range legacy {
+				legacy[i] = &ot.SenderSetup{Cs: []*big.Int{c}}
+			}
+			many := make([]*big.Int, 128)
+			for i := range many {
+				many[i] = c
+			}
+			for name, s := range map[string]*ot.IKNPBaseSetup{
+				"nil setup":       {},
+				"0 constraints":   {Setup: &ot.SenderSetup{}},
+				"2 constraints":   {Setup: &ot.SenderSetup{Cs: []*big.Int{c, c}}},
+				"128 constraints": {Setup: &ot.SenderSetup{Cs: many}},
+			} {
+				_, _, err := ot.NewIKNPSenderBase(g, s, rand.Reader)
+				want("NewIKNPSenderBase("+name+")", err)
+			}
+			_, _, err = ot.NewIKNPSenderBase(g, nil, rand.Reader)
+			want("NewIKNPSenderBase(nil)", err)
+			// The pre-batch wire layout either fails to decode as a base
+			// setup or decodes to one the sender refuses.
+			old, err := (&ot.BatchSetup{Setups: legacy}).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var decoded ot.IKNPBaseSetup
+			if err := decoded.UnmarshalBinary(old); err == nil {
+				_, _, err = ot.NewIKNPSenderBase(g, &decoded, rand.Reader)
+				want("NewIKNPSenderBase(pre-batch layout)", err)
+			}
+
+			send, choice, err := ot.NewIKNPSenderBase(g, setup, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := recv.BaseRespond(choice, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts := tr.Transfer.Cts
+			withCts := func(cts [][]byte) *ot.IKNPBaseTransfer {
+				return &ot.IKNPBaseTransfer{Transfer: &ot.SenderTransfer{R: tr.Transfer.R, Cts: cts}}
+			}
+			withCt := func(slot int, ct []byte) *ot.IKNPBaseTransfer {
+				out := append([][]byte(nil), cts...)
+				out[slot] = ct
+				return withCts(out)
+			}
+			transfers := map[string]*ot.IKNPBaseTransfer{
+				"nil transfer":       {},
+				"κ ciphertexts":      withCts(cts[:128]),
+				"2κ−1 ciphertexts":   withCts(cts[:255]),
+				"2κ+1 ciphertexts":   withCts(append(append([][]byte(nil), cts...), cts[0])),
+				"15-byte ciphertext": withCt(7, cts[7][:15]),
+				"17-byte ciphertext": withCt(200, append(append([]byte(nil), cts[200]...), 0)),
+				"empty ciphertext":   withCt(0, nil),
+			}
+			for name, x := range bad[g.Name()] {
+				transfers["R "+name] = &ot.IKNPBaseTransfer{Transfer: &ot.SenderTransfer{R: x, Cts: cts}}
+			}
+			for name, btr := range transfers {
+				want("BaseFinish("+name+")", send.BaseFinish(btr))
+			}
+			want("BaseFinish(nil)", send.BaseFinish(nil))
+			if err := send.BaseFinish(tr); err != nil {
+				t.Fatalf("honest base transfer after the rejections: %v", err)
+			}
+		})
+	}
+}

@@ -35,27 +35,42 @@ type ReceiverChoice struct {
 }
 
 // SenderTransfer is the sender's final message: the ephemeral value
-// R = g^r and one ciphertext per message.
+// R = g^r and one ciphertext per message of every instance of the batch,
+// instance i's message j at slot i·n + j.
 type SenderTransfer struct {
 	R   *big.Int
 	Cts [][]byte
 }
 
 // The four protocol steps below — the sender's setupsFor and respondAll,
-// the receiver's chooseAll and recoverAll — each take a slice of
-// independent instances: one for the single-transfer API, k for a
-// k-out-of-n batch, κ for the IKNP base phase. Every step draws its
-// randomness serially and first (so the rng stream, and hence every
-// message, is the same at any parallelism), decodes what it received and
-// does its group arithmetic on decoded elements inside the worker pool,
-// and encodes everything it sends or hashes in a single Group.Encode call.
+// the receiver's chooseAll and recoverAll — each take a slice of batches.
+// A batch is the batched form of Naor–Pinkas: its instances share one set
+// of constraints C_1..C_{n−1} and one ephemeral r, and instance i's key for
+// message j, [r]·PK_{i,j}, is bound to the instance by deriving its pad
+// with slot i·n + j. The single-transfer API and each of the k instances
+// of a k-out-of-n are batches of one, whose transcripts are those of the
+// unbatched protocol; the IKNP base phase is one batch of κ. For a batch
+// of m instances the steps cost (scalar multiplications and decodes):
+//
+//	setupsFor   n−1 fixed-base (the C_j)
+//	chooseAll   m fixed-base (g^x_i); n−1 decodes
+//	respondAll  n fixed-base (R, the C_j^r), m variable-base (PK_{i,0}^r); m decodes
+//	recoverAll  m multiplications of R, from one table of R once m is large; 1 decode
+//
+// Every step draws its randomness serially and first (so the rng stream,
+// and hence every message, is the same at any parallelism), decodes what
+// it received and does its group arithmetic on decoded elements inside the
+// worker pool, one batch per task, and encodes everything it sends or
+// hashes in a single Group.Encode call.
 
-// Sender runs the sender role of a Naor–Pinkas 1-out-of-n transfer.
+// Sender runs the sender role of a batch of Naor–Pinkas 1-out-of-n
+// transfers.
 type Sender struct {
 	group Group
-	msgs  [][]byte
-	// seeds[i-1] is the randomness behind constraint C_i. The sender keeps
-	// it instead of the element: C_i^r is then Group.ExpSeed(seed, r).
+	msgs  [][][]byte // msgs[i] are instance i's n messages
+	// seeds[j-1] is the randomness behind constraint C_j, shared by every
+	// instance. The sender keeps it instead of the element: C_j^r is then
+	// Group.ExpSeed(seed, r).
 	seeds []*big.Int
 }
 
@@ -80,10 +95,11 @@ func copyMessages(msgs [][]byte) [][]byte {
 	return copied
 }
 
-// drawSender draws the constraint seeds of one instance. msgs must be
-// validated and is retained, not copied.
-func drawSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, error) {
-	seeds := make([]*big.Int, len(msgs)-1)
+// drawSender draws the constraint seeds of one batch. msgs holds each
+// instance's messages, all validated and of one count; it is retained, not
+// copied.
+func drawSender(group Group, msgs [][][]byte, rng io.Reader) (*Sender, error) {
+	seeds := make([]*big.Int, len(msgs[0])-1)
 	for i := range seeds {
 		seed, err := group.RandomElementSeed(rng)
 		if err != nil {
@@ -100,7 +116,7 @@ func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup
 	if err := checkMessages(msgs); err != nil {
 		return nil, nil, err
 	}
-	s, err := drawSender(group, copyMessages(msgs), rng)
+	s, err := drawSender(group, [][][]byte{copyMessages(msgs)}, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -111,7 +127,7 @@ func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup
 	return s, setups[0], nil
 }
 
-// setupsFor finishes the senders' seeds into constraint elements and
+// setupsFor finishes each batch's seeds into constraint elements and
 // encodes them. All senders share one group and one message count.
 func setupsFor(senders []*Sender, par int) ([]*SenderSetup, error) {
 	group, stride := senders[0].group, len(senders[0].seeds)
@@ -142,37 +158,66 @@ func (s *Sender) Respond(choice *ReceiverChoice, rng io.Reader) (*SenderTransfer
 	return transfers[0], nil
 }
 
-// respondAll answers choices[i] with senders[i]. All senders share one
-// group and one message count.
+// batchStarts returns the index of each batch's first instance in the
+// flat instance order, plus the total instance count at the end.
+func batchStarts[B any](batches []B, size func(B) int) []int {
+	starts := make([]int, len(batches)+1)
+	for b, batch := range batches {
+		starts[b+1] = starts[b] + size(batch)
+	}
+	return starts
+}
+
+// respondAll answers the choices with the senders' batches: choices holds
+// one choice per instance, batch by batch. All senders share one group and
+// one message count.
 func respondAll(senders []*Sender, choices []*ReceiverChoice, par int, rng io.Reader) ([]*SenderTransfer, error) {
-	group, n := senders[0].group, len(senders[0].msgs)
+	group, n := senders[0].group, len(senders[0].msgs[0])
+	starts := batchStarts(senders, func(s *Sender) int { return len(s.msgs) })
+	if len(choices) != starts[len(senders)] {
+		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(choices), starts[len(senders)])
+	}
 	rs := make([]*big.Int, len(senders))
-	for i := range rs {
+	for b := range rs {
 		r, err := group.RandomScalar(rng)
 		if err != nil {
-			return nil, instanceErr(i, err)
+			return nil, instanceErr(starts[b], err)
 		}
-		rs[i] = r
+		rs[b] = r
 	}
-	// Per instance: R = g^r, then the key element PK_i^r of each message.
-	stride := 1 + n
-	elems := make([]Element, len(senders)*stride)
-	err := parallel.For(par, len(senders), func(i int) error {
-		if choices[i] == nil {
-			return instanceErr(i, fmt.Errorf("%w: missing choice", ErrBadMessage))
+	// Per batch: R = g^r, then the n key elements PK_{i,j}^r of each
+	// instance in slot order.
+	elemRange := func(b int) (int, int) { return b + starts[b]*n, b + 1 + starts[b+1]*n }
+	elems := make([]Element, len(senders)+starts[len(senders)]*n)
+	err := parallel.For(par, len(senders), func(b int) error {
+		s, r := senders[b], rs[b]
+		pk0s := make([]Element, len(s.msgs))
+		for i := range pk0s {
+			c := choices[starts[b]+i]
+			if c == nil {
+				return instanceErr(starts[b]+i, fmt.Errorf("%w: missing choice", ErrBadMessage))
+			}
+			pk0, err := group.Decode(c.PK0)
+			if err != nil {
+				return instanceErr(starts[b]+i, fmt.Errorf("invalid PK0: %w", err))
+			}
+			pk0s[i] = pk0
 		}
-		pk0, err := group.Decode(choices[i].PK0)
-		if err != nil {
-			return instanceErr(i, fmt.Errorf("invalid PK0: %w", err))
-		}
-		out, r := elems[i*stride:(i+1)*stride], rs[i]
+		lo, hi := elemRange(b)
+		out := elems[lo:hi]
 		out[0] = group.ExpG(r)
-		// PK_i = C_i / PK_0, so PK_i^r = C_i^r * (PK_0^r)^{-1}.
-		pk0r := group.Exp(pk0, r)
-		pk0rInv := group.Inv(pk0r)
-		out[1] = pk0r
-		for j, seed := range senders[i].seeds {
-			out[2+j] = group.Mul(group.ExpSeed(seed, r), pk0rInv)
+		cr := make([]Element, len(s.seeds))
+		for j, seed := range s.seeds {
+			cr[j] = group.ExpSeed(seed, r)
+		}
+		for i, pk0 := range pk0s {
+			// PK_{i,j} = C_j / PK_{i,0}, so PK_{i,j}^r = C_j^r · (PK_{i,0}^r)^{-1}.
+			keys := out[1+i*n : 1+(i+1)*n]
+			keys[0] = group.Exp(pk0, r)
+			inv := group.Inv(keys[0])
+			for j := range cr {
+				keys[1+j] = group.Mul(cr[j], inv)
+			}
 		}
 		return nil
 	})
@@ -184,76 +229,87 @@ func respondAll(senders []*Sender, choices []*ReceiverChoice, par int, rng io.Re
 		return nil, err
 	}
 	transfers := make([]*SenderTransfer, len(senders))
-	_ = parallel.For(par, len(senders), func(i int) error {
-		w, msgs := wire[i*stride:(i+1)*stride], senders[i].msgs
-		cts := make([][]byte, n)
-		for j, m := range msgs {
-			cts[j] = xorKeystream(group, w[1+j], j, m)
+	_ = parallel.For(par, len(senders), func(b int) error {
+		lo, hi := elemRange(b)
+		w := wire[lo:hi]
+		cts := make([][]byte, len(senders[b].msgs)*n)
+		for i, msgs := range senders[b].msgs {
+			for j, m := range msgs {
+				slot := i*n + j
+				cts[slot] = xorKeystream(group, w[1+slot], slot, m)
+			}
 		}
-		transfers[i] = &SenderTransfer{R: w[0], Cts: cts}
+		transfers[b] = &SenderTransfer{R: w[0], Cts: cts}
 		return nil
 	})
 	return transfers, nil
 }
 
-// Receiver runs the receiver role of a 1-out-of-n transfer.
+// Receiver runs the receiver role of a batch of 1-out-of-n transfers.
 type Receiver struct {
-	group Group
-	n     int
-	sigma int
-	x     *big.Int // secret exponent; PK_sigma = g^x
+	group  Group
+	n      int
+	sigmas []int
+	xs     []*big.Int // secret exponents; instance i's PK_{i,sigma_i} = g^x_i
 }
 
 // NewReceiver prepares the receiver's choice of index sigma among n
 // messages, given the sender's setup.
 func NewReceiver(group Group, n, sigma int, setup *SenderSetup, rng io.Reader) (*Receiver, *ReceiverChoice, error) {
-	receivers, choices, err := chooseAll(group, n, []int{sigma}, []*SenderSetup{setup}, 1, rng)
+	receivers, choices, err := chooseAll(group, n, [][]int{{sigma}}, []*SenderSetup{setup}, 1, rng)
 	if err != nil {
 		return nil, nil, err
 	}
 	return receivers[0], choices[0], nil
 }
 
-// chooseAll prepares the choice of sigmas[i] among n messages against
-// setups[i].
-func chooseAll(group Group, n int, sigmas []int, setups []*SenderSetup, par int, rng io.Reader) ([]*Receiver, []*ReceiverChoice, error) {
+// chooseAll prepares, for each batch b, the choices sigmas[b] among n
+// messages against setups[b], returning one choice per instance, batch by
+// batch.
+func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, par int, rng io.Reader) ([]*Receiver, []*ReceiverChoice, error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
 	}
+	starts := batchStarts(sigmas, func(s []int) int { return len(s) })
 	receivers := make([]*Receiver, len(sigmas))
-	for i, sigma := range sigmas {
-		if sigma < 0 || sigma >= n {
-			return nil, nil, instanceErr(i, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n))
+	for b, batch := range sigmas {
+		if setups[b] == nil || len(setups[b].Cs) != n-1 {
+			return nil, nil, instanceErr(starts[b], fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
 		}
-		if setups[i] == nil || len(setups[i].Cs) != n-1 {
-			return nil, nil, instanceErr(i, fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
+		rc := &Receiver{group: group, n: n, sigmas: batch, xs: make([]*big.Int, len(batch))}
+		for i, sigma := range batch {
+			if sigma < 0 || sigma >= n {
+				return nil, nil, instanceErr(starts[b]+i, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n))
+			}
+			x, err := group.RandomScalar(rng)
+			if err != nil {
+				return nil, nil, instanceErr(starts[b]+i, err)
+			}
+			rc.xs[i] = x
 		}
-		x, err := group.RandomScalar(rng)
-		if err != nil {
-			return nil, nil, instanceErr(i, err)
-		}
-		receivers[i] = &Receiver{group: group, n: n, sigma: sigma, x: x}
+		receivers[b] = rc
 	}
-	pk0s := make([]Element, len(sigmas))
-	err := parallel.For(par, len(sigmas), func(i int) error {
+	pk0s := make([]Element, starts[len(sigmas)])
+	err := parallel.For(par, len(receivers), func(b int) error {
 		// Every constraint is decoded — that is its validation — though
-		// only C_sigma enters the arithmetic.
-		var cSigma Element
-		for j, c := range setups[i].Cs {
+		// only the chosen ones enter the arithmetic.
+		cs := make([]Element, n-1)
+		for j, c := range setups[b].Cs {
 			e, err := group.Decode(c)
 			if err != nil {
-				return instanceErr(i, fmt.Errorf("invalid constraint element: %w", err))
+				return instanceErr(starts[b], fmt.Errorf("invalid constraint element: %w", err))
 			}
-			if j == sigmas[i]-1 {
-				cSigma = e
-			}
+			cs[j] = e
 		}
-		gx := group.ExpG(receivers[i].x)
-		if cSigma == nil {
-			pk0s[i] = gx // sigma = 0: PK_0 = g^x itself
-		} else {
-			// PK_0 = C_sigma / g^x so that PK_sigma = C_sigma / PK_0 = g^x.
-			pk0s[i] = group.Mul(cSigma, group.Inv(gx))
+		rc := receivers[b]
+		for i, sigma := range rc.sigmas {
+			gx := group.ExpG(rc.xs[i])
+			if sigma == 0 {
+				pk0s[starts[b]+i] = gx // PK_0 = g^x itself
+			} else {
+				// PK_0 = C_sigma / g^x so that PK_sigma = C_sigma / PK_0 = g^x.
+				pk0s[starts[b]+i] = group.Mul(cs[sigma-1], group.Inv(gx))
+			}
 		}
 		return nil
 	})
@@ -264,7 +320,7 @@ func chooseAll(group Group, n int, sigmas []int, setups []*SenderSetup, par int,
 	if err != nil {
 		return nil, nil, err
 	}
-	choices := make([]*ReceiverChoice, len(sigmas))
+	choices := make([]*ReceiverChoice, len(wire))
 	for i := range choices {
 		choices[i] = &ReceiverChoice{PK0: wire[i]}
 	}
@@ -280,25 +336,27 @@ func (r *Receiver) Recover(tr *SenderTransfer) ([]byte, error) {
 	return out[0], nil
 }
 
-// recoverAll decrypts the chosen message of each transfer. All receivers
-// share one group.
+// recoverAll decrypts the chosen message of every instance, batch b from
+// transfers[b], in the flat instance order. All receivers share one group.
 func recoverAll(receivers []*Receiver, transfers []*SenderTransfer, par int) ([][]byte, error) {
 	group := receivers[0].group
-	keys := make([]Element, len(receivers))
-	err := parallel.For(par, len(receivers), func(i int) error {
-		r, tr := receivers[i], transfers[i]
+	starts := batchStarts(receivers, func(r *Receiver) int { return len(r.sigmas) })
+	keys := make([]Element, starts[len(receivers)])
+	err := parallel.For(par, len(receivers), func(b int) error {
+		rc, tr := receivers[b], transfers[b]
 		if tr == nil {
-			return instanceErr(i, fmt.Errorf("%w: missing transfer", ErrBadMessage))
+			return instanceErr(starts[b], fmt.Errorf("%w: missing transfer", ErrBadMessage))
 		}
-		if len(tr.Cts) != r.n {
-			return instanceErr(i, fmt.Errorf("%w: got %d ciphertexts, want %d", ErrBadMessage, len(tr.Cts), r.n))
+		if want := len(rc.sigmas) * rc.n; len(tr.Cts) != want {
+			return instanceErr(starts[b], fmt.Errorf("%w: got %d ciphertexts, want %d", ErrBadMessage, len(tr.Cts), want))
 		}
 		bigR, err := group.Decode(tr.R)
 		if err != nil {
-			return instanceErr(i, fmt.Errorf("invalid R: %w", err))
+			return instanceErr(starts[b], fmt.Errorf("invalid R: %w", err))
 		}
-		// PK_sigma = g^x in both branches of chooseAll, so PK_sigma^r = R^x.
-		keys[i] = group.Exp(bigR, r.x)
+		// PK_{i,sigma_i} = g^x_i in both branches of chooseAll, so its key
+		// PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
+		copy(keys[starts[b]:], group.ExpMany(bigR, rc.xs))
 		return nil
 	})
 	if err != nil {
@@ -308,9 +366,12 @@ func recoverAll(receivers []*Receiver, transfers []*SenderTransfer, par int) ([]
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]byte, len(receivers))
-	for i, r := range receivers {
-		out[i] = xorKeystream(group, wire[i], r.sigma, transfers[i].Cts[r.sigma])
+	out := make([][]byte, len(keys))
+	for b, rc := range receivers {
+		for i, sigma := range rc.sigmas {
+			slot := i*rc.n + sigma
+			out[starts[b]+i] = xorKeystream(group, wire[starts[b]+i], slot, transfers[b].Cts[slot])
+		}
 	}
 	return out, nil
 }
@@ -319,10 +380,18 @@ func instanceErr(i int, err error) error {
 	return fmt.Errorf("ot: instance %d: %w", i, err)
 }
 
+// kdfTrace, when set, sees the (slot, key element) input of every
+// xorKeystream call. Tests set it to check that a batch never feeds the
+// KDF one input twice; when nil it costs one comparison.
+var kdfTrace func(slot int, elem *big.Int)
+
 // xorKeystream returns in XOR a keystream derived from a group element's
-// wire form with SHA-256 in counter mode, domain-separated by the message
-// index.
-func xorKeystream(group Group, elem *big.Int, index int, in []byte) []byte {
+// wire form with SHA-256 in counter mode, domain-separated by the slot
+// (the message index within its batch).
+func xorKeystream(group Group, elem *big.Int, slot int, in []byte) []byte {
+	if kdfTrace != nil {
+		kdfTrace(slot, elem)
+	}
 	eb := make([]byte, group.ElementLen())
 	elem.FillBytes(eb)
 	pad := make([]byte, 0, len(in)+sha256.Size)
@@ -331,7 +400,7 @@ func xorKeystream(group Group, elem *big.Int, index int, in []byte) []byte {
 		h := sha256.New()
 		h.Write([]byte("ppdc-ot-kdf-v1"))
 		h.Write(eb)
-		binary.BigEndian.PutUint32(block[:4], uint32(index))
+		binary.BigEndian.PutUint32(block[:4], uint32(slot))
 		binary.BigEndian.PutUint32(block[4:], counter)
 		h.Write(block[:])
 		pad = h.Sum(pad)

@@ -53,7 +53,7 @@ type IKNPReceiverState struct {
 // and on endpoints built before seed retention (never the case for
 // endpoints this package constructs).
 func (s *IKNPSender) Snapshot() (*IKNPSenderState, error) {
-	if s.baseReceivers != nil || len(s.seeds) != iknpKappa*treeKeyLen {
+	if s.baseReceiver != nil || len(s.seeds) != iknpKappa*treeKeyLen {
 		return nil, fmt.Errorf("%w: sender base phase incomplete", ErrIKNPResume)
 	}
 	st := &IKNPSenderState{
@@ -66,7 +66,7 @@ func (s *IKNPSender) Snapshot() (*IKNPSenderState, error) {
 
 // Snapshot captures the receiver's post-base-phase state.
 func (r *IKNPReceiver) Snapshot() (*IKNPReceiverState, error) {
-	if r.baseSenders != nil {
+	if r.baseSender != nil {
 		return nil, fmt.Errorf("%w: receiver base phase incomplete", ErrIKNPResume)
 	}
 	st := &IKNPReceiverState{

@@ -103,8 +103,10 @@ func (t *SenderTransfer) WriteTo(w io.Writer) (int64, error) { return wire.Write
 // ReadFrom implements io.ReaderFrom.
 func (t *SenderTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, t) }
 
-// setupSeq/choiceSeq/transferSeq factor the shared list encodings of the
-// batch and IKNP-base message families.
+// setupSeq/choiceSeq/transferSeq are the list encodings of the k-of-n
+// batch messages; IKNPBaseChoice shares choiceSeq, while the IKNP base
+// setup and transfer carry the single SenderSetup / SenderTransfer of
+// their one batch.
 
 func encodeSetupSeq(w *wire.Writer, setups []*SenderSetup) {
 	w.Count(len(setups))
@@ -245,10 +247,22 @@ func (b *BatchTransfer) WriteTo(w io.Writer) (int64, error) { return wire.WriteT
 func (b *BatchTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
-func (b *IKNPBaseSetup) EncodeWire(w *wire.Writer) { encodeSetupSeq(w, b.Setups) }
+func (b *IKNPBaseSetup) EncodeWire(w *wire.Writer) {
+	if b.Setup == nil {
+		w.BigInt(nil) // typed ErrNilValue
+		return
+	}
+	b.Setup.EncodeWire(w)
+}
 
 // DecodeWire implements the wire codec.
-func (b *IKNPBaseSetup) DecodeWire(r *wire.Reader) { b.Setups = decodeSetupSeq(r) }
+func (b *IKNPBaseSetup) DecodeWire(r *wire.Reader) {
+	s := new(SenderSetup)
+	s.DecodeWire(r)
+	if r.Err() == nil {
+		b.Setup = s
+	}
+}
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *IKNPBaseSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
@@ -281,10 +295,22 @@ func (b *IKNPBaseChoice) WriteTo(w io.Writer) (int64, error) { return wire.Write
 func (b *IKNPBaseChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
-func (b *IKNPBaseTransfer) EncodeWire(w *wire.Writer) { encodeTransferSeq(w, b.Transfers) }
+func (b *IKNPBaseTransfer) EncodeWire(w *wire.Writer) {
+	if b.Transfer == nil {
+		w.BigInt(nil) // typed ErrNilValue
+		return
+	}
+	b.Transfer.EncodeWire(w)
+}
 
 // DecodeWire implements the wire codec.
-func (b *IKNPBaseTransfer) DecodeWire(r *wire.Reader) { b.Transfers = decodeTransferSeq(r) }
+func (b *IKNPBaseTransfer) DecodeWire(r *wire.Reader) {
+	t := new(SenderTransfer)
+	t.DecodeWire(r)
+	if r.Err() == nil {
+		b.Transfer = t
+	}
+}
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *IKNPBaseTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }

@@ -42,9 +42,9 @@ func otWireSamples() map[string]wireMsg {
 		"BatchSetup":       &BatchSetup{Setups: []*SenderSetup{sampleSetup(), sampleSetup()}},
 		"BatchChoice":      &BatchChoice{Choices: []*ReceiverChoice{sampleChoice()}},
 		"BatchTransfer":    &BatchTransfer{Transfers: []*SenderTransfer{sampleTransfer()}},
-		"IKNPBaseSetup":    &IKNPBaseSetup{Setups: []*SenderSetup{sampleSetup()}},
+		"IKNPBaseSetup":    &IKNPBaseSetup{Setup: sampleSetup()},
 		"IKNPBaseChoice":   &IKNPBaseChoice{Choices: []*ReceiverChoice{sampleChoice(), sampleChoice()}},
-		"IKNPBaseTransfer": &IKNPBaseTransfer{Transfers: []*SenderTransfer{sampleTransfer()}},
+		"IKNPBaseTransfer": &IKNPBaseTransfer{Transfer: sampleTransfer()},
 		"IKNPReceiverMsg":  &IKNPReceiverMsg{U: bytes.Repeat([]byte{0x5A}, 64), M: 17},
 		"IKNPSenderMsg":    &IKNPSenderMsg{Y0: []byte{1, 2, 3, 4}, Y1: []byte{5, 6, 7, 8}, MsgLen: 2},
 		"ExtKofNRequest": &ExtKofNRequest{

@@ -16,12 +16,14 @@ import (
 // Naor–Pinkas message structs, their wire encodings and the key-derivation
 // input are the MODP backends'; in memory it is an *ec25519.Point.
 //
-// Decode is the expensive direction — a square root in the field, about
-// 5 µs — and is paid once per received element; Encode costs one field
-// inversion (also about 5 µs) per *batch* plus a fraction of a microsecond
-// per element. "Exponentiation" is scalar multiplication: about 10 µs
-// from the basepoint table, about 60 µs for an arbitrary point, against
-// milliseconds for a modp2048 exponentiation.
+// Unit costs on the 2-core reference host: Decode — a square root in the
+// field — 7–9 µs, paid once per received element; Encode one field
+// inversion per *batch* plus a fraction of a microsecond per element.
+// "Exponentiation" is scalar multiplication: 10 µs from the basepoint
+// table (ExpG, ExpSeed), 78–89 µs by the ladder for an arbitrary point
+// (Exp), and 18–21 µs per exponent from the width-4 table ExpMany builds
+// for its base in 0.30–0.46 ms once a batch reaches tableBreakEven
+// exponents — against milliseconds for a modp2048 exponentiation.
 //
 // Random elements are sampled as [s]·B for a secret uniform scalar s, so
 // a seed is the element's discrete logarithm and ExpSeed is a table
@@ -80,6 +82,35 @@ func (g *X25519Group) Encode(elems []Element) ([]*big.Int, error) {
 func (g *X25519Group) Exp(base Element, e *big.Int) Element {
 	obs.Add(obs.CtrGroupExp, 1)
 	return new(ec25519.Point).ScalarMult(e, base.(*ec25519.Point))
+}
+
+// tableBreakEven is the batch size from which ExpMany builds a width-4
+// table for its base instead of running the ladder per exponent. On the
+// 2-core reference host (BenchmarkTableBuild/w=4, BenchmarkTableMult/w=4
+// and BenchmarkScalarMult in internal/ec25519, three runs each) the table
+// costs 0.30–0.46 ms to build and 15–21 µs per multiplication against
+// 67–89 µs for the ladder, so it pays for itself from 5–8
+// multiplications. The IKNP base phase's 128 always take it; the
+// k-of-n's batches of one never do.
+const tableBreakEven = 8
+
+// ExpMany returns [e]·base for each exponent: by the ladder below
+// tableBreakEven exponents, from one width-4 table of base from there on.
+func (g *X25519Group) ExpMany(base Element, es []*big.Int) []Element {
+	obs.Add(obs.CtrGroupExp, int64(len(es)))
+	p := base.(*ec25519.Point)
+	out := make([]Element, len(es))
+	if len(es) < tableBreakEven {
+		for i, e := range es {
+			out[i] = new(ec25519.Point).ScalarMult(e, p)
+		}
+		return out
+	}
+	tab := ec25519.NewTable(p, 4)
+	for i, e := range es {
+		out[i] = new(ec25519.Point).ScalarMultTable(e, tab)
+	}
+	return out
 }
 
 // ExpG returns [e]·B via the fixed-base table.

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 	"repro/internal/transport"
@@ -94,6 +95,17 @@ func FuzzWireMsgs(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	// The base-setup payload of a client from before the κ base OTs shared
+	// one constraint: κ one-constraint setups.
+	legacy := make([]*ot.SenderSetup, 128)
+	for i := range legacy {
+		legacy[i] = &ot.SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+	}
+	data, err := (&ot.BatchSetup{Setups: legacy}).MarshalBinary()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return

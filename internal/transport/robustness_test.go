@@ -7,6 +7,7 @@ package transport_test
 import (
 	"context"
 	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"net"
 	"strings"
@@ -30,75 +31,117 @@ func newTrainer(t *testing.T, seed uint64) (*classify.Trainer, []float64) {
 	return trainer, test.X[0]
 }
 
-// TestSessionSlotFreedOnMidOTDisconnect: a client that vanishes in the
-// middle of the IKNP base phase — after receiving the base OT choice but
-// before sending the base transfer — must not pin its session slot: with
-// MaxSessions=1, a subsequent client gets served.
+// legacyBaseSetupFrame is the base-setup frame (tag 14) of a client from
+// before the κ base OTs shared one constraint: κ one-constraint setups,
+// laid out as a k-of-n BatchSetup.
+func legacyBaseSetupFrame(t *testing.T, setup *ot.IKNPBaseSetup) []byte {
+	t.Helper()
+	setups := make([]*ot.SenderSetup, 128)
+	for i := range setups {
+		setups[i] = setup.Setup
+	}
+	payload, err := (&ot.BatchSetup{Setups: setups}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	hdr := encodeFrame(t, setup)[:10]
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
+	return append(hdr, payload...)
+}
+
+// TestSessionSlotFreedOnMidOTDisconnect: a client that fails in the
+// middle of the IKNP base phase must not pin its session slot: with
+// MaxSessions=1, a subsequent client gets served. Client A either
+// vanishes after receiving the base OT choice, before sending the base
+// transfer, or sends the pre-batch base setup, which the server refuses
+// with a remote error.
 func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
-	trainer, sample := newTrainer(t, 41)
-	srv := quietServer(t, trainer)
-	srv.MaxSessions = 1
+	for _, tc := range []struct {
+		name string
+		// abandon drives client A's base phase after the spec and returns
+		// once A has given up on the session.
+		abandon func(t *testing.T, conn *transport.Conn, raw net.Conn, setup *ot.IKNPBaseSetup)
+	}{
+		{"disconnect after base choice", func(t *testing.T, conn *transport.Conn, _ net.Conn, setup *ot.IKNPBaseSetup) {
+			if err := conn.Send(setup); err != nil {
+				t.Fatal(err)
+			}
+			// Mid-OT: the server has sent its base choice and waits for
+			// the base transfer.
+			if _, err := transport.Recv[*ot.IKNPBaseChoice](conn); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"pre-batch base setup", func(t *testing.T, conn *transport.Conn, raw net.Conn, setup *ot.IKNPBaseSetup) {
+			if _, err := raw.Write(legacyBaseSetupFrame(t, setup)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := transport.Recv[*ot.IKNPBaseChoice](conn)
+			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "tag 0x0e") {
+				t.Fatalf("pre-batch base setup: err = %v, want a remote decode error for tag 0x0e", err)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trainer, sample := newTrainer(t, 41)
+			srv := quietServer(t, trainer)
+			srv.MaxSessions = 1
 
-	// Client A: drive the base phase by hand up to mid-OT, then vanish.
-	serverSideA, clientSideA := net.Pipe()
-	doneA := make(chan struct{})
-	go func() {
-		defer close(doneA)
-		srv.ServeConn(serverSideA)
-	}()
-	connA := transport.NewConn(clientSideA)
-	if err := connA.Send(&transport.Hello{Service: "classify-fast"}); err != nil {
-		t.Fatal(err)
-	}
-	spec, err := transport.Recv[*classify.Spec](connA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, setup, err := classify.NewFastClient(*spec, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := connA.Send(setup); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.Recv[*ot.IKNPBaseChoice](connA); err != nil {
-		t.Fatal(err)
-	}
-	// Mid-OT: the server has sent its base choice and waits for the base
-	// transfer.
-	if err := connA.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-doneA:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server session did not end after mid-OT disconnect")
-	}
-	if n := srv.ActiveSessions(); n != 0 {
-		t.Fatalf("disconnected session still counted: %d active", n)
-	}
+			// Client A: drive the base phase by hand, then vanish.
+			serverSideA, clientSideA := net.Pipe()
+			doneA := make(chan struct{})
+			go func() {
+				defer close(doneA)
+				srv.ServeConn(serverSideA)
+			}()
+			connA := transport.NewConn(clientSideA)
+			if err := connA.Send(&transport.Hello{Service: "classify-fast"}); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := transport.Recv[*classify.Spec](connA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, setup, err := classify.NewFastClient(*spec, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.abandon(t, connA, clientSideA, setup)
+			if err := connA.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-doneA:
+			case <-time.After(10 * time.Second):
+				t.Fatal("server session did not end after client A gave up")
+			}
+			if n := srv.ActiveSessions(); n != 0 {
+				t.Fatalf("abandoned session still counted: %d active", n)
+			}
 
-	// Client B must now be admitted and served correctly.
-	serverSideB, clientSideB := net.Pipe()
-	doneB := make(chan struct{})
-	go func() {
-		defer close(doneB)
-		srv.ServeConn(serverSideB)
-	}()
-	cc, err := transport.NewFastClassifyClient(clientSideB, rand.Reader)
-	if err != nil {
-		t.Fatalf("client B rejected after A's slot should have freed: %v", err)
-	}
-	if _, err := cc.Classify(sample); err != nil {
-		t.Fatalf("client B classify: %v", err)
-	}
-	if err := cc.Close(); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case <-doneB:
-	case <-time.After(10 * time.Second):
-		t.Fatal("server session B did not end")
+			// Client B must now be admitted and served correctly.
+			serverSideB, clientSideB := net.Pipe()
+			doneB := make(chan struct{})
+			go func() {
+				defer close(doneB)
+				srv.ServeConn(serverSideB)
+			}()
+			cc, err := transport.NewFastClassifyClient(clientSideB, rand.Reader)
+			if err != nil {
+				t.Fatalf("client B rejected after A's slot should have freed: %v", err)
+			}
+			if _, err := cc.Classify(sample); err != nil {
+				t.Fatalf("client B classify: %v", err)
+			}
+			if err := cc.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-doneB:
+			case <-time.After(10 * time.Second):
+				t.Fatal("server session B did not end")
+			}
+		})
 	}
 }
 
