@@ -5,7 +5,7 @@
 # forms, and of one kernelized similarity evaluation. fuzz-smoke runs the
 # fuzz targets briefly (CI runs it as a separate job).
 .PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
-	lint cover tidy-check wire-regen
+	lint cover tidy-check wire-regen loc
 
 check: vet build test bench-smoke
 
@@ -68,3 +68,8 @@ cover:
 
 tidy-check:
 	go mod tidy -diff
+
+# loc prints the non-test Go line count outside benchmark/, the size
+# figure ROADMAP and CHANGES.md quote.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l

@@ -579,7 +579,7 @@ func BenchmarkFig9_PrivateLinearFast(b *testing.B) {
 	sample := f.a1aTest.X[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := classify.ClassifyFast(ft, fc, sample, rand.Reader); err != nil {
+		if _, err := classify.ClassifyFastBatch(ft, fc, [][]float64{sample}, rand.Reader); err != nil {
 			b.Fatal(err)
 		}
 	}

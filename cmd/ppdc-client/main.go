@@ -7,7 +7,7 @@
 //	ppdc-client similarity -addr host:7707 -dataset diabetes -seed 2
 //
 // In classify mode the client opens one IKNP session (a base phase at dial
-// time, then two messages per query) and its samples never leave the
+// time, then two messages per batch) and its samples never leave the
 // process in the clear; in similarity mode the client trains its own
 // linear model and learns only the triangle metric T.
 package main

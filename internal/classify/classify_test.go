@@ -353,12 +353,12 @@ func TestFastSessionMatchesPlaintext(t *testing.T) {
 		if d < 0 {
 			want = -1
 		}
-		got, err := classify.ClassifyFast(ft, fc, sample, rand.Reader)
+		got, err := classify.ClassifyFastBatch(ft, fc, [][]float64{sample}, rand.Reader)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
-		if got != want {
-			t.Fatalf("sample %d: fast label %d, plaintext %d", i, got, want)
+		if got[0] != want {
+			t.Fatalf("sample %d: fast label %d, plaintext %d", i, got[0], want)
 		}
 		checked++
 		if checked >= 15 {
@@ -394,12 +394,12 @@ func TestFastSessionNonlinear(t *testing.T) {
 		if d < 0 {
 			want = -1
 		}
-		got, err := classify.ClassifyFast(ft, fc, sample, rand.Reader)
+		got, err := classify.ClassifyFastBatch(ft, fc, [][]float64{sample}, rand.Reader)
 		if err != nil {
 			t.Fatalf("sample %d: %v", i, err)
 		}
-		if got != want {
-			t.Fatalf("sample %d: fast label %d, plaintext %d", i, got, want)
+		if got[0] != want {
+			t.Fatalf("sample %d: fast label %d, plaintext %d", i, got[0], want)
 		}
 		checked++
 		if checked >= 6 {

@@ -10,11 +10,11 @@ import (
 )
 
 // Fast sessions: one IKNP base phase per (trainer, client) session makes
-// every subsequent classification query free of public-key operations —
-// two messages of field arithmetic and symmetric crypto. This is the
-// batch-serving mode; privacy guarantees are identical to the one-shot
-// path (fresh masks, amplifiers, covers, and hidden genuine indices per
-// query).
+// every subsequent classification free of public-key operations — two
+// messages of field arithmetic and symmetric crypto per batch, and a
+// single classification is a batch of one. Privacy guarantees are
+// identical to the one-shot path (fresh masks, amplifiers, covers, and
+// hidden genuine indices per sample).
 
 // FastTrainer is a trainer-side fast session.
 type FastTrainer struct {
@@ -25,12 +25,6 @@ type FastTrainer struct {
 type FastClient struct {
 	client  *Client
 	session *ompe.SessionReceiver
-}
-
-// FastQuery is one in-flight query on a fast client.
-type FastQuery struct {
-	client *Client
-	q      *ompe.SessionQuery
 }
 
 // NewFastClient opens a client session from a trainer's public spec,
@@ -126,34 +120,6 @@ func (ft *FastTrainer) FinishBase(tr *ot.IKNPBaseTransfer) error {
 	return ft.session.FinishBaseSender(tr)
 }
 
-// NewQuery opens one classification query, returning the single request
-// message. Queries are sequential per session.
-func (fc *FastClient) NewQuery(sample []float64, rng io.Reader) (*FastQuery, *ompe.FastRequest, error) {
-	input, err := fc.client.EncodeSample(sample)
-	if err != nil {
-		return nil, nil, err
-	}
-	q, req, err := fc.session.NewQuery(input, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &FastQuery{client: fc.client, q: q}, req, nil
-}
-
-// HandleQuery answers one query on the trainer side.
-func (ft *FastTrainer) HandleQuery(req *ompe.FastRequest, rng io.Reader) (*ompe.FastResponse, error) {
-	return ft.session.HandleQuery(req, rng)
-}
-
-// Finish completes a query, returning the ±1 label.
-func (fq *FastQuery) Finish(resp *ompe.FastResponse) (int, error) {
-	value, err := fq.q.Finish(resp)
-	if err != nil {
-		return 0, err
-	}
-	return fq.client.Interpret(value)
-}
-
 // FastBatch is one in-flight batched query on a fast client: B samples,
 // one message pair, one OT-extension round.
 type FastBatch struct {
@@ -162,8 +128,8 @@ type FastBatch struct {
 }
 
 // NewBatch opens one batched classification query covering all samples,
-// returning the single request message. Batches (like queries) may overlap
-// in flight as long as responses return in request order.
+// returning the single request message. Batches may overlap in flight as
+// long as responses return in request order.
 func (fc *FastClient) NewBatch(samples [][]float64, rng io.Reader) (*FastBatch, *ompe.FastBatchRequest, error) {
 	if len(samples) == 0 {
 		return nil, nil, fmt.Errorf("classify: empty batch")
@@ -237,17 +203,4 @@ func NewFastPair(t *Trainer, rng io.Reader) (*FastTrainer, *FastClient, error) {
 		return nil, nil, err
 	}
 	return ft, fc, nil
-}
-
-// ClassifyFast runs one complete fast-path classification in memory.
-func ClassifyFast(ft *FastTrainer, fc *FastClient, sample []float64, rng io.Reader) (int, error) {
-	query, req, err := fc.NewQuery(sample, rng)
-	if err != nil {
-		return 0, err
-	}
-	resp, err := ft.HandleQuery(req, rng)
-	if err != nil {
-		return 0, fmt.Errorf("classify: fast query: %w", err)
-	}
-	return query.Finish(resp)
 }

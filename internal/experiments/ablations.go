@@ -268,7 +268,7 @@ func AblationFastPath(opts Options) ([]AblationRow, error) {
 		base := time.Since(baseStart)
 		fastStart := time.Now()
 		for q := 0; q < ablationQueries; q++ {
-			if _, err := classify.ClassifyFast(ft, fc, samples[q%len(samples)], opts.Rand); err != nil {
+			if _, err := classify.ClassifyFastBatch(ft, fc, [][]float64{samples[q%len(samples)]}, opts.Rand); err != nil {
 				return nil, fmt.Errorf("fast query %s: %w", g.Name(), err)
 			}
 		}

@@ -142,7 +142,7 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 		return nil, err
 	}
 	linFast, err := perQuery(func(s []float64) error {
-		_, err := classify.ClassifyFast(fastTrainer, fastClient, s, opts.Rand)
+		_, err := classify.ClassifyFastBatch(fastTrainer, fastClient, [][]float64{s}, opts.Rand)
 		return err
 	})
 	if err != nil {

@@ -151,11 +151,14 @@ const (
 	// the fixed-key AES pad.
 	PhaseOTPad = "ot.pad_ns"
 
-	// PhaseClassifyRoundTrip times one complete private classification
-	// (request construction through label interpretation).
+	// PhaseClassifyRoundTrip times one complete in-process one-shot
+	// private classification (request construction through label
+	// interpretation). Network classifications are batches and record
+	// PhaseClassifyBatch.
 	PhaseClassifyRoundTrip = "classify.roundtrip_ns"
 	// PhaseClassifyBatch times one complete batched classification round
-	// trip (B samples, one message pair).
+	// trip (B samples, one message pair; a single classification is a
+	// batch of one).
 	PhaseClassifyBatch = "classify.batch_ns"
 
 	// PhaseSimBoundary times boundary-point solving + centroid

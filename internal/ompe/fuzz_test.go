@@ -7,6 +7,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/ot"
 	"repro/internal/wire"
 )
 
@@ -37,6 +38,9 @@ func FuzzOMPEWire(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	for _, data := range fastEdgeSeeds(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
@@ -64,4 +68,27 @@ func FuzzOMPEWire(f *testing.F) {
 			}
 		}
 	})
+}
+
+// fastEdgeSeeds are fast-session encodings at the edges of the current
+// layout: the retired single-query request (a batch of one without its
+// leading sample count and trailing B), and a batch response whose
+// declared MsgLen wraps k·n·MsgLen, which decodes cleanly and is refused
+// only when the receiver recovers it.
+func fastEdgeSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	req, err := (&FastBatchRequest{
+		Evals: []*EvalRequest{sampleEval()},
+		OT:    &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{U: []byte{1, 2}, M: 3}, K: 2, N: 4, B: 1},
+	}).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := (&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{
+		IKNP: &ot.IKNPSenderMsg{Y0: []byte{5}, Y1: []byte{6}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
+	}}).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{req[1 : len(req)-1], resp}
 }

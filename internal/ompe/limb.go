@@ -284,10 +284,9 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 	return msgs, nil
 }
 
-// interpolateTransferredLimb decodes one sample's transferred values and
-// interpolates B(0) on the limb engine. The interpolator's scratch is
-// reused across the samples of a batch.
-func interpolateTransferredLimb(raw [][]byte, lpoints []limb.Element, index []int, ip *poly.LimbInterpolator) (*big.Int, error) {
+// interpolateTransferredLimb decodes one query's transferred values and
+// interpolates B(0) on the limb engine.
+func interpolateTransferredLimb(raw [][]byte, lpoints []limb.Element, index []int) (*big.Int, error) {
 	m := len(raw)
 	xs := make([]limb.Element, m)
 	ys := make([]limb.Element, m)
@@ -297,6 +296,7 @@ func interpolateTransferredLimb(raw [][]byte, lpoints []limb.Element, index []in
 		}
 		xs[i] = lpoints[index[i]]
 	}
+	var ip poly.LimbInterpolator
 	res, err := ip.AtZero(xs, ys)
 	if err != nil {
 		return nil, err

@@ -497,25 +497,12 @@ func (r *Receiver) Finish(tr *ot.BatchTransfer) (*big.Int, error) {
 	interpSpan := obs.Start(obs.PhaseReceiverInterpolate)
 	var result *big.Int
 	if r.params.limbBackend() {
-		var ip poly.LimbInterpolator
-		result, err = interpolateTransferredLimb(raw, r.lpoints, r.genuine, &ip)
-		if err != nil {
-			return nil, err
-		}
+		result, err = interpolateTransferredLimb(raw, r.lpoints, r.genuine)
 	} else {
-		f := r.params.Field
-		pts := make([]poly.Point, len(raw))
-		for i, b := range raw {
-			y, err := f.FromBytes(b)
-			if err != nil {
-				return nil, fmt.Errorf("ompe: transferred value %d: %w", i, err)
-			}
-			pts[i] = poly.Point{X: r.points[r.genuine[i]], Y: y}
-		}
-		result, err = poly.InterpolateAtZero(f, pts)
-		if err != nil {
-			return nil, err
-		}
+		result, err = interpolateTransferred(r.params.Field, raw, r.points, r.genuine)
+	}
+	if err != nil {
+		return nil, err
 	}
 	interpSpan.End()
 	r.state = receiverDone

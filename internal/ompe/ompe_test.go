@@ -399,7 +399,8 @@ func TestRequestStatisticallyHidesInput(t *testing.T) {
 }
 
 // TestSessionMatchesPlaintext: the fast-session path must compute exactly
-// what the one-shot path computes, across several sequential queries.
+// what the one-shot path computes, across several sequential batches of
+// one.
 func TestSessionMatchesPlaintext(t *testing.T) {
 	f := field.Default()
 	params := testParams(t, 1)
@@ -414,18 +415,19 @@ func TestSessionMatchesPlaintext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		q, req, err := receiver.NewQuery(input, rand.Reader)
+		q, req, err := receiver.NewBatch([]field.Vec{input}, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := sender.HandleQuery(req, rand.Reader)
+		resp, err := sender.HandleBatch(req, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := q.Finish(resp)
+		values, err := q.Finish(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
+		got := values[0]
 		direct, err := eval.Eval(input)
 		if err != nil {
 			t.Fatal(err)
@@ -447,8 +449,8 @@ func TestSessionMatchesPlaintext(t *testing.T) {
 	}
 }
 
-// TestSessionInFlightQueries: two queries opened before either response
-// must both complete, provided responses come back in FIFO order (the
+// TestSessionInFlightQueries: two batches of one opened before either
+// response must both complete, provided responses come back in FIFO order (the
 // transport's single-worker sessions guarantee exactly that).
 func TestSessionInFlightQueries(t *testing.T) {
 	f := field.Default()
@@ -462,31 +464,31 @@ func TestSessionInFlightQueries(t *testing.T) {
 		{f.FromInt64(1), f.FromInt64(2)},
 		{f.FromInt64(3), f.FromInt64(4)},
 	}
-	q1, req1, err := receiver.NewQuery(inputs[0], rand.Reader)
+	q1, req1, err := receiver.NewBatch(inputs[:1], rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, req2, err := receiver.NewQuery(inputs[1], rand.Reader)
+	q2, req2, err := receiver.NewBatch(inputs[1:], rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp1, err := sender.HandleQuery(req1, rand.Reader)
+	resp1, err := sender.HandleBatch(req1, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := sender.HandleQuery(req2, rand.Reader)
+	resp2, err := sender.HandleBatch(req2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, pair := range []struct {
-		q    *SessionQuery
-		resp *FastResponse
+		q    *SessionBatch
+		resp *FastBatchResponse
 	}{{q1, resp1}, {q2, resp2}} {
 		got, err := pair.q.Finish(pair.resp)
 		if err != nil {
 			t.Fatalf("query %d: %v", i, err)
 		}
-		if got.Sign() == 0 {
+		if got[0].Sign() == 0 {
 			t.Fatalf("query %d: zero recovery", i)
 		}
 	}

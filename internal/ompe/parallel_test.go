@@ -196,20 +196,20 @@ func TestParallelSessionRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		q, req, err := receiver.NewQuery(input, rand.Reader)
+		q, req, err := receiver.NewBatch([]field.Vec{input}, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := sender.HandleQuery(req, rand.Reader)
+		resp, err := sender.HandleBatch(req, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		value, err := q.Finish(resp)
+		values, err := q.Finish(resp)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f.Centered(value).Sign() >= 0 {
-			t.Fatalf("query %d: amplified P(α)=−7 must stay negative, got %v", i, value)
+		if f.Centered(values[0]).Sign() >= 0 {
+			t.Fatalf("query %d: amplified P(α)=−7 must stay negative, got %v", i, values[0])
 		}
 	}
 }

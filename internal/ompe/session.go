@@ -15,29 +15,20 @@ import (
 
 // Session mode: after one IKNP base phase per (sender, receiver) session,
 // every OMPE execution costs only field arithmetic and symmetric crypto —
-// the m-out-of-M transfer runs over the OT extension (ot.ExtKofN) instead
-// of per-query Naor–Pinkas. Two messages per query instead of four, and
-// no public-key operations on the query path.
+// the m-out-of-M transfer runs over the OT extension (ot.ExtKofNBatch*)
+// instead of per-query Naor–Pinkas. Queries travel as batches: B samples
+// ride one message pair and one extension round, and a single query is a
+// batch of one. Two messages per batch instead of four per query, and no
+// public-key operations on the query path.
 //
-// Several queries (or batches) may be in flight per session — each holds
-// its own per-batch extension state — as long as the sender answers them
-// in the order they were opened: the extension endpoints advance lockstep
-// batch counters, so responses must come back FIFO. A single connection
-// with a single server worker gives exactly that ordering. Privacy is
-// unchanged: fresh masking polynomial and amplifier per query, fresh
-// covers and genuine positions per query, and the extension hides the
-// genuine indices exactly as the base OT does.
-
-// FastRequest is the receiver's single per-query message.
-type FastRequest struct {
-	Eval *EvalRequest
-	OT   *ot.ExtKofNRequest
-}
-
-// FastResponse is the sender's single per-query message.
-type FastResponse struct {
-	OT *ot.ExtKofNResponse
-}
+// Several batches may be in flight per session — each holds its own
+// extension state — as long as the sender answers them in the order they
+// were opened: the extension endpoints advance lockstep batch counters,
+// so responses must come back FIFO. A single connection with a single
+// server worker gives exactly that ordering. Privacy is unchanged: fresh
+// masking polynomial and amplifier per sample, fresh covers and genuine
+// positions per sample, and the extension hides the genuine indices
+// exactly as the base OT does.
 
 // SessionSender serves any number of fast queries for one evaluator.
 type SessionSender struct {
@@ -153,77 +144,6 @@ func NewSession(params Params, eval Evaluator, rng io.Reader) (*SessionSender, *
 	return sender, receiver, nil
 }
 
-// SessionQuery is one in-flight fast query on the receiver side.
-type SessionQuery struct {
-	sr      *SessionReceiver
-	points  []*big.Int
-	lpoints []limb.Element
-	index   []int
-	ext     *ot.ExtKofNQuery
-}
-
-// NewQuery opens a fast query for one input vector.
-func (sr *SessionReceiver) NewQuery(input field.Vec, rng io.Reader) (*SessionQuery, *FastRequest, error) {
-	// Reuse the standard receiver's cover/decoy construction; only the
-	// transfer mechanism differs.
-	recv, req, err := NewReceiver(sr.params, input, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	ext, otReq, err := ot.NewExtKofNQuery(sr.iknp, sr.params.TotalPairs(), recv.genuine)
-	if err != nil {
-		return nil, nil, err
-	}
-	q := &SessionQuery{
-		sr:      sr,
-		points:  recv.points,
-		lpoints: recv.lpoints,
-		index:   recv.genuine,
-		ext:     ext,
-	}
-	return q, &FastRequest{Eval: req, OT: otReq}, nil
-}
-
-// HandleQuery answers one fast query: fresh mask and amplifier, masked
-// evaluations of every pair, extension-based transfer.
-func (ss *SessionSender) HandleQuery(req *FastRequest, rng io.Reader) (*FastResponse, error) {
-	if req == nil || req.Eval == nil || req.OT == nil {
-		return nil, fmt.Errorf("%w: nil fast request", ErrBadRequest)
-	}
-	if err := validateEvalRequest(ss.params, ss.eval.NumVars(), req.Eval); err != nil {
-		return nil, err
-	}
-	amp, err := sampleAmplifier(rng, ss.params.amplifierBitsOrDefault())
-	if err != nil {
-		return nil, err
-	}
-	msgs, err := maskedSample(ss.params, ss.eval, amp, zeroShift, req.Eval, rng)
-	if err != nil {
-		return nil, err
-	}
-	otResp, err := ot.ExtKofNRespond(ss.iknp, req.OT, msgs, rng)
-	if err != nil {
-		return nil, err
-	}
-	return &FastResponse{OT: otResp}, nil
-}
-
-// Finish recovers amp·P(α) from the sender's response.
-func (q *SessionQuery) Finish(resp *FastResponse) (*big.Int, error) {
-	if resp == nil || resp.OT == nil {
-		return nil, fmt.Errorf("%w: nil fast response", ErrBadRequest)
-	}
-	raw, err := q.ext.Recover(resp.OT)
-	if err != nil {
-		return nil, err
-	}
-	if q.sr.params.limbBackend() {
-		var ip poly.LimbInterpolator
-		return interpolateTransferredLimb(raw, q.lpoints, q.index, &ip)
-	}
-	return interpolateTransferred(q.sr.params.Field, raw, q.points, q.index)
-}
-
 // interpolateTransferred decodes one query's transferred field elements
 // and recovers amp·P(α) by Lagrange interpolation at zero.
 func interpolateTransferred(f *field.Field, raw [][]byte, points []*big.Int, index []int) (*big.Int, error) {
@@ -238,13 +158,13 @@ func interpolateTransferred(f *field.Field, raw [][]byte, points []*big.Int, ind
 	return poly.InterpolateAtZero(f, pts)
 }
 
-// Batched fast queries: B samples ride one message pair. The receiver
-// builds B independent cover/decoy constructions (serial randomness, so
-// wire bytes stay deterministic under a fixed rng at any parallelism) and
-// opens one k-of-n transfer per sample over a single IKNP extension round.
-// The sender draws B fresh (mask, amplifier) pairs — per-sample masks are
-// independent, so each sample's privacy argument is exactly the
-// single-query one; batching shares only the (index-hiding) extension.
+// The receiver builds B independent cover/decoy constructions (serial
+// randomness, so wire bytes stay deterministic under a fixed rng at any
+// parallelism) and opens one k-of-n transfer per sample over a single IKNP
+// extension round. The sender draws B fresh (mask, amplifier) pairs —
+// per-sample masks are independent, so each sample's privacy argument is
+// exactly that of one query; batching shares only the (index-hiding)
+// extension.
 
 // FastBatchRequest is the receiver's single message for B samples.
 type FastBatchRequest struct {

@@ -99,70 +99,6 @@ func decodeEval(r *wire.Reader) *EvalRequest {
 }
 
 // EncodeWire implements the wire codec.
-func (m *FastRequest) EncodeWire(w *wire.Writer) {
-	encodeEval(w, m.Eval)
-	if m.OT == nil {
-		w.BigInt(nil)
-		return
-	}
-	m.OT.EncodeWire(w)
-}
-
-// DecodeWire implements the wire codec.
-func (m *FastRequest) DecodeWire(r *wire.Reader) {
-	m.Eval = decodeEval(r)
-	ot := new(ot.ExtKofNRequest)
-	ot.DecodeWire(r)
-	if r.Err() != nil {
-		return
-	}
-	m.OT = ot
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *FastRequest) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *FastRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *FastRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *FastRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
-// EncodeWire implements the wire codec.
-func (m *FastResponse) EncodeWire(w *wire.Writer) {
-	if m.OT == nil {
-		w.BigInt(nil)
-		return
-	}
-	m.OT.EncodeWire(w)
-}
-
-// DecodeWire implements the wire codec.
-func (m *FastResponse) DecodeWire(r *wire.Reader) {
-	ot := new(ot.ExtKofNResponse)
-	ot.DecodeWire(r)
-	if r.Err() != nil {
-		return
-	}
-	m.OT = ot
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *FastResponse) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *FastResponse) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *FastResponse) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *FastResponse) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
-// EncodeWire implements the wire codec.
 func (m *FastBatchRequest) EncodeWire(w *wire.Writer) {
 	w.Count(len(m.Evals))
 	for _, e := range m.Evals {

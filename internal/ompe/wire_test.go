@@ -35,13 +35,6 @@ func sampleEval() *EvalRequest {
 func ompeWireSamples() map[string]wireMsg {
 	return map[string]wireMsg{
 		"EvalRequest": sampleEval(),
-		"FastRequest": &FastRequest{
-			Eval: sampleEval(),
-			OT:   &ot.ExtKofNRequest{IKNP: &ot.IKNPReceiverMsg{U: []byte{1, 2}, M: 3}, K: 2, N: 4},
-		},
-		"FastResponse": &FastResponse{
-			OT: &ot.ExtKofNResponse{IKNP: &ot.IKNPSenderMsg{Y0: []byte{5}, Y1: []byte{6}, MsgLen: 1}, Cts: []byte{9}, MsgLen: 1},
-		},
 		"FastBatchRequest": &FastBatchRequest{
 			Evals: []*EvalRequest{sampleEval(), sampleEval()},
 			OT:    &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{U: []byte{7}, M: 1}, K: 1, N: 2, B: 2},
@@ -109,11 +102,10 @@ func TestOMPEWireRoundTrips(t *testing.T) {
 
 func TestOMPEWireNilInner(t *testing.T) {
 	cases := map[string]wireMsg{
-		"FastRequest-nil-eval": &FastRequest{OT: &ot.ExtKofNRequest{IKNP: &ot.IKNPReceiverMsg{}, K: 1, N: 1}},
-		"FastRequest-nil-ot":   &FastRequest{Eval: sampleEval()},
-		"FastResponse-nil-ot":  &FastResponse{},
-		"BatchRequest-nil-ot":  &FastBatchRequest{Evals: []*EvalRequest{sampleEval()}},
-		"Pair-nil-v":           &EvalRequest{Pairs: []Pair{{Z: field.Vec{big.NewInt(1)}}}},
+		"BatchRequest-nil-eval": &FastBatchRequest{Evals: []*EvalRequest{nil}, OT: &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{}, K: 1, N: 1, B: 1}},
+		"BatchRequest-nil-ot":   &FastBatchRequest{Evals: []*EvalRequest{sampleEval()}},
+		"BatchResponse-nil-ot":  &FastBatchResponse{},
+		"Pair-nil-v":            &EvalRequest{Pairs: []Pair{{Z: field.Vec{big.NewInt(1)}}}},
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {

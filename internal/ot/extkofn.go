@@ -13,39 +13,18 @@ import (
 // operations. Each of the k instances uses the tree construction's key
 // idea: the sender draws ⌈log₂ n⌉ key pairs, encrypts all n messages
 // under per-index key paths, and delivers exactly the receiver's path keys
-// through extended 1-of-2 transfers (k·⌈log₂ n⌉ of them, batched into one
-// IKNP extension round).
+// through extended 1-of-2 transfers (k·⌈log₂ n⌉ of them per sample).
 //
-// Several queries may be in flight per session (each holds its own
-// IKNPExtension state), as long as the sender answers them in Extend
-// order — its lockstep batch counter must advance in the receiver's
-// sequence. The batched variant goes further: one Extend call covers all
-// B samples of a ExtKofNBatch, amortizing the extension round itself.
-
-// ExtKofNRequest is the receiver's per-query message.
-type ExtKofNRequest struct {
-	IKNP *IKNPReceiverMsg
-	// K and N are the transfer shape (public).
-	K, N int
-}
-
-// ExtKofNResponse is the sender's per-query message.
-type ExtKofNResponse struct {
-	IKNP *IKNPSenderMsg
-	// Cts is the k×n ciphertext matrix as one flat blob, instance-major:
-	// instance i's encryption of message j occupies
-	// Cts[(i·n+j)·MsgLen : (i·n+j+1)·MsgLen].
-	Cts    []byte
-	MsgLen int
-}
-
-// ExtKofNQuery is the receiver's in-flight query state.
-type ExtKofNQuery struct {
-	ext     *IKNPExtension
-	indices []int
-	n       int
-	depth   int
-}
+// Transfers always travel as a batch: one Extend call covers all B
+// samples' choice bits, so B transfers cost a single extension round — B·k·
+// ⌈log₂ n⌉ extended 1-of-2 transfers in one message pair. A single
+// transfer is a batch of one. Each sample keeps its own fresh tree keys
+// and ciphertext matrix; nothing is shared between samples beyond the
+// (already index-hiding) extension columns, so the per-sample secrecy
+// argument is that of one transfer. Several batches may be in flight per
+// session (each holds its own IKNPExtension state), as long as the sender
+// answers them in Extend order — its lockstep batch counter must advance
+// in the receiver's sequence.
 
 // checkKofNIndices validates one sample's index set for a k-of-n query.
 func checkKofNIndices(n int, indices []int) error {
@@ -76,27 +55,6 @@ func appendPathChoices(choices []int, indices []int, depth int) []int {
 		}
 	}
 	return choices
-}
-
-// NewExtKofNQuery opens one k-of-n transfer for the given distinct
-// indices, producing the request message.
-func NewExtKofNQuery(r *IKNPReceiver, n int, indices []int) (*ExtKofNQuery, *ExtKofNRequest, error) {
-	if err := checkKofNIndices(n, indices); err != nil {
-		return nil, nil, err
-	}
-	depth := treeDepth(n)
-	choices := appendPathChoices(make([]int, 0, len(indices)*depth), indices, depth)
-	ext, msg, err := r.Extend(choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	q := &ExtKofNQuery{
-		ext:     ext,
-		indices: append([]int(nil), indices...),
-		n:       n,
-		depth:   depth,
-	}
-	return q, &ExtKofNRequest{IKNP: msg, K: len(indices), N: n}, nil
 }
 
 // drawTreeKeys draws fresh key pairs for k instances of depth levels from
@@ -150,49 +108,10 @@ func checkUniformLen(msgs [][]byte) error {
 	return nil
 }
 
-// ExtKofNRespond answers one query: the sender's messages (all the same
-// length) are encrypted per instance under fresh tree keys, and the keys
-// are delivered through the extended 1-of-2 batch.
-func ExtKofNRespond(s *IKNPSender, req *ExtKofNRequest, msgs [][]byte, rng io.Reader) (*ExtKofNResponse, error) {
-	if req == nil || req.IKNP == nil {
-		return nil, fmt.Errorf("%w: nil request", ErrIKNP)
-	}
-	n := len(msgs)
-	if n != req.N || n < 2 {
-		return nil, fmt.Errorf("%w: %d messages for declared n=%d", ErrIKNP, n, req.N)
-	}
-	if err := checkUniformLen(msgs); err != nil {
-		return nil, err
-	}
-	depth := treeDepth(n)
-	k := req.K
-	if k < 1 || k > n || req.IKNP.M != k*depth {
-		return nil, fmt.Errorf("%w: batch size %d for k=%d depth=%d", ErrIKNP, req.IKNP.M, k, depth)
-	}
-	// Fresh key pairs per (instance, level); x0/x1 feed the extension.
-	keys, x0, x1, err := drawTreeKeys(rng, k, depth, make([][]byte, 0, k*depth), make([][]byte, 0, k*depth))
-	if err != nil {
-		return nil, err
-	}
-	iknpResp, err := s.Respond(req.IKNP, x0, x1)
-	if err != nil {
-		return nil, err
-	}
-	msgLen := len(msgs[0])
-	cts := make([]byte, k*n*msgLen)
-	span := obs.Start(obs.PhaseOTPad)
-	encryptInstances(keys, msgs, depth, cts)
-	span.End()
-	return &ExtKofNResponse{IKNP: iknpResp, Cts: cts, MsgLen: msgLen}, nil
-}
-
 // recoverSample decrypts one sample's chosen messages from its flat
-// ciphertext block, given that sample's path keys in (instance, level)
-// order.
+// ciphertext block (k·n·msgLen bytes, checked by the caller), given that
+// sample's path keys in (instance, level) order.
 func recoverSample(cts []byte, msgLen int, pathKeys [][]byte, indices []int, n, depth int) ([][]byte, error) {
-	if msgLen < 0 || len(cts) != len(indices)*n*msgLen {
-		return nil, fmt.Errorf("%w: ciphertext block length %d for k=%d n=%d msgLen=%d", ErrIKNP, len(cts), len(indices), n, msgLen)
-	}
 	out := make([][]byte, len(indices))
 	flat := make([]byte, len(indices)*msgLen)
 	path := make([][]byte, depth)
@@ -212,25 +131,6 @@ func recoverSample(cts []byte, msgLen int, pathKeys [][]byte, indices []int, n, 
 	return out, nil
 }
 
-// Recover decrypts the query's chosen messages, in index order.
-func (q *ExtKofNQuery) Recover(resp *ExtKofNResponse) ([][]byte, error) {
-	if resp == nil || resp.IKNP == nil {
-		return nil, fmt.Errorf("%w: bad response", ErrIKNP)
-	}
-	pathKeys, err := q.ext.Recover(resp.IKNP)
-	if err != nil {
-		return nil, err
-	}
-	return recoverSample(resp.Cts, resp.MsgLen, pathKeys, q.indices, q.n, q.depth)
-}
-
-// Batched k-of-n: one IKNP Extend call covers all B samples' choice bits,
-// so a whole batch of transfers costs a single extension round — B·k·⌈log₂
-// n⌉ extended 1-of-2 transfers in one message pair. Each sample keeps its
-// own fresh tree keys and ciphertext matrix; nothing is shared between
-// samples beyond the (already index-hiding) extension columns, so the
-// per-sample secrecy argument is exactly the single-query one.
-
 // ExtKofNBatchRequest is the receiver's one message for B samples.
 type ExtKofNBatchRequest struct {
 	IKNP *IKNPReceiverMsg
@@ -241,9 +141,10 @@ type ExtKofNBatchRequest struct {
 // ExtKofNBatchResponse is the sender's one message for B samples.
 type ExtKofNBatchResponse struct {
 	IKNP *IKNPSenderMsg
-	// Cts concatenates every sample's flat k×n ciphertext block (see
-	// ExtKofNResponse.Cts) in batch order: sample b's block starts at
-	// b·k·n·MsgLen. One blob instead of B·k·n nested slices keeps the
+	// Cts concatenates every sample's flat k×n ciphertext block in batch
+	// order: sample b's block starts at b·k·n·MsgLen, and within it
+	// instance i's encryption of message j occupies
+	// [(i·n+j)·MsgLen, (i·n+j+1)·MsgLen). One blob instead of B·k·n nested slices keeps the
 	// codec's work linear in bytes, not in message count.
 	Cts    []byte
 	MsgLen int
@@ -347,15 +248,13 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 }
 
 // Recover decrypts every sample's chosen messages, in per-sample index
-// order.
+// order. The declared MsgLen is bounded by the blob before it sizes
+// anything, so a hostile length cannot wrap the block arithmetic.
 func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, error) {
-	if resp == nil || resp.IKNP == nil || resp.MsgLen < 0 {
+	if resp == nil || resp.IKNP == nil || resp.MsgLen < 0 || resp.MsgLen > len(resp.Cts) {
 		return nil, fmt.Errorf("%w: bad batch response", ErrIKNP)
 	}
-	k := 0
-	if len(q.indices) > 0 {
-		k = len(q.indices[0])
-	}
+	k := len(q.indices[0])
 	block := k * q.n * resp.MsgLen
 	if len(resp.Cts) != len(q.indices)*block {
 		return nil, fmt.Errorf("%w: ciphertext blob length %d for B=%d k=%d n=%d msgLen=%d", ErrIKNP, len(resp.Cts), len(q.indices), k, q.n, resp.MsgLen)
@@ -367,14 +266,9 @@ func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, err
 	out := make([][][]byte, len(q.indices))
 	span := obs.Start(obs.PhaseOTPad)
 	defer span.End()
-	k2 := 0
-	if len(q.indices) > 0 {
-		k2 = len(q.indices[0])
-	}
 	err = parallel.For(q.par, len(q.indices), func(b int) error {
-		idx := q.indices[b]
-		stride := b * k2 * q.depth
-		got, err := recoverSample(resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+len(idx)*q.depth], idx, q.n, q.depth)
+		stride := b * k * q.depth
+		got, err := recoverSample(resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+k*q.depth], q.indices[b], q.n, q.depth)
 		if err != nil {
 			return fmt.Errorf("ot: batch sample %d: %w", b, err)
 		}

@@ -52,6 +52,9 @@ func FuzzOTWire(f *testing.F) {
 		}
 		f.Add(data)
 	}
+	for _, data := range kofnEdgeSeeds(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
@@ -98,4 +101,23 @@ func wrongShapeBaseMsgs() []wireMsg {
 		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: cts}},
 		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: short}},
 	}
+}
+
+// kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:
+// the retired single-query request (a batch request without its trailing
+// B), and a response whose declared MsgLen wraps k·n·MsgLen, which decodes
+// cleanly and is refused only by Recover.
+func kofnEdgeSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	req, err := (&ExtKofNBatchRequest{IKNP: &IKNPReceiverMsg{U: []byte{9, 9}, M: 3}, K: 2, N: 5, B: 1}).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := (&ExtKofNBatchResponse{
+		IKNP: &IKNPSenderMsg{Y0: []byte{1}, Y1: []byte{2}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
+	}).MarshalBinary()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return [][]byte{req[:len(req)-1], resp}
 }

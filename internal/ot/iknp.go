@@ -387,9 +387,11 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 	return out, nil
 }
 
-// Recover decrypts the chosen message of every transfer in the batch.
+// Recover decrypts the chosen message of every transfer in the batch. The
+// declared MsgLen is bounded by the ciphertext blob before it sizes
+// anything, so a hostile length cannot wrap the row arithmetic.
 func (e *IKNPExtension) Recover(msg *IKNPSenderMsg) ([][]byte, error) {
-	if msg == nil || msg.MsgLen < 0 ||
+	if msg == nil || msg.MsgLen < 0 || msg.MsgLen > len(msg.Y0) ||
 		len(msg.Y0) != e.m*msg.MsgLen || len(msg.Y1) != e.m*msg.MsgLen {
 		return nil, fmt.Errorf("%w: bad ciphertext batch", ErrIKNP)
 	}

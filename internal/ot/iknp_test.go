@@ -166,7 +166,7 @@ func TestExtKofN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Several sequential queries on one session.
+	// Several sequential batches of one on one session.
 	for round := 0; round < 3; round++ {
 		msgs := make([][]byte, 6)
 		for i := range msgs {
@@ -176,11 +176,11 @@ func TestExtKofN(t *testing.T) {
 			}
 		}
 		indices := []int{5, 0, 3}
-		q, req, err := ot.NewExtKofNQuery(receiver, len(msgs), indices)
+		q, req, err := ot.NewExtKofNBatchQuery(receiver, len(msgs), [][]int{indices})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := ot.ExtKofNRespond(sender, req, msgs, rand.Reader)
+		resp, err := ot.ExtKofNBatchRespond(sender, req, [][][]byte{msgs}, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +189,7 @@ func TestExtKofN(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, idx := range indices {
-			if !bytes.Equal(got[i], msgs[idx]) {
+			if !bytes.Equal(got[0][i], msgs[idx]) {
 				t.Fatalf("round %d: index %d wrong", round, idx)
 			}
 		}
@@ -202,24 +202,24 @@ func TestExtKofNValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ot.NewExtKofNQuery(receiver, 1, []int{0}); err == nil {
+	if _, _, err := ot.NewExtKofNBatchQuery(receiver, 1, [][]int{{0}}); err == nil {
 		t.Fatal("n=1 should fail")
 	}
-	if _, _, err := ot.NewExtKofNQuery(receiver, 4, []int{1, 1}); err == nil {
+	if _, _, err := ot.NewExtKofNBatchQuery(receiver, 4, [][]int{{1, 1}}); err == nil {
 		t.Fatal("duplicate indices should fail")
 	}
-	if _, _, err := ot.NewExtKofNQuery(receiver, 4, []int{4}); err == nil {
+	if _, _, err := ot.NewExtKofNBatchQuery(receiver, 4, [][]int{{4}}); err == nil {
 		t.Fatal("out-of-range index should fail")
 	}
-	_, req, err := ot.NewExtKofNQuery(receiver, 4, []int{1, 3})
+	_, req, err := ot.NewExtKofNBatchQuery(receiver, 4, [][]int{{1, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	msgs := [][]byte{{1}, {2}, {3}, {4}}
-	if _, err := ot.ExtKofNRespond(sender, req, msgs[:3], rand.Reader); err == nil {
+	if _, err := ot.ExtKofNBatchRespond(sender, req, [][][]byte{msgs[:3]}, rand.Reader); err == nil {
 		t.Fatal("message-count mismatch should fail")
 	}
-	if _, err := ot.ExtKofNRespond(sender, nil, msgs, rand.Reader); err == nil {
+	if _, err := ot.ExtKofNBatchRespond(sender, nil, [][][]byte{msgs}, rand.Reader); err == nil {
 		t.Fatal("nil request should fail")
 	}
 }
@@ -239,11 +239,11 @@ func TestExtKofNNonChosenUnreadable(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	q, req, err := ot.NewExtKofNQuery(receiver, len(msgs), []int{2})
+	q, req, err := ot.NewExtKofNBatchQuery(receiver, len(msgs), [][]int{{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ot.ExtKofNRespond(sender, req, msgs, rand.Reader)
+	resp, err := ot.ExtKofNBatchRespond(sender, req, [][][]byte{msgs}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestExtKofNNonChosenUnreadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(leaked[0], msgs[5]) {
+	if bytes.Equal(leaked[0][0], msgs[5]) {
 		t.Fatal("non-chosen message readable through the path keys")
 	}
 }
@@ -298,7 +298,7 @@ func TestExtKofNBatch(t *testing.T) {
 	}
 }
 
-// TestExtKofNInFlight: two queries opened before either response arrives —
+// TestExtKofNInFlight: two batches of one opened before either response arrives —
 // the per-batch extension state must not be clobbered by the second
 // Extend, as long as responses come back in FIFO order.
 func TestExtKofNInFlight(t *testing.T) {
@@ -311,19 +311,19 @@ func TestExtKofNInFlight(t *testing.T) {
 	for i := range msgs {
 		msgs[i] = []byte{byte(i), byte(i * 7), byte(i * 13)}
 	}
-	q1, req1, err := ot.NewExtKofNQuery(receiver, len(msgs), []int{2})
+	q1, req1, err := ot.NewExtKofNBatchQuery(receiver, len(msgs), [][]int{{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, req2, err := ot.NewExtKofNQuery(receiver, len(msgs), []int{1, 3})
+	q2, req2, err := ot.NewExtKofNBatchQuery(receiver, len(msgs), [][]int{{1, 3}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp1, err := ot.ExtKofNRespond(sender, req1, msgs, rand.Reader)
+	resp1, err := ot.ExtKofNBatchRespond(sender, req1, [][][]byte{msgs}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2, err := ot.ExtKofNRespond(sender, req2, msgs, rand.Reader)
+	resp2, err := ot.ExtKofNBatchRespond(sender, req2, [][][]byte{msgs}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,10 +335,10 @@ func TestExtKofNInFlight(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got1[0], msgs[2]) {
+	if !bytes.Equal(got1[0][0], msgs[2]) {
 		t.Fatal("first in-flight query corrupted")
 	}
-	if !bytes.Equal(got2[0], msgs[1]) || !bytes.Equal(got2[1], msgs[3]) {
+	if !bytes.Equal(got2[0][0], msgs[1]) || !bytes.Equal(got2[0][1], msgs[3]) {
 		t.Fatal("second in-flight query corrupted")
 	}
 }

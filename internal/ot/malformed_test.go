@@ -1,6 +1,7 @@
 package ot_test
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -228,6 +229,73 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 			want("BaseFinish(nil)", send.BaseFinish(nil))
 			if err := send.BaseFinish(tr); err != nil {
 				t.Fatalf("honest base transfer after the rejections: %v", err)
+			}
+		})
+	}
+}
+
+// TestMalformedExtKofNResponseRejected feeds the extended k-of-n receiver
+// responses whose declared message length wraps the length arithmetic
+// once multiplied, so the wrapped product matches the blob actually sent:
+// a batch of one (k = 2, n = 6) whose MsgLen wraps k·n·MsgLen onto a
+// 24-byte ciphertext blob, and a batch of four whose extension MsgLen
+// wraps m·MsgLen onto the honest ciphertext rows. Both must be refused
+// with ErrIKNP before the length sizes anything — never a panic, which in
+// the second case would fire inside a worker goroutine and take the whole
+// process down. After each refusal an honest batch on the same session
+// still completes.
+func TestMalformedExtKofNResponseRejected(t *testing.T) {
+	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver.SetParallelism(4)
+	const n, msgLen = 6, 8
+	batch := func(t *testing.T, indices [][]int) (*ot.ExtKofNBatchQuery, *ot.ExtKofNBatchResponse, [][][]byte) {
+		t.Helper()
+		msgs := make([][][]byte, len(indices))
+		for b := range msgs {
+			msgs[b] = randomMessages(t, n, msgLen)
+		}
+		q, req, err := ot.NewExtKofNBatchQuery(receiver, n, indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ot.ExtKofNBatchRespond(sender, req, msgs, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q, resp, msgs
+	}
+	for _, tc := range []struct {
+		name    string
+		indices [][]int
+		tamper  func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse
+	}{
+		{"batch of one, MsgLen 2+2^62 over 24 B", [][]int{{1, 4}}, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
+			return &ot.ExtKofNBatchResponse{IKNP: resp.IKNP, Cts: resp.Cts[:24], MsgLen: 2 + 1<<62}
+		}},
+		{"B=4, extension MsgLen 16+2^61", [][]int{{1, 4}, {0, 5}, {2, 3}, {5, 1}}, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
+			iknp := *resp.IKNP
+			iknp.MsgLen = 16 + 1<<61
+			return &ot.ExtKofNBatchResponse{IKNP: &iknp, Cts: resp.Cts, MsgLen: resp.MsgLen}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q, resp, _ := batch(t, tc.indices)
+			if _, err := q.Recover(tc.tamper(resp)); !errors.Is(err, ot.ErrIKNP) {
+				t.Fatalf("err = %v, want ErrIKNP", err)
+			}
+			indices := [][]int{{3, 0}}
+			q, resp, msgs := batch(t, indices)
+			got, err := q.Recover(resp)
+			if err != nil {
+				t.Fatalf("honest batch after the refusal: %v", err)
+			}
+			for i, idx := range indices[0] {
+				if !bytes.Equal(got[0][i], msgs[0][idx]) {
+					t.Fatalf("honest batch after the refusal: index %d wrong", idx)
+				}
 			}
 		})
 	}

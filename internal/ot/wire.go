@@ -410,58 +410,6 @@ func decodeIKNPSender(r *wire.Reader) *IKNPSenderMsg {
 }
 
 // EncodeWire implements the wire codec.
-func (m *ExtKofNRequest) EncodeWire(w *wire.Writer) {
-	encodeIKNPReceiver(w, m.IKNP)
-	w.Int(m.K)
-	w.Int(m.N)
-}
-
-// DecodeWire implements the wire codec.
-func (m *ExtKofNRequest) DecodeWire(r *wire.Reader) {
-	m.IKNP = decodeIKNPReceiver(r)
-	m.K = r.Int()
-	m.N = r.Int()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ExtKofNRequest) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ExtKofNRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *ExtKofNRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *ExtKofNRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
-// EncodeWire implements the wire codec.
-func (m *ExtKofNResponse) EncodeWire(w *wire.Writer) {
-	encodeIKNPSender(w, m.IKNP)
-	w.ByteSlice(m.Cts)
-	w.Int(m.MsgLen)
-}
-
-// DecodeWire implements the wire codec.
-func (m *ExtKofNResponse) DecodeWire(r *wire.Reader) {
-	m.IKNP = decodeIKNPSender(r)
-	m.Cts = r.ByteSlice()
-	m.MsgLen = r.Int()
-}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (m *ExtKofNResponse) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *ExtKofNResponse) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *ExtKofNResponse) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *ExtKofNResponse) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
-// EncodeWire implements the wire codec.
 func (m *ExtKofNBatchRequest) EncodeWire(w *wire.Writer) {
 	encodeIKNPReceiver(w, m.IKNP)
 	w.Int(m.K)

@@ -47,12 +47,6 @@ func otWireSamples() map[string]wireMsg {
 		"IKNPBaseTransfer": &IKNPBaseTransfer{Transfer: sampleTransfer()},
 		"IKNPReceiverMsg":  &IKNPReceiverMsg{U: bytes.Repeat([]byte{0x5A}, 64), M: 17},
 		"IKNPSenderMsg":    &IKNPSenderMsg{Y0: []byte{1, 2, 3, 4}, Y1: []byte{5, 6, 7, 8}, MsgLen: 2},
-		"ExtKofNRequest": &ExtKofNRequest{
-			IKNP: &IKNPReceiverMsg{U: []byte{9, 9}, M: 3}, K: 2, N: 5,
-		},
-		"ExtKofNResponse": &ExtKofNResponse{
-			IKNP: &IKNPSenderMsg{Y0: []byte{1}, Y1: []byte{2}, MsgLen: 1}, Cts: []byte{7, 7, 7}, MsgLen: 1,
-		},
 		"ExtKofNBatchRequest": &ExtKofNBatchRequest{
 			IKNP: &IKNPReceiverMsg{U: []byte{4}, M: 1}, K: 1, N: 2, B: 3,
 		},
@@ -132,8 +126,8 @@ func TestOTWireNilElements(t *testing.T) {
 		"nil-setup-elem":    &BatchSetup{Setups: []*SenderSetup{nil}},
 		"nil-bigint":        &SenderSetup{Cs: []*big.Int{nil}},
 		"nil-pk0":           &ReceiverChoice{},
-		"nil-iknp-request":  &ExtKofNRequest{K: 1, N: 2},
-		"nil-iknp-response": &ExtKofNResponse{Cts: []byte{1}, MsgLen: 1},
+		"nil-iknp-request":  &ExtKofNBatchRequest{K: 1, N: 2, B: 1},
+		"nil-iknp-response": &ExtKofNBatchResponse{Cts: []byte{1}, MsgLen: 1},
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -163,7 +163,8 @@ func DialSimilarityContext(ctx context.Context, addr string, wB []float64, bB fl
 }
 
 // FastClassifyClient drives the IKNP fast classification session over a
-// connection: one base phase at dial time, then two messages per query.
+// connection: one base phase at dial time, then two messages per batch (a
+// single classification is a batch of one).
 type FastClassifyClient struct {
 	conn    *Conn
 	session *classify.FastClient
@@ -287,36 +288,18 @@ func DialClassifyFastContext(ctx context.Context, addr string, opts Options, rng
 	return fc, nil
 }
 
-// Classify runs one two-message fast query.
+// Classify runs one classification as a batch of one.
 func (c *FastClassifyClient) Classify(sample []float64) (int, error) {
 	return c.ClassifyContext(context.Background(), sample)
 }
 
-// ClassifyContext runs one two-message fast query under ctx.
+// ClassifyContext is Classify under ctx.
 func (c *FastClassifyClient) ClassifyContext(ctx context.Context, sample []float64) (int, error) {
-	span := obs.Start(obs.PhaseClassifyRoundTrip)
-	query, req, err := c.session.NewQuery(sample, c.rand)
+	labels, err := c.ClassifyBatchContext(ctx, [][]float64{sample})
 	if err != nil {
 		return 0, err
 	}
-	var resp *ompe.FastResponse
-	err = c.conn.RunContext(ctx, func() error {
-		if err := c.conn.Send(req); err != nil {
-			return err
-		}
-		resp, err = Recv[*ompe.FastResponse](c.conn)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	label, err := query.Finish(resp)
-	if err != nil {
-		return 0, err
-	}
-	span.End()
-	obs.Add(obs.CtrClassifyQueries, 1)
-	return label, nil
+	return labels[0], nil
 }
 
 // Close ends the session cleanly. When the session offered resumption,

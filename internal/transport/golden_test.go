@@ -48,8 +48,10 @@ type goldenScenario struct {
 }
 
 // goldenScenarios spans the conformance matrix: the classification
-// session queried one sample at a time (classify-serial) and by one batch
-// (classify-batch), each across {modp512,x25519} x {big,limb}, and the
+// session queried one sample at a time (classify-serial: two batches of
+// one, which pins the extension's batch counter across messages) and by
+// one batch of four (classify-batch), each across {modp512,x25519} x
+// {big,limb}, and the
 // linear similarity protocol across groups. Names carry the "binary"
 // infix of the one framing, which keeps the transcript file names stable.
 func goldenScenarios() []goldenScenario {

@@ -23,11 +23,13 @@ func withRegistry(t *testing.T) *obs.Registry {
 }
 
 // TestClassifySessionMetrics locks in the acceptance criterion: one
-// classification session over net.Pipe — the base phase, one single
-// query and one batch — must light up every protocol phase (mask, decoy,
-// OT extension, interpolate), the wire-byte counters, and the server-side
-// session accounting. The batch is there because the sender mask and the
-// receiver interpolation spans sit on the batch path.
+// classification session over net.Pipe — the base phase, one one-sample
+// Classify and one batch of two — must light up every protocol phase
+// (mask, decoy, OT extension, interpolate), the wire-byte counters, and
+// the server-side session accounting. The one-sample Classify is a batch
+// of one, so the session counts two batches and three queries; the
+// classify.roundtrip span belongs to the in-process one-shot path and is
+// not expected here.
 func TestClassifySessionMetrics(t *testing.T) {
 	g := withRegistry(t)
 	model, test := trainLinear(t, 21)
@@ -68,7 +70,6 @@ func TestClassifySessionMetrics(t *testing.T) {
 		obs.PhaseOTExtend,
 		obs.PhaseOTTranspose,
 		obs.PhaseOTPad,
-		obs.PhaseClassifyRoundTrip,
 		obs.PhaseClassifyBatch,
 		obs.PhaseHandshakeFull,
 	} {
@@ -89,6 +90,12 @@ func TestClassifySessionMetrics(t *testing.T) {
 		if v := snap.Counters[ctr]; v <= 0 {
 			t.Errorf("counter %s = %d, want > 0", ctr, v)
 		}
+	}
+	if v := snap.Counters[obs.CtrClassifyBatches]; v != 2 {
+		t.Errorf("counter %s = %d, want 2 (a batch of one and a batch of two)", obs.CtrClassifyBatches, v)
+	}
+	if v := snap.Counters[obs.CtrClassifyQueries]; v != 3 {
+		t.Errorf("counter %s = %d, want 3", obs.CtrClassifyQueries, v)
 	}
 	// Both endpoints run in this process over a symmetric pipe, so the
 	// envelope byte counts must balance.

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/faultnet"
+	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/transport"
 )
@@ -49,20 +50,44 @@ func legacyBaseSetupFrame(t *testing.T, setup *ot.IKNPBaseSetup) []byte {
 	return append(hdr, payload...)
 }
 
+// retiredQueryFrame is a classification of one sample framed under tag 17,
+// the retired single-query request: the layout of a batch of one without
+// its leading sample count and trailing B.
+func retiredQueryFrame(t *testing.T, fc *classify.FastClient, sample []float64) []byte {
+	t.Helper()
+	_, req, err := fc.NewBatch([][]float64{sample}, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := req.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if batch[0] != 1 || batch[len(batch)-1] != 2 { // uvarint 1, zigzag varint 1
+		t.Fatalf("unexpected batch-of-one framing: % x ... % x", batch[0], batch[len(batch)-1])
+	}
+	payload := batch[1 : len(batch)-1]
+	hdr := encodeFrame(t, req)[:10]
+	hdr[1] = 17
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
+	return append(hdr, payload...)
+}
+
 // TestSessionSlotFreedOnMidOTDisconnect: a client that fails in the
-// middle of the IKNP base phase must not pin its session slot: with
+// middle of the IKNP session must not pin its session slot: with
 // MaxSessions=1, a subsequent client gets served. Client A either
 // vanishes after receiving the base OT choice, before sending the base
-// transfer, or sends the pre-batch base setup, which the server refuses
-// with a remote error.
+// transfer, or sends the pre-batch base setup, or completes the base
+// phase and sends a query under the retired single-query tag 17; the
+// server refuses the last two with a remote error.
 func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		// abandon drives client A's base phase after the spec and returns
-		// once A has given up on the session.
-		abandon func(t *testing.T, conn *transport.Conn, raw net.Conn, setup *ot.IKNPBaseSetup)
+		// abandon drives client A's session after the spec and returns
+		// once A has given up on it.
+		abandon func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.IKNPBaseSetup, sample []float64)
 	}{
-		{"disconnect after base choice", func(t *testing.T, conn *transport.Conn, _ net.Conn, setup *ot.IKNPBaseSetup) {
+		{"disconnect after base choice", func(t *testing.T, conn *transport.Conn, _ net.Conn, _ *classify.FastClient, setup *ot.IKNPBaseSetup, _ []float64) {
 			if err := conn.Send(setup); err != nil {
 				t.Fatal(err)
 			}
@@ -72,13 +97,36 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 				t.Fatal(err)
 			}
 		}},
-		{"pre-batch base setup", func(t *testing.T, conn *transport.Conn, raw net.Conn, setup *ot.IKNPBaseSetup) {
+		{"pre-batch base setup", func(t *testing.T, conn *transport.Conn, raw net.Conn, _ *classify.FastClient, setup *ot.IKNPBaseSetup, _ []float64) {
 			if _, err := raw.Write(legacyBaseSetupFrame(t, setup)); err != nil {
 				t.Fatal(err)
 			}
 			_, err := transport.Recv[*ot.IKNPBaseChoice](conn)
 			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "tag 0x0e") {
 				t.Fatalf("pre-batch base setup: err = %v, want a remote decode error for tag 0x0e", err)
+			}
+		}},
+		{"retired single-query tag", func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.IKNPBaseSetup, sample []float64) {
+			if err := conn.Send(setup); err != nil {
+				t.Fatal(err)
+			}
+			choice, err := transport.Recv[*ot.IKNPBaseChoice](conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := fc.FinishBase(choice, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.Send(tr); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := raw.Write(retiredQueryFrame(t, fc, sample)); err != nil {
+				t.Fatal(err)
+			}
+			_, err = transport.Recv[*ompe.FastBatchResponse](conn)
+			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "tag 0x11") {
+				t.Fatalf("retired single-query tag: err = %v, want a remote error naming tag 0x11", err)
 			}
 		}},
 	} {
@@ -102,11 +150,11 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, setup, err := classify.NewFastClient(*spec, rand.Reader)
+			fc, setup, err := classify.NewFastClient(*spec, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.abandon(t, connA, clientSideA, setup)
+			tc.abandon(t, connA, clientSideA, fc, setup, sample)
 			if err := connA.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -493,10 +493,12 @@ func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader)
 	return nil
 }
 
-// fastJob is one queued fast-session request with its stream tag.
+// fastJob is one queued fast-session batch with its stream tag; the
+// worker fills in the response.
 type fastJob struct {
-	stream  uint32
-	payload any
+	stream uint32
+	req    *ompe.FastBatchRequest
+	resp   *ompe.FastBatchResponse
 }
 
 // fastJobQueue bounds how many pipelined requests the session worker
@@ -504,11 +506,11 @@ type fastJob struct {
 const fastJobQueue = 64
 
 // serveClassifyFast runs an IKNP fast session: one base phase, then any
-// number of two-message classification queries or batches until Done or
-// EOF. A reader goroutine keeps draining requests while a single worker
-// evaluates them in arrival order — pipelined clients are never blocked on
-// the server's crypto, and FIFO answering keeps the OT-extension batch
-// counters in lockstep.
+// number of two-message classification batches (a single classification
+// is a batch of one) until Done or EOF. A reader goroutine keeps draining
+// requests while a single worker evaluates them in arrival order —
+// pipelined clients are never blocked on the server's crypto, and FIFO
+// answering keeps the OT-extension batch counters in lockstep.
 func (s *Server) serveClassifyFast(conn *Conn, trainer *classify.Trainer, hello *Hello, rng io.Reader) error {
 	spec, err := s.sessionSpec(trainer, hello)
 	if err != nil {
@@ -582,11 +584,11 @@ readLoop:
 			readErr = err
 			break
 		}
-		switch payload.(type) {
+		switch msg := payload.(type) {
 		case *Done:
 			break readLoop
-		case *ompe.FastRequest, *ompe.FastBatchRequest:
-			jobs <- fastJob{stream: stream, payload: payload}
+		case *ompe.FastBatchRequest:
+			jobs <- fastJob{stream: stream, req: msg}
 		default:
 			readErr = fmt.Errorf("transport: unexpected message %T", payload)
 			break readLoop
@@ -631,23 +633,17 @@ func (s *Server) runFastWorker(conn *Conn, fast *classify.FastTrainer, jobs <-ch
 			if flushErr != nil {
 				continue // keep draining so the worker's send never blocks
 			}
-			flushErr = conn.SendStream(r.stream, r.payload)
+			flushErr = conn.SendStream(r.stream, r.resp)
 		}
 	}()
 	var workErr error
 	for j := range jobs {
-		var resp any
-		switch msg := j.payload.(type) {
-		case *ompe.FastRequest:
-			resp, workErr = fast.HandleQuery(msg, rng)
-		case *ompe.FastBatchRequest:
-			obs.Observe(obs.HistBatchSize, int64(len(msg.Evals)))
-			resp, workErr = fast.HandleBatch(msg, rng)
-		}
+		obs.Observe(obs.HistBatchSize, int64(len(j.req.Evals)))
+		j.resp, workErr = fast.HandleBatch(j.req, rng)
 		if workErr != nil {
 			break
 		}
-		ready <- fastJob{stream: j.stream, payload: resp}
+		ready <- j
 	}
 	// Close the ready queue and let already-computed responses flush
 	// before reporting: the peer sees every answer that precedes a

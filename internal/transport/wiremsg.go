@@ -65,25 +65,24 @@ const CodecBinary = "binary"
 // Frame tags. Tag 0 is reserved for the error frame (payload is the
 // remote error string, not a message).
 const (
-	tagErr               byte = 0
-	tagHello             byte = 1
-	tagClassifySpec      byte = 2
-	tagEvalRequest       byte = 3
-	tagBatchSetup        byte = 4
-	tagBatchChoice       byte = 5
-	tagBatchTransfer     byte = 6
-	tagSimilaritySpec    byte = 7
-	tagClearShare        byte = 8
-	tagKernelSpec        byte = 9
-	tagKernelClearShare  byte = 10
-	tagAreaScale         byte = 11
-	tagRoundHeader       byte = 12
-	tagDone              byte = 13
-	tagIKNPBaseSetup     byte = 14
-	tagIKNPBaseChoice    byte = 15
-	tagIKNPBaseTransfer  byte = 16
-	tagFastRequest       byte = 17
-	tagFastResponse      byte = 18
+	tagErr              byte = 0
+	tagHello            byte = 1
+	tagClassifySpec     byte = 2
+	tagEvalRequest      byte = 3
+	tagBatchSetup       byte = 4
+	tagBatchChoice      byte = 5
+	tagBatchTransfer    byte = 6
+	tagSimilaritySpec   byte = 7
+	tagClearShare       byte = 8
+	tagKernelSpec       byte = 9
+	tagKernelClearShare byte = 10
+	tagAreaScale        byte = 11
+	tagRoundHeader      byte = 12
+	tagDone             byte = 13
+	tagIKNPBaseSetup    byte = 14
+	tagIKNPBaseChoice   byte = 15
+	tagIKNPBaseTransfer byte = 16
+	// 17–18: retired, do not reuse.
 	tagFastBatchRequest  byte = 19
 	tagFastBatchResponse byte = 20
 	// 21–24: retired, do not reuse.
@@ -127,10 +126,6 @@ func binMsg(v any) (byte, wire.Msg, bool) {
 		return tagIKNPBaseChoice, m, true
 	case *ot.IKNPBaseTransfer:
 		return tagIKNPBaseTransfer, m, true
-	case *ompe.FastRequest:
-		return tagFastRequest, m, true
-	case *ompe.FastResponse:
-		return tagFastResponse, m, true
 	case *ompe.FastBatchRequest:
 		return tagFastBatchRequest, m, true
 	case *ompe.FastBatchResponse:
@@ -181,10 +176,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 		return new(ot.IKNPBaseChoice), true
 	case tagIKNPBaseTransfer:
 		return new(ot.IKNPBaseTransfer), true
-	case tagFastRequest:
-		return new(ompe.FastRequest), true
-	case tagFastResponse:
-		return new(ompe.FastResponse), true
 	case tagFastBatchRequest:
 		return new(ompe.FastBatchRequest), true
 	case tagFastBatchResponse:

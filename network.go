@@ -41,7 +41,8 @@ const NoDeadline = transport.NoDeadline
 type Server = transport.Server
 
 // NetworkClient drives the IKNP classification session against a remote
-// trainer: one base phase at dial time, then two messages per query.
+// trainer: one base phase at dial time, then two messages per batch (a
+// single classification is a batch of one).
 type NetworkClient = transport.FastClassifyClient
 
 // NewServer builds a protocol server around a trainer.

@@ -199,7 +199,8 @@ func LoadMulticlassModel(r io.Reader) (*MulticlassModel, error) {
 // one oblivious-transfer base phase per session, then every
 // classification query runs on field arithmetic and symmetric crypto
 // alone (no public-key operations on the query path, two messages per
-// query). Privacy guarantees match the one-shot path.
+// batch; a single classification is a batch of one). Privacy guarantees
+// match the one-shot path.
 type (
 	FastTrainer = classify.FastTrainer
 	FastClient  = classify.FastClient
@@ -211,7 +212,12 @@ func NewFastPair(t *Trainer, rng io.Reader) (*FastTrainer, *FastClient, error) {
 	return classify.NewFastPair(t, rng)
 }
 
-// ClassifyFast runs one fast-path classification in memory.
+// ClassifyFast runs one fast-path classification in memory, as a batch of
+// one.
 func ClassifyFast(ft *FastTrainer, fc *FastClient, sample []float64, rng io.Reader) (int, error) {
-	return classify.ClassifyFast(ft, fc, sample, rng)
+	labels, err := classify.ClassifyFastBatch(ft, fc, [][]float64{sample}, rng)
+	if err != nil {
+		return 0, err
+	}
+	return labels[0], nil
 }
