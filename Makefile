@@ -1,9 +1,10 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
-# one-shot smoke run of the parallelism sweeps, of the two x25519
-# micro-benchmarks the OT group work is sized with, of the limb-field
-# and curve kernels under them, of the decision-function sum in its two
-# forms, and of one kernelized similarity evaluation. fuzz-smoke runs the
-# fuzz targets briefly (CI runs it as a separate job).
+# one-shot smoke run of the worker-count sweeps (at one and two workers,
+# via -cpu), of the two x25519 micro-benchmarks the OT group work is
+# sized with, of the limb-field and curve kernels under them, of the
+# decision-function sum in its two forms, and of one kernelized
+# similarity evaluation. fuzz-smoke runs the fuzz targets briefly (CI
+# runs it as a separate job).
 .PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
 	lint cover tidy-check wire-regen loc
 
@@ -19,7 +20,7 @@ test:
 	go test -race ./...
 
 bench-smoke:
-	go test -run='^$$' -bench=Parallelism -benchtime=1x ./...
+	go test -run='^$$' -bench=Parallelism -cpu 1,2 -benchtime=1x ./...
 	go test -run='^$$' -bench='^(BenchmarkIKNPBase|BenchmarkKofN)$$/^x25519$$' -benchtime=1x ./internal/ot
 	go test -run='^$$' -bench='^(BenchmarkLimbMul|BenchmarkLimbSquare|BenchmarkLimbInv)$$' -benchtime=1x ./internal/field/limb
 	go test -run='^$$' -bench='^(BenchmarkScalarMult|BenchmarkScalarBaseMult)$$' -benchtime=1x ./internal/ec25519

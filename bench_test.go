@@ -457,8 +457,12 @@ func BenchmarkOMPE_Primitive(b *testing.B) {
 	}
 }
 
-// --- Parallel engine: the -parallelism sweep over the concurrent masked
-// evaluation + batch OT pipeline (DESIGN.md "Concurrency architecture"). ---
+// --- Parallel engine: the worker-count sweep over the concurrent masked
+// evaluation + batch OT pipeline (DESIGN.md "Concurrency architecture").
+// Every parallel.For runs at GOMAXPROCS, so sweep it with -cpu: -cpu 1 is
+// the exact serial baseline (bit-identical messages given the same rng
+// stream); more fan the masked evaluations, request construction, and
+// batch-OT exponentiations across cores. ---
 
 // parallelismSweepEvaluator builds the degree-2 bivariate polynomial the
 // sweep evaluates: with MaskDegree 2 the composed degree is D = 4, m = 5
@@ -477,11 +481,19 @@ func parallelismSweepEvaluator(b *testing.B, fld *field.Field) ompe.Evaluator {
 	return p
 }
 
+// parallelismSweepParams is the sweep's M = 500 OMPE shape.
+func parallelismSweepParams(fld *field.Field) ompe.Params {
+	return ompe.Params{
+		Field:       fld,
+		PolyDegree:  2,
+		MaskDegree:  2,
+		CoverFactor: 100, // M = 500
+		Group:       ot.Group512Test(),
+	}
+}
+
 // BenchmarkParallelism_OMPEEndToEnd runs one full nonlinear OMPE exchange
-// with M = 500 pairs per query, sweeping the worker-pool bound on both
-// endpoints. par=1 is the exact serial baseline (bit-identical messages
-// given the same rng stream); higher degrees fan the masked evaluations,
-// request construction, and batch-OT exponentiations across cores.
+// with M = 500 pairs per query.
 func BenchmarkParallelism_OMPEEndToEnd(b *testing.B) {
 	fld := fieldDefault()
 	eval := parallelismSweepEvaluator(b, fld)
@@ -489,31 +501,20 @@ func BenchmarkParallelism_OMPEEndToEnd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			params := ompe.Params{
-				Field:       fld,
-				PolyDegree:  2,
-				MaskDegree:  2,
-				CoverFactor: 100, // M = 500
-				Group:       ot.Group512Test(),
-				Parallelism: par,
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ompe.Run(params, eval, input, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(params.TotalPairs())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
+	params := parallelismSweepParams(fld)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ompe.Run(params, eval, input, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(params.TotalPairs())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
 // BenchmarkParallelism_MaskedEvaluations isolates the sender's masked
-// evaluation stage (no OT) across the same sweep: the pure-arithmetic
-// region the worker pool chunks.
+// evaluation stage (no OT): the pure-arithmetic region the worker pool
+// chunks.
 func BenchmarkParallelism_MaskedEvaluations(b *testing.B) {
 	fld := fieldDefault()
 	eval := parallelismSweepEvaluator(b, fld)
@@ -521,48 +522,32 @@ func BenchmarkParallelism_MaskedEvaluations(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			params := ompe.Params{
-				Field:       fld,
-				PolyDegree:  2,
-				MaskDegree:  2,
-				CoverFactor: 100, // M = 500
-				Group:       ot.Group512Test(),
-				Parallelism: par,
-			}
-			_, req, err := ompe.NewReceiver(params, input, rand.Reader)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ompe.MaskedEvaluations(params, eval, req, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(params.TotalPairs())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
-		})
+	params := parallelismSweepParams(fld)
+	_, req, err := ompe.NewReceiver(params, input, rand.Reader)
+	if err != nil {
+		b.Fatal(err)
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ompe.MaskedEvaluations(params, eval, req, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(params.TotalPairs())*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
 }
 
-// BenchmarkParallelism_PrivateNonlinearQuery sweeps the full classifier
+// BenchmarkParallelism_PrivateNonlinearQuery runs the full classifier
 // pipeline (trainer + client) on the diabetes polynomial model.
 func BenchmarkParallelism_PrivateNonlinearQuery(b *testing.B) {
 	f := setup(b)
 	sample := f.diabetesTest.X[0]
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			trainer, client := benchTrainer(b, f.polyModel, classify.Params{Parallelism: par})
-			client.SetParallelism(par)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := classify.ClassifyWith(trainer, client, sample, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	trainer, client := benchTrainer(b, f.polyModel, classify.Params{})
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := classify.ClassifyWith(trainer, client, sample, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -85,7 +85,6 @@ func run(args []string) error {
 		quick     = fs.Bool("quick", false, "subsample protocol-heavy experiments")
 		fullScale = fs.Bool("full", false, "use the paper's full test-set sizes")
 		csvPath   = fs.String("csv", "", "also write the experiment's series to a CSV file")
-		par       = fs.Int("parallelism", 0, "worker pool bound per endpoint (0 = all cores, 1 = serial)")
 	)
 	fs.Usage = func() {
 		fmt.Fprint(fs.Output(), usageText())
@@ -118,11 +117,10 @@ func run(args []string) error {
 		return err
 	}
 	opts := experiments.Options{
-		Seed:        *seed,
-		Group:       g,
-		Quick:       *quick,
-		FullScale:   *fullScale,
-		Parallelism: *par,
+		Seed:      *seed,
+		Group:     g,
+		Quick:     *quick,
+		FullScale: *fullScale,
 	}
 	csvOut = *csvPath
 	if *cpuProf != "" {

@@ -36,7 +36,7 @@ func TestRunRejects(t *testing.T) {
 	}
 	for _, flagName := range []string{
 		"field-backend", "codec", "pad", "json", "out", "queries",
-		"batch", "inflight", "baseline", "current", "max-regress",
+		"batch", "inflight", "baseline", "current", "max-regress", "parallelism",
 	} {
 		cases = append(cases, rejectCase{"removed flag -" + flagName,
 			[]string{"-" + flagName + "=1", "table1"}, "flag provided but not defined"})

@@ -26,9 +26,6 @@ type Client struct {
 	// tauExps enumerates the monomial variates for ModeExpanded; it is
 	// public structure (it depends only on n and p), not model data.
 	tauExps [][]uint
-	// parallelism is the local worker-pool bound for request construction
-	// (see Params.Parallelism); it never leaves this endpoint.
-	parallelism int
 }
 
 // NewClient derives the client side of the protocol from a public spec.
@@ -93,14 +90,8 @@ func (c *Client) NewSession(sample []float64, rng io.Reader) (*ompe.Receiver, *o
 	if err != nil {
 		return nil, nil, err
 	}
-	params.Parallelism = c.parallelism
 	return ompe.NewReceiver(params, input, rng)
 }
-
-// SetParallelism bounds the client-side worker pool (<= 0 selects
-// GOMAXPROCS, 1 forces the serial path). Purely local: it does not change
-// any protocol message given the same randomness stream.
-func (c *Client) SetParallelism(n int) { c.parallelism = n }
 
 // Interpret maps the OMPE result r_a·d(t̃)·scale to the predicted class
 // label in {+1, −1} (the boundary maps to +1, matching svm.Model.Classify).

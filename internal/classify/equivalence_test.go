@@ -122,81 +122,78 @@ func TestTranscriptsMatchParent(t *testing.T) {
 				}
 			}
 			checked := 0
-			for _, par := range []int{1, 4} {
-				params := fastParams()
-				params.Parallelism = par
-				if tc.mutate != nil {
-					tc.mutate(&params)
-				}
-				trainer, err := classify.NewTrainer(model, params)
+			params := fastParams()
+			if tc.mutate != nil {
+				tc.mutate(&params)
+			}
+			trainer, err := classify.NewTrainer(model, params)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (tc.name == "cubic/big521" || tc.name == "cubic-kernelform/big") && trainer.Spec().FieldBits != 521 {
+				t.Fatalf("cubic model on a %d-bit field, want 521", trainer.Spec().FieldBits)
+			}
+			spec := trainer.SessionSpec(tc.backend)
+			h := sha256.New()
+			clientRng, trainerRng := newDetReader("classify-client"), newDetReader("classify-trainer")
+			for session := 0; session < 2; session++ {
+				samples := test.X[4*session : 4*session+4]
+				fc, setup, err := classify.NewFastClient(spec, clientRng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if (tc.name == "cubic/big521" || tc.name == "cubic-kernelform/big") && trainer.Spec().FieldBits != 521 {
-					t.Fatalf("cubic model on a %d-bit field, want 521", trainer.Spec().FieldBits)
+				ft, choice, err := trainer.NewFastSessionFor(spec, setup, trainerRng)
+				if err != nil {
+					t.Fatal(err)
 				}
-				spec := trainer.SessionSpec(tc.backend)
-				h := sha256.New()
-				clientRng, trainerRng := newDetReader("classify-client"), newDetReader("classify-trainer")
-				for session := 0; session < 2; session++ {
-					samples := test.X[4*session : 4*session+4]
-					fc, setup, err := classify.NewFastClient(spec, clientRng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					ft, choice, err := trainer.NewFastSessionFor(spec, setup, trainerRng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr, err := fc.FinishBase(choice, clientRng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := ft.FinishBase(tr); err != nil {
-						t.Fatal(err)
-					}
-					batch, req, err := fc.NewBatch(samples, clientRng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					resp, err := ft.HandleBatch(req, trainerRng)
-					if err != nil {
-						t.Fatal(err)
-					}
-					b, err := resp.MarshalBinary()
-					if err != nil {
-						t.Fatal(err)
-					}
-					h.Write(b)
-					labels, err := batch.Finish(resp)
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i, sample := range samples {
-						var want int
-						if tc.decision == nil {
-							if want, err = model.Classify(sample); err != nil {
-								t.Fatal(err)
-							}
-						} else {
-							d := tc.decision(t, model, sample)
-							if math.Abs(d) < 1e-6 {
-								continue
-							}
-							want = 1
-							if d < 0 {
-								want = -1
-							}
+				tr, err := fc.FinishBase(choice, clientRng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ft.FinishBase(tr); err != nil {
+					t.Fatal(err)
+				}
+				batch, req, err := fc.NewBatch(samples, clientRng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := ft.HandleBatch(req, trainerRng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := resp.MarshalBinary()
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.Write(b)
+				labels, err := batch.Finish(resp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for i, sample := range samples {
+					var want int
+					if tc.decision == nil {
+						if want, err = model.Classify(sample); err != nil {
+							t.Fatal(err)
 						}
-						checked++
-						if labels[i] != want {
-							t.Errorf("par=%d session %d sample %d: private label %d, Model.Classify %d", par, session, i, labels[i], want)
+					} else {
+						d := tc.decision(t, model, sample)
+						if math.Abs(d) < 1e-6 {
+							continue
+						}
+						want = 1
+						if d < 0 {
+							want = -1
 						}
 					}
+					checked++
+					if labels[i] != want {
+						t.Errorf("session %d sample %d: private label %d, Model.Classify %d", session, i, labels[i], want)
+					}
 				}
-				if got := hex.EncodeToString(h.Sum(nil)); got != parentTranscripts[tc.name] {
-					t.Errorf("par=%d: response digest %s, parent produced %s", par, got, parentTranscripts[tc.name])
-				}
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != parentTranscripts[tc.name] {
+				t.Errorf("response digest %s, parent produced %s", got, parentTranscripts[tc.name])
 			}
 			if checked == 0 {
 				t.Fatal("no label checked")

@@ -77,11 +77,9 @@ type Params struct {
 	// FOR ATTACK DEMONSTRATIONS ONLY (Fig. 6): a client can then recover
 	// the decision function from n+1 classified samples.
 	InsecureUnitAmplifier bool
-	// Parallelism bounds the worker pool for the trainer's masked
-	// evaluations and batch OT (<= 0 selects GOMAXPROCS, 1 forces the
-	// serial path). It is a local performance knob, not part of the
-	// protocol contract: it does not appear in the Spec, and results are
-	// bit-identical at any degree given the same randomness stream.
+	// Parallelism is ignored.
+	//
+	// Deprecated: every fan-out region runs at GOMAXPROCS.
 	Parallelism int
 }
 

@@ -217,12 +217,7 @@ func (t *Trainer) sessionParams(spec Spec) (ompe.Params, error) {
 	if spec.FieldBackend != "" && spec.FieldBackend != t.spec.FieldBackend {
 		return ompe.Params{}, fmt.Errorf("classify: trainer cannot serve the %q field backend", spec.FieldBackend)
 	}
-	params, err := spec.OMPEParams()
-	if err != nil {
-		return ompe.Params{}, err
-	}
-	params.Parallelism = t.params.Parallelism
-	return params, nil
+	return spec.OMPEParams()
 }
 
 // advertiseBackend maps a trainer backend to its spec encoding: "limb"

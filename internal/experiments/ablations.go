@@ -51,7 +51,6 @@ func ablationModel(opts Options, nonlinear bool) (*svm.Model, [][]float64, error
 }
 
 func measure(model *svm.Model, samples [][]float64, params classify.Params, opts Options) (time.Duration, *classify.Trainer, error) {
-	params.Parallelism = opts.Parallelism
 	trainer, err := classify.NewTrainer(model, params)
 	if err != nil {
 		return 0, nil, err
@@ -60,7 +59,6 @@ func measure(model *svm.Model, samples [][]float64, params classify.Params, opts
 	if err != nil {
 		return 0, nil, err
 	}
-	client.SetParallelism(opts.Parallelism)
 	// One untimed query first: the first configuration of a sweep would
 	// otherwise carry the process's cold-start cost.
 	if _, err := classify.ClassifyWith(trainer, client, samples[0], opts.Rand); err != nil {

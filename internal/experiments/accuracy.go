@@ -68,7 +68,7 @@ func accuracyRow(spec dataset.Spec, opts Options, nonlinear bool) (*AccuracyRow,
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: opts.Group, Parallelism: opts.Parallelism})
+	trainer, err := classify.NewTrainer(model, classify.Params{Group: opts.Group})
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +76,6 @@ func accuracyRow(spec dataset.Spec, opts Options, nonlinear bool) (*AccuracyRow,
 	if err != nil {
 		return nil, err
 	}
-	client.SetParallelism(opts.Parallelism)
 	n := opts.subsetSize(test.Len())
 	correctOrig, correctPriv, mismatches := 0, 0, 0
 	for i := 0; i < n; i++ {

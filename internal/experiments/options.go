@@ -31,11 +31,6 @@ type Options struct {
 	FullScale bool
 	// Rand is the protocol entropy source (default crypto/rand.Reader).
 	Rand io.Reader
-	// Parallelism bounds every endpoint's worker pool (<= 0 selects
-	// GOMAXPROCS, 1 forces the serial path). Purely local: protocol
-	// messages and results are bit-identical at any degree given the same
-	// Rand stream.
-	Parallelism int
 }
 
 func (o Options) withDefaults() Options {

@@ -37,11 +37,11 @@ func Fig5(opts Options, counts []int) ([]Fig5Row, error) {
 	if len(counts) == 0 {
 		counts = Fig5SampleCounts
 	}
-	trainer, w, b, err := fig5Trainer(opts, classify.Params{Group: opts.Group, Parallelism: opts.Parallelism})
+	trainer, w, b, err := fig5Trainer(opts, classify.Params{Group: opts.Group})
 	if err != nil {
 		return nil, err
 	}
-	unprotected, _, _, err := fig5Trainer(opts, classify.Params{Group: opts.Group, InsecureUnitAmplifier: true, Parallelism: opts.Parallelism})
+	unprotected, _, _, err := fig5Trainer(opts, classify.Params{Group: opts.Group, InsecureUnitAmplifier: true})
 	if err != nil {
 		return nil, err
 	}
@@ -83,7 +83,7 @@ func Fig6(opts Options) ([]Fig6Row, error) {
 	opts = opts.withDefaults()
 	var rows []Fig6Row
 	for _, amplified := range []bool{false, true} {
-		params := classify.Params{Group: opts.Group, InsecureUnitAmplifier: !amplified, Parallelism: opts.Parallelism}
+		params := classify.Params{Group: opts.Group, InsecureUnitAmplifier: !amplified}
 		trainer, w, b, err := fig5Trainer(opts, params)
 		if err != nil {
 			return nil, err
@@ -92,7 +92,6 @@ func Fig6(opts Options) ([]Fig6Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		client.SetParallelism(opts.Parallelism)
 		srng := opts.sampleRNG(99)
 		samples := make([][]float64, 3)
 		values := make([]float64, 3)

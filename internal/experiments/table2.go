@@ -71,7 +71,7 @@ func Table2(opts Options) (*Table2Result, error) {
 		}
 		models[i] = trained{w: w, b: model.Bias}
 	}
-	params := similarity.Params{Group: opts.Group, Parallelism: opts.Parallelism}
+	params := similarity.Params{Group: opts.Group}
 	metric := similarity.DefaultMetric()
 
 	var rows []Table2Row

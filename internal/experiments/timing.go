@@ -103,7 +103,7 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 		return nil, err
 	}
 
-	linTrainer, err := classify.NewTrainer(linModel, classify.Params{Group: opts.Group, Parallelism: opts.Parallelism})
+	linTrainer, err := classify.NewTrainer(linModel, classify.Params{Group: opts.Group})
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +111,6 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	linClient.SetParallelism(opts.Parallelism)
 	linPriv, err := perQuery(func(s []float64) error {
 		_, err := classify.ClassifyWith(linTrainer, linClient, s, opts.Rand)
 		return err
@@ -120,7 +119,7 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 		return nil, err
 	}
 
-	polyTrainer, err := classify.NewTrainer(polyModel, classify.Params{Group: opts.Group, Parallelism: opts.Parallelism})
+	polyTrainer, err := classify.NewTrainer(polyModel, classify.Params{Group: opts.Group})
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +127,6 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	polyClient.SetParallelism(opts.Parallelism)
 	polyPriv, err := perQuery(func(s []float64) error {
 		_, err := classify.ClassifyWith(polyTrainer, polyClient, s, opts.Rand)
 		return err
@@ -211,7 +209,7 @@ func Fig10(opts Options, dims []int) ([]Fig10Row, error) {
 	if opts.Quick {
 		reps = 1
 	}
-	params := similarity.Params{Group: opts.Group, Parallelism: opts.Parallelism}
+	params := similarity.Params{Group: opts.Group}
 	metric := similarity.DefaultMetric()
 	var rows []Fig10Row
 	for _, dim := range dims {

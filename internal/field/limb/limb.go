@@ -495,7 +495,7 @@ func (z *Element) setWide(b []byte) {
 // The 2^−250 sampling bias against the smallest residues is cryptographically
 // irrelevant for masks and decoys; what matters for the protocol is that the
 // draw consumes a fixed number of rng bytes, keeping the stream — and hence
-// the wire bytes — deterministic at any parallelism degree.
+// the wire bytes — deterministic at any worker count.
 func (z *Element) Rand(rng io.Reader) error {
 	var buf [ElementLen]byte
 	if _, err := io.ReadFull(rng, buf[:]); err != nil {

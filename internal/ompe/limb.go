@@ -82,7 +82,7 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 
 	// Serial decoy draws in pair order, then parallel pure-arithmetic
 	// cover evaluations — the same stream discipline as the big engine,
-	// so the request is deterministic at any parallelism degree.
+	// so the request is deterministic at any worker count.
 	stride := packedStride(n)
 	packed := make([]byte, total*stride)
 	for i := 0; i < total; i++ {
@@ -98,7 +98,7 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 			}
 		}
 	}
-	_ = parallel.For(params.Parallelism, total, func(i int) error {
+	_ = parallel.For(total, func(i int) error {
 		if !isGenuine[i] {
 			return nil
 		}
@@ -226,15 +226,14 @@ func maskedSampleLimb(params Params, eval Evaluator, amplifier, shift *big.Int, 
 	if err != nil {
 		return nil, err
 	}
-	return maskedSampleLimbWith(params, eval, h, amplifier, shift, req, params.Parallelism)
+	return maskedSampleLimbWith(params, eval, h, amplifier, shift, req)
 }
 
 // maskedSampleLimbWith is the pure half of maskedSampleLimb: every rng
 // draw (the masking polynomial, the caller's amplifier) already happened,
-// so it can run inside a parallel region — the batch path fans samples
-// out across workers and passes parallelism 1 here to keep the worker
-// pool flat.
-func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, amplifier, shift *big.Int, req *EvalRequest, parallelism int) ([][]byte, error) {
+// so it can run inside a parallel region; the batch path fans samples
+// out across workers, each of which fans its pairs out again.
+func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	numVars := eval.NumVars()
 	flat, err := parsePackedRequest(params, numVars, req)
 	if err != nil {
@@ -250,7 +249,7 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 	msgs := make([][]byte, total)
 	le, native := eval.(LimbEvaluator)
 	f := params.Field
-	perr := parallel.For(parallelism, total, func(i int) error {
+	perr := parallel.For(total, func(i int) error {
 		rec := flat[i*stride : (i+1)*stride]
 		var pv, y limb.Element
 		if native {

@@ -10,9 +10,10 @@ import (
 	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
+	"repro/internal/parallel/paralleltest"
 )
 
-func limbParams(t *testing.T, polyDegree, parallelism int) Params {
+func limbParams(t *testing.T, polyDegree int) Params {
 	t.Helper()
 	return Params{
 		Field:       field.Default(),
@@ -21,7 +22,6 @@ func limbParams(t *testing.T, polyDegree, parallelism int) Params {
 		CoverFactor: 2,
 		Group:       ot.Group512Test(),
 		Backend:     field.BackendLimb,
-		Parallelism: parallelism,
 	}
 }
 
@@ -32,15 +32,15 @@ func TestLimbBackendRequiresP25519(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := limbParams(t, 1, 1)
+	params := limbParams(t, 1)
 	params.Field = f192
 	if err := params.Validate(); !errors.Is(err, ErrParams) {
 		t.Fatalf("P192+limb accepted: %v", err)
 	}
-	if err := limbParams(t, 1, 1).Validate(); err != nil {
+	if err := limbParams(t, 1).Validate(); err != nil {
 		t.Fatalf("P25519+limb rejected: %v", err)
 	}
-	bad := limbParams(t, 1, 1)
+	bad := limbParams(t, 1)
 	bad.Backend = field.Backend("vector")
 	if err := bad.Validate(); !errors.Is(err, ErrParams) {
 		t.Fatalf("unknown backend accepted: %v", err)
@@ -52,7 +52,7 @@ func TestLimbBackendRequiresP25519(t *testing.T) {
 // equal amp·P(α) + shift exactly, matching the math/big semantics.
 func TestLimbRunMatchesPlaintext(t *testing.T) {
 	f := field.Default()
-	params := limbParams(t, 1, 1)
+	params := limbParams(t, 1)
 	w := field.Vec{f.FromInt64(3), f.FromInt64(-5), f.FromInt64(7)}
 	b := f.FromInt64(11)
 	p, err := mvpoly.NewLinear(f, w, b)
@@ -77,7 +77,7 @@ func TestLimbRunMatchesPlaintext(t *testing.T) {
 // limb engine agree with direct evaluation up to the returned amplifier.
 func TestLimbRunProperty(t *testing.T) {
 	f := field.Default()
-	params := limbParams(t, 1, 0)
+	params := limbParams(t, 1)
 	for trial := 0; trial < 6; trial++ {
 		n := 1 + trial%3
 		w, err := f.RandVec(rand.Reader, n)
@@ -114,7 +114,7 @@ func TestLimbRunProperty(t *testing.T) {
 // and checks every sample's implied amplifier is in range.
 func TestLimbSessionBatch(t *testing.T) {
 	f := field.Default()
-	params := limbParams(t, 1, 0)
+	params := limbParams(t, 1)
 	w := field.Vec{f.FromInt64(2), f.FromInt64(-3)}
 	p, err := mvpoly.NewLinear(f, w, f.FromInt64(1))
 	if err != nil {
@@ -163,25 +163,25 @@ func TestLimbSessionBatch(t *testing.T) {
 }
 
 // TestLimbParallelDeterministic: the packed request bytes must be
-// bit-identical at every parallelism degree given the same rng stream —
-// the limb engine's wire-determinism contract.
+// bit-identical at every GOMAXPROCS given the same rng stream — the limb
+// engine's wire-determinism contract.
 func TestLimbParallelDeterministic(t *testing.T) {
 	f := field.Default()
 	input := field.Vec{f.FromInt64(9), f.FromInt64(2), f.FromInt64(-4)}
-	runOnce := func(par int) *EvalRequest {
-		params := limbParams(t, 1, par)
+	runOnce := func(procs int) *EvalRequest {
+		paralleltest.SetProcs(t, procs)
 		rng := newDetReader("ompe-limb-determinism")
-		_, req, err := NewReceiver(params, input, rng)
+		_, req, err := NewReceiver(limbParams(t, 1), input, rng)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		return req
 	}
 	base := runOnce(1)
-	for _, par := range []int{2, 4, 8} {
-		got := runOnce(par)
+	for _, procs := range []int{2, 4, 8} {
+		got := runOnce(procs)
 		if string(base.Packed) != string(got.Packed) {
-			t.Fatalf("par=%d: packed request bytes differ", par)
+			t.Fatalf("procs=%d: packed request bytes differ", procs)
 		}
 	}
 }
@@ -191,7 +191,7 @@ func TestLimbParallelDeterministic(t *testing.T) {
 // points, and representation mismatches must all be rejected.
 func TestLimbSenderRejectsMalformed(t *testing.T) {
 	f := field.Default()
-	params := limbParams(t, 1, 1)
+	params := limbParams(t, 1)
 	w := field.Vec{f.FromInt64(1), f.FromInt64(2)}
 	p, err := mvpoly.NewLinear(f, w, f.FromInt64(3))
 	if err != nil {
@@ -264,7 +264,7 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 // math/big engine (the backends are negotiated, not mixed).
 func TestBigBackendRejectsPackedRequest(t *testing.T) {
 	f := field.Default()
-	limbP := limbParams(t, 1, 1)
+	limbP := limbParams(t, 1)
 	input := field.Vec{f.FromInt64(5), f.FromInt64(6)}
 	_, req, err := NewReceiver(limbP, input, rand.Reader)
 	if err != nil {

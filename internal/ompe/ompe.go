@@ -64,7 +64,7 @@ type Evaluator interface {
 	NumVars() int
 	// Eval evaluates the polynomial at a field point. Eval must be safe
 	// for concurrent use: the sender fans the M request pairs out across
-	// Params.Parallelism workers. Every evaluator in this repository
+	// GOMAXPROCS workers. Every evaluator in this repository
 	// qualifies — they read shared encoded state and allocate per-call
 	// scratch.
 	Eval(x field.Vec) (*big.Int, error)
@@ -94,14 +94,9 @@ type Params struct {
 	// packed form; it requires the 2^255−19 field. Both parties must
 	// agree on it per session, like Group.
 	Backend field.Backend
-	// Parallelism bounds the worker pool used for the data-parallel hot
-	// paths (masked evaluations, cover construction, batch OT): <= 0
-	// selects GOMAXPROCS, 1 forces the serial path, larger values request
-	// exactly that many workers. It is a local performance knob, not part
-	// of the wire contract — the two parties may use different values.
-	// Randomness is always drawn serially, so protocol messages and
-	// results are bit-identical at every parallelism degree given the same
-	// rng stream.
+	// Parallelism is ignored.
+	//
+	// Deprecated: every fan-out region runs at GOMAXPROCS.
 	Parallelism int
 	// Pad is ignored.
 	//
@@ -289,7 +284,7 @@ func (s *Sender) HandleRequest(req *EvalRequest, rng io.Reader) (*ot.BatchSetup,
 	}
 	maskSpan.End()
 
-	batch, setup, err := ot.NewBatchSenderParallel(s.params.Group, msgs, s.params.GenuineCount(), s.params.Parallelism, rng)
+	batch, setup, err := ot.NewBatchSender(s.params.Group, msgs, s.params.GenuineCount(), rng)
 	if err != nil {
 		return nil, err
 	}
@@ -433,7 +428,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 	// stream the fully serial construction consumes — then evaluate the
 	// genuine pairs' cover tuples across the worker pool. crypto/rand
 	// draws never happen inside the parallel region, so the request is
-	// deterministic given a locked rng at any parallelism degree.
+	// deterministic given a locked rng at any worker count.
 	pairs := make([]Pair, total)
 	for i := 0; i < total; i++ {
 		z := make(field.Vec, len(input))
@@ -449,7 +444,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 		}
 		pairs[i] = Pair{V: points[i], Z: z}
 	}
-	_ = parallel.For(params.Parallelism, total, func(i int) error {
+	_ = parallel.For(total, func(i int) error {
 		if !isGenuine[i] {
 			return nil
 		}
@@ -475,7 +470,7 @@ func (r *Receiver) HandleSetup(setup *ot.BatchSetup, rng io.Reader) (*ot.BatchCh
 	if r.state != receiverAwaitingSetup {
 		return nil, ErrState
 	}
-	batch, choice, err := ot.NewBatchReceiverParallel(r.params.Group, r.params.TotalPairs(), r.genuine, setup, r.params.Parallelism, rng)
+	batch, choice, err := ot.NewBatchReceiver(r.params.Group, r.params.TotalPairs(), r.genuine, setup, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -560,10 +555,10 @@ func randomSubset(n, m int, rng io.Reader) ([]int, error) {
 // pair's h(v_i) + amp·P(z_i) + shift is independent, so the M pairs are
 // chunked across the worker pool; a failing pair stops the batch and
 // surfaces the lowest-indexed error without deadlocking the pool.
-func maskedEvaluations(f *field.Field, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest, parallelism int) ([][]byte, error) {
+func maskedEvaluations(f *field.Field, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	msgs := make([][]byte, len(req.Pairs))
 	reducedShift := f.Reduce(shift)
-	err := parallel.For(parallelism, len(req.Pairs), func(i int) error {
+	err := parallel.For(len(req.Pairs), func(i int) error {
 		pair := req.Pairs[i]
 		pv, err := eval.Eval(pair.Z)
 		if err != nil {
@@ -594,7 +589,7 @@ func maskedSample(params Params, eval Evaluator, amplifier, shift *big.Int, req 
 	if err != nil {
 		return nil, err
 	}
-	return maskedEvaluations(f, eval, h, amplifier, shift, req, params.Parallelism)
+	return maskedEvaluations(f, eval, h, amplifier, shift, req)
 }
 
 // MaskedEvaluations exposes the sender's arithmetic core (fresh masking

@@ -2,12 +2,15 @@ package ompe
 
 import (
 	"crypto/rand"
+	"errors"
+	"fmt"
 	"math/big"
 	"testing"
 
 	"repro/internal/field"
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
+	"repro/internal/poly"
 )
 
 func testParams(t *testing.T, polyDegree int) Params {
@@ -543,28 +546,134 @@ func TestSessionBatch(t *testing.T) {
 	}
 }
 
-// TestSessionBatchValidation: malformed batches must be rejected.
+// TestSessionBatchValidation: malformed batches must be refused with
+// ErrBadRequest before the sender draws any mask. Each row runs on a fresh
+// session, so a sender that wrongly answers one row answers it with its
+// batch counter in step and the row can report what the client learnt.
 func TestSessionBatchValidation(t *testing.T) {
 	f := field.Default()
-	params := testParams(t, 1)
-	eval := buildLinear(t, f, 2)
-	sender, receiver, err := NewSession(params, eval, rand.Reader)
+	params := testParams(t, 1) // m = 3 genuine of M = 6 pairs
+	// P(x) = 2·x0 + 3·x1 + 1, so P(−1, −3) = −10 and P(3, 3) = 16.
+	eval, err := mvpoly.NewLinear(f, field.Vec{f.FromInt64(2), f.FromInt64(3)}, f.One())
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
+	honest := func(t *testing.T, sr *SessionReceiver, samples int) *FastBatchRequest {
+		t.Helper()
+		inputs := make([]field.Vec, samples)
+		for i := range inputs {
+			inputs[i] = input
+		}
+		_, req, err := sr.NewBatch(inputs, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req
+	}
+	for _, tc := range []struct {
+		name string
+		// build returns the hostile request and, should the sender answer
+		// it, what the client learns from the answer.
+		build func(t *testing.T, sr *SessionReceiver) (*FastBatchRequest, func(*FastBatchResponse) string)
+	}{
+		{"nil request", func(*testing.T, *SessionReceiver) (*FastBatchRequest, func(*FastBatchResponse) string) {
+			return nil, nil
+		}},
+		{"eval/OT count mismatch", func(t *testing.T, sr *SessionReceiver) (*FastBatchRequest, func(*FastBatchResponse) string) {
+			req := honest(t, sr, 2)
+			req.Evals = req.Evals[:1]
+			return req, nil
+		}},
+		{"OT over n != M", func(t *testing.T, sr *SessionReceiver) (*FastBatchRequest, func(*FastBatchResponse) string) {
+			req := honest(t, sr, 1)
+			_, otReq, err := ot.NewExtKofNBatchQuery(sr.iknp, params.TotalPairs()+2, [][]int{{0, 1, 2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.OT = otReq
+			return req, nil
+		}},
+		{"two cover tuples under one amplifier", func(t *testing.T, sr *SessionReceiver) (*FastBatchRequest, func(*FastBatchResponse) string) {
+			// α1 rides pairs 0..m−1 and α2 pairs m..2m−1, and the OT asks
+			// for all 2m = M of them: two interpolations under one
+			// amplifier, whose quotient is P(α1)/P(α2).
+			m := params.GenuineCount()
+			alphas := []field.Vec{
+				{f.FromInt64(-1), f.FromInt64(-3)},
+				{f.FromInt64(3), f.FromInt64(3)},
+			}
+			points, err := distinctNonZero(f, 2*m, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pairs := make([]Pair, 2*m)
+			for tuple, alpha := range alphas {
+				covers := make([]*poly.Poly, len(alpha))
+				for j, a := range alpha {
+					if covers[j], err = poly.Random(f, rand.Reader, params.MaskDegree, a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i := tuple * m; i < (tuple+1)*m; i++ {
+					z := make(field.Vec, len(covers))
+					for j, g := range covers {
+						z[j] = g.Eval(points[i])
+					}
+					pairs[i] = Pair{V: points[i], Z: z}
+				}
+			}
+			all := make([]int, 2*m)
+			for i := range all {
+				all[i] = i
+			}
+			q, otReq, err := ot.NewExtKofNBatchQuery(sr.iknp, 2*m, [][]int{all})
+			if err != nil {
+				t.Fatal(err)
+			}
+			learn := func(resp *FastBatchResponse) string {
+				got, err := q.Recover(resp.OT)
+				if err != nil {
+					return err.Error()
+				}
+				y1, err1 := interpolateTransferred(f, got[0][:m], points, all[:m])
+				y2, err2 := interpolateTransferred(f, got[0][m:], points, all[m:])
+				if err := errors.Join(err1, err2); err != nil {
+					return err.Error()
+				}
+				ratio, err := f.Div(y1, y2)
+				if err != nil {
+					return err.Error()
+				}
+				if want, _ := f.Div(f.FromInt64(-10), f.FromInt64(16)); ratio.Cmp(want) == 0 {
+					return "the client divided the amplifier out: P(α1)/P(α2) = −10/16"
+				}
+				return fmt.Sprintf("the client interpolated a quotient of %v", ratio)
+			}
+			return &FastBatchRequest{Evals: []*EvalRequest{{Pairs: pairs}}, OT: otReq}, learn
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sender, receiver, err := NewSession(params, eval, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req, learn := tc.build(t, receiver)
+			resp, err := sender.HandleBatch(req, rand.Reader)
+			switch {
+			case errors.Is(err, ErrBadRequest):
+			case err == nil && learn != nil:
+				t.Fatalf("sender answered; %s", learn(resp))
+			default:
+				t.Fatalf("err = %v, want ErrBadRequest", err)
+			}
+		})
+	}
+	_, receiver, err := NewSession(params, eval, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := receiver.NewBatch(nil, rand.Reader); err == nil {
 		t.Fatal("empty batch should fail")
-	}
-	if _, err := sender.HandleBatch(nil, rand.Reader); err == nil {
-		t.Fatal("nil batch request should fail")
-	}
-	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
-	_, req, err := receiver.NewBatch([]field.Vec{input, input}, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Evals = req.Evals[:1]
-	if _, err := sender.HandleBatch(req, rand.Reader); err == nil {
-		t.Fatal("eval/OT count mismatch should fail")
 	}
 }

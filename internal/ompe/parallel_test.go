@@ -12,6 +12,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
+	"repro/internal/parallel/paralleltest"
 )
 
 // detReader is a deterministic byte stream (SHA-256 in counter mode) so two
@@ -41,14 +42,13 @@ func (d *detReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-func parallelTestParams(par int) Params {
+func parallelTestParams() Params {
 	return Params{
 		Field:       field.Default(),
 		PolyDegree:  2,
 		MaskDegree:  2,
 		CoverFactor: 3,
 		Group:       ot.Group512Test(),
-		Parallelism: par,
 	}
 }
 
@@ -68,7 +68,7 @@ func quadEvaluator(t *testing.T, f *field.Field) Evaluator {
 }
 
 // TestParallelRoundTrip runs the full protocol across worker counts and
-// checks the recovered value at each degree. Under -race this also
+// checks the recovered value at each. Under -race this also
 // exercises the concurrent masked evaluations, request construction, and
 // batch OT for data races.
 func TestParallelRoundTrip(t *testing.T) {
@@ -76,22 +76,22 @@ func TestParallelRoundTrip(t *testing.T) {
 	input := field.Vec{f.FromInt64(4), f.FromInt64(-3)}
 	// P(α) = 16 − 36 + 6 + 7 = −7.
 	wantPlain := f.FromInt64(-7)
-	for _, par := range []int{0, 1, 2, 4, 8} {
-		params := parallelTestParams(par)
-		res, err := Run(params, quadEvaluator(t, f), input, rand.Reader)
+	for _, procs := range []int{1, 2, 4, 8} {
+		paralleltest.SetProcs(t, procs)
+		res, err := Run(parallelTestParams(), quadEvaluator(t, f), input, rand.Reader)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		want := f.Mul(res.Amplifier, wantPlain)
 		if res.Value.Cmp(want) != 0 {
-			t.Fatalf("par=%d: got %v, want amp·P(α)=%v", par, res.Value, want)
+			t.Fatalf("procs=%d: got %v, want amp·P(α)=%v", procs, res.Value, want)
 		}
 	}
 }
 
 // TestParallelDeterministic locks the rng stream and checks that the
 // receiver's request and the final value are bit-identical at every
-// parallelism degree: randomness is drawn serially in the serial-code
+// GOMAXPROCS: randomness is drawn serially in the serial-code
 // order, only pure arithmetic fans out.
 func TestParallelDeterministic(t *testing.T) {
 	f := field.Default()
@@ -101,52 +101,53 @@ func TestParallelDeterministic(t *testing.T) {
 		req   *EvalRequest
 		value *big.Int
 	}
-	runOnce := func(par int) trace {
-		params := parallelTestParams(par)
+	runOnce := func(procs int) trace {
+		paralleltest.SetProcs(t, procs)
+		params := parallelTestParams()
 		rng := newDetReader("ompe-determinism")
 		sender, err := NewSender(params, quadEvaluator(t, f))
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		receiver, req, err := NewReceiver(params, input, rng)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		setup, err := sender.HandleRequest(req, rng)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		choice, err := receiver.HandleSetup(setup, rng)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		tr, err := sender.HandleChoice(choice, rng)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		value, err := receiver.Finish(tr)
 		if err != nil {
-			t.Fatalf("par=%d: %v", par, err)
+			t.Fatalf("procs=%d: %v", procs, err)
 		}
 		return trace{req: req, value: value}
 	}
 
 	base := runOnce(1)
-	for _, par := range []int{2, 4, 0} {
-		got := runOnce(par)
+	for _, procs := range []int{2, 4} {
+		got := runOnce(procs)
 		if base.value.Cmp(got.value) != 0 {
-			t.Fatalf("par=%d: value %v differs from serial %v", par, got.value, base.value)
+			t.Fatalf("procs=%d: value %v differs from serial %v", procs, got.value, base.value)
 		}
 		if len(base.req.Pairs) != len(got.req.Pairs) {
-			t.Fatalf("par=%d: request length differs", par)
+			t.Fatalf("procs=%d: request length differs", procs)
 		}
 		for i := range base.req.Pairs {
 			if base.req.Pairs[i].V.Cmp(got.req.Pairs[i].V) != 0 {
-				t.Fatalf("par=%d: pair %d evaluation point differs", par, i)
+				t.Fatalf("procs=%d: pair %d evaluation point differs", procs, i)
 			}
 			for j := range base.req.Pairs[i].Z {
 				if base.req.Pairs[i].Z[j].Cmp(got.req.Pairs[i].Z[j]) != 0 {
-					t.Fatalf("par=%d: pair %d component %d differs", par, i, j)
+					t.Fatalf("procs=%d: pair %d component %d differs", procs, i, j)
 				}
 			}
 		}
@@ -155,14 +156,15 @@ func TestParallelDeterministic(t *testing.T) {
 
 // TestParallelEvaluatorErrorPropagates checks deadlock-free error
 // propagation when one pair's evaluation fails mid-batch: the sender's
-// HandleRequest must return the error promptly at any parallelism degree.
+// HandleRequest must return the error promptly at any GOMAXPROCS.
 func TestParallelEvaluatorErrorPropagates(t *testing.T) {
 	f := field.Default()
 	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
 	boom := errors.New("evaluator exploded")
 
-	for _, par := range []int{1, 4, 0} {
-		params := parallelTestParams(par)
+	for _, procs := range []int{1, 4} {
+		paralleltest.SetProcs(t, procs)
+		params := parallelTestParams()
 		var calls atomic.Int64
 		eval := EvaluatorFunc(2, func(z field.Vec) (*big.Int, error) {
 			if calls.Add(1) == 3 { // fail one evaluation mid-batch
@@ -179,7 +181,7 @@ func TestParallelEvaluatorErrorPropagates(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, err := sender.HandleRequest(req, rand.Reader); !errors.Is(err, boom) {
-			t.Fatalf("par=%d: got %v, want evaluator error", par, err)
+			t.Fatalf("procs=%d: got %v, want evaluator error", procs, err)
 		}
 	}
 }
@@ -188,7 +190,8 @@ func TestParallelEvaluatorErrorPropagates(t *testing.T) {
 // parallel worker pool (masked evaluations are the parallel region there).
 func TestParallelSessionRoundTrip(t *testing.T) {
 	f := field.Default()
-	params := parallelTestParams(4)
+	paralleltest.SetProcs(t, 4)
+	params := parallelTestParams()
 	input := field.Vec{f.FromInt64(4), f.FromInt64(-3)}
 
 	sender, receiver, err := NewSession(params, quadEvaluator(t, f), rand.Reader)

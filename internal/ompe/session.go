@@ -53,7 +53,6 @@ func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot
 	if err != nil {
 		return nil, nil, err
 	}
-	iknp.SetParallelism(params.Parallelism)
 	return &SessionReceiver{params: params, iknp: iknp}, setup, nil
 }
 
@@ -70,7 +69,6 @@ func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.IKNPBaseSetup
 	if err != nil {
 		return nil, nil, err
 	}
-	iknp.SetParallelism(params.Parallelism)
 	return &SessionSender{params: params, eval: eval, iknp: iknp}, choice, nil
 }
 
@@ -89,7 +87,6 @@ func ResumeSessionSender(params Params, eval Evaluator, state *ot.IKNPSenderStat
 	if err != nil {
 		return nil, err
 	}
-	iknp.SetParallelism(params.Parallelism)
 	return &SessionSender{params: params, eval: eval, iknp: iknp}, nil
 }
 
@@ -103,7 +100,6 @@ func ResumeSessionReceiver(params Params, state *ot.IKNPReceiverState) (*Session
 	if err != nil {
 		return nil, err
 	}
-	iknp.SetParallelism(params.Parallelism)
 	return &SessionReceiver{params: params, iknp: iknp}, nil
 }
 
@@ -160,7 +156,7 @@ func interpolateTransferred(f *field.Field, raw [][]byte, points []*big.Int, ind
 
 // The receiver builds B independent cover/decoy constructions (serial
 // randomness, so wire bytes stay deterministic under a fixed rng at any
-// parallelism) and opens one k-of-n transfer per sample over a single IKNP
+// worker count) and opens one k-of-n transfer per sample over a single IKNP
 // extension round. The sender draws B fresh (mask, amplifier) pairs —
 // per-sample masks are independent, so each sample's privacy argument is
 // exactly that of one query; batching shares only the (index-hiding)
@@ -228,7 +224,7 @@ type senderMask struct {
 // drawSenderMask draws one sample's amplifier and masking polynomial from
 // rng in exactly the order the serial sender does, preserving the
 // serial-rng discipline that keeps wire bytes bit-identical at every
-// parallelism degree.
+// worker count.
 func drawSenderMask(params Params, rng io.Reader) (senderMask, error) {
 	var m senderMask
 	amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())
@@ -255,25 +251,30 @@ func drawSenderMask(params Params, rng io.Reader) (senderMask, error) {
 }
 
 // maskedSampleWith is the pure evaluation half of maskedSample, given a
-// pre-drawn senderMask. parallelism bounds the inner per-pair fan-out.
-func maskedSampleWith(params Params, eval Evaluator, m senderMask, shift *big.Int, req *EvalRequest, parallelism int) ([][]byte, error) {
+// pre-drawn senderMask.
+func maskedSampleWith(params Params, eval Evaluator, m senderMask, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	if params.limbBackend() {
-		return maskedSampleLimbWith(params, eval, m.hLimb, m.amp, shift, req, parallelism)
+		return maskedSampleLimbWith(params, eval, m.hLimb, m.amp, shift, req)
 	}
-	return maskedEvaluations(params.Field, eval, m.hBig, m.amp, shift, req, parallelism)
+	return maskedEvaluations(params.Field, eval, m.hBig, m.amp, shift, req)
 }
 
 // HandleBatch answers one batched query. Randomness (per-sample mask,
 // amplifier, and transfer keys) is drawn serially in sample order; the
 // pure-arithmetic masked evaluations then fan the B samples out across
-// the worker pool (each sample computed serially inside its worker, so
-// the pool stays flat at Parallelism workers).
+// the worker pool, and each sample's pairs out again inside its worker.
 func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*FastBatchResponse, error) {
 	if req == nil || req.OT == nil || len(req.Evals) == 0 {
 		return nil, fmt.Errorf("%w: nil fast batch request", ErrBadRequest)
 	}
 	if len(req.Evals) != req.OT.B {
 		return nil, fmt.Errorf("%w: %d eval requests for OT batch of %d", ErrBadRequest, len(req.Evals), req.OT.B)
+	}
+	// The sender fixes the transfer's shape itself: a query for more than
+	// m of the M pairs would let the client interpolate two cover tuples
+	// under one amplifier and divide it out.
+	if req.OT.K != ss.params.GenuineCount() || req.OT.N != ss.params.TotalPairs() {
+		return nil, fmt.Errorf("%w: OT shape %d-of-%d, want %d-of-%d", ErrBadRequest, req.OT.K, req.OT.N, ss.params.GenuineCount(), ss.params.TotalPairs())
 	}
 	span := obs.Start(obs.PhaseSenderMask)
 	masks := make([]senderMask, len(req.Evals))
@@ -291,8 +292,8 @@ func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*Fas
 		masks[i] = m
 	}
 	msgs := make([][][]byte, len(req.Evals))
-	err := parallel.For(ss.params.Parallelism, len(req.Evals), func(i int) error {
-		sample, err := maskedSampleWith(ss.params, ss.eval, masks[i], zeroShift, req.Evals[i], 1)
+	err := parallel.For(len(req.Evals), func(i int) error {
+		sample, err := maskedSampleWith(ss.params, ss.eval, masks[i], zeroShift, req.Evals[i])
 		if err != nil {
 			return err
 		}

@@ -54,7 +54,7 @@ func BenchmarkKofN(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := ot.TransferKofNParallel(g, msgs, indices, 1, rand.Reader); err != nil {
+					if _, err := ot.TransferKofN(g, msgs, indices, rand.Reader); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -64,10 +64,10 @@ func BenchmarkKofN(b *testing.B) {
 	}
 }
 
-// BenchmarkKofNParallel sweeps the worker-pool bound on a wide batch
-// (k=16 of n=64). Per-instance exponentiations dominate, so throughput
-// should scale with cores until the pool saturates them; par=1 is the
-// serial baseline.
+// BenchmarkKofNParallel prices a wide batch (k=16 of n=64). Per-instance
+// exponentiations dominate, so throughput should scale with cores until
+// the pool saturates them; sweep the worker count with -cpu (-cpu 1 is
+// the serial baseline).
 func BenchmarkKofNParallel(b *testing.B) {
 	g := ot.Group512Test()
 	msgs := benchMessages(b, 64)
@@ -75,18 +75,14 @@ func BenchmarkKofNParallel(b *testing.B) {
 	for i := range indices {
 		indices[i] = i * 4
 	}
-	for _, par := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("par=%d", par), func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := ot.TransferKofNParallel(g, msgs, indices, par, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(indices))*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ot.TransferKofN(g, msgs, indices, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
 	}
+	b.ReportMetric(float64(len(indices))*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
 }
 
 // BenchmarkExpG prices the fixed-base window table against generic

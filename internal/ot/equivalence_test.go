@@ -43,22 +43,20 @@ func TestTranscriptsMatchParent(t *testing.T) {
 				for i := range msgs {
 					msgs[i] = []byte(fmt.Sprintf("equivalence-%02d", i))
 				}
-				for _, par := range []int{1, 4} {
-					reg := obs.NewRegistry()
-					prev := obs.SwapDefault(reg)
-					got := transcriptDigest(t, group, msgs, sh.indices, par)
-					obs.SwapDefault(prev)
-					if got != parentTranscripts[name] {
-						t.Errorf("par=%d: transcript digest %s, parent produced %s", par, got, parentTranscripts[name])
-					}
-					// One 1-of-n instance is n+3 scalar multiplications:
-					// g^r, PK0^r and the n−1 C_i^r on the sender, g^x and
-					// R^x on the receiver. Sampling the constraints is not
-					// counted (it never was).
-					want := int64(len(sh.indices) * (sh.n + 3))
-					if exps := reg.Counter(obs.CtrGroupExp); exps != want {
-						t.Errorf("par=%d: %s = %d, want %d", par, obs.CtrGroupExp, exps, want)
-					}
+				reg := obs.NewRegistry()
+				prev := obs.SwapDefault(reg)
+				got := transcriptDigest(t, group, msgs, sh.indices)
+				obs.SwapDefault(prev)
+				if got != parentTranscripts[name] {
+					t.Errorf("transcript digest %s, parent produced %s", got, parentTranscripts[name])
+				}
+				// One 1-of-n instance is n+3 scalar multiplications:
+				// g^r, PK0^r and the n−1 C_i^r on the sender, g^x and
+				// R^x on the receiver. Sampling the constraints is not
+				// counted (it never was).
+				want := int64(len(sh.indices) * (sh.n + 3))
+				if exps := reg.Counter(obs.CtrGroupExp); exps != want {
+					t.Errorf("%s = %d, want %d", obs.CtrGroupExp, exps, want)
 				}
 			})
 		}
@@ -67,14 +65,14 @@ func TestTranscriptsMatchParent(t *testing.T) {
 
 // transcriptDigest runs one k-of-n transfer under a fixed rng stream and
 // hashes its three messages.
-func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int, par int) string {
+func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int) string {
 	t.Helper()
 	rng := newDetReader("naor-pinkas-equivalence")
-	sender, setup, err := NewBatchSenderParallel(group, msgs, len(indices), par, rng)
+	sender, setup, err := NewBatchSender(group, msgs, len(indices), rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, choice, err := NewBatchReceiverParallel(group, len(msgs), indices, setup, par, rng)
+	receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,6 @@ type ExtKofNBatchQuery struct {
 	indices [][]int
 	n       int
 	depth   int
-	par     int
 }
 
 // NewExtKofNBatchQuery opens B k-of-n transfers — one per index set — over
@@ -186,7 +185,7 @@ func NewExtKofNBatchQuery(r *IKNPReceiver, n int, indices [][]int) (*ExtKofNBatc
 	if err != nil {
 		return nil, nil, err
 	}
-	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n, depth: depth, par: r.par}
+	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n, depth: depth}
 	return q, &ExtKofNBatchRequest{IKNP: msg, K: k, N: n, B: len(indices)}, nil
 }
 
@@ -237,9 +236,9 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 	cts := make([]byte, req.B*block)
 	// All randomness (tree keys) was drawn serially above, so sharding
 	// the per-sample tree encryption across workers is pure arithmetic:
-	// the ciphertext blob is bit-identical at every parallelism degree.
+	// the ciphertext blob is bit-identical at every GOMAXPROCS.
 	span := obs.Start(obs.PhaseOTPad)
-	_ = parallel.For(s.par, req.B, func(b int) error {
+	_ = parallel.For(req.B, func(b int) error {
 		encryptInstances(perSample[b], msgs[b], depth, cts[b*block:(b+1)*block])
 		return nil
 	})
@@ -266,7 +265,7 @@ func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, err
 	out := make([][][]byte, len(q.indices))
 	span := obs.Start(obs.PhaseOTPad)
 	defer span.End()
-	err = parallel.For(q.par, len(q.indices), func(b int) error {
+	err = parallel.For(len(q.indices), func(b int) error {
 		stride := b * k * q.depth
 		got, err := recoverSample(resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+k*q.depth], q.indices[b], q.n, q.depth)
 		if err != nil {

@@ -52,8 +52,8 @@ type Element any
 //
 // Element sampling is split into a cheap seed draw and an expensive
 // finish so batch constructors can consume the rng serially — keeping the
-// stream, and hence the wire bytes, deterministic at any parallelism
-// degree — while fanning the heavy part out to workers:
+// stream, and hence the wire bytes, deterministic at any worker
+// count — while fanning the heavy part out to workers:
 // RandomElementSeed consumes the rng, ElementFromSeed is pure.
 type Group interface {
 	// Name returns the flag-friendly group identifier.

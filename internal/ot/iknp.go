@@ -68,7 +68,6 @@ type IKNPSender struct {
 	ciphers []cipher.Block
 	seeds   []byte // κ recovered base seeds, flat 16-byte rows (kept for Snapshot)
 	batch   uint32 // lockstep batch counter: fresh PRG columns per batch
-	par     int    // parallelism degree for the pure fan-out regions
 
 	// Per-batch scratch reused across Respond calls (the response only
 	// references its own fresh Y0/Y1 buffers, never these).
@@ -86,7 +85,6 @@ type IKNPReceiver struct {
 	ciphers0 []cipher.Block
 	ciphers1 []cipher.Block
 	batch    uint32 // lockstep batch counter: fresh PRG columns per batch
-	par      int    // parallelism degree for the pure fan-out regions
 
 	baseSender *Sender // base-phase state, nil once finished
 }
@@ -98,10 +96,9 @@ type IKNPReceiver struct {
 // sender answers batches in Extend order (its lockstep batch counter must
 // advance in the same sequence).
 type IKNPExtension struct {
-	r   []byte // m choice bits, packed
-	m   int
-	t   [][]byte // κ columns of m bits
-	par int
+	r []byte // m choice bits, packed
+	m int
+	t [][]byte // κ columns of m bits
 }
 
 // Base-phase messages: one batch of κ 1-of-2 transfers (naorpinkas.go)
@@ -130,14 +127,10 @@ func (s *IKNPSender) SetPad(PadFunc) {}
 // Deprecated: every session runs the fixed-key AES pad.
 func (r *IKNPReceiver) SetPad(PadFunc) {}
 
-// SetParallelism bounds the worker fan-out of the sender's pure crypto
-// regions (PRG fills, row pads, tree encryption). Randomness is never
-// drawn inside those regions, so wire bytes are bit-identical at every
-// setting; 1 (or 0 meaning all cores, per parallel.Degree) is always safe.
-func (s *IKNPSender) SetParallelism(n int) { s.par = n }
-
-// SetParallelism bounds the receiver's pure fan-out regions.
-func (r *IKNPReceiver) SetParallelism(n int) { r.par = n }
+// SetParallelism does nothing.
+//
+// Deprecated: every fan-out region runs at GOMAXPROCS.
+func (s *IKNPSender) SetParallelism(int) {}
 
 // NewIKNPReceiverBase creates the extension receiver and its base-phase
 // setup message (it acts as the base-OT sender of κ seed pairs).
@@ -177,7 +170,7 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base sender: %w", err)
 	}
-	setups, err := setupsFor([]*Sender{s}, 1)
+	setups, err := setupsFor([]*Sender{s})
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
@@ -202,7 +195,7 @@ func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPS
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receivers, choices, err := chooseAll(group, 2, [][]int{bits}, []*SenderSetup{setup.Setup}, 1, rng)
+	receivers, choices, err := chooseAll(group, 2, [][]int{bits}, []*SenderSetup{setup.Setup}, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
@@ -216,7 +209,7 @@ func (r *IKNPReceiver) BaseRespond(choice *IKNPBaseChoice, rng io.Reader) (*IKNP
 	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfers, err := respondAll([]*Sender{r.baseSender}, choice.Choices, 1, rng)
+	transfers, err := respondAll([]*Sender{r.baseSender}, choice.Choices, rng)
 	if err != nil {
 		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
@@ -237,7 +230,7 @@ func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
 			return fmt.Errorf("%w: base ciphertext %d has length %d, want %d", ErrIKNP, i, len(ct), treeKeyLen)
 		}
 	}
-	seeds, err := recoverAll([]*Receiver{s.baseReceiver}, []*SenderTransfer{tr.Transfer}, 1)
+	seeds, err := recoverAll([]*Receiver{s.baseReceiver}, []*SenderTransfer{tr.Transfer})
 	if err != nil {
 		return fmt.Errorf("ot: iknp base recover: %w", err)
 	}
@@ -295,18 +288,17 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 	}
 	cols := (m + 7) / 8
 	r.batch++
-	ext.par = r.par
 	ext.t = make([][]byte, iknpKappa)
 	tFlat := make([]byte, iknpKappa*cols)
 	uFlat := make([]byte, iknpKappa*cols)
 	span := obs.Start(obs.PhaseOTExtend)
 	batch := r.batch
-	_ = parallel.For(r.par, iknpKappa, func(i int) error {
+	_ = parallel.For(iknpKappa, func(i int) error {
 		// Fresh pseudorandom columns per batch: reusing a column across
 		// two choice vectors would leak r ⊕ r' and repeat pads. The fills
 		// are pure (seeds fixed at the base phase, batch counter already
 		// advanced), so fanning columns across workers keeps the wire
-		// bytes bit-identical at any parallelism.
+		// bytes bit-identical at any GOMAXPROCS.
 		t0 := tFlat[i*cols : (i+1)*cols]
 		prgInto(r.ciphers0[i], i, batch, t0)
 		ext.t[i] = t0
@@ -352,7 +344,7 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 	q := make([][]byte, iknpKappa)
 	span := obs.Start(obs.PhaseOTExtend)
 	batch := s.batch
-	_ = parallel.For(s.par, iknpKappa, func(i int) error {
+	_ = parallel.For(iknpKappa, func(i int) error {
 		qi := qFlat[i*cols : (i+1)*cols]
 		prgInto(s.ciphers[i], i, batch, qi)
 		if getBit(s.s, i) == 1 {
@@ -373,7 +365,7 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 	spanT.End()
 	out := &IKNPSenderMsg{Y0: make([]byte, m*msgLen), Y1: make([]byte, m*msgLen), MsgLen: msgLen}
 	spanP := obs.Start(obs.PhaseOTPad)
-	_ = parallel.For(s.par, m, func(j int) error {
+	_ = parallel.For(m, func(j int) error {
 		rowQ := (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:])
 		rowQS := *rowQ
 		for i := range rowQS {
@@ -402,7 +394,7 @@ func (e *IKNPExtension) Recover(msg *IKNPSenderMsg) ([][]byte, error) {
 	spanT.End()
 	flat := make([]byte, e.m*msgLen)
 	spanP := obs.Start(obs.PhaseOTPad)
-	_ = parallel.For(e.par, e.m, func(j int) error {
+	_ = parallel.For(e.m, func(j int) error {
 		ct := msg.Y0[j*msgLen : (j+1)*msgLen]
 		if getBit(e.r, j) == 1 {
 			ct = msg.Y1[j*msgLen : (j+1)*msgLen]

@@ -34,21 +34,13 @@ type BatchTransfer struct {
 // across a worker pool (internal/parallel) by the instance-slice steps of
 // naorpinkas.go. All randomness is drawn serially before any parallel
 // region, so the rng stream and every message are bit-identical at any
-// parallelism degree.
+// GOMAXPROCS.
 type BatchSender struct {
 	senders []*Sender
-	par     int
 }
 
-// NewBatchSender prepares a k-out-of-n transfer of the given messages
-// using all available cores (parallelism 0 = GOMAXPROCS).
+// NewBatchSender prepares a k-out-of-n transfer of the given messages.
 func NewBatchSender(group Group, msgs [][]byte, k int, rng io.Reader) (*BatchSender, *BatchSetup, error) {
-	return NewBatchSenderParallel(group, msgs, k, 0, rng)
-}
-
-// NewBatchSenderParallel is NewBatchSender with an explicit worker count
-// (<= 0 selects GOMAXPROCS, 1 forces the serial path).
-func NewBatchSenderParallel(group Group, msgs [][]byte, k, parallelism int, rng io.Reader) (*BatchSender, *BatchSetup, error) {
 	span := obs.Start(obs.PhaseOTSenderSetup)
 	defer span.End()
 	if k < 1 || k > len(msgs) {
@@ -73,12 +65,12 @@ func NewBatchSenderParallel(group Group, msgs [][]byte, k, parallelism int, rng 
 		}
 		senders[i] = s
 	}
-	setups, err := setupsFor(senders, parallelism)
+	setups, err := setupsFor(senders)
 	if err != nil {
 		return nil, nil, err
 	}
 	obs.Add(obs.CtrOTInstances, int64(k))
-	return &BatchSender{senders: senders, par: parallelism}, &BatchSetup{Setups: setups}, nil
+	return &BatchSender{senders: senders}, &BatchSetup{Setups: setups}, nil
 }
 
 // Respond consumes the receiver's batched choice.
@@ -88,7 +80,7 @@ func (bs *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransf
 	if choice == nil || len(choice.Choices) != len(bs.senders) {
 		return nil, fmt.Errorf("%w: want %d choices", ErrBadMessage, len(bs.senders))
 	}
-	transfers, err := respondAll(bs.senders, choice.Choices, bs.par, rng)
+	transfers, err := respondAll(bs.senders, choice.Choices, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -98,18 +90,11 @@ func (bs *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransf
 // BatchReceiver runs the receiver role of a k-out-of-n transfer.
 type BatchReceiver struct {
 	receivers []*Receiver
-	par       int
 }
 
 // NewBatchReceiver prepares the receiver's choice of the (distinct) indices
-// among n messages using all available cores (parallelism 0 = GOMAXPROCS).
+// among n messages.
 func NewBatchReceiver(group Group, n int, indices []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
-	return NewBatchReceiverParallel(group, n, indices, setup, 0, rng)
-}
-
-// NewBatchReceiverParallel is NewBatchReceiver with an explicit worker
-// count (<= 0 selects GOMAXPROCS, 1 forces the serial path).
-func NewBatchReceiverParallel(group Group, n int, indices []int, setup *BatchSetup, parallelism int, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
 	span := obs.Start(obs.PhaseOTReceiverChoice)
 	defer span.End()
 	if setup == nil || len(setup.Setups) != len(indices) {
@@ -126,11 +111,11 @@ func NewBatchReceiverParallel(group Group, n int, indices []int, setup *BatchSet
 	for i := range sigmas {
 		sigmas[i] = indices[i : i+1 : i+1]
 	}
-	receivers, choices, err := chooseAll(group, n, sigmas, setup.Setups, parallelism, rng)
+	receivers, choices, err := chooseAll(group, n, sigmas, setup.Setups, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &BatchReceiver{receivers: receivers, par: parallelism}, &BatchChoice{Choices: choices}, nil
+	return &BatchReceiver{receivers: receivers}, &BatchChoice{Choices: choices}, nil
 }
 
 // Recover decrypts the k chosen messages, in choice order.
@@ -140,7 +125,7 @@ func (br *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	if tr == nil || len(tr.Transfers) != len(br.receivers) {
 		return nil, fmt.Errorf("%w: want %d transfers", ErrBadMessage, len(br.receivers))
 	}
-	return recoverAll(br.receivers, tr.Transfers, br.par)
+	return recoverAll(br.receivers, tr.Transfers)
 }
 
 // Transfer1of2 runs a complete in-memory 1-out-of-2 transfer: the receiver
@@ -170,16 +155,11 @@ func Transfer1ofN(group Group, msgs [][]byte, sigma int, rng io.Reader) ([]byte,
 
 // TransferKofN runs a complete in-memory k-out-of-n transfer.
 func TransferKofN(group Group, msgs [][]byte, indices []int, rng io.Reader) ([][]byte, error) {
-	return TransferKofNParallel(group, msgs, indices, 0, rng)
-}
-
-// TransferKofNParallel is TransferKofN with an explicit worker count.
-func TransferKofNParallel(group Group, msgs [][]byte, indices []int, parallelism int, rng io.Reader) ([][]byte, error) {
-	sender, setup, err := NewBatchSenderParallel(group, msgs, len(indices), parallelism, rng)
+	sender, setup, err := NewBatchSender(group, msgs, len(indices), rng)
 	if err != nil {
 		return nil, err
 	}
-	receiver, choice, err := NewBatchReceiverParallel(group, len(msgs), indices, setup, parallelism, rng)
+	receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/ec25519"
 	"repro/internal/field/limb"
 	"repro/internal/ot"
+	"repro/internal/parallel/paralleltest"
 )
 
 // wireOfLE returns the wire integer of a compressed point given as a
@@ -82,11 +83,11 @@ func TestMalformedElementsRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		indices := []int{sigma, 0, 3}
-		bSender, bSetup, err := ot.NewBatchSenderParallel(g, msgs, len(indices), 4, rand.Reader)
+		bSender, bSetup, err := ot.NewBatchSender(g, msgs, len(indices), rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bReceiver, bChoice, err := ot.NewBatchReceiverParallel(g, n, indices, bSetup, 4, rand.Reader)
+		bReceiver, bChoice, err := ot.NewBatchReceiver(g, n, indices, bSetup, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestMalformedElementsRejected(t *testing.T) {
 				cs := append([]*big.Int(nil), setups[last].Cs...)
 				cs[0] = x
 				setups[last] = &ot.SenderSetup{Cs: cs}
-				_, _, err = ot.NewBatchReceiverParallel(g, n, indices, &ot.BatchSetup{Setups: setups}, 4, rand.Reader)
+				_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Setups: setups}, rand.Reader)
 				want("batch NewReceiver(C_j)", err)
 			})
 		}
@@ -245,11 +246,11 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 // process down. After each refusal an honest batch on the same session
 // still completes.
 func TestMalformedExtKofNResponseRejected(t *testing.T) {
+	paralleltest.SetProcs(t, 4)
 	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver.SetParallelism(4)
 	const n, msgLen = 6, 8
 	batch := func(t *testing.T, indices [][]int) (*ot.ExtKofNBatchQuery, *ot.ExtKofNBatchResponse, [][][]byte) {
 		t.Helper()

@@ -58,7 +58,7 @@ type SenderTransfer struct {
 //	recoverAll  m multiplications of R, from one table of R once m is large; 1 decode
 //
 // Every step draws its randomness serially and first (so the rng stream,
-// and hence every message, is the same at any parallelism), decodes what
+// and hence every message, is the same at any GOMAXPROCS), decodes what
 // it received and does its group arithmetic on decoded elements inside the
 // worker pool, one batch per task, and encodes everything it sends or
 // hashes in a single Group.Encode call.
@@ -120,7 +120,7 @@ func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup
 	if err != nil {
 		return nil, nil, err
 	}
-	setups, err := setupsFor([]*Sender{s}, 1)
+	setups, err := setupsFor([]*Sender{s})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,10 +129,10 @@ func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup
 
 // setupsFor finishes each batch's seeds into constraint elements and
 // encodes them. All senders share one group and one message count.
-func setupsFor(senders []*Sender, par int) ([]*SenderSetup, error) {
+func setupsFor(senders []*Sender) ([]*SenderSetup, error) {
 	group, stride := senders[0].group, len(senders[0].seeds)
 	elems := make([]Element, len(senders)*stride)
-	_ = parallel.For(par, len(senders), func(i int) error {
+	_ = parallel.For(len(senders), func(i int) error {
 		for j, seed := range senders[i].seeds {
 			elems[i*stride+j] = group.ElementFromSeed(seed)
 		}
@@ -151,7 +151,7 @@ func setupsFor(senders []*Sender, par int) ([]*SenderSetup, error) {
 
 // Respond consumes the receiver's choice and produces the ciphertexts.
 func (s *Sender) Respond(choice *ReceiverChoice, rng io.Reader) (*SenderTransfer, error) {
-	transfers, err := respondAll([]*Sender{s}, []*ReceiverChoice{choice}, 1, rng)
+	transfers, err := respondAll([]*Sender{s}, []*ReceiverChoice{choice}, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func batchStarts[B any](batches []B, size func(B) int) []int {
 // respondAll answers the choices with the senders' batches: choices holds
 // one choice per instance, batch by batch. All senders share one group and
 // one message count.
-func respondAll(senders []*Sender, choices []*ReceiverChoice, par int, rng io.Reader) ([]*SenderTransfer, error) {
+func respondAll(senders []*Sender, choices []*ReceiverChoice, rng io.Reader) ([]*SenderTransfer, error) {
 	group, n := senders[0].group, len(senders[0].msgs[0])
 	starts := batchStarts(senders, func(s *Sender) int { return len(s.msgs) })
 	if len(choices) != starts[len(senders)] {
@@ -189,7 +189,7 @@ func respondAll(senders []*Sender, choices []*ReceiverChoice, par int, rng io.Re
 	// instance in slot order.
 	elemRange := func(b int) (int, int) { return b + starts[b]*n, b + 1 + starts[b+1]*n }
 	elems := make([]Element, len(senders)+starts[len(senders)]*n)
-	err := parallel.For(par, len(senders), func(b int) error {
+	err := parallel.For(len(senders), func(b int) error {
 		s, r := senders[b], rs[b]
 		pk0s := make([]Element, len(s.msgs))
 		for i := range pk0s {
@@ -229,7 +229,7 @@ func respondAll(senders []*Sender, choices []*ReceiverChoice, par int, rng io.Re
 		return nil, err
 	}
 	transfers := make([]*SenderTransfer, len(senders))
-	_ = parallel.For(par, len(senders), func(b int) error {
+	_ = parallel.For(len(senders), func(b int) error {
 		lo, hi := elemRange(b)
 		w := wire[lo:hi]
 		cts := make([][]byte, len(senders[b].msgs)*n)
@@ -256,7 +256,7 @@ type Receiver struct {
 // NewReceiver prepares the receiver's choice of index sigma among n
 // messages, given the sender's setup.
 func NewReceiver(group Group, n, sigma int, setup *SenderSetup, rng io.Reader) (*Receiver, *ReceiverChoice, error) {
-	receivers, choices, err := chooseAll(group, n, [][]int{{sigma}}, []*SenderSetup{setup}, 1, rng)
+	receivers, choices, err := chooseAll(group, n, [][]int{{sigma}}, []*SenderSetup{setup}, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -266,7 +266,7 @@ func NewReceiver(group Group, n, sigma int, setup *SenderSetup, rng io.Reader) (
 // chooseAll prepares, for each batch b, the choices sigmas[b] among n
 // messages against setups[b], returning one choice per instance, batch by
 // batch.
-func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, par int, rng io.Reader) ([]*Receiver, []*ReceiverChoice, error) {
+func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, rng io.Reader) ([]*Receiver, []*ReceiverChoice, error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
 	}
@@ -290,7 +290,7 @@ func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, par in
 		receivers[b] = rc
 	}
 	pk0s := make([]Element, starts[len(sigmas)])
-	err := parallel.For(par, len(receivers), func(b int) error {
+	err := parallel.For(len(receivers), func(b int) error {
 		// Every constraint is decoded — that is its validation — though
 		// only the chosen ones enter the arithmetic.
 		cs := make([]Element, n-1)
@@ -329,7 +329,7 @@ func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, par in
 
 // Recover decrypts the chosen message from the sender's transfer.
 func (r *Receiver) Recover(tr *SenderTransfer) ([]byte, error) {
-	out, err := recoverAll([]*Receiver{r}, []*SenderTransfer{tr}, 1)
+	out, err := recoverAll([]*Receiver{r}, []*SenderTransfer{tr})
 	if err != nil {
 		return nil, err
 	}
@@ -338,11 +338,11 @@ func (r *Receiver) Recover(tr *SenderTransfer) ([]byte, error) {
 
 // recoverAll decrypts the chosen message of every instance, batch b from
 // transfers[b], in the flat instance order. All receivers share one group.
-func recoverAll(receivers []*Receiver, transfers []*SenderTransfer, par int) ([][]byte, error) {
+func recoverAll(receivers []*Receiver, transfers []*SenderTransfer) ([][]byte, error) {
 	group := receivers[0].group
 	starts := batchStarts(receivers, func(r *Receiver) int { return len(r.sigmas) })
 	keys := make([]Element, starts[len(receivers)])
-	err := parallel.For(par, len(receivers), func(b int) error {
+	err := parallel.For(len(receivers), func(b int) error {
 		rc, tr := receivers[b], transfers[b]
 		if tr == nil {
 			return instanceErr(starts[b], fmt.Errorf("%w: missing transfer", ErrBadMessage))

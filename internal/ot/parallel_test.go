@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+
+	"repro/internal/parallel/paralleltest"
 )
 
 // detReader is a deterministic byte stream (SHA-256 in counter mode) so two
@@ -67,7 +69,7 @@ func TestExpGMatchesExp(t *testing.T) {
 }
 
 // TestKofNParallelRoundTrip runs the batch transfer across worker counts,
-// checking the recovered messages at each degree.
+// checking the recovered messages at each.
 func TestKofNParallelRoundTrip(t *testing.T) {
 	for _, group := range []Group{Group512Test(), X25519()} {
 		t.Run(group.Name(), func(t *testing.T) {
@@ -76,14 +78,15 @@ func TestKofNParallelRoundTrip(t *testing.T) {
 				msgs[i] = []byte(fmt.Sprintf("message-%02d", i))
 			}
 			indices := []int{6, 0, 3}
-			for _, par := range []int{0, 1, 2, 4, 8} {
-				got, err := TransferKofNParallel(group, msgs, indices, par, rand.Reader)
+			for _, procs := range []int{1, 2, 4, 8} {
+				paralleltest.SetProcs(t, procs)
+				got, err := TransferKofN(group, msgs, indices, rand.Reader)
 				if err != nil {
-					t.Fatalf("par=%d: %v", par, err)
+					t.Fatalf("procs=%d: %v", procs, err)
 				}
 				for j, idx := range indices {
 					if !bytes.Equal(got[j], msgs[idx]) {
-						t.Fatalf("par=%d: recovered[%d] = %q, want %q", par, j, got[j], msgs[idx])
+						t.Fatalf("procs=%d: recovered[%d] = %q, want %q", procs, j, got[j], msgs[idx])
 					}
 				}
 			}
@@ -92,7 +95,7 @@ func TestKofNParallelRoundTrip(t *testing.T) {
 }
 
 // TestKofNParallelDeterministic checks that every protocol message is
-// bit-identical across parallelism degrees when the rng stream is fixed:
+// bit-identical across GOMAXPROCS settings when the rng stream is fixed:
 // randomness is drawn serially, only the exponentiations fan out.
 func TestKofNParallelDeterministic(t *testing.T) {
 	for _, group := range []Group{Group512Test(), X25519()} {
@@ -112,54 +115,55 @@ func testKofNDeterministic(t *testing.T, group Group) {
 		choices   []*ReceiverChoice
 		transfers []*SenderTransfer
 	}
-	runOnce := func(par int) trace {
+	runOnce := func(procs int) trace {
+		paralleltest.SetProcs(t, procs)
 		rng := newDetReader("kofn-determinism")
-		sender, setup, err := NewBatchSenderParallel(group, msgs, len(indices), par, rng)
+		sender, setup, err := NewBatchSender(group, msgs, len(indices), rng)
 		if err != nil {
-			t.Fatalf("par=%d sender: %v", par, err)
+			t.Fatalf("procs=%d sender: %v", procs, err)
 		}
-		receiver, choice, err := NewBatchReceiverParallel(group, len(msgs), indices, setup, par, rng)
+		receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
 		if err != nil {
-			t.Fatalf("par=%d receiver: %v", par, err)
+			t.Fatalf("procs=%d receiver: %v", procs, err)
 		}
 		tr, err := sender.Respond(choice, rng)
 		if err != nil {
-			t.Fatalf("par=%d respond: %v", par, err)
+			t.Fatalf("procs=%d respond: %v", procs, err)
 		}
 		out, err := receiver.Recover(tr)
 		if err != nil {
-			t.Fatalf("par=%d recover: %v", par, err)
+			t.Fatalf("procs=%d recover: %v", procs, err)
 		}
 		for j, idx := range indices {
 			if !bytes.Equal(out[j], msgs[idx]) {
-				t.Fatalf("par=%d: wrong message %d", par, j)
+				t.Fatalf("procs=%d: wrong message %d", procs, j)
 			}
 		}
 		return trace{setups: setup.Setups, choices: choice.Choices, transfers: tr.Transfers}
 	}
 
 	base := runOnce(1)
-	for _, par := range []int{2, 4, 0} {
-		got := runOnce(par)
+	for _, procs := range []int{2, 4} {
+		got := runOnce(procs)
 		for i := range base.setups {
 			for j := range base.setups[i].Cs {
 				if base.setups[i].Cs[j].Cmp(got.setups[i].Cs[j]) != 0 {
-					t.Fatalf("par=%d: setup %d constraint %d differs", par, i, j)
+					t.Fatalf("procs=%d: setup %d constraint %d differs", procs, i, j)
 				}
 			}
 		}
 		for i := range base.choices {
 			if base.choices[i].PK0.Cmp(got.choices[i].PK0) != 0 {
-				t.Fatalf("par=%d: choice %d differs", par, i)
+				t.Fatalf("procs=%d: choice %d differs", procs, i)
 			}
 		}
 		for i := range base.transfers {
 			if base.transfers[i].R.Cmp(got.transfers[i].R) != 0 {
-				t.Fatalf("par=%d: transfer %d R differs", par, i)
+				t.Fatalf("procs=%d: transfer %d R differs", procs, i)
 			}
 			for j := range base.transfers[i].Cts {
 				if !bytes.Equal(base.transfers[i].Cts[j], got.transfers[i].Cts[j]) {
-					t.Fatalf("par=%d: transfer %d ciphertext %d differs", par, i, j)
+					t.Fatalf("procs=%d: transfer %d ciphertext %d differs", procs, i, j)
 				}
 			}
 		}
@@ -173,11 +177,12 @@ func TestBatchRespondBadChoiceParallel(t *testing.T) {
 	group := Group512Test()
 	msgs := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc"), []byte("dd")}
 	indices := []int{0, 2}
-	sender, setup, err := NewBatchSenderParallel(group, msgs, len(indices), 4, rand.Reader)
+	paralleltest.SetProcs(t, 4)
+	sender, setup, err := NewBatchSender(group, msgs, len(indices), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, choice, err := NewBatchReceiverParallel(group, len(msgs), indices, setup, 4, rand.Reader)
+	_, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

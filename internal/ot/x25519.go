@@ -32,7 +32,7 @@ import (
 // messages; it is the *receiver* who must not know their logarithms, and
 // it sees only the points (DESIGN.md §11). The seed/finish split lets
 // batch constructors draw s serially and run the scalar multiplications
-// in parallel, keeping wire bytes deterministic at any parallelism.
+// in parallel, keeping wire bytes deterministic at any worker count.
 type X25519Group struct{}
 
 // X25519 returns the edwards25519 OT group backend.

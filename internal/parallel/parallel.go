@@ -8,7 +8,7 @@
 // drawn inside a parallel region: callers pre-draw every rng value in the
 // exact order the serial code would, then fan the deterministic arithmetic
 // out across workers. Results are therefore bit-identical at every
-// parallelism degree given the same rng stream (see DESIGN.md §7).
+// GOMAXPROCS given the same rng stream (see DESIGN.md §7).
 package parallel
 
 import (
@@ -17,35 +17,22 @@ import (
 	"sync/atomic"
 )
 
-// Degree resolves a parallelism setting to a worker count: values <= 0
-// select GOMAXPROCS (use all available cores), 1 forces the serial path,
-// and larger values request exactly that many workers.
-func Degree(n int) int {
-	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
-}
-
 // For runs fn(i) for every i in [0, n), distributing iterations across
-// min(Degree(degree), n) workers. Iterations are handed out one index at a
+// min(GOMAXPROCS, n) workers. Iterations are handed out one index at a
 // time from an atomic counter, which balances uneven per-item cost (big.Int
 // work varies with operand values) without any chunk tuning.
 //
 // Error handling is deadlock-free by construction: the first failure sets a
 // flag that stops workers from claiming new iterations, every worker exits
 // on its own (nothing blocks on a channel), and For returns the error with
-// the lowest iteration index among those that were reported. With degree 1
-// the loop runs inline and matches a plain serial for-loop exactly,
+// the lowest iteration index among those that were reported. With one
+// worker the loop runs inline and matches a plain serial for-loop exactly,
 // including which error is returned.
-func For(degree, n int, fn func(i int) error) error {
+func For(n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers := Degree(degree)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			if err := fn(i); err != nil {

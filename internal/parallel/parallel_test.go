@@ -3,31 +3,19 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/parallel/paralleltest"
 )
 
-func TestDegree(t *testing.T) {
-	if got := Degree(0); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Degree(0) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	if got := Degree(-3); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("Degree(-3) = %d, want GOMAXPROCS = %d", got, runtime.GOMAXPROCS(0))
-	}
-	for _, n := range []int{1, 2, 7, 64} {
-		if got := Degree(n); got != n {
-			t.Fatalf("Degree(%d) = %d", n, got)
-		}
-	}
-}
-
 func TestForCoversAllIndices(t *testing.T) {
-	for _, degree := range []int{0, 1, 2, 3, 8, 100} {
+	for _, procs := range []int{1, 2, 3, 8, 100} {
+		paralleltest.SetProcs(t, procs)
 		for _, n := range []int{0, 1, 2, 5, 97} {
 			var hits atomic.Int64
 			seen := make([]atomic.Bool, n)
-			err := For(degree, n, func(i int) error {
+			err := For(n, func(i int) error {
 				if i < 0 || i >= n {
 					return fmt.Errorf("index %d out of range", i)
 				}
@@ -38,19 +26,20 @@ func TestForCoversAllIndices(t *testing.T) {
 				return nil
 			})
 			if err != nil {
-				t.Fatalf("degree=%d n=%d: %v", degree, n, err)
+				t.Fatalf("procs=%d n=%d: %v", procs, n, err)
 			}
 			if int(hits.Load()) != n {
-				t.Fatalf("degree=%d n=%d: %d iterations ran", degree, n, hits.Load())
+				t.Fatalf("procs=%d n=%d: %d iterations ran", procs, n, hits.Load())
 			}
 		}
 	}
 }
 
 func TestForSerialErrorStopsEarly(t *testing.T) {
+	paralleltest.SetProcs(t, 1)
 	boom := errors.New("boom")
 	ran := 0
-	err := For(1, 10, func(i int) error {
+	err := For(10, func(i int) error {
 		ran++
 		if i == 3 {
 			return boom
@@ -68,10 +57,11 @@ func TestForSerialErrorStopsEarly(t *testing.T) {
 func TestForParallelReportsLowestIndexError(t *testing.T) {
 	// Every iteration fails with an index-tagged error; the winner must be
 	// the lowest index that actually ran, and the call must not deadlock.
+	paralleltest.SetProcs(t, 8)
 	for trial := 0; trial < 20; trial++ {
 		var lowest atomic.Int64
 		lowest.Store(1 << 30)
-		err := For(8, 50, func(i int) error {
+		err := For(50, func(i int) error {
 			for {
 				cur := lowest.Load()
 				if int64(i) >= cur || lowest.CompareAndSwap(cur, int64(i)) {
@@ -91,7 +81,7 @@ func TestForParallelReportsLowestIndexError(t *testing.T) {
 }
 
 func TestForEmpty(t *testing.T) {
-	if err := For(4, 0, func(int) error { return errors.New("must not run") }); err != nil {
+	if err := For(0, func(int) error { return errors.New("must not run") }); err != nil {
 		t.Fatal(err)
 	}
 }

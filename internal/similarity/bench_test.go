@@ -12,7 +12,8 @@ import (
 
 // BenchmarkKernelSimilarity times one in-process kernelized evaluation
 // (§V-C) between two cubic models trained on the full synthetic diabetes
-// set (seeds 31 and 32), over x25519 at parallelism 1. Alice answers one
+// set (seeds 31 and 32), over x25519 at GOMAXPROCS (-cpu 1 for the serial
+// figure). Alice answers one
 // centroid round and |S_B| normal rounds, each evaluating her polynomial
 // Σ_s αyA_s·(a0·xA_s·z + b0)^p at every request point.
 func BenchmarkKernelSimilarity(b *testing.B) {
@@ -31,7 +32,7 @@ func BenchmarkKernelSimilarity(b *testing.B) {
 		}
 	}
 	b.Logf("|S_A| = %d, |S_B| = %d", len(models[0].SupportVectors), len(models[1].SupportVectors))
-	params := similarity.Params{Group: ot.X25519(), Parallelism: 1}
+	params := similarity.Params{Group: ot.X25519()}
 	for i := 0; i < b.N; i++ {
 		if _, err := similarity.EvaluatePrivateKernel(models[0], models[1], params, rand.Reader); err != nil {
 			b.Fatal(err)

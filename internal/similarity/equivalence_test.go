@@ -85,28 +85,23 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	}
 	for _, tc := range linear {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, par := range []int{1, 4} {
-				params := tc.params
-				params.Parallelism = par
-				aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
-				alice, err := similarity.NewAlice(wA, bA, params, aliceRng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				spec := alice.Spec()
-				bob, err := similarity.NewBob(spec, wB, bB)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bob.SetParallelism(par)
-				clear := bob.ClearShare()
-				if err := alice.HandleClearShare(clear); err != nil {
-					t.Fatal(err)
-				}
-				rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
-				got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear}, rounds, aliceRng, bobRng)
-				checkTranscript(t, tc.name, par, got, res, want, 1e-4)
+			aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
+			alice, err := similarity.NewAlice(wA, bA, tc.params, aliceRng)
+			if err != nil {
+				t.Fatal(err)
 			}
+			spec := alice.Spec()
+			bob, err := similarity.NewBob(spec, wB, bB)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clear := bob.ClearShare()
+			if err := alice.HandleClearShare(clear); err != nil {
+				t.Fatal(err)
+			}
+			rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
+			got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear}, rounds, aliceRng, bobRng)
+			checkTranscript(t, tc.name, got, res, want, 1e-4)
 		})
 	}
 	t.Run("kernel/diabetes-poly", func(t *testing.T) {
@@ -115,47 +110,44 @@ func TestTranscriptsMatchParent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, par := range []int{1, 4} {
-			aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
-			alice, err := similarity.NewKernelAlice(modelA, similarity.Params{Group: ot.Group512Test(), Parallelism: par}, aliceRng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := alice.Spec()
-			bob, err := similarity.NewKernelBob(spec, modelB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bob.SetParallelism(par)
-			clear := bob.ClearShare()
-			if err := alice.HandleClearShare(clear); err != nil {
-				t.Fatal(err)
-			}
-			scale, err := alice.AnnounceAreaScale()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := bob.SetAreaScale(scale); err != nil {
-				t.Fatal(err)
-			}
-			rounds := []similarity.Round{similarity.RoundCentroid}
-			for range modelB.SupportVectors {
-				rounds = append(rounds, similarity.RoundNormal)
-			}
-			rounds = append(rounds, similarity.RoundArea)
-			got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear, scale}, rounds, aliceRng, bobRng)
-			checkTranscript(t, "kernel/diabetes-poly", par, got, res, want, 2e-3)
+		aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
+		alice, err := similarity.NewKernelAlice(modelA, similarity.Params{Group: ot.Group512Test()}, aliceRng)
+		if err != nil {
+			t.Fatal(err)
 		}
+		spec := alice.Spec()
+		bob, err := similarity.NewKernelBob(spec, modelB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clear := bob.ClearShare()
+		if err := alice.HandleClearShare(clear); err != nil {
+			t.Fatal(err)
+		}
+		scale, err := alice.AnnounceAreaScale()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := bob.SetAreaScale(scale); err != nil {
+			t.Fatal(err)
+		}
+		rounds := []similarity.Round{similarity.RoundCentroid}
+		for range modelB.SupportVectors {
+			rounds = append(rounds, similarity.RoundNormal)
+		}
+		rounds = append(rounds, similarity.RoundArea)
+		got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear, scale}, rounds, aliceRng, bobRng)
+		checkTranscript(t, "kernel/diabetes-poly", got, res, want, 2e-3)
 	})
 }
 
-func checkTranscript(t *testing.T, name string, par int, got string, res, want *similarity.Result, tol float64) {
+func checkTranscript(t *testing.T, name, got string, res, want *similarity.Result, tol float64) {
 	t.Helper()
 	if got != parentTranscripts[name] {
-		t.Errorf("par=%d: transcript digest %s, parent produced %s", par, got, parentTranscripts[name])
+		t.Errorf("transcript digest %s, parent produced %s", got, parentTranscripts[name])
 	}
 	if math.Abs(res.TSquared-want.TSquared) > tol*(1+math.Abs(want.TSquared)) {
-		t.Errorf("par=%d: T² private %g, plaintext %g", par, res.TSquared, want.TSquared)
+		t.Errorf("T² private %g, plaintext %g", res.TSquared, want.TSquared)
 	}
 }
 

@@ -35,10 +35,9 @@ type Params struct {
 	// requires a FracBits small enough for the protocol to fit 255 bits.
 	// Alice's choice is published in the Spec, so Bob follows it.
 	FieldBackend field.Backend
-	// Parallelism bounds each endpoint's local worker pool (<= 0 selects
-	// GOMAXPROCS, 1 forces the serial path). Local performance knob only:
-	// it is not part of the Spec, and protocol messages are bit-identical
-	// at any degree given the same randomness stream.
+	// Parallelism is ignored.
+	//
+	// Deprecated: every fan-out region runs at GOMAXPROCS.
 	Parallelism int
 }
 
@@ -245,7 +244,7 @@ func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, e
 	if err != nil {
 		return nil, err
 	}
-	r, err := newResponder(spec, 1, params.Parallelism, rng)
+	r, err := newResponder(spec, 1, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -303,6 +302,11 @@ type Bob struct {
 	clear ClearShare
 }
 
+// SetParallelism does nothing.
+//
+// Deprecated: every fan-out region runs at GOMAXPROCS.
+func (b *Bob) SetParallelism(int) {}
+
 // NewBob prepares the requester from Alice's public spec and Bob's own
 // linear model (wB, bB).
 func NewBob(spec Spec, wB []float64, bB float64) (*Bob, error) {
@@ -343,7 +347,6 @@ func EvaluatePrivate(wA []float64, bA float64, wB []float64, bB float64, params 
 	if err != nil {
 		return nil, err
 	}
-	bob.SetParallelism(params.Parallelism)
 	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
 		return nil, err
 	}

@@ -119,7 +119,7 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if err != nil {
 		return nil, err
 	}
-	r, err := newResponder(spec.Spec, model.Kernel.Degree, params.Parallelism, rng)
+	r, err := newResponder(spec.Spec, model.Kernel.Degree, rng)
 	if err != nil {
 		return nil, err
 	}
@@ -323,7 +323,6 @@ func EvaluatePrivateKernel(modelA, modelB *svm.Model, params Params, rng io.Read
 	if err != nil {
 		return nil, err
 	}
-	bob.SetParallelism(params.Parallelism)
 	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
 		return nil, err
 	}

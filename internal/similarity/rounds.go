@@ -59,7 +59,7 @@ type responder struct {
 }
 
 // newResponder draws Alice's randomisers for one evaluation.
-func newResponder(spec Spec, dotDegree, parallelism int, rng io.Reader) (responder, error) {
+func newResponder(spec Spec, dotDegree int, rng io.Reader) (responder, error) {
 	codec, err := spec.Codec()
 	if err != nil {
 		return responder{}, err
@@ -68,7 +68,6 @@ func newResponder(spec Spec, dotDegree, parallelism int, rng io.Reader) (respond
 	if err != nil {
 		return responder{}, err
 	}
-	params.Parallelism = parallelism
 	f := codec.Field()
 	bound := new(big.Int).Lsh(big.NewInt(1), uint(spec.AmplifierBits))
 	ram, err := f.RandBounded(rng, bound)
@@ -262,11 +261,6 @@ func newRequester(spec Spec, dotDegree int, centroid []float64, normals [][]floa
 		round: RoundCentroid, x2: new(big.Int),
 	}, nil
 }
-
-// SetParallelism bounds Bob's local worker pool (<= 0 selects GOMAXPROCS,
-// 1 forces the serial path). Purely local: it does not change any protocol
-// message given the same randomness stream.
-func (b *requester) SetParallelism(n int) { b.params.Parallelism = n }
 
 // NextRound reports the round Bob runs next (past RoundArea once the
 // evaluation is complete).

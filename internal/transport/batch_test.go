@@ -19,6 +19,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/ot"
+	"repro/internal/parallel/paralleltest"
 	"repro/internal/transport"
 )
 
@@ -277,13 +278,11 @@ func (rc *recordingConn) Read(p []byte) (int, error) {
 // runDeterministicBatch performs one complete fast-batch exchange with
 // fixed randomness on both sides and returns the client's wire bytes in
 // each direction.
-func runDeterministicBatch(t *testing.T, parallelism int, samples [][]float64) (sent, received []byte) {
+func runDeterministicBatch(t *testing.T, procs int, samples [][]float64) (sent, received []byte) {
 	t.Helper()
+	paralleltest.SetProcs(t, procs)
 	model, _ := trainLinear(t, 25)
-	trainer, err := classify.NewTrainer(model, classify.Params{
-		Group:       ot.Group512Test(),
-		Parallelism: parallelism,
-	})
+	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +316,7 @@ func runDeterministicBatch(t *testing.T, parallelism int, samples [][]float64) (
 }
 
 // TestBatchWireDeterminism: with fixed randomness, batch-mode wire bytes
-// must be bit-identical across runs and across parallelism levels — the
+// must be bit-identical across runs and across GOMAXPROCS settings — the
 // serial-rng discipline means worker fan-out touches only pure arithmetic.
 func TestBatchWireDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -333,10 +332,10 @@ func TestBatchWireDeterminism(t *testing.T) {
 		t.Fatal("identical runs produced different wire bytes")
 	}
 	if !bytes.Equal(sent1, sent4) {
-		t.Fatal("client wire bytes differ across server parallelism")
+		t.Fatal("client wire bytes differ across GOMAXPROCS")
 	}
 	if !bytes.Equal(recv1, recv4) {
-		t.Fatal("server wire bytes differ across parallelism (worker fan-out leaked into randomness order)")
+		t.Fatal("server wire bytes differ across GOMAXPROCS (worker fan-out leaked into randomness order)")
 	}
 }
 

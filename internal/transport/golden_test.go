@@ -95,7 +95,7 @@ func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	opts := transport.Options{FieldBackend: sc.backend}
 
 	model, test := trainLinear(t, 91)
-	params := classify.Params{Group: group, Parallelism: 1}
+	params := classify.Params{Group: group}
 	if sc.backend == "limb" {
 		params.FieldBackend = field.BackendLimb
 	}

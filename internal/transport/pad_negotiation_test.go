@@ -2,7 +2,7 @@ package transport_test
 
 // The OT pad over real sessions: every session runs the fixed-key AES
 // pad whatever the deprecated Options.PadFunc says, and its wire bytes
-// stay deterministic across server parallelism.
+// stay deterministic across GOMAXPROCS.
 
 import (
 	"bytes"
@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/ot"
+	"repro/internal/parallel/paralleltest"
 	"repro/internal/transport"
 )
 
@@ -77,13 +78,11 @@ func TestPadNegotiationMatrix(t *testing.T) {
 
 // runDeterministicAESBatch is runDeterministicBatch with the deprecated
 // client pad option set to clientPad.
-func runDeterministicAESBatch(t *testing.T, parallelism int, clientPad string, samples [][]float64) (sent, received []byte) {
+func runDeterministicAESBatch(t *testing.T, procs int, clientPad string, samples [][]float64) (sent, received []byte) {
 	t.Helper()
+	paralleltest.SetProcs(t, procs)
 	model, _ := trainLinear(t, 43)
-	trainer, err := classify.NewTrainer(model, classify.Params{
-		Group:       ot.Group512Test(),
-		Parallelism: parallelism,
-	})
+	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func runDeterministicAESBatch(t *testing.T, parallelism int, clientPad string, s
 }
 
 // TestBatchWireDeterminismAESPad: the serial-rng discipline must hold on
-// the AES pad path — wire bytes bit-identical across server parallelism
+// the AES pad path — wire bytes bit-identical across GOMAXPROCS
 // with fixed randomness — and the deprecated Options.PadFunc must be a
 // no-op, so "aes" and "" give byte-identical transcripts.
 func TestBatchWireDeterminismAESPad(t *testing.T) {
@@ -130,10 +129,10 @@ func TestBatchWireDeterminismAESPad(t *testing.T) {
 	sent1, recv1 := runDeterministicAESBatch(t, 1, "aes", samples)
 	sent4, recv4 := runDeterministicAESBatch(t, 4, "aes", samples)
 	if !bytes.Equal(sent1, sent4) {
-		t.Fatal("client wire bytes differ across server parallelism (AES pad)")
+		t.Fatal("client wire bytes differ across GOMAXPROCS (AES pad)")
 	}
 	if !bytes.Equal(recv1, recv4) {
-		t.Fatal("server wire bytes differ across parallelism (AES pad fan-out leaked into randomness order)")
+		t.Fatal("server wire bytes differ across GOMAXPROCS (AES pad fan-out leaked into randomness order)")
 	}
 	sentDefault, recvDefault := runDeterministicAESBatch(t, 1, "", samples)
 	if !bytes.Equal(sent1, sentDefault) || !bytes.Equal(recv1, recvDefault) {

@@ -184,7 +184,7 @@ func newTicketer(rand io.Reader, ttl time.Duration) (*ticketer, error) {
 
 // mint seals one ticket. The ticket ID and nonce come from the session's
 // own rng — never a process-global source — so sessions driven by fixed
-// test readers produce bit-identical wire bytes at any parallelism.
+// test readers produce bit-identical wire bytes at any worker count.
 func (t *ticketer) mint(rng io.Reader, service string, specSum []byte, st *ot.IKNPSenderState) ([]byte, error) {
 	if st == nil {
 		return nil, fmt.Errorf("transport: mint ticket: nil sender state")
