@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/field"
 	"repro/internal/gateway"
 	"repro/internal/obs"
 	"repro/internal/svm"
@@ -51,7 +50,6 @@ func run(args []string) error {
 		seed     = fs.Uint64("seed", 2, "synthetic data seed (client side)")
 		redial   = fs.Int("redial", 0, "redial up to this many times when the session dies mid-query (against a ppdc-gateway fleet, a fresh session fails over to a surviving replica)")
 		resume   = fs.Bool("resume", false, "offer session resumption — harvest the trainer's ticket at clean close, and (with -redial) present it on the next dial to skip the base OTs")
-		backend  = fs.String("field-backend", "", "field engine to request: limb (default) or big; the session falls back to big unless the trainer supports limb")
 		batch    = fs.Int("batch", 0, "samples per batched request (0 = one request per sample)")
 		inflight = fs.Int("inflight", 1, "batches kept in flight on the connection (with -batch)")
 
@@ -73,14 +71,10 @@ func run(args []string) error {
 		defer func() { _ = msrv.Close() }()
 		fmt.Printf("metrics and pprof on http://%s/metrics\n", maddr)
 	}
-	if _, err := field.ResolveBackend(*backend); err != nil {
-		return err
-	}
 	opts := transport.Options{
 		DialTimeout:     *timeout,
 		MessageDeadline: *msgDeadline,
 		MaxAttempts:     *retries,
-		FieldBackend:    *backend,
 		OfferResume:     *resume,
 	}
 	if *msgDeadline <= 0 {

@@ -30,10 +30,9 @@ func TestRunRejectsUnknownMode(t *testing.T) {
 	}
 	// The negative batch keeps the call from dialing should the removed
 	// flag ever parse again.
-	if err := run([]string{"classify", "-pad=aes", "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("removed -pad flag: got %v, want an undefined-flag error", err)
-	}
-	if err := run([]string{"classify", "-fast", "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("removed -fast flag: got %v, want an undefined-flag error", err)
+	for _, removed := range []string{"-pad=aes", "-fast", "-field-backend=limb"} {
+		if err := run([]string{"classify", removed, "-batch=-1"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("removed flag %s: got %v, want an undefined-flag error", removed, err)
+		}
 	}
 }

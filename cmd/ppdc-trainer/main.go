@@ -36,7 +36,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/registry"
@@ -60,7 +59,6 @@ func run(args []string) error {
 		dataFile   = fs.String("data", "", "train on a LIBSVM-format file instead of synthetic data")
 		kernelName = fs.String("kernel", "linear", "kernel: linear or poly")
 		groupName  = fs.String("group", "2048", "OT group: 512 (toy), 1024, 1536, 2048, x25519")
-		backend    = fs.String("field-backend", "", "field arithmetic engine offered to clients: big (default) or limb")
 		resume     = fs.Bool("resume", true, "mint session resumption tickets for clients that offer them; false declines every offer and ticket (those clients fall back to full handshakes)")
 		seed       = fs.Uint64("seed", 1, "synthetic data seed")
 		c          = fs.Float64("C", 0, "soft-margin penalty (0 = dataset default)")
@@ -89,10 +87,6 @@ func run(args []string) error {
 		log.Printf("metrics and pprof on http://%s/metrics", maddr)
 	}
 	group, err := ot.GroupByName(*groupName)
-	if err != nil {
-		return err
-	}
-	fieldBackend, err := field.ResolveBackend(*backend)
 	if err != nil {
 		return err
 	}
@@ -154,8 +148,9 @@ func run(args []string) error {
 	// Serve through a version registry: the boot model is version 1, and
 	// SIGHUP republishes -load-model as the next version without dropping
 	// in-flight sessions.
-	modelReg := registry.New(classify.Params{Group: group, FieldBackend: fieldBackend})
-	if _, err := modelReg.Publish(model); err != nil {
+	modelReg := registry.New(classify.Params{Group: group})
+	boot, err := modelReg.Publish(model)
+	if err != nil {
 		return err
 	}
 	srv := transport.NewServerSource(modelReg)
@@ -171,15 +166,15 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv.EnableSimilarity(w, model.Bias, similarity.Params{Group: group, FieldBackend: fieldBackend})
+		srv.EnableSimilarity(w, model.Bias, similarity.Params{Group: group})
 		log.Printf("similarity service enabled")
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("serving privacy-preserving classification on %s (OT group %s, field backend %s)",
-		ln.Addr(), group.Name(), fieldBackend)
+	log.Printf("serving privacy-preserving classification on %s (OT group %s, %d-bit field)",
+		ln.Addr(), group.Name(), boot.Trainer.Spec().FieldBits)
 
 	// Hot-reload on SIGHUP: republish -load-model as the next version.
 	// In-flight sessions drain on the version they started with; only the

@@ -47,7 +47,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 	// The unknown group keeps the call from training and serving should
 	// the removed flag ever parse again.
-	if err := run([]string{"-pad=sha256", "-group", "9999"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
-		t.Fatalf("removed -pad flag: got %v, want an undefined-flag error", err)
+	for _, removed := range []string{"-pad=sha256", "-field-backend=limb"} {
+		if err := run([]string{removed, "-group", "9999"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Fatalf("removed flag %s: got %v, want an undefined-flag error", removed, err)
+		}
 	}
 }

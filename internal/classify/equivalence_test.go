@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/field"
 	"repro/internal/mvpoly"
 	"repro/internal/svm"
 )
@@ -67,11 +66,10 @@ func (d *detReader) Read(p []byte) (int, error) {
 
 func TestTranscriptsMatchParent(t *testing.T) {
 	cases := []struct {
-		name    string
-		kernel  svm.Kernel
-		c       float64
-		backend field.Backend
-		mutate  func(*classify.Params)
+		name   string
+		kernel svm.Kernel
+		c      float64
+		mutate func(*classify.Params)
 		// trim, when set, cuts the trained model down before serving it.
 		trim func(*svm.Model)
 		// decision, when set, is the plaintext decision value the private
@@ -81,24 +79,22 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	}{
 		// The paper's cubic (b0 = 0): the protocol asks for ~270 bits, so
 		// the field is 2^521−1 on math/big.
-		{name: "cubic/big521", kernel: svm.PaperPolynomial(8), c: 100, backend: field.BackendBig},
+		{name: "cubic/big521", kernel: svm.PaperPolynomial(8), c: 100},
 		// A degree-2 model with b0 ≠ 0, trimmed to fit the limb field.
-		{name: "quadratic/limb16", kernel: svm.Polynomial(1.0/8, 1, 2), c: 100, backend: field.BackendLimb, mutate: func(p *classify.Params) {
-			p.FieldBackend = field.BackendLimb
+		{name: "quadratic/limb16", kernel: svm.Polynomial(1.0/8, 1, 2), c: 100, mutate: func(p *classify.Params) {
 			p.FracBits = 16
 		}},
 		// The Taylor-truncated sigmoid: odd powers 1, 3, 5 of a0·x_s·t + c0.
-		{name: "sigmoid/big", kernel: svm.Sigmoid(0.125, 0), c: 10, backend: field.BackendBig,
+		{name: "sigmoid/big", kernel: svm.Sigmoid(0.125, 0), c: 10,
 			mutate: func(p *classify.Params) { p.TaylorTerms = sigmoidTerms },
 			decision: func(t *testing.T, m *svm.Model, sample []float64) float64 {
 				return truncatedSigmoidDecision(t, m, sample, sigmoidTerms)
 			}},
-		{name: "linear/limb16", kernel: svm.Linear(), c: 100, backend: field.BackendLimb, mutate: func(p *classify.Params) {
-			p.FieldBackend = field.BackendLimb
+		{name: "linear/limb16", kernel: svm.Linear(), c: 100, mutate: func(p *classify.Params) {
 			p.FracBits = 16
 		}},
 		// The paper's cubic with too few support vectors to expand.
-		{name: "cubic-kernelform/big", kernel: svm.PaperPolynomial(8), c: 100, backend: field.BackendBig,
+		{name: "cubic-kernelform/big", kernel: svm.PaperPolynomial(8), c: 100,
 			trim: func(m *svm.Model) {
 				m.SupportVectors = m.SupportVectors[:kernelFormSVs]
 				m.AlphaY = m.AlphaY[:kernelFormSVs]
@@ -133,7 +129,7 @@ func TestTranscriptsMatchParent(t *testing.T) {
 			if (tc.name == "cubic/big521" || tc.name == "cubic-kernelform/big") && trainer.Spec().FieldBits != 521 {
 				t.Fatalf("cubic model on a %d-bit field, want 521", trainer.Spec().FieldBits)
 			}
-			spec := trainer.SessionSpec(tc.backend)
+			spec := trainer.Spec()
 			h := sha256.New()
 			clientRng, trainerRng := newDetReader("classify-client"), newDetReader("classify-trainer")
 			for session := 0; session < 2; session++ {

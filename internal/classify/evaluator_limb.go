@@ -8,7 +8,7 @@ import (
 	"repro/internal/field/limb"
 )
 
-// RBF's limb evaluation path. A limb-backend session runs over 2^255−19,
+// RBF's limb evaluation path. A session over 2^255−19 runs the limb engine,
 // and there every evaluator has an allocation-free EvalLimb, so the
 // trainer's entire arithmetic runs without math/big. Every kernel but RBF
 // is an mvpoly.KernelSum, which keeps its own limb copy of its constants;

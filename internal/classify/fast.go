@@ -52,7 +52,8 @@ func (t *Trainer) NewFastSession(setup *ot.IKNPBaseSetup, rng io.Reader) (*FastT
 }
 
 // NewFastSessionFor opens the trainer side of a fast session bound to a
-// negotiated session spec (normally the result of SessionSpec).
+// session spec: the trainer's own Spec, with the resumption grant set or
+// cleared.
 func (t *Trainer) NewFastSessionFor(spec Spec, setup *ot.IKNPBaseSetup, rng io.Reader) (*FastTrainer, *ot.IKNPBaseChoice, error) {
 	params, err := t.sessionParams(spec)
 	if err != nil {
@@ -85,7 +86,7 @@ func ResumeFastClient(spec Spec, state *ot.IKNPReceiverState) (*FastClient, erro
 }
 
 // ResumeFastSessionFor rebuilds the trainer side of a fast session bound
-// to a negotiated session spec from a snapshotted OT state (the state a
+// to a session spec from a snapshotted OT state (the state a
 // sealed resumption ticket carried). The trainer is the CURRENT one: only
 // crypto state resumes, never a stale model.
 func (t *Trainer) ResumeFastSessionFor(spec Spec, state *ot.IKNPSenderState) (*FastTrainer, error) {
@@ -106,8 +107,7 @@ func (ft *FastTrainer) Snapshot() (*ot.IKNPSenderState, error) { return ft.sessi
 // Snapshot captures the client session's OT position for resumption.
 func (fc *FastClient) Snapshot() (*ot.IKNPReceiverState, error) { return fc.session.Snapshot() }
 
-// Spec reports the session spec the client was built from (including the
-// negotiated field backend).
+// Spec reports the session spec the client was built from.
 func (fc *FastClient) Spec() Spec { return fc.client.Spec() }
 
 // FinishBase completes the client's base phase.

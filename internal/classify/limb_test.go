@@ -6,68 +6,79 @@ import (
 	"testing"
 
 	"repro/internal/classify"
-	"repro/internal/field"
+	"repro/internal/ompe"
 	"repro/internal/ot"
+	"repro/internal/similarity"
 	"repro/internal/svm"
 )
 
-func limbParams() classify.Params {
-	p := fastParams()
-	p.FieldBackend = field.BackendLimb
-	return p
-}
-
-func TestLimbTrainerPinsFieldAndAdvertisesBackend(t *testing.T) {
-	model, _ := trainSmall(t, svm.Linear(), 1)
-	trainer, err := classify.NewTrainer(model, limbParams())
-	if err != nil {
-		t.Fatal(err)
+// TestFieldPicksEngine pins the one rule that chooses the arithmetic
+// engine: the protocol's headroom sizes the field (field.ByBits), and a
+// protocol that fits 2^255−19 runs on the limb engine, whose requests
+// travel packed, while every wider field runs math/big in pair form. No
+// parameter names an engine.
+func TestFieldPicksEngine(t *testing.T) {
+	linear, test := trainSmall(t, svm.Linear(), 1)
+	cubic, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
+	wA, wB := []float64{0.7, -0.4, 0.2}, []float64{-0.1, 0.9, 0.3}
+	classifyRequest := func(model *svm.Model, params classify.Params) (int, *ompe.EvalRequest) {
+		trainer, err := classify.NewTrainer(model, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client, err := classify.NewClient(trainer.Spec())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, req, err := client.NewSession(test.X[0], rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return trainer.Spec().FieldBits, req
 	}
-	spec := trainer.Spec()
-	if spec.FieldBits != 255 {
-		t.Fatalf("limb trainer picked a %d-bit field, want 255", spec.FieldBits)
+	similarityRequest := func(params similarity.Params) (int, *ompe.EvalRequest) {
+		alice, err := similarity.NewAlice(wA, 0.05, params, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob, err := similarity.NewBob(alice.Spec(), wB, -0.12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := bob.StartRound(similarity.RoundCentroid, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return alice.Spec().FieldBits, req
 	}
-	if spec.FieldBackend != string(field.BackendLimb) {
-		t.Fatalf("spec advertises backend %q, want %q", spec.FieldBackend, field.BackendLimb)
-	}
-
-	big, err := classify.NewTrainer(model, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := big.Spec().FieldBackend; got != "" {
-		t.Fatalf("math/big trainer advertises backend %q, want empty", got)
-	}
-}
-
-func TestSessionSpecNegotiation(t *testing.T) {
-	model, _ := trainSmall(t, svm.Linear(), 1)
-	limbTrainer, err := classify.NewTrainer(model, limbParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	bigTrainer, err := classify.NewTrainer(model, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if got := limbTrainer.SessionSpec(field.BackendLimb).FieldBackend; got != string(field.BackendLimb) {
-		t.Fatalf("limb trainer + limb request granted %q, want limb", got)
-	}
-	if got := limbTrainer.SessionSpec("").FieldBackend; got != "" {
-		t.Fatalf("limb trainer + default request granted %q, want big path", got)
-	}
-	if got := limbTrainer.SessionSpec(field.BackendBig).FieldBackend; got != "" {
-		t.Fatalf("limb trainer + big request granted %q, want big path", got)
-	}
-	if got := bigTrainer.SessionSpec(field.BackendLimb).FieldBackend; got != "" {
-		t.Fatalf("big trainer + limb request granted %q, want big path", got)
+	for _, tc := range []struct {
+		name       string
+		run        func() (int, *ompe.EvalRequest)
+		wantBits   int
+		wantPacked bool
+	}{
+		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, classify.Params{}) }, 255, true},
+		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, fastParams()) }, 521, false},
+		{"similarity-fracbits-18", func() (int, *ompe.EvalRequest) {
+			return similarityRequest(similarity.Params{FracBits: 18})
+		}, 255, true},
+		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 521, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bits, req := tc.run()
+			if bits != tc.wantBits {
+				t.Fatalf("%d-bit field, want %d", bits, tc.wantBits)
+			}
+			if packed := len(req.Packed) > 0 && len(req.Pairs) == 0; packed != tc.wantPacked {
+				t.Fatalf("packed request = %v (%d pairs, %d packed bytes), want %v", packed, len(req.Pairs), len(req.Packed), tc.wantPacked)
+			}
+		})
 	}
 }
 
 func TestNewSessionForRejectsForeignSpec(t *testing.T) {
 	model, _ := trainSmall(t, svm.Linear(), 1)
-	trainer, err := classify.NewTrainer(model, limbParams())
+	trainer, err := classify.NewTrainer(model, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,20 +88,20 @@ func TestNewSessionForRejectsForeignSpec(t *testing.T) {
 		t.Fatal("divergent spec accepted")
 	}
 	spec = trainer.Spec()
-	spec.FieldBackend = "vector"
+	spec.FieldBits = 521
 	if _, err := trainer.NewSessionFor(spec); err == nil {
-		t.Fatal("unknown backend accepted")
+		t.Fatal("spec on another field accepted")
 	}
 }
 
-// requireLimbAgreement runs the same samples through a limb-backend trainer
-// and a math/big one over the identical model and asserts both reproduce
-// the plaintext label.
+// requireLimbAgreement runs the same samples through a trainer on the
+// 2^255−19 field, and so on the limb engine, and asserts it reproduces the
+// plaintext label.
 func requireLimbAgreement(t *testing.T, k svm.Kernel, c float64, mutate func(*classify.Params)) {
 	t.Helper()
 	model, test := trainSmall(t, k, c)
 
-	lp := limbParams()
+	lp := fastParams()
 	if mutate != nil {
 		mutate(&lp)
 	}
@@ -98,7 +109,10 @@ func requireLimbAgreement(t *testing.T, k svm.Kernel, c float64, mutate func(*cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	limbClient, err := classify.NewClient(limbTrainer.SessionSpec(field.BackendLimb))
+	if bits := limbTrainer.Spec().FieldBits; bits != 255 {
+		t.Fatalf("trainer on a %d-bit field, want 255", bits)
+	}
+	limbClient, err := classify.NewClient(limbTrainer.Spec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,17 +153,10 @@ func TestLimbLinearMatchesPlaintext(t *testing.T) {
 
 func TestLimbPolyDirectMatchesPlaintext(t *testing.T) {
 	// The direct degree-2 protocol needs 267 bits at the auto precision;
-	// trimming FracBits keeps it inside the limb backend's 255-bit cap.
+	// trimming FracBits brings it inside 2^255−19.
 	requireLimbAgreement(t, svm.PaperPolynomial(8), 100, func(p *classify.Params) {
 		p.FracBits = 16
 	})
-}
-
-func TestLimbRejectsOversizedProtocol(t *testing.T) {
-	model, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
-	if _, err := classify.NewTrainer(model, limbParams()); err == nil {
-		t.Fatal("limb trainer accepted a protocol needing more than 255 bits")
-	}
 }
 
 func TestLimbPolyExpandedMatchesPlaintext(t *testing.T) {
@@ -158,20 +165,26 @@ func TestLimbPolyExpandedMatchesPlaintext(t *testing.T) {
 	})
 }
 
+// TestLimbRBFMatchesBigLabels serves one RBF model at one precision on
+// both engines: a wider amplifier pushes the second trainer's protocol
+// past 255 bits onto 2^521−1 and math/big.
 func TestLimbRBFMatchesBigLabels(t *testing.T) {
 	model, test := trainSmall(t, svm.RBF(0.05), 100)
 
-	lp := limbParams()
+	lp := fastParams()
 	lp.FracBits = 16
 	limbTrainer, err := classify.NewTrainer(model, lp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bp := fastParams()
-	bp.FracBits = 16
+	bp := lp
+	bp.AmplifierBits = 200
 	bigTrainer, err := classify.NewTrainer(model, bp)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if lb, bb := limbTrainer.Spec().FieldBits, bigTrainer.Spec().FieldBits; lb != 255 || bb != 521 {
+		t.Fatalf("fields of %d and %d bits, want 255 and 521", lb, bb)
 	}
 	limbClient, err := classify.NewClient(limbTrainer.Spec())
 	if err != nil {
@@ -197,17 +210,17 @@ func TestLimbRBFMatchesBigLabels(t *testing.T) {
 }
 
 // TestLimbFastBatchOverX25519 exercises the full fast-session stack on the
-// target production configuration: limb field backend + X25519 base OT.
+// target production configuration: the limb engine + X25519 base OT.
 func TestLimbFastBatchOverX25519(t *testing.T) {
 	model, test := trainSmall(t, svm.Linear(), 1)
-	p := limbParams()
+	p := fastParams()
 	p.Group = ot.X25519()
 	trainer, err := classify.NewTrainer(model, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	spec := trainer.SessionSpec(field.BackendLimb)
+	spec := trainer.Spec()
 	fc, setup, err := classify.NewFastClient(spec, rand.Reader)
 	if err != nil {
 		t.Fatal(err)

@@ -62,11 +62,10 @@ type Params struct {
 	AmplifierBits int
 	// Group is the oblivious-transfer group (default ot.Group2048).
 	Group ot.Group
-	// FieldBackend selects the field-arithmetic engine (zero value: the
-	// math/big path). field.BackendLimb pins the protocol field to
-	// 2^255−19 and runs every per-query hot loop on fixed-width limb
-	// elements; sessions from clients that do not request it still run on
-	// math/big over the same field, so one trainer serves both.
+	// FieldBackend is ignored: the protocol's headroom picks the field
+	// (field.ByBits), and the field picks the engine.
+	//
+	// Deprecated: every model that fits 2^255−19 runs on the limb engine.
 	FieldBackend field.Backend
 	// FracBits is the fixed-point precision (0 = auto from the protocol
 	// degree so the field stays within the built-in primes).
@@ -118,9 +117,6 @@ func (p Params) Validate() error {
 	case p.TaylorTerms < 1:
 		return fmt.Errorf("classify: taylor terms %d", p.TaylorTerms)
 	}
-	if err := p.FieldBackend.Validate(); err != nil {
-		return err
-	}
 	return nil
 }
 
@@ -152,19 +148,7 @@ func resolveCodec(p Params, scaleExp uint, valueBound float64) (*fixedpoint.Code
 	}
 	valueBits := int(math.Ceil(math.Log2(valueBound+1))) + 1
 	need := int(fracBits)*int(scaleExp) + valueBits + p.AmplifierBits + 24
-	var f *field.Field
-	var err error
-	if p.FieldBackend.OrDefault() == field.BackendLimb {
-		// The limb backend computes in 2^255−19 only, so pin that field
-		// even when a smaller prime would do; protocols needing more
-		// headroom cannot run on it.
-		if need > 255 {
-			return nil, fmt.Errorf("classify: limb backend caps the field at 255 bits, protocol needs %d", need)
-		}
-		f, err = field.NewFromHex(field.P25519Hex)
-	} else {
-		f, err = field.ByBits(need)
-	}
+	f, err := field.ByBits(need)
 	if err != nil {
 		return nil, fmt.Errorf("classify: protocol needs %d-bit field: %w", need, err)
 	}

@@ -31,16 +31,13 @@ type Spec struct {
 	AmplifierBits int
 	TaylorTerms   int
 	// FieldBits identifies the built-in protocol prime (field.ByBits).
+	// The prime also fixes the arithmetic engine: limb on 2^255−19,
+	// math/big on every wider field.
 	FieldBits int
 	// FracBits is the fixed-point precision.
 	FracBits uint
 	// GroupName identifies the OT group (ot.GroupByName).
 	GroupName string
-	// FieldBackend names the field-arithmetic engine for this session
-	// ("limb" or empty for math/big). Trainers advertise it when they
-	// were built with the limb backend; session handshakes clear it for
-	// clients that do not request it, so those run the math/big path.
-	FieldBackend string
 	// WireCodec is not encoded on the wire and is ignored.
 	//
 	// Deprecated: every session speaks the binary framing.
@@ -52,7 +49,7 @@ type Spec struct {
 	// ResumeGranted reports that the server accepted the client's
 	// resumption ticket: both sides skip the base OT phase and restore
 	// the extension state the ticket sealed. A per-session negotiation
-	// outcome like FieldBackend, never part of the trainer's contract.
+	// outcome, never part of the trainer's contract.
 	ResumeGranted bool
 }
 
@@ -79,10 +76,6 @@ func (s Spec) OMPEParams() (ompe.Params, error) {
 	if err != nil {
 		return ompe.Params{}, err
 	}
-	backend, err := field.ResolveBackend(s.FieldBackend)
-	if err != nil {
-		return ompe.Params{}, err
-	}
 	return ompe.Params{
 		Field:         codec.Field(),
 		PolyDegree:    degree,
@@ -90,8 +83,20 @@ func (s Spec) OMPEParams() (ompe.Params, error) {
 		CoverFactor:   s.CoverFactor,
 		AmplifierBits: s.AmplifierBits,
 		Group:         group,
-		Backend:       backend,
+		Backend:       engineName(codec.Field()),
 	}, nil
+}
+
+// engineName names the engine f runs on. It fills ompe.Params.Backend,
+// which ompe ignores, so callers that still read it see the engine that
+// actually runs.
+//
+// Deprecated: the field picks the engine (field.SupportsLimb).
+func engineName(f *field.Field) field.Backend {
+	if f.SupportsLimb() {
+		return field.BackendLimb
+	}
+	return field.BackendBig
 }
 
 // Trainer is the model owner's long-lived protocol endpoint. One Trainer
@@ -154,28 +159,19 @@ func NewTrainer(model *svm.Model, params Params) (*Trainer, error) {
 			FieldBits:     codec.Field().Bits(),
 			FracBits:      codec.FracBits(),
 			GroupName:     params.Group.Name(),
-			FieldBackend:  advertiseBackend(params.FieldBackend),
 		},
 	}
 	return t, nil
 }
 
-// SessionSpec resolves the spec for one session given the backend a client
-// requested in its hello. The limb backend is granted only when both sides
-// support it — the client asked for it and this trainer was built with it;
-// every other combination falls back to the math/big path over the same
-// field, so the wire format and the result are unchanged.
-func (t *Trainer) SessionSpec(requested field.Backend) Spec {
-	spec := t.spec
-	if requested.OrDefault() != field.BackendLimb ||
-		field.Backend(t.spec.FieldBackend).OrDefault() != field.BackendLimb {
-		spec.FieldBackend = ""
-	}
-	return spec
-}
-
 // Spec returns the public protocol contract for clients.
 func (t *Trainer) Spec() Spec { return t.spec }
+
+// SessionSpec returns Spec(); the argument is ignored.
+//
+// Deprecated: the field picks the engine, so there is nothing to
+// negotiate per session. Use Spec.
+func (t *Trainer) SessionSpec(field.Backend) Spec { return t.spec }
 
 // Model returns the wrapped model (the trainer's own private state).
 func (t *Trainer) Model() *svm.Model { return t.model }
@@ -187,9 +183,8 @@ func (t *Trainer) NewSession() (*ompe.Sender, error) {
 	return t.NewSessionFor(t.spec)
 }
 
-// NewSessionFor opens a one-shot OMPE sender bound to a negotiated session
-// spec (normally the result of SessionSpec). The spec selects the field
-// backend; everything else must match the trainer's own contract.
+// NewSessionFor opens a one-shot OMPE sender bound to a session spec,
+// which must match the trainer's own contract (see sessionParams).
 func (t *Trainer) NewSessionFor(spec Spec) (*ompe.Sender, error) {
 	params, err := t.sessionParams(spec)
 	if err != nil {
@@ -203,31 +198,16 @@ func (t *Trainer) NewSessionFor(spec Spec) (*ompe.Sender, error) {
 
 // sessionParams derives the trainer-side OMPE parameters for a session
 // spec, rejecting specs that diverge from the published contract anywhere
-// but the per-session negotiation outcomes (and the ignored WireCodec and
-// PadFunc).
+// but the resumption grant (and the ignored WireCodec and PadFunc).
 func (t *Trainer) sessionParams(spec Spec) (ompe.Params, error) {
 	contract := spec
-	contract.FieldBackend = t.spec.FieldBackend
 	contract.WireCodec = t.spec.WireCodec
 	contract.PadFunc = t.spec.PadFunc
 	contract.ResumeGranted = t.spec.ResumeGranted
 	if contract != t.spec {
 		return ompe.Params{}, fmt.Errorf("classify: session spec does not match the trainer's contract")
 	}
-	if spec.FieldBackend != "" && spec.FieldBackend != t.spec.FieldBackend {
-		return ompe.Params{}, fmt.Errorf("classify: trainer cannot serve the %q field backend", spec.FieldBackend)
-	}
 	return spec.OMPEParams()
-}
-
-// advertiseBackend maps a trainer backend to its spec encoding: "limb"
-// when the trainer runs limb arithmetic, empty for the default math/big
-// path (so legacy peers see a zero value).
-func advertiseBackend(b field.Backend) string {
-	if b.OrDefault() == field.BackendLimb {
-		return string(field.BackendLimb)
-	}
-	return ""
 }
 
 // fieldByExactBits resolves a built-in field and verifies the bit width

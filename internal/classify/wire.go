@@ -19,7 +19,6 @@ func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Int(s.FieldBits)
 	w.Uint(s.FracBits)
 	w.String(s.GroupName)
-	w.String(s.FieldBackend)
 	w.Bool(s.ResumeGranted)
 }
 
@@ -35,7 +34,6 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.FieldBits = r.Int()
 	s.FracBits = r.Uint()
 	s.GroupName = r.String()
-	s.FieldBackend = r.String()
 	s.ResumeGranted = r.Bool()
 }
 

@@ -19,7 +19,6 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		FieldBits:     512,
 		FracBits:      16,
 		GroupName:     "x25519",
-		FieldBackend:  "limb",
 		ResumeGranted: true,
 	}
 	data, err := in.MarshalBinary()

@@ -133,6 +133,11 @@ func TestFig10Shapes(t *testing.T) {
 	// arithmetic much harder than the ordinary metric arithmetic. Growth is
 	// asserted on the work count, not on two sub-millisecond timings taken
 	// while other packages' tests share the cores.
+	// Each round is M = 6 pairs of 1+n elements in and 6 evaluations out:
+	// at n = 5 the two rounds handle 2·(6·6 + 6) = 84 field elements.
+	if rows[1].Dim != 5 || rows[1].CoreElements != 84 {
+		t.Errorf("dim %d handles %d field elements, want dim 5 with 84", rows[1].Dim, rows[1].CoreElements)
+	}
 	for i := 1; i < len(rows); i++ {
 		if rows[i].CoreElements <= rows[i-1].CoreElements {
 			t.Errorf("private core work should grow with dimension: dim %d handles %d field elements, dim %d handles %d",

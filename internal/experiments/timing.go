@@ -315,27 +315,25 @@ func privateMaskingCore(dim int, opts Options) (time.Duration, int, error) {
 	}
 
 	const iters = 20
-	var req *ompe.EvalRequest
-	var evals [][]byte
 	start := time.Now()
 	for i := 0; i < iters; i++ {
 		// Rounds 1 and 2: n-dimensional linear OMPE arithmetic.
 		for r := 0; r < 2; r++ {
-			if _, req, err = ompe.NewReceiver(linParams, input, opts.Rand); err != nil {
+			_, req, err := ompe.NewReceiver(linParams, input, opts.Rand)
+			if err != nil {
 				return 0, 0, err
 			}
-			if evals, err = ompe.MaskedEvaluations(linParams, linEval, req, opts.Rand); err != nil {
+			if _, err := ompe.MaskedEvaluations(linParams, linEval, req, opts.Rand); err != nil {
 				return 0, 0, err
 			}
 		}
 	}
 	elapsed := time.Since(start)
-	// Every round has the same shape: count the last one, twice.
-	elements := len(evals)
-	for _, pair := range req.Pairs {
-		elements += 1 + len(pair.Z)
-	}
-	return elapsed / iters, 2 * elements, nil
+	// Both rounds have one shape, counted from the parameters rather than
+	// the request (which travels packed over 2^255−19): M pairs of
+	// 1+n elements in, M masked evaluations out.
+	m := linParams.TotalPairs()
+	return elapsed / iters, 2 * (m*(1+dim) + m), nil
 }
 
 // randomHyperplane samples a random unit normal and a small offset whose

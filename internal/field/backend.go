@@ -1,48 +1,26 @@
 package field
 
-import (
-	"fmt"
-
-	"repro/internal/field/limb"
-)
-
-// Backend names a field-arithmetic implementation. The protocol semantics
-// are identical across backends — both compute in the same prime field and
-// produce the same canonical byte encodings — but the execution strategy
-// differs:
+// Backend names a field-arithmetic engine.
 //
-//   - BackendBig is the portable math/big path. It works over every
-//     built-in prime and allocates per operation.
-//   - BackendLimb is the fixed-width [4]uint64 path (internal/field/limb)
-//     on plain residues — a 512-bit product folded by 2^256 ≡ 38 — with
-//     zero allocations per element op.
-//     It is only valid over the 2^255−19 field.
-//
-// The zero value selects BackendBig.
+// Deprecated: the field picks the engine. Every session over 2^255−19
+// runs the fixed-width limb engine and every other field runs math/big
+// (see SupportsLimb); nothing reads a Backend value.
 type Backend string
 
 const (
-	// BackendBig selects the math/big implementation (default).
+	// BackendBig names the math/big engine.
+	//
+	// Deprecated: see Backend.
 	BackendBig Backend = "big"
-	// BackendLimb selects the fixed-width limb implementation; requires
-	// the 2^255−19 field.
+	// BackendLimb names the limb engine.
+	//
+	// Deprecated: see Backend.
 	BackendLimb Backend = "limb"
 )
 
-// ResolveBackend parses a backend name. The empty string resolves to
-// BackendBig for compatibility with peers that never set the field.
-func ResolveBackend(name string) (Backend, error) {
-	switch Backend(name) {
-	case "", BackendBig:
-		return BackendBig, nil
-	case BackendLimb:
-		return BackendLimb, nil
-	default:
-		return "", fmt.Errorf("field: unknown backend %q (want %q or %q)", name, BackendBig, BackendLimb)
-	}
-}
-
 // OrDefault maps the zero value to BackendBig.
+//
+// Deprecated: see Backend.
 func (b Backend) OrDefault() Backend {
 	if b == "" {
 		return BackendBig
@@ -50,29 +28,9 @@ func (b Backend) OrDefault() Backend {
 	return b
 }
 
-// Validate rejects unknown backend names.
-func (b Backend) Validate() error {
-	_, err := ResolveBackend(string(b))
-	return err
-}
-
-// SupportsLimb reports whether the limb backend can serve this field,
-// i.e. whether the modulus is exactly 2^255−19.
-func (f *Field) SupportsLimb() bool {
-	return f.p.Cmp(limb.Modulus()) == 0
-}
-
-// CheckBackend verifies that the given backend can run over f.
-func (f *Field) CheckBackend(b Backend) error {
-	switch b.OrDefault() {
-	case BackendBig:
-		return nil
-	case BackendLimb:
-		if !f.SupportsLimb() {
-			return fmt.Errorf("field: limb backend requires the 2^255−19 field, have %d bits", f.bits)
-		}
-		return nil
-	default:
-		return b.Validate()
-	}
-}
+// SupportsLimb reports whether the modulus is exactly 2^255−19, the one
+// field the fixed-width limb engine (internal/field/limb) computes in.
+// Both engines produce the same residues and canonical bytes; the limb
+// engine runs every per-element operation without allocating, so the
+// protocols use it wherever this holds and math/big everywhere else.
+func (f *Field) SupportsLimb() bool { return f.limb }

@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"repro/internal/field/limb"
 )
 
 // Well-known primes usable as protocol fields.
@@ -25,8 +27,9 @@ const (
 	// element operations stay cheap.
 	P25519Hex = "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed"
 
-	// P192Hex is the NIST P-192 base-field prime 2^192 - 2^64 - 1, offered
-	// for benchmarks that want a smaller field.
+	// P192Hex is the NIST P-192 base-field prime 2^192 - 2^64 - 1. No
+	// protocol selects it (ByBits starts at 2^255−19); it stays for tests
+	// that want a field the limb engine cannot serve.
 	P192Hex = "fffffffffffffffffffffffffffffffeffffffffffffffff"
 )
 
@@ -42,6 +45,7 @@ type Field struct {
 	p    *big.Int // the modulus, prime
 	half *big.Int // floor(p/2), used for centered decoding
 	bits int
+	limb bool // p = 2^255−19 (SupportsLimb)
 }
 
 // New returns the field with the given prime modulus. The primality of p is
@@ -55,6 +59,7 @@ func New(p *big.Int) (*Field, error) {
 		p:    new(big.Int).Set(p),
 		half: new(big.Int).Rsh(p, 1),
 		bits: p.BitLen(),
+		limb: p.Cmp(limb.Modulus()) == 0,
 	}
 	return f, nil
 }

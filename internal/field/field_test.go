@@ -44,7 +44,7 @@ func TestByBitsReturnsSmallestSufficientField(t *testing.T) {
 		min  int
 		want int
 	}{
-		{1, 192}, {192, 192}, {193, 255}, {255, 255},
+		{1, 255}, {192, 255}, {193, 255}, {255, 255},
 		{256, 521}, {521, 521}, {522, 607}, {608, 1279}, {1279, 1279},
 	}
 	for _, tc := range cases {
@@ -58,6 +58,36 @@ func TestByBitsReturnsSmallestSufficientField(t *testing.T) {
 	}
 	if _, err := field.ByBits(1280); err == nil {
 		t.Fatal("ByBits(1280) should fail")
+	}
+}
+
+// TestSupportsLimb: the engine flag is fixed at construction — true for
+// 2^255−19 however it was built, false for every other prime — and
+// reading it allocates nothing, since every sample of a batch reads it.
+func TestSupportsLimb(t *testing.T) {
+	p521, err := field.Mersenne(field.MersenneExp521)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p192, err := field.NewFromHex(field.P192Hex)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p25519, err := field.New(field.Default().Modulus())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		f    *field.Field
+		want bool
+	}{{field.Default(), true}, {p25519, true}, {p521, false}, {p192, false}} {
+		if got := tc.f.SupportsLimb(); got != tc.want {
+			t.Errorf("%v: SupportsLimb = %v, want %v", tc.f, got, tc.want)
+		}
+	}
+	f := field.Default()
+	if allocs := testing.AllocsPerRun(100, func() { _ = f.SupportsLimb() }); allocs != 0 {
+		t.Fatalf("SupportsLimb allocates %.0f times per call, want 0", allocs)
 	}
 }
 

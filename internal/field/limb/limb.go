@@ -1,6 +1,7 @@
 // Package limb implements fixed-width arithmetic in F_p for the default
 // protocol prime p = 2^255 − 19 on four 64-bit limbs. It is the fast
-// backend behind field.Backend: every operation works on stack values with
+// engine every protocol over that field runs on (field.SupportsLimb):
+// every operation works on stack values with
 // zero heap allocations, in contrast to the math/big path where each Mul
 // carries a division and at least one allocation.
 //

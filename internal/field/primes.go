@@ -25,11 +25,11 @@ func Mersenne(exp uint) (*Field, error) {
 }
 
 // ByBits returns the smallest built-in prime field with at least minBits
-// bits, for protocols that compute their own headroom requirement.
+// bits, for protocols that compute their own headroom requirement. Every
+// need up to 255 bits lands on 2^255−19, so any protocol that fits it runs
+// on the limb engine.
 func ByBits(minBits int) (*Field, error) {
 	switch {
-	case minBits <= 192:
-		return NewFromHex(P192Hex)
 	case minBits <= 255:
 		return NewFromHex(P25519Hex)
 	case minBits <= MersenneExp521:

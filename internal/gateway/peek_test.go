@@ -61,7 +61,7 @@ func (*bufConn) Close() error { return nil }
 func FuzzPeekHello(f *testing.F) {
 	var frame bufConn
 	conn := transport.NewConn(&frame)
-	hello := &transport.Hello{Service: "classify-fast", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1mint-id!sealed")}
+	hello := &transport.Hello{Service: "classify-fast", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1mint-id!sealed")}
 	if err := conn.Send(hello); err != nil {
 		f.Fatal(err)
 	}

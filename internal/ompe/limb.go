@@ -13,18 +13,18 @@ import (
 	"repro/internal/poly"
 )
 
-// Limb-backend execution engine. When Params.Backend selects
-// field.BackendLimb (valid only over the 2^255−19 field), both roles run
-// the entire per-query arithmetic — cover construction, decoys, masked
-// evaluations, interpolation — on fixed-width limb elements, and the
-// evaluation request travels in the packed form below instead of as
-// []Pair of big.Ints. The protocol semantics are identical: the same
-// residues flow through the same construction; only their representation
-// (and therefore the wire encoding of the request) changes, which is why
-// the backend is negotiated per session exactly like the OT group.
+// Limb execution engine. Over the 2^255−19 field (Field.SupportsLimb)
+// both roles run the entire per-query arithmetic — cover construction,
+// decoys, masked evaluations, interpolation — on fixed-width limb
+// elements, and the evaluation request travels in the packed form below
+// instead of as []Pair of big.Ints. The protocol semantics are identical:
+// the same residues flow through the same construction; only their
+// representation (and therefore the wire encoding of the request)
+// changes. Both parties derive the field from the public spec, so both
+// pick the same engine without negotiating it.
 
 // LimbEvaluator is implemented by evaluators that can run natively on limb
-// elements. Senders on the limb backend use EvalLimb when available and
+// elements. Senders on the limb engine use EvalLimb when available and
 // otherwise fall back to converting each pair through math/big.
 type LimbEvaluator interface {
 	Evaluator
@@ -33,10 +33,9 @@ type LimbEvaluator interface {
 	EvalLimb(z []limb.Element, out *limb.Element) error
 }
 
-// limbBackend reports whether the limb engine serves this execution.
-func (p Params) limbBackend() bool {
-	return p.Backend.OrDefault() == field.BackendLimb
-}
+// limbBackend reports whether the limb engine serves this execution:
+// exactly when the field is 2^255−19.
+func (p Params) limbBackend() bool { return p.Field.SupportsLimb() }
 
 // packedStride is the byte length of one packed (v_i, z_i) record.
 func packedStride(numVars int) int { return (1 + numVars) * limb.ElementLen }
@@ -150,7 +149,7 @@ func checkPackedShape(params Params, numVars int, req *EvalRequest) error {
 		return fmt.Errorf("%w: nil request", ErrBadRequest)
 	}
 	if len(req.Pairs) != 0 {
-		return fmt.Errorf("%w: pair-form request on limb backend", ErrBadRequest)
+		return fmt.Errorf("%w: pair-form request over the 2^255−19 field", ErrBadRequest)
 	}
 	if want := params.TotalPairs() * packedStride(numVars); len(req.Packed) != want {
 		return fmt.Errorf("%w: packed request is %d bytes, want %d", ErrBadRequest, len(req.Packed), want)

@@ -21,29 +21,6 @@ func limbParams(t *testing.T, polyDegree int) Params {
 		MaskDegree:  2,
 		CoverFactor: 2,
 		Group:       ot.Group512Test(),
-		Backend:     field.BackendLimb,
-	}
-}
-
-// TestLimbBackendRequiresP25519: the limb engine must refuse any other
-// field at parameter validation.
-func TestLimbBackendRequiresP25519(t *testing.T) {
-	f192, err := field.NewFromHex(field.P192Hex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params := limbParams(t, 1)
-	params.Field = f192
-	if err := params.Validate(); !errors.Is(err, ErrParams) {
-		t.Fatalf("P192+limb accepted: %v", err)
-	}
-	if err := limbParams(t, 1).Validate(); err != nil {
-		t.Fatalf("P25519+limb rejected: %v", err)
-	}
-	bad := limbParams(t, 1)
-	bad.Backend = field.Backend("vector")
-	if err := bad.Validate(); !errors.Is(err, ErrParams) {
-		t.Fatalf("unknown backend accepted: %v", err)
 	}
 }
 
@@ -219,7 +196,7 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 			return &EvalRequest{Packed: b[:len(b)-1]}
 		},
 		"nil": func(b []byte) *EvalRequest { return nil },
-		"pair form on limb backend": func(b []byte) *EvalRequest {
+		"pair form over 2^255−19": func(b []byte) *EvalRequest {
 			return &EvalRequest{Pairs: []Pair{{V: f.One(), Z: input}}}
 		},
 		"non-canonical point": func(b []byte) *EvalRequest {
@@ -260,28 +237,44 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestBigBackendRejectsPackedRequest: a packed request must not reach the
-// math/big engine (the backends are negotiated, not mixed).
-func TestBigBackendRejectsPackedRequest(t *testing.T) {
-	f := field.Default()
-	limbP := limbParams(t, 1)
-	input := field.Vec{f.FromInt64(5), f.FromInt64(6)}
-	_, req, err := NewReceiver(limbP, input, rand.Reader)
+// TestSenderRefusesOtherFieldsRequestForm: the field picks the engine and
+// so the request form — packed over 2^255−19, pairs over every wider
+// field. A request in the other form, as a receiver on the other field
+// builds it, is malformed for the sender and never reaches its engine.
+func TestSenderRefusesOtherFieldsRequestForm(t *testing.T) {
+	p521, err := field.Mersenne(field.MersenneExp521)
 	if err != nil {
 		t.Fatal(err)
 	}
-	bigP := limbP
-	bigP.Backend = field.BackendBig
-	w := field.Vec{f.FromInt64(1), f.FromInt64(2)}
-	p, err := mvpoly.NewLinear(f, w, f.FromInt64(3))
-	if err != nil {
-		t.Fatal(err)
+	onField := func(f *field.Field) Params {
+		params := limbParams(t, 1)
+		params.Field = f
+		return params
 	}
-	sender, err := NewSender(bigP, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sender.HandleRequest(req, rand.Reader); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("packed request on big backend: %v", err)
+	for _, tc := range []struct {
+		name             string
+		receiver, sender *field.Field
+	}{
+		{"packed-to-p521", field.Default(), p521},
+		{"pairs-to-p25519", p521, field.Default()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rf, sf := tc.receiver, tc.sender
+			_, req, err := NewReceiver(onField(rf), field.Vec{rf.FromInt64(5), rf.FromInt64(6)}, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := mvpoly.NewLinear(sf, field.Vec{sf.FromInt64(1), sf.FromInt64(2)}, sf.FromInt64(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender, err := NewSender(onField(sf), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := sender.HandleRequest(req, rand.Reader); !errors.Is(err, ErrBadRequest) {
+				t.Fatalf("err = %v, want ErrBadRequest", err)
+			}
+		})
 	}
 }

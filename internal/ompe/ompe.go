@@ -88,11 +88,12 @@ type Params struct {
 	AmplifierBits int
 	// Group is the oblivious-transfer group.
 	Group ot.Group
-	// Backend selects the field-arithmetic engine (zero value: the
-	// math/big path). field.BackendLimb runs every per-query hot loop on
-	// fixed-width limb elements and carries the evaluation request in
-	// packed form; it requires the 2^255−19 field. Both parties must
-	// agree on it per session, like Group.
+	// Backend is ignored: the field picks the engine. Over 2^255−19
+	// (Field.SupportsLimb) every per-query hot loop runs on fixed-width
+	// limb elements and the evaluation request travels packed; every
+	// other field runs math/big with the request in pair form.
+	//
+	// Deprecated: the field picks the engine.
 	Backend field.Backend
 	// Parallelism is ignored.
 	//
@@ -124,9 +125,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: amplifier bits %d", ErrParams, p.AmplifierBits)
 	case p.Group == nil:
 		return fmt.Errorf("%w: nil OT group", ErrParams)
-	}
-	if err := p.Field.CheckBackend(p.Backend); err != nil {
-		return fmt.Errorf("%w: %v", ErrParams, err)
 	}
 	return nil
 }
@@ -176,7 +174,7 @@ type Pair struct {
 
 // EvalRequest is the receiver's first message: M pairs, of which only the
 // receiver's secret m positions carry genuine cover evaluations. Exactly
-// one representation is populated, determined by the session backend:
+// one representation is populated, determined by the field's engine:
 // Pairs on the math/big engine, Packed on the limb engine. Packed holds
 // the M records back to back, each (1+numVars)·32 bytes of canonical
 // fixed-width encodings — v_i first, then the z_i components — which
@@ -276,7 +274,7 @@ func (s *Sender) HandleRequest(req *EvalRequest, rng io.Reader) (*ot.BatchSetup,
 
 	// Fresh masking polynomial h with h(0)=0 and degree D, so it cancels
 	// at the interpolation point and drowns P's coefficients everywhere
-	// else (§IV-A.1); maskedSample draws it on the session backend.
+	// else (§IV-A.1); maskedSample draws it on the field's engine.
 	maskSpan := obs.Start(obs.PhaseSenderMask)
 	msgs, err := maskedSample(s.params, s.eval, s.amplifier, s.shift, req, rng)
 	if err != nil {
@@ -313,7 +311,7 @@ func (s *Sender) validateRequest(req *EvalRequest) error {
 
 // validateEvalRequest checks a receiver's evaluation request against the
 // protocol parameters (shared by the one-shot and session senders). On
-// the limb backend only the structure is checked here; the per-record
+// the limb engine only the structure is checked here; the per-record
 // canonical and dedup checks run inside the masking path, which decodes
 // every record exactly once.
 func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
@@ -324,7 +322,7 @@ func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
 		return fmt.Errorf("%w: nil request", ErrBadRequest)
 	}
 	if len(req.Packed) != 0 {
-		return fmt.Errorf("%w: packed request on math/big backend", ErrBadRequest)
+		return fmt.Errorf("%w: packed request over a %d-bit field", ErrBadRequest, params.Field.Bits())
 	}
 	if len(req.Pairs) != params.TotalPairs() {
 		return fmt.Errorf("%w: got %d pairs, want %d", ErrBadRequest, len(req.Pairs), params.TotalPairs())
@@ -578,8 +576,8 @@ func maskedEvaluations(f *field.Field, eval Evaluator, h *poly.Poly, amplifier, 
 	return msgs, nil
 }
 
-// maskedSample computes one sample's masked evaluations on the session
-// backend, drawing the fresh degree-D masking polynomial from rng.
+// maskedSample computes one sample's masked evaluations on the field's
+// engine, drawing the fresh degree-D masking polynomial from rng.
 func maskedSample(params Params, eval Evaluator, amplifier, shift *big.Int, req *EvalRequest, rng io.Reader) ([][]byte, error) {
 	if params.limbBackend() {
 		return maskedSampleLimb(params, eval, amplifier, shift, req, rng)

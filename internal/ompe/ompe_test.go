@@ -13,10 +13,21 @@ import (
 	"repro/internal/poly"
 )
 
+// bigField is 2^521−1. The limb engine serves only 2^255−19, so every
+// test on this field exercises the math/big engine and its pair-form
+// requests; the limb engine's tests (limb_test.go) run on field.Default.
+var bigField = func() *field.Field {
+	f, err := field.Mersenne(field.MersenneExp521)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}()
+
 func testParams(t *testing.T, polyDegree int) Params {
 	t.Helper()
 	return Params{
-		Field:       field.Default(),
+		Field:       bigField,
 		PolyDegree:  polyDegree,
 		MaskDegree:  2,
 		CoverFactor: 2,
@@ -27,7 +38,7 @@ func testParams(t *testing.T, polyDegree int) Params {
 // TestRunLinear checks end-to-end that the receiver recovers amp·P(α) for
 // a linear polynomial, mirroring §IV-A.
 func TestRunLinear(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 
 	w := field.Vec{f.FromInt64(3), f.FromInt64(-5), f.FromInt64(7)}
@@ -55,7 +66,7 @@ func TestRunLinear(t *testing.T) {
 // TestRunNonlinearWithShift checks a degree-3 polynomial with a pinned
 // amplifier and shift, the configuration the similarity protocol uses.
 func TestRunNonlinearWithShift(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 3)
 
 	// P(x) = x0^3 + 2·x0·x1 + 5
@@ -85,7 +96,7 @@ func TestRunNonlinearWithShift(t *testing.T) {
 // TestMatchesPlaintextProperty: for random linear polynomials and inputs,
 // the protocol output equals amp·P(α) computed directly.
 func TestMatchesPlaintextProperty(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	for trial := 0; trial < 10; trial++ {
 		n := 1 + trial%4
@@ -162,7 +173,7 @@ func buildLinear(t *testing.T, f *field.Field, n int) Evaluator {
 // TestSenderRejectsMalformedRequests is the failure-injection suite for
 // the sender's request validation.
 func TestSenderRejectsMalformedRequests(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 2)
 	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
@@ -223,7 +234,7 @@ func TestSenderRejectsMalformedRequests(t *testing.T) {
 }
 
 func TestStateMachineOrder(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 2)
 	input := field.Vec{f.FromInt64(3), f.FromInt64(4)}
@@ -269,7 +280,7 @@ func TestStateMachineOrder(t *testing.T) {
 }
 
 func TestReceiverValidatesInput(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	if _, _, err := NewReceiver(params, nil, rand.Reader); err == nil {
 		t.Fatal("empty input should fail")
@@ -284,7 +295,7 @@ func TestReceiverValidatesInput(t *testing.T) {
 // index pattern (statistically — we check the input value appears nowhere
 // verbatim, which holds with overwhelming probability for random covers).
 func TestRequestHidesInput(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	secret := f.FromInt64(123456789)
 	input := field.Vec{secret, f.FromInt64(42)}
@@ -304,7 +315,7 @@ func TestRequestHidesInput(t *testing.T) {
 // TestFreshAmplifierPerExecution: two executions against the same sender
 // configuration must use different amplifiers (Level-2 privacy).
 func TestFreshAmplifierPerExecution(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 2)
 	input := field.Vec{f.FromInt64(1), f.FromInt64(1)}
@@ -325,7 +336,7 @@ func TestFreshAmplifierPerExecution(t *testing.T) {
 // TestMaskedEvaluationsMatchesProtocol: the exported arithmetic core must
 // produce values consistent with a full protocol run's genuine points.
 func TestMaskedEvaluationsMatchesProtocol(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 3)
 	input := field.Vec{f.FromInt64(1), f.FromInt64(2), f.FromInt64(3)}
@@ -348,7 +359,7 @@ func TestMaskedEvaluationsMatchesProtocol(t *testing.T) {
 }
 
 func TestEvaluatorFunc(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	ev := EvaluatorFunc(2, func(z field.Vec) (*big.Int, error) {
 		return f.Add(z[0], z[1]), nil
 	})
@@ -367,7 +378,7 @@ func TestEvaluatorFunc(t *testing.T) {
 // for a fixed extreme input versus a random input — both must sit near
 // 1/2 (covers are uniform except at v=0, which never appears).
 func TestRequestStatisticallyHidesInput(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	topBitFraction := func(input field.Vec) float64 {
 		ones, total := 0, 0
@@ -405,7 +416,7 @@ func TestRequestStatisticallyHidesInput(t *testing.T) {
 // what the one-shot path computes, across several sequential batches of
 // one.
 func TestSessionMatchesPlaintext(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 3)
 
@@ -456,7 +467,7 @@ func TestSessionMatchesPlaintext(t *testing.T) {
 // response must both complete, provided responses come back in FIFO order (the
 // transport's single-worker sessions guarantee exactly that).
 func TestSessionInFlightQueries(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 2)
 	sender, receiver, err := NewSession(params, eval, rand.Reader)
@@ -500,7 +511,7 @@ func TestSessionInFlightQueries(t *testing.T) {
 // TestSessionBatch: a batched query recovers every sample's amp·P(α),
 // matching what direct evaluation says up to the per-sample amplifier.
 func TestSessionBatch(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1)
 	eval := buildLinear(t, f, 2)
 	sender, receiver, err := NewSession(params, eval, rand.Reader)
@@ -551,7 +562,7 @@ func TestSessionBatch(t *testing.T) {
 // session, so a sender that wrongly answers one row answers it with its
 // batch counter in step and the row can report what the client learnt.
 func TestSessionBatchValidation(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	params := testParams(t, 1) // m = 3 genuine of M = 6 pairs
 	// P(x) = 2·x0 + 3·x1 + 1, so P(−1, −3) = −10 and P(3, 3) = 16.
 	eval, err := mvpoly.NewLinear(f, field.Vec{f.FromInt64(2), f.FromInt64(3)}, f.One())

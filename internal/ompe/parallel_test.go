@@ -44,7 +44,7 @@ func (d *detReader) Read(p []byte) (int, error) {
 
 func parallelTestParams() Params {
 	return Params{
-		Field:       field.Default(),
+		Field:       bigField,
 		PolyDegree:  2,
 		MaskDegree:  2,
 		CoverFactor: 3,
@@ -72,7 +72,7 @@ func quadEvaluator(t *testing.T, f *field.Field) Evaluator {
 // exercises the concurrent masked evaluations, request construction, and
 // batch OT for data races.
 func TestParallelRoundTrip(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	input := field.Vec{f.FromInt64(4), f.FromInt64(-3)}
 	// P(α) = 16 − 36 + 6 + 7 = −7.
 	wantPlain := f.FromInt64(-7)
@@ -94,7 +94,7 @@ func TestParallelRoundTrip(t *testing.T) {
 // GOMAXPROCS: randomness is drawn serially in the serial-code
 // order, only pure arithmetic fans out.
 func TestParallelDeterministic(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	input := field.Vec{f.FromInt64(9), f.FromInt64(2)}
 
 	type trace struct {
@@ -158,7 +158,7 @@ func TestParallelDeterministic(t *testing.T) {
 // propagation when one pair's evaluation fails mid-batch: the sender's
 // HandleRequest must return the error promptly at any GOMAXPROCS.
 func TestParallelEvaluatorErrorPropagates(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
 	boom := errors.New("evaluator exploded")
 
@@ -189,7 +189,7 @@ func TestParallelEvaluatorErrorPropagates(t *testing.T) {
 // TestParallelSessionRoundTrip covers the extension-based fast path with a
 // parallel worker pool (masked evaluations are the parallel region there).
 func TestParallelSessionRoundTrip(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	paralleltest.SetProcs(t, 4)
 	params := parallelTestParams()
 	input := field.Vec{f.FromInt64(4), f.FromInt64(-3)}
@@ -221,7 +221,7 @@ func TestParallelSessionRoundTrip(t *testing.T) {
 // big.Ints with equal canonical encodings must collide even if their
 // String forms were produced differently.
 func TestDistinctNonZeroKeyedByCanonicalBytes(t *testing.T) {
-	f := field.Default()
+	f := bigField
 	pts, err := distinctNonZero(f, 64, rand.Reader)
 	if err != nil {
 		t.Fatal(err)

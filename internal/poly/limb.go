@@ -9,7 +9,7 @@ import (
 )
 
 // LimbPoly is a univariate polynomial over the 2^255−19 field with
-// fixed-width limb coefficients. It is the field.BackendLimb counterpart of
+// fixed-width limb coefficients. It is the limb-engine counterpart of
 // Poly: coefficients are stored by value in ascending degree order, so
 // construction performs the only allocations and evaluation is
 // allocation-free. The zero polynomial has an empty coefficient slice.

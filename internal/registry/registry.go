@@ -46,7 +46,7 @@ type Registry struct {
 }
 
 // New builds a registry whose published models all serve under the given
-// protocol parameters (group, field backend, mask degree, …).
+// protocol parameters (group, mask degree, …).
 func New(params classify.Params) *Registry {
 	return &Registry{params: params}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/field"
 	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/similarity"
@@ -20,14 +19,16 @@ import (
 // parentTranscripts pins the SHA-256 over every marshalled message of one
 // in-process evaluation under the deterministic rngs below (spec ‖ clear
 // share ‖ area scale, then per round request ‖ setup ‖ choice ‖ transfer),
-// as produced at 31e6012, before the hyperplane and kernel variants shared
-// one round machine. Refactors change how values are computed, never
-// which bytes travel.
+// as first produced at 31e6012, before the hyperplane and kernel variants
+// shared one round machine. They were re-recorded once when the Spec lost
+// its field-engine string (the field now picks the engine): a digest over
+// every message but the Spec is unchanged in all four cases. Refactors
+// change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/modp512-test":  "dc4f8e68e31eeb423ad82235054cb74d366d06573a84778a371cbcd25042e292",
-	"linear/x25519":        "c88033e05f74caaa6c9b3b4af9ad6c160b94f8276424a40514c86dc0f88ffbf9",
-	"linear/limb-fb18":     "edc5578f4c59331fd41bba1a3f78692c2f95424add1bde2a99357d7b50908b13",
-	"kernel/diabetes-poly": "066bc5c9e235942e540e5d5912dd62b056ef292c98bf34e84dc1cb320251ee4c",
+	"linear/modp512-test":  "3a7919adf5e89d2a22ddf7cec7e680d4e0548d1854eb5ac26e61b1e5ae814109",
+	"linear/x25519":        "ce837dfbf907851eca977b31e952f08b6b15a40a9dbb48912b4c7ccb8209331d",
+	"linear/limb-fb18":     "fb9623e2be1f3850a74f53ba2b2e286d7928844181452d566a1db95c43195871",
+	"kernel/diabetes-poly": "5f85a85e32a0a32c07abc6492da260257c5d39b409745f2f23757e09e1419482",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.
@@ -77,7 +78,7 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	}{
 		{"linear/modp512-test", similarity.Params{Group: ot.Group512Test()}},
 		{"linear/x25519", similarity.Params{Group: ot.X25519()}},
-		{"linear/limb-fb18", similarity.Params{Group: ot.Group512Test(), FieldBackend: field.BackendLimb, FracBits: 18}},
+		{"linear/limb-fb18", similarity.Params{Group: ot.Group512Test(), FracBits: 18}},
 	}
 	want, err := similarity.EvaluateLinear(wA, bA, wB, bB, similarity.DefaultMetric())
 	if err != nil {

@@ -28,13 +28,10 @@ type Params struct {
 	// Group is the OT group (default ot.Group2048).
 	Group ot.Group
 	// FracBits is the fixed-point precision (default 24; 12 for the
-	// kernel variant).
+	// kernel variant). It sizes the field (field.ByBits), and the field
+	// picks the engine: a precision whose rounds fit 255 bits runs on
+	// 2^255−19 with the limb engine, the default needs 2^521−1.
 	FracBits uint
-	// FieldBackend selects the field-arithmetic engine (zero value: the
-	// math/big path). field.BackendLimb pins the field to 2^255−19, which
-	// requires a FracBits small enough for the protocol to fit 255 bits.
-	// Alice's choice is published in the Spec, so Bob follows it.
-	FieldBackend field.Backend
 	// Parallelism is ignored.
 	//
 	// Deprecated: every fan-out region runs at GOMAXPROCS.
@@ -73,11 +70,6 @@ type Spec struct {
 	FieldBits     int
 	FracBits      uint
 	GroupName     string
-	// FieldBackend names the field-arithmetic engine for the evaluation
-	// ("limb" or empty for math/big). Unlike classification there is no
-	// per-session negotiation: Alice picks, the Spec tells Bob, and both
-	// sides speak the matching wire form.
-	FieldBackend string
 }
 
 // Round identifies the three OMPE rounds of §V-B.
@@ -113,7 +105,7 @@ func specFor(dim int, p Params, need int) (Spec, error) {
 	if dim < 2 {
 		return Spec{}, fmt.Errorf("similarity: need >= 2 dims, got %d", dim)
 	}
-	f, err := resolveField(p.FieldBackend, need)
+	f, err := field.ByBits(need)
 	if err != nil {
 		return Spec{}, err
 	}
@@ -126,38 +118,7 @@ func specFor(dim int, p Params, need int) (Spec, error) {
 		FieldBits:     f.Bits(),
 		FracBits:      p.FracBits,
 		GroupName:     p.Group.Name(),
-		FieldBackend:  backendSpecName(p.FieldBackend, f),
 	}, nil
-}
-
-// resolveField sizes the protocol field for a backend: the limb engine
-// computes in 2^255−19 only, everything else picks the smallest built-in
-// prime with the needed headroom. A limb request that does not fit in
-// 255 bits degrades to the math/big path rather than failing — the
-// similarity rounds at default precision need ~280 bits, and a trainer
-// serving both protocols with -field-backend limb should still answer
-// similarity sessions (the spec then advertises the big engine, so the
-// peer sizes its codec identically).
-func resolveField(backend field.Backend, need int) (*field.Field, error) {
-	if err := backend.Validate(); err != nil {
-		return nil, err
-	}
-	if backend.OrDefault() == field.BackendLimb && need <= 255 {
-		return field.NewFromHex(field.P25519Hex)
-	}
-	return field.ByBits(need)
-}
-
-// backendSpecName maps a backend to its Spec encoding (empty for the
-// default math/big path, so legacy peers see a zero value). It reflects
-// the engine actually in use: a limb request that resolveField degraded
-// to a wider math/big field must not advertise limb, or the peer would
-// run limb arithmetic over a non-25519 prime.
-func backendSpecName(b field.Backend, f *field.Field) string {
-	if b.OrDefault() == field.BackendLimb && f.Bits() == 255 {
-		return string(field.BackendLimb)
-	}
-	return ""
 }
 
 // Codec reconstructs the protocol codec from the spec.
@@ -183,10 +144,6 @@ func (s Spec) ompeParams(degree int) (ompe.Params, error) {
 	if err != nil {
 		return ompe.Params{}, err
 	}
-	backend, err := field.ResolveBackend(s.FieldBackend)
-	if err != nil {
-		return ompe.Params{}, err
-	}
 	return ompe.Params{
 		Field:         codec.Field(),
 		PolyDegree:    degree,
@@ -194,7 +151,6 @@ func (s Spec) ompeParams(degree int) (ompe.Params, error) {
 		CoverFactor:   s.CoverFactor,
 		AmplifierBits: s.AmplifierBits,
 		Group:         group,
-		Backend:       backend,
 	}, nil
 }
 

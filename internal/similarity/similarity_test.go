@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/field"
 	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
@@ -113,51 +112,5 @@ func TestKernelPrivateMatchesPlaintext(t *testing.T) {
 	}
 	if math.Abs(got.TSquared-want.TSquared) > 2e-3*(1+math.Abs(want.TSquared)) {
 		t.Fatalf("T²: private %g, plaintext %g", got.TSquared, want.TSquared)
-	}
-}
-
-// TestLimbBackendNegotiation pins the field-engine seam: a limb request
-// whose protocol headroom exceeds the 255-bit limb field must silently
-// degrade to the math/big engine (a trainer serving both protocols with
-// -field-backend limb still answers similarity sessions), while a
-// precision that fits keeps the limb engine and advertises it in the spec.
-func TestLimbBackendNegotiation(t *testing.T) {
-	metric := similarity.DefaultMetric()
-	wA, wB := []float64{1, 0.5}, []float64{0.2, 1.1}
-	bA, bB := 0.1, -0.3
-	want, err := similarity.EvaluateLinear(wA, bA, wB, bB, metric)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tc := range []struct {
-		name     string
-		fracBits uint
-		wantSpec string
-	}{
-		// Default 24 fractional bits need ~280 field bits: too wide for
-		// the limb engine, so the spec must fall back to the big path.
-		{"degrades-to-big", 0, ""},
-		// 18 fractional bits fit inside 255 bits: limb serves the session.
-		{"limb-fits", 18, "limb"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			params := fastParams()
-			params.FieldBackend = field.BackendLimb
-			params.FracBits = tc.fracBits
-			alice, err := similarity.NewAlice(wA, bA, params, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := alice.Spec().FieldBackend; got != tc.wantSpec {
-				t.Fatalf("spec backend %q, want %q", got, tc.wantSpec)
-			}
-			got, err := similarity.EvaluatePrivate(wA, bA, wB, bB, params, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if math.Abs(got.T-want.T) > 1e-3*(1+want.T) {
-				t.Fatalf("T: private %g, plaintext %g", got.T, want.T)
-			}
-		})
 	}
 }

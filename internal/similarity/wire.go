@@ -19,7 +19,6 @@ func (s *Spec) EncodeWire(w *wire.Writer) {
 	w.Int(s.FieldBits)
 	w.Uint(s.FracBits)
 	w.String(s.GroupName)
-	w.String(s.FieldBackend)
 	w.String("")
 }
 
@@ -33,7 +32,6 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.FieldBits = r.Int()
 	s.FracBits = r.Uint()
 	s.GroupName = r.String()
-	s.FieldBackend = r.String()
 	_ = r.String()
 }
 

@@ -31,7 +31,6 @@ func sampleSpec() Spec {
 		FieldBits:     1024,
 		FracBits:      12,
 		GroupName:     "modp512",
-		FieldBackend:  "limb",
 	}
 }
 

@@ -190,8 +190,8 @@ func (c *FastClassifyClient) Resumed() bool { return c.resumed }
 // is single-use: present it on exactly one redial.
 func (c *FastClassifyClient) ResumeState() *ResumeState { return c.resumeState }
 
-// Spec reports the negotiated session spec, including the granted field
-// backend and resumption outcome.
+// Spec reports the session spec the server sent, including the
+// resumption outcome.
 func (c *FastClassifyClient) Spec() classify.Spec { return c.session.Spec() }
 
 // NewFastClassifyClient performs the handshake and base phase on an
@@ -212,7 +212,7 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 	resumed := false
 	start := time.Now()
 	err := conn.RunContext(ctx, func() error {
-		hello := &Hello{Service: "classify-fast", FieldBackend: opts.requestedBackend(), ResumeOffered: offerResume}
+		hello := &Hello{Service: "classify-fast", ResumeOffered: offerResume}
 		if opts.Resume != nil {
 			hello.ResumeTicket = opts.Resume.Ticket
 		}

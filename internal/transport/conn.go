@@ -35,11 +35,6 @@ type Hello struct {
 	// Service is one of "classify-fast" (the IKNP classification
 	// session), "similarity-linear", "similarity-kernel" or "resume-info".
 	Service string
-	// FieldBackend is the field-arithmetic engine the client requests for
-	// classification sessions ("limb", "big", or empty for math/big). The
-	// server grants "limb" only when its trainer supports it; the granted
-	// backend comes back in the Spec.
-	FieldBackend string
 	// ResumeOffered asks the server to mint a resumption ticket at the
 	// clean end of this session.
 	ResumeOffered bool

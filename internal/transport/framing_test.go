@@ -10,14 +10,18 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/classify"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // TestWireVersionMismatch hand-crafts a frame with a future version byte:
@@ -127,6 +131,70 @@ func TestLegacyGobHelloFailsFast(t *testing.T) {
 	t.Fatalf("server logged %v, want ErrWireVersion", logged)
 }
 
+// TestOldLayoutHelloRefused plays peers built while the Hello still
+// carried a field-engine string between Service and ResumeOffered. The
+// string's length byte lands where the Bool now sits, so every such
+// Hello a client sent — an engine named or not, a ticket presented or
+// not — fails to decode: the server answers with an error frame and
+// frees its one session slot for the next row, and the gateway's peek
+// errors instead of routing on a misread ticket. (The one old layout
+// that still decodes, an empty engine with a resumption offer but no
+// ticket, reads as a one-byte ticket that the server declines.)
+func TestOldLayoutHelloRefused(t *testing.T) {
+	trainer, _ := newTrainer(t, 49)
+	srv := quietServer(t, trainer)
+	srv.MaxSessions = 1
+	ticket := []byte("PPDCTKT1mint-id!sealed")
+	for _, backend := range []string{"", "limb", "big"} {
+		for _, withTicket := range []bool{false, true} {
+			name := fmt.Sprintf("backend=%q/ticket=%v", backend, withTicket)
+			w := wire.NewAppendWriter(nil)
+			w.String("classify-fast")
+			w.String(backend)
+			w.Bool(withTicket)
+			if withTicket {
+				w.ByteSlice(ticket)
+			} else {
+				w.ByteSlice(nil)
+			}
+			if w.Err() != nil {
+				t.Fatal(w.Err())
+			}
+			frame := append(frameHeader(1, uint32(len(w.Bytes()))), w.Bytes()...)
+			isDecodeErr := func(err error) bool {
+				return errors.Is(err, wire.ErrInvalid) || errors.Is(err, wire.ErrTrailing)
+			}
+
+			if hello, err := transport.PeekHello(bytes.NewReader(frame)); !isDecodeErr(err) {
+				t.Fatalf("%s: peek = %+v, %v; want a wire decode error", name, hello, err)
+			}
+
+			serverSide, clientSide := net.Pipe()
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				srv.ServeConn(serverSide)
+			}()
+			if _, err := clientSide.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			_, err := transport.Recv[*classify.Spec](transport.NewConn(clientSide))
+			if !errors.Is(err, transport.ErrRemote) || !(strings.Contains(err.Error(), wire.ErrInvalid.Error()) || strings.Contains(err.Error(), wire.ErrTrailing.Error())) {
+				t.Fatalf("%s: client got %v, want a remote wire decode error", name, err)
+			}
+			_ = clientSide.Close()
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: server session did not end", name)
+			}
+			if n := srv.ActiveSessions(); n != 0 {
+				t.Fatalf("%s: refused session still counted: %d active", name, n)
+			}
+		}
+	}
+}
+
 // frameHeader builds a frame header declaring n payload bytes.
 func frameHeader(tag byte, n uint32) []byte {
 	hdr := []byte{0x01, tag, 0, 0, 0, 0, 0, 0, 0, 0}
@@ -175,7 +243,7 @@ func TestPeekHelloBounds(t *testing.T) {
 		if st == nil {
 			t.Fatal("no ticket harvested")
 		}
-		hello := &transport.Hello{Service: "classify-fast", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: st.Ticket}
+		hello := &transport.Hello{Service: "classify-fast", ResumeOffered: true, ResumeTicket: st.Ticket}
 		got, err := transport.PeekHello(bytes.NewReader(encodeFrame(t, hello)))
 		if err != nil {
 			t.Fatal(err)

@@ -59,16 +59,16 @@ func wireFuzzSamples() []struct {
 	simSpec := similarity.Spec{
 		Dim: 3, Metric: similarity.DefaultMetric(), MaskDegree: 4,
 		CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12,
-		GroupName: "modp512", FieldBackend: "limb",
+		GroupName: "modp512",
 	}
 	return []struct {
 		name  string
 		proto wireCodecMsg
 	}{
-		{"Hello", &transport.Hello{Service: "classify", FieldBackend: "limb", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
+		{"Hello", &transport.Hello{Service: "classify", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
 		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
 		{"Done", &transport.Done{}},
-		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", FieldBackend: "big", ResumeGranted: true}},
+		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", ResumeGranted: true}},
 		{"SessionTicket", &transport.SessionTicket{Ticket: []byte{0x50, 0x50, 0x44, 0x43, 0x54, 0x4B, 0x54, 0x31, 1, 2, 3, 4}}},
 		{"ResumeInfo", &transport.ResumeInfo{MintID: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},
 		{"SimilaritySpec", &simSpec},

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/field"
 	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/transport"
@@ -44,16 +43,19 @@ type goldenScenario struct {
 	name    string
 	service string // classify-serial | classify-batch | similarity
 	group   string // modp512 | x25519
-	backend string // big | limb (classify services only)
+	backend string // big | limb: the engine the field picks (classify services only)
 }
 
 // goldenScenarios spans the conformance matrix: the classification
 // session queried one sample at a time (classify-serial: two batches of
 // one, which pins the extension's batch counter across messages) and by
 // one batch of four (classify-batch), each across {modp512,x25519} x
-// {big,limb}, and the
-// linear similarity protocol across groups. Names carry the "binary"
-// infix of the one framing, which keeps the transcript file names stable.
+// {big,limb}, and the linear similarity protocol across groups. A limb
+// scenario serves the linear model at the default parameters, which fit
+// 2^255−19; a big scenario widens the amplifier until the protocol needs
+// 2^521−1, which runs math/big with pair-form requests. Names carry the
+// "binary" infix of the one framing, which keeps the transcript file
+// names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {
@@ -75,6 +77,10 @@ func goldenScenarios() []goldenScenario {
 	return out
 }
 
+// goldenBigAmplifierBits widens the big scenarios' amplifier past what
+// 2^255−19 can hold, so their protocol lands on 2^521−1.
+const goldenBigAmplifierBits = 192
+
 func goldenGroup(t *testing.T, name string) ot.Group {
 	t.Helper()
 	switch name {
@@ -92,16 +98,21 @@ func goldenGroup(t *testing.T, name string) ot.Group {
 func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	t.Helper()
 	group := goldenGroup(t, sc.group)
-	opts := transport.Options{FieldBackend: sc.backend}
+	var opts transport.Options
 
 	model, test := trainLinear(t, 91)
 	params := classify.Params{Group: group}
-	if sc.backend == "limb" {
-		params.FieldBackend = field.BackendLimb
+	wantBits := 255
+	if sc.backend == "big" {
+		params.AmplifierBits = goldenBigAmplifierBits
+		wantBits = 521
 	}
 	trainer, err := classify.NewTrainer(model, params)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if bits := trainer.Spec().FieldBits; bits != wantBits {
+		t.Fatalf("%s on a %d-bit field, want %d", sc.name, bits, wantBits)
 	}
 	srv := quietServer(t, trainer)
 	srv.Rand = newDetReader("golden-server-" + sc.name)

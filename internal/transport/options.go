@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/field"
 	"repro/internal/obs"
 )
 
@@ -56,13 +55,10 @@ type Options struct {
 	// (for tests). Zero draws from a process-wide seeded source.
 	JitterSeed int64
 
-	// FieldBackend is the field-arithmetic engine the classification
-	// client requests in its Hello ("limb", "big", or empty for the
-	// default request, "limb"). The request is an upper bound, not a
-	// demand: the server grants the limb engine only when its trainer was
-	// built with it, and the session otherwise runs math/big — so the
-	// default always interoperates. Set "big" to pin the math/big path
-	// (e.g. for backend-comparison benchmarks).
+	// FieldBackend is ignored: the trainer's spec fixes the field, and
+	// the field picks the engine.
+	//
+	// Deprecated: nothing is requested; the Hello carries no engine.
 	FieldBackend string
 
 	// WireCodec must be empty or CodecBinary; any other value fails the
@@ -108,16 +104,6 @@ func (o Options) withDefaults() Options {
 		o.BackoffMax = DefaultBackoffMax
 	}
 	return o
-}
-
-// requestedBackend resolves the backend request for the Hello: the
-// default request is "limb" (a no-op against servers that cannot grant
-// it), and any explicit setting is passed through as-is.
-func (o Options) requestedBackend() string {
-	if o.FieldBackend == "" {
-		return string(field.BackendLimb)
-	}
-	return o.FieldBackend
 }
 
 // sendHello opens a client session: it refuses a WireCodec other than

@@ -7,7 +7,7 @@ package transport
 // inside an opaque AEAD ticket and hands it to the client. A redialing
 // client presents the ticket in its Hello; the server unseals it,
 // re-checks the contract against the spec it would grant TODAY (so a
-// hot-swapped model or renegotiated backend invalidates the ticket), and
+// hot-swapped model with another contract invalidates the ticket), and
 // on success both sides skip the κ base OTs entirely.
 //
 // Failure philosophy: every server-side validation failure — expired,
@@ -98,7 +98,7 @@ func TicketMintID(ticket []byte) ([]byte, bool) {
 }
 
 // specResumeSum digests the negotiated session contract a ticket binds:
-// the full spec — kernel shape, field, group, backend — with
+// the full spec — kernel shape, field, group — with
 // the ResumeGranted negotiation outcome cleared, so the digest of a
 // granted-resumption spec matches the digest its ticket was minted under.
 func specResumeSum(spec classify.Spec) []byte {

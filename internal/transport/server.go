@@ -13,11 +13,11 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/entropy"
-	"repro/internal/field"
 	"repro/internal/obs"
 	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/similarity"
+	"repro/internal/wire"
 )
 
 // Wire aliases for the protocol message types.
@@ -264,6 +264,12 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 	hello, err := Recv[*Hello](conn)
 	if err != nil {
 		s.logf("transport: handshake: %v", err)
+		if errors.Is(err, wire.ErrInvalid) || errors.Is(err, wire.ErrTrailing) || errors.Is(err, wire.ErrTruncated) {
+			// A whole Hello frame that does not decode (an older
+			// peer's layout, say) is refused in words, so the peer
+			// fails at once instead of at its deadline.
+			_ = conn.SendErr(err)
+		}
 		return
 	}
 	// One buffered entropy reader per session: every serve path draws
@@ -318,17 +324,6 @@ func (s *Server) logf(format string, args ...any) {
 	if s.Logf != nil {
 		s.Logf(format, args...)
 	}
-}
-
-// sessionSpec resolves the backend negotiation for one session: the
-// client's requested engine (from its Hello) is granted only when the
-// trainer supports it, and the granted spec is what goes back on the wire.
-func (s *Server) sessionSpec(trainer *classify.Trainer, hello *Hello) (classify.Spec, error) {
-	requested, err := field.ResolveBackend(hello.FieldBackend)
-	if err != nil {
-		return classify.Spec{}, err
-	}
-	return trainer.SessionSpec(requested), nil
 }
 
 // ticketer lazily builds the per-process ticket mint (see Server field
@@ -512,16 +507,14 @@ const fastJobQueue = 64
 // pipelined clients are never blocked on the server's crypto, and FIFO
 // answering keeps the OT-extension batch counters in lockstep.
 func (s *Server) serveClassifyFast(conn *Conn, trainer *classify.Trainer, hello *Hello, rng io.Reader) error {
-	spec, err := s.sessionSpec(trainer, hello)
-	if err != nil {
-		return err
-	}
+	spec := trainer.Spec()
 	resumeState := s.grantResume(hello, spec)
 	spec.ResumeGranted = resumeState != nil
 	if err := conn.Send(&spec); err != nil {
 		return err
 	}
 	var fast *classify.FastTrainer
+	var err error
 	if resumeState != nil {
 		// The κ base OTs are skipped entirely: the extension sender is
 		// rebuilt from the ticket's snapshot, counters carried forward,

@@ -192,7 +192,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 // EncodeWire implements the wire codec.
 func (h *Hello) EncodeWire(w *wire.Writer) {
 	w.String(h.Service)
-	w.String(h.FieldBackend)
 	w.Bool(h.ResumeOffered)
 	w.ByteSlice(h.ResumeTicket)
 }
@@ -200,7 +199,6 @@ func (h *Hello) EncodeWire(w *wire.Writer) {
 // DecodeWire implements the wire codec.
 func (h *Hello) DecodeWire(r *wire.Reader) {
 	h.Service = r.String()
-	h.FieldBackend = r.String()
 	h.ResumeOffered = r.Bool()
 	h.ResumeTicket = r.ByteSlice()
 }
