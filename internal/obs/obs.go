@@ -10,8 +10,8 @@
 // The phase taxonomy (the Phase* and Ctr*/Gauge* constants below) maps
 // the paper's per-phase cost breakdown (§VI) onto the implementation:
 // cover/mask generation and decoy assembly on the receiver (§IV-A.2),
-// masked amplified evaluations on the sender (§IV-A.1), the k parallel
-// Naor–Pinkas OT instances (§III-B), Lagrange recovery (§IV-A.3), the
+// masked amplified evaluations on the sender (§IV-A.1), the batched
+// Naor–Pinkas k-of-n OT (§III-B), Lagrange recovery (§IV-A.3), the
 // similarity rounds (§V-B), and wire bytes counted at the transport
 // envelope. DESIGN.md §9 documents the full name set.
 package obs
@@ -129,8 +129,8 @@ const (
 	// h(v_i) + amp·P(z_i) + shift across all M pairs (§IV-A.1).
 	PhaseSenderMask = "ompe.sender.mask_ns"
 
-	// PhaseOTSenderSetup times Naor–Pinkas batch-sender setup (the k
-	// parallel instance constructions).
+	// PhaseOTSenderSetup times Naor–Pinkas batch-sender setup (the n−1
+	// constraints the k instances share).
 	PhaseOTSenderSetup = "ot.sender.setup_ns"
 	// PhaseOTSenderRespond times the sender's batched OT response.
 	PhaseOTSenderRespond = "ot.sender.respond_ns"

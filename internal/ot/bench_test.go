@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/ot"
 )
 
@@ -41,7 +42,8 @@ func BenchmarkDirect1ofN(b *testing.B) {
 // BenchmarkKofN prices a whole k-of-n Naor–Pinkas transfer (both roles, in
 // memory) per group. 3of6 is the similarity protocol's dot-product round,
 // 9of18 its area round — the shape `ot.kofn_area_ms` of the repository
-// benchmark times; `make bench-smoke` runs the x25519 cases once.
+// benchmark times; `make bench-smoke` runs the x25519 cases once. exps/op
+// is the transfer's `ot.group_exp` count, n + 3k.
 func BenchmarkKofN(b *testing.B) {
 	for _, g := range []ot.Group{ot.Group512Test(), ot.X25519()} {
 		for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
@@ -51,6 +53,8 @@ func BenchmarkKofN(b *testing.B) {
 				for i := range indices {
 					indices[i] = 2 * i
 				}
+				reg := obs.NewRegistry()
+				defer obs.SwapDefault(obs.SwapDefault(reg))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -59,15 +63,15 @@ func BenchmarkKofN(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(shape.k)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
+				b.ReportMetric(float64(reg.Counter(obs.CtrGroupExp))/float64(b.N), "exps/op")
 			})
 		}
 	}
 }
 
-// BenchmarkKofNParallel prices a wide batch (k=16 of n=64). Per-instance
-// exponentiations dominate, so throughput should scale with cores until
-// the pool saturates them; sweep the worker count with -cpu (-cpu 1 is
-// the serial baseline).
+// BenchmarkKofNParallel prices a wide batch (k=16 of n=64). It runs
+// serially: one batch shares its constraints and r, and its instances are
+// not fanned out, so -cpu should not move it.
 func BenchmarkKofNParallel(b *testing.B) {
 	g := ot.Group512Test()
 	msgs := benchMessages(b, 64)

@@ -13,16 +13,23 @@ import (
 
 // parentTranscripts pins the SHA-256 over the three marshalled messages
 // (setup ‖ choice ‖ transfer) of a Naor–Pinkas transfer run under the
-// deterministic rng below, as produced by the commit before the group seam
-// moved to decoded elements (60d100d). The rewrite changes how elements
-// are computed, never which bytes travel.
+// deterministic rng below, as first produced by the commit before the
+// group seam moved to decoded elements (60d100d). Refactors change how
+// elements are computed, never which bytes travel.
+//
+// They were re-recorded once when the k instances of a k-of-n became one
+// batch, and the setup and transfer lost their per-instance list layout.
+// A batch of one still carries the parent's bytes: its 1of2 and 1of18
+// digests equal the parent's digest over the inner setup ‖ choice ‖
+// transfer (58f2b26, which wrapped the setup and the transfer in a list of
+// one). The 9of18 digests hash the new one-batch messages.
 var parentTranscripts = map[string]string{
-	"x25519/1of2":        "bc99474d4ea717613b1ce4c44aabfd0479aa76f6ceb77244e513c4b06796ed1b",
-	"x25519/1of18":       "7257898f4bd1311dd78ba2ddbaae4195e6714e0220e05b36adbabe21e9646bc9",
-	"x25519/9of18":       "efa5aa740894c809c87cd1c6c1f861060e0a7daa7b4cecdb22d09968e71e6430",
-	"modp512-test/1of2":  "564c7e40604a3216aea42244de2dc30dc2edb1a0e36d5e182a026e6e52ade168",
-	"modp512-test/1of18": "33f443d1dd53fa92eec345e93ddcc28e7d2312452d427b2fe1bba51108a5522f",
-	"modp512-test/9of18": "69b936c6a205372ff4bdc75cd0bed97f8d3c8ae0cf49d778dc64f7945d2dc64b",
+	"x25519/1of2":        "35b6687787204bdd3feb40ec70a6d21b9e382ce297c18a6a95365d4c7864d366",
+	"x25519/1of18":       "5e92de4c4ed15c42bec08642ad3a44f1aa2d0f99d5d72c68c7b42f5e0dc5d3bb",
+	"x25519/9of18":       "fa46a80a9e503a544824a80a3ce76511d0837a96c566c07d7c4b086ba2c85355",
+	"modp512-test/1of2":  "0a17cf25817701f0bfa446096e2a5b70c50b8c6363932007f8cbb25eac3b2b18",
+	"modp512-test/1of18": "f1a96fbf53911e9ae9d16aac7c101e6d30c4fa7522a044a7176f6921d649ce04",
+	"modp512-test/9of18": "f19fc6cac04690cb85c861357a97afd759f61a8436ad7b5cf7dcdfb0c420508c",
 }
 
 func TestTranscriptsMatchParent(t *testing.T) {
@@ -50,11 +57,11 @@ func TestTranscriptsMatchParent(t *testing.T) {
 				if got != parentTranscripts[name] {
 					t.Errorf("transcript digest %s, parent produced %s", got, parentTranscripts[name])
 				}
-				// One 1-of-n instance is n+3 scalar multiplications:
-				// g^r, PK0^r and the n−1 C_i^r on the sender, g^x and
+				// A k-of-n batch is n+3k scalar multiplications: g^r, the
+				// n−1 C_j^r and k PK_{i,0}^r on the sender, k g^x and k
 				// R^x on the receiver. Sampling the constraints is not
 				// counted (it never was).
-				want := int64(len(sh.indices) * (sh.n + 3))
+				want := int64(sh.n + 3*len(sh.indices))
 				if exps := reg.Counter(obs.CtrGroupExp); exps != want {
 					t.Errorf("%s = %d, want %d", obs.CtrGroupExp, exps, want)
 				}

@@ -43,13 +43,10 @@ func FuzzOTWire(f *testing.F) {
 	f.Add([]byte{})
 	// Maximal varint: a hostile length prefix with no payload behind it.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
-	// Wrong-shape base messages: the pre-batch base setup (κ one-constraint
-	// setups), and base transfers with 2κ−1 ciphertexts and with a short one.
-	for _, m := range wrongShapeBaseMsgs() {
-		data, err := m.MarshalBinary()
-		if err != nil {
-			f.Fatal(err)
-		}
+	// Wrong-shape messages: the pre-batch base setup (κ one-constraint
+	// setups), base transfers with 2κ−1 ciphertexts and with a short one,
+	// and a k-of-n setup and transfer in their per-instance list layout.
+	for _, data := range wrongShapeBaseMsgs(f) {
 		f.Add(data)
 	}
 	for _, data := range kofnEdgeSeeds(f) {
@@ -84,9 +81,47 @@ func FuzzOTWire(f *testing.F) {
 	})
 }
 
-// wrongShapeBaseMsgs are well-encoded messages of the wrong shape for the
-// IKNP base phase.
-func wrongShapeBaseMsgs() []wireMsg {
+// LegacySeq encodes setups or transfers in the list layout BatchSetup and
+// BatchTransfer had while every k-of-n instance carried its own
+// constraints and R (through 58f2b26): a count, then each message. The
+// IKNP base setup of a peer from before the κ base OTs shared one
+// constraint has the same layout. Exported for the external tests.
+func LegacySeq[M interface{ EncodeWire(*wire.Writer) }](msgs []M) []byte {
+	w := wire.NewAppendWriter(nil)
+	w.Count(len(msgs))
+	for _, m := range msgs {
+		m.EncodeWire(w)
+	}
+	return w.Bytes()
+}
+
+// legacyKofN returns a 9-of-18 setup and transfer in the list layout of
+// LegacySeq: nine setups of 17 constraints, nine transfers of one R and
+// 18 ciphertexts each.
+func legacyKofN() (setup, transfer []byte) {
+	const k, n = 9, 18
+	setups := make([]*SenderSetup, k)
+	transfers := make([]*SenderTransfer, k)
+	for i := range setups {
+		cs := make([]*big.Int, n-1)
+		for j := range cs {
+			cs[j] = big.NewInt(int64(100*i + j + 1))
+		}
+		cts := make([][]byte, n)
+		for j := range cts {
+			cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
+		}
+		setups[i] = &SenderSetup{Cs: cs}
+		transfers[i] = &SenderTransfer{R: big.NewInt(int64(31337 + i)), Cts: cts}
+	}
+	return LegacySeq(setups), LegacySeq(transfers)
+}
+
+// wrongShapeBaseMsgs are well-encoded messages of the wrong shape: for the
+// IKNP base phase, and the k-of-n setup and transfer in their old
+// per-instance layout.
+func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
+	tb.Helper()
 	legacy := make([]*SenderSetup, iknpKappa)
 	for i := range legacy {
 		legacy[i] = &SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
@@ -96,11 +131,19 @@ func wrongShapeBaseMsgs() []wireMsg {
 		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
 	}
 	short := append([][]byte{{1, 2, 3}}, cts...)[:2*iknpKappa]
-	return []wireMsg{
-		&BatchSetup{Setups: legacy},
+	out := [][]byte{LegacySeq(legacy)}
+	for _, m := range []wireMsg{
 		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: cts}},
 		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: short}},
+	} {
+		data, err := m.MarshalBinary()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
 	}
+	setup, transfer := legacyKofN()
+	return append(out, setup, transfer)
 }
 
 // kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:

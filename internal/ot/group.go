@@ -4,9 +4,11 @@
 // deliver the receiver's m genuine evaluations out of M = m·k pairs
 // (§IV-A.3) without revealing which indices were genuine.
 //
-// The k-out-of-n transfer is realized as k parallel 1-out-of-n instances,
-// which has identical functionality and privacy in the honest-but-curious
-// model the paper assumes (the receiver is trusted to pick distinct
+// The k-out-of-n transfer is realized as one batch of k 1-out-of-n
+// instances over the same messages, sharing one constraint set and one
+// ephemeral r (the batched form of Naor–Pinkas; DESIGN.md §11). It has
+// identical functionality and privacy in the honest-but-curious model the
+// paper assumes (the receiver is trusted to pick distinct
 // indices; a malicious-receiver variant would need the Chu–Tzeng
 // construction the paper cites).
 //

@@ -170,12 +170,12 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base sender: %w", err)
 	}
-	setups, err := setupsFor([]*Sender{s})
+	setup, err := setupFor(s)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
 	recv.baseSender = s
-	return recv, &IKNPBaseSetup{Setup: setups[0]}, nil
+	return recv, &IKNPBaseSetup{Setup: setup}, nil
 }
 
 // NewIKNPSenderBase creates the extension sender from the receiver's
@@ -195,11 +195,11 @@ func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPS
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receivers, choices, err := chooseAll(group, 2, [][]int{bits}, []*SenderSetup{setup.Setup}, rng)
+	receiver, choices, err := chooseAll(group, 2, bits, setup.Setup, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
-	send.baseReceiver = receivers[0]
+	send.baseReceiver = receiver
 	return send, &IKNPBaseChoice{Choices: choices}, nil
 }
 
@@ -209,12 +209,12 @@ func (r *IKNPReceiver) BaseRespond(choice *IKNPBaseChoice, rng io.Reader) (*IKNP
 	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfers, err := respondAll([]*Sender{r.baseSender}, choice.Choices, rng)
+	transfer, err := respondAll(r.baseSender, choice.Choices, rng)
 	if err != nil {
 		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
 	r.baseSender = nil // one-shot
-	return &IKNPBaseTransfer{Transfer: transfers[0]}, nil
+	return &IKNPBaseTransfer{Transfer: transfer}, nil
 }
 
 // BaseFinish completes the extension sender's base phase.
@@ -230,7 +230,7 @@ func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
 			return fmt.Errorf("%w: base ciphertext %d has length %d, want %d", ErrIKNP, i, len(ct), treeKeyLen)
 		}
 	}
-	seeds, err := recoverAll([]*Receiver{s.baseReceiver}, []*SenderTransfer{tr.Transfer})
+	seeds, err := recoverAll(s.baseReceiver, tr.Transfer)
 	if err != nil {
 		return fmt.Errorf("ot: iknp base recover: %w", err)
 	}

@@ -11,10 +11,10 @@ import (
 // ErrDuplicateIndex reports repeated indices in a k-out-of-n choice.
 var ErrDuplicateIndex = errors.New("ot: duplicate choice index")
 
-// BatchSetup carries the setups of the k parallel instances of a
-// k-out-of-n transfer.
+// BatchSetup carries the one set of constraints the k instances of a
+// k-out-of-n transfer share.
 type BatchSetup struct {
-	Setups []*SenderSetup
+	Setup *SenderSetup
 }
 
 // BatchChoice carries the receiver's k public keys.
@@ -22,21 +22,18 @@ type BatchChoice struct {
 	Choices []*ReceiverChoice
 }
 
-// BatchTransfer carries the k transfers.
+// BatchTransfer carries the one R and the k·n ciphertexts, instance i's
+// message j at slot i·n + j.
 type BatchTransfer struct {
-	Transfers []*SenderTransfer
+	Transfer *SenderTransfer
 }
 
-// BatchSender runs the sender role of a k-out-of-n transfer as k parallel
-// 1-out-of-n instances (honest-but-curious; see package doc).
-//
-// The per-instance exponentiations — the OT bottleneck — are distributed
-// across a worker pool (internal/parallel) by the instance-slice steps of
-// naorpinkas.go. All randomness is drawn serially before any parallel
-// region, so the rng stream and every message are bit-identical at any
-// GOMAXPROCS.
+// BatchSender runs the sender role of a k-out-of-n transfer as one batch
+// of k Naor–Pinkas 1-out-of-n instances over the same n messages
+// (honest-but-curious; see package doc): n−1 constraints and one r serve
+// all k, and the slot i·n + j keeps the instances' pads apart.
 type BatchSender struct {
-	senders []*Sender
+	sender *Sender
 }
 
 // NewBatchSender prepares a k-out-of-n transfer of the given messages.
@@ -52,44 +49,40 @@ func NewBatchSender(group Group, msgs [][]byte, k int, rng io.Reader) (*BatchSen
 	// One defensive copy of the messages, shared read-only by all k
 	// instances.
 	copied := copyMessages(msgs)
-	// Each instance is a batch of one with constraints of its own. Draw
-	// every instance's constraint randomness serially, instance by
-	// instance; only the heavy seed-to-element finish (a subgroup squaring
-	// for MODP groups, a scalar multiplication for curves) runs in
-	// parallel.
-	senders := make([]*Sender, k)
-	for i := range senders {
-		s, err := drawSender(group, [][][]byte{copied}, rng)
-		if err != nil {
-			return nil, nil, instanceErr(i, err)
-		}
-		senders[i] = s
+	perInstance := make([][][]byte, k)
+	for i := range perInstance {
+		perInstance[i] = copied
 	}
-	setups, err := setupsFor(senders)
+	s, err := drawSender(group, perInstance, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	setup, err := setupFor(s)
 	if err != nil {
 		return nil, nil, err
 	}
 	obs.Add(obs.CtrOTInstances, int64(k))
-	return &BatchSender{senders: senders}, &BatchSetup{Setups: setups}, nil
+	return &BatchSender{sender: s}, &BatchSetup{Setup: setup}, nil
 }
 
-// Respond consumes the receiver's batched choice.
+// Respond consumes the receiver's batched choice, which must carry one
+// public key per instance.
 func (bs *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransfer, error) {
 	span := obs.Start(obs.PhaseOTSenderRespond)
 	defer span.End()
-	if choice == nil || len(choice.Choices) != len(bs.senders) {
-		return nil, fmt.Errorf("%w: want %d choices", ErrBadMessage, len(bs.senders))
+	if choice == nil {
+		return nil, fmt.Errorf("%w: missing choice", ErrBadMessage)
 	}
-	transfers, err := respondAll(bs.senders, choice.Choices, rng)
+	tr, err := respondAll(bs.sender, choice.Choices, rng)
 	if err != nil {
 		return nil, err
 	}
-	return &BatchTransfer{Transfers: transfers}, nil
+	return &BatchTransfer{Transfer: tr}, nil
 }
 
 // BatchReceiver runs the receiver role of a k-out-of-n transfer.
 type BatchReceiver struct {
-	receivers []*Receiver
+	receiver *Receiver
 }
 
 // NewBatchReceiver prepares the receiver's choice of the (distinct) indices
@@ -97,8 +90,8 @@ type BatchReceiver struct {
 func NewBatchReceiver(group Group, n int, indices []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
 	span := obs.Start(obs.PhaseOTReceiverChoice)
 	defer span.End()
-	if setup == nil || len(setup.Setups) != len(indices) {
-		return nil, nil, fmt.Errorf("%w: setup count must equal k", ErrBadMessage)
+	if setup == nil {
+		return nil, nil, fmt.Errorf("%w: missing setup", ErrBadMessage)
 	}
 	seen := make(map[int]bool, len(indices))
 	for _, idx := range indices {
@@ -107,25 +100,22 @@ func NewBatchReceiver(group Group, n int, indices []int, setup *BatchSetup, rng 
 		}
 		seen[idx] = true
 	}
-	sigmas := make([][]int, len(indices))
-	for i := range sigmas {
-		sigmas[i] = indices[i : i+1 : i+1]
-	}
-	receivers, choices, err := chooseAll(group, n, sigmas, setup.Setups, rng)
+	receiver, choices, err := chooseAll(group, n, indices, setup.Setup, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &BatchReceiver{receivers: receivers}, &BatchChoice{Choices: choices}, nil
+	return &BatchReceiver{receiver: receiver}, &BatchChoice{Choices: choices}, nil
 }
 
-// Recover decrypts the k chosen messages, in choice order.
+// Recover decrypts the k chosen messages, in choice order. The transfer
+// must carry exactly k·n ciphertexts.
 func (br *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	span := obs.Start(obs.PhaseOTReceiverRecover)
 	defer span.End()
-	if tr == nil || len(tr.Transfers) != len(br.receivers) {
-		return nil, fmt.Errorf("%w: want %d transfers", ErrBadMessage, len(br.receivers))
+	if tr == nil {
+		return nil, fmt.Errorf("%w: missing transfer", ErrBadMessage)
 	}
-	return recoverAll(br.receivers, tr.Transfers)
+	return recoverAll(br.receiver, tr.Transfer)
 }
 
 // Transfer1of2 runs a complete in-memory 1-out-of-2 transfer: the receiver

@@ -62,9 +62,9 @@ func malformedElements(t *testing.T) map[string]map[string]*big.Int {
 
 // TestMalformedElementsRejected feeds every malformed integer in every
 // position a peer controls — PK0, R, and a constraint C_j both at and away
-// from the chosen index — through the single-transfer and the batched
-// (worker-pool) entry points, and wants ErrBadMessage every time: there is
-// no arithmetic on an element that did not decode, and no panic.
+// from the chosen index — through the single-transfer and the k-of-n
+// entry points, and wants ErrBadMessage every time: there is no
+// arithmetic on an element that did not decode, and no panic.
 func TestMalformedElementsRejected(t *testing.T) {
 	bad := malformedElements(t)
 	const n, sigma = 4, 2
@@ -115,22 +115,22 @@ func TestMalformedElementsRejected(t *testing.T) {
 					want("NewReceiver(C_j)", err)
 				}
 
-				// The same three positions inside the last instance of a batch.
+				// The same positions in the k-of-n: the last instance's PK_0,
+				// the one R the k instances share, and each C_j of their one
+				// setup.
 				last := len(indices) - 1
 				choices := append([]*ot.ReceiverChoice(nil), bChoice.Choices...)
 				choices[last] = &ot.ReceiverChoice{PK0: x}
 				_, err = bSender.Respond(&ot.BatchChoice{Choices: choices}, rand.Reader)
 				want("batch Respond(PK0)", err)
-				transfers := append([]*ot.SenderTransfer(nil), bTr.Transfers...)
-				transfers[last] = &ot.SenderTransfer{R: x, Cts: bTr.Transfers[last].Cts}
-				_, err = bReceiver.Recover(&ot.BatchTransfer{Transfers: transfers})
+				_, err = bReceiver.Recover(&ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: x, Cts: bTr.Transfer.Cts}})
 				want("batch Recover(R)", err)
-				setups := append([]*ot.SenderSetup(nil), bSetup.Setups...)
-				cs := append([]*big.Int(nil), setups[last].Cs...)
-				cs[0] = x
-				setups[last] = &ot.SenderSetup{Cs: cs}
-				_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Setups: setups}, rand.Reader)
-				want("batch NewReceiver(C_j)", err)
+				for j := 0; j < n-1; j++ {
+					cs := append([]*big.Int(nil), bSetup.Setup.Cs...)
+					cs[j] = x
+					_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Setup: &ot.SenderSetup{Cs: cs}}, rand.Reader)
+					want("batch NewReceiver(C_j)", err)
+				}
 			})
 		}
 
@@ -185,10 +185,7 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 			want("NewIKNPSenderBase(nil)", err)
 			// The pre-batch wire layout either fails to decode as a base
 			// setup or decodes to one the sender refuses.
-			old, err := (&ot.BatchSetup{Setups: legacy}).MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
-			}
+			old := ot.LegacySeq(legacy)
 			var decoded ot.IKNPBaseSetup
 			if err := decoded.UnmarshalBinary(old); err == nil {
 				_, _, err = ot.NewIKNPSenderBase(g, &decoded, rand.Reader)

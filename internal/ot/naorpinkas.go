@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-
-	"repro/internal/parallel"
 )
 
 var (
@@ -42,26 +40,25 @@ type SenderTransfer struct {
 	Cts [][]byte
 }
 
-// The four protocol steps below — the sender's setupsFor and respondAll,
-// the receiver's chooseAll and recoverAll — each take a slice of batches.
-// A batch is the batched form of Naor–Pinkas: its instances share one set
-// of constraints C_1..C_{n−1} and one ephemeral r, and instance i's key for
-// message j, [r]·PK_{i,j}, is bound to the instance by deriving its pad
-// with slot i·n + j. The single-transfer API and each of the k instances
-// of a k-out-of-n are batches of one, whose transcripts are those of the
-// unbatched protocol; the IKNP base phase is one batch of κ. For a batch
-// of m instances the steps cost (scalar multiplications and decodes):
+// The four protocol steps below — the sender's setupFor and respondAll,
+// the receiver's chooseAll and recoverAll — each run one batch: the
+// batched form of Naor–Pinkas (Naor & Pinkas, SODA 2001), whose m
+// instances share one set of constraints C_1..C_{n−1} and one ephemeral r.
+// Instance i's key for message j, [r]·PK_{i,j}, is bound to the instance by
+// deriving its pad with slot i·n + j. The single-transfer API is a batch
+// of one, whose transcript is that of the unbatched protocol; a k-out-of-n
+// is one batch of k and the IKNP base phase one batch of κ. For a batch of
+// m instances the steps cost (scalar multiplications and decodes):
 //
-//	setupsFor   n−1 fixed-base (the C_j)
+//	setupFor    n−1 fixed-base (the C_j)
 //	chooseAll   m fixed-base (g^x_i); n−1 decodes
 //	respondAll  n fixed-base (R, the C_j^r), m variable-base (PK_{i,0}^r); m decodes
 //	recoverAll  m multiplications of R, from one table of R once m is large; 1 decode
 //
-// Every step draws its randomness serially and first (so the rng stream,
-// and hence every message, is the same at any GOMAXPROCS), decodes what
-// it received and does its group arithmetic on decoded elements inside the
-// worker pool, one batch per task, and encodes everything it sends or
-// hashes in a single Group.Encode call.
+// Every step draws its randomness first (so every message is a function of
+// the rng stream alone), decodes what it received, does its group
+// arithmetic on decoded elements and encodes everything it sends or hashes
+// in a single Group.Encode call.
 
 // Sender runs the sender role of a batch of Naor–Pinkas 1-out-of-n
 // transfers.
@@ -120,129 +117,82 @@ func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup
 	if err != nil {
 		return nil, nil, err
 	}
-	setups, err := setupsFor([]*Sender{s})
+	setup, err := setupFor(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return s, setups[0], nil
+	return s, setup, nil
 }
 
-// setupsFor finishes each batch's seeds into constraint elements and
-// encodes them. All senders share one group and one message count.
-func setupsFor(senders []*Sender) ([]*SenderSetup, error) {
-	group, stride := senders[0].group, len(senders[0].seeds)
-	elems := make([]Element, len(senders)*stride)
-	_ = parallel.For(len(senders), func(i int) error {
-		for j, seed := range senders[i].seeds {
-			elems[i*stride+j] = group.ElementFromSeed(seed)
-		}
-		return nil
-	})
-	wire, err := group.Encode(elems)
+// setupFor finishes the batch's seeds into constraint elements and encodes
+// them.
+func setupFor(s *Sender) (*SenderSetup, error) {
+	elems := make([]Element, len(s.seeds))
+	for j, seed := range s.seeds {
+		elems[j] = s.group.ElementFromSeed(seed)
+	}
+	wire, err := s.group.Encode(elems)
 	if err != nil {
 		return nil, err
 	}
-	setups := make([]*SenderSetup, len(senders))
-	for i := range setups {
-		setups[i] = &SenderSetup{Cs: wire[i*stride : (i+1)*stride : (i+1)*stride]}
-	}
-	return setups, nil
+	return &SenderSetup{Cs: wire}, nil
 }
 
 // Respond consumes the receiver's choice and produces the ciphertexts.
 func (s *Sender) Respond(choice *ReceiverChoice, rng io.Reader) (*SenderTransfer, error) {
-	transfers, err := respondAll([]*Sender{s}, []*ReceiverChoice{choice}, rng)
+	return respondAll(s, []*ReceiverChoice{choice}, rng)
+}
+
+// respondAll answers the batch's choices, one per instance.
+func respondAll(s *Sender, choices []*ReceiverChoice, rng io.Reader) (*SenderTransfer, error) {
+	group, n := s.group, len(s.msgs[0])
+	if len(choices) != len(s.msgs) {
+		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(choices), len(s.msgs))
+	}
+	r, err := group.RandomScalar(rng)
 	if err != nil {
-		return nil, err
+		return nil, instanceErr(0, err)
 	}
-	return transfers[0], nil
-}
-
-// batchStarts returns the index of each batch's first instance in the
-// flat instance order, plus the total instance count at the end.
-func batchStarts[B any](batches []B, size func(B) int) []int {
-	starts := make([]int, len(batches)+1)
-	for b, batch := range batches {
-		starts[b+1] = starts[b] + size(batch)
-	}
-	return starts
-}
-
-// respondAll answers the choices with the senders' batches: choices holds
-// one choice per instance, batch by batch. All senders share one group and
-// one message count.
-func respondAll(senders []*Sender, choices []*ReceiverChoice, rng io.Reader) ([]*SenderTransfer, error) {
-	group, n := senders[0].group, len(senders[0].msgs[0])
-	starts := batchStarts(senders, func(s *Sender) int { return len(s.msgs) })
-	if len(choices) != starts[len(senders)] {
-		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(choices), starts[len(senders)])
-	}
-	rs := make([]*big.Int, len(senders))
-	for b := range rs {
-		r, err := group.RandomScalar(rng)
+	pk0s := make([]Element, len(choices))
+	for i, c := range choices {
+		if c == nil {
+			return nil, instanceErr(i, fmt.Errorf("%w: missing choice", ErrBadMessage))
+		}
+		pk0, err := group.Decode(c.PK0)
 		if err != nil {
-			return nil, instanceErr(starts[b], err)
+			return nil, instanceErr(i, fmt.Errorf("invalid PK0: %w", err))
 		}
-		rs[b] = r
+		pk0s[i] = pk0
 	}
-	// Per batch: R = g^r, then the n key elements PK_{i,j}^r of each
-	// instance in slot order.
-	elemRange := func(b int) (int, int) { return b + starts[b]*n, b + 1 + starts[b+1]*n }
-	elems := make([]Element, len(senders)+starts[len(senders)]*n)
-	err := parallel.For(len(senders), func(b int) error {
-		s, r := senders[b], rs[b]
-		pk0s := make([]Element, len(s.msgs))
-		for i := range pk0s {
-			c := choices[starts[b]+i]
-			if c == nil {
-				return instanceErr(starts[b]+i, fmt.Errorf("%w: missing choice", ErrBadMessage))
-			}
-			pk0, err := group.Decode(c.PK0)
-			if err != nil {
-				return instanceErr(starts[b]+i, fmt.Errorf("invalid PK0: %w", err))
-			}
-			pk0s[i] = pk0
+	// R = g^r, then the n key elements PK_{i,j}^r of each instance in slot
+	// order.
+	elems := make([]Element, 1+len(pk0s)*n)
+	elems[0] = group.ExpG(r)
+	cr := make([]Element, len(s.seeds))
+	for j, seed := range s.seeds {
+		cr[j] = group.ExpSeed(seed, r)
+	}
+	for i, pk0 := range pk0s {
+		// PK_{i,j} = C_j / PK_{i,0}, so PK_{i,j}^r = C_j^r · (PK_{i,0}^r)^{-1}.
+		keys := elems[1+i*n : 1+(i+1)*n]
+		keys[0] = group.Exp(pk0, r)
+		inv := group.Inv(keys[0])
+		for j := range cr {
+			keys[1+j] = group.Mul(cr[j], inv)
 		}
-		lo, hi := elemRange(b)
-		out := elems[lo:hi]
-		out[0] = group.ExpG(r)
-		cr := make([]Element, len(s.seeds))
-		for j, seed := range s.seeds {
-			cr[j] = group.ExpSeed(seed, r)
-		}
-		for i, pk0 := range pk0s {
-			// PK_{i,j} = C_j / PK_{i,0}, so PK_{i,j}^r = C_j^r · (PK_{i,0}^r)^{-1}.
-			keys := out[1+i*n : 1+(i+1)*n]
-			keys[0] = group.Exp(pk0, r)
-			inv := group.Inv(keys[0])
-			for j := range cr {
-				keys[1+j] = group.Mul(cr[j], inv)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	wire, err := group.Encode(elems)
 	if err != nil {
 		return nil, err
 	}
-	transfers := make([]*SenderTransfer, len(senders))
-	_ = parallel.For(len(senders), func(b int) error {
-		lo, hi := elemRange(b)
-		w := wire[lo:hi]
-		cts := make([][]byte, len(senders[b].msgs)*n)
-		for i, msgs := range senders[b].msgs {
-			for j, m := range msgs {
-				slot := i*n + j
-				cts[slot] = xorKeystream(group, w[1+slot], slot, m)
-			}
+	cts := make([][]byte, len(pk0s)*n)
+	for i, msgs := range s.msgs {
+		for j, m := range msgs {
+			slot := i*n + j
+			cts[slot] = xorKeystream(group, wire[1+slot], slot, m)
 		}
-		transfers[b] = &SenderTransfer{R: w[0], Cts: cts}
-		return nil
-	})
-	return transfers, nil
+	}
+	return &SenderTransfer{R: wire[0], Cts: cts}, nil
 }
 
 // Receiver runs the receiver role of a batch of 1-out-of-n transfers.
@@ -256,65 +206,52 @@ type Receiver struct {
 // NewReceiver prepares the receiver's choice of index sigma among n
 // messages, given the sender's setup.
 func NewReceiver(group Group, n, sigma int, setup *SenderSetup, rng io.Reader) (*Receiver, *ReceiverChoice, error) {
-	receivers, choices, err := chooseAll(group, n, [][]int{{sigma}}, []*SenderSetup{setup}, rng)
+	receiver, choices, err := chooseAll(group, n, []int{sigma}, setup, rng)
 	if err != nil {
 		return nil, nil, err
 	}
-	return receivers[0], choices[0], nil
+	return receiver, choices[0], nil
 }
 
-// chooseAll prepares, for each batch b, the choices sigmas[b] among n
-// messages against setups[b], returning one choice per instance, batch by
-// batch.
-func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, rng io.Reader) ([]*Receiver, []*ReceiverChoice, error) {
+// chooseAll prepares the batch's choices sigmas among n messages against
+// the one setup, returning one choice per instance.
+func chooseAll(group Group, n int, sigmas []int, setup *SenderSetup, rng io.Reader) (*Receiver, []*ReceiverChoice, error) {
 	if n < 2 {
 		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
 	}
-	starts := batchStarts(sigmas, func(s []int) int { return len(s) })
-	receivers := make([]*Receiver, len(sigmas))
-	for b, batch := range sigmas {
-		if setups[b] == nil || len(setups[b].Cs) != n-1 {
-			return nil, nil, instanceErr(starts[b], fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
-		}
-		rc := &Receiver{group: group, n: n, sigmas: batch, xs: make([]*big.Int, len(batch))}
-		for i, sigma := range batch {
-			if sigma < 0 || sigma >= n {
-				return nil, nil, instanceErr(starts[b]+i, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n))
-			}
-			x, err := group.RandomScalar(rng)
-			if err != nil {
-				return nil, nil, instanceErr(starts[b]+i, err)
-			}
-			rc.xs[i] = x
-		}
-		receivers[b] = rc
+	if setup == nil || len(setup.Cs) != n-1 {
+		return nil, nil, instanceErr(0, fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
 	}
-	pk0s := make([]Element, starts[len(sigmas)])
-	err := parallel.For(len(receivers), func(b int) error {
-		// Every constraint is decoded — that is its validation — though
-		// only the chosen ones enter the arithmetic.
-		cs := make([]Element, n-1)
-		for j, c := range setups[b].Cs {
-			e, err := group.Decode(c)
-			if err != nil {
-				return instanceErr(starts[b], fmt.Errorf("invalid constraint element: %w", err))
-			}
-			cs[j] = e
+	rc := &Receiver{group: group, n: n, sigmas: sigmas, xs: make([]*big.Int, len(sigmas))}
+	for i, sigma := range sigmas {
+		if sigma < 0 || sigma >= n {
+			return nil, nil, instanceErr(i, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n))
 		}
-		rc := receivers[b]
-		for i, sigma := range rc.sigmas {
-			gx := group.ExpG(rc.xs[i])
-			if sigma == 0 {
-				pk0s[starts[b]+i] = gx // PK_0 = g^x itself
-			} else {
-				// PK_0 = C_sigma / g^x so that PK_sigma = C_sigma / PK_0 = g^x.
-				pk0s[starts[b]+i] = group.Mul(cs[sigma-1], group.Inv(gx))
-			}
+		x, err := group.RandomScalar(rng)
+		if err != nil {
+			return nil, nil, instanceErr(i, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		rc.xs[i] = x
+	}
+	// Every constraint is decoded — that is its validation — though only
+	// the chosen ones enter the arithmetic.
+	cs := make([]Element, n-1)
+	for j, c := range setup.Cs {
+		e, err := group.Decode(c)
+		if err != nil {
+			return nil, nil, instanceErr(0, fmt.Errorf("invalid constraint element: %w", err))
+		}
+		cs[j] = e
+	}
+	pk0s := make([]Element, len(sigmas))
+	for i, sigma := range sigmas {
+		gx := group.ExpG(rc.xs[i])
+		if sigma == 0 {
+			pk0s[i] = gx // PK_0 = g^x itself
+		} else {
+			// PK_0 = C_sigma / g^x so that PK_sigma = C_sigma / PK_0 = g^x.
+			pk0s[i] = group.Mul(cs[sigma-1], group.Inv(gx))
+		}
 	}
 	wire, err := group.Encode(pk0s)
 	if err != nil {
@@ -324,54 +261,41 @@ func chooseAll(group Group, n int, sigmas [][]int, setups []*SenderSetup, rng io
 	for i := range choices {
 		choices[i] = &ReceiverChoice{PK0: wire[i]}
 	}
-	return receivers, choices, nil
+	return rc, choices, nil
 }
 
 // Recover decrypts the chosen message from the sender's transfer.
 func (r *Receiver) Recover(tr *SenderTransfer) ([]byte, error) {
-	out, err := recoverAll([]*Receiver{r}, []*SenderTransfer{tr})
+	out, err := recoverAll(r, tr)
 	if err != nil {
 		return nil, err
 	}
 	return out[0], nil
 }
 
-// recoverAll decrypts the chosen message of every instance, batch b from
-// transfers[b], in the flat instance order. All receivers share one group.
-func recoverAll(receivers []*Receiver, transfers []*SenderTransfer) ([][]byte, error) {
-	group := receivers[0].group
-	starts := batchStarts(receivers, func(r *Receiver) int { return len(r.sigmas) })
-	keys := make([]Element, starts[len(receivers)])
-	err := parallel.For(len(receivers), func(b int) error {
-		rc, tr := receivers[b], transfers[b]
-		if tr == nil {
-			return instanceErr(starts[b], fmt.Errorf("%w: missing transfer", ErrBadMessage))
-		}
-		if want := len(rc.sigmas) * rc.n; len(tr.Cts) != want {
-			return instanceErr(starts[b], fmt.Errorf("%w: got %d ciphertexts, want %d", ErrBadMessage, len(tr.Cts), want))
-		}
-		bigR, err := group.Decode(tr.R)
-		if err != nil {
-			return instanceErr(starts[b], fmt.Errorf("invalid R: %w", err))
-		}
-		// PK_{i,sigma_i} = g^x_i in both branches of chooseAll, so its key
-		// PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
-		copy(keys[starts[b]:], group.ExpMany(bigR, rc.xs))
-		return nil
-	})
+// recoverAll decrypts the chosen message of every instance of the batch.
+func recoverAll(rc *Receiver, tr *SenderTransfer) ([][]byte, error) {
+	group := rc.group
+	if tr == nil {
+		return nil, instanceErr(0, fmt.Errorf("%w: missing transfer", ErrBadMessage))
+	}
+	if want := len(rc.sigmas) * rc.n; len(tr.Cts) != want {
+		return nil, instanceErr(0, fmt.Errorf("%w: got %d ciphertexts, want %d", ErrBadMessage, len(tr.Cts), want))
+	}
+	bigR, err := group.Decode(tr.R)
+	if err != nil {
+		return nil, instanceErr(0, fmt.Errorf("invalid R: %w", err))
+	}
+	// PK_{i,sigma_i} = g^x_i in both branches of chooseAll, so its key
+	// PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
+	wire, err := group.Encode(group.ExpMany(bigR, rc.xs))
 	if err != nil {
 		return nil, err
 	}
-	wire, err := group.Encode(keys)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(keys))
-	for b, rc := range receivers {
-		for i, sigma := range rc.sigmas {
-			slot := i*rc.n + sigma
-			out[starts[b]+i] = xorKeystream(group, wire[starts[b]+i], slot, transfers[b].Cts[slot])
-		}
+	out := make([][]byte, len(rc.sigmas))
+	for i, sigma := range rc.sigmas {
+		slot := i*rc.n + sigma
+		out[i] = xorKeystream(group, wire[i], slot, tr.Cts[slot])
 	}
 	return out, nil
 }

@@ -2,8 +2,8 @@ package ot
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math/big"
-	"sync"
 	"testing"
 )
 
@@ -14,7 +14,6 @@ import (
 // keys of those transfers are then the same points, and only the slot
 // tells their pads apart.
 func TestBaseBatchKDFInputsFresh(t *testing.T) {
-	defer func() { kdfTrace = nil }()
 	for _, g := range []Group{X25519(), Group512Test()} {
 		for _, repeat := range []bool{false, true} {
 			recv, setup, err := NewIKNPReceiverBase(g, rand.Reader)
@@ -28,35 +27,80 @@ func TestBaseBatchKDFInputsFresh(t *testing.T) {
 			if repeat {
 				choice.Choices[1] = choice.Choices[0]
 			}
-			type kdfInput struct {
-				slot int
-				key  string
-			}
-			var (
-				mu     sync.Mutex
-				calls  int
-				inputs = map[kdfInput]bool{}
-				keys   = map[string]bool{}
-			)
-			kdfTrace = func(slot int, elem *big.Int) {
-				mu.Lock()
-				defer mu.Unlock()
-				calls++
-				inputs[kdfInput{slot, elem.String()}] = true
-				keys[elem.String()] = true
-			}
-			_, err = recv.BaseRespond(choice, rand.Reader)
-			kdfTrace = nil
-			if err != nil {
-				t.Fatal(err)
-			}
-			if calls != 2*iknpKappa || len(inputs) != 2*iknpKappa {
-				t.Errorf("%s repeat=%v: %d distinct KDF inputs in %d calls, want %d of each",
-					g.Name(), repeat, len(inputs), calls, 2*iknpKappa)
-			}
-			if repeat && len(keys) != 2*iknpKappa-2 {
-				t.Errorf("%s: a repeated PK_0 gave %d distinct keys, want %d", g.Name(), len(keys), 2*iknpKappa-2)
+			checkKDFInputsFresh(t, fmt.Sprintf("%s repeat=%v", g.Name(), repeat), iknpKappa, 2, repeat, func() error {
+				_, err := recv.BaseRespond(choice, rand.Reader)
+				return err
+			})
+		}
+	}
+}
+
+// TestKofNKDFInputsFresh is the same check for the k-of-n: its k
+// instances share one r and one set of constraints, so the sender must
+// still feed its KDF k·n distinct (slot, key) inputs, with and without a
+// PK_0 sent for two instances.
+func TestKofNKDFInputsFresh(t *testing.T) {
+	for _, g := range []Group{X25519(), Group512Test()} {
+		for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
+			for _, repeat := range []bool{false, true} {
+				k, n := shape.k, shape.n
+				msgs := make([][]byte, n)
+				for j := range msgs {
+					msgs[j] = []byte{byte(j)}
+				}
+				indices := make([]int, k)
+				for i := range indices {
+					indices[i] = 2 * i
+				}
+				sender, setup, err := NewBatchSender(g, msgs, k, rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, choice, err := NewBatchReceiver(g, n, indices, setup, rand.Reader)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if repeat {
+					choice.Choices[1] = choice.Choices[0]
+				}
+				checkKDFInputsFresh(t, fmt.Sprintf("%s %dof%d repeat=%v", g.Name(), k, n, repeat), k, n, repeat, func() error {
+					_, err := sender.Respond(choice, rand.Reader)
+					return err
+				})
 			}
 		}
+	}
+}
+
+// checkKDFInputsFresh runs respond, one batch of m instances over n
+// messages, under the kdfTrace tap. It wants m·n KDF calls on m·n
+// distinct (slot, key) inputs, and m·n distinct keys, or m·n − n when
+// instances 0 and 1 were given the same PK_0.
+func checkKDFInputsFresh(t *testing.T, name string, m, n int, repeat bool, respond func() error) {
+	t.Helper()
+	type kdfInput struct {
+		slot int
+		key  string
+	}
+	calls, inputs, keys := 0, map[kdfInput]bool{}, map[string]bool{}
+	kdfTrace = func(slot int, elem *big.Int) {
+		calls++
+		inputs[kdfInput{slot, elem.String()}] = true
+		keys[elem.String()] = true
+	}
+	err := respond()
+	kdfTrace = nil
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != m*n || len(inputs) != m*n {
+		t.Errorf("%s: %d distinct KDF inputs in %d calls, want %d of each", name, len(inputs), calls, m*n)
+	}
+	wantKeys := m * n
+	if repeat {
+		wantKeys -= n
+	}
+	if len(keys) != wantKeys {
+		t.Errorf("%s: %d distinct keys, want %d", name, len(keys), wantKeys)
 	}
 }

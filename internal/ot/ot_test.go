@@ -3,6 +3,7 @@ package ot_test
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"math/big"
 	"testing"
@@ -311,6 +312,10 @@ func TestLargeGroupRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBatchMismatchedCounts: the k instances share one setup, so the
+// receiver cannot read k from it. A k mismatch is refused where it shows:
+// at Respond, which wants one choice per instance, and at Recover, which
+// wants exactly k·n ciphertexts.
 func TestBatchMismatchedCounts(t *testing.T) {
 	g := testGroup()
 	msgs := randomMessages(t, 5, 16)
@@ -318,15 +323,48 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ot.NewBatchReceiver(g, 5, []int{1, 2, 3}, setup, rand.Reader); err == nil {
-		t.Fatal("k mismatch should fail")
+	want := func(what string, err error) {
+		t.Helper()
+		if !errors.Is(err, ot.ErrBadMessage) {
+			t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
+		}
 	}
-	_, choice, err := ot.NewBatchReceiver(g, 5, []int{1, 2}, setup, rand.Reader)
+	receiver3, choice3, err := ot.NewBatchReceiver(g, 5, []int{1, 2, 3}, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.Respond(&ot.BatchChoice{Choices: choice.Choices[:1]}, rand.Reader); err == nil {
-		t.Fatal("short choice should fail")
+	_, err = sender.Respond(choice3, rand.Reader)
+	want("Respond(3 choices for k=2)", err)
+	receiver, choice, err := ot.NewBatchReceiver(g, 5, []int{1, 2}, setup, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = sender.Respond(&ot.BatchChoice{Choices: choice.Choices[:1]}, rand.Reader)
+	want("Respond(1 choice for k=2)", err)
+	_, err = sender.Respond(nil, rand.Reader)
+	want("Respond(nil)", err)
+	tr, err := sender.Respond(choice, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = receiver3.Recover(tr)
+	want("Recover(k=2 transfer, k=3 receiver)", err)
+	cts := tr.Transfer.Cts
+	for name, bad := range map[string][][]byte{
+		"k·n−1 ciphertexts": cts[:len(cts)-1],
+		"k·n+1 ciphertexts": append(append([][]byte(nil), cts...), cts[0]),
+		"n ciphertexts":     cts[:5],
+	} {
+		_, err = receiver.Recover(&ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: tr.Transfer.R, Cts: bad}})
+		want("Recover("+name+")", err)
+	}
+	_, err = receiver.Recover(&ot.BatchTransfer{})
+	want("Recover(no transfer)", err)
+	_, _, err = ot.NewBatchReceiver(g, 5, []int{1, 2}, &ot.BatchSetup{}, rand.Reader)
+	want("NewBatchReceiver(no setup)", err)
+	got, err := receiver.Recover(tr)
+	if err != nil || !bytes.Equal(got[0], msgs[1]) || !bytes.Equal(got[1], msgs[2]) {
+		t.Fatalf("honest transfer after the rejections: %v", err)
 	}
 	if _, _, err := ot.NewBatchSender(g, msgs, 0, rand.Reader); err == nil {
 		t.Fatal("k=0 should fail")

@@ -96,7 +96,7 @@ func TestKofNParallelRoundTrip(t *testing.T) {
 
 // TestKofNParallelDeterministic checks that every protocol message is
 // bit-identical across GOMAXPROCS settings when the rng stream is fixed:
-// randomness is drawn serially, only the exponentiations fan out.
+// every message is a function of the rng stream alone.
 func TestKofNParallelDeterministic(t *testing.T) {
 	for _, group := range []Group{Group512Test(), X25519()} {
 		t.Run(group.Name(), func(t *testing.T) { testKofNDeterministic(t, group) })
@@ -110,12 +110,8 @@ func testKofNDeterministic(t *testing.T, group Group) {
 	}
 	indices := []int{4, 1}
 
-	type trace struct {
-		setups    []*SenderSetup
-		choices   []*ReceiverChoice
-		transfers []*SenderTransfer
-	}
-	runOnce := func(procs int) trace {
+	// runOnce returns the three messages' encodings.
+	runOnce := func(procs int) [][]byte {
 		paralleltest.SetProcs(t, procs)
 		rng := newDetReader("kofn-determinism")
 		sender, setup, err := NewBatchSender(group, msgs, len(indices), rng)
@@ -139,40 +135,22 @@ func testKofNDeterministic(t *testing.T, group Group) {
 				t.Fatalf("procs=%d: wrong message %d", procs, j)
 			}
 		}
-		return trace{setups: setup.Setups, choices: choice.Choices, transfers: tr.Transfers}
+		return [][]byte{reencode(t, setup), reencode(t, choice), reencode(t, tr)}
 	}
 
 	base := runOnce(1)
 	for _, procs := range []int{2, 4} {
-		got := runOnce(procs)
-		for i := range base.setups {
-			for j := range base.setups[i].Cs {
-				if base.setups[i].Cs[j].Cmp(got.setups[i].Cs[j]) != 0 {
-					t.Fatalf("procs=%d: setup %d constraint %d differs", procs, i, j)
-				}
-			}
-		}
-		for i := range base.choices {
-			if base.choices[i].PK0.Cmp(got.choices[i].PK0) != 0 {
-				t.Fatalf("procs=%d: choice %d differs", procs, i)
-			}
-		}
-		for i := range base.transfers {
-			if base.transfers[i].R.Cmp(got.transfers[i].R) != 0 {
-				t.Fatalf("procs=%d: transfer %d R differs", procs, i)
-			}
-			for j := range base.transfers[i].Cts {
-				if !bytes.Equal(base.transfers[i].Cts[j], got.transfers[i].Cts[j]) {
-					t.Fatalf("procs=%d: transfer %d ciphertext %d differs", procs, i, j)
-				}
+		for i, got := range runOnce(procs) {
+			if !bytes.Equal(got, base[i]) {
+				t.Fatalf("procs=%d: message %d (setup, choice, transfer) differs", procs, i)
 			}
 		}
 	}
 }
 
 // TestBatchRespondBadChoiceParallel checks that a malformed instance inside
-// a batched choice fails cleanly (no hang, no partial success) on the
-// parallel path.
+// a batched choice fails cleanly (no hang, no partial success) with
+// several workers available.
 func TestBatchRespondBadChoiceParallel(t *testing.T) {
 	group := Group512Test()
 	msgs := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc"), []byte("dd")}

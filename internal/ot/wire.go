@@ -103,38 +103,10 @@ func (t *SenderTransfer) WriteTo(w io.Writer) (int64, error) { return wire.Write
 // ReadFrom implements io.ReaderFrom.
 func (t *SenderTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, t) }
 
-// setupSeq/choiceSeq/transferSeq are the list encodings of the k-of-n
-// batch messages; IKNPBaseChoice shares choiceSeq, while the IKNP base
-// setup and transfer carry the single SenderSetup / SenderTransfer of
+// choiceSeq is the list encoding of the receiver's public keys, shared by
+// BatchChoice and IKNPBaseChoice. The k-of-n setup and transfer, like the
+// IKNP base phase's, carry the single SenderSetup / SenderTransfer of
 // their one batch.
-
-func encodeSetupSeq(w *wire.Writer, setups []*SenderSetup) {
-	w.Count(len(setups))
-	for _, s := range setups {
-		if s == nil {
-			w.BigInt(nil) // typed ErrNilValue via the sticky writer
-			return
-		}
-		s.EncodeWire(w)
-	}
-}
-
-func decodeSetupSeq(r *wire.Reader) []*SenderSetup {
-	n := r.Count()
-	if r.Err() != nil {
-		return nil
-	}
-	out := make([]*SenderSetup, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		s := new(SenderSetup)
-		s.DecodeWire(r)
-		if r.Err() != nil {
-			return nil
-		}
-		out = append(out, s)
-	}
-	return out
-}
 
 func encodeChoiceSeq(w *wire.Writer, choices []*ReceiverChoice) {
 	w.Count(len(choices))
@@ -164,39 +136,47 @@ func decodeChoiceSeq(r *wire.Reader) []*ReceiverChoice {
 	return out
 }
 
-func encodeTransferSeq(w *wire.Writer, transfers []*SenderTransfer) {
-	w.Count(len(transfers))
-	for _, t := range transfers {
-		if t == nil {
-			w.BigInt(nil)
-			return
-		}
-		t.EncodeWire(w)
+// encodeSetup writes a required inner SenderSetup.
+func encodeSetup(w *wire.Writer, s *SenderSetup) {
+	if s == nil {
+		w.BigInt(nil) // typed ErrNilValue
+		return
 	}
+	s.EncodeWire(w)
 }
 
-func decodeTransferSeq(r *wire.Reader) []*SenderTransfer {
-	n := r.Count()
+func decodeSetup(r *wire.Reader) *SenderSetup {
+	s := new(SenderSetup)
+	s.DecodeWire(r)
 	if r.Err() != nil {
 		return nil
 	}
-	out := make([]*SenderTransfer, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		t := new(SenderTransfer)
-		t.DecodeWire(r)
-		if r.Err() != nil {
-			return nil
-		}
-		out = append(out, t)
+	return s
+}
+
+// encodeTransfer writes a required inner SenderTransfer.
+func encodeTransfer(w *wire.Writer, t *SenderTransfer) {
+	if t == nil {
+		w.BigInt(nil) // typed ErrNilValue
+		return
 	}
-	return out
+	t.EncodeWire(w)
+}
+
+func decodeTransfer(r *wire.Reader) *SenderTransfer {
+	t := new(SenderTransfer)
+	t.DecodeWire(r)
+	if r.Err() != nil {
+		return nil
+	}
+	return t
 }
 
 // EncodeWire implements the wire codec.
-func (b *BatchSetup) EncodeWire(w *wire.Writer) { encodeSetupSeq(w, b.Setups) }
+func (b *BatchSetup) EncodeWire(w *wire.Writer) { encodeSetup(w, b.Setup) }
 
 // DecodeWire implements the wire codec.
-func (b *BatchSetup) DecodeWire(r *wire.Reader) { b.Setups = decodeSetupSeq(r) }
+func (b *BatchSetup) DecodeWire(r *wire.Reader) { b.Setup = decodeSetup(r) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *BatchSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
@@ -229,10 +209,10 @@ func (b *BatchChoice) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(
 func (b *BatchChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
-func (b *BatchTransfer) EncodeWire(w *wire.Writer) { encodeTransferSeq(w, b.Transfers) }
+func (b *BatchTransfer) EncodeWire(w *wire.Writer) { encodeTransfer(w, b.Transfer) }
 
 // DecodeWire implements the wire codec.
-func (b *BatchTransfer) DecodeWire(r *wire.Reader) { b.Transfers = decodeTransferSeq(r) }
+func (b *BatchTransfer) DecodeWire(r *wire.Reader) { b.Transfer = decodeTransfer(r) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *BatchTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
@@ -247,22 +227,10 @@ func (b *BatchTransfer) WriteTo(w io.Writer) (int64, error) { return wire.WriteT
 func (b *BatchTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
-func (b *IKNPBaseSetup) EncodeWire(w *wire.Writer) {
-	if b.Setup == nil {
-		w.BigInt(nil) // typed ErrNilValue
-		return
-	}
-	b.Setup.EncodeWire(w)
-}
+func (b *IKNPBaseSetup) EncodeWire(w *wire.Writer) { encodeSetup(w, b.Setup) }
 
 // DecodeWire implements the wire codec.
-func (b *IKNPBaseSetup) DecodeWire(r *wire.Reader) {
-	s := new(SenderSetup)
-	s.DecodeWire(r)
-	if r.Err() == nil {
-		b.Setup = s
-	}
-}
+func (b *IKNPBaseSetup) DecodeWire(r *wire.Reader) { b.Setup = decodeSetup(r) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *IKNPBaseSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
@@ -295,22 +263,10 @@ func (b *IKNPBaseChoice) WriteTo(w io.Writer) (int64, error) { return wire.Write
 func (b *IKNPBaseChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
-func (b *IKNPBaseTransfer) EncodeWire(w *wire.Writer) {
-	if b.Transfer == nil {
-		w.BigInt(nil) // typed ErrNilValue
-		return
-	}
-	b.Transfer.EncodeWire(w)
-}
+func (b *IKNPBaseTransfer) EncodeWire(w *wire.Writer) { encodeTransfer(w, b.Transfer) }
 
 // DecodeWire implements the wire codec.
-func (b *IKNPBaseTransfer) DecodeWire(r *wire.Reader) {
-	t := new(SenderTransfer)
-	t.DecodeWire(r)
-	if r.Err() == nil {
-		b.Transfer = t
-	}
-}
+func (b *IKNPBaseTransfer) DecodeWire(r *wire.Reader) { b.Transfer = decodeTransfer(r) }
 
 // MarshalBinary implements encoding.BinaryMarshaler.
 func (b *IKNPBaseTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }

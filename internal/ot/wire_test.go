@@ -39,9 +39,9 @@ func otWireSamples() map[string]wireMsg {
 		"SenderSetup":      sampleSetup(),
 		"ReceiverChoice":   sampleChoice(),
 		"SenderTransfer":   sampleTransfer(),
-		"BatchSetup":       &BatchSetup{Setups: []*SenderSetup{sampleSetup(), sampleSetup()}},
+		"BatchSetup":       &BatchSetup{Setup: sampleSetup()},
 		"BatchChoice":      &BatchChoice{Choices: []*ReceiverChoice{sampleChoice()}},
-		"BatchTransfer":    &BatchTransfer{Transfers: []*SenderTransfer{sampleTransfer()}},
+		"BatchTransfer":    &BatchTransfer{Transfer: sampleTransfer()},
 		"IKNPBaseSetup":    &IKNPBaseSetup{Setup: sampleSetup()},
 		"IKNPBaseChoice":   &IKNPBaseChoice{Choices: []*ReceiverChoice{sampleChoice(), sampleChoice()}},
 		"IKNPBaseTransfer": &IKNPBaseTransfer{Transfer: sampleTransfer()},
@@ -123,7 +123,8 @@ func TestOTWireRoundTrips(t *testing.T) {
 
 func TestOTWireNilElements(t *testing.T) {
 	cases := map[string]wireMsg{
-		"nil-setup-elem":    &BatchSetup{Setups: []*SenderSetup{nil}},
+		"nil-setup-elem":    &BatchSetup{},
+		"nil-transfer":      &BatchTransfer{},
 		"nil-bigint":        &SenderSetup{Cs: []*big.Int{nil}},
 		"nil-pk0":           &ReceiverChoice{},
 		"nil-iknp-request":  &ExtKofNBatchRequest{K: 1, N: 2, B: 1},

@@ -90,8 +90,9 @@ func (g *X25519Group) Exp(base Element, e *big.Int) Element {
 // and BenchmarkScalarMult in internal/ec25519, three runs each) the table
 // costs 0.30–0.46 ms to build and 15–21 µs per multiplication against
 // 67–89 µs for the ladder, so it pays for itself from 5–8
-// multiplications. The IKNP base phase's 128 always take it; the
-// k-of-n's batches of one never do.
+// multiplications. The IKNP base phase's 128 always take it, as does the
+// similarity area round's 9-of-18; its 3-of-6 dot rounds stay on the
+// ladder.
 const tableBreakEven = 8
 
 // ExpMany returns [e]·base for each exponent: by the ladder below

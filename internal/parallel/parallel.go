@@ -1,8 +1,9 @@
 // Package parallel is the shared worker-pool engine behind every
 // data-parallel hot path of the protocol stack: the sender's masked
 // evaluations over all M = m·k pairs, the receiver's cover evaluations,
-// and the k independent Naor–Pinkas instances of the batch oblivious
-// transfer.
+// and the IKNP extension's per-column and per-row work. A Naor–Pinkas
+// k-of-n is one batch that shares its constraints and r, and runs
+// serially.
 //
 // The engine parallelizes *pure computation only*. Randomness is never
 // drawn inside a parallel region: callers pre-draw every rng value in the

@@ -5,8 +5,10 @@ import (
 	"encoding"
 	"encoding/binary"
 	"encoding/hex"
+	"fmt"
 	"io"
 	"math"
+	"math/big"
 	"testing"
 
 	"repro/internal/dataset"
@@ -22,13 +24,17 @@ import (
 // as first produced at 31e6012, before the hyperplane and kernel variants
 // shared one round machine. They were re-recorded once when the Spec lost
 // its field-engine string (the field now picks the engine): a digest over
-// every message but the Spec is unchanged in all four cases. Refactors
-// change how values are computed, never which bytes travel.
+// every message but the Spec is unchanged in all four cases. They were
+// re-recorded again when each round's k-of-n became one Naor–Pinkas batch,
+// which changes the setups, the transfers and the rng stream behind every
+// later message; parentRoundValues, which does not depend on them, passed
+// unedited across that change. Refactors change how values are computed,
+// never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/modp512-test":  "3a7919adf5e89d2a22ddf7cec7e680d4e0548d1854eb5ac26e61b1e5ae814109",
-	"linear/x25519":        "ce837dfbf907851eca977b31e952f08b6b15a40a9dbb48912b4c7ccb8209331d",
-	"linear/limb-fb18":     "fb9623e2be1f3850a74f53ba2b2e286d7928844181452d566a1db95c43195871",
-	"kernel/diabetes-poly": "5f85a85e32a0a32c07abc6492da260257c5d39b409745f2f23757e09e1419482",
+	"linear/modp512-test":  "7f3dd89946ddb8491432acef2d3268bee4b184bfdbbf8188913835c304e33b91",
+	"linear/x25519":        "e8f0eb64162f640697dadb95cb630a6a00dd5f207e87fbf7b22f44ad738ba8f2",
+	"linear/limb-fb18":     "c557fd5639847d72cbc47bebe381d5f176b8184f79766b059fd601fb90706001",
+	"kernel/diabetes-poly": "76cf4d7653a75e74363f3d575bc68beb4b7d610d0ebc9beffd515f3327315437",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.
@@ -67,9 +73,57 @@ type requester interface {
 	StartRound(similarity.Round, io.Reader) (*ompe.EvalRequest, error)
 	HandleSetup(similarity.Round, *ot.BatchSetup, io.Reader) (*ot.BatchChoice, error)
 	FinishRound(similarity.Round, *ot.BatchTransfer) (*similarity.Result, error)
+	RoundValues() (x1, x2 *big.Int)
+}
+
+// parentRoundValues pins the SHA-256 over Bob's decoded round outputs of
+// the same evaluations (x1 after the centroid round, x2 after every normal
+// round, then T²), as recorded at 58f2b26. Alice draws r_am, r_aw and r_b
+// before any OT, so these values depend on neither side's OT randomness:
+// a change to how the transfers draw or spend theirs leaves them alone.
+var parentRoundValues = map[string]string{
+	"linear/modp512-test":  "28d8afc0ee3c50803da6e1f4f3e65d2868bee227863d3f872d4a2d801075289c",
+	"linear/x25519":        "28d8afc0ee3c50803da6e1f4f3e65d2868bee227863d3f872d4a2d801075289c",
+	"linear/limb-fb18":     "d273e21e05a2c203e6a64ed2ba03a95539c5f9174dd78b9303c10dacf7d386be",
+	"kernel/diabetes-poly": "1e065462c457269685276395ee261ed5d71b3a482bd2cd8b28d2c45ecb57b980",
+}
+
+// digestCase is one evaluation of the equivalence suite: its transcript
+// and round-value digests, Bob's result and the plaintext reference.
+type digestCase struct {
+	name              string
+	transcript, value string
+	res, want         *similarity.Result
+	tol               float64
 }
 
 func TestTranscriptsMatchParent(t *testing.T) {
+	for _, c := range digestCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if c.transcript != parentTranscripts[c.name] {
+				t.Errorf("transcript digest %s, parent produced %s", c.transcript, parentTranscripts[c.name])
+			}
+			if math.Abs(c.res.TSquared-c.want.TSquared) > c.tol*(1+math.Abs(c.want.TSquared)) {
+				t.Errorf("T² private %g, plaintext %g", c.res.TSquared, c.want.TSquared)
+			}
+		})
+	}
+}
+
+func TestRoundValuesMatchParent(t *testing.T) {
+	for _, c := range digestCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			if c.value != parentRoundValues[c.name] {
+				t.Errorf("round-value digest %s, parent produced %s", c.value, parentRoundValues[c.name])
+			}
+		})
+	}
+}
+
+// digestCases runs the three linear configurations and the kernel pair
+// under the deterministic rngs.
+func digestCases(t *testing.T) []digestCase {
+	t.Helper()
 	wA, bA := []float64{0.7, -0.4, 0.2}, 0.05
 	wB, bB := []float64{-0.1, 0.9, 0.3}, -0.12
 	linear := []struct {
@@ -84,40 +138,15 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var cases []digestCase
 	for _, tc := range linear {
-		t.Run(tc.name, func(t *testing.T) {
-			aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
-			alice, err := similarity.NewAlice(wA, bA, tc.params, aliceRng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec := alice.Spec()
-			bob, err := similarity.NewBob(spec, wB, bB)
-			if err != nil {
-				t.Fatal(err)
-			}
-			clear := bob.ClearShare()
-			if err := alice.HandleClearShare(clear); err != nil {
-				t.Fatal(err)
-			}
-			rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
-			got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear}, rounds, aliceRng, bobRng)
-			checkTranscript(t, tc.name, got, res, want, 1e-4)
-		})
-	}
-	t.Run("kernel/diabetes-poly", func(t *testing.T) {
-		modelA, modelB := digestKernelPair(t)
-		want, err := similarity.EvaluateKernel(modelA, modelB, similarity.DefaultMetric())
-		if err != nil {
-			t.Fatal(err)
-		}
 		aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
-		alice, err := similarity.NewKernelAlice(modelA, similarity.Params{Group: ot.Group512Test()}, aliceRng)
+		alice, err := similarity.NewAlice(wA, bA, tc.params, aliceRng)
 		if err != nil {
 			t.Fatal(err)
 		}
 		spec := alice.Spec()
-		bob, err := similarity.NewKernelBob(spec, modelB)
+		bob, err := similarity.NewBob(spec, wB, bB)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,31 +154,46 @@ func TestTranscriptsMatchParent(t *testing.T) {
 		if err := alice.HandleClearShare(clear); err != nil {
 			t.Fatal(err)
 		}
-		scale, err := alice.AnnounceAreaScale()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bob.SetAreaScale(scale); err != nil {
-			t.Fatal(err)
-		}
-		rounds := []similarity.Round{similarity.RoundCentroid}
-		for range modelB.SupportVectors {
-			rounds = append(rounds, similarity.RoundNormal)
-		}
-		rounds = append(rounds, similarity.RoundArea)
-		got, res := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear, scale}, rounds, aliceRng, bobRng)
-		checkTranscript(t, "kernel/diabetes-poly", got, res, want, 2e-3)
-	})
-}
+		rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
+		c := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear}, rounds, aliceRng, bobRng)
+		c.name, c.want, c.tol = tc.name, want, 1e-4
+		cases = append(cases, c)
+	}
 
-func checkTranscript(t *testing.T, name, got string, res, want *similarity.Result, tol float64) {
-	t.Helper()
-	if got != parentTranscripts[name] {
-		t.Errorf("transcript digest %s, parent produced %s", got, parentTranscripts[name])
+	modelA, modelB := digestKernelPair(t)
+	want, err = similarity.EvaluateKernel(modelA, modelB, similarity.DefaultMetric())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.Abs(res.TSquared-want.TSquared) > tol*(1+math.Abs(want.TSquared)) {
-		t.Errorf("T² private %g, plaintext %g", res.TSquared, want.TSquared)
+	aliceRng, bobRng := newDetReader("similarity-alice"), newDetReader("similarity-bob")
+	alice, err := similarity.NewKernelAlice(modelA, similarity.Params{Group: ot.Group512Test()}, aliceRng)
+	if err != nil {
+		t.Fatal(err)
 	}
+	spec := alice.Spec()
+	bob, err := similarity.NewKernelBob(spec, modelB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear := bob.ClearShare()
+	if err := alice.HandleClearShare(clear); err != nil {
+		t.Fatal(err)
+	}
+	scale, err := alice.AnnounceAreaScale()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bob.SetAreaScale(scale); err != nil {
+		t.Fatal(err)
+	}
+	rounds := []similarity.Round{similarity.RoundCentroid}
+	for range modelB.SupportVectors {
+		rounds = append(rounds, similarity.RoundNormal)
+	}
+	rounds = append(rounds, similarity.RoundArea)
+	c := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear, scale}, rounds, aliceRng, bobRng)
+	c.name, c.want, c.tol = "kernel/diabetes-poly", want, 2e-3
+	return append(cases, c)
 }
 
 // digestKernelPair trains the kernel variant's fixed diabetes pair.
@@ -174,10 +218,11 @@ func digestKernelPair(t *testing.T) (*svm.Model, *svm.Model) {
 }
 
 // transcriptDigest runs the given rounds and hashes the prelude messages
-// followed by each round's four messages, in wire order.
-func transcriptDigest(t *testing.T, alice responder, bob requester, prelude []encoding.BinaryMarshaler, rounds []similarity.Round, aliceRng, bobRng io.Reader) (string, *similarity.Result) {
+// followed by each round's four messages, in wire order; alongside, it
+// hashes Bob's decoded value after each round and the final T².
+func transcriptDigest(t *testing.T, alice responder, bob requester, prelude []encoding.BinaryMarshaler, rounds []similarity.Round, aliceRng, bobRng io.Reader) digestCase {
 	t.Helper()
-	h := sha256.New()
+	h, hv := sha256.New(), sha256.New()
 	hash := func(m encoding.BinaryMarshaler) {
 		b, err := m.MarshalBinary()
 		if err != nil {
@@ -213,6 +258,14 @@ func transcriptDigest(t *testing.T, alice responder, bob requester, prelude []en
 		if res, err = bob.FinishRound(round, tr); err != nil {
 			t.Fatal(err)
 		}
+		x1, x2 := bob.RoundValues()
+		switch round {
+		case similarity.RoundCentroid:
+			fmt.Fprintf(hv, "x1=%x;", x1)
+		case similarity.RoundNormal:
+			fmt.Fprintf(hv, "x2=%x;", x2)
+		}
 	}
-	return hex.EncodeToString(h.Sum(nil)), res
+	fmt.Fprintf(hv, "T2=%016x", math.Float64bits(res.TSquared))
+	return digestCase{transcript: hex.EncodeToString(h.Sum(nil)), value: hex.EncodeToString(hv.Sum(nil)), res: res}
 }

@@ -1,0 +1,7 @@
+package similarity
+
+import "math/big"
+
+// RoundValues exposes Bob's decoded round outputs to the external tests:
+// x1 once the centroid round finishes, x2 after every normal round.
+func (b *requester) RoundValues() (x1, x2 *big.Int) { return b.x1, b.x2 }

@@ -101,11 +101,7 @@ func FuzzWireMsgs(f *testing.F) {
 	for i := range legacy {
 		legacy[i] = &ot.SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
 	}
-	data, err := (&ot.BatchSetup{Setups: legacy}).MarshalBinary()
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(data)
+	f.Add(legacySeq(legacy))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return

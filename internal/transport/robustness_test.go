@@ -5,10 +5,12 @@ package transport_test
 // client failures.
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
+	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -18,7 +20,9 @@ import (
 	"repro/internal/faultnet"
 	"repro/internal/ompe"
 	"repro/internal/ot"
+	"repro/internal/similarity"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // newTrainer builds a small linear trainer for robustness tests.
@@ -32,22 +36,36 @@ func newTrainer(t *testing.T, seed uint64) (*classify.Trainer, []float64) {
 	return trainer, test.X[0]
 }
 
+// legacySeq encodes messages in the list layout the k-of-n setup and
+// transfer had while every instance carried its own constraints and R: a
+// count, then each message.
+func legacySeq[M interface{ EncodeWire(*wire.Writer) }](msgs []M) []byte {
+	w := wire.NewAppendWriter(nil)
+	w.Count(len(msgs))
+	for _, m := range msgs {
+		m.EncodeWire(w)
+	}
+	return w.Bytes()
+}
+
+// reframe returns payload under the frame header of v's encoding.
+func reframe(t *testing.T, v any, payload []byte) []byte {
+	t.Helper()
+	hdr := encodeFrame(t, v)[:10]
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
+	return append(hdr, payload...)
+}
+
 // legacyBaseSetupFrame is the base-setup frame (tag 14) of a client from
 // before the κ base OTs shared one constraint: κ one-constraint setups,
-// laid out as a k-of-n BatchSetup.
+// laid out as a k-of-n BatchSetup was then.
 func legacyBaseSetupFrame(t *testing.T, setup *ot.IKNPBaseSetup) []byte {
 	t.Helper()
 	setups := make([]*ot.SenderSetup, 128)
 	for i := range setups {
 		setups[i] = setup.Setup
 	}
-	payload, err := (&ot.BatchSetup{Setups: setups}).MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr := encodeFrame(t, setup)[:10]
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
-	return append(hdr, payload...)
+	return reframe(t, setup, legacySeq(setups))
 }
 
 // retiredQueryFrame is a classification of one sample framed under tag 17,
@@ -66,11 +84,9 @@ func retiredQueryFrame(t *testing.T, fc *classify.FastClient, sample []float64) 
 	if batch[0] != 1 || batch[len(batch)-1] != 2 { // uvarint 1, zigzag varint 1
 		t.Fatalf("unexpected batch-of-one framing: % x ... % x", batch[0], batch[len(batch)-1])
 	}
-	payload := batch[1 : len(batch)-1]
-	hdr := encodeFrame(t, req)[:10]
-	hdr[1] = 17
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(len(payload)))
-	return append(hdr, payload...)
+	frame := reframe(t, req, batch[1:len(batch)-1])
+	frame[1] = 17
+	return frame
 }
 
 // TestSessionSlotFreedOnMidOTDisconnect: a client that fails in the
@@ -188,6 +204,119 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 			case <-doneB:
 			case <-time.After(10 * time.Second):
 				t.Fatal("server session B did not end")
+			}
+		})
+	}
+}
+
+// TestSimilaritySlotFreedOnOldLayoutKofN: a similarity client that
+// answers the first round's setup with a k-of-n frame in the layout from
+// before the k instances shared one batch — k setups under tag 4, or k
+// transfers under tag 6 — ends its session with a remote error, and with
+// MaxSessions=1 the next similarity client is served.
+func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
+	modelA, _ := trainLinear(t, 13)
+	modelB, _ := trainLinear(t, 14)
+	wA, err := modelA.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wB, err := modelB.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Both payloads are a 3-of-n in the old layout, n read off the setup
+	// the server just sent: three setups of n−1 constraints, or three
+	// transfers of one R and n ciphertexts. Fixed small elements keep the
+	// decode failure the same on every run.
+	for _, tc := range []struct {
+		name    string
+		proto   any // a message under the frame's tag
+		payload func(n int) []byte
+		tag     string
+	}{
+		{"k setups", &ot.BatchSetup{Setup: &ot.SenderSetup{}}, func(n int) []byte {
+			setup := &ot.SenderSetup{Cs: make([]*big.Int, n-1)}
+			for j := range setup.Cs {
+				setup.Cs[j] = big.NewInt(int64(j + 9))
+			}
+			return legacySeq([]*ot.SenderSetup{setup, setup, setup})
+		}, "tag 0x04"},
+		{"k transfers", &ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: big.NewInt(1)}}, func(n int) []byte {
+			tr := &ot.SenderTransfer{R: big.NewInt(31337), Cts: make([][]byte, n)}
+			for j := range tr.Cts {
+				tr.Cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
+			}
+			return legacySeq([]*ot.SenderTransfer{tr, tr, tr})
+		}, "tag 0x06"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trainer, err := classify.NewTrainer(modelA, classify.Params{Group: ot.Group512Test()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := quietServer(t, trainer)
+			srv.EnableSimilarity(wA, modelA.Bias, similarity.Params{Group: ot.Group512Test()})
+			srv.MaxSessions = 1
+
+			serverSideA, clientSideA := net.Pipe()
+			doneA := make(chan struct{})
+			go func() {
+				defer close(doneA)
+				srv.ServeConn(serverSideA)
+			}()
+			connA := transport.NewConn(clientSideA)
+			if err := connA.Send(&transport.Hello{Service: "similarity-linear"}); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := transport.Recv[*similarity.Spec](connA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bob, err := similarity.NewBob(*spec, wB, modelB.Bias)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := connA.Send(bob.ClearShare()); err != nil {
+				t.Fatal(err)
+			}
+			if err := connA.Send(&transport.RoundHeader{Round: similarity.RoundCentroid}); err != nil {
+				t.Fatal(err)
+			}
+			req, err := bob.StartRound(similarity.RoundCentroid, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := connA.Send(req); err != nil {
+				t.Fatal(err)
+			}
+			setup, err := transport.Recv[*ot.BatchSetup](connA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Setup.Cs)+1))); err != nil {
+				t.Fatal(err)
+			}
+			_, err = transport.Recv[*ot.BatchTransfer](connA)
+			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), tc.tag) {
+				t.Fatalf("err = %v, want a remote error naming %s", err, tc.tag)
+			}
+			if err := connA.Close(); err != nil {
+				t.Fatal(err)
+			}
+			select {
+			case <-doneA:
+			case <-time.After(10 * time.Second):
+				t.Fatal("server session did not end after the old-layout frame")
+			}
+			if n := srv.ActiveSessions(); n != 0 {
+				t.Fatalf("refused session still counted: %d active", n)
+			}
+
+			serverSideB, clientSideB := net.Pipe()
+			go srv.ServeConn(serverSideB)
+			if _, err := transport.EvaluateSimilarity(clientSideB, wB, modelB.Bias, rand.Reader); err != nil {
+				t.Fatalf("client B after A's slot should have freed: %v", err)
 			}
 		})
 	}
