@@ -14,9 +14,9 @@ import (
 
 // TestFieldPicksEngine pins the one rule that chooses the arithmetic
 // engine: the protocol's headroom sizes the field (field.ByBits), and a
-// protocol that fits 2^255−19 runs on the limb engine, whose requests
-// travel packed, while every wider field runs math/big in pair form. No
-// parameter names an engine.
+// protocol that fits 2^255−19 runs on the limb engine, while every wider
+// field runs math/big. Both send the same request form, records of
+// field-width elements. No parameter names an engine.
 func TestFieldPicksEngine(t *testing.T) {
 	linear, test := trainSmall(t, svm.Linear(), 1)
 	cubic, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
@@ -52,25 +52,24 @@ func TestFieldPicksEngine(t *testing.T) {
 		return alice.Spec().FieldBits, req
 	}
 	for _, tc := range []struct {
-		name       string
-		run        func() (int, *ompe.EvalRequest)
-		wantBits   int
-		wantPacked bool
+		name     string
+		run      func() (int, *ompe.EvalRequest)
+		wantBits int
 	}{
-		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, classify.Params{}) }, 255, true},
-		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, fastParams()) }, 521, false},
+		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, classify.Params{}) }, 255},
+		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, fastParams()) }, 521},
 		{"similarity-fracbits-18", func() (int, *ompe.EvalRequest) {
 			return similarityRequest(similarity.Params{FracBits: 18})
-		}, 255, true},
-		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 521, false},
+		}, 255},
+		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 521},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bits, req := tc.run()
 			if bits != tc.wantBits {
 				t.Fatalf("%d-bit field, want %d", bits, tc.wantBits)
 			}
-			if packed := len(req.Packed) > 0 && len(req.Pairs) == 0; packed != tc.wantPacked {
-				t.Fatalf("packed request = %v (%d pairs, %d packed bytes), want %v", packed, len(req.Pairs), len(req.Packed), tc.wantPacked)
+			if elen := (bits + 7) / 8; len(req.Packed) == 0 || len(req.Packed)%elen != 0 {
+				t.Fatalf("%d-byte request is not a run of %d-byte elements", len(req.Packed), elen)
 			}
 		})
 	}

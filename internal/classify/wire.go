@@ -1,8 +1,6 @@
 package classify
 
 import (
-	"io"
-
 	"repro/internal/wire"
 )
 
@@ -42,9 +40,3 @@ func (s *Spec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *Spec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
-
-// WriteTo implements io.WriterTo.
-func (s *Spec) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, s) }
-
-// ReadFrom implements io.ReaderFrom.
-func (s *Spec) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, s) }

@@ -16,12 +16,11 @@ import (
 // Limb execution engine. Over the 2^255−19 field (Field.SupportsLimb)
 // both roles run the entire per-query arithmetic — cover construction,
 // decoys, masked evaluations, interpolation — on fixed-width limb
-// elements, and the evaluation request travels in the packed form below
-// instead of as []Pair of big.Ints. The protocol semantics are identical:
-// the same residues flow through the same construction; only their
-// representation (and therefore the wire encoding of the request)
-// changes. Both parties derive the field from the public spec, so both
-// pick the same engine without negotiating it.
+// elements. The protocol semantics are identical: the same residues flow
+// through the same construction into the same request records; only
+// their in-memory representation changes. Both parties derive the field
+// from the public spec, so both pick the same engine without negotiating
+// it.
 
 // LimbEvaluator is implemented by evaluators that can run natively on limb
 // elements. Senders on the limb engine use EvalLimb when available and
@@ -37,13 +36,10 @@ type LimbEvaluator interface {
 // exactly when the field is 2^255−19.
 func (p Params) limbBackend() bool { return p.Field.SupportsLimb() }
 
-// packedStride is the byte length of one packed (v_i, z_i) record.
-func packedStride(numVars int) int { return (1 + numVars) * limb.ElementLen }
-
 // newReceiverLimb is the limb-engine half of NewReceiver: same construction
 // and rng draw order (covers, points, subset, decoys in pair order; genuine
-// cover evaluations in the parallel region), with the request emitted in
-// packed form.
+// cover evaluations in the parallel region), emitting the same request
+// records.
 func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, *EvalRequest, error) {
 	n := len(input)
 	lin := make([]limb.Element, n)
@@ -82,7 +78,7 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 	// Serial decoy draws in pair order, then parallel pure-arithmetic
 	// cover evaluations — the same stream discipline as the big engine,
 	// so the request is deterministic at any worker count.
-	stride := packedStride(n)
+	stride := packedStride(params.Field, n)
 	packed := make([]byte, total*stride)
 	for i := 0; i < total; i++ {
 		rec := packed[i*stride : (i+1)*stride]
@@ -141,23 +137,7 @@ sample:
 	return out, nil
 }
 
-// checkPackedShape performs the cheap structural validation of a packed
-// request; the full canonical/dedup checks happen in parsePackedRequest on
-// the sender's masking path, so each record is decoded exactly once.
-func checkPackedShape(params Params, numVars int, req *EvalRequest) error {
-	if req == nil {
-		return fmt.Errorf("%w: nil request", ErrBadRequest)
-	}
-	if len(req.Pairs) != 0 {
-		return fmt.Errorf("%w: pair-form request over the 2^255−19 field", ErrBadRequest)
-	}
-	if want := params.TotalPairs() * packedStride(numVars); len(req.Packed) != want {
-		return fmt.Errorf("%w: packed request is %d bytes, want %d", ErrBadRequest, len(req.Packed), want)
-	}
-	return nil
-}
-
-// flatPool recycles the parsed-record buffers of parsePackedRequest: the
+// flatPool recycles the parsed-record buffers of parseRequestLimb: the
 // sender decodes one per sample, and at batch sizes in the tens of
 // samples the per-query slice was a measurable share of the serving
 // allocation profile. putFlat returns a buffer once the masking pass is
@@ -176,14 +156,11 @@ func getFlat(n int) []limb.Element {
 
 func putFlat(s []limb.Element) { flatPool.Put(s) } //nolint:staticcheck // slice header churn is fine here
 
-// parsePackedRequest decodes and fully validates a packed request,
-// returning the records as a flat slice of (1+numVars)-element groups:
-// flat[i*(1+numVars)] is v_i, the rest of the group is z_i. The returned
-// slice comes from flatPool; callers hand it back via putFlat when done.
-func parsePackedRequest(params Params, numVars int, req *EvalRequest) ([]limb.Element, error) {
-	if err := checkPackedShape(params, numVars, req); err != nil {
-		return nil, err
-	}
+// parseRequestLimb is parseRequest on the limb engine: it decodes and
+// fully validates a shape-checked request, returning the records as a
+// flat slice of (1+numVars)-element groups. The returned slice comes from
+// flatPool; callers hand it back via putFlat when done.
+func parseRequestLimb(params Params, numVars int, req *EvalRequest) ([]limb.Element, error) {
 	total := params.TotalPairs()
 	stride := 1 + numVars
 	flat := getFlat(total * stride)
@@ -193,15 +170,12 @@ func parsePackedRequest(params Params, numVars int, req *EvalRequest) ([]limb.El
 		for j := 0; j < stride; j++ {
 			if err := rec[j].SetBytes(raw[j*limb.ElementLen : (j+1)*limb.ElementLen]); err != nil {
 				putFlat(flat)
-				if j == 0 {
-					return nil, fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
-				}
-				return nil, fmt.Errorf("%w: pair %d component %d not in field", ErrBadRequest, i, j-1)
+				return nil, recordError(i, j)
 			}
 		}
 		if rec[0].IsZero() {
 			putFlat(flat)
-			return nil, fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
+			return nil, recordError(i, 0)
 		}
 		// Totals are a few dozen pairs; a linear rescan of the earlier
 		// evaluation points is cheaper than a per-query dedup map.
@@ -216,7 +190,7 @@ func parsePackedRequest(params Params, numVars int, req *EvalRequest) ([]limb.El
 }
 
 // maskedSampleLimb is the limb engine's sender core for one sample: parse
-// and validate the packed request, draw the masking polynomial, and
+// and validate the request, draw the masking polynomial, and
 // compute every pair's y_i = h(v_i) + amp·P(z_i) + shift into a single
 // flat buffer (one 32-byte slot per pair).
 func maskedSampleLimb(params Params, eval Evaluator, amplifier, shift *big.Int, req *EvalRequest, rng io.Reader) ([][]byte, error) {
@@ -234,7 +208,7 @@ func maskedSampleLimb(params Params, eval Evaluator, amplifier, shift *big.Int, 
 // out across workers, each of which fans its pairs out again.
 func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	numVars := eval.NumVars()
-	flat, err := parsePackedRequest(params, numVars, req)
+	flat, err := parseRequestLimb(params, numVars, req)
 	if err != nil {
 		return nil, err
 	}

@@ -110,8 +110,8 @@ func TestLimbSessionBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ev := range req.Evals {
-		if len(ev.Pairs) != 0 || len(ev.Packed) == 0 {
-			t.Fatalf("sample %d: limb request not in packed form", i)
+		if want := params.TotalPairs() * 3 * limb.ElementLen; len(ev.Packed) != want {
+			t.Fatalf("sample %d: request is %d bytes, want %d", i, len(ev.Packed), want)
 		}
 	}
 	resp, err := sender.HandleBatch(req, rand.Reader)
@@ -164,8 +164,8 @@ func TestLimbParallelDeterministic(t *testing.T) {
 }
 
 // TestLimbSenderRejectsMalformed exercises the packed-request validation:
-// wrong sizes, non-canonical encodings, zero and duplicate evaluation
-// points, and representation mismatches must all be rejected.
+// wrong sizes, non-canonical encodings, and zero and duplicate evaluation
+// points must all be rejected.
 func TestLimbSenderRejectsMalformed(t *testing.T) {
 	f := field.Default()
 	params := limbParams(t, 1)
@@ -179,7 +179,7 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride := packedStride(len(input))
+	stride := packedStride(f, len(input))
 	corrupt := func(mutate func(b []byte) *EvalRequest) error {
 		cp := make([]byte, len(goodReq.Packed))
 		copy(cp, goodReq.Packed)
@@ -196,9 +196,6 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 			return &EvalRequest{Packed: b[:len(b)-1]}
 		},
 		"nil": func(b []byte) *EvalRequest { return nil },
-		"pair form over 2^255−19": func(b []byte) *EvalRequest {
-			return &EvalRequest{Pairs: []Pair{{V: f.One(), Z: input}}}
-		},
 		"non-canonical point": func(b []byte) *EvalRequest {
 			for i := 0; i < limb.ElementLen; i++ {
 				b[i] = 0xff
@@ -237,10 +234,9 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 	}
 }
 
-// TestSenderRefusesOtherFieldsRequestForm: the field picks the engine and
-// so the request form — packed over 2^255−19, pairs over every wider
-// field. A request in the other form, as a receiver on the other field
-// builds it, is malformed for the sender and never reaches its engine.
+// TestSenderRefusesOtherFieldsRequestForm: a request's records are as
+// wide as its field's elements, so a request a receiver on the other
+// field builds is malformed for the sender and never reaches its engine.
 func TestSenderRefusesOtherFieldsRequestForm(t *testing.T) {
 	p521, err := field.Mersenne(field.MersenneExp521)
 	if err != nil {
@@ -256,7 +252,7 @@ func TestSenderRefusesOtherFieldsRequestForm(t *testing.T) {
 		receiver, sender *field.Field
 	}{
 		{"packed-to-p521", field.Default(), p521},
-		{"pairs-to-p25519", p521, field.Default()},
+		{"p521-to-p25519", p521, field.Default()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rf, sf := tc.receiver, tc.sender

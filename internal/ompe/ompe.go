@@ -90,8 +90,8 @@ type Params struct {
 	Group ot.Group
 	// Backend is ignored: the field picks the engine. Over 2^255−19
 	// (Field.SupportsLimb) every per-query hot loop runs on fixed-width
-	// limb elements and the evaluation request travels packed; every
-	// other field runs math/big with the request in pair form.
+	// limb elements; every other field runs math/big. The evaluation
+	// request has one form on both.
 	//
 	// Deprecated: the field picks the engine.
 	Backend field.Backend
@@ -166,23 +166,26 @@ func sampleAmplifier(rng io.Reader, bits int) (*big.Int, error) {
 	return lo.Add(lo, off), nil
 }
 
-// Pair is one (v_i, z_i) evaluation pair of the request.
-type Pair struct {
-	V *big.Int
-	Z field.Vec
+// EvalRequest is the receiver's first message: M pairs (v_i, z_i), of
+// which only the receiver's secret m positions carry genuine cover
+// evaluations. Packed holds the M pairs back to back as records of
+// (1+numVars)·Field.ElementLen() bytes — v_i first, then the z_i
+// components, each a canonical fixed-width big-endian element — so the
+// payload is one byte slice on every field.
+type EvalRequest struct {
+	Packed []byte
 }
 
-// EvalRequest is the receiver's first message: M pairs, of which only the
-// receiver's secret m positions carry genuine cover evaluations. Exactly
-// one representation is populated, determined by the field's engine:
-// Pairs on the math/big engine, Packed on the limb engine. Packed holds
-// the M records back to back, each (1+numVars)·32 bytes of canonical
-// fixed-width encodings — v_i first, then the z_i components — which
-// keeps the payload a single byte slice instead of M·(1+numVars)
-// big.Ints.
-type EvalRequest struct {
-	Pairs  []Pair
-	Packed []byte
+// packedStride is the byte length of one (v_i, z_i) record.
+func packedStride(f *field.Field, numVars int) int { return (1 + numVars) * f.ElementLen() }
+
+// recordError reports the first invalid element of record i: element 0
+// is the evaluation point v_i, element j > 0 the z_i component j−1.
+func recordError(i, j int) error {
+	if j == 0 {
+		return fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
+	}
+	return fmt.Errorf("%w: pair %d component %d not in field", ErrBadRequest, i, j-1)
 }
 
 type senderState int
@@ -309,51 +312,52 @@ func (s *Sender) validateRequest(req *EvalRequest) error {
 	return validateEvalRequest(s.params, s.eval.NumVars(), req)
 }
 
-// validateEvalRequest checks a receiver's evaluation request against the
-// protocol parameters (shared by the one-shot and session senders). On
-// the limb engine only the structure is checked here; the per-record
-// canonical and dedup checks run inside the masking path, which decodes
-// every record exactly once.
+// validateEvalRequest checks a receiver's evaluation request's shape
+// against the protocol parameters (shared by the one-shot and session
+// senders, on both engines). The per-record canonical, non-zero and
+// distinct-point checks run inside the masking path, which decodes every
+// record exactly once on the engine's element type.
 func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
-	if params.limbBackend() {
-		return checkPackedShape(params, numVars, req)
-	}
 	if req == nil {
 		return fmt.Errorf("%w: nil request", ErrBadRequest)
 	}
-	if len(req.Packed) != 0 {
-		return fmt.Errorf("%w: packed request over a %d-bit field", ErrBadRequest, params.Field.Bits())
-	}
-	if len(req.Pairs) != params.TotalPairs() {
-		return fmt.Errorf("%w: got %d pairs, want %d", ErrBadRequest, len(req.Pairs), params.TotalPairs())
-	}
-	f := params.Field
-	seen := make(map[string]bool, len(req.Pairs))
-	for i, pair := range req.Pairs {
-		if pair.V == nil || !f.Contains(pair.V) || pair.V.Sign() == 0 {
-			return fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
-		}
-		// Key the dedup map on the fixed-width serialization: decimal
-		// big.Int formatting is measurably slow at M ≈ 1k pairs.
-		kb, err := f.Bytes(pair.V)
-		if err != nil {
-			return fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
-		}
-		key := string(kb)
-		if seen[key] {
-			return fmt.Errorf("%w: pair %d repeats evaluation point", ErrBadRequest, i)
-		}
-		seen[key] = true
-		if len(pair.Z) != numVars {
-			return fmt.Errorf("%w: pair %d has arity %d, want %d", ErrBadRequest, i, len(pair.Z), numVars)
-		}
-		for j, z := range pair.Z {
-			if z == nil || !f.Contains(z) {
-				return fmt.Errorf("%w: pair %d component %d not in field", ErrBadRequest, i, j)
-			}
-		}
+	if want := params.TotalPairs() * packedStride(params.Field, numVars); len(req.Packed) != want {
+		return fmt.Errorf("%w: request is %d bytes, want %d", ErrBadRequest, len(req.Packed), want)
 	}
 	return nil
+}
+
+// parseRequest decodes and fully validates a shape-checked request on
+// the math/big engine, returning the records as a flat slice of
+// (1+numVars)-element groups: flat[i*(1+numVars)] is v_i, the rest of
+// the group is z_i.
+func parseRequest(params Params, numVars int, req *EvalRequest) (field.Vec, error) {
+	f := params.Field
+	elen := f.ElementLen()
+	total := params.TotalPairs()
+	stride := 1 + numVars
+	flat := make(field.Vec, total*stride)
+	seen := make(map[string]bool, total)
+	for i := 0; i < total; i++ {
+		raw := req.Packed[i*stride*elen : (i+1)*stride*elen]
+		for j := 0; j < stride; j++ {
+			x, err := f.FromBytes(raw[j*elen : (j+1)*elen])
+			if err != nil {
+				return nil, recordError(i, j)
+			}
+			flat[i*stride+j] = x
+		}
+		if flat[i*stride].Sign() == 0 {
+			return nil, recordError(i, 0)
+		}
+		// The encoding is canonical, so equal points have equal bytes.
+		key := string(raw[:elen])
+		if seen[key] {
+			return nil, fmt.Errorf("%w: pair %d repeats evaluation point", ErrBadRequest, i)
+		}
+		seen[key] = true
+	}
+	return flat, nil
 }
 
 type receiverState int
@@ -427,27 +431,30 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 	// genuine pairs' cover tuples across the worker pool. crypto/rand
 	// draws never happen inside the parallel region, so the request is
 	// deterministic given a locked rng at any worker count.
-	pairs := make([]Pair, total)
+	elen := f.ElementLen()
+	stride := packedStride(f, len(input))
+	packed := make([]byte, total*stride)
 	for i := 0; i < total; i++ {
-		z := make(field.Vec, len(input))
+		rec := packed[i*stride : (i+1)*stride]
+		points[i].FillBytes(rec[:elen])
 		if !isGenuine[i] {
 			// Decoy: uniform garbage indistinguishable from cover values.
-			for j := range z {
+			for j := range input {
 				x, err := f.Rand(rng)
 				if err != nil {
 					return nil, nil, err
 				}
-				z[j] = x
+				x.FillBytes(rec[(1+j)*elen : (2+j)*elen])
 			}
 		}
-		pairs[i] = Pair{V: points[i], Z: z}
 	}
 	_ = parallel.For(total, func(i int) error {
 		if !isGenuine[i] {
 			return nil
 		}
+		rec := packed[i*stride : (i+1)*stride]
 		for j, g := range covers {
-			pairs[i].Z[j] = g.Eval(points[i])
+			g.Eval(points[i]).FillBytes(rec[(1+j)*elen : (2+j)*elen])
 		}
 		return nil
 	})
@@ -459,7 +466,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 		points:  points,
 		genuine: genuine,
 	}
-	return r, &EvalRequest{Pairs: pairs}, nil
+	return r, &EvalRequest{Packed: packed}, nil
 }
 
 // HandleSetup consumes the sender's OT setup and produces the receiver's
@@ -553,16 +560,22 @@ func randomSubset(n, m int, rng io.Reader) ([]int, error) {
 // pair's h(v_i) + amp·P(z_i) + shift is independent, so the M pairs are
 // chunked across the worker pool; a failing pair stops the batch and
 // surfaces the lowest-indexed error without deadlocking the pool.
-func maskedEvaluations(f *field.Field, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
-	msgs := make([][]byte, len(req.Pairs))
+func maskedEvaluations(params Params, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
+	stride := 1 + eval.NumVars()
+	flat, err := parseRequest(params, eval.NumVars(), req)
+	if err != nil {
+		return nil, err
+	}
+	f := params.Field
+	msgs := make([][]byte, params.TotalPairs())
 	reducedShift := f.Reduce(shift)
-	err := parallel.For(len(req.Pairs), func(i int) error {
-		pair := req.Pairs[i]
-		pv, err := eval.Eval(pair.Z)
+	err = parallel.For(len(msgs), func(i int) error {
+		rec := flat[i*stride : (i+1)*stride : (i+1)*stride]
+		pv, err := eval.Eval(rec[1:])
 		if err != nil {
 			return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 		}
-		y := f.Add(h.Eval(pair.V), f.Add(f.Mul(amplifier, pv), reducedShift))
+		y := f.Add(h.Eval(rec[0]), f.Add(f.Mul(amplifier, pv), reducedShift))
 		b, err := f.Bytes(y)
 		if err != nil {
 			return err
@@ -587,7 +600,7 @@ func maskedSample(params Params, eval Evaluator, amplifier, shift *big.Int, req 
 	if err != nil {
 		return nil, err
 	}
-	return maskedEvaluations(f, eval, h, amplifier, shift, req)
+	return maskedEvaluations(params, eval, h, amplifier, shift, req)
 }
 
 // MaskedEvaluations exposes the sender's arithmetic core (fresh masking
@@ -596,6 +609,9 @@ func maskedSample(params Params, eval Evaluator, amplifier, shift *big.Int, req 
 // the paper's Fig. 10 reports.
 func MaskedEvaluations(params Params, eval Evaluator, req *EvalRequest, rng io.Reader) ([][]byte, error) {
 	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := validateEvalRequest(params, eval.NumVars(), req); err != nil {
 		return nil, err
 	}
 	amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())

@@ -14,8 +14,8 @@ import (
 )
 
 // bigField is 2^521−1. The limb engine serves only 2^255−19, so every
-// test on this field exercises the math/big engine and its pair-form
-// requests; the limb engine's tests (limb_test.go) run on field.Default.
+// test on this field exercises the math/big engine; the limb engine's
+// tests (limb_test.go) run on field.Default.
 var bigField = func() *field.Field {
 	f, err := field.Mersenne(field.MersenneExp521)
 	if err != nil {
@@ -171,66 +171,158 @@ func buildLinear(t *testing.T, f *field.Field, n int) Evaluator {
 }
 
 // TestSenderRejectsMalformedRequests is the failure-injection suite for
-// the sender's request validation.
+// the sender's request validation: every hostile request is refused with
+// a typed ErrBadRequest, without a panic, on both engines (2^255−19 runs
+// limb, 2^521−1 math/big) and through both the one-shot sender and a
+// session's HandleBatch.
 func TestSenderRejectsMalformedRequests(t *testing.T) {
-	f := bigField
-	params := testParams(t, 1)
-	eval := buildLinear(t, f, 2)
-	input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
-
-	fresh := func() (*Sender, *EvalRequest) {
-		s, err := NewSender(params, eval)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, req, err := NewReceiver(params, input, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s, req
+	const numVars = 2
+	corruptions := []struct {
+		name string
+		// corrupt rewrites a well-formed request's bytes; it returns nil
+		// for a nil request.
+		corrupt func(f *field.Field, b []byte) []byte
+	}{
+		{"nil request", func(*field.Field, []byte) []byte { return nil }},
+		{"wrong length", func(_ *field.Field, b []byte) []byte { return b[:len(b)-1] }},
+		{"wrong pair count", func(f *field.Field, b []byte) []byte {
+			return b[:len(b)-packedStride(f, numVars)]
+		}},
+		{"wrong arity", func(f *field.Field, b []byte) []byte {
+			// Every record one component short.
+			var out []byte
+			for stride := packedStride(f, numVars); len(b) > 0; b = b[stride:] {
+				out = append(out, b[:stride-f.ElementLen()]...)
+			}
+			return out
+		}},
+		{"zero evaluation point", func(f *field.Field, b []byte) []byte {
+			clear(b[:f.ElementLen()])
+			return b
+		}},
+		{"duplicate evaluation points", func(f *field.Field, b []byte) []byte {
+			stride, elen := packedStride(f, numVars), f.ElementLen()
+			copy(b[stride:stride+elen], b[:elen])
+			return b
+		}},
+		{"out-of-field evaluation point", func(f *field.Field, b []byte) []byte {
+			f.Modulus().FillBytes(b[:f.ElementLen()])
+			return b
+		}},
+		{"out-of-field component", func(f *field.Field, b []byte) []byte {
+			elen := f.ElementLen()
+			f.Modulus().FillBytes(b[elen : 2*elen])
+			return b
+		}},
 	}
+	fields := []struct {
+		name string
+		f    *field.Field
+	}{{"p25519", field.Default()}, {"p521", bigField}}
+	// One session per field: a refused batch never reaches the extension,
+	// so the session survives every case.
+	type setup struct {
+		params   Params
+		eval     Evaluator
+		input    field.Vec
+		sender   *SessionSender
+		receiver *SessionReceiver
+	}
+	setups := make([]setup, len(fields))
+	for i, fc := range fields {
+		params := testParams(t, 1)
+		params.Field = fc.f
+		eval := buildLinear(t, fc.f, numVars)
+		sender, receiver, err := NewSession(params, eval, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		setups[i] = setup{params, eval, field.Vec{fc.f.FromInt64(1), fc.f.FromInt64(2)}, sender, receiver}
+	}
+	refused := func(t *testing.T, call func() error) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panic: %v", r)
+			}
+		}()
+		if err := call(); !errors.Is(err, ErrBadRequest) {
+			t.Fatalf("err = %v, want ErrBadRequest", err)
+		}
+	}
+	hostile := func(f *field.Field, req *EvalRequest, corrupt func(*field.Field, []byte) []byte) *EvalRequest {
+		b := corrupt(f, append([]byte(nil), req.Packed...))
+		if b == nil {
+			return nil
+		}
+		return &EvalRequest{Packed: b}
+	}
+	for _, tc := range corruptions {
+		t.Run(tc.name, func(t *testing.T) {
+			for i, fc := range fields {
+				su := setups[i]
+				t.Run(fc.name+"/HandleRequest", func(t *testing.T) {
+					s, err := NewSender(su.params, su.eval)
+					if err != nil {
+						t.Fatal(err)
+					}
+					_, req, err := NewReceiver(su.params, su.input, rand.Reader)
+					if err != nil {
+						t.Fatal(err)
+					}
+					refused(t, func() error {
+						_, err := s.HandleRequest(hostile(fc.f, req, tc.corrupt), rand.Reader)
+						return err
+					})
+				})
+				t.Run(fc.name+"/HandleBatch", func(t *testing.T) {
+					_, req, err := su.receiver.NewBatch([]field.Vec{su.input}, rand.Reader)
+					if err != nil {
+						t.Fatal(err)
+					}
+					req.Evals[0] = hostile(fc.f, req.Evals[0], tc.corrupt)
+					refused(t, func() error {
+						_, err := su.sender.HandleBatch(req, rand.Reader)
+						return err
+					})
+				})
+			}
+		})
+	}
+}
 
-	t.Run("nil request", func(t *testing.T) {
-		s, _ := fresh()
-		if _, err := s.HandleRequest(nil, rand.Reader); err == nil {
-			t.Fatal("nil request should fail")
+// requestRecords decodes a well-formed request into its evaluation
+// points and cover tuples.
+func requestRecords(t *testing.T, f *field.Field, numVars int, req *EvalRequest) ([]*big.Int, []field.Vec) {
+	t.Helper()
+	elen := f.ElementLen()
+	var points []*big.Int
+	var zs []field.Vec
+	for b := req.Packed; len(b) > 0; b = b[packedStride(f, numVars):] {
+		rec := make(field.Vec, 1+numVars)
+		for j := range rec {
+			x, err := f.FromBytes(b[j*elen : (j+1)*elen])
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec[j] = x
 		}
-	})
-	t.Run("wrong pair count", func(t *testing.T) {
-		s, req := fresh()
-		req.Pairs = req.Pairs[:len(req.Pairs)-1]
-		if _, err := s.HandleRequest(req, rand.Reader); err == nil {
-			t.Fatal("short request should fail")
+		points = append(points, rec[0])
+		zs = append(zs, rec[1:])
+	}
+	return points, zs
+}
+
+// packRequest encodes evaluation points and cover tuples as a request.
+func packRequest(f *field.Field, points []*big.Int, zs []field.Vec) *EvalRequest {
+	elen := f.ElementLen()
+	var packed []byte
+	for i, v := range points {
+		for _, x := range append(field.Vec{v}, zs[i]...) {
+			packed = append(packed, x.FillBytes(make([]byte, elen))...)
 		}
-	})
-	t.Run("zero evaluation point", func(t *testing.T) {
-		s, req := fresh()
-		req.Pairs[0].V = f.Zero()
-		if _, err := s.HandleRequest(req, rand.Reader); err == nil {
-			t.Fatal("v=0 should fail (it would expose P(alpha) directly)")
-		}
-	})
-	t.Run("duplicate evaluation points", func(t *testing.T) {
-		s, req := fresh()
-		req.Pairs[1].V = new(big.Int).Set(req.Pairs[0].V)
-		if _, err := s.HandleRequest(req, rand.Reader); err == nil {
-			t.Fatal("duplicate v should fail")
-		}
-	})
-	t.Run("wrong arity", func(t *testing.T) {
-		s, req := fresh()
-		req.Pairs[0].Z = req.Pairs[0].Z[:1]
-		if _, err := s.HandleRequest(req, rand.Reader); err == nil {
-			t.Fatal("short z should fail")
-		}
-	})
-	t.Run("out-of-field component", func(t *testing.T) {
-		s, req := fresh()
-		req.Pairs[0].Z[0] = f.Modulus()
-		if _, err := s.HandleRequest(req, rand.Reader); err == nil {
-			t.Fatal("non-canonical z should fail")
-		}
-	})
+	}
+	return &EvalRequest{Packed: packed}
 }
 
 func TestStateMachineOrder(t *testing.T) {
@@ -303,8 +395,9 @@ func TestRequestHidesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, pair := range req.Pairs {
-		for j, z := range pair.Z {
+	_, zs := requestRecords(t, f, len(input), req)
+	for i, tuple := range zs {
+		for j, z := range tuple {
 			if z.Cmp(secret) == 0 {
 				t.Fatalf("raw secret appears verbatim at pair %d component %d", i, j)
 			}
@@ -387,8 +480,9 @@ func TestRequestStatisticallyHidesInput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, pair := range req.Pairs {
-				for _, z := range pair.Z {
+			_, zs := requestRecords(t, f, len(input), req)
+			for _, tuple := range zs {
+				for _, z := range tuple {
 					total++
 					if z.BitLen() >= f.Bits()-1 {
 						ones++
@@ -618,7 +712,7 @@ func TestSessionBatchValidation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pairs := make([]Pair, 2*m)
+			zs := make([]field.Vec, 2*m)
 			for tuple, alpha := range alphas {
 				covers := make([]*poly.Poly, len(alpha))
 				for j, a := range alpha {
@@ -631,7 +725,7 @@ func TestSessionBatchValidation(t *testing.T) {
 					for j, g := range covers {
 						z[j] = g.Eval(points[i])
 					}
-					pairs[i] = Pair{V: points[i], Z: z}
+					zs[i] = z
 				}
 			}
 			all := make([]int, 2*m)
@@ -661,7 +755,7 @@ func TestSessionBatchValidation(t *testing.T) {
 				}
 				return fmt.Sprintf("the client interpolated a quotient of %v", ratio)
 			}
-			return &FastBatchRequest{Evals: []*EvalRequest{{Pairs: pairs}}, OT: otReq}, learn
+			return &FastBatchRequest{Evals: []*EvalRequest{packRequest(f, points, zs)}, OT: otReq}, learn
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -256,7 +256,7 @@ func maskedSampleWith(params Params, eval Evaluator, m senderMask, shift *big.In
 	if params.limbBackend() {
 		return maskedSampleLimbWith(params, eval, m.hLimb, m.amp, shift, req)
 	}
-	return maskedEvaluations(params.Field, eval, m.hBig, m.amp, shift, req)
+	return maskedEvaluations(params, eval, m.hBig, m.amp, shift, req)
 }
 
 // HandleBatch answers one batched query. Randomness (per-sample mask,

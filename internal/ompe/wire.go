@@ -1,9 +1,6 @@
 package ompe
 
 import (
-	"io"
-
-	"repro/internal/field"
 	"repro/internal/ot"
 	"repro/internal/wire"
 )
@@ -12,56 +9,10 @@ import (
 // for the primitive formats and internal/transport for the frame layer).
 
 // EncodeWire implements the wire codec.
-func (p *Pair) EncodeWire(w *wire.Writer) {
-	w.BigInt(p.V)
-	w.Count(len(p.Z))
-	for _, z := range p.Z {
-		w.BigInt(z)
-	}
-}
-
-// DecodeWire implements the wire codec.
-func (p *Pair) DecodeWire(r *wire.Reader) {
-	p.V = r.BigInt()
-	n := r.Count()
-	if r.Err() != nil {
-		return
-	}
-	p.Z = make(field.Vec, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		p.Z = append(p.Z, r.BigInt())
-		if r.Err() != nil {
-			return
-		}
-	}
-}
-
-// EncodeWire implements the wire codec.
-func (e *EvalRequest) EncodeWire(w *wire.Writer) {
-	w.Count(len(e.Pairs))
-	for i := range e.Pairs {
-		e.Pairs[i].EncodeWire(w)
-	}
-	w.ByteSlice(e.Packed)
-}
+func (e *EvalRequest) EncodeWire(w *wire.Writer) { w.ByteSlice(e.Packed) }
 
 // DecodeWire implements the wire codec.
 func (e *EvalRequest) DecodeWire(r *wire.Reader) {
-	n := r.Count()
-	if r.Err() != nil {
-		return
-	}
-	if n > 0 {
-		e.Pairs = make([]Pair, n)
-		for i := range e.Pairs {
-			e.Pairs[i].DecodeWire(r)
-			if r.Err() != nil {
-				return
-			}
-		}
-	} else {
-		e.Pairs = nil
-	}
 	e.Packed = r.ByteSlice()
 	if len(e.Packed) == 0 {
 		e.Packed = nil
@@ -73,12 +24,6 @@ func (e *EvalRequest) MarshalBinary() ([]byte, error) { return wire.Marshal(e) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (e *EvalRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, e) }
-
-// WriteTo implements io.WriterTo.
-func (e *EvalRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, e) }
-
-// ReadFrom implements io.ReaderFrom.
-func (e *EvalRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, e) }
 
 // encodeEval writes a required inner EvalRequest.
 func encodeEval(w *wire.Writer, e *EvalRequest) {
@@ -139,12 +84,6 @@ func (m *FastBatchRequest) MarshalBinary() ([]byte, error) { return wire.Marshal
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *FastBatchRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
 
-// WriteTo implements io.WriterTo.
-func (m *FastBatchRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *FastBatchRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
 // EncodeWire implements the wire codec.
 func (m *FastBatchResponse) EncodeWire(w *wire.Writer) {
 	if m.OT == nil {
@@ -169,9 +108,3 @@ func (m *FastBatchResponse) MarshalBinary() ([]byte, error) { return wire.Marsha
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *FastBatchResponse) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *FastBatchResponse) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *FastBatchResponse) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }

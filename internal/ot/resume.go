@@ -5,7 +5,6 @@ import (
 	"crypto/cipher"
 	"errors"
 	"fmt"
-	"io"
 
 	"repro/internal/wire"
 )
@@ -163,12 +162,6 @@ func (st *IKNPSenderState) MarshalBinary() ([]byte, error) { return wire.Marshal
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (st *IKNPSenderState) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, st) }
 
-// WriteTo implements io.WriterTo.
-func (st *IKNPSenderState) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, st) }
-
-// ReadFrom implements io.ReaderFrom.
-func (st *IKNPSenderState) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, st) }
-
 // EncodeWire implements the wire codec.
 func (st *IKNPReceiverState) EncodeWire(w *wire.Writer) {
 	w.ByteSlice(st.Seed0)
@@ -188,9 +181,3 @@ func (st *IKNPReceiverState) MarshalBinary() ([]byte, error) { return wire.Marsh
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (st *IKNPReceiverState) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, st) }
-
-// WriteTo implements io.WriterTo.
-func (st *IKNPReceiverState) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, st) }
-
-// ReadFrom implements io.ReaderFrom.
-func (st *IKNPReceiverState) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, st) }

@@ -1,17 +1,15 @@
 package ot
 
 import (
-	"io"
 	"math/big"
 
 	"repro/internal/wire"
 )
 
 // Binary wire encodings for every OT message type. Each type implements
-// encoding.BinaryMarshaler/Unmarshaler and io.WriterTo/ReaderFrom via a
-// single EncodeWire/DecodeWire pair (see internal/wire); the transport's
-// frames carry these encodings, and the golden-transcript suite
-// pins their bytes.
+// encoding.BinaryMarshaler/Unmarshaler via a single EncodeWire/DecodeWire
+// pair (see internal/wire); the transport's frames carry these
+// encodings, and the golden-transcript suite pins their bytes.
 
 // EncodeWire implements the wire codec.
 func (s *SenderSetup) EncodeWire(w *wire.Writer) {
@@ -42,12 +40,6 @@ func (s *SenderSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *SenderSetup) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
 
-// WriteTo implements io.WriterTo.
-func (s *SenderSetup) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, s) }
-
-// ReadFrom implements io.ReaderFrom.
-func (s *SenderSetup) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, s) }
-
 // EncodeWire implements the wire codec.
 func (c *ReceiverChoice) EncodeWire(w *wire.Writer) { w.BigInt(c.PK0) }
 
@@ -59,12 +51,6 @@ func (c *ReceiverChoice) MarshalBinary() ([]byte, error) { return wire.Marshal(c
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *ReceiverChoice) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, c) }
-
-// WriteTo implements io.WriterTo.
-func (c *ReceiverChoice) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, c) }
-
-// ReadFrom implements io.ReaderFrom.
-func (c *ReceiverChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, c) }
 
 // EncodeWire implements the wire codec.
 func (t *SenderTransfer) EncodeWire(w *wire.Writer) {
@@ -96,12 +82,6 @@ func (t *SenderTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal(t
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (t *SenderTransfer) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, t) }
-
-// WriteTo implements io.WriterTo.
-func (t *SenderTransfer) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, t) }
-
-// ReadFrom implements io.ReaderFrom.
-func (t *SenderTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, t) }
 
 // choiceSeq is the list encoding of the receiver's public keys, shared by
 // BatchChoice and IKNPBaseChoice. The k-of-n setup and transfer, like the
@@ -184,12 +164,6 @@ func (b *BatchSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *BatchSetup) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
 
-// WriteTo implements io.WriterTo.
-func (b *BatchSetup) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *BatchSetup) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
 // EncodeWire implements the wire codec.
 func (b *BatchChoice) EncodeWire(w *wire.Writer) { encodeChoiceSeq(w, b.Choices) }
 
@@ -201,12 +175,6 @@ func (b *BatchChoice) MarshalBinary() ([]byte, error) { return wire.Marshal(b) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *BatchChoice) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *BatchChoice) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *BatchChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
 func (b *BatchTransfer) EncodeWire(w *wire.Writer) { encodeTransfer(w, b.Transfer) }
@@ -220,12 +188,6 @@ func (b *BatchTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal(b)
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *BatchTransfer) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
 
-// WriteTo implements io.WriterTo.
-func (b *BatchTransfer) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *BatchTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
 // EncodeWire implements the wire codec.
 func (b *IKNPBaseSetup) EncodeWire(w *wire.Writer) { encodeSetup(w, b.Setup) }
 
@@ -237,12 +199,6 @@ func (b *IKNPBaseSetup) MarshalBinary() ([]byte, error) { return wire.Marshal(b)
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *IKNPBaseSetup) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *IKNPBaseSetup) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *IKNPBaseSetup) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
 func (b *IKNPBaseChoice) EncodeWire(w *wire.Writer) { encodeChoiceSeq(w, b.Choices) }
@@ -256,12 +212,6 @@ func (b *IKNPBaseChoice) MarshalBinary() ([]byte, error) { return wire.Marshal(b
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *IKNPBaseChoice) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
 
-// WriteTo implements io.WriterTo.
-func (b *IKNPBaseChoice) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *IKNPBaseChoice) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
-
 // EncodeWire implements the wire codec.
 func (b *IKNPBaseTransfer) EncodeWire(w *wire.Writer) { encodeTransfer(w, b.Transfer) }
 
@@ -273,12 +223,6 @@ func (b *IKNPBaseTransfer) MarshalBinary() ([]byte, error) { return wire.Marshal
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (b *IKNPBaseTransfer) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, b) }
-
-// WriteTo implements io.WriterTo.
-func (b *IKNPBaseTransfer) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, b) }
-
-// ReadFrom implements io.ReaderFrom.
-func (b *IKNPBaseTransfer) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, b) }
 
 // EncodeWire implements the wire codec.
 func (m *IKNPReceiverMsg) EncodeWire(w *wire.Writer) {
@@ -297,12 +241,6 @@ func (m *IKNPReceiverMsg) MarshalBinary() ([]byte, error) { return wire.Marshal(
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *IKNPReceiverMsg) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *IKNPReceiverMsg) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *IKNPReceiverMsg) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
 
 // EncodeWire implements the wire codec.
 func (m *IKNPSenderMsg) EncodeWire(w *wire.Writer) {
@@ -323,12 +261,6 @@ func (m *IKNPSenderMsg) MarshalBinary() ([]byte, error) { return wire.Marshal(m)
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *IKNPSenderMsg) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *IKNPSenderMsg) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *IKNPSenderMsg) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
 
 // encodeIKNPReceiver writes a required inner IKNP receiver message.
 func encodeIKNPReceiver(w *wire.Writer, m *IKNPReceiverMsg) {
@@ -387,12 +319,6 @@ func (m *ExtKofNBatchRequest) MarshalBinary() ([]byte, error) { return wire.Mars
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *ExtKofNBatchRequest) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
 
-// WriteTo implements io.WriterTo.
-func (m *ExtKofNBatchRequest) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *ExtKofNBatchRequest) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
 // EncodeWire implements the wire codec.
 func (m *ExtKofNBatchResponse) EncodeWire(w *wire.Writer) {
 	encodeIKNPSender(w, m.IKNP)
@@ -412,9 +338,3 @@ func (m *ExtKofNBatchResponse) MarshalBinary() ([]byte, error) { return wire.Mar
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *ExtKofNBatchResponse) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
-// WriteTo implements io.WriterTo.
-func (m *ExtKofNBatchResponse) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *ExtKofNBatchResponse) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }

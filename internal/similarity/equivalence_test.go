@@ -28,13 +28,17 @@ import (
 // re-recorded again when each round's k-of-n became one Naor–Pinkas batch,
 // which changes the setups, the transfers and the rng stream behind every
 // later message; parentRoundValues, which does not depend on them, passed
-// unedited across that change. Refactors change how values are computed,
-// never which bytes travel.
+// unedited across that change. They were re-recorded a third time when the
+// evaluation request became one byte slice of fixed-width records on every
+// field: only the request encodings changed (their records are the
+// fixed-width encodings of the same pairs), and parentRoundValues again
+// passed unedited. Refactors change how values are computed, never which
+// bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/modp512-test":  "7f3dd89946ddb8491432acef2d3268bee4b184bfdbbf8188913835c304e33b91",
-	"linear/x25519":        "e8f0eb64162f640697dadb95cb630a6a00dd5f207e87fbf7b22f44ad738ba8f2",
-	"linear/limb-fb18":     "c557fd5639847d72cbc47bebe381d5f176b8184f79766b059fd601fb90706001",
-	"kernel/diabetes-poly": "76cf4d7653a75e74363f3d575bc68beb4b7d610d0ebc9beffd515f3327315437",
+	"linear/modp512-test":  "b98fb91979d4f42617cb591246529c56ec6f517f6eb8e3d64552fba83566639a",
+	"linear/x25519":        "f40452d103ee6fcac453e85286548366f4cd0c425bdd9e4983f58773671b18ff",
+	"linear/limb-fb18":     "c7106ee96a263cf9629b8df280127989ad25a531bacafdebd62c8c491d31b0d5",
+	"kernel/diabetes-poly": "2aade2157a62b79a30c361e2dfd46c780a82c8e1c26da7ba89ede5bed28e8d6e",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.

@@ -1,8 +1,6 @@
 package similarity
 
 import (
-	"io"
-
 	"repro/internal/wire"
 )
 
@@ -41,12 +39,6 @@ func (s *Spec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *Spec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
 
-// WriteTo implements io.WriterTo.
-func (s *Spec) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, s) }
-
-// ReadFrom implements io.ReaderFrom.
-func (s *Spec) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, s) }
-
 // EncodeWire implements the wire codec.
 func (m *Metric) EncodeWire(w *wire.Writer) {
 	w.Float64(m.Alpha)
@@ -69,12 +61,6 @@ func (m *Metric) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (m *Metric) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
 
-// WriteTo implements io.WriterTo.
-func (m *Metric) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, m) }
-
-// ReadFrom implements io.ReaderFrom.
-func (m *Metric) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, m) }
-
 // EncodeWire implements the wire codec.
 func (c *ClearShare) EncodeWire(w *wire.Writer) {
 	w.Float64(c.NormM2)
@@ -93,12 +79,6 @@ func (c *ClearShare) MarshalBinary() ([]byte, error) { return wire.Marshal(c) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *ClearShare) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, c) }
 
-// WriteTo implements io.WriterTo.
-func (c *ClearShare) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, c) }
-
-// ReadFrom implements io.ReaderFrom.
-func (c *ClearShare) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, c) }
-
 // EncodeWire implements the wire codec.
 func (s *KernelSpec) EncodeWire(w *wire.Writer) {
 	s.Spec.EncodeWire(w)
@@ -116,12 +96,6 @@ func (s *KernelSpec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (s *KernelSpec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
-
-// WriteTo implements io.WriterTo.
-func (s *KernelSpec) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, s) }
-
-// ReadFrom implements io.ReaderFrom.
-func (s *KernelSpec) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, s) }
 
 // EncodeWire implements the wire codec.
 func (c *KernelClearShare) EncodeWire(w *wire.Writer) {
@@ -145,12 +119,6 @@ func (c *KernelClearShare) MarshalBinary() ([]byte, error) { return wire.Marshal
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (c *KernelClearShare) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, c) }
 
-// WriteTo implements io.WriterTo.
-func (c *KernelClearShare) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, c) }
-
-// ReadFrom implements io.ReaderFrom.
-func (c *KernelClearShare) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, c) }
-
 // EncodeWire implements the wire codec.
 func (a *AreaScale) EncodeWire(w *wire.Writer) {
 	w.Uint(a.C3Exp)
@@ -168,9 +136,3 @@ func (a *AreaScale) MarshalBinary() ([]byte, error) { return wire.Marshal(a) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (a *AreaScale) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, a) }
-
-// WriteTo implements io.WriterTo.
-func (a *AreaScale) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, a) }
-
-// ReadFrom implements io.ReaderFrom.
-func (a *AreaScale) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, a) }

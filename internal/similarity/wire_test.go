@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding"
 	"errors"
-	"io"
 	"math/big"
 	"reflect"
 	"testing"
@@ -17,8 +16,6 @@ type wireMsg interface {
 	wire.Msg
 	encoding.BinaryMarshaler
 	encoding.BinaryUnmarshaler
-	io.WriterTo
-	io.ReaderFrom
 }
 
 func sampleSpec() Spec {
@@ -65,28 +62,12 @@ func TestSimilarityWireRoundTrips(t *testing.T) {
 			if err != nil {
 				t.Fatalf("MarshalBinary: %v", err)
 			}
-			var sb bytes.Buffer
-			if _, err := in.WriteTo(&sb); err != nil {
-				t.Fatalf("WriteTo: %v", err)
-			}
-			if !bytes.Equal(sb.Bytes(), data) {
-				t.Fatalf("WriteTo and MarshalBinary disagree")
-			}
-
 			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
 			if err := out.UnmarshalBinary(data); err != nil {
 				t.Fatalf("UnmarshalBinary: %v", err)
 			}
 			if !bytes.Equal(reencode(t, out), data) {
 				t.Fatalf("slice round trip mismatch")
-			}
-
-			out2 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if _, err := out2.ReadFrom(bytes.NewReader(data)); err != nil {
-				t.Fatalf("ReadFrom: %v", err)
-			}
-			if !bytes.Equal(reencode(t, out2), data) {
-				t.Fatalf("stream round trip mismatch")
 			}
 
 			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)

@@ -1,10 +1,6 @@
 package svm
 
-import (
-	"io"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // EncodeWire implements the wire codec.
 func (k *Kernel) EncodeWire(w *wire.Writer) {
@@ -31,9 +27,3 @@ func (k *Kernel) MarshalBinary() ([]byte, error) { return wire.Marshal(k) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (k *Kernel) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, k) }
-
-// WriteTo implements io.WriterTo.
-func (k *Kernel) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, k) }
-
-// ReadFrom implements io.ReaderFrom.
-func (k *Kernel) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, k) }

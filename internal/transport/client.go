@@ -345,33 +345,9 @@ func (c *FastClassifyClient) ClassifyBatch(samples [][]float64) ([]int, error) {
 	return c.ClassifyBatchContext(context.Background(), samples)
 }
 
-// ClassifyBatchContext is ClassifyBatch under ctx.
+// ClassifyBatchContext is ClassifyBatch under ctx: one pipelined batch.
 func (c *FastClassifyClient) ClassifyBatchContext(ctx context.Context, samples [][]float64) ([]int, error) {
-	span := obs.Start(obs.PhaseClassifyBatch)
-	batch, req, err := c.session.NewBatch(samples, c.rand)
-	if err != nil {
-		return nil, err
-	}
-	var resp *ompe.FastBatchResponse
-	err = c.conn.RunContext(ctx, func() error {
-		if err := c.conn.Send(req); err != nil {
-			return err
-		}
-		resp, err = Recv[*ompe.FastBatchResponse](c.conn)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	labels, err := batch.Finish(resp)
-	if err != nil {
-		return nil, err
-	}
-	span.End()
-	obs.Add(obs.CtrClassifyBatches, 1)
-	obs.Add(obs.CtrClassifyQueries, int64(len(samples)))
-	obs.Observe(obs.HistBatchSize, int64(len(samples)))
-	return labels, nil
+	return c.ClassifyPipelined(ctx, samples, len(samples), 1)
 }
 
 // ClassifyPipelined classifies all samples in batches of batchSize while

@@ -53,9 +53,10 @@ type goldenScenario struct {
 // {big,limb}, and the linear similarity protocol across groups. A limb
 // scenario serves the linear model at the default parameters, which fit
 // 2^255−19; a big scenario widens the amplifier until the protocol needs
-// 2^521−1, which runs math/big with pair-form requests. Names carry the
-// "binary" infix of the one framing, which keeps the transcript file
-// names stable.
+// 2^521−1, which runs math/big. Both send the same request form, records
+// of field-width elements, so their requests differ only in record
+// width. Names carry the "binary" infix of the one framing, which keeps
+// the transcript file names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {

@@ -281,12 +281,6 @@ func (t *SessionTicket) MarshalBinary() ([]byte, error) { return wire.Marshal(t)
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (t *SessionTicket) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, t) }
 
-// WriteTo implements io.WriterTo.
-func (t *SessionTicket) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, t) }
-
-// ReadFrom implements io.ReaderFrom.
-func (t *SessionTicket) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, t) }
-
 // EncodeWire implements the wire codec.
 func (i *ResumeInfo) EncodeWire(w *wire.Writer) { w.ByteSlice(i.MintID) }
 
@@ -298,9 +292,3 @@ func (i *ResumeInfo) MarshalBinary() ([]byte, error) { return wire.Marshal(i) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (i *ResumeInfo) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, i) }
-
-// WriteTo implements io.WriterTo.
-func (i *ResumeInfo) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, i) }
-
-// ReadFrom implements io.ReaderFrom.
-func (i *ResumeInfo) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, i) }

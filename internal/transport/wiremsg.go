@@ -20,7 +20,6 @@ package transport
 
 import (
 	"errors"
-	"io"
 
 	"repro/internal/classify"
 	"repro/internal/ompe"
@@ -209,12 +208,6 @@ func (h *Hello) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (h *Hello) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, h) }
 
-// WriteTo implements io.WriterTo.
-func (h *Hello) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, h) }
-
-// ReadFrom implements io.ReaderFrom.
-func (h *Hello) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, h) }
-
 // EncodeWire implements the wire codec.
 func (h *RoundHeader) EncodeWire(w *wire.Writer) { w.Int(int(h.Round)) }
 
@@ -227,12 +220,6 @@ func (h *RoundHeader) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (h *RoundHeader) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, h) }
 
-// WriteTo implements io.WriterTo.
-func (h *RoundHeader) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, h) }
-
-// ReadFrom implements io.ReaderFrom.
-func (h *RoundHeader) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, h) }
-
 // EncodeWire implements the wire codec. Done carries no payload.
 func (d *Done) EncodeWire(w *wire.Writer) {}
 
@@ -244,9 +231,3 @@ func (d *Done) MarshalBinary() ([]byte, error) { return wire.Marshal(d) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
 func (d *Done) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, d) }
-
-// WriteTo implements io.WriterTo.
-func (d *Done) WriteTo(w io.Writer) (int64, error) { return wire.WriteTo(w, d) }
-
-// ReadFrom implements io.ReaderFrom.
-func (d *Done) ReadFrom(r io.Reader) (int64, error) { return wire.ReadFrom(r, d) }

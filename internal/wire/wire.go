@@ -1,18 +1,18 @@
 // Package wire provides the primitives of the hand-rolled binary codec:
 // a sticky-error Writer/Reader pair over a small set of canonical field
-// encodings (bytes, varints, floats, big.Ints), plus adapters that derive
-// the four standard serialization interfaces — encoding.BinaryMarshaler,
-// encoding.BinaryUnmarshaler, io.WriterTo, io.ReaderFrom — from a single
-// EncodeWire/DecodeWire pair per message type.
+// encodings (bytes, varints, floats, big.Ints). The Writer appends to a
+// byte slice and the Reader decodes from one; Append, Marshal and
+// Unmarshal run a message type's single EncodeWire/DecodeWire pair, and
+// are the bodies of its encoding.BinaryMarshaler/BinaryUnmarshaler
+// methods.
 //
 // The encoding is deliberately boring: no reflection, no type
 // descriptors, no schema evolution inside a message. Fixed-width values
 // are big-endian; lengths and counts are unsigned varints; byte slices
 // and big.Int magnitudes are length-prefixed. Every length and count read
 // is bounds-checked before allocation, so a hostile peer cannot make a
-// decoder allocate more than the bytes it actually sent (slice inputs)
-// or more than MaxBytes/MaxCount (stream inputs). Versioning lives one
-// layer up, in the transport frame header — a message encoding never
+// decoder allocate more than the bytes it actually sent. Versioning lives
+// one layer up, in the transport frame header — a message encoding never
 // changes shape silently; incompatible changes get a new frame version.
 package wire
 
@@ -25,9 +25,9 @@ import (
 	"math/big"
 )
 
-// Decode-side resource bounds. Slice-mode reads are additionally bounded
-// by the bytes actually present; these caps are the last line of defense
-// for stream-mode reads where the total is not known up front.
+// Resource bounds. Every read is also bounded by the bytes actually
+// present; these caps hold on both sides, so an encoder never emits a
+// field its peer's decoder would refuse.
 const (
 	// MaxBytes bounds any single length-prefixed byte field (256 MiB).
 	MaxBytes = 1 << 28
@@ -52,37 +52,28 @@ var (
 )
 
 // Msg is the single pair of methods a type implements to join the codec;
-// the package-level adapters derive the four standard interfaces from it.
+// Marshal, Append and Unmarshal drive it.
 type Msg interface {
 	EncodeWire(*Writer)
 	DecodeWire(*Reader)
 }
 
-// Writer serializes canonical field encodings into either an append
-// buffer or an io.Writer. Errors are sticky: after the first failure
-// every subsequent call is a no-op and Err returns the cause, so message
-// encoders read as straight-line field lists.
+// Writer appends canonical field encodings to a byte slice. Errors are
+// sticky: after the first failure every subsequent call is a no-op and
+// Err returns the cause, so message encoders read as straight-line field
+// lists.
 type Writer struct {
-	w       io.Writer // stream sink; nil in append mode
-	buf     []byte    // append-mode accumulator
-	n       int64     // bytes written (stream mode)
+	buf     []byte
 	err     error
 	scratch [binary.MaxVarintLen64]byte
 }
 
-// NewWriter returns a stream-mode Writer. Each field costs one small
-// Write on w; pass a buffered writer on hot paths.
-func NewWriter(w io.Writer) *Writer { return &Writer{w: w} }
-
-// NewAppendWriter returns an append-mode Writer accumulating onto buf
-// (which may be nil, or a recycled buffer sliced to length 0).
+// NewAppendWriter returns a Writer accumulating onto buf (which may be
+// nil, or a recycled buffer sliced to length 0).
 func NewAppendWriter(buf []byte) *Writer { return &Writer{buf: buf} }
 
-// Bytes returns the append-mode accumulator.
+// Bytes returns the accumulated encoding.
 func (w *Writer) Bytes() []byte { return w.buf }
-
-// N returns the number of bytes written in stream mode.
-func (w *Writer) N() int64 { return w.n }
 
 // Err returns the first error encountered.
 func (w *Writer) Err() error { return w.err }
@@ -94,17 +85,8 @@ func (w *Writer) fail(err error) {
 }
 
 func (w *Writer) write(p []byte) {
-	if w.err != nil {
-		return
-	}
-	if w.w == nil {
+	if w.err == nil {
 		w.buf = append(w.buf, p...)
-		return
-	}
-	n, err := w.w.Write(p)
-	w.n += int64(n)
-	if err != nil {
-		w.fail(err)
 	}
 }
 
@@ -158,17 +140,8 @@ func (w *Writer) String(s string) {
 		return
 	}
 	w.Uvarint(uint64(len(s)))
-	if w.err != nil {
-		return
-	}
-	if w.w == nil {
+	if w.err == nil {
 		w.buf = append(w.buf, s...)
-		return
-	}
-	n, err := io.WriteString(w.w, s)
-	w.n += int64(n)
-	if err != nil {
-		w.fail(err)
 	}
 }
 
@@ -197,47 +170,18 @@ func (w *Writer) BigInt(x *big.Int) {
 	w.ByteSlice(x.Bytes())
 }
 
-// Reader deserializes canonical field encodings from either a byte slice
-// (zero-copy bounds checks against the remaining input) or an io.Reader
-// (bounds checks against MaxBytes/MaxCount). Errors are sticky; decoded
-// values after a failure are zero.
+// Reader decodes canonical field encodings from a byte slice, checking
+// every length and count against the remaining input. Errors are sticky;
+// decoded values after a failure are zero.
 type Reader struct {
-	buf     []byte // slice mode
+	buf     []byte
 	off     int
-	r       io.Reader     // stream mode
-	br      io.ByteReader // stream mode varint source
-	n       int64         // bytes consumed (stream mode)
 	err     error
 	scratch [8]byte
 }
 
-// NewReader returns a slice-mode Reader over data.
+// NewReader returns a Reader over data.
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
-
-// byteReaderShim adapts a plain io.Reader to io.ByteReader.
-type byteReaderShim struct{ r io.Reader }
-
-func (s byteReaderShim) ReadByte() (byte, error) {
-	var b [1]byte
-	_, err := io.ReadFull(s.r, b[:])
-	return b[0], err
-}
-
-// NewStreamReader returns a stream-mode Reader over r. Reads are exact:
-// the Reader never consumes bytes past the end of one message, so a
-// following message on the same stream is untouched. Pass a buffered
-// reader on hot paths (an unbuffered one costs a syscall-sized read per
-// field).
-func NewStreamReader(r io.Reader) *Reader {
-	br, ok := r.(io.ByteReader)
-	if !ok {
-		br = byteReaderShim{r}
-	}
-	return &Reader{r: r, br: br}
-}
-
-// N returns the number of bytes consumed in stream mode.
-func (r *Reader) N() int64 { return r.n }
 
 // Err returns the first error encountered.
 func (r *Reader) Err() error { return r.err }
@@ -248,45 +192,28 @@ func (r *Reader) fail(err error) {
 	}
 }
 
-// Done checks that a slice-mode Reader consumed its entire input.
+// Done checks that the Reader consumed its entire input.
 func (r *Reader) Done() error {
-	if r.err != nil {
-		return r.err
-	}
-	if r.r == nil && r.off != len(r.buf) {
+	if r.err == nil && r.off != len(r.buf) {
 		r.fail(fmt.Errorf("%w: %d of %d bytes consumed", ErrTrailing, r.off, len(r.buf)))
 	}
 	return r.err
 }
 
-// remaining reports the unread byte count in slice mode (stream mode has
-// no known bound and returns MaxBytes).
-func (r *Reader) remaining() int {
-	if r.r == nil {
-		return len(r.buf) - r.off
-	}
-	return MaxBytes
-}
+// remaining reports the unread byte count.
+func (r *Reader) remaining() int { return len(r.buf) - r.off }
 
 // take reads exactly n bytes into the scratch buffer (n <= 8).
 func (r *Reader) take(n int) []byte {
 	if r.err != nil {
 		return r.scratch[:n]
 	}
-	if r.r == nil {
-		if len(r.buf)-r.off < n {
-			r.fail(fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, n, len(r.buf)-r.off))
-			return r.scratch[:n]
-		}
-		copy(r.scratch[:n], r.buf[r.off:])
-		r.off += n
+	if r.remaining() < n {
+		r.fail(fmt.Errorf("%w: need %d bytes, have %d", ErrTruncated, n, r.remaining()))
 		return r.scratch[:n]
 	}
-	m, err := io.ReadFull(r.r, r.scratch[:n])
-	r.n += int64(m)
-	if err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrTruncated, err))
-	}
+	copy(r.scratch[:n], r.buf[r.off:])
+	r.off += n
 	return r.scratch[:n]
 }
 
@@ -315,33 +242,13 @@ func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
-	if r.r == nil {
-		v, n := binary.Uvarint(r.buf[r.off:])
-		if n <= 0 {
-			r.fail(fmt.Errorf("%w: uvarint", ErrTruncated))
-			return 0
-		}
-		r.off += n
-		return v
-	}
-	v, err := binary.ReadUvarint(countingByteReader{r})
-	if err != nil {
-		r.fail(fmt.Errorf("%w: uvarint: %v", ErrTruncated, err))
+	v, n := binary.Uvarint(r.buf[r.off:])
+	if n <= 0 {
+		r.fail(fmt.Errorf("%w: uvarint", ErrTruncated))
 		return 0
 	}
+	r.off += n
 	return v
-}
-
-// countingByteReader advances the stream Reader's byte count as varint
-// bytes are consumed.
-type countingByteReader struct{ r *Reader }
-
-func (c countingByteReader) ReadByte() (byte, error) {
-	b, err := c.r.br.ReadByte()
-	if err == nil {
-		c.r.n++
-	}
-	return b, err
 }
 
 // Int reads a zigzag varint into an int.
@@ -349,20 +256,12 @@ func (r *Reader) Int() int {
 	if r.err != nil {
 		return 0
 	}
-	if r.r == nil {
-		v, n := binary.Varint(r.buf[r.off:])
-		if n <= 0 {
-			r.fail(fmt.Errorf("%w: varint", ErrTruncated))
-			return 0
-		}
-		r.off += n
-		return int(v)
-	}
-	v, err := binary.ReadVarint(countingByteReader{r})
-	if err != nil {
-		r.fail(fmt.Errorf("%w: varint: %v", ErrTruncated, err))
+	v, n := binary.Varint(r.buf[r.off:])
+	if n <= 0 {
+		r.fail(fmt.Errorf("%w: varint", ErrTruncated))
 		return 0
 	}
+	r.off += n
 	return int(v)
 }
 
@@ -374,9 +273,9 @@ func (r *Reader) Float64() float64 {
 	return math.Float64frombits(binary.BigEndian.Uint64(r.take(8)))
 }
 
-// Count reads an element count, bounded by MaxCount and — in slice mode —
-// by the remaining input (every element costs at least one byte, so a
-// count beyond that is provably truncated or hostile).
+// Count reads an element count, bounded by MaxCount and by the remaining
+// input (every element costs at least one byte, so a count beyond that is
+// provably truncated or hostile).
 func (r *Reader) Count() int {
 	v := r.Uvarint()
 	if r.err != nil {
@@ -405,22 +304,13 @@ func (r *Reader) ByteSlice() []byte {
 		return nil
 	}
 	n := int(v)
-	if r.r == nil {
-		if len(r.buf)-r.off < n {
-			r.fail(fmt.Errorf("%w: %d-byte field with %d bytes left", ErrTruncated, n, len(r.buf)-r.off))
-			return nil
-		}
-		out := make([]byte, n)
-		copy(out, r.buf[r.off:])
-		r.off += n
-		return out
-	}
-	out, err := ReadChunked(r.r, make([]byte, 0, min(n, readChunk)), n)
-	r.n += int64(len(out))
-	if err != nil {
-		r.fail(fmt.Errorf("%w: %v", ErrTruncated, err))
+	if r.remaining() < n {
+		r.fail(fmt.Errorf("%w: %d-byte field with %d bytes left", ErrTruncated, n, r.remaining()))
 		return nil
 	}
+	out := make([]byte, n)
+	copy(out, r.buf[r.off:])
+	r.off += n
 	return out
 }
 
@@ -488,21 +378,6 @@ func Unmarshal(data []byte, m Msg) error {
 	r := NewReader(data)
 	m.DecodeWire(r)
 	return r.Done()
-}
-
-// WriteTo streams m's encoding to w (the io.WriterTo body).
-func WriteTo(w io.Writer, m Msg) (int64, error) {
-	ww := NewWriter(w)
-	m.EncodeWire(ww)
-	return ww.N(), ww.Err()
-}
-
-// ReadFrom decodes one message from r, consuming exactly the message's
-// bytes (the io.ReaderFrom body).
-func ReadFrom(r io.Reader, m Msg) (int64, error) {
-	rr := NewStreamReader(r)
-	m.DecodeWire(rr)
-	return rr.N(), rr.Err()
 }
 
 // SliceCap bounds the initial capacity of a count-prefixed slice

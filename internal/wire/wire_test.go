@@ -3,7 +3,6 @@ package wire
 import (
 	"bytes"
 	"errors"
-	"io"
 	"math"
 	"math/big"
 	"testing"
@@ -88,67 +87,29 @@ func msgEqual(a, b *testMsg) bool {
 	return true
 }
 
-func TestRoundTripAppendAndStream(t *testing.T) {
+func TestRoundTripMarshalAndAppend(t *testing.T) {
 	in := sampleMsg()
 	data, err := Marshal(in)
 	if err != nil {
 		t.Fatalf("Marshal: %v", err)
 	}
 
-	// Append mode and stream mode must produce identical bytes.
-	var sb bytes.Buffer
-	n, err := WriteTo(&sb, in)
+	// Appending after a prefix must produce the same bytes after it.
+	prefix := []byte{0xEE, 0xEE}
+	appended, err := Append(append([]byte{}, prefix...), in)
 	if err != nil {
-		t.Fatalf("WriteTo: %v", err)
+		t.Fatalf("Append: %v", err)
 	}
-	if n != int64(len(data)) {
-		t.Fatalf("WriteTo wrote %d bytes, Marshal produced %d", n, len(data))
-	}
-	if !bytes.Equal(sb.Bytes(), data) {
-		t.Fatalf("stream and append encodings differ")
+	if !bytes.Equal(appended[:len(prefix)], prefix) || !bytes.Equal(appended[len(prefix):], data) {
+		t.Fatalf("Append and Marshal encodings differ")
 	}
 
-	var outA testMsg
-	if err := Unmarshal(data, &outA); err != nil {
+	var out testMsg
+	if err := Unmarshal(data, &out); err != nil {
 		t.Fatalf("Unmarshal: %v", err)
 	}
-	if !msgEqual(in, &outA) {
-		t.Fatalf("slice round trip mismatch: %+v != %+v", in, &outA)
-	}
-
-	var outS testMsg
-	m, err := ReadFrom(bytes.NewReader(data), &outS)
-	if err != nil {
-		t.Fatalf("ReadFrom: %v", err)
-	}
-	if m != int64(len(data)) {
-		t.Fatalf("ReadFrom consumed %d bytes, want %d", m, len(data))
-	}
-	if !msgEqual(in, &outS) {
-		t.Fatalf("stream round trip mismatch")
-	}
-}
-
-func TestReadFromStopsAtMessageBoundary(t *testing.T) {
-	in := sampleMsg()
-	data, err := Marshal(in)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	// Two messages back to back on one stream: the first decode must not
-	// consume a single byte of the second.
-	stream := bytes.NewReader(append(append([]byte{}, data...), data...))
-	for i := 0; i < 2; i++ {
-		var out testMsg
-		if _, err := ReadFrom(stream, &out); err != nil {
-			t.Fatalf("message %d: %v", i, err)
-		}
-		if !msgEqual(in, &out) {
-			t.Fatalf("message %d mismatch", i)
-		}
-	}
-	if stream.Len() != 0 {
-		t.Fatalf("%d stray bytes after two messages", stream.Len())
+	if !msgEqual(in, &out) {
+		t.Fatalf("round trip mismatch: %+v != %+v", in, &out)
 	}
 }
 
@@ -178,10 +139,6 @@ func TestTruncationEveryPrefix(t *testing.T) {
 		if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrTrailing) && !errors.Is(err, ErrInvalid) {
 			t.Fatalf("prefix %d: untyped error %v", n, err)
 		}
-		var outS testMsg
-		if _, err := ReadFrom(bytes.NewReader(data[:n]), &outS); err == nil {
-			t.Fatalf("stream prefix of %d/%d bytes decoded cleanly", n, len(data))
-		}
 	}
 }
 
@@ -200,23 +157,23 @@ func TestCountBounds(t *testing.T) {
 	r := NewReader(w.Bytes())
 	r.Count()
 	if !errors.Is(r.Err(), ErrTruncated) {
-		t.Fatalf("slice-mode count: got %v, want ErrTruncated", r.Err())
+		t.Fatalf("count past the input: got %v, want ErrTruncated", r.Err())
 	}
 
-	// Stream mode has no remaining bound; MaxCount is the cap.
+	// A count past MaxCount is oversize whatever input follows.
 	w2 := NewAppendWriter(nil)
 	w2.Uvarint(MaxCount + 1)
-	r2 := NewStreamReader(bytes.NewReader(w2.Bytes()))
+	r2 := NewReader(w2.Bytes())
 	r2.Count()
 	if !errors.Is(r2.Err(), ErrOversize) {
-		t.Fatalf("stream-mode count: got %v, want ErrOversize", r2.Err())
+		t.Fatalf("count past MaxCount: got %v, want ErrOversize", r2.Err())
 	}
 }
 
 func TestByteSliceOversize(t *testing.T) {
 	w := NewAppendWriter(nil)
 	w.Uvarint(MaxBytes + 1)
-	r := NewStreamReader(bytes.NewReader(w.Bytes()))
+	r := NewReader(w.Bytes())
 	r.ByteSlice()
 	if !errors.Is(r.Err(), ErrOversize) {
 		t.Fatalf("got %v, want ErrOversize", r.Err())
@@ -272,26 +229,6 @@ func TestStickyWriterError(t *testing.T) {
 	w.String("more")
 	if len(w.Bytes()) != before {
 		t.Fatalf("writes continued after sticky error")
-	}
-}
-
-// failWriter errors after the first write.
-type failWriter struct{ n int }
-
-func (f *failWriter) Write(p []byte) (int, error) {
-	if f.n > 0 {
-		return 0, io.ErrClosedPipe
-	}
-	f.n++
-	return len(p), nil
-}
-
-func TestStreamWriterPropagatesSinkError(t *testing.T) {
-	w := NewWriter(&failWriter{})
-	w.Float64(1)
-	w.Float64(2)
-	if w.Err() == nil {
-		t.Fatalf("sink error not propagated")
 	}
 }
 
