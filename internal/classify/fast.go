@@ -29,7 +29,7 @@ type FastClient struct {
 
 // NewFastClient opens a client session from a trainer's public spec,
 // returning the base-phase setup message.
-func NewFastClient(spec Spec, rng io.Reader) (*FastClient, *ot.IKNPBaseSetup, error) {
+func NewFastClient(spec Spec, rng io.Reader) (*FastClient, *ot.BatchSetup, error) {
 	client, err := NewClient(spec)
 	if err != nil {
 		return nil, nil, err
@@ -47,14 +47,14 @@ func NewFastClient(spec Spec, rng io.Reader) (*FastClient, *ot.IKNPBaseSetup, er
 
 // NewFastSession opens the trainer side of a fast session from a client's
 // base setup, returning the base choice message.
-func (t *Trainer) NewFastSession(setup *ot.IKNPBaseSetup, rng io.Reader) (*FastTrainer, *ot.IKNPBaseChoice, error) {
+func (t *Trainer) NewFastSession(setup *ot.BatchSetup, rng io.Reader) (*FastTrainer, *ot.BatchChoice, error) {
 	return t.NewFastSessionFor(t.spec, setup, rng)
 }
 
 // NewFastSessionFor opens the trainer side of a fast session bound to a
 // session spec: the trainer's own Spec, with the resumption grant set or
 // cleared.
-func (t *Trainer) NewFastSessionFor(spec Spec, setup *ot.IKNPBaseSetup, rng io.Reader) (*FastTrainer, *ot.IKNPBaseChoice, error) {
+func (t *Trainer) NewFastSessionFor(spec Spec, setup *ot.BatchSetup, rng io.Reader) (*FastTrainer, *ot.BatchChoice, error) {
 	params, err := t.sessionParams(spec)
 	if err != nil {
 		return nil, nil, err
@@ -111,12 +111,12 @@ func (fc *FastClient) Snapshot() (*ot.IKNPReceiverState, error) { return fc.sess
 func (fc *FastClient) Spec() Spec { return fc.client.Spec() }
 
 // FinishBase completes the client's base phase.
-func (fc *FastClient) FinishBase(choice *ot.IKNPBaseChoice, rng io.Reader) (*ot.IKNPBaseTransfer, error) {
+func (fc *FastClient) FinishBase(choice *ot.BatchChoice, rng io.Reader) (*ot.BatchTransfer, error) {
 	return fc.session.FinishBaseReceiver(choice, rng)
 }
 
 // FinishBase completes the trainer's base phase.
-func (ft *FastTrainer) FinishBase(tr *ot.IKNPBaseTransfer) error {
+func (ft *FastTrainer) FinishBase(tr *ot.BatchTransfer) error {
 	return ft.session.FinishBaseSender(tr)
 }
 

@@ -35,7 +35,8 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.ResumeGranted = r.Bool()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
+// the public alias ppdc.ClassifySpec.
 func (s *Spec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

@@ -32,7 +32,7 @@ func FuzzOMPEWire(f *testing.F) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		data, err := samples[name].MarshalBinary()
+		data, err := wire.Marshal(samples[name])
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -50,15 +50,15 @@ func FuzzOMPEWire(f *testing.F) {
 		}
 		for _, name := range names {
 			proto := samples[name]
-			out := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wireMsg)
-			if err := out.UnmarshalBinary(input); err != nil {
+			out := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(input, out); err != nil {
 				if !typedWireErr(err) {
 					t.Fatalf("%s: untyped decode error: %v", name, err)
 				}
 			} else {
 				re := reencode(t, out)
-				out2 := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wireMsg)
-				if err := out2.UnmarshalBinary(re); err != nil {
+				out2 := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wire.Msg)
+				if err := wire.Unmarshal(re, out2); err != nil {
 					t.Fatalf("%s: canonical re-encoding does not decode: %v", name, err)
 				}
 				if !bytes.Equal(reencode(t, out2), re) {
@@ -78,7 +78,7 @@ func widePackedSeed(tb testing.TB) []byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	data, err := req.MarshalBinary()
+	data, err := wire.Marshal(req)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -92,16 +92,16 @@ func widePackedSeed(tb testing.TB) []byte {
 // only when the receiver recovers it.
 func fastEdgeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	req, err := (&FastBatchRequest{
+	req, err := wire.Marshal(&FastBatchRequest{
 		Evals: []*EvalRequest{sampleEval()},
 		OT:    &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{U: []byte{1, 2}, M: 3}, K: 2, N: 4, B: 1},
-	}).MarshalBinary()
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := (&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{
+	resp, err := wire.Marshal(&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{
 		IKNP: &ot.IKNPSenderMsg{Y0: []byte{5}, Y1: []byte{6}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
-	}}).MarshalBinary()
+	}})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -45,7 +45,7 @@ type SessionReceiver struct {
 
 // NewSessionReceiverBase starts a session from the receiver side,
 // returning the IKNP base setup to send to the sender.
-func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot.IKNPBaseSetup, error) {
+func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot.BatchSetup, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -58,7 +58,7 @@ func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot
 
 // NewSessionSenderBase starts a session from the sender side, given the
 // receiver's base setup; returns the base choice message.
-func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.IKNPBaseSetup, rng io.Reader) (*SessionSender, *ot.IKNPBaseChoice, error) {
+func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.BatchSetup, rng io.Reader) (*SessionSender, *ot.BatchChoice, error) {
 	if err := params.Validate(); err != nil {
 		return nil, nil, err
 	}
@@ -111,12 +111,12 @@ func (ss *SessionSender) Snapshot() (*ot.IKNPSenderState, error) { return ss.ikn
 func (sr *SessionReceiver) Snapshot() (*ot.IKNPReceiverState, error) { return sr.iknp.Snapshot() }
 
 // FinishBaseReceiver completes the base phase on the receiver side.
-func (sr *SessionReceiver) FinishBaseReceiver(choice *ot.IKNPBaseChoice, rng io.Reader) (*ot.IKNPBaseTransfer, error) {
+func (sr *SessionReceiver) FinishBaseReceiver(choice *ot.BatchChoice, rng io.Reader) (*ot.BatchTransfer, error) {
 	return sr.iknp.BaseRespond(choice, rng)
 }
 
 // FinishBaseSender completes the base phase on the sender side.
-func (ss *SessionSender) FinishBaseSender(tr *ot.IKNPBaseTransfer) error {
+func (ss *SessionSender) FinishBaseSender(tr *ot.BatchTransfer) error {
 	return ss.iknp.BaseFinish(tr)
 }
 

@@ -2,7 +2,6 @@ package ompe
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"reflect"
 	"testing"
@@ -11,18 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-type wireMsg interface {
-	wire.Msg
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
-
 func sampleEval() *EvalRequest {
 	return &EvalRequest{Packed: []byte{0xDE, 0xAD}}
 }
 
-func ompeWireSamples() map[string]wireMsg {
-	return map[string]wireMsg{
+func ompeWireSamples() map[string]wire.Msg {
+	return map[string]wire.Msg{
 		"EvalRequest": sampleEval(),
 		"FastBatchRequest": &FastBatchRequest{
 			Evals: []*EvalRequest{sampleEval(), sampleEval()},
@@ -34,9 +27,9 @@ func ompeWireSamples() map[string]wireMsg {
 	}
 }
 
-func reencode(t *testing.T, m wireMsg) []byte {
+func reencode(t *testing.T, m wire.Msg) []byte {
 	t.Helper()
-	data, err := m.MarshalBinary()
+	data, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
@@ -46,26 +39,26 @@ func reencode(t *testing.T, m wireMsg) []byte {
 func TestOMPEWireRoundTrips(t *testing.T) {
 	for name, in := range ompeWireSamples() {
 		t.Run(name, func(t *testing.T) {
-			data, err := in.MarshalBinary()
+			data, err := wire.Marshal(in)
 			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
+				t.Fatalf("Marshal: %v", err)
 			}
-			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out.UnmarshalBinary(data); err != nil {
-				t.Fatalf("UnmarshalBinary: %v", err)
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(data, out); err != nil {
+				t.Fatalf("Unmarshal: %v", err)
 			}
 			if !bytes.Equal(reencode(t, out), data) {
 				t.Fatalf("slice round trip mismatch")
 			}
 
-			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out3.UnmarshalBinary(append(append([]byte{}, data...), 0xFF)); !errors.Is(err, wire.ErrTrailing) {
+			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(append(append([]byte{}, data...), 0xFF), out3); !errors.Is(err, wire.ErrTrailing) {
 				t.Fatalf("trailing byte: got %v, want ErrTrailing", err)
 			}
 
 			for n := 0; n < len(data); n++ {
-				out4 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-				if err := out4.UnmarshalBinary(data[:n]); err == nil {
+				out4 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+				if err := wire.Unmarshal(data[:n], out4); err == nil {
 					t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
 				}
 			}
@@ -74,14 +67,14 @@ func TestOMPEWireRoundTrips(t *testing.T) {
 }
 
 func TestOMPEWireNilInner(t *testing.T) {
-	cases := map[string]wireMsg{
+	cases := map[string]wire.Msg{
 		"BatchRequest-nil-eval": &FastBatchRequest{Evals: []*EvalRequest{nil}, OT: &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{}, K: 1, N: 1, B: 1}},
 		"BatchRequest-nil-ot":   &FastBatchRequest{Evals: []*EvalRequest{sampleEval()}},
 		"BatchResponse-nil-ot":  &FastBatchResponse{},
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := m.MarshalBinary(); !errors.Is(err, wire.ErrNilValue) {
+			if _, err := wire.Marshal(m); !errors.Is(err, wire.ErrNilValue) {
 				t.Fatalf("got %v, want ErrNilValue", err)
 			}
 		})

@@ -10,7 +10,8 @@ import (
 )
 
 // BenchmarkDirect1ofN prices the direct Naor–Pinkas 1-of-n construction
-// (n+1 exponentiations) across message counts.
+// (n+3 exponentiations, TransferKofN with one index) across message
+// counts.
 
 func benchMessages(b *testing.B, n int) [][]byte {
 	b.Helper()
@@ -31,7 +32,7 @@ func BenchmarkDirect1ofN(b *testing.B) {
 			msgs := benchMessages(b, n)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := ot.Transfer1ofN(g, msgs, i%n, rand.Reader); err != nil {
+				if _, err := ot.TransferKofN(g, msgs, []int{i % n}, rand.Reader); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -152,12 +153,12 @@ func BenchmarkIKNPBatch1of2(b *testing.B) {
 
 func BenchmarkDirectBatch1of2(b *testing.B) {
 	g := ot.Group512Test()
-	msgs := [2][]byte{make([]byte, 32), make([]byte, 32)}
+	msgs := [][]byte{make([]byte, 32), make([]byte, 32)}
 	const m = 1024
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for j := 0; j < m; j++ {
-			if _, err := ot.Transfer1of2(g, msgs, j%2, rand.Reader); err != nil {
+			if _, err := ot.TransferKofN(g, msgs, []int{j % 2}, rand.Reader); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -3,12 +3,12 @@ package ot
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding"
 	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // parentTranscripts pins the SHA-256 over the three marshalled messages
@@ -97,8 +97,8 @@ func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int) s
 		}
 	}
 	h := sha256.New()
-	for _, m := range []encoding.BinaryMarshaler{setup, choice, tr} {
-		b, err := m.MarshalBinary()
+	for _, m := range []wire.Msg{setup, choice, tr} {
+		b, err := wire.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func checkKofNIndices(n int, indices []int) error {
 		return fmt.Errorf("ot: need at least 2 messages, got %d", n)
 	}
 	if len(indices) == 0 || len(indices) > n {
-		return fmt.Errorf("ot: invalid k=%d for n=%d", len(indices), n)
+		return fmt.Errorf("%w: k=%d indices for n=%d", ErrBadIndex, len(indices), n)
 	}
 	seen := make(map[int]bool, len(indices))
 	for _, idx := range indices {

@@ -3,8 +3,8 @@ package ot
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/big"
-	"reflect"
 	"sort"
 	"testing"
 
@@ -21,7 +21,9 @@ func typedWireErr(err error) bool {
 		errors.Is(err, wire.ErrTrailing)
 }
 
-// FuzzOTWire throws arbitrary bytes at every OT decoder. The contract: no panics, no untyped errors, bounded
+// FuzzOTWire throws arbitrary bytes at every OT decoder — the three batch
+// messages, the IKNP extension messages, the extended k-of-n messages and
+// the resumption states. The contract: no panics, no untyped errors, bounded
 // allocation, and any input that decodes cleanly must re-encode to a
 // canonical form that round-trips to itself (varints admit non-minimal
 // encodings, so the re-encoding need not equal the input).
@@ -33,18 +35,26 @@ func FuzzOTWire(f *testing.F) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		data, err := samples[name].MarshalBinary()
+		data, err := wire.Marshal(samples[name])
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(data)
+	}
+	// Decode into each type once: the base-phase samples share the batch
+	// types.
+	decoders := make(map[string]wire.Msg)
+	for _, m := range samples {
+		decoders[fmt.Sprintf("%T", m)] = m
 	}
 	f.Add([]byte{})
 	// Maximal varint: a hostile length prefix with no payload behind it.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	// Wrong-shape messages: the pre-batch base setup (κ one-constraint
 	// setups), base transfers with 2κ−1 ciphertexts and with a short one,
-	// and a k-of-n setup and transfer in their per-instance list layout.
+	// a k-of-n setup and transfer in their per-instance list layout, and
+	// the current 9-of-18 setup, choice and transfer, which travel under
+	// the base phase's tags.
 	for _, data := range wrongShapeBaseMsgs(f) {
 		f.Add(data)
 	}
@@ -55,21 +65,20 @@ func FuzzOTWire(f *testing.F) {
 		if len(input) > 1<<16 {
 			return
 		}
-		for _, name := range names {
-			proto := samples[name]
-			out := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wireMsg)
-			if err := out.UnmarshalBinary(input); err != nil {
+		for typ, proto := range decoders {
+			out := newLike(proto)
+			if err := wire.Unmarshal(input, out); err != nil {
 				if !typedWireErr(err) {
-					t.Fatalf("%s: untyped decode error: %v", name, err)
+					t.Fatalf("%s: untyped decode error: %v", typ, err)
 				}
 			} else {
 				re := reencode(t, out)
-				out2 := reflect.New(reflect.TypeOf(proto).Elem()).Interface().(wireMsg)
-				if err := out2.UnmarshalBinary(re); err != nil {
-					t.Fatalf("%s: canonical re-encoding does not decode: %v", name, err)
+				out2 := newLike(proto)
+				if err := wire.Unmarshal(re, out2); err != nil {
+					t.Fatalf("%s: canonical re-encoding does not decode: %v", typ, err)
 				}
 				if !bytes.Equal(reencode(t, out2), re) {
-					t.Fatalf("%s: re-encoding is not a fixed point", name)
+					t.Fatalf("%s: re-encoding is not a fixed point", typ)
 				}
 			}
 		}
@@ -78,9 +87,10 @@ func FuzzOTWire(f *testing.F) {
 
 // LegacySeq encodes setups or transfers in the list layout BatchSetup and
 // BatchTransfer had while every k-of-n instance carried its own
-// constraints and R (through 58f2b26): a count, then each message. The
-// IKNP base setup of a peer from before the κ base OTs shared one
-// constraint has the same layout. Exported for the external tests.
+// constraints and R (through 58f2b26): a count, then each message, each
+// in today's layout of one batch. The IKNP base setup of a peer from
+// before the κ base OTs shared one constraint has the same layout.
+// Exported for the external tests.
 func LegacySeq[M interface{ EncodeWire(*wire.Writer) }](msgs []M) []byte {
 	w := wire.NewAppendWriter(nil)
 	w.Count(len(msgs))
@@ -95,8 +105,8 @@ func LegacySeq[M interface{ EncodeWire(*wire.Writer) }](msgs []M) []byte {
 // 18 ciphertexts each.
 func legacyKofN() (setup, transfer []byte) {
 	const k, n = 9, 18
-	setups := make([]*SenderSetup, k)
-	transfers := make([]*SenderTransfer, k)
+	setups := make([]*BatchSetup, k)
+	transfers := make([]*BatchTransfer, k)
 	for i := range setups {
 		cs := make([]*big.Int, n-1)
 		for j := range cs {
@@ -106,32 +116,35 @@ func legacyKofN() (setup, transfer []byte) {
 		for j := range cts {
 			cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
 		}
-		setups[i] = &SenderSetup{Cs: cs}
-		transfers[i] = &SenderTransfer{R: big.NewInt(int64(31337 + i)), Cts: cts}
+		setups[i] = &BatchSetup{Cs: cs}
+		transfers[i] = &BatchTransfer{R: big.NewInt(int64(31337 + i)), Cts: cts}
 	}
 	return LegacySeq(setups), LegacySeq(transfers)
 }
 
 // wrongShapeBaseMsgs are well-encoded messages of the wrong shape: for the
-// IKNP base phase, and the k-of-n setup and transfer in their old
-// per-instance layout.
+// IKNP base phase, the k-of-n setup and transfer in their old
+// per-instance layout, and a current 9-of-18 k-of-n, whose messages share
+// their types and frame tags with the base phase's.
 func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 	tb.Helper()
-	legacy := make([]*SenderSetup, iknpKappa)
+	legacy := make([]*BatchSetup, iknpKappa)
 	for i := range legacy {
-		legacy[i] = &SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+		legacy[i] = &BatchSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
 	}
 	cts := make([][]byte, 2*iknpKappa-1)
 	for i := range cts {
 		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
 	}
 	short := append([][]byte{{1, 2, 3}}, cts...)[:2*iknpKappa]
+	kofnSetup, kofnChoice, kofnTransfer := kofnShapeMsgs()
 	out := [][]byte{LegacySeq(legacy)}
-	for _, m := range []wireMsg{
-		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: cts}},
-		&IKNPBaseTransfer{Transfer: &SenderTransfer{R: big.NewInt(31337), Cts: short}},
+	for _, m := range []wire.Msg{
+		&BatchTransfer{R: big.NewInt(31337), Cts: cts},
+		&BatchTransfer{R: big.NewInt(31337), Cts: short},
+		kofnSetup, kofnChoice, kofnTransfer,
 	} {
-		data, err := m.MarshalBinary()
+		data, err := wire.Marshal(m)
 		if err != nil {
 			tb.Fatal(err)
 		}
@@ -141,19 +154,39 @@ func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 	return append(out, setup, transfer)
 }
 
+// kofnShapeMsgs are the three messages of a 9-of-18 transfer, the
+// similarity protocol's area round, in the current layout of one batch:
+// 17 constraints, nine public keys, and one R with 162 ciphertexts.
+func kofnShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
+	const k, n = 9, 18
+	cs := make([]*big.Int, n-1)
+	for j := range cs {
+		cs[j] = big.NewInt(int64(j + 1))
+	}
+	pk0s := make([]*big.Int, k)
+	for i := range pk0s {
+		pk0s[i] = big.NewInt(int64(500 + i))
+	}
+	cts := make([][]byte, k*n)
+	for j := range cts {
+		cts[j] = bytes.Repeat([]byte{byte(j)}, 1+j%40)
+	}
+	return &BatchSetup{Cs: cs}, &BatchChoice{PK0s: pk0s}, &BatchTransfer{R: big.NewInt(31337), Cts: cts}
+}
+
 // kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:
 // the retired single-query request (a batch request without its trailing
 // B), and a response whose declared MsgLen wraps k·n·MsgLen, which decodes
 // cleanly and is refused only by Recover.
 func kofnEdgeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
-	req, err := (&ExtKofNBatchRequest{IKNP: &IKNPReceiverMsg{U: []byte{9, 9}, M: 3}, K: 2, N: 5, B: 1}).MarshalBinary()
+	req, err := wire.Marshal(&ExtKofNBatchRequest{IKNP: &IKNPReceiverMsg{U: []byte{9, 9}, M: 3}, K: 2, N: 5, B: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := (&ExtKofNBatchResponse{
+	resp, err := wire.Marshal(&ExtKofNBatchResponse{
 		IKNP: &IKNPSenderMsg{Y0: []byte{1}, Y1: []byte{2}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
-	}).MarshalBinary()
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}

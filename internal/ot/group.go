@@ -1,8 +1,9 @@
 // Package ot implements the oblivious transfer protocols of paper §III-B:
-// 1-out-of-2, 1-out-of-n, and k-out-of-n transfers in the Naor–Pinkas
-// style over DDH groups. The k-out-of-n form is the primitive OMPE uses to
-// deliver the receiver's m genuine evaluations out of M = m·k pairs
-// (§IV-A.3) without revealing which indices were genuine.
+// k-out-of-n transfers in the Naor–Pinkas style over DDH groups, of which
+// a 1-out-of-n (and so a 1-out-of-2) is the case k = 1. The k-out-of-n
+// form is the primitive OMPE uses to deliver the receiver's m genuine
+// evaluations out of M = m·k pairs (§IV-A.3) without revealing which
+// indices were genuine.
 //
 // The k-out-of-n transfer is realized as one batch of k 1-out-of-n
 // instances over the same messages, sharing one constraint set and one

@@ -74,7 +74,7 @@ type IKNPSender struct {
 	qFlat []byte
 	rows  []byte
 
-	baseReceiver *Receiver // base-phase state, nil once finished
+	baseReceiver *BatchReceiver // base-phase state, nil once finished
 }
 
 // IKNPReceiver is the OT-extension receiver: it inputs m choice bits and
@@ -86,7 +86,7 @@ type IKNPReceiver struct {
 	ciphers1 []cipher.Block
 	batch    uint32 // lockstep batch counter: fresh PRG columns per batch
 
-	baseSender *Sender // base-phase state, nil once finished
+	baseSender *BatchSender // base-phase state, nil once finished
 }
 
 // IKNPExtension is the receiver-side state of one Extend batch. Each
@@ -101,20 +101,27 @@ type IKNPExtension struct {
 	t [][]byte // κ columns of m bits
 }
 
-// Base-phase messages: one batch of κ 1-of-2 transfers (naorpinkas.go)
-// in which the OT-extension receiver plays the base-OT sender of its seed
-// pairs. Three messages total, so the base phase fits one round trip plus
-// one message over a transport.
+// The base phase is one batch of κ 1-of-2 transfers (naorpinkas.go) in
+// which the OT-extension receiver plays the base-OT sender of its seed
+// pairs, so it speaks the batch messages: a BatchSetup of the one
+// constraint the κ transfers share, the extension sender's BatchChoice of
+// κ public keys under its secret vector s, and a BatchTransfer of one R
+// and 2κ ciphertexts, seed j of transfer i at slot 2i + j. Three messages
+// total, so the base phase fits one round trip plus one message over a
+// transport.
 type (
-	// IKNPBaseSetup is the extension receiver's first message: the one
-	// constraint the κ transfers share.
-	IKNPBaseSetup struct{ Setup *SenderSetup }
-	// IKNPBaseChoice is the extension sender's reply (κ choices under its
-	// secret vector s).
-	IKNPBaseChoice struct{ Choices []*ReceiverChoice }
-	// IKNPBaseTransfer completes the seed delivery: one R and 2κ
-	// ciphertexts, seed j of transfer i at slot 2i + j.
-	IKNPBaseTransfer struct{ Transfer *SenderTransfer }
+	// IKNPBaseSetup is the base phase's BatchSetup.
+	//
+	// Deprecated: use BatchSetup.
+	IKNPBaseSetup = BatchSetup
+	// IKNPBaseChoice is the base phase's BatchChoice.
+	//
+	// Deprecated: use BatchChoice.
+	IKNPBaseChoice = BatchChoice
+	// IKNPBaseTransfer is the base phase's BatchTransfer.
+	//
+	// Deprecated: use BatchTransfer.
+	IKNPBaseTransfer = BatchTransfer
 )
 
 // SetPad does nothing.
@@ -134,7 +141,7 @@ func (s *IKNPSender) SetParallelism(int) {}
 
 // NewIKNPReceiverBase creates the extension receiver and its base-phase
 // setup message (it acts as the base-OT sender of κ seed pairs).
-func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSetup, error) {
+func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *BatchSetup, error) {
 	// The base phase runs κ real Naor–Pinkas 1-of-2 instances; count them
 	// like the direct batch path does, so session metrics show the base-OT
 	// work the extension amortizes.
@@ -166,22 +173,18 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *IKNPBaseSe
 		}
 		pairs[i] = [][]byte{recv.seed0[i], recv.seed1[i]}
 	}
-	s, err := drawSender(group, pairs, rng)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ot: iknp base sender: %w", err)
-	}
-	setup, err := setupFor(s)
+	s, setup, err := newBatchSender(group, pairs, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
 	recv.baseSender = s
-	return recv, &IKNPBaseSetup{Setup: setup}, nil
+	return recv, setup, nil
 }
 
 // NewIKNPSenderBase creates the extension sender from the receiver's
 // base setup, returning its choice message.
-func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPSender, *IKNPBaseChoice, error) {
-	if setup == nil || setup.Setup == nil || len(setup.Setup.Cs) != 1 {
+func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSender, *BatchChoice, error) {
+	if setup == nil || len(setup.Cs) != 1 {
 		return nil, nil, fmt.Errorf("%w: base setup must carry 1 constraint", ErrIKNP)
 	}
 	send := &IKNPSender{
@@ -195,42 +198,42 @@ func NewIKNPSenderBase(group Group, setup *IKNPBaseSetup, rng io.Reader) (*IKNPS
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receiver, choices, err := chooseAll(group, 2, bits, setup.Setup, rng)
+	receiver, choice, err := newBatchReceiver(group, 2, bits, setup, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
 	send.baseReceiver = receiver
-	return send, &IKNPBaseChoice{Choices: choices}, nil
+	return send, choice, nil
 }
 
 // BaseRespond is the extension receiver's answer to the sender's base
 // choices.
-func (r *IKNPReceiver) BaseRespond(choice *IKNPBaseChoice, rng io.Reader) (*IKNPBaseTransfer, error) {
-	if choice == nil || len(choice.Choices) != iknpKappa || r.baseSender == nil {
+func (r *IKNPReceiver) BaseRespond(choice *BatchChoice, rng io.Reader) (*BatchTransfer, error) {
+	if choice == nil || len(choice.PK0s) != iknpKappa || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfer, err := respondAll(r.baseSender, choice.Choices, rng)
+	transfer, err := r.baseSender.respond(choice.PK0s, rng)
 	if err != nil {
 		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
 	r.baseSender = nil // one-shot
-	return &IKNPBaseTransfer{Transfer: transfer}, nil
+	return transfer, nil
 }
 
 // BaseFinish completes the extension sender's base phase.
-func (s *IKNPSender) BaseFinish(tr *IKNPBaseTransfer) error {
-	if tr == nil || tr.Transfer == nil || s.baseReceiver == nil {
+func (s *IKNPSender) BaseFinish(tr *BatchTransfer) error {
+	if tr == nil || s.baseReceiver == nil {
 		return fmt.Errorf("%w: bad base transfer", ErrIKNP)
 	}
-	if len(tr.Transfer.Cts) != 2*iknpKappa {
-		return fmt.Errorf("%w: base transfer carries %d ciphertexts, want %d", ErrIKNP, len(tr.Transfer.Cts), 2*iknpKappa)
+	if len(tr.Cts) != 2*iknpKappa {
+		return fmt.Errorf("%w: base transfer carries %d ciphertexts, want %d", ErrIKNP, len(tr.Cts), 2*iknpKappa)
 	}
-	for i, ct := range tr.Transfer.Cts {
+	for i, ct := range tr.Cts {
 		if len(ct) != treeKeyLen {
 			return fmt.Errorf("%w: base ciphertext %d has length %d, want %d", ErrIKNP, i, len(ct), treeKeyLen)
 		}
 	}
-	seeds, err := recoverAll(s.baseReceiver, tr.Transfer)
+	seeds, err := s.baseReceiver.recover(tr)
 	if err != nil {
 		return fmt.Errorf("ot: iknp base recover: %w", err)
 	}

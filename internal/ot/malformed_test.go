@@ -11,6 +11,7 @@ import (
 	"repro/internal/field/limb"
 	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
+	"repro/internal/wire"
 )
 
 // wireOfLE returns the wire integer of a compressed point given as a
@@ -62,26 +63,15 @@ func malformedElements(t *testing.T) map[string]map[string]*big.Int {
 
 // TestMalformedElementsRejected feeds every malformed integer in every
 // position a peer controls — PK0, R, and a constraint C_j both at and away
-// from the chosen index — through the single-transfer and the k-of-n
-// entry points, and wants ErrBadMessage every time: there is no
-// arithmetic on an element that did not decode, and no panic.
+// from the chosen index — through a 1-of-n and a k-of-n, and wants
+// ErrBadMessage every time: there is no arithmetic on an element that did
+// not decode, and no panic.
 func TestMalformedElementsRejected(t *testing.T) {
 	bad := malformedElements(t)
 	const n, sigma = 4, 2
 	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
 		msgs := randomMessages(t, n, 16)
-		sender, setup, err := ot.NewSender(g, msgs, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		receiver, choice, err := ot.NewReceiver(g, n, sigma, setup, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := sender.Respond(choice, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+		o := newOneOfN(t, g, msgs, sigma)
 		indices := []int{sigma, 0, 3}
 		bSender, bSetup, err := ot.NewBatchSender(g, msgs, len(indices), rand.Reader)
 		if err != nil {
@@ -104,14 +94,14 @@ func TestMalformedElementsRejected(t *testing.T) {
 						t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
 					}
 				}
-				_, err := sender.Respond(&ot.ReceiverChoice{PK0: x}, rand.Reader)
+				_, err := o.sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{x}}, rand.Reader)
 				want("Respond(PK0)", err)
-				_, err = receiver.Recover(&ot.SenderTransfer{R: x, Cts: tr.Cts})
+				_, err = o.receiver.Recover(&ot.BatchTransfer{R: x, Cts: o.tr.Cts})
 				want("Recover(R)", err)
 				for j := 0; j < n-1; j++ { // j = sigma−1 is the constraint the receiver uses
-					cs := append([]*big.Int(nil), setup.Cs...)
+					cs := append([]*big.Int(nil), o.setup.Cs...)
 					cs[j] = x
-					_, _, err = ot.NewReceiver(g, n, sigma, &ot.SenderSetup{Cs: cs}, rand.Reader)
+					_, _, err = ot.NewBatchReceiver(g, n, []int{sigma}, &ot.BatchSetup{Cs: cs}, rand.Reader)
 					want("NewReceiver(C_j)", err)
 				}
 
@@ -119,16 +109,16 @@ func TestMalformedElementsRejected(t *testing.T) {
 				// the one R the k instances share, and each C_j of their one
 				// setup.
 				last := len(indices) - 1
-				choices := append([]*ot.ReceiverChoice(nil), bChoice.Choices...)
-				choices[last] = &ot.ReceiverChoice{PK0: x}
-				_, err = bSender.Respond(&ot.BatchChoice{Choices: choices}, rand.Reader)
+				pk0s := append([]*big.Int(nil), bChoice.PK0s...)
+				pk0s[last] = x
+				_, err = bSender.Respond(&ot.BatchChoice{PK0s: pk0s}, rand.Reader)
 				want("batch Respond(PK0)", err)
-				_, err = bReceiver.Recover(&ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: x, Cts: bTr.Transfer.Cts}})
+				_, err = bReceiver.Recover(&ot.BatchTransfer{R: x, Cts: bTr.Cts})
 				want("batch Recover(R)", err)
 				for j := 0; j < n-1; j++ {
-					cs := append([]*big.Int(nil), bSetup.Setup.Cs...)
+					cs := append([]*big.Int(nil), bSetup.Cs...)
 					cs[j] = x
-					_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Setup: &ot.SenderSetup{Cs: cs}}, rand.Reader)
+					_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Cs: cs}, rand.Reader)
 					want("batch NewReceiver(C_j)", err)
 				}
 			})
@@ -136,8 +126,8 @@ func TestMalformedElementsRejected(t *testing.T) {
 
 		// The untampered messages still go through afterwards: a rejected
 		// message leaves the endpoints usable.
-		got, err := receiver.Recover(tr)
-		if err != nil || string(got) != string(msgs[sigma]) {
+		got, err := o.receiver.Recover(o.tr)
+		if err != nil || string(got[0]) != string(msgs[sigma]) {
 			t.Fatalf("%s: honest transfer after the rejections: %q, %v", g.Name(), got, err)
 		}
 	}
@@ -145,10 +135,12 @@ func TestMalformedElementsRejected(t *testing.T) {
 
 // TestMalformedIKNPBaseRejected feeds the extension sender base messages
 // of the wrong shape — including the layout of a peer from before the κ
-// base transfers became one batch, κ one-constraint setups — and
-// malformed elements in the shared R, and wants ErrIKNP or ErrBadMessage
-// every time, never a panic; the honest transfer still completes after
-// the rejections.
+// base transfers became one batch, κ one-constraint setups, and the
+// messages of a similarity k-of-n, which share the base phase's types and
+// frame tags — and malformed elements in the shared R. It wants ErrIKNP
+// for every wrong shape and ErrIKNP or ErrBadMessage for a bad element,
+// never a panic; the honest transfer still completes after the
+// rejections.
 func TestMalformedIKNPBaseRejected(t *testing.T) {
 	bad := malformedElements(t)
 	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
@@ -163,33 +155,53 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 					t.Errorf("%s: err = %v, want ErrIKNP or ErrBadMessage", what, err)
 				}
 			}
-			c := setup.Setup.Cs[0]
-			legacy := make([]*ot.SenderSetup, 128)
+			wantShape := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ot.ErrIKNP) {
+					t.Errorf("%s: err = %v, want ErrIKNP", what, err)
+				}
+			}
+			c := setup.Cs[0]
+			legacy := make([]*ot.BatchSetup, 128)
 			for i := range legacy {
-				legacy[i] = &ot.SenderSetup{Cs: []*big.Int{c}}
+				legacy[i] = &ot.BatchSetup{Cs: []*big.Int{c}}
 			}
 			many := make([]*big.Int, 128)
 			for i := range many {
 				many[i] = c
 			}
-			for name, s := range map[string]*ot.IKNPBaseSetup{
-				"nil setup":       {},
-				"0 constraints":   {Setup: &ot.SenderSetup{}},
-				"2 constraints":   {Setup: &ot.SenderSetup{Cs: []*big.Int{c, c}}},
-				"128 constraints": {Setup: &ot.SenderSetup{Cs: many}},
+			// A similarity 9-of-18: its setup carries 17 constraints, and
+			// its transfer 9·18 ciphertexts of the messages' length.
+			kofnMsgs := randomMessages(t, 18, 40)
+			kofnSender, kofnSetup, err := ot.NewBatchSender(g, kofnMsgs, 9, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, kofnChoice, err := ot.NewBatchReceiver(g, 18, []int{17, 0, 3, 8, 5, 12, 9, 14, 1}, kofnSetup, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kofnTr, err := kofnSender.Respond(kofnChoice, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, s := range map[string]*ot.BatchSetup{
+				"nil":             nil,
+				"0 constraints":   {},
+				"2 constraints":   {Cs: []*big.Int{c, c}},
+				"128 constraints": {Cs: many},
+				"9-of-18 setup":   kofnSetup,
 			} {
 				_, _, err := ot.NewIKNPSenderBase(g, s, rand.Reader)
-				want("NewIKNPSenderBase("+name+")", err)
+				wantShape("NewIKNPSenderBase("+name+")", err)
 			}
-			_, _, err = ot.NewIKNPSenderBase(g, nil, rand.Reader)
-			want("NewIKNPSenderBase(nil)", err)
 			// The pre-batch wire layout either fails to decode as a base
 			// setup or decodes to one the sender refuses.
 			old := ot.LegacySeq(legacy)
-			var decoded ot.IKNPBaseSetup
-			if err := decoded.UnmarshalBinary(old); err == nil {
+			var decoded ot.BatchSetup
+			if err := wire.Unmarshal(old, &decoded); err == nil {
 				_, _, err = ot.NewIKNPSenderBase(g, &decoded, rand.Reader)
-				want("NewIKNPSenderBase(pre-batch layout)", err)
+				wantShape("NewIKNPSenderBase(pre-batch layout)", err)
 			}
 
 			send, choice, err := ot.NewIKNPSenderBase(g, setup, rand.Reader)
@@ -200,31 +212,34 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cts := tr.Transfer.Cts
-			withCts := func(cts [][]byte) *ot.IKNPBaseTransfer {
-				return &ot.IKNPBaseTransfer{Transfer: &ot.SenderTransfer{R: tr.Transfer.R, Cts: cts}}
+			if _, err := recv.BaseRespond(kofnChoice, rand.Reader); !errors.Is(err, ot.ErrIKNP) {
+				t.Errorf("BaseRespond(9-of-18 choice): err = %v, want ErrIKNP", err)
 			}
-			withCt := func(slot int, ct []byte) *ot.IKNPBaseTransfer {
+			cts := tr.Cts
+			withCts := func(cts [][]byte) *ot.BatchTransfer {
+				return &ot.BatchTransfer{R: tr.R, Cts: cts}
+			}
+			withCt := func(slot int, ct []byte) *ot.BatchTransfer {
 				out := append([][]byte(nil), cts...)
 				out[slot] = ct
 				return withCts(out)
 			}
-			transfers := map[string]*ot.IKNPBaseTransfer{
-				"nil transfer":       {},
+			for name, btr := range map[string]*ot.BatchTransfer{
+				"nil":                nil,
+				"empty transfer":     {},
 				"κ ciphertexts":      withCts(cts[:128]),
 				"2κ−1 ciphertexts":   withCts(cts[:255]),
 				"2κ+1 ciphertexts":   withCts(append(append([][]byte(nil), cts...), cts[0])),
 				"15-byte ciphertext": withCt(7, cts[7][:15]),
 				"17-byte ciphertext": withCt(200, append(append([]byte(nil), cts[200]...), 0)),
 				"empty ciphertext":   withCt(0, nil),
+				"9-of-18 transfer":   kofnTr,
+			} {
+				wantShape("BaseFinish("+name+")", send.BaseFinish(btr))
 			}
 			for name, x := range bad[g.Name()] {
-				transfers["R "+name] = &ot.IKNPBaseTransfer{Transfer: &ot.SenderTransfer{R: x, Cts: cts}}
+				want("BaseFinish(R "+name+")", send.BaseFinish(&ot.BatchTransfer{R: x, Cts: cts}))
 			}
-			for name, btr := range transfers {
-				want("BaseFinish("+name+")", send.BaseFinish(btr))
-			}
-			want("BaseFinish(nil)", send.BaseFinish(nil))
 			if err := send.BaseFinish(tr); err != nil {
 				t.Fatalf("honest base transfer after the rejections: %v", err)
 			}

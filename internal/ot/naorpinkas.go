@@ -10,7 +10,8 @@ import (
 )
 
 var (
-	// ErrBadIndex reports a choice index outside [0, n).
+	// ErrBadIndex reports a choice index outside [0, n), or a choice of
+	// k ∉ [1, n] indices.
 	ErrBadIndex = errors.New("ot: choice index out of range")
 	// ErrBadMessage reports malformed or inconsistent protocol messages.
 	ErrBadMessage = errors.New("ot: malformed protocol message")
@@ -18,51 +19,53 @@ var (
 	ErrMessageLen = errors.New("ot: all sender messages must have equal length")
 )
 
-// SenderSetup is the sender's first message of a 1-out-of-n transfer: the
-// n-1 random group elements C_1..C_{n-1} that constrain the receiver's
-// public keys.
-type SenderSetup struct {
+// BatchSetup is the sender's first message of a batch of Naor–Pinkas
+// 1-out-of-n transfers: the n−1 random group elements C_1..C_{n−1} that
+// constrain the public keys of every instance.
+type BatchSetup struct {
 	Cs []*big.Int
 }
 
-// ReceiverChoice is the receiver's message: the single public key PK_0 from
-// which the sender derives all n per-index keys. PK_0 is uniform in the
-// group regardless of the chosen index, which is what hides the choice.
-type ReceiverChoice struct {
-	PK0 *big.Int
+// BatchChoice is the receiver's message: one public key PK_0 per instance,
+// from which the sender derives that instance's n per-index keys. PK_0 is
+// uniform in the group regardless of the chosen index, which is what
+// hides the choice.
+type BatchChoice struct {
+	PK0s []*big.Int
 }
 
-// SenderTransfer is the sender's final message: the ephemeral value
+// BatchTransfer is the sender's final message: the ephemeral value
 // R = g^r and one ciphertext per message of every instance of the batch,
 // instance i's message j at slot i·n + j.
-type SenderTransfer struct {
+type BatchTransfer struct {
 	R   *big.Int
 	Cts [][]byte
 }
 
-// The four protocol steps below — the sender's setupFor and respondAll,
-// the receiver's chooseAll and recoverAll — each run one batch: the
-// batched form of Naor–Pinkas (Naor & Pinkas, SODA 2001), whose m
-// instances share one set of constraints C_1..C_{n−1} and one ephemeral r.
-// Instance i's key for message j, [r]·PK_{i,j}, is bound to the instance by
-// deriving its pad with slot i·n + j. The single-transfer API is a batch
-// of one, whose transcript is that of the unbatched protocol; a k-out-of-n
-// is one batch of k and the IKNP base phase one batch of κ. For a batch of
-// m instances the steps cost (scalar multiplications and decodes):
+// The four protocol steps below — the sender's newBatchSender and
+// respond, the receiver's newBatchReceiver and recover — each run one
+// batch: the batched form of Naor–Pinkas (Naor & Pinkas, SODA 2001), whose
+// m instances share one set of constraints C_1..C_{n−1} and one ephemeral
+// r. Instance i's key for message j, [r]·PK_{i,j}, is bound to the
+// instance by deriving its pad with slot i·n + j. A k-out-of-n is one
+// batch of k (kofn.go; a 1-out-of-n is TransferKofN with one index, whose
+// transcript is that of the unbatched protocol) and the IKNP base phase
+// one batch of κ. For a batch of m instances the steps cost (scalar
+// multiplications and decodes):
 //
-//	setupFor    n−1 fixed-base (the C_j)
-//	chooseAll   m fixed-base (g^x_i); n−1 decodes
-//	respondAll  n fixed-base (R, the C_j^r), m variable-base (PK_{i,0}^r); m decodes
-//	recoverAll  m multiplications of R, from one table of R once m is large; 1 decode
+//	newBatchSender    n−1 fixed-base (the C_j)
+//	newBatchReceiver  m fixed-base (g^x_i); n−1 decodes
+//	respond           n fixed-base (R, the C_j^r), m variable-base (PK_{i,0}^r); m decodes
+//	recover           m multiplications of R, from one table of R once m is large; 1 decode
 //
 // Every step draws its randomness first (so every message is a function of
 // the rng stream alone), decodes what it received, does its group
 // arithmetic on decoded elements and encodes everything it sends or hashes
 // in a single Group.Encode call.
 
-// Sender runs the sender role of a batch of Naor–Pinkas 1-out-of-n
+// BatchSender runs the sender role of a batch of Naor–Pinkas 1-out-of-n
 // transfers.
-type Sender struct {
+type BatchSender struct {
 	group Group
 	msgs  [][][]byte // msgs[i] are instance i's n messages
 	// seeds[j-1] is the randomness behind constraint C_j, shared by every
@@ -84,81 +87,42 @@ func checkMessages(msgs [][]byte) error {
 	return nil
 }
 
-func copyMessages(msgs [][]byte) [][]byte {
-	copied := make([][]byte, len(msgs))
-	for i, m := range msgs {
-		copied[i] = append([]byte(nil), m...)
-	}
-	return copied
-}
-
-// drawSender draws the constraint seeds of one batch. msgs holds each
-// instance's messages, all validated and of one count; it is retained, not
-// copied.
-func drawSender(group Group, msgs [][][]byte, rng io.Reader) (*Sender, error) {
+// newBatchSender draws the constraint seeds of one batch and encodes its
+// setup. msgs holds each instance's messages, all validated and of one
+// count; it is retained, not copied.
+func newBatchSender(group Group, msgs [][][]byte, rng io.Reader) (*BatchSender, *BatchSetup, error) {
 	seeds := make([]*big.Int, len(msgs[0])-1)
 	for i := range seeds {
 		seed, err := group.RandomElementSeed(rng)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		seeds[i] = seed
 	}
-	return &Sender{group: group, msgs: msgs, seeds: seeds}, nil
-}
-
-// NewSender prepares a transfer of the given messages (all the same
-// length) and returns the setup message for the receiver.
-func NewSender(group Group, msgs [][]byte, rng io.Reader) (*Sender, *SenderSetup, error) {
-	if err := checkMessages(msgs); err != nil {
-		return nil, nil, err
+	elems := make([]Element, len(seeds))
+	for j, seed := range seeds {
+		elems[j] = group.ElementFromSeed(seed)
 	}
-	s, err := drawSender(group, [][][]byte{copyMessages(msgs)}, rng)
+	wire, err := group.Encode(elems)
 	if err != nil {
 		return nil, nil, err
 	}
-	setup, err := setupFor(s)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s, setup, nil
+	return &BatchSender{group: group, msgs: msgs, seeds: seeds}, &BatchSetup{Cs: wire}, nil
 }
 
-// setupFor finishes the batch's seeds into constraint elements and encodes
-// them.
-func setupFor(s *Sender) (*SenderSetup, error) {
-	elems := make([]Element, len(s.seeds))
-	for j, seed := range s.seeds {
-		elems[j] = s.group.ElementFromSeed(seed)
-	}
-	wire, err := s.group.Encode(elems)
-	if err != nil {
-		return nil, err
-	}
-	return &SenderSetup{Cs: wire}, nil
-}
-
-// Respond consumes the receiver's choice and produces the ciphertexts.
-func (s *Sender) Respond(choice *ReceiverChoice, rng io.Reader) (*SenderTransfer, error) {
-	return respondAll(s, []*ReceiverChoice{choice}, rng)
-}
-
-// respondAll answers the batch's choices, one per instance.
-func respondAll(s *Sender, choices []*ReceiverChoice, rng io.Reader) (*SenderTransfer, error) {
+// respond answers the batch's public keys, one per instance.
+func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer, error) {
 	group, n := s.group, len(s.msgs[0])
-	if len(choices) != len(s.msgs) {
-		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(choices), len(s.msgs))
+	if len(pk0Wire) != len(s.msgs) {
+		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(pk0Wire), len(s.msgs))
 	}
 	r, err := group.RandomScalar(rng)
 	if err != nil {
 		return nil, instanceErr(0, err)
 	}
-	pk0s := make([]Element, len(choices))
-	for i, c := range choices {
-		if c == nil {
-			return nil, instanceErr(i, fmt.Errorf("%w: missing choice", ErrBadMessage))
-		}
-		pk0, err := group.Decode(c.PK0)
+	pk0s := make([]Element, len(pk0Wire))
+	for i, c := range pk0Wire {
+		pk0, err := group.Decode(c)
 		if err != nil {
 			return nil, instanceErr(i, fmt.Errorf("invalid PK0: %w", err))
 		}
@@ -192,41 +156,26 @@ func respondAll(s *Sender, choices []*ReceiverChoice, rng io.Reader) (*SenderTra
 			cts[slot] = xorKeystream(group, wire[1+slot], slot, m)
 		}
 	}
-	return &SenderTransfer{R: wire[0], Cts: cts}, nil
+	return &BatchTransfer{R: wire[0], Cts: cts}, nil
 }
 
-// Receiver runs the receiver role of a batch of 1-out-of-n transfers.
-type Receiver struct {
+// BatchReceiver runs the receiver role of a batch of 1-out-of-n transfers.
+type BatchReceiver struct {
 	group  Group
 	n      int
 	sigmas []int
 	xs     []*big.Int // secret exponents; instance i's PK_{i,sigma_i} = g^x_i
 }
 
-// NewReceiver prepares the receiver's choice of index sigma among n
-// messages, given the sender's setup.
-func NewReceiver(group Group, n, sigma int, setup *SenderSetup, rng io.Reader) (*Receiver, *ReceiverChoice, error) {
-	receiver, choices, err := chooseAll(group, n, []int{sigma}, setup, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	return receiver, choices[0], nil
-}
-
-// chooseAll prepares the batch's choices sigmas among n messages against
-// the one setup, returning one choice per instance.
-func chooseAll(group Group, n int, sigmas []int, setup *SenderSetup, rng io.Reader) (*Receiver, []*ReceiverChoice, error) {
-	if n < 2 {
-		return nil, nil, fmt.Errorf("ot: need at least 2 messages, got %d", n)
-	}
+// newBatchReceiver prepares the batch's choices sigmas among n ≥ 2
+// messages against the one setup, one public key per instance. The
+// caller has checked every sigma against n.
+func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
 	if setup == nil || len(setup.Cs) != n-1 {
 		return nil, nil, instanceErr(0, fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
 	}
-	rc := &Receiver{group: group, n: n, sigmas: sigmas, xs: make([]*big.Int, len(sigmas))}
-	for i, sigma := range sigmas {
-		if sigma < 0 || sigma >= n {
-			return nil, nil, instanceErr(i, fmt.Errorf("%w: sigma=%d n=%d", ErrBadIndex, sigma, n))
-		}
+	rc := &BatchReceiver{group: group, n: n, sigmas: sigmas, xs: make([]*big.Int, len(sigmas))}
+	for i := range sigmas {
 		x, err := group.RandomScalar(rng)
 		if err != nil {
 			return nil, nil, instanceErr(i, err)
@@ -257,24 +206,11 @@ func chooseAll(group Group, n int, sigmas []int, setup *SenderSetup, rng io.Read
 	if err != nil {
 		return nil, nil, err
 	}
-	choices := make([]*ReceiverChoice, len(wire))
-	for i := range choices {
-		choices[i] = &ReceiverChoice{PK0: wire[i]}
-	}
-	return rc, choices, nil
+	return rc, &BatchChoice{PK0s: wire}, nil
 }
 
-// Recover decrypts the chosen message from the sender's transfer.
-func (r *Receiver) Recover(tr *SenderTransfer) ([]byte, error) {
-	out, err := recoverAll(r, tr)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// recoverAll decrypts the chosen message of every instance of the batch.
-func recoverAll(rc *Receiver, tr *SenderTransfer) ([][]byte, error) {
+// recover decrypts the chosen message of every instance of the batch.
+func (rc *BatchReceiver) recover(tr *BatchTransfer) ([][]byte, error) {
 	group := rc.group
 	if tr == nil {
 		return nil, instanceErr(0, fmt.Errorf("%w: missing transfer", ErrBadMessage))
@@ -286,8 +222,8 @@ func recoverAll(rc *Receiver, tr *SenderTransfer) ([][]byte, error) {
 	if err != nil {
 		return nil, instanceErr(0, fmt.Errorf("invalid R: %w", err))
 	}
-	// PK_{i,sigma_i} = g^x_i in both branches of chooseAll, so its key
-	// PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
+	// PK_{i,sigma_i} = g^x_i in both branches of newBatchReceiver, so its
+	// key PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
 	wire, err := group.Encode(group.ExpMany(bigR, rc.xs))
 	if err != nil {
 		return nil, err

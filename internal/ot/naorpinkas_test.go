@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/big"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestBaseBatchKDFInputsFresh checks the slot binding of the batched base
@@ -25,7 +27,7 @@ func TestBaseBatchKDFInputsFresh(t *testing.T) {
 				t.Fatal(err)
 			}
 			if repeat {
-				choice.Choices[1] = choice.Choices[0]
+				choice.PK0s[1] = choice.PK0s[0]
 			}
 			checkKDFInputsFresh(t, fmt.Sprintf("%s repeat=%v", g.Name(), repeat), iknpKappa, 2, repeat, func() error {
 				_, err := recv.BaseRespond(choice, rand.Reader)
@@ -61,7 +63,7 @@ func TestKofNKDFInputsFresh(t *testing.T) {
 					t.Fatal(err)
 				}
 				if repeat {
-					choice.Choices[1] = choice.Choices[0]
+					choice.PK0s[1] = choice.PK0s[0]
 				}
 				checkKDFInputsFresh(t, fmt.Sprintf("%s %dof%d repeat=%v", g.Name(), k, n, repeat), k, n, repeat, func() error {
 					_, err := sender.Respond(choice, rand.Reader)
@@ -102,5 +104,32 @@ func checkKDFInputsFresh(t *testing.T, name string, m, n int, repeat bool, respo
 	}
 	if len(keys) != wantKeys {
 		t.Errorf("%s: %d distinct keys, want %d", name, len(keys), wantKeys)
+	}
+}
+
+// TestBasePhaseObs pins what the base phase records: κ Naor–Pinkas
+// instances and n + 3k = 2 + 3κ group exponentiations, and none of the
+// spans of the public k-of-n entry points it shares its batch code with.
+func TestBasePhaseObs(t *testing.T) {
+	for _, g := range []Group{X25519(), Group512Test()} {
+		reg := obs.NewRegistry()
+		prev := obs.SwapDefault(reg)
+		_, _, err := NewIKNP(g, rand.Reader)
+		obs.SwapDefault(prev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter(obs.CtrOTInstances); got != iknpKappa {
+			t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrOTInstances, got, iknpKappa)
+		}
+		if got, want := reg.Counter(obs.CtrGroupExp), int64(2+3*iknpKappa); got != want {
+			t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrGroupExp, got, want)
+		}
+		hists := reg.Snapshot().Histograms
+		for _, phase := range []string{obs.PhaseOTSenderSetup, obs.PhaseOTSenderRespond, obs.PhaseOTReceiverChoice, obs.PhaseOTReceiverRecover} {
+			if h, ok := hists[phase]; ok && h.Count != 0 {
+				t.Errorf("%s: base phase recorded %d %s spans", g.Name(), h.Count, phase)
+			}
+		}
 	}
 }

@@ -60,11 +60,46 @@ func TestGroupByName(t *testing.T) {
 	}
 }
 
+// transfer1ofN runs a 1-out-of-n transfer: TransferKofN with one index.
+func transfer1ofN(g ot.Group, msgs [][]byte, sigma int) ([]byte, error) {
+	got, err := ot.TransferKofN(g, msgs, []int{sigma}, rand.Reader)
+	if err != nil {
+		return nil, err
+	}
+	return got[0], nil
+}
+
+// oneOfN is a prepared 1-out-of-n transfer: both endpoints and the three
+// messages of an honest run.
+type oneOfN struct {
+	sender   *ot.BatchSender
+	receiver *ot.BatchReceiver
+	setup    *ot.BatchSetup
+	choice   *ot.BatchChoice
+	tr       *ot.BatchTransfer
+}
+
+func newOneOfN(t *testing.T, g ot.Group, msgs [][]byte, sigma int) oneOfN {
+	t.Helper()
+	var o oneOfN
+	var err error
+	if o.sender, o.setup, err = ot.NewBatchSender(g, msgs, 1, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if o.receiver, o.choice, err = ot.NewBatchReceiver(g, len(msgs), []int{sigma}, o.setup, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	if o.tr, err = o.sender.Respond(o.choice, rand.Reader); err != nil {
+		t.Fatal(err)
+	}
+	return o
+}
+
 func Test1of2AllChoices(t *testing.T) {
 	g := testGroup()
-	msgs := [2][]byte{[]byte("message-zero-000"), []byte("message-one-1111")}
+	msgs := [][]byte{[]byte("message-zero-000"), []byte("message-one-1111")}
 	for bit := 0; bit < 2; bit++ {
-		got, err := ot.Transfer1of2(g, msgs, bit, rand.Reader)
+		got, err := transfer1ofN(g, msgs, bit)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -78,7 +113,7 @@ func Test1ofNEveryIndex(t *testing.T) {
 	g := testGroup()
 	msgs := randomMessages(t, 7, 32)
 	for sigma := 0; sigma < len(msgs); sigma++ {
-		got, err := ot.Transfer1ofN(g, msgs, sigma, rand.Reader)
+		got, err := transfer1ofN(g, msgs, sigma)
 		if err != nil {
 			t.Fatalf("sigma=%d: %v", sigma, err)
 		}
@@ -103,25 +138,43 @@ func TestKofN(t *testing.T) {
 	}
 }
 
+// TestKofNRejectsDuplicates: the receiver refuses a choice that is not
+// 1 ≤ k ≤ n distinct in-range indices with a typed error before it sends
+// anything, on both groups.
 func TestKofNRejectsDuplicates(t *testing.T) {
-	g := testGroup()
-	msgs := randomMessages(t, 5, 16)
-	sender, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = sender
-	if _, _, err := ot.NewBatchReceiver(g, len(msgs), []int{2, 2}, setup, rand.Reader); err == nil {
-		t.Fatal("duplicate indices should fail")
+	for _, g := range []ot.Group{ot.X25519(), testGroup()} {
+		msgs := randomMessages(t, 5, 16)
+		_, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name    string
+			indices []int
+			want    error
+		}{
+			{"duplicate", []int{2, 2}, ot.ErrDuplicateIndex},
+			{"duplicate after others", []int{0, 4, 1, 4}, ot.ErrDuplicateIndex},
+			{"k=0", []int{}, ot.ErrBadIndex},
+			{"nil indices", nil, ot.ErrBadIndex},
+			{"k>n", []int{0, 1, 2, 3, 4, 0}, ot.ErrBadIndex},
+			{"negative", []int{-1, 2}, ot.ErrBadIndex},
+			{"index n", []int{1, 5}, ot.ErrBadIndex},
+		} {
+			receiver, choice, err := ot.NewBatchReceiver(g, len(msgs), tc.indices, setup, rand.Reader)
+			if !errors.Is(err, tc.want) || receiver != nil || choice != nil {
+				t.Errorf("%s %s: (%v, %v, %v), want a nil receiver and choice and %v", g.Name(), tc.name, receiver, choice, err, tc.want)
+			}
+		}
 	}
 }
 
 func TestSenderValidation(t *testing.T) {
 	g := testGroup()
-	if _, _, err := ot.NewSender(g, [][]byte{[]byte("one")}, rand.Reader); err == nil {
+	if _, _, err := ot.NewBatchSender(g, [][]byte{[]byte("one")}, 1, rand.Reader); err == nil {
 		t.Fatal("single message should fail")
 	}
-	if _, _, err := ot.NewSender(g, [][]byte{[]byte("aa"), []byte("bbb")}, rand.Reader); err == nil {
+	if _, _, err := ot.NewBatchSender(g, [][]byte{[]byte("aa"), []byte("bbb")}, 1, rand.Reader); err == nil {
 		t.Fatal("unequal lengths should fail")
 	}
 }
@@ -129,21 +182,28 @@ func TestSenderValidation(t *testing.T) {
 func TestReceiverValidation(t *testing.T) {
 	g := testGroup()
 	msgs := randomMessages(t, 4, 16)
-	_, setup, err := ot.NewSender(g, msgs, rand.Reader)
+	_, setup, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ot.NewReceiver(g, 4, -1, setup, rand.Reader); err == nil {
-		t.Fatal("negative sigma should fail")
+	for name, indices := range map[string][]int{
+		"negative sigma": {-1},
+		"sigma >= n":     {4},
+		"empty choice":   {},
+		"duplicate":      {1, 1},
+	} {
+		if _, _, err := ot.NewBatchReceiver(g, 4, indices, setup, rand.Reader); err == nil {
+			t.Fatalf("%s should fail", name)
+		}
 	}
-	if _, _, err := ot.NewReceiver(g, 4, 4, setup, rand.Reader); err == nil {
-		t.Fatal("sigma >= n should fail")
+	if _, _, err := ot.NewBatchReceiver(g, 1, []int{0}, &ot.BatchSetup{}, rand.Reader); err == nil {
+		t.Fatal("n = 1 should fail")
 	}
-	if _, _, err := ot.NewReceiver(g, 4, 0, nil, rand.Reader); err == nil {
+	if _, _, err := ot.NewBatchReceiver(g, 4, []int{0}, nil, rand.Reader); err == nil {
 		t.Fatal("nil setup should fail")
 	}
-	bad := &ot.SenderSetup{Cs: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(1)}}
-	if _, _, err := ot.NewReceiver(g, 4, 0, bad, rand.Reader); err == nil {
+	bad := &ot.BatchSetup{Cs: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(1)}}
+	if _, _, err := ot.NewBatchReceiver(g, 4, []int{0}, bad, rand.Reader); err == nil {
 		t.Fatal("invalid constraint element should fail")
 	}
 }
@@ -151,40 +211,27 @@ func TestReceiverValidation(t *testing.T) {
 func TestRespondValidation(t *testing.T) {
 	g := testGroup()
 	msgs := randomMessages(t, 3, 16)
-	sender, _, err := ot.NewSender(g, msgs, rand.Reader)
+	sender, _, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := sender.Respond(nil, rand.Reader); err == nil {
 		t.Fatal("nil choice should fail")
 	}
-	if _, err := sender.Respond(&ot.ReceiverChoice{PK0: big.NewInt(0)}, rand.Reader); err == nil {
+	if _, err := sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{big.NewInt(0)}}, rand.Reader); err == nil {
 		t.Fatal("PK0=0 should fail")
 	}
 }
 
 func TestRecoverValidation(t *testing.T) {
-	g := testGroup()
-	msgs := randomMessages(t, 3, 16)
-	sender, setup, err := ot.NewSender(g, msgs, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	receiver, choice, err := ot.NewReceiver(g, 3, 1, setup, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sender.Respond(choice, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := receiver.Recover(nil); err == nil {
+	o := newOneOfN(t, testGroup(), randomMessages(t, 3, 16), 1)
+	if _, err := o.receiver.Recover(nil); err == nil {
 		t.Fatal("nil transfer should fail")
 	}
-	if _, err := receiver.Recover(&ot.SenderTransfer{R: tr.R, Cts: tr.Cts[:2]}); err == nil {
+	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: o.tr.R, Cts: o.tr.Cts[:2]}); err == nil {
 		t.Fatal("short ciphertext list should fail")
 	}
-	if _, err := receiver.Recover(&ot.SenderTransfer{R: big.NewInt(0), Cts: tr.Cts}); err == nil {
+	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: big.NewInt(0), Cts: o.tr.Cts}); err == nil {
 		t.Fatal("invalid R should fail")
 	}
 }
@@ -194,26 +241,14 @@ func TestRecoverValidation(t *testing.T) {
 // design; integrity is the upper layer's concern — the field layer rejects
 // out-of-range values).
 func TestTamperedCiphertextDecryptsGarbage(t *testing.T) {
-	g := testGroup()
 	msgs := randomMessages(t, 3, 16)
-	sender, setup, err := ot.NewSender(g, msgs, rand.Reader)
+	o := newOneOfN(t, testGroup(), msgs, 2)
+	o.tr.Cts[2][0] ^= 0xFF
+	got, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, choice, err := ot.NewReceiver(g, 3, 2, setup, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sender.Respond(choice, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr.Cts[2][0] ^= 0xFF
-	got, err := receiver.Recover(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(got, msgs[2]) {
+	if bytes.Equal(got[0], msgs[2]) {
 		t.Fatal("tampered ciphertext recovered the original message")
 	}
 }
@@ -221,36 +256,24 @@ func TestTamperedCiphertextDecryptsGarbage(t *testing.T) {
 // TestNonChosenMessagesUnreadable: decrypting a non-chosen slot with the
 // receiver's key yields garbage (sender privacy, §III-B).
 func TestNonChosenMessagesUnreadable(t *testing.T) {
-	g := testGroup()
 	msgs := randomMessages(t, 4, 24)
-	sender, setup, err := ot.NewSender(g, msgs, rand.Reader)
+	o := newOneOfN(t, testGroup(), msgs, 1)
+	got, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, choice, err := ot.NewReceiver(g, 4, 1, setup, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := sender.Respond(choice, rand.Reader)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := receiver.Recover(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, msgs[1]) {
+	if !bytes.Equal(got[0], msgs[1]) {
 		t.Fatal("chosen message wrong")
 	}
 	// A receiver that lies about sigma post-hoc (tries index 2's slot with
 	// its index-1 key) must not get message 2: swap ciphertexts so the
 	// receiver decrypts slot 2's bytes with its own key/pad.
-	tr.Cts[1] = tr.Cts[2]
-	leaked, err := receiver.Recover(tr)
+	o.tr.Cts[1] = o.tr.Cts[2]
+	leaked, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(leaked, msgs[2]) {
+	if bytes.Equal(leaked[0], msgs[2]) {
 		t.Fatal("receiver decrypted a non-chosen message")
 	}
 }
@@ -261,21 +284,22 @@ func TestNonChosenMessagesUnreadable(t *testing.T) {
 func TestChoiceHidesIndex(t *testing.T) {
 	g := testGroup()
 	msgs := randomMessages(t, 4, 16)
-	_, setup, err := ot.NewSender(g, msgs, rand.Reader)
+	_, setup, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[string]bool)
 	for sigma := 0; sigma < 4; sigma++ {
 		for run := 0; run < 3; run++ {
-			_, choice, err := ot.NewReceiver(g, 4, sigma, setup, rand.Reader)
+			_, choice, err := ot.NewBatchReceiver(g, 4, []int{sigma}, setup, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := g.Decode(choice.PK0); err != nil {
+			pk0 := choice.PK0s[0]
+			if _, err := g.Decode(pk0); err != nil {
 				t.Fatalf("PK0 not a valid element: %v", err)
 			}
-			key := choice.PK0.String()
+			key := pk0.String()
 			if seen[key] {
 				t.Fatal("PK0 collision across runs (randomness broken)")
 			}
@@ -301,7 +325,7 @@ func TestLargeGroupRoundTrip(t *testing.T) {
 	for _, g := range []ot.Group{ot.Group1024(), ot.Group2048()} {
 		t.Run(g.Name(), func(t *testing.T) {
 			msgs := randomMessages(t, 3, 32)
-			got, err := ot.Transfer1ofN(g, msgs, 2, rand.Reader)
+			got, err := transfer1ofN(g, msgs, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -339,7 +363,7 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sender.Respond(&ot.BatchChoice{Choices: choice.Choices[:1]}, rand.Reader)
+	_, err = sender.Respond(&ot.BatchChoice{PK0s: choice.PK0s[:1]}, rand.Reader)
 	want("Respond(1 choice for k=2)", err)
 	_, err = sender.Respond(nil, rand.Reader)
 	want("Respond(nil)", err)
@@ -349,13 +373,13 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	}
 	_, err = receiver3.Recover(tr)
 	want("Recover(k=2 transfer, k=3 receiver)", err)
-	cts := tr.Transfer.Cts
+	cts := tr.Cts
 	for name, bad := range map[string][][]byte{
 		"k·n−1 ciphertexts": cts[:len(cts)-1],
 		"k·n+1 ciphertexts": append(append([][]byte(nil), cts...), cts[0]),
 		"n ciphertexts":     cts[:5],
 	} {
-		_, err = receiver.Recover(&ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: tr.Transfer.R, Cts: bad}})
+		_, err = receiver.Recover(&ot.BatchTransfer{R: tr.R, Cts: bad})
 		want("Recover("+name+")", err)
 	}
 	_, err = receiver.Recover(&ot.BatchTransfer{})
@@ -374,14 +398,15 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	}
 }
 
-func ExampleTransfer1ofN() {
+// A 1-out-of-n transfer is a k-out-of-n with one index.
+func ExampleTransferKofN() {
 	g := ot.Group512Test()
 	msgs := [][]byte{[]byte("alpha"), []byte("bravo"), []byte("carol")}
-	got, err := ot.Transfer1ofN(g, msgs, 1, rand.Reader)
+	got, err := ot.TransferKofN(g, msgs, []int{1}, rand.Reader)
 	if err != nil {
 		fmt.Println("error:", err)
 		return
 	}
-	fmt.Println(string(got))
+	fmt.Println(string(got[0]))
 	// Output: bravo
 }

@@ -164,7 +164,7 @@ func TestBatchRespondBadChoiceParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice.Choices[1] = &ReceiverChoice{PK0: new(big.Int)} // zero is invalid
+	choice.PK0s[1] = new(big.Int) // zero is invalid
 	if _, err := sender.Respond(choice, rand.Reader); err == nil {
 		t.Fatal("want error for invalid PK0 in batch")
 	}

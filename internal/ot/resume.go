@@ -156,12 +156,6 @@ func (st *IKNPSenderState) DecodeWire(r *wire.Reader) {
 	st.Batch = uint32(r.Uvarint())
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (st *IKNPSenderState) MarshalBinary() ([]byte, error) { return wire.Marshal(st) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (st *IKNPSenderState) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, st) }
-
 // EncodeWire implements the wire codec.
 func (st *IKNPReceiverState) EncodeWire(w *wire.Writer) {
 	w.ByteSlice(st.Seed0)
@@ -175,9 +169,3 @@ func (st *IKNPReceiverState) DecodeWire(r *wire.Reader) {
 	st.Seed1 = r.ByteSlice()
 	st.Batch = uint32(r.Uvarint())
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (st *IKNPReceiverState) MarshalBinary() ([]byte, error) { return wire.Marshal(st) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (st *IKNPReceiverState) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, st) }

@@ -2,7 +2,6 @@ package ot
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"math/big"
 	"reflect"
@@ -11,37 +10,38 @@ import (
 	"repro/internal/wire"
 )
 
-// wireMsg is the full serialization contract every OT wire type must
-// satisfy: the codec pair plus its byte marshalers.
-type wireMsg interface {
-	wire.Msg
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
+func sampleSetup() *BatchSetup {
+	return &BatchSetup{Cs: []*big.Int{big.NewInt(12345), new(big.Int).Lsh(big.NewInt(7), 300)}}
 }
 
-func sampleSetup() *SenderSetup {
-	return &SenderSetup{Cs: []*big.Int{big.NewInt(12345), new(big.Int).Lsh(big.NewInt(7), 300)}}
+func sampleTransfer() *BatchTransfer {
+	return &BatchTransfer{R: big.NewInt(31337), Cts: [][]byte{{1, 2}, {}, {3, 4, 5}}}
 }
 
-func sampleChoice() *ReceiverChoice {
-	return &ReceiverChoice{PK0: new(big.Int).Lsh(big.NewInt(99), 120)}
+// baseShapeMsgs are the three batch messages in the shape of the IKNP
+// base phase: one constraint, κ public keys, and one R with 2κ 16-byte
+// ciphertexts.
+func baseShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
+	pk0s := make([]*big.Int, iknpKappa)
+	for i := range pk0s {
+		pk0s[i] = new(big.Int).Lsh(big.NewInt(int64(99+i)), 120)
+	}
+	cts := make([][]byte, 2*iknpKappa)
+	for i := range cts {
+		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
+	}
+	return &BatchSetup{Cs: []*big.Int{big.NewInt(9)}}, &BatchChoice{PK0s: pk0s}, &BatchTransfer{R: big.NewInt(31337), Cts: cts}
 }
 
-func sampleTransfer() *SenderTransfer {
-	return &SenderTransfer{R: big.NewInt(31337), Cts: [][]byte{{1, 2}, {}, {3, 4, 5}}}
-}
-
-func otWireSamples() map[string]wireMsg {
-	return map[string]wireMsg{
-		"SenderSetup":      sampleSetup(),
-		"ReceiverChoice":   sampleChoice(),
-		"SenderTransfer":   sampleTransfer(),
-		"BatchSetup":       &BatchSetup{Setup: sampleSetup()},
-		"BatchChoice":      &BatchChoice{Choices: []*ReceiverChoice{sampleChoice()}},
-		"BatchTransfer":    &BatchTransfer{Transfer: sampleTransfer()},
-		"IKNPBaseSetup":    &IKNPBaseSetup{Setup: sampleSetup()},
-		"IKNPBaseChoice":   &IKNPBaseChoice{Choices: []*ReceiverChoice{sampleChoice(), sampleChoice()}},
-		"IKNPBaseTransfer": &IKNPBaseTransfer{Transfer: sampleTransfer()},
+func otWireSamples() map[string]wire.Msg {
+	baseSetup, baseChoice, baseTransfer := baseShapeMsgs()
+	return map[string]wire.Msg{
+		"BatchSetup":       sampleSetup(),
+		"BatchChoice":      &BatchChoice{PK0s: []*big.Int{new(big.Int).Lsh(big.NewInt(99), 120), big.NewInt(5)}},
+		"BatchTransfer":    sampleTransfer(),
+		"IKNPBaseSetup":    baseSetup,
+		"IKNPBaseChoice":   baseChoice,
+		"IKNPBaseTransfer": baseTransfer,
 		"IKNPReceiverMsg":  &IKNPReceiverMsg{U: bytes.Repeat([]byte{0x5A}, 64), M: 17},
 		"IKNPSenderMsg":    &IKNPSenderMsg{Y0: []byte{1, 2, 3, 4}, Y1: []byte{5, 6, 7, 8}, MsgLen: 2},
 		"ExtKofNBatchRequest": &ExtKofNBatchRequest{
@@ -59,11 +59,16 @@ func otWireSamples() map[string]wireMsg {
 	}
 }
 
+// newLike returns a fresh zero value of m's concrete type.
+func newLike(m wire.Msg) wire.Msg {
+	return reflect.New(reflect.TypeOf(m).Elem()).Interface().(wire.Msg)
+}
+
 // reencode canonicalizes a message for equality: two messages are equal
 // iff their encodings are byte-identical (the codec is canonical).
-func reencode(t *testing.T, m wireMsg) []byte {
+func reencode(t *testing.T, m wire.Msg) []byte {
 	t.Helper()
-	data, err := m.MarshalBinary()
+	data, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
@@ -73,28 +78,26 @@ func reencode(t *testing.T, m wireMsg) []byte {
 func TestOTWireRoundTrips(t *testing.T) {
 	for name, in := range otWireSamples() {
 		t.Run(name, func(t *testing.T) {
-			data, err := in.MarshalBinary()
+			data, err := wire.Marshal(in)
 			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
+				t.Fatalf("Marshal: %v", err)
 			}
-			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out.UnmarshalBinary(data); err != nil {
-				t.Fatalf("UnmarshalBinary: %v", err)
+			out := newLike(in)
+			if err := wire.Unmarshal(data, out); err != nil {
+				t.Fatalf("Unmarshal: %v", err)
 			}
 			if !bytes.Equal(reencode(t, out), data) {
 				t.Fatalf("slice round trip mismatch:\n in: %#v\nout: %#v", in, out)
 			}
 
 			// Trailing garbage after the message must be rejected.
-			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out3.UnmarshalBinary(append(append([]byte{}, data...), 0xFF)); !errors.Is(err, wire.ErrTrailing) {
+			if err := wire.Unmarshal(append(append([]byte{}, data...), 0xFF), newLike(in)); !errors.Is(err, wire.ErrTrailing) {
 				t.Fatalf("trailing byte: got %v, want ErrTrailing", err)
 			}
 
 			// Every strict prefix of the encoding fails with some typed error.
 			for n := 0; n < len(data); n++ {
-				out4 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-				if err := out4.UnmarshalBinary(data[:n]); err == nil {
+				if err := wire.Unmarshal(data[:n], newLike(in)); err == nil {
 					t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
 				}
 			}
@@ -103,17 +106,17 @@ func TestOTWireRoundTrips(t *testing.T) {
 }
 
 func TestOTWireNilElements(t *testing.T) {
-	cases := map[string]wireMsg{
-		"nil-setup-elem":    &BatchSetup{},
+	cases := map[string]wire.Msg{
+		"nil-setup-elem":    &BatchSetup{Cs: []*big.Int{nil}},
 		"nil-transfer":      &BatchTransfer{},
-		"nil-bigint":        &SenderSetup{Cs: []*big.Int{nil}},
-		"nil-pk0":           &ReceiverChoice{},
+		"nil-bigint":        &BatchSetup{Cs: []*big.Int{big.NewInt(1), nil}},
+		"nil-pk0":           &BatchChoice{PK0s: []*big.Int{nil}},
 		"nil-iknp-request":  &ExtKofNBatchRequest{K: 1, N: 2, B: 1},
 		"nil-iknp-response": &ExtKofNBatchResponse{Cts: []byte{1}, MsgLen: 1},
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {
-			if _, err := m.MarshalBinary(); !errors.Is(err, wire.ErrNilValue) {
+			if _, err := wire.Marshal(m); !errors.Is(err, wire.ErrNilValue) {
 				t.Fatalf("got %v, want ErrNilValue", err)
 			}
 		})

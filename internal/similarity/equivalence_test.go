@@ -2,7 +2,6 @@ package similarity_test
 
 import (
 	"crypto/sha256"
-	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
@@ -16,6 +15,7 @@ import (
 	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
+	"repro/internal/wire"
 )
 
 // parentTranscripts pins the SHA-256 over every marshalled message of one
@@ -159,7 +159,7 @@ func digestCases(t *testing.T) []digestCase {
 			t.Fatal(err)
 		}
 		rounds := []similarity.Round{similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea}
-		c := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear}, rounds, aliceRng, bobRng)
+		c := transcriptDigest(t, alice, bob, []wire.Msg{&spec, clear}, rounds, aliceRng, bobRng)
 		c.name, c.want, c.tol = tc.name, want, 1e-4
 		cases = append(cases, c)
 	}
@@ -195,7 +195,7 @@ func digestCases(t *testing.T) []digestCase {
 		rounds = append(rounds, similarity.RoundNormal)
 	}
 	rounds = append(rounds, similarity.RoundArea)
-	c := transcriptDigest(t, alice, bob, []encoding.BinaryMarshaler{&spec, clear, scale}, rounds, aliceRng, bobRng)
+	c := transcriptDigest(t, alice, bob, []wire.Msg{&spec, clear, scale}, rounds, aliceRng, bobRng)
 	c.name, c.want, c.tol = "kernel/diabetes-poly", want, 2e-3
 	return append(cases, c)
 }
@@ -224,11 +224,11 @@ func digestKernelPair(t *testing.T) (*svm.Model, *svm.Model) {
 // transcriptDigest runs the given rounds and hashes the prelude messages
 // followed by each round's four messages, in wire order; alongside, it
 // hashes Bob's decoded value after each round and the final T².
-func transcriptDigest(t *testing.T, alice responder, bob requester, prelude []encoding.BinaryMarshaler, rounds []similarity.Round, aliceRng, bobRng io.Reader) digestCase {
+func transcriptDigest(t *testing.T, alice responder, bob requester, prelude []wire.Msg, rounds []similarity.Round, aliceRng, bobRng io.Reader) digestCase {
 	t.Helper()
 	h, hv := sha256.New(), sha256.New()
-	hash := func(m encoding.BinaryMarshaler) {
-		b, err := m.MarshalBinary()
+	hash := func(m wire.Msg) {
+		b, err := wire.Marshal(m)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -33,12 +33,6 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	_ = r.String()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *Spec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *Spec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
-
 // EncodeWire implements the wire codec.
 func (m *Metric) EncodeWire(w *wire.Writer) {
 	w.Float64(m.Alpha)
@@ -55,7 +49,8 @@ func (m *Metric) DecodeWire(r *wire.Reader) {
 	m.Theta0 = r.Float64()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
+// the public alias ppdc.SimilarityMetric.
 func (m *Metric) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.
@@ -73,12 +68,6 @@ func (c *ClearShare) DecodeWire(r *wire.Reader) {
 	c.NormW2 = r.Float64()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *ClearShare) MarshalBinary() ([]byte, error) { return wire.Marshal(c) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (c *ClearShare) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, c) }
-
 // EncodeWire implements the wire codec.
 func (s *KernelSpec) EncodeWire(w *wire.Writer) {
 	s.Spec.EncodeWire(w)
@@ -90,12 +79,6 @@ func (s *KernelSpec) DecodeWire(r *wire.Reader) {
 	s.Spec.DecodeWire(r)
 	s.Kernel.DecodeWire(r)
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (s *KernelSpec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *KernelSpec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }
 
 // EncodeWire implements the wire codec.
 func (c *KernelClearShare) EncodeWire(w *wire.Writer) {
@@ -113,12 +96,6 @@ func (c *KernelClearShare) DecodeWire(r *wire.Reader) {
 	c.AlphaSum = r.BigInt()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (c *KernelClearShare) MarshalBinary() ([]byte, error) { return wire.Marshal(c) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (c *KernelClearShare) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, c) }
-
 // EncodeWire implements the wire codec.
 func (a *AreaScale) EncodeWire(w *wire.Writer) {
 	w.Uint(a.C3Exp)
@@ -130,9 +107,3 @@ func (a *AreaScale) DecodeWire(r *wire.Reader) {
 	a.C3Exp = r.Uint()
 	a.TotalExp = r.Uint()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (a *AreaScale) MarshalBinary() ([]byte, error) { return wire.Marshal(a) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (a *AreaScale) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, a) }

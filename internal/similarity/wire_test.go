@@ -2,7 +2,6 @@ package similarity
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"math/big"
 	"reflect"
@@ -11,12 +10,6 @@ import (
 	"repro/internal/svm"
 	"repro/internal/wire"
 )
-
-type wireMsg interface {
-	wire.Msg
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
 
 func sampleSpec() Spec {
 	return Spec{
@@ -31,9 +24,9 @@ func sampleSpec() Spec {
 	}
 }
 
-func similarityWireSamples() map[string]wireMsg {
+func similarityWireSamples() map[string]wire.Msg {
 	spec := sampleSpec()
-	return map[string]wireMsg{
+	return map[string]wire.Msg{
 		"Spec":       &spec,
 		"Metric":     &Metric{Alpha: -2, Beta: 2, L0: 1.5, Theta0: 0.1},
 		"ClearShare": &ClearShare{NormM2: 1.25, NormW2: 2.5},
@@ -46,9 +39,9 @@ func similarityWireSamples() map[string]wireMsg {
 	}
 }
 
-func reencode(t *testing.T, m wireMsg) []byte {
+func reencode(t *testing.T, m wire.Msg) []byte {
 	t.Helper()
-	data, err := m.MarshalBinary()
+	data, err := wire.Marshal(m)
 	if err != nil {
 		t.Fatalf("re-marshal: %v", err)
 	}
@@ -58,26 +51,26 @@ func reencode(t *testing.T, m wireMsg) []byte {
 func TestSimilarityWireRoundTrips(t *testing.T) {
 	for name, in := range similarityWireSamples() {
 		t.Run(name, func(t *testing.T) {
-			data, err := in.MarshalBinary()
+			data, err := wire.Marshal(in)
 			if err != nil {
-				t.Fatalf("MarshalBinary: %v", err)
+				t.Fatalf("Marshal: %v", err)
 			}
-			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out.UnmarshalBinary(data); err != nil {
-				t.Fatalf("UnmarshalBinary: %v", err)
+			out := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(data, out); err != nil {
+				t.Fatalf("Unmarshal: %v", err)
 			}
 			if !bytes.Equal(reencode(t, out), data) {
 				t.Fatalf("slice round trip mismatch")
 			}
 
-			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-			if err := out3.UnmarshalBinary(append(append([]byte{}, data...), 0xFF)); !errors.Is(err, wire.ErrTrailing) {
+			out3 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(append(append([]byte{}, data...), 0xFF), out3); !errors.Is(err, wire.ErrTrailing) {
 				t.Fatalf("trailing byte: got %v, want ErrTrailing", err)
 			}
 
 			for n := 0; n < len(data); n++ {
-				out4 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wireMsg)
-				if err := out4.UnmarshalBinary(data[:n]); err == nil {
+				out4 := reflect.New(reflect.TypeOf(in).Elem()).Interface().(wire.Msg)
+				if err := wire.Unmarshal(data[:n], out4); err == nil {
 					t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
 				}
 			}
@@ -87,7 +80,7 @@ func TestSimilarityWireRoundTrips(t *testing.T) {
 
 func TestKernelClearShareNilAlphaSum(t *testing.T) {
 	m := &KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3}
-	if _, err := m.MarshalBinary(); !errors.Is(err, wire.ErrNilValue) {
+	if _, err := wire.Marshal(m); !errors.Is(err, wire.ErrNilValue) {
 		t.Fatalf("got %v, want ErrNilValue", err)
 	}
 }

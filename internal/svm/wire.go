@@ -22,7 +22,8 @@ func (k *Kernel) DecodeWire(r *wire.Reader) {
 	k.C0 = r.Float64()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
+// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
+// the public alias ppdc.Kernel.
 func (k *Kernel) MarshalBinary() ([]byte, error) { return wire.Marshal(k) }
 
 // UnmarshalBinary implements encoding.BinaryUnmarshaler.

@@ -238,7 +238,7 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 			resumed = true
 			return nil
 		}
-		var setup *ot.IKNPBaseSetup
+		var setup *ot.BatchSetup
 		session, setup, err = classify.NewFastClient(*spec, rng)
 		if err != nil {
 			return err
@@ -246,7 +246,7 @@ func NewFastClassifyClientContext(ctx context.Context, rw io.ReadWriteCloser, op
 		if err := conn.Send(setup); err != nil {
 			return err
 		}
-		choice, err := Recv[*ot.IKNPBaseChoice](conn)
+		choice, err := Recv[*ot.BatchChoice](conn)
 		if err != nil {
 			return err
 		}

@@ -2,7 +2,6 @@ package transport_test
 
 import (
 	"bytes"
-	"encoding"
 	"errors"
 	"io"
 	"math/big"
@@ -31,14 +30,6 @@ type nopCloser struct{ io.ReadWriter }
 
 func (nopCloser) Close() error { return nil }
 
-// wireCodecMsg is the serialization contract the consolidated fuzz
-// drives: the codec pair plus its byte marshalers.
-type wireCodecMsg interface {
-	wire.Msg
-	encoding.BinaryMarshaler
-	encoding.BinaryUnmarshaler
-}
-
 func typedWireErr(err error) bool {
 	return errors.Is(err, wire.ErrTruncated) ||
 		errors.Is(err, wire.ErrOversize) ||
@@ -52,7 +43,7 @@ func typedWireErr(err error) bool {
 // transport frame payloads plus the classify/similarity/svm specs.
 func wireFuzzSamples() []struct {
 	name  string
-	proto wireCodecMsg
+	proto wire.Msg
 } {
 	simSpec := similarity.Spec{
 		Dim: 3, Metric: similarity.DefaultMetric(), MaskDegree: 4,
@@ -61,7 +52,7 @@ func wireFuzzSamples() []struct {
 	}
 	return []struct {
 		name  string
-		proto wireCodecMsg
+		proto wire.Msg
 	}{
 		{"Hello", &transport.Hello{Service: "classify", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
 		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
@@ -85,7 +76,7 @@ func wireFuzzSamples() []struct {
 func FuzzWireMsgs(f *testing.F) {
 	samples := wireFuzzSamples()
 	for _, s := range samples {
-		data, err := s.proto.MarshalBinary()
+		data, err := wire.Marshal(s.proto)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -95,31 +86,34 @@ func FuzzWireMsgs(f *testing.F) {
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	// The base-setup payload of a client from before the κ base OTs shared
 	// one constraint: κ one-constraint setups.
-	legacy := make([]*ot.SenderSetup, 128)
+	legacy := make([]*ot.BatchSetup, 128)
 	for i := range legacy {
-		legacy[i] = &ot.SenderSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+		legacy[i] = &ot.BatchSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
 	}
 	f.Add(legacySeq(legacy))
+	// A base-phase setup frame, which travels under the k-of-n setup's
+	// tag 4: header and one-constraint payload.
+	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: []*big.Int{big.NewInt(9)}}))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
 		}
 		for _, s := range samples {
-			out := reflect.New(reflect.TypeOf(s.proto).Elem()).Interface().(wireCodecMsg)
-			if err := out.UnmarshalBinary(input); err != nil {
+			out := reflect.New(reflect.TypeOf(s.proto).Elem()).Interface().(wire.Msg)
+			if err := wire.Unmarshal(input, out); err != nil {
 				if !typedWireErr(err) {
 					t.Fatalf("%s: untyped decode error: %v", s.name, err)
 				}
 			} else {
-				re, err := out.MarshalBinary()
+				re, err := wire.Marshal(out)
 				if err != nil {
 					t.Fatalf("%s: decoded value does not re-encode: %v", s.name, err)
 				}
-				out2 := reflect.New(reflect.TypeOf(s.proto).Elem()).Interface().(wireCodecMsg)
-				if err := out2.UnmarshalBinary(re); err != nil {
+				out2 := reflect.New(reflect.TypeOf(s.proto).Elem()).Interface().(wire.Msg)
+				if err := wire.Unmarshal(re, out2); err != nil {
 					t.Fatalf("%s: canonical re-encoding does not decode: %v", s.name, err)
 				}
-				re2, err := out2.MarshalBinary()
+				re2, err := wire.Marshal(out2)
 				if err != nil {
 					t.Fatalf("%s: re-marshal: %v", s.name, err)
 				}

@@ -275,20 +275,8 @@ func (t *SessionTicket) EncodeWire(w *wire.Writer) { w.ByteSlice(t.Ticket) }
 // DecodeWire implements the wire codec.
 func (t *SessionTicket) DecodeWire(r *wire.Reader) { t.Ticket = r.ByteSlice() }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (t *SessionTicket) MarshalBinary() ([]byte, error) { return wire.Marshal(t) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (t *SessionTicket) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, t) }
-
 // EncodeWire implements the wire codec.
 func (i *ResumeInfo) EncodeWire(w *wire.Writer) { w.ByteSlice(i.MintID) }
 
 // DecodeWire implements the wire codec.
 func (i *ResumeInfo) DecodeWire(r *wire.Reader) { i.MintID = r.ByteSlice() }
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (i *ResumeInfo) MarshalBinary() ([]byte, error) { return wire.Marshal(i) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (i *ResumeInfo) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, i) }

@@ -56,16 +56,31 @@ func reframe(t *testing.T, v any, payload []byte) []byte {
 	return append(hdr, payload...)
 }
 
+// retiredBaseTag is the frame tag the IKNP base setup travelled under
+// until the base phase moved to the k-of-n tags 4–6.
+const retiredBaseTag = 14
+
 // legacyBaseSetupFrame is the base-setup frame (tag 14) of a client from
 // before the κ base OTs shared one constraint: κ one-constraint setups,
 // laid out as a k-of-n BatchSetup was then.
-func legacyBaseSetupFrame(t *testing.T, setup *ot.IKNPBaseSetup) []byte {
+func legacyBaseSetupFrame(t *testing.T, setup *ot.BatchSetup) []byte {
 	t.Helper()
-	setups := make([]*ot.SenderSetup, 128)
+	setups := make([]*ot.BatchSetup, 128)
 	for i := range setups {
-		setups[i] = setup.Setup
+		setups[i] = setup
 	}
-	return reframe(t, setup, legacySeq(setups))
+	frame := reframe(t, setup, legacySeq(setups))
+	frame[1] = retiredBaseTag
+	return frame
+}
+
+// retiredTagBaseSetupFrame is the base setup of a client from before the
+// base phase moved to tag 4: today's payload under tag 14.
+func retiredTagBaseSetupFrame(t *testing.T, setup *ot.BatchSetup) []byte {
+	t.Helper()
+	frame := encodeFrame(t, setup)
+	frame[1] = retiredBaseTag
+	return frame
 }
 
 // retiredQueryFrame is a classification of one sample framed under tag 17,
@@ -93,40 +108,50 @@ func retiredQueryFrame(t *testing.T, fc *classify.FastClient, sample []float64) 
 // middle of the IKNP session must not pin its session slot: with
 // MaxSessions=1, a subsequent client gets served. Client A either
 // vanishes after receiving the base OT choice, before sending the base
-// transfer, or sends the pre-batch base setup, or completes the base
-// phase and sends a query under the retired single-query tag 17; the
-// server refuses the last two with a remote error.
+// transfer, or sends its base setup under the retired tag 14 (in the
+// pre-batch layout or in today's), or completes the base phase and sends
+// a query under the retired single-query tag 17; the server refuses the
+// last three with a remote error naming the tag.
 func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		// abandon drives client A's session after the spec and returns
 		// once A has given up on it.
-		abandon func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.IKNPBaseSetup, sample []float64)
+		abandon func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.BatchSetup, sample []float64)
 	}{
-		{"disconnect after base choice", func(t *testing.T, conn *transport.Conn, _ net.Conn, _ *classify.FastClient, setup *ot.IKNPBaseSetup, _ []float64) {
+		{"disconnect after base choice", func(t *testing.T, conn *transport.Conn, _ net.Conn, _ *classify.FastClient, setup *ot.BatchSetup, _ []float64) {
 			if err := conn.Send(setup); err != nil {
 				t.Fatal(err)
 			}
 			// Mid-OT: the server has sent its base choice and waits for
 			// the base transfer.
-			if _, err := transport.Recv[*ot.IKNPBaseChoice](conn); err != nil {
+			if _, err := transport.Recv[*ot.BatchChoice](conn); err != nil {
 				t.Fatal(err)
 			}
 		}},
-		{"pre-batch base setup", func(t *testing.T, conn *transport.Conn, raw net.Conn, _ *classify.FastClient, setup *ot.IKNPBaseSetup, _ []float64) {
+		{"pre-batch base setup", func(t *testing.T, conn *transport.Conn, raw net.Conn, _ *classify.FastClient, setup *ot.BatchSetup, _ []float64) {
 			if _, err := raw.Write(legacyBaseSetupFrame(t, setup)); err != nil {
 				t.Fatal(err)
 			}
-			_, err := transport.Recv[*ot.IKNPBaseChoice](conn)
-			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "tag 0x0e") {
-				t.Fatalf("pre-batch base setup: err = %v, want a remote decode error for tag 0x0e", err)
+			_, err := transport.Recv[*ot.BatchChoice](conn)
+			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "unknown frame tag 0x0e") {
+				t.Fatalf("pre-batch base setup: err = %v, want a remote unknown-tag error for tag 0x0e", err)
 			}
 		}},
-		{"retired single-query tag", func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.IKNPBaseSetup, sample []float64) {
+		{"base setup under retired tag 14", func(t *testing.T, conn *transport.Conn, raw net.Conn, _ *classify.FastClient, setup *ot.BatchSetup, _ []float64) {
+			if _, err := raw.Write(retiredTagBaseSetupFrame(t, setup)); err != nil {
+				t.Fatal(err)
+			}
+			_, err := transport.Recv[*ot.BatchChoice](conn)
+			if !errors.Is(err, transport.ErrRemote) || !strings.Contains(err.Error(), "unknown frame tag 0x0e") {
+				t.Fatalf("base setup under tag 14: err = %v, want a remote unknown-tag error for tag 0x0e", err)
+			}
+		}},
+		{"retired single-query tag", func(t *testing.T, conn *transport.Conn, raw net.Conn, fc *classify.FastClient, setup *ot.BatchSetup, sample []float64) {
 			if err := conn.Send(setup); err != nil {
 				t.Fatal(err)
 			}
-			choice, err := transport.Recv[*ot.IKNPBaseChoice](conn)
+			choice, err := transport.Recv[*ot.BatchChoice](conn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -235,19 +260,19 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 		payload func(n int) []byte
 		tag     string
 	}{
-		{"k setups", &ot.BatchSetup{Setup: &ot.SenderSetup{}}, func(n int) []byte {
-			setup := &ot.SenderSetup{Cs: make([]*big.Int, n-1)}
+		{"k setups", &ot.BatchSetup{}, func(n int) []byte {
+			setup := &ot.BatchSetup{Cs: make([]*big.Int, n-1)}
 			for j := range setup.Cs {
 				setup.Cs[j] = big.NewInt(int64(j + 9))
 			}
-			return legacySeq([]*ot.SenderSetup{setup, setup, setup})
+			return legacySeq([]*ot.BatchSetup{setup, setup, setup})
 		}, "tag 0x04"},
-		{"k transfers", &ot.BatchTransfer{Transfer: &ot.SenderTransfer{R: big.NewInt(1)}}, func(n int) []byte {
-			tr := &ot.SenderTransfer{R: big.NewInt(31337), Cts: make([][]byte, n)}
+		{"k transfers", &ot.BatchTransfer{R: big.NewInt(1)}, func(n int) []byte {
+			tr := &ot.BatchTransfer{R: big.NewInt(31337), Cts: make([][]byte, n)}
 			for j := range tr.Cts {
 				tr.Cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
 			}
-			return legacySeq([]*ot.SenderTransfer{tr, tr, tr})
+			return legacySeq([]*ot.BatchTransfer{tr, tr, tr})
 		}, "tag 0x06"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -294,7 +319,7 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Setup.Cs)+1))); err != nil {
+			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Cs)+1))); err != nil {
 				t.Fatal(err)
 			}
 			_, err = transport.Recv[*ot.BatchTransfer](connA)

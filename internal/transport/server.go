@@ -526,11 +526,11 @@ func (s *Server) serveClassifyFast(conn *Conn, trainer *classify.Trainer, hello 
 		}
 		obs.Add(obs.CtrSessionsResumed, 1)
 	} else {
-		setup, err := Recv[*ot.IKNPBaseSetup](conn)
+		setup, err := Recv[*ot.BatchSetup](conn)
 		if err != nil {
 			return err
 		}
-		var choice *ot.IKNPBaseChoice
+		var choice *ot.BatchChoice
 		fast, choice, err = trainer.NewFastSessionFor(spec, setup, rng)
 		if err != nil {
 			return err
@@ -538,7 +538,7 @@ func (s *Server) serveClassifyFast(conn *Conn, trainer *classify.Trainer, hello 
 		if err := conn.Send(choice); err != nil {
 			return err
 		}
-		baseTr, err := Recv[*ot.IKNPBaseTransfer](conn)
+		baseTr, err := Recv[*ot.BatchTransfer](conn)
 		if err != nil {
 			return err
 		}

@@ -78,10 +78,8 @@ const (
 	tagAreaScale        byte = 11
 	tagRoundHeader      byte = 12
 	tagDone             byte = 13
-	tagIKNPBaseSetup    byte = 14
-	tagIKNPBaseChoice   byte = 15
-	tagIKNPBaseTransfer byte = 16
-	// 17–18: retired, do not reuse.
+	// 14–18: retired, do not reuse. 14–16 carried the IKNP base phase,
+	// which now speaks the batch messages under tags 4–6.
 	tagFastBatchRequest  byte = 19
 	tagFastBatchResponse byte = 20
 	// 21–24: retired, do not reuse.
@@ -119,12 +117,6 @@ func binMsg(v any) (byte, wire.Msg, bool) {
 		return tagRoundHeader, m, true
 	case *Done:
 		return tagDone, m, true
-	case *ot.IKNPBaseSetup:
-		return tagIKNPBaseSetup, m, true
-	case *ot.IKNPBaseChoice:
-		return tagIKNPBaseChoice, m, true
-	case *ot.IKNPBaseTransfer:
-		return tagIKNPBaseTransfer, m, true
 	case *ompe.FastBatchRequest:
 		return tagFastBatchRequest, m, true
 	case *ompe.FastBatchResponse:
@@ -169,12 +161,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 		return new(RoundHeader), true
 	case tagDone:
 		return new(Done), true
-	case tagIKNPBaseSetup:
-		return new(ot.IKNPBaseSetup), true
-	case tagIKNPBaseChoice:
-		return new(ot.IKNPBaseChoice), true
-	case tagIKNPBaseTransfer:
-		return new(ot.IKNPBaseTransfer), true
 	case tagFastBatchRequest:
 		return new(ompe.FastBatchRequest), true
 	case tagFastBatchResponse:
@@ -202,32 +188,14 @@ func (h *Hello) DecodeWire(r *wire.Reader) {
 	h.ResumeTicket = r.ByteSlice()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *Hello) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (h *Hello) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, h) }
-
 // EncodeWire implements the wire codec.
 func (h *RoundHeader) EncodeWire(w *wire.Writer) { w.Int(int(h.Round)) }
 
 // DecodeWire implements the wire codec.
 func (h *RoundHeader) DecodeWire(r *wire.Reader) { h.Round = similarity.Round(r.Int()) }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (h *RoundHeader) MarshalBinary() ([]byte, error) { return wire.Marshal(h) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (h *RoundHeader) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, h) }
-
 // EncodeWire implements the wire codec. Done carries no payload.
 func (d *Done) EncodeWire(w *wire.Writer) {}
 
 // DecodeWire implements the wire codec.
 func (d *Done) DecodeWire(r *wire.Reader) {}
-
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (d *Done) MarshalBinary() ([]byte, error) { return wire.Marshal(d) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (d *Done) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, d) }

@@ -2,9 +2,8 @@
 // a sticky-error Writer/Reader pair over a small set of canonical field
 // encodings (bytes, varints, floats, big.Ints). The Writer appends to a
 // byte slice and the Reader decodes from one; Append, Marshal and
-// Unmarshal run a message type's single EncodeWire/DecodeWire pair, and
-// are the bodies of its encoding.BinaryMarshaler/BinaryUnmarshaler
-// methods.
+// Unmarshal run a message type's single EncodeWire/DecodeWire pair, the
+// Msg interface every message implements.
 //
 // The encoding is deliberately boring: no reflection, no type
 // descriptors, no schema evolution inside a message. Fixed-width values
@@ -293,7 +292,7 @@ func (r *Reader) Count() int {
 }
 
 // ByteSlice reads a length-prefixed byte slice. The result is a fresh
-// copy: UnmarshalBinary callers may reuse the input buffer.
+// copy: Unmarshal callers may reuse the input buffer.
 func (r *Reader) ByteSlice() []byte {
 	v := r.Uvarint()
 	if r.err != nil {
@@ -357,7 +356,7 @@ func (r *Reader) BigInt() *big.Int {
 	return new(big.Int).SetBytes(p)
 }
 
-// Marshal encodes m into a fresh buffer (the BinaryMarshaler body).
+// Marshal encodes m into a fresh buffer.
 func Marshal(m Msg) ([]byte, error) {
 	w := NewAppendWriter(nil)
 	m.EncodeWire(w)
@@ -373,7 +372,7 @@ func Append(buf []byte, m Msg) ([]byte, error) {
 }
 
 // Unmarshal decodes m from data, requiring the message to consume the
-// input exactly (the BinaryUnmarshaler body).
+// input exactly.
 func Unmarshal(data []byte, m Msg) error {
 	r := NewReader(data)
 	m.DecodeWire(r)
