@@ -26,7 +26,14 @@ func fastParams() classify.Params {
 
 func trainSmall(t *testing.T, k svm.Kernel, c float64) (*svm.Model, *dataset.Dataset) {
 	t.Helper()
-	spec, err := dataset.SpecByName("diabetes")
+	return trainSmallOn(t, "diabetes", k, c)
+}
+
+// trainSmallOn trains on 60 samples of the named synthetic dataset and
+// returns the model with 40 test samples.
+func trainSmallOn(t *testing.T, name string, k svm.Kernel, c float64) (*svm.Model, *dataset.Dataset) {
+	t.Helper()
+	spec, err := dataset.SpecByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}

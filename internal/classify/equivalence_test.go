@@ -19,21 +19,20 @@ import (
 // Naor–Pinkas batch: the client now draws one constraint seed and one r
 // for all κ base transfers instead of κ of each, so its deterministic rng
 // reaches every later draw (the batch's masks, the second session's
-// seeds) at another position and every response differs. Rewriting how
-// the trainer computes its decision function, or how the OT extension is
-// wired, must never change which bytes travel.
+// seeds) at another position and every response differs. The two
+// rescaled polynomials (cubic/limb255, quadratic/limb16) were re-recorded
+// once more when direct-mode polynomials moved to per-degree scales, and
+// the kernel-form cubic moved to n = 60, past the rescaled cap, to keep
+// pinning the 2p+1 form. Rewriting how the trainer computes its decision
+// function, or how the OT extension is wired, must never change which
+// bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/big521":         "58382284c3ee3d5fa3e28833444abe14fa992139ae64aa00b09eb3e5f8d8d557",
-	"quadratic/limb16":     "a99109021420cb7b04d055c62b260de70c0fe1fb2b0272f08501a53bc0401248",
+	"cubic/limb255":        "735f51c41c0c877949200d739e562f7c841a68b39a214e55c19f2ae7b3d8b1b4",
+	"quadratic/limb16":     "2ba498ce494d61b5528807f7a69b7ea399e4490c14c360fcc1d9e2d6275d05e5",
 	"sigmoid/big":          "5defe4f63f43e64d3d6ce19cf9ea4bae8920c29f2b0335af9c67e6a67ba0b4d5",
 	"linear/limb16":        "0026dd4495f38b6928caafdb024c99571a82e6918e13a72332966699a64841d2",
-	"cubic-kernelform/big": "0bd73a6ddd74b30f1b181f3ad01e893641abdf0ade623cb6a3a9598a0d65fde0",
+	"cubic-kernelform/big": "54d71d4e8e0a0fb1291b78b0dec7d8eb084d1b7dc34e590431b603d8181fb33e",
 }
-
-// kernelFormSVs is the support-vector count the kernel-form cubic case
-// keeps: at n = 8, p = 3 the expansion has C(11, 3) = 165 monomials, more
-// than |S|·(n+p) = 110, so the size rule evaluates the kernel form.
-const kernelFormSVs = 10
 
 // sigmoidTerms is the Taylor truncation of the sigmoid case.
 const sigmoidTerms = 3
@@ -66,21 +65,22 @@ func (d *detReader) Read(p []byte) (int, error) {
 
 func TestTranscriptsMatchParent(t *testing.T) {
 	cases := []struct {
-		name   string
-		kernel svm.Kernel
-		c      float64
-		mutate func(*classify.Params)
-		// trim, when set, cuts the trained model down before serving it.
-		trim func(*svm.Model)
+		name    string
+		dataset string // trainSmallOn's dataset; diabetes when empty
+		kernel  svm.Kernel
+		c       float64
+		mutate  func(*classify.Params)
+		// fieldBits, when set, is the field the trainer must pick.
+		fieldBits int
 		// decision, when set, is the plaintext decision value the private
 		// label must agree with (samples within 1e-6 of zero are skipped);
 		// otherwise the label must equal Model.Classify.
 		decision func(*testing.T, *svm.Model, []float64) float64
 	}{
-		// The paper's cubic (b0 = 0): the protocol asks for ~270 bits, so
-		// the field is 2^521−1 on math/big.
-		{name: "cubic/big521", kernel: svm.PaperPolynomial(8), c: 100},
-		// A degree-2 model with b0 ≠ 0, trimmed to fit the limb field.
+		// The paper's cubic (b0 = 0): per-degree scales decode it at
+		// S^(p+1), so the protocol asks for ~200 bits and runs on limb.
+		{name: "cubic/limb255", kernel: svm.PaperPolynomial(8), c: 100, fieldBits: 255},
+		// A degree-2 model with b0 ≠ 0 at 16 fractional bits.
 		{name: "quadratic/limb16", kernel: svm.Polynomial(1.0/8, 1, 2), c: 100, mutate: func(p *classify.Params) {
 			p.FracBits = 16
 		}},
@@ -93,12 +93,11 @@ func TestTranscriptsMatchParent(t *testing.T) {
 		{name: "linear/limb16", kernel: svm.Linear(), c: 100, mutate: func(p *classify.Params) {
 			p.FracBits = 16
 		}},
-		// The paper's cubic with too few support vectors to expand.
-		{name: "cubic-kernelform/big", kernel: svm.PaperPolynomial(8), c: 100,
-			trim: func(m *svm.Model) {
-				m.SupportVectors = m.SupportVectors[:kernelFormSVs]
-				m.AlphaY = m.AlphaY[:kernelFormSVs]
-			},
+		// The paper's cubic at n = 60: C(63, 3) = 39,711 monomials are past
+		// mvpoly.MaxRescaledNodes, so it decodes at S^(2p+1) on 2^521−1,
+		// and with |S|·(n+p) fewer than that NewKernelSum keeps the
+		// kernel form.
+		{name: "cubic-kernelform/big", dataset: "splice", kernel: svm.PaperPolynomial(60), c: 100, fieldBits: 521,
 			decision: func(t *testing.T, m *svm.Model, sample []float64) float64 {
 				d, err := m.Decision(sample)
 				if err != nil {
@@ -109,12 +108,16 @@ func TestTranscriptsMatchParent(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			model, test := trainSmall(t, tc.kernel, tc.c)
-			if tc.trim != nil {
-				tc.trim(model)
-				n, p := int64(model.Dim), int64(model.Kernel.Degree)
-				if mvpoly.KernelSumNodes(model.Dim, model.Kernel.Degree).Cmp(big.NewInt(int64(len(model.AlphaY))*(n+p))) <= 0 {
-					t.Fatalf("|S| = %d at n = %d, p = %d is in the trie's range of the size rule", len(model.AlphaY), n, p)
+			ds := tc.dataset
+			if ds == "" {
+				ds = "diabetes"
+			}
+			model, test := trainSmallOn(t, ds, tc.kernel, tc.c)
+			if tc.name == "cubic-kernelform/big" {
+				n, p := model.Dim, model.Kernel.Degree
+				nodes := mvpoly.KernelSumNodes(n, p)
+				if mvpoly.Rescalable(n, p) || nodes.Cmp(big.NewInt(int64(len(model.AlphaY)*(n+p)))) <= 0 {
+					t.Fatalf("|S| = %d at n = %d, p = %d does not keep the kernel form", len(model.AlphaY), n, p)
 				}
 			}
 			checked := 0
@@ -126,8 +129,8 @@ func TestTranscriptsMatchParent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if (tc.name == "cubic/big521" || tc.name == "cubic-kernelform/big") && trainer.Spec().FieldBits != 521 {
-				t.Fatalf("cubic model on a %d-bit field, want 521", trainer.Spec().FieldBits)
+			if bits := trainer.Spec().FieldBits; tc.fieldBits != 0 && bits != tc.fieldBits {
+				t.Fatalf("model on a %d-bit field, want %d", bits, tc.fieldBits)
 			}
 			spec := trainer.Spec()
 			h := sha256.New()

@@ -17,9 +17,12 @@ import (
 // polynomial decodes at the common scale 2^(scaleExp·fracBits), so field
 // addition is scale-consistent (DESIGN.md §3). Every kernel but RBF gives
 // a sum of the mvpoly.KernelSum shape,
-// Σ_s Σ_j c_{s,j}·(a_s·t + b0)^j + bias, which NewKernelSum holds in
-// whichever of its two forms its size rule picks; both give the same
-// residue at every point, so the choice never reaches the wire.
+// Σ_s Σ_j c_{s,j}·(a_s·t + b0)^j + bias. A direct-mode polynomial whose
+// shape is rescalable is held as the rescaled trie at per-degree scales
+// (polyDirectSum); every other sum is held by NewKernelSum in whichever of
+// its two forms its size rule picks; both give the same residue at every
+// point, so that choice never reaches the wire. The scale exponent, and
+// so the field, depends on the shape (n, p) alone, which the client knows.
 
 // linearSum encodes d(t) = w·t + b as one row with c = (0, 1). Inputs
 // arrive at scale S, weights are encoded at S, the bias at S²; the result
@@ -54,10 +57,27 @@ func encodeA0X(codec *fixedpoint.Codec, m *svm.Model) ([]field.Vec, error) {
 	return rows, nil
 }
 
+// polyDirectScaleExp is the scale exponent a direct-mode polynomial of
+// degree p over n variables decodes at, from the shape alone: p+1 when
+// its monomial trie is mvpoly.Rescalable, else 2p+1.
+func polyDirectScaleExp(n, p int) uint {
+	if mvpoly.Rescalable(n, p) {
+		return uint(p + 1)
+	}
+	return uint(2*p + 1)
+}
+
 // polyDirectSum encodes a polynomial-kernel model's decision function
 // d(t) = Σ_s αy_s·(a0·x_s·t + b0)^p + b, the paper's nonlinear
-// construction: rows a0·x_s at scale exponent 1, b0 at 2, c_{s,p} = αy_s
-// at 1 and b at 2p+1, so the result decodes at scale exponent 2p+1.
+// construction: rows a0·x_s at scale exponent 1, b0 at 2 and
+// c_{s,p} = αy_s at 1. The sum without bias then decodes at scale
+// exponent 2p+1, and each degree-d monomial's coefficient sits at 2p+1−d.
+//
+// When the shape is rescalable the trie divides every node by S^p after
+// computing it exactly, so a degree-d coefficient sits at p+1−d, every
+// term and the bias (encoded there) decode at p+1, and the field needs p
+// fewer multiples of fracBits. Otherwise the bias is encoded at 2p+1 and
+// NewKernelSum's own rule picks the form.
 func polyDirectSum(codec *fixedpoint.Codec, m *svm.Model) (*mvpoly.KernelSum, error) {
 	f := codec.Field()
 	p := m.Kernel.Degree
@@ -80,11 +100,15 @@ func polyDirectSum(codec *fixedpoint.Codec, m *svm.Model) (*mvpoly.KernelSum, er
 		}
 		coeffs[s] = c
 	}
-	encBias, err := codec.EncodeAtScale(m.Bias, codec.ScalePow(uint(2*p+1)))
+	scaleExp := polyDirectScaleExp(m.Dim, p)
+	encBias, err := codec.EncodeAtScale(m.Bias, codec.ScalePow(scaleExp))
 	if err != nil {
 		return nil, err
 	}
-	return mvpoly.NewKernelSum(f, coeffs, rows, encB0, p, encBias)
+	if scaleExp == uint(2*p+1) {
+		return mvpoly.NewKernelSum(f, coeffs, rows, encB0, p, encBias)
+	}
+	return mvpoly.NewRescaledKernelSum(f, coeffs, rows, encB0, p, uint(p)*codec.FracBits(), encBias)
 }
 
 // rbfEvaluator is the Taylor-truncated RBF decision function
@@ -253,7 +277,8 @@ func buildEvaluator(codec *fixedpoint.Codec, m *svm.Model, params Params) (ompe.
 
 // protocolShape reports the evaluator shape (degree, scale exponent) a
 // model/params combination will use, without building the evaluator. Both
-// parties derive it independently from public knowledge.
+// parties derive it independently from public knowledge: the kernel, the
+// dimension and the parameters, never the support-vector count.
 func protocolShape(kind svm.Kernel, dim int, params Params) (degree int, scaleExp uint, numVars int, err error) {
 	switch kind.Kind {
 	case svm.KernelLinear:
@@ -270,7 +295,7 @@ func protocolShape(kind svm.Kernel, dim int, params Params) (degree int, scaleEx
 			}
 			return 1, 2, vars, nil
 		}
-		return kind.Degree, uint(2*kind.Degree + 1), dim, nil
+		return kind.Degree, polyDirectScaleExp(dim, kind.Degree), dim, nil
 	case svm.KernelRBF:
 		return 2 * params.TaylorTerms, uint(2*params.TaylorTerms + 2), dim, nil
 	case svm.KernelSigmoid:

@@ -16,12 +16,15 @@ import (
 // engine: the protocol's headroom sizes the field (field.ByBits), and a
 // protocol that fits 2^255−19 runs on the limb engine, while every wider
 // field runs math/big. Both send the same request form, records of
-// field-width elements. No parameter names an engine.
+// field-width elements. No parameter names an engine. The paper's cubic
+// at n = 8 decodes at per-degree scales and fits 2^255−19; a cubic past
+// mvpoly.MaxRescaledNodes decodes at S^(2p+1) and stays on 2^521−1.
 func TestFieldPicksEngine(t *testing.T) {
 	linear, test := trainSmall(t, svm.Linear(), 1)
 	cubic, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
+	wideCubic, wideTest := trainSmallOn(t, "splice", svm.PaperPolynomial(60), 100)
 	wA, wB := []float64{0.7, -0.4, 0.2}, []float64{-0.1, 0.9, 0.3}
-	classifyRequest := func(model *svm.Model, params classify.Params) (int, *ompe.EvalRequest) {
+	classifyRequest := func(model *svm.Model, sample []float64, params classify.Params) (int, *ompe.EvalRequest) {
 		trainer, err := classify.NewTrainer(model, params)
 		if err != nil {
 			t.Fatal(err)
@@ -30,7 +33,7 @@ func TestFieldPicksEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, req, err := client.NewSession(test.X[0], rand.Reader)
+		_, req, err := client.NewSession(sample, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,8 +59,11 @@ func TestFieldPicksEngine(t *testing.T) {
 		run      func() (int, *ompe.EvalRequest)
 		wantBits int
 	}{
-		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, classify.Params{}) }, 255},
-		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, fastParams()) }, 521},
+		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, test.X[0], classify.Params{}) }, 255},
+		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, test.X[0], fastParams()) }, 255},
+		{"classify-cubic-past-rescaled-cap", func() (int, *ompe.EvalRequest) {
+			return classifyRequest(wideCubic, wideTest.X[0], fastParams())
+		}, 521},
 		{"similarity-fracbits-18", func() (int, *ompe.EvalRequest) {
 			return similarityRequest(similarity.Params{FracBits: 18})
 		}, 255},
@@ -151,11 +157,7 @@ func TestLimbLinearMatchesPlaintext(t *testing.T) {
 }
 
 func TestLimbPolyDirectMatchesPlaintext(t *testing.T) {
-	// The direct degree-2 protocol needs 267 bits at the auto precision;
-	// trimming FracBits brings it inside 2^255−19.
-	requireLimbAgreement(t, svm.PaperPolynomial(8), 100, func(p *classify.Params) {
-		p.FracBits = 16
-	})
+	requireLimbAgreement(t, svm.PaperPolynomial(8), 100, nil)
 }
 
 func TestLimbPolyExpandedMatchesPlaintext(t *testing.T) {

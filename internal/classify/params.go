@@ -14,8 +14,13 @@
 //     composed masking degree is p·q. RBF and sigmoid kernels are first
 //     truncated to Taylor polynomials (internal/kernel). A polynomial
 //     kernel's decision function is expanded once on the trainer into a
-//     monomial trie when that needs fewer multiplications per point; the
-//     values, and so the protocol, are unchanged.
+//     monomial trie whenever C(n+p, p) is within mvpoly.MaxRescaledNodes,
+//     a rule on (n, p) alone. The trie then holds each degree-d
+//     coefficient at scale S^(p+1−d), so every term decodes at S^(p+1)
+//     rather than the paper's S^(2p+1), and the paper's cubic fits
+//     2^255−19 at 24 fractional bits. Past the cap the decision function
+//     decodes at S^(2p+1), in whichever form needs fewer multiplications
+//     per point.
 //   - ModeExpanded pre-expands the polynomial-kernel decision function
 //     into its n' = C(n+p-1, n-1) monomial variates τ (§IV-B's
 //     observation) and runs the *linear* protocol over τ-space. This
@@ -134,20 +139,23 @@ func autoFracBits(scaleExp uint) uint {
 }
 
 // resolveCodec sizes the field from the protocol's scale exponent and a
-// bound on the decision value's magnitude, then builds the codec.
-func resolveCodec(p Params, scaleExp uint, valueBound float64) (*fixedpoint.Codec, error) {
+// bound on the decision value's magnitude, then builds the codec. The
+// automatic precision reads 2p+1 for a direct-mode polynomial even when
+// per-degree scales decode it at p+1: they narrow the field, not the
+// precision.
+func resolveCodec(p Params, kind svm.Kernel, scaleExp uint, valueBound float64) (*fixedpoint.Codec, error) {
 	fracBits := p.FracBits
 	if fracBits == 0 {
-		fracBits = autoFracBits(scaleExp)
+		precisionExp := scaleExp
+		if kind.Kind == svm.KernelPolynomial && p.Mode == ModeDirect {
+			precisionExp = uint(2*kind.Degree + 1)
+		}
+		fracBits = autoFracBits(precisionExp)
 	}
-	if valueBound < 1 {
-		valueBound = 1
+	need, err := fieldBudget(p, fracBits, scaleExp, valueBound)
+	if err != nil {
+		return nil, err
 	}
-	if math.IsInf(valueBound, 0) || math.IsNaN(valueBound) {
-		return nil, errors.New("classify: model value bound is not finite")
-	}
-	valueBits := int(math.Ceil(math.Log2(valueBound+1))) + 1
-	need := int(fracBits)*int(scaleExp) + valueBits + p.AmplifierBits + 24
 	f, err := field.ByBits(need)
 	if err != nil {
 		return nil, fmt.Errorf("classify: protocol needs %d-bit field: %w", need, err)
@@ -157,6 +165,20 @@ func resolveCodec(p Params, scaleExp uint, valueBound float64) (*fixedpoint.Code
 		return nil, err
 	}
 	return codec, nil
+}
+
+// fieldBudget is the bit width the protocol field must hold: the decoded
+// scale 2^(fracBits·scaleExp), the value bound with a sign bit, the
+// amplifier, and 24 bits of slack.
+func fieldBudget(p Params, fracBits, scaleExp uint, valueBound float64) (int, error) {
+	if valueBound < 1 {
+		valueBound = 1
+	}
+	if math.IsInf(valueBound, 0) || math.IsNaN(valueBound) {
+		return 0, errors.New("classify: model value bound is not finite")
+	}
+	valueBits := int(math.Ceil(math.Log2(valueBound+1))) + 1
+	return int(fracBits)*int(scaleExp) + valueBits + p.AmplifierBits + 24, nil
 }
 
 // decisionBound upper-bounds |d(t)| over t ∈ [−1,1]ⁿ for field sizing.

@@ -126,23 +126,6 @@ func TestClientRejectsWrongDim(t *testing.T) {
 	}
 }
 
-func TestFieldSizingGrowsWithDegree(t *testing.T) {
-	linModel, _ := trainSmall(t, svm.Linear(), 1)
-	polyModel, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
-	linTrainer, err := classify.NewTrainer(linModel, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	polyTrainer, err := classify.NewTrainer(polyModel, fastParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if polyTrainer.Spec().FieldBits <= linTrainer.Spec().FieldBits {
-		t.Fatalf("degree-7 scale should need a bigger field: %d vs %d",
-			polyTrainer.Spec().FieldBits, linTrainer.Spec().FieldBits)
-	}
-}
-
 func TestGroupSelectionSurfacesInSpec(t *testing.T) {
 	model, _ := trainSmall(t, svm.Linear(), 1)
 	params := fastParams()

@@ -134,7 +134,7 @@ func NewTrainer(model *svm.Model, params Params) (*Trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	codec, err := resolveCodec(params, scaleExp, bound)
+	codec, err := resolveCodec(params, model.Kernel, scaleExp, bound)
 	if err != nil {
 		return nil, err
 	}

@@ -12,6 +12,13 @@ import (
 // never expands past it.
 const maxKernelSumNodes = 1 << 24
 
+// MaxRescaledNodes caps the trie NewRescaledKernelSum builds. Callers use
+// Rescalable, a rule on the shape (n, p) alone, to decide whether a sum is
+// rescaled: a cubic stays under the cap up to n = 44 and a quadratic up to
+// n = 179, while a madelon-width cubic (n = 500, C(503, 3) ≈ 2.1·10⁷) is
+// far past it. At the cap one limb evaluation is ~16k multiplications.
+const MaxRescaledNodes = 1 << 14
+
 // KernelSum is a sum of univariate polynomials of linear forms,
 //
 //	d(z) = Σ_s Σ_{j=0..p} c_{s,j}·(a_s·z + b0)^j + bias
@@ -20,9 +27,12 @@ const maxKernelSumNodes = 1 << 24
 // or Taylor-truncated sigmoid kernel (§IV) and Alice's polynomials in the
 // kernel similarity protocol (§V-C) all have this shape.
 //
-// It is held in one of two forms of the same element of F_P[z], so both
-// give the same residue at every point; NewKernelSum picks the one with
-// fewer multiplications per point from the shape alone.
+// NewKernelSum holds it in one of two forms of the same element of
+// F_P[z], so both give the same residue at every point, and picks the one
+// with fewer multiplications per point from the shape alone.
+// NewRescaledKernelSum holds the trie with every coefficient divided by a
+// power of two and rounded, so a sum can decode at a smaller fixed-point
+// scale than its inputs' product.
 //
 // The trie expands d into its C(n+p, p) monomials of degree ≤ p, stored
 // over nondecreasing variable indices in DFS preorder: the node reached
@@ -31,7 +41,9 @@ const maxKernelSumNodes = 1 << 24
 //	multinomial(d; e) · Σ_s W_{s,d}·Π_i a_s[v_i]  (mod P),
 //	W_{s,d} = Σ_{j≥d} c_{s,j}·C(j, d)·b0^(j−d),
 //
-// with e the exponent vector of the path, plus bias at the root.
+// with e the exponent vector of the path, plus bias at the root. The
+// node is computed over ℤ on the constants' centered lifts and reduced
+// once, which is what lets a rescaled trie round it.
 // Evaluation is a nested Horner, node = c + Σ_{v ≥ last} z_v·child_v: one
 // multiplication per edge, and on math/big one reduction per inner node.
 //
@@ -66,7 +78,28 @@ func KernelSumNodes(n, p int) *big.Int {
 // otherwise it keeps the kernel form. The rule depends only on the shape,
 // which also bounds the trie's memory by the inputs'.
 func NewKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int) (*KernelSum, error) {
-	return newKernelSum(f, coeffs, rows, b0, p, bias, expandCheaper)
+	return newKernelSum(f, coeffs, rows, b0, p, 0, bias, expandCheaper)
+}
+
+// Rescalable reports whether a sum of degree p over n variables fits
+// NewRescaledKernelSum's node cap, C(n+p, p) ≤ MaxRescaledNodes.
+func Rescalable(n, p int) bool {
+	return KernelSumNodes(n, p).Cmp(big.NewInt(MaxRescaledNodes)) <= 0
+}
+
+// NewRescaledKernelSum builds the trie NewKernelSum would, except that
+// every coefficient but the bias is divided by 2^shift. It reads each
+// constant as its centered lift, the integer in (−P/2, P/2] it
+// represents, computes each node's coefficient exactly over ℤ, divides it
+// by 2^shift rounding to nearest, and reduces it; the bias is added to the
+// root as given. Read as centered integers that do not wrap, Eval(z) − bias
+// is then within Σ_e |z^e|/2 of 2^−shift times the exact sum without bias,
+// Σ_e over the C(n+p, p) monomials. The shape must be Rescalable.
+func NewRescaledKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, shift uint, bias *big.Int) (*KernelSum, error) {
+	if len(rows) > 0 && p >= 1 && !Rescalable(len(rows[0]), p) {
+		return nil, fmt.Errorf("mvpoly: kernel sum of degree %d over %d variables has %v monomials, more than the rescaled cap %d", p, len(rows[0]), KernelSumNodes(len(rows[0]), p), MaxRescaledNodes)
+	}
+	return newKernelSum(f, coeffs, rows, b0, p, shift, bias, func(int, int, int) bool { return true })
 }
 
 // expandCheaper is NewKernelSum's size rule.
@@ -75,7 +108,7 @@ func expandCheaper(n, p, numRows int) bool {
 	return nodes.Cmp(big.NewInt(int64(numRows)*int64(n+p))) <= 0 && nodes.Cmp(big.NewInt(maxKernelSumNodes)) <= 0
 }
 
-func newKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int, expand func(n, p, numRows int) bool) (*KernelSum, error) {
+func newKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, shift uint, bias *big.Int, expand func(n, p, numRows int) bool) (*KernelSum, error) {
 	if p < 1 {
 		return nil, ErrBadDegree
 	}
@@ -97,7 +130,7 @@ func newKernelSum(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big
 	k := &KernelSum{nvars: n, limb: f.SupportsLimb()}
 	var err error
 	if expand(n, p, len(rows)) {
-		k.form, err = newTrie(f, coeffs, rows, b0, p, bias, k.limb)
+		k.form, err = newTrie(f, coeffs, rows, b0, p, shift, bias, k.limb)
 	} else {
 		k.form, err = newKernelForm(f, coeffs, rows, b0, bias, k.limb)
 	}
@@ -166,9 +199,10 @@ type kernelTrie struct {
 }
 
 // newTrie expands the sum with one prefix-product walk of the trie per
-// row, summing unreduced products into each node and reducing once per
-// node.
-func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, bias *big.Int, withLimb bool) (*kernelTrie, error) {
+// row. It works over ℤ on the constants' centered lifts, summing exact
+// products into each node, then divides each node's coefficient by
+// 2^shift, rounding to nearest, and reduces it once.
+func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int, p int, shift uint, bias *big.Int, withLimb bool) (*kernelTrie, error) {
 	n := len(rows[0])
 	count := KernelSumNodes(n, p)
 	if !count.IsInt64() || count.Int64() > maxKernelSumNodes {
@@ -210,10 +244,18 @@ func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int,
 	}
 	layout(0, 0, 0, big.NewInt(1))
 
-	b0Pow := make([]*big.Int, p+1) // b0Pow[i] = b0^i mod P
+	lrows := make([][]*big.Int, len(rows))
+	for s, row := range rows {
+		lrows[s] = make([]*big.Int, n)
+		for j, a := range row {
+			lrows[s][j] = f.Centered(a)
+		}
+	}
+	b0 = f.Centered(b0)
+	b0Pow := make([]*big.Int, p+1) // b0Pow[i] = b0^i
 	b0Pow[0] = big.NewInt(1)
 	for i := 1; i <= p; i++ {
-		b0Pow[i] = f.Mul(b0Pow[i-1], b0)
+		b0Pow[i] = new(big.Int).Mul(b0Pow[i-1], b0)
 	}
 	// When every row is a pure power c_{s,p}·(a_s·z + b0)^p, W_{s,d}
 	// factors into c_{s,p} times the row-independent depthW[d] =
@@ -229,18 +271,20 @@ func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int,
 	var rowW [][]*big.Int
 	if pure {
 		for d := range depthW {
-			depthW[d] = f.Mul(f.Reduce(binomial(p, d)), b0Pow[p-d])
+			depthW[d] = new(big.Int).Mul(binomial(p, d), b0Pow[p-d])
 		}
 	} else {
 		rowW = make([][]*big.Int, len(rows))
+		var t big.Int
 		for s, c := range coeffs {
 			rowW[s] = make([]*big.Int, p+1)
 			for d := 0; d <= p; d++ {
 				w := new(big.Int)
 				for j := d; j <= p; j++ {
-					w.Add(w, f.Mul(f.Mul(c[j], binomial(j, d)), b0Pow[j-d]))
+					t.Mul(f.Centered(c[j]), binomial(j, d))
+					w.Add(w, t.Mul(&t, b0Pow[j-d]))
 				}
-				rowW[s][d] = f.Reduce(w)
+				rowW[s][d] = w
 			}
 		}
 		for d := range depthW {
@@ -249,36 +293,44 @@ func newTrie(f *field.Field, coeffs [][]*big.Int, rows []field.Vec, b0 *big.Int,
 	}
 
 	// Σ_s W_{s,d}·Π_i a_s[v_i] per node, without depthW. prefix[d] holds
-	// the current path's reduced product at depth d, starting from c_{s,p}
-	// for pure powers and from 1 otherwise; a leaf's product is summed
-	// unreduced.
+	// the current path's product at depth d, starting from c_{s,p} for
+	// pure powers and from 1 otherwise.
 	sums := make([]big.Int, nodes)
 	prefix := make([]big.Int, p+1)
 	var prod big.Int
-	for s, row := range rows {
+	for s, row := range lrows {
 		if pure {
-			prefix[0].Set(coeffs[s][p])
-			sums[0].Add(&sums[0], coeffs[s][p])
+			prefix[0].Set(f.Centered(coeffs[s][p]))
+			sums[0].Add(&sums[0], &prefix[0])
 		} else {
 			prefix[0].SetInt64(1)
 			sums[0].Add(&sums[0], rowW[s][0])
 		}
 		for i := 1; i < nodes; i++ {
 			d := depth[i]
-			prod.Mul(&prefix[d-1], row[k.vars[i]])
+			term := &prod
 			if d < p {
-				prefix[d].Mod(&prod, k.mod)
+				term = &prefix[d]
 			}
+			term.Mul(&prefix[d-1], row[k.vars[i]])
 			if !pure {
-				prod.Mul(&prod, rowW[s][d])
+				term = prod.Mul(term, rowW[s][d])
 			}
-			sums[i].Add(&sums[i], &prod)
+			sums[i].Add(&sums[i], term)
 		}
 	}
 
+	// round(x / 2^shift) = ⌊(x + 2^(shift−1)) / 2^shift⌋; Rsh floors.
+	var half big.Int
+	if shift > 0 {
+		half.Lsh(big.NewInt(1), shift-1)
+	}
 	for i := range k.coeffs {
-		c := f.Mul(f.Reduce(&sums[i]), k.coeffs[i])
-		k.coeffs[i] = f.Mul(c, depthW[depth[i]])
+		c := &sums[i]
+		c.Mul(c, k.coeffs[i])
+		c.Mul(c, depthW[depth[i]])
+		c.Add(c, &half)
+		k.coeffs[i] = f.Reduce(c.Rsh(c, shift))
 	}
 	k.coeffs[0] = f.Add(k.coeffs[0], bias)
 

@@ -359,7 +359,8 @@ func TestKernelSumConcurrentEval(t *testing.T) {
 // servedCubic encodes the decision function of the benchmark's served
 // model, the paper's cubic trained on the full synthetic diabetes set
 // (218 support vectors, n = 8), the way the classifier's direct mode
-// does: rows a0·x_s and c_{s,3} = αy_s at the base scale, b0 = 0.
+// does before rescaling: rows a0·x_s and c_{s,3} = αy_s at the base
+// scale, b0 = 0, the bias at S^7.
 func servedCubic(b *testing.B, codec *fixedpoint.Codec) kernelInputs {
 	b.Helper()
 	spec, err := dataset.SpecByName("diabetes")
@@ -400,9 +401,11 @@ func servedCubic(b *testing.B, codec *fixedpoint.Codec) kernelInputs {
 }
 
 // BenchmarkKernelSumEval times one evaluation at a uniform field point,
-// in both forms: the served cubic on 2^521−1 as the big-backend trainer
-// runs it (24 fractional bits) and on 2^255−19 limbs (16), and a linear
-// model w·z + b at n = 8 and n = 500 on 2^255−19, on math/big and limbs.
+// in both forms: the served cubic on 2^521−1 at 24 fractional bits, where
+// it ran before per-degree scales, and on 2^255−19 limbs, where the
+// classifier's rescaled trie runs it now (an evaluation's cost does not
+// depend on the scale), and a linear model w·z + b at n = 8 and n = 500
+// on 2^255−19, on math/big and limbs.
 func BenchmarkKernelSumEval(b *testing.B) {
 	type config struct {
 		name string
@@ -466,3 +469,117 @@ func BenchmarkKernelSumEval(b *testing.B) {
 }
 
 var benchSink *big.Int
+
+// smallInt draws a field element whose centered lift is uniform in
+// [−2^bits, 2^bits].
+func smallInt(f *field.Field, r *rand.Rand, bits uint) *big.Int {
+	v := big.NewInt(r.Int64N(1<<(bits+1)+1) - 1<<bits)
+	return f.Reduce(v)
+}
+
+// TestRescaledKernelSumRoundsEachNode checks NewRescaledKernelSum against
+// the sum computed exactly over ℤ on centered lifts: at every point the
+// rescaled value, less its bias and times 2^shift, is within 2^(shift−1)
+// per monomial, times the monomial's size, of the exact value. At shift 0
+// it is the residue NewKernelSum gives.
+func TestRescaledKernelSumRoundsEachNode(t *testing.T) {
+	const aBits, zBits, shift = 20, 24, 40
+	r := rand.New(rand.NewPCG(34, 0))
+	for _, fc := range []struct {
+		name string
+		f    *field.Field
+	}{{"p521", field521(t)}, {"p25519", field.Default()}} {
+		for p := 1; p <= 3; p++ {
+			for _, shape := range coeffShapes {
+				t.Run(fmt.Sprintf("%s/p%d/%s", fc.name, p, shape), func(t *testing.T) {
+					f := fc.f
+					const n, numRows = 4, 7
+					in := kernelInputs{coeffs: make([][]*big.Int, numRows), rows: make([]field.Vec, numRows), b0: smallInt(f, r, aBits), bias: smallInt(f, r, aBits)}
+					for s := range in.rows {
+						in.rows[s] = make(field.Vec, n)
+						for j := range in.rows[s] {
+							in.rows[s][j] = smallInt(f, r, aBits)
+						}
+						in.coeffs[s] = make([]*big.Int, p+1)
+						for j := range in.coeffs[s] {
+							in.coeffs[s][j] = smallInt(f, r, aBits)
+							if (shape == "pure" && j < p) || (shape == "odd" && j%2 == 0) {
+								in.coeffs[s][j] = f.Zero()
+							}
+						}
+					}
+					rescaled, err := mvpoly.NewRescaledKernelSum(f, in.coeffs, in.rows, in.b0, p, shift, in.bias)
+					if err != nil {
+						t.Fatal(err)
+					}
+					unscaled, err := mvpoly.NewRescaledKernelSum(f, in.coeffs, in.rows, in.b0, p, 0, in.bias)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !rescaled.Expanded() || !unscaled.Expanded() {
+						t.Fatal("rescaled sum is not the trie")
+					}
+					// Σ_e |z^e| ≤ C(n+p, p)·2^(p·zBits) for |z_i| ≤ 2^zBits.
+					bound := new(big.Int).Lsh(mvpoly.KernelSumNodes(n, p), uint(p)*zBits+shift-1)
+					for trial := 0; trial < 20; trial++ {
+						z := make(field.Vec, n)
+						for i := range z {
+							z[i] = smallInt(f, r, zBits)
+						}
+						got, err := unscaled.Eval(z)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := kernelFormRef(f, in.coeffs, in.rows, in.b0, in.bias, z); got.Cmp(want) != 0 {
+							t.Fatalf("shift 0: Eval = %v, reference %v", got, want)
+						}
+						exact := new(big.Int)
+						for s, row := range in.rows {
+							u := f.Centered(in.b0)
+							for i, a := range row {
+								u.Add(u, new(big.Int).Mul(f.Centered(a), f.Centered(z[i])))
+							}
+							pow := big.NewInt(1)
+							for _, c := range in.coeffs[s] {
+								exact.Add(exact, new(big.Int).Mul(f.Centered(c), pow))
+								pow.Mul(pow, u)
+							}
+						}
+						got, err = rescaled.Eval(z)
+						if err != nil {
+							t.Fatal(err)
+						}
+						var out limb.Element
+						if f.SupportsLimb() {
+							if err := rescaled.EvalLimb(limbPoint(t, z), &out); err != nil {
+								t.Fatal(err)
+							}
+							if out.ToBig().Cmp(got) != 0 {
+								t.Fatalf("EvalLimb = %v, Eval %v", out.ToBig(), got)
+							}
+						}
+						diff := f.Centered(f.Sub(got, in.bias))
+						diff.Lsh(diff, shift)
+						diff.Sub(diff, exact)
+						if diff.CmpAbs(bound) > 0 {
+							t.Fatalf("point %d: 2^shift·(rescaled − bias) is %v from the exact sum, bound %v", trial, diff, bound)
+						}
+					}
+				})
+			}
+		}
+	}
+	// Past the cap the rescaled trie is refused, whatever |S| is.
+	const n, p = 45, 3
+	if mvpoly.Rescalable(n, p) {
+		t.Fatalf("a cubic over %d variables is under the rescaled cap", n)
+	}
+	f := fld()
+	row := []field.Vec{make(field.Vec, n)}
+	for j := range row[0] {
+		row[0][j] = f.One()
+	}
+	if _, err := mvpoly.NewRescaledKernelSum(f, [][]*big.Int{{f.Zero(), f.Zero(), f.Zero(), f.One()}}, row, f.Zero(), p, 8, f.Zero()); err == nil {
+		t.Fatalf("a rescaled trie of C(%d, %d) nodes was accepted", n+p, p)
+	}
+}
