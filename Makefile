@@ -6,7 +6,7 @@
 # similarity evaluation. fuzz-smoke runs the fuzz targets briefly (CI
 # runs it as a separate job).
 .PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
-	lint cover tidy-check wire-regen loc
+	lint cover tidy-check wire-regen loc loc-delta
 
 check: vet build test bench-smoke
 
@@ -72,5 +72,20 @@ tidy-check:
 
 # loc prints the non-test Go line count outside benchmark/, the size
 # figure ROADMAP and CHANGES.md quote.
+LOC = find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+
 loc:
-	@find . -name '*.go' ! -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l
+	@$(LOC)
+
+# loc-delta prints the loc figure at BASE=<git ref>, in the working tree,
+# and the difference (CI's tier-1 job logs it against the merge base).
+loc-delta:
+ifndef BASE
+	$(error loc-delta compares against a git ref: run `make loc-delta BASE=<ref>`)
+endif
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	git archive $(BASE) | tar -x -C "$$tmp" && \
+	base=$$(cd "$$tmp" && $(LOC)) && head=$$($(LOC)) && \
+	echo "loc at $(BASE): $$base" && \
+	echo "loc in working tree: $$head" && \
+	echo "delta: $$((head - base))"

@@ -22,7 +22,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/field"
-	"repro/internal/mvpoly"
 	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/paillier"
@@ -469,16 +468,12 @@ func BenchmarkOMPE_Primitive(b *testing.B) {
 // genuine points, and CoverFactor 100 gives M = 500 masked pairs/query.
 func parallelismSweepEvaluator(b *testing.B, fld *field.Field) ompe.Evaluator {
 	b.Helper()
-	p, err := mvpoly.New(fld, 2, []mvpoly.Term{
-		{Coeff: big.NewInt(1), Exps: []uint{2, 0}},
-		{Coeff: big.NewInt(3), Exps: []uint{1, 1}},
-		{Coeff: big.NewInt(1), Exps: []uint{0, 1}},
-		{Coeff: big.NewInt(5), Exps: []uint{0, 0}},
+	// P(x) = x0² + 3·x0·x1 + x1 + 5
+	three, five := fld.FromInt64(3), fld.FromInt64(5)
+	return ompe.EvaluatorFunc(2, func(x field.Vec) (*big.Int, error) {
+		v := fld.Add(fld.Mul(x[0], x[0]), fld.Mul(three, fld.Mul(x[0], x[1])))
+		return fld.Add(v, fld.Add(x[1], five)), nil
 	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	return p
 }
 
 // parallelismSweepParams is the sweep's M = 500 OMPE shape.

@@ -11,11 +11,6 @@ import (
 	"repro/internal/ompe"
 )
 
-// fieldType aliases the protocol field for internal naming hygiene.
-type fieldType = field.Field
-
-func byBits(bits int) (*fieldType, error) { return field.ByBits(bits) }
-
 // Client is the sample owner's protocol endpoint, built from a trainer's
 // published Spec.
 type Client struct {

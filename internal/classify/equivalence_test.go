@@ -23,7 +23,9 @@ import (
 // rescaled polynomials (cubic/limb255, quadratic/limb16) were re-recorded
 // once more when direct-mode polynomials moved to per-degree scales, and
 // the kernel-form cubic moved to n = 60, past the rescaled cap, to keep
-// pinning the 2p+1 form. Rewriting how the trainer computes its decision
+// pinning the 2p+1 form. rbf/limb16 was recorded while RBF still had its
+// own limb evaluator; ompe's math/big bridge, which replaced it, must
+// reproduce it. Rewriting how the trainer computes its decision
 // function, or how the OT extension is wired, must never change which
 // bytes travel.
 var parentTranscripts = map[string]string{
@@ -31,6 +33,7 @@ var parentTranscripts = map[string]string{
 	"quadratic/limb16":     "2ba498ce494d61b5528807f7a69b7ea399e4490c14c360fcc1d9e2d6275d05e5",
 	"sigmoid/big":          "5defe4f63f43e64d3d6ce19cf9ea4bae8920c29f2b0335af9c67e6a67ba0b4d5",
 	"linear/limb16":        "0026dd4495f38b6928caafdb024c99571a82e6918e13a72332966699a64841d2",
+	"rbf/limb16":           "1868b2e8323429196513af7821d8a293b439019aebc8c5710e2df54fc5d53c32",
 	"cubic-kernelform/big": "54d71d4e8e0a0fb1291b78b0dec7d8eb084d1b7dc34e590431b603d8181fb33e",
 }
 
@@ -93,6 +96,14 @@ func TestTranscriptsMatchParent(t *testing.T) {
 		{name: "linear/limb16", kernel: svm.Linear(), c: 100, mutate: func(p *classify.Params) {
 			p.FracBits = 16
 		}},
+		// The Taylor-truncated RBF at the default three terms: the one
+		// kernel outside mvpoly.KernelSum, so on limb it crosses ompe's
+		// math/big bridge.
+		{name: "rbf/limb16", kernel: svm.RBF(0.05), c: 100, fieldBits: 255,
+			mutate: func(p *classify.Params) { p.FracBits = 16 },
+			decision: func(t *testing.T, m *svm.Model, sample []float64) float64 {
+				return truncatedRBFDecision(t, m, sample, 3)
+			}},
 		// The paper's cubic at n = 60: C(63, 3) = 39,711 monomials are past
 		// mvpoly.MaxRescaledNodes, so it decodes at S^(2p+1) on 2^521−1,
 		// and with |S|·(n+p) fewer than that NewKernelSum keeps the

@@ -37,7 +37,7 @@ func linearSum(codec *fixedpoint.Codec, w []float64, b float64) (*mvpoly.KernelS
 	if err != nil {
 		return nil, fmt.Errorf("classify: encode bias: %w", err)
 	}
-	return mvpoly.NewKernelSum(f, [][]*big.Int{{f.Zero(), f.One()}}, []field.Vec{encW}, f.Zero(), 1, encB)
+	return mvpoly.NewLinear(f, encW, encB)
 }
 
 // encodeA0X encodes the rows a0·x_s at the base scale.
@@ -114,8 +114,9 @@ func polyDirectSum(codec *fixedpoint.Codec, m *svm.Model) (*mvpoly.KernelSum, er
 // rbfEvaluator is the Taylor-truncated RBF decision function
 // d(t) ≈ Σ_s αy_s Σ_{i=0}^{T} c_i·dist_s(t)ⁱ + b with c_i = (−γ)ⁱ/i! and
 // dist_s(t) = |x_s|² + |t|² − 2·x_s·t. The |t|² term is not a linear form
-// in t, so RBF is the one kernel outside mvpoly.KernelSum. The result
-// decodes at scale exponent 2T+2; protocol degree is 2T.
+// in t, so RBF is the one kernel outside mvpoly.KernelSum, and on
+// 2^255−19 it runs through ompe's math/big bridge. The result decodes at
+// scale exponent 2T+2; protocol degree is 2T.
 type rbfEvaluator struct {
 	f    *field.Field
 	x    []field.Vec
@@ -124,7 +125,6 @@ type rbfEvaluator struct {
 	// term αy·c_i·distⁱ lands at 2T+2.
 	coeff [][]*big.Int
 	bias  *big.Int
-	limb  *rbfLimb // limb copies of the constants over 2^255−19, else nil
 }
 
 func newRBFEvaluator(codec *fixedpoint.Codec, m *svm.Model, terms int) (*rbfEvaluator, error) {
@@ -156,11 +156,6 @@ func newRBFEvaluator(codec *fixedpoint.Codec, m *svm.Model, terms int) (*rbfEval
 	}
 	if e.bias, err = codec.EncodeAtScale(m.Bias, codec.ScalePow(scaleExp)); err != nil {
 		return nil, err
-	}
-	if e.f.SupportsLimb() {
-		if e.limb, err = newRBFLimb(e); err != nil {
-			return nil, err
-		}
 	}
 	return e, nil
 }
@@ -240,9 +235,9 @@ func sigmoidSum(codec *fixedpoint.Codec, m *svm.Model, terms int) (*mvpoly.Kerne
 // client needs to compute τ̃ (nil otherwise). ModeExpanded linearizes a
 // polynomial-kernel model over its τ monomial variates and encodes the
 // resulting linear form; the client sends τ̃ covers (see ExpandSample).
-func buildEvaluator(codec *fixedpoint.Codec, m *svm.Model, params Params) (ompe.LimbEvaluator, *mvpoly.FloatExpansion, error) {
+func buildEvaluator(codec *fixedpoint.Codec, m *svm.Model, params Params) (ompe.Evaluator, *mvpoly.FloatExpansion, error) {
 	var (
-		ev  ompe.LimbEvaluator
+		ev  ompe.Evaluator
 		exp *mvpoly.FloatExpansion
 		err error
 	)

@@ -2,9 +2,11 @@ package classify_test
 
 import (
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/svm"
 )
@@ -136,5 +138,43 @@ func TestGroupSelectionSurfacesInSpec(t *testing.T) {
 	}
 	if trainer.Spec().GroupName != "modp1024" {
 		t.Fatalf("group name %q", trainer.Spec().GroupName)
+	}
+}
+
+// TestHostileSpecRefused: a client handed a spec whose OMPE shape
+// overflows int, M = (q+1)·k pairs with q or k at 2^62, must refuse it
+// with ompe.ErrParams on both the fast and the one-shot path, before
+// allocating anything sized by it.
+func TestHostileSpecRefused(t *testing.T) {
+	model, test := trainSmall(t, svm.Linear(), 1)
+	trainer, err := classify.NewTrainer(model, fastParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*classify.Spec)
+	}{
+		{"mask-degree-2^62", func(s *classify.Spec) { s.MaskDegree = 1 << 62 }},
+		{"cover-factor-2^62", func(s *classify.Spec) { s.CoverFactor = 1 << 62 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := trainer.Spec()
+			tc.mutate(&spec)
+			fc, _, err := classify.NewFastClient(spec, rand.Reader)
+			if err == nil {
+				_, _, err = fc.NewBatch(test.X[:1], rand.Reader)
+			}
+			if !errors.Is(err, ompe.ErrParams) {
+				t.Errorf("NewFastClient+NewBatch: err = %v, want ompe.ErrParams", err)
+			}
+			c, err := classify.NewClient(spec)
+			if err == nil {
+				_, _, err = c.NewSession(test.X[0], rand.Reader)
+			}
+			if !errors.Is(err, ompe.ErrParams) {
+				t.Errorf("NewClient+NewSession: err = %v, want ompe.ErrParams", err)
+			}
+		})
 	}
 }

@@ -176,6 +176,10 @@ func TestPolyDirectRange(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			sum, ok := tr.eval.(*mvpoly.KernelSum)
+			if !ok {
+				t.Fatalf("direct polynomial held as %T, want *mvpoly.KernelSum", tr.eval)
+			}
 			f := tr.codec.Field()
 			amp := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(spec.AmplifierBits)), big.NewInt(1))
 			ampF, _ := new(big.Float).SetInt(amp).Float64()
@@ -198,7 +202,7 @@ func TestPolyDirectRange(t *testing.T) {
 					}
 				}
 				var lv limb.Element
-				if err := tr.eval.EvalLimb(lz, &lv); err != nil {
+				if err := sum.EvalLimb(lz, &lv); err != nil {
 					t.Fatal(err)
 				}
 				if lv.ToBig().Cmp(v) != 0 {

@@ -108,7 +108,7 @@ type Trainer struct {
 	model     *svm.Model
 	params    Params
 	codec     *fixedpoint.Codec
-	eval      ompe.LimbEvaluator
+	eval      ompe.Evaluator
 	expansion *mvpoly.FloatExpansion
 	spec      Spec
 }
@@ -212,8 +212,8 @@ func (t *Trainer) sessionParams(spec Spec) (ompe.Params, error) {
 
 // fieldByExactBits resolves a built-in field and verifies the bit width
 // matches exactly, so both parties agree on the modulus.
-func fieldByExactBits(bits int) (*fieldType, error) {
-	f, err := byBits(bits)
+func fieldByExactBits(bits int) (*field.Field, error) {
+	f, err := field.ByBits(bits)
 	if err != nil {
 		return nil, err
 	}

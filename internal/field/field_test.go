@@ -272,31 +272,8 @@ func TestVectorOps(t *testing.T) {
 	if f.Centered(dot).Int64() != 4-10+18 {
 		t.Fatalf("dot = %v", f.Centered(dot))
 	}
-	sum, err := f.AddVec(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Centered(sum[1]).Int64() != -3 {
-		t.Fatalf("addvec[1] = %v", f.Centered(sum[1]))
-	}
-	diff, err := f.SubVec(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Centered(diff[0]).Int64() != -3 {
-		t.Fatalf("subvec[0] = %v", f.Centered(diff[0]))
-	}
-	scaled := f.ScaleVec(f.FromInt64(10), a)
-	if f.Centered(scaled[2]).Int64() != 30 {
-		t.Fatalf("scalevec[2] = %v", f.Centered(scaled[2]))
-	}
 	if _, err := f.Dot(a, b[:2]); err == nil {
 		t.Fatal("dimension mismatch should fail")
-	}
-	cp := field.CopyVec(a)
-	cp[0].SetInt64(99)
-	if a[0].Int64() == 99 {
-		t.Fatal("CopyVec must deep-copy")
 	}
 }
 

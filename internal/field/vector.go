@@ -12,15 +12,6 @@ var ErrDimensionMismatch = errors.New("field: vector dimension mismatch")
 // Vec is a vector of canonical field elements.
 type Vec []*big.Int
 
-// NewVec returns a zero vector of dimension n.
-func (f *Field) NewVec(n int) Vec {
-	v := make(Vec, n)
-	for i := range v {
-		v[i] = new(big.Int)
-	}
-	return v
-}
-
 // RandVec samples a uniform vector of dimension n.
 func (f *Field) RandVec(rng io.Reader, n int) (Vec, error) {
 	v := make(Vec, n)
@@ -46,46 +37,4 @@ func (f *Field) Dot(a, b Vec) (*big.Int, error) {
 		acc.Add(acc, tmp)
 	}
 	return acc.Mod(acc, f.p), nil
-}
-
-// AddVec returns the componentwise sum of a and b.
-func (f *Field) AddVec(a, b Vec) (Vec, error) {
-	if len(a) != len(b) {
-		return nil, ErrDimensionMismatch
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = f.Add(a[i], b[i])
-	}
-	return out, nil
-}
-
-// SubVec returns the componentwise difference a-b.
-func (f *Field) SubVec(a, b Vec) (Vec, error) {
-	if len(a) != len(b) {
-		return nil, ErrDimensionMismatch
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = f.Sub(a[i], b[i])
-	}
-	return out, nil
-}
-
-// ScaleVec returns s*a componentwise.
-func (f *Field) ScaleVec(s *big.Int, a Vec) Vec {
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = f.Mul(s, a[i])
-	}
-	return out
-}
-
-// CopyVec returns a deep copy of v.
-func CopyVec(v Vec) Vec {
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = new(big.Int).Set(v[i])
-	}
-	return out
 }

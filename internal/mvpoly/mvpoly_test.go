@@ -8,100 +8,51 @@ import (
 	"testing/quick"
 
 	"repro/internal/field"
+	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
 )
 
 func fld() *field.Field { return field.Default() }
 
-func TestNewValidation(t *testing.T) {
-	f := fld()
-	if _, err := mvpoly.New(f, -1, nil); err == nil {
-		t.Fatal("negative arity should fail")
-	}
-	_, err := mvpoly.New(f, 2, []mvpoly.Term{{Coeff: big.NewInt(1), Exps: []uint{1}}})
-	if err == nil {
-		t.Fatal("wrong exponent count should fail")
-	}
-}
-
-func TestZeroTermsDropped(t *testing.T) {
-	f := fld()
-	p, err := mvpoly.New(f, 2, []mvpoly.Term{
-		{Coeff: big.NewInt(0), Exps: []uint{1, 0}},
-		{Coeff: big.NewInt(5), Exps: []uint{0, 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumTerms() != 1 {
-		t.Fatalf("terms = %d, want 1", p.NumTerms())
-	}
-}
-
-func TestEvalKnown(t *testing.T) {
-	f := fld()
-	// p(x,y) = 3x²y + 2y − 7
-	p, err := mvpoly.New(f, 2, []mvpoly.Term{
-		{Coeff: big.NewInt(3), Exps: []uint{2, 1}},
-		{Coeff: big.NewInt(2), Exps: []uint{0, 1}},
-		{Coeff: big.NewInt(-7), Exps: []uint{0, 0}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.Eval(field.Vec{f.FromInt64(2), f.FromInt64(5)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Centered(v).Int64(); got != 3*4*5+2*5-7 {
-		t.Fatalf("p(2,5) = %d", got)
-	}
-	if _, err := p.Eval(field.Vec{f.One()}); err == nil {
-		t.Fatal("wrong arity should fail")
-	}
-	if p.TotalDegree() != 3 {
-		t.Fatalf("total degree = %d", p.TotalDegree())
-	}
-}
-
+// TestNewLinear: NewLinear reduces its unreduced weights and bias into
+// the field and gives the same w·x + b on math/big and on limb.
 func TestNewLinear(t *testing.T) {
-	f := fld()
-	w := field.Vec{f.FromInt64(2), f.FromInt64(-3)}
-	p, err := mvpoly.NewLinear(f, w, f.FromInt64(10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := p.Eval(field.Vec{f.FromInt64(4), f.FromInt64(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := f.Centered(v).Int64(); got != 8-3+10 {
-		t.Fatalf("linear eval = %d", got)
-	}
-}
-
-func TestAddAndScalarMul(t *testing.T) {
-	f := fld()
-	p, _ := mvpoly.NewLinear(f, field.Vec{f.FromInt64(1), f.FromInt64(2)}, f.Zero())
-	q, _ := mvpoly.NewLinear(f, field.Vec{f.FromInt64(3), f.FromInt64(-2)}, f.FromInt64(5))
-	sum, err := p.Add(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := field.Vec{f.FromInt64(7), f.FromInt64(11)}
-	sv, _ := sum.Eval(x)
-	pv, _ := p.Eval(x)
-	qv, _ := q.Eval(x)
-	if sv.Cmp(f.Add(pv, qv)) != 0 {
-		t.Fatal("(p+q)(x) != p(x)+q(x)")
-	}
-	scaled, err := p.ScalarMul(f.FromInt64(-4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	scv, _ := scaled.Eval(x)
-	if scv.Cmp(f.Mul(f.FromInt64(-4), pv)) != 0 {
-		t.Fatal("(c·p)(x) != c·p(x)")
+	for _, bits := range []int{255, 521} {
+		f, err := field.ByBits(bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := mvpoly.NewLinear(f, field.Vec{big.NewInt(2), big.NewInt(-3)}, big.NewInt(10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := field.Vec{f.FromInt64(4), f.FromInt64(1)}
+		v, err := p.Eval(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := f.Centered(v).Int64(); got != 8-3+10 {
+			t.Fatalf("%d bits: linear eval = %d", bits, got)
+		}
+		if _, err := p.Eval(x[:1]); err == nil {
+			t.Fatalf("%d bits: wrong arity should fail", bits)
+		}
+		if !f.SupportsLimb() {
+			continue
+		}
+		lx := make([]limb.Element, len(x))
+		for i := range x {
+			if err := lx[i].SetBig(x[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var lv limb.Element
+		if err := p.EvalLimb(lx, &lv); err != nil {
+			t.Fatal(err)
+		}
+		if lv.ToBig().Cmp(v) != 0 {
+			t.Fatalf("limb eval %v, math/big %v", lv.ToBig(), v)
+		}
 	}
 }
 

@@ -22,9 +22,11 @@ import (
 // from the public spec, so both pick the same engine without negotiating
 // it.
 
-// LimbEvaluator is implemented by evaluators that can run natively on limb
-// elements. Senders on the limb engine use EvalLimb when available and
-// otherwise fall back to converting each pair through math/big.
+// LimbEvaluator is implemented by evaluators that run natively on limb
+// elements: mvpoly.KernelSum, the form of every served model. Senders on
+// the limb engine use EvalLimb when available; every other evaluator is
+// reached through a bridge that decodes each pair to math/big, calls Eval
+// and re-encodes the result.
 type LimbEvaluator interface {
 	Evaluator
 	// EvalLimb evaluates the polynomial at z, writing the result to out.
@@ -108,10 +110,9 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 	decoySpan.End()
 
 	r := &Receiver{
-		params:  params,
-		state:   receiverAwaitingSetup,
-		lpoints: points,
-		genuine: genuine,
+		params: params,
+		state:  receiverAwaitingSetup,
+		query:  query{lpoints: points, genuine: genuine},
 	}
 	return r, &EvalRequest{Packed: packed}, nil
 }
@@ -189,23 +190,12 @@ func parseRequestLimb(params Params, numVars int, req *EvalRequest) ([]limb.Elem
 	return flat, nil
 }
 
-// maskedSampleLimb is the limb engine's sender core for one sample: parse
-// and validate the request, draw the masking polynomial, and
-// compute every pair's y_i = h(v_i) + amp·P(z_i) + shift into a single
-// flat buffer (one 32-byte slot per pair).
-func maskedSampleLimb(params Params, eval Evaluator, amplifier, shift *big.Int, req *EvalRequest, rng io.Reader) ([][]byte, error) {
-	var zero limb.Element
-	h, err := poly.RandomLimb(rng, params.ComposedDegree(), &zero)
-	if err != nil {
-		return nil, err
-	}
-	return maskedSampleLimbWith(params, eval, h, amplifier, shift, req)
-}
-
-// maskedSampleLimbWith is the pure half of maskedSampleLimb: every rng
-// draw (the masking polynomial, the caller's amplifier) already happened,
-// so it can run inside a parallel region; the batch path fans samples
-// out across workers, each of which fans its pairs out again.
+// maskedSampleLimbWith is the limb engine's sender core for one sample:
+// parse and validate the request, then compute every pair's
+// y_i = h(v_i) + amp·P(z_i) + shift into a single flat buffer (one
+// 32-byte slot per pair). Every rng draw (drawSenderMask) already
+// happened, so it can run inside a parallel region; the batch path fans
+// samples out across workers, each of which fans its pairs out again.
 func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	numVars := eval.NumVars()
 	flat, err := parseRequestLimb(params, numVars, req)
@@ -254,24 +244,4 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 		return nil, perr
 	}
 	return msgs, nil
-}
-
-// interpolateTransferredLimb decodes one query's transferred values and
-// interpolates B(0) on the limb engine.
-func interpolateTransferredLimb(raw [][]byte, lpoints []limb.Element, index []int) (*big.Int, error) {
-	m := len(raw)
-	xs := make([]limb.Element, m)
-	ys := make([]limb.Element, m)
-	for i, b := range raw {
-		if err := ys[i].SetBytes(b); err != nil {
-			return nil, fmt.Errorf("ompe: transferred value %d: %w", i, err)
-		}
-		xs[i] = lpoints[index[i]]
-	}
-	var ip poly.LimbInterpolator
-	res, err := ip.AtZero(xs, ys)
-	if err != nil {
-		return nil, err
-	}
-	return res.ToBig(), nil
 }

@@ -32,14 +32,15 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/big"
 
 	"repro/internal/field"
-	"repro/internal/field/limb"
 	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/parallel"
 	"repro/internal/poly"
+	"repro/internal/wire"
 )
 
 var (
@@ -55,10 +56,11 @@ var (
 var zeroShift = new(big.Int)
 
 // Evaluator is the sender's secret function: a multivariate polynomial over
-// the protocol field. Implementations include mvpoly.Poly, mvpoly.KernelSum
-// (every SVM decision function but RBF's, and the similarity dot rounds),
-// classify's RBF evaluator, and the triangle-metric polynomial in
-// internal/similarity.
+// the protocol field. Implementations are mvpoly.KernelSum (every SVM
+// decision function but RBF's, and the similarity dot rounds), classify's
+// RBF evaluator, and EvaluatorFunc closures such as the triangle-metric
+// polynomial in internal/similarity. Over 2^255−19 an evaluator without
+// EvalLimb (see LimbEvaluator) is reached through a math/big bridge.
 type Evaluator interface {
 	// NumVars returns the input arity.
 	NumVars() int
@@ -121,10 +123,25 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: mask degree %d", ErrParams, p.MaskDegree)
 	case p.CoverFactor < 2:
 		return fmt.Errorf("%w: cover factor %d (need >= 2)", ErrParams, p.CoverFactor)
+	case p.MaskDegree > (math.MaxInt-1)/p.PolyDegree || p.ComposedDegree()+1 > math.MaxInt/p.CoverFactor:
+		return fmt.Errorf("%w: %d·%d+1 genuine points times cover factor %d overflows", ErrParams, p.PolyDegree, p.MaskDegree, p.CoverFactor)
 	case p.AmplifierBits < 0 || p.AmplifierBits > p.Field.Bits()-2:
 		return fmt.Errorf("%w: amplifier bits %d", ErrParams, p.AmplifierBits)
 	case p.Group == nil:
 		return fmt.Errorf("%w: nil OT group", ErrParams)
+	}
+	return nil
+}
+
+// validateFor is Validate for a role that knows the input arity: one
+// request, M records of 1+numVars elements, must also fit wire.MaxBytes,
+// or it could not be encoded.
+func (p Params) validateFor(numVars int) error {
+	if err := p.Validate(); err != nil {
+		return err
+	}
+	if stride := packedStride(p.Field, numVars); p.TotalPairs() > wire.MaxBytes/stride {
+		return fmt.Errorf("%w: a request of %d records of %d bytes exceeds %d bytes", ErrParams, p.TotalPairs(), stride, wire.MaxBytes)
 	}
 	return nil
 }
@@ -227,11 +244,11 @@ func WithShift(shift *big.Int) SenderOption {
 
 // NewSender builds the sender role around a secret evaluator.
 func NewSender(params Params, eval Evaluator, opts ...SenderOption) (*Sender, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	if eval == nil {
 		return nil, fmt.Errorf("%w: nil evaluator", ErrParams)
+	}
+	if err := params.validateFor(eval.NumVars()); err != nil {
+		return nil, err
 	}
 	s := &Sender{
 		params: params,
@@ -261,25 +278,21 @@ func (s *Sender) HandleRequest(req *EvalRequest, rng io.Reader) (*ot.BatchSetup,
 	if s.state != senderAwaitingRequest {
 		return nil, ErrState
 	}
-	if err := s.validateRequest(req); err != nil {
+	if err := validateEvalRequest(s.params, s.eval.NumVars(), req); err != nil {
 		return nil, err
 	}
 
-	if s.fixedAmplifier != nil {
-		s.amplifier = new(big.Int).Set(s.fixedAmplifier)
-	} else {
-		amp, err := sampleAmplifier(rng, s.params.amplifierBitsOrDefault())
-		if err != nil {
-			return nil, err
-		}
-		s.amplifier = amp
-	}
-
-	// Fresh masking polynomial h with h(0)=0 and degree D, so it cancels
-	// at the interpolation point and drowns P's coefficients everywhere
-	// else (§IV-A.1); maskedSample draws it on the field's engine.
+	// A batch of one of the session sender's core: the amplifier (unless
+	// pinned) and a fresh masking polynomial h with h(0)=0 and degree D,
+	// which cancels at the interpolation point and drowns P's
+	// coefficients everywhere else (§IV-A.1).
 	maskSpan := obs.Start(obs.PhaseSenderMask)
-	msgs, err := maskedSample(s.params, s.eval, s.amplifier, s.shift, req, rng)
+	m, err := drawSenderMask(s.params, s.fixedAmplifier, rng)
+	if err != nil {
+		return nil, err
+	}
+	s.amplifier = m.amp
+	msgs, err := maskedSampleWith(s.params, s.eval, m, s.shift, req)
 	if err != nil {
 		return nil, err
 	}
@@ -306,10 +319,6 @@ func (s *Sender) HandleChoice(choice *ot.BatchChoice, rng io.Reader) (*ot.BatchT
 	}
 	s.state = senderDone
 	return tr, nil
-}
-
-func (s *Sender) validateRequest(req *EvalRequest) error {
-	return validateEvalRequest(s.params, s.eval.NumVars(), req)
 }
 
 // validateEvalRequest checks a receiver's evaluation request's shape
@@ -372,22 +381,20 @@ const (
 type Receiver struct {
 	params Params
 
-	state   receiverState
-	points  []*big.Int     // all M evaluation points v_i (math/big engine)
-	lpoints []limb.Element // all M evaluation points v_i (limb engine)
-	genuine []int          // indices of the m genuine positions
-	batch   *ot.BatchReceiver
+	state receiverState
+	query
+	batch *ot.BatchReceiver
 }
 
 // NewReceiver builds the receiver role for a secret input vector and
 // returns the evaluation request. numVars is the sender polynomial's arity
 // and must equal len(input).
 func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *EvalRequest, error) {
-	if err := params.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if len(input) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty input", ErrParams)
+	}
+	if err := params.validateFor(len(input)); err != nil {
+		return nil, nil, err
 	}
 	f := params.Field
 	for i, x := range input {
@@ -461,10 +468,9 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 	decoySpan.End()
 
 	r := &Receiver{
-		params:  params,
-		state:   receiverAwaitingSetup,
-		points:  points,
-		genuine: genuine,
+		params: params,
+		state:  receiverAwaitingSetup,
+		query:  query{points: points, genuine: genuine},
 	}
 	return r, &EvalRequest{Packed: packed}, nil
 }
@@ -495,18 +501,13 @@ func (r *Receiver) Finish(tr *ot.BatchTransfer) (*big.Int, error) {
 		return nil, err
 	}
 	interpSpan := obs.Start(obs.PhaseReceiverInterpolate)
-	var result *big.Int
-	if r.params.limbBackend() {
-		result, err = interpolateTransferredLimb(raw, r.lpoints, r.genuine)
-	} else {
-		result, err = interpolateTransferred(r.params.Field, raw, r.points, r.genuine)
-	}
+	result, err := interpolateQueries(r.params, []query{r.query}, [][][]byte{raw})
 	if err != nil {
 		return nil, err
 	}
 	interpSpan.End()
 	r.state = receiverDone
-	return result, nil
+	return result[0], nil
 }
 
 // distinctNonZero samples n distinct non-zero field elements. The dedup
@@ -589,20 +590,6 @@ func maskedEvaluations(params Params, eval Evaluator, h *poly.Poly, amplifier, s
 	return msgs, nil
 }
 
-// maskedSample computes one sample's masked evaluations on the field's
-// engine, drawing the fresh degree-D masking polynomial from rng.
-func maskedSample(params Params, eval Evaluator, amplifier, shift *big.Int, req *EvalRequest, rng io.Reader) ([][]byte, error) {
-	if params.limbBackend() {
-		return maskedSampleLimb(params, eval, amplifier, shift, req, rng)
-	}
-	f := params.Field
-	h, err := poly.Random(f, rng, params.ComposedDegree(), f.Zero())
-	if err != nil {
-		return nil, err
-	}
-	return maskedEvaluations(params, eval, h, amplifier, shift, req)
-}
-
 // MaskedEvaluations exposes the sender's arithmetic core (fresh masking
 // polynomial + amplified evaluation of every pair) WITHOUT the oblivious
 // transfer, for micro-benchmarks that isolate the polynomial-masking cost
@@ -614,9 +601,9 @@ func MaskedEvaluations(params Params, eval Evaluator, req *EvalRequest, rng io.R
 	if err := validateEvalRequest(params, eval.NumVars(), req); err != nil {
 		return nil, err
 	}
-	amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())
+	m, err := drawSenderMask(params, nil, rng)
 	if err != nil {
 		return nil, err
 	}
-	return maskedSample(params, eval, amp, new(big.Int), req, rng)
+	return maskedSampleWith(params, eval, m, zeroShift, req)
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
 	"repro/internal/poly"
+	"repro/internal/wire"
 )
 
 // bigField is 2^521−1. The limb engine serves only 2^255−19, so every
@@ -70,14 +72,10 @@ func TestRunNonlinearWithShift(t *testing.T) {
 	params := testParams(t, 3)
 
 	// P(x) = x0^3 + 2·x0·x1 + 5
-	p, err := mvpoly.New(f, 2, []mvpoly.Term{
-		{Coeff: big.NewInt(1), Exps: []uint{3, 0}},
-		{Coeff: big.NewInt(2), Exps: []uint{1, 1}},
-		{Coeff: big.NewInt(5), Exps: []uint{0, 0}},
+	p := EvaluatorFunc(2, func(x field.Vec) (*big.Int, error) {
+		cube := f.Mul(x[0], f.Mul(x[0], x[0]))
+		return f.Add(cube, f.Add(f.Mul(f.FromInt64(2), f.Mul(x[0], x[1])), f.FromInt64(5))), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	input := field.Vec{f.FromInt64(2), f.FromInt64(3)}
 	amp := big.NewInt(17)
 	shift := f.FromInt64(-1000)
@@ -140,6 +138,11 @@ func TestParamsValidation(t *testing.T) {
 		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 1, Group: good.Group},
 		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 2, Group: nil},
 		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 2, AmplifierBits: -1, Group: good.Group},
+		// D = p·q, m = D+1 or M = m·k overflows int.
+		{Field: good.Field, PolyDegree: 1 << 40, MaskDegree: 1 << 40, CoverFactor: 2, Group: good.Group},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt, CoverFactor: 2, Group: good.Group},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt / 2, CoverFactor: 2, Group: good.Group},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: 2, CoverFactor: math.MaxInt / 2, Group: good.Group},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {
@@ -154,6 +157,40 @@ func TestParamsValidation(t *testing.T) {
 	}
 	if good.TotalPairs() != good.GenuineCount()*good.CoverFactor {
 		t.Fatal("M != m·k")
+	}
+}
+
+// TestRequestSizeBound: a role that knows the arity refuses a shape
+// whose request exceeds wire.MaxBytes, before allocating anything sized
+// by it.
+func TestRequestSizeBound(t *testing.T) {
+	good := testParams(t, 1)
+	// Two 66-byte elements per record on 2^521−1: M = 3k records fit
+	// wire.MaxBytes up to k = ⌊2^28/132⌋/3.
+	f := good.Field
+	stride := packedStride(f, 1)
+	maxK := wire.MaxBytes / stride / 3
+	fits, over := good, good
+	fits.CoverFactor, over.CoverFactor = maxK, maxK+1
+	if err := fits.validateFor(1); err != nil {
+		t.Fatalf("M·stride = %d ≤ %d refused: %v", fits.TotalPairs()*stride, wire.MaxBytes, err)
+	}
+	if err := over.validateFor(1); !errors.Is(err, ErrParams) {
+		t.Fatalf("M·stride = %d > %d: err = %v, want ErrParams", over.TotalPairs()*stride, wire.MaxBytes, err)
+	}
+	// A shape that does not overflow but whose request is ~2^58 bytes:
+	// every role that knows n refuses it.
+	huge := good
+	huge.MaskDegree = 1 << 50
+	eval := buildLinear(t, f, 1)
+	if _, _, err := NewReceiver(huge, field.Vec{f.One()}, rand.Reader); !errors.Is(err, ErrParams) {
+		t.Fatalf("NewReceiver: err = %v, want ErrParams", err)
+	}
+	if _, err := NewSender(huge, eval); !errors.Is(err, ErrParams) {
+		t.Fatalf("NewSender: err = %v, want ErrParams", err)
+	}
+	if _, _, err := NewSessionSenderBase(huge, eval, nil, rand.Reader); !errors.Is(err, ErrParams) {
+		t.Fatalf("NewSessionSenderBase: err = %v, want ErrParams", err)
 	}
 }
 

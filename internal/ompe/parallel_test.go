@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/mvpoly"
 	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 )
@@ -55,16 +54,10 @@ func parallelTestParams() Params {
 func quadEvaluator(t *testing.T, f *field.Field) Evaluator {
 	t.Helper()
 	// P(x) = x0² + 3·x0·x1 − 2·x1 + 7
-	p, err := mvpoly.New(f, 2, []mvpoly.Term{
-		{Coeff: big.NewInt(1), Exps: []uint{2, 0}},
-		{Coeff: big.NewInt(3), Exps: []uint{1, 1}},
-		{Coeff: big.NewInt(-2), Exps: []uint{0, 1}},
-		{Coeff: big.NewInt(7), Exps: []uint{0, 0}},
+	return EvaluatorFunc(2, func(x field.Vec) (*big.Int, error) {
+		v := f.Add(f.Mul(x[0], x[0]), f.Mul(f.FromInt64(3), f.Mul(x[0], x[1])))
+		return f.Add(v, f.Add(f.Mul(f.FromInt64(-2), x[1]), f.FromInt64(7))), nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
 }
 
 // TestParallelRoundTrip runs the full protocol across worker counts and

@@ -59,11 +59,11 @@ func NewSessionReceiverBase(params Params, rng io.Reader) (*SessionReceiver, *ot
 // NewSessionSenderBase starts a session from the sender side, given the
 // receiver's base setup; returns the base choice message.
 func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.BatchSetup, rng io.Reader) (*SessionSender, *ot.BatchChoice, error) {
-	if err := params.Validate(); err != nil {
-		return nil, nil, err
-	}
 	if eval == nil {
 		return nil, nil, fmt.Errorf("%w: nil evaluator", ErrParams)
+	}
+	if err := params.validateFor(eval.NumVars()); err != nil {
+		return nil, nil, err
 	}
 	iknp, choice, err := ot.NewIKNPSenderBase(params.Group, setup, rng)
 	if err != nil {
@@ -77,11 +77,11 @@ func NewSessionSenderBase(params Params, eval Evaluator, setup *ot.BatchSetup, r
 // its batch counter forward, so the session picks up exactly where the
 // snapshotted one stopped and never reuses a PRG column or pad.
 func ResumeSessionSender(params Params, eval Evaluator, state *ot.IKNPSenderState) (*SessionSender, error) {
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	if eval == nil {
 		return nil, fmt.Errorf("%w: nil evaluator", ErrParams)
+	}
+	if err := params.validateFor(eval.NumVars()); err != nil {
+		return nil, err
 	}
 	iknp, err := ot.RestoreIKNPSender(state)
 	if err != nil {
@@ -140,14 +140,73 @@ func NewSession(params Params, eval Evaluator, rng io.Reader) (*SessionSender, *
 	return sender, receiver, nil
 }
 
-// interpolateTransferred decodes one query's transferred field elements
-// and recovers amp·P(α) by Lagrange interpolation at zero.
+// query is one sample's receiver-side secret: its M evaluation points on
+// the field's engine (points on math/big, lpoints on limb) and the
+// indices of its m genuine pairs. A Receiver holds one, a SessionBatch
+// one per sample.
+type query struct {
+	points  []*big.Int
+	lpoints []limb.Element
+	genuine []int
+}
+
+// interpolateQueries decodes every sample's transferred values and
+// recovers each amp·P(α) by Lagrange interpolation at zero, in sample
+// order. The one-shot Receiver calls it with a batch of one.
+func interpolateQueries(params Params, qs []query, raw [][][]byte) ([]*big.Int, error) {
+	out := make([]*big.Int, len(raw))
+	if !params.limbBackend() {
+		for i := range raw {
+			v, err := interpolateTransferred(params.Field, raw[i], qs[i].points, qs[i].genuine)
+			if err != nil {
+				return nil, fmt.Errorf("ompe: sample %d: %w", i, err)
+			}
+			out[i] = v
+		}
+		return out, nil
+	}
+	// Decode every sample, then interpolate the whole batch with one
+	// shared field inversion — the inversion is the dominant
+	// interpolation cost, so it must not be paid per sample.
+	total := 0
+	for i := range raw {
+		total += len(raw[i])
+	}
+	flat := make([]limb.Element, 2*total)
+	nodes := make([]poly.LimbNodes, len(raw))
+	off := 0
+	for i := range raw {
+		m := len(raw[i])
+		xs := flat[off : off+m]
+		ys := flat[total+off : total+off+m]
+		for j, bs := range raw[i] {
+			if err := ys[j].SetBytes(bs); err != nil {
+				return nil, fmt.Errorf("ompe: sample %d: transferred value %d: %w", i, j, err)
+			}
+			xs[j] = qs[i].lpoints[qs[i].genuine[j]]
+		}
+		nodes[i] = poly.LimbNodes{Xs: xs, Ys: ys}
+		off += m
+	}
+	res := make([]limb.Element, len(raw))
+	var ip poly.LimbInterpolator
+	if err := ip.AtZeroBatch(nodes, res); err != nil {
+		return nil, err
+	}
+	for i := range res {
+		out[i] = res[i].ToBig()
+	}
+	return out, nil
+}
+
+// interpolateTransferred is interpolateQueries' math/big step for one
+// sample.
 func interpolateTransferred(f *field.Field, raw [][]byte, points []*big.Int, index []int) (*big.Int, error) {
 	pts := make([]poly.Point, len(raw))
 	for i, b := range raw {
 		y, err := f.FromBytes(b)
 		if err != nil {
-			return nil, fmt.Errorf("ompe: transferred value %d: %w", i, err)
+			return nil, fmt.Errorf("transferred value %d: %w", i, err)
 		}
 		pts[i] = poly.Point{X: points[index[i]], Y: y}
 	}
@@ -176,14 +235,12 @@ type FastBatchResponse struct {
 // SessionBatch is one in-flight batched query on the receiver side.
 type SessionBatch struct {
 	sr      *SessionReceiver
-	points  [][]*big.Int
-	lpoints [][]limb.Element
-	index   [][]int
+	queries []query
 	ext     *ot.ExtKofNBatchQuery
 }
 
 // Len returns the number of samples in the batch.
-func (b *SessionBatch) Len() int { return len(b.index) }
+func (b *SessionBatch) Len() int { return len(b.queries) }
 
 // NewBatch opens one batched query covering all inputs.
 func (sr *SessionReceiver) NewBatch(inputs []field.Vec, rng io.Reader) (*SessionBatch, *FastBatchRequest, error) {
@@ -191,8 +248,7 @@ func (sr *SessionReceiver) NewBatch(inputs []field.Vec, rng io.Reader) (*Session
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
 	evals := make([]*EvalRequest, len(inputs))
-	points := make([][]*big.Int, len(inputs))
-	lpoints := make([][]limb.Element, len(inputs))
+	queries := make([]query, len(inputs))
 	genuine := make([][]int, len(inputs))
 	for i, input := range inputs {
 		recv, req, err := NewReceiver(sr.params, input, rng)
@@ -200,15 +256,14 @@ func (sr *SessionReceiver) NewBatch(inputs []field.Vec, rng io.Reader) (*Session
 			return nil, nil, fmt.Errorf("ompe: batch sample %d: %w", i, err)
 		}
 		evals[i] = req
-		points[i] = recv.points
-		lpoints[i] = recv.lpoints
+		queries[i] = recv.query
 		genuine[i] = recv.genuine
 	}
 	ext, otReq, err := ot.NewExtKofNBatchQuery(sr.iknp, sr.params.TotalPairs(), genuine)
 	if err != nil {
 		return nil, nil, err
 	}
-	b := &SessionBatch{sr: sr, points: points, lpoints: lpoints, index: genuine, ext: ext}
+	b := &SessionBatch{sr: sr, queries: queries, ext: ext}
 	return b, &FastBatchRequest{Evals: evals, OT: otReq}, nil
 }
 
@@ -221,17 +276,21 @@ type senderMask struct {
 	hLimb *poly.LimbPoly
 }
 
-// drawSenderMask draws one sample's amplifier and masking polynomial from
-// rng in exactly the order the serial sender does, preserving the
-// serial-rng discipline that keeps wire bytes bit-identical at every
-// worker count.
-func drawSenderMask(params Params, rng io.Reader) (senderMask, error) {
+// drawSenderMask draws one sample's amplifier, unless pinned is set, and
+// then its masking polynomial from rng. Every sender role draws through
+// it, serially and in sample order, which keeps wire bytes bit-identical
+// at every worker count.
+func drawSenderMask(params Params, pinned *big.Int, rng io.Reader) (senderMask, error) {
 	var m senderMask
-	amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())
-	if err != nil {
-		return m, err
+	if pinned != nil {
+		m.amp = new(big.Int).Set(pinned)
+	} else {
+		amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())
+		if err != nil {
+			return m, err
+		}
+		m.amp = amp
 	}
-	m.amp = amp
 	if params.limbBackend() {
 		var zero limb.Element
 		h, err := poly.RandomLimb(rng, params.ComposedDegree(), &zero)
@@ -250,8 +309,8 @@ func drawSenderMask(params Params, rng io.Reader) (senderMask, error) {
 	return m, nil
 }
 
-// maskedSampleWith is the pure evaluation half of maskedSample, given a
-// pre-drawn senderMask.
+// maskedSampleWith computes one sample's masked evaluations on the
+// field's engine, given a pre-drawn senderMask.
 func maskedSampleWith(params Params, eval Evaluator, m senderMask, shift *big.Int, req *EvalRequest) ([][]byte, error) {
 	if params.limbBackend() {
 		return maskedSampleLimbWith(params, eval, m.hLimb, m.amp, shift, req)
@@ -285,7 +344,7 @@ func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*Fas
 		if err := validateEvalRequest(ss.params, ss.eval.NumVars(), eval); err != nil {
 			return nil, fmt.Errorf("ompe: batch sample %d: %w", i, err)
 		}
-		m, err := drawSenderMask(ss.params, rng)
+		m, err := drawSenderMask(ss.params, nil, rng)
 		if err != nil {
 			return nil, err
 		}
@@ -322,47 +381,5 @@ func (b *SessionBatch) Finish(resp *FastBatchResponse) ([]*big.Int, error) {
 	}
 	span := obs.Start(obs.PhaseReceiverInterpolate)
 	defer span.End()
-	out := make([]*big.Int, len(raw))
-	if b.sr.params.limbBackend() {
-		// Decode every sample, then interpolate the whole batch with one
-		// shared field inversion — the inversion is the dominant
-		// interpolation cost, so it must not be paid per sample.
-		total := 0
-		for i := range raw {
-			total += len(raw[i])
-		}
-		flat := make([]limb.Element, 2*total)
-		nodes := make([]poly.LimbNodes, len(raw))
-		off := 0
-		for i := range raw {
-			m := len(raw[i])
-			xs := flat[off : off+m]
-			ys := flat[total+off : total+off+m]
-			for j, bs := range raw[i] {
-				if err := ys[j].SetBytes(bs); err != nil {
-					return nil, fmt.Errorf("ompe: batch sample %d: transferred value %d: %w", i, j, err)
-				}
-				xs[j] = b.lpoints[i][b.index[i][j]]
-			}
-			nodes[i] = poly.LimbNodes{Xs: xs, Ys: ys}
-			off += m
-		}
-		res := make([]limb.Element, len(raw))
-		var ip poly.LimbInterpolator
-		if err := ip.AtZeroBatch(nodes, res); err != nil {
-			return nil, err
-		}
-		for i := range res {
-			out[i] = res[i].ToBig()
-		}
-		return out, nil
-	}
-	for i := range raw {
-		v, err := interpolateTransferred(b.sr.params.Field, raw[i], b.points[i], b.index[i])
-		if err != nil {
-			return nil, fmt.Errorf("ompe: batch sample %d: %w", i, err)
-		}
-		out[i] = v
-	}
-	return out, nil
+	return interpolateQueries(b.sr.params, b.queries, raw)
 }

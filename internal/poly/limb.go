@@ -101,80 +101,19 @@ func (ip *LimbInterpolator) grow(n int) {
 	ip.inv = ip.inv[:n]
 }
 
-// AtZero evaluates the unique polynomial through (xs[j], ys[j]) at x=0:
-// R(0) = Σ_j y_j · Π_{i≠j} x_i / (x_i − x_j). This is the limb-backend
-// counterpart of InterpolateAtZero, replacing the per-node modular
-// inversion with a single batch inversion (Montgomery's trick): one
-// Fermat inversion plus O(n) multiplications for the whole sample.
-func (ip *LimbInterpolator) AtZero(xs, ys []limb.Element) (limb.Element, error) {
-	var acc limb.Element
-	n := len(xs)
-	if n == 0 {
-		return acc, ErrEmptyInput
-	}
-	if len(ys) != n {
-		return acc, fmt.Errorf("poly: %d nodes but %d values", n, len(ys))
-	}
-	ip.grow(n)
-	// Π_{i≠j} x_i as prefix·suffix products: 2n multiplications total
-	// instead of n² in the per-term loop of the big path.
-	ip.pre[0].SetOne()
-	for j := 1; j < n; j++ {
-		ip.pre[j].Mul(&ip.pre[j-1], &xs[j-1])
-	}
-	ip.suf[n-1].SetOne()
-	for j := n - 2; j >= 0; j-- {
-		ip.suf[j].Mul(&ip.suf[j+1], &xs[j+1])
-	}
-	var t limb.Element
-	for j := 0; j < n; j++ {
-		d := &ip.den[j]
-		d.SetOne()
-		for i := 0; i < n; i++ {
-			if i == j {
-				continue
-			}
-			t.Sub(&xs[i], &xs[j])
-			if t.IsZero() {
-				return acc, ErrDuplicateNode
-			}
-			d.Mul(d, &t)
-		}
-	}
-	if err := limb.BatchInvertScratch(ip.den, ip.inv); err != nil {
-		// Unreachable given the zero check above, but translate anyway.
-		if errors.Is(err, limb.ErrNoInverse) {
-			return acc, ErrDuplicateNode
-		}
-		return acc, err
-	}
-	for j := 0; j < n; j++ {
-		t.Mul(&ip.pre[j], &ip.suf[j])
-		t.Mul(&t, &ip.den[j])
-		t.Mul(&t, &ys[j])
-		acc.Add(&acc, &t)
-	}
-	return acc, nil
-}
-
-// InterpolateAtZeroLimb is a convenience wrapper over LimbInterpolator for
-// one-shot calls.
-func InterpolateAtZeroLimb(xs, ys []limb.Element) (limb.Element, error) {
-	var ip LimbInterpolator
-	return ip.AtZero(xs, ys)
-}
-
 // LimbNodes is one sample's interpolation input: equal-length node and
 // value slices.
 type LimbNodes struct {
 	Xs, Ys []limb.Element
 }
 
-// AtZeroBatch interpolates every sample at x=0 into out (len(out) ==
-// len(samples)). The denominators of ALL samples share one batch
-// inversion, so a whole batch costs a single Fermat inversion plus O(total
-// nodes) multiplications — the inversion was the dominant per-sample cost
-// of AtZero in batched serving.
+// AtZeroBatch evaluates, for every sample, the unique polynomial through
+// its nodes at x=0 into out (len(out) == len(samples)):
+// R(0) = Σ_j y_j · Π_{i≠j} x_i / (x_i − x_j). It is the limb counterpart
+// of InterpolateAtZero. Π_{i≠j} x_i comes from prefix·suffix products,
+// and the denominators of ALL samples share one batch inversion
+// (Montgomery's trick), so a whole batch costs a single Fermat inversion
+// plus O(total nodes) multiplications.
 func (ip *LimbInterpolator) AtZeroBatch(samples []LimbNodes, out []limb.Element) error {
 	if len(out) != len(samples) {
 		return fmt.Errorf("poly: %d outputs for %d samples", len(out), len(samples))

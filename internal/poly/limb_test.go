@@ -105,10 +105,19 @@ func TestRandomLimbShape(t *testing.T) {
 	}
 }
 
+// atZero interpolates one sample through AtZeroBatch.
+func atZero(ip *LimbInterpolator, xs, ys []limb.Element) (limb.Element, error) {
+	var out [1]limb.Element
+	err := ip.AtZeroBatch([]LimbNodes{{Xs: xs, Ys: ys}}, out[:])
+	return out[0], err
+}
+
 // TestInterpolateAtZeroLimbMatchesBig cross-checks the batch-inverted
-// limb interpolation against the math/big reference on random node sets.
+// limb interpolation, one sample at a time, against the math/big
+// reference on random node sets.
 func TestInterpolateAtZeroLimbMatchesBig(t *testing.T) {
 	f := p25519(t)
+	var ip LimbInterpolator
 	for _, n := range []int{1, 2, 3, 7, 12} {
 		xs := randLimbs(t, n)
 		ys := randLimbs(t, n)
@@ -116,7 +125,7 @@ func TestInterpolateAtZeroLimbMatchesBig(t *testing.T) {
 		for i := range points {
 			points[i] = Point{X: xs[i].ToBig(), Y: ys[i].ToBig()}
 		}
-		got, err := InterpolateAtZeroLimb(xs, ys)
+		got, err := atZero(&ip, xs, ys)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,16 +140,17 @@ func TestInterpolateAtZeroLimbMatchesBig(t *testing.T) {
 }
 
 func TestInterpolateAtZeroLimbErrors(t *testing.T) {
-	if _, err := InterpolateAtZeroLimb(nil, nil); !errors.Is(err, ErrEmptyInput) {
+	var ip LimbInterpolator
+	if _, err := atZero(&ip, nil, nil); !errors.Is(err, ErrEmptyInput) {
 		t.Fatalf("empty input: %v", err)
 	}
 	xs := randLimbs(t, 3)
 	xs[2] = xs[0]
 	ys := randLimbs(t, 3)
-	if _, err := InterpolateAtZeroLimb(xs, ys); !errors.Is(err, ErrDuplicateNode) {
+	if _, err := atZero(&ip, xs, ys); !errors.Is(err, ErrDuplicateNode) {
 		t.Fatalf("duplicate node: %v", err)
 	}
-	if _, err := InterpolateAtZeroLimb(xs[:2], ys[:1]); err == nil {
+	if _, err := atZero(&ip, xs[:2], ys[:1]); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }
@@ -165,26 +175,27 @@ func TestLimbHornerAllocs(t *testing.T) {
 }
 
 // TestLimbInterpolatorAllocs pins the ported Lagrange loop at zero
-// steady-state allocations (the scratch buffers amortize across samples).
+// steady-state allocations (the scratch buffers amortize across batches).
 func TestLimbInterpolatorAllocs(t *testing.T) {
-	xs := randLimbs(t, 9)
-	ys := randLimbs(t, 9)
+	samples := []LimbNodes{{Xs: randLimbs(t, 9), Ys: randLimbs(t, 9)}}
+	out := make([]limb.Element, 1)
 	var ip LimbInterpolator
-	if _, err := ip.AtZero(xs, ys); err != nil { // warm the scratch
+	if err := ip.AtZeroBatch(samples, out); err != nil { // warm the scratch
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, err := ip.AtZero(xs, ys); err != nil {
+		if err := ip.AtZeroBatch(samples, out); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("AtZero allocates %.1f/op steady-state, want 0", allocs)
+		t.Fatalf("AtZeroBatch allocates %.1f/op steady-state, want 0", allocs)
 	}
 }
 
 // TestAtZeroBatchMatchesAtZero pins the shared-inversion batch
-// interpolator to the per-sample path on random samples of varying size.
+// interpolator to the math/big InterpolateAtZero on random samples of
+// varying size.
 func TestAtZeroBatchMatchesAtZero(t *testing.T) {
 	rng := mrand.New(mrand.NewPCG(21, 21))
 	draw := func() limb.Element {
@@ -222,13 +233,18 @@ func TestAtZeroBatchMatchesAtZero(t *testing.T) {
 	if err := ip.AtZeroBatch(samples, out); err != nil {
 		t.Fatal(err)
 	}
+	f := p25519(t)
 	for s, sm := range samples {
-		want, err := InterpolateAtZeroLimb(sm.Xs, sm.Ys)
+		points := make([]Point, len(sm.Xs))
+		for j := range points {
+			points[j] = Point{X: sm.Xs[j].ToBig(), Y: sm.Ys[j].ToBig()}
+		}
+		want, err := InterpolateAtZero(f, points)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !out[s].Equal(&want) {
-			t.Fatalf("sample %d: batch result diverges from AtZero", s)
+		if out[s].ToBig().Cmp(want) != 0 {
+			t.Fatalf("sample %d: batch result diverges from InterpolateAtZero", s)
 		}
 	}
 	// Duplicate nodes must be rejected, not silently folded.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/big"
 
 	"repro/internal/field"
 	"repro/internal/fixedpoint"
@@ -162,11 +161,6 @@ type ClearShare struct {
 	NormW2 float64
 }
 
-// dotSum is the bias-free linear form c·z: a one-row degree-1 kernel sum.
-func dotSum(f *field.Field, c field.Vec) (*mvpoly.KernelSum, error) {
-	return mvpoly.NewKernelSum(f, [][]*big.Int{{f.Zero(), f.One()}}, []field.Vec{c}, f.Zero(), 1, f.Zero())
-}
-
 // normSq is |v|².
 func normSq(v []float64) float64 {
 	acc := 0.0
@@ -212,11 +206,12 @@ func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, e
 	if err != nil {
 		return nil, err
 	}
+	// Rounds 1 and 2 evaluate the bias-free linear forms mA·z and wA·z.
 	f := r.codec.Field()
-	if r.centroid, err = dotSum(f, encM); err != nil {
+	if r.centroid, err = mvpoly.NewLinear(f, encM, f.Zero()); err != nil {
 		return nil, err
 	}
-	if r.normal, err = dotSum(f, encW); err != nil {
+	if r.normal, err = mvpoly.NewLinear(f, encW, f.Zero()); err != nil {
 		return nil, err
 	}
 	r.normalsWant = 1

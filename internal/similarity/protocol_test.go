@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/ompe"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -415,5 +416,35 @@ func TestKernelAliceFracBits(t *testing.T) {
 	}
 	if math.Abs(got.TSquared-want.TSquared) > 1e-4*(1+math.Abs(want.TSquared)) {
 		t.Fatalf("FracBits 24: T² private %g, plaintext %g", got.TSquared, want.TSquared)
+	}
+}
+
+// TestHostileSpecRefused: Bob handed a spec whose OMPE shape overflows
+// int, M = (q+1)·k pairs with q or k at 2^62, must refuse it with
+// ompe.ErrParams when he opens the first round, before allocating
+// anything sized by it.
+func TestHostileSpecRefused(t *testing.T) {
+	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*similarity.Spec)
+	}{
+		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }},
+		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := alice.Spec()
+			tc.mutate(&spec)
+			bob, err := similarity.NewBob(spec, []float64{0.2, 0.9}, -0.2)
+			if err == nil {
+				_, err = bob.StartRound(similarity.RoundCentroid, rand.Reader)
+			}
+			if !errors.Is(err, ompe.ErrParams) {
+				t.Fatalf("err = %v, want ompe.ErrParams", err)
+			}
+		})
 	}
 }
