@@ -1,14 +1,15 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
 # one-shot smoke run of the worker-count sweeps (at one and two workers,
 # via -cpu), of the two x25519 micro-benchmarks the OT group work is
-# sized with, of the limb-field and curve kernels under them, of the
-# decision-function sum in its two forms, and of one kernelized
-# similarity evaluation. fuzz-smoke runs the fuzz targets briefly (CI
-# runs it as a separate job).
-.PHONY: check vet build test bench-smoke bench bench-pair fuzz-smoke \
-	lint cover tidy-check wire-regen loc loc-delta
+# sized with, of the limb-field and curve kernels under them (the limb
+# dot product through limb.Sum among them), of the decision-function sum
+# in its two forms, and of one kernelized similarity evaluation, then a
+# run of every example program. fuzz-smoke runs the fuzz targets briefly
+# (CI runs it as a separate job).
+.PHONY: check vet build test bench-smoke examples bench bench-pair \
+	fuzz-smoke lint cover tidy-check wire-regen loc loc-delta
 
-check: vet build test bench-smoke
+check: vet build test bench-smoke examples
 
 vet:
 	go vet ./...
@@ -22,10 +23,15 @@ test:
 bench-smoke:
 	go test -run='^$$' -bench=Parallelism -cpu 1,2 -benchtime=1x ./...
 	go test -run='^$$' -bench='^(BenchmarkIKNPBase|BenchmarkKofN)$$/^x25519$$' -benchtime=1x ./internal/ot
-	go test -run='^$$' -bench='^(BenchmarkLimbMul|BenchmarkLimbSquare|BenchmarkLimbInv)$$' -benchtime=1x ./internal/field/limb
+	go test -run='^$$' -bench='^(BenchmarkLimbMul|BenchmarkLimbSquare|BenchmarkLimbInv|BenchmarkLimbDot)$$' -benchtime=1x ./internal/field/limb
 	go test -run='^$$' -bench='^(BenchmarkScalarMult|BenchmarkScalarBaseMult)$$' -benchtime=1x ./internal/ec25519
 	go test -run='^$$' -bench='^BenchmarkKernelSumEval$$' -benchtime=1x ./internal/mvpoly
 	go test -run='^$$' -bench='^BenchmarkKernelSimilarity$$' -benchtime=1x ./internal/similarity
+
+# examples builds and runs each program under examples/ (each well under
+# a second on a 2-core host) and fails on the first non-zero exit.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; go run "./$$d"; done
 
 # bench runs the repository's one benchmark (see benchmark/README.md).
 bench:

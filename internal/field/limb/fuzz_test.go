@@ -12,8 +12,8 @@ import (
 // FuzzLimbVsBig differentially checks every limb-field operation against
 // the math/big field: two arbitrary 32-byte strings are interpreted as
 // (possibly non-canonical) big-endian integers; reduction, encoding,
-// decoding, and the full arithmetic set must agree bit-for-bit with the
-// big.Int reference on the reduced residues.
+// decoding, the full arithmetic set and the unreduced Sum must agree
+// bit-for-bit with the big.Int reference on the reduced residues.
 func FuzzLimbVsBig(f *testing.F) {
 	fl := field.Default()
 	f.Add(make([]byte, 32), make([]byte, 32))
@@ -86,6 +86,24 @@ func FuzzLimbVsBig(f *testing.F) {
 		sq, mm := eb, eb
 		if !sq.Square(&sq).Equal(mm.Mul(&mm, &mm)) {
 			t.Fatalf("square(b) != mul(b, b) for %v", b)
+		}
+
+		// Sum: a + Σ_{i<k} x_i·y_i for k = 1..64 products whose operands
+		// cycle through a, b and p − 1, against math/big.
+		var pm1 limb.Element
+		pm1.SetBigReduce(new(big.Int).Sub(fl.Modulus(), big.NewInt(1)))
+		ops := []*limb.Element{&ea, &eb, &pm1}
+		k := 1 + int(ea[0]^eb[0])%64
+		var s limb.Sum
+		s.Add(&ea)
+		want := new(big.Int).Set(a)
+		for i := 0; i < k; i++ {
+			x, y := ops[i%3], ops[(i/3+i)%3]
+			s.MulAdd(x, y)
+			want.Add(want, new(big.Int).Mul(x.ToBig(), y.ToBig()))
+		}
+		if got := s.Reduce(&r).ToBig(); got.Cmp(want.Mod(want, fl.Modulus())) != 0 {
+			t.Fatalf("sum of %d products: %v vs %v", k, got, want)
 		}
 
 		_, limbInvErr := r.Inv(&ea)

@@ -182,10 +182,15 @@ func (z *Element) reduce(t0, t1, t2, t3, t4, t5, t6, t7 uint64) *Element {
 	return z
 }
 
-// Mul sets z = x·y mod p and returns z. The 512-bit product is the sum of
-// four row products x[i]·y, each added one word higher than the last: the
-// sixteen multiplications are independent of one another, and nothing of
-// the modulus enters until reduce.
+// Mul sets z = x·y mod p and returns z: mul512's product, reduced.
+func (z *Element) Mul(x, y *Element) *Element {
+	return z.reduce(mul512(x, y))
+}
+
+// mul512 returns the 512-bit product x·y as eight little-endian words. It
+// is the sum of four row products x[i]·y, each added one word higher than
+// the last: the sixteen multiplications are independent of one another,
+// and nothing of the modulus enters.
 //
 // Each row is one carry chain. Its first half joins the four partial
 // products into the five-word row (a word times four words is below 2^320,
@@ -194,7 +199,7 @@ func (z *Element) reduce(t0, t1, t2, t3, t4, t5, t6, t7 uint64) *Element {
 // costs nothing and keeps the compiler from interleaving the two halves,
 // which would make it recompute the flags of one after every step of the
 // other.
-func (z *Element) Mul(x, y *Element) *Element {
+func mul512(x, y *Element) (uint64, uint64, uint64, uint64, uint64, uint64, uint64, uint64) {
 	y0, y1, y2, y3 := y[0], y[1], y[2], y[3]
 	var c uint64
 
@@ -252,6 +257,60 @@ func (z *Element) Mul(x, y *Element) *Element {
 	t5, c = bits.Add64(t5, l2, c)
 	t6, c = bits.Add64(t6, l3, c)
 	t7, _ = bits.Add64(t7, 0, c)
+	return t0, t1, t2, t3, t4, t5, t6, t7
+}
+
+// Sum is an unreduced sum of elements and products of elements: a 576-bit
+// integer in nine little-endian words, reduced mod p only by Reduce. A
+// product costs Mul's sixteen word multiplications and a nine-word
+// addition, without Mul's reduction and conditional subtraction, so a dot
+// product of n terms pays one reduction instead of n. Every term is below
+// p² < 2^510, so up to 2^64 terms cannot overflow the nine words. The zero
+// value is the empty sum.
+type Sum struct{ w [9]uint64 }
+
+// Add adds x to s.
+func (s *Sum) Add(x *Element) {
+	var c uint64
+	for i := range x {
+		s.w[i], c = bits.Add64(s.w[i], x[i], c)
+	}
+	for i := Limbs; i < len(s.w); i++ {
+		s.w[i], c = bits.Add64(s.w[i], 0, c)
+	}
+}
+
+// MulAdd adds the product x·y to s.
+func (s *Sum) MulAdd(x, y *Element) {
+	t0, t1, t2, t3, t4, t5, t6, t7 := mul512(x, y)
+	var c uint64
+	s.w[0], c = bits.Add64(s.w[0], t0, 0)
+	s.w[1], c = bits.Add64(s.w[1], t1, c)
+	s.w[2], c = bits.Add64(s.w[2], t2, c)
+	s.w[3], c = bits.Add64(s.w[3], t3, c)
+	s.w[4], c = bits.Add64(s.w[4], t4, c)
+	s.w[5], c = bits.Add64(s.w[5], t5, c)
+	s.w[6], c = bits.Add64(s.w[6], t6, c)
+	s.w[7], c = bits.Add64(s.w[7], t7, c)
+	s.w[8] += c
+}
+
+// Reduce sets z to s mod p and returns z; s is unchanged. The ninth word
+// folds onto the low two by 2^512 ≡ 38² = 1444. A carry out of the eighth
+// word is 2^512 once more, and leaves the words below it under 2^75, so
+// its 1444 is added without a further carry; reduce does the rest.
+func (s *Sum) Reduce(z *Element) *Element {
+	h, l := bits.Mul64(1444, s.w[8])
+	t0, c := bits.Add64(s.w[0], l, 0)
+	t1, c := bits.Add64(s.w[1], h, c)
+	t2, c := bits.Add64(s.w[2], 0, c)
+	t3, c := bits.Add64(s.w[3], 0, c)
+	t4, c := bits.Add64(s.w[4], 0, c)
+	t5, c := bits.Add64(s.w[5], 0, c)
+	t6, c := bits.Add64(s.w[6], 0, c)
+	t7, c := bits.Add64(s.w[7], 0, c)
+	t0, c = bits.Add64(t0, 1444*c, 0)
+	t1 += c
 	return z.reduce(t0, t1, t2, t3, t4, t5, t6, t7)
 }
 
@@ -497,6 +556,9 @@ func (z *Element) setWide(b []byte) {
 // irrelevant for masks and decoys; what matters for the protocol is that the
 // draw consumes a fixed number of rng bytes, keeping the stream — and hence
 // the wire bytes — deterministic at any worker count.
+// Its buffer escapes through the io.Reader, so every call allocates: code
+// that draws many elements per query reads them at once (RandElements,
+// RandBytes).
 func (z *Element) Rand(rng io.Reader) error {
 	var buf [ElementLen]byte
 	if _, err := io.ReadFull(rng, buf[:]); err != nil {
@@ -516,6 +578,20 @@ func (z *Element) RandNonZero(rng io.Reader) error {
 			return nil
 		}
 	}
+}
+
+// RandElements sets every element of dst from the rng — the same rng bytes
+// in the same order, and the same residues, as one Rand per element — with
+// one read into one buffer.
+func RandElements(rng io.Reader, dst []Element) error {
+	buf := make([]byte, len(dst)*ElementLen)
+	if _, err := io.ReadFull(rng, buf); err != nil {
+		return fmt.Errorf("limb: sample elements: %w", err)
+	}
+	for i := range dst {
+		dst[i].setWide(buf[i*ElementLen:])
+	}
+	return nil
 }
 
 // RandBytes fills dst, whose length must be a multiple of ElementLen, with

@@ -395,6 +395,15 @@ func TestElementOpAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("Inv allocates %.1f per run, want 0", allocs)
 	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		var s limb.Sum
+		s.Add(&a)
+		s.MulAdd(&a, &b)
+		s.Reduce(&z)
+	})
+	if allocs != 0 {
+		t.Errorf("Sum ops allocate %.1f per run, want 0", allocs)
+	}
 	allocs = testing.AllocsPerRun(100, func() {
 		if err := z.SetBytes(buf[:]); err != nil {
 			t.Fatal(err)
@@ -437,6 +446,44 @@ func BenchmarkBigMul(b *testing.B) {
 	}
 }
 
+// BenchmarkLimbDot is a dot product of n = 500 full-width terms, the
+// shape of a linear trie node or a kernel-form row at madelon width,
+// through one Sum against one Mul and Add per term.
+func BenchmarkLimbDot(b *testing.B) {
+	const n = 500
+	xs, ys := make([]limb.Element, n), make([]limb.Element, n)
+	for i := range xs {
+		if err := xs[i].Rand(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+		if err := ys[i].Rand(rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var z limb.Element
+	b.Run("sum", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var s limb.Sum
+			for j := range xs {
+				s.MulAdd(&xs[j], &ys[j])
+			}
+			s.Reduce(&z)
+		}
+	})
+	b.Run("mul-add", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var acc, t limb.Element
+			for j := range xs {
+				t.Mul(&xs[j], &ys[j])
+				acc.Add(&acc, &t)
+			}
+			z = acc
+		}
+	})
+}
+
 func BenchmarkLimbInv(b *testing.B) {
 	var x, z limb.Element
 	x.SetUint64(0xdeadbeefcafebabe)
@@ -448,9 +495,10 @@ func BenchmarkLimbInv(b *testing.B) {
 	}
 }
 
-// TestRandBytesMatchesRandPutBytes pins RandBytes to the reference draw —
-// same rng bytes in, same canonical encodings out as one Rand+PutBytes per
-// slot — at one, two and a decoy record's worth of elements, with the
+// TestRandBytesMatchesRandPutBytes pins RandBytes and RandElements to the
+// reference draw — same rng bytes in, same canonical encodings and
+// residues out as one Rand+PutBytes per slot — at one, two and a decoy
+// record's worth of elements, with the
 // leading slots set to the integers around each subtraction of the
 // reduction (2^256 − 1 and 2p need two).
 func TestRandBytesMatchesRandPutBytes(t *testing.T) {
@@ -480,12 +528,19 @@ func TestRandBytesMatchesRandPutBytes(t *testing.T) {
 			if fastRng.Len() != 0 {
 				t.Fatalf("k=%d: RandBytes left %d rng bytes unread", k, fastRng.Len())
 			}
+			elems := make([]limb.Element, k)
+			if err := limb.RandElements(bytes.NewReader(seed), elems); err != nil {
+				t.Fatal(err)
+			}
 			refRng := bytes.NewReader(seed)
 			var ref limb.Element
 			var want [limb.ElementLen]byte
 			for j := 0; j < k; j++ {
 				if err := ref.Rand(refRng); err != nil {
 					t.Fatal(err)
+				}
+				if elems[j] != ref {
+					t.Fatalf("k=%d slot %d: RandElements %x != Rand %x", k, j, elems[j].Bytes(), ref.Bytes())
 				}
 				ref.PutBytes(want[:])
 				slot := got[j*limb.ElementLen : (j+1)*limb.ElementLen]
@@ -504,5 +559,8 @@ func TestRandBytesMatchesRandPutBytes(t *testing.T) {
 	}
 	if err := limb.RandBytes(bytes.NewReader(make([]byte, 33)), make([]byte, 64)); err == nil {
 		t.Fatal("RandBytes accepted a short rng")
+	}
+	if err := limb.RandElements(bytes.NewReader(make([]byte, 33)), make([]limb.Element, 2)); err == nil {
+		t.Fatal("RandElements accepted a short rng")
 	}
 }

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/field"
 )
@@ -40,7 +41,8 @@ type Codec struct {
 	// maxAbs bounds |x*scale| so encodings stay strictly inside (-p/2, p/2).
 	maxAbs *big.Int
 	// modulus is a private copy of the field modulus so the power-of-two
-	// encode fast path can reduce by one addition instead of a division.
+	// encode can reduce a negative value by one subtraction instead of a
+	// division.
 	modulus *big.Int
 }
 
@@ -91,88 +93,76 @@ func (c *Codec) Encode(x float64) (*big.Int, error) {
 	return c.EncodeAtScale(x, c.scale)
 }
 
-// EncodeAtScale maps a real to round(x*scale) mod p for an arbitrary
-// integer scale. Scale-normalized polynomial coefficients use this with
-// scale = 2^(target - degree*input).
+// EncodeAtScale maps a real to round(x*scale) mod p for a power-of-two
+// scale, the only kind the codec hands out (Scale, ScalePow);
+// scale-normalized polynomial coefficients use scale = 2^(target -
+// degree*input). Any other scale is refused.
 func (c *Codec) EncodeAtScale(x float64, scale *big.Int) (*big.Int, error) {
+	if scale.Sign() <= 0 || scale.TrailingZeroBits() != uint(scale.BitLen()-1) {
+		return nil, fmt.Errorf("fixedpoint: scale %v is not a power of two", scale)
+	}
+	v := new(big.Int)
+	if err := c.encodePow2(v, x, scale.BitLen()-1); err != nil {
+		return nil, err
+	}
+	return v, nil
+}
+
+// encodePow2 sets z to round(x·2^shift) mod p exactly, half away from
+// zero. With |x| = m·2^e for the 53-bit integer mantissa m, the magnitude
+// is m·2^(e+shift): an exact left shift, or a right shift rounded on the
+// dropped bits. A magnitude at or above p/2 is ErrOverflow, so a negative
+// value is p minus it. z needs at most one word more than p; given that
+// capacity, encodePow2 allocates nothing.
+func (c *Codec) encodePow2(z *big.Int, x float64, shift int) error {
 	if math.IsNaN(x) || math.IsInf(x, 0) {
-		return nil, ErrNotFinite
+		return ErrNotFinite
 	}
-	// Every scale the codec hands out is 2^k (base scale and the
-	// scale-normalized coefficient scales alike), so the exact product
-	// x·2^k is just the float's mantissa shifted — no big.Rat, and the
-	// overflow check already bounds |v| < p/2, so the final reduction is
-	// one conditional addition instead of a division.
-	if shift, ok := pow2Exp(scale); ok {
-		v := scaleByPow2(x, shift)
-		if v.CmpAbs(c.maxAbs) >= 0 {
-			return nil, ErrOverflow
-		}
-		if v.Sign() < 0 {
-			v.Add(v, c.modulus)
-		}
-		return v, nil
-	}
-	r := new(big.Rat).SetFloat64(x)
-	r.Mul(r, new(big.Rat).SetInt(scale))
-	v := ratRound(r)
-	if new(big.Int).Abs(v).Cmp(c.maxAbs) >= 0 {
-		return nil, ErrOverflow
-	}
-	return c.f.FromBig(v), nil
-}
-
-// pow2Exp reports whether scale is an exact power of two, returning its
-// exponent.
-func pow2Exp(scale *big.Int) (int, bool) {
-	if scale.Sign() <= 0 {
-		return 0, false
-	}
-	b := scale.BitLen()
-	if scale.TrailingZeroBits() == uint(b-1) {
-		return b - 1, true
-	}
-	return 0, false
-}
-
-// scaleByPow2 returns round(x·2^shift) exactly (half away from zero),
-// matching ratRound on the rational x·2^shift: the float64 is decomposed
-// into its 53-bit integer mantissa m with x = ±m·2^e, so the product is
-// ±m·2^(e+shift) — an exact left shift, or a right shift rounded on the
-// dropped bits.
-func scaleByPow2(x float64, shift int) *big.Int {
+	z.SetUint64(0)
 	if x == 0 {
-		return new(big.Int)
+		return nil
 	}
 	fr, exp := math.Frexp(math.Abs(x))
 	m := uint64(fr * (1 << 53)) // exact: fr has at most 53 mantissa bits
 	t := exp - 53 + shift
-	var v *big.Int
 	switch {
 	case t >= 0:
-		v = new(big.Int).Lsh(new(big.Int).SetUint64(m), uint(t))
 	case t >= -63:
 		r := uint(-t)
-		v = new(big.Int).SetUint64((m + 1<<(r-1)) >> r)
+		m, t = (m+1<<(r-1))>>r, 0
 	default:
 		// |x·2^shift| < 2^-10: rounds to zero (m < 2^53, r ≥ 64).
-		v = new(big.Int)
+		return nil
+	}
+	if m == 0 {
+		return nil
+	}
+	if bits.Len64(m)+t > c.modulus.BitLen() { // past p/2 before it is built
+		return ErrOverflow
+	}
+	if z.SetUint64(m).Lsh(z, uint(t)).Cmp(c.maxAbs) >= 0 {
+		return ErrOverflow
 	}
 	if x < 0 {
-		v.Neg(v)
+		z.Sub(c.modulus, z)
 	}
-	return v
+	return nil
 }
 
-// EncodeVec encodes a float vector at the base scale.
+// EncodeVec encodes a float vector at the base scale, element i as Encode
+// would, into one word backing: three allocations at any length. Each
+// element's slice is capped, so one that later grows moves instead of
+// overwriting its neighbour.
 func (c *Codec) EncodeVec(xs []float64) (field.Vec, error) {
+	w := len(c.modulus.Bits()) + 1
+	words := make([]big.Word, len(xs)*w)
+	ints := make([]big.Int, len(xs))
 	out := make(field.Vec, len(xs))
 	for i, x := range xs {
-		e, err := c.Encode(x)
-		if err != nil {
+		out[i] = ints[i].SetBits(words[i*w : i*w : (i+1)*w])
+		if err := c.encodePow2(out[i], x, int(c.fracBits)); err != nil {
 			return nil, fmt.Errorf("component %d: %w", i, err)
 		}
-		out[i] = e
 	}
 	return out, nil
 }
@@ -207,23 +197,4 @@ func (c *Codec) Sign(e *big.Int) (int, error) {
 		return 0, field.ErrNotInField
 	}
 	return c.f.Centered(e).Sign(), nil
-}
-
-// ratRound rounds a rational to the nearest integer, half away from zero.
-func ratRound(r *big.Rat) *big.Int {
-	num := new(big.Int).Set(r.Num())
-	den := r.Denom() // always positive
-	neg := num.Sign() < 0
-	if neg {
-		num.Neg(num)
-	}
-	q, rem := new(big.Int).QuoRem(num, den, new(big.Int))
-	rem.Lsh(rem, 1)
-	if rem.Cmp(den) >= 0 {
-		q.Add(q, big.NewInt(1))
-	}
-	if neg {
-		q.Neg(q)
-	}
-	return q
 }

@@ -1,6 +1,7 @@
 package fixedpoint_test
 
 import (
+	"errors"
 	"math"
 	"math/big"
 	"math/rand/v2"
@@ -239,10 +240,31 @@ func inRange(x float64) bool {
 	return !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9
 }
 
-// TestEncodePow2MatchesRatPath pins the mantissa-shift encode fast path
-// to the exact big.Rat reference across magnitudes, signs, and scales
-// (including non-power-of-two scales, which must take the slow path and
-// still agree with the reference).
+// ratRound is the exact reference encode before reduction: x·scale as a
+// big.Rat, rounded half away from zero.
+func ratRound(x float64, scale *big.Int) *big.Int {
+	r := new(big.Rat).SetFloat64(x)
+	r.Mul(r, new(big.Rat).SetInt(scale))
+	num := new(big.Int).Set(r.Num())
+	den := r.Denom()
+	neg := num.Sign() < 0
+	if neg {
+		num.Neg(num)
+	}
+	q, rem := new(big.Int).QuoRem(num, den, new(big.Int))
+	rem.Lsh(rem, 1)
+	if rem.Cmp(den) >= 0 {
+		q.Add(q, big.NewInt(1))
+	}
+	if neg {
+		q.Neg(q)
+	}
+	return q
+}
+
+// TestEncodePow2MatchesRatPath pins the mantissa-shift encode to the
+// exact big.Rat reference across magnitudes, signs, and power-of-two
+// scales, and checks that every other scale is refused.
 func TestEncodePow2MatchesRatPath(t *testing.T) {
 	f, err := field.NewFromHex(field.P25519Hex)
 	if err != nil {
@@ -253,22 +275,7 @@ func TestEncodePow2MatchesRatPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratEncode := func(x float64, scale *big.Int) *big.Int {
-		r := new(big.Rat).SetFloat64(x)
-		r.Mul(r, new(big.Rat).SetInt(scale))
-		num := new(big.Int).Set(r.Num())
-		den := r.Denom()
-		neg := num.Sign() < 0
-		if neg {
-			num.Neg(num)
-		}
-		q, rem := new(big.Int).QuoRem(num, den, new(big.Int))
-		rem.Lsh(rem, 1)
-		if rem.Cmp(den) >= 0 {
-			q.Add(q, big.NewInt(1))
-		}
-		if neg {
-			q.Neg(q)
-		}
+		q := ratRound(x, scale)
 		return q.Mod(q, f.Modulus())
 	}
 	scales := []*big.Int{
@@ -276,8 +283,11 @@ func TestEncodePow2MatchesRatPath(t *testing.T) {
 		new(big.Int).Lsh(big.NewInt(1), 1),
 		new(big.Int).Lsh(big.NewInt(1), 80),
 		big.NewInt(1),
-		big.NewInt(3), // not a power of two: slow path
-		big.NewInt(1000000),
+	}
+	for _, scale := range []*big.Int{big.NewInt(0), big.NewInt(-4), big.NewInt(3), big.NewInt(1000000)} {
+		if _, err := c.EncodeAtScale(1, scale); err == nil {
+			t.Fatalf("scale %v accepted", scale)
+		}
 	}
 	rng := rand.New(rand.NewPCG(11, 11))
 	values := []float64{0, 1, -1, 0.5, -0.5, 1.5e-20, -1.5e-20, 3.25e9, -3.25e9, 1e-40}
@@ -299,5 +309,133 @@ func TestEncodePow2MatchesRatPath(t *testing.T) {
 				t.Fatalf("x=%g scale=%s: got %s, want %s", x, scale, got, want)
 			}
 		}
+	}
+}
+
+// encodeVecCodecs returns the default codec and one over a small test
+// field, p = 2^61 − 1 at 20 fractional bits, whose centered range ends
+// below 2^60.
+func encodeVecCodecs(t *testing.T) []*fixedpoint.Codec {
+	t.Helper()
+	small, err := field.New(new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 61), big.NewInt(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := fixedpoint.NewCodec(small, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*fixedpoint.Codec{fixedpoint.Default(), c}
+}
+
+// encodeVecEdges returns signed zeros, subnormals, exact .5 ties at the
+// codec's scale, values that scale to 2^62, 2^63 and 2^64 and their
+// float neighbours, far overflows, NaN and ±Inf.
+func encodeVecEdges(c *fixedpoint.Codec) []float64 {
+	fb := int(c.FracBits())
+	xs := []float64{
+		0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, 0x1p-1022, math.Nextafter(0x1p-1022, 0),
+		1e75, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	for k := 0; k < 4; k++ {
+		xs = append(xs, math.Ldexp(float64(k)+0.5, -fb))
+	}
+	for _, e := range []int{62, 63, 64} {
+		x := math.Ldexp(1, e-fb)
+		xs = append(xs, x, math.Nextafter(x, 0), math.Nextafter(x, math.Inf(1)))
+	}
+	for _, x := range xs[:len(xs):len(xs)] {
+		if !math.IsNaN(x) && x != 0 {
+			xs = append(xs, -x)
+		}
+	}
+	return xs
+}
+
+// TestEncodeVecMatchesEncode checks EncodeVec element by element against
+// Encode — the same residue, or the same error — on the edge values, one
+// value at a time and all encodable values in one vector, on the default
+// field and a small one; and Encode against the exact big.Rat reference
+// and its error semantics.
+func TestEncodeVecMatchesEncode(t *testing.T) {
+	for _, c := range encodeVecCodecs(t) {
+		bits := c.Field().Bits()
+		p := c.Field().Modulus()
+		var ok []float64
+		var want []*big.Int
+		for _, x := range encodeVecEdges(c) {
+			e, err := c.Encode(x)
+			switch {
+			case math.IsNaN(x) || math.IsInf(x, 0):
+				if !errors.Is(err, fixedpoint.ErrNotFinite) {
+					t.Errorf("%d-bit field, x=%g: Encode error %v, want ErrNotFinite", bits, x, err)
+				}
+			case new(big.Int).Abs(ratRound(x, c.Scale())).Cmp(new(big.Int).Rsh(p, 1)) >= 0:
+				if !errors.Is(err, fixedpoint.ErrOverflow) {
+					t.Errorf("%d-bit field, x=%g: Encode error %v, want ErrOverflow", bits, x, err)
+				}
+			default:
+				ref := ratRound(x, c.Scale())
+				if err != nil || e.Cmp(ref.Mod(ref, p)) != 0 {
+					t.Errorf("%d-bit field, x=%g: Encode %v, %v, want %v", bits, x, e, err, ref)
+				}
+			}
+			vec, verr := c.EncodeVec([]float64{x})
+			switch {
+			case err != nil:
+				if verr == nil || !errors.Is(verr, err) {
+					t.Errorf("%d-bit field, x=%g: EncodeVec error %v, Encode error %v", bits, x, verr, err)
+				}
+				continue
+			case verr != nil:
+				t.Errorf("%d-bit field, x=%g: EncodeVec error %v, Encode %v", bits, x, verr, e)
+				continue
+			case vec[0].Cmp(e) != 0:
+				t.Errorf("%d-bit field, x=%g: EncodeVec %v, Encode %v", bits, x, vec[0], e)
+			}
+			ok, want = append(ok, x), append(want, e)
+		}
+		vec, err := c.EncodeVec(ok)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ok {
+			if vec[i].Cmp(want[i]) != 0 {
+				t.Errorf("%d-bit field, x=%g in a vector: EncodeVec %v, Encode %v", bits, ok[i], vec[i], want[i])
+			}
+		}
+		// Elements share one word backing: growing one must leave the
+		// next as it was.
+		huge := new(big.Int).Lsh(big.NewInt(1), 1024)
+		for i := 0; i+1 < len(vec); i++ {
+			vec[i].Add(vec[i], huge)
+			if vec[i+1].Cmp(want[i+1]) != 0 {
+				t.Errorf("%d-bit field: growing element %d changed the next to %v", bits, i, vec[i+1])
+			}
+		}
+	}
+}
+
+// TestEncodeVecAllocs pins EncodeVec's allocations to a count that does
+// not grow with the vector's length.
+func TestEncodeVecAllocs(t *testing.T) {
+	c := fixedpoint.Default()
+	rng := rand.New(rand.NewPCG(5, 5))
+	counts := map[int]float64{}
+	for _, n := range []int{8, 500} {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = (rng.Float64() - 0.5) * 1e3
+		}
+		counts[n] = testing.AllocsPerRun(20, func() {
+			if _, err := c.EncodeVec(xs); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if counts[8] != counts[500] || counts[500] > 3 {
+		t.Errorf("EncodeVec allocates %.0f at n = 8 and %.0f at n = 500, want the same, at most 3", counts[8], counts[500])
 	}
 }

@@ -45,7 +45,8 @@ const MaxRescaledNodes = 1 << 14
 // node is computed over ℤ on the constants' centered lifts and reduced
 // once, which is what lets a rescaled trie round it.
 // Evaluation is a nested Horner, node = c + Σ_{v ≥ last} z_v·child_v: one
-// multiplication per edge, and on math/big one reduction per inner node.
+// multiplication per edge and one reduction per inner node, on limb through
+// an unreduced limb.Sum.
 //
 // The kernel form evaluates the sum row by row: one dot product and a
 // Horner pass over c_s per row, |S|·(n+p) multiplications.
@@ -373,18 +374,18 @@ func (k *kernelTrie) evalLimb(z []limb.Element) limb.Element {
 }
 
 func (k *kernelTrie) evalNodeLimb(i int, z []limb.Element) limb.Element {
-	acc := k.lcoeffs[i]
-	var t limb.Element
+	var s limb.Sum
+	s.Add(&k.lcoeffs[i])
 	for j := i + 1; j < k.end[i]; j = k.end[j] {
 		if k.end[j] == j+1 {
-			t.Mul(&z[k.vars[j]], &k.lcoeffs[j])
+			s.MulAdd(&z[k.vars[j]], &k.lcoeffs[j])
 		} else {
 			c := k.evalNodeLimb(j, z)
-			t.Mul(&z[k.vars[j]], &c)
+			s.MulAdd(&z[k.vars[j]], &c)
 		}
-		acc.Add(&acc, &t)
 	}
-	return acc
+	var v limb.Element
+	return *s.Reduce(&v)
 }
 
 // kernelForm is the row-by-row form. It shares the caller's rows and
@@ -449,13 +450,14 @@ func (k *kernelForm) eval(z field.Vec) *big.Int {
 
 func (k *kernelForm) evalLimb(z []limb.Element) limb.Element {
 	acc := k.lbias
-	var u, h, t limb.Element
+	var u, h limb.Element
 	for s, row := range k.lrows {
-		u = k.lb0
+		var dot limb.Sum
+		dot.Add(&k.lb0)
 		for i := range row {
-			t.Mul(&row[i], &z[i])
-			u.Add(&u, &t)
+			dot.MulAdd(&row[i], &z[i])
 		}
+		dot.Reduce(&u)
 		c := k.lcoeffs[s]
 		h = c[len(c)-1]
 		for j := len(c) - 2; j >= 0; j-- {

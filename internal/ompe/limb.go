@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 	"sync"
 
 	"repro/internal/field"
@@ -41,9 +42,13 @@ func (p Params) limbBackend() bool { return p.Field.SupportsLimb() }
 // newReceiverLimb is the limb-engine half of NewReceiver: same construction
 // and rng draw order (covers, points, subset, decoys in pair order; genuine
 // cover evaluations in the parallel region), emitting the same request
-// records.
+// records. Cover i is g_i(v) = t_i + Σ_{l=1..q} a_{i,l}·v^l: all n·q
+// coefficients come from one read, cover by cover in ascending degree (the
+// bytes of one Rand each; a zero leading one, probability ≈ 2^-250, is
+// redrawn after them), and a genuine record sums each coordinate's q
+// products over one power table of its point, reduced once.
 func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, *EvalRequest, error) {
-	n := len(input)
+	n, q := len(input), params.MaskDegree
 	lin := make([]limb.Element, n)
 	for i, x := range input {
 		if err := lin[i].SetBig(x); err != nil {
@@ -52,13 +57,19 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 	}
 
 	maskSpan := obs.Start(obs.PhaseReceiverMask)
-	covers := make([]*poly.LimbPoly, n)
-	for i := range lin {
-		g, err := poly.RandomLimb(rng, params.MaskDegree, &lin[i])
-		if err != nil {
-			return nil, nil, err
+	covers := make([]limb.Element, n*q)
+	if err := limb.RandElements(rng, covers); err != nil {
+		return nil, nil, err
+	}
+	for i := q - 1; i < len(covers); i += q {
+		if covers[i].IsZero() {
+			if err := covers[i].RandNonZero(rng); err != nil {
+				return nil, nil, err
+			}
 		}
-		covers[i] = g
+	}
+	if coverTrace != nil {
+		coverTrace(covers)
 	}
 	maskSpan.End()
 
@@ -95,15 +106,26 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 			}
 		}
 	}
+	powers := make([]limb.Element, total*q)
 	_ = parallel.For(total, func(i int) error {
 		if !isGenuine[i] {
 			return nil
 		}
 		rec := packed[i*stride : (i+1)*stride]
+		pow := powers[i*q : (i+1)*q]
+		pow[0] = points[i]
+		for l := 1; l < q; l++ {
+			pow[l].Mul(&pow[l-1], &points[i])
+		}
 		var y limb.Element
-		for j, g := range covers {
-			g.EvalInto(&y, &points[i])
-			y.PutBytes(rec[(1+j)*limb.ElementLen : (2+j)*limb.ElementLen])
+		for j := range lin {
+			var s limb.Sum
+			s.Add(&lin[j])
+			a := covers[j*q : (j+1)*q]
+			for l := range a {
+				s.MulAdd(&a[l], &pow[l])
+			}
+			s.Reduce(&y).PutBytes(rec[(1+j)*limb.ElementLen : (2+j)*limb.ElementLen])
 		}
 		return nil
 	})
@@ -117,23 +139,31 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 	return r, &EvalRequest{Packed: packed}, nil
 }
 
-// distinctNonZeroLimb samples n distinct non-zero limb elements. n is a
-// few dozen at most, so a linear rescan beats allocating and hashing a
-// dedup map on every query.
+// coverTrace, when set, sees every sample's cover coefficients, a_{i,1..q}
+// cover by cover, as soon as they are drawn. Tests set it to check that no
+// two samples share a cover; when nil it costs one comparison.
+var coverTrace func(coeffs []limb.Element)
+
+// distinctNonZeroLimb samples n distinct non-zero limb elements, n in one
+// read and then one at a time for any zero or repeat: the bytes and result
+// of one RandNonZero per element. n is a few dozen at most, so a linear
+// rescan beats allocating and hashing a dedup map on every query.
 func distinctNonZeroLimb(n int, rng io.Reader) ([]limb.Element, error) {
-	out := make([]limb.Element, 0, n)
-	var x limb.Element
-sample:
-	for len(out) < n {
-		if err := x.RandNonZero(rng); err != nil {
+	drawn := make([]limb.Element, n)
+	if err := limb.RandElements(rng, drawn); err != nil {
+		return nil, err
+	}
+	out := drawn[:0] // out never passes the draw it is filled from
+	for i := 0; len(out) < n; i++ {
+		var x limb.Element
+		if i < n {
+			x = drawn[i]
+		} else if err := x.Rand(rng); err != nil {
 			return nil, err
 		}
-		for i := range out {
-			if out[i] == x {
-				continue sample
-			}
+		if !x.IsZero() && !slices.Contains(out, x) {
+			out = append(out, x)
 		}
-		out = append(out, x)
 	}
 	return out, nil
 }

@@ -1,9 +1,13 @@
 package ompe
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
+	"fmt"
 	"math/big"
+	mrand "math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -11,6 +15,7 @@ import (
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
+	"repro/internal/poly"
 )
 
 func limbParams(t *testing.T, polyDegree int) Params {
@@ -272,5 +277,178 @@ func TestSenderRefusesOtherFieldsRequestForm(t *testing.T) {
 				t.Fatalf("err = %v, want ErrBadRequest", err)
 			}
 		})
+	}
+}
+
+// TestLimbReceiverMatchesPerCoordinateCovers rebuilds a limb request from
+// the same rng stream the reference way — one RandomLimb cover per
+// coordinate evaluated by Horner — and wants NewReceiver's bytes, for
+// several mask degrees and a madelon-width input.
+func TestLimbReceiverMatchesPerCoordinateCovers(t *testing.T) {
+	f := field.Default()
+	for _, q := range []int{1, 2, 3} {
+		for _, n := range []int{1, 8, 500} {
+			params := limbParams(t, 1)
+			params.MaskDegree = q
+			input := make(field.Vec, n)
+			for i := range input {
+				input[i] = f.FromInt64(int64(7*i - 900))
+			}
+			seed := fmt.Sprintf("ompe-limb-covers-%d-%d", q, n)
+			_, req, err := NewReceiver(params, input, newDetReader(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			rng := newDetReader(seed)
+			covers := make([]*poly.LimbPoly, n)
+			for i, x := range input {
+				var t0 limb.Element
+				if err := t0.SetBig(x); err != nil {
+					t.Fatal(err)
+				}
+				if covers[i], err = poly.RandomLimb(rng, q, &t0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			total := params.TotalPairs()
+			points, err := distinctNonZeroLimb(total, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			genuine, err := randomSubset(total, params.GenuineCount(), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stride := (1 + n) * limb.ElementLen
+			want := make([]byte, total*stride)
+			for i := 0; i < total; i++ {
+				rec := want[i*stride : (i+1)*stride]
+				points[i].PutBytes(rec)
+				if !slices.Contains(genuine, i) {
+					if err := limb.RandBytes(rng, rec[limb.ElementLen:]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			for _, i := range genuine {
+				for j, g := range covers {
+					var y limb.Element
+					g.EvalInto(&y, &points[i])
+					y.PutBytes(want[i*stride+(1+j)*limb.ElementLen:])
+				}
+			}
+			if !bytes.Equal(req.Packed, want) {
+				t.Errorf("q=%d n=%d: request differs from per-coordinate covers", q, n)
+			}
+		}
+	}
+}
+
+// TestNewReceiverAllocs pins the limb receiver's allocations: the covers
+// are drawn into one buffer and evaluated without a per-coordinate
+// polynomial, so the count does not grow with n.
+func TestNewReceiverAllocs(t *testing.T) {
+	f := field.Default()
+	params := limbParams(t, 1)
+	rng := mrand.NewChaCha8([32]byte{1})
+	counts := map[int]float64{}
+	for _, n := range []int{8, 500} {
+		input := make(field.Vec, n)
+		for i := range input {
+			input[i] = f.FromInt64(int64(i))
+		}
+		counts[n] = testing.AllocsPerRun(20, func() {
+			if _, _, err := NewReceiver(params, input, rng); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	t.Logf("NewReceiver allocates %.0f at n = 8 and n = 500", counts[500])
+	if counts[8] != counts[500] {
+		t.Errorf("NewReceiver allocates %.0f at n = 8 and %.0f at n = 500, want the same", counts[8], counts[500])
+	}
+}
+
+// TestCoverCoefficientsFresh draws B covers of one sample in a batch, on
+// three consecutive batches in flight on one session, at one and four
+// workers, under the coverTrace tap: every sample's coefficient vector
+// must be new.
+func TestCoverCoefficientsFresh(t *testing.T) {
+	f := field.Default()
+	params := limbParams(t, 1)
+	w := field.Vec{f.FromInt64(2), f.FromInt64(-3), f.FromInt64(5)}
+	p, err := mvpoly.NewLinear(f, w, f.FromInt64(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const B, batches = 8, 3
+	sample := field.Vec{f.FromInt64(4), f.FromInt64(4), f.FromInt64(-1)}
+	inputs := make([]field.Vec, B)
+	for i := range inputs {
+		inputs[i] = sample
+	}
+	for _, procs := range []int{1, 4} {
+		paralleltest.SetProcs(t, procs)
+		_, receiver, err := NewSession(params, p, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen := map[string]bool{}
+		calls := 0
+		coverTrace = func(coeffs []limb.Element) {
+			calls++
+			var key []byte
+			for i := range coeffs {
+				key = append(key, coeffs[i].Bytes()...)
+			}
+			seen[string(key)] = true
+		}
+		for b := 0; b < batches; b++ {
+			if _, _, err := receiver.NewBatch(inputs, rand.Reader); err != nil {
+				coverTrace = nil
+				t.Fatal(err)
+			}
+		}
+		coverTrace = nil
+		if calls != B*batches || len(seen) != calls {
+			t.Errorf("procs=%d: %d distinct cover vectors in %d samples, want %d of each", procs, len(seen), calls, B*batches)
+		}
+	}
+}
+
+// TestDistinctNonZeroLimbRejects feeds distinctNonZeroLimb a stream with a
+// zero (p, which reduces to 0) and a repeat among its first n slots: it
+// must skip both and take the next draws, as one RandNonZero per element
+// with a rescan would.
+func TestDistinctNonZeroLimbRejects(t *testing.T) {
+	const n = 5
+	seed := make([]byte, (n+2)*limb.ElementLen)
+	if _, err := rand.Read(seed); err != nil {
+		t.Fatal(err)
+	}
+	limb.Modulus().FillBytes(seed[limb.ElementLen : 2*limb.ElementLen])
+	copy(seed[3*limb.ElementLen:4*limb.ElementLen], seed[2*limb.ElementLen:3*limb.ElementLen])
+	rng := bytes.NewReader(seed)
+	got, err := distinctNonZeroLimb(n, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rng.Len() != 0 {
+		t.Fatalf("%d rng bytes left unread, want 0", rng.Len())
+	}
+	var want []limb.Element
+	ref := bytes.NewReader(seed)
+	for len(want) < n {
+		var x limb.Element
+		if err := x.RandNonZero(ref); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Contains(want, x) {
+			want = append(want, x)
+		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatal("distinctNonZeroLimb differs from one RandNonZero per element")
 	}
 }

@@ -9,44 +9,29 @@ import (
 )
 
 // LimbPoly is a univariate polynomial over the 2^255−19 field with
-// fixed-width limb coefficients. It is the limb-engine counterpart of
-// Poly: coefficients are stored by value in ascending degree order, so
-// construction performs the only allocations and evaluation is
-// allocation-free. The zero polynomial has an empty coefficient slice.
+// fixed-width limb coefficients, the limb-engine form of the sender's
+// masking polynomial h. RandomLimb builds it; coefficients are stored by
+// value in ascending degree order, so construction performs the only
+// allocations and evaluation is allocation-free.
 type LimbPoly struct {
 	coeffs []limb.Element
 }
 
-// NewLimb constructs a polynomial from ascending-degree coefficients,
-// copying the slice and trimming leading zeros.
-func NewLimb(coeffs []limb.Element) *LimbPoly {
-	n := len(coeffs)
-	for n > 0 && coeffs[n-1].IsZero() {
-		n--
-	}
-	cs := make([]limb.Element, n)
-	copy(cs, coeffs[:n])
-	return &LimbPoly{coeffs: cs}
-}
-
 // RandomLimb returns a uniform polynomial of exactly the given degree (its
 // leading coefficient is non-zero) with the prescribed value at x=0. The
-// rng draw order mirrors Random: constant term fixed, then the middle
-// coefficients in ascending order, then the leading coefficient — one
-// fixed-width 32-byte draw per coefficient, so the stream position after a
-// call is input-independent.
+// rng draw order mirrors Random: coefficients 1..degree in ascending order,
+// in one read of 32 bytes each, so the stream position after a call is
+// input-independent; a zero leading coefficient is drawn again.
 func RandomLimb(rng io.Reader, degree int, valueAtZero *limb.Element) (*LimbPoly, error) {
 	if degree < 0 {
 		return nil, fmt.Errorf("poly: negative degree %d", degree)
 	}
 	coeffs := make([]limb.Element, degree+1)
 	coeffs[0].Set(valueAtZero)
-	for i := 1; i < degree; i++ {
-		if err := coeffs[i].Rand(rng); err != nil {
-			return nil, err
-		}
+	if err := limb.RandElements(rng, coeffs[1:]); err != nil {
+		return nil, err
 	}
-	if degree >= 1 {
+	if degree >= 1 && coeffs[degree].IsZero() {
 		if err := coeffs[degree].RandNonZero(rng); err != nil {
 			return nil, err
 		}
@@ -54,23 +39,15 @@ func RandomLimb(rng io.Reader, degree int, valueAtZero *limb.Element) (*LimbPoly
 	return &LimbPoly{coeffs: coeffs}, nil
 }
 
-// Degree returns the degree of p, with -1 for the zero polynomial.
+// Degree returns the degree of p.
 func (p *LimbPoly) Degree() int { return len(p.coeffs) - 1 }
 
-// Coeff copies the coefficient of x^i into out (zero beyond the degree).
-func (p *LimbPoly) Coeff(i int, out *limb.Element) {
-	if i < 0 || i >= len(p.coeffs) {
-		out.SetZero()
-		return
-	}
-	out.Set(&p.coeffs[i])
-}
-
-// EvalInto evaluates p at x by Horner's rule into out. out and x may
-// alias. It allocates nothing.
+// EvalInto evaluates p at x by Horner's rule into out, starting from the
+// leading coefficient: degree multiplications. out and x may alias. It
+// allocates nothing.
 func (p *LimbPoly) EvalInto(out, x *limb.Element) {
-	var acc limb.Element
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
+	acc := p.coeffs[len(p.coeffs)-1]
+	for i := len(p.coeffs) - 2; i >= 0; i-- {
 		acc.Mul(&acc, x)
 		acc.Add(&acc, &p.coeffs[i])
 	}
@@ -168,14 +145,13 @@ func (ip *LimbInterpolator) AtZeroBatch(samples []LimbNodes, out []limb.Element)
 	off = 0
 	for s, sm := range samples {
 		n := len(sm.Xs)
-		acc := &out[s]
-		acc.SetZero()
+		var acc limb.Sum
 		for j := 0; j < n; j++ {
 			t.Mul(&ip.pre[off+j], &ip.suf[off+j])
 			t.Mul(&t, &ip.den[off+j])
-			t.Mul(&t, &sm.Ys[j])
-			acc.Add(acc, &t)
+			acc.MulAdd(&t, &sm.Ys[j])
 		}
+		acc.Reduce(&out[s])
 		off += n
 	}
 	return nil

@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math/big"
@@ -41,7 +42,7 @@ func TestLimbPolyEvalMatchesBig(t *testing.T) {
 		for i := range cs {
 			big[i] = cs[i].ToBig()
 		}
-		lp := NewLimb(cs)
+		lp := &LimbPoly{coeffs: cs}
 		bp := New(f, big)
 		for trial := 0; trial < 8; trial++ {
 			var x, got limb.Element
@@ -57,28 +58,44 @@ func TestLimbPolyEvalMatchesBig(t *testing.T) {
 	}
 }
 
-func TestNewLimbTrimsAndCopies(t *testing.T) {
-	cs := make([]limb.Element, 4)
-	cs[0].SetUint64(7)
-	cs[1].SetUint64(9)
-	p := NewLimb(cs)
-	if p.Degree() != 1 {
-		t.Fatalf("degree = %d, want 1 after trim", p.Degree())
-	}
-	cs[1].SetUint64(1) // mutating the input must not affect the poly
-	var c limb.Element
-	p.Coeff(1, &c)
-	var want limb.Element
-	want.SetUint64(9)
-	if !c.Equal(&want) {
-		t.Fatal("NewLimb did not copy coefficients")
-	}
-	p.Coeff(5, &c)
-	if !c.IsZero() {
-		t.Fatal("Coeff beyond degree not zero")
-	}
-	if NewLimb(nil).Degree() != -1 {
-		t.Fatal("zero polynomial degree")
+// TestRandomLimbDrawOrder pins RandomLimb's one-read draw to one Rand per
+// coefficient in ascending degree, and a zero leading coefficient — the
+// last slot set to p, which reduces to 0 — to a redraw from the bytes
+// that follow.
+func TestRandomLimbDrawOrder(t *testing.T) {
+	const deg = 3
+	var v limb.Element
+	v.SetUint64(5)
+	for _, zeroTop := range []bool{false, true} {
+		seed := make([]byte, (deg+1)*limb.ElementLen)
+		if _, err := rand.Read(seed); err != nil {
+			t.Fatal(err)
+		}
+		if zeroTop {
+			limb.Modulus().FillBytes(seed[(deg-1)*limb.ElementLen : deg*limb.ElementLen])
+		}
+		p, err := RandomLimb(bytes.NewReader(seed), deg, &v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := bytes.NewReader(seed)
+		want := []limb.Element{v}
+		for i := 1; i <= deg; i++ {
+			var c limb.Element
+			draw := c.Rand
+			if i == deg {
+				draw = c.RandNonZero
+			}
+			if err := draw(ref); err != nil {
+				t.Fatal(err)
+			}
+			want = append(want, c)
+		}
+		for i, w := range want {
+			if c := p.coeffs[i]; c != w {
+				t.Errorf("zeroTop=%v: coefficient %d is %x, want %x", zeroTop, i, c.Bytes(), w.Bytes())
+			}
+		}
 	}
 }
 
