@@ -1,8 +1,9 @@
 # Tier-1 gate (see DESIGN.md §7): vet + build + race-clean tests + a
 # one-shot smoke run of the worker-count sweeps (at one and two workers,
-# via -cpu), of the two x25519 micro-benchmarks the OT group work is
-# sized with, of the limb-field and curve kernels under them (the limb
-# dot product through limb.Sum among them), of the decision-function sum
+# via -cpu), of the two OT micro-benchmarks the group work is sized
+# with (the x25519 base phase and the similarity k-of-n shapes), of the
+# limb-field and curve kernels under them (the limb dot product through
+# limb.Sum among them), of the decision-function sum
 # in its two forms, and of one kernelized similarity evaluation, then a
 # run of every example program. fuzz-smoke runs the fuzz targets briefly
 # (CI runs it as a separate job).
@@ -20,13 +21,26 @@ build:
 test:
 	go test -race ./...
 
+# SMOKE defines the shell function each bench-smoke line runs:
+# `smoke FLAGS PKG NAME...` runs a one-shot `go test -bench='^(NAME|...)$'`
+# with FLAGS on PKG, echoes its output, and fails when the test binary
+# fails or when any NAME prints no result line — a -bench pattern that
+# matches nothing exits 0 on its own, so a renamed or dropped benchmark
+# would otherwise hollow the gate out silently.
+SMOKE = smoke() { flags=$$1; pkg=$$2; shift 2; pat=$$(echo "$$*" | tr ' ' '|'); \
+	out=$$(go test -run='^$$' -benchtime=1x -bench="^($$pat)$$" $$flags "$$pkg") || { echo "$$out"; return 1; }; \
+	echo "$$out"; for name in "$$@"; do echo "$$out" | grep -qE "^$$name([-/[:space:]]|$$)" || \
+	{ echo "bench-smoke: $$name printed no result in $$pkg" >&2; return 1; }; done; }
+
 bench-smoke:
-	go test -run='^$$' -bench=Parallelism -cpu 1,2 -benchtime=1x ./...
-	go test -run='^$$' -bench='^(BenchmarkIKNPBase|BenchmarkKofN)$$/^x25519$$' -benchtime=1x ./internal/ot
-	go test -run='^$$' -bench='^(BenchmarkLimbMul|BenchmarkLimbSquare|BenchmarkLimbInv|BenchmarkLimbDot)$$' -benchtime=1x ./internal/field/limb
-	go test -run='^$$' -bench='^(BenchmarkScalarMult|BenchmarkScalarBaseMult)$$' -benchtime=1x ./internal/ec25519
-	go test -run='^$$' -bench='^BenchmarkKernelSumEval$$' -benchtime=1x ./internal/mvpoly
-	go test -run='^$$' -bench='^BenchmarkKernelSimilarity$$' -benchtime=1x ./internal/similarity
+	@$(SMOKE) && \
+	smoke '-cpu 1,2' ./... BenchmarkParallelism_OMPEEndToEnd \
+		BenchmarkParallelism_MaskedEvaluations BenchmarkParallelism_PrivateNonlinearQuery && \
+	smoke '' ./internal/ot BenchmarkIKNPBase BenchmarkKofN && \
+	smoke '' ./internal/field/limb BenchmarkLimbMul BenchmarkLimbSquare BenchmarkLimbInv BenchmarkLimbDot && \
+	smoke '' ./internal/ec25519 BenchmarkScalarMult BenchmarkScalarBaseMult && \
+	smoke '' ./internal/mvpoly BenchmarkKernelSumEval && \
+	smoke '' ./internal/similarity BenchmarkKernelSimilarity
 
 # examples builds and runs each program under examples/ (each well under
 # a second on a 2-core host) and fails on the first non-zero exit.

@@ -4,10 +4,6 @@ package ppdc_test
 // DESIGN.md §4 for the experiment index) plus ablations over the design
 // choices. `go test -bench=. -benchmem` runs them all; cmd/ppdc-bench
 // prints the corresponding tables/series.
-//
-// Protocol benches use the 512-bit toy OT group so a full sweep stays
-// tractable; BenchmarkAblation_OTGroupBits quantifies what production
-// groups cost instead.
 
 import (
 	"crypto/rand"
@@ -23,7 +19,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/field"
 	"repro/internal/ompe"
-	"repro/internal/ot"
 	"repro/internal/paillier"
 	"repro/internal/similarity"
 	"repro/internal/svm"
@@ -97,9 +92,6 @@ func (f *fixtures) build() error {
 
 func benchTrainer(b *testing.B, model *ppdc.Model, params classify.Params) (*classify.Trainer, *classify.Client) {
 	b.Helper()
-	if params.Group == nil {
-		params.Group = ot.Group512Test()
-	}
 	trainer, err := classify.NewTrainer(model, params)
 	if err != nil {
 		b.Fatal(err)
@@ -139,7 +131,7 @@ func BenchmarkTable1_TrainPolynomial(b *testing.B) {
 // --- Fig. 5: the collusion attack's cost per estimation attempt. ---
 
 func BenchmarkFig5_ModelEstimation(b *testing.B) {
-	opts := experiments.Options{Seed: 1, Group: ot.Group512Test()}
+	opts := experiments.Options{Seed: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.Fig5(opts, []int{10}); err != nil {
@@ -264,7 +256,7 @@ func BenchmarkTable2_PrivateSimilarity(b *testing.B) {
 		}
 		models[i] = lin{w: w, c: m.Bias}
 	}
-	params := similarity.Params{Group: ot.Group512Test()}
+	params := similarity.Params{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := similarity.EvaluatePrivate(models[0].w, models[0].c, models[1].w, models[1].c, params, rand.Reader); err != nil {
@@ -293,7 +285,7 @@ func BenchmarkFig10_PrivateSimilarity(b *testing.B) {
 		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
 			w1, c1 := planeForDim(dim, 1)
 			w2, c2 := planeForDim(dim, 2)
-			params := similarity.Params{Group: ot.Group512Test()}
+			params := similarity.Params{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := similarity.EvaluatePrivate(w1, c1, w2, c2, params, rand.Reader); err != nil {
@@ -378,25 +370,6 @@ func BenchmarkAblation_CoverFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkAblation_OTGroupBits prices the oblivious transfer's security
-// level.
-func BenchmarkAblation_OTGroupBits(b *testing.B) {
-	f := setup(b)
-	sample := f.diabetesTest.X[0]
-	groups := []ot.Group{ot.Group512Test(), ot.Group1024(), ot.Group1536(), ot.Group2048()}
-	for _, g := range groups {
-		b.Run(g.Name(), func(b *testing.B) {
-			trainer, client := benchTrainer(b, f.linModel, classify.Params{Group: g})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := classify.ClassifyWith(trainer, client, sample, rand.Reader); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_PaillierBaseline prices the Rahulamathavan-style
 // homomorphic baseline the paper dismisses, per query, against our OMPE
 // per-query cost (BenchmarkFig7_PrivateLinearQuery).
@@ -443,7 +416,7 @@ func BenchmarkOMPE_Primitive(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	params := ompe.Params{Field: fld, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2, Group: ot.Group512Test()}
+	params := ompe.Params{Field: fld, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2}
 	input, err := fld.RandVec(rand.Reader, 8)
 	if err != nil {
 		b.Fatal(err)
@@ -483,7 +456,6 @@ func parallelismSweepParams(fld *field.Field) ompe.Params {
 		PolyDegree:  2,
 		MaskDegree:  2,
 		CoverFactor: 100, // M = 500
-		Group:       ot.Group512Test(),
 	}
 }
 

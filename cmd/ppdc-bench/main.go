@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/ot"
 )
 
 // experimentTable is the one list of experiments: dispatch, the usage
@@ -79,7 +78,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("ppdc-bench", flag.ContinueOnError)
 	var (
 		seed      = fs.Uint64("seed", 1, "deterministic data seed")
-		group     = fs.String("group", "512", "OT group: 512 (toy/fast), 1024, 1536, 2048, x25519")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the experiment to this file")
 		memProf   = fs.String("memprofile", "", "write an allocation profile (after the experiment) to this file")
 		quick     = fs.Bool("quick", false, "subsample protocol-heavy experiments")
@@ -112,13 +110,8 @@ func run(args []string) error {
 	if len(selected) == 0 {
 		return fmt.Errorf("unknown experiment %q (want one of: %s)", name, experimentNames(false))
 	}
-	g, err := ot.GroupByName(*group)
-	if err != nil {
-		return err
-	}
 	opts := experiments.Options{
 		Seed:      *seed,
-		Group:     g,
 		Quick:     *quick,
 		FullScale: *fullScale,
 	}
@@ -398,9 +391,6 @@ func runAblations(opts experiments.Options) error {
 		}},
 		{"Cover factor k (decoy multiplier)", func() ([]experiments.AblationRow, error) {
 			return experiments.AblationCoverFactor(opts, nil)
-		}},
-		{"OT group size", func() ([]experiments.AblationRow, error) {
-			return experiments.AblationOTGroup(opts)
 		}},
 		{"Nonlinear evaluation form", func() ([]experiments.AblationRow, error) {
 			return experiments.AblationModes(opts)

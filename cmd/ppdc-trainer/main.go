@@ -6,7 +6,7 @@
 // Usage:
 //
 //	ppdc-trainer [-addr :7707] [-dataset diabetes] [-kernel linear|poly] \
-//	             [-data file.libsvm] [-group 2048] [-seed 1] \
+//	             [-data file.libsvm] [-seed 1] \
 //	             [-max-sessions 0] [-msg-deadline 2m] [-drain-timeout 30s] \
 //	             [-metrics-addr 127.0.0.1:7708]
 //
@@ -37,7 +37,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/registry"
 	"repro/internal/similarity"
 	"repro/internal/svm"
@@ -58,7 +57,6 @@ func run(args []string) error {
 		dsName     = fs.String("dataset", "diabetes", "synthetic dataset to train on (see catalog)")
 		dataFile   = fs.String("data", "", "train on a LIBSVM-format file instead of synthetic data")
 		kernelName = fs.String("kernel", "linear", "kernel: linear or poly")
-		groupName  = fs.String("group", "2048", "OT group: 512 (toy), 1024, 1536, 2048, x25519")
 		resume     = fs.Bool("resume", true, "mint session resumption tickets for clients that offer them; false declines every offer and ticket (those clients fall back to full handshakes)")
 		seed       = fs.Uint64("seed", 1, "synthetic data seed")
 		c          = fs.Float64("C", 0, "soft-margin penalty (0 = dataset default)")
@@ -86,11 +84,6 @@ func run(args []string) error {
 		defer func() { _ = msrv.Close() }()
 		log.Printf("metrics and pprof on http://%s/metrics", maddr)
 	}
-	group, err := ot.GroupByName(*groupName)
-	if err != nil {
-		return err
-	}
-
 	var model *svm.Model
 	if *loadModel != "" {
 		f, err := os.Open(*loadModel)
@@ -148,7 +141,7 @@ func run(args []string) error {
 	// Serve through a version registry: the boot model is version 1, and
 	// SIGHUP republishes -load-model as the next version without dropping
 	// in-flight sessions.
-	modelReg := registry.New(classify.Params{Group: group})
+	modelReg := registry.New(classify.Params{})
 	boot, err := modelReg.Publish(model)
 	if err != nil {
 		return err
@@ -166,15 +159,15 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		srv.EnableSimilarity(w, model.Bias, similarity.Params{Group: group})
+		srv.EnableSimilarity(w, model.Bias, similarity.Params{})
 		log.Printf("similarity service enabled")
 	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
-	log.Printf("serving privacy-preserving classification on %s (OT group %s, %d-bit field)",
-		ln.Addr(), group.Name(), boot.Trainer.Spec().FieldBits)
+	log.Printf("serving privacy-preserving classification on %s (x25519 OT group, %d-bit field)",
+		ln.Addr(), boot.Trainer.Spec().FieldBits)
 
 	// Hot-reload on SIGHUP: republish -load-model as the next version.
 	// In-flight sessions drain on the version they started with; only the

@@ -42,13 +42,10 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run([]string{"-kernel", "mystery", "-addr", "127.0.0.1:0", "-dataset", "diabetes"}); err == nil {
 		t.Fatal("unknown kernel should fail")
 	}
-	if err := run([]string{"-group", "9999"}); err == nil {
-		t.Fatal("unknown group should fail")
-	}
-	// The unknown group keeps the call from training and serving should
-	// the removed flag ever parse again.
-	for _, removed := range []string{"-pad=sha256", "-field-backend=limb"} {
-		if err := run([]string{removed, "-group", "9999"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+	// The unknown kernel keeps the call from serving should a removed
+	// flag ever parse again.
+	for _, removed := range []string{"-group=2048", "-pad=sha256", "-field-backend=limb"} {
+		if err := run([]string{removed, "-kernel", "mystery", "-addr", "127.0.0.1:0"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
 			t.Fatalf("removed flag %s: got %v, want an undefined-flag error", removed, err)
 		}
 	}

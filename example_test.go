@@ -17,7 +17,7 @@ func ExampleClassify() {
 		fmt.Println("train:", err)
 		return
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup512Test()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		fmt.Println("trainer:", err)
 		return
@@ -37,7 +37,7 @@ func ExampleClassify() {
 func ExampleEvaluateSimilarityPrivate() {
 	w := []float64{0.8, -0.6}
 	res, err := ppdc.EvaluateSimilarityPrivate(w, 0.1, w, 0.1,
-		ppdc.SimilarityParams{Group: ppdc.OTGroup512Test()}, rand.Reader)
+		ppdc.SimilarityParams{}, rand.Reader)
 	if err != nil {
 		fmt.Println("similarity:", err)
 		return

@@ -49,7 +49,7 @@ func run() error {
 	}
 
 	// --- Part 1: a seller privately tests a design against A's trend. ---
-	trainerA, err := ppdc.NewTrainer(modelA, ppdc.ClassifyParams{Group: ppdc.OTGroup1024()})
+	trainerA, err := ppdc.NewTrainer(modelA, ppdc.ClassifyParams{})
 	if err != nil {
 		return err
 	}
@@ -67,7 +67,7 @@ func run() error {
 
 	// --- Part 2: the consortium privately evaluates market similarity.
 	// Every pair runs the three-round protocol; nobody reveals a model. ---
-	params := ppdc.SimilarityParams{Group: ppdc.OTGroup1024()}
+	params := ppdc.SimilarityParams{}
 	models := []*ppdc.Model{modelA, modelB, modelC}
 	names := []string{"A", "B", "C"}
 	matrix, err := ppdc.SimilarityMatrix(models, params, rand.Reader)

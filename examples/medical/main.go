@@ -48,8 +48,7 @@ func run() error {
 		model.NumSupportVectors(), acc*100)
 
 	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{
-		Mode:  ppdc.ModeDirect, // the paper's kernel-form oblivious evaluation
-		Group: ppdc.OTGroup1024(),
+		Mode: ppdc.ModeDirect, // the paper's kernel-form oblivious evaluation
 	})
 	if err != nil {
 		return err

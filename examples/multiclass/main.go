@@ -47,7 +47,7 @@ func run() error {
 	fmt.Printf("bureau trained %d-class risk model (%d pairwise SVMs, %.1f%% training accuracy)\n",
 		len(model.Classes), len(model.Pairs), acc*100)
 
-	trainer, err := ppdc.NewMulticlassTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup1024()})
+	trainer, err := ppdc.NewMulticlassTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		return err
 	}

@@ -76,7 +76,7 @@ func runTrainer(addr string) error {
 	if err != nil {
 		return err
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup1024()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		return err
 	}
@@ -85,7 +85,7 @@ func runTrainer(addr string) error {
 	if err != nil {
 		return err
 	}
-	srv.EnableSimilarity(w, model.Bias, ppdc.SimilarityParams{Group: ppdc.OTGroup1024()})
+	srv.EnableSimilarity(w, model.Bias, ppdc.SimilarityParams{})
 	log.Printf("trainer listening on %s", addr)
 	return ppdc.Serve(srv, addr)
 }
@@ -121,7 +121,7 @@ func runDemo() error {
 	if err != nil {
 		return err
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup1024()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		return err
 	}

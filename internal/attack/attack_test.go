@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/attack"
 	"repro/internal/classify"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
@@ -149,7 +148,6 @@ func TestOffsetError(t *testing.T) {
 func TestUnamplifiedProtocolLeaksModel(t *testing.T) {
 	model, w := trainLine(t)
 	trainer, err := classify.NewTrainer(model, classify.Params{
-		Group:                 ot.Group512Test(),
 		InsecureUnitAmplifier: true,
 	})
 	if err != nil {
@@ -185,7 +183,7 @@ func TestUnamplifiedProtocolLeaksModel(t *testing.T) {
 // amplifiers must NOT recover the direction.
 func TestAmplifiedProtocolDefeatsExactRecovery(t *testing.T) {
 	model, w := trainLine(t)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +224,7 @@ func TestAmplifiedProtocolDefeatsExactRecovery(t *testing.T) {
 
 func TestRunCollusion(t *testing.T) {
 	model, w := trainLine(t)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

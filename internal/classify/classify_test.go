@@ -11,16 +11,14 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/kernel"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
-// fastParams keeps protocol tests quick: toy OT group, small masking.
+// fastParams keeps protocol tests quick: small masking.
 func fastParams() classify.Params {
 	return classify.Params{
 		MaskDegree:  2,
 		CoverFactor: 2,
-		Group:       ot.Group512Test(),
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 // published Spec.
 type Client struct {
 	spec     Spec
+	params   ompe.Params
 	codec    *fixedpoint.Codec
 	numVars  int
 	scaleExp uint
@@ -23,29 +24,26 @@ type Client struct {
 	tauExps [][]uint
 }
 
-// NewClient derives the client side of the protocol from a public spec.
+// NewClient derives the client side of the protocol from a public spec,
+// resolving its OMPE parameters: a spec naming an unknown OT group or
+// field is refused here, before any message.
 func NewClient(spec Spec) (*Client, error) {
 	if err := spec.Kernel.Validate(); err != nil {
 		return nil, err
 	}
-	codec, err := spec.Codec()
+	d, err := spec.derive()
 	if err != nil {
 		return nil, err
 	}
-	params := Params{Mode: spec.Mode, TaylorTerms: spec.TaylorTerms}
-	_, scaleExp, numVars, err := protocolShape(spec.Kernel, spec.Dim, params)
-	if err != nil {
-		return nil, err
-	}
-	c := &Client{spec: spec, codec: codec, numVars: numVars, scaleExp: scaleExp}
+	c := &Client{spec: spec, params: d.params, codec: d.codec, numVars: d.numVars, scaleExp: d.scaleExp}
 	if spec.Mode == ModeExpanded && spec.Kernel.Kind == kernelPolynomial {
 		if spec.Kernel.B0 == 0 {
 			c.tauExps = mvpoly.Compositions(spec.Dim, spec.Kernel.Degree)
 		} else {
 			c.tauExps = mvpoly.CompositionsUpTo(spec.Dim, spec.Kernel.Degree)
 		}
-		if len(c.tauExps) != numVars {
-			return nil, fmt.Errorf("classify: internal: %d variates enumerated, want %d", len(c.tauExps), numVars)
+		if len(c.tauExps) != d.numVars {
+			return nil, fmt.Errorf("classify: internal: %d variates enumerated, want %d", len(c.tauExps), d.numVars)
 		}
 	}
 	return c, nil
@@ -81,11 +79,7 @@ func (c *Client) NewSession(sample []float64, rng io.Reader) (*ompe.Receiver, *o
 	if err != nil {
 		return nil, nil, err
 	}
-	params, err := c.spec.OMPEParams()
-	if err != nil {
-		return nil, nil, err
-	}
-	return ompe.NewReceiver(params, input, rng)
+	return ompe.NewReceiver(c.params, input, rng)
 }
 
 // Interpret maps the OMPE result r_a·d(t̃)·scale to the predicted class

@@ -25,16 +25,18 @@ import (
 // the kernel-form cubic moved to n = 60, past the rescaled cap, to keep
 // pinning the 2p+1 form. rbf/limb16 was recorded while RBF still had its
 // own limb evaluator; ompe's math/big bridge, which replaced it, must
-// reproduce it. Rewriting how the trainer computes its decision
-// function, or how the OT extension is wired, must never change which
-// bytes travel.
+// reproduce it. All six were re-recorded when x25519 became the only OT
+// group: each is the digest the same test produced at 8bb7231 with its
+// params set to ot.X25519(). Rewriting how the trainer computes its
+// decision function, or how the OT extension is wired, must never change
+// which bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/limb255":        "735f51c41c0c877949200d739e562f7c841a68b39a214e55c19f2ae7b3d8b1b4",
-	"quadratic/limb16":     "2ba498ce494d61b5528807f7a69b7ea399e4490c14c360fcc1d9e2d6275d05e5",
-	"sigmoid/big":          "5defe4f63f43e64d3d6ce19cf9ea4bae8920c29f2b0335af9c67e6a67ba0b4d5",
-	"linear/limb16":        "0026dd4495f38b6928caafdb024c99571a82e6918e13a72332966699a64841d2",
-	"rbf/limb16":           "1868b2e8323429196513af7821d8a293b439019aebc8c5710e2df54fc5d53c32",
-	"cubic-kernelform/big": "54d71d4e8e0a0fb1291b78b0dec7d8eb084d1b7dc34e590431b603d8181fb33e",
+	"cubic/limb255":        "7b39a03416fbd736734a99b3d0c7a1c190b9633665218c564036d5f005f591d0",
+	"quadratic/limb16":     "2ab7f4e566a7c8f4cba877892ff4601a9f3d741b994562cefbff308ec4b39273",
+	"sigmoid/big":          "337678c2acfee39bb892c50864f77a92509c94ea19c4540f874ed3492073825f",
+	"linear/limb16":        "45648c43060b318d0466737e4bbeb8e6fbe36ec9b15ffd8e64a3cbeb2733fdde",
+	"rbf/limb16":           "22fc0e6cf735719c6618bc9f9a31ad48de2b77998ec7e16505461540dec5ad2b",
+	"cubic-kernelform/big": "3941c35b468d0dd618ce19476041df7c89f47dace63eff01f7a522e53faaeb0f",
 }
 
 // sigmoidTerms is the Taylor truncation of the sigmoid case.

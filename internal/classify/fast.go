@@ -34,11 +34,7 @@ func NewFastClient(spec Spec, rng io.Reader) (*FastClient, *ot.BatchSetup, error
 	if err != nil {
 		return nil, nil, err
 	}
-	params, err := spec.OMPEParams()
-	if err != nil {
-		return nil, nil, err
-	}
-	session, setup, err := ompe.NewSessionReceiverBase(params, rng)
+	session, setup, err := ompe.NewSessionReceiverBase(client.params, rng)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,11 +70,7 @@ func ResumeFastClient(spec Spec, state *ot.IKNPReceiverState) (*FastClient, erro
 	if err != nil {
 		return nil, err
 	}
-	params, err := spec.OMPEParams()
-	if err != nil {
-		return nil, err
-	}
-	session, err := ompe.ResumeSessionReceiver(params, state)
+	session, err := ompe.ResumeSessionReceiver(client.params, state)
 	if err != nil {
 		return nil, err
 	}

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/ompe"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -214,9 +213,7 @@ func TestLimbRBFMatchesBigLabels(t *testing.T) {
 // target production configuration: the limb engine + X25519 base OT.
 func TestLimbFastBatchOverX25519(t *testing.T) {
 	model, test := trainSmall(t, svm.Linear(), 1)
-	p := fastParams()
-	p.Group = ot.X25519()
-	trainer, err := classify.NewTrainer(model, p)
+	trainer, err := classify.NewTrainer(model, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}

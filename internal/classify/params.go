@@ -65,7 +65,9 @@ type Params struct {
 	CoverFactor int
 	// AmplifierBits bounds the fresh amplifier r_a (default 64).
 	AmplifierBits int
-	// Group is the oblivious-transfer group (default ot.Group2048).
+	// Group is ignored: every session runs the one OT group, x25519.
+	//
+	// Deprecated: ot.X25519 is the only group.
 	Group ot.Group
 	// FieldBackend is ignored: the protocol's headroom picks the field
 	// (field.ByBits), and the field picks the engine.
@@ -99,9 +101,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.AmplifierBits == 0 {
 		p.AmplifierBits = ompe.DefaultAmplifierBits
-	}
-	if p.Group == nil {
-		p.Group = ot.Group2048()
 	}
 	if p.TaylorTerms == 0 {
 		p.TaylorTerms = 3

@@ -3,6 +3,7 @@ package classify_test
 import (
 	"crypto/rand"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/classify"
@@ -86,10 +87,10 @@ func TestExpandedModeArityGuard(t *testing.T) {
 		TaylorTerms:   3,
 		FieldBits:     255,
 		FracBits:      40,
-		GroupName:     "512",
+		GroupName:     "x25519",
 	}
-	if _, err := classify.NewClient(spec); err == nil {
-		t.Fatal("oversized expansion should fail")
+	if _, err := classify.NewClient(spec); err == nil || !strings.Contains(err.Error(), "expansion too large") {
+		t.Fatalf("oversized expansion: err = %v, want the arity guard's refusal", err)
 	}
 }
 
@@ -128,23 +129,25 @@ func TestClientRejectsWrongDim(t *testing.T) {
 	}
 }
 
+// TestGroupSelectionSurfacesInSpec: the spec names the one OT group,
+// x25519, which is what a client resolves it to.
 func TestGroupSelectionSurfacesInSpec(t *testing.T) {
 	model, _ := trainSmall(t, svm.Linear(), 1)
-	params := fastParams()
-	params.Group = ot.Group1024()
-	trainer, err := classify.NewTrainer(model, params)
+	trainer, err := classify.NewTrainer(model, fastParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if trainer.Spec().GroupName != "modp1024" {
-		t.Fatalf("group name %q", trainer.Spec().GroupName)
+	if got := trainer.Spec().GroupName; got != ot.X25519().Name() {
+		t.Fatalf("group name %q, want %q", got, ot.X25519().Name())
 	}
 }
 
 // TestHostileSpecRefused: a client handed a spec whose OMPE shape
 // overflows int, M = (q+1)·k pairs with q or k at 2^62, must refuse it
 // with ompe.ErrParams on both the fast and the one-shot path, before
-// allocating anything sized by it.
+// allocating anything sized by it. A spec naming any OT group but x25519
+// must be refused with ot.ErrUnknownGroup by the constructor itself,
+// before any message.
 func TestHostileSpecRefused(t *testing.T) {
 	model, test := trainSmall(t, svm.Linear(), 1)
 	trainer, err := classify.NewTrainer(model, fastParams())
@@ -154,26 +157,32 @@ func TestHostileSpecRefused(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mutate func(*classify.Spec)
+		want   error
+		// lazy rows may pass the constructor and fail at the first message.
+		lazy bool
 	}{
-		{"mask-degree-2^62", func(s *classify.Spec) { s.MaskDegree = 1 << 62 }},
-		{"cover-factor-2^62", func(s *classify.Spec) { s.CoverFactor = 1 << 62 }},
+		{"mask-degree-2^62", func(s *classify.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true},
+		{"cover-factor-2^62", func(s *classify.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true},
+		{"group-modp512-test", func(s *classify.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false},
+		{"group-modp2048", func(s *classify.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false},
+		{"group-empty", func(s *classify.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := trainer.Spec()
 			tc.mutate(&spec)
 			fc, _, err := classify.NewFastClient(spec, rand.Reader)
-			if err == nil {
+			if err == nil && tc.lazy {
 				_, _, err = fc.NewBatch(test.X[:1], rand.Reader)
 			}
-			if !errors.Is(err, ompe.ErrParams) {
-				t.Errorf("NewFastClient+NewBatch: err = %v, want ompe.ErrParams", err)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("NewFastClient: err = %v, want %v", err, tc.want)
 			}
 			c, err := classify.NewClient(spec)
-			if err == nil {
+			if err == nil && tc.lazy {
 				_, _, err = c.NewSession(test.X[0], rand.Reader)
 			}
-			if !errors.Is(err, ompe.ErrParams) {
-				t.Errorf("NewClient+NewSession: err = %v, want ompe.ErrParams", err)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("NewClient: err = %v, want %v", err, tc.want)
 			}
 		})
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
@@ -69,7 +68,7 @@ func TestPolyDirectSizeRuleKeepsKernelForm(t *testing.T) {
 			if k.Kind == svm.KernelPolynomial && mvpoly.Rescalable(n, k.Degree) {
 				t.Fatalf("a degree-%d polynomial over %d variables is under the rescaled cap", k.Degree, n)
 			}
-			params := Params{Group: ot.Group512Test()}
+			params := Params{}
 			var before, after runtime.MemStats
 			runtime.GC()
 			runtime.ReadMemStats(&before)
@@ -163,7 +162,7 @@ func TestPolyDirectRange(t *testing.T) {
 	for i, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			m := dyadicModel(tc.kernel, tc.numSV, uint64(i))
-			params := Params{Group: ot.Group512Test()}
+			params := Params{}
 			tr, err := NewTrainer(m, params)
 			if err != nil {
 				t.Fatal(err)
@@ -239,7 +238,7 @@ func TestPolyDirectRange(t *testing.T) {
 // field is sized from grows by fracBits per degree, while every budget of
 // this model family still lands on 2^255−19.
 func TestFieldSizingGrowsWithDegree(t *testing.T) {
-	params := Params{Group: ot.Group512Test(), FracBits: 24}.withDefaults()
+	params := Params{FracBits: 24}.withDefaults()
 	prev := 0
 	for p := 1; p <= 4; p++ {
 		m := dyadicModel(svm.Polynomial(1.0/8, 0, p), 20, 9)

@@ -36,7 +36,8 @@ type Spec struct {
 	FieldBits int
 	// FracBits is the fixed-point precision.
 	FracBits uint
-	// GroupName identifies the OT group (ot.GroupByName).
+	// GroupName names the OT group; "x25519" is the only one, and
+	// ot.GroupByName refuses any other.
 	GroupName string
 	// WireCodec is not encoded on the wire and is ignored.
 	//
@@ -64,26 +65,47 @@ func (s Spec) Codec() (*fixedpoint.Codec, error) {
 
 // OMPEParams derives the OMPE parameters both parties must share.
 func (s Spec) OMPEParams() (ompe.Params, error) {
+	d, err := s.derive()
+	return d.params, err
+}
+
+// derived is everything a spec determines for the client: the OMPE
+// parameters, the codec, and the evaluator's scale exponent and variate
+// count.
+type derived struct {
+	params   ompe.Params
+	codec    *fixedpoint.Codec
+	scaleExp uint
+	numVars  int
+}
+
+// derive resolves the spec's group, codec and protocol shape once.
+func (s Spec) derive() (derived, error) {
 	group, err := ot.GroupByName(s.GroupName)
 	if err != nil {
-		return ompe.Params{}, err
+		return derived{}, err
 	}
 	codec, err := s.Codec()
 	if err != nil {
-		return ompe.Params{}, err
+		return derived{}, err
 	}
-	degree, _, _, err := protocolShape(s.Kernel, s.Dim, Params{Mode: s.Mode, TaylorTerms: s.TaylorTerms})
+	degree, scaleExp, numVars, err := protocolShape(s.Kernel, s.Dim, Params{Mode: s.Mode, TaylorTerms: s.TaylorTerms})
 	if err != nil {
-		return ompe.Params{}, err
+		return derived{}, err
 	}
-	return ompe.Params{
-		Field:         codec.Field(),
-		PolyDegree:    degree,
-		MaskDegree:    s.MaskDegree,
-		CoverFactor:   s.CoverFactor,
-		AmplifierBits: s.AmplifierBits,
-		Group:         group,
-		Backend:       engineName(codec.Field()),
+	return derived{
+		params: ompe.Params{
+			Field:         codec.Field(),
+			PolyDegree:    degree,
+			MaskDegree:    s.MaskDegree,
+			CoverFactor:   s.CoverFactor,
+			AmplifierBits: s.AmplifierBits,
+			Group:         group,
+			Backend:       engineName(codec.Field()),
+		},
+		codec:    codec,
+		scaleExp: scaleExp,
+		numVars:  numVars,
 	}, nil
 }
 
@@ -158,7 +180,7 @@ func NewTrainer(model *svm.Model, params Params) (*Trainer, error) {
 			TaylorTerms:   params.TaylorTerms,
 			FieldBits:     codec.Field().Bits(),
 			FracBits:      codec.FracBits(),
-			GroupName:     params.Group.Name(),
+			GroupName:     ot.X25519().Name(),
 		},
 	}
 	return t, nil

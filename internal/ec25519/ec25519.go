@@ -1,11 +1,9 @@
 // Package ec25519 implements the twisted Edwards curve edwards25519
 // (−x² + y² = 1 + d·x²y² over F_p, p = 2^255 − 19) on the fixed-width
-// limb field. It exists to give the oblivious-transfer layer an
-// elliptic-curve group whose exponentiations cost microseconds instead of
-// the milliseconds of windowed square-and-multiply over 1024–2048-bit
-// MODP moduli; the prime-order subgroup generated by the standard
-// basepoint (order L ≈ 2^252) is a DDH group exactly like the MODP
-// subgroups the Naor–Pinkas construction was written against.
+// limb field. It is the oblivious-transfer layer's group: the
+// prime-order subgroup generated by the standard basepoint (order
+// L ≈ 2^252) is a DDH group, which is all the Naor–Pinkas construction
+// asks for, and its exponentiations cost microseconds.
 //
 // Points use extended homogeneous coordinates (X : Y : Z : T) with
 // x = X/Z, y = Y/Z, T = XY/Z. Addition is the unified Hisil–Wong–Carter–

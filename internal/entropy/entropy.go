@@ -22,32 +22,45 @@ import (
 // Forward secrecy across connections comes from seeding each reader
 // fresh; draws are as unpredictable as the 48-byte OS seed.
 //
-// The keystream is produced a page at a time: protocol draws are 32–64
-// bytes, and feeding those straight to XORKeyStream lands on the
+// Small reads are served from a page of keystream: protocol draws are
+// 32–64 bytes, and feeding those straight to XORKeyStream lands on the
 // unpipelined single-block AES path, which benchmarked no faster than
-// the kernel generator it replaces.
+// the kernel generator it replaces. A read that still wants a page or
+// more once the page is drained (cover and decoy draws run to tens of
+// kilobytes) takes the keystream straight into the caller's slice
+// instead of through the page. Either way the bytes served are the one
+// keystream, in order.
 type ctrReader struct {
 	stream cipher.Stream
 	buf    [4096]byte
 	off    int // buf[off:] is unserved keystream
 }
 
-func (c *ctrReader) Read(p []byte) (int, error) {
-	n := len(p)
-	for len(p) > 0 {
-		if c.off == len(c.buf) {
-			// XORKeyStream over zeroed bytes yields the raw keystream.
-			for i := range c.buf {
-				c.buf[i] = 0
-			}
-			c.stream.XORKeyStream(c.buf[:], c.buf[:])
-			c.off = 0
-		}
-		m := copy(p, c.buf[c.off:])
-		c.off += m
-		p = p[m:]
+func newCTRReader(key, iv []byte) (*ctrReader, error) {
+	blk, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err
 	}
-	return n, nil
+	c := &ctrReader{stream: cipher.NewCTR(blk, iv)}
+	c.off = len(c.buf)
+	return c, nil
+}
+
+func (c *ctrReader) Read(p []byte) (int, error) {
+	total := len(p)
+	m := copy(p, c.buf[c.off:])
+	c.off += m
+	p = p[m:]
+	// XORKeyStream over zeroed bytes yields the raw keystream.
+	if len(p) >= len(c.buf) {
+		clear(p)
+		c.stream.XORKeyStream(p, p)
+	} else if len(p) > 0 {
+		clear(c.buf[:])
+		c.stream.XORKeyStream(c.buf[:], c.buf[:])
+		c.off = copy(p, c.buf[:])
+	}
+	return total, nil
 }
 
 // Buffered wraps the process entropy source in a fast userspace
@@ -69,9 +82,9 @@ func Buffered(rng io.Reader) io.Reader {
 	if _, err := io.ReadFull(rand.Reader, seed[:]); err != nil {
 		return rng
 	}
-	blk, err := aes.NewCipher(seed[:32])
+	c, err := newCTRReader(seed[:32], seed[32:])
 	if err != nil {
 		return rng // unreachable: 32-byte key
 	}
-	return &ctrReader{stream: cipher.NewCTR(blk, seed[32:]), off: 4096}
+	return c
 }

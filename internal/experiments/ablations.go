@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/paillier"
 	"repro/internal/svm"
 )
 
 // AblationRow is one configuration of an ablation sweep.
 type AblationRow struct {
-	// Name identifies the swept knob value ("q=4", "modp2048", ...).
+	// Name identifies the swept knob value ("q=4", "k=3", ...).
 	Name string
 	// PerQuery is the measured per-query protocol cost.
 	PerQuery time.Duration
@@ -86,7 +85,7 @@ func AblationMaskDegree(opts Options, degrees []int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, q := range degrees {
-		params := classify.Params{Group: opts.Group, MaskDegree: q}
+		params := classify.Params{MaskDegree: q}
 		per, trainer, err := measure(model, samples, params, opts)
 		if err != nil {
 			return nil, fmt.Errorf("q=%d: %w", q, err)
@@ -117,7 +116,7 @@ func AblationCoverFactor(opts Options, factors []int) ([]AblationRow, error) {
 	}
 	var rows []AblationRow
 	for _, k := range factors {
-		params := classify.Params{Group: opts.Group, CoverFactor: k}
+		params := classify.Params{CoverFactor: k}
 		per, trainer, err := measure(model, samples, params, opts)
 		if err != nil {
 			return nil, fmt.Errorf("k=%d: %w", k, err)
@@ -131,30 +130,6 @@ func AblationCoverFactor(opts Options, factors []int) ([]AblationRow, error) {
 			PerQuery: per,
 			Pairs:    op.TotalPairs(),
 			Note:     fmt.Sprintf("M=%d pairs", op.TotalPairs()),
-		})
-	}
-	return rows, nil
-}
-
-// AblationOTGroup sweeps the oblivious-transfer group size.
-func AblationOTGroup(opts Options) ([]AblationRow, error) {
-	opts = opts.withDefaults()
-	model, samples, err := ablationModel(opts, false)
-	if err != nil {
-		return nil, err
-	}
-	groups := []ot.Group{ot.Group512Test(), ot.Group1024(), ot.Group1536(), ot.Group2048()}
-	var rows []AblationRow
-	for _, g := range groups {
-		params := classify.Params{Group: g}
-		per, _, err := measure(model, samples, params, opts)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", g.Name(), err)
-		}
-		rows = append(rows, AblationRow{
-			Name:     g.Name(),
-			PerQuery: per,
-			Note:     fmt.Sprintf("%d-bit modulus", g.Bits()),
 		})
 	}
 	return rows, nil
@@ -174,7 +149,7 @@ func AblationModes(opts Options) ([]AblationRow, error) {
 		if mode == classify.ModeExpanded {
 			name = "expanded (τ variates, degree q)"
 		}
-		params := classify.Params{Group: opts.Group, Mode: mode}
+		params := classify.Params{Mode: mode}
 		per, trainer, err := measure(model, samples, params, opts)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", name, err)
@@ -204,7 +179,7 @@ func AblationPaillier(opts Options) ([]AblationRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	perOMPE, _, err := measure(model, samples, classify.Params{Group: opts.Group}, opts)
+	perOMPE, _, err := measure(model, samples, classify.Params{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -237,44 +212,39 @@ func AblationPaillier(opts Options) ([]AblationRow, error) {
 	perPaillier := time.Since(start) / ablationQueries
 
 	return []AblationRow{
-		{Name: "OMPE protocol", PerQuery: perOMPE, Note: fmt.Sprintf("OT group %s", opts.Group.Name())},
+		{Name: "OMPE protocol", PerQuery: perOMPE, Note: "x25519 OT group"},
 		{Name: "Paillier baseline [15]", PerQuery: perPaillier, Note: "1024-bit modulus, linear model"},
 	}, nil
 }
 
 // AblationFastPath prices the IKNP fast session against the one-shot
-// protocol: the fast path's per-query cost is independent of the OT group
-// because public-key operations happen only in the base phase.
+// protocol: the fast path's per-query cost carries no public-key
+// operation, which happens only in the base phase.
 func AblationFastPath(opts Options) ([]AblationRow, error) {
 	opts = opts.withDefaults()
 	model, samples, err := ablationModel(opts, false)
 	if err != nil {
 		return nil, err
 	}
-	var rows []AblationRow
-	for _, g := range []ot.Group{ot.Group512Test(), ot.Group2048()} {
-		params := classify.Params{Group: g}
-		perOneShot, trainer, err := measure(model, samples, params, opts)
-		if err != nil {
-			return nil, fmt.Errorf("one-shot %s: %w", g.Name(), err)
-		}
-		baseStart := time.Now()
-		ft, fc, err := classify.NewFastPair(trainer, opts.Rand)
-		if err != nil {
-			return nil, fmt.Errorf("fast base %s: %w", g.Name(), err)
-		}
-		base := time.Since(baseStart)
-		fastStart := time.Now()
-		for q := 0; q < ablationQueries; q++ {
-			if _, err := classify.ClassifyFastBatch(ft, fc, [][]float64{samples[q%len(samples)]}, opts.Rand); err != nil {
-				return nil, fmt.Errorf("fast query %s: %w", g.Name(), err)
-			}
-		}
-		perFast := time.Since(fastStart) / ablationQueries
-		rows = append(rows,
-			AblationRow{Name: fmt.Sprintf("one-shot / %s", g.Name()), PerQuery: perOneShot, Note: "public-key OT per query"},
-			AblationRow{Name: fmt.Sprintf("fast     / %s", g.Name()), PerQuery: perFast, Note: fmt.Sprintf("base phase %v amortized", base.Round(time.Millisecond))},
-		)
+	perOneShot, trainer, err := measure(model, samples, classify.Params{}, opts)
+	if err != nil {
+		return nil, fmt.Errorf("one-shot: %w", err)
 	}
-	return rows, nil
+	baseStart := time.Now()
+	ft, fc, err := classify.NewFastPair(trainer, opts.Rand)
+	if err != nil {
+		return nil, fmt.Errorf("fast base: %w", err)
+	}
+	base := time.Since(baseStart)
+	fastStart := time.Now()
+	for q := 0; q < ablationQueries; q++ {
+		if _, err := classify.ClassifyFastBatch(ft, fc, [][]float64{samples[q%len(samples)]}, opts.Rand); err != nil {
+			return nil, fmt.Errorf("fast query: %w", err)
+		}
+	}
+	perFast := time.Since(fastStart) / ablationQueries
+	return []AblationRow{
+		{Name: "one-shot", PerQuery: perOneShot, Note: "public-key OT per query"},
+		{Name: "fast", PerQuery: perFast, Note: fmt.Sprintf("base phase %v amortized", base.Round(time.Millisecond))},
+	}, nil
 }

@@ -68,7 +68,7 @@ func accuracyRow(spec dataset.Spec, opts Options, nonlinear bool) (*AccuracyRow,
 	if err != nil {
 		return nil, err
 	}
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: opts.Group})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		return nil, err
 	}

@@ -4,11 +4,10 @@ import (
 	"testing"
 
 	"repro/internal/experiments"
-	"repro/internal/ot"
 )
 
 func quickOpts() experiments.Options {
-	return experiments.Options{Seed: 1, Group: ot.Group512Test(), Quick: true}
+	return experiments.Options{Seed: 1, Quick: true}
 }
 
 func TestTable1Quick(t *testing.T) {

@@ -72,7 +72,7 @@ func fig8xRow(name, label string, k svm.Kernel, train, test *dataset.Dataset, op
 	if err != nil {
 		return nil, err
 	}
-	params := classify.Params{Group: opts.Group, TaylorTerms: 4}
+	params := classify.Params{TaylorTerms: 4}
 	trainer, err := classify.NewTrainer(model, params)
 	if err != nil {
 		return nil, err

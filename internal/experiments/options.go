@@ -11,19 +11,12 @@ import (
 	crand "crypto/rand"
 	"io"
 	"math/rand/v2"
-
-	"repro/internal/ot"
 )
 
 // Options configures an experiment run.
 type Options struct {
 	// Seed drives the deterministic data generators.
 	Seed uint64
-	// Group is the OT group for private protocols (default: the 512-bit
-	// test group — experiment claims are about shape and trends, and the
-	// paper's C++ timings carry no OT group either; pass a MODP group to
-	// measure production cost).
-	Group ot.Group
 	// Quick subsamples the protocol-heavy experiments to keep a full run
 	// in seconds rather than minutes.
 	Quick bool
@@ -34,9 +27,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Group == nil {
-		o.Group = ot.Group512Test()
-	}
 	if o.Rand == nil {
 		o.Rand = crand.Reader
 	}

@@ -103,7 +103,7 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 		return nil, err
 	}
 
-	linTrainer, err := classify.NewTrainer(linModel, classify.Params{Group: opts.Group})
+	linTrainer, err := classify.NewTrainer(linModel, classify.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -119,7 +119,7 @@ func fig9Row(spec dataset.Spec, opts Options, measured int) (*Fig9Row, error) {
 		return nil, err
 	}
 
-	polyTrainer, err := classify.NewTrainer(polyModel, classify.Params{Group: opts.Group})
+	polyTrainer, err := classify.NewTrainer(polyModel, classify.Params{})
 	if err != nil {
 		return nil, err
 	}
@@ -209,7 +209,7 @@ func Fig10(opts Options, dims []int) ([]Fig10Row, error) {
 	if opts.Quick {
 		reps = 1
 	}
-	params := similarity.Params{Group: opts.Group}
+	params := similarity.Params{}
 	metric := similarity.DefaultMetric()
 	var rows []Fig10Row
 	for _, dim := range dims {
@@ -307,7 +307,7 @@ func privateMaskingCore(dim int, opts Options) (time.Duration, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	linParams := ompe.Params{Field: f, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2, Group: opts.Group}
+	linParams := ompe.Params{Field: f, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2}
 
 	input, err := f.RandVec(opts.Rand, dim)
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/dataset"
 	"repro/internal/memnet"
-	"repro/internal/ot"
 	"repro/internal/registry"
 	"repro/internal/svm"
 	"repro/internal/transport"
@@ -65,7 +64,7 @@ func startTestFleet(t *testing.T, replicas int, gwOpts Options) *testFleet {
 	f := &testFleet{
 		t:       t,
 		network: memnet.NewNetwork(),
-		reg:     registry.New(classify.Params{Group: ot.Group512Test()}),
+		reg:     registry.New(classify.Params{}),
 		samples: test.X[:8],
 		model1:  model1,
 		model2:  model2,

@@ -73,7 +73,7 @@ func FuzzOMPEWire(f *testing.F) {
 // three 66-byte elements, the widest the served protocols send.
 func widePackedSeed(tb testing.TB) []byte {
 	tb.Helper()
-	params := Params{Field: bigField, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2, Group: ot.Group512Test()}
+	params := Params{Field: bigField, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2}
 	_, req, err := NewReceiver(params, field.Vec{big.NewInt(3), big.NewInt(4)}, newDetReader("ompe-fuzz-wide-seed"))
 	if err != nil {
 		tb.Fatal(err)

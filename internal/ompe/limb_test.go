@@ -13,7 +13,6 @@ import (
 	"repro/internal/field"
 	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
-	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 	"repro/internal/poly"
 )
@@ -25,7 +24,6 @@ func limbParams(t *testing.T, polyDegree int) Params {
 		PolyDegree:  polyDegree,
 		MaskDegree:  2,
 		CoverFactor: 2,
-		Group:       ot.Group512Test(),
 	}
 }
 

@@ -88,7 +88,8 @@ type Params struct {
 	// AmplifierBits bounds a freshly sampled amplifier to [1, 2^bits].
 	// Zero selects DefaultAmplifierBits.
 	AmplifierBits int
-	// Group is the oblivious-transfer group.
+	// Group is the oblivious-transfer group; its zero value is x25519,
+	// the only one.
 	Group ot.Group
 	// Backend is ignored: the field picks the engine. Over 2^255−19
 	// (Field.SupportsLimb) every per-query hot loop runs on fixed-width
@@ -127,8 +128,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("%w: %d·%d+1 genuine points times cover factor %d overflows", ErrParams, p.PolyDegree, p.MaskDegree, p.CoverFactor)
 	case p.AmplifierBits < 0 || p.AmplifierBits > p.Field.Bits()-2:
 		return fmt.Errorf("%w: amplifier bits %d", ErrParams, p.AmplifierBits)
-	case p.Group == nil:
-		return fmt.Errorf("%w: nil OT group", ErrParams)
 	}
 	return nil
 }

@@ -33,7 +33,6 @@ func testParams(t *testing.T, polyDegree int) Params {
 		PolyDegree:  polyDegree,
 		MaskDegree:  2,
 		CoverFactor: 2,
-		Group:       ot.Group512Test(),
 	}
 }
 
@@ -133,16 +132,15 @@ func TestParamsValidation(t *testing.T) {
 	good := testParams(t, 1)
 	bad := []Params{
 		{},
-		{Field: good.Field, PolyDegree: 0, MaskDegree: 1, CoverFactor: 2, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: 0, CoverFactor: 2, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 1, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 2, Group: nil},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 2, AmplifierBits: -1, Group: good.Group},
+		{Field: good.Field, PolyDegree: 0, MaskDegree: 1, CoverFactor: 2},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: 0, CoverFactor: 2},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 1},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: 1, CoverFactor: 2, AmplifierBits: -1},
 		// D = p·q, m = D+1 or M = m·k overflows int.
-		{Field: good.Field, PolyDegree: 1 << 40, MaskDegree: 1 << 40, CoverFactor: 2, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt, CoverFactor: 2, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt / 2, CoverFactor: 2, Group: good.Group},
-		{Field: good.Field, PolyDegree: 1, MaskDegree: 2, CoverFactor: math.MaxInt / 2, Group: good.Group},
+		{Field: good.Field, PolyDegree: 1 << 40, MaskDegree: 1 << 40, CoverFactor: 2},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt, CoverFactor: 2},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: math.MaxInt / 2, CoverFactor: 2},
+		{Field: good.Field, PolyDegree: 1, MaskDegree: 2, CoverFactor: math.MaxInt / 2},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

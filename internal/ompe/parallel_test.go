@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/field"
-	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 )
 
@@ -47,7 +46,6 @@ func parallelTestParams() Params {
 		PolyDegree:  2,
 		MaskDegree:  2,
 		CoverFactor: 3,
-		Group:       ot.Group512Test(),
 	}
 }
 

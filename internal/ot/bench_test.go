@@ -26,7 +26,7 @@ func benchMessages(b *testing.B, n int) [][]byte {
 }
 
 func BenchmarkDirect1ofN(b *testing.B) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	for _, n := range []int{4, 16, 64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			msgs := benchMessages(b, n)
@@ -41,32 +41,31 @@ func BenchmarkDirect1ofN(b *testing.B) {
 }
 
 // BenchmarkKofN prices a whole k-of-n Naor–Pinkas transfer (both roles, in
-// memory) per group. 3of6 is the similarity protocol's dot-product round,
-// 9of18 its area round — the shape `ot.kofn_area_ms` of the repository
-// benchmark times; `make bench-smoke` runs the x25519 cases once. exps/op
-// is the transfer's `ot.group_exp` count, n + 3k.
+// memory). 3of6 is the similarity protocol's dot-product round, 9of18 its
+// area round — the shape `ot.kofn_area_ms` of the repository benchmark
+// times; `make bench-smoke` runs both once. exps/op is the transfer's
+// `ot.group_exp` count, n + 3k.
 func BenchmarkKofN(b *testing.B) {
-	for _, g := range []ot.Group{ot.Group512Test(), ot.X25519()} {
-		for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
-			b.Run(fmt.Sprintf("%s/%dof%d", g.Name(), shape.k, shape.n), func(b *testing.B) {
-				msgs := benchMessages(b, shape.n)
-				indices := make([]int, shape.k)
-				for i := range indices {
-					indices[i] = 2 * i
+	g := ot.X25519()
+	for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
+		b.Run(fmt.Sprintf("%dof%d", shape.k, shape.n), func(b *testing.B) {
+			msgs := benchMessages(b, shape.n)
+			indices := make([]int, shape.k)
+			for i := range indices {
+				indices[i] = 2 * i
+			}
+			reg := obs.NewRegistry()
+			defer obs.SwapDefault(obs.SwapDefault(reg))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := ot.TransferKofN(g, msgs, indices, rand.Reader); err != nil {
+					b.Fatal(err)
 				}
-				reg := obs.NewRegistry()
-				defer obs.SwapDefault(obs.SwapDefault(reg))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := ot.TransferKofN(g, msgs, indices, rand.Reader); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(shape.k)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
-				b.ReportMetric(float64(reg.Counter(obs.CtrGroupExp))/float64(b.N), "exps/op")
-			})
-		}
+			}
+			b.ReportMetric(float64(shape.k)*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
+			b.ReportMetric(float64(reg.Counter(obs.CtrGroupExp))/float64(b.N), "exps/op")
+		})
 	}
 }
 
@@ -74,7 +73,7 @@ func BenchmarkKofN(b *testing.B) {
 // serially: one batch shares its constraints and r, and its instances are
 // not fanned out, so -cpu should not move it.
 func BenchmarkKofNParallel(b *testing.B) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	msgs := benchMessages(b, 64)
 	indices := make([]int, 16)
 	for i := range indices {
@@ -90,38 +89,12 @@ func BenchmarkKofNParallel(b *testing.B) {
 	b.ReportMetric(float64(len(indices))*float64(b.N)/b.Elapsed().Seconds(), "transfers/s")
 }
 
-// BenchmarkExpG prices the fixed-base window table against generic
-// square-and-multiply for the generator exponentiations every OT instance
-// performs.
-func BenchmarkExpG(b *testing.B) {
-	g := ot.Group512Test()
-	e, err := rand.Int(rand.Reader, g.Q)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("fixed-base", func(b *testing.B) {
-		g.ExpG(e) // build the table outside the timed region
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.ExpG(e)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.Exp(g.G, e)
-		}
-	})
-}
-
 // BenchmarkIKNPBatch1of2 vs BenchmarkDirectBatch1of2: the amortization
 // argument for OT extension. The base phase (κ=128 public-key OTs) is
 // setup cost paid once per session; each extended batch is pure symmetric
 // crypto.
 func BenchmarkIKNPBatch1of2(b *testing.B) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		b.Fatal(err)
@@ -152,7 +125,7 @@ func BenchmarkIKNPBatch1of2(b *testing.B) {
 }
 
 func BenchmarkDirectBatch1of2(b *testing.B) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	msgs := [][]byte{make([]byte, 32), make([]byte, 32)}
 	const m = 1024
 	b.ResetTimer()

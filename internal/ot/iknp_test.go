@@ -10,7 +10,7 @@ import (
 )
 
 func TestIKNPBatch(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -62,7 +62,7 @@ func TestIKNPBatch(t *testing.T) {
 // receiver's row must yield garbage — the pad for q_j⊕s differs by the
 // secret s.
 func TestIKNPNonChosenUnreadable(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -97,7 +97,7 @@ func TestIKNPNonChosenUnreadable(t *testing.T) {
 }
 
 func TestIKNPValidation(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -130,7 +130,7 @@ func TestIKNPValidation(t *testing.T) {
 // both endpoints advance a lockstep batch counter so every batch gets
 // fresh pseudorandom columns (reuse would leak r ⊕ r').
 func TestIKNPSecondBatch(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestIKNPSecondBatch(t *testing.T) {
 }
 
 func TestExtKofN(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestExtKofN(t *testing.T) {
 }
 
 func TestExtKofNValidation(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -227,7 +227,7 @@ func TestExtKofNValidation(t *testing.T) {
 // TestExtKofNNonChosenUnreadable: an instance's path keys decrypt only
 // its chosen index.
 func TestExtKofNNonChosenUnreadable(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -260,7 +260,7 @@ func TestExtKofNNonChosenUnreadable(t *testing.T) {
 }
 
 func TestExtKofNBatch(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -302,7 +302,7 @@ func TestExtKofNBatch(t *testing.T) {
 // the per-batch extension state must not be clobbered by the second
 // Extend, as long as responses come back in FIFO order.
 func TestExtKofNInFlight(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestExtKofNInFlight(t *testing.T) {
 }
 
 func TestExtKofNBatchValidation(t *testing.T) {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package ot_test
 import (
 	"bytes"
 	"crypto/rand"
+	"encoding/hex"
 	"errors"
 	"math/big"
 	"testing"
@@ -26,10 +27,40 @@ func wireOfLE(y *big.Int, sign byte) *big.Int {
 	return new(big.Int).SetBytes(enc)
 }
 
-// malformedElements lists, per group, integers that are not the canonical
-// encoding of a group element.
-func malformedElements(t *testing.T) map[string]map[string]*big.Int {
+// smallOrder lists the compressed encodings of the eight points of order
+// dividing 8: every one is a canonical curve point, and none is in the
+// prime-order subgroup but the identity.
+var smallOrder = map[string]string{
+	"identity":        "0100000000000000000000000000000000000000000000000000000000000000",
+	"order 2":         "ecffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff7f",
+	"order 4, x even": "0000000000000000000000000000000000000000000000000000000000000000",
+	"order 4, x odd":  "0000000000000000000000000000000000000000000000000000000000000080",
+	"order 8 (a)":     "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac037a",
+	"order 8 (b)":     "c7176a703d4dd84fba3c0b760d10670f2a2053fa2c39ccc64ec7fd7792ac03fa",
+	"order 8 (c)":     "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc05",
+	"order 8 (d)":     "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
+}
+
+// malformedElements lists integers that are not the canonical encoding of
+// a group element: bad encodings, and the small-order points, which are
+// curve points outside the group.
+func malformedElements(t *testing.T) map[string]*big.Int {
 	t.Helper()
+	bad := map[string]*big.Int{}
+	for name, h := range smallOrder {
+		enc, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p, cleared ec25519.Point
+		if err := p.Decode(enc); err != nil {
+			t.Fatalf("%s: not a curve point: %v", name, err)
+		}
+		if !cleared.MulByCofactor(&p).IsIdentity() {
+			t.Fatalf("%s: [8]·P is not the identity", name)
+		}
+		bad["small order/"+name] = new(big.Int).SetBytes(enc)
+	}
 	var offCurve *big.Int
 	for y := int64(2); y < 40 && offCurve == nil; y++ {
 		enc := wireOfLE(big.NewInt(y), 0).FillBytes(make([]byte, ec25519.PointLen))
@@ -40,25 +71,14 @@ func malformedElements(t *testing.T) map[string]map[string]*big.Int {
 	if offCurve == nil {
 		t.Fatal("no off-curve y below 40")
 	}
-	modp := ot.Group512Test()
-	return map[string]map[string]*big.Int{
-		"x25519": {
-			"off-curve y":   offCurve,
-			"y = p":         wireOfLE(limb.Modulus(), 0),
-			"y = p+1":       wireOfLE(new(big.Int).Add(limb.Modulus(), big.NewInt(1)), 0),
-			"negative zero": wireOfLE(big.NewInt(1), 1),
-			"over-long":     new(big.Int).Lsh(big.NewInt(1), 260),
-			"negative":      big.NewInt(-1),
-			"nil":           nil,
-		},
-		"modp512-test": {
-			"zero":     big.NewInt(0),
-			"P":        new(big.Int).Set(modp.P),
-			"P+1":      new(big.Int).Add(modp.P, big.NewInt(1)),
-			"negative": big.NewInt(-1),
-			"nil":      nil,
-		},
-	}
+	bad["off-curve y"] = offCurve
+	bad["y = p"] = wireOfLE(limb.Modulus(), 0)
+	bad["y = p+1"] = wireOfLE(new(big.Int).Add(limb.Modulus(), big.NewInt(1)), 0)
+	bad["negative zero"] = wireOfLE(big.NewInt(1), 1)
+	bad["over-long"] = new(big.Int).Lsh(big.NewInt(1), 260)
+	bad["negative"] = big.NewInt(-1)
+	bad["nil"] = nil
+	return bad
 }
 
 // TestMalformedElementsRejected feeds every malformed integer in every
@@ -69,67 +89,66 @@ func malformedElements(t *testing.T) map[string]map[string]*big.Int {
 func TestMalformedElementsRejected(t *testing.T) {
 	bad := malformedElements(t)
 	const n, sigma = 4, 2
-	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
-		msgs := randomMessages(t, n, 16)
-		o := newOneOfN(t, g, msgs, sigma)
-		indices := []int{sigma, 0, 3}
-		bSender, bSetup, err := ot.NewBatchSender(g, msgs, len(indices), rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bReceiver, bChoice, err := ot.NewBatchReceiver(g, n, indices, bSetup, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bTr, err := bSender.Respond(bChoice, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
+	g := ot.X25519()
+	msgs := randomMessages(t, n, 16)
+	o := newOneOfN(t, g, msgs, sigma)
+	indices := []int{sigma, 0, 3}
+	bSender, bSetup, err := ot.NewBatchSender(g, msgs, len(indices), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bReceiver, bChoice, err := ot.NewBatchReceiver(g, n, indices, bSetup, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bTr, err := bSender.Respond(bChoice, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-		for name, x := range bad[g.Name()] {
-			t.Run(g.Name()+"/"+name, func(t *testing.T) {
-				want := func(what string, err error) {
-					t.Helper()
-					if !errors.Is(err, ot.ErrBadMessage) {
-						t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
-					}
+	for name, x := range bad {
+		t.Run(g.Name()+"/"+name, func(t *testing.T) {
+			want := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, ot.ErrBadMessage) {
+					t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
 				}
-				_, err := o.sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{x}}, rand.Reader)
-				want("Respond(PK0)", err)
-				_, err = o.receiver.Recover(&ot.BatchTransfer{R: x, Cts: o.tr.Cts})
-				want("Recover(R)", err)
-				for j := 0; j < n-1; j++ { // j = sigma−1 is the constraint the receiver uses
-					cs := append([]*big.Int(nil), o.setup.Cs...)
-					cs[j] = x
-					_, _, err = ot.NewBatchReceiver(g, n, []int{sigma}, &ot.BatchSetup{Cs: cs}, rand.Reader)
-					want("NewReceiver(C_j)", err)
-				}
+			}
+			_, err := o.sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{x}}, rand.Reader)
+			want("Respond(PK0)", err)
+			_, err = o.receiver.Recover(&ot.BatchTransfer{R: x, Cts: o.tr.Cts})
+			want("Recover(R)", err)
+			for j := 0; j < n-1; j++ { // j = sigma−1 is the constraint the receiver uses
+				cs := append([]*big.Int(nil), o.setup.Cs...)
+				cs[j] = x
+				_, _, err = ot.NewBatchReceiver(g, n, []int{sigma}, &ot.BatchSetup{Cs: cs}, rand.Reader)
+				want("NewReceiver(C_j)", err)
+			}
 
-				// The same positions in the k-of-n: the last instance's PK_0,
-				// the one R the k instances share, and each C_j of their one
-				// setup.
-				last := len(indices) - 1
-				pk0s := append([]*big.Int(nil), bChoice.PK0s...)
-				pk0s[last] = x
-				_, err = bSender.Respond(&ot.BatchChoice{PK0s: pk0s}, rand.Reader)
-				want("batch Respond(PK0)", err)
-				_, err = bReceiver.Recover(&ot.BatchTransfer{R: x, Cts: bTr.Cts})
-				want("batch Recover(R)", err)
-				for j := 0; j < n-1; j++ {
-					cs := append([]*big.Int(nil), bSetup.Cs...)
-					cs[j] = x
-					_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Cs: cs}, rand.Reader)
-					want("batch NewReceiver(C_j)", err)
-				}
-			})
-		}
+			// The same positions in the k-of-n: the last instance's PK_0,
+			// the one R the k instances share, and each C_j of their one
+			// setup.
+			last := len(indices) - 1
+			pk0s := append([]*big.Int(nil), bChoice.PK0s...)
+			pk0s[last] = x
+			_, err = bSender.Respond(&ot.BatchChoice{PK0s: pk0s}, rand.Reader)
+			want("batch Respond(PK0)", err)
+			_, err = bReceiver.Recover(&ot.BatchTransfer{R: x, Cts: bTr.Cts})
+			want("batch Recover(R)", err)
+			for j := 0; j < n-1; j++ {
+				cs := append([]*big.Int(nil), bSetup.Cs...)
+				cs[j] = x
+				_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Cs: cs}, rand.Reader)
+				want("batch NewReceiver(C_j)", err)
+			}
+		})
+	}
 
-		// The untampered messages still go through afterwards: a rejected
-		// message leaves the endpoints usable.
-		got, err := o.receiver.Recover(o.tr)
-		if err != nil || string(got[0]) != string(msgs[sigma]) {
-			t.Fatalf("%s: honest transfer after the rejections: %q, %v", g.Name(), got, err)
-		}
+	// The untampered messages still go through afterwards: a rejected
+	// message leaves the endpoints usable.
+	got, err := o.receiver.Recover(o.tr)
+	if err != nil || string(got[0]) != string(msgs[sigma]) {
+		t.Fatalf("honest transfer after the rejections: %q, %v", got, err)
 	}
 }
 
@@ -143,108 +162,107 @@ func TestMalformedElementsRejected(t *testing.T) {
 // rejections.
 func TestMalformedIKNPBaseRejected(t *testing.T) {
 	bad := malformedElements(t)
-	for _, g := range []ot.Group{ot.X25519(), ot.Group512Test()} {
-		t.Run(g.Name(), func(t *testing.T) {
-			recv, setup, err := ot.NewIKNPReceiverBase(g, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
+	g := ot.X25519()
+	t.Run(g.Name(), func(t *testing.T) {
+		recv, setup, err := ot.NewIKNPReceiverBase(g, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, ot.ErrIKNP) && !errors.Is(err, ot.ErrBadMessage) {
+				t.Errorf("%s: err = %v, want ErrIKNP or ErrBadMessage", what, err)
 			}
-			want := func(what string, err error) {
-				t.Helper()
-				if !errors.Is(err, ot.ErrIKNP) && !errors.Is(err, ot.ErrBadMessage) {
-					t.Errorf("%s: err = %v, want ErrIKNP or ErrBadMessage", what, err)
-				}
+		}
+		wantShape := func(what string, err error) {
+			t.Helper()
+			if !errors.Is(err, ot.ErrIKNP) {
+				t.Errorf("%s: err = %v, want ErrIKNP", what, err)
 			}
-			wantShape := func(what string, err error) {
-				t.Helper()
-				if !errors.Is(err, ot.ErrIKNP) {
-					t.Errorf("%s: err = %v, want ErrIKNP", what, err)
-				}
-			}
-			c := setup.Cs[0]
-			legacy := make([]*ot.BatchSetup, 128)
-			for i := range legacy {
-				legacy[i] = &ot.BatchSetup{Cs: []*big.Int{c}}
-			}
-			many := make([]*big.Int, 128)
-			for i := range many {
-				many[i] = c
-			}
-			// A similarity 9-of-18: its setup carries 17 constraints, and
-			// its transfer 9·18 ciphertexts of the messages' length.
-			kofnMsgs := randomMessages(t, 18, 40)
-			kofnSender, kofnSetup, err := ot.NewBatchSender(g, kofnMsgs, 9, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, kofnChoice, err := ot.NewBatchReceiver(g, 18, []int{17, 0, 3, 8, 5, 12, 9, 14, 1}, kofnSetup, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kofnTr, err := kofnSender.Respond(kofnChoice, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, s := range map[string]*ot.BatchSetup{
-				"nil":             nil,
-				"0 constraints":   {},
-				"2 constraints":   {Cs: []*big.Int{c, c}},
-				"128 constraints": {Cs: many},
-				"9-of-18 setup":   kofnSetup,
-			} {
-				_, _, err := ot.NewIKNPSenderBase(g, s, rand.Reader)
-				wantShape("NewIKNPSenderBase("+name+")", err)
-			}
-			// The pre-batch wire layout either fails to decode as a base
-			// setup or decodes to one the sender refuses.
-			old := ot.LegacySeq(legacy)
-			var decoded ot.BatchSetup
-			if err := wire.Unmarshal(old, &decoded); err == nil {
-				_, _, err = ot.NewIKNPSenderBase(g, &decoded, rand.Reader)
-				wantShape("NewIKNPSenderBase(pre-batch layout)", err)
-			}
+		}
+		c := setup.Cs[0]
+		legacy := make([]*ot.BatchSetup, 128)
+		for i := range legacy {
+			legacy[i] = &ot.BatchSetup{Cs: []*big.Int{c}}
+		}
+		many := make([]*big.Int, 128)
+		for i := range many {
+			many[i] = c
+		}
+		// A similarity 9-of-18: its setup carries 17 constraints, and
+		// its transfer 9·18 ciphertexts of the messages' length.
+		kofnMsgs := randomMessages(t, 18, 40)
+		kofnSender, kofnSetup, err := ot.NewBatchSender(g, kofnMsgs, 9, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, kofnChoice, err := ot.NewBatchReceiver(g, 18, []int{17, 0, 3, 8, 5, 12, 9, 14, 1}, kofnSetup, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kofnTr, err := kofnSender.Respond(kofnChoice, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*ot.BatchSetup{
+			"nil":             nil,
+			"0 constraints":   {},
+			"2 constraints":   {Cs: []*big.Int{c, c}},
+			"128 constraints": {Cs: many},
+			"9-of-18 setup":   kofnSetup,
+		} {
+			_, _, err := ot.NewIKNPSenderBase(g, s, rand.Reader)
+			wantShape("NewIKNPSenderBase("+name+")", err)
+		}
+		// The pre-batch wire layout either fails to decode as a base
+		// setup or decodes to one the sender refuses.
+		old := ot.LegacySeq(legacy)
+		var decoded ot.BatchSetup
+		if err := wire.Unmarshal(old, &decoded); err == nil {
+			_, _, err = ot.NewIKNPSenderBase(g, &decoded, rand.Reader)
+			wantShape("NewIKNPSenderBase(pre-batch layout)", err)
+		}
 
-			send, choice, err := ot.NewIKNPSenderBase(g, setup, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tr, err := recv.BaseRespond(choice, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := recv.BaseRespond(kofnChoice, rand.Reader); !errors.Is(err, ot.ErrIKNP) {
-				t.Errorf("BaseRespond(9-of-18 choice): err = %v, want ErrIKNP", err)
-			}
-			cts := tr.Cts
-			withCts := func(cts [][]byte) *ot.BatchTransfer {
-				return &ot.BatchTransfer{R: tr.R, Cts: cts}
-			}
-			withCt := func(slot int, ct []byte) *ot.BatchTransfer {
-				out := append([][]byte(nil), cts...)
-				out[slot] = ct
-				return withCts(out)
-			}
-			for name, btr := range map[string]*ot.BatchTransfer{
-				"nil":                nil,
-				"empty transfer":     {},
-				"κ ciphertexts":      withCts(cts[:128]),
-				"2κ−1 ciphertexts":   withCts(cts[:255]),
-				"2κ+1 ciphertexts":   withCts(append(append([][]byte(nil), cts...), cts[0])),
-				"15-byte ciphertext": withCt(7, cts[7][:15]),
-				"17-byte ciphertext": withCt(200, append(append([]byte(nil), cts[200]...), 0)),
-				"empty ciphertext":   withCt(0, nil),
-				"9-of-18 transfer":   kofnTr,
-			} {
-				wantShape("BaseFinish("+name+")", send.BaseFinish(btr))
-			}
-			for name, x := range bad[g.Name()] {
-				want("BaseFinish(R "+name+")", send.BaseFinish(&ot.BatchTransfer{R: x, Cts: cts}))
-			}
-			if err := send.BaseFinish(tr); err != nil {
-				t.Fatalf("honest base transfer after the rejections: %v", err)
-			}
-		})
-	}
+		send, choice, err := ot.NewIKNPSenderBase(g, setup, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := recv.BaseRespond(choice, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := recv.BaseRespond(kofnChoice, rand.Reader); !errors.Is(err, ot.ErrIKNP) {
+			t.Errorf("BaseRespond(9-of-18 choice): err = %v, want ErrIKNP", err)
+		}
+		cts := tr.Cts
+		withCts := func(cts [][]byte) *ot.BatchTransfer {
+			return &ot.BatchTransfer{R: tr.R, Cts: cts}
+		}
+		withCt := func(slot int, ct []byte) *ot.BatchTransfer {
+			out := append([][]byte(nil), cts...)
+			out[slot] = ct
+			return withCts(out)
+		}
+		for name, btr := range map[string]*ot.BatchTransfer{
+			"nil":                nil,
+			"empty transfer":     {},
+			"κ ciphertexts":      withCts(cts[:128]),
+			"2κ−1 ciphertexts":   withCts(cts[:255]),
+			"2κ+1 ciphertexts":   withCts(append(append([][]byte(nil), cts...), cts[0])),
+			"15-byte ciphertext": withCt(7, cts[7][:15]),
+			"17-byte ciphertext": withCt(200, append(append([]byte(nil), cts[200]...), 0)),
+			"empty ciphertext":   withCt(0, nil),
+			"9-of-18 transfer":   kofnTr,
+		} {
+			wantShape("BaseFinish("+name+")", send.BaseFinish(btr))
+		}
+		for name, x := range bad {
+			want("BaseFinish(R "+name+")", send.BaseFinish(&ot.BatchTransfer{R: x, Cts: cts}))
+		}
+		if err := send.BaseFinish(tr); err != nil {
+			t.Fatalf("honest base transfer after the rejections: %v", err)
+		}
+	})
 }
 
 // TestMalformedExtKofNResponseRejected feeds the extended k-of-n receiver
@@ -259,7 +277,7 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 // still completes.
 func TestMalformedExtKofNResponseRejected(t *testing.T) {
 	paralleltest.SetProcs(t, 4)
-	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"repro/internal/ec25519"
 )
 
 var (
@@ -93,13 +95,13 @@ func checkMessages(msgs [][]byte) error {
 func newBatchSender(group Group, msgs [][][]byte, rng io.Reader) (*BatchSender, *BatchSetup, error) {
 	seeds := make([]*big.Int, len(msgs[0])-1)
 	for i := range seeds {
-		seed, err := group.RandomElementSeed(rng)
+		seed, err := group.RandomScalar(rng)
 		if err != nil {
 			return nil, nil, err
 		}
 		seeds[i] = seed
 	}
-	elems := make([]Element, len(seeds))
+	elems := make([]*ec25519.Point, len(seeds))
 	for j, seed := range seeds {
 		elems[j] = group.ElementFromSeed(seed)
 	}
@@ -120,7 +122,7 @@ func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer
 	if err != nil {
 		return nil, instanceErr(0, err)
 	}
-	pk0s := make([]Element, len(pk0Wire))
+	pk0s := make([]*ec25519.Point, len(pk0Wire))
 	for i, c := range pk0Wire {
 		pk0, err := group.Decode(c)
 		if err != nil {
@@ -130,9 +132,9 @@ func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer
 	}
 	// R = g^r, then the n key elements PK_{i,j}^r of each instance in slot
 	// order.
-	elems := make([]Element, 1+len(pk0s)*n)
+	elems := make([]*ec25519.Point, 1+len(pk0s)*n)
 	elems[0] = group.ExpG(r)
-	cr := make([]Element, len(s.seeds))
+	cr := make([]*ec25519.Point, len(s.seeds))
 	for j, seed := range s.seeds {
 		cr[j] = group.ExpSeed(seed, r)
 	}
@@ -153,7 +155,7 @@ func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer
 	for i, msgs := range s.msgs {
 		for j, m := range msgs {
 			slot := i*n + j
-			cts[slot] = xorKeystream(group, wire[1+slot], slot, m)
+			cts[slot] = xorKeystream(wire[1+slot], slot, m)
 		}
 	}
 	return &BatchTransfer{R: wire[0], Cts: cts}, nil
@@ -184,7 +186,7 @@ func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng i
 	}
 	// Every constraint is decoded — that is its validation — though only
 	// the chosen ones enter the arithmetic.
-	cs := make([]Element, n-1)
+	cs := make([]*ec25519.Point, n-1)
 	for j, c := range setup.Cs {
 		e, err := group.Decode(c)
 		if err != nil {
@@ -192,7 +194,7 @@ func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng i
 		}
 		cs[j] = e
 	}
-	pk0s := make([]Element, len(sigmas))
+	pk0s := make([]*ec25519.Point, len(sigmas))
 	for i, sigma := range sigmas {
 		gx := group.ExpG(rc.xs[i])
 		if sigma == 0 {
@@ -231,7 +233,7 @@ func (rc *BatchReceiver) recover(tr *BatchTransfer) ([][]byte, error) {
 	out := make([][]byte, len(rc.sigmas))
 	for i, sigma := range rc.sigmas {
 		slot := i*rc.n + sigma
-		out[i] = xorKeystream(group, wire[i], slot, tr.Cts[slot])
+		out[i] = xorKeystream(wire[i], slot, tr.Cts[slot])
 	}
 	return out, nil
 }
@@ -248,11 +250,11 @@ var kdfTrace func(slot int, elem *big.Int)
 // xorKeystream returns in XOR a keystream derived from a group element's
 // wire form with SHA-256 in counter mode, domain-separated by the slot
 // (the message index within its batch).
-func xorKeystream(group Group, elem *big.Int, slot int, in []byte) []byte {
+func xorKeystream(elem *big.Int, slot int, in []byte) []byte {
 	if kdfTrace != nil {
 		kdfTrace(slot, elem)
 	}
-	eb := make([]byte, group.ElementLen())
+	eb := make([]byte, ec25519.PointLen)
 	elem.FillBytes(eb)
 	pad := make([]byte, 0, len(in)+sha256.Size)
 	var block [8]byte

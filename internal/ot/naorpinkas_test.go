@@ -16,24 +16,23 @@ import (
 // keys of those transfers are then the same points, and only the slot
 // tells their pads apart.
 func TestBaseBatchKDFInputsFresh(t *testing.T) {
-	for _, g := range []Group{X25519(), Group512Test()} {
-		for _, repeat := range []bool{false, true} {
-			recv, setup, err := NewIKNPReceiverBase(g, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, choice, err := NewIKNPSenderBase(g, setup, rand.Reader)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if repeat {
-				choice.PK0s[1] = choice.PK0s[0]
-			}
-			checkKDFInputsFresh(t, fmt.Sprintf("%s repeat=%v", g.Name(), repeat), iknpKappa, 2, repeat, func() error {
-				_, err := recv.BaseRespond(choice, rand.Reader)
-				return err
-			})
+	g := X25519()
+	for _, repeat := range []bool{false, true} {
+		recv, setup, err := NewIKNPReceiverBase(g, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
 		}
+		_, choice, err := NewIKNPSenderBase(g, setup, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if repeat {
+			choice.PK0s[1] = choice.PK0s[0]
+		}
+		checkKDFInputsFresh(t, fmt.Sprintf("%s repeat=%v", g.Name(), repeat), iknpKappa, 2, repeat, func() error {
+			_, err := recv.BaseRespond(choice, rand.Reader)
+			return err
+		})
 	}
 }
 
@@ -42,34 +41,33 @@ func TestBaseBatchKDFInputsFresh(t *testing.T) {
 // still feed its KDF k·n distinct (slot, key) inputs, with and without a
 // PK_0 sent for two instances.
 func TestKofNKDFInputsFresh(t *testing.T) {
-	for _, g := range []Group{X25519(), Group512Test()} {
-		for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
-			for _, repeat := range []bool{false, true} {
-				k, n := shape.k, shape.n
-				msgs := make([][]byte, n)
-				for j := range msgs {
-					msgs[j] = []byte{byte(j)}
-				}
-				indices := make([]int, k)
-				for i := range indices {
-					indices[i] = 2 * i
-				}
-				sender, setup, err := NewBatchSender(g, msgs, k, rand.Reader)
-				if err != nil {
-					t.Fatal(err)
-				}
-				_, choice, err := NewBatchReceiver(g, n, indices, setup, rand.Reader)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if repeat {
-					choice.PK0s[1] = choice.PK0s[0]
-				}
-				checkKDFInputsFresh(t, fmt.Sprintf("%s %dof%d repeat=%v", g.Name(), k, n, repeat), k, n, repeat, func() error {
-					_, err := sender.Respond(choice, rand.Reader)
-					return err
-				})
+	g := X25519()
+	for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
+		for _, repeat := range []bool{false, true} {
+			k, n := shape.k, shape.n
+			msgs := make([][]byte, n)
+			for j := range msgs {
+				msgs[j] = []byte{byte(j)}
 			}
+			indices := make([]int, k)
+			for i := range indices {
+				indices[i] = 2 * i
+			}
+			sender, setup, err := NewBatchSender(g, msgs, k, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, choice, err := NewBatchReceiver(g, n, indices, setup, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if repeat {
+				choice.PK0s[1] = choice.PK0s[0]
+			}
+			checkKDFInputsFresh(t, fmt.Sprintf("%s %dof%d repeat=%v", g.Name(), k, n, repeat), k, n, repeat, func() error {
+				_, err := sender.Respond(choice, rand.Reader)
+				return err
+			})
 		}
 	}
 }
@@ -111,25 +109,24 @@ func checkKDFInputsFresh(t *testing.T, name string, m, n int, repeat bool, respo
 // instances and n + 3k = 2 + 3κ group exponentiations, and none of the
 // spans of the public k-of-n entry points it shares its batch code with.
 func TestBasePhaseObs(t *testing.T) {
-	for _, g := range []Group{X25519(), Group512Test()} {
-		reg := obs.NewRegistry()
-		prev := obs.SwapDefault(reg)
-		_, _, err := NewIKNP(g, rand.Reader)
-		obs.SwapDefault(prev)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Counter(obs.CtrOTInstances); got != iknpKappa {
-			t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrOTInstances, got, iknpKappa)
-		}
-		if got, want := reg.Counter(obs.CtrGroupExp), int64(2+3*iknpKappa); got != want {
-			t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrGroupExp, got, want)
-		}
-		hists := reg.Snapshot().Histograms
-		for _, phase := range []string{obs.PhaseOTSenderSetup, obs.PhaseOTSenderRespond, obs.PhaseOTReceiverChoice, obs.PhaseOTReceiverRecover} {
-			if h, ok := hists[phase]; ok && h.Count != 0 {
-				t.Errorf("%s: base phase recorded %d %s spans", g.Name(), h.Count, phase)
-			}
+	g := X25519()
+	reg := obs.NewRegistry()
+	prev := obs.SwapDefault(reg)
+	_, _, err := NewIKNP(g, rand.Reader)
+	obs.SwapDefault(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := reg.Counter(obs.CtrOTInstances); got != iknpKappa {
+		t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrOTInstances, got, iknpKappa)
+	}
+	if got, want := reg.Counter(obs.CtrGroupExp), int64(2+3*iknpKappa); got != want {
+		t.Errorf("%s: %s = %d, want %d", g.Name(), obs.CtrGroupExp, got, want)
+	}
+	hists := reg.Snapshot().Histograms
+	for _, phase := range []string{obs.PhaseOTSenderSetup, obs.PhaseOTSenderRespond, obs.PhaseOTReceiverChoice, obs.PhaseOTReceiverRecover} {
+		if h, ok := hists[phase]; ok && h.Count != 0 {
+			t.Errorf("%s: base phase recorded %d %s spans", g.Name(), h.Count, phase)
 		}
 	}
 }

@@ -11,8 +11,6 @@ import (
 	"repro/internal/ot"
 )
 
-func testGroup() ot.Group { return ot.Group512Test() }
-
 func randomMessages(t *testing.T, n, size int) [][]byte {
 	t.Helper()
 	msgs := make([][]byte, n)
@@ -25,38 +23,13 @@ func randomMessages(t *testing.T, n, size int) [][]byte {
 	return msgs
 }
 
-func TestGroupsAreSafePrimes(t *testing.T) {
-	groups := []*ot.ModpGroup{ot.Group512Test(), ot.Group1024(), ot.Group1536(), ot.Group2048()}
-	for _, g := range groups {
-		t.Run(g.Name(), func(t *testing.T) {
-			if !g.P.ProbablyPrime(32) {
-				t.Fatal("P not prime")
-			}
-			if !g.Q.ProbablyPrime(32) {
-				t.Fatal("Q not prime")
-			}
-			// p = 2q+1
-			check := new(big.Int).Lsh(g.Q, 1)
-			check.Add(check, big.NewInt(1))
-			if check.Cmp(g.P) != 0 {
-				t.Fatal("P != 2Q+1")
-			}
-			// g generates the order-q subgroup: g^q == 1.
-			if g.Exp(g.G, g.Q).(*big.Int).Cmp(big.NewInt(1)) != 0 {
-				t.Fatal("generator does not have order Q")
-			}
-		})
-	}
-}
-
+// TestGroupByName: every name but "x25519" — the spellings of groups
+// this package once served among them — is refused with ErrUnknownGroup.
 func TestGroupByName(t *testing.T) {
-	for _, name := range []string{"512", "1024", "1536", "2048", "modp2048"} {
-		if _, err := ot.GroupByName(name); err != nil {
-			t.Fatalf("GroupByName(%s): %v", name, err)
+	for _, name := range []string{"", "25519", "512", "modp512-test", "1024", "modp1024", "1536", "2048", "modp2048", "4096", "X25519"} {
+		if _, err := ot.GroupByName(name); !errors.Is(err, ot.ErrUnknownGroup) {
+			t.Errorf("GroupByName(%q) err = %v, want ErrUnknownGroup", name, err)
 		}
-	}
-	if _, err := ot.GroupByName("4096"); err == nil {
-		t.Fatal("unknown group should fail")
 	}
 }
 
@@ -96,7 +69,7 @@ func newOneOfN(t *testing.T, g ot.Group, msgs [][]byte, sigma int) oneOfN {
 }
 
 func Test1of2AllChoices(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := [][]byte{[]byte("message-zero-000"), []byte("message-one-1111")}
 	for bit := 0; bit < 2; bit++ {
 		got, err := transfer1ofN(g, msgs, bit)
@@ -110,7 +83,7 @@ func Test1of2AllChoices(t *testing.T) {
 }
 
 func Test1ofNEveryIndex(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 7, 32)
 	for sigma := 0; sigma < len(msgs); sigma++ {
 		got, err := transfer1ofN(g, msgs, sigma)
@@ -124,7 +97,7 @@ func Test1ofNEveryIndex(t *testing.T) {
 }
 
 func TestKofN(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 10, 48)
 	indices := []int{0, 3, 7, 9}
 	got, err := ot.TransferKofN(g, msgs, indices, rand.Reader)
@@ -140,37 +113,36 @@ func TestKofN(t *testing.T) {
 
 // TestKofNRejectsDuplicates: the receiver refuses a choice that is not
 // 1 ≤ k ≤ n distinct in-range indices with a typed error before it sends
-// anything, on both groups.
+// anything.
 func TestKofNRejectsDuplicates(t *testing.T) {
-	for _, g := range []ot.Group{ot.X25519(), testGroup()} {
-		msgs := randomMessages(t, 5, 16)
-		_, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tc := range []struct {
-			name    string
-			indices []int
-			want    error
-		}{
-			{"duplicate", []int{2, 2}, ot.ErrDuplicateIndex},
-			{"duplicate after others", []int{0, 4, 1, 4}, ot.ErrDuplicateIndex},
-			{"k=0", []int{}, ot.ErrBadIndex},
-			{"nil indices", nil, ot.ErrBadIndex},
-			{"k>n", []int{0, 1, 2, 3, 4, 0}, ot.ErrBadIndex},
-			{"negative", []int{-1, 2}, ot.ErrBadIndex},
-			{"index n", []int{1, 5}, ot.ErrBadIndex},
-		} {
-			receiver, choice, err := ot.NewBatchReceiver(g, len(msgs), tc.indices, setup, rand.Reader)
-			if !errors.Is(err, tc.want) || receiver != nil || choice != nil {
-				t.Errorf("%s %s: (%v, %v, %v), want a nil receiver and choice and %v", g.Name(), tc.name, receiver, choice, err, tc.want)
-			}
+	g := ot.X25519()
+	msgs := randomMessages(t, 5, 16)
+	_, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		indices []int
+		want    error
+	}{
+		{"duplicate", []int{2, 2}, ot.ErrDuplicateIndex},
+		{"duplicate after others", []int{0, 4, 1, 4}, ot.ErrDuplicateIndex},
+		{"k=0", []int{}, ot.ErrBadIndex},
+		{"nil indices", nil, ot.ErrBadIndex},
+		{"k>n", []int{0, 1, 2, 3, 4, 0}, ot.ErrBadIndex},
+		{"negative", []int{-1, 2}, ot.ErrBadIndex},
+		{"index n", []int{1, 5}, ot.ErrBadIndex},
+	} {
+		receiver, choice, err := ot.NewBatchReceiver(g, len(msgs), tc.indices, setup, rand.Reader)
+		if !errors.Is(err, tc.want) || receiver != nil || choice != nil {
+			t.Errorf("%s: (%v, %v, %v), want a nil receiver and choice and %v", tc.name, receiver, choice, err, tc.want)
 		}
 	}
 }
 
 func TestSenderValidation(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	if _, _, err := ot.NewBatchSender(g, [][]byte{[]byte("one")}, 1, rand.Reader); err == nil {
 		t.Fatal("single message should fail")
 	}
@@ -180,7 +152,7 @@ func TestSenderValidation(t *testing.T) {
 }
 
 func TestReceiverValidation(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 4, 16)
 	_, setup, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
@@ -209,7 +181,7 @@ func TestReceiverValidation(t *testing.T) {
 }
 
 func TestRespondValidation(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 3, 16)
 	sender, _, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
@@ -219,12 +191,12 @@ func TestRespondValidation(t *testing.T) {
 		t.Fatal("nil choice should fail")
 	}
 	if _, err := sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{big.NewInt(0)}}, rand.Reader); err == nil {
-		t.Fatal("PK0=0 should fail")
+		t.Fatal("invalid PK0 should fail")
 	}
 }
 
 func TestRecoverValidation(t *testing.T) {
-	o := newOneOfN(t, testGroup(), randomMessages(t, 3, 16), 1)
+	o := newOneOfN(t, ot.X25519(), randomMessages(t, 3, 16), 1)
 	if _, err := o.receiver.Recover(nil); err == nil {
 		t.Fatal("nil transfer should fail")
 	}
@@ -242,7 +214,7 @@ func TestRecoverValidation(t *testing.T) {
 // out-of-range values).
 func TestTamperedCiphertextDecryptsGarbage(t *testing.T) {
 	msgs := randomMessages(t, 3, 16)
-	o := newOneOfN(t, testGroup(), msgs, 2)
+	o := newOneOfN(t, ot.X25519(), msgs, 2)
 	o.tr.Cts[2][0] ^= 0xFF
 	got, err := o.receiver.Recover(o.tr)
 	if err != nil {
@@ -257,7 +229,7 @@ func TestTamperedCiphertextDecryptsGarbage(t *testing.T) {
 // receiver's key yields garbage (sender privacy, §III-B).
 func TestNonChosenMessagesUnreadable(t *testing.T) {
 	msgs := randomMessages(t, 4, 24)
-	o := newOneOfN(t, testGroup(), msgs, 1)
+	o := newOneOfN(t, ot.X25519(), msgs, 1)
 	got, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +254,7 @@ func TestNonChosenMessagesUnreadable(t *testing.T) {
 // sigma. We sanity-check that PK0 values differ across runs and are valid
 // group elements for every sigma.
 func TestChoiceHidesIndex(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 4, 16)
 	_, setup, err := ot.NewBatchSender(g, msgs, 1, rand.Reader)
 	if err != nil {
@@ -309,30 +281,8 @@ func TestChoiceHidesIndex(t *testing.T) {
 }
 
 func TestElementLen(t *testing.T) {
-	g := ot.Group2048()
-	if g.ElementLen() != 256 {
-		t.Fatalf("2048-bit group element length = %d", g.ElementLen())
-	}
-	if g.Bits() != 2048 {
-		t.Fatalf("bits = %d", g.Bits())
-	}
-}
-
-func TestLargeGroupRoundTrip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large-group modexp")
-	}
-	for _, g := range []ot.Group{ot.Group1024(), ot.Group2048()} {
-		t.Run(g.Name(), func(t *testing.T) {
-			msgs := randomMessages(t, 3, 32)
-			got, err := transfer1ofN(g, msgs, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, msgs[2]) {
-				t.Fatal("wrong message")
-			}
-		})
+	if n := ot.X25519().ElementLen(); n != 32 {
+		t.Fatalf("element length = %d, want 32", n)
 	}
 }
 
@@ -341,7 +291,7 @@ func TestLargeGroupRoundTrip(t *testing.T) {
 // at Respond, which wants one choice per instance, and at Recover, which
 // wants exactly k·n ciphertexts.
 func TestBatchMismatchedCounts(t *testing.T) {
-	g := testGroup()
+	g := ot.X25519()
 	msgs := randomMessages(t, 5, 16)
 	sender, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
 	if err != nil {
@@ -400,7 +350,7 @@ func TestBatchMismatchedCounts(t *testing.T) {
 
 // A 1-out-of-n transfer is a k-out-of-n with one index.
 func ExampleTransferKofN() {
-	g := ot.Group512Test()
+	g := ot.X25519()
 	msgs := [][]byte{[]byte("alpha"), []byte("bravo"), []byte("carol")}
 	got, err := ot.TransferKofN(g, msgs, []int{1}, rand.Reader)
 	if err != nil {

@@ -9,6 +9,7 @@ import (
 	"math/big"
 	"testing"
 
+	"repro/internal/ec25519"
 	"repro/internal/parallel/paralleltest"
 )
 
@@ -39,31 +40,33 @@ func (d *detReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
-// TestExpGMatchesExp checks the fixed-base window table against generic
-// exponentiation across random and edge-case exponents.
+// TestExpGMatchesExp checks the fixed-base table behind ExpG against the
+// ladder Exp runs on the basepoint, across random and edge-case scalars,
+// those at and beyond the group order among them.
 func TestExpGMatchesExp(t *testing.T) {
-	g := Group512Test()
+	g := X25519()
+	l := ec25519.Order()
+	base := ec25519.Basepoint()
 	exps := []*big.Int{
 		big.NewInt(0),
 		big.NewInt(1),
 		big.NewInt(2),
 		big.NewInt(15),
 		big.NewInt(16),
-		new(big.Int).Sub(g.Q, big.NewInt(1)),
-		new(big.Int).Set(g.Q),
-		new(big.Int).Add(g.Q, g.Q), // beyond the table width: fallback path
+		new(big.Int).Sub(l, big.NewInt(1)),
+		new(big.Int).Set(l),
+		new(big.Int).Add(l, l),
 	}
 	for i := 0; i < 32; i++ {
-		e, err := rand.Int(rand.Reader, g.Q)
+		e, err := rand.Int(rand.Reader, l)
 		if err != nil {
 			t.Fatal(err)
 		}
 		exps = append(exps, e)
 	}
 	for _, e := range exps {
-		want := g.Exp(g.G, e).(*big.Int)
-		if got := g.ExpG(e).(*big.Int); got.Cmp(want) != 0 {
-			t.Fatalf("ExpG(%v) = %v, want %v", e, got, want)
+		if !g.ExpG(e).Equal(g.Exp(&base, e)) {
+			t.Fatalf("ExpG(%v) differs from Exp(B, %v)", e, e)
 		}
 	}
 }
@@ -71,36 +74,34 @@ func TestExpGMatchesExp(t *testing.T) {
 // TestKofNParallelRoundTrip runs the batch transfer across worker counts,
 // checking the recovered messages at each.
 func TestKofNParallelRoundTrip(t *testing.T) {
-	for _, group := range []Group{Group512Test(), X25519()} {
-		t.Run(group.Name(), func(t *testing.T) {
-			msgs := make([][]byte, 8)
-			for i := range msgs {
-				msgs[i] = []byte(fmt.Sprintf("message-%02d", i))
+	group := X25519()
+	t.Run(group.Name(), func(t *testing.T) {
+		msgs := make([][]byte, 8)
+		for i := range msgs {
+			msgs[i] = []byte(fmt.Sprintf("message-%02d", i))
+		}
+		indices := []int{6, 0, 3}
+		for _, procs := range []int{1, 2, 4, 8} {
+			paralleltest.SetProcs(t, procs)
+			got, err := TransferKofN(group, msgs, indices, rand.Reader)
+			if err != nil {
+				t.Fatalf("procs=%d: %v", procs, err)
 			}
-			indices := []int{6, 0, 3}
-			for _, procs := range []int{1, 2, 4, 8} {
-				paralleltest.SetProcs(t, procs)
-				got, err := TransferKofN(group, msgs, indices, rand.Reader)
-				if err != nil {
-					t.Fatalf("procs=%d: %v", procs, err)
-				}
-				for j, idx := range indices {
-					if !bytes.Equal(got[j], msgs[idx]) {
-						t.Fatalf("procs=%d: recovered[%d] = %q, want %q", procs, j, got[j], msgs[idx])
-					}
+			for j, idx := range indices {
+				if !bytes.Equal(got[j], msgs[idx]) {
+					t.Fatalf("procs=%d: recovered[%d] = %q, want %q", procs, j, got[j], msgs[idx])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestKofNParallelDeterministic checks that every protocol message is
 // bit-identical across GOMAXPROCS settings when the rng stream is fixed:
 // every message is a function of the rng stream alone.
 func TestKofNParallelDeterministic(t *testing.T) {
-	for _, group := range []Group{Group512Test(), X25519()} {
-		t.Run(group.Name(), func(t *testing.T) { testKofNDeterministic(t, group) })
-	}
+	group := X25519()
+	t.Run(group.Name(), func(t *testing.T) { testKofNDeterministic(t, group) })
 }
 
 func testKofNDeterministic(t *testing.T, group Group) {
@@ -152,7 +153,7 @@ func testKofNDeterministic(t *testing.T, group Group) {
 // a batched choice fails cleanly (no hang, no partial success) with
 // several workers available.
 func TestBatchRespondBadChoiceParallel(t *testing.T) {
-	group := Group512Test()
+	group := X25519()
 	msgs := [][]byte{[]byte("aa"), []byte("bb"), []byte("cc"), []byte("dd")}
 	indices := []int{0, 2}
 	paralleltest.SetProcs(t, 4)

@@ -64,7 +64,7 @@ func extBatch(t *testing.T, sender *ot.IKNPSender, receiver *ot.IKNPReceiver, se
 // recovered transfer must match exactly — any divergence means the
 // restore lost or reset part of the cryptographic position.
 func TestIKNPSnapshotRestoreDifferential(t *testing.T) {
-	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestIKNPSnapshotRestoreDifferential(t *testing.T) {
 // everything the previous sessions consumed, so the (column, batch,
 // counter) PRG domains never collide across the chain.
 func TestIKNPResumeCounterMonotonic(t *testing.T) {
-	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestIKNPResumeCounterMonotonic(t *testing.T) {
 // TestIKNPRestoreValidation: hostile or truncated states are rejected by
 // shape, never partially accepted.
 func TestIKNPRestoreValidation(t *testing.T) {
-	sender, receiver, err := ot.NewIKNP(ot.Group512Test(), rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
@@ -38,7 +37,7 @@ func trainTestModel(t *testing.T, invert bool) *svm.Model {
 }
 
 func testParams() classify.Params {
-	return classify.Params{Group: ot.Group512Test()}
+	return classify.Params{}
 }
 
 func TestRegistryLifecycle(t *testing.T) {

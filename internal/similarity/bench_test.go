@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -32,7 +31,7 @@ func BenchmarkKernelSimilarity(b *testing.B) {
 		}
 	}
 	b.Logf("|S_A| = %d, |S_B| = %d", len(models[0].SupportVectors), len(models[1].SupportVectors))
-	params := similarity.Params{Group: ot.X25519()}
+	var params similarity.Params
 	for i := 0; i < b.N; i++ {
 		if _, err := similarity.EvaluatePrivateKernel(models[0], models[1], params, rand.Reader); err != nil {
 			b.Fatal(err)

@@ -24,7 +24,9 @@ type Params struct {
 	CoverFactor int
 	// AmplifierBits bounds r_am and r_aw (default 64).
 	AmplifierBits int
-	// Group is the OT group (default ot.Group2048).
+	// Group is ignored: every evaluation runs the one OT group, x25519.
+	//
+	// Deprecated: ot.X25519 is the only group.
 	Group ot.Group
 	// FracBits is the fixed-point precision (default 24; 12 for the
 	// kernel variant). It sizes the field (field.ByBits), and the field
@@ -49,9 +51,6 @@ func (p Params) withDefaults() Params {
 	}
 	if p.AmplifierBits == 0 {
 		p.AmplifierBits = ompe.DefaultAmplifierBits
-	}
-	if p.Group == nil {
-		p.Group = ot.Group2048()
 	}
 	if p.FracBits == 0 {
 		p.FracBits = 24
@@ -116,7 +115,7 @@ func specFor(dim int, p Params, need int) (Spec, error) {
 		AmplifierBits: p.AmplifierBits,
 		FieldBits:     f.Bits(),
 		FracBits:      p.FracBits,
-		GroupName:     p.Group.Name(),
+		GroupName:     ot.X25519().Name(),
 	}, nil
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/ompe"
+	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -422,28 +423,50 @@ func TestKernelAliceFracBits(t *testing.T) {
 // TestHostileSpecRefused: Bob handed a spec whose OMPE shape overflows
 // int, M = (q+1)·k pairs with q or k at 2^62, must refuse it with
 // ompe.ErrParams when he opens the first round, before allocating
-// anything sized by it.
+// anything sized by it. A spec naming any OT group but x25519 must be
+// refused with ot.ErrUnknownGroup by NewBob and NewKernelBob themselves,
+// before any message.
 func TestHostileSpecRefused(t *testing.T) {
 	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelA, modelB := kernelModels(t)
+	kernelAlice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		name   string
 		mutate func(*similarity.Spec)
+		want   error
+		// lazy rows may pass the constructor and fail at the first message.
+		lazy bool
 	}{
-		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }},
-		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }},
+		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true},
+		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true},
+		{"group-modp512-test", func(s *similarity.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false},
+		{"group-modp2048", func(s *similarity.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false},
+		{"group-empty", func(s *similarity.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := alice.Spec()
 			tc.mutate(&spec)
 			bob, err := similarity.NewBob(spec, []float64{0.2, 0.9}, -0.2)
-			if err == nil {
+			if err == nil && tc.lazy {
 				_, err = bob.StartRound(similarity.RoundCentroid, rand.Reader)
 			}
-			if !errors.Is(err, ompe.ErrParams) {
-				t.Fatalf("err = %v, want ompe.ErrParams", err)
+			if !errors.Is(err, tc.want) {
+				t.Errorf("NewBob: err = %v, want %v", err, tc.want)
+			}
+			kspec := kernelAlice.Spec()
+			tc.mutate(&kspec.Spec)
+			kbob, err := similarity.NewKernelBob(kspec, modelB)
+			if err == nil && tc.lazy {
+				_, err = kbob.StartRound(similarity.RoundCentroid, rand.Reader)
+			}
+			if !errors.Is(err, tc.want) {
+				t.Errorf("NewKernelBob: err = %v, want %v", err, tc.want)
 			}
 		})
 	}

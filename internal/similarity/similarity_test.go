@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -15,7 +14,6 @@ func fastParams() similarity.Params {
 	return similarity.Params{
 		MaskDegree:  2,
 		CoverFactor: 2,
-		Group:       ot.Group512Test(),
 	}
 }
 

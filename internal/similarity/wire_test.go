@@ -20,7 +20,7 @@ func sampleSpec() Spec {
 		AmplifierBits: 40,
 		FieldBits:     1024,
 		FracBits:      12,
-		GroupName:     "modp512",
+		GroupName:     "x25519",
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 	"repro/internal/transport"
 )
@@ -78,7 +77,7 @@ func checkLabels(t *testing.T, got, want []int, what string) {
 // disturbing the session, and that a single query still follows.
 func TestClassifyBatchOverPipe(t *testing.T) {
 	model, test := trainLinear(t, 21)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +130,7 @@ func TestClassifyBatchOverPipe(t *testing.T) {
 // OT-extension round for all samples) against the local reference.
 func TestClassifyFastBatchOverPipe(t *testing.T) {
 	model, test := trainLinear(t, 22)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +181,7 @@ func TestClassifyFastBatchOverPipe(t *testing.T) {
 // server and the windowed client must be data-race free).
 func TestClassifyPipelined(t *testing.T) {
 	model, test := trainLinear(t, 23)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +218,7 @@ func TestClassifyPipelined(t *testing.T) {
 // prompt ErrCanceled, a freed server session slot, and no hang.
 func TestClassifyPipelinedCanceled(t *testing.T) {
 	model, test := trainLinear(t, 24)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +281,7 @@ func runDeterministicBatch(t *testing.T, procs int, samples [][]float64) (sent, 
 	t.Helper()
 	paralleltest.SetProcs(t, procs)
 	model, _ := trainLinear(t, 25)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

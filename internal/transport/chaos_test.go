@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/faultnet"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/transport"
 )
@@ -46,7 +45,7 @@ func chaosMatrix() []chaosCase {
 		// Handshake offsets land inside the ~100-byte Hello and spec reply;
 		// mid-OT offsets sit past it, inside the ~4KB similarity query
 		// exchange and inside the classification session's IKNP base phase
-		// (measured for the 512-bit test group).
+		// (measured on x25519, whose base choice alone is over 4 KB).
 		{name: "write-error-handshake", profile: faultnet.Profile{FailWriteAfter: 16}, wantErr: injected},
 		{name: "write-error-mid-ot", profile: faultnet.Profile{FailWriteAfter: 1024}, wantErr: injected},
 		{name: "read-error-handshake", profile: faultnet.Profile{FailReadAfter: 64}, wantErr: injected},
@@ -137,7 +136,7 @@ func runChaos(t *testing.T, tc chaosCase, srv *transport.Server, fn func(rw *fau
 // fault matrix.
 func TestChaosClassify(t *testing.T) {
 	model, test := trainLinear(t, 71)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +195,7 @@ func TestChaosSimilarity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := classify.NewTrainer(modelA, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(modelA, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +205,7 @@ func TestChaosSimilarity(t *testing.T) {
 				t.Run(tc.name, func(t *testing.T) {
 					srv := quietServer(t, trainer)
 					srv.MessageDeadline = chaosOpts.MessageDeadline
-					srv.EnableSimilarity(wA, modelA.Bias, similarity.Params{Group: ot.Group512Test()})
+					srv.EnableSimilarity(wA, modelA.Bias, similarity.Params{})
 					runChaos(t, tc, srv, func(rw *faultnet.Conn) error {
 						got, err := transport.EvaluateSimilarityContext(t.Context(), rw, wB, modelB.Bias, chaosOptsFor(codec), rand.Reader)
 						if err != nil {
@@ -229,7 +228,7 @@ func TestChaosSimilarity(t *testing.T) {
 // clean error (or a correct result for benign faults).
 func TestChaosServerSideFaults(t *testing.T) {
 	model, test := trainLinear(t, 74)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +348,7 @@ func measureFastBatch(t *testing.T, trainer *classify.Trainer, samples [][]float
 // typed error.
 func TestChaosClassifyFastBatch(t *testing.T) {
 	model, test := trainLinear(t, 75)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -415,7 +414,7 @@ func TestChaosClassifyFastBatch(t *testing.T) {
 // freed session slots.
 func TestChaosClassifyPipelined(t *testing.T) {
 	model, test := trainLinear(t, 76)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

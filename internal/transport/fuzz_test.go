@@ -48,7 +48,7 @@ func wireFuzzSamples() []struct {
 	simSpec := similarity.Spec{
 		Dim: 3, Metric: similarity.DefaultMetric(), MaskDegree: 4,
 		CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12,
-		GroupName: "modp512",
+		GroupName: "x25519",
 	}
 	return []struct {
 		name  string
@@ -57,7 +57,7 @@ func wireFuzzSamples() []struct {
 		{"Hello", &transport.Hello{Service: "classify", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
 		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
 		{"Done", &transport.Done{}},
-		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "modp512", ResumeGranted: true}},
+		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "x25519", ResumeGranted: true}},
 		{"SessionTicket", &transport.SessionTicket{Ticket: []byte{0x50, 0x50, 0x44, 0x43, 0x54, 0x4B, 0x54, 0x31, 1, 2, 3, 4}}},
 		{"ResumeInfo", &transport.ResumeInfo{MintID: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},
 		{"SimilaritySpec", &simSpec},

@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/transport"
 	"repro/internal/wire"
@@ -42,67 +41,47 @@ var goldenDir = filepath.Join("testdata", "wire")
 type goldenScenario struct {
 	name    string
 	service string // classify-serial | classify-batch | similarity
-	group   string // modp512 | x25519
+	group   string // the OT group's name, recorded in the container: x25519
 	backend string // big | limb: the engine the field picks (classify services only)
 }
 
 // goldenScenarios spans the conformance matrix: the classification
 // session queried one sample at a time (classify-serial: two batches of
 // one, which pins the extension's batch counter across messages) and by
-// one batch of four (classify-batch), each across {modp512,x25519} x
-// {big,limb}, and the linear similarity protocol across groups. A limb
+// one batch of four (classify-batch), each on {big,limb}, and the linear
+// similarity protocol. A limb
 // scenario serves the linear model at the default parameters, which fit
 // 2^255−19; a big scenario widens the amplifier until the protocol needs
 // 2^521−1, which runs math/big. Both send the same request form, records
 // of field-width elements, so their requests differ only in record
-// width. Names carry the "binary" infix of the one framing, which keeps
-// the transcript file names stable.
+// width. Names carry the "binary" infix of the one framing and the
+// "x25519" infix of the one OT group, which keeps the transcript file
+// names stable.
 func goldenScenarios() []goldenScenario {
 	var out []goldenScenario
 	for _, service := range []string{"classify-serial", "classify-batch"} {
-		for _, group := range []string{"modp512", "x25519"} {
-			for _, backend := range []string{"big", "limb"} {
-				out = append(out, goldenScenario{
-					name:    fmt.Sprintf("%s_binary_%s_%s", service, group, backend),
-					service: service, group: group, backend: backend,
-				})
-			}
+		for _, backend := range []string{"big", "limb"} {
+			out = append(out, goldenScenario{
+				name:    fmt.Sprintf("%s_binary_x25519_%s", service, backend),
+				service: service, group: "x25519", backend: backend,
+			})
 		}
 	}
-	for _, group := range []string{"modp512", "x25519"} {
-		out = append(out, goldenScenario{
-			name:    "similarity_binary_" + group,
-			service: "similarity", group: group,
-		})
-	}
-	return out
+	return append(out, goldenScenario{name: "similarity_binary_x25519", service: "similarity", group: "x25519"})
 }
 
 // goldenBigAmplifierBits widens the big scenarios' amplifier past what
 // 2^255−19 can hold, so their protocol lands on 2^521−1.
 const goldenBigAmplifierBits = 192
 
-func goldenGroup(t *testing.T, name string) ot.Group {
-	t.Helper()
-	switch name {
-	case "modp512":
-		return ot.Group512Test()
-	case "x25519":
-		return ot.X25519()
-	}
-	t.Fatalf("unknown group %q", name)
-	return nil
-}
-
 // runGoldenSession performs one deterministic session and returns the
 // client's wire bytes in each direction.
 func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 	t.Helper()
-	group := goldenGroup(t, sc.group)
 	var opts transport.Options
 
 	model, test := trainLinear(t, 91)
-	params := classify.Params{Group: group}
+	var params classify.Params
 	wantBits := 255
 	if sc.backend == "big" {
 		params.AmplifierBits = goldenBigAmplifierBits
@@ -129,7 +108,7 @@ func runGoldenSession(t *testing.T, sc goldenScenario) (c2s, s2c []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv.EnableSimilarity(wA, model.Bias, similarity.Params{Group: group})
+		srv.EnableSimilarity(wA, model.Bias, similarity.Params{})
 		return recordSession(t, srv, func(rc net.Conn) error {
 			_, err := transport.EvaluateSimilarityContext(t.Context(), rc, wB, modelB.Bias, opts, clientRand)
 			return err

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/transport"
 )
 
@@ -33,7 +32,7 @@ func withRegistry(t *testing.T) *obs.Registry {
 func TestClassifySessionMetrics(t *testing.T) {
 	g := withRegistry(t)
 	model, test := trainLinear(t, 21)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestClassifySessionMetrics(t *testing.T) {
 func TestSessionRejectionMetrics(t *testing.T) {
 	g := withRegistry(t)
 	model, _ := trainLinear(t, 22)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 	"repro/internal/transport"
 )
@@ -21,7 +20,7 @@ import (
 func runPadSession(t *testing.T, clientPad string) (got, want []int) {
 	t.Helper()
 	model, test := trainLinear(t, 41)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func runDeterministicAESBatch(t *testing.T, procs int, clientPad string, samples
 	t.Helper()
 	paralleltest.SetProcs(t, procs)
 	model, _ := trainLinear(t, 43)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

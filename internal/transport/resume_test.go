@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/classify"
-	"repro/internal/ot"
 	"repro/internal/transport"
 )
 
@@ -33,7 +32,7 @@ type resumeHarness struct {
 func newResumeHarness(t *testing.T, seed uint64) *resumeHarness {
 	t.Helper()
 	model, test := trainLinear(t, seed)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestResumeStaleTicketsFallBack(t *testing.T) {
 // whose state provenance it cannot account for.
 func TestResumeGrantRefusedWhenUnoffered(t *testing.T) {
 	model, _ := trainLinear(t, 67)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,11 +272,11 @@ func (s *swapSource) CurrentTrainer() *classify.Trainer { return s.tr.Load() }
 // state minted under the old one.
 func TestResumeHotSwapContractInvalidation(t *testing.T) {
 	model, test := trainLinear(t, 70)
-	tr1, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	tr1, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test(), AmplifierBits: 32})
+	tr2, err := classify.NewTrainer(model, classify.Params{AmplifierBits: 32})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 func newTrainer(t *testing.T, seed uint64) (*classify.Trainer, []float64) {
 	t.Helper()
 	model, test := trainLinear(t, seed)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,12 +276,12 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 		}, "tag 0x06"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			trainer, err := classify.NewTrainer(modelA, classify.Params{Group: ot.Group512Test()})
+			trainer, err := classify.NewTrainer(modelA, classify.Params{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			srv := quietServer(t, trainer)
-			srv.EnableSimilarity(wA, modelA.Bias, similarity.Params{Group: ot.Group512Test()})
+			srv.EnableSimilarity(wA, modelA.Bias, similarity.Params{})
 			srv.MaxSessions = 1
 
 			serverSideA, clientSideA := net.Pipe()

@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 	"repro/internal/transport"
@@ -53,7 +52,7 @@ func quietServer(t *testing.T, trainer *classify.Trainer) *transport.Server {
 // in-memory duplex connection.
 func TestClassifyOverPipe(t *testing.T) {
 	model, test := trainLinear(t, 11)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +103,7 @@ func TestClassifyOverPipe(t *testing.T) {
 // real TCP listener.
 func TestClassifyOverTCPConcurrent(t *testing.T) {
 	model, test := trainLinear(t, 12)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,8 +168,8 @@ func TestSimilarityOverPipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	params := similarity.Params{Group: ot.Group512Test()}
-	trainer, err := classify.NewTrainer(modelA, classify.Params{Group: ot.Group512Test()})
+	params := similarity.Params{}
+	trainer, err := classify.NewTrainer(modelA, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +197,7 @@ func TestSimilarityOverPipe(t *testing.T) {
 // service: it must fail fast with a typed remote error, not a spec.
 func TestUnknownServiceRejected(t *testing.T) {
 	model, _ := trainLinear(t, 15)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,12 +251,12 @@ func trainPoly(t *testing.T, seed uint64) *svm.Model {
 // kernelSimServer serves the kernelized similarity protocol for model.
 func kernelSimServer(t *testing.T, model *svm.Model) *transport.Server {
 	t.Helper()
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := quietServer(t, trainer)
-	srv.EnableKernelSimilarity(similarity.Params{Group: ot.Group512Test()})
+	srv.EnableKernelSimilarity(similarity.Params{})
 	return srv
 }
 
@@ -340,7 +339,7 @@ func TestKernelSimilarityHostileNumSupport(t *testing.T) {
 // as an error on both sides, never a hang or panic.
 func TestTruncatedStreamErrors(t *testing.T) {
 	model, _ := trainLinear(t, 23)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,7 +371,7 @@ func TestTruncatedStreamErrors(t *testing.T) {
 // that only classifies must produce a remote error.
 func TestSimilarityServiceNotEnabled(t *testing.T) {
 	model, _ := trainLinear(t, 24)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +431,7 @@ var errSentinel = errors.New("sentinel failure")
 // connection must label like the plaintext model across several queries.
 func TestFastClassifyOverPipe(t *testing.T) {
 	model, test := trainLinear(t, 33)
-	trainer, err := classify.NewTrainer(model, classify.Params{Group: ot.Group512Test()})
+	trainer, err := classify.NewTrainer(model, classify.Params{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
-	"repro/internal/ot"
 	"repro/internal/svm"
 )
 
@@ -67,7 +66,7 @@ func FitScaler(x [][]float64) (*Scaler, error) { return svm.FitScaler(x) }
 // ClassifyParams configures the privacy-preserving classification
 // protocol. The zero value selects the paper's defaults: direct kernel
 // evaluation, masking degree q=2, cover factor k=2, 64-bit amplifiers,
-// and the 2048-bit MODP OT group.
+// and the x25519 OT group, the only one.
 type ClassifyParams = classify.Params
 
 // Nonlinear evaluation forms.
@@ -116,18 +115,6 @@ func ClassifyWith(t *Trainer, c *Client, sample []float64, rng io.Reader) (int, 
 func ClassifyBatch(t *Trainer, samples [][]float64, rng io.Reader) ([]int, error) {
 	return classify.ClassifyBatch(t, samples, rng)
 }
-
-// OT groups for protocol configuration.
-var (
-	// OTGroup512Test is a toy 512-bit group for tests and benchmarks.
-	OTGroup512Test = ot.Group512Test
-	// OTGroup1024 is the RFC 2409 Oakley Group 2 (legacy security).
-	OTGroup1024 = ot.Group1024
-	// OTGroup1536 is the RFC 3526 group 5.
-	OTGroup1536 = ot.Group1536
-	// OTGroup2048 is the RFC 3526 group 14 (recommended).
-	OTGroup2048 = ot.Group2048
-)
 
 // Dataset is a labeled ±1 sample set.
 type Dataset = dataset.Dataset

@@ -27,7 +27,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup512Test()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestPublicAPIBatchAndClientReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup512Test()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestPublicSimilarityAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	priv, err := ppdc.EvaluateModelSimilarityPrivate(modelA, modelB,
-		ppdc.SimilarityParams{Group: ppdc.OTGroup512Test()}, rand.Reader)
+		ppdc.SimilarityParams{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestPublicNetworkAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{Group: ppdc.OTGroup512Test()})
+	trainer, err := ppdc.NewTrainer(model, ppdc.ClassifyParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestPublicNetworkAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableSimilarity(w, model.Bias, ppdc.SimilarityParams{Group: ppdc.OTGroup512Test()})
+	srv.EnableSimilarity(w, model.Bias, ppdc.SimilarityParams{})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestSimilarityMatrix(t *testing.T) {
 		}
 		models = append(models, m)
 	}
-	mat, err := ppdc.SimilarityMatrix(models, ppdc.SimilarityParams{Group: ppdc.OTGroup512Test()}, rand.Reader)
+	mat, err := ppdc.SimilarityMatrix(models, ppdc.SimilarityParams{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
