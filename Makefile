@@ -3,10 +3,10 @@
 # via -cpu), of the two OT micro-benchmarks the group work is sized
 # with (the x25519 base phase and the similarity k-of-n shapes), of the
 # limb-field and curve kernels under them (the limb dot product through
-# limb.Sum among them), of the decision-function sum
-# in its two forms, and of one kernelized similarity evaluation, then a
-# run of every example program. fuzz-smoke runs the fuzz targets briefly
-# (CI runs it as a separate job).
+# limb.Sum among them), of the decision-function sum in its two forms,
+# and of one linear and one kernelized similarity evaluation, then a run
+# of every example program. fuzz-smoke runs the fuzz targets briefly (CI
+# runs it as a separate job).
 .PHONY: check vet build test bench-smoke examples bench bench-pair \
 	fuzz-smoke lint cover tidy-check wire-regen loc loc-delta
 
@@ -40,7 +40,7 @@ bench-smoke:
 	smoke '' ./internal/field/limb BenchmarkLimbMul BenchmarkLimbSquare BenchmarkLimbInv BenchmarkLimbDot && \
 	smoke '' ./internal/ec25519 BenchmarkScalarMult BenchmarkScalarBaseMult && \
 	smoke '' ./internal/mvpoly BenchmarkKernelSumEval && \
-	smoke '' ./internal/similarity BenchmarkKernelSimilarity
+	smoke '' ./internal/similarity BenchmarkLinearSimilarity BenchmarkKernelSimilarity
 
 # examples builds and runs each program under examples/ (each well under
 # a second on a 2-core host) and fails on the first non-zero exit.

@@ -18,6 +18,8 @@ import (
 // field-width elements. No parameter names an engine. The paper's cubic
 // at n = 8 decodes at per-degree scales and fits 2^255−19; a cubic past
 // mvpoly.MaxRescaledNodes decodes at S^(2p+1) and stays on 2^521−1.
+// Linear similarity is sized from its area value alone and fits
+// 2^255−19 at its defaults.
 func TestFieldPicksEngine(t *testing.T) {
 	linear, test := trainSmall(t, svm.Linear(), 1)
 	cubic, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
@@ -66,7 +68,7 @@ func TestFieldPicksEngine(t *testing.T) {
 		{"similarity-fracbits-18", func() (int, *ompe.EvalRequest) {
 			return similarityRequest(similarity.Params{FracBits: 18})
 		}, 255},
-		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 521},
+		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 255},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			bits, req := tc.run()

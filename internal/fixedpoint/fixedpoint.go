@@ -51,7 +51,7 @@ func NewCodec(f *field.Field, fracBits uint) (*Codec, error) {
 	if f == nil {
 		return nil, errors.New("fixedpoint: nil field")
 	}
-	if fracBits == 0 || int(fracBits) >= f.Bits()-2 {
+	if fracBits == 0 || fracBits >= uint(f.Bits()-2) {
 		return nil, fmt.Errorf("fixedpoint: fracBits %d out of range for %d-bit field", fracBits, f.Bits())
 	}
 	half := new(big.Int).Rsh(f.Modulus(), 1)

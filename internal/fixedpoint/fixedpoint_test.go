@@ -212,6 +212,11 @@ func TestNewCodecValidation(t *testing.T) {
 	if _, err := fixedpoint.NewCodec(f, 300); err == nil {
 		t.Fatal("fracBits >= field bits should fail")
 	}
+	// A precision read off the wire that is negative as an int must not
+	// slip past the range check into a 2^63-bit scale.
+	if _, err := fixedpoint.NewCodec(f, 1<<63); err == nil {
+		t.Fatal("fracBits 2^63 should fail")
+	}
 }
 
 func TestEncodeVecReportsComponent(t *testing.T) {

@@ -2,12 +2,37 @@ package similarity_test
 
 import (
 	"crypto/rand"
+	mrand "math/rand/v2"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
+
+// BenchmarkLinearSimilarity times one in-process hyperplane evaluation
+// (§V-B) at n = 8 on the default parameters, over x25519 at GOMAXPROCS:
+// both set-ups (unit normals, boundary centroids, the 2^255−19 codec) and
+// the three OMPE rounds, each with one Naor–Pinkas k-of-n.
+func BenchmarkLinearSimilarity(b *testing.B) {
+	rng := mrand.New(mrand.NewPCG(8, 1))
+	plane := func() ([]float64, float64) {
+		w := make([]float64, 8)
+		for j := range w {
+			w[j] = rng.NormFloat64()
+		}
+		return w, 0.1 * rng.NormFloat64()
+	}
+	wA, bA := plane()
+	wB, bB := plane()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := similarity.EvaluatePrivate(wA, bA, wB, bB, similarity.Params{}, rand.Reader); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 // BenchmarkKernelSimilarity times one in-process kernelized evaluation
 // (§V-C) between two cubic models trained on the full synthetic diabetes

@@ -35,11 +35,16 @@ import (
 // passed unedited. linear/limb-fb18 and kernel/diabetes-poly were
 // re-recorded when x25519 became the only OT group: each is the digest
 // the same test produced at 8bb7231 with its params set to ot.X25519(),
-// and parentRoundValues passed unedited.
+// and parentRoundValues passed unedited. The two linear cases were
+// re-recorded, with their parentRoundValues, when both parties moved to
+// unit normals and the field came to be sized from the area value alone:
+// linear/x25519 moved from 2^521−1 to 2^255−19, and both cases encode
+// (w/|w|, b/|w|) and its centroid, which changes every value and message
+// of theirs, fb18's included. kernel/diabetes-poly passed unedited.
 // Refactors change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/x25519":        "f40452d103ee6fcac453e85286548366f4cd0c425bdd9e4983f58773671b18ff",
-	"linear/limb-fb18":     "394e1b88d00079dca2a3b559ada4a4f670443d725e49b6163f42830a5605be72",
+	"linear/x25519":        "6885667ec811bdd305555ac3de95f6db31e93ebe263438aedd47c5730a6789d4",
+	"linear/limb-fb18":     "d7984f1de2009a6cd63e58d7e0cbcef34beb9ad67e8a34c3d2eea74c542f7aa7",
 	"kernel/diabetes-poly": "bb1e2b15c5ce5800026e423fbf9bf12b813f92b2a4faf2c89b2fa9a6873eea95",
 }
 
@@ -84,12 +89,13 @@ type requester interface {
 
 // parentRoundValues pins the SHA-256 over Bob's decoded round outputs of
 // the same evaluations (x1 after the centroid round, x2 after every normal
-// round, then T²), as recorded at 58f2b26. Alice draws r_am, r_aw and r_b
+// round, then T²), as recorded at 58f2b26 (the linear cases re-recorded
+// with parentTranscripts for unit normals). Alice draws r_am, r_aw and r_b
 // before any OT, so these values depend on neither side's OT randomness:
 // a change to how the transfers draw or spend theirs leaves them alone.
 var parentRoundValues = map[string]string{
-	"linear/x25519":        "28d8afc0ee3c50803da6e1f4f3e65d2868bee227863d3f872d4a2d801075289c",
-	"linear/limb-fb18":     "d273e21e05a2c203e6a64ed2ba03a95539c5f9174dd78b9303c10dacf7d386be",
+	"linear/x25519":        "bc5c08bb667c4630d0d349d4e37fc3807757ba034a5602876768d4126c0ba0a3",
+	"linear/limb-fb18":     "aababb21d71eeb06d5e3d652a259b4997cdd4020d06050c440e63e8be7b3a073",
 	"kernel/diabetes-poly": "1e065462c457269685276395ee261ed5d71b3a482bd2cd8b28d2c45ecb57b980",
 }
 

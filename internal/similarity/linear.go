@@ -31,7 +31,10 @@ type Params struct {
 	// FracBits is the fixed-point precision (default 24; 12 for the
 	// kernel variant). It sizes the field (field.ByBits), and the field
 	// picks the engine: a precision whose rounds fit 255 bits runs on
-	// 2^255−19 with the limb engine, the default needs 2^521−1.
+	// 2^255−19 with the limb engine. The hyperplane variant needs
+	// 9·FracBits + 12 bits at n = 8 on the default metric
+	// (linearAreaBits), so it fits 2^255−19 up to 27 fractional bits; the
+	// kernel variant's default needs 2^607−1.
 	FracBits uint
 	// Parallelism is ignored.
 	//
@@ -94,6 +97,12 @@ var linearAreaExp = areaExp(dotScaleExp, dotScaleExp, 1)
 // ErrRound reports a protocol message for the wrong round.
 var ErrRound = errors.New("similarity: round mismatch")
 
+// ErrFieldTooSmall reports a field that cannot hold the value Bob decodes:
+// no built-in field fits the need, or Bob is handed a spec whose
+// FieldBits falls short of the need he recomputes from its public Dim,
+// Metric and FracBits.
+var ErrFieldTooSmall = errors.New("similarity: field too small for the decoded value")
+
 // specFor derives the public spec from params, dimension and the field
 // headroom (in bits) the variant's rounds need.
 func specFor(dim int, p Params, need int) (Spec, error) {
@@ -105,7 +114,7 @@ func specFor(dim int, p Params, need int) (Spec, error) {
 	}
 	f, err := field.ByBits(need)
 	if err != nil {
-		return Spec{}, err
+		return Spec{}, fmt.Errorf("%w: %w", ErrFieldTooSmall, err)
 	}
 	return Spec{
 		Dim:           dim,
@@ -182,14 +191,15 @@ type Alice struct {
 // (wA, bA) over the agreed geometry.
 func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, error) {
 	params = params.withDefaults()
-	// Field sizing: rounds 1-2 need 2·fb + amplifier bits; round 3 needs
-	// 9·fb. 40 value bits + slack cover the metric's magnitudes.
-	fb := int(params.FracBits)
-	spec, err := specFor(len(wA), params, max(2*fb+params.AmplifierBits, int(linearAreaExp)*fb)+40+24)
+	need, err := linearAreaBits(len(wA), params.Metric, params.FracBits)
 	if err != nil {
 		return nil, err
 	}
-	mA, err := linearCentroid(wA, bA, spec.Metric)
+	spec, err := specFor(len(wA), params, need)
+	if err != nil {
+		return nil, err
+	}
+	wA, mA, err := unitPlane(wA, bA, spec.Metric)
 	if err != nil {
 		return nil, err
 	}
@@ -217,25 +227,109 @@ func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, e
 	return &Alice{responder: r, spec: spec, normM2: normSq(mA), normW2: normSq(wA)}, nil
 }
 
-// linearCentroid is the centroid of a hyperplane's boundary points.
-func linearCentroid(w []float64, b float64, m Metric) ([]float64, error) {
+// unitPlane rescales the hyperplane (w, b) to (w/|w|, b/|w|), the same
+// hyperplane with a unit normal, and returns that normal with the
+// centroid of its boundary points. Both parties evaluate on unit normals,
+// so |wA·wB| ≤ 1 and c3 = ¼/(|wA|²·|wB|²) = ¼ whatever the models' scale,
+// and the area value is bounded by the Metric and n alone
+// (linearAreaBits).
+func unitPlane(w []float64, b float64, m Metric) (unit, centroid []float64, err error) {
 	span := obs.Start(obs.PhaseSimBoundary)
 	defer span.End()
-	pts, err := LinearBoundaryPoints(w, b, m)
-	if err != nil {
-		return nil, err
+	norm := math.Sqrt(normSq(w))
+	if !(norm > 0) || math.IsInf(norm, 0) {
+		return nil, nil, errors.New("similarity: zero or non-finite normal vector")
 	}
-	return Centroid(pts)
+	unit = make([]float64, len(w))
+	for j, x := range w {
+		unit[j] = x / norm
+	}
+	centroid, err = linearCentroid(unit, b/norm, m)
+	return unit, centroid, err
+}
+
+// unitTolerance is how far from 1 the clear share's |wB|² may be: Bob
+// sends the squared norm of a unit normal, 1 up to float rounding.
+const unitTolerance = 1e-9
+
+// linearAreaBits is the field size, in bits, that the hyperplane variant
+// needs: the bits of the one value Bob decodes, the area round's T²·S⁹.
+// The dot rounds need none. Their outputs x1 = r_am·D1 and
+// x2 = r_aw·D2 + r_b are field elements that Eq. (7) maps back to D1 and
+// D2² exactly (d1·x1 and d2·(d3 + x2)²) however they wrap, so the
+// amplifier does not enter.
+//
+// Let S = 2^fb and γ = max(|α|, |β|), with both normals unit and both
+// centroids in [α, β]ⁿ. Before reduction the area value is the integer
+//
+//	V = (E1² + C2)·(C4 − C3·D2²),  E1 = C1 − 2·D1,
+//
+// and Bob decodes it only if |V| ≤ (p−1)/2. Its exact counterpart is
+// T²·S⁹, and T² = ¼(L⁴ + L₀⁴)(sin²θ + sin²θ₀) ≤ B because
+// L² ≤ n(β−α)² and both sines are at most 1:
+//
+//	B = ½((β−α)⁴·n² + L₀⁴).
+//
+// The encodings add these roundings:
+//   - C1 = round(c1·S²) is off by ½. D1 = Σ Enc(mA_j)·Enc(mB_j) has
+//     factors off by ½ and at most γS, so it is off by nγS + n/4. Hence
+//     |E1| ≤ S²·(n(β−α)² + e1), e1 = (2nγS + (n+1)/2)/S².
+//   - C2 = round(L₀⁴·S⁴) is off by ½.
+//   - D2 = Σ Enc(wA_j)·Enc(wB_j) on unit normals: |D2| ≤ (S + √n/2)² by
+//     Cauchy–Schwarz on the rounding vectors.
+//   - C3 = round(c3·S), and c3 = ¼/(|wA|²·|wB|²) ≤ ¼(1 + 2τ), τ being
+//     unitTolerance, so C3 ≤ (¼(1 + 2τ) + ½·S⁻¹)·S.
+//   - C4 = round(¼(1 + sin²θ₀)·S⁵) ≤ ½·S⁵ + ½.
+//
+// C4 and C3·D2² are both non-negative, so the second factor is at most
+// the larger of them, and |V| ≤ X1·X2·S⁹ with
+//
+//	X1 = (n(β−α)² + e1)² + L₀⁴ + ½·S⁻⁴,
+//	X2 = max(½ + ½·S⁻⁵, (¼(1 + 2τ) + ½·S⁻¹)·(1 + √n/(2S))⁴).
+//
+// B̂ = X1·X2·(1 + 2⁻⁴⁰) bounds |V|/S⁹; the last factor covers the float64
+// rounding of every input (c1, L₀⁴, c3, the centroids, the unit normals)
+// and of B̂ itself. B̂ tends to B as S grows; at n = 8, fb = 24 on the
+// default metric it exceeds B by a relative 1e-7. The need is
+//
+//	9·fb + ⌈log2 B̂⌉ + 2,
+//
+// where one bit holds the sign of the centered decode and one more covers
+// a k-bit prime being as small as 2^(k−1), so (p−1)/2 ≥ 2^(k−2) ≥ |V|.
+// At the defaults that is 216 + 10 + 2 = 228 bits; 2^255−19 holds it up
+// to fb = 27.
+func linearAreaBits(dim int, m Metric, fracBits uint) (int, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
+	}
+	// 9·2^10 bits is past every built-in field; the cap keeps the
+	// arithmetic below from overflowing on a hostile spec.
+	if fracBits > 1<<10 {
+		return 0, fmt.Errorf("%w: %d fractional bits", ErrFieldTooSmall, fracBits)
+	}
+	n, s := float64(dim), math.Ldexp(1, int(fracBits))
+	gamma := max(math.Abs(m.Alpha), math.Abs(m.Beta))
+	width := m.Beta - m.Alpha
+	e1 := (2*n*gamma*s + (n+1)/2) / (s * s)
+	x1 := math.Pow(n*width*width+e1, 2) + math.Pow(m.L0, 4) + 0.5/math.Pow(s, 4)
+	x2 := max(0.5+0.5/math.Pow(s, 5), (0.25*(1+2*unitTolerance)+0.5/s)*math.Pow(1+math.Sqrt(n)/(2*s), 4))
+	bHat := x1 * x2 * (1 + 0x1p-40)
+	if math.IsInf(bHat, 0) {
+		return 0, fmt.Errorf("%w: the area value is not finite", ErrFieldTooSmall)
+	}
+	return int(linearAreaExp)*int(fracBits) + int(math.Ceil(math.Log2(bHat))) + 2, nil
 }
 
 // Spec returns the public contract for Bob.
 func (a *Alice) Spec() Spec { return a.spec }
 
 // HandleClearShare stores Bob's vector norms (must arrive before round 3).
+// They must be what linearAreaBits assumes: |wB|² of a unit normal and
+// |mB|² of a centroid inside the box.
 func (a *Alice) HandleClearShare(cs *ClearShare) error {
-	if cs == nil || cs.NormM2 < 0 || cs.NormW2 <= 0 ||
-		math.IsNaN(cs.NormM2) || math.IsInf(cs.NormM2, 0) ||
-		math.IsNaN(cs.NormW2) || math.IsInf(cs.NormW2, 0) {
+	m := a.spec.Metric
+	maxNormM2 := float64(a.spec.Dim) * max(m.Alpha*m.Alpha, m.Beta*m.Beta) * (1 + unitTolerance)
+	if cs == nil || !(cs.NormM2 >= 0 && cs.NormM2 <= maxNormM2) || !(math.Abs(cs.NormW2-1) <= unitTolerance) {
 		return errors.New("similarity: invalid clear share")
 	}
 	a.area = &areaTerms{
@@ -258,25 +352,30 @@ type Bob struct {
 func (b *Bob) SetParallelism(int) {}
 
 // NewBob prepares the requester from Alice's public spec and Bob's own
-// linear model (wB, bB).
+// linear model (wB, bB). He recomputes the field the area value needs
+// from the spec's public Dim, Metric and FracBits, and refuses a spec
+// whose field is smaller with ErrFieldTooSmall.
 func NewBob(spec Spec, wB []float64, bB float64) (*Bob, error) {
 	if len(wB) != spec.Dim {
 		return nil, fmt.Errorf("similarity: model dim %d, spec dim %d", len(wB), spec.Dim)
 	}
-	mB, err := linearCentroid(wB, bB, spec.Metric)
+	need, err := linearAreaBits(spec.Dim, spec.Metric, spec.FracBits)
 	if err != nil {
 		return nil, err
 	}
-	normW2 := normSq(wB)
-	if normW2 == 0 {
-		return nil, errors.New("similarity: zero normal vector")
+	if spec.FieldBits < need {
+		return nil, fmt.Errorf("%w: the spec's field has %d bits, the area value needs %d", ErrFieldTooSmall, spec.FieldBits, need)
+	}
+	wB, mB, err := unitPlane(wB, bB, spec.Metric)
+	if err != nil {
+		return nil, err
 	}
 	r, err := newRequester(spec, 1, mB, [][]float64{wB})
 	if err != nil {
 		return nil, err
 	}
 	r.resultExp = linearAreaExp
-	return &Bob{requester: r, clear: ClearShare{NormM2: normSq(mB), NormW2: normW2}}, nil
+	return &Bob{requester: r, clear: ClearShare{NormM2: normSq(mB), NormW2: normSq(wB)}}, nil
 }
 
 // ClearShare returns the values Bob sends Alice in the clear.

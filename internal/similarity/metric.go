@@ -47,12 +47,13 @@ func DefaultMetric() Metric {
 	return Metric{Alpha: -1, Beta: 1, L0: DefaultL0, Theta0: DefaultTheta0}
 }
 
-// Validate checks the metric parameters.
+// Validate checks the metric parameters: a finite box, a finite positive
+// L0 and θ0 in (0, π/2). NaN fails every test.
 func (m Metric) Validate() error {
-	if !(m.Alpha < m.Beta) {
+	if !(m.Alpha < m.Beta) || math.IsInf(m.Alpha, 0) || math.IsInf(m.Beta, 0) {
 		return fmt.Errorf("similarity: invalid box [%g, %g]", m.Alpha, m.Beta)
 	}
-	if m.L0 <= 0 || m.Theta0 <= 0 || m.Theta0 >= math.Pi/2 {
+	if !(m.L0 > 0) || math.IsInf(m.L0, 0) || !(m.Theta0 > 0 && m.Theta0 < math.Pi/2) {
 		return fmt.Errorf("similarity: invalid regularizers L0=%g theta0=%g", m.L0, m.Theta0)
 	}
 	return nil
@@ -71,24 +72,57 @@ const maxBoundaryDim = 22
 // solve w·t + b = 0 and keep solutions inside the box. The returned points
 // trace the bounded hyperplane's intersection with the box edges.
 func LinearBoundaryPoints(w []float64, b float64, m Metric) ([][]float64, error) {
-	if err := m.Validate(); err != nil {
+	var points [][]float64
+	if _, err := linearBoundary(w, b, m, func(p []float64) {
+		points = append(points, append([]float64(nil), p...))
+	}); err != nil {
 		return nil, err
+	}
+	return points, nil
+}
+
+// linearCentroid is the centroid of a hyperplane's boundary points,
+// summed in enumeration order as Centroid(LinearBoundaryPoints(w, b, m))
+// sums them, so the two agree bit for bit; it allocates only the result
+// and one point buffer.
+func linearCentroid(w []float64, b float64, m Metric) ([]float64, error) {
+	c := make([]float64, len(w))
+	count, err := linearBoundary(w, b, m, func(p []float64) {
+		for j, v := range p {
+			c[j] += v
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for j := range c {
+		c[j] /= float64(count)
+	}
+	return c, nil
+}
+
+// linearBoundary enumerates Eq. (5)'s boundary points in order, handing
+// each to yield in one reused buffer that yield must not retain, and
+// returns how many there were.
+func linearBoundary(w []float64, b float64, m Metric, yield func(point []float64)) (int, error) {
+	if err := m.Validate(); err != nil {
+		return 0, err
 	}
 	n := len(w)
 	if n < 2 {
-		return nil, fmt.Errorf("similarity: need >= 2 dimensions, got %d", n)
+		return 0, fmt.Errorf("similarity: need >= 2 dimensions, got %d", n)
 	}
 	if n > maxBoundaryDim {
-		return nil, fmt.Errorf("similarity: boundary enumeration capped at %d dims (got %d)", maxBoundaryDim, n)
+		return 0, fmt.Errorf("similarity: boundary enumeration capped at %d dims (got %d)", maxBoundaryDim, n)
 	}
-	var points [][]float64
+	count := 0
+	point := make([]float64, n)
 	corners := 1 << (n - 1)
 	for d := 0; d < n; d++ {
 		if w[d] == 0 {
 			continue
 		}
 		for mask := 0; mask < corners; mask++ {
-			point := make([]float64, n)
 			sum := b
 			bit := 0
 			for j := 0; j < n; j++ {
@@ -106,14 +140,15 @@ func LinearBoundaryPoints(w []float64, b float64, m Metric) ([][]float64, error)
 			u := -sum / w[d]
 			if u >= m.Alpha && u <= m.Beta {
 				point[d] = u
-				points = append(points, point)
+				yield(point)
+				count++
 			}
 		}
 	}
-	if len(points) == 0 {
-		return nil, ErrNoBoundary
+	if count == 0 {
+		return 0, ErrNoBoundary
 	}
-	return points, nil
+	return count, nil
 }
 
 // KernelBoundaryPoints finds boundary points of a kernel decision function

@@ -2,6 +2,7 @@ package similarity_test
 
 import (
 	"math"
+	mrand "math/rand/v2"
 	"testing"
 	"testing/quick"
 
@@ -81,9 +82,74 @@ func TestBoundaryValidation(t *testing.T) {
 	if _, err := similarity.LinearBoundaryPoints(big, 0, m); err == nil {
 		t.Fatal("dimension cap should fail")
 	}
-	bad := similarity.Metric{Alpha: 1, Beta: -1, L0: 0.05, Theta0: 0.1}
-	if _, err := similarity.LinearBoundaryPoints([]float64{1, 1}, 0, bad); err == nil {
-		t.Fatal("inverted box should fail")
+	for name, bad := range map[string]similarity.Metric{
+		"inverted-box": {Alpha: 1, Beta: -1, L0: 0.05, Theta0: 0.1},
+		"infinite-box": {Alpha: math.Inf(-1), Beta: 1, L0: 0.05, Theta0: 0.1},
+		"nan-l0":       {Alpha: -1, Beta: 1, L0: math.NaN(), Theta0: 0.1},
+		"infinite-l0":  {Alpha: -1, Beta: 1, L0: math.Inf(1), Theta0: 0.1},
+		"nan-theta0":   {Alpha: -1, Beta: 1, L0: 0.05, Theta0: math.NaN()},
+	} {
+		if _, err := similarity.LinearBoundaryPoints([]float64{1, 1}, 0, bad); err == nil {
+			t.Errorf("%s: metric accepted", name)
+		}
+	}
+}
+
+// TestLinearCentroidMatchesPoints: the streaming centroid Alice and Bob
+// use sums the boundary points in the order LinearBoundaryPoints returns
+// them, so it equals Centroid over the materialised points bit for bit,
+// and fails where they fail.
+func TestLinearCentroidMatchesPoints(t *testing.T) {
+	m := similarity.DefaultMetric()
+	rng := mrand.New(mrand.NewPCG(5, 7))
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + trial%9
+		w := make([]float64, n)
+		for j := range w {
+			w[j] = rng.NormFloat64()
+		}
+		b := 2 * rng.NormFloat64()
+		if trial%7 == 0 {
+			w[trial%n] = 0
+		}
+		got, err := similarity.LinearCentroid(w, b, m)
+		pts, perr := similarity.LinearBoundaryPoints(w, b, m)
+		if (err == nil) != (perr == nil) {
+			t.Fatalf("trial %d: streaming error %v, materialised error %v", trial, err, perr)
+		}
+		if err != nil {
+			continue
+		}
+		want, err := similarity.Centroid(pts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("trial %d: centroid[%d] = %v, Centroid over the points %v", trial, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestLinearCentroidAllocs pins the streaming centroid at two
+// allocations, the result and the one point buffer, where materialising
+// the points costs one per point (n·2^(n−1) at most).
+func TestLinearCentroidAllocs(t *testing.T) {
+	m := similarity.DefaultMetric()
+	for _, tc := range []struct{ n, runs int }{{8, 20}, {16, 2}} {
+		w := make([]float64, tc.n)
+		for j := range w {
+			w[j] = float64(j%3) - 0.7
+		}
+		allocs := testing.AllocsPerRun(tc.runs, func() {
+			if _, err := similarity.LinearCentroid(w, 0.1, m); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("n = %d: %v allocations per centroid, want 2", tc.n, allocs)
+		}
 	}
 }
 

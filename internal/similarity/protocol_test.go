@@ -150,6 +150,11 @@ func TestClearShareValidation(t *testing.T) {
 		{NormM2: 1, NormW2: 0},
 		{NormM2: math.NaN(), NormW2: 1},
 		{NormM2: 1, NormW2: math.Inf(1)},
+		// linearAreaBits assumes a unit normal and a centroid in the box.
+		{NormM2: 1, NormW2: 2},
+		{NormM2: 1, NormW2: 1 + 1e-6},
+		{NormM2: 2*2*1 + 0.01, NormW2: 1},
+		{NormM2: math.NaN(), NormW2: math.NaN()},
 	}
 	for i, cs := range bad {
 		if err := alice.HandleClearShare(cs); err == nil {
@@ -166,6 +171,15 @@ func TestNewAliceValidation(t *testing.T) {
 	// 1-D model.
 	if _, err := similarity.NewAlice([]float64{1}, 0, fastParams(), rand.Reader); err == nil {
 		t.Fatal("1-D model should fail")
+	}
+	// Area values no built-in field holds.
+	for _, params := range []similarity.Params{
+		{FracBits: 150},
+		{Metric: similarity.Metric{Alpha: -1, Beta: 1, L0: 1e100, Theta0: 0.1}},
+	} {
+		if _, err := similarity.NewAlice([]float64{1, 1}, 0, params, rand.Reader); !errors.Is(err, similarity.ErrFieldTooSmall) {
+			t.Errorf("%+v: err = %v, want ErrFieldTooSmall", params, err)
+		}
 	}
 }
 
@@ -425,7 +439,9 @@ func TestKernelAliceFracBits(t *testing.T) {
 // ompe.ErrParams when he opens the first round, before allocating
 // anything sized by it. A spec naming any OT group but x25519 must be
 // refused with ot.ErrUnknownGroup by NewBob and NewKernelBob themselves,
-// before any message.
+// before any message. So must a linear spec whose field is smaller than
+// the area value needs, with ErrFieldTooSmall: Alice's own spec with
+// FracBits or L0 raised and the field left at 255 bits.
 func TestHostileSpecRefused(t *testing.T) {
 	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
 	if err != nil {
@@ -442,12 +458,18 @@ func TestHostileSpecRefused(t *testing.T) {
 		want   error
 		// lazy rows may pass the constructor and fail at the first message.
 		lazy bool
+		// linearOnly rows check a rule of the hyperplane variant only.
+		linearOnly bool
 	}{
-		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true},
-		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true},
-		{"group-modp512-test", func(s *similarity.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false},
-		{"group-modp2048", func(s *similarity.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false},
-		{"group-empty", func(s *similarity.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false},
+		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true, false},
+		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true, false},
+		{"group-modp512-test", func(s *similarity.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false, false},
+		{"group-modp2048", func(s *similarity.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false, false},
+		{"group-empty", func(s *similarity.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false, false},
+		{"frac-bits-30-on-255", func(s *similarity.Spec) { s.FracBits = 30 }, similarity.ErrFieldTooSmall, false, true},
+		{"frac-bits-2^62", func(s *similarity.Spec) { s.FracBits = 1 << 62 }, similarity.ErrFieldTooSmall, false, true},
+		{"l0-1e6-on-255", func(s *similarity.Spec) { s.Metric.L0 = 1e6 }, similarity.ErrFieldTooSmall, false, true},
+		{"l0-1e100", func(s *similarity.Spec) { s.Metric.L0 = 1e100 }, similarity.ErrFieldTooSmall, false, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			spec := alice.Spec()
@@ -458,6 +480,12 @@ func TestHostileSpecRefused(t *testing.T) {
 			}
 			if !errors.Is(err, tc.want) {
 				t.Errorf("NewBob: err = %v, want %v", err, tc.want)
+			}
+			if tc.linearOnly {
+				if spec.FieldBits != 255 {
+					t.Fatalf("Alice's spec is on %d bits, want 255", spec.FieldBits)
+				}
+				return
 			}
 			kspec := kernelAlice.Spec()
 			tc.mutate(&kspec.Spec)

@@ -2,6 +2,7 @@ package similarity_test
 
 import (
 	"crypto/rand"
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,6 +50,127 @@ func TestPrivateMatchesPlaintext(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestScaleInvariance: (c·w, c·b) is the same hyperplane as (w, b), so
+// the private metric must not move with c. Both parties evaluate on unit
+// normals; on the raw normals, c3 = ¼/(|wA|²·|wB|²) is encoded at S and
+// rounds to 0 once |wA|²·|wB|² > S/2, which at c = 100 put T² off by a
+// relative 0.28 with no error raised.
+func TestScaleInvariance(t *testing.T) {
+	wA, bA := []float64{0.7, -0.4, 0.2}, 0.05
+	wB, bB := []float64{-0.1, 0.9, 0.3}, -0.12
+	scaled := func(w []float64, c float64) []float64 {
+		out := make([]float64, len(w))
+		for j, x := range w {
+			out[j] = c * x
+		}
+		return out
+	}
+	for _, c := range []float64{1e-3, 1, 1e2, 1e3} {
+		t.Run(fmt.Sprintf("c=%g", c), func(t *testing.T) {
+			sA, sB := scaled(wA, c), scaled(wB, c)
+			want, err := similarity.EvaluateLinear(sA, c*bA, sB, c*bB, similarity.DefaultMetric())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := similarity.EvaluatePrivate(sA, c*bA, sB, c*bB, similarity.Params{}, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel := math.Abs(got.TSquared-want.TSquared) / want.TSquared; rel > 1e-6 {
+				t.Fatalf("T² private %g, plaintext %g: relative error %.3g", got.TSquared, want.TSquared, rel)
+			}
+		})
+	}
+}
+
+// TestLinearAreaRange: the field linearAreaBits sizes holds the area value
+// at the edge of what it admits, in the style of classify's
+// TestPolyDirectRange. At n = 8, fb = 27 is the largest precision whose
+// need still selects 2^255−19 on the default metric. On a metric with θ₀
+// near π/2 (sin²θ₀ ≈ 1), the test bisects for the largest L₀ that keeps
+// 255 bits. The two hyperplanes have orthogonal normals (sin²θ = 1) and
+// each cuts off a corner of the box, so their centroids sit near corners
+// that differ in 7 of 8 coordinates: L² ≈ 27.9 of the box's
+// n(β−α)² = 32, and T² is within a factor 1.2 of the bound B. The private
+// result must decode within 1e-6 of EvaluateLinear; sized without the
+// sign bit, the field wraps it.
+func TestLinearAreaRange(t *testing.T) {
+	const n, fb = 8, 27
+	bits := func(m similarity.Metric, fb uint) int {
+		t.Helper()
+		need, err := similarity.LinearAreaBits(n, m, fb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return need
+	}
+	def := similarity.DefaultMetric()
+	if need := bits(def, fb); need > 255 {
+		t.Fatalf("fb = %d needs %d bits on the default metric, want <= 255", fb, need)
+	}
+	if need := bits(def, fb+1); need <= 255 {
+		t.Fatalf("fb = %d still needs only %d bits; the test must run at the largest fb that fits", fb+1, need)
+	}
+	metric := similarity.Metric{Alpha: -1, Beta: 1, Theta0: math.Pi/2 - 1e-3}
+	lo, hi := def.L0, 100.0
+	for _, tc := range []struct {
+		l0   float64
+		fits bool
+	}{{lo, true}, {hi, false}} {
+		metric.L0 = tc.l0
+		if fits := bits(metric, fb) <= 255; fits != tc.fits {
+			t.Fatalf("L0 = %g: fits 255 bits %v, want %v", tc.l0, fits, tc.fits)
+		}
+	}
+	for range 60 {
+		metric.L0 = (lo + hi) / 2
+		if bits(metric, fb) <= 255 {
+			lo = metric.L0
+		} else {
+			hi = metric.L0
+		}
+	}
+	metric.L0 = lo
+
+	// Σx = n − cut cuts off the corner (1, …, 1); wB·x = 2(n−1) − cut with
+	// wB = (−1, …, −1, n−1) cuts off (−1, …, −1, 1); wA·wB = 0.
+	const cut = 1.0 / 64
+	wA, wB := make([]float64, n), make([]float64, n)
+	for j := range wA {
+		wA[j], wB[j] = 1, -1
+	}
+	wB[n-1] = n - 1
+	bA, bB := -(n - cut), -(2*(n-1) - cut)
+	want, err := similarity.EvaluateLinear(wA, bA, wB, bB, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.CosTheta != 0 || want.L*want.L < 27 {
+		t.Fatalf("cos θ = %g, L² = %g: want orthogonal normals and L² > 27", want.CosTheta, want.L*want.L)
+	}
+	alice, err := similarity.NewAlice(wA, bA, similarity.Params{Metric: metric, FracBits: fb}, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alice.Spec().FieldBits != 255 {
+		t.Fatalf("L0 = %g served on %d bits, want 255", metric.L0, alice.Spec().FieldBits)
+	}
+	bob, err := similarity.NewBob(alice.Spec(), wB, bB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
+		t.Fatal(err)
+	}
+	got := runRounds(t, alice, bob, similarity.RoundCentroid, similarity.RoundNormal, similarity.RoundArea)
+	if rel := math.Abs(got.TSquared-want.TSquared) / want.TSquared; rel > 1e-6 {
+		t.Fatalf("L0 = %g: T² private %g, plaintext %g, relative error %.3g", metric.L0, got.TSquared, want.TSquared, rel)
+	}
+	b := 0.5 * (math.Pow(n*4, 2) + math.Pow(metric.L0, 4))
+	t.Logf("L0 = %.6g: T² = %.6g of B = %.6g; T²·S⁹ takes %.2f of the 254 bits below p/2",
+		metric.L0, want.TSquared, b, math.Log2(want.TSquared)+9*fb)
 }
 
 // TestIdenticalModelsHitFloor checks the degenerate case the regularizers
