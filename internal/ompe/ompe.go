@@ -480,7 +480,7 @@ func (r *Receiver) HandleSetup(setup *ot.BatchSetup, rng io.Reader) (*ot.BatchCh
 	if r.state != receiverAwaitingSetup {
 		return nil, ErrState
 	}
-	batch, choice, err := ot.NewBatchReceiver(r.params.Group, r.params.TotalPairs(), r.genuine, setup, rng)
+	batch, choice, err := ot.NewBatchReceiver(r.params.Group, r.params.TotalPairs(), r.params.Field.ElementLen(), r.genuine, setup, rng)
 	if err != nil {
 		return nil, err
 	}

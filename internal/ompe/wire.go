@@ -19,32 +19,18 @@ func (e *EvalRequest) DecodeWire(r *wire.Reader) {
 	}
 }
 
-// encodeEval writes a required inner EvalRequest.
-func encodeEval(w *wire.Writer, e *EvalRequest) {
-	if e == nil {
-		w.BigInt(nil) // typed ErrNilValue via the sticky writer
-		return
-	}
-	e.EncodeWire(w)
-}
-
-func decodeEval(r *wire.Reader) *EvalRequest {
-	e := new(EvalRequest)
-	e.DecodeWire(r)
-	if r.Err() != nil {
-		return nil
-	}
-	return e
-}
-
 // EncodeWire implements the wire codec.
 func (m *FastBatchRequest) EncodeWire(w *wire.Writer) {
 	w.Count(len(m.Evals))
 	for _, e := range m.Evals {
-		encodeEval(w, e)
+		if e == nil {
+			w.Nil("evaluation request")
+			return
+		}
+		e.EncodeWire(w)
 	}
 	if m.OT == nil {
-		w.BigInt(nil)
+		w.Nil("OT request")
 		return
 	}
 	m.OT.EncodeWire(w)
@@ -58,7 +44,8 @@ func (m *FastBatchRequest) DecodeWire(r *wire.Reader) {
 	}
 	m.Evals = make([]*EvalRequest, 0, wire.SliceCap(n))
 	for i := 0; i < n; i++ {
-		e := decodeEval(r)
+		e := new(EvalRequest)
+		e.DecodeWire(r)
 		if r.Err() != nil {
 			return
 		}
@@ -82,7 +69,7 @@ func (m *FastBatchRequest) UnmarshalBinary(data []byte) error { return wire.Unma
 // EncodeWire implements the wire codec.
 func (m *FastBatchResponse) EncodeWire(w *wire.Writer) {
 	if m.OT == nil {
-		w.BigInt(nil)
+		w.Nil("OT response")
 		return
 	}
 	m.OT.EncodeWire(w)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ec25519"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
@@ -16,6 +17,11 @@ import (
 // deterministic rng below, as first produced by the commit before the
 // group seam moved to decoded elements (60d100d). Refactors change how
 // elements are computed, never which bytes travel.
+//
+// The digests hash the messages in the integer layout they were recorded
+// in (parentElements, parentTransfer): the batch messages have since become fixed-width
+// blobs, a framing change only, so every element and ciphertext must still
+// re-frame to the recorded bytes.
 //
 // They were re-recorded once when the k instances of a k-of-n became one
 // batch, and the setup and transfer lost their per-instance list layout.
@@ -75,7 +81,7 @@ func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int) s
 	if err != nil {
 		t.Fatal(err)
 	}
-	receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
+	receiver, choice, err := NewBatchReceiver(group, len(msgs), len(msgs[0]), indices, setup, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,12 +99,33 @@ func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int) s
 		}
 	}
 	h := sha256.New()
-	for _, m := range []wire.Msg{setup, choice, tr} {
-		b, err := wire.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h.Write(b)
-	}
+	h.Write(parentElements(setup.Cs))
+	h.Write(parentElements(choice.PK0s))
+	h.Write(parentTransfer(tr, len(indices)*len(msgs)))
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// parentElements and parentTransfer encode a batch message in the layout
+// the batch messages had while a group element travelled as an integer:
+// a count, then each element as a length-prefixed big-endian magnitude
+// without leading zero bytes; a transfer as R in that form, then a count
+// and each of its slots ciphertexts as its own length-prefixed slice.
+func parentElements(blob []byte) []byte {
+	w := wire.NewAppendWriter(nil)
+	w.Count(len(blob) / ec25519.PointLen)
+	for i := 0; i < len(blob)/ec25519.PointLen; i++ {
+		w.ByteSlice(bytes.TrimLeft(element(blob, i), "\x00"))
+	}
+	return w.Bytes()
+}
+
+func parentTransfer(tr *BatchTransfer, slots int) []byte {
+	w := wire.NewAppendWriter(nil)
+	w.ByteSlice(bytes.TrimLeft(tr.R, "\x00"))
+	w.Count(slots)
+	width := len(tr.Cts) / slots
+	for j := 0; j < slots; j++ {
+		w.ByteSlice(tr.Cts[j*width : (j+1)*width])
+	}
+	return w.Bytes()
 }

@@ -4,10 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/big"
 	"sort"
 	"testing"
 
+	"repro/internal/ec25519"
 	"repro/internal/wire"
 )
 
@@ -61,6 +61,9 @@ func FuzzOTWire(f *testing.F) {
 	for _, data := range kofnEdgeSeeds(f) {
 		f.Add(data)
 	}
+	for _, data := range elementWidthSeeds(f) {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
@@ -100,6 +103,27 @@ func LegacySeq[M interface{ EncodeWire(*wire.Writer) }](msgs []M) []byte {
 	return w.Bytes()
 }
 
+// fakeElements returns count 32-byte stand-ins for element encodings,
+// distinct per seed. The codec never decodes a point, so they need not be
+// curve points.
+func fakeElements(count int, seed byte) []byte {
+	out := make([]byte, count*ec25519.PointLen)
+	for i := range out {
+		out[i] = seed + byte(i/ec25519.PointLen)
+	}
+	return out
+}
+
+// slotBlob returns slots ciphertexts of width bytes each, slot j filled
+// with byte j.
+func slotBlob(slots, width int) []byte {
+	out := make([]byte, 0, slots*width)
+	for j := 0; j < slots; j++ {
+		out = append(out, bytes.Repeat([]byte{byte(j)}, width)...)
+	}
+	return out
+}
+
 // legacyKofN returns a 9-of-18 setup and transfer in the list layout of
 // LegacySeq: nine setups of 17 constraints, nine transfers of one R and
 // 18 ciphertexts each.
@@ -108,16 +132,8 @@ func legacyKofN() (setup, transfer []byte) {
 	setups := make([]*BatchSetup, k)
 	transfers := make([]*BatchTransfer, k)
 	for i := range setups {
-		cs := make([]*big.Int, n-1)
-		for j := range cs {
-			cs[j] = big.NewInt(int64(100*i + j + 1))
-		}
-		cts := make([][]byte, n)
-		for j := range cts {
-			cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
-		}
-		setups[i] = &BatchSetup{Cs: cs}
-		transfers[i] = &BatchTransfer{R: big.NewInt(int64(31337 + i)), Cts: cts}
+		setups[i] = &BatchSetup{Cs: fakeElements(n-1, byte(100+i))}
+		transfers[i] = &BatchTransfer{R: fakeElements(1, byte(i)), Cts: slotBlob(n, 16)}
 	}
 	return LegacySeq(setups), LegacySeq(transfers)
 }
@@ -130,18 +146,15 @@ func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 	tb.Helper()
 	legacy := make([]*BatchSetup, iknpKappa)
 	for i := range legacy {
-		legacy[i] = &BatchSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+		legacy[i] = &BatchSetup{Cs: fakeElements(1, byte(9+i))}
 	}
-	cts := make([][]byte, 2*iknpKappa-1)
-	for i := range cts {
-		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
-	}
-	short := append([][]byte{{1, 2, 3}}, cts...)[:2*iknpKappa]
+	cts := slotBlob(2*iknpKappa-1, treeKeyLen)
+	short := slotBlob(2*iknpKappa, treeKeyLen)[treeKeyLen-3:]
 	kofnSetup, kofnChoice, kofnTransfer := kofnShapeMsgs()
 	out := [][]byte{LegacySeq(legacy)}
 	for _, m := range []wire.Msg{
-		&BatchTransfer{R: big.NewInt(31337), Cts: cts},
-		&BatchTransfer{R: big.NewInt(31337), Cts: short},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: cts},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: short},
 		kofnSetup, kofnChoice, kofnTransfer,
 	} {
 		data, err := wire.Marshal(m)
@@ -159,19 +172,31 @@ func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 // 17 constraints, nine public keys, and one R with 162 ciphertexts.
 func kofnShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
 	const k, n = 9, 18
-	cs := make([]*big.Int, n-1)
-	for j := range cs {
-		cs[j] = big.NewInt(int64(j + 1))
+	return &BatchSetup{Cs: fakeElements(n-1, 1)}, &BatchChoice{PK0s: fakeElements(k, 50)},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(k*n, 32)}
+}
+
+// elementWidthSeeds are batch messages whose blobs do not hold whole
+// elements or slots, which decode cleanly and are refused only by the
+// protocol steps: a 31-byte and a 33-byte element, empty blobs, and a
+// ciphertext blob that is not a multiple of the k·n = 162 slots of a
+// 9-of-18.
+func elementWidthSeeds(tb testing.TB) [][]byte {
+	tb.Helper()
+	var out [][]byte
+	for _, m := range []wire.Msg{
+		&BatchSetup{Cs: fakeElements(1, 3)[:31]},
+		&BatchChoice{PK0s: append([]byte{0}, fakeElements(1, 4)...)},
+		&BatchTransfer{},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(9*18, 32)[:9*18*32-5]},
+	} {
+		data, err := wire.Marshal(m)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, data)
 	}
-	pk0s := make([]*big.Int, k)
-	for i := range pk0s {
-		pk0s[i] = big.NewInt(int64(500 + i))
-	}
-	cts := make([][]byte, k*n)
-	for j := range cts {
-		cts[j] = bytes.Repeat([]byte{byte(j)}, 1+j%40)
-	}
-	return &BatchSetup{Cs: cs}, &BatchChoice{PK0s: pk0s}, &BatchTransfer{R: big.NewInt(31337), Cts: cts}
+	return out
 }
 
 // kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:

@@ -16,15 +16,16 @@
 // The group is the prime-order subgroup of edwards25519 (internal/
 // ec25519), named "x25519"; it is the only one.
 //
-// On the wire a group element is a *big.Int — the integer of the 32-byte
-// compressed point encoding — so message structs, serialization and key
-// derivation never see a point. Inside the package it is a decoded
-// *ec25519.Point: Group.Decode turns a received integer into one exactly
-// once, and that decode is the validation (an integer that is not a
-// curve point, or is one of small order, never reaches the arithmetic);
-// all Naor–Pinkas arithmetic runs on decoded points; Group.Encode turns
-// a whole batch back into wire integers at the end with one shared field
-// inversion instead of one per element.
+// On the wire a group element is its 32-byte compressed point encoding,
+// and a message's elements are consecutive encodings in one blob, so a
+// message's length follows from its element count. Inside the package an
+// element is a decoded *ec25519.Point: Group.Decode turns a received
+// encoding into one exactly once, and that decode is the validation (an
+// encoding of another length, one that is not a curve point, or one of a
+// point of small order never reaches the arithmetic); all Naor–Pinkas
+// arithmetic runs on decoded points; Group.Encode turns a whole batch
+// back into encodings at the end with one shared field inversion instead
+// of one per element.
 package ot
 
 import (
@@ -85,21 +86,19 @@ func (Group) Name() string { return "x25519" }
 // compressed point.
 func (Group) ElementLen() int { return ec25519.PointLen }
 
-// Decode interprets a wire integer as a canonical compressed point and
-// refuses the eight points of small order, the identity among them: [e]
-// of such a point takes at most eight values whatever e is, so a peer's
-// small-order PK0, R or C_j would pin the transfer keys. The check is
-// three doublings. A point of mixed order (a subgroup point plus a
-// small-order one) still decodes; excluding it needs [L]·P, one ladder
+// Decode interprets enc as a canonical compressed point and refuses any
+// other length and the eight points of small order, the identity among
+// them: [e] of such a point takes at most eight values whatever e is, so
+// a peer's small-order PK0, R or C_j would pin the transfer keys. The
+// check is three doublings. A point of mixed order (a subgroup point plus
+// a small-order one) still decodes; excluding it needs [L]·P, one ladder
 // per received element.
-func (Group) Decode(x *big.Int) (*ec25519.Point, error) {
-	if x == nil || x.Sign() < 0 || x.BitLen() > 8*ec25519.PointLen {
-		return nil, fmt.Errorf("%w: element out of range", ErrBadMessage)
+func (Group) Decode(enc []byte) (*ec25519.Point, error) {
+	if len(enc) != ec25519.PointLen {
+		return nil, fmt.Errorf("%w: element of %d bytes, want %d", ErrBadMessage, len(enc), ec25519.PointLen)
 	}
-	var buf [ec25519.PointLen]byte
-	x.FillBytes(buf[:])
 	var p, cleared ec25519.Point
-	if err := p.Decode(buf[:]); err != nil {
+	if err := p.Decode(enc); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
 	if cleared.MulByCofactor(&p).IsIdentity() {
@@ -108,19 +107,15 @@ func (Group) Decode(x *big.Int) (*ec25519.Point, error) {
 	return &p, nil
 }
 
-// Encode returns the wire integers of pts, in order, compressing them
-// with one shared field inversion. It fails only on a point no operation
-// of the group produces.
-func (Group) Encode(pts []*ec25519.Point) ([]*big.Int, error) {
+// Encode returns the encodings of pts, in order and back to back,
+// compressing them with one shared field inversion. It fails only on a
+// point no operation of the group produces.
+func (Group) Encode(pts []*ec25519.Point) ([]byte, error) {
 	buf := make([]byte, len(pts)*ec25519.PointLen)
 	if err := ec25519.EncodeBatch(buf, pts); err != nil {
 		return nil, fmt.Errorf("ot: %w", err)
 	}
-	out := make([]*big.Int, len(pts))
-	for i := range out {
-		out[i] = new(big.Int).SetBytes(buf[i*ec25519.PointLen : (i+1)*ec25519.PointLen])
-	}
-	return out, nil
+	return buf, nil
 }
 
 // Exp returns [e]·base.

@@ -20,15 +20,22 @@ func TestX25519GroupByName(t *testing.T) {
 	}
 }
 
-// encodeAll returns the wire integers of the elements, failing the test on
-// an encoder error.
-func encodeAll(t *testing.T, g ot.Group, elems ...*ec25519.Point) []*big.Int {
+// encodeAll returns the encodings of the elements, one per element,
+// failing the test on an encoder error.
+func encodeAll(t *testing.T, g ot.Group, elems ...*ec25519.Point) [][]byte {
 	t.Helper()
-	wire, err := g.Encode(elems)
+	blob, err := g.Encode(elems)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return wire
+	if len(blob) != len(elems)*ec25519.PointLen {
+		t.Fatalf("%d elements encoded to %d bytes", len(elems), len(blob))
+	}
+	out := make([][]byte, len(elems))
+	for i := range out {
+		out[i] = blob[i*ec25519.PointLen : (i+1)*ec25519.PointLen]
+	}
+	return out
 }
 
 // TestX25519GroupOps checks the DDH-group contract the Naor–Pinkas
@@ -62,11 +69,11 @@ func TestX25519GroupOps(t *testing.T) {
 		g.ExpSeed(seed, a), g.Exp(el, a), // 6, 7: the seed shortcut
 		el, ga)
 	for i := 0; i < 8; i += 2 {
-		if w[i].Cmp(w[i+1]) != 0 {
-			t.Fatalf("group law %d violated: %v != %v", i/2, w[i], w[i+1])
+		if !bytes.Equal(w[i], w[i+1]) {
+			t.Fatalf("group law %d violated: %x != %x", i/2, w[i], w[i+1])
 		}
 	}
-	if w[8].Cmp(w[9]) == 0 {
+	if bytes.Equal(w[8], w[9]) {
 		t.Fatal("sampled element equals g^a")
 	}
 	for i, x := range w {
@@ -74,30 +81,35 @@ func TestX25519GroupOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("element %d does not decode: %v", i, err)
 		}
-		if again := encodeAll(t, g, back); again[0].Cmp(x) != 0 {
+		if again := encodeAll(t, g, back); !bytes.Equal(again[0], x) {
 			t.Fatalf("element %d changes across decode/encode", i)
 		}
 	}
 	if empty := encodeAll(t, g); len(empty) != 0 {
-		t.Fatalf("empty batch encoded to %d integers", len(empty))
+		t.Fatalf("empty batch encoded to %d elements", len(empty))
 	}
 }
 
 func TestX25519DecodeRejects(t *testing.T) {
 	g := ot.X25519()
-	for name, x := range map[string]*big.Int{
-		"nil":          nil,
-		"out of range": new(big.Int).Lsh(big.NewInt(1), 260),
-		"negative":     big.NewInt(-5),
+	gen := ec25519.Basepoint()
+	enc := gen.Bytes()
+	for name, x := range map[string][]byte{
+		"nil":      nil,
+		"31 bytes": enc[1:],
+		"33 bytes": append([]byte{0}, enc...),
+		"64 bytes": append(append([]byte(nil), enc...), enc...),
 	} {
 		if _, err := g.Decode(x); !errors.Is(err, ot.ErrBadMessage) {
 			t.Fatalf("%s: err = %v, want ErrBadMessage", name, err)
 		}
 	}
-	// Scan a few small integers: any off-curve y must be rejected.
+	// Scan a few small y: any off-curve y must be rejected.
 	rejected := 0
-	for v := int64(0); v < 32; v++ {
-		if _, err := g.Decode(big.NewInt(v)); err != nil {
+	for v := byte(0); v < 32; v++ {
+		y := make([]byte, ec25519.PointLen)
+		y[0] = v
+		if _, err := g.Decode(y); err != nil {
 			rejected++
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/ec25519"
 	"repro/internal/obs"
 	"repro/internal/parallel"
 )
@@ -104,11 +105,11 @@ type IKNPExtension struct {
 // The base phase is one batch of κ 1-of-2 transfers (naorpinkas.go) in
 // which the OT-extension receiver plays the base-OT sender of its seed
 // pairs, so it speaks the batch messages: a BatchSetup of the one
-// constraint the κ transfers share, the extension sender's BatchChoice of
-// κ public keys under its secret vector s, and a BatchTransfer of one R
-// and 2κ ciphertexts, seed j of transfer i at slot 2i + j. Three messages
-// total, so the base phase fits one round trip plus one message over a
-// transport.
+// constraint the κ transfers share (32 bytes), the extension sender's
+// BatchChoice of κ public keys under its secret vector s (32·κ bytes),
+// and a BatchTransfer of one R and 2κ 16-byte ciphertexts (32 + 32·κ
+// bytes), seed j of transfer i at slot 2i + j. Three messages total, so
+// the base phase fits one round trip plus one message over a transport.
 type (
 	// IKNPBaseSetup is the base phase's BatchSetup.
 	//
@@ -184,7 +185,7 @@ func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *BatchSetup
 // NewIKNPSenderBase creates the extension sender from the receiver's
 // base setup, returning its choice message.
 func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSender, *BatchChoice, error) {
-	if setup == nil || len(setup.Cs) != 1 {
+	if setup == nil || len(setup.Cs) != ec25519.PointLen {
 		return nil, nil, fmt.Errorf("%w: base setup must carry 1 constraint", ErrIKNP)
 	}
 	send := &IKNPSender{
@@ -198,7 +199,7 @@ func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSend
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receiver, choice, err := newBatchReceiver(group, 2, bits, setup, rng)
+	receiver, choice, err := newBatchReceiver(group, 2, treeKeyLen, bits, setup, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
@@ -209,7 +210,7 @@ func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSend
 // BaseRespond is the extension receiver's answer to the sender's base
 // choices.
 func (r *IKNPReceiver) BaseRespond(choice *BatchChoice, rng io.Reader) (*BatchTransfer, error) {
-	if choice == nil || len(choice.PK0s) != iknpKappa || r.baseSender == nil {
+	if choice == nil || len(choice.PK0s) != iknpKappa*ec25519.PointLen || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
 	transfer, err := r.baseSender.respond(choice.PK0s, rng)
@@ -225,13 +226,8 @@ func (s *IKNPSender) BaseFinish(tr *BatchTransfer) error {
 	if tr == nil || s.baseReceiver == nil {
 		return fmt.Errorf("%w: bad base transfer", ErrIKNP)
 	}
-	if len(tr.Cts) != 2*iknpKappa {
-		return fmt.Errorf("%w: base transfer carries %d ciphertexts, want %d", ErrIKNP, len(tr.Cts), 2*iknpKappa)
-	}
-	for i, ct := range tr.Cts {
-		if len(ct) != treeKeyLen {
-			return fmt.Errorf("%w: base ciphertext %d has length %d, want %d", ErrIKNP, i, len(ct), treeKeyLen)
-		}
+	if len(tr.Cts) != 2*iknpKappa*treeKeyLen {
+		return fmt.Errorf("%w: base transfer carries %d ciphertext bytes, want %d", ErrIKNP, len(tr.Cts), 2*iknpKappa*treeKeyLen)
 	}
 	seeds, err := s.baseReceiver.recover(tr)
 	if err != nil {

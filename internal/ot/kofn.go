@@ -56,18 +56,18 @@ func (s *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransfe
 }
 
 // NewBatchReceiver prepares the receiver's choice of 1 ≤ k ≤ n distinct
-// indices among n messages.
-func NewBatchReceiver(group Group, n int, indices []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
+// indices among n messages of msgLen bytes each.
+func NewBatchReceiver(group Group, n, msgLen int, indices []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
 	span := obs.Start(obs.PhaseOTReceiverChoice)
 	defer span.End()
 	if err := checkKofNIndices(n, indices); err != nil {
 		return nil, nil, err
 	}
-	return newBatchReceiver(group, n, indices, setup, rng)
+	return newBatchReceiver(group, n, msgLen, indices, setup, rng)
 }
 
 // Recover decrypts the k chosen messages, in choice order. The transfer
-// must carry exactly k·n ciphertexts.
+// must carry exactly k·n ciphertexts of msgLen bytes.
 func (rc *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	span := obs.Start(obs.PhaseOTReceiverRecover)
 	defer span.End()
@@ -81,7 +81,7 @@ func TransferKofN(group Group, msgs [][]byte, indices []int, rng io.Reader) ([][
 	if err != nil {
 		return nil, err
 	}
-	receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
+	receiver, choice, err := NewBatchReceiver(group, len(msgs), len(msgs[0]), indices, setup, rng)
 	if err != nil {
 		return nil, err
 	}

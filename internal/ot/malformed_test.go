@@ -5,26 +5,37 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"errors"
+	"fmt"
+	"io"
 	"math/big"
 	"testing"
 
 	"repro/internal/ec25519"
 	"repro/internal/field/limb"
+	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 	"repro/internal/wire"
 )
 
-// wireOfLE returns the wire integer of a compressed point given as a
-// little-endian y and a sign bit: the big-endian reading of the 32 bytes.
-func wireOfLE(y *big.Int, sign byte) *big.Int {
+// encodingOfLE returns the 32-byte encoding of a little-endian y and a
+// sign bit, whether or not it names a curve point.
+func encodingOfLE(y *big.Int, sign byte) []byte {
 	be := y.FillBytes(make([]byte, ec25519.PointLen))
 	enc := make([]byte, ec25519.PointLen)
 	for i := range enc {
 		enc[i] = be[ec25519.PointLen-1-i]
 	}
 	enc[ec25519.PointLen-1] |= sign << 7
-	return new(big.Int).SetBytes(enc)
+	return enc
+}
+
+// withElement returns a copy of blob with its j-th 32-byte element
+// replaced by x, which may be of another length.
+func withElement(blob []byte, j int, x []byte) []byte {
+	out := append([]byte(nil), blob[:j*ec25519.PointLen]...)
+	out = append(out, x...)
+	return append(out, blob[(j+1)*ec25519.PointLen:]...)
 }
 
 // smallOrder lists the compressed encodings of the eight points of order
@@ -41,12 +52,12 @@ var smallOrder = map[string]string{
 	"order 8 (d)":     "26e8958fc2b227b045c3f489f2ef98f0d5dfac05d3c63339b13802886d53fc85",
 }
 
-// malformedElements lists integers that are not the canonical encoding of
-// a group element: bad encodings, and the small-order points, which are
-// curve points outside the group.
-func malformedElements(t *testing.T) map[string]*big.Int {
+// malformedElements lists byte strings that are not the encoding of a
+// group element: elements of the wrong length, bad encodings, and the
+// small-order points, which are curve points outside the group.
+func malformedElements(t *testing.T) map[string][]byte {
 	t.Helper()
-	bad := map[string]*big.Int{}
+	bad := map[string][]byte{}
 	for name, h := range smallOrder {
 		enc, err := hex.DecodeString(h)
 		if err != nil {
@@ -59,29 +70,29 @@ func malformedElements(t *testing.T) map[string]*big.Int {
 		if !cleared.MulByCofactor(&p).IsIdentity() {
 			t.Fatalf("%s: [8]·P is not the identity", name)
 		}
-		bad["small order/"+name] = new(big.Int).SetBytes(enc)
+		bad["small order/"+name] = enc
 	}
-	var offCurve *big.Int
+	var offCurve []byte
 	for y := int64(2); y < 40 && offCurve == nil; y++ {
-		enc := wireOfLE(big.NewInt(y), 0).FillBytes(make([]byte, ec25519.PointLen))
+		enc := encodingOfLE(big.NewInt(y), 0)
 		if new(ec25519.Point).Decode(enc) != nil {
-			offCurve = wireOfLE(big.NewInt(y), 0)
+			offCurve = enc
 		}
 	}
 	if offCurve == nil {
 		t.Fatal("no off-curve y below 40")
 	}
 	bad["off-curve y"] = offCurve
-	bad["y = p"] = wireOfLE(limb.Modulus(), 0)
-	bad["y = p+1"] = wireOfLE(new(big.Int).Add(limb.Modulus(), big.NewInt(1)), 0)
-	bad["negative zero"] = wireOfLE(big.NewInt(1), 1)
-	bad["over-long"] = new(big.Int).Lsh(big.NewInt(1), 260)
-	bad["negative"] = big.NewInt(-1)
+	bad["y = p"] = encodingOfLE(limb.Modulus(), 0)
+	bad["y = p+1"] = encodingOfLE(new(big.Int).Add(limb.Modulus(), big.NewInt(1)), 0)
+	bad["negative zero"] = encodingOfLE(big.NewInt(1), 1)
+	gen := ec25519.Basepoint()
+	bad["over-long"] = append([]byte{0}, gen.Bytes()...) // 33 bytes, a leading zero
 	bad["nil"] = nil
 	return bad
 }
 
-// TestMalformedElementsRejected feeds every malformed integer in every
+// TestMalformedElementsRejected feeds every malformed element in every
 // position a peer controls — PK0, R, and a constraint C_j both at and away
 // from the chosen index — through a 1-of-n and a k-of-n, and wants
 // ErrBadMessage every time: there is no arithmetic on an element that did
@@ -97,7 +108,7 @@ func TestMalformedElementsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bReceiver, bChoice, err := ot.NewBatchReceiver(g, n, indices, bSetup, rand.Reader)
+	bReceiver, bChoice, err := ot.NewBatchReceiver(g, n, 16, indices, bSetup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +125,13 @@ func TestMalformedElementsRejected(t *testing.T) {
 					t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
 				}
 			}
-			_, err := o.sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{x}}, rand.Reader)
+			_, err := o.sender.Respond(&ot.BatchChoice{PK0s: x}, rand.Reader)
 			want("Respond(PK0)", err)
 			_, err = o.receiver.Recover(&ot.BatchTransfer{R: x, Cts: o.tr.Cts})
 			want("Recover(R)", err)
 			for j := 0; j < n-1; j++ { // j = sigma−1 is the constraint the receiver uses
-				cs := append([]*big.Int(nil), o.setup.Cs...)
-				cs[j] = x
-				_, _, err = ot.NewBatchReceiver(g, n, []int{sigma}, &ot.BatchSetup{Cs: cs}, rand.Reader)
+				cs := withElement(o.setup.Cs, j, x)
+				_, _, err = ot.NewBatchReceiver(g, n, 16, []int{sigma}, &ot.BatchSetup{Cs: cs}, rand.Reader)
 				want("NewReceiver(C_j)", err)
 			}
 
@@ -129,16 +139,14 @@ func TestMalformedElementsRejected(t *testing.T) {
 			// the one R the k instances share, and each C_j of their one
 			// setup.
 			last := len(indices) - 1
-			pk0s := append([]*big.Int(nil), bChoice.PK0s...)
-			pk0s[last] = x
+			pk0s := withElement(bChoice.PK0s, last, x)
 			_, err = bSender.Respond(&ot.BatchChoice{PK0s: pk0s}, rand.Reader)
 			want("batch Respond(PK0)", err)
 			_, err = bReceiver.Recover(&ot.BatchTransfer{R: x, Cts: bTr.Cts})
 			want("batch Recover(R)", err)
 			for j := 0; j < n-1; j++ {
-				cs := append([]*big.Int(nil), bSetup.Cs...)
-				cs[j] = x
-				_, _, err = ot.NewBatchReceiver(g, n, indices, &ot.BatchSetup{Cs: cs}, rand.Reader)
+				cs := withElement(bSetup.Cs, j, x)
+				_, _, err = ot.NewBatchReceiver(g, n, 16, indices, &ot.BatchSetup{Cs: cs}, rand.Reader)
 				want("batch NewReceiver(C_j)", err)
 			}
 		})
@@ -150,6 +158,114 @@ func TestMalformedElementsRejected(t *testing.T) {
 	if err != nil || string(got[0]) != string(msgs[sigma]) {
 		t.Fatalf("honest transfer after the rejections: %q, %v", got, err)
 	}
+}
+
+// TestFixedWidthRefusedFirst: a batch message with one element
+// re-encoded as 33 bytes (a leading zero before its 32), or a ciphertext
+// blob that is not k·n·w bytes for messages of w bytes, crosses the codec
+// — the blobs are plain byte slices — and is refused with ErrBadMessage
+// by the step that receives it, before that step draws randomness or does
+// any group arithmetic. Each element has one accepted encoding.
+func TestFixedWidthRefusedFirst(t *testing.T) {
+	g := ot.X25519()
+	const n = 6
+	indices := []int{4, 0, 3}
+	msgs := randomMessages(t, n, 32)
+	sender, setup, err := ot.NewBatchSender(g, msgs, len(indices), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	receiver, choice, err := ot.NewBatchReceiver(g, n, 32, indices, setup, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := sender.Respond(choice, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	widen := func(blob []byte, j int) []byte {
+		return withElement(blob, j, append([]byte{0}, blob[j*ec25519.PointLen:(j+1)*ec25519.PointLen]...))
+	}
+	// viaWire hands a message to the peer as its frame payload would.
+	viaWire := func(in, out wire.Msg) {
+		t.Helper()
+		data, err := wire.Marshal(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.Unmarshal(data, out); err != nil {
+			t.Fatalf("%T does not decode: %v", in, err)
+		}
+	}
+	steps := map[string]func(rng io.Reader) error{}
+	for j := 0; j < n-1; j++ {
+		steps[fmt.Sprintf("setup C_%d", j+1)] = func(rng io.Reader) error {
+			var got ot.BatchSetup
+			viaWire(&ot.BatchSetup{Cs: widen(setup.Cs, j)}, &got)
+			_, _, err := ot.NewBatchReceiver(g, n, 32, indices, &got, rng)
+			return err
+		}
+	}
+	for i := range indices {
+		steps[fmt.Sprintf("choice PK0_%d", i)] = func(rng io.Reader) error {
+			var got ot.BatchChoice
+			viaWire(&ot.BatchChoice{PK0s: widen(choice.PK0s, i)}, &got)
+			_, err := sender.Respond(&got, rng)
+			return err
+		}
+	}
+	recoverFrom := func(r, cts []byte) func(io.Reader) error {
+		return func(io.Reader) error {
+			var got ot.BatchTransfer
+			viaWire(&ot.BatchTransfer{R: r, Cts: cts}, &got)
+			_, err := receiver.Recover(&got)
+			return err
+		}
+	}
+	slots := len(indices) * n
+	steps["transfer R"] = recoverFrom(widen(tr.R, 0), tr.Cts)
+	steps["ciphertexts one byte short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-1])
+	steps["ciphertexts one byte over"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), 0))
+	steps["ciphertexts one slot short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-len(tr.Cts)/slots])
+	steps["k·n slots of 16 bytes"] = recoverFrom(tr.R, tr.Cts[:slots*16])
+	steps["k·n slots of 48 bytes"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), tr.Cts[:slots*16]...))
+	for name, step := range steps {
+		reg := obs.NewRegistry()
+		prev := obs.SwapDefault(reg)
+		rng := &countingReader{r: rand.Reader}
+		err := step(rng)
+		obs.SwapDefault(prev)
+		if !errors.Is(err, ot.ErrBadMessage) {
+			t.Errorf("%s: err = %v, want ErrBadMessage", name, err)
+		}
+		if rng.n != 0 {
+			t.Errorf("%s: refused after drawing %d random bytes", name, rng.n)
+		}
+		if exps := reg.Counter(obs.CtrGroupExp); exps != 0 {
+			t.Errorf("%s: refused after %d group exponentiations", name, exps)
+		}
+	}
+	got, err := receiver.Recover(tr)
+	if err != nil {
+		t.Fatalf("honest transfer after the refusals: %v", err)
+	}
+	for i, idx := range indices {
+		if !bytes.Equal(got[i], msgs[idx]) {
+			t.Fatalf("honest transfer after the refusals: message %d wrong", i)
+		}
+	}
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
 }
 
 // TestMalformedIKNPBaseRejected feeds the extension sender base messages
@@ -180,14 +296,10 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 				t.Errorf("%s: err = %v, want ErrIKNP", what, err)
 			}
 		}
-		c := setup.Cs[0]
+		c := setup.Cs
 		legacy := make([]*ot.BatchSetup, 128)
 		for i := range legacy {
-			legacy[i] = &ot.BatchSetup{Cs: []*big.Int{c}}
-		}
-		many := make([]*big.Int, 128)
-		for i := range many {
-			many[i] = c
+			legacy[i] = &ot.BatchSetup{Cs: c}
 		}
 		// A similarity 9-of-18: its setup carries 17 constraints, and
 		// its transfer 9·18 ciphertexts of the messages' length.
@@ -196,7 +308,7 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, kofnChoice, err := ot.NewBatchReceiver(g, 18, []int{17, 0, 3, 8, 5, 12, 9, 14, 1}, kofnSetup, rand.Reader)
+		_, kofnChoice, err := ot.NewBatchReceiver(g, 18, 40, []int{17, 0, 3, 8, 5, 12, 9, 14, 1}, kofnSetup, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -207,8 +319,10 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 		for name, s := range map[string]*ot.BatchSetup{
 			"nil":             nil,
 			"0 constraints":   {},
-			"2 constraints":   {Cs: []*big.Int{c, c}},
-			"128 constraints": {Cs: many},
+			"2 constraints":   {Cs: bytes.Repeat(c, 2)},
+			"128 constraints": {Cs: bytes.Repeat(c, 128)},
+			"31-byte element": {Cs: c[1:]},
+			"33-byte element": {Cs: append([]byte{0}, c...)},
 			"9-of-18 setup":   kofnSetup,
 		} {
 			_, _, err := ot.NewIKNPSenderBase(g, s, rand.Reader)
@@ -227,32 +341,35 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The refused choices come before the honest one, which ends the
+		// receiver's base phase.
+		for name, c := range map[string]*ot.BatchChoice{
+			"9-of-18 choice":  kofnChoice,
+			"33-byte element": {PK0s: withElement(choice.PK0s, 5, append([]byte{0}, choice.PK0s[5*32:6*32]...))},
+			"κ−1 elements":    {PK0s: choice.PK0s[32:]},
+		} {
+			if _, err := recv.BaseRespond(c, rand.Reader); !errors.Is(err, ot.ErrIKNP) {
+				t.Errorf("BaseRespond(%s): err = %v, want ErrIKNP", name, err)
+			}
+		}
 		tr, err := recv.BaseRespond(choice, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recv.BaseRespond(kofnChoice, rand.Reader); !errors.Is(err, ot.ErrIKNP) {
-			t.Errorf("BaseRespond(9-of-18 choice): err = %v, want ErrIKNP", err)
-		}
 		cts := tr.Cts
-		withCts := func(cts [][]byte) *ot.BatchTransfer {
+		withCts := func(cts []byte) *ot.BatchTransfer {
 			return &ot.BatchTransfer{R: tr.R, Cts: cts}
 		}
-		withCt := func(slot int, ct []byte) *ot.BatchTransfer {
-			out := append([][]byte(nil), cts...)
-			out[slot] = ct
-			return withCts(out)
-		}
 		for name, btr := range map[string]*ot.BatchTransfer{
-			"nil":                nil,
-			"empty transfer":     {},
-			"κ ciphertexts":      withCts(cts[:128]),
-			"2κ−1 ciphertexts":   withCts(cts[:255]),
-			"2κ+1 ciphertexts":   withCts(append(append([][]byte(nil), cts...), cts[0])),
-			"15-byte ciphertext": withCt(7, cts[7][:15]),
-			"17-byte ciphertext": withCt(200, append(append([]byte(nil), cts[200]...), 0)),
-			"empty ciphertext":   withCt(0, nil),
-			"9-of-18 transfer":   kofnTr,
+			"nil":                    nil,
+			"empty transfer":         {},
+			"κ ciphertexts":          withCts(cts[:128*16]),
+			"2κ−1 ciphertexts":       withCts(cts[:255*16]),
+			"2κ+1 ciphertexts":       withCts(append(append([]byte(nil), cts...), cts[:16]...)),
+			"one byte short":         withCts(cts[:len(cts)-1]),
+			"one byte over":          withCts(append(append([]byte(nil), cts...), 0)),
+			"2κ 32-byte ciphertexts": withCts(append(append([]byte(nil), cts...), cts...)),
+			"9-of-18 transfer":       kofnTr,
 		} {
 			wantShape("BaseFinish("+name+")", send.BaseFinish(btr))
 		}

@@ -2,6 +2,7 @@ package ot
 
 import (
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -21,27 +22,35 @@ var (
 	ErrMessageLen = errors.New("ot: all sender messages must have equal length")
 )
 
+// The three batch messages carry group elements as their 32-byte
+// encodings (Group.Decode), back to back in one blob, so every message's
+// length follows from its batch's shape: m instances of a 1-out-of-n with
+// messages of w bytes send (n−1)·32, m·32 and 32 + m·n·w bytes of
+// elements and ciphertexts. Any other length is ErrBadMessage.
+
 // BatchSetup is the sender's first message of a batch of Naor–Pinkas
 // 1-out-of-n transfers: the n−1 random group elements C_1..C_{n−1} that
-// constrain the public keys of every instance.
+// constrain the public keys of every instance, as consecutive encodings.
 type BatchSetup struct {
-	Cs []*big.Int
+	Cs []byte
 }
 
 // BatchChoice is the receiver's message: one public key PK_0 per instance,
-// from which the sender derives that instance's n per-index keys. PK_0 is
-// uniform in the group regardless of the chosen index, which is what
-// hides the choice.
+// as consecutive encodings, from which the sender derives that instance's
+// n per-index keys. PK_0 is uniform in the group regardless of the chosen
+// index, which is what hides the choice.
 type BatchChoice struct {
-	PK0s []*big.Int
+	PK0s []byte
 }
 
-// BatchTransfer is the sender's final message: the ephemeral value
-// R = g^r and one ciphertext per message of every instance of the batch,
-// instance i's message j at slot i·n + j.
+// BatchTransfer is the sender's final message: the encoding of the
+// ephemeral value R = g^r and one ciphertext per message of every
+// instance of the batch, in one blob of equal-width slots, instance i's
+// message j at slot i·n + j. The slot width is the length of the
+// messages, which the receiver knows in advance.
 type BatchTransfer struct {
-	R   *big.Int
-	Cts [][]byte
+	R   []byte
+	Cts []byte
 }
 
 // The four protocol steps below — the sender's newBatchSender and
@@ -60,10 +69,10 @@ type BatchTransfer struct {
 //	respond           n fixed-base (R, the C_j^r), m variable-base (PK_{i,0}^r); m decodes
 //	recover           m multiplications of R, from one table of R once m is large; 1 decode
 //
-// Every step draws its randomness first (so every message is a function of
-// the rng stream alone), decodes what it received, does its group
-// arithmetic on decoded elements and encodes everything it sends or hashes
-// in a single Group.Encode call.
+// Every step checks the length of what it received, draws its randomness
+// (so every message is a function of the rng stream alone), decodes what
+// it received, does its group arithmetic on decoded elements and encodes
+// everything it sends or hashes in a single Group.Encode call.
 
 // BatchSender runs the sender role of a batch of Naor–Pinkas 1-out-of-n
 // transfers.
@@ -105,26 +114,26 @@ func newBatchSender(group Group, msgs [][][]byte, rng io.Reader) (*BatchSender, 
 	for j, seed := range seeds {
 		elems[j] = group.ElementFromSeed(seed)
 	}
-	wire, err := group.Encode(elems)
+	enc, err := group.Encode(elems)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &BatchSender{group: group, msgs: msgs, seeds: seeds}, &BatchSetup{Cs: wire}, nil
+	return &BatchSender{group: group, msgs: msgs, seeds: seeds}, &BatchSetup{Cs: enc}, nil
 }
 
 // respond answers the batch's public keys, one per instance.
-func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer, error) {
+func (s *BatchSender) respond(pk0Wire []byte, rng io.Reader) (*BatchTransfer, error) {
 	group, n := s.group, len(s.msgs[0])
-	if len(pk0Wire) != len(s.msgs) {
-		return nil, fmt.Errorf("%w: %d choices for %d instances", ErrBadMessage, len(pk0Wire), len(s.msgs))
+	if len(pk0Wire) != len(s.msgs)*ec25519.PointLen {
+		return nil, fmt.Errorf("%w: %d bytes of public keys for %d instances", ErrBadMessage, len(pk0Wire), len(s.msgs))
 	}
 	r, err := group.RandomScalar(rng)
 	if err != nil {
 		return nil, instanceErr(0, err)
 	}
-	pk0s := make([]*ec25519.Point, len(pk0Wire))
-	for i, c := range pk0Wire {
-		pk0, err := group.Decode(c)
+	pk0s := make([]*ec25519.Point, len(s.msgs))
+	for i := range pk0s {
+		pk0, err := group.Decode(element(pk0Wire, i))
 		if err != nil {
 			return nil, instanceErr(i, fmt.Errorf("invalid PK0: %w", err))
 		}
@@ -147,36 +156,43 @@ func (s *BatchSender) respond(pk0Wire []*big.Int, rng io.Reader) (*BatchTransfer
 			keys[1+j] = group.Mul(cr[j], inv)
 		}
 	}
-	wire, err := group.Encode(elems)
+	enc, err := group.Encode(elems)
 	if err != nil {
 		return nil, err
 	}
-	cts := make([][]byte, len(pk0s)*n)
+	width := len(s.msgs[0][0])
+	cts := make([]byte, len(pk0s)*n*width)
 	for i, msgs := range s.msgs {
 		for j, m := range msgs {
 			slot := i*n + j
-			cts[slot] = xorKeystream(wire[1+slot], slot, m)
+			xorKeystream(cts[slot*width:(slot+1)*width], element(enc, 1+slot), slot, m)
 		}
 	}
-	return &BatchTransfer{R: wire[0], Cts: cts}, nil
+	return &BatchTransfer{R: element(enc, 0), Cts: cts}, nil
+}
+
+// element returns the i-th encoding of a blob of consecutive encodings.
+func element(blob []byte, i int) []byte {
+	return blob[i*ec25519.PointLen : (i+1)*ec25519.PointLen : (i+1)*ec25519.PointLen]
 }
 
 // BatchReceiver runs the receiver role of a batch of 1-out-of-n transfers.
 type BatchReceiver struct {
 	group  Group
 	n      int
+	msgLen int // bytes per message, so the transfer's blob is len(sigmas)·n·msgLen
 	sigmas []int
 	xs     []*big.Int // secret exponents; instance i's PK_{i,sigma_i} = g^x_i
 }
 
 // newBatchReceiver prepares the batch's choices sigmas among n ≥ 2
-// messages against the one setup, one public key per instance. The
-// caller has checked every sigma against n.
-func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
-	if setup == nil || len(setup.Cs) != n-1 {
+// messages of msgLen bytes against the one setup, one public key per
+// instance. The caller has checked every sigma against n.
+func newBatchReceiver(group Group, n, msgLen int, sigmas []int, setup *BatchSetup, rng io.Reader) (*BatchReceiver, *BatchChoice, error) {
+	if setup == nil || len(setup.Cs) != (n-1)*ec25519.PointLen {
 		return nil, nil, instanceErr(0, fmt.Errorf("%w: setup must carry %d constraints", ErrBadMessage, n-1))
 	}
-	rc := &BatchReceiver{group: group, n: n, sigmas: sigmas, xs: make([]*big.Int, len(sigmas))}
+	rc := &BatchReceiver{group: group, n: n, msgLen: msgLen, sigmas: sigmas, xs: make([]*big.Int, len(sigmas))}
 	for i := range sigmas {
 		x, err := group.RandomScalar(rng)
 		if err != nil {
@@ -187,8 +203,8 @@ func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng i
 	// Every constraint is decoded — that is its validation — though only
 	// the chosen ones enter the arithmetic.
 	cs := make([]*ec25519.Point, n-1)
-	for j, c := range setup.Cs {
-		e, err := group.Decode(c)
+	for j := range cs {
+		e, err := group.Decode(element(setup.Cs, j))
 		if err != nil {
 			return nil, nil, instanceErr(0, fmt.Errorf("invalid constraint element: %w", err))
 		}
@@ -204,11 +220,11 @@ func newBatchReceiver(group Group, n int, sigmas []int, setup *BatchSetup, rng i
 			pk0s[i] = group.Mul(cs[sigma-1], group.Inv(gx))
 		}
 	}
-	wire, err := group.Encode(pk0s)
+	enc, err := group.Encode(pk0s)
 	if err != nil {
 		return nil, nil, err
 	}
-	return rc, &BatchChoice{PK0s: wire}, nil
+	return rc, &BatchChoice{PK0s: enc}, nil
 }
 
 // recover decrypts the chosen message of every instance of the batch.
@@ -217,8 +233,9 @@ func (rc *BatchReceiver) recover(tr *BatchTransfer) ([][]byte, error) {
 	if tr == nil {
 		return nil, instanceErr(0, fmt.Errorf("%w: missing transfer", ErrBadMessage))
 	}
-	if want := len(rc.sigmas) * rc.n; len(tr.Cts) != want {
-		return nil, instanceErr(0, fmt.Errorf("%w: got %d ciphertexts, want %d", ErrBadMessage, len(tr.Cts), want))
+	width := rc.msgLen
+	if want := len(rc.sigmas) * rc.n * width; len(tr.Cts) != want {
+		return nil, instanceErr(0, fmt.Errorf("%w: %d ciphertext bytes, want %d", ErrBadMessage, len(tr.Cts), want))
 	}
 	bigR, err := group.Decode(tr.R)
 	if err != nil {
@@ -226,14 +243,16 @@ func (rc *BatchReceiver) recover(tr *BatchTransfer) ([][]byte, error) {
 	}
 	// PK_{i,sigma_i} = g^x_i in both branches of newBatchReceiver, so its
 	// key PK_{i,sigma_i}^r is R^x_i: one base, many exponents.
-	wire, err := group.Encode(group.ExpMany(bigR, rc.xs))
+	keys, err := group.Encode(group.ExpMany(bigR, rc.xs))
 	if err != nil {
 		return nil, err
 	}
+	flat := make([]byte, len(rc.sigmas)*width)
 	out := make([][]byte, len(rc.sigmas))
 	for i, sigma := range rc.sigmas {
 		slot := i*rc.n + sigma
-		out[i] = xorKeystream(wire[i], slot, tr.Cts[slot])
+		out[i] = flat[i*width : (i+1)*width : (i+1)*width]
+		xorKeystream(out[i], element(keys, i), slot, tr.Cts[slot*width:(slot+1)*width])
 	}
 	return out, nil
 }
@@ -242,34 +261,31 @@ func instanceErr(i int, err error) error {
 	return fmt.Errorf("ot: instance %d: %w", i, err)
 }
 
-// kdfTrace, when set, sees the (slot, key element) input of every
+// kdfTrace, when set, sees the (slot, key encoding) input of every
 // xorKeystream call. Tests set it to check that a batch never feeds the
 // KDF one input twice; when nil it costs one comparison.
-var kdfTrace func(slot int, elem *big.Int)
+var kdfTrace func(slot int, key []byte)
 
-// xorKeystream returns in XOR a keystream derived from a group element's
-// wire form with SHA-256 in counter mode, domain-separated by the slot
-// (the message index within its batch).
-func xorKeystream(elem *big.Int, slot int, in []byte) []byte {
+// kdfDomain separates the transfer KDF's hashes from every other use of
+// SHA-256.
+const kdfDomain = "ppdc-ot-kdf-v1"
+
+// xorKeystream writes in XOR a keystream into dst (len(dst) = len(in)).
+// The keystream is SHA-256 in counter mode over a key element's encoding,
+// domain-separated by the slot (the message index within its batch).
+func xorKeystream(dst, key []byte, slot int, in []byte) {
 	if kdfTrace != nil {
-		kdfTrace(slot, elem)
+		kdfTrace(slot, key)
 	}
-	eb := make([]byte, ec25519.PointLen)
-	elem.FillBytes(eb)
-	pad := make([]byte, 0, len(in)+sha256.Size)
-	var block [8]byte
-	for counter := uint32(0); len(pad) < len(in); counter++ {
-		h := sha256.New()
-		h.Write([]byte("ppdc-ot-kdf-v1"))
-		h.Write(eb)
-		binary.BigEndian.PutUint32(block[:4], uint32(slot))
-		binary.BigEndian.PutUint32(block[4:], counter)
-		h.Write(block[:])
-		pad = h.Sum(pad)
+	// One block buffer: the domain, the key, then the slot and the
+	// counter, which is the only part that changes between blocks.
+	var block [len(kdfDomain) + ec25519.PointLen + 8]byte
+	n := copy(block[:], kdfDomain)
+	n += copy(block[n:], key)
+	binary.BigEndian.PutUint32(block[n:], uint32(slot))
+	for off, counter := 0, uint32(0); off < len(in); counter++ {
+		binary.BigEndian.PutUint32(block[n+4:], counter)
+		pad := sha256.Sum256(block[:])
+		off += subtle.XORBytes(dst[off:], in[off:], pad[:])
 	}
-	out := make([]byte, len(in))
-	for j := range in {
-		out[j] = in[j] ^ pad[j]
-	}
-	return out
 }

@@ -3,9 +3,9 @@ package ot
 import (
 	"crypto/rand"
 	"fmt"
-	"math/big"
 	"testing"
 
+	"repro/internal/ec25519"
 	"repro/internal/obs"
 )
 
@@ -27,7 +27,7 @@ func TestBaseBatchKDFInputsFresh(t *testing.T) {
 			t.Fatal(err)
 		}
 		if repeat {
-			choice.PK0s[1] = choice.PK0s[0]
+			copy(choice.PK0s[ec25519.PointLen:], choice.PK0s[:ec25519.PointLen])
 		}
 		checkKDFInputsFresh(t, fmt.Sprintf("%s repeat=%v", g.Name(), repeat), iknpKappa, 2, repeat, func() error {
 			_, err := recv.BaseRespond(choice, rand.Reader)
@@ -57,12 +57,12 @@ func TestKofNKDFInputsFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, choice, err := NewBatchReceiver(g, n, indices, setup, rand.Reader)
+			_, choice, err := NewBatchReceiver(g, n, len(msgs[0]), indices, setup, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if repeat {
-				choice.PK0s[1] = choice.PK0s[0]
+				copy(choice.PK0s[ec25519.PointLen:], choice.PK0s[:ec25519.PointLen])
 			}
 			checkKDFInputsFresh(t, fmt.Sprintf("%s %dof%d repeat=%v", g.Name(), k, n, repeat), k, n, repeat, func() error {
 				_, err := sender.Respond(choice, rand.Reader)
@@ -83,10 +83,10 @@ func checkKDFInputsFresh(t *testing.T, name string, m, n int, repeat bool, respo
 		key  string
 	}
 	calls, inputs, keys := 0, map[kdfInput]bool{}, map[string]bool{}
-	kdfTrace = func(slot int, elem *big.Int) {
+	kdfTrace = func(slot int, key []byte) {
 		calls++
-		inputs[kdfInput{slot, elem.String()}] = true
-		keys[elem.String()] = true
+		inputs[kdfInput{slot, string(key)}] = true
+		keys[string(key)] = true
 	}
 	err := respond()
 	kdfTrace = nil

@@ -5,9 +5,9 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"math/big"
 	"testing"
 
+	"repro/internal/ec25519"
 	"repro/internal/ot"
 )
 
@@ -59,7 +59,7 @@ func newOneOfN(t *testing.T, g ot.Group, msgs [][]byte, sigma int) oneOfN {
 	if o.sender, o.setup, err = ot.NewBatchSender(g, msgs, 1, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
-	if o.receiver, o.choice, err = ot.NewBatchReceiver(g, len(msgs), []int{sigma}, o.setup, rand.Reader); err != nil {
+	if o.receiver, o.choice, err = ot.NewBatchReceiver(g, len(msgs), len(msgs[0]), []int{sigma}, o.setup, rand.Reader); err != nil {
 		t.Fatal(err)
 	}
 	if o.tr, err = o.sender.Respond(o.choice, rand.Reader); err != nil {
@@ -134,7 +134,7 @@ func TestKofNRejectsDuplicates(t *testing.T) {
 		{"negative", []int{-1, 2}, ot.ErrBadIndex},
 		{"index n", []int{1, 5}, ot.ErrBadIndex},
 	} {
-		receiver, choice, err := ot.NewBatchReceiver(g, len(msgs), tc.indices, setup, rand.Reader)
+		receiver, choice, err := ot.NewBatchReceiver(g, len(msgs), len(msgs[0]), tc.indices, setup, rand.Reader)
 		if !errors.Is(err, tc.want) || receiver != nil || choice != nil {
 			t.Errorf("%s: (%v, %v, %v), want a nil receiver and choice and %v", tc.name, receiver, choice, err, tc.want)
 		}
@@ -164,18 +164,18 @@ func TestReceiverValidation(t *testing.T) {
 		"empty choice":   {},
 		"duplicate":      {1, 1},
 	} {
-		if _, _, err := ot.NewBatchReceiver(g, 4, indices, setup, rand.Reader); err == nil {
+		if _, _, err := ot.NewBatchReceiver(g, 4, 16, indices, setup, rand.Reader); err == nil {
 			t.Fatalf("%s should fail", name)
 		}
 	}
-	if _, _, err := ot.NewBatchReceiver(g, 1, []int{0}, &ot.BatchSetup{}, rand.Reader); err == nil {
+	if _, _, err := ot.NewBatchReceiver(g, 1, 16, []int{0}, &ot.BatchSetup{}, rand.Reader); err == nil {
 		t.Fatal("n = 1 should fail")
 	}
-	if _, _, err := ot.NewBatchReceiver(g, 4, []int{0}, nil, rand.Reader); err == nil {
+	if _, _, err := ot.NewBatchReceiver(g, 4, 16, []int{0}, nil, rand.Reader); err == nil {
 		t.Fatal("nil setup should fail")
 	}
-	bad := &ot.BatchSetup{Cs: []*big.Int{big.NewInt(0), big.NewInt(1), big.NewInt(1)}}
-	if _, _, err := ot.NewBatchReceiver(g, 4, []int{0}, bad, rand.Reader); err == nil {
+	bad := &ot.BatchSetup{Cs: make([]byte, 3*ec25519.PointLen)} // y = 0, a point of order 4
+	if _, _, err := ot.NewBatchReceiver(g, 4, 16, []int{0}, bad, rand.Reader); err == nil {
 		t.Fatal("invalid constraint element should fail")
 	}
 }
@@ -190,7 +190,7 @@ func TestRespondValidation(t *testing.T) {
 	if _, err := sender.Respond(nil, rand.Reader); err == nil {
 		t.Fatal("nil choice should fail")
 	}
-	if _, err := sender.Respond(&ot.BatchChoice{PK0s: []*big.Int{big.NewInt(0)}}, rand.Reader); err == nil {
+	if _, err := sender.Respond(&ot.BatchChoice{PK0s: make([]byte, ec25519.PointLen)}, rand.Reader); err == nil {
 		t.Fatal("invalid PK0 should fail")
 	}
 }
@@ -200,10 +200,10 @@ func TestRecoverValidation(t *testing.T) {
 	if _, err := o.receiver.Recover(nil); err == nil {
 		t.Fatal("nil transfer should fail")
 	}
-	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: o.tr.R, Cts: o.tr.Cts[:2]}); err == nil {
-		t.Fatal("short ciphertext list should fail")
+	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: o.tr.R, Cts: o.tr.Cts[:2*16]}); err == nil {
+		t.Fatal("short ciphertext blob should fail")
 	}
-	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: big.NewInt(0), Cts: o.tr.Cts}); err == nil {
+	if _, err := o.receiver.Recover(&ot.BatchTransfer{R: make([]byte, ec25519.PointLen), Cts: o.tr.Cts}); err == nil {
 		t.Fatal("invalid R should fail")
 	}
 }
@@ -215,7 +215,7 @@ func TestRecoverValidation(t *testing.T) {
 func TestTamperedCiphertextDecryptsGarbage(t *testing.T) {
 	msgs := randomMessages(t, 3, 16)
 	o := newOneOfN(t, ot.X25519(), msgs, 2)
-	o.tr.Cts[2][0] ^= 0xFF
+	o.tr.Cts[2*16] ^= 0xFF // slot 2's first byte
 	got, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
@@ -240,7 +240,7 @@ func TestNonChosenMessagesUnreadable(t *testing.T) {
 	// A receiver that lies about sigma post-hoc (tries index 2's slot with
 	// its index-1 key) must not get message 2: swap ciphertexts so the
 	// receiver decrypts slot 2's bytes with its own key/pad.
-	o.tr.Cts[1] = o.tr.Cts[2]
+	copy(o.tr.Cts[1*24:2*24], o.tr.Cts[2*24:3*24])
 	leaked, err := o.receiver.Recover(o.tr)
 	if err != nil {
 		t.Fatal(err)
@@ -263,15 +263,15 @@ func TestChoiceHidesIndex(t *testing.T) {
 	seen := make(map[string]bool)
 	for sigma := 0; sigma < 4; sigma++ {
 		for run := 0; run < 3; run++ {
-			_, choice, err := ot.NewBatchReceiver(g, 4, []int{sigma}, setup, rand.Reader)
+			_, choice, err := ot.NewBatchReceiver(g, 4, 16, []int{sigma}, setup, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
-			pk0 := choice.PK0s[0]
+			pk0 := choice.PK0s
 			if _, err := g.Decode(pk0); err != nil {
 				t.Fatalf("PK0 not a valid element: %v", err)
 			}
-			key := pk0.String()
+			key := string(pk0)
 			if seen[key] {
 				t.Fatal("PK0 collision across runs (randomness broken)")
 			}
@@ -288,8 +288,8 @@ func TestElementLen(t *testing.T) {
 
 // TestBatchMismatchedCounts: the k instances share one setup, so the
 // receiver cannot read k from it. A k mismatch is refused where it shows:
-// at Respond, which wants one choice per instance, and at Recover, which
-// wants exactly k·n ciphertexts.
+// at Respond, which wants one public key per instance, and at Recover,
+// which wants a ciphertext blob of k·n slots of the messages' width.
 func TestBatchMismatchedCounts(t *testing.T) {
 	g := ot.X25519()
 	msgs := randomMessages(t, 5, 16)
@@ -303,17 +303,17 @@ func TestBatchMismatchedCounts(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
 		}
 	}
-	receiver3, choice3, err := ot.NewBatchReceiver(g, 5, []int{1, 2, 3}, setup, rand.Reader)
+	receiver3, choice3, err := ot.NewBatchReceiver(g, 5, 16, []int{1, 2, 3}, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = sender.Respond(choice3, rand.Reader)
 	want("Respond(3 choices for k=2)", err)
-	receiver, choice, err := ot.NewBatchReceiver(g, 5, []int{1, 2}, setup, rand.Reader)
+	receiver, choice, err := ot.NewBatchReceiver(g, 5, 16, []int{1, 2}, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sender.Respond(&ot.BatchChoice{PK0s: choice.PK0s[:1]}, rand.Reader)
+	_, err = sender.Respond(&ot.BatchChoice{PK0s: choice.PK0s[:ec25519.PointLen]}, rand.Reader)
 	want("Respond(1 choice for k=2)", err)
 	_, err = sender.Respond(nil, rand.Reader)
 	want("Respond(nil)", err)
@@ -324,17 +324,19 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	_, err = receiver3.Recover(tr)
 	want("Recover(k=2 transfer, k=3 receiver)", err)
 	cts := tr.Cts
-	for name, bad := range map[string][][]byte{
-		"k·n−1 ciphertexts": cts[:len(cts)-1],
-		"k·n+1 ciphertexts": append(append([][]byte(nil), cts...), cts[0]),
-		"n ciphertexts":     cts[:5],
+	for name, bad := range map[string][]byte{
+		"k·n−1 ciphertexts": cts[:len(cts)-16],
+		"k·n+1 ciphertexts": append(append([]byte(nil), cts...), cts[:16]...),
+		"one byte short":    cts[:len(cts)-1],
+		"one byte over":     append(append([]byte(nil), cts...), 0),
+		"n ciphertexts":     cts[:5*16],
 	} {
 		_, err = receiver.Recover(&ot.BatchTransfer{R: tr.R, Cts: bad})
 		want("Recover("+name+")", err)
 	}
 	_, err = receiver.Recover(&ot.BatchTransfer{})
 	want("Recover(no transfer)", err)
-	_, _, err = ot.NewBatchReceiver(g, 5, []int{1, 2}, &ot.BatchSetup{}, rand.Reader)
+	_, _, err = ot.NewBatchReceiver(g, 5, 16, []int{1, 2}, &ot.BatchSetup{}, rand.Reader)
 	want("NewBatchReceiver(no setup)", err)
 	got, err := receiver.Recover(tr)
 	if err != nil || !bytes.Equal(got[0], msgs[1]) || !bytes.Equal(got[1], msgs[2]) {

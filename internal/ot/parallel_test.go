@@ -14,30 +14,33 @@ import (
 )
 
 // detReader is a deterministic byte stream (SHA-256 in counter mode) so two
-// protocol runs can consume identical randomness.
+// protocol runs can consume identical randomness. It does not allocate,
+// so the allocation pins can draw from it too.
 type detReader struct {
 	seed    [32]byte
 	counter uint64
-	buf     []byte
+	block   [sha256.Size]byte
+	off     int // bytes of block already read
 }
 
 func newDetReader(seed string) *detReader {
-	return &detReader{seed: sha256.Sum256([]byte(seed))}
+	return &detReader{seed: sha256.Sum256([]byte(seed)), off: sha256.Size}
 }
 
 func (d *detReader) Read(p []byte) (int, error) {
-	for len(d.buf) < len(p) {
-		h := sha256.New()
-		h.Write(d.seed[:])
-		var c [8]byte
-		binary.BigEndian.PutUint64(c[:], d.counter)
-		d.counter++
-		h.Write(c[:])
-		d.buf = h.Sum(d.buf)
+	for n := 0; n < len(p); {
+		if d.off == len(d.block) {
+			var in [len(d.seed) + 8]byte
+			copy(in[:], d.seed[:])
+			binary.BigEndian.PutUint64(in[len(d.seed):], d.counter)
+			d.counter++
+			d.block, d.off = sha256.Sum256(in[:]), 0
+		}
+		c := copy(p[n:], d.block[d.off:])
+		d.off += c
+		n += c
 	}
-	n := copy(p, d.buf)
-	d.buf = d.buf[n:]
-	return n, nil
+	return len(p), nil
 }
 
 // TestExpGMatchesExp checks the fixed-base table behind ExpG against the
@@ -119,7 +122,7 @@ func testKofNDeterministic(t *testing.T, group Group) {
 		if err != nil {
 			t.Fatalf("procs=%d sender: %v", procs, err)
 		}
-		receiver, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rng)
+		receiver, choice, err := NewBatchReceiver(group, len(msgs), len(msgs[0]), indices, setup, rng)
 		if err != nil {
 			t.Fatalf("procs=%d receiver: %v", procs, err)
 		}
@@ -161,11 +164,11 @@ func TestBatchRespondBadChoiceParallel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, choice, err := NewBatchReceiver(group, len(msgs), indices, setup, rand.Reader)
+	_, choice, err := NewBatchReceiver(group, len(msgs), len(msgs[0]), indices, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	choice.PK0s[1] = new(big.Int) // zero is invalid
+	clear(choice.PK0s[ec25519.PointLen:]) // y = 0 is a point of order 4
 	if _, err := sender.Respond(choice, rand.Reader); err == nil {
 		t.Fatal("want error for invalid PK0 in batch")
 	}

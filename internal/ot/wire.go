@@ -1,74 +1,37 @@
 package ot
 
-import (
-	"math/big"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // Binary wire encodings for every OT message type. Each type's one
 // EncodeWire/DecodeWire pair is its wire.Msg codec (see internal/wire);
 // the transport's frames carry these encodings, and the golden-transcript
 // suite pins their bytes. The three batch messages carry every
-// Naor–Pinkas transfer, a k-of-n and the IKNP base phase alike.
+// Naor–Pinkas transfer, a k-of-n and the IKNP base phase alike, each
+// field one length-prefixed blob of fixed-width elements or slots
+// (naorpinkas.go), so a batch message of a given shape has one length.
 
 // EncodeWire implements the wire codec.
-func (s *BatchSetup) EncodeWire(w *wire.Writer) { encodeBigInts(w, s.Cs) }
+func (s *BatchSetup) EncodeWire(w *wire.Writer) { w.ByteSlice(s.Cs) }
 
 // DecodeWire implements the wire codec.
-func (s *BatchSetup) DecodeWire(r *wire.Reader) { s.Cs = decodeBigInts(r) }
+func (s *BatchSetup) DecodeWire(r *wire.Reader) { s.Cs = r.ByteSlice() }
 
 // EncodeWire implements the wire codec.
-func (c *BatchChoice) EncodeWire(w *wire.Writer) { encodeBigInts(w, c.PK0s) }
+func (c *BatchChoice) EncodeWire(w *wire.Writer) { w.ByteSlice(c.PK0s) }
 
 // DecodeWire implements the wire codec.
-func (c *BatchChoice) DecodeWire(r *wire.Reader) { c.PK0s = decodeBigInts(r) }
+func (c *BatchChoice) DecodeWire(r *wire.Reader) { c.PK0s = r.ByteSlice() }
 
 // EncodeWire implements the wire codec.
 func (t *BatchTransfer) EncodeWire(w *wire.Writer) {
-	w.BigInt(t.R)
-	w.Count(len(t.Cts))
-	for _, ct := range t.Cts {
-		w.ByteSlice(ct)
-	}
+	w.ByteSlice(t.R)
+	w.ByteSlice(t.Cts)
 }
 
 // DecodeWire implements the wire codec.
 func (t *BatchTransfer) DecodeWire(r *wire.Reader) {
-	t.R = r.BigInt()
-	n := r.Count()
-	if r.Err() != nil {
-		return
-	}
-	t.Cts = make([][]byte, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		t.Cts = append(t.Cts, r.ByteSlice())
-		if r.Err() != nil {
-			return
-		}
-	}
-}
-
-func encodeBigInts(w *wire.Writer, xs []*big.Int) {
-	w.Count(len(xs))
-	for _, x := range xs {
-		w.BigInt(x)
-	}
-}
-
-func decodeBigInts(r *wire.Reader) []*big.Int {
-	n := r.Count()
-	if r.Err() != nil {
-		return nil
-	}
-	out := make([]*big.Int, 0, wire.SliceCap(n))
-	for i := 0; i < n; i++ {
-		out = append(out, r.BigInt())
-		if r.Err() != nil {
-			return nil
-		}
-	}
-	return out
+	t.R = r.ByteSlice()
+	t.Cts = r.ByteSlice()
 }
 
 // EncodeWire implements the wire codec.
@@ -97,44 +60,13 @@ func (m *IKNPSenderMsg) DecodeWire(r *wire.Reader) {
 	m.MsgLen = r.Int()
 }
 
-// encodeIKNPReceiver writes a required inner IKNP receiver message.
-func encodeIKNPReceiver(w *wire.Writer, m *IKNPReceiverMsg) {
-	if m == nil {
-		w.BigInt(nil) // typed ErrNilValue
-		return
-	}
-	m.EncodeWire(w)
-}
-
-func decodeIKNPReceiver(r *wire.Reader) *IKNPReceiverMsg {
-	m := new(IKNPReceiverMsg)
-	m.DecodeWire(r)
-	if r.Err() != nil {
-		return nil
-	}
-	return m
-}
-
-func encodeIKNPSender(w *wire.Writer, m *IKNPSenderMsg) {
-	if m == nil {
-		w.BigInt(nil)
-		return
-	}
-	m.EncodeWire(w)
-}
-
-func decodeIKNPSender(r *wire.Reader) *IKNPSenderMsg {
-	m := new(IKNPSenderMsg)
-	m.DecodeWire(r)
-	if r.Err() != nil {
-		return nil
-	}
-	return m
-}
-
 // EncodeWire implements the wire codec.
 func (m *ExtKofNBatchRequest) EncodeWire(w *wire.Writer) {
-	encodeIKNPReceiver(w, m.IKNP)
+	if m.IKNP == nil {
+		w.Nil("IKNP receiver message")
+		return
+	}
+	m.IKNP.EncodeWire(w)
 	w.Int(m.K)
 	w.Int(m.N)
 	w.Int(m.B)
@@ -142,7 +74,8 @@ func (m *ExtKofNBatchRequest) EncodeWire(w *wire.Writer) {
 
 // DecodeWire implements the wire codec.
 func (m *ExtKofNBatchRequest) DecodeWire(r *wire.Reader) {
-	m.IKNP = decodeIKNPReceiver(r)
+	m.IKNP = new(IKNPReceiverMsg)
+	m.IKNP.DecodeWire(r)
 	m.K = r.Int()
 	m.N = r.Int()
 	m.B = r.Int()
@@ -150,14 +83,19 @@ func (m *ExtKofNBatchRequest) DecodeWire(r *wire.Reader) {
 
 // EncodeWire implements the wire codec.
 func (m *ExtKofNBatchResponse) EncodeWire(w *wire.Writer) {
-	encodeIKNPSender(w, m.IKNP)
+	if m.IKNP == nil {
+		w.Nil("IKNP sender message")
+		return
+	}
+	m.IKNP.EncodeWire(w)
 	w.ByteSlice(m.Cts)
 	w.Int(m.MsgLen)
 }
 
 // DecodeWire implements the wire codec.
 func (m *ExtKofNBatchResponse) DecodeWire(r *wire.Reader) {
-	m.IKNP = decodeIKNPSender(r)
+	m.IKNP = new(IKNPSenderMsg)
+	m.IKNP.DecodeWire(r)
 	m.Cts = r.ByteSlice()
 	m.MsgLen = r.Int()
 }

@@ -3,7 +3,6 @@ package ot
 import (
 	"bytes"
 	"errors"
-	"math/big"
 	"reflect"
 	"testing"
 
@@ -11,33 +10,26 @@ import (
 )
 
 func sampleSetup() *BatchSetup {
-	return &BatchSetup{Cs: []*big.Int{big.NewInt(12345), new(big.Int).Lsh(big.NewInt(7), 300)}}
+	return &BatchSetup{Cs: fakeElements(2, 12)}
 }
 
 func sampleTransfer() *BatchTransfer {
-	return &BatchTransfer{R: big.NewInt(31337), Cts: [][]byte{{1, 2}, {}, {3, 4, 5}}}
+	return &BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(6, 3)}
 }
 
 // baseShapeMsgs are the three batch messages in the shape of the IKNP
 // base phase: one constraint, κ public keys, and one R with 2κ 16-byte
 // ciphertexts.
 func baseShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
-	pk0s := make([]*big.Int, iknpKappa)
-	for i := range pk0s {
-		pk0s[i] = new(big.Int).Lsh(big.NewInt(int64(99+i)), 120)
-	}
-	cts := make([][]byte, 2*iknpKappa)
-	for i := range cts {
-		cts[i] = bytes.Repeat([]byte{byte(i)}, treeKeyLen)
-	}
-	return &BatchSetup{Cs: []*big.Int{big.NewInt(9)}}, &BatchChoice{PK0s: pk0s}, &BatchTransfer{R: big.NewInt(31337), Cts: cts}
+	return &BatchSetup{Cs: fakeElements(1, 9)}, &BatchChoice{PK0s: fakeElements(iknpKappa, 99)},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(2*iknpKappa, treeKeyLen)}
 }
 
 func otWireSamples() map[string]wire.Msg {
 	baseSetup, baseChoice, baseTransfer := baseShapeMsgs()
 	return map[string]wire.Msg{
 		"BatchSetup":       sampleSetup(),
-		"BatchChoice":      &BatchChoice{PK0s: []*big.Int{new(big.Int).Lsh(big.NewInt(99), 120), big.NewInt(5)}},
+		"BatchChoice":      &BatchChoice{PK0s: fakeElements(2, 5)},
 		"BatchTransfer":    sampleTransfer(),
 		"IKNPBaseSetup":    baseSetup,
 		"IKNPBaseChoice":   baseChoice,
@@ -105,12 +97,12 @@ func TestOTWireRoundTrips(t *testing.T) {
 	}
 }
 
+// TestOTWireNilElements: a message missing a required inner message fails
+// to encode with ErrNilValue. The batch messages have no such field: a
+// nil blob goes out as an empty one, which the protocol steps refuse by
+// its length.
 func TestOTWireNilElements(t *testing.T) {
 	cases := map[string]wire.Msg{
-		"nil-setup-elem":    &BatchSetup{Cs: []*big.Int{nil}},
-		"nil-transfer":      &BatchTransfer{},
-		"nil-bigint":        &BatchSetup{Cs: []*big.Int{big.NewInt(1), nil}},
-		"nil-pk0":           &BatchChoice{PK0s: []*big.Int{nil}},
 		"nil-iknp-request":  &ExtKofNBatchRequest{K: 1, N: 2, B: 1},
 		"nil-iknp-response": &ExtKofNBatchResponse{Cts: []byte{1}, MsgLen: 1},
 	}

@@ -40,12 +40,16 @@ import (
 // unit normals and the field came to be sized from the area value alone:
 // linear/x25519 moved from 2^521−1 to 2^255−19, and both cases encode
 // (w/|w|, b/|w|) and its centroid, which changes every value and message
-// of theirs, fb18's included. kernel/diabetes-poly passed unedited.
+// of theirs, fb18's included. kernel/diabetes-poly passed unedited. All
+// three were re-recorded when the Naor–Pinkas messages became fixed-width
+// blobs of 32-byte point encodings and the kernel clear share's alpha sum
+// came to travel at the field's element width: a framing change only,
+// under which parentRoundValues passed unedited.
 // Refactors change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/x25519":        "6885667ec811bdd305555ac3de95f6db31e93ebe263438aedd47c5730a6789d4",
-	"linear/limb-fb18":     "d7984f1de2009a6cd63e58d7e0cbcef34beb9ad67e8a34c3d2eea74c542f7aa7",
-	"kernel/diabetes-poly": "bb1e2b15c5ce5800026e423fbf9bf12b813f92b2a4faf2c89b2fa9a6873eea95",
+	"linear/x25519":        "51866b12cd86d5e4c0c721e37d8570aed21df2cbcbf183e4d962c12c087d8789",
+	"linear/limb-fb18":     "0867a6d73536f5d6a6e8fe214dfa72b8a01d083d3bb5250bfe61a4d842c3800c",
+	"kernel/diabetes-poly": "03d20fc4b7e499ecddb3ab7ca7399a4ead17bddb62f64fc01ab3c0e390760bb0",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.

@@ -302,9 +302,7 @@ func linearAreaBits(dim int, m Metric, fracBits uint) (int, error) {
 	if err := m.Validate(); err != nil {
 		return 0, err
 	}
-	// 9·2^10 bits is past every built-in field; the cap keeps the
-	// arithmetic below from overflowing on a hostile spec.
-	if fracBits > 1<<10 {
+	if fracBits > maxFracBits {
 		return 0, fmt.Errorf("%w: %d fractional bits", ErrFieldTooSmall, fracBits)
 	}
 	n, s := float64(dim), math.Ldexp(1, int(fracBits))
@@ -319,6 +317,11 @@ func linearAreaBits(dim int, m Metric, fracBits uint) (int, error) {
 	}
 	return int(linearAreaExp)*int(fracBits) + int(math.Ceil(math.Log2(bHat))) + 2, nil
 }
+
+// maxFracBits caps a spec's precision before a need is computed from it:
+// 2^10 fractional bits are past every built-in field at any exponent, and
+// the cap keeps the need arithmetic from overflowing on a hostile spec.
+const maxFracBits = 1 << 10
 
 // Spec returns the public contract for Bob.
 func (a *Alice) Spec() Spec { return a.spec }

@@ -51,8 +51,9 @@ type KernelClearShare struct {
 	KwBwB float64
 	// NumSupport is |S_B|, the number of round-2 executions Bob will run.
 	NumSupport int
-	// AlphaSum is A = Σ_t Enc(αyB_t) mod p.
-	AlphaSum *big.Int
+	// AlphaSum is A = Σ_t Enc(αyB_t) mod p, big-endian at the field's
+	// element width.
+	AlphaSum []byte
 }
 
 // KernelSpec extends the public contract with the kernel and the area
@@ -106,11 +107,11 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 		params.FracBits = defaultKernelFracBits
 	}
 	params = params.withDefaults()
-	// Field sizing: the normal rounds need (e2+1)·fb + amplifier bits, the
-	// area round its worst-case exponent times fb, plus value-bit slack.
-	e1, e2 := kernelExps(model.Kernel)
-	fb := int(params.FracBits)
-	base, err := specFor(model.Dim, params, max(int(e2+1)*fb+params.AmplifierBits, int(areaExp(e1, e2, maxC3Exp))*fb)+48+24)
+	need, err := kernelFieldBits(model.Kernel, params.FracBits, params.AmplifierBits)
+	if err != nil {
+		return nil, err
+	}
+	base, err := specFor(model.Dim, params, need)
 	if err != nil {
 		return nil, err
 	}
@@ -139,6 +140,22 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 		return nil, err
 	}
 	return &KernelAlice{responder: r, spec: spec, kmama: kmama, kwawa: kwawa}, nil
+}
+
+// kernelFieldBits is the field size, in bits, that the kernel variant's
+// rounds need, from its public spec's kernel, precision and amplifier
+// width: the normal rounds (e2+1)·fb +
+// amplifier bits, the area round its worst-case exponent times fb, plus
+// value-bit slack. Alice sizes her field with it and Bob refuses a spec
+// whose field is smaller. (An amplifier wider than the field fails
+// ompe's parameter check whatever this returns.)
+func kernelFieldBits(kernel svm.Kernel, fracBits uint, amplifierBits int) (int, error) {
+	if fracBits > maxFracBits {
+		return 0, fmt.Errorf("%w: %d fractional bits", ErrFieldTooSmall, fracBits)
+	}
+	e1, e2 := kernelExps(kernel)
+	fb := int(fracBits)
+	return max(int(e2+1)*fb+amplifierBits, int(areaExp(e1, e2, maxC3Exp))*fb) + 48 + 24, nil
 }
 
 // validateKernelModel rejects nil and malformed models.
@@ -179,13 +196,14 @@ func (a *KernelAlice) Spec() KernelSpec { return a.spec }
 // HandleClearShare stores Bob's cleartext values, fixes the number of
 // RoundNormal instances at |S_B| and the area round's adaptive scale.
 func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
-	if cs == nil || cs.KwBwB <= 0 || cs.NumSupport < 1 || cs.AlphaSum == nil ||
+	if cs == nil || cs.KwBwB <= 0 || cs.NumSupport < 1 ||
 		math.IsNaN(cs.KmBmB) || math.IsInf(cs.KmBmB, 0) ||
 		math.IsNaN(cs.KwBwB) || math.IsInf(cs.KwBwB, 0) {
 		return errors.New("similarity: invalid kernel clear share")
 	}
-	if !a.codec.Field().Contains(cs.AlphaSum) {
-		return errors.New("similarity: alpha sum not in field")
+	alphaSum, err := a.codec.Field().FromBytes(cs.AlphaSum)
+	if err != nil {
+		return fmt.Errorf("similarity: alpha sum: %w", err)
 	}
 	c3 := 0.25 / (a.kwawa * cs.KwBwB)
 	// Pick the c3 exponent so that c3·S^exp has at least fracBits
@@ -194,7 +212,7 @@ func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
 	c3Exp := uint(math.Min(maxC3Exp, math.Max(1, math.Ceil((sBits-math.Log2(c3))/sBits))))
 	e1, e2 := kernelExps(a.spec.Kernel)
 	a.areaScale = &AreaScale{C3Exp: c3Exp, TotalExp: areaExp(e1, e2, c3Exp)}
-	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, c3: c3, e1: e1, e2: e2, c3Exp: c3Exp, alphaSum: cs.AlphaSum}
+	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, c3: c3, e1: e1, e2: e2, c3Exp: c3Exp, alphaSum: alphaSum}
 	a.normalsWant = cs.NumSupport
 	return nil
 }
@@ -249,7 +267,9 @@ type KernelBob struct {
 }
 
 // NewKernelBob prepares the requester around his own polynomial-kernel
-// model, from Alice's public spec.
+// model, from Alice's public spec. He recomputes the field the kernel
+// rounds need from the spec's kernel degree, FracBits and AmplifierBits,
+// and refuses a spec whose field is smaller with ErrFieldTooSmall.
 func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	if err := validateKernelModel(model); err != nil {
 		return nil, err
@@ -259,6 +279,13 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	}
 	if model.Dim != spec.Dim {
 		return nil, fmt.Errorf("similarity: model dim %d, spec dim %d", model.Dim, spec.Dim)
+	}
+	need, err := kernelFieldBits(spec.Kernel, spec.FracBits, spec.AmplifierBits)
+	if err != nil {
+		return nil, err
+	}
+	if spec.FieldBits < need {
+		return nil, fmt.Errorf("%w: the spec's field has %d bits, the kernel rounds need %d", ErrFieldTooSmall, spec.FieldBits, need)
 	}
 	mB, err := kernelCentroid(model, spec.Metric)
 	if err != nil {
@@ -285,6 +312,10 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	if err != nil {
 		return nil, err
 	}
+	alphaSumBytes, err := f.Bytes(alphaSum)
+	if err != nil {
+		return nil, err
+	}
 	return &KernelBob{
 		requester: r,
 		kernel:    spec.Kernel,
@@ -292,7 +323,7 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 			KmBmB:      kmbmb,
 			KwBwB:      kwbwb,
 			NumSupport: len(model.SupportVectors),
-			AlphaSum:   alphaSum,
+			AlphaSum:   alphaSumBytes,
 		},
 	}, nil
 }

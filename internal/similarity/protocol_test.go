@@ -1,10 +1,10 @@
 package similarity_test
 
 import (
+	"bytes"
 	"crypto/rand"
 	"errors"
 	"math"
-	"math/big"
 	"testing"
 
 	"repro/internal/dataset"
@@ -294,7 +294,9 @@ func TestKernelClearShareValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := codec.Field().Modulus()
+	f := codec.Field()
+	width := f.ElementLen()
+	p := f.Modulus().FillBytes(make([]byte, width))
 	good := *bob.ClearShare()
 	with := func(edit func(*similarity.KernelClearShare)) *similarity.KernelClearShare {
 		cs := good
@@ -302,19 +304,20 @@ func TestKernelClearShareValidation(t *testing.T) {
 		return &cs
 	}
 	bad := map[string]*similarity.KernelClearShare{
-		"nil":                nil,
-		"no-support":         with(func(c *similarity.KernelClearShare) { c.NumSupport = 0 }),
-		"negative-support":   with(func(c *similarity.KernelClearShare) { c.NumSupport = -1 }),
-		"nil-alpha-sum":      with(func(c *similarity.KernelClearShare) { c.AlphaSum = nil }),
-		"alpha-sum-p":        with(func(c *similarity.KernelClearShare) { c.AlphaSum = new(big.Int).Set(p) }),
-		"alpha-sum-above-p":  with(func(c *similarity.KernelClearShare) { c.AlphaSum = new(big.Int).Lsh(p, 1) }),
-		"alpha-sum-negative": with(func(c *similarity.KernelClearShare) { c.AlphaSum = big.NewInt(-1) }),
-		"kmbmb-nan":          with(func(c *similarity.KernelClearShare) { c.KmBmB = math.NaN() }),
-		"kmbmb-inf":          with(func(c *similarity.KernelClearShare) { c.KmBmB = math.Inf(-1) }),
-		"kwbwb-nan":          with(func(c *similarity.KernelClearShare) { c.KwBwB = math.NaN() }),
-		"kwbwb-inf":          with(func(c *similarity.KernelClearShare) { c.KwBwB = math.Inf(1) }),
-		"kwbwb-zero":         with(func(c *similarity.KernelClearShare) { c.KwBwB = 0 }),
-		"kwbwb-negative":     with(func(c *similarity.KernelClearShare) { c.KwBwB = -1 }),
+		"nil":               nil,
+		"no-support":        with(func(c *similarity.KernelClearShare) { c.NumSupport = 0 }),
+		"negative-support":  with(func(c *similarity.KernelClearShare) { c.NumSupport = -1 }),
+		"nil-alpha-sum":     with(func(c *similarity.KernelClearShare) { c.AlphaSum = nil }),
+		"alpha-sum-p":       with(func(c *similarity.KernelClearShare) { c.AlphaSum = p }),
+		"alpha-sum-above-p": with(func(c *similarity.KernelClearShare) { c.AlphaSum = bytes.Repeat([]byte{0xFF}, width) }),
+		"alpha-sum-short":   with(func(c *similarity.KernelClearShare) { c.AlphaSum = good.AlphaSum[1:] }),
+		"alpha-sum-long":    with(func(c *similarity.KernelClearShare) { c.AlphaSum = append([]byte{0}, good.AlphaSum...) }),
+		"kmbmb-nan":         with(func(c *similarity.KernelClearShare) { c.KmBmB = math.NaN() }),
+		"kmbmb-inf":         with(func(c *similarity.KernelClearShare) { c.KmBmB = math.Inf(-1) }),
+		"kwbwb-nan":         with(func(c *similarity.KernelClearShare) { c.KwBwB = math.NaN() }),
+		"kwbwb-inf":         with(func(c *similarity.KernelClearShare) { c.KwBwB = math.Inf(1) }),
+		"kwbwb-zero":        with(func(c *similarity.KernelClearShare) { c.KwBwB = 0 }),
+		"kwbwb-negative":    with(func(c *similarity.KernelClearShare) { c.KwBwB = -1 }),
 	}
 	for name, cs := range bad {
 		if err := alice.HandleClearShare(cs); err == nil {
@@ -439,9 +442,11 @@ func TestKernelAliceFracBits(t *testing.T) {
 // ompe.ErrParams when he opens the first round, before allocating
 // anything sized by it. A spec naming any OT group but x25519 must be
 // refused with ot.ErrUnknownGroup by NewBob and NewKernelBob themselves,
-// before any message. So must a linear spec whose field is smaller than
-// the area value needs, with ErrFieldTooSmall: Alice's own spec with
-// FracBits or L0 raised and the field left at 255 bits.
+// before any message. So must a spec whose field is smaller than its
+// rounds need, with ErrFieldTooSmall: Alice's own linear spec with
+// FracBits or L0 raised and the field left at 255 bits, and her kernel
+// spec with FracBits raised from 12 to 40 and the field left at 607 bits
+// (the area round then needs 1,832).
 func TestHostileSpecRefused(t *testing.T) {
 	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
 	if err != nil {
@@ -458,37 +463,44 @@ func TestHostileSpecRefused(t *testing.T) {
 		want   error
 		// lazy rows may pass the constructor and fail at the first message.
 		lazy bool
-		// linearOnly rows check a rule of the hyperplane variant only.
-		linearOnly bool
+		// only names the one variant ("linear" or "kernel") whose rule a
+		// row checks, on Alice's field (255 or 607 bits); "" runs both.
+		only string
 	}{
-		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true, false},
-		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true, false},
-		{"group-modp512-test", func(s *similarity.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false, false},
-		{"group-modp2048", func(s *similarity.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false, false},
-		{"group-empty", func(s *similarity.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false, false},
-		{"frac-bits-30-on-255", func(s *similarity.Spec) { s.FracBits = 30 }, similarity.ErrFieldTooSmall, false, true},
-		{"frac-bits-2^62", func(s *similarity.Spec) { s.FracBits = 1 << 62 }, similarity.ErrFieldTooSmall, false, true},
-		{"l0-1e6-on-255", func(s *similarity.Spec) { s.Metric.L0 = 1e6 }, similarity.ErrFieldTooSmall, false, true},
-		{"l0-1e100", func(s *similarity.Spec) { s.Metric.L0 = 1e100 }, similarity.ErrFieldTooSmall, false, true},
+		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true, ""},
+		{"cover-factor-2^62", func(s *similarity.Spec) { s.CoverFactor = 1 << 62 }, ompe.ErrParams, true, ""},
+		{"group-modp512-test", func(s *similarity.Spec) { s.GroupName = "modp512-test" }, ot.ErrUnknownGroup, false, ""},
+		{"group-modp2048", func(s *similarity.Spec) { s.GroupName = "modp2048" }, ot.ErrUnknownGroup, false, ""},
+		{"group-empty", func(s *similarity.Spec) { s.GroupName = "" }, ot.ErrUnknownGroup, false, ""},
+		{"frac-bits-30-on-255", func(s *similarity.Spec) { s.FracBits = 30 }, similarity.ErrFieldTooSmall, false, "linear"},
+		{"frac-bits-2^62", func(s *similarity.Spec) { s.FracBits = 1 << 62 }, similarity.ErrFieldTooSmall, false, "linear"},
+		{"l0-1e6-on-255", func(s *similarity.Spec) { s.Metric.L0 = 1e6 }, similarity.ErrFieldTooSmall, false, "linear"},
+		{"l0-1e100", func(s *similarity.Spec) { s.Metric.L0 = 1e100 }, similarity.ErrFieldTooSmall, false, "linear"},
+		{"frac-bits-40-on-607", func(s *similarity.Spec) { s.FracBits = 40 }, similarity.ErrFieldTooSmall, false, "kernel"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			spec := alice.Spec()
-			tc.mutate(&spec)
-			bob, err := similarity.NewBob(spec, []float64{0.2, 0.9}, -0.2)
-			if err == nil && tc.lazy {
-				_, err = bob.StartRound(similarity.RoundCentroid, rand.Reader)
-			}
-			if !errors.Is(err, tc.want) {
-				t.Errorf("NewBob: err = %v, want %v", err, tc.want)
-			}
-			if tc.linearOnly {
-				if spec.FieldBits != 255 {
-					t.Fatalf("Alice's spec is on %d bits, want 255", spec.FieldBits)
+			if tc.only != "kernel" {
+				spec := alice.Spec()
+				tc.mutate(&spec)
+				bob, err := similarity.NewBob(spec, []float64{0.2, 0.9}, -0.2)
+				if err == nil && tc.lazy {
+					_, err = bob.StartRound(similarity.RoundCentroid, rand.Reader)
 				}
-				return
+				if !errors.Is(err, tc.want) {
+					t.Errorf("NewBob: err = %v, want %v", err, tc.want)
+				}
+				if tc.only == "linear" {
+					if spec.FieldBits != 255 {
+						t.Fatalf("Alice's spec is on %d bits, want 255", spec.FieldBits)
+					}
+					return
+				}
 			}
 			kspec := kernelAlice.Spec()
 			tc.mutate(&kspec.Spec)
+			if tc.only == "kernel" && kspec.FieldBits != 607 {
+				t.Fatalf("Alice's kernel spec is on %d bits, want 607", kspec.FieldBits)
+			}
 			kbob, err := similarity.NewKernelBob(kspec, modelB)
 			if err == nil && tc.lazy {
 				_, err = kbob.StartRound(similarity.RoundCentroid, rand.Reader)

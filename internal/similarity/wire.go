@@ -85,7 +85,7 @@ func (c *KernelClearShare) EncodeWire(w *wire.Writer) {
 	w.Float64(c.KmBmB)
 	w.Float64(c.KwBwB)
 	w.Int(c.NumSupport)
-	w.BigInt(c.AlphaSum)
+	w.ByteSlice(c.AlphaSum)
 }
 
 // DecodeWire implements the wire codec.
@@ -93,7 +93,7 @@ func (c *KernelClearShare) DecodeWire(r *wire.Reader) {
 	c.KmBmB = r.Float64()
 	c.KwBwB = r.Float64()
 	c.NumSupport = r.Int()
-	c.AlphaSum = r.BigInt()
+	c.AlphaSum = r.ByteSlice()
 }
 
 // EncodeWire implements the wire codec.

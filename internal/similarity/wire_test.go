@@ -3,10 +3,10 @@ package similarity
 import (
 	"bytes"
 	"errors"
-	"math/big"
 	"reflect"
 	"testing"
 
+	"repro/internal/field"
 	"repro/internal/svm"
 	"repro/internal/wire"
 )
@@ -33,7 +33,7 @@ func similarityWireSamples() map[string]wire.Msg {
 		"KernelSpec": &KernelSpec{Spec: sampleSpec(), Kernel: svm.Polynomial(0.5, 0, 3)},
 		"KernelClearShare": &KernelClearShare{
 			KmBmB: 3.5, KwBwB: 4.5, NumSupport: 7,
-			AlphaSum: new(big.Int).Lsh(big.NewInt(11), 100),
+			AlphaSum: bytes.Repeat([]byte{0x0B}, 76),
 		},
 		"AreaScale": &AreaScale{C3Exp: 17, TotalExp: 42},
 	}
@@ -78,9 +78,26 @@ func TestSimilarityWireRoundTrips(t *testing.T) {
 	}
 }
 
+// TestKernelClearShareNilAlphaSum: a share without its alpha sum travels
+// as an empty blob, which no field takes for an element, so Alice refuses
+// it (TestKernelClearShareValidation's nil-alpha-sum row).
 func TestKernelClearShareNilAlphaSum(t *testing.T) {
-	m := &KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3}
-	if _, err := wire.Marshal(m); !errors.Is(err, wire.ErrNilValue) {
-		t.Fatalf("got %v, want ErrNilValue", err)
+	data, err := wire.Marshal(&KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got KernelClearShare
+	if err := wire.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.AlphaSum) != 0 {
+		t.Fatalf("alpha sum decoded to %d bytes, want none", len(got.AlphaSum))
+	}
+	f, err := field.ByBits(607)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.FromBytes(got.AlphaSum); err == nil {
+		t.Fatal("an empty alpha sum reads as a field element")
 	}
 }

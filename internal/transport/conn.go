@@ -388,23 +388,22 @@ func (c *Conn) RunContext(ctx context.Context, fn func() error) error {
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("%w: %w", ErrCanceled, err)
 	}
-	stop := make(chan struct{})
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		select {
-		case <-ctx.Done():
-			if d, ok := c.rw.(deadliner); ok {
-				_ = d.SetDeadline(time.Unix(1, 0))
-			} else {
-				_ = c.rw.Close()
-			}
-		case <-stop:
+	// On cancellation the callback unblocks fn; stop reports whether it
+	// was prevented, and when it was not, RunContext waits for it to
+	// finish so it never touches the stream after RunContext returns.
+	fired := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		defer close(fired)
+		if d, ok := c.rw.(deadliner); ok {
+			_ = d.SetDeadline(time.Unix(1, 0))
+		} else {
+			_ = c.rw.Close()
 		}
-	}()
+	})
 	err := fn()
-	close(stop)
-	<-watcherDone
+	if !stop() {
+		<-fired
+	}
 	if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
 		return fmt.Errorf("%w: %w (%v)", ErrCanceled, ctxErr, err)
 	}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"io"
-	"math/big"
 	"reflect"
 	"testing"
 
@@ -64,7 +63,7 @@ func wireFuzzSamples() []struct {
 		{"Metric", &similarity.Metric{Alpha: -1, Beta: 1, L0: 0.5, Theta0: 0.25}},
 		{"ClearShare", &similarity.ClearShare{NormM2: 1.5, NormW2: 2.5}},
 		{"KernelSpec", &similarity.KernelSpec{Spec: simSpec, Kernel: svm.Polynomial(0.5, 0, 3)}},
-		{"KernelClearShare", &similarity.KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3, AlphaSum: big.NewInt(77)}},
+		{"KernelClearShare", &similarity.KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3, AlphaSum: []byte{77}}},
 		{"AreaScale", &similarity.AreaScale{C3Exp: 3, TotalExp: 9}},
 		{"Kernel", &svm.Kernel{Kind: svm.KernelPolynomial, A0: 1, B0: 2, Degree: 3, Gamma: 0.5, C0: 1.5}},
 	}
@@ -88,12 +87,12 @@ func FuzzWireMsgs(f *testing.F) {
 	// one constraint: κ one-constraint setups.
 	legacy := make([]*ot.BatchSetup, 128)
 	for i := range legacy {
-		legacy[i] = &ot.BatchSetup{Cs: []*big.Int{big.NewInt(int64(9 + i))}}
+		legacy[i] = &ot.BatchSetup{Cs: bytes.Repeat([]byte{byte(9 + i)}, ot.X25519().ElementLen())}
 	}
 	f.Add(legacySeq(legacy))
 	// A base-phase setup frame, which travels under the k-of-n setup's
 	// tag 4: header and one-constraint payload.
-	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: []*big.Int{big.NewInt(9)}}))
+	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, ot.X25519().ElementLen())}))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return

@@ -161,9 +161,6 @@ type ticketer struct {
 }
 
 func newTicketer(rand io.Reader, ttl time.Duration) (*ticketer, error) {
-	if ttl <= 0 {
-		ttl = DefaultTicketTTL
-	}
 	var key [ticketKeyLen]byte
 	if _, err := io.ReadFull(rand, key[:]); err != nil {
 		return nil, fmt.Errorf("transport: ticket key: %w", err)

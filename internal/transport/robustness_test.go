@@ -10,7 +10,6 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"errors"
-	"math/big"
 	"net"
 	"strings"
 	"testing"
@@ -261,17 +260,11 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 		tag     string
 	}{
 		{"k setups", &ot.BatchSetup{}, func(n int) []byte {
-			setup := &ot.BatchSetup{Cs: make([]*big.Int, n-1)}
-			for j := range setup.Cs {
-				setup.Cs[j] = big.NewInt(int64(j + 9))
-			}
+			setup := &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, (n-1)*ot.X25519().ElementLen())}
 			return legacySeq([]*ot.BatchSetup{setup, setup, setup})
 		}, "tag 0x04"},
-		{"k transfers", &ot.BatchTransfer{R: big.NewInt(1)}, func(n int) []byte {
-			tr := &ot.BatchTransfer{R: big.NewInt(31337), Cts: make([][]byte, n)}
-			for j := range tr.Cts {
-				tr.Cts[j] = bytes.Repeat([]byte{byte(j)}, 16)
-			}
+		{"k transfers", &ot.BatchTransfer{}, func(n int) []byte {
+			tr := &ot.BatchTransfer{R: bytes.Repeat([]byte{7}, ot.X25519().ElementLen()), Cts: bytes.Repeat([]byte{1}, 16*n)}
 			return legacySeq([]*ot.BatchTransfer{tr, tr, tr})
 		}, "tag 0x06"},
 	} {
@@ -319,7 +312,7 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Cs)+1))); err != nil {
+			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Cs)/ot.X25519().ElementLen()+1))); err != nil {
 				t.Fatal(err)
 			}
 			_, err = transport.Recv[*ot.BatchTransfer](connA)

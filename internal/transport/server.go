@@ -76,10 +76,8 @@ type Server struct {
 	Rand io.Reader
 	// DisableResume turns off session-resumption tickets: no tickets are
 	// minted, and presented tickets are declined into full handshakes.
+	// Minted tickets live for DefaultTicketTTL.
 	DisableResume bool
-	// TicketTTL bounds minted tickets' validity (default
-	// DefaultTicketTTL).
-	TicketTTL time.Duration
 
 	// ticketOnce lazily builds the per-process ticket mint from Rand the
 	// first time a session mints or validates; servers that never see a
@@ -330,7 +328,7 @@ func (s *Server) logf(format string, args ...any) {
 // docs).
 func (s *Server) ticketer() (*ticketer, error) {
 	s.ticketOnce.Do(func() {
-		s.tick, s.tickErr = newTicketer(s.Rand, s.TicketTTL)
+		s.tick, s.tickErr = newTicketer(s.Rand, DefaultTicketTTL)
 	})
 	return s.tick, s.tickErr
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/big"
 	"net"
 	"runtime"
 	"strings"
@@ -311,10 +310,17 @@ func TestKernelSimilarityHostileNumSupport(t *testing.T) {
 	if err := conn.Send(&transport.Hello{Service: "similarity-kernel"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.Recv[*similarity.KernelSpec](conn); err != nil {
+	kspec, err := transport.Recv[*similarity.KernelSpec](conn)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hostile := &similarity.KernelClearShare{KmBmB: 1, KwBwB: 1, NumSupport: 1 << 24, AlphaSum: big.NewInt(1)}
+	codec, err := kspec.Codec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	alphaSum := make([]byte, codec.Field().ElementLen())
+	alphaSum[len(alphaSum)-1] = 1
+	hostile := &similarity.KernelClearShare{KmBmB: 1, KwBwB: 1, NumSupport: 1 << 24, AlphaSum: alphaSum}
 	if err := conn.Send(hostile); err != nil {
 		t.Fatal(err)
 	}

@@ -1,0 +1,271 @@
+package transport_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"math/bits"
+	"net"
+	"testing"
+
+	"repro/internal/classify"
+	"repro/internal/ompe"
+	"repro/internal/ot"
+	"repro/internal/similarity"
+	"repro/internal/transport"
+	"repro/internal/wire"
+)
+
+// The per-session wire bytes follow from the session's spec. Every frame
+// is a 10-byte header and a payload; a payload whose size depends on
+// nothing but constants and the negotiated contract (a Hello, a Spec, a
+// clear share, Done, a ticket) is taken as len(wire.Marshal(·)) of the
+// message, and every per-batch or per-round payload has the closed form
+// below, in the codec's primitives: a uvarint length or count, a zigzag
+// varint int, and a blob — a uvarint length and its bytes.
+
+// headerLen is the fixed frame header: version, tag, stream, length.
+const headerLen = 10
+
+// kappa is the IKNP base-OT count and seedLen a base seed's length.
+const kappa, seedLen = 128, 16
+
+// pointLen is a group element's encoding.
+const pointLen = 32
+
+// uvarintLen is the size of an unsigned varint: seven bits a byte.
+func uvarintLen(x int) int { return max(1, (bits.Len64(uint64(x))+6)/7) }
+
+// varintLen is the size of a zigzag-encoded int.
+func varintLen(x int) int { return uvarintLen(int(uint64(x)<<1 ^ uint64(int64(x)>>63))) }
+
+// blob is the size of a length-prefixed byte string of n bytes.
+func blob(n int) int { return uvarintLen(n) + n }
+
+// frame is one frame's tag and payload length.
+type frame struct {
+	tag byte
+	n   int
+}
+
+// tagOf reads the frame tag the transport sends v under.
+func tagOf(t *testing.T, v any) byte {
+	t.Helper()
+	return encodeFrame(t, v)[1]
+}
+
+// specFrame is a frame whose payload is fixed by the contract.
+func specFrame(t *testing.T, m wire.Msg) frame {
+	t.Helper()
+	data, err := wire.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame{tagOf(t, m), len(data)}
+}
+
+// parseFrames splits a recorded byte stream into its frames.
+func parseFrames(t *testing.T, stream []byte) []frame {
+	t.Helper()
+	var out []frame
+	for len(stream) > 0 {
+		if len(stream) < headerLen {
+			t.Fatalf("%d trailing bytes are not a frame header", len(stream))
+		}
+		n := int(binary.BigEndian.Uint32(stream[6:10]))
+		if len(stream) < headerLen+n {
+			t.Fatalf("frame of %d payload bytes cut at %d", n, len(stream)-headerLen)
+		}
+		out = append(out, frame{stream[1], n})
+		stream = stream[headerLen+n:]
+	}
+	return out
+}
+
+// checkFrames compares the predicted frames of one direction with the
+// recorded bytes, frame by frame and in total.
+func checkFrames(t *testing.T, dir string, want []frame, stream []byte) {
+	t.Helper()
+	got := parseFrames(t, stream)
+	total := 0
+	for _, f := range want {
+		total += headerLen + f.n
+	}
+	if len(stream) != total {
+		t.Errorf("%s: %d bytes, predicted %d", dir, len(stream), total)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d frames %v, predicted %d %v", dir, len(got), got, len(want), want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s frame %d: tag %d with %d payload bytes, predicted tag %d with %d", dir, i, got[i].tag, got[i].n, want[i].tag, want[i].n)
+		}
+	}
+}
+
+// Naor–Pinkas batch messages of m instances of a 1-out-of-n with w-byte
+// messages.
+func setupBytes(n int) int          { return blob((n - 1) * pointLen) }
+func choiceBytes(m int) int         { return blob(m * pointLen) }
+func transferBytes(m, n, w int) int { return blob(pointLen) + blob(m*n*w) }
+
+// evalRequestBytes is one OMPE evaluation request: M records of 1+vars
+// elements of w bytes.
+func evalRequestBytes(p ompe.Params, vars int) int {
+	return blob(p.TotalPairs() * (1 + vars) * p.Field.ElementLen())
+}
+
+// fastBatch returns the request and response payloads of a classify-fast
+// batch of b samples: b evaluation requests and one extended k-of-n for
+// all of them, k = m genuine pairs out of n = M, each transfer riding
+// ⌈log₂ M⌉ extended 1-of-2s of 16-byte tree keys.
+func fastBatch(p ompe.Params, vars, b int) (req, resp int) {
+	k, n, w := p.GenuineCount(), p.TotalPairs(), p.Field.ElementLen()
+	ext := b * k * bits.Len(uint(n-1))
+	req = uvarintLen(b) + b*evalRequestBytes(p, vars) +
+		blob(kappa*((ext+7)/8)) + varintLen(ext) + varintLen(k) + varintLen(n) + varintLen(b)
+	resp = 2*blob(ext*seedLen) + varintLen(seedLen) + blob(b*k*n*w) + varintLen(w)
+	return req, resp
+}
+
+// TestWireBytesFromSpec predicts every frame of three sessions from their
+// specs and checks the recorded bytes against the prediction, for ten
+// seeds of both parties' randomness: a full classify-fast session at
+// n = 8 (base phase, batches of 1, 3 and 4, a ticket), the session that
+// resumes from its ticket, and a linear similarity evaluation (three
+// rounds: two dot rounds, a 3-of-6 each, and the area round, a 9-of-18).
+// The Naor–Pinkas messages have one length per shape, so nothing here
+// depends on the points drawn.
+func TestWireBytesFromSpec(t *testing.T) {
+	model, test := trainLinear(t, 41)
+	trainer, err := classify.NewTrainer(model, classify.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := trainer.Spec()
+	if spec.Dim != 8 {
+		t.Fatalf("model dim %d, want 8", spec.Dim)
+	}
+	params, err := spec.OMPEParams()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vars := spec.Dim // a linear model: one variate per feature
+	batches := []int{1, 3, 4}
+	wA, err := model.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	modelB, _ := trainLinear(t, 42)
+	wB, err := modelB.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for seed := 0; seed < 10; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			srv := quietServer(t, trainer)
+			srv.Rand = newDetReader(fmt.Sprintf("wire-bytes-server-%d", seed))
+			srv.EnableSimilarity(wA, model.Bias, similarity.Params{})
+			clientRand := newDetReader(fmt.Sprintf("wire-bytes-client-%d", seed))
+
+			// classifySession runs the batches on one session and returns
+			// the resumption state it harvests at Close.
+			classifySession := func(opts transport.Options) (c2s, s2c []byte, state *transport.ResumeState) {
+				c2s, s2c = recordSession(t, srv, func(rc net.Conn) error {
+					fc, err := transport.NewFastClassifyClientContext(t.Context(), rc, opts, clientRand)
+					if err != nil {
+						return err
+					}
+					lo := 0
+					for _, b := range batches {
+						if _, err := fc.ClassifyBatchContext(t.Context(), test.X[lo:lo+b]); err != nil {
+							return err
+						}
+						lo += b
+					}
+					if err := fc.Close(); err != nil {
+						return err
+					}
+					state = fc.ResumeState()
+					return nil
+				})
+				if state == nil {
+					t.Fatal("no resumption state harvested")
+				}
+				return c2s, s2c, state
+			}
+			// batchFrames appends the frames of the batches and Done, and
+			// the ticket the server answers Done with.
+			batchFrames := func(c2s, s2c []frame, ticket []byte) ([]frame, []frame) {
+				for _, b := range batches {
+					req, resp := fastBatch(params, vars, b)
+					c2s = append(c2s, frame{tagOf(t, &ompe.FastBatchRequest{OT: &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{}}}), req})
+					s2c = append(s2c, frame{tagOf(t, &ompe.FastBatchResponse{OT: &ot.ExtKofNBatchResponse{IKNP: &ot.IKNPSenderMsg{}}}), resp})
+				}
+				c2s = append(c2s, specFrame(t, &transport.Done{}))
+				return c2s, append(s2c, specFrame(t, &transport.SessionTicket{Ticket: ticket}))
+			}
+
+			full := transport.Options{OfferResume: true}
+			c2s, s2c, state := classifySession(full)
+			wantC2S := []frame{
+				specFrame(t, &transport.Hello{Service: "classify-fast", ResumeOffered: true}),
+				{tagOf(t, &ot.BatchSetup{}), setupBytes(2)},
+				{tagOf(t, &ot.BatchTransfer{}), transferBytes(kappa, 2, seedLen)},
+			}
+			wantS2C := []frame{
+				specFrame(t, &spec),
+				{tagOf(t, &ot.BatchChoice{}), choiceBytes(kappa)},
+			}
+			wantC2S, wantS2C = batchFrames(wantC2S, wantS2C, state.Ticket)
+			checkFrames(t, "full session client→server", wantC2S, c2s)
+			checkFrames(t, "full session server→client", wantS2C, s2c)
+
+			c2s, s2c, next := classifySession(transport.Options{Resume: state})
+			granted := spec
+			granted.ResumeGranted = true
+			wantC2S = []frame{specFrame(t, &transport.Hello{Service: "classify-fast", ResumeOffered: true, ResumeTicket: state.Ticket})}
+			wantS2C = []frame{specFrame(t, &granted)}
+			wantC2S, wantS2C = batchFrames(wantC2S, wantS2C, next.Ticket)
+			checkFrames(t, "resumed session client→server", wantC2S, c2s)
+			checkFrames(t, "resumed session server→client", wantS2C, s2c)
+
+			c2s, s2c = recordSession(t, srv, func(rc net.Conn) error {
+				_, err := transport.EvaluateSimilarityContext(t.Context(), rc, wB, modelB.Bias, transport.Options{}, clientRand)
+				return err
+			})
+			alice, err := similarity.NewAlice(wA, model.Bias, similarity.Params{}, newDetReader("spec"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			simSpec := alice.Spec()
+			codec, err := simSpec.Codec()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantC2S = []frame{
+				specFrame(t, &transport.Hello{Service: "similarity-linear"}),
+				specFrame(t, &similarity.ClearShare{}),
+			}
+			wantS2C = []frame{specFrame(t, &simSpec)}
+			// The dot rounds evaluate a linear form in n variates, the area
+			// round Eq. (7)'s degree-4 polynomial in two.
+			for _, round := range []struct {
+				r            similarity.Round
+				degree, vars int
+			}{{similarity.RoundCentroid, 1, simSpec.Dim}, {similarity.RoundNormal, 1, simSpec.Dim}, {similarity.RoundArea, 4, 2}} {
+				p := ompe.Params{Field: codec.Field(), PolyDegree: round.degree, MaskDegree: simSpec.MaskDegree, CoverFactor: simSpec.CoverFactor}
+				k, n := p.GenuineCount(), p.TotalPairs()
+				wantC2S = append(wantC2S,
+					frame{tagOf(t, &transport.RoundHeader{}), varintLen(int(round.r))},
+					frame{tagOf(t, &ompe.EvalRequest{}), evalRequestBytes(p, round.vars)},
+					frame{tagOf(t, &ot.BatchChoice{}), choiceBytes(k)})
+				wantS2C = append(wantS2C,
+					frame{tagOf(t, &ot.BatchSetup{}), setupBytes(n)},
+					frame{tagOf(t, &ot.BatchTransfer{}), transferBytes(k, n, p.Field.ElementLen())})
+			}
+			checkFrames(t, "similarity client→server", wantC2S, c2s)
+			checkFrames(t, "similarity server→client", wantS2C, s2c)
+		})
+	}
+}

@@ -1,18 +1,20 @@
 // Package wire provides the primitives of the hand-rolled binary codec:
 // a sticky-error Writer/Reader pair over a small set of canonical field
-// encodings (bytes, varints, floats, big.Ints). The Writer appends to a
-// byte slice and the Reader decodes from one; Append, Marshal and
+// encodings (bytes, varints, floats). The Writer appends to a byte
+// slice and the Reader decodes from one; Append, Marshal and
 // Unmarshal run a message type's single EncodeWire/DecodeWire pair, the
 // Msg interface every message implements.
 //
 // The encoding is deliberately boring: no reflection, no type
 // descriptors, no schema evolution inside a message. Fixed-width values
 // are big-endian; lengths and counts are unsigned varints; byte slices
-// and big.Int magnitudes are length-prefixed. Every length and count read
-// is bounds-checked before allocation, so a hostile peer cannot make a
-// decoder allocate more than the bytes it actually sent. Versioning lives
-// one layer up, in the transport frame header — a message encoding never
-// changes shape silently; incompatible changes get a new frame version.
+// are length-prefixed, and a message with fixed-width elements (field
+// elements, curve points) carries them back to back in one byte slice.
+// Every length and count read is bounds-checked before allocation, so a
+// hostile peer cannot make a decoder allocate more than the bytes it
+// actually sent. Versioning lives one layer up, in the transport frame
+// header — a message encoding never changes shape silently; incompatible
+// changes get a new frame version.
 package wire
 
 import (
@@ -21,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/big"
 )
 
 // Resource bounds. Every read is also bounded by the bytes actually
@@ -153,21 +154,9 @@ func (w *Writer) Count(n int) {
 	w.Uvarint(uint64(n))
 }
 
-// BigInt writes a non-negative big.Int as its length-prefixed big-endian
-// magnitude (zero encodes as an empty slice). Nil and negative values are
-// encoding errors: the protocols only put field/group elements on the
-// wire, and those are canonical non-negative residues.
-func (w *Writer) BigInt(x *big.Int) {
-	if x == nil {
-		w.fail(fmt.Errorf("%w: big.Int", ErrNilValue))
-		return
-	}
-	if x.Sign() < 0 {
-		w.fail(fmt.Errorf("%w: negative big.Int", ErrInvalid))
-		return
-	}
-	w.ByteSlice(x.Bytes())
-}
+// Nil fails the encoding with ErrNilValue: an encoder calls it when a
+// required field (what) is nil.
+func (w *Writer) Nil(what string) { w.fail(fmt.Errorf("%w: %s", ErrNilValue, what)) }
 
 // Reader decodes canonical field encodings from a byte slice, checking
 // every length and count against the remaining input. Errors are sticky;
@@ -345,16 +334,6 @@ func ReadChunked(r io.Reader, buf []byte, n int) ([]byte, error) {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string { return string(r.ByteSlice()) }
-
-// BigInt reads a length-prefixed big-endian magnitude into a fresh
-// non-negative big.Int.
-func (r *Reader) BigInt() *big.Int {
-	p := r.ByteSlice()
-	if r.err != nil {
-		return nil
-	}
-	return new(big.Int).SetBytes(p)
-}
 
 // Marshal encodes m into a fresh buffer.
 func Marshal(m Msg) ([]byte, error) {

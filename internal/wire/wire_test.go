@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math"
-	"math/big"
 	"testing"
 )
 
@@ -18,8 +17,7 @@ type testMsg struct {
 	F   float64
 	P   []byte
 	S   string
-	X   *big.Int
-	Seq []*big.Int
+	Seq [][]byte
 }
 
 func (m *testMsg) EncodeWire(w *Writer) {
@@ -31,10 +29,9 @@ func (m *testMsg) EncodeWire(w *Writer) {
 	w.Float64(m.F)
 	w.ByteSlice(m.P)
 	w.String(m.S)
-	w.BigInt(m.X)
 	w.Count(len(m.Seq))
 	for _, x := range m.Seq {
-		w.BigInt(x)
+		w.ByteSlice(x)
 	}
 }
 
@@ -47,14 +44,13 @@ func (m *testMsg) DecodeWire(r *Reader) {
 	m.F = r.Float64()
 	m.P = r.ByteSlice()
 	m.S = r.String()
-	m.X = r.BigInt()
 	n := r.Count()
 	if r.Err() != nil {
 		return
 	}
 	m.Seq = m.Seq[:0]
 	for i := 0; i < n; i++ {
-		m.Seq = append(m.Seq, r.BigInt())
+		m.Seq = append(m.Seq, r.ByteSlice())
 	}
 }
 
@@ -68,19 +64,17 @@ func sampleMsg() *testMsg {
 		F:   -math.Pi,
 		P:   []byte{1, 2, 3},
 		S:   "hello, wire",
-		X:   new(big.Int).Lsh(big.NewInt(0x1234), 500),
-		Seq: []*big.Int{big.NewInt(0), big.NewInt(7), new(big.Int).SetUint64(math.MaxUint64)},
+		Seq: [][]byte{{}, {7}, bytes.Repeat([]byte{0xFF}, 32)},
 	}
 }
 
 func msgEqual(a, b *testMsg) bool {
 	if a.B != b.B || a.OK != b.OK || a.U != b.U || a.I != b.I || a.UN != b.UN ||
-		a.F != b.F || !bytes.Equal(a.P, b.P) || a.S != b.S || a.X.Cmp(b.X) != 0 ||
-		len(a.Seq) != len(b.Seq) {
+		a.F != b.F || !bytes.Equal(a.P, b.P) || a.S != b.S || len(a.Seq) != len(b.Seq) {
 		return false
 	}
 	for i := range a.Seq {
-		if a.Seq[i].Cmp(b.Seq[i]) != 0 {
+		if !bytes.Equal(a.Seq[i], b.Seq[i]) {
 			return false
 		}
 	}
@@ -192,38 +186,19 @@ func TestByteSliceIsFreshCopy(t *testing.T) {
 	}
 }
 
-func TestBigIntErrors(t *testing.T) {
+// TestWriterNil: an encoder's nil required field fails the encoding with
+// ErrNilValue.
+func TestWriterNil(t *testing.T) {
 	w := NewAppendWriter(nil)
-	w.BigInt(nil)
+	w.Nil("field")
 	if !errors.Is(w.Err(), ErrNilValue) {
-		t.Fatalf("nil: got %v, want ErrNilValue", w.Err())
-	}
-	w2 := NewAppendWriter(nil)
-	w2.BigInt(big.NewInt(-1))
-	if !errors.Is(w2.Err(), ErrInvalid) {
-		t.Fatalf("negative: got %v, want ErrInvalid", w2.Err())
-	}
-}
-
-func TestBigIntZeroRoundTrip(t *testing.T) {
-	w := NewAppendWriter(nil)
-	w.BigInt(big.NewInt(0))
-	if err := w.Err(); err != nil {
-		t.Fatal(err)
-	}
-	r := NewReader(w.Bytes())
-	x := r.BigInt()
-	if err := r.Done(); err != nil {
-		t.Fatal(err)
-	}
-	if x.Sign() != 0 {
-		t.Fatalf("got %v, want 0", x)
+		t.Fatalf("got %v, want ErrNilValue", w.Err())
 	}
 }
 
 func TestStickyWriterError(t *testing.T) {
 	w := NewAppendWriter(nil)
-	w.BigInt(nil)
+	w.Nil("field")
 	before := len(w.Bytes())
 	w.Int(7)
 	w.String("more")
