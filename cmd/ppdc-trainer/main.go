@@ -57,7 +57,6 @@ func run(args []string) error {
 		dsName     = fs.String("dataset", "diabetes", "synthetic dataset to train on (see catalog)")
 		dataFile   = fs.String("data", "", "train on a LIBSVM-format file instead of synthetic data")
 		kernelName = fs.String("kernel", "linear", "kernel: linear or poly")
-		resume     = fs.Bool("resume", true, "mint session resumption tickets for clients that offer them; false declines every offer and ticket (those clients fall back to full handshakes)")
 		seed       = fs.Uint64("seed", 1, "synthetic data seed")
 		c          = fs.Float64("C", 0, "soft-margin penalty (0 = dataset default)")
 		saveModel  = fs.String("save-model", "", "write the trained model (JSON) and continue serving")
@@ -148,7 +147,6 @@ func run(args []string) error {
 	}
 	srv := transport.NewServerSource(modelReg)
 	srv.MaxSessions = *maxSessions
-	srv.DisableResume = !*resume
 	if *msgDeadline <= 0 {
 		srv.MessageDeadline = transport.NoDeadline
 	} else {

@@ -20,7 +20,7 @@ import (
 
 // parentTranscripts pins the SHA-256 over every marshalled message of one
 // in-process evaluation under the deterministic rngs below (spec ‖ clear
-// share ‖ area scale, then per round request ‖ setup ‖ choice ‖ transfer),
+// share, then per round request ‖ setup ‖ choice ‖ transfer),
 // as first produced at 31e6012, before the hyperplane and kernel variants
 // shared one round machine. They were re-recorded once when the Spec lost
 // its field-engine string (the field now picks the engine): a digest over
@@ -44,12 +44,16 @@ import (
 // three were re-recorded when the Naor–Pinkas messages became fixed-width
 // blobs of 32-byte point encodings and the kernel clear share's alpha sum
 // came to travel at the field's element width: a framing change only,
-// under which parentRoundValues passed unedited.
+// under which parentRoundValues passed unedited. All three were re-recorded
+// when the kernel variant moved to unit feature-space normals and both
+// clear shares dropped the norm that is now 1 (|wB|², K(wB,wB)), along
+// with the kernel's area-scale message: the linear cases changed only in
+// their clear share, and their parentRoundValues passed unedited.
 // Refactors change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/x25519":        "51866b12cd86d5e4c0c721e37d8570aed21df2cbcbf183e4d962c12c087d8789",
-	"linear/limb-fb18":     "0867a6d73536f5d6a6e8fe214dfa72b8a01d083d3bb5250bfe61a4d842c3800c",
-	"kernel/diabetes-poly": "03d20fc4b7e499ecddb3ab7ca7399a4ead17bddb62f64fc01ab3c0e390760bb0",
+	"linear/x25519":        "eff6f36aeab54ea3f987f37d68f29e48f254230098b726d02516afcbaa74a716",
+	"linear/limb-fb18":     "c750d86c5192e1ca511498d46ee9e9437bc36f22e93e633ecdaa61a4aeb5072f",
+	"kernel/diabetes-poly": "10bf4e75fed82484154dd3d7038b4623cdbaa5ced3cf4dacc1c9ae796d3f3ed1",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.
@@ -94,13 +98,14 @@ type requester interface {
 // parentRoundValues pins the SHA-256 over Bob's decoded round outputs of
 // the same evaluations (x1 after the centroid round, x2 after every normal
 // round, then T²), as recorded at 58f2b26 (the linear cases re-recorded
-// with parentTranscripts for unit normals). Alice draws r_am, r_aw and r_b
+// with parentTranscripts for unit normals, the kernel case when it moved
+// to unit feature-space normals, which rescales every αy it encodes). Alice draws r_am, r_aw and r_b
 // before any OT, so these values depend on neither side's OT randomness:
 // a change to how the transfers draw or spend theirs leaves them alone.
 var parentRoundValues = map[string]string{
 	"linear/x25519":        "bc5c08bb667c4630d0d349d4e37fc3807757ba034a5602876768d4126c0ba0a3",
 	"linear/limb-fb18":     "aababb21d71eeb06d5e3d652a259b4997cdd4020d06050c440e63e8be7b3a073",
-	"kernel/diabetes-poly": "1e065462c457269685276395ee261ed5d71b3a482bd2cd8b28d2c45ecb57b980",
+	"kernel/diabetes-poly": "008e7ffa25210b26094b365d65ceaf95ddbf9950c1ec4d87be18e8f79f6ed3ea",
 }
 
 // digestCase is one evaluation of the equivalence suite: its transcript
@@ -193,19 +198,12 @@ func digestCases(t *testing.T) []digestCase {
 	if err := alice.HandleClearShare(clear); err != nil {
 		t.Fatal(err)
 	}
-	scale, err := alice.AnnounceAreaScale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bob.SetAreaScale(scale); err != nil {
-		t.Fatal(err)
-	}
 	rounds := []similarity.Round{similarity.RoundCentroid}
 	for range modelB.SupportVectors {
 		rounds = append(rounds, similarity.RoundNormal)
 	}
 	rounds = append(rounds, similarity.RoundArea)
-	c := transcriptDigest(t, alice, bob, []wire.Msg{&spec, clear, scale}, rounds, aliceRng, bobRng)
+	c := transcriptDigest(t, alice, bob, []wire.Msg{&spec, clear}, rounds, aliceRng, bobRng)
 	c.name, c.want, c.tol = "kernel/diabetes-poly", want, 2e-3
 	return append(cases, c)
 }

@@ -34,7 +34,7 @@ type Params struct {
 	// 2^255−19 with the limb engine. The hyperplane variant needs
 	// 9·FracBits + 12 bits at n = 8 on the default metric
 	// (linearAreaBits), so it fits 2^255−19 up to 27 fractional bits; the
-	// kernel variant's default needs 2^607−1.
+	// kernel variant's default needs 420 bits and runs on 2^521−1.
 	FracBits uint
 	// Parallelism is ignored.
 	//
@@ -91,8 +91,8 @@ const (
 const dotScaleExp = 2
 
 // linearAreaExp is the hyperplane's area-round scale: Eq. (7) with both
-// dot rounds at S² and c3 at S.
-var linearAreaExp = areaExp(dotScaleExp, dotScaleExp, 1)
+// dot rounds at S².
+var linearAreaExp = areaExp(dotScaleExp, dotScaleExp)
 
 // ErrRound reports a protocol message for the wrong round.
 var ErrRound = errors.New("similarity: round mismatch")
@@ -161,12 +161,11 @@ func (s Spec) ompeParams(degree int) (ompe.Params, error) {
 	}, nil
 }
 
-// ClearShare carries the values Bob may send in the clear (§V-B: "Bob can
+// ClearShare carries the value Bob sends in the clear (§V-B: "Bob can
 // send |mB|² and |wB|² to Alice directly" — vector norms reveal no single
-// dimension).
+// dimension). Bob's normal is a unit vector, so |wB|² = 1 goes unsent.
 type ClearShare struct {
 	NormM2 float64
-	NormW2 float64
 }
 
 // normSq is |v|².
@@ -183,8 +182,8 @@ func normSq(v []float64) float64 {
 // r_b per evaluation).
 type Alice struct {
 	responder
-	spec           Spec
-	normM2, normW2 float64 // |mA|², |wA|²
+	spec   Spec
+	normM2 float64 // |mA|²
 }
 
 // NewAlice prepares the responder for one evaluation of the linear model
@@ -224,7 +223,7 @@ func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, e
 		return nil, err
 	}
 	r.normalsWant = 1
-	return &Alice{responder: r, spec: spec, normM2: normSq(mA), normW2: normSq(wA)}, nil
+	return &Alice{responder: r, spec: spec, normM2: normSq(mA)}, nil
 }
 
 // unitPlane rescales the hyperplane (w, b) to (w/|w|, b/|w|), the same
@@ -247,10 +246,6 @@ func unitPlane(w []float64, b float64, m Metric) (unit, centroid []float64, err 
 	centroid, err = linearCentroid(unit, b/norm, m)
 	return unit, centroid, err
 }
-
-// unitTolerance is how far from 1 the clear share's |wB|² may be: Bob
-// sends the squared norm of a unit normal, 1 up to float rounding.
-const unitTolerance = 1e-9
 
 // linearAreaBits is the field size, in bits, that the hyperplane variant
 // needs: the bits of the one value Bob decodes, the area round's T²·S⁹.
@@ -277,18 +272,17 @@ const unitTolerance = 1e-9
 //   - C2 = round(L₀⁴·S⁴) is off by ½.
 //   - D2 = Σ Enc(wA_j)·Enc(wB_j) on unit normals: |D2| ≤ (S + √n/2)² by
 //     Cauchy–Schwarz on the rounding vectors.
-//   - C3 = round(c3·S), and c3 = ¼/(|wA|²·|wB|²) ≤ ¼(1 + 2τ), τ being
-//     unitTolerance, so C3 ≤ (¼(1 + 2τ) + ½·S⁻¹)·S.
+//   - C3 = round(c3·S) = S/4 exactly: c3 = ¼ on unit normals.
 //   - C4 = round(¼(1 + sin²θ₀)·S⁵) ≤ ½·S⁵ + ½.
 //
 // C4 and C3·D2² are both non-negative, so the second factor is at most
 // the larger of them, and |V| ≤ X1·X2·S⁹ with
 //
 //	X1 = (n(β−α)² + e1)² + L₀⁴ + ½·S⁻⁴,
-//	X2 = max(½ + ½·S⁻⁵, (¼(1 + 2τ) + ½·S⁻¹)·(1 + √n/(2S))⁴).
+//	X2 = max(½ + ½·S⁻⁵, ¼·(1 + √n/(2S))⁴).
 //
 // B̂ = X1·X2·(1 + 2⁻⁴⁰) bounds |V|/S⁹; the last factor covers the float64
-// rounding of every input (c1, L₀⁴, c3, the centroids, the unit normals)
+// rounding of every input (c1, L₀⁴, the centroids, the unit normals)
 // and of B̂ itself. B̂ tends to B as S grows; at n = 8, fb = 24 on the
 // default metric it exceeds B by a relative 1e-7. The need is
 //
@@ -310,7 +304,7 @@ func linearAreaBits(dim int, m Metric, fracBits uint) (int, error) {
 	width := m.Beta - m.Alpha
 	e1 := (2*n*gamma*s + (n+1)/2) / (s * s)
 	x1 := math.Pow(n*width*width+e1, 2) + math.Pow(m.L0, 4) + 0.5/math.Pow(s, 4)
-	x2 := max(0.5+0.5/math.Pow(s, 5), (0.25*(1+2*unitTolerance)+0.5/s)*math.Pow(1+math.Sqrt(n)/(2*s), 4))
+	x2 := max(0.5+0.5/math.Pow(s, 5), 0.25*math.Pow(1+math.Sqrt(n)/(2*s), 4))
 	bHat := x1 * x2 * (1 + 0x1p-40)
 	if math.IsInf(bHat, 0) {
 		return 0, fmt.Errorf("%w: the area value is not finite", ErrFieldTooSmall)
@@ -326,20 +320,16 @@ const maxFracBits = 1 << 10
 // Spec returns the public contract for Bob.
 func (a *Alice) Spec() Spec { return a.spec }
 
-// HandleClearShare stores Bob's vector norms (must arrive before round 3).
-// They must be what linearAreaBits assumes: |wB|² of a unit normal and
-// |mB|² of a centroid inside the box.
+// HandleClearShare stores Bob's centroid norm (must arrive before round
+// 3). It must be what linearAreaBits assumes, |mB|² of a centroid inside
+// the box, up to float rounding.
 func (a *Alice) HandleClearShare(cs *ClearShare) error {
 	m := a.spec.Metric
-	maxNormM2 := float64(a.spec.Dim) * max(m.Alpha*m.Alpha, m.Beta*m.Beta) * (1 + unitTolerance)
-	if cs == nil || !(cs.NormM2 >= 0 && cs.NormM2 <= maxNormM2) || !(math.Abs(cs.NormW2-1) <= unitTolerance) {
+	maxNormM2 := float64(a.spec.Dim) * max(m.Alpha*m.Alpha, m.Beta*m.Beta) * (1 + 1e-9)
+	if cs == nil || !(cs.NormM2 >= 0 && cs.NormM2 <= maxNormM2) {
 		return errors.New("similarity: invalid clear share")
 	}
-	a.area = &areaTerms{
-		c1: a.normM2 + cs.NormM2,
-		c3: 0.25 / (a.normW2 * cs.NormW2),
-		e1: dotScaleExp, e2: dotScaleExp, c3Exp: 1,
-	}
+	a.area = &areaTerms{c1: a.normM2 + cs.NormM2, e1: dotScaleExp, e2: dotScaleExp}
 	return nil
 }
 
@@ -373,12 +363,11 @@ func NewBob(spec Spec, wB []float64, bB float64) (*Bob, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newRequester(spec, 1, mB, [][]float64{wB})
+	r, err := newRequester(spec, 1, linearAreaExp, mB, [][]float64{wB})
 	if err != nil {
 		return nil, err
 	}
-	r.resultExp = linearAreaExp
-	return &Bob{requester: r, clear: ClearShare{NormM2: normSq(mB), NormW2: normSq(wB)}}, nil
+	return &Bob{requester: r, clear: ClearShare{NormM2: normSq(mB)}}, nil
 }
 
 // ClearShare returns the values Bob sends Alice in the clear.

@@ -11,8 +11,8 @@
 // roots by bisection along box edges). The protocol side computes the same
 // metric privately with three OMPE rounds: one round machine (rounds.go)
 // runs both the hyperplane variant of §V-B (linear.go) and the kernelised
-// variant of §V-C (nonlinear.go), which differ only in construction, clear
-// shares and the kernel's area-scale announcement.
+// variant of §V-C (nonlinear.go), which differ only in construction and
+// clear shares.
 package similarity
 
 import (

@@ -32,13 +32,16 @@ import (
 //
 // where A = Σ_t Enc(αyB_t) is an aggregate Bob discloses so Alice can set
 // d3 = −r_b·A (a scalar sum of multipliers — comparable in kind to the
-// |wB|² the paper already sends in the clear; DESIGN.md §V lists every
+// |mB|² the paper already sends in the clear; DESIGN.md §V lists every
 // disclosure of both variants).
 //
+// Both parties first put their model on a unit feature-space normal
+// (unitModel), as the hyperplane variant does with unitPlane, so c3 = ¼
+// and every exponent of the area round is fixed by the public kernel.
 // Everything after construction runs on the hyperplane's round machine
 // (rounds.go): the kernel variant only supplies different dot-round
 // evaluators, |S_B| RoundNormal instances weighted by Enc(αyB_t), and the
-// area-round exponents (2p, 2p+2, announced c3 exponent).
+// area-round exponents (2p, 2p+2, 1).
 //
 // Only the polynomial kernel is supported, matching the paper's nonlinear
 // experiments.
@@ -47,8 +50,6 @@ import (
 type KernelClearShare struct {
 	// KmBmB is K(mB, mB).
 	KmBmB float64
-	// KwBwB is K(wB, wB) in feature space.
-	KwBwB float64
 	// NumSupport is |S_B|, the number of round-2 executions Bob will run.
 	NumSupport int
 	// AlphaSum is A = Σ_t Enc(αyB_t) mod p, big-endian at the field's
@@ -56,22 +57,10 @@ type KernelClearShare struct {
 	AlphaSum []byte
 }
 
-// KernelSpec extends the public contract with the kernel and the area
-// round's adaptive scale exponents.
+// KernelSpec extends the public contract with the kernel.
 type KernelSpec struct {
 	Spec
 	Kernel svm.Kernel
-}
-
-// AreaScale carries the adaptive exponents Alice announces before the
-// area round, so Bob can decode the result. C3Exp reveals the rough
-// magnitude of K(wA,wA) — a leak of the same class as the paper's clear
-// norm shares.
-type AreaScale struct {
-	// C3Exp is the scale exponent of c3 = 1/(4·K(wA,wA)·K(wB,wB)).
-	C3Exp uint
-	// TotalExp is the result's scale exponent.
-	TotalExp uint
 }
 
 // kernelExps returns the scale exponents of x1 and x2: a polynomial-kernel
@@ -79,25 +68,22 @@ type AreaScale struct {
 // carries αy on both sides.
 func kernelExps(k svm.Kernel) (e1, e2 uint) { return uint(2 * k.Degree), uint(2*k.Degree) + 2 }
 
-// maxC3Exp is the headroom for the adaptive c3 exponent.
-const maxC3Exp = 16
-
 // defaultKernelFracBits is the kernel variant's precision when the caller
-// sets none: it keeps the very deep kernel-area scale inside the built-in
-// primes.
+// sets none: it keeps the deep kernel-area scale, S^(8p+5), inside the
+// built-in primes.
 const defaultKernelFracBits = 12
 
 // KernelAlice is the responder for the kernelized evaluation.
 type KernelAlice struct {
 	responder
-	spec         KernelSpec
-	kmama, kwawa float64 // K(mA,mA), K(wA,wA)
-	areaScale    *AreaScale
+	spec  KernelSpec
+	kmama float64 // K(mA,mA)
 }
 
 // NewKernelAlice prepares the responder around a polynomial-kernel model.
 func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlice, error) {
-	if err := validateKernelModel(model); err != nil {
+	model, err := unitModel(model)
+	if err != nil {
 		return nil, err
 	}
 	if model.Kernel.Kind != svm.KernelPolynomial {
@@ -135,18 +121,14 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if err != nil {
 		return nil, err
 	}
-	kwawa, err := featureNorm(model)
-	if err != nil {
-		return nil, err
-	}
-	return &KernelAlice{responder: r, spec: spec, kmama: kmama, kwawa: kwawa}, nil
+	return &KernelAlice{responder: r, spec: spec, kmama: kmama}, nil
 }
 
 // kernelFieldBits is the field size, in bits, that the kernel variant's
 // rounds need, from its public spec's kernel, precision and amplifier
-// width: the normal rounds (e2+1)·fb +
-// amplifier bits, the area round its worst-case exponent times fb, plus
-// value-bit slack. Alice sizes her field with it and Bob refuses a spec
+// width: the normal rounds (e2+1)·fb + amplifier bits, the area round
+// areaExp(e1, e2)·fb, plus value-bit slack; 420 bits for the paper's
+// cubic at fb = 12. Alice sizes her field with it and Bob refuses a spec
 // whose field is smaller. (An amplifier wider than the field fails
 // ompe's parameter check whatever this returns.)
 func kernelFieldBits(kernel svm.Kernel, fracBits uint, amplifierBits int) (int, error) {
@@ -155,15 +137,35 @@ func kernelFieldBits(kernel svm.Kernel, fracBits uint, amplifierBits int) (int, 
 	}
 	e1, e2 := kernelExps(kernel)
 	fb := int(fracBits)
-	return max(int(e2+1)*fb+amplifierBits, int(areaExp(e1, e2, maxC3Exp))*fb) + 48 + 24, nil
+	return max(int(e2+1)*fb+amplifierBits, int(areaExp(e1, e2))*fb) + 48 + 24, nil
 }
 
-// validateKernelModel rejects nil and malformed models.
-func validateKernelModel(model *svm.Model) error {
+// unitModel validates a kernel model and returns a copy with αy and b
+// divided by √K(w,w): the same decision boundary, on a unit feature-space
+// normal. It is the kernel analogue of unitPlane: on unit normals
+// c3 = ¼/(K(wA,wA)·K(wB,wB)) = ¼ whatever the models' scale.
+func unitModel(model *svm.Model) (*svm.Model, error) {
 	if model == nil {
-		return errors.New("similarity: nil model")
+		return nil, errors.New("similarity: nil model")
 	}
-	return model.Validate()
+	if err := model.Validate(); err != nil {
+		return nil, err
+	}
+	k, err := featureDot(model, model)
+	if err != nil {
+		return nil, err
+	}
+	norm := math.Sqrt(k)
+	if !(norm > 0) || math.IsInf(norm, 0) {
+		return nil, errors.New("similarity: non-positive or non-finite feature-space norm")
+	}
+	unit := *model
+	unit.AlphaY = make([]float64, len(model.AlphaY))
+	for s, a := range model.AlphaY {
+		unit.AlphaY[s] = a / norm
+	}
+	unit.Bias = model.Bias / norm
+	return &unit, nil
 }
 
 // kernelCentroid is the centroid of a kernel model's boundary points.
@@ -177,53 +179,23 @@ func kernelCentroid(model *svm.Model, m Metric) ([]float64, error) {
 	return Centroid(pts)
 }
 
-// featureNorm is K(w,w) for a model's feature-space normal, which must be
-// positive for the angle to be defined.
-func featureNorm(model *svm.Model) (float64, error) {
-	k, err := featureDot(model, model)
-	if err != nil {
-		return 0, err
-	}
-	if k <= 0 {
-		return 0, errors.New("similarity: non-positive feature-space norm")
-	}
-	return k, nil
-}
-
 // Spec returns the public contract.
 func (a *KernelAlice) Spec() KernelSpec { return a.spec }
 
-// HandleClearShare stores Bob's cleartext values, fixes the number of
-// RoundNormal instances at |S_B| and the area round's adaptive scale.
+// HandleClearShare stores Bob's cleartext values and fixes the number of
+// RoundNormal instances at |S_B|.
 func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
-	if cs == nil || cs.KwBwB <= 0 || cs.NumSupport < 1 ||
-		math.IsNaN(cs.KmBmB) || math.IsInf(cs.KmBmB, 0) ||
-		math.IsNaN(cs.KwBwB) || math.IsInf(cs.KwBwB, 0) {
+	if cs == nil || cs.NumSupport < 1 || math.IsNaN(cs.KmBmB) || math.IsInf(cs.KmBmB, 0) {
 		return errors.New("similarity: invalid kernel clear share")
 	}
 	alphaSum, err := a.codec.Field().FromBytes(cs.AlphaSum)
 	if err != nil {
 		return fmt.Errorf("similarity: alpha sum: %w", err)
 	}
-	c3 := 0.25 / (a.kwawa * cs.KwBwB)
-	// Pick the c3 exponent so that c3·S^exp has at least fracBits
-	// significant bits (but at least 1, at most the headroom).
-	sBits := float64(a.spec.FracBits)
-	c3Exp := uint(math.Min(maxC3Exp, math.Max(1, math.Ceil((sBits-math.Log2(c3))/sBits))))
 	e1, e2 := kernelExps(a.spec.Kernel)
-	a.areaScale = &AreaScale{C3Exp: c3Exp, TotalExp: areaExp(e1, e2, c3Exp)}
-	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, c3: c3, e1: e1, e2: e2, c3Exp: c3Exp, alphaSum: alphaSum}
+	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, e1: e1, e2: e2, alphaSum: alphaSum}
 	a.normalsWant = cs.NumSupport
 	return nil
-}
-
-// AnnounceAreaScale returns the adaptive area-round scale Bob needs to
-// decode. Valid after the clear share arrives.
-func (a *KernelAlice) AnnounceAreaScale() (*AreaScale, error) {
-	if a.areaScale == nil {
-		return nil, errors.New("similarity: clear share missing")
-	}
-	return a.areaScale, nil
 }
 
 // kernelSum builds Σ_s w_s·(a0·x_s·z + b0)^p over the given rows, with
@@ -262,8 +234,7 @@ func kernelSum(codec *fixedpoint.Codec, k svm.Kernel, rows [][]float64, alphaY [
 // KernelBob is the requester for the kernelized evaluation.
 type KernelBob struct {
 	requester
-	kernel svm.Kernel
-	clear  *KernelClearShare
+	clear *KernelClearShare
 }
 
 // NewKernelBob prepares the requester around his own polynomial-kernel
@@ -271,7 +242,8 @@ type KernelBob struct {
 // rounds need from the spec's kernel degree, FracBits and AmplifierBits,
 // and refuses a spec whose field is smaller with ErrFieldTooSmall.
 func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
-	if err := validateKernelModel(model); err != nil {
+	model, err := unitModel(model)
+	if err != nil {
 		return nil, err
 	}
 	if model.Kernel != spec.Kernel {
@@ -291,7 +263,8 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	if err != nil {
 		return nil, err
 	}
-	r, err := newRequester(spec.Spec, spec.Kernel.Degree, mB, model.SupportVectors)
+	e1, e2 := kernelExps(spec.Kernel)
+	r, err := newRequester(spec.Spec, spec.Kernel.Degree, areaExp(e1, e2), mB, model.SupportVectors)
 	if err != nil {
 		return nil, err
 	}
@@ -308,20 +281,14 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 	if err != nil {
 		return nil, err
 	}
-	kwbwb, err := featureNorm(model)
-	if err != nil {
-		return nil, err
-	}
 	alphaSumBytes, err := f.Bytes(alphaSum)
 	if err != nil {
 		return nil, err
 	}
 	return &KernelBob{
 		requester: r,
-		kernel:    spec.Kernel,
 		clear: &KernelClearShare{
 			KmBmB:      kmbmb,
-			KwBwB:      kwbwb,
 			NumSupport: len(model.SupportVectors),
 			AlphaSum:   alphaSumBytes,
 		},
@@ -330,19 +297,6 @@ func NewKernelBob(spec KernelSpec, model *svm.Model) (*KernelBob, error) {
 
 // ClearShare returns Bob's cleartext values.
 func (b *KernelBob) ClearShare() *KernelClearShare { return b.clear }
-
-// SetAreaScale stores Alice's announced area scale (needed to decode).
-func (b *KernelBob) SetAreaScale(s *AreaScale) error {
-	if s == nil || s.C3Exp < 1 || s.C3Exp > maxC3Exp {
-		return errors.New("similarity: invalid area scale")
-	}
-	e1, e2 := kernelExps(b.kernel)
-	if s.TotalExp != areaExp(e1, e2, s.C3Exp) {
-		return errors.New("similarity: inconsistent area scale")
-	}
-	b.resultExp = s.TotalExp
-	return nil
-}
 
 // EvaluatePrivateKernel runs a complete in-memory kernelized evaluation.
 func EvaluatePrivateKernel(modelA, modelB *svm.Model, params Params, rng io.Reader) (*Result, error) {
@@ -355,13 +309,6 @@ func EvaluatePrivateKernel(modelA, modelB *svm.Model, params Params, rng io.Read
 		return nil, err
 	}
 	if err := alice.HandleClearShare(bob.ClearShare()); err != nil {
-		return nil, err
-	}
-	scale, err := alice.AnnounceAreaScale()
-	if err != nil {
-		return nil, err
-	}
-	if err := bob.SetAreaScale(scale); err != nil {
 		return nil, err
 	}
 	return evaluate(&alice.responder, &bob.requester, rng)

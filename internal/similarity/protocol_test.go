@@ -106,13 +106,6 @@ func TestNoRoundPastArea(t *testing.T) {
 	refusePastArea(t, alice, bob)
 
 	kalice, kbob := kernelPair(t)
-	scale, err := kalice.AnnounceAreaScale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kbob.SetAreaScale(scale); err != nil {
-		t.Fatal(err)
-	}
 	runRounds(t, kalice, kbob, kernelRounds(kbob.ClearShare().NumSupport, true)...)
 	refusePastArea(t, kalice, kbob)
 }
@@ -146,15 +139,11 @@ func TestClearShareValidation(t *testing.T) {
 	alice, _ := newPair(t)
 	bad := []*similarity.ClearShare{
 		nil,
-		{NormM2: -1, NormW2: 1},
-		{NormM2: 1, NormW2: 0},
-		{NormM2: math.NaN(), NormW2: 1},
-		{NormM2: 1, NormW2: math.Inf(1)},
-		// linearAreaBits assumes a unit normal and a centroid in the box.
-		{NormM2: 1, NormW2: 2},
-		{NormM2: 1, NormW2: 1 + 1e-6},
-		{NormM2: 2*2*1 + 0.01, NormW2: 1},
-		{NormM2: math.NaN(), NormW2: math.NaN()},
+		{NormM2: -1},
+		{NormM2: math.NaN()},
+		{NormM2: math.Inf(1)},
+		// linearAreaBits assumes a centroid in the box.
+		{NormM2: 2*2*1 + 0.01},
 	}
 	for i, cs := range bad {
 		if err := alice.HandleClearShare(cs); err == nil {
@@ -237,9 +226,6 @@ func TestKernelRoundSequence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := alice.AnnounceAreaScale(); err == nil {
-			t.Fatal("area scale before the clear share should fail")
-		}
 		runRounds(t, alice, bob, similarity.RoundCentroid)
 		req, err := bob.StartRound(similarity.RoundNormal, rand.Reader)
 		if err != nil {
@@ -259,13 +245,6 @@ func TestKernelRoundSequence(t *testing.T) {
 		if err := alice.HandleClearShare(&cs); err != nil {
 			t.Fatal(err)
 		}
-		scale, err := alice.AnnounceAreaScale()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := bob.SetAreaScale(scale); err != nil {
-			t.Fatal(err)
-		}
 		runRounds(t, alice, bob, kernelRounds(cs.NumSupport-1, false)...)
 		req, err := bob.StartRound(similarity.RoundArea, rand.Reader)
 		if err != nil {
@@ -273,15 +252,6 @@ func TestKernelRoundSequence(t *testing.T) {
 		}
 		if _, err := alice.HandleRequest(similarity.RoundArea, req, rand.Reader); !errors.Is(err, similarity.ErrRound) {
 			t.Fatalf("area round after %d of %d normals: %v, want ErrRound", cs.NumSupport-1, cs.NumSupport, err)
-		}
-	})
-
-	t.Run("bob-needs-area-scale", func(t *testing.T) {
-		alice, bob := kernelPair(t)
-		n := bob.ClearShare().NumSupport
-		runRounds(t, alice, bob, kernelRounds(n, false)...)
-		if _, err := bob.StartRound(similarity.RoundArea, rand.Reader); err == nil {
-			t.Fatal("area round before SetAreaScale should fail")
 		}
 	})
 }
@@ -314,10 +284,6 @@ func TestKernelClearShareValidation(t *testing.T) {
 		"alpha-sum-long":    with(func(c *similarity.KernelClearShare) { c.AlphaSum = append([]byte{0}, good.AlphaSum...) }),
 		"kmbmb-nan":         with(func(c *similarity.KernelClearShare) { c.KmBmB = math.NaN() }),
 		"kmbmb-inf":         with(func(c *similarity.KernelClearShare) { c.KmBmB = math.Inf(-1) }),
-		"kwbwb-nan":         with(func(c *similarity.KernelClearShare) { c.KwBwB = math.NaN() }),
-		"kwbwb-inf":         with(func(c *similarity.KernelClearShare) { c.KwBwB = math.Inf(1) }),
-		"kwbwb-zero":        with(func(c *similarity.KernelClearShare) { c.KwBwB = 0 }),
-		"kwbwb-negative":    with(func(c *similarity.KernelClearShare) { c.KwBwB = -1 }),
 	}
 	for name, cs := range bad {
 		if err := alice.HandleClearShare(cs); err == nil {
@@ -326,25 +292,6 @@ func TestKernelClearShareValidation(t *testing.T) {
 	}
 	if err := alice.HandleClearShare(&good); err != nil {
 		t.Fatalf("genuine clear share: %v", err)
-	}
-}
-
-func TestSetAreaScaleValidation(t *testing.T) {
-	alice, kbob := kernelPair(t)
-	scale, err := alice.AnnounceAreaScale()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := kbob.SetAreaScale(nil); err == nil {
-		t.Fatal("nil scale should fail")
-	}
-	badScale := *scale
-	badScale.TotalExp += 1
-	if err := kbob.SetAreaScale(&badScale); err == nil {
-		t.Fatal("inconsistent scale should fail")
-	}
-	if err := kbob.SetAreaScale(scale); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -445,8 +392,8 @@ func TestKernelAliceFracBits(t *testing.T) {
 // before any message. So must a spec whose field is smaller than its
 // rounds need, with ErrFieldTooSmall: Alice's own linear spec with
 // FracBits or L0 raised and the field left at 255 bits, and her kernel
-// spec with FracBits raised from 12 to 40 and the field left at 607 bits
-// (the area round then needs 1,832).
+// spec with FracBits raised from 12 to 40 and the field left at 521 bits
+// (the area round then needs 1,232).
 func TestHostileSpecRefused(t *testing.T) {
 	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
 	if err != nil {
@@ -464,7 +411,7 @@ func TestHostileSpecRefused(t *testing.T) {
 		// lazy rows may pass the constructor and fail at the first message.
 		lazy bool
 		// only names the one variant ("linear" or "kernel") whose rule a
-		// row checks, on Alice's field (255 or 607 bits); "" runs both.
+		// row checks, on Alice's field (255 or 521 bits); "" runs both.
 		only string
 	}{
 		{"mask-degree-2^62", func(s *similarity.Spec) { s.MaskDegree = 1 << 62 }, ompe.ErrParams, true, ""},
@@ -476,7 +423,7 @@ func TestHostileSpecRefused(t *testing.T) {
 		{"frac-bits-2^62", func(s *similarity.Spec) { s.FracBits = 1 << 62 }, similarity.ErrFieldTooSmall, false, "linear"},
 		{"l0-1e6-on-255", func(s *similarity.Spec) { s.Metric.L0 = 1e6 }, similarity.ErrFieldTooSmall, false, "linear"},
 		{"l0-1e100", func(s *similarity.Spec) { s.Metric.L0 = 1e100 }, similarity.ErrFieldTooSmall, false, "linear"},
-		{"frac-bits-40-on-607", func(s *similarity.Spec) { s.FracBits = 40 }, similarity.ErrFieldTooSmall, false, "kernel"},
+		{"frac-bits-40-on-521", func(s *similarity.Spec) { s.FracBits = 40 }, similarity.ErrFieldTooSmall, false, "kernel"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.only != "kernel" {
@@ -498,8 +445,8 @@ func TestHostileSpecRefused(t *testing.T) {
 			}
 			kspec := kernelAlice.Spec()
 			tc.mutate(&kspec.Spec)
-			if tc.only == "kernel" && kspec.FieldBits != 607 {
-				t.Fatalf("Alice's kernel spec is on %d bits, want 607", kspec.FieldBits)
+			if tc.only == "kernel" && kspec.FieldBits != 521 {
+				t.Fatalf("Alice's kernel spec is on %d bits, want 521", kspec.FieldBits)
 			}
 			kbob, err := similarity.NewKernelBob(kspec, modelB)
 			if err == nil && tc.lazy {

@@ -17,25 +17,25 @@ import (
 // The round machine of §V-B, shared by both variants. §V-C obtains the
 // kernelised evaluation by putting K(·,·) wherever §V-B takes a dot
 // product, so the two differ only in what they build at construction
-// (boundary points, field sizing, the dot-round evaluators), in their
-// clear shares and in the kernel's area-scale announcement. Everything
-// from the first request to the decoded T² runs here.
+// (boundary points, field sizing, the dot-round evaluators) and in their
+// clear shares. Both put their models on unit normals first, so Eq. (7)'s
+// c3/4 is ¼ in either. Everything from the first request to the decoded
+// T² runs here.
 
 // areaDegree is the total degree of Eq. (7) in (x1, x2).
 const areaDegree = 4
 
 // areaExp is the scale exponent of Eq. (7)'s result when x1 sits at S^e1,
-// x2 at S^e2 and c3 at S^c3Exp.
-func areaExp(e1, e2, c3Exp uint) uint { return 2*e1 + 2*e2 + c3Exp }
+// x2 at S^e2 and c3/4 = ¼ at S.
+func areaExp(e1, e2 uint) uint { return 2*e1 + 2*e2 + 1 }
 
 // areaTerms are the inputs of Alice's area evaluator, known once Bob's
-// clear share arrives: c1 = |mA|²+|mB|² (or K(mA,mA)+K(mB,mB)), c3 =
-// 1/(4·|wA|²·|wB|²) (or the K(w,w) analogue), the scale exponents of x1,
-// x2 and c3, and for a kernel model A = Σ_t Enc(αyB_t).
+// clear share arrives: c1 = |mA|²+|mB|² (or K(mA,mA)+K(mB,mB)), the scale
+// exponents of x1 and x2, and for a kernel model A = Σ_t Enc(αyB_t).
 type areaTerms struct {
-	c1, c3        float64
-	e1, e2, c3Exp uint
-	alphaSum      *big.Int // nil for a hyperplane
+	c1       float64
+	e1, e2   uint
+	alphaSum *big.Int // nil for a hyperplane
 }
 
 // responder is Alice's side: fresh r_am, r_aw, r_b per evaluation, the two
@@ -167,10 +167,11 @@ func (r *responder) HandleChoice(round Round, choice *ot.BatchChoice, rng io.Rea
 // with d1 = r_am⁻¹, d2 = r_aw⁻² (the paper writes r_aw⁻¹; the square is
 // required for (d3+x2)² = r_aw²·(wA·wB)² to cancel), d3 = −r_b for a
 // hyperplane and −r_b·A for a kernel model (cancelling the aggregated
-// shift), and the ¼ folded into c3, c4 to save a multiplication. Scale
-// plan: c1 at S^e1, c2 at S^{2e1}, c3/4 at S^c3Exp, c4/4 at S^{2e2+c3Exp};
-// the result sits at S^areaExp(e1, e2, c3Exp). A hyperplane is (2, 2, 1),
-// giving S⁹.
+// shift), and the ¼ folded into c3, c4 to save a multiplication. On unit
+// normals c3/4 = ¼/(|wA|²·|wB|²) (or its K(w,w) analogue) is ¼. Scale
+// plan: c1 at S^e1, c2 at S^{2e1}, c3/4 at S, c4/4 at S^{2e2+1}; the
+// result sits at S^areaExp(e1, e2). A hyperplane is (2, 2), giving S⁹; a
+// degree-p kernel is (2p, 2p+2), giving S^(8p+5).
 func (r *responder) areaEvaluator(t *areaTerms) (ompe.Evaluator, error) {
 	f, c := r.codec.Field(), r.codec
 	s0 := math.Sin(r.metric.Theta0)
@@ -182,11 +183,11 @@ func (r *responder) areaEvaluator(t *areaTerms) (ompe.Evaluator, error) {
 	if err != nil {
 		return nil, err
 	}
-	encC3, err := c.EncodeAtScale(t.c3, c.ScalePow(t.c3Exp))
+	encC3, err := c.EncodeAtScale(0.25, c.Scale())
 	if err != nil {
 		return nil, err
 	}
-	encC4, err := c.EncodeAtScale(0.25*(1+s0*s0), c.ScalePow(2*t.e2+t.c3Exp))
+	encC4, err := c.EncodeAtScale(0.25*(1+s0*s0), c.ScalePow(2*t.e2+1))
 	if err != nil {
 		return nil, err
 	}
@@ -227,7 +228,7 @@ type requester struct {
 	centroid  field.Vec
 	normals   []field.Vec
 	weights   []*big.Int // nil for a hyperplane
-	resultExp uint       // scale of the area result; 0 until known
+	resultExp uint       // scale of the area result
 
 	round       Round
 	normalsDone int
@@ -235,8 +236,9 @@ type requester struct {
 	x1, x2      *big.Int
 }
 
-// newRequester encodes Bob's round inputs.
-func newRequester(spec Spec, dotDegree int, centroid []float64, normals [][]float64) (requester, error) {
+// newRequester encodes Bob's round inputs; resultExp is the scale of the
+// area result he decodes.
+func newRequester(spec Spec, dotDegree int, resultExp uint, centroid []float64, normals [][]float64) (requester, error) {
 	codec, err := spec.Codec()
 	if err != nil {
 		return requester{}, err
@@ -257,7 +259,7 @@ func newRequester(spec Spec, dotDegree int, centroid []float64, normals [][]floa
 	}
 	return requester{
 		codec: codec, params: params,
-		centroid: encCentroid, normals: encNormals,
+		centroid: encCentroid, normals: encNormals, resultExp: resultExp,
 		round: RoundCentroid, x2: new(big.Int),
 	}, nil
 }
@@ -280,9 +282,6 @@ func (b *requester) StartRound(round Round, rng io.Reader) (*ompe.EvalRequest, e
 	case RoundNormal:
 		input = b.normals[b.normalsDone]
 	case RoundArea:
-		if b.resultExp == 0 {
-			return nil, errors.New("similarity: area scale missing before area round")
-		}
 		input = field.Vec{b.x1, b.x2}
 		params.PolyDegree = areaDegree
 	default:

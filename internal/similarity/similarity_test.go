@@ -56,7 +56,11 @@ func TestPrivateMatchesPlaintext(t *testing.T) {
 // the private metric must not move with c. Both parties evaluate on unit
 // normals; on the raw normals, c3 = ¼/(|wA|²·|wB|²) is encoded at S and
 // rounds to 0 once |wA|²·|wB|² > S/2, which at c = 100 put T² off by a
-// relative 0.28 with no error raised.
+// relative 0.28 with no error raised. The kernel rows scale model A's αy
+// and bias, the same decision boundary with its feature-space normal
+// scaled by c, and compare the private T² with its value at c = 1. With
+// c3 encoded at an exponent picked from K(wA,wA), c = 1e-3 moved it by a
+// relative 1.9e-6; on unit feature-space normals it does not move.
 func TestScaleInvariance(t *testing.T) {
 	wA, bA := []float64{0.7, -0.4, 0.2}, 0.05
 	wB, bB := []float64{-0.1, 0.9, 0.3}, -0.12
@@ -80,6 +84,25 @@ func TestScaleInvariance(t *testing.T) {
 			}
 			if rel := math.Abs(got.TSquared-want.TSquared) / want.TSquared; rel > 1e-6 {
 				t.Fatalf("T² private %g, plaintext %g: relative error %.3g", got.TSquared, want.TSquared, rel)
+			}
+		})
+	}
+
+	modelA, modelB := kernelModels(t)
+	base, err := similarity.EvaluatePrivateKernel(modelA, modelB, similarity.Params{}, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []float64{1e-3, 1e2, 1e3} {
+		t.Run(fmt.Sprintf("kernel/c=%g", c), func(t *testing.T) {
+			sA := *modelA
+			sA.AlphaY, sA.Bias = scaled(modelA.AlphaY, c), c*modelA.Bias
+			got, err := similarity.EvaluatePrivateKernel(&sA, modelB, similarity.Params{}, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rel := math.Abs(got.TSquared-base.TSquared) / base.TSquared; rel > 1e-6 {
+				t.Fatalf("T² at c = %g: %g, at c = 1: %g, relative error %.3g", c, got.TSquared, base.TSquared, rel)
 			}
 		})
 	}

@@ -59,13 +59,11 @@ func (m *Metric) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data
 // EncodeWire implements the wire codec.
 func (c *ClearShare) EncodeWire(w *wire.Writer) {
 	w.Float64(c.NormM2)
-	w.Float64(c.NormW2)
 }
 
 // DecodeWire implements the wire codec.
 func (c *ClearShare) DecodeWire(r *wire.Reader) {
 	c.NormM2 = r.Float64()
-	c.NormW2 = r.Float64()
 }
 
 // EncodeWire implements the wire codec.
@@ -83,7 +81,6 @@ func (s *KernelSpec) DecodeWire(r *wire.Reader) {
 // EncodeWire implements the wire codec.
 func (c *KernelClearShare) EncodeWire(w *wire.Writer) {
 	w.Float64(c.KmBmB)
-	w.Float64(c.KwBwB)
 	w.Int(c.NumSupport)
 	w.ByteSlice(c.AlphaSum)
 }
@@ -91,19 +88,6 @@ func (c *KernelClearShare) EncodeWire(w *wire.Writer) {
 // DecodeWire implements the wire codec.
 func (c *KernelClearShare) DecodeWire(r *wire.Reader) {
 	c.KmBmB = r.Float64()
-	c.KwBwB = r.Float64()
 	c.NumSupport = r.Int()
 	c.AlphaSum = r.ByteSlice()
-}
-
-// EncodeWire implements the wire codec.
-func (a *AreaScale) EncodeWire(w *wire.Writer) {
-	w.Uint(a.C3Exp)
-	w.Uint(a.TotalExp)
-}
-
-// DecodeWire implements the wire codec.
-func (a *AreaScale) DecodeWire(r *wire.Reader) {
-	a.C3Exp = r.Uint()
-	a.TotalExp = r.Uint()
 }

@@ -29,13 +29,12 @@ func similarityWireSamples() map[string]wire.Msg {
 	return map[string]wire.Msg{
 		"Spec":       &spec,
 		"Metric":     &Metric{Alpha: -2, Beta: 2, L0: 1.5, Theta0: 0.1},
-		"ClearShare": &ClearShare{NormM2: 1.25, NormW2: 2.5},
+		"ClearShare": &ClearShare{NormM2: 1.25},
 		"KernelSpec": &KernelSpec{Spec: sampleSpec(), Kernel: svm.Polynomial(0.5, 0, 3)},
 		"KernelClearShare": &KernelClearShare{
-			KmBmB: 3.5, KwBwB: 4.5, NumSupport: 7,
+			KmBmB: 3.5, NumSupport: 7,
 			AlphaSum: bytes.Repeat([]byte{0x0B}, 76),
 		},
-		"AreaScale": &AreaScale{C3Exp: 17, TotalExp: 42},
 	}
 }
 
@@ -82,7 +81,7 @@ func TestSimilarityWireRoundTrips(t *testing.T) {
 // as an empty blob, which no field takes for an element, so Alice refuses
 // it (TestKernelClearShareValidation's nil-alpha-sum row).
 func TestKernelClearShareNilAlphaSum(t *testing.T) {
-	data, err := wire.Marshal(&KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3})
+	data, err := wire.Marshal(&KernelClearShare{KmBmB: 1, NumSupport: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +92,7 @@ func TestKernelClearShareNilAlphaSum(t *testing.T) {
 	if len(got.AlphaSum) != 0 {
 		t.Fatalf("alpha sum decoded to %d bytes, want none", len(got.AlphaSum))
 	}
-	f, err := field.ByBits(607)
+	f, err := field.ByBits(521)
 	if err != nil {
 		t.Fatal(err)
 	}

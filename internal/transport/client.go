@@ -25,79 +25,9 @@ func EvaluateSimilarity(rw io.ReadWriteCloser, wB []float64, bB float64, rng io.
 // EvaluateSimilarityContext is EvaluateSimilarity with per-message
 // deadlines from opts and cancellation via ctx.
 func EvaluateSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, wB []float64, bB float64, opts Options, rng io.Reader) (*similarity.Result, error) {
-	rng = entropy.Buffered(rng)
-	conn := newConnRole(rw, roleClient)
-	conn.SetMessageDeadline(opts.messageDeadline())
-	defer func() { _ = conn.Close() }()
-	var out *similarity.Result
-	err := conn.RunContext(ctx, func() error {
-		if err := opts.sendHello(conn, &Hello{Service: "similarity-linear"}); err != nil {
-			return err
-		}
-		spec, err := Recv[*similarity.Spec](conn)
-		if err != nil {
-			return err
-		}
-		bob, err := similarity.NewBob(*spec, wB, bB)
-		if err != nil {
-			return err
-		}
-		if err := conn.Send(bob.ClearShare()); err != nil {
-			return err
-		}
-		out, err = runBobRounds(conn, bob, rng)
-		return err
+	return evaluateSimilarity(ctx, rw, "similarity-linear", opts, rng, func(spec *similarity.Spec) (*similarity.Bob, error) {
+		return similarity.NewBob(*spec, wB, bB)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// similarityRequester is Bob's round machine, shared by both variants.
-type similarityRequester interface {
-	NextRound() similarity.Round
-	StartRound(similarity.Round, io.Reader) (*evalRequest, error)
-	HandleSetup(similarity.Round, *batchSetup, io.Reader) (*batchChoice, error)
-	FinishRound(similarity.Round, *batchTransfer) (*similarity.Result, error)
-}
-
-// runBobRounds drives Bob's per-round OMPE exchange for both the linear
-// and kernelized similarity protocols, in the order Bob's round machine
-// reports; the final round yields the result.
-func runBobRounds(conn *Conn, bob similarityRequester, rng io.Reader) (*similarity.Result, error) {
-	var result *similarity.Result
-	for round := bob.NextRound(); round <= similarity.RoundArea; round = bob.NextRound() {
-		if err := conn.Send(&RoundHeader{Round: round}); err != nil {
-			return nil, err
-		}
-		req, err := bob.StartRound(round, rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := conn.Send(req); err != nil {
-			return nil, err
-		}
-		setup, err := Recv[*batchSetup](conn)
-		if err != nil {
-			return nil, err
-		}
-		choice, err := bob.HandleSetup(round, setup, rng)
-		if err != nil {
-			return nil, err
-		}
-		if err := conn.Send(choice); err != nil {
-			return nil, err
-		}
-		tr, err := Recv[*batchTransfer](conn)
-		if err != nil {
-			return nil, err
-		}
-		if result, err = bob.FinishRound(round, tr); err != nil {
-			return nil, err
-		}
-	}
-	return result, nil
 }
 
 // EvaluateKernelSimilarity runs a full kernelized similarity evaluation
@@ -110,40 +40,79 @@ func EvaluateKernelSimilarity(rw io.ReadWriteCloser, modelB *svm.Model, rng io.R
 // EvaluateKernelSimilarityContext is EvaluateKernelSimilarity with
 // per-message deadlines from opts and cancellation via ctx.
 func EvaluateKernelSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, modelB *svm.Model, opts Options, rng io.Reader) (*similarity.Result, error) {
+	return evaluateSimilarity(ctx, rw, "similarity-kernel", opts, rng, func(spec *similarity.KernelSpec) (*similarity.KernelBob, error) {
+		return similarity.NewKernelBob(*spec, modelB)
+	})
+}
+
+// similarityBob is Bob's side of either §V variant: the clear share of
+// type C he sends, then the shared round machine.
+type similarityBob[C any] interface {
+	ClearShare() C
+	NextRound() similarity.Round
+	StartRound(similarity.Round, io.Reader) (*evalRequest, error)
+	HandleSetup(similarity.Round, *batchSetup, io.Reader) (*batchChoice, error)
+	FinishRound(similarity.Round, *batchTransfer) (*similarity.Result, error)
+}
+
+// evaluateSimilarity runs one similarity evaluation of either variant as
+// Bob: Hello, Alice's spec of type S (newBob builds Bob from it), the
+// clear share, then his OMPE rounds in the order his round machine
+// reports; the final round yields the result.
+func evaluateSimilarity[S, C any, B similarityBob[C]](ctx context.Context, rw io.ReadWriteCloser, service string, opts Options, rng io.Reader, newBob func(S) (B, error)) (*similarity.Result, error) {
 	rng = entropy.Buffered(rng)
 	conn := newConnRole(rw, roleClient)
 	conn.SetMessageDeadline(opts.messageDeadline())
 	defer func() { _ = conn.Close() }()
-	var out *similarity.Result
+	var result *similarity.Result
 	err := conn.RunContext(ctx, func() error {
-		if err := opts.sendHello(conn, &Hello{Service: "similarity-kernel"}); err != nil {
+		if err := opts.sendHello(conn, &Hello{Service: service}); err != nil {
 			return err
 		}
-		spec, err := Recv[*similarity.KernelSpec](conn)
+		spec, err := Recv[S](conn)
 		if err != nil {
 			return err
 		}
-		bob, err := similarity.NewKernelBob(*spec, modelB)
+		bob, err := newBob(spec)
 		if err != nil {
 			return err
 		}
 		if err := conn.Send(bob.ClearShare()); err != nil {
 			return err
 		}
-		scale, err := Recv[*similarity.AreaScale](conn)
-		if err != nil {
-			return err
+		for round := bob.NextRound(); round <= similarity.RoundArea; round = bob.NextRound() {
+			req, err := bob.StartRound(round, rng)
+			if err != nil {
+				return err
+			}
+			if err := conn.Send(req); err != nil {
+				return err
+			}
+			setup, err := Recv[*batchSetup](conn)
+			if err != nil {
+				return err
+			}
+			choice, err := bob.HandleSetup(round, setup, rng)
+			if err != nil {
+				return err
+			}
+			if err := conn.Send(choice); err != nil {
+				return err
+			}
+			tr, err := Recv[*batchTransfer](conn)
+			if err != nil {
+				return err
+			}
+			if result, err = bob.FinishRound(round, tr); err != nil {
+				return err
+			}
 		}
-		if err := bob.SetAreaScale(scale); err != nil {
-			return err
-		}
-		out, err = runBobRounds(conn, bob, rng)
-		return err
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return result, nil
 }
 
 // DialSimilarity runs a similarity evaluation against a TCP server,

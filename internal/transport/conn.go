@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/similarity"
 	"repro/internal/wire"
 )
 
@@ -44,11 +43,6 @@ type Hello struct {
 	// phase; on any failure it silently declines and the session runs a
 	// full handshake.
 	ResumeTicket []byte
-}
-
-// RoundHeader precedes each OMPE round of the similarity protocol.
-type RoundHeader struct {
-	Round similarity.Round
 }
 
 // Done signals the clean end of a session.

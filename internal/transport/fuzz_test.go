@@ -54,17 +54,15 @@ func wireFuzzSamples() []struct {
 		proto wire.Msg
 	}{
 		{"Hello", &transport.Hello{Service: "classify", ResumeOffered: true, ResumeTicket: []byte("PPDCTKT1ticketbytes")}},
-		{"RoundHeader", &transport.RoundHeader{Round: similarity.Round(2)}},
 		{"Done", &transport.Done{}},
 		{"ClassifySpec", &classify.Spec{Kernel: svm.Linear(), Dim: 4, Mode: classify.ModeDirect, MaskDegree: 4, CoverFactor: 2, AmplifierBits: 40, FieldBits: 512, FracBits: 12, GroupName: "x25519", ResumeGranted: true}},
 		{"SessionTicket", &transport.SessionTicket{Ticket: []byte{0x50, 0x50, 0x44, 0x43, 0x54, 0x4B, 0x54, 0x31, 1, 2, 3, 4}}},
 		{"ResumeInfo", &transport.ResumeInfo{MintID: []byte{8, 7, 6, 5, 4, 3, 2, 1}}},
 		{"SimilaritySpec", &simSpec},
 		{"Metric", &similarity.Metric{Alpha: -1, Beta: 1, L0: 0.5, Theta0: 0.25}},
-		{"ClearShare", &similarity.ClearShare{NormM2: 1.5, NormW2: 2.5}},
+		{"ClearShare", &similarity.ClearShare{NormM2: 1.5}},
 		{"KernelSpec", &similarity.KernelSpec{Spec: simSpec, Kernel: svm.Polynomial(0.5, 0, 3)}},
-		{"KernelClearShare", &similarity.KernelClearShare{KmBmB: 1, KwBwB: 2, NumSupport: 3, AlphaSum: []byte{77}}},
-		{"AreaScale", &similarity.AreaScale{C3Exp: 3, TotalExp: 9}},
+		{"KernelClearShare", &similarity.KernelClearShare{KmBmB: 1, NumSupport: 3, AlphaSum: []byte{77}}},
 		{"Kernel", &svm.Kernel{Kind: svm.KernelPolynomial, A0: 1, B0: 2, Degree: 3, Gamma: 0.5, C0: 1.5}},
 	}
 }
@@ -93,6 +91,19 @@ func FuzzWireMsgs(f *testing.F) {
 	// A base-phase setup frame, which travels under the k-of-n setup's
 	// tag 4: header and one-constraint payload.
 	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, ot.X25519().ElementLen())}))
+	// The clear shares at the sizes the services send: |mB|² of a box
+	// corner at n = 8, and a kernel share whose alpha sum is one element
+	// of 2^521−1 (66 bytes).
+	for _, m := range []wire.Msg{
+		&similarity.ClearShare{NormM2: 8},
+		&similarity.KernelClearShare{KmBmB: 4.5, NumSupport: 218, AlphaSum: bytes.Repeat([]byte{0x01}, 66)},
+	} {
+		data, err := wire.Marshal(m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return

@@ -298,9 +298,6 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 			if err := connA.Send(bob.ClearShare()); err != nil {
 				t.Fatal(err)
 			}
-			if err := connA.Send(&transport.RoundHeader{Round: similarity.RoundCentroid}); err != nil {
-				t.Fatal(err)
-			}
 			req, err := bob.StartRound(similarity.RoundCentroid, rand.Reader)
 			if err != nil {
 				t.Fatal(err)

@@ -74,10 +74,6 @@ type Server struct {
 	Logf func(format string, args ...any)
 	// Rand is the entropy source (default crypto/rand.Reader).
 	Rand io.Reader
-	// DisableResume turns off session-resumption tickets: no tickets are
-	// minted, and presented tickets are declined into full handshakes.
-	// Minted tickets live for DefaultTicketTTL.
-	DisableResume bool
 
 	// ticketOnce lazily builds the per-process ticket mint from Rand the
 	// first time a session mints or validates; servers that never see a
@@ -278,10 +274,6 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 	if hello.Service == "resume-info" {
 		// Fleet whoami: answer with this process's ticket mint identity so
 		// a gateway can steer ticket-bearing redials here. Needs no model.
-		if s.DisableResume {
-			_ = conn.SendErr(errors.New("transport: resumption disabled"))
-			return
-		}
 		tick, err := s.ticketer()
 		if err != nil {
 			s.logf("transport: resume-info: %v", err)
@@ -304,9 +296,15 @@ func (s *Server) serveConn(rw io.ReadWriteCloser) {
 	}
 	switch hello.Service {
 	case "similarity-linear":
-		err = s.serveSimilarity(conn, rng)
+		var alice *similarity.Alice
+		if alice, err = s.linearAlice(rng); err == nil {
+			err = serveSimilarity(conn, alice, rng)
+		}
 	case "similarity-kernel":
-		err = s.serveKernelSimilarity(conn, trainer, rng)
+		var alice *similarity.KernelAlice
+		if alice, err = s.kernelAlice(trainer, rng); err == nil {
+			err = serveSimilarity(conn, alice, rng)
+		}
 	case "classify-fast":
 		err = s.serveClassifyFast(conn, trainer, hello, rng)
 	default:
@@ -340,10 +338,6 @@ func (s *Server) ticketer() (*ticketer, error) {
 // protocol violation.
 func (s *Server) grantResume(hello *Hello, spec classify.Spec) *ot.IKNPSenderState {
 	if len(hello.ResumeTicket) == 0 {
-		return nil
-	}
-	if s.DisableResume {
-		obs.Add(obs.CtrResumeRejected, 1)
 		return nil
 	}
 	tick, err := s.ticketer()
@@ -385,85 +379,62 @@ func (s *Server) mintTicket(conn *Conn, fast *classify.FastTrainer, spec classif
 	}
 }
 
-// serveSimilarity runs one linear similarity evaluation as Alice.
-func (s *Server) serveSimilarity(conn *Conn, rng io.Reader) error {
+// linearAlice builds Alice for one linear similarity evaluation.
+func (s *Server) linearAlice(rng io.Reader) (*similarity.Alice, error) {
 	if !s.simEnabled {
-		return errors.New("similarity service not enabled")
+		return nil, errors.New("similarity service not enabled")
 	}
-	alice, err := similarity.NewAlice(s.simWeights, s.simBias, s.simParams, rng)
-	if err != nil {
-		return err
-	}
-	spec := alice.Spec()
-	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	clear, err := Recv[*similarity.ClearShare](conn)
-	if err != nil {
-		return err
-	}
-	if err := alice.HandleClearShare(clear); err != nil {
-		return err
-	}
-	return serveSimilarityRounds(conn, alice, rng)
+	return similarity.NewAlice(s.simWeights, s.simBias, s.simParams, rng)
 }
 
-// serveKernelSimilarity runs one kernelized similarity evaluation as
-// Alice: clear share, area-scale announcement, then the centroid round,
-// |S_B| normal rounds, and the area round.
-func (s *Server) serveKernelSimilarity(conn *Conn, trainer *classify.Trainer, rng io.Reader) error {
+// kernelAlice builds Alice for one kernelized similarity evaluation of
+// the session's trainer model.
+func (s *Server) kernelAlice(trainer *classify.Trainer, rng io.Reader) (*similarity.KernelAlice, error) {
 	if !s.kernelSimEnabled {
-		return errors.New("kernel similarity service not enabled")
+		return nil, errors.New("kernel similarity service not enabled")
 	}
-	alice, err := similarity.NewKernelAlice(trainer.Model(), s.kernelSimParams, rng)
-	if err != nil {
-		return err
-	}
-	spec := alice.Spec()
-	if err := conn.Send(&spec); err != nil {
-		return err
-	}
-	clear, err := Recv[*similarity.KernelClearShare](conn)
-	if err != nil {
-		return err
-	}
-	if err := alice.HandleClearShare(clear); err != nil {
-		return err
-	}
-	scale, err := alice.AnnounceAreaScale()
-	if err != nil {
-		return err
-	}
-	if err := conn.Send(scale); err != nil {
-		return err
-	}
-	return serveSimilarityRounds(conn, alice, rng)
+	return similarity.NewKernelAlice(trainer.Model(), s.kernelSimParams, rng)
 }
 
-// similarityResponder is Alice's round machine, shared by both variants.
-type similarityResponder interface {
+// similarityAlice is Alice's side of either §V variant: her public spec
+// of type S, Bob's clear share of type C, then the shared round machine.
+type similarityAlice[S, C any] interface {
+	Spec() S
+	HandleClearShare(C) error
 	NextRound() similarity.Round
 	HandleRequest(similarity.Round, *evalRequest, io.Reader) (*batchSetup, error)
 	HandleChoice(similarity.Round, *batchChoice, io.Reader) (*batchTransfer, error)
 }
 
-// serveSimilarityRounds answers Bob's OMPE rounds in the order Alice's
-// round machine expects them, until it reports the evaluation complete.
-// The peer's declared counts never size anything here: each RoundNormal
-// instance costs the peer its own four messages.
-func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader) error {
-	for round := alice.NextRound(); round <= similarity.RoundArea; round = alice.NextRound() {
-		header, err := Recv[*RoundHeader](conn)
-		if err != nil {
-			return err
-		}
-		if header.Round != round {
-			return fmt.Errorf("transport: round %d, want %d", header.Round, round)
-		}
+// serveSimilarity runs one similarity evaluation of either variant as
+// Alice: spec, clear share, then Bob's OMPE rounds in the order her round
+// machine expects them. Neither side announces a round: both derive the
+// sequence from the spec and |S_B|, so the typed Recv of each step is the
+// order check. After the area round Bob, holding T², hangs up; anything
+// else he sends is refused with ErrRound. The peer's declared counts never
+// size anything here: each RoundNormal instance costs the peer its own
+// four messages.
+func serveSimilarity[S, C any](conn *Conn, alice similarityAlice[S, C], rng io.Reader) error {
+	spec := alice.Spec()
+	if err := conn.Send(&spec); err != nil {
+		return err
+	}
+	clear, err := Recv[C](conn)
+	if err != nil {
+		return err
+	}
+	if err := alice.HandleClearShare(clear); err != nil {
+		return err
+	}
+	for {
 		req, err := Recv[*evalRequest](conn)
+		if errors.Is(err, io.EOF) && alice.NextRound() > similarity.RoundArea {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
+		round := alice.NextRound()
 		setup, err := alice.HandleRequest(round, req, rng)
 		if err != nil {
 			return err
@@ -483,7 +454,6 @@ func serveSimilarityRounds(conn *Conn, alice similarityResponder, rng io.Reader)
 			return err
 		}
 	}
-	return nil
 }
 
 // fastJob is one queued fast-session batch with its stream tag; the
@@ -595,7 +565,7 @@ readLoop:
 	}
 	// Clean Done: honor a standing mint request. The worker has exited, so
 	// the session's OT position is quiescent and safe to snapshot.
-	if hello.ResumeOffered && !s.DisableResume {
+	if hello.ResumeOffered {
 		s.mintTicket(conn, fast, spec, rng)
 	}
 	return nil

@@ -4,6 +4,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -14,6 +15,8 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
+	"repro/internal/ompe"
+	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 	"repro/internal/transport"
@@ -320,11 +323,8 @@ func TestKernelSimilarityHostileNumSupport(t *testing.T) {
 	}
 	alphaSum := make([]byte, codec.Field().ElementLen())
 	alphaSum[len(alphaSum)-1] = 1
-	hostile := &similarity.KernelClearShare{KmBmB: 1, KwBwB: 1, NumSupport: 1 << 24, AlphaSum: alphaSum}
+	hostile := &similarity.KernelClearShare{KmBmB: 1, NumSupport: 1 << 24, AlphaSum: alphaSum}
 	if err := conn.Send(hostile); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := transport.Recv[*similarity.AreaScale](conn); err != nil {
 		t.Fatal(err)
 	}
 	_ = conn.Close()
@@ -497,5 +497,135 @@ func TestDialFailures(t *testing.T) {
 	}
 	if _, err := transport.DialSimilarity(dead, []float64{1, 0}, 0, 200*time.Millisecond, rand.Reader); err == nil {
 		t.Fatal("DialSimilarity to dead address should fail")
+	}
+}
+
+// similarityBob is Bob's round machine in either variant.
+type similarityBob interface {
+	NextRound() similarity.Round
+	StartRound(similarity.Round, io.Reader) (*ompe.EvalRequest, error)
+	HandleSetup(similarity.Round, *ot.BatchSetup, io.Reader) (*ot.BatchChoice, error)
+	FinishRound(similarity.Round, *ot.BatchTransfer) (*similarity.Result, error)
+}
+
+// TestSimilarityOutOfOrderRefused: no round header travels, so the typed
+// Recv of Alice's one loop is the order check. On both services a client
+// that sends a BatchChoice where an EvalRequest is due, or one more
+// EvalRequest after the area round, gets an error frame at once, and its
+// session ends. The server runs without a message deadline and the client
+// waits at most five seconds, so a server that waited on the peer instead
+// of refusing fails here rather than hanging.
+func TestSimilarityOutOfOrderRefused(t *testing.T) {
+	linA, _ := trainLinear(t, 13)
+	linB, _ := trainLinear(t, 14)
+	wA, err := linA.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wB, err := linB.LinearWeights()
+	if err != nil {
+		t.Fatal(err)
+	}
+	polyB := trainPoly(t, 22)
+	srv := kernelSimServer(t, trainPoly(t, 21))
+	srv.EnableSimilarity(wA, linA.Bias, similarity.Params{})
+	srv.MessageDeadline = transport.NoDeadline
+
+	// Each opener reads Alice's spec and sends Bob's clear share.
+	openers := map[string]func(*transport.Conn) (similarityBob, error){
+		"similarity-linear": func(conn *transport.Conn) (similarityBob, error) {
+			spec, err := transport.Recv[*similarity.Spec](conn)
+			if err != nil {
+				return nil, err
+			}
+			bob, err := similarity.NewBob(*spec, wB, linB.Bias)
+			if err != nil {
+				return nil, err
+			}
+			return bob, conn.Send(bob.ClearShare())
+		},
+		"similarity-kernel": func(conn *transport.Conn) (similarityBob, error) {
+			spec, err := transport.Recv[*similarity.KernelSpec](conn)
+			if err != nil {
+				return nil, err
+			}
+			bob, err := similarity.NewKernelBob(*spec, polyB)
+			if err != nil {
+				return nil, err
+			}
+			return bob, conn.Send(bob.ClearShare())
+		},
+	}
+	misbehave := map[string]func(*transport.Conn, similarityBob) error{
+		"choice-for-request": func(conn *transport.Conn, _ similarityBob) error {
+			return conn.Send(&ot.BatchChoice{PK0s: make([]byte, ot.X25519().ElementLen())})
+		},
+		"request-after-area": func(conn *transport.Conn, bob similarityBob) error {
+			var req *ompe.EvalRequest
+			for round := bob.NextRound(); round <= similarity.RoundArea; round = bob.NextRound() {
+				var err error
+				if req, err = bob.StartRound(round, rand.Reader); err != nil {
+					return err
+				}
+				if err := conn.Send(req); err != nil {
+					return err
+				}
+				setup, err := transport.Recv[*ot.BatchSetup](conn)
+				if err != nil {
+					return err
+				}
+				choice, err := bob.HandleSetup(round, setup, rand.Reader)
+				if err != nil {
+					return err
+				}
+				if err := conn.Send(choice); err != nil {
+					return err
+				}
+				tr, err := transport.Recv[*ot.BatchTransfer](conn)
+				if err != nil {
+					return err
+				}
+				if _, err := bob.FinishRound(round, tr); err != nil {
+					return err
+				}
+			}
+			return conn.Send(req)
+		},
+	}
+	for service, open := range openers {
+		for name, act := range misbehave {
+			t.Run(service+"/"+name, func(t *testing.T) {
+				serverSide, clientSide := net.Pipe()
+				done := make(chan struct{})
+				go func() {
+					defer close(done)
+					srv.ServeConn(serverSide)
+				}()
+				conn := transport.NewConn(clientSide)
+				conn.SetMessageDeadline(5 * time.Second)
+				if err := conn.Send(&transport.Hello{Service: service}); err != nil {
+					t.Fatal(err)
+				}
+				bob, err := open(conn)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := act(conn, bob); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := transport.Recv[*ot.BatchSetup](conn); !errors.Is(err, transport.ErrRemote) {
+					t.Fatalf("err = %v, want a remote error", err)
+				}
+				_ = conn.Close()
+				select {
+				case <-done:
+				case <-time.After(10 * time.Second):
+					t.Fatal("server session did not end")
+				}
+				if n := srv.ActiveSessions(); n != 0 {
+					t.Fatalf("%d sessions still active", n)
+				}
+			})
+		}
 	}
 }

@@ -128,12 +128,46 @@ func fastBatch(p ompe.Params, vars, b int) (req, resp int) {
 	return req, resp
 }
 
-// TestWireBytesFromSpec predicts every frame of three sessions from their
+// similarityFrames predicts an evaluation of either §V variant: the Hello
+// and Bob's clear share one way, Alice's spec the other, then for each
+// round a request and a choice against a setup and a transfer. Each of
+// the dots dot rounds evaluates a polynomial of the given degree in vars
+// variates; the area round that closes every evaluation, Eq. (7)'s
+// degree-4 polynomial in two.
+func similarityFrames(t *testing.T, service string, spec, clear wire.Msg, s similarity.Spec, dots, degree, vars int) (c2s, s2c []frame) {
+	t.Helper()
+	codec, err := s.Codec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2s = []frame{specFrame(t, &transport.Hello{Service: service}), specFrame(t, clear)}
+	s2c = []frame{specFrame(t, spec)}
+	round := func(degree, vars int) {
+		p := ompe.Params{Field: codec.Field(), PolyDegree: degree, MaskDegree: s.MaskDegree, CoverFactor: s.CoverFactor}
+		k, n := p.GenuineCount(), p.TotalPairs()
+		c2s = append(c2s,
+			frame{tagOf(t, &ompe.EvalRequest{}), evalRequestBytes(p, vars)},
+			frame{tagOf(t, &ot.BatchChoice{}), choiceBytes(k)})
+		s2c = append(s2c,
+			frame{tagOf(t, &ot.BatchSetup{}), setupBytes(n)},
+			frame{tagOf(t, &ot.BatchTransfer{}), transferBytes(k, n, p.Field.ElementLen())})
+	}
+	for range dots {
+		round(degree, vars)
+	}
+	round(4, 2)
+	return c2s, s2c
+}
+
+// TestWireBytesFromSpec predicts every frame of four sessions from their
 // specs and checks the recorded bytes against the prediction, for ten
 // seeds of both parties' randomness: a full classify-fast session at
 // n = 8 (base phase, batches of 1, 3 and 4, a ticket), the session that
-// resumes from its ticket, and a linear similarity evaluation (three
-// rounds: two dot rounds, a 3-of-6 each, and the area round, a 9-of-18).
+// resumes from its ticket, a linear similarity evaluation (three rounds:
+// two dot rounds, a 3-of-6 each, and the area round, a 9-of-18) and a
+// kernel similarity evaluation on the paper's cubic (2 + |S_B| rounds: the
+// centroid round and one normal round per support vector of Bob's, each a
+// 7-of-14 on 2^521−1, then the area round).
 // The Naor–Pinkas messages have one length per shape, so nothing here
 // depends on the points drawn.
 func TestWireBytesFromSpec(t *testing.T) {
@@ -161,6 +195,7 @@ func TestWireBytesFromSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	polyA, polyB := trainPoly(t, 21), trainPoly(t, 22)
 	for seed := 0; seed < 10; seed++ {
 		t.Run(fmt.Sprint(seed), func(t *testing.T) {
 			srv := quietServer(t, trainer)
@@ -239,33 +274,25 @@ func TestWireBytesFromSpec(t *testing.T) {
 				t.Fatal(err)
 			}
 			simSpec := alice.Spec()
-			codec, err := simSpec.Codec()
+			wantC2S, wantS2C = similarityFrames(t, "similarity-linear", &simSpec, &similarity.ClearShare{}, simSpec, 2, 1, simSpec.Dim)
+			checkFrames(t, "similarity client→server", wantC2S, c2s)
+			checkFrames(t, "similarity server→client", wantS2C, s2c)
+
+			ksrv := kernelSimServer(t, polyA)
+			ksrv.Rand = newDetReader(fmt.Sprintf("wire-bytes-kernel-server-%d", seed))
+			c2s, s2c = recordSession(t, ksrv, func(rc net.Conn) error {
+				_, err := transport.EvaluateKernelSimilarityContext(t.Context(), rc, polyB, transport.Options{}, clientRand)
+				return err
+			})
+			kalice, err := similarity.NewKernelAlice(polyA, similarity.Params{}, newDetReader("spec"))
 			if err != nil {
 				t.Fatal(err)
 			}
-			wantC2S = []frame{
-				specFrame(t, &transport.Hello{Service: "similarity-linear"}),
-				specFrame(t, &similarity.ClearShare{}),
-			}
-			wantS2C = []frame{specFrame(t, &simSpec)}
-			// The dot rounds evaluate a linear form in n variates, the area
-			// round Eq. (7)'s degree-4 polynomial in two.
-			for _, round := range []struct {
-				r            similarity.Round
-				degree, vars int
-			}{{similarity.RoundCentroid, 1, simSpec.Dim}, {similarity.RoundNormal, 1, simSpec.Dim}, {similarity.RoundArea, 4, 2}} {
-				p := ompe.Params{Field: codec.Field(), PolyDegree: round.degree, MaskDegree: simSpec.MaskDegree, CoverFactor: simSpec.CoverFactor}
-				k, n := p.GenuineCount(), p.TotalPairs()
-				wantC2S = append(wantC2S,
-					frame{tagOf(t, &transport.RoundHeader{}), varintLen(int(round.r))},
-					frame{tagOf(t, &ompe.EvalRequest{}), evalRequestBytes(p, round.vars)},
-					frame{tagOf(t, &ot.BatchChoice{}), choiceBytes(k)})
-				wantS2C = append(wantS2C,
-					frame{tagOf(t, &ot.BatchSetup{}), setupBytes(n)},
-					frame{tagOf(t, &ot.BatchTransfer{}), transferBytes(k, n, p.Field.ElementLen())})
-			}
-			checkFrames(t, "similarity client→server", wantC2S, c2s)
-			checkFrames(t, "similarity server→client", wantS2C, s2c)
+			kspec := kalice.Spec()
+			clear := &similarity.KernelClearShare{NumSupport: len(polyB.SupportVectors), AlphaSum: make([]byte, (kspec.FieldBits+7)/8)}
+			wantC2S, wantS2C = similarityFrames(t, "similarity-kernel", &kspec, clear, kspec.Spec, 1+clear.NumSupport, kspec.Kernel.Degree, kspec.Dim)
+			checkFrames(t, "kernel similarity client→server", wantC2S, c2s)
+			checkFrames(t, "kernel similarity server→client", wantS2C, s2c)
 		})
 	}
 }

@@ -75,9 +75,9 @@ const (
 	tagClearShare       byte = 8
 	tagKernelSpec       byte = 9
 	tagKernelClearShare byte = 10
-	tagAreaScale        byte = 11
-	tagRoundHeader      byte = 12
-	tagDone             byte = 13
+	// 11–12: retired, do not reuse. 11 carried the kernel similarity's
+	// area scale, 12 the similarity round header.
+	tagDone byte = 13
 	// 14–18: retired, do not reuse. 14–16 carried the IKNP base phase,
 	// which now speaks the batch messages under tags 4–6.
 	tagFastBatchRequest  byte = 19
@@ -111,10 +111,6 @@ func binMsg(v any) (byte, wire.Msg, bool) {
 		return tagKernelSpec, m, true
 	case *similarity.KernelClearShare:
 		return tagKernelClearShare, m, true
-	case *similarity.AreaScale:
-		return tagAreaScale, m, true
-	case *RoundHeader:
-		return tagRoundHeader, m, true
 	case *Done:
 		return tagDone, m, true
 	case *ompe.FastBatchRequest:
@@ -155,10 +151,6 @@ func newBinPayload(tag byte) (wire.Msg, bool) {
 		return new(similarity.KernelSpec), true
 	case tagKernelClearShare:
 		return new(similarity.KernelClearShare), true
-	case tagAreaScale:
-		return new(similarity.AreaScale), true
-	case tagRoundHeader:
-		return new(RoundHeader), true
 	case tagDone:
 		return new(Done), true
 	case tagFastBatchRequest:
@@ -187,12 +179,6 @@ func (h *Hello) DecodeWire(r *wire.Reader) {
 	h.ResumeOffered = r.Bool()
 	h.ResumeTicket = r.ByteSlice()
 }
-
-// EncodeWire implements the wire codec.
-func (h *RoundHeader) EncodeWire(w *wire.Writer) { w.Int(int(h.Round)) }
-
-// DecodeWire implements the wire codec.
-func (h *RoundHeader) DecodeWire(r *wire.Reader) { h.Round = similarity.Round(r.Int()) }
 
 // EncodeWire implements the wire codec. Done carries no payload.
 func (d *Done) EncodeWire(w *wire.Writer) {}
