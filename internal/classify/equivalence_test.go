@@ -27,16 +27,23 @@ import (
 // own limb evaluator; ompe's math/big bridge, which replaced it, must
 // reproduce it. All six were re-recorded when x25519 became the only OT
 // group: each is the digest the same test produced at 8bb7231 with its
-// params set to ot.X25519(). Rewriting how the trainer computes its
-// decision function, or how the OT extension is wired, must never change
-// which bytes travel.
+// params set to ot.X25519(). All six were re-recorded once more when the
+// extended k-of-n became a random-OT tree with once-sent messages: the
+// response no longer carries the tree keys' ciphertext pairs, each
+// evaluation travels once instead of once per instance, and the trainer
+// draws one 16-byte key per evaluation instead of 2·k·⌈log₂ M⌉ tree keys,
+// so every response has another layout and the trainer's rng reaches the
+// second session at another position. Every label still matches the
+// plaintext model. Rewriting how the trainer computes its decision
+// function, or how the OT extension is wired, must never change which
+// bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/limb255":        "7b39a03416fbd736734a99b3d0c7a1c190b9633665218c564036d5f005f591d0",
-	"quadratic/limb16":     "2ab7f4e566a7c8f4cba877892ff4601a9f3d741b994562cefbff308ec4b39273",
-	"sigmoid/big":          "337678c2acfee39bb892c50864f77a92509c94ea19c4540f874ed3492073825f",
-	"linear/limb16":        "45648c43060b318d0466737e4bbeb8e6fbe36ec9b15ffd8e64a3cbeb2733fdde",
-	"rbf/limb16":           "22fc0e6cf735719c6618bc9f9a31ad48de2b77998ec7e16505461540dec5ad2b",
-	"cubic-kernelform/big": "3941c35b468d0dd618ce19476041df7c89f47dace63eff01f7a522e53faaeb0f",
+	"cubic/limb255":        "a5648b8c7e3b83616ed35303989def037682e1776885180f48b466de2ef26602",
+	"quadratic/limb16":     "89a3423be90b2d2cdb207e5aeb51dbced670b13cf0ff2ce4d99b3c26bf532bee",
+	"sigmoid/big":          "096fe4619d50625a52a5cce70b72d960ba945bb314fd2dbf04b0e9c6421cca3a",
+	"linear/limb16":        "d0162288f6c4a1977d41ef58f434d7009c1896e8f8cd3b45e82b2f16f7dd8cb6",
+	"rbf/limb16":           "8d18ac0864687589fb90dc77f5e1f21616d23457c4d29aca965b4207fca9b973",
+	"cubic-kernelform/big": "81c2568b166d6b11ec6a15caa77c05dbeff1e4685f65e839c40199f8a57587f2",
 }
 
 // sigmoidTerms is the Taylor truncation of the sigmoid case.

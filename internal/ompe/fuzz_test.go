@@ -87,9 +87,11 @@ func widePackedSeed(tb testing.TB) []byte {
 
 // fastEdgeSeeds are fast-session encodings at the edges of the current
 // layout: the retired single-query request (a batch of one without its
-// leading sample count and trailing B), and a batch response whose
-// declared MsgLen wraps k·n·MsgLen, which decodes cleanly and is refused
-// only when the receiver recovers it.
+// leading sample count and trailing B), a batch response in the shape of
+// one 3-of-6 sample over 2^255−19 (3·6·16 tree ciphertexts and six
+// 32-byte evaluations, 480 bytes), and the same blob one byte longer,
+// which decodes cleanly and is refused only when the receiver recovers
+// it.
 func fastEdgeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	req, err := wire.Marshal(&FastBatchRequest{
@@ -99,11 +101,13 @@ func fastEdgeSeeds(tb testing.TB) [][]byte {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := wire.Marshal(&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{
-		IKNP: &ot.IKNPSenderMsg{Y0: []byte{5}, Y1: []byte{6}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
-	}})
-	if err != nil {
-		tb.Fatal(err)
+	out := [][]byte{req[1 : len(req)-1]}
+	for _, size := range []int{480, 481} {
+		resp, err := wire.Marshal(&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{Cts: bytes.Repeat([]byte{0x5C}, size)}})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, resp)
 	}
-	return [][]byte{req[1 : len(req)-1], resp}
+	return out
 }

@@ -22,7 +22,7 @@ func ompeWireSamples() map[string]wire.Msg {
 			OT:    &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{U: []byte{7}, M: 1}, K: 1, N: 2, B: 2},
 		},
 		"FastBatchResponse": &FastBatchResponse{
-			OT: &ot.ExtKofNBatchResponse{IKNP: &ot.IKNPSenderMsg{Y0: []byte{8}, Y1: []byte{9}, MsgLen: 1}, Cts: []byte{1, 1}, MsgLen: 1},
+			OT: &ot.ExtKofNBatchResponse{Cts: []byte{1, 1}},
 		},
 	}
 }

@@ -12,8 +12,9 @@ const allocRuns = 4
 
 // TestOTAllocs pins the heap allocations of each Naor–Pinkas step, the
 // κ = 128 IKNP base phase and a 9-of-18 k-of-n (the similarity area
-// round's shape), and of decoding each batch message, at the counts this
-// code makes: a step that starts allocating more fails here instead of in
+// round's shape), of both ends of a batch of 64 extended 3-of-6
+// transfers, a fixed handful whatever B is, and of decoding each batch
+// message, at the counts this code makes: a step that starts allocating more fails here instead of in
 // a profile.
 func TestOTAllocs(t *testing.T) {
 	if raceEnabled {
@@ -86,6 +87,27 @@ func TestOTAllocs(t *testing.T) {
 	}
 	now := func(f func()) func() func() { return func() func() { return f } }
 
+	// A stream_narrow-shaped extended batch: 64 samples of a 3-of-6 over
+	// 32-byte messages. The sender answers the same request each run, its
+	// batch counter moving on; the receiver recovers one response.
+	extRng := newDetReader("alloc-ext")
+	iknpS, iknpR, err := NewIKNP(g, extRng)
+	must(err)
+	const extK, extN, extB = 3, 6, 64
+	extMsgs := make([][][]byte, extB)
+	extIdx := make([][]int, extB)
+	for b := range extMsgs {
+		extMsgs[b] = make([][]byte, extN)
+		for j := range extMsgs[b] {
+			extMsgs[b][j] = make([]byte, 32)
+		}
+		extIdx[b] = []int{b % extN, (b + 1) % extN, (b + 3) % extN}
+	}
+	extQuery, extReq, err := NewExtKofNBatchQuery(iknpR, extN, extIdx)
+	must(err)
+	extResp, err := ExtKofNBatchRespond(iknpS, extReq, extMsgs, extRng)
+	must(err)
+
 	for _, tc := range []struct {
 		name    string
 		ceiling float64
@@ -119,6 +141,15 @@ func TestOTAllocs(t *testing.T) {
 		})},
 		{"Recover/9of18", 19, now(func() {
 			_, err := receiver.Recover(tr)
+			must(err)
+		})},
+		// The freshness tap is off: it adds nothing to either count.
+		{"ExtKofNBatchRespond/3of6/B=64", 9, now(func() {
+			_, err := ExtKofNBatchRespond(iknpS, extReq, extMsgs, extRng)
+			must(err)
+		})},
+		{"ExtKofNBatchQuery.Recover/3of6/B=64", 7, now(func() {
+			_, err := extQuery.Recover(extResp)
 			must(err)
 		})},
 		{"decode BatchSetup/base", 3, decode(func() wire.Msg { return bases[0].setup }, fresh["setup"])},

@@ -10,21 +10,43 @@ import (
 
 // Extended k-out-of-n transfer: after one IKNP base phase per session,
 // every k-of-n transfer costs only symmetric crypto — no public-key
-// operations. Each of the k instances uses the tree construction's key
-// idea: the sender draws ⌈log₂ n⌉ key pairs, encrypts all n messages
-// under per-index key paths, and delivers exactly the receiver's path keys
-// through extended 1-of-2 transfers (k·⌈log₂ n⌉ of them per sample).
+// operations. The construction is a random-OT tree with once-sent
+// messages:
+//
+//   - Tree keys are random-OT outputs. Each of the k instances of a
+//     sample is a tree of ⌈log₂ n⌉ levels, and level l's key pair is the
+//     pair (H(j, q_j), H(j, q_j ⊕ s)) of one extended transfer j (iknp.go),
+//     of which the receiver, choosing bit l of its index, derives one.
+//     No key travels: the sender draws none and sends none.
+//   - Messages are sent once. Per sample the sender draws one fresh
+//     16-byte key K_m per message m and sends m once, under a pad of K_m
+//     in its own domain (msgPadXor). Instance i carries only K_m under
+//     the tree pad of m's key path, for every m.
+//   - Path digests are shared. A tree pad absorbs its path keys through
+//     an MMO chain (pad.go); the sender computes each chain once per
+//     low-bit prefix, Σ_l min(2^(l+1), n) AES calls per instance instead
+//     of n·⌈log₂ n⌉.
+//
+// A sample's response block is therefore k·n·16 bytes of tree
+// ciphertexts and n·w bytes of messages, and a batch's response is one
+// blob of B·(k·n·16 + n·w) bytes, from which the receiver derives w.
+//
+// Privacy. The receiver holds one key path per instance, so it can open
+// at most one K_m per instance — at most k in all — and so at most k
+// messages; every other K_m sits under a tree pad whose path includes a
+// key it lacks, which the correlation-robustness of H keeps
+// pseudorandom. The sender's view is the IKNP u-columns alone.
 //
 // Transfers always travel as a batch: one Extend call covers all B
 // samples' choice bits, so B transfers cost a single extension round — B·k·
-// ⌈log₂ n⌉ extended 1-of-2 transfers in one message pair. A single
-// transfer is a batch of one. Each sample keeps its own fresh tree keys
-// and ciphertext matrix; nothing is shared between samples beyond the
-// (already index-hiding) extension columns, so the per-sample secrecy
-// argument is that of one transfer. Several batches may be in flight per
-// session (each holds its own IKNPExtension state), as long as the sender
-// answers them in Extend order — its lockstep batch counter must advance
-// in the receiver's sequence.
+// ⌈log₂ n⌉ extended transfers in one message pair. A single transfer is a
+// batch of one. Each sample keeps its own tree keys, message keys and
+// ciphertexts; nothing is shared between samples beyond the (already
+// index-hiding) extension columns, so the per-sample secrecy argument is
+// that of one transfer. Several batches may be in flight per session
+// (each holds its own IKNPExtension state), as long as the sender answers
+// them in Extend order — its lockstep batch counter must advance in the
+// receiver's sequence.
 
 // checkKofNIndices validates one sample's index set for a k-of-n query.
 func checkKofNIndices(n int, indices []int) error {
@@ -57,45 +79,33 @@ func appendPathChoices(choices []int, indices []int, depth int) []int {
 	return choices
 }
 
-// drawTreeKeys draws fresh key pairs for k instances of depth levels from
-// rng, appending the halves to x0/x1 in (instance, level) order. Keys are
-// drawn in a fixed serial order so a deterministic rng yields identical
-// wire bytes run to run.
-func drawTreeKeys(rng io.Reader, k, depth int, x0, x1 [][]byte) ([][][2][]byte, [][]byte, [][]byte, error) {
-	keys := make([][][2][]byte, k)
+// encryptSample writes one sample's response block into dst: instance i's
+// tree ciphertext of K_m at [(i·n+m)·16, +16), then message m under K_m
+// at k·n·16 + m·w. k0 and k1 hold the sample's k·depth random-OT key
+// pairs in (instance, level) order, msgKeys its n message keys, and
+// digests is n·16 bytes of scratch.
+func encryptSample(dst, k0, k1, msgKeys, digests []byte, msgs [][]byte) {
+	n, w := len(msgs), len(msgs[0])
+	treeBytes := len(dst) - n*w
+	k := treeBytes / (n * treeKeyLen)
+	stride := len(k0) / k
+	s := mmoPool.Get().(*mmoScratch)
 	for i := 0; i < k; i++ {
-		keys[i] = make([][2][]byte, depth)
-		for j := 0; j < depth; j++ {
-			for b := 0; b < 2; b++ {
-				key := make([]byte, treeKeyLen)
-				if _, err := io.ReadFull(rng, key); err != nil {
-					return nil, nil, nil, err
-				}
-				keys[i][j][b] = key
-			}
-			x0 = append(x0, keys[i][j][0])
-			x1 = append(x1, keys[i][j][1])
-		}
-	}
-	return keys, x0, x1, nil
-}
-
-// encryptInstances writes the k×n ciphertext block of one sample into dst
-// (k·n·msgLen bytes, instance-major): message m is encrypted under
-// instance i's key path for index m.
-func encryptInstances(keys [][][2][]byte, msgs [][]byte, depth int, dst []byte) {
-	k := len(keys)
-	n := len(msgs)
-	msgLen := len(msgs[0])
-	path := make([][]byte, depth)
-	for i := 0; i < k; i++ {
+		s.pathDigests(digests, k0[i*stride:(i+1)*stride], k1[i*stride:(i+1)*stride], n)
 		for m := 0; m < n; m++ {
-			for j := 0; j < depth; j++ {
-				path[j] = keys[i][j][(m>>j)&1]
+			digest := (*[treeKeyLen]byte)(digests[m*treeKeyLen:])
+			if freshTrace != nil {
+				s.load(digest, m, 0, padDomainTree)
+				freshTrace(s.x[:])
 			}
-			treePadXor(dst[(i*n+m)*msgLen:(i*n+m+1)*msgLen], msgs[m], path, m)
+			ct := dst[(i*n+m)*treeKeyLen : (i*n+m+1)*treeKeyLen]
+			s.xorPad(ct, msgKeys[m*treeKeyLen:(m+1)*treeKeyLen], digest, m, padDomainTree)
 		}
 	}
+	for m, msg := range msgs {
+		s.xorPad(dst[treeBytes+m*w:treeBytes+(m+1)*w], msg, (*[treeKeyLen]byte)(msgKeys[m*treeKeyLen:]), m, padDomainMsg)
+	}
+	mmoPool.Put(s)
 }
 
 // checkUniformLen verifies all messages share one length.
@@ -108,27 +118,20 @@ func checkUniformLen(msgs [][]byte) error {
 	return nil
 }
 
-// recoverSample decrypts one sample's chosen messages from its flat
-// ciphertext block (k·n·msgLen bytes, checked by the caller), given that
-// sample's path keys in (instance, level) order.
-func recoverSample(cts []byte, msgLen int, pathKeys [][]byte, indices []int, n, depth int) ([][]byte, error) {
-	out := make([][]byte, len(indices))
-	flat := make([]byte, len(indices)*msgLen)
-	path := make([][]byte, depth)
+// recoverSample decrypts one sample's chosen messages from its response
+// block (checked by the caller) into out, given that sample's path keys in
+// (instance, level) order: instance i opens K_idx with its path, then
+// message idx with K_idx.
+func recoverSample(block, pathKeys []byte, indices []int, n int, out [][]byte) {
+	k := len(indices)
+	treeBytes := k * n * treeKeyLen
+	w := (len(block) - treeBytes) / n
+	stride := len(pathKeys) / k
 	for i, idx := range indices {
-		for j := 0; j < depth; j++ {
-			key := pathKeys[i*depth+j]
-			if len(key) != treeKeyLen {
-				return nil, fmt.Errorf("%w: instance %d level %d key length", ErrIKNP, i, j)
-			}
-			path[j] = key
-		}
-		ct := cts[(i*n+idx)*msgLen : (i*n+idx+1)*msgLen]
-		x := flat[i*msgLen : (i+1)*msgLen]
-		treePadXor(x, ct, path, idx)
-		out[i] = x
+		var key [treeKeyLen]byte
+		treePadXor(key[:], block[(i*n+idx)*treeKeyLen:(i*n+idx+1)*treeKeyLen], pathKeys[i*stride:(i+1)*stride], idx)
+		msgPadXor(out[i], block[treeBytes+idx*w:treeBytes+(idx+1)*w], key[:], idx)
 	}
-	return out, nil
 }
 
 // ExtKofNBatchRequest is the receiver's one message for B samples.
@@ -140,14 +143,13 @@ type ExtKofNBatchRequest struct {
 
 // ExtKofNBatchResponse is the sender's one message for B samples.
 type ExtKofNBatchResponse struct {
-	IKNP *IKNPSenderMsg
-	// Cts concatenates every sample's flat k×n ciphertext block in batch
-	// order: sample b's block starts at b·k·n·MsgLen, and within it
-	// instance i's encryption of message j occupies
-	// [(i·n+j)·MsgLen, (i·n+j+1)·MsgLen). One blob instead of B·k·n nested slices keeps the
-	// codec's work linear in bytes, not in message count.
-	Cts    []byte
-	MsgLen int
+	// Cts concatenates every sample's block in batch order, B·(k·n·16 +
+	// n·w) bytes: sample b's block starts at b·(k·n·16 + n·w), and within
+	// it instance i's tree ciphertext of message key K_j occupies
+	// [(i·n+j)·16, (i·n+j+1)·16) and message j under K_j occupies
+	// [k·n·16 + j·w, k·n·16 + (j+1)·w). The message width w is not sent:
+	// the receiver, knowing B, k and n, derives it from the blob.
+	Cts []byte
 }
 
 // ExtKofNBatchQuery is the receiver's in-flight batch state.
@@ -155,7 +157,6 @@ type ExtKofNBatchQuery struct {
 	ext     *IKNPExtension
 	indices [][]int
 	n       int
-	depth   int
 }
 
 // NewExtKofNBatchQuery opens B k-of-n transfers — one per index set — over
@@ -185,13 +186,15 @@ func NewExtKofNBatchQuery(r *IKNPReceiver, n int, indices [][]int) (*ExtKofNBatc
 	if err != nil {
 		return nil, nil, err
 	}
-	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n, depth: depth}
+	q := &ExtKofNBatchQuery{ext: ext, indices: kept, n: n}
 	return q, &ExtKofNBatchRequest{IKNP: msg, K: k, N: n, B: len(indices)}, nil
 }
 
 // ExtKofNBatchRespond answers one batch: msgs[b] holds sample b's n
-// messages (uniform length within a sample). Fresh tree keys are drawn
-// per sample and all B·k·depth key pairs ride one extension response.
+// messages (one length across the batch). The message keys are drawn
+// serially from rng, n per sample in batch order, so a deterministic rng
+// yields identical wire bytes at any worker count; the tree keys come
+// from the extension itself.
 func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byte, rng io.Reader) (*ExtKofNBatchResponse, error) {
 	if req == nil || req.IKNP == nil {
 		return nil, fmt.Errorf("%w: nil batch request", ErrIKNP)
@@ -217,65 +220,69 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 			return nil, fmt.Errorf("%w: sample %d message length %d, want %d across the batch", ErrIKNP, b, len(sample[0]), msgLen)
 		}
 	}
-	perSample := make([][][][2][]byte, 0, req.B)
-	x0 := make([][]byte, 0, req.B*k*depth)
-	x1 := make([][]byte, 0, req.B*k*depth)
-	for b := 0; b < req.B; b++ {
-		keys, nx0, nx1, err := drawTreeKeys(rng, k, depth, x0, x1)
-		if err != nil {
-			return nil, err
-		}
-		x0, x1 = nx0, nx1
-		perSample = append(perSample, keys)
+	msgKeyBytes := n * treeKeyLen
+	msgKeys := make([]byte, req.B*msgKeyBytes)
+	if _, err := io.ReadFull(rng, msgKeys); err != nil {
+		return nil, err
 	}
-	iknpResp, err := s.Respond(req.IKNP, x0, x1)
+	if freshTrace != nil {
+		for off := 0; off < len(msgKeys); off += treeKeyLen {
+			freshTrace(msgKeys[off : off+treeKeyLen])
+		}
+	}
+	k0, k1, err := s.Keys(req.IKNP)
 	if err != nil {
 		return nil, err
 	}
-	block := k * n * msgLen
+	block := k*n*treeKeyLen + n*msgLen
 	cts := make([]byte, req.B*block)
-	// All randomness (tree keys) was drawn serially above, so sharding
-	// the per-sample tree encryption across workers is pure arithmetic:
-	// the ciphertext blob is bit-identical at every GOMAXPROCS.
+	digests := make([]byte, req.B*msgKeyBytes) // per-sample scratch
+	// Every random draw happened above, so sharding the per-sample
+	// encryption across workers is pure arithmetic: the blob is
+	// bit-identical at every GOMAXPROCS.
+	pathBytes := k * depth * treeKeyLen
 	span := obs.Start(obs.PhaseOTPad)
 	_ = parallel.For(req.B, func(b int) error {
-		encryptInstances(perSample[b], msgs[b], depth, cts[b*block:(b+1)*block])
+		paths := b * pathBytes
+		encryptSample(cts[b*block:(b+1)*block], k0[paths:paths+pathBytes], k1[paths:paths+pathBytes],
+			msgKeys[b*msgKeyBytes:(b+1)*msgKeyBytes], digests[b*msgKeyBytes:(b+1)*msgKeyBytes], msgs[b])
 		return nil
 	})
 	span.End()
-	return &ExtKofNBatchResponse{IKNP: iknpResp, Cts: cts, MsgLen: msgLen}, nil
+	return &ExtKofNBatchResponse{Cts: cts}, nil
 }
 
 // Recover decrypts every sample's chosen messages, in per-sample index
-// order. The declared MsgLen is bounded by the blob before it sizes
-// anything, so a hostile length cannot wrap the block arithmetic.
+// order. The blob must be B·(k·n·16 + n·w) bytes for some message width
+// w; any other length is refused before anything is sized by it.
 func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, error) {
-	if resp == nil || resp.IKNP == nil || resp.MsgLen < 0 || resp.MsgLen > len(resp.Cts) {
-		return nil, fmt.Errorf("%w: bad batch response", ErrIKNP)
+	if resp == nil {
+		return nil, fmt.Errorf("%w: nil batch response", ErrIKNP)
 	}
-	k := len(q.indices[0])
-	block := k * q.n * resp.MsgLen
-	if len(resp.Cts) != len(q.indices)*block {
-		return nil, fmt.Errorf("%w: ciphertext blob length %d for B=%d k=%d n=%d msgLen=%d", ErrIKNP, len(resp.Cts), len(q.indices), k, q.n, resp.MsgLen)
+	batch, k := len(q.indices), len(q.indices[0])
+	treeBytes := k * q.n * treeKeyLen
+	size := len(resp.Cts)
+	if size%batch != 0 || size/batch < treeBytes || (size/batch-treeBytes)%q.n != 0 {
+		return nil, fmt.Errorf("%w: response blob of %d bytes is not B·(k·n·16 + n·w) for B=%d k=%d n=%d", ErrIKNP, size, batch, k, q.n)
 	}
-	pathKeys, err := q.ext.Recover(resp.IKNP)
-	if err != nil {
-		return nil, err
+	block := size / batch
+	w := (block - treeBytes) / q.n
+	pathKeys := q.ext.Keys()
+	pathBytes := k * treeDepth(q.n) * treeKeyLen
+	out := make([][][]byte, batch)
+	views := make([][]byte, batch*k)
+	flat := make([]byte, batch*k*w)
+	for j := range views {
+		views[j] = flat[j*w : (j+1)*w : (j+1)*w]
 	}
-	out := make([][][]byte, len(q.indices))
+	for b := range out {
+		out[b] = views[b*k : (b+1)*k : (b+1)*k]
+	}
 	span := obs.Start(obs.PhaseOTPad)
-	defer span.End()
-	err = parallel.For(len(q.indices), func(b int) error {
-		stride := b * k * q.depth
-		got, err := recoverSample(resp.Cts[b*block:(b+1)*block], resp.MsgLen, pathKeys[stride:stride+k*q.depth], q.indices[b], q.n, q.depth)
-		if err != nil {
-			return fmt.Errorf("ot: batch sample %d: %w", b, err)
-		}
-		out[b] = got
+	_ = parallel.For(batch, func(b int) error {
+		recoverSample(resp.Cts[b*block:(b+1)*block], pathKeys[b*pathBytes:(b+1)*pathBytes], q.indices[b], q.n, out[b])
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
+	span.End()
 	return out, nil
 }

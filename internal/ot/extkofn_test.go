@@ -1,0 +1,274 @@
+package ot
+
+import (
+	"bytes"
+	"crypto/rand"
+	"errors"
+	"fmt"
+	mrand "math/rand/v2"
+	"runtime"
+	"sync"
+	"testing"
+)
+
+// extSession runs the base phase for the extended k-of-n tests.
+func extSession(t *testing.T) (*IKNPSender, *IKNPReceiver) {
+	t.Helper()
+	s, r, err := NewIKNP(X25519(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, r
+}
+
+// extMessages draws B samples of n random w-byte messages.
+func extMessages(t *testing.T, batch, n, w int) [][][]byte {
+	t.Helper()
+	msgs := make([][][]byte, batch)
+	for b := range msgs {
+		msgs[b] = make([][]byte, n)
+		for m := range msgs[b] {
+			msgs[b][m] = make([]byte, w)
+			if _, err := rand.Read(msgs[b][m]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return msgs
+}
+
+// extIndices draws B random k-subsets of n, in random order.
+func extIndices(rng *mrand.Rand, batch, k, n int) [][]int {
+	out := make([][]int, batch)
+	for b := range out {
+		out[b] = rng.Perm(n)[:k]
+	}
+	return out
+}
+
+// checkRecovered checks that every sample recovered exactly its chosen
+// messages, in index order.
+func checkRecovered(t *testing.T, name string, got [][][]byte, msgs [][][]byte, indices [][]int) {
+	t.Helper()
+	if len(got) != len(indices) {
+		t.Fatalf("%s: %d samples recovered, want %d", name, len(got), len(indices))
+	}
+	for b, idx := range indices {
+		if len(got[b]) != len(idx) {
+			t.Fatalf("%s: sample %d recovered %d messages, want %d", name, b, len(got[b]), len(idx))
+		}
+		for i, m := range idx {
+			if !bytes.Equal(got[b][i], msgs[b][m]) {
+				t.Fatalf("%s: sample %d instance %d: not message %d", name, b, i, m)
+			}
+		}
+	}
+}
+
+// TestExtKofNPrivacyRandomShapes: over random k-of-n shapes, n mostly
+// not a power of two, random batch sizes and message widths, Recover
+// returns exactly the chosen messages.
+func TestExtKofNPrivacyRandomShapes(t *testing.T) {
+	sender, receiver := extSession(t)
+	rng := mrand.New(mrand.NewPCG(52, 1))
+	for trial := 0; trial < 40; trial++ {
+		n := 2 + rng.IntN(39)
+		k := 1 + rng.IntN(n)
+		batch := 1 + rng.IntN(9)
+		w := []int{1, 16, 17, 32, 66}[rng.IntN(5)]
+		name := fmt.Sprintf("%d-of-%d B=%d w=%d", k, n, batch, w)
+		msgs := extMessages(t, batch, n, w)
+		indices := extIndices(rng, batch, k, n)
+		q, req, err := NewExtKofNBatchQuery(receiver, n, indices)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		resp, err := ExtKofNBatchRespond(sender, req, msgs, rand.Reader)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if want := batch * (k*n*treeKeyLen + n*w); len(resp.Cts) != want {
+			t.Fatalf("%s: response blob of %d bytes, want B·(k·n·16 + n·w) = %d", name, len(resp.Cts), want)
+		}
+		got, err := q.Recover(resp)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		checkRecovered(t, name, got, msgs, indices)
+	}
+}
+
+// TestExtKofNPrivacyPathKeys: the receiver's own path keys open no index
+// but the one each path was chosen for. For every sample and instance,
+// the path is tried on every index's tree ciphertext, under the tree pad
+// of that index and of its own, and the key that falls out is tried on
+// the index's message: only the chosen index yields its message.
+func TestExtKofNPrivacyPathKeys(t *testing.T) {
+	sender, receiver := extSession(t)
+	rng := mrand.New(mrand.NewPCG(52, 2))
+	for _, shape := range []struct{ k, n, batch int }{{3, 6, 2}, {2, 11, 3}, {7, 14, 1}, {1, 2, 4}} {
+		k, n, batch := shape.k, shape.n, shape.batch
+		const w = 32
+		msgs := extMessages(t, batch, n, w)
+		indices := extIndices(rng, batch, k, n)
+		q, req, err := NewExtKofNBatchQuery(receiver, n, indices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := ExtKofNBatchRespond(sender, req, msgs, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := q.ext.Keys()
+		depth := treeDepth(n)
+		treeBytes := k * n * treeKeyLen
+		block := treeBytes + n*w
+		for b, idx := range indices {
+			sample := resp.Cts[b*block : (b+1)*block]
+			for i, chosen := range idx {
+				path := keys[(b*k+i)*depth*treeKeyLen : (b*k+i+1)*depth*treeKeyLen]
+				for m := 0; m < n; m++ {
+					ct := sample[(i*n+m)*treeKeyLen : (i*n+m+1)*treeKeyLen]
+					for _, tweak := range []int{m, chosen} {
+						var key [treeKeyLen]byte
+						treePadXor(key[:], ct, path, tweak)
+						got := make([]byte, w)
+						msgPadXor(got, sample[treeBytes+m*w:treeBytes+(m+1)*w], key[:], m)
+						if opened := bytes.Equal(got, msgs[b][m]); opened != (m == chosen && tweak == m) {
+							t.Fatalf("%d-of-%d sample %d instance %d (chose %d), index %d under tweak %d: opened = %v", k, n, b, i, chosen, m, tweak, opened)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestExtKofNPrivacyBlobLength: the receiver accepts exactly the blob
+// lengths B·(k·n·16 + n·w) and refuses every other length with ErrIKNP,
+// before anything is sized by it: refusing a 1 MiB blob allocates
+// almost nothing.
+func TestExtKofNPrivacyBlobLength(t *testing.T) {
+	sender, receiver := extSession(t)
+	const batch, k, n, w = 4, 2, 6, 8
+	msgs := extMessages(t, batch, n, w)
+	indices := [][]int{{1, 4}, {0, 5}, {2, 3}, {5, 1}}
+	q, req, err := NewExtKofNBatchQuery(receiver, n, indices)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := ExtKofNBatchRespond(sender, req, msgs, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := len(resp.Cts)
+	padded := append(append([]byte(nil), resp.Cts...), make([]byte, batch*n*3)...)
+	for size := 0; size <= len(padded); size++ {
+		got, err := q.Recover(&ExtKofNBatchResponse{Cts: padded[:size]})
+		per := size / batch
+		fits := size%batch == 0 && per >= k*n*treeKeyLen && (per-k*n*treeKeyLen)%n == 0
+		switch {
+		case fits && err != nil:
+			t.Fatalf("%d-byte blob (w = %d) refused: %v", size, (per-k*n*treeKeyLen)/n, err)
+		case !fits && !errors.Is(err, ErrIKNP):
+			t.Fatalf("%d-byte blob: err = %v, want ErrIKNP", size, err)
+		case size == honest:
+			checkRecovered(t, "honest blob", got, msgs, indices)
+		}
+	}
+	if _, err := q.Recover(nil); !errors.Is(err, ErrIKNP) {
+		t.Fatalf("nil response: err = %v, want ErrIKNP", err)
+	}
+	hostile := &ExtKofNBatchResponse{Cts: make([]byte, 1<<20+1)}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = q.Recover(hostile)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrIKNP) {
+		t.Fatalf("1 MiB + 1 blob: err = %v, want ErrIKNP", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
+		t.Fatalf("refusing a 1 MiB + 1 blob allocated %d bytes", grew)
+	}
+}
+
+// TestExtKofNFreshInputs drives the extended k-of-n under the freshTrace
+// tap — every random-OT key of both halves, every message key and every
+// tree-pad seed block the sender uses — through batches of 1, 4 and 64
+// samples, with one and two batches in flight, then across a resume, and
+// checks that no input repeats and none is skipped. A frozen batch
+// counter, or a restore that rewinds it, repeats random-OT keys and
+// fails here.
+func TestExtKofNFreshInputs(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		calls int
+		seen  = map[string]bool{}
+	)
+	freshTrace = func(in []byte) {
+		mu.Lock()
+		calls++
+		seen[string(in)] = true
+		mu.Unlock()
+	}
+	defer func() { freshTrace = nil }()
+
+	const k, n, w = 3, 6, 32
+	depth := treeDepth(n)
+	want := 0
+	rng := mrand.New(mrand.NewPCG(52, 3))
+	run := func(sender *IKNPSender, receiver *IKNPReceiver, batch, inflight int) {
+		t.Helper()
+		queries := make([]*ExtKofNBatchQuery, inflight)
+		reqs := make([]*ExtKofNBatchRequest, inflight)
+		indices := make([][][]int, inflight)
+		for f := range queries {
+			indices[f] = extIndices(rng, batch, k, n)
+			var err error
+			if queries[f], reqs[f], err = NewExtKofNBatchQuery(receiver, n, indices[f]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for f := range queries {
+			msgs := extMessages(t, batch, n, w)
+			resp, err := ExtKofNBatchRespond(sender, reqs[f], msgs, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := queries[f].Recover(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRecovered(t, fmt.Sprintf("B=%d in flight %d", batch, f), got, msgs, indices[f])
+			want += batch * (2*k*depth + n + k*n)
+		}
+	}
+	sender, receiver := extSession(t)
+	for _, batch := range []int{1, 4, 64} {
+		for inflight := 1; inflight <= 2; inflight++ {
+			run(sender, receiver, batch, inflight)
+		}
+	}
+	sst, err := sender.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rst, err := receiver.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sender, err = RestoreIKNPSender(sst); err != nil {
+		t.Fatal(err)
+	}
+	if receiver, err = RestoreIKNPReceiver(rst); err != nil {
+		t.Fatal(err)
+	}
+	run(sender, receiver, 4, 2)
+
+	if calls != want {
+		t.Errorf("tap saw %d inputs, want %d", calls, want)
+	}
+	if len(seen) != calls {
+		t.Errorf("%d of %d inputs repeat", calls-len(seen), calls)
+	}
+}

@@ -201,19 +201,22 @@ func elementWidthSeeds(tb testing.TB) [][]byte {
 
 // kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:
 // the retired single-query request (a batch request without its trailing
-// B), and a response whose declared MsgLen wraps k·n·MsgLen, which decodes
-// cleanly and is refused only by Recover.
+// B), a response in the shape of a batch of two 3-of-6 transfers of
+// 32-byte messages (2·(3·6·16 + 6·32) bytes), and the same blob one byte
+// longer, which decodes cleanly and is refused only by Recover.
 func kofnEdgeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	req, err := wire.Marshal(&ExtKofNBatchRequest{IKNP: &IKNPReceiverMsg{U: []byte{9, 9}, M: 3}, K: 2, N: 5, B: 1})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	resp, err := wire.Marshal(&ExtKofNBatchResponse{
-		IKNP: &IKNPSenderMsg{Y0: []byte{1}, Y1: []byte{2}, MsgLen: 1}, Cts: make([]byte, 24), MsgLen: 2 + 1<<62,
-	})
-	if err != nil {
-		tb.Fatal(err)
+	out := [][]byte{req[:len(req)-1]}
+	for _, size := range []int{960, 961} {
+		resp, err := wire.Marshal(&ExtKofNBatchResponse{Cts: slotBlob(size, 1)})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		out = append(out, resp)
 	}
-	return [][]byte{req[:len(req)-1], resp}
+	return out
 }

@@ -126,36 +126,7 @@ func TestIKNPOverX25519(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 33
-	choices := make([]int, m)
-	x0 := make([][]byte, m)
-	x1 := make([][]byte, m)
-	for j := 0; j < m; j++ {
-		choices[j] = j % 2
-		x0[j] = []byte{byte(j), 0xaa}
-		x1[j] = []byte{byte(j), 0xbb}
-	}
-	ext, msg, err := recv.Extend(choices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reply, err := send.Respond(msg, x0, x1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ext.Recover(reply)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < m; j++ {
-		want := x0[j]
-		if choices[j] == 1 {
-			want = x1[j]
-		}
-		if !bytes.Equal(got[j], want) {
-			t.Fatalf("transfer %d: got %x want %x", j, got[j], want)
-		}
-	}
+	extBatch(t, send, recv, 33, 33)
 }
 
 // BenchmarkIKNPBase prices the per-session base phase: κ = 128

@@ -14,19 +14,25 @@ import (
 )
 
 // IKNP oblivious-transfer extension (Ishai–Kilian–Nissim–Petrank, semi-
-// honest variant): m 1-out-of-2 transfers for the price of κ = 128 base
-// transfers plus symmetric crypto. The roles of the base phase are
-// reversed — the OT-extension SENDER acts as the base-OT *receiver* with a
-// random choice vector s, and the OT-extension RECEIVER acts as the base-
-// OT *sender* with random seed pairs.
+// honest variant) in its random-OT form (Asharov et al. 2013): m random
+// 1-out-of-2 transfers for the price of κ = 128 base transfers plus
+// symmetric crypto. The roles of the base phase are reversed — the
+// OT-extension SENDER acts as the base-OT *receiver* with a random choice
+// vector s, and the OT-extension RECEIVER acts as the base-OT *sender*
+// with random seed pairs.
 //
 // Protocol (column i < κ, row j < m):
 //
 //	receiver: seeds (k0_i, k1_i); t_i = G(k0_i); u_i = t_i ⊕ G(k1_i) ⊕ r
 //	sender:   learns k(s_i)_i by base OT; q_i = G(k(s_i)_i) ⊕ s_i·u_i
 //	          ⇒ row q_j = t_j ⊕ r_j·s
-//	sender:   y0_j = x0_j ⊕ H(j, q_j); y1_j = x1_j ⊕ H(j, q_j ⊕ s)
-//	receiver: x(r_j)_j = y(r_j)_j ⊕ H(j, t_j)
+//	sender:   key pair (K0_j, K1_j) = (H(j, q_j), H(j, q_j ⊕ s))
+//	receiver: K(r_j)_j = H(j, t_j)
+//
+// The sender sends nothing back: its keys are the transfer's output, and
+// a caller that wants chosen messages encrypts them under the keys itself
+// (extkofn.go). The receiver's view of K(1−r_j)_j is H at a point that
+// differs from t_j by the secret s, so it stays pseudorandom.
 //
 // The PRG G is AES-128 in counter mode (the 16-byte seeds are AES keys,
 // each expanded through a cipher built once per session), columns are
@@ -54,32 +60,25 @@ type IKNPReceiverMsg struct {
 	M int
 }
 
-// IKNPSenderMsg carries the sender's ciphertext pairs: m rows of MsgLen
-// bytes each, row-major, one flat blob per column of the pair.
-type IKNPSenderMsg struct {
-	Y0     []byte
-	Y1     []byte
-	MsgLen int
-}
-
-// IKNPSender is the OT-extension sender: it inputs m message pairs and
-// runs the base phase as a base-OT receiver with random choice bits.
+// IKNPSender is the OT-extension sender: it derives m random key pairs
+// and runs the base phase as a base-OT receiver with random choice bits.
 type IKNPSender struct {
 	s       []byte // κ choice bits, packed
 	ciphers []cipher.Block
 	seeds   []byte // κ recovered base seeds, flat 16-byte rows (kept for Snapshot)
 	batch   uint32 // lockstep batch counter: fresh PRG columns per batch
 
-	// Per-batch scratch reused across Respond calls (the response only
-	// references its own fresh Y0/Y1 buffers, never these).
+	// Per-batch scratch reused across Keys calls (the returned keys are
+	// fresh buffers, never these).
 	qFlat []byte
 	rows  []byte
 
 	baseReceiver *BatchReceiver // base-phase state, nil once finished
 }
 
-// IKNPReceiver is the OT-extension receiver: it inputs m choice bits and
-// runs the base phase as a base-OT sender of seed pairs.
+// IKNPReceiver is the OT-extension receiver: it inputs m choice bits,
+// learns one key of each pair, and runs the base phase as a base-OT
+// sender of seed pairs.
 type IKNPReceiver struct {
 	seed0    [][]byte
 	seed1    [][]byte
@@ -97,7 +96,6 @@ type IKNPReceiver struct {
 // sender answers batches in Extend order (its lockstep batch counter must
 // advance in the same sequence).
 type IKNPExtension struct {
-	r []byte // m choice bits, packed
 	m int
 	t [][]byte // κ columns of m bits
 }
@@ -270,19 +268,20 @@ func NewIKNP(group Group, rng io.Reader) (*IKNPSender, *IKNPReceiver, error) {
 
 // Extend prepares the receiver's side of one batch: choice bits r (one per
 // transfer) produce the masked-column message for the sender and the
-// per-batch state that later recovers the chosen messages.
+// per-batch state that derives the chosen keys.
 func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, error) {
 	m := len(choices)
 	if m == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrIKNP)
 	}
-	ext := &IKNPExtension{m: m, r: make([]byte, (m+7)/8)}
+	ext := &IKNPExtension{m: m}
+	bits := make([]byte, (m+7)/8) // choice bits, packed
 	for j, c := range choices {
 		if c != 0 && c != 1 {
 			return nil, nil, fmt.Errorf("%w: choice %d at %d", ErrIKNP, c, j)
 		}
 		if c == 1 {
-			setBit(ext.r, j)
+			setBit(bits, j)
 		}
 	}
 	cols := (m + 7) / 8
@@ -304,7 +303,7 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 		ui := uFlat[i*cols : (i+1)*cols]
 		prgInto(r.ciphers1[i], i, batch, ui)
 		for b := range ui {
-			ui[b] ^= t0[b] ^ ext.r[b]
+			ui[b] ^= t0[b] ^ bits[b]
 		}
 		return nil
 	})
@@ -312,29 +311,21 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 	return ext, &IKNPReceiverMsg{U: uFlat, M: m}, nil
 }
 
-// Respond consumes the receiver's columns and encrypts the message pairs
-// (x0[j], x1[j]); all messages must share one length.
-func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSenderMsg, error) {
+// Keys consumes the receiver's columns and derives the random-OT key pair
+// of every transfer in the batch: the first blob holds every K0_j, the
+// second every K1_j, 16 bytes each, transfer j's at [16j, 16j+16).
+func (s *IKNPSender) Keys(msg *IKNPReceiverMsg) ([]byte, []byte, error) {
 	if msg == nil || msg.M <= 0 {
-		return nil, fmt.Errorf("%w: bad column message", ErrIKNP)
+		return nil, nil, fmt.Errorf("%w: bad column message", ErrIKNP)
 	}
 	m := msg.M
 	cols := (m + 7) / 8
 	if len(msg.U) != iknpKappa*cols {
-		return nil, fmt.Errorf("%w: column block length %d, want %d", ErrIKNP, len(msg.U), iknpKappa*cols)
-	}
-	if len(x0) != m || len(x1) != m {
-		return nil, fmt.Errorf("%w: %d pairs for %d transfers", ErrIKNP, len(x0), m)
-	}
-	msgLen := len(x0[0])
-	for j := range x0 {
-		if len(x0[j]) != msgLen || len(x1[j]) != msgLen {
-			return nil, ErrMessageLen
-		}
+		return nil, nil, fmt.Errorf("%w: column block length %d, want %d", ErrIKNP, len(msg.U), iknpKappa*cols)
 	}
 	s.batch++
 	// q columns: q_i = G(k(s_i)_i) ⊕ s_i·u_i. The flats are per-sender
-	// scratch: the response never references them, so reusing them across
+	// scratch: the keys never reference them, so reusing them across
 	// batches trades ~2·κ·cols bytes of garbage per batch for none.
 	if cap(s.qFlat) < iknpKappa*cols {
 		s.qFlat = make([]byte, iknpKappa*cols)
@@ -357,12 +348,13 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 	})
 	span.End()
 	spanT := obs.Start(obs.PhaseOTTranspose)
-	if cap(s.rows) < ((m+7)/8)*8*iknpRowBytes {
-		s.rows = make([]byte, ((m+7)/8)*8*iknpRowBytes)
+	if cap(s.rows) < cols*8*iknpRowBytes {
+		s.rows = make([]byte, cols*8*iknpRowBytes)
 	}
-	rows := transposeColumnsInto(s.rows[:((m+7)/8)*8*iknpRowBytes], q, m)
+	rows := transposeColumnsInto(s.rows[:cols*8*iknpRowBytes], q, m)
 	spanT.End()
-	out := &IKNPSenderMsg{Y0: make([]byte, m*msgLen), Y1: make([]byte, m*msgLen), MsgLen: msgLen}
+	keys := make([]byte, 2*m*treeKeyLen)
+	k0, k1 := keys[:m*treeKeyLen], keys[m*treeKeyLen:]
 	spanP := obs.Start(obs.PhaseOTPad)
 	_ = parallel.For(m, func(j int) error {
 		rowQ := (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:])
@@ -370,48 +362,46 @@ func (s *IKNPSender) Respond(msg *IKNPReceiverMsg, x0, x1 [][]byte) (*IKNPSender
 		for i := range rowQS {
 			rowQS[i] ^= s.s[i]
 		}
-		rowPadXor(out.Y0[j*msgLen:(j+1)*msgLen], x0[j], j, rowQ)
-		rowPadXor(out.Y1[j*msgLen:(j+1)*msgLen], x1[j], j, &rowQS)
+		key0 := k0[j*treeKeyLen : (j+1)*treeKeyLen]
+		key1 := k1[j*treeKeyLen : (j+1)*treeKeyLen]
+		rowKey(key0, j, rowQ)
+		rowKey(key1, j, &rowQS)
+		if freshTrace != nil {
+			freshTrace(key0)
+			freshTrace(key1)
+		}
 		return nil
 	})
 	spanP.End()
-	return out, nil
+	return k0, k1, nil
 }
 
-// Recover decrypts the chosen message of every transfer in the batch. The
-// declared MsgLen is bounded by the ciphertext blob before it sizes
-// anything, so a hostile length cannot wrap the row arithmetic.
-func (e *IKNPExtension) Recover(msg *IKNPSenderMsg) ([][]byte, error) {
-	if msg == nil || msg.MsgLen < 0 || msg.MsgLen > len(msg.Y0) ||
-		len(msg.Y0) != e.m*msg.MsgLen || len(msg.Y1) != e.m*msg.MsgLen {
-		return nil, fmt.Errorf("%w: bad ciphertext batch", ErrIKNP)
-	}
-	msgLen := msg.MsgLen
-	out := make([][]byte, e.m)
+// Keys derives the receiver's key of every transfer in the batch,
+// K(r_j)_j = H(j, t_j), transfer j's at [16j, 16j+16).
+func (e *IKNPExtension) Keys() []byte {
 	spanT := obs.Start(obs.PhaseOTTranspose)
 	rows := transposeColumns(e.t, e.m)
 	spanT.End()
-	flat := make([]byte, e.m*msgLen)
+	keys := make([]byte, e.m*treeKeyLen)
 	spanP := obs.Start(obs.PhaseOTPad)
 	_ = parallel.For(e.m, func(j int) error {
-		ct := msg.Y0[j*msgLen : (j+1)*msgLen]
-		if getBit(e.r, j) == 1 {
-			ct = msg.Y1[j*msgLen : (j+1)*msgLen]
-		}
-		x := flat[j*msgLen : (j+1)*msgLen]
-		rowPadXor(x, ct, j, (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:]))
-		out[j] = x
+		rowKey(keys[j*treeKeyLen:(j+1)*treeKeyLen], j, (*[iknpRowBytes]byte)(rows[j*iknpRowBytes:]))
 		return nil
 	})
 	spanP.End()
-	return out, nil
+	return keys
 }
 
 // prgInto expands a column seed into pseudorandom bytes: AES-128 (the
 // seed is the key, the cipher is built once per session) in counter mode
 // over a block domain-separated by column index and batch number.
+// The counter and keystream blocks live in a pooled mmoScratch: blk is an
+// interface, so stack blocks handed to Encrypt would escape, two heap
+// allocations per column and batch.
 func prgInto(blk cipher.Block, column int, batch uint32, dst []byte) {
-	var ctr, ks [aes.BlockSize]byte
+	s := mmoPool.Get().(*mmoScratch)
+	ctr, ks := &s.x, &s.y
+	*ctr = [aes.BlockSize]byte{}
 	binary.BigEndian.PutUint32(ctr[0:4], uint32(column))
 	binary.BigEndian.PutUint32(ctr[4:8], batch)
 	off := 0
@@ -425,6 +415,7 @@ func prgInto(blk cipher.Block, column int, batch uint32, dst []byte) {
 			off += copy(dst[off:], ks[:])
 		}
 	}
+	mmoPool.Put(s)
 }
 
 // transposeColumns turns κ packed bit-columns (column i, bit j = transfer

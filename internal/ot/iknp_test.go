@@ -3,102 +3,58 @@ package ot_test
 import (
 	"bytes"
 	"crypto/rand"
-	mrand "math/rand/v2"
 	"testing"
 
 	"repro/internal/ot"
 )
 
+// TestIKNPBatch: every random OT of a batch hands the receiver exactly
+// the sender's key for its choice bit.
 func TestIKNPBatch(t *testing.T) {
-	g := ot.X25519()
-	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	const m = 200
-	rng := mrand.New(mrand.NewPCG(1, 2))
-	choices := make([]int, m)
-	x0 := make([][]byte, m)
-	x1 := make([][]byte, m)
-	for j := 0; j < m; j++ {
-		choices[j] = rng.IntN(2)
-		x0[j] = make([]byte, 32)
-		x1[j] = make([]byte, 32)
-		if _, err := rand.Read(x0[j]); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rand.Read(x1[j]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ext, recvMsg, err := receiver.Extend(choices)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sendMsg, err := sender.Respond(recvMsg, x0, x1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ext.Recover(sendMsg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < m; j++ {
-		want := x0[j]
-		other := x1[j]
-		if choices[j] == 1 {
-			want, other = x1[j], x0[j]
-		}
-		if !bytes.Equal(got[j], want) {
-			t.Fatalf("transfer %d: wrong message", j)
-		}
-		if bytes.Equal(got[j], other) {
-			t.Fatalf("transfer %d: recovered the non-chosen message", j)
-		}
-	}
+	extBatch(t, sender, receiver, 1, 200)
 }
 
-// TestIKNPNonChosenUnreadable: decrypting the other slot with the
-// receiver's row must yield garbage — the pad for q_j⊕s differs by the
-// secret s.
+// TestIKNPNonChosenUnreadable: no key the receiver derives is any key it
+// did not choose — the other key of transfer j is H at q_j ⊕ s, which
+// differs from the receiver's t_j by the secret s.
 func TestIKNPNonChosenUnreadable(t *testing.T) {
-	g := ot.X25519()
-	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	choices := []int{0, 1, 0, 1}
-	x0 := [][]byte{[]byte("zero-msg-0000000"), []byte("zero-msg-1111111"), []byte("zero-msg-2222222"), []byte("zero-msg-3333333")}
-	x1 := [][]byte{[]byte("one-msg-00000000"), []byte("one-msg-11111111"), []byte("one-msg-22222222"), []byte("one-msg-33333333")}
+	choices := []int{0, 1, 0, 1, 1, 0, 0, 1, 1}
 	ext, recvMsg, err := receiver.Extend(choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sendMsg, err := sender.Respond(recvMsg, x0, x1)
+	k0, k1, err := sender.Keys(recvMsg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap the ciphertext pairs so the receiver decrypts the slot it did
-	// not choose with its own pads.
-	swapped := &ot.IKNPSenderMsg{Y0: sendMsg.Y1, Y1: sendMsg.Y0, MsgLen: sendMsg.MsgLen}
-	leaked, err := ext.Recover(swapped)
-	if err != nil {
-		t.Fatal(err)
+	got := ext.Keys()
+	checkROTKeys(t, choices, k0, k1, got)
+	const w = 16
+	unchosen := map[string]int{}
+	for j, c := range choices {
+		other := k1
+		if c == 1 {
+			other = k0
+		}
+		unchosen[string(other[j*w:(j+1)*w])] = j
 	}
 	for j := range choices {
-		other := x1[j]
-		if choices[j] == 1 {
-			other = x0[j]
-		}
-		if bytes.Equal(leaked[j], other) {
-			t.Fatalf("transfer %d: non-chosen message readable", j)
+		if i, ok := unchosen[string(got[j*w:(j+1)*w])]; ok {
+			t.Fatalf("transfer %d: receiver key is the unchosen key of transfer %d", j, i)
 		}
 	}
 }
 
 func TestIKNPValidation(t *testing.T) {
-	g := ot.X25519()
-	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,54 +64,35 @@ func TestIKNPValidation(t *testing.T) {
 	if _, _, err := receiver.Extend([]int{2}); err == nil {
 		t.Fatal("non-bit choice should fail")
 	}
-	ext, msg, err := receiver.Extend([]int{0, 1})
+	_, msg, err := receiver.Extend([]int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sender.Respond(nil, nil, nil); err == nil {
+	if _, _, err := sender.Keys(nil); err == nil {
 		t.Fatal("nil message should fail")
 	}
-	if _, err := sender.Respond(msg, [][]byte{{1}}, [][]byte{{1}, {2}}); err == nil {
-		t.Fatal("pair-count mismatch should fail")
+	if _, _, err := sender.Keys(&ot.IKNPReceiverMsg{U: msg.U[1:], M: msg.M}); err == nil {
+		t.Fatal("short column block should fail")
 	}
-	if _, err := sender.Respond(msg, [][]byte{{1}, {2, 3}}, [][]byte{{1}, {2}}); err == nil {
-		t.Fatal("unequal message lengths should fail")
-	}
-	if _, err := ext.Recover(nil); err == nil {
-		t.Fatal("nil ciphertext batch should fail")
+	if _, _, err := sender.Keys(&ot.IKNPReceiverMsg{U: msg.U, M: 0}); err == nil {
+		t.Fatal("zero transfers should fail")
 	}
 }
 
 // TestIKNPSecondBatch: one base phase serves multiple Extend batches —
 // both endpoints advance a lockstep batch counter so every batch gets
-// fresh pseudorandom columns (reuse would leak r ⊕ r').
+// fresh pseudorandom columns, and so fresh keys (reuse would leak r ⊕ r'
+// and repeat keys).
 func TestIKNPSecondBatch(t *testing.T) {
-	g := ot.X25519()
-	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
+	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for round := 0; round < 2; round++ {
-		choices := []int{1, 0, 1}
-		x0 := [][]byte{{10}, {20}, {30}}
-		x1 := [][]byte{{11}, {21}, {31}}
-		ext, recvMsg, err := receiver.Extend(choices)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sendMsg, err := sender.Respond(recvMsg, x0, x1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ext.Recover(sendMsg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := []byte{11, 20, 31}
-		for j := range want {
-			if got[j][0] != want[j] {
-				t.Fatalf("round %d transfer %d: got %d want %d", round, j, got[j][0], want[j])
-			}
+	_, first, _ := extBatch(t, sender, receiver, 3, 3)
+	_, second, _ := extBatch(t, sender, receiver, 3, 3)
+	for b := range first {
+		if bytes.Equal(first[b], second[b]) {
+			t.Fatalf("key half %d repeats across batches", b)
 		}
 	}
 }
@@ -247,9 +184,13 @@ func TestExtKofNNonChosenUnreadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Swap another ciphertext into the chosen slot: the path pad must not
-	// decrypt it (index domain separation + different key path).
-	copy(resp.Cts[2*resp.MsgLen:3*resp.MsgLen], resp.Cts[5*resp.MsgLen:6*resp.MsgLen])
+	// Move index 5's tree ciphertext and message into index 2's slots:
+	// the path keys of index 2 must not open them (index domain
+	// separation and a different key path).
+	const w = 24
+	tree := 1 * len(msgs) * 16
+	copy(resp.Cts[2*16:3*16], resp.Cts[5*16:6*16])
+	copy(resp.Cts[tree+2*w:tree+3*w], resp.Cts[tree+5*w:tree+6*w])
 	leaked, err := q.Recover(resp)
 	if err != nil {
 		t.Fatal(err)

@@ -383,15 +383,13 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 }
 
 // TestMalformedExtKofNResponseRejected feeds the extended k-of-n receiver
-// responses whose declared message length wraps the length arithmetic
-// once multiplied, so the wrapped product matches the blob actually sent:
-// a batch of one (k = 2, n = 6) whose MsgLen wraps k·n·MsgLen onto a
-// 24-byte ciphertext blob, and a batch of four whose extension MsgLen
-// wraps m·MsgLen onto the honest ciphertext rows. Both must be refused
-// with ErrIKNP before the length sizes anything — never a panic, which in
-// the second case would fire inside a worker goroutine and take the whole
-// process down. After each refusal an honest batch on the same session
-// still completes.
+// (k = 2, n = 6, 8-byte messages) response blobs whose length is not
+// B·(k·n·16 + n·w) for any message width w: a batch of one answered with
+// 24 bytes, and batches of four answered with one byte more than the
+// honest blob or one tree ciphertext less. Each must be refused with
+// ErrIKNP before the length sizes anything — never a panic, which would
+// fire inside a worker goroutine and take the whole process down. After
+// each refusal an honest batch on the same session still completes.
 func TestMalformedExtKofNResponseRejected(t *testing.T) {
 	paralleltest.SetProcs(t, 4)
 	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
@@ -415,18 +413,20 @@ func TestMalformedExtKofNResponseRejected(t *testing.T) {
 		}
 		return q, resp, msgs
 	}
+	four := [][]int{{1, 4}, {0, 5}, {2, 3}, {5, 1}}
 	for _, tc := range []struct {
 		name    string
 		indices [][]int
 		tamper  func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse
 	}{
-		{"batch of one, MsgLen 2+2^62 over 24 B", [][]int{{1, 4}}, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
-			return &ot.ExtKofNBatchResponse{IKNP: resp.IKNP, Cts: resp.Cts[:24], MsgLen: 2 + 1<<62}
+		{"batch of one, 24 B", [][]int{{1, 4}}, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
+			return &ot.ExtKofNBatchResponse{Cts: resp.Cts[:24]}
 		}},
-		{"B=4, extension MsgLen 16+2^61", [][]int{{1, 4}, {0, 5}, {2, 3}, {5, 1}}, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
-			iknp := *resp.IKNP
-			iknp.MsgLen = 16 + 1<<61
-			return &ot.ExtKofNBatchResponse{IKNP: &iknp, Cts: resp.Cts, MsgLen: resp.MsgLen}
+		{"B=4, one byte long", four, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
+			return &ot.ExtKofNBatchResponse{Cts: append(append([]byte(nil), resp.Cts...), 0)}
+		}},
+		{"B=4, one tree ciphertext short", four, func(resp *ot.ExtKofNBatchResponse) *ot.ExtKofNBatchResponse {
+			return &ot.ExtKofNBatchResponse{Cts: resp.Cts[:len(resp.Cts)-16]}
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

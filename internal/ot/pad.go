@@ -8,14 +8,17 @@ import (
 	"sync"
 )
 
-// The OT extension's correlation-robust row hashes (iknp.go) and its
-// tree-key pads (extkofn.go) are one construction: a Matyas–Meyer–Oseas
-// compression y = E(x) ⊕ x under one process-wide fixed AES-128 key
-// (crypto/aes, AES-NI on amd64), a single AES call per 16-byte block.
-// Security rests on the usual fixed-key-AES-as-random-permutation model
-// for correlation-robust hashing from the OT-extension literature (Guo et
-// al. 2019 analyze exactly this family); the semi-honest setting here
-// needs nothing stronger.
+// The OT extension's correlation-robust row hash (iknp.go) and the
+// extended k-of-n's tree and message pads (extkofn.go) are one
+// construction: a Matyas–Meyer–Oseas compression y = E(x) ⊕ x under one
+// process-wide fixed AES-128 key (crypto/aes, AES-NI on amd64), a single
+// AES call per 16-byte block. Security rests on the usual
+// fixed-key-AES-as-random-permutation model for correlation-robust
+// hashing from the OT-extension literature (Guo et al. 2019 analyze
+// exactly this family); the semi-honest setting here needs nothing
+// stronger. The random-OT keys H(j, q_j) and H(j, q_j ⊕ s) rest on it: a
+// receiver holding t_j = q_j ⊕ r_j·s must not tell H at the other point
+// from random.
 
 // PadFunc names an OT-extension pad family.
 //
@@ -62,16 +65,30 @@ func (s *mmoScratch) compress() {
 	}
 }
 
+// Pad domains: the tweak's third word keeps the pads of one-time message
+// keys apart from the tree pads and row keys, whose tweak leaves it zero.
+const (
+	padDomainTree = 0
+	padDomainMsg  = 1
+)
+
+// load sets s.x to seed with the tweak (index, block, domain) folded in:
+// index as a little-endian uint32 over bytes 0–3, the block counter
+// likewise over bytes 4–7 and the domain over bytes 8–11.
+func (s *mmoScratch) load(seed *[aes.BlockSize]byte, index int, block, domain uint32) {
+	s.x = *seed
+	binary.LittleEndian.PutUint32(s.x[0:4], binary.LittleEndian.Uint32(s.x[0:4])^uint32(index))
+	binary.LittleEndian.PutUint32(s.x[4:8], binary.LittleEndian.Uint32(s.x[4:8])^block)
+	binary.LittleEndian.PutUint32(s.x[8:12], binary.LittleEndian.Uint32(s.x[8:12])^domain)
+}
+
 // xorPad writes dst = src ⊕ pad, where block i of the pad is the MMO
-// compression of seed with the tweak (index, i) folded in: index as a
-// little-endian uint32 over bytes 0–3, the block counter i likewise over
-// bytes 4–7. The 32-bit counter keeps every block of a payload up to
-// 64 GiB distinct.
-func (s *mmoScratch) xorPad(dst, src []byte, seed *[aes.BlockSize]byte, index int) {
+// compression of seed with the tweak (index, i, domain) folded in (load).
+// The 32-bit counter keeps every block of a payload up to 64 GiB
+// distinct.
+func (s *mmoScratch) xorPad(dst, src []byte, seed *[aes.BlockSize]byte, index int, domain uint32) {
 	for off, i := 0, uint32(0); off < len(src); off, i = off+aes.BlockSize, i+1 {
-		s.x = *seed
-		binary.LittleEndian.PutUint32(s.x[0:4], binary.LittleEndian.Uint32(s.x[0:4])^uint32(index))
-		binary.LittleEndian.PutUint32(s.x[4:8], binary.LittleEndian.Uint32(s.x[4:8])^i)
+		s.load(seed, index, i, domain)
 		s.compress()
 		n := min(len(src)-off, aes.BlockSize)
 		for b := 0; b < n; b++ {
@@ -80,31 +97,87 @@ func (s *mmoScratch) xorPad(dst, src []byte, seed *[aes.BlockSize]byte, index in
 	}
 }
 
-// rowPadXor writes dst = src ⊕ H(j, row) for one extended transfer: block
-// i of H is the MMO compression of the row with the tweak (j, i), so one
-// AES call covers a 16-byte payload (the tree keys every fast-session
-// transfer carries) and two cover a 32-byte field element.
-func rowPadXor(dst, src []byte, j int, row *[iknpRowBytes]byte) {
+// rowKey writes the 16-byte random-OT key H(j, row) of one extended
+// transfer to dst: the MMO compression of the row with the tweak (j, 0)
+// folded in, one AES call.
+func rowKey(dst []byte, j int, row *[iknpRowBytes]byte) {
 	s := mmoPool.Get().(*mmoScratch)
-	s.xorPad(dst, src, row, j)
+	s.load(row, j, 0, padDomainTree)
+	s.compress()
+	copy(dst, s.y[:])
 	mmoPool.Put(s)
 }
 
-// treePadXor writes dst = src ⊕ pad(path, index) for one tree ciphertext:
-// the path keys are absorbed through an MMO Merkle–Damgård chain (one AES
-// call per level key), then the digest is expanded with the (index,
-// counter) tweak. Every key must be treeKeyLen bytes: drawTreeKeys draws
-// them at that width and recoverSample rejects any other.
-func treePadXor(dst, src []byte, path [][]byte, index int) {
-	s := mmoPool.Get().(*mmoScratch)
-	var h [aes.BlockSize]byte
-	for _, k := range path {
-		for i := range s.x {
-			s.x[i] = h[i] ^ k[i]
-		}
-		s.compress()
-		h = s.y
+// absorb advances an MMO Merkle–Damgård chain by one 16-byte key:
+// h ← E(h ⊕ key) ⊕ (h ⊕ key).
+func (s *mmoScratch) absorb(h *[aes.BlockSize]byte, key []byte) {
+	for i := range s.x {
+		s.x[i] = h[i] ^ key[i]
 	}
-	s.xorPad(dst, src, &h, index)
+	s.compress()
+	*h = s.y
+}
+
+// pathDigest absorbs one index's path keys, depth·16 bytes level by
+// level, through the MMO chain that seeds its tree pad.
+func (s *mmoScratch) pathDigest(path []byte) [aes.BlockSize]byte {
+	var h [aes.BlockSize]byte
+	for off := 0; off < len(path); off += treeKeyLen {
+		s.absorb(&h, path[off:off+treeKeyLen])
+	}
+	return h
+}
+
+// pathDigests writes the path digest of every index m < n of one tree
+// into dst (n·16 bytes, index m's at [16m, 16m+16)), given the tree's
+// level keys k0 and k1 (depth·16 bytes each; index m takes level l's key
+// from k0 or k1 by bit l of m). Digests are shared along low-bit
+// prefixes: after level l only min(2^(l+1), n) distinct chains exist, so
+// the tree costs Σ_l min(2^(l+1), n) AES calls instead of n·depth, and
+// every digest equals pathDigest of its own path. Each level is computed
+// in place, highest prefix first, so no chain is overwritten before the
+// longer prefixes that extend it have read it.
+func (s *mmoScratch) pathDigests(dst, k0, k1 []byte, n int) {
+	depth := len(k0) / treeKeyLen
+	for l := 0; l < depth; l++ {
+		half := 1 << l
+		for p := min(2*half, n) - 1; p >= 0; p-- {
+			var h [aes.BlockSize]byte
+			if l > 0 {
+				h = [aes.BlockSize]byte(dst[(p%half)*aes.BlockSize:])
+			}
+			key := k0
+			if p&half != 0 {
+				key = k1
+			}
+			s.absorb(&h, key[l*treeKeyLen:(l+1)*treeKeyLen])
+			copy(dst[p*aes.BlockSize:], h[:])
+		}
+	}
+}
+
+// treePadXor writes dst = src ⊕ pad(path, index) for one tree ciphertext:
+// the path keys (depth·16 bytes) are absorbed through the MMO chain, then
+// the digest is expanded with the (index, counter) tweak.
+func treePadXor(dst, src, path []byte, index int) {
+	s := mmoPool.Get().(*mmoScratch)
+	h := s.pathDigest(path)
+	s.xorPad(dst, src, &h, index, padDomainTree)
 	mmoPool.Put(s)
 }
+
+// msgPadXor writes dst = src ⊕ pad(key, index) for one once-sent message
+// under its own 16-byte key, in the message domain.
+func msgPadXor(dst, src, key []byte, index int) {
+	s := mmoPool.Get().(*mmoScratch)
+	s.xorPad(dst, src, (*[aes.BlockSize]byte)(key), index, padDomainMsg)
+	mmoPool.Put(s)
+}
+
+// freshTrace, when set, sees every secret 16-byte input the extended
+// k-of-n sender derives or draws: both random-OT keys of every extended
+// transfer, every message key K_m, and every block that seeds a tree pad
+// (a path digest with its tweak folded in). It may be called from
+// several workers at once. Tests set it to check that no input ever
+// repeats; it is nil otherwise, and the calls it guards allocate nothing.
+var freshTrace func(in []byte)

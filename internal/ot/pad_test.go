@@ -28,15 +28,17 @@ func naiveMMO(t *testing.T, x [16]byte) [16]byte {
 }
 
 // naiveExpand expands a 16-byte seed per spec: block i of the pad is
-// MMO(seed ⊕ tweak(index, i)), the index little-endian over bytes 0–3 and
-// the block counter little-endian over bytes 4–7, truncated to size.
-func naiveExpand(t *testing.T, size int, seed [16]byte, index int) []byte {
+// MMO(seed ⊕ tweak(index, i, domain)), the index little-endian over bytes
+// 0–3, the block counter likewise over bytes 4–7 and the domain over
+// bytes 8–11, truncated to size.
+func naiveExpand(t *testing.T, size int, seed [16]byte, index int, domain uint32) []byte {
 	t.Helper()
 	pad := make([]byte, 0, size)
 	for off := 0; off < size; off += 16 {
 		var tweak [16]byte
 		binary.LittleEndian.PutUint32(tweak[0:4], uint32(index))
 		binary.LittleEndian.PutUint32(tweak[4:8], uint32(off/16))
+		binary.LittleEndian.PutUint32(tweak[8:12], domain)
 		x := seed
 		for i := range x {
 			x[i] ^= tweak[i]
@@ -47,17 +49,8 @@ func naiveExpand(t *testing.T, size int, seed [16]byte, index int) []byte {
 	return pad
 }
 
-// naiveRowPadAES derives the row pad exactly as pad.go documents it: the
-// row itself is the seed, the transfer index the tweak.
-func naiveRowPadAES(t *testing.T, size, j int, row []byte) []byte {
-	t.Helper()
-	return naiveExpand(t, size, [16]byte(row), j)
-}
-
-// naiveTreePadAES derives the tree pad per spec: absorb the path keys
-// through an MMO Merkle–Damgård chain, then expand the digest with the
-// (index, counter) tweak.
-func naiveTreePadAES(t *testing.T, size int, path [][]byte, index int) []byte {
+// naiveChain absorbs 16-byte keys through an MMO Merkle–Damgård chain.
+func naiveChain(t *testing.T, path [][]byte) [16]byte {
 	t.Helper()
 	var h [16]byte
 	for _, k := range path {
@@ -67,32 +60,62 @@ func naiveTreePadAES(t *testing.T, size int, path [][]byte, index int) []byte {
 		}
 		h = naiveMMO(t, x)
 	}
-	return naiveExpand(t, size, h, index)
+	return h
+}
+
+// naiveTreePadAES derives the tree pad per spec: absorb the path keys
+// through the chain, then expand the digest with the (index, counter)
+// tweak in the tree domain.
+func naiveTreePadAES(t *testing.T, size int, path [][]byte, index int) []byte {
+	t.Helper()
+	return naiveExpand(t, size, naiveChain(t, path), index, padDomainTree)
 }
 
 // longPad is a 257-block payload: block 256 is the first whose counter
 // does not fit in one byte.
 const longPad = 257 * aes.BlockSize
 
-// TestRowPadAESDifferential checks the production AES row pad against the
-// naive spec reference across payload sizes and transfer indices.
+// TestRowPadAESDifferential checks the production random-OT row key
+// H(j, row) against the naive spec reference, one block of the row pad,
+// across transfer indices.
 func TestRowPadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, size := range []int{1, 15, 16, 17, 31, 32, 33, 48, 64, longPad} {
-		for _, j := range []int{0, 1, 255, 1 << 16, 1<<31 - 1} {
-			var row [iknpRowBytes]byte
-			rng.Read(row[:])
-			src := make([]byte, size)
-			rng.Read(src)
-			got := make([]byte, size)
-			rowPadXor(got, src, j, &row)
-			want := naiveRowPadAES(t, size, j, row[:])
-			for i := range want {
-				want[i] ^= src[i]
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("size %d j %d: AES row pad diverges from spec reference", size, j)
-			}
+	for _, j := range []int{0, 1, 255, 1 << 16, 1<<31 - 1} {
+		var row [iknpRowBytes]byte
+		rng.Read(row[:])
+		got := make([]byte, treeKeyLen)
+		rowKey(got, j, &row)
+		if want := naiveExpand(t, treeKeyLen, row, j, padDomainTree); !bytes.Equal(got, want) {
+			t.Fatalf("j %d: AES row key diverges from spec reference", j)
+		}
+	}
+}
+
+// TestMsgPadAESDifferential checks the once-sent message pad against the
+// naive spec reference across payload sizes, and that its domain keeps
+// it apart from the tree-domain pad of the same seed and index.
+func TestMsgPadAESDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, size := range []int{1, 16, 17, 32, 33, 66, longPad} {
+		var key [treeKeyLen]byte
+		rng.Read(key[:])
+		src := make([]byte, size)
+		rng.Read(src)
+		got := make([]byte, size)
+		msgPadXor(got, src, key[:], 11)
+		want := naiveExpand(t, size, key, 11, padDomainMsg)
+		for i := range want {
+			want[i] ^= src[i]
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("size %d: AES message pad diverges from spec reference", size)
+		}
+		tree := naiveExpand(t, size, key, 11, padDomainTree)
+		for i := range tree {
+			tree[i] ^= src[i]
+		}
+		if bytes.Equal(got, tree) {
+			t.Fatalf("size %d: message pad equals the tree-domain pad", size)
 		}
 	}
 }
@@ -103,15 +126,16 @@ func TestTreePadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for _, depth := range []int{1, 2, 5, 9} {
 		for _, size := range []int{1, 16, 17, 32, 80, longPad} {
+			flat := make([]byte, depth*treeKeyLen)
+			rng.Read(flat)
 			path := make([][]byte, depth)
 			for i := range path {
-				path[i] = make([]byte, treeKeyLen)
-				rng.Read(path[i])
+				path[i] = flat[i*treeKeyLen : (i+1)*treeKeyLen]
 			}
 			src := make([]byte, size)
 			rng.Read(src)
 			got := make([]byte, size)
-			treePadXor(got, src, path, 12345)
+			treePadXor(got, src, flat, 12345)
 			want := naiveTreePadAES(t, size, path, 12345)
 			for i := range want {
 				want[i] ^= src[i]
@@ -123,19 +147,49 @@ func TestTreePadAESDifferential(t *testing.T) {
 	}
 }
 
+// TestPathDigestsShared checks the sender's prefix-shared digests against
+// the naive chain over each index's own path, for every n from 2 to 33:
+// index m takes level l's key from k0 or k1 by bit l of m.
+func TestPathDigestsShared(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	s := new(mmoScratch)
+	for n := 2; n <= 33; n++ {
+		depth := treeDepth(n)
+		k0 := make([]byte, depth*treeKeyLen)
+		k1 := make([]byte, depth*treeKeyLen)
+		rng.Read(k0)
+		rng.Read(k1)
+		got := make([]byte, n*treeKeyLen)
+		s.pathDigests(got, k0, k1, n)
+		for m := 0; m < n; m++ {
+			path := make([][]byte, depth)
+			for l := range path {
+				key := k0
+				if (m>>l)&1 == 1 {
+					key = k1
+				}
+				path[l] = key[l*treeKeyLen : (l+1)*treeKeyLen]
+			}
+			want := naiveChain(t, path)
+			if !bytes.Equal(got[m*treeKeyLen:(m+1)*treeKeyLen], want[:]) {
+				t.Fatalf("n %d index %d: shared digest diverges from its own chain", n, m)
+			}
+		}
+	}
+}
+
 // TestPadBlockCounterDoesNotWrap pins the 32-bit block counter: a one-byte
 // counter would hand block 256 of a long payload exactly block 0's pad (a
-// two-time pad), for the row pad and the tree pad alike.
+// two-time pad), for the message pad and the tree pad alike.
 func TestPadBlockCounterDoesNotWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	var row [iknpRowBytes]byte
-	rng.Read(row[:])
-	path := [][]byte{make([]byte, treeKeyLen), make([]byte, treeKeyLen)}
-	rng.Read(path[0])
-	rng.Read(path[1])
+	key := make([]byte, treeKeyLen)
+	rng.Read(key)
+	path := make([]byte, 2*treeKeyLen)
+	rng.Read(path)
 	zero := make([]byte, longPad)
 	for name, pad := range map[string]func(dst []byte){
-		"row":  func(dst []byte) { rowPadXor(dst, zero, 3, &row) },
+		"msg":  func(dst []byte) { msgPadXor(dst, zero, key, 3) },
 		"tree": func(dst []byte) { treePadXor(dst, zero, path, 3) },
 	} {
 		got := make([]byte, longPad)

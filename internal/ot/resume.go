@@ -24,7 +24,7 @@ import (
 // state lives server-side inside the ticket it mints; the receiver state
 // stays in the client's memory next to the ticket). Neither state is ever
 // sent in the clear: the sender state contains s, whose secrecy is what
-// makes y1 ciphertexts opaque to the receiver.
+// keeps the key the receiver did not choose out of its reach.
 
 // ErrIKNPResume reports a malformed or inconsistent resumption state.
 var ErrIKNPResume = errors.New("ot: invalid IKNP resume state")
@@ -84,7 +84,7 @@ func (r *IKNPReceiver) Snapshot() (*IKNPReceiverState, error) {
 }
 
 // RestoreIKNPSender rebuilds a live extension sender from a snapshot. The
-// batch counter resumes at the saved value: the first Respond after a
+// batch counter resumes at the saved value: the first Keys after a
 // restore advances it past every batch the previous session consumed.
 func RestoreIKNPSender(st *IKNPSenderState) (*IKNPSender, error) {
 	if st == nil || len(st.S) != iknpKappa/8 || len(st.Seeds) != iknpKappa*treeKeyLen {

@@ -15,53 +15,57 @@ import (
 	"repro/internal/ot"
 )
 
-// extBatch runs one extension batch with deterministic inputs derived
-// from seed and returns the two wire messages plus the recovered
-// transfers.
-func extBatch(t *testing.T, sender *ot.IKNPSender, receiver *ot.IKNPReceiver, seed uint64, m int) (*ot.IKNPReceiverMsg, *ot.IKNPSenderMsg, [][]byte) {
+// extBatch runs one extension batch with choices derived from seed and
+// returns the receiver's wire message, the sender's two key blobs and the
+// receiver's keys, after checking that the receiver holds exactly its
+// chosen key of every pair.
+func extBatch(t *testing.T, sender *ot.IKNPSender, receiver *ot.IKNPReceiver, seed uint64, m int) (*ot.IKNPReceiverMsg, [2][]byte, []byte) {
 	t.Helper()
 	rng := mrand.New(mrand.NewPCG(seed, seed^0xdead))
 	choices := make([]int, m)
-	x0 := make([][]byte, m)
-	x1 := make([][]byte, m)
-	for j := 0; j < m; j++ {
+	for j := range choices {
 		choices[j] = rng.IntN(2)
-		x0[j] = make([]byte, 32)
-		x1[j] = make([]byte, 32)
-		for i := range x0[j] {
-			x0[j][i] = byte(rng.Uint32())
-			x1[j][i] = byte(rng.Uint32())
-		}
 	}
 	ext, recvMsg, err := receiver.Extend(choices)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sendMsg, err := sender.Respond(recvMsg, x0, x1)
+	k0, k1, err := sender.Keys(recvMsg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ext.Recover(sendMsg)
-	if err != nil {
-		t.Fatal(err)
+	got := ext.Keys()
+	checkROTKeys(t, choices, k0, k1, got)
+	return recvMsg, [2][]byte{k0, k1}, got
+}
+
+// checkROTKeys checks a batch of random OTs: transfer j's receiver key is
+// the sender's key for choice j, and differs from the other one.
+func checkROTKeys(t *testing.T, choices []int, k0, k1, got []byte) {
+	t.Helper()
+	const w = 16
+	if len(k0) != len(choices)*w || len(k1) != len(choices)*w || len(got) != len(choices)*w {
+		t.Fatalf("key blobs of %d, %d and %d bytes for %d transfers", len(k0), len(k1), len(got), len(choices))
 	}
-	for j := 0; j < m; j++ {
-		want := x0[j]
-		if choices[j] == 1 {
-			want = x1[j]
+	for j, c := range choices {
+		want, other := k0[j*w:(j+1)*w], k1[j*w:(j+1)*w]
+		if c == 1 {
+			want, other = other, want
 		}
-		if !bytes.Equal(got[j], want) {
-			t.Fatalf("transfer %d: wrong message", j)
+		if !bytes.Equal(got[j*w:(j+1)*w], want) {
+			t.Fatalf("transfer %d: receiver key is not the chosen key", j)
+		}
+		if bytes.Equal(got[j*w:(j+1)*w], other) {
+			t.Fatalf("transfer %d: receiver holds the other key", j)
 		}
 	}
-	return recvMsg, sendMsg, got
 }
 
 // TestIKNPSnapshotRestoreDifferential: after one extension batch, both
 // endpoints are snapshotted; the restored pair then runs the next batch
 // on the same inputs as the original pair. Extension is deterministic
 // given the base state and the batch counter, so every wire byte and
-// recovered transfer must match exactly — any divergence means the
+// derived key must match exactly — any divergence means the
 // restore lost or reset part of the cryptographic position.
 func TestIKNPSnapshotRestoreDifferential(t *testing.T) {
 	sender, receiver, err := ot.NewIKNP(ot.X25519(), rand.Reader)
@@ -97,20 +101,18 @@ func TestIKNPSnapshotRestoreDifferential(t *testing.T) {
 		t.Fatal("restore reset the batch counter")
 	}
 
-	// Same next-batch inputs on both pairs: identical wire bytes and
-	// transfers.
+	// Same next-batch choices on both pairs: identical wire bytes and
+	// keys.
 	recvA, sendA, gotA := extBatch(t, sender, receiver, 2, 48)
 	recvB, sendB, gotB := extBatch(t, restoredSender, restoredReceiver, 2, 48)
 	if !bytes.Equal(recvA.U, recvB.U) || recvA.M != recvB.M {
 		t.Fatal("restored receiver's extension message diverges from the original")
 	}
-	if !bytes.Equal(sendA.Y0, sendB.Y0) || !bytes.Equal(sendA.Y1, sendB.Y1) || sendA.MsgLen != sendB.MsgLen {
-		t.Fatal("restored sender's response diverges from the original")
+	if !bytes.Equal(sendA[0], sendB[0]) || !bytes.Equal(sendA[1], sendB[1]) {
+		t.Fatal("restored sender's keys diverge from the original")
 	}
-	for j := range gotA {
-		if !bytes.Equal(gotA[j], gotB[j]) {
-			t.Fatalf("transfer %d diverges after restore", j)
-		}
+	if !bytes.Equal(gotA, gotB) {
+		t.Fatal("restored receiver's keys diverge from the original")
 	}
 	if restoredSender.Batch() != sender.Batch() {
 		t.Fatalf("counters diverged after the differential batch: %d vs %d", restoredSender.Batch(), sender.Batch())

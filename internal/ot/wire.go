@@ -47,20 +47,6 @@ func (m *IKNPReceiverMsg) DecodeWire(r *wire.Reader) {
 }
 
 // EncodeWire implements the wire codec.
-func (m *IKNPSenderMsg) EncodeWire(w *wire.Writer) {
-	w.ByteSlice(m.Y0)
-	w.ByteSlice(m.Y1)
-	w.Int(m.MsgLen)
-}
-
-// DecodeWire implements the wire codec.
-func (m *IKNPSenderMsg) DecodeWire(r *wire.Reader) {
-	m.Y0 = r.ByteSlice()
-	m.Y1 = r.ByteSlice()
-	m.MsgLen = r.Int()
-}
-
-// EncodeWire implements the wire codec.
 func (m *ExtKofNBatchRequest) EncodeWire(w *wire.Writer) {
 	if m.IKNP == nil {
 		w.Nil("IKNP receiver message")
@@ -82,20 +68,7 @@ func (m *ExtKofNBatchRequest) DecodeWire(r *wire.Reader) {
 }
 
 // EncodeWire implements the wire codec.
-func (m *ExtKofNBatchResponse) EncodeWire(w *wire.Writer) {
-	if m.IKNP == nil {
-		w.Nil("IKNP sender message")
-		return
-	}
-	m.IKNP.EncodeWire(w)
-	w.ByteSlice(m.Cts)
-	w.Int(m.MsgLen)
-}
+func (m *ExtKofNBatchResponse) EncodeWire(w *wire.Writer) { w.ByteSlice(m.Cts) }
 
 // DecodeWire implements the wire codec.
-func (m *ExtKofNBatchResponse) DecodeWire(r *wire.Reader) {
-	m.IKNP = new(IKNPSenderMsg)
-	m.IKNP.DecodeWire(r)
-	m.Cts = r.ByteSlice()
-	m.MsgLen = r.Int()
-}
+func (m *ExtKofNBatchResponse) DecodeWire(r *wire.Reader) { m.Cts = r.ByteSlice() }

@@ -35,13 +35,10 @@ func otWireSamples() map[string]wire.Msg {
 		"IKNPBaseChoice":   baseChoice,
 		"IKNPBaseTransfer": baseTransfer,
 		"IKNPReceiverMsg":  &IKNPReceiverMsg{U: bytes.Repeat([]byte{0x5A}, 64), M: 17},
-		"IKNPSenderMsg":    &IKNPSenderMsg{Y0: []byte{1, 2, 3, 4}, Y1: []byte{5, 6, 7, 8}, MsgLen: 2},
 		"ExtKofNBatchRequest": &ExtKofNBatchRequest{
 			IKNP: &IKNPReceiverMsg{U: []byte{4}, M: 1}, K: 1, N: 2, B: 3,
 		},
-		"ExtKofNBatchResponse": &ExtKofNBatchResponse{
-			IKNP: &IKNPSenderMsg{Y0: []byte{3}, Y1: []byte{4}, MsgLen: 1}, Cts: []byte{8, 8}, MsgLen: 2,
-		},
+		"ExtKofNBatchResponse": &ExtKofNBatchResponse{Cts: []byte{8, 8}},
 		"IKNPSenderState": &IKNPSenderState{
 			S: bytes.Repeat([]byte{0xA5}, iknpKappa/8), Seeds: bytes.Repeat([]byte{0x3C}, iknpKappa*treeKeyLen), Batch: 7,
 		},
@@ -98,13 +95,12 @@ func TestOTWireRoundTrips(t *testing.T) {
 }
 
 // TestOTWireNilElements: a message missing a required inner message fails
-// to encode with ErrNilValue. The batch messages have no such field: a
-// nil blob goes out as an empty one, which the protocol steps refuse by
-// its length.
+// to encode with ErrNilValue. The batch messages and the extended k-of-n
+// response have no such field: a nil blob goes out as an empty one,
+// which the protocol steps refuse by its length.
 func TestOTWireNilElements(t *testing.T) {
 	cases := map[string]wire.Msg{
-		"nil-iknp-request":  &ExtKofNBatchRequest{K: 1, N: 2, B: 1},
-		"nil-iknp-response": &ExtKofNBatchResponse{Cts: []byte{1}, MsgLen: 1},
+		"nil-iknp-request": &ExtKofNBatchRequest{K: 1, N: 2, B: 1},
 	}
 	for name, m := range cases {
 		t.Run(name, func(t *testing.T) {

@@ -78,6 +78,7 @@ type KernelAlice struct {
 	responder
 	spec  KernelSpec
 	kmama float64 // K(mA,mA)
+	kmab  float64 // bound on |K(mA, m)| over the metric's data box
 }
 
 // NewKernelAlice prepares the responder around a polynomial-kernel model.
@@ -121,7 +122,14 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if err != nil {
 		return nil, err
 	}
-	return &KernelAlice{responder: r, spec: spec, kmama: kmama}, nil
+	// Bob's centroid lies in the box, so |K(mA,mB)| ≤ (|a0|·|mA|₁·γ + |b0|)^p.
+	gamma, l1 := max(math.Abs(spec.Metric.Alpha), math.Abs(spec.Metric.Beta)), 0.0
+	for _, x := range mA {
+		l1 += math.Abs(x)
+	}
+	k := model.Kernel
+	kmab := math.Pow(math.Abs(k.A0)*l1*gamma+math.Abs(k.B0), float64(k.Degree))
+	return &KernelAlice{responder: r, spec: spec, kmama: kmama, kmab: kmab}, nil
 }
 
 // kernelFieldBits is the field size, in bits, that the kernel variant's
@@ -138,6 +146,22 @@ func kernelFieldBits(kernel svm.Kernel, fracBits uint, amplifierBits int) (int, 
 	e1, e2 := kernelExps(kernel)
 	fb := int(fracBits)
 	return max(int(e2+1)*fb+amplifierBits, int(areaExp(e1, e2))*fb) + 48 + 24, nil
+}
+
+// kernelAreaBits is the field size, in bits, that the kernel area value
+// needs once c1 = K(mA,mA) + K(mB,mB) is known, at the fixed scale
+// exponent exp = areaExp(2p, 2p+2), given kmab ≥ |K(mA,mB)|. On unit
+// normals Eq. (7)'s second bracket is at most ¼(1 + sin²θ0) ≤ 1, so the
+// value is bounded by B̂ = (|c1| + 2·kmab)² + L₀⁴ + 1 (the 1 absorbing
+// fixed-point rounding), and like linearAreaBits the need is
+//
+//	exp·fb + ⌈log2 B̂⌉ + 2.
+func kernelAreaBits(c1, kmab float64, exp, fracBits uint, l0 float64) (int, error) {
+	bHat := math.Pow(math.Abs(c1)+2*kmab, 2) + math.Pow(l0, 4) + 1
+	if math.IsInf(bHat, 0) || math.IsNaN(bHat) {
+		return 0, fmt.Errorf("%w: the area value is not finite", ErrFieldTooSmall)
+	}
+	return int(exp)*int(fracBits) + int(math.Ceil(math.Log2(bHat))) + 2, nil
 }
 
 // unitModel validates a kernel model and returns a copy with αy and b
@@ -183,17 +207,29 @@ func kernelCentroid(model *svm.Model, m Metric) ([]float64, error) {
 func (a *KernelAlice) Spec() KernelSpec { return a.spec }
 
 // HandleClearShare stores Bob's cleartext values and fixes the number of
-// RoundNormal instances at |S_B|.
+// RoundNormal instances at |S_B|. It refuses, with ErrFieldTooSmall, a
+// K(mB,mB) so large that the area value Bob would decode needs more bits
+// than Alice's field has (kernelAreaBits): that value would wrap the
+// field and decode to a wrong T² without any error.
 func (a *KernelAlice) HandleClearShare(cs *KernelClearShare) error {
 	if cs == nil || cs.NumSupport < 1 || math.IsNaN(cs.KmBmB) || math.IsInf(cs.KmBmB, 0) {
 		return errors.New("similarity: invalid kernel clear share")
 	}
-	alphaSum, err := a.codec.Field().FromBytes(cs.AlphaSum)
+	f := a.codec.Field()
+	alphaSum, err := f.FromBytes(cs.AlphaSum)
 	if err != nil {
 		return fmt.Errorf("similarity: alpha sum: %w", err)
 	}
 	e1, e2 := kernelExps(a.spec.Kernel)
-	a.area = &areaTerms{c1: a.kmama + cs.KmBmB, e1: e1, e2: e2, alphaSum: alphaSum}
+	c1 := a.kmama + cs.KmBmB
+	need, err := kernelAreaBits(c1, a.kmab, areaExp(e1, e2), a.spec.FracBits, a.spec.Metric.L0)
+	if err != nil {
+		return err
+	}
+	if need > f.Bits() {
+		return fmt.Errorf("%w: K(mB,mB) = %g puts the area value at %d bits, the field has %d", ErrFieldTooSmall, cs.KmBmB, need, f.Bits())
+	}
+	a.area = &areaTerms{c1: c1, e1: e1, e2: e2, alphaSum: alphaSum}
 	a.normalsWant = cs.NumSupport
 	return nil
 }

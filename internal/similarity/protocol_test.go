@@ -295,6 +295,48 @@ func TestKernelClearShareValidation(t *testing.T) {
 	}
 }
 
+// TestKernelClearShareRange: Alice sizes the area value from the K(mB,mB)
+// Bob declares. At 1e10 and 1e20 it still fits her 521-bit field and T²
+// decodes to the plaintext metric at that K(mB,mB); at 1e30 it would need
+// about 550 bits and wrap, so she refuses the share with
+// ErrFieldTooSmall instead of letting Bob decode a wrong T².
+func TestKernelClearShareRange(t *testing.T) {
+	modelA, modelB := kernelModels(t)
+	metric := similarity.DefaultMetric()
+	plain, err := similarity.EvaluateKernel(modelA, modelB, metric)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, kmbmb := range []float64{1e10, 1e20, 1e30} {
+		alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bob, err := similarity.NewKernelBob(alice.Spec(), modelB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs := *bob.ClearShare()
+		l2 := plain.L*plain.L + kmbmb - cs.KmBmB
+		cs.KmBmB = kmbmb
+		err = alice.HandleClearShare(&cs)
+		if kmbmb == 1e30 {
+			if !errors.Is(err, similarity.ErrFieldTooSmall) {
+				t.Fatalf("K(mB,mB) = %g: err = %v, want ErrFieldTooSmall", kmbmb, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("K(mB,mB) = %g: %v", kmbmb, err)
+		}
+		got := runRounds(t, alice, bob, kernelRounds(cs.NumSupport, true)...)
+		want := similarity.TriangleSquared(l2, plain.CosTheta, metric)
+		if math.Abs(got.TSquared-want) > 2e-3*(1+math.Abs(want)) {
+			t.Fatalf("K(mB,mB) = %g: T² private %g, plaintext %g", kmbmb, got.TSquared, want)
+		}
+	}
+}
+
 func kernelModels(t *testing.T) (*svm.Model, *svm.Model) {
 	t.Helper()
 	spec, err := datasetSpec()

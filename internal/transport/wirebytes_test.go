@@ -26,7 +26,8 @@ import (
 // headerLen is the fixed frame header: version, tag, stream, length.
 const headerLen = 10
 
-// kappa is the IKNP base-OT count and seedLen a base seed's length.
+// kappa is the IKNP base-OT count, and seedLen the length of a base seed
+// and of a tree ciphertext of an extended k-of-n.
 const kappa, seedLen = 128, 16
 
 // pointLen is a group element's encoding.
@@ -117,14 +118,16 @@ func evalRequestBytes(p ompe.Params, vars int) int {
 
 // fastBatch returns the request and response payloads of a classify-fast
 // batch of b samples: b evaluation requests and one extended k-of-n for
-// all of them, k = m genuine pairs out of n = M, each transfer riding
-// ⌈log₂ M⌉ extended 1-of-2s of 16-byte tree keys.
+// all of them, k = m genuine pairs out of n = M, each instance a tree of
+// ⌈log₂ M⌉ random 1-of-2s whose keys never travel. The response is one
+// blob: per sample, k·n 16-byte tree ciphertexts of the message keys and
+// the n evaluations once each.
 func fastBatch(p ompe.Params, vars, b int) (req, resp int) {
 	k, n, w := p.GenuineCount(), p.TotalPairs(), p.Field.ElementLen()
 	ext := b * k * bits.Len(uint(n-1))
 	req = uvarintLen(b) + b*evalRequestBytes(p, vars) +
 		blob(kappa*((ext+7)/8)) + varintLen(ext) + varintLen(k) + varintLen(n) + varintLen(b)
-	resp = 2*blob(ext*seedLen) + varintLen(seedLen) + blob(b*k*n*w) + varintLen(w)
+	resp = blob(b * (k*n*seedLen + n*w))
 	return req, resp
 }
 
@@ -235,7 +238,7 @@ func TestWireBytesFromSpec(t *testing.T) {
 				for _, b := range batches {
 					req, resp := fastBatch(params, vars, b)
 					c2s = append(c2s, frame{tagOf(t, &ompe.FastBatchRequest{OT: &ot.ExtKofNBatchRequest{IKNP: &ot.IKNPReceiverMsg{}}}), req})
-					s2c = append(s2c, frame{tagOf(t, &ompe.FastBatchResponse{OT: &ot.ExtKofNBatchResponse{IKNP: &ot.IKNPSenderMsg{}}}), resp})
+					s2c = append(s2c, frame{tagOf(t, &ompe.FastBatchResponse{OT: &ot.ExtKofNBatchResponse{}}), resp})
 				}
 				c2s = append(c2s, specFrame(t, &transport.Done{}))
 				return c2s, append(s2c, specFrame(t, &transport.SessionTicket{Ticket: ticket}))
