@@ -34,16 +34,21 @@ import (
 // draws one 16-byte key per evaluation instead of 2·k·⌈log₂ M⌉ tree keys,
 // so every response has another layout and the trainer's rng reaches the
 // second session at another position. Every label still matches the
-// plaintext model. Rewriting how the trainer computes its decision
-// function, or how the OT extension is wired, must never change which
-// bytes travel.
+// plaintext model. All six were re-recorded once more when the base
+// phase became a random OT: the client's seed pairs are the batch's slot
+// keys, keyed at cofactor-cleared points, so it draws no seeds and every
+// seed, column and response differs, and a scalar is one 64-byte read,
+// which moves every later draw in both rng streams. Every label still
+// matches the plaintext model. Rewriting how the trainer computes its
+// decision function, or how the OT extension is wired, must never change
+// which bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/limb255":        "a5648b8c7e3b83616ed35303989def037682e1776885180f48b466de2ef26602",
-	"quadratic/limb16":     "89a3423be90b2d2cdb207e5aeb51dbced670b13cf0ff2ce4d99b3c26bf532bee",
-	"sigmoid/big":          "096fe4619d50625a52a5cce70b72d960ba945bb314fd2dbf04b0e9c6421cca3a",
-	"linear/limb16":        "d0162288f6c4a1977d41ef58f434d7009c1896e8f8cd3b45e82b2f16f7dd8cb6",
-	"rbf/limb16":           "8d18ac0864687589fb90dc77f5e1f21616d23457c4d29aca965b4207fca9b973",
-	"cubic-kernelform/big": "81c2568b166d6b11ec6a15caa77c05dbeff1e4685f65e839c40199f8a57587f2",
+	"cubic/limb255":        "ddc8f68a25045cd34ab7809e4bd9fb4ef5b732ca07846220d9e4f57a4cbe0517",
+	"quadratic/limb16":     "6cb09e6e8448e38277a90e06cddb3b910d6f73149427acbcad8f99a79eebfaed",
+	"sigmoid/big":          "3fd133894c2242baf043e29d6f3c74e6386f59620fae337ce4e138068989e622",
+	"linear/limb16":        "5bf407f7eff00042181cdfdb98b293cb98003eabcc7c99ce44caf047c70c09cc",
+	"rbf/limb16":           "6c05e4488dca8f13f36d531a8a971591f0841b7d7a8932bfdaf80f8893895bc8",
+	"cubic-kernelform/big": "f58cbc92ca1ab393aa8a075193b358eb6e25214dee05e280ee9bf86b839baa99",
 }
 
 // sigmoidTerms is the Taylor truncation of the sigmoid case.

@@ -7,32 +7,27 @@ import (
 	"fmt"
 	"testing"
 
-	"repro/internal/ec25519"
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
 // parentTranscripts pins the SHA-256 over the three marshalled messages
 // (setup ‖ choice ‖ transfer) of a Naor–Pinkas transfer run under the
-// deterministic rng below, as first produced by the commit before the
-// group seam moved to decoded elements (60d100d). Refactors change how
-// elements are computed, never which bytes travel.
+// deterministic rng below. Refactors change how elements are computed,
+// never which bytes travel.
 //
-// The digests hash the messages in the integer layout they were recorded
-// in (parentElements, parentTransfer): the batch messages have since become fixed-width
-// blobs, a framing change only, so every element and ciphertext must still
-// re-frame to the recorded bytes.
-//
-// They were re-recorded once when the k instances of a k-of-n became one
-// batch, and the setup and transfer lost their per-instance list layout.
-// A batch of one still carries the parent's bytes: its 1of2 and 1of18
-// digests equal the parent's digest over the inner setup ‖ choice ‖
-// transfer (58f2b26, which wrapped the setup and the transfer in a list of
-// one). The 9of18 digests hash the new one-batch messages.
+// They were last re-recorded when the batch became a random OT: every
+// key is taken at the cofactor-cleared point, so the KDF inputs changed;
+// each message is sent once under its own key, so the transfer has the
+// once-sent layout; and a scalar is one 64-byte read, so every draw
+// moved in the rng stream. At the same time the digests stopped
+// re-framing the messages in the integer layout they had before
+// elements became fixed-width blobs, and hash the messages as they
+// travel.
 var parentTranscripts = map[string]string{
-	"x25519/1of2":  "35b6687787204bdd3feb40ec70a6d21b9e382ce297c18a6a95365d4c7864d366",
-	"x25519/1of18": "5e92de4c4ed15c42bec08642ad3a44f1aa2d0f99d5d72c68c7b42f5e0dc5d3bb",
-	"x25519/9of18": "fa46a80a9e503a544824a80a3ce76511d0837a96c566c07d7c4b086ba2c85355",
+	"x25519/1of2":  "b1bf53bf7e2a77ca379fdc19f2a1f22a44fe233de595470bcece901853a4bcf7",
+	"x25519/1of18": "f42ada6e02608591b5acd08f6d89c250ae8ada8db8e24b858d10c3b12e516553",
+	"x25519/9of18": "b30595d9b7f965d9f047be61729793b945f1082b4ac0a9db092ddab412091671",
 }
 
 func TestTranscriptsMatchParent(t *testing.T) {
@@ -99,33 +94,12 @@ func transcriptDigest(t *testing.T, group Group, msgs [][]byte, indices []int) s
 		}
 	}
 	h := sha256.New()
-	h.Write(parentElements(setup.Cs))
-	h.Write(parentElements(choice.PK0s))
-	h.Write(parentTransfer(tr, len(indices)*len(msgs)))
+	for _, m := range []wire.Msg{setup, choice, tr} {
+		data, err := wire.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(data)
+	}
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// parentElements and parentTransfer encode a batch message in the layout
-// the batch messages had while a group element travelled as an integer:
-// a count, then each element as a length-prefixed big-endian magnitude
-// without leading zero bytes; a transfer as R in that form, then a count
-// and each of its slots ciphertexts as its own length-prefixed slice.
-func parentElements(blob []byte) []byte {
-	w := wire.NewAppendWriter(nil)
-	w.Count(len(blob) / ec25519.PointLen)
-	for i := 0; i < len(blob)/ec25519.PointLen; i++ {
-		w.ByteSlice(bytes.TrimLeft(element(blob, i), "\x00"))
-	}
-	return w.Bytes()
-}
-
-func parentTransfer(tr *BatchTransfer, slots int) []byte {
-	w := wire.NewAppendWriter(nil)
-	w.ByteSlice(bytes.TrimLeft(tr.R, "\x00"))
-	w.Count(slots)
-	width := len(tr.Cts) / slots
-	for j := 0; j < slots; j++ {
-		w.ByteSlice(tr.Cts[j*width : (j+1)*width])
-	}
-	return w.Bytes()
 }

@@ -20,7 +20,7 @@ import (
 //     No key travels: the sender draws none and sends none.
 //   - Messages are sent once. Per sample the sender draws one fresh
 //     16-byte key K_m per message m and sends m once, under a pad of K_m
-//     in its own domain (msgPadXor). Instance i carries only K_m under
+//     in its own domain (padDomainMsg). Instance i carries only K_m under
 //     the tree pad of m's key path, for every m.
 //   - Path digests are shared. A tree pad absorbs its path keys through
 //     an MMO chain (pad.go); the sender computes each chain once per
@@ -28,8 +28,10 @@ import (
 //     of n·⌈log₂ n⌉.
 //
 // A sample's response block is therefore k·n·16 bytes of tree
-// ciphertexts and n·w bytes of messages, and a batch's response is one
-// blob of B·(k·n·16 + n·w) bytes, from which the receiver derives w.
+// ciphertexts and n·w bytes of messages, the once-sent block that the
+// Naor–Pinkas k-of-n also sends (sealOnceSent, kofn.go), and a batch's
+// response is one blob of B·(k·n·16 + n·w) bytes, from which the
+// receiver derives w.
 //
 // Privacy. The receiver holds one key path per instance, so it can open
 // at most one K_m per instance — at most k in all — and so at most k
@@ -79,33 +81,28 @@ func appendPathChoices(choices []int, indices []int, depth int) []int {
 	return choices
 }
 
-// encryptSample writes one sample's response block into dst: instance i's
-// tree ciphertext of K_m at [(i·n+m)·16, +16), then message m under K_m
-// at k·n·16 + m·w. k0 and k1 hold the sample's k·depth random-OT key
-// pairs in (instance, level) order, msgKeys its n message keys, and
-// digests is n·16 bytes of scratch.
+// encryptSample writes one sample's once-sent block into dst
+// (sealOnceSent, kofn.go), padding instance i's copy of K_m under the
+// path digest of m in instance i's tree. k0 and k1 hold the sample's
+// k·depth random-OT key pairs in (instance, level) order, msgKeys its n
+// message keys, and digests is k·n·16 bytes of scratch.
 func encryptSample(dst, k0, k1, msgKeys, digests []byte, msgs [][]byte) {
-	n, w := len(msgs), len(msgs[0])
-	treeBytes := len(dst) - n*w
-	k := treeBytes / (n * treeKeyLen)
+	n := len(msgs)
+	k := len(digests) / (n * treeKeyLen)
 	stride := len(k0) / k
 	s := mmoPool.Get().(*mmoScratch)
 	for i := 0; i < k; i++ {
-		s.pathDigests(digests, k0[i*stride:(i+1)*stride], k1[i*stride:(i+1)*stride], n)
-		for m := 0; m < n; m++ {
-			digest := (*[treeKeyLen]byte)(digests[m*treeKeyLen:])
-			if freshTrace != nil {
-				s.load(digest, m, 0, padDomainTree)
+		inst := digests[i*n*treeKeyLen : (i+1)*n*treeKeyLen]
+		s.pathDigests(inst, k0[i*stride:(i+1)*stride], k1[i*stride:(i+1)*stride], n)
+		if freshTrace != nil {
+			for m := 0; m < n; m++ {
+				s.load((*[treeKeyLen]byte)(inst[m*treeKeyLen:]), m, 0, padDomainTree)
 				freshTrace(s.x[:])
 			}
-			ct := dst[(i*n+m)*treeKeyLen : (i*n+m+1)*treeKeyLen]
-			s.xorPad(ct, msgKeys[m*treeKeyLen:(m+1)*treeKeyLen], digest, m, padDomainTree)
 		}
 	}
-	for m, msg := range msgs {
-		s.xorPad(dst[treeBytes+m*w:treeBytes+(m+1)*w], msg, (*[treeKeyLen]byte)(msgKeys[m*treeKeyLen:]), m, padDomainMsg)
-	}
 	mmoPool.Put(s)
+	sealOnceSent(dst, digests, msgKeys, msgs)
 }
 
 // checkUniformLen verifies all messages share one length.
@@ -120,18 +117,16 @@ func checkUniformLen(msgs [][]byte) error {
 
 // recoverSample decrypts one sample's chosen messages from its response
 // block (checked by the caller) into out, given that sample's path keys in
-// (instance, level) order: instance i opens K_idx with its path, then
-// message idx with K_idx.
+// (instance, level) order: instance i opens K_idx with the digest of its
+// path, then message idx with K_idx.
 func recoverSample(block, pathKeys []byte, indices []int, n int, out [][]byte) {
-	k := len(indices)
-	treeBytes := k * n * treeKeyLen
-	w := (len(block) - treeBytes) / n
-	stride := len(pathKeys) / k
+	stride := len(pathKeys) / len(indices)
+	s := mmoPool.Get().(*mmoScratch)
 	for i, idx := range indices {
-		var key [treeKeyLen]byte
-		treePadXor(key[:], block[(i*n+idx)*treeKeyLen:(i*n+idx+1)*treeKeyLen], pathKeys[i*stride:(i+1)*stride], idx)
-		msgPadXor(out[i], block[treeBytes+idx*w:treeBytes+(idx+1)*w], key[:], idx)
+		digest := s.pathDigest(pathKeys[i*stride : (i+1)*stride])
+		s.openOnceSent(out[i], block, &digest, n, i, idx)
 	}
+	mmoPool.Put(s)
 }
 
 // ExtKofNBatchRequest is the receiver's one message for B samples.
@@ -221,14 +216,9 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 		}
 	}
 	msgKeyBytes := n * treeKeyLen
-	msgKeys := make([]byte, req.B*msgKeyBytes)
-	if _, err := io.ReadFull(rng, msgKeys); err != nil {
+	msgKeys, err := drawMsgKeys(req.B*n, rng)
+	if err != nil {
 		return nil, err
-	}
-	if freshTrace != nil {
-		for off := 0; off < len(msgKeys); off += treeKeyLen {
-			freshTrace(msgKeys[off : off+treeKeyLen])
-		}
 	}
 	k0, k1, err := s.Keys(req.IKNP)
 	if err != nil {
@@ -236,7 +226,7 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 	}
 	block := k*n*treeKeyLen + n*msgLen
 	cts := make([]byte, req.B*block)
-	digests := make([]byte, req.B*msgKeyBytes) // per-sample scratch
+	digests := make([]byte, req.B*k*msgKeyBytes) // per-sample scratch
 	// Every random draw happened above, so sharding the per-sample
 	// encryption across workers is pure arithmetic: the blob is
 	// bit-identical at every GOMAXPROCS.
@@ -245,7 +235,7 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 	_ = parallel.For(req.B, func(b int) error {
 		paths := b * pathBytes
 		encryptSample(cts[b*block:(b+1)*block], k0[paths:paths+pathBytes], k1[paths:paths+pathBytes],
-			msgKeys[b*msgKeyBytes:(b+1)*msgKeyBytes], digests[b*msgKeyBytes:(b+1)*msgKeyBytes], msgs[b])
+			msgKeys[b*msgKeyBytes:(b+1)*msgKeyBytes], digests[b*k*msgKeyBytes:(b+1)*k*msgKeyBytes], msgs[b])
 		return nil
 	})
 	span.End()

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	mrand "math/rand/v2"
 	"runtime"
-	"sync"
 	"testing"
 )
 
@@ -121,19 +120,20 @@ func TestExtKofNPrivacyPathKeys(t *testing.T) {
 		}
 		keys := q.ext.Keys()
 		depth := treeDepth(n)
+		s := new(mmoScratch)
 		treeBytes := k * n * treeKeyLen
 		block := treeBytes + n*w
 		for b, idx := range indices {
 			sample := resp.Cts[b*block : (b+1)*block]
 			for i, chosen := range idx {
-				path := keys[(b*k+i)*depth*treeKeyLen : (b*k+i+1)*depth*treeKeyLen]
+				digest := s.pathDigest(keys[(b*k+i)*depth*treeKeyLen : (b*k+i+1)*depth*treeKeyLen])
 				for m := 0; m < n; m++ {
 					ct := sample[(i*n+m)*treeKeyLen : (i*n+m+1)*treeKeyLen]
 					for _, tweak := range []int{m, chosen} {
 						var key [treeKeyLen]byte
-						treePadXor(key[:], ct, path, tweak)
+						s.xorPad(key[:], ct, &digest, tweak, padDomainTree)
 						got := make([]byte, w)
-						msgPadXor(got, sample[treeBytes+m*w:treeBytes+(m+1)*w], key[:], m)
+						s.xorPad(got, sample[treeBytes+m*w:treeBytes+(m+1)*w], &key, m, padDomainMsg)
 						if opened := bytes.Equal(got, msgs[b][m]); opened != (m == chosen && tweak == m) {
 							t.Fatalf("%d-of-%d sample %d instance %d (chose %d), index %d under tweak %d: opened = %v", k, n, b, i, chosen, m, tweak, opened)
 						}
@@ -193,26 +193,15 @@ func TestExtKofNPrivacyBlobLength(t *testing.T) {
 }
 
 // TestExtKofNFreshInputs drives the extended k-of-n under the freshTrace
-// tap — every random-OT key of both halves, every message key and every
-// tree-pad seed block the sender uses — through batches of 1, 4 and 64
+// tap — the base phase's seed pairs, every random-OT key of both halves,
+// every message key and every tree-pad seed block the sender uses —
+// through batches of 1, 4 and 64
 // samples, with one and two batches in flight, then across a resume, and
 // checks that no input repeats and none is skipped. A frozen batch
 // counter, or a restore that rewinds it, repeats random-OT keys and
 // fails here.
 func TestExtKofNFreshInputs(t *testing.T) {
-	var (
-		mu    sync.Mutex
-		calls int
-		seen  = map[string]bool{}
-	)
-	freshTrace = func(in []byte) {
-		mu.Lock()
-		calls++
-		seen[string(in)] = true
-		mu.Unlock()
-	}
-	defer func() { freshTrace = nil }()
-
+	tap := tapFresh(t)
 	const k, n, w = 3, 6, 32
 	depth := treeDepth(n)
 	want := 0
@@ -243,7 +232,10 @@ func TestExtKofNFreshInputs(t *testing.T) {
 			want += batch * (2*k*depth + n + k*n)
 		}
 	}
+	// The base phase's 2κ slot keys, the receiver's seed pairs, come
+	// first.
 	sender, receiver := extSession(t)
+	want += 2 * iknpKappa
 	for _, batch := range []int{1, 4, 64} {
 		for inflight := 1; inflight <= 2; inflight++ {
 			run(sender, receiver, batch, inflight)
@@ -265,10 +257,5 @@ func TestExtKofNFreshInputs(t *testing.T) {
 	}
 	run(sender, receiver, 4, 2)
 
-	if calls != want {
-		t.Errorf("tap saw %d inputs, want %d", calls, want)
-	}
-	if len(seen) != calls {
-		t.Errorf("%d of %d inputs repeat", calls-len(seen), calls)
-	}
+	tap.check(t, want)
 }

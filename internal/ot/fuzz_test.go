@@ -51,10 +51,10 @@ func FuzzOTWire(f *testing.F) {
 	// Maximal varint: a hostile length prefix with no payload behind it.
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
 	// Wrong-shape messages: the pre-batch base setup (κ one-constraint
-	// setups), base transfers with 2κ−1 ciphertexts and with a short one,
-	// a k-of-n setup and transfer in their per-instance list layout, and
-	// the current 9-of-18 setup, choice and transfer, which travel under
-	// the base phase's tags.
+	// setups), base transfers that carry ciphertexts, a k-of-n setup and
+	// transfer in their per-instance list layout, and the current 9-of-18
+	// setup, choice and transfer, which travel under the base phase's
+	// tags.
 	for _, data := range wrongShapeBaseMsgs(f) {
 		f.Add(data)
 	}
@@ -124,6 +124,13 @@ func slotBlob(slots, width int) []byte {
 	return out
 }
 
+// onceSentBlob returns a stand-in for the once-sent block of a k-of-n
+// over n messages of w bytes: k·n 16-byte key ciphertexts, then n
+// messages.
+func onceSentBlob(k, n, w int) []byte {
+	return append(slotBlob(k*n, treeKeyLen), slotBlob(n, w)...)
+}
+
 // legacyKofN returns a 9-of-18 setup and transfer in the list layout of
 // LegacySeq: nine setups of 17 constraints, nine transfers of one R and
 // 18 ciphertexts each.
@@ -139,22 +146,23 @@ func legacyKofN() (setup, transfer []byte) {
 }
 
 // wrongShapeBaseMsgs are well-encoded messages of the wrong shape: for the
-// IKNP base phase, the k-of-n setup and transfer in their old
-// per-instance layout, and a current 9-of-18 k-of-n, whose messages share
-// their types and frame tags with the base phase's.
+// IKNP base phase, a base transfer that still carries the 2κ seed
+// ciphertexts base phases sent before the seeds became the batch's slot
+// keys, one that carries a single ciphertext, the k-of-n setup and
+// transfer in their old per-instance layout, and a current 9-of-18
+// k-of-n, whose messages share their types and frame tags with the base
+// phase's.
 func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 	tb.Helper()
 	legacy := make([]*BatchSetup, iknpKappa)
 	for i := range legacy {
 		legacy[i] = &BatchSetup{Cs: fakeElements(1, byte(9+i))}
 	}
-	cts := slotBlob(2*iknpKappa-1, treeKeyLen)
-	short := slotBlob(2*iknpKappa, treeKeyLen)[treeKeyLen-3:]
 	kofnSetup, kofnChoice, kofnTransfer := kofnShapeMsgs()
 	out := [][]byte{LegacySeq(legacy)}
 	for _, m := range []wire.Msg{
-		&BatchTransfer{R: fakeElements(1, 7), Cts: cts},
-		&BatchTransfer{R: fakeElements(1, 7), Cts: short},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(2*iknpKappa, treeKeyLen)},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(1, treeKeyLen)},
 		kofnSetup, kofnChoice, kofnTransfer,
 	} {
 		data, err := wire.Marshal(m)
@@ -169,26 +177,29 @@ func wrongShapeBaseMsgs(tb testing.TB) [][]byte {
 
 // kofnShapeMsgs are the three messages of a 9-of-18 transfer, the
 // similarity protocol's area round, in the current layout of one batch:
-// 17 constraints, nine public keys, and one R with 162 ciphertexts.
+// 17 constraints, nine public keys, and one R with the once-sent block
+// of 9·18 key ciphertexts and 18 messages of 32 bytes.
 func kofnShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
 	const k, n = 9, 18
 	return &BatchSetup{Cs: fakeElements(n-1, 1)}, &BatchChoice{PK0s: fakeElements(k, 50)},
-		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(k*n, 32)}
+		&BatchTransfer{R: fakeElements(1, 7), Cts: onceSentBlob(k, n, 32)}
 }
 
 // elementWidthSeeds are batch messages whose blobs do not hold whole
-// elements or slots, which decode cleanly and are refused only by the
-// protocol steps: a 31-byte and a 33-byte element, empty blobs, and a
-// ciphertext blob that is not a multiple of the k·n = 162 slots of a
-// 9-of-18.
+// elements or a once-sent block, which decode cleanly and are refused
+// only by the protocol steps: a 31-byte and a 33-byte element, empty
+// blobs, a 9-of-18 block five bytes short, and the k·n slots of 32 bytes
+// a 9-of-18 carried before each message was sent once.
 func elementWidthSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
+	block := onceSentBlob(9, 18, 32)
 	var out [][]byte
 	for _, m := range []wire.Msg{
 		&BatchSetup{Cs: fakeElements(1, 3)[:31]},
 		&BatchChoice{PK0s: append([]byte{0}, fakeElements(1, 4)...)},
 		&BatchTransfer{},
-		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(9*18, 32)[:9*18*32-5]},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: block[:len(block)-5]},
+		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(9*18, 32)},
 	} {
 		data, err := wire.Marshal(m)
 		if err != nil {

@@ -5,13 +5,18 @@
 // genuine evaluations out of M = m·k pairs (§IV-A.3) without revealing
 // which indices were genuine.
 //
-// The k-out-of-n transfer is realized as one batch of k 1-out-of-n
-// instances over the same messages, sharing one constraint set and one
-// ephemeral r (the batched form of Naor–Pinkas; DESIGN.md §11). It has
-// identical functionality and privacy in the honest-but-curious model the
-// paper assumes (the receiver is trusted to pick distinct
-// indices; a malicious-receiver variant would need the Chu–Tzeng
-// construction the paper cites).
+// The Naor–Pinkas core is a batch of random OTs: m 1-out-of-n instances
+// share one constraint set and one ephemeral r (the batched form of
+// Naor–Pinkas; DESIGN.md §11), and the batch yields a 16-byte key per
+// slot instead of encrypting messages (the random-OT form of Asharov et
+// al. 2013). A k-out-of-n is one batch of k instances over the same
+// messages that sends each message once, under a fresh key that each
+// instance carries under its slot key; the IKNP base phase is one batch
+// of κ whose keys are the extension's seeds, so it sends no ciphertext
+// at all. The k-out-of-n has identical functionality and privacy in the
+// honest-but-curious model the paper assumes (the receiver is trusted to
+// pick distinct indices; a malicious-receiver variant would need the
+// Chu–Tzeng construction the paper cites).
 //
 // The group is the prime-order subgroup of edwards25519 (internal/
 // ec25519), named "x25519"; it is the only one.
@@ -22,14 +27,14 @@
 // element is a decoded *ec25519.Point: Group.Decode turns a received
 // encoding into one exactly once, and that decode is the validation (an
 // encoding of another length, one that is not a curve point, or one of a
-// point of small order never reaches the arithmetic); all Naor–Pinkas
-// arithmetic runs on decoded points; Group.Encode turns a whole batch
-// back into encodings at the end with one shared field inversion instead
-// of one per element.
+// point of small order never reaches the arithmetic) and clears the
+// cofactor, so torsion a peer adds to a point reaches no key; all
+// Naor–Pinkas arithmetic runs on decoded points; Group.Encode turns a
+// whole batch back into encodings at the end with one shared field
+// inversion instead of one per element.
 package ot
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -86,25 +91,39 @@ func (Group) Name() string { return "x25519" }
 // compressed point.
 func (Group) ElementLen() int { return ec25519.PointLen }
 
-// Decode interprets enc as a canonical compressed point and refuses any
-// other length and the eight points of small order, the identity among
-// them: [e] of such a point takes at most eight values whatever e is, so
-// a peer's small-order PK0, R or C_j would pin the transfer keys. The
-// check is three doublings. A point of mixed order (a subgroup point plus
-// a small-order one) still decodes; excluding it needs [L]·P, one ladder
-// per received element.
+// Decode interprets enc as a canonical compressed point P and returns
+// its cofactor-cleared multiple [8]·P, which is what every transfer key
+// is computed from (DESIGN.md §11). It refuses any other length and the
+// eight points of small order, the identity among them, for which [8]·P
+// is the identity: [e] of such a point takes at most eight values
+// whatever e is, so a peer's small-order PK0, R or C_j would pin the
+// transfer keys. The clearing is three doublings. A point of mixed
+// order (a subgroup point plus a small-order one) decodes to the [8]
+// multiple of its subgroup part, so the torsion a peer adds to what it
+// sends reaches no key.
 func (Group) Decode(enc []byte) (*ec25519.Point, error) {
+	var p ec25519.Point
+	cleared := new(ec25519.Point)
+	if err := decode(&p, cleared, enc); err != nil {
+		return nil, err
+	}
+	return cleared, nil
+}
+
+// decode sets p to the point enc encodes and cleared to [8]·p. The
+// receiver keeps p itself for the one element it forms from a received
+// one (PK_0 = C_σ − [x]·B).
+func decode(p, cleared *ec25519.Point, enc []byte) error {
 	if len(enc) != ec25519.PointLen {
-		return nil, fmt.Errorf("%w: element of %d bytes, want %d", ErrBadMessage, len(enc), ec25519.PointLen)
+		return fmt.Errorf("%w: element of %d bytes, want %d", ErrBadMessage, len(enc), ec25519.PointLen)
 	}
-	var p, cleared ec25519.Point
 	if err := p.Decode(enc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadMessage, err)
+		return fmt.Errorf("%w: %v", ErrBadMessage, err)
 	}
-	if cleared.MulByCofactor(&p).IsIdentity() {
-		return nil, fmt.Errorf("%w: point of small order", ErrBadMessage)
+	if cleared.MulByCofactor(p).IsIdentity() {
+		return fmt.Errorf("%w: point of small order", ErrBadMessage)
 	}
-	return &p, nil
+	return nil
 }
 
 // Encode returns the encodings of pts, in order and back to back,
@@ -176,13 +195,24 @@ func (Group) Inv(a *ec25519.Point) *ec25519.Point {
 	return new(ec25519.Point).Neg(a)
 }
 
-// RandomScalar samples a uniform scalar in [1, L).
+// scalarDrawLen is the bytes one RandomScalar reads: 512 bits, so the
+// reduction mod L − 1 is within 2^-259 of uniform.
+const scalarDrawLen = 64
+
+// scalarRange is L − 1, the number of values RandomScalar draws from.
+var scalarRange = new(big.Int).Sub(ec25519.Order(), big.NewInt(1))
+
+// RandomScalar samples a scalar in [1, L) from one read of 64 bytes,
+// reduced mod L − 1 and shifted up by one. Every draw consumes exactly 64
+// bytes, so the rng's position after a batch of draws, and the
+// allocations they make, do not depend on the values drawn.
 func (Group) RandomScalar(rng io.Reader) (*big.Int, error) {
-	lm1 := new(big.Int).Sub(ec25519.Order(), big.NewInt(1))
-	x, err := rand.Int(rng, lm1)
-	if err != nil {
+	var buf [scalarDrawLen]byte
+	if _, err := io.ReadFull(rng, buf[:]); err != nil {
 		return nil, fmt.Errorf("ot: sample scalar: %w", err)
 	}
+	x := new(big.Int).SetBytes(buf[:])
+	x.Mod(x, scalarRange)
 	return x.Add(x, big.NewInt(1)), nil
 }
 

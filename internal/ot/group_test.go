@@ -41,8 +41,8 @@ func encodeAll(t *testing.T, g ot.Group, elems ...*ec25519.Point) [][]byte {
 // TestX25519GroupOps checks the DDH-group contract the Naor–Pinkas
 // construction relies on: ExpG agrees with Exp on the generator's image,
 // Mul/Inv cancel, exponent arithmetic is homomorphic, ExpSeed is the
-// exponentiation of the sampled element, and every result survives the
-// wire (Encode then Decode) unchanged.
+// exponentiation of the sampled element, and every result crosses the
+// wire (Encode then Decode) as its cofactor-cleared multiple [8]·P.
 func TestX25519GroupOps(t *testing.T) {
 	g := ot.X25519()
 	a, err := g.RandomScalar(rand.Reader)
@@ -62,12 +62,14 @@ func TestX25519GroupOps(t *testing.T) {
 		t.Fatal(err)
 	}
 	el := g.ElementFromSeed(seed)
-	w := encodeAll(t, g,
+	pts := []*ec25519.Point{
 		g.Exp(ga, b), g.Exp(gb, a), // 0, 1: (g^a)^b == (g^b)^a
 		g.Mul(ga, gb), g.ExpG(new(big.Int).Add(a, b)), // 2, 3: g^a · g^b == g^(a+b)
 		g.Mul(gb, id), gb, // 4, 5: g^a · (g^a)^{-1} is neutral
 		g.ExpSeed(seed, a), g.Exp(el, a), // 6, 7: the seed shortcut
-		el, ga)
+		el, ga,
+	}
+	w := encodeAll(t, g, pts...)
 	for i := 0; i < 8; i += 2 {
 		if !bytes.Equal(w[i], w[i+1]) {
 			t.Fatalf("group law %d violated: %x != %x", i/2, w[i], w[i+1])
@@ -81,8 +83,9 @@ func TestX25519GroupOps(t *testing.T) {
 		if err != nil {
 			t.Fatalf("element %d does not decode: %v", i, err)
 		}
-		if again := encodeAll(t, g, back); !bytes.Equal(again[0], x) {
-			t.Fatalf("element %d changes across decode/encode", i)
+		again := encodeAll(t, g, back, g.Exp(pts[i], big.NewInt(8)))
+		if !bytes.Equal(again[0], again[1]) {
+			t.Fatalf("element %d does not decode to [8]·P", i)
 		}
 	}
 	if empty := encodeAll(t, g); len(empty) != 0 {

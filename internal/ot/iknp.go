@@ -18,13 +18,14 @@ import (
 // 1-out-of-2 transfers for the price of κ = 128 base transfers plus
 // symmetric crypto. The roles of the base phase are reversed — the
 // OT-extension SENDER acts as the base-OT *receiver* with a random choice
-// vector s, and the OT-extension RECEIVER acts as the base-OT *sender*
-// with random seed pairs.
+// vector s, and the OT-extension RECEIVER acts as the base-OT *sender*,
+// whose random-OT slot keys are its seed pairs.
 //
 // Protocol (column i < κ, row j < m):
 //
-//	receiver: seeds (k0_i, k1_i); t_i = G(k0_i); u_i = t_i ⊕ G(k1_i) ⊕ r
-//	sender:   learns k(s_i)_i by base OT; q_i = G(k(s_i)_i) ⊕ s_i·u_i
+//	base OT:  slot keys (k0_i, k1_i) to the receiver, k(s_i)_i to the sender
+//	receiver: t_i = G(k0_i); u_i = t_i ⊕ G(k1_i) ⊕ r
+//	sender:   q_i = G(k(s_i)_i) ⊕ s_i·u_i
 //	          ⇒ row q_j = t_j ⊕ r_j·s
 //	sender:   key pair (K0_j, K1_j) = (H(j, q_j), H(j, q_j ⊕ s))
 //	receiver: K(r_j)_j = H(j, t_j)
@@ -78,7 +79,7 @@ type IKNPSender struct {
 
 // IKNPReceiver is the OT-extension receiver: it inputs m choice bits,
 // learns one key of each pair, and runs the base phase as a base-OT
-// sender of seed pairs.
+// sender whose slot keys are its seed pairs.
 type IKNPReceiver struct {
 	seed0    [][]byte
 	seed1    [][]byte
@@ -100,14 +101,17 @@ type IKNPExtension struct {
 	t [][]byte // κ columns of m bits
 }
 
-// The base phase is one batch of κ 1-of-2 transfers (naorpinkas.go) in
-// which the OT-extension receiver plays the base-OT sender of its seed
-// pairs, so it speaks the batch messages: a BatchSetup of the one
-// constraint the κ transfers share (32 bytes), the extension sender's
-// BatchChoice of κ public keys under its secret vector s (32·κ bytes),
-// and a BatchTransfer of one R and 2κ 16-byte ciphertexts (32 + 32·κ
-// bytes), seed j of transfer i at slot 2i + j. Three messages total, so
-// the base phase fits one round trip plus one message over a transport.
+// The base phase is one batch of κ 1-of-2 random OTs (naorpinkas.go) in
+// which the OT-extension receiver plays the base-OT sender, and the
+// batch's slot keys are the seeds: the receiver's pair (k0_i, k1_i) is
+// instance i's two slot keys, and the sender's k(s_i)_i the one it
+// recovers. No seed is drawn or encrypted, since IKNP needs random seed
+// pairs, not chosen ones. The phase speaks the batch messages: a
+// BatchSetup of the one constraint the κ transfers share (32 bytes), the
+// extension sender's BatchChoice of κ public keys under its secret
+// vector s (32·κ bytes), and a BatchTransfer of one R and no ciphertexts
+// (32 bytes). Three messages total, so the base phase fits one round trip
+// plus one message over a transport.
 type (
 	// IKNPBaseSetup is the base phase's BatchSetup.
 	//
@@ -139,45 +143,18 @@ func (r *IKNPReceiver) SetPad(PadFunc) {}
 func (s *IKNPSender) SetParallelism(int) {}
 
 // NewIKNPReceiverBase creates the extension receiver and its base-phase
-// setup message (it acts as the base-OT sender of κ seed pairs).
+// setup message (it acts as the base-OT sender, and its seed pairs are
+// the batch's slot keys, which exist once BaseRespond has answered).
 func NewIKNPReceiverBase(group Group, rng io.Reader) (*IKNPReceiver, *BatchSetup, error) {
 	// The base phase runs κ real Naor–Pinkas 1-of-2 instances; count them
 	// like the direct batch path does, so session metrics show the base-OT
 	// work the extension amortizes.
 	obs.Add(obs.CtrOTInstances, iknpKappa)
-	recv := &IKNPReceiver{
-		seed0:    make([][]byte, iknpKappa),
-		seed1:    make([][]byte, iknpKappa),
-		ciphers0: make([]cipher.Block, iknpKappa),
-		ciphers1: make([]cipher.Block, iknpKappa),
-	}
-	// The base sender only reads the seed pairs, which nothing mutates
-	// afterwards, so it shares them with the receiver state.
-	pairs := make([][][]byte, iknpKappa)
-	// Every seed in one read, pair by pair: seed0_0, seed1_0, seed0_1, …
-	flat := make([]byte, 2*iknpKappa*treeKeyLen)
-	if _, err := io.ReadFull(rng, flat); err != nil {
-		return nil, nil, err
-	}
-	for i := 0; i < iknpKappa; i++ {
-		pair := flat[2*i*treeKeyLen:]
-		recv.seed0[i] = pair[:treeKeyLen:treeKeyLen]
-		recv.seed1[i] = pair[treeKeyLen : 2*treeKeyLen : 2*treeKeyLen]
-		var err error
-		if recv.ciphers0[i], err = aes.NewCipher(recv.seed0[i]); err != nil {
-			return nil, nil, err
-		}
-		if recv.ciphers1[i], err = aes.NewCipher(recv.seed1[i]); err != nil {
-			return nil, nil, err
-		}
-		pairs[i] = [][]byte{recv.seed0[i], recv.seed1[i]}
-	}
-	s, setup, err := newBatchSender(group, pairs, rng)
+	s, setup, err := newBatchSender(group, 2, iknpKappa, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base setup: %w", err)
 	}
-	recv.baseSender = s
-	return recv, setup, nil
+	return &IKNPReceiver{baseSender: s}, setup, nil
 }
 
 // NewIKNPSenderBase creates the extension sender from the receiver's
@@ -197,7 +174,7 @@ func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSend
 	for i := range bits {
 		bits[i] = getBit(send.s, i)
 	}
-	receiver, choice, err := newBatchReceiver(group, 2, treeKeyLen, bits, setup, rng)
+	receiver, choice, err := newBatchReceiver(group, 2, bits, setup, rng)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ot: iknp base choice: %w", err)
 	}
@@ -206,41 +183,59 @@ func NewIKNPSenderBase(group Group, setup *BatchSetup, rng io.Reader) (*IKNPSend
 }
 
 // BaseRespond is the extension receiver's answer to the sender's base
-// choices.
+// choices: R alone. The batch's slot keys become the receiver's seed
+// pairs, (k0_i, k1_i) those of instance i.
 func (r *IKNPReceiver) BaseRespond(choice *BatchChoice, rng io.Reader) (*BatchTransfer, error) {
 	if choice == nil || len(choice.PK0s) != iknpKappa*ec25519.PointLen || r.baseSender == nil {
 		return nil, fmt.Errorf("%w: bad base choice", ErrIKNP)
 	}
-	transfer, err := r.baseSender.respond(choice.PK0s, rng)
+	bigR, keys, err := r.baseSender.respond(choice.PK0s, rng)
 	if err != nil {
 		return nil, fmt.Errorf("ot: iknp base respond: %w", err)
 	}
+	r.seed0 = make([][]byte, iknpKappa)
+	r.seed1 = make([][]byte, iknpKappa)
+	r.ciphers0 = make([]cipher.Block, iknpKappa)
+	r.ciphers1 = make([]cipher.Block, iknpKappa)
+	for i := 0; i < iknpKappa; i++ {
+		// Slot 2i + j holds seed j of instance i.
+		pair := keys[2*i*treeKeyLen:]
+		r.seed0[i] = pair[:treeKeyLen:treeKeyLen]
+		r.seed1[i] = pair[treeKeyLen : 2*treeKeyLen : 2*treeKeyLen]
+		if r.ciphers0[i], err = aes.NewCipher(r.seed0[i]); err != nil {
+			return nil, err
+		}
+		if r.ciphers1[i], err = aes.NewCipher(r.seed1[i]); err != nil {
+			return nil, err
+		}
+	}
 	r.baseSender = nil // one-shot
-	return transfer, nil
+	return &BatchTransfer{R: bigR}, nil
 }
 
-// BaseFinish completes the extension sender's base phase.
+// BaseFinish completes the extension sender's base phase. The transfer
+// carries R and no ciphertexts; anything else is ErrIKNP.
 func (s *IKNPSender) BaseFinish(tr *BatchTransfer) error {
 	if tr == nil || s.baseReceiver == nil {
 		return fmt.Errorf("%w: bad base transfer", ErrIKNP)
 	}
-	if len(tr.Cts) != 2*iknpKappa*treeKeyLen {
-		return fmt.Errorf("%w: base transfer carries %d ciphertext bytes, want %d", ErrIKNP, len(tr.Cts), 2*iknpKappa*treeKeyLen)
+	if len(tr.Cts) != 0 {
+		return fmt.Errorf("%w: base transfer carries %d ciphertext bytes, want none", ErrIKNP, len(tr.Cts))
 	}
-	seeds, err := s.baseReceiver.recover(tr)
+	// The chosen slot keys k(s_i)_i are the seeds, flat 16-byte rows.
+	// They are retained alongside the expanded ciphers: a session
+	// snapshot (see resume.go) must carry the raw key material, because a
+	// cipher.Block cannot be serialized back into its key.
+	seeds, err := s.baseReceiver.recover(tr.R)
 	if err != nil {
 		return fmt.Errorf("ot: iknp base recover: %w", err)
 	}
-	// Retain the recovered seeds alongside the expanded ciphers: a session
-	// snapshot (see resume.go) must carry the raw key material, because a
-	// cipher.Block cannot be serialized back into its key.
-	s.seeds = make([]byte, iknpKappa*treeKeyLen)
-	for i, seed := range seeds {
-		copy(s.seeds[i*treeKeyLen:], seed)
-		if s.ciphers[i], err = aes.NewCipher(seed); err != nil {
+	for i := range s.ciphers {
+		if s.ciphers[i], err = aes.NewCipher(seeds[i*treeKeyLen : (i+1)*treeKeyLen]); err != nil {
 			return err
 		}
 	}
+	s.seeds = seeds
 	s.baseReceiver = nil
 	return nil
 }
@@ -273,6 +268,9 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 	m := len(choices)
 	if m == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrIKNP)
+	}
+	if r.baseSender != nil { // the seeds are slot keys BaseRespond derives
+		return nil, nil, fmt.Errorf("%w: base phase incomplete", ErrIKNP)
 	}
 	ext := &IKNPExtension{m: m}
 	bits := make([]byte, (m+7)/8) // choice bits, packed
@@ -317,6 +315,9 @@ func (r *IKNPReceiver) Extend(choices []int) (*IKNPExtension, *IKNPReceiverMsg, 
 func (s *IKNPSender) Keys(msg *IKNPReceiverMsg) ([]byte, []byte, error) {
 	if msg == nil || msg.M <= 0 {
 		return nil, nil, fmt.Errorf("%w: bad column message", ErrIKNP)
+	}
+	if s.baseReceiver != nil {
+		return nil, nil, fmt.Errorf("%w: base phase incomplete", ErrIKNP)
 	}
 	m := msg.M
 	cols := (m + 7) / 8

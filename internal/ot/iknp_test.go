@@ -3,6 +3,7 @@ package ot_test
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"testing"
 
 	"repro/internal/ot"
@@ -76,6 +77,21 @@ func TestIKNPValidation(t *testing.T) {
 	}
 	if _, _, err := sender.Keys(&ot.IKNPReceiverMsg{U: msg.U, M: 0}); err == nil {
 		t.Fatal("zero transfers should fail")
+	}
+	// Neither end extends before its base phase is done.
+	earlyRecv, setup, err := ot.NewIKNPReceiverBase(ot.X25519(), rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := earlyRecv.Extend([]int{0, 1}); !errors.Is(err, ot.ErrIKNP) {
+		t.Fatalf("Extend before BaseRespond: err = %v, want ErrIKNP", err)
+	}
+	earlySend, _, err := ot.NewIKNPSenderBase(ot.X25519(), setup, rand.Reader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := earlySend.Keys(msg); !errors.Is(err, ot.ErrIKNP) {
+		t.Fatalf("Keys before BaseFinish: err = %v, want ErrIKNP", err)
 	}
 }
 

@@ -162,7 +162,9 @@ func TestMalformedElementsRejected(t *testing.T) {
 
 // TestFixedWidthRefusedFirst: a batch message with one element
 // re-encoded as 33 bytes (a leading zero before its 32), or a ciphertext
-// blob that is not k·n·w bytes for messages of w bytes, crosses the codec
+// blob that is not the k·n·16 + n·w bytes of the once-sent block for
+// messages of w bytes — the k·n slots of w bytes a transfer carried
+// before each message was sent once among them — crosses the codec
 // — the blobs are plain byte slices — and is refused with ErrBadMessage
 // by the step that receives it, before that step draws randomness or does
 // any group arithmetic. Each element has one accepted encoding.
@@ -223,12 +225,15 @@ func TestFixedWidthRefusedFirst(t *testing.T) {
 		}
 	}
 	slots := len(indices) * n
+	keyBytes := slots * 16
 	steps["transfer R"] = recoverFrom(widen(tr.R, 0), tr.Cts)
 	steps["ciphertexts one byte short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-1])
 	steps["ciphertexts one byte over"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), 0))
-	steps["ciphertexts one slot short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-len(tr.Cts)/slots])
-	steps["k·n slots of 16 bytes"] = recoverFrom(tr.R, tr.Cts[:slots*16])
-	steps["k·n slots of 48 bytes"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), tr.Cts[:slots*16]...))
+	steps["one key ciphertext short"] = recoverFrom(tr.R, tr.Cts[16:])
+	steps["one message short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-32])
+	steps["key ciphertexts only"] = recoverFrom(tr.R, tr.Cts[:keyBytes])
+	steps["messages of 48 bytes"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), tr.Cts[:n*16]...))
+	steps["k·n slots of 32 bytes"] = recoverFrom(tr.R, make([]byte, slots*32))
 	for name, step := range steps {
 		reg := obs.NewRegistry()
 		prev := obs.SwapDefault(reg)
@@ -269,12 +274,14 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // TestMalformedIKNPBaseRejected feeds the extension sender base messages
-// of the wrong shape — including the layout of a peer from before the κ
-// base transfers became one batch, κ one-constraint setups, and the
-// messages of a similarity k-of-n, which share the base phase's types and
-// frame tags — and malformed elements in the shared R. It wants ErrIKNP
-// for every wrong shape and ErrIKNP or ErrBadMessage for a bad element,
-// never a panic; the honest transfer still completes after the
+// of the wrong shape — including the layouts of peers from before the κ
+// base transfers became one batch (κ one-constraint setups) and from
+// before the seeds became the batch's slot keys (a transfer carrying 2κ
+// seed ciphertexts), and the messages of a similarity k-of-n, which share
+// the base phase's types and frame tags — and malformed elements in the
+// shared R. It wants ErrIKNP for every wrong shape, any non-empty
+// ciphertext blob among them, and ErrIKNP or ErrBadMessage for a bad
+// element, never a panic; the honest transfer still completes after the
 // rejections.
 func TestMalformedIKNPBaseRejected(t *testing.T) {
 	bad := malformedElements(t)
@@ -356,25 +363,29 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cts := tr.Cts
+		if len(tr.Cts) != 0 {
+			t.Fatalf("base transfer carries %d ciphertext bytes, want none", len(tr.Cts))
+		}
 		withCts := func(cts []byte) *ot.BatchTransfer {
 			return &ot.BatchTransfer{R: tr.R, Cts: cts}
 		}
+		// The 2κ 16-byte seed ciphertexts a base transfer carried before
+		// the seeds became the batch's slot keys.
+		seedCts := make([]byte, 2*128*16)
 		for name, btr := range map[string]*ot.BatchTransfer{
-			"nil":                    nil,
-			"empty transfer":         {},
-			"κ ciphertexts":          withCts(cts[:128*16]),
-			"2κ−1 ciphertexts":       withCts(cts[:255*16]),
-			"2κ+1 ciphertexts":       withCts(append(append([]byte(nil), cts...), cts[:16]...)),
-			"one byte short":         withCts(cts[:len(cts)-1]),
-			"one byte over":          withCts(append(append([]byte(nil), cts...), 0)),
-			"2κ 32-byte ciphertexts": withCts(append(append([]byte(nil), cts...), cts...)),
-			"9-of-18 transfer":       kofnTr,
+			"nil":                   nil,
+			"one byte":              withCts([]byte{0}),
+			"one 16-byte slot":      withCts(seedCts[:16]),
+			"κ 16-byte slots":       withCts(seedCts[:128*16]),
+			"2κ seed ciphertexts":   withCts(seedCts),
+			"2κ seed ciphertexts−1": withCts(seedCts[:len(seedCts)-1]),
+			"9-of-18 transfer":      kofnTr,
 		} {
 			wantShape("BaseFinish("+name+")", send.BaseFinish(btr))
 		}
+		want("BaseFinish(empty transfer)", send.BaseFinish(&ot.BatchTransfer{}))
 		for name, x := range bad {
-			want("BaseFinish(R "+name+")", send.BaseFinish(&ot.BatchTransfer{R: x, Cts: cts}))
+			want("BaseFinish(R "+name+")", send.BaseFinish(&ot.BatchTransfer{R: x}))
 		}
 		if err := send.BaseFinish(tr); err != nil {
 			t.Fatalf("honest base transfer after the rejections: %v", err)

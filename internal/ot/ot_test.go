@@ -237,16 +237,23 @@ func TestNonChosenMessagesUnreadable(t *testing.T) {
 	if !bytes.Equal(got[0], msgs[1]) {
 		t.Fatal("chosen message wrong")
 	}
-	// A receiver that lies about sigma post-hoc (tries index 2's slot with
-	// its index-1 key) must not get message 2: swap ciphertexts so the
-	// receiver decrypts slot 2's bytes with its own key/pad.
-	copy(o.tr.Cts[1*24:2*24], o.tr.Cts[2*24:3*24])
-	leaked, err := o.receiver.Recover(o.tr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Equal(leaked[0], msgs[2]) {
-		t.Fatal("receiver decrypted a non-chosen message")
+	// A receiver that lies about sigma post-hoc must not get message 2:
+	// move index 2's key ciphertext, then its message, into index 1's
+	// place, so the receiver opens them with its own slot key and pads.
+	const keys = 4 * 16
+	for name, span := range map[string][2]int{
+		"key ciphertext": {16, 2 * 16},
+		"message":        {keys + 24, keys + 2*24},
+	} {
+		tr := &ot.BatchTransfer{R: o.tr.R, Cts: append([]byte(nil), o.tr.Cts...)}
+		copy(tr.Cts[span[0]:span[1]], o.tr.Cts[span[1]:2*span[1]-span[0]])
+		leaked, err := o.receiver.Recover(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(leaked[0], msgs[2]) {
+			t.Fatalf("receiver decrypted a non-chosen message from its %s", name)
+		}
 	}
 }
 
@@ -289,7 +296,8 @@ func TestElementLen(t *testing.T) {
 // TestBatchMismatchedCounts: the k instances share one setup, so the
 // receiver cannot read k from it. A k mismatch is refused where it shows:
 // at Respond, which wants one public key per instance, and at Recover,
-// which wants a ciphertext blob of k·n slots of the messages' width.
+// which wants the once-sent block of k·n 16-byte key ciphertexts and n
+// messages of the messages' width.
 func TestBatchMismatchedCounts(t *testing.T) {
 	g := ot.X25519()
 	msgs := randomMessages(t, 5, 16)
@@ -325,11 +333,14 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	want("Recover(k=2 transfer, k=3 receiver)", err)
 	cts := tr.Cts
 	for name, bad := range map[string][]byte{
-		"k·n−1 ciphertexts": cts[:len(cts)-16],
-		"k·n+1 ciphertexts": append(append([]byte(nil), cts...), cts[:16]...),
-		"one byte short":    cts[:len(cts)-1],
-		"one byte over":     append(append([]byte(nil), cts...), 0),
-		"n ciphertexts":     cts[:5*16],
+		"k·n−1 key ciphertexts":  cts[16:],
+		"k·n+1 key ciphertexts":  append(append([]byte(nil), cts[:16]...), cts...),
+		"one byte short":         cts[:len(cts)-1],
+		"one byte over":          append(append([]byte(nil), cts...), 0),
+		"n messages, no keys":    cts[2*5*16:],
+		"k·n slots of 16 bytes":  cts[:2*5*16],
+		"k copies of n messages": make([]byte, 2*5*16),
+		"k·n keys, n+1 messages": append(append([]byte(nil), cts...), cts[len(cts)-16:]...),
 	} {
 		_, err = receiver.Recover(&ot.BatchTransfer{R: tr.R, Cts: bad})
 		want("Recover("+name+")", err)

@@ -156,28 +156,12 @@ func (s *mmoScratch) pathDigests(dst, k0, k1 []byte, n int) {
 	}
 }
 
-// treePadXor writes dst = src ⊕ pad(path, index) for one tree ciphertext:
-// the path keys (depth·16 bytes) are absorbed through the MMO chain, then
-// the digest is expanded with the (index, counter) tweak.
-func treePadXor(dst, src, path []byte, index int) {
-	s := mmoPool.Get().(*mmoScratch)
-	h := s.pathDigest(path)
-	s.xorPad(dst, src, &h, index, padDomainTree)
-	mmoPool.Put(s)
-}
-
-// msgPadXor writes dst = src ⊕ pad(key, index) for one once-sent message
-// under its own 16-byte key, in the message domain.
-func msgPadXor(dst, src, key []byte, index int) {
-	s := mmoPool.Get().(*mmoScratch)
-	s.xorPad(dst, src, (*[aes.BlockSize]byte)(key), index, padDomainMsg)
-	mmoPool.Put(s)
-}
-
-// freshTrace, when set, sees every secret 16-byte input the extended
-// k-of-n sender derives or draws: both random-OT keys of every extended
-// transfer, every message key K_m, and every block that seeds a tree pad
-// (a path digest with its tweak folded in). It may be called from
-// several workers at once. Tests set it to check that no input ever
-// repeats; it is nil otherwise, and the calls it guards allocate nothing.
+// freshTrace, when set, sees every secret 16-byte input a k-of-n sender
+// derives or draws: every Naor–Pinkas slot key (the IKNP base phase's
+// seed pairs among them), both random-OT keys of every extended
+// transfer, every message key K_m of either k-of-n, and every block that
+// seeds an extended tree pad (a path digest with its tweak folded in). It
+// may be called from several workers at once. Tests set it to check that
+// no input ever repeats; it is nil otherwise, and the calls it guards
+// allocate nothing.
 var freshTrace func(in []byte)

@@ -96,13 +96,14 @@ func TestRowPadAESDifferential(t *testing.T) {
 // it apart from the tree-domain pad of the same seed and index.
 func TestMsgPadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
+	s := new(mmoScratch)
 	for _, size := range []int{1, 16, 17, 32, 33, 66, longPad} {
 		var key [treeKeyLen]byte
 		rng.Read(key[:])
 		src := make([]byte, size)
 		rng.Read(src)
 		got := make([]byte, size)
-		msgPadXor(got, src, key[:], 11)
+		s.xorPad(got, src, &key, 11, padDomainMsg)
 		want := naiveExpand(t, size, key, 11, padDomainMsg)
 		for i := range want {
 			want[i] ^= src[i]
@@ -124,6 +125,7 @@ func TestMsgPadAESDifferential(t *testing.T) {
 // the naive spec reference across path depths, indices and sizes.
 func TestTreePadAESDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
+	s := new(mmoScratch)
 	for _, depth := range []int{1, 2, 5, 9} {
 		for _, size := range []int{1, 16, 17, 32, 80, longPad} {
 			flat := make([]byte, depth*treeKeyLen)
@@ -135,7 +137,8 @@ func TestTreePadAESDifferential(t *testing.T) {
 			src := make([]byte, size)
 			rng.Read(src)
 			got := make([]byte, size)
-			treePadXor(got, src, flat, 12345)
+			digest := s.pathDigest(flat)
+			s.xorPad(got, src, &digest, 12345, padDomainTree)
 			want := naiveTreePadAES(t, size, path, 12345)
 			for i := range want {
 				want[i] ^= src[i]
@@ -183,14 +186,16 @@ func TestPathDigestsShared(t *testing.T) {
 // two-time pad), for the message pad and the tree pad alike.
 func TestPadBlockCounterDoesNotWrap(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	key := make([]byte, treeKeyLen)
-	rng.Read(key)
+	var key [treeKeyLen]byte
+	rng.Read(key[:])
 	path := make([]byte, 2*treeKeyLen)
 	rng.Read(path)
 	zero := make([]byte, longPad)
+	s := new(mmoScratch)
+	digest := s.pathDigest(path)
 	for name, pad := range map[string]func(dst []byte){
-		"msg":  func(dst []byte) { msgPadXor(dst, zero, key, 3) },
-		"tree": func(dst []byte) { treePadXor(dst, zero, path, 3) },
+		"msg":  func(dst []byte) { s.xorPad(dst, zero, &key, 3, padDomainMsg) },
+		"tree": func(dst []byte) { s.xorPad(dst, zero, &digest, 3, padDomainTree) },
 	} {
 		got := make([]byte, longPad)
 		pad(got)

@@ -3,12 +3,12 @@ package ot
 import "math/bits"
 
 // Tree pads: the extension's k-of-n expansion (extkofn.go) encrypts
-// message i's key under a pad derived from one key per bit of i
-// (treePadXor, pad.go), so a receiver holding the keys on its own index's
-// path opens exactly that message.
+// message i's key under a pad seeded by the digest of one key per bit of
+// i (pathDigests, pad.go), so a receiver holding the keys on its own
+// index's path opens exactly that message.
 
-// treeKeyLen is the length of a tree key, a message key and an IKNP base
-// seed.
+// treeKeyLen is the length of a tree key, a message key, a Naor–Pinkas
+// slot key and so an IKNP base seed.
 const treeKeyLen = 16
 
 // treeDepth is the number of index bits, one key pair per bit.

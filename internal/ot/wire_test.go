@@ -13,16 +13,18 @@ func sampleSetup() *BatchSetup {
 	return &BatchSetup{Cs: fakeElements(2, 12)}
 }
 
+// sampleTransfer is a 2-of-3 transfer of 3-byte messages: 2·3 key
+// ciphertexts and three messages in one block.
 func sampleTransfer() *BatchTransfer {
-	return &BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(6, 3)}
+	return &BatchTransfer{R: fakeElements(1, 7), Cts: onceSentBlob(2, 3, 3)}
 }
 
 // baseShapeMsgs are the three batch messages in the shape of the IKNP
-// base phase: one constraint, κ public keys, and one R with 2κ 16-byte
+// base phase: one constraint, κ public keys, and one R with no
 // ciphertexts.
 func baseShapeMsgs() (*BatchSetup, *BatchChoice, *BatchTransfer) {
 	return &BatchSetup{Cs: fakeElements(1, 9)}, &BatchChoice{PK0s: fakeElements(iknpKappa, 99)},
-		&BatchTransfer{R: fakeElements(1, 7), Cts: slotBlob(2*iknpKappa, treeKeyLen)}
+		&BatchTransfer{R: fakeElements(1, 7)}
 }
 
 func otWireSamples() map[string]wire.Msg {

@@ -48,12 +48,17 @@ import (
 // when the kernel variant moved to unit feature-space normals and both
 // clear shares dropped the norm that is now 1 (|wB|², K(wB,wB)), along
 // with the kernel's area-scale message: the linear cases changed only in
-// their clear share, and their parentRoundValues passed unedited.
+// their clear share, and their parentRoundValues passed unedited. All
+// three were re-recorded when each round's k-of-n became a random OT
+// that sends every evaluation once: the transfers carry the once-sent
+// block, keys are taken at cofactor-cleared points, and a scalar is one
+// 64-byte read, which moves every later draw; parentRoundValues passed
+// unedited.
 // Refactors change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/x25519":        "eff6f36aeab54ea3f987f37d68f29e48f254230098b726d02516afcbaa74a716",
-	"linear/limb-fb18":     "c750d86c5192e1ca511498d46ee9e9437bc36f22e93e633ecdaa61a4aeb5072f",
-	"kernel/diabetes-poly": "10bf4e75fed82484154dd3d7038b4623cdbaa5ced3cf4dacc1c9ae796d3f3ed1",
+	"linear/x25519":        "634c9d0e6388efb137913d0fb8f0e5e7263c42f2e99416f403f0fac897556ec0",
+	"linear/limb-fb18":     "104c2e3655d73a58c1a2eae0110d6422684a7cf01f6d1ecc6e2fa1f291af2ead",
+	"kernel/diabetes-poly": "76775834584edb429f716b59bcb3157d4224e2747c9fa15bbf271d0b768726f9",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.

@@ -358,7 +358,9 @@ func TestChaosClassifyFastBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	hsWrote, hsRead, totalWrote, totalRead := measureFastBatch(t, trainer, samples)
-	if hsWrote < 256 || hsRead < 256 || totalWrote <= hsWrote || totalRead <= hsRead {
+	// The client's base phase writes at least one constraint and R, and
+	// reads κ public keys.
+	if hsWrote < 2*32 || hsRead < 128*32 || totalWrote <= hsWrote || totalRead <= hsRead {
 		t.Fatalf("implausible measurement: hs=(%d,%d) total=(%d,%d)", hsWrote, hsRead, totalWrote, totalRead)
 	}
 	midWrote := hsWrote + (totalWrote-hsWrote)/2

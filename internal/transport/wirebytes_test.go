@@ -26,8 +26,8 @@ import (
 // headerLen is the fixed frame header: version, tag, stream, length.
 const headerLen = 10
 
-// kappa is the IKNP base-OT count, and seedLen the length of a base seed
-// and of a tree ciphertext of an extended k-of-n.
+// kappa is the IKNP base-OT count, and seedLen the length of a message
+// key, the key ciphertext of a k-of-n of either kind.
 const kappa, seedLen = 128, 16
 
 // pointLen is a group element's encoding.
@@ -104,11 +104,14 @@ func checkFrames(t *testing.T, dir string, want []frame, stream []byte) {
 	}
 }
 
-// Naor–Pinkas batch messages of m instances of a 1-out-of-n with w-byte
-// messages.
-func setupBytes(n int) int          { return blob((n - 1) * pointLen) }
-func choiceBytes(m int) int         { return blob(m * pointLen) }
-func transferBytes(m, n, w int) int { return blob(pointLen) + blob(m*n*w) }
+// Naor–Pinkas batch messages of m instances of a 1-out-of-n. A k-of-n
+// transfer of w-byte messages carries R and the once-sent block, k·n
+// 16-byte key ciphertexts and the n messages once each; the IKNP base
+// phase's carries R alone.
+func setupBytes(n int) int              { return blob((n - 1) * pointLen) }
+func choiceBytes(m int) int             { return blob(m * pointLen) }
+func kofnTransferBytes(k, n, w int) int { return blob(pointLen) + blob(k*n*seedLen+n*w) }
+func baseTransferBytes() int            { return blob(pointLen) + blob(0) }
 
 // evalRequestBytes is one OMPE evaluation request: M records of 1+vars
 // elements of w bytes.
@@ -153,7 +156,7 @@ func similarityFrames(t *testing.T, service string, spec, clear wire.Msg, s simi
 			frame{tagOf(t, &ot.BatchChoice{}), choiceBytes(k)})
 		s2c = append(s2c,
 			frame{tagOf(t, &ot.BatchSetup{}), setupBytes(n)},
-			frame{tagOf(t, &ot.BatchTransfer{}), transferBytes(k, n, p.Field.ElementLen())})
+			frame{tagOf(t, &ot.BatchTransfer{}), kofnTransferBytes(k, n, p.Field.ElementLen())})
 	}
 	for range dots {
 		round(degree, vars)
@@ -249,7 +252,7 @@ func TestWireBytesFromSpec(t *testing.T) {
 			wantC2S := []frame{
 				specFrame(t, &transport.Hello{Service: "classify-fast", ResumeOffered: true}),
 				{tagOf(t, &ot.BatchSetup{}), setupBytes(2)},
-				{tagOf(t, &ot.BatchTransfer{}), transferBytes(kappa, 2, seedLen)},
+				{tagOf(t, &ot.BatchTransfer{}), baseTransferBytes()},
 			}
 			wantS2C := []frame{
 				specFrame(t, &spec),
