@@ -17,13 +17,16 @@ import (
 // field runs math/big. Both send the same request form, records of
 // field-width elements. No parameter names an engine. The paper's cubic
 // at n = 8 decodes at per-degree scales and fits 2^255−19; a cubic past
-// mvpoly.MaxRescaledNodes decodes at S^(2p+1) and stays on 2^521−1.
+// mvpoly.MaxRescaledNodes decodes at S^(2p+1) and stays on 2^521−1. A
+// sigmoid truncated at 7 Taylor terms decodes at S^28 and needs 2^607−1,
+// at 8 terms S^32 and 2^1279−1.
 // Linear similarity is sized from its area value alone and fits
 // 2^255−19 at its defaults.
 func TestFieldPicksEngine(t *testing.T) {
 	linear, test := trainSmall(t, svm.Linear(), 1)
 	cubic, _ := trainSmall(t, svm.PaperPolynomial(8), 100)
 	wideCubic, wideTest := trainSmallOn(t, "splice", svm.PaperPolynomial(60), 100)
+	sigmoid, _ := trainSmall(t, svm.Sigmoid(0.125, 0), 10)
 	wA, wB := []float64{0.7, -0.4, 0.2}, []float64{-0.1, 0.9, 0.3}
 	classifyRequest := func(model *svm.Model, sample []float64, params classify.Params) (int, *ompe.EvalRequest) {
 		trainer, err := classify.NewTrainer(model, params)
@@ -65,9 +68,16 @@ func TestFieldPicksEngine(t *testing.T) {
 		{"classify-cubic-past-rescaled-cap", func() (int, *ompe.EvalRequest) {
 			return classifyRequest(wideCubic, wideTest.X[0], fastParams())
 		}, 521},
-		{"similarity-fracbits-18", func() (int, *ompe.EvalRequest) {
-			return similarityRequest(similarity.Params{FracBits: 18})
-		}, 255},
+		{"classify-sigmoid-7-terms", func() (int, *ompe.EvalRequest) {
+			params := fastParams()
+			params.TaylorTerms = 7
+			return classifyRequest(sigmoid, test.X[0], params)
+		}, 607},
+		{"classify-sigmoid-8-terms", func() (int, *ompe.EvalRequest) {
+			params := fastParams()
+			params.TaylorTerms = 8
+			return classifyRequest(sigmoid, test.X[0], params)
+		}, 1279},
 		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 255},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

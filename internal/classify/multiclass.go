@@ -54,11 +54,6 @@ func (mt *MulticlassTrainer) Specs() []Spec {
 	return out
 }
 
-// Classes returns the label set.
-func (mt *MulticlassTrainer) Classes() []int {
-	return append([]int(nil), mt.classes...)
-}
-
 // MulticlassClient is the sample owner's ensemble endpoint.
 type MulticlassClient struct {
 	classes []int

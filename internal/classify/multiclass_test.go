@@ -75,7 +75,7 @@ func TestPrivateMulticlassMatchesPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := classify.NewMulticlassClient(trainer.Classes(),
+	client, err := classify.NewMulticlassClient(model.Classes,
 		pairPos(model), pairNeg(model), trainer.Specs())
 	if err != nil {
 		t.Fatal(err)

@@ -34,10 +34,3 @@ func (s *Spec) DecodeWire(r *wire.Reader) {
 	s.GroupName = r.String()
 	s.ResumeGranted = r.Bool()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
-// the public alias ppdc.ClassifySpec.
-func (s *Spec) MarshalBinary() ([]byte, error) { return wire.Marshal(s) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (s *Spec) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, s) }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/svm"
+	"repro/internal/wire"
 )
 
 func TestSpecWireRoundTrip(t *testing.T) {
@@ -21,13 +22,13 @@ func TestSpecWireRoundTrip(t *testing.T) {
 		GroupName:     "x25519",
 		ResumeGranted: true,
 	}
-	data, err := in.MarshalBinary()
+	data, err := wire.Marshal(in)
 	if err != nil {
-		t.Fatalf("MarshalBinary: %v", err)
+		t.Fatalf("Marshal: %v", err)
 	}
 	var out Spec
-	if err := out.UnmarshalBinary(data); err != nil {
-		t.Fatalf("UnmarshalBinary: %v", err)
+	if err := wire.Unmarshal(data, &out); err != nil {
+		t.Fatalf("Unmarshal: %v", err)
 	}
 	if out != *in {
 		t.Fatalf("round trip mismatch:\n in: %+v\nout: %+v", *in, out)
@@ -37,12 +38,12 @@ func TestSpecWireRoundTrip(t *testing.T) {
 	deprecated := *in
 	deprecated.WireCodec = "binary" //nolint:staticcheck // the deprecated surface is under test
 	deprecated.PadFunc = "aes"      //nolint:staticcheck // the deprecated surface is under test
-	if b, err := deprecated.MarshalBinary(); err != nil || !bytes.Equal(b, data) {
+	if b, err := wire.Marshal(&deprecated); err != nil || !bytes.Equal(b, data) {
 		t.Fatalf("WireCodec or PadFunc changed the encoding (err %v)", err)
 	}
 	for n := 0; n < len(data); n++ {
 		var tr Spec
-		if err := tr.UnmarshalBinary(data[:n]); err == nil {
+		if err := wire.Unmarshal(data[:n], &tr); err == nil {
 			t.Fatalf("prefix %d/%d decoded cleanly", n, len(data))
 		}
 	}

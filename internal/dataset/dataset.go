@@ -10,7 +10,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"math/rand/v2"
 )
 
 // Dataset is a labeled binary-classification sample set with labels ±1.
@@ -76,64 +75,4 @@ func (d *Dataset) Slice(lo, hi int) (*Dataset, error) {
 		out.Y[i-lo] = d.Y[i]
 	}
 	return out, nil
-}
-
-// Shuffle permutes samples in place with the given source.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(d.Len(), func(i, j int) {
-		d.X[i], d.X[j] = d.X[j], d.X[i]
-		d.Y[i], d.Y[j] = d.Y[j], d.Y[i]
-	})
-}
-
-// Split partitions the dataset into a training prefix of trainSize rows
-// and a test remainder.
-func (d *Dataset) Split(trainSize int) (train, test *Dataset, err error) {
-	if trainSize <= 0 || trainSize >= d.Len() {
-		return nil, nil, fmt.Errorf("dataset %q: train size %d of %d", d.Name, trainSize, d.Len())
-	}
-	train, err = d.Slice(0, trainSize)
-	if err != nil {
-		return nil, nil, err
-	}
-	test, err = d.Slice(trainSize, d.Len())
-	if err != nil {
-		return nil, nil, err
-	}
-	train.Name = d.Name + "/train"
-	test.Name = d.Name + "/test"
-	return train, test, nil
-}
-
-// Subsets divides the dataset into k equal contiguous subsets (the Table
-// II construction: "we split 4 subsets from the dataset diabetes ... each
-// subset has 192 items").
-func (d *Dataset) Subsets(k int) ([]*Dataset, error) {
-	if k < 2 || d.Len() < k {
-		return nil, fmt.Errorf("dataset %q: cannot form %d subsets of %d rows", d.Name, k, d.Len())
-	}
-	size := d.Len() / k
-	out := make([]*Dataset, k)
-	for i := 0; i < k; i++ {
-		s, err := d.Slice(i*size, (i+1)*size)
-		if err != nil {
-			return nil, err
-		}
-		s.Name = fmt.Sprintf("%s/S%d", d.Name, i+1)
-		out[i] = s
-	}
-	return out, nil
-}
-
-// FeatureColumn extracts feature j as a vector (used by the K-S baseline,
-// which tests one dimension at a time).
-func (d *Dataset) FeatureColumn(j int) ([]float64, error) {
-	if j < 0 || j >= d.Dim() {
-		return nil, fmt.Errorf("dataset %q: feature %d of %d", d.Name, j, d.Dim())
-	}
-	col := make([]float64, d.Len())
-	for i, row := range d.X {
-		col[i] = row[j]
-	}
-	return col, nil
 }

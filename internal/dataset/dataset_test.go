@@ -2,7 +2,7 @@ package dataset_test
 
 import (
 	"bytes"
-	"math/rand/v2"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -114,7 +114,7 @@ func TestBothClassesPresent(t *testing.T) {
 	}
 }
 
-func TestSliceSplitSubsets(t *testing.T) {
+func TestSlice(t *testing.T) {
 	spec, err := dataset.SpecByName("diabetes")
 	if err != nil {
 		t.Fatal(err)
@@ -124,58 +124,23 @@ func TestSliceSplitSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	train, test, err := d.Split(30)
+	s, err := d.Slice(10, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if train.Len() != 30 || test.Len() != 10 {
-		t.Fatalf("split sizes %d/%d", train.Len(), test.Len())
+	if s.Len() != 20 || s.Y[0] != d.Y[10] {
+		t.Fatalf("slice has %d rows, first label %d", s.Len(), s.Y[0])
 	}
-	if _, _, err := d.Split(0); err == nil {
-		t.Fatal("zero train size should fail")
-	}
-	if _, _, err := d.Split(40); err == nil {
-		t.Fatal("full train size should fail")
-	}
-
-	subs, err := d.Subsets(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(subs) != 4 {
-		t.Fatalf("%d subsets", len(subs))
-	}
-	for _, s := range subs {
-		if s.Len() != 10 {
-			t.Fatalf("subset size %d", s.Len())
+	for _, r := range [][2]int{{-1, 5}, {5, 41}, {30, 10}} {
+		if _, err := d.Slice(r[0], r[1]); err == nil {
+			t.Fatalf("Slice(%d, %d) should fail", r[0], r[1])
 		}
 	}
-	if _, err := d.Subsets(1); err == nil {
-		t.Fatal("k=1 should fail")
-	}
 	// Slices must be deep copies.
-	subs[0].X[0][0] = 99
-	if d.X[0][0] == 99 {
-		t.Fatal("Subsets must deep-copy rows")
+	s.X[0][0] = 99
+	if d.X[10][0] == 99 {
+		t.Fatal("Slice must deep-copy rows")
 	}
-}
-
-func TestShuffle(t *testing.T) {
-	spec, err := dataset.SpecByName("diabetes")
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.TrainSize, spec.TestSize = 50, 10
-	d, _, err := dataset.Generate(spec, dataset.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := d.X[0][0]
-	d.Shuffle(rand.New(rand.NewPCG(1, 2)))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	_ = first // a shuffle may fix a point; validity is the real check
 }
 
 func TestGenerateShiftedSubsets(t *testing.T) {
@@ -236,8 +201,14 @@ func TestLIBSVMRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := dataset.WriteLIBSVM(&buf, d); err != nil {
-		t.Fatal(err)
+	for i, row := range d.X {
+		fmt.Fprintf(&buf, "%+d", d.Y[i])
+		for j, v := range row {
+			if v != 0 {
+				fmt.Fprintf(&buf, " %d:%g", j+1, v)
+			}
+		}
+		buf.WriteString("\n")
 	}
 	parsed, err := dataset.ParseLIBSVM(&buf, "roundtrip", d.Dim())
 	if err != nil {
@@ -318,19 +289,5 @@ func TestValidate(t *testing.T) {
 	d = &dataset.Dataset{}
 	if err := d.Validate(); err == nil {
 		t.Fatal("empty dataset should fail")
-	}
-}
-
-func TestFeatureColumn(t *testing.T) {
-	d := &dataset.Dataset{Name: "x", X: [][]float64{{1, 2}, {3, 4}}, Y: []int{1, -1}}
-	col, err := d.FeatureColumn(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if col[0] != 2 || col[1] != 4 {
-		t.Fatalf("column = %v", col)
-	}
-	if _, err := d.FeatureColumn(2); err == nil {
-		t.Fatal("out-of-range column should fail")
 	}
 }

@@ -86,29 +86,3 @@ func ParseLIBSVM(r io.Reader, name string, dim int) (*Dataset, error) {
 	}
 	return d, d.Validate()
 }
-
-// WriteLIBSVM writes the dataset in sparse LIBSVM format (zero features
-// omitted).
-func WriteLIBSVM(w io.Writer, d *Dataset) error {
-	if err := d.Validate(); err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(w)
-	for i, row := range d.X {
-		if _, err := fmt.Fprintf(bw, "%+d", d.Y[i]); err != nil {
-			return err
-		}
-		for j, v := range row {
-			if v == 0 {
-				continue
-			}
-			if _, err := fmt.Fprintf(bw, " %d:%g", j+1, v); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("\n"); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}

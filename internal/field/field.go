@@ -26,11 +26,6 @@ const (
 	// 2^40 scale and degree-4 polynomials never wrap, small enough that
 	// element operations stay cheap.
 	P25519Hex = "7fffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffed"
-
-	// P192Hex is the NIST P-192 base-field prime 2^192 - 2^64 - 1. No
-	// protocol selects it (ByBits starts at 2^255−19); it stays for tests
-	// that want a field the limb engine cannot serve.
-	P192Hex = "fffffffffffffffffffffffffffffffeffffffffffffffff"
 )
 
 var (
@@ -129,11 +124,6 @@ func (f *Field) Mul(a, b *big.Int) *big.Int {
 	return f.Reduce(new(big.Int).Mul(a, b))
 }
 
-// Exp returns a^e mod p for e >= 0.
-func (f *Field) Exp(a, e *big.Int) *big.Int {
-	return new(big.Int).Exp(a, e, f.p)
-}
-
 // Inv returns the multiplicative inverse of a, or ErrNoInverse for zero.
 func (f *Field) Inv(a *big.Int) (*big.Int, error) {
 	if f.Reduce(a).Sign() == 0 {
@@ -144,15 +134,6 @@ func (f *Field) Inv(a *big.Int) (*big.Int, error) {
 		return nil, fmt.Errorf("field: %v and modulus not coprime", a)
 	}
 	return inv, nil
-}
-
-// Div returns a/b mod p, erroring when b is zero.
-func (f *Field) Div(a, b *big.Int) (*big.Int, error) {
-	bi, err := f.Inv(b)
-	if err != nil {
-		return nil, err
-	}
-	return f.Mul(a, bi), nil
 }
 
 // Rand returns a uniform element of [0, p) using the given entropy source
@@ -231,11 +212,6 @@ func (f *Field) FromBytes(b []byte) (*big.Int, error) {
 		return nil, ErrNotInField
 	}
 	return x, nil
-}
-
-// Equal reports whether two fields share the same modulus.
-func (f *Field) Equal(other *Field) bool {
-	return other != nil && f.p.Cmp(other.p) == 0
 }
 
 // String implements fmt.Stringer.

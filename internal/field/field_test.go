@@ -10,6 +10,10 @@ import (
 	"repro/internal/field"
 )
 
+// p192Hex is the NIST P-192 base-field prime 2^192 − 2^64 − 1: a field
+// the limb engine cannot serve.
+const p192Hex = "fffffffffffffffffffffffffffffffeffffffffffffffff"
+
 func defaultField(t *testing.T) *field.Field {
 	t.Helper()
 	return field.Default()
@@ -21,7 +25,7 @@ func TestBuiltinModuliArePrime(t *testing.T) {
 		f    func() (*field.Field, error)
 	}{
 		{"p25519", func() (*field.Field, error) { return field.NewFromHex(field.P25519Hex) }},
-		{"p192", func() (*field.Field, error) { return field.NewFromHex(field.P192Hex) }},
+		{"p192", func() (*field.Field, error) { return field.NewFromHex(p192Hex) }},
 		{"mersenne521", func() (*field.Field, error) { return field.Mersenne(field.MersenneExp521) }},
 		{"mersenne607", func() (*field.Field, error) { return field.Mersenne(field.MersenneExp607) }},
 		{"mersenne1279", func() (*field.Field, error) { return field.Mersenne(field.MersenneExp1279) }},
@@ -69,7 +73,7 @@ func TestSupportsLimb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p192, err := field.NewFromHex(field.P192Hex)
+	p192, err := field.NewFromHex(p192Hex)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,9 +170,6 @@ func TestInvZeroFails(t *testing.T) {
 	f := defaultField(t)
 	if _, err := f.Inv(f.Zero()); err == nil {
 		t.Fatal("Inv(0) should fail")
-	}
-	if _, err := f.Div(f.One(), f.Zero()); err == nil {
-		t.Fatal("Div by 0 should fail")
 	}
 }
 
@@ -277,19 +278,8 @@ func TestVectorOps(t *testing.T) {
 	}
 }
 
-func TestFieldEqualAndString(t *testing.T) {
+func TestFieldString(t *testing.T) {
 	a := field.Default()
-	b := field.Default()
-	c, err := field.NewFromHex(field.P192Hex)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) || a.Equal(c) || a.Equal(nil) {
-		t.Fatal("Equal misbehaves")
-	}
-	if a.String() == "" {
-		t.Fatal("empty String()")
-	}
 	if !bytes.Contains([]byte(a.String()), []byte("255")) {
 		t.Fatalf("String should mention bit size: %s", a.String())
 	}

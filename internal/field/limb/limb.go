@@ -397,35 +397,10 @@ func (z *Element) Inv(x *Element) (*Element, error) {
 	return z.Mul(&t, &z11), nil // 2^255 − 21
 }
 
-// ExpUint sets z = x^e mod p for a small non-negative exponent by
-// square-and-multiply (variable time in e; e is public protocol structure).
-func (z *Element) ExpUint(x *Element, e uint64) *Element {
-	if e == 0 {
-		return z.SetOne()
-	}
-	base := *x
-	acc := one
-	for ; e > 0; e >>= 1 {
-		if e&1 == 1 {
-			acc.Mul(&acc, &base)
-		}
-		base.Square(&base)
-	}
-	return z.Set(&acc)
-}
-
-// BatchInvert inverts every element of xs in place with Montgomery's trick:
-// one Inv plus 3(n−1) multiplications. Any zero input yields ErrNoInverse
-// and leaves xs unmodified.
-func BatchInvert(xs []Element) error {
-	if len(xs) == 0 {
-		return nil
-	}
-	return BatchInvertScratch(xs, make([]Element, len(xs)))
-}
-
-// BatchInvertScratch is BatchInvert with caller-provided scratch of
-// len(xs) elements, for hot loops that amortize the allocation.
+// BatchInvertScratch inverts every element of xs in place with
+// Montgomery's trick: one Inv plus 3(n−1) multiplications, using
+// caller-provided scratch of len(xs) elements so hot loops amortize the
+// allocation. Any zero input yields ErrNoInverse and leaves xs unmodified.
 func BatchInvertScratch(xs, scratch []Element) error {
 	n := len(xs)
 	if n == 0 {

@@ -21,9 +21,6 @@ import (
 	"repro/internal/field"
 )
 
-// DefaultFracBits is the default number of fractional bits for data values.
-const DefaultFracBits = 40
-
 var (
 	// ErrNotFinite reports an attempt to encode NaN or ±Inf.
 	ErrNotFinite = errors.New("fixedpoint: value is not finite")
@@ -64,15 +61,6 @@ func NewCodec(f *field.Field, fracBits uint) (*Codec, error) {
 	}, nil
 }
 
-// Default returns a codec over the default field with DefaultFracBits.
-func Default() *Codec {
-	c, err := NewCodec(field.Default(), DefaultFracBits)
-	if err != nil {
-		panic(err) // compile-time-fixed parameters
-	}
-	return c
-}
-
 // Field returns the underlying field.
 func (c *Codec) Field() *field.Field { return c.f }
 
@@ -86,11 +74,6 @@ func (c *Codec) Scale() *big.Int { return new(big.Int).Set(c.scale) }
 // product of data encodings.
 func (c *Codec) ScalePow(k uint) *big.Int {
 	return new(big.Int).Lsh(big.NewInt(1), c.fracBits*k)
-}
-
-// Encode maps a real to a field element at the codec's base scale.
-func (c *Codec) Encode(x float64) (*big.Int, error) {
-	return c.EncodeAtScale(x, c.scale)
 }
 
 // EncodeAtScale maps a real to round(x*scale) mod p for a power-of-two
@@ -149,10 +132,10 @@ func (c *Codec) encodePow2(z *big.Int, x float64, shift int) error {
 	return nil
 }
 
-// EncodeVec encodes a float vector at the base scale, element i as Encode
-// would, into one word backing: three allocations at any length. Each
-// element's slice is capped, so one that later grows moves instead of
-// overwriting its neighbour.
+// EncodeVec encodes a float vector at the base scale, element i as
+// EncodeAtScale(xs[i], Scale()) would, into one word backing: three
+// allocations at any length. Each element's slice is capped, so one that
+// later grows moves instead of overwriting its neighbour.
 func (c *Codec) EncodeVec(xs []float64) (field.Vec, error) {
 	w := len(c.modulus.Bits()) + 1
 	words := make([]big.Word, len(xs)*w)
@@ -165,11 +148,6 @@ func (c *Codec) EncodeVec(xs []float64) (field.Vec, error) {
 		}
 	}
 	return out, nil
-}
-
-// Decode recovers the real value of an element encoded at the base scale.
-func (c *Codec) Decode(e *big.Int) (float64, error) {
-	return c.DecodeAtScale(e, c.scale)
 }
 
 // DecodeAtScale recovers the real value of an element at the given scale,

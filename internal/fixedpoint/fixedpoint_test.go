@@ -12,17 +12,32 @@ import (
 	"repro/internal/fixedpoint"
 )
 
+// defaultCodec is the codec most tests run: 2^255−19 at 40 fractional
+// bits.
+func defaultCodec() *fixedpoint.Codec {
+	c, err := fixedpoint.NewCodec(field.Default(), 40)
+	if err != nil {
+		panic(err)
+	}
+	return c
+}
+
+// encode and decode work at the codec's base scale.
+func encode(c *fixedpoint.Codec, x float64) (*big.Int, error) { return c.EncodeAtScale(x, c.Scale()) }
+
+func decode(c *fixedpoint.Codec, e *big.Int) (float64, error) { return c.DecodeAtScale(e, c.Scale()) }
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	check := func(x float64) bool {
 		if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > 1e12 {
 			return true // out of scope for the protocol's data range
 		}
-		e, err := c.Encode(x)
+		e, err := encode(c, x)
 		if err != nil {
 			return false
 		}
-		y, err := c.Decode(e)
+		y, err := decode(c, e)
 		if err != nil {
 			return false
 		}
@@ -34,13 +49,13 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestEncodeExactValues(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	for _, x := range []float64{0, 1, -1, 0.5, -0.25, 1024, -123.0625} {
-		e, err := c.Encode(x)
+		e, err := encode(c, x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		y, err := c.Decode(e)
+		y, err := decode(c, e)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,21 +67,21 @@ func TestEncodeExactValues(t *testing.T) {
 
 // TestAdditionHomomorphism checks Enc(a)+Enc(b) decodes to a+b.
 func TestAdditionHomomorphism(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	f := c.Field()
 	check := func(a, b float64) bool {
 		if !inRange(a) || !inRange(b) {
 			return true
 		}
-		ea, err := c.Encode(a)
+		ea, err := encode(c, a)
 		if err != nil {
 			return false
 		}
-		eb, err := c.Encode(b)
+		eb, err := encode(c, b)
 		if err != nil {
 			return false
 		}
-		sum, err := c.Decode(f.Add(ea, eb))
+		sum, err := decode(c, f.Add(ea, eb))
 		if err != nil {
 			return false
 		}
@@ -79,17 +94,17 @@ func TestAdditionHomomorphism(t *testing.T) {
 
 // TestProductScale checks Enc_S(a)·Enc_S(b) decodes at scale S².
 func TestProductScale(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	f := c.Field()
 	check := func(a, b float64) bool {
 		if !inRange(a) || !inRange(b) {
 			return true
 		}
-		ea, err := c.Encode(a)
+		ea, err := encode(c, a)
 		if err != nil {
 			return false
 		}
-		eb, err := c.Encode(b)
+		eb, err := encode(c, b)
 		if err != nil {
 			return false
 		}
@@ -109,7 +124,7 @@ func TestProductScale(t *testing.T) {
 // coefficient encoded at S_target/S_in^k times a degree-k product of
 // base-scale inputs decodes at S_target.
 func TestScaleNormalizedCoefficient(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	f := c.Field()
 	coeff, in1, in2 := 0.75, -1.5, 2.25
 	target := c.ScalePow(3)
@@ -119,11 +134,11 @@ func TestScaleNormalizedCoefficient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, err := c.Encode(in1)
+	e1, err := encode(c, in1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := c.Encode(in2)
+	e2, err := encode(c, in2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,13 +153,13 @@ func TestScaleNormalizedCoefficient(t *testing.T) {
 }
 
 func TestSign(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	cases := []struct {
 		x    float64
 		want int
 	}{{3.5, 1}, {-2.25, -1}, {0, 0}}
 	for _, tc := range cases {
-		e, err := c.Encode(tc.x)
+		e, err := encode(c, tc.x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,11 +176,11 @@ func TestSign(t *testing.T) {
 // TestSignSurvivesAmplification is the protocol-critical invariant of
 // §IV-A.3: multiplying by a positive bounded amplifier preserves sign.
 func TestSignSurvivesAmplification(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	f := c.Field()
 	amps := []*big.Int{big.NewInt(1), big.NewInt(12345), new(big.Int).Lsh(big.NewInt(1), 64)}
 	for _, x := range []float64{0.001, -0.001, 7.5, -123.25} {
-		e, err := c.Encode(x)
+		e, err := encode(c, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,17 +201,17 @@ func TestSignSurvivesAmplification(t *testing.T) {
 }
 
 func TestEncodeRejectsNonFinite(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	for _, x := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if _, err := c.Encode(x); err == nil {
+		if _, err := encode(c, x); err == nil {
 			t.Fatalf("Encode(%v) should fail", x)
 		}
 	}
 }
 
 func TestEncodeRejectsOverflow(t *testing.T) {
-	c := fixedpoint.Default()
-	if _, err := c.Encode(1e75); err == nil {
+	c := defaultCodec()
+	if _, err := encode(c, 1e75); err == nil {
 		t.Fatal("huge value should overflow a 255-bit field at 2^40 scale")
 	}
 }
@@ -220,7 +235,7 @@ func TestNewCodecValidation(t *testing.T) {
 }
 
 func TestEncodeVecReportsComponent(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	_, err := c.EncodeVec([]float64{1, math.NaN(), 3})
 	if err == nil {
 		t.Fatal("NaN component should fail")
@@ -228,11 +243,11 @@ func TestEncodeVecReportsComponent(t *testing.T) {
 }
 
 func TestDecodeValidation(t *testing.T) {
-	c := fixedpoint.Default()
-	if _, err := c.Decode(big.NewInt(-5)); err == nil {
+	c := defaultCodec()
+	if _, err := decode(c, big.NewInt(-5)); err == nil {
 		t.Fatal("non-canonical element should fail")
 	}
-	e, err := c.Encode(1)
+	e, err := encode(c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +345,7 @@ func encodeVecCodecs(t *testing.T) []*fixedpoint.Codec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return []*fixedpoint.Codec{fixedpoint.Default(), c}
+	return []*fixedpoint.Codec{defaultCodec(), c}
 }
 
 // encodeVecEdges returns signed zeros, subnormals, exact .5 ties at the
@@ -371,7 +386,7 @@ func TestEncodeVecMatchesEncode(t *testing.T) {
 		var ok []float64
 		var want []*big.Int
 		for _, x := range encodeVecEdges(c) {
-			e, err := c.Encode(x)
+			e, err := encode(c, x)
 			switch {
 			case math.IsNaN(x) || math.IsInf(x, 0):
 				if !errors.Is(err, fixedpoint.ErrNotFinite) {
@@ -426,7 +441,7 @@ func TestEncodeVecMatchesEncode(t *testing.T) {
 // TestEncodeVecAllocs pins EncodeVec's allocations to a count that does
 // not grow with the vector's length.
 func TestEncodeVecAllocs(t *testing.T) {
-	c := fixedpoint.Default()
+	c := defaultCodec()
 	rng := rand.New(rand.NewPCG(5, 5))
 	counts := map[int]float64{}
 	for _, n := range []int{8, 500} {

@@ -2,11 +2,9 @@ package gateway
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -104,13 +102,7 @@ func (c *FleetClient) discard() {
 // failures are (the gateway fails the next session over to a surviving
 // replica), deliberate shedding is not.
 func retryable(err error) bool {
-	if IsFleetBusy(err) || IsNoReplicas(err) {
-		return false
-	}
-	if errors.Is(err, transport.ErrRemote) && strings.Contains(err.Error(), ErrShuttingDown.Error()) {
-		return false
-	}
-	return true
+	return !IsFleetBusy(err) && !IsNoReplicas(err) && !IsShuttingDown(err)
 }
 
 // ClassifyBatch classifies samples in one round trip, redialing through
@@ -135,6 +127,7 @@ func (c *FleetClient) retry(ctx context.Context, op func(*transport.FastClassify
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var lastErr error
+	redials := 0
 	for attempt := 0; attempt <= c.retryMax; attempt++ {
 		if err := ctx.Err(); err != nil {
 			break
@@ -146,6 +139,7 @@ func (c *FleetClient) retry(ctx context.Context, op func(*transport.FastClassify
 				return nil, err
 			}
 			c.retries.Add(1)
+			redials++
 			continue
 		}
 		out, err := op(cl)
@@ -158,11 +152,12 @@ func (c *FleetClient) retry(ctx context.Context, op func(*transport.FastClassify
 			return nil, err
 		}
 		c.retries.Add(1)
+		redials++
 	}
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
-	return nil, fmt.Errorf("gateway: fleet query failed after %d redial(s): %w", c.retries.Load(), lastErr)
+	return nil, fmt.Errorf("gateway: fleet query failed after %d redial(s): %w", redials, lastErr)
 }
 
 // Close ends the current session, if any, harvesting its resumption

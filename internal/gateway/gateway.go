@@ -11,9 +11,9 @@
 // On top of the splice the gateway adds fleet mechanics: least-loaded
 // routing over healthy replicas, dial failover (a replica that refuses a
 // connection is marked down and the session lands on the next choice),
-// background health probing that revives recovered replicas, per-replica
-// draining, load shedding with the typed ErrFleetBusy answer, and a
-// graceful Shutdown that drains spliced sessions under a budget.
+// background health probing that revives recovered replicas, load
+// shedding with the typed ErrFleetBusy answer, and a graceful Shutdown
+// that drains spliced sessions under a budget.
 package gateway
 
 import (
@@ -38,7 +38,7 @@ import (
 var ErrFleetBusy = errors.New("gateway: fleet at capacity")
 
 // ErrNoReplicas is reported to clients when no healthy replica accepted
-// the session (all down, draining, or failing to dial).
+// the session (all down or failing to dial).
 var ErrNoReplicas = errors.New("gateway: no healthy replicas")
 
 // ErrShuttingDown is reported to clients that connect while the gateway
@@ -111,12 +111,11 @@ func (o Options) withDefaults() Options {
 
 // replica is one trainer endpoint's routing state.
 type replica struct {
-	index    int
-	addr     string
-	down     atomic.Bool
-	draining atomic.Bool
-	active   atomic.Int64
-	routed   atomic.Int64
+	index  int
+	addr   string
+	down   atomic.Bool
+	active atomic.Int64
+	routed atomic.Int64
 	// affinity counts sessions that landed here because they presented a
 	// ticket this replica minted.
 	affinity atomic.Int64
@@ -211,7 +210,7 @@ func (g *Gateway) Serve(ln net.Listener) error {
 // byte the peek consumes is recorded and replayed to the chosen replica
 // verbatim, so the replica still sees the pristine client stream and the
 // splice semantics are unchanged. A ticket whose minter is unknown,
-// down, or draining routes least-loaded as before — the receiving
+// or down routes least-loaded as before — the receiving
 // replica declines the foreign ticket into a full handshake. The peek runs
 // under helloDeadline, so a client that connects and says nothing gives
 // its session slot back instead of holding it.
@@ -343,10 +342,10 @@ func (g *Gateway) rejectHelloConsumed(client net.Conn, cause error) {
 
 // dialReplica picks a replica and dials it, failing over down the
 // preference order (least active sessions first, among healthy
-// non-draining replicas; a matching ticket mint moves its replica to the
-// front). A replica whose dial fails is marked down on the spot — the
-// prober revives it — and any session that lands past its first choice
-// counts as a failover.
+// replicas; a matching ticket mint moves its replica to the front). A
+// replica whose dial fails is marked down on the spot — the prober
+// revives it — and any session that lands past its first choice counts
+// as a failover.
 func (g *Gateway) dialReplica(ctx context.Context, mintID []byte) (net.Conn, *replica, error) {
 	order := g.routeOrder()
 	if len(order) == 0 {
@@ -387,13 +386,13 @@ func (g *Gateway) dialReplica(ctx context.Context, mintID []byte) (net.Conn, *re
 	return nil, nil, fmt.Errorf("%w (%d tried)", ErrNoReplicas, len(order))
 }
 
-// routeOrder returns the healthy, non-draining replicas sorted by
+// routeOrder returns the healthy replicas sorted by
 // current load (ties keep configuration order, which spreads equally
 // loaded replicas by arrival since load changes between calls).
 func (g *Gateway) routeOrder() []*replica {
 	order := make([]*replica, 0, len(g.replicas))
 	for _, rep := range g.replicas {
-		if !rep.down.Load() && !rep.draining.Load() {
+		if !rep.down.Load() {
 			order = append(order, rep)
 		}
 	}
@@ -435,10 +434,13 @@ func (g *Gateway) publishHealth() {
 // and runs the cheap "resume-info" whoami to learn the replica's ticket
 // mint identity. Probing runs for down replicas (to revive them) and up
 // ones (to catch silent deaths before a client session pays the dial
-// timeout). A replica that answers the dial but errors the whoami — one
-// with resumption disabled — still counts alive; it just never attracts
-// ticket affinity. The first sweep runs immediately so mint identities
-// are known before the first resuming redial, not one interval in.
+// timeout). Every replica mints tickets, so a whoami answered with an
+// error frame means the peer has no mint identity to give: its ticket
+// sealer failed to initialise (the entropy source erred), or it does
+// not serve "resume-info" at all. Such a replica still counts alive; it
+// just never attracts ticket affinity. The first sweep runs immediately
+// so mint identities are known before the first resuming redial, not one
+// interval in.
 func (g *Gateway) probeLoop() {
 	ticker := time.NewTicker(g.opts.HealthInterval)
 	defer ticker.Stop()
@@ -479,27 +481,14 @@ func (g *Gateway) probeMintID(rep *replica, conn net.Conn) {
 	}
 	info, err := transport.Recv[*transport.ResumeInfo](tc)
 	if err != nil {
-		// A definitive "no" (resumption disabled, no such service)
-		// clears any stale identity; transport noise keeps the last one.
+		// A definitive "no" (no ticket sealer, no such service) clears
+		// any stale identity; transport noise keeps the last one.
 		if errors.Is(err, transport.ErrRemote) {
 			rep.setMintID(nil)
 		}
 		return
 	}
 	rep.setMintID(info.MintID)
-}
-
-// SetDraining marks a replica as draining (true: routing skips it while
-// its in-flight sessions run to completion) or re-admits it. Unknown
-// addresses are an error.
-func (g *Gateway) SetDraining(addr string, draining bool) error {
-	for _, rep := range g.replicas {
-		if rep.addr == addr {
-			rep.draining.Store(draining)
-			return nil
-		}
-	}
-	return fmt.Errorf("gateway: unknown replica %s", addr)
 }
 
 // splice copies bytes between the client and the replica until either
@@ -577,11 +566,10 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 
 // ReplicaStats is one replica's routing snapshot.
 type ReplicaStats struct {
-	Addr     string `json:"addr"`
-	Healthy  bool   `json:"healthy"`
-	Draining bool   `json:"draining"`
-	Active   int64  `json:"active"`
-	Routed   int64  `json:"routed"`
+	Addr    string `json:"addr"`
+	Healthy bool   `json:"healthy"`
+	Active  int64  `json:"active"`
+	Routed  int64  `json:"routed"`
 	// Affinity counts sessions that landed here via ticket affinity
 	// (Routed - Affinity is this replica's full-handshake intake).
 	Affinity int64 `json:"affinity"`
@@ -596,7 +584,7 @@ type Stats struct {
 	Drained   int64          `json:"drained"`
 	// AffinityHits / AffinityMisses split ticket-bearing sessions into
 	// those steered to their minting replica and those routed elsewhere
-	// (minting replica unknown, down, draining, or failed to dial).
+	// (minting replica unknown, down, or failed to dial).
 	AffinityHits   int64 `json:"affinity_hits"`
 	AffinityMisses int64 `json:"affinity_misses"`
 }
@@ -615,7 +603,6 @@ func (g *Gateway) Stats() Stats {
 		s.Replicas = append(s.Replicas, ReplicaStats{
 			Addr:     rep.addr,
 			Healthy:  !rep.down.Load(),
-			Draining: rep.draining.Load(),
 			Active:   rep.active.Load(),
 			Routed:   rep.routed.Load(),
 			Affinity: rep.affinity.Load(),

@@ -3,8 +3,10 @@ package gateway
 import (
 	"context"
 	"crypto/rand"
+	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -190,7 +192,7 @@ func TestGatewayRoutesAndBalances(t *testing.T) {
 		if r.Routed != 2 {
 			t.Errorf("replica %d routed %d sessions, want 2 (%+v)", i, r.Routed, stats.Replicas)
 		}
-		if !r.Healthy || r.Draining {
+		if !r.Healthy {
 			t.Errorf("replica %d state: %+v", i, r)
 		}
 	}
@@ -267,43 +269,6 @@ func TestGatewayNoReplicasTypedError(t *testing.T) {
 	}
 }
 
-func TestGatewayDrainingReplicaSkipped(t *testing.T) {
-	f := startTestFleet(t, 2, Options{})
-	if err := f.gw.SetDraining("replica-0", true); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.gw.SetDraining("nope", true); err == nil {
-		t.Fatal("unknown replica should error")
-	}
-	for i := 0; i < 2; i++ {
-		c := f.newClient()
-		defer func(c *FleetClient) { _ = c.Close() }(c)
-		if _, err := c.ClassifyBatch(context.Background(), f.samples[:1]); err != nil {
-			t.Fatalf("session %d: %v", i, err)
-		}
-	}
-	stats := f.gw.Stats()
-	if stats.Replicas[0].Routed != 0 || stats.Replicas[1].Routed != 2 {
-		t.Fatalf("draining replica took sessions: %+v", stats.Replicas)
-	}
-	if stats.Failovers != 0 {
-		t.Errorf("draining is not a failover, got %d", stats.Failovers)
-	}
-
-	// Re-admit: traffic flows back (least-loaded prefers the idle one).
-	if err := f.gw.SetDraining("replica-0", false); err != nil {
-		t.Fatal(err)
-	}
-	c := f.newClient()
-	defer func() { _ = c.Close() }()
-	if _, err := c.ClassifyBatch(context.Background(), f.samples[:1]); err != nil {
-		t.Fatal(err)
-	}
-	if stats := f.gw.Stats(); stats.Replicas[0].Routed != 1 {
-		t.Fatalf("re-admitted replica got no traffic: %+v", stats.Replicas)
-	}
-}
-
 func TestGatewayHealthProbeRevivesReplica(t *testing.T) {
 	f := startTestFleet(t, 2, Options{HealthInterval: 20 * time.Millisecond, DialTimeout: time.Second})
 	_ = f.lns[0].Close()
@@ -375,4 +340,21 @@ func waitFor(t *testing.T, timeout time.Duration, cond func() bool) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("condition not reached in time")
+}
+
+// TestFleetClientReportsRedialsPerCall: a query's error counts the
+// redials of that query, not of the client's lifetime, so a second
+// failing call reports the same count as the first.
+func TestFleetClientReportsRedialsPerCall(t *testing.T) {
+	refuse := func(context.Context, string) (net.Conn, error) { return nil, errors.New("connection refused") }
+	c := NewFleetClient(refuse, "gateway", transport.Options{}, rand.Reader, 2)
+	for call := 1; call <= 2; call++ {
+		_, err := c.ClassifyBatch(context.Background(), [][]float64{{0}})
+		if err == nil || !strings.Contains(err.Error(), "after 3 redial(s)") {
+			t.Fatalf("call %d: err = %v, want this call's 3 redials", call, err)
+		}
+	}
+	if got := c.Retries(); got != 6 {
+		t.Fatalf("Retries = %d, want 6 over both calls", got)
+	}
 }

@@ -8,7 +8,6 @@ package kernel
 import (
 	"errors"
 	"fmt"
-	"math"
 )
 
 // ErrOrder reports an unsupported truncation order.
@@ -28,16 +27,6 @@ func ExpSeries(a float64, terms int) ([]float64, error) {
 		coeffs[i] = coeffs[i-1] * a / float64(i)
 	}
 	return coeffs, nil
-}
-
-// ExpTailBound bounds the truncation error |exp(a·u) − Σ_{i<=terms}| for
-// |a·u| <= bound, using the Lagrange remainder with the alternating-series
-// improvement unavailable in general (bound·e^bound / (terms+1)! form).
-func ExpTailBound(a, uBound float64, terms int) float64 {
-	z := math.Abs(a) * math.Abs(uBound)
-	// |R_n(z)| <= z^{n+1}/(n+1)! · e^z for the exponential series.
-	logR := float64(terms+1)*math.Log(z) - logFactorial(terms+1) + z
-	return math.Exp(logR)
 }
 
 // tanhCoeffs holds the Taylor coefficients of tanh(u) at odd degrees
@@ -97,12 +86,4 @@ func RBFApprox(gamma, sqDist float64, terms int) (float64, error) {
 		pow *= sqDist
 	}
 	return acc, nil
-}
-
-func logFactorial(n int) float64 {
-	s := 0.0
-	for i := 2; i <= n; i++ {
-		s += math.Log(float64(i))
-	}
-	return s
 }

@@ -49,23 +49,6 @@ func TestRBFApproxConverges(t *testing.T) {
 	}
 }
 
-func TestExpTailBoundIsABound(t *testing.T) {
-	gamma := 1.0
-	for _, d2 := range []float64{0.2, 0.8, 1.5} {
-		for _, terms := range []int{3, 6, 10} {
-			got, err := kernel.RBFApprox(gamma, d2, terms)
-			if err != nil {
-				t.Fatal(err)
-			}
-			exact := math.Exp(-gamma * d2)
-			bound := kernel.ExpTailBound(-gamma, d2, terms)
-			if math.Abs(got-exact) > bound {
-				t.Fatalf("d2=%v terms=%d: error %v exceeds bound %v", d2, terms, math.Abs(got-exact), bound)
-			}
-		}
-	}
-}
-
 func TestTanhSeriesKnownCoefficients(t *testing.T) {
 	coeffs, err := kernel.TanhSeries(4)
 	if err != nil {

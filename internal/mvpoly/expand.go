@@ -6,14 +6,6 @@ import (
 	"math/big"
 )
 
-// FloatTerm is one monomial of a float-coefficient multivariate polynomial,
-// used on the model-owner side to pre-expand a kernel decision function
-// before fixed-point encoding.
-type FloatTerm struct {
-	Coeff float64
-	Exps  []uint
-}
-
 // FloatExpansion is an expanded decision function over monomial variates:
 // d(τ) = Σ_j Coeffs[j]·τ_j + Bias, where τ_j = Π_i t_i^Exps[j][i].
 // This is the τ-space linearization of §IV-B: a client who computes its own
@@ -26,9 +18,6 @@ type FloatExpansion struct {
 	// Bias is the additive constant.
 	Bias float64
 }
-
-// NumVariates returns n', the number of τ variates.
-func (e *FloatExpansion) NumVariates() int { return len(e.Exps) }
 
 // MonomialValues maps a raw sample t to its τ̃ vector.
 func (e *FloatExpansion) MonomialValues(t []float64) ([]float64, error) {

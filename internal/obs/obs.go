@@ -262,8 +262,8 @@ const (
 	// replica that minted their presented ticket.
 	CtrGatewayResumeAffinity = "gateway.resume_affinity_hits"
 	// CtrGatewayResumeMisses counts ticket-bearing sessions routed
-	// elsewhere (minting replica unknown, unhealthy, or draining); the
-	// replica that receives them silently declines into a full handshake.
+	// elsewhere (minting replica unknown or unhealthy); the replica that
+	// receives them silently declines into a full handshake.
 	CtrGatewayResumeMisses = "gateway.resume_affinity_misses"
 )
 

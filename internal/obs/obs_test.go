@@ -75,7 +75,7 @@ func TestConcurrentCountersAndHistograms(t *testing.T) {
 
 func TestHistogramBucketBoundaries(t *testing.T) {
 	g := NewRegistry()
-	bounds := Bounds()
+	bounds := histBounds
 	// One observation exactly on each bound (inclusive), one past the
 	// last bound (overflow bucket).
 	for _, b := range bounds {

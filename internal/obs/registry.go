@@ -24,10 +24,6 @@ var histBounds = func() []int64 {
 	return b
 }()
 
-// Bounds returns the histogram bucket upper bounds (shared by all
-// histograms; the final implicit bucket is +Inf).
-func Bounds() []int64 { return append([]int64(nil), histBounds...) }
-
 // histogram is a fixed-bucket concurrent histogram.
 type histogram struct {
 	counts [16]atomic.Int64 // len(histBounds) buckets + overflow
@@ -115,14 +111,6 @@ func (g *Registry) Counter(name string) int64 {
 	return 0
 }
 
-// Gauge returns a gauge's current value (0 if never written).
-func (g *Registry) Gauge(name string) int64 {
-	if v, ok := g.gauges.Load(name); ok {
-		return v.(*atomic.Int64).Load()
-	}
-	return 0
-}
-
 // HistSnapshot is one histogram's state at snapshot time.
 type HistSnapshot struct {
 	// Count and Sum aggregate all observations; Sum/Count is the mean.
@@ -130,17 +118,9 @@ type HistSnapshot struct {
 	Sum   int64 `json:"sum"`
 	Min   int64 `json:"min"`
 	Max   int64 `json:"max"`
-	// Buckets holds per-bucket observation counts, parallel to Bounds()
+	// Buckets holds per-bucket observation counts, parallel to histBounds
 	// with one trailing overflow bucket (+Inf).
 	Buckets []int64 `json:"buckets"`
-}
-
-// Mean returns the average observation (0 when empty).
-func (h HistSnapshot) Mean() int64 {
-	if h.Count == 0 {
-		return 0
-	}
-	return h.Sum / h.Count
 }
 
 // Snapshot is a consistent-enough point-in-time copy of a registry:

@@ -261,15 +261,6 @@ func NewSender(params Params, eval Evaluator, opts ...SenderOption) (*Sender, er
 	return s, nil
 }
 
-// Amplifier returns the amplifier used in this execution. It is valid
-// after HandleRequest.
-func (s *Sender) Amplifier() *big.Int {
-	if s.amplifier == nil {
-		return nil
-	}
-	return new(big.Int).Set(s.amplifier)
-}
-
 // HandleRequest consumes the receiver's evaluation request, computes the
 // masked evaluations y_i = h(v_i) + amp·P(z_i) + shift, and opens the
 // m-out-of-M oblivious transfer.

@@ -781,11 +781,12 @@ func TestSessionBatchValidation(t *testing.T) {
 				if err := errors.Join(err1, err2); err != nil {
 					return err.Error()
 				}
-				ratio, err := f.Div(y1, y2)
+				inv, err := f.Inv(y2)
 				if err != nil {
 					return err.Error()
 				}
-				if want, _ := f.Div(f.FromInt64(-10), f.FromInt64(16)); ratio.Cmp(want) == 0 {
+				ratio := f.Mul(y1, inv)
+				if inv16, _ := f.Inv(f.FromInt64(16)); ratio.Cmp(f.Mul(f.FromInt64(-10), inv16)) == 0 {
 					return "the client divided the amplifier out: P(α1)/P(α2) = −10/16"
 				}
 				return fmt.Sprintf("the client interpolated a quotient of %v", ratio)

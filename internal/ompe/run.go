@@ -43,7 +43,7 @@ func Run(params Params, eval Evaluator, input field.Vec, rng io.Reader, opts ...
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Value: value, Amplifier: sender.Amplifier()}, nil
+	return &Result{Value: value, Amplifier: new(big.Int).Set(sender.amplifier)}, nil
 }
 
 // EvaluatorFunc adapts a closure with a fixed arity into an Evaluator.

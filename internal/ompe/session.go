@@ -120,26 +120,6 @@ func (ss *SessionSender) FinishBaseSender(tr *ot.BatchTransfer) error {
 	return ss.iknp.BaseFinish(tr)
 }
 
-// NewSession runs the base phase in memory and returns a paired session.
-func NewSession(params Params, eval Evaluator, rng io.Reader) (*SessionSender, *SessionReceiver, error) {
-	receiver, setup, err := NewSessionReceiverBase(params, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	sender, choice, err := NewSessionSenderBase(params, eval, setup, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	tr, err := receiver.FinishBaseReceiver(choice, rng)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := sender.FinishBaseSender(tr); err != nil {
-		return nil, nil, err
-	}
-	return sender, receiver, nil
-}
-
 // query is one sample's receiver-side secret: its M evaluation points on
 // the field's engine (points on math/big, lpoints on limb) and the
 // indices of its m genuine pairs. A Receiver holds one, a SessionBatch
@@ -238,9 +218,6 @@ type SessionBatch struct {
 	queries []query
 	ext     *ot.ExtKofNBatchQuery
 }
-
-// Len returns the number of samples in the batch.
-func (b *SessionBatch) Len() int { return len(b.queries) }
 
 // NewBatch opens one batched query covering all inputs.
 func (sr *SessionReceiver) NewBatch(inputs []field.Vec, rng io.Reader) (*SessionBatch, *FastBatchRequest, error) {

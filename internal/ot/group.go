@@ -87,10 +87,6 @@ func GroupByName(name string) (Group, error) {
 // Name returns "x25519".
 func (Group) Name() string { return "x25519" }
 
-// ElementLen returns the byte length of a serialized element: the 32-byte
-// compressed point.
-func (Group) ElementLen() int { return ec25519.PointLen }
-
 // Decode interprets enc as a canonical compressed point P and returns
 // its cofactor-cleared multiple [8]·P, which is what every transfer key
 // is computed from (DESIGN.md §11). It refuses any other length and the

@@ -287,12 +287,6 @@ func TestChoiceHidesIndex(t *testing.T) {
 	}
 }
 
-func TestElementLen(t *testing.T) {
-	if n := ot.X25519().ElementLen(); n != 32 {
-		t.Fatalf("element length = %d, want 32", n)
-	}
-}
-
 // TestBatchMismatchedCounts: the k instances share one setup, so the
 // receiver cannot read k from it. A k mismatch is refused where it shows:
 // at Respond, which wants one public key per instance, and at Recover,

@@ -133,13 +133,6 @@ func RestoreIKNPReceiver(st *IKNPReceiverState) (*IKNPReceiver, error) {
 	return recv, nil
 }
 
-// Batch reports the endpoint's lockstep batch counter (test/diagnostic
-// visibility for the monotonicity discipline).
-func (s *IKNPSender) Batch() uint32 { return s.batch }
-
-// Batch reports the receiver's lockstep batch counter.
-func (r *IKNPReceiver) Batch() uint32 { return r.batch }
-
 // EncodeWire implements the wire codec.
 func (st *IKNPSenderState) EncodeWire(w *wire.Writer) {
 	w.ByteSlice(st.S)

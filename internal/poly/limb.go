@@ -39,9 +39,6 @@ func RandomLimb(rng io.Reader, degree int, valueAtZero *limb.Element) (*LimbPoly
 	return &LimbPoly{coeffs: coeffs}, nil
 }
 
-// Degree returns the degree of p.
-func (p *LimbPoly) Degree() int { return len(p.coeffs) - 1 }
-
 // EvalInto evaluates p at x by Horner's rule into out, starting from the
 // leading coefficient: degree multiplications. out and x may alias. It
 // allocates nothing.

@@ -2,8 +2,8 @@
 // supplies the two polynomial primitives the OMPE protocol is built from:
 // random masking polynomials with a fixed value at zero (the sender's h(u)
 // with h(0)=0 and the receiver's covers g_i(v) with g_i(0)=t̃_i), and exact
-// Lagrange interpolation used to reconstruct B(v) from the oblivious
-// transfer output (paper Eq. 3).
+// Lagrange interpolation at zero used to reconstruct B(0) from the
+// oblivious transfer output (paper Eq. 3).
 package poly
 
 import (
@@ -23,29 +23,10 @@ var (
 )
 
 // Poly is a univariate polynomial over a field. Coefficients are stored in
-// ascending degree order; coeffs[i] multiplies x^i. The zero polynomial has
-// an empty coefficient slice.
+// ascending degree order; coeffs[i] multiplies x^i.
 type Poly struct {
 	f      *field.Field
 	coeffs []*big.Int
-}
-
-// New constructs a polynomial from ascending-degree coefficients, reducing
-// each into the field and trimming leading zeros.
-func New(f *field.Field, coeffs []*big.Int) *Poly {
-	cs := make([]*big.Int, len(coeffs))
-	for i, c := range coeffs {
-		cs[i] = f.FromBig(c)
-	}
-	return (&Poly{f: f, coeffs: cs}).trim()
-}
-
-// Zero returns the zero polynomial.
-func Zero(f *field.Field) *Poly { return &Poly{f: f} }
-
-// Constant returns the degree-0 polynomial with the given value.
-func Constant(f *field.Field, c *big.Int) *Poly {
-	return New(f, []*big.Int{c})
 }
 
 // Random returns a uniform polynomial of exactly the given degree (its
@@ -76,29 +57,6 @@ func Random(f *field.Field, rng io.Reader, degree int, valueAtZero *big.Int) (*P
 	return &Poly{f: f, coeffs: coeffs}, nil
 }
 
-// Degree returns the degree of p, with -1 for the zero polynomial.
-func (p *Poly) Degree() int { return len(p.coeffs) - 1 }
-
-// Field returns the polynomial's field.
-func (p *Poly) Field() *field.Field { return p.f }
-
-// Coeff returns a copy of the coefficient of x^i (zero beyond the degree).
-func (p *Poly) Coeff(i int) *big.Int {
-	if i < 0 || i >= len(p.coeffs) {
-		return new(big.Int)
-	}
-	return new(big.Int).Set(p.coeffs[i])
-}
-
-// Coeffs returns a copy of all coefficients in ascending degree order.
-func (p *Poly) Coeffs() []*big.Int {
-	out := make([]*big.Int, len(p.coeffs))
-	for i, c := range p.coeffs {
-		out[i] = new(big.Int).Set(c)
-	}
-	return out
-}
-
 // Eval evaluates p at x by Horner's rule with a single in-place
 // accumulator: one Mul/Add/Mod per coefficient, no per-step allocation.
 func (p *Poly) Eval(x *big.Int) *big.Int {
@@ -115,150 +73,10 @@ func (p *Poly) Eval(x *big.Int) *big.Int {
 	return acc
 }
 
-// Add returns p+q.
-func (p *Poly) Add(q *Poly) *Poly {
-	n := max(len(p.coeffs), len(q.coeffs))
-	coeffs := make([]*big.Int, n)
-	for i := range coeffs {
-		var a, b *big.Int
-		if i < len(p.coeffs) {
-			a = p.coeffs[i]
-		} else {
-			a = new(big.Int)
-		}
-		if i < len(q.coeffs) {
-			b = q.coeffs[i]
-		} else {
-			b = new(big.Int)
-		}
-		coeffs[i] = p.f.Add(a, b)
-	}
-	return (&Poly{f: p.f, coeffs: coeffs}).trim()
-}
-
-// Sub returns p-q.
-func (p *Poly) Sub(q *Poly) *Poly {
-	return p.Add(q.ScalarMul(p.f.FromInt64(-1)))
-}
-
-// Mul returns p*q by schoolbook convolution; protocol polynomials are small
-// (degree <= pq, typically < 100) so asymptotically faster methods are not
-// warranted.
-func (p *Poly) Mul(q *Poly) *Poly {
-	if len(p.coeffs) == 0 || len(q.coeffs) == 0 {
-		return Zero(p.f)
-	}
-	coeffs := make([]*big.Int, len(p.coeffs)+len(q.coeffs)-1)
-	for i := range coeffs {
-		coeffs[i] = new(big.Int)
-	}
-	tmp := new(big.Int)
-	for i, a := range p.coeffs {
-		for j, b := range q.coeffs {
-			tmp.Mul(a, b)
-			coeffs[i+j].Add(coeffs[i+j], tmp)
-		}
-	}
-	for i := range coeffs {
-		coeffs[i] = p.f.Reduce(coeffs[i])
-	}
-	return (&Poly{f: p.f, coeffs: coeffs}).trim()
-}
-
-// ScalarMul returns s*p.
-func (p *Poly) ScalarMul(s *big.Int) *Poly {
-	coeffs := make([]*big.Int, len(p.coeffs))
-	for i, c := range p.coeffs {
-		coeffs[i] = p.f.Mul(s, c)
-	}
-	return (&Poly{f: p.f, coeffs: coeffs}).trim()
-}
-
-// Equal reports whether p and q have identical coefficients.
-func (p *Poly) Equal(q *Poly) bool {
-	if len(p.coeffs) != len(q.coeffs) {
-		return false
-	}
-	for i := range p.coeffs {
-		if p.coeffs[i].Cmp(q.coeffs[i]) != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// String renders the polynomial for diagnostics.
-func (p *Poly) String() string {
-	if len(p.coeffs) == 0 {
-		return "0"
-	}
-	s := ""
-	for i := len(p.coeffs) - 1; i >= 0; i-- {
-		if p.coeffs[i].Sign() == 0 && len(p.coeffs) > 1 {
-			continue
-		}
-		if s != "" {
-			s += " + "
-		}
-		switch i {
-		case 0:
-			s += p.coeffs[i].String()
-		case 1:
-			s += p.coeffs[i].String() + "*x"
-		default:
-			s += fmt.Sprintf("%v*x^%d", p.coeffs[i], i)
-		}
-	}
-	return s
-}
-
-func (p *Poly) trim() *Poly {
-	n := len(p.coeffs)
-	for n > 0 && p.coeffs[n-1].Sign() == 0 {
-		n--
-	}
-	p.coeffs = p.coeffs[:n]
-	return p
-}
-
 // Point is an (x, y) evaluation pair used for interpolation.
 type Point struct {
 	X *big.Int
 	Y *big.Int
-}
-
-// Interpolate returns the unique polynomial of degree < len(points) through
-// the given points (paper Eq. 3). Node x-coordinates must be distinct.
-func Interpolate(f *field.Field, points []Point) (*Poly, error) {
-	if len(points) == 0 {
-		return nil, ErrEmptyInput
-	}
-	for i := range points {
-		for j := i + 1; j < len(points); j++ {
-			if points[i].X.Cmp(points[j].X) == 0 {
-				return nil, fmt.Errorf("%w: x=%v", ErrDuplicateNode, points[i].X)
-			}
-		}
-	}
-	result := Zero(f)
-	for j := range points {
-		// basis_j(x) = prod_{i != j} (x - x_i) / (x_j - x_i)
-		basis := Constant(f, f.One())
-		denom := f.One()
-		for i := range points {
-			if i == j {
-				continue
-			}
-			basis = basis.Mul(New(f, []*big.Int{f.Neg(points[i].X), f.One()}))
-			denom = f.Mul(denom, f.Sub(points[j].X, points[i].X))
-		}
-		invDenom, err := f.Inv(denom)
-		if err != nil {
-			return nil, fmt.Errorf("poly: interpolate: %w", err)
-		}
-		result = result.Add(basis.ScalarMul(f.Mul(points[j].Y, invDenom)))
-	}
-	return result, nil
 }
 
 // InterpolateAtZero evaluates the interpolating polynomial at x=0 without

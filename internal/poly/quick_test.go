@@ -79,8 +79,7 @@ func distinctNonZero(t *testing.T, f *field.Field, rng *mrand.Rand, n int) []*bi
 // random degrees and coefficients, build B(v) = h(v) + Q(v) where h is a
 // fresh mask (h(0)=0) and Q(0) = r_a·d(t̃) is the amplified payload; then
 // D+1 evaluations at distinct non-zero points must interpolate back to
-// exactly the payload at v=0 — both via the materialized polynomial and
-// via the allocation-free InterpolateAtZero hot path.
+// exactly the payload at v=0 through InterpolateAtZero.
 func TestQuickMaskInterpolateRoundTrip(t *testing.T) {
 	f := field.Default()
 	prop := func(seed int64, pRaw, qRaw uint8, payloadSeed int64) bool {
@@ -106,12 +105,10 @@ func TestQuickMaskInterpolateRoundTrip(t *testing.T) {
 			t.Logf("payload poly: %v", err)
 			return false
 		}
-		b := h.Add(qPoly)
-
 		nodes := distinctNonZero(t, f, rng, deg+1)
 		points := make([]poly.Point, len(nodes))
 		for i, v := range nodes {
-			points[i] = poly.Point{X: v, Y: b.Eval(v)}
+			points[i] = poly.Point{X: v, Y: f.Add(h.Eval(v), qPoly.Eval(v))}
 		}
 
 		got, err := poly.InterpolateAtZero(f, points)
@@ -123,15 +120,6 @@ func TestQuickMaskInterpolateRoundTrip(t *testing.T) {
 			t.Logf("deg %d: B(0) = %v, want payload %v", deg, got, payload)
 			return false
 		}
-		full, err := poly.Interpolate(f, points)
-		if err != nil {
-			t.Logf("interpolate: %v", err)
-			return false
-		}
-		if full.Eval(big.NewInt(0)).Cmp(payload) != 0 {
-			t.Log("materialized interpolation disagrees at zero")
-			return false
-		}
 		return true
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
@@ -139,9 +127,11 @@ func TestQuickMaskInterpolateRoundTrip(t *testing.T) {
 	}
 }
 
-// TestQuickInterpolateIdentity: interpolating D+1 samples of a random
-// polynomial reproduces it exactly (coefficient-level equality), so the
-// mask layer cannot smuggle information through interpolation error.
+// TestQuickInterpolateIdentity: D+1 samples of a random polynomial of
+// degree D determine it everywhere, so the mask layer cannot smuggle
+// information through interpolation error. Shifting every node by −x0
+// makes InterpolateAtZero evaluate the interpolant at x0; it must match
+// the polynomial at D+1 fresh points, which pins all its coefficients.
 func TestQuickInterpolateIdentity(t *testing.T) {
 	f := field.Default()
 	prop := func(seed int64, degRaw uint8, v0 int64) bool {
@@ -152,17 +142,24 @@ func TestQuickInterpolateIdentity(t *testing.T) {
 			t.Logf("random poly: %v", err)
 			return false
 		}
-		nodes := distinctNonZero(t, f, rng, deg+1)
-		points := make([]poly.Point, len(nodes))
-		for i, x := range nodes {
-			points[i] = poly.Point{X: x, Y: orig.Eval(x)}
+		nodes := distinctNonZero(t, f, rng, 2*(deg+1))
+		samples, probes := nodes[:deg+1], nodes[deg+1:]
+		points := make([]poly.Point, len(samples))
+		for _, x0 := range probes {
+			for i, x := range samples {
+				points[i] = poly.Point{X: f.Sub(x, x0), Y: orig.Eval(x)}
+			}
+			got, err := poly.InterpolateAtZero(f, points)
+			if err != nil {
+				t.Logf("interpolate: %v", err)
+				return false
+			}
+			if got.Cmp(orig.Eval(x0)) != 0 {
+				t.Logf("deg %d: interpolant at %v differs from the polynomial", deg, x0)
+				return false
+			}
 		}
-		back, err := poly.Interpolate(f, points)
-		if err != nil {
-			t.Logf("interpolate: %v", err)
-			return false
-		}
-		return back.Equal(orig)
+		return true
 	}
 	if err := quick.Check(prop, quickCfg); err != nil {
 		t.Fatal(err)

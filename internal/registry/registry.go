@@ -39,7 +39,7 @@ type Registry struct {
 	params classify.Params
 
 	// publishMu serializes Publish calls: version numbers are assigned
-	// under it, so versions observed through Current are monotonic.
+	// under it, so versions observed through Version are monotonic.
 	publishMu sync.Mutex
 	version   atomic.Uint64
 	current   atomic.Pointer[Entry]
@@ -91,9 +91,6 @@ func (r *Registry) PublishFile(path string) (*Entry, error) {
 	}
 	return r.Publish(model)
 }
-
-// Current returns the current entry, or nil before the first Publish.
-func (r *Registry) Current() *Entry { return r.current.Load() }
 
 // Version returns the current version number (0 before the first
 // Publish).

@@ -42,7 +42,7 @@ func testParams() classify.Params {
 
 func TestRegistryLifecycle(t *testing.T) {
 	r := New(testParams())
-	if r.Current() != nil || r.Version() != 0 || r.CurrentTrainer() != nil {
+	if r.current.Load() != nil || r.Version() != 0 || r.CurrentTrainer() != nil {
 		t.Fatal("fresh registry should be empty")
 	}
 
@@ -85,7 +85,7 @@ func TestRegistryPublishInvalidKeepsCurrent(t *testing.T) {
 	if _, err := r.Publish(&svm.Model{}); err == nil {
 		t.Fatal("publishing an invalid model should fail")
 	}
-	if r.Current() != e1 || r.Version() != 1 {
+	if r.current.Load() != e1 || r.Version() != 1 {
 		t.Fatal("failed publish must leave the current version untouched")
 	}
 }
@@ -139,7 +139,7 @@ func TestRegistryConcurrentPublish(t *testing.T) {
 					return
 				default:
 				}
-				if e := r.Current(); e != nil && (e.Trainer == nil || e.Version == 0) {
+				if e := r.current.Load(); e != nil && (e.Trainer == nil || e.Version == 0) {
 					t.Error("observed torn entry")
 					return
 				}

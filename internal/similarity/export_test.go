@@ -12,3 +12,6 @@ var (
 	LinearCentroid = linearCentroid
 	LinearAreaBits = linearAreaBits
 )
+
+// LinearFracBits is the hyperplane variant's fixed-point precision.
+const LinearFracBits = linearFracBits

@@ -15,50 +15,41 @@ import (
 )
 
 // Params fixes the protocol parameters of a private similarity evaluation.
+// Everything but the metric is a protocol constant that Alice writes into
+// her Spec: q = maskDegree, k = coverFactor, the amplifier bound
+// ompe.DefaultAmplifierBits, and the fixed-point precision linearFracBits
+// (kernelFracBits for the kernel variant).
 type Params struct {
-	// Metric is the public evaluation geometry.
+	// Metric is the public evaluation geometry (default DefaultMetric).
 	Metric Metric
-	// MaskDegree is the security parameter q (default 2).
-	MaskDegree int
-	// CoverFactor is the decoy multiplier k (default 2).
-	CoverFactor int
-	// AmplifierBits bounds r_am and r_aw (default 64).
-	AmplifierBits int
 	// Group is ignored: every evaluation runs the one OT group, x25519.
 	//
 	// Deprecated: ot.X25519 is the only group.
 	Group ot.Group
-	// FracBits is the fixed-point precision (default 24; 12 for the
-	// kernel variant). It sizes the field (field.ByBits), and the field
-	// picks the engine: a precision whose rounds fit 255 bits runs on
-	// 2^255−19 with the limb engine. The hyperplane variant needs
-	// 9·FracBits + 12 bits at n = 8 on the default metric
-	// (linearAreaBits), so it fits 2^255−19 up to 27 fractional bits; the
-	// kernel variant's default needs 420 bits and runs on 2^521−1.
-	FracBits uint
 	// Parallelism is ignored.
 	//
 	// Deprecated: every fan-out region runs at GOMAXPROCS.
 	Parallelism int
 }
 
-func (p Params) withDefaults() Params {
+// Alice's protocol constants. The precision sizes the field
+// (field.ByBits), and the field picks the engine: the hyperplane variant
+// needs 9·fb + 12 bits at n = 8 on the default metric (linearAreaBits),
+// 228 at fb = 24, so it runs on 2^255−19 with the limb engine; the kernel
+// variant needs (8p+5)·fb + 72 bits for a degree-p kernel at fb = 12, 420
+// for the paper's cubic on 2^521−1 and 612 at p = 5 on 2^1279−1.
+const (
+	maskDegree     = 2  // the security parameter q
+	coverFactor    = 2  // the decoy multiplier k
+	linearFracBits = 24 // the hyperplane variant's fixed-point precision
+	kernelFracBits = 12 // the kernel variant's: keeps the cubic's S^29 inside 2^521−1
+)
+
+func (p Params) metric() Metric {
 	if p.Metric == (Metric{}) {
-		p.Metric = DefaultMetric()
+		return DefaultMetric()
 	}
-	if p.MaskDegree == 0 {
-		p.MaskDegree = 2
-	}
-	if p.CoverFactor == 0 {
-		p.CoverFactor = 2
-	}
-	if p.AmplifierBits == 0 {
-		p.AmplifierBits = ompe.DefaultAmplifierBits
-	}
-	if p.FracBits == 0 {
-		p.FracBits = 24
-	}
-	return p
+	return p.Metric
 }
 
 // Spec is the public contract Alice publishes for an evaluation.
@@ -103,10 +94,10 @@ var ErrRound = errors.New("similarity: round mismatch")
 // Metric and FracBits.
 var ErrFieldTooSmall = errors.New("similarity: field too small for the decoded value")
 
-// specFor derives the public spec from params, dimension and the field
-// headroom (in bits) the variant's rounds need.
-func specFor(dim int, p Params, need int) (Spec, error) {
-	if err := p.Metric.Validate(); err != nil {
+// specFor derives the public spec from the metric, dimension, precision
+// and the field headroom (in bits) the variant's rounds need.
+func specFor(dim int, m Metric, fracBits uint, need int) (Spec, error) {
+	if err := m.Validate(); err != nil {
 		return Spec{}, err
 	}
 	if dim < 2 {
@@ -118,12 +109,12 @@ func specFor(dim int, p Params, need int) (Spec, error) {
 	}
 	return Spec{
 		Dim:           dim,
-		Metric:        p.Metric,
-		MaskDegree:    p.MaskDegree,
-		CoverFactor:   p.CoverFactor,
-		AmplifierBits: p.AmplifierBits,
+		Metric:        m,
+		MaskDegree:    maskDegree,
+		CoverFactor:   coverFactor,
+		AmplifierBits: ompe.DefaultAmplifierBits,
 		FieldBits:     f.Bits(),
-		FracBits:      p.FracBits,
+		FracBits:      fracBits,
 		GroupName:     ot.X25519().Name(),
 	}, nil
 }
@@ -189,12 +180,12 @@ type Alice struct {
 // NewAlice prepares the responder for one evaluation of the linear model
 // (wA, bA) over the agreed geometry.
 func NewAlice(wA []float64, bA float64, params Params, rng io.Reader) (*Alice, error) {
-	params = params.withDefaults()
-	need, err := linearAreaBits(len(wA), params.Metric, params.FracBits)
+	m := params.metric()
+	need, err := linearAreaBits(len(wA), m, linearFracBits)
 	if err != nil {
 		return nil, err
 	}
-	spec, err := specFor(len(wA), params, need)
+	spec, err := specFor(len(wA), m, linearFracBits, need)
 	if err != nil {
 		return nil, err
 	}

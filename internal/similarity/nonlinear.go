@@ -11,6 +11,7 @@ import (
 	"repro/internal/fixedpoint"
 	"repro/internal/mvpoly"
 	"repro/internal/obs"
+	"repro/internal/ompe"
 	"repro/internal/svm"
 )
 
@@ -68,11 +69,6 @@ type KernelSpec struct {
 // carries αy on both sides.
 func kernelExps(k svm.Kernel) (e1, e2 uint) { return uint(2 * k.Degree), uint(2*k.Degree) + 2 }
 
-// defaultKernelFracBits is the kernel variant's precision when the caller
-// sets none: it keeps the deep kernel-area scale, S^(8p+5), inside the
-// built-in primes.
-const defaultKernelFracBits = 12
-
 // KernelAlice is the responder for the kernelized evaluation.
 type KernelAlice struct {
 	responder
@@ -90,15 +86,11 @@ func NewKernelAlice(model *svm.Model, params Params, rng io.Reader) (*KernelAlic
 	if model.Kernel.Kind != svm.KernelPolynomial {
 		return nil, fmt.Errorf("similarity: kernel variant supports polynomial kernels, got %v", model.Kernel.Kind)
 	}
-	if params.FracBits == 0 {
-		params.FracBits = defaultKernelFracBits
-	}
-	params = params.withDefaults()
-	need, err := kernelFieldBits(model.Kernel, params.FracBits, params.AmplifierBits)
+	need, err := kernelFieldBits(model.Kernel, kernelFracBits, ompe.DefaultAmplifierBits)
 	if err != nil {
 		return nil, err
 	}
-	base, err := specFor(model.Dim, params, need)
+	base, err := specFor(model.Dim, params.metric(), kernelFracBits, need)
 	if err != nil {
 		return nil, err
 	}

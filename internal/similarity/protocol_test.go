@@ -18,7 +18,7 @@ func newPair(t *testing.T) (*similarity.Alice, *similarity.Bob) {
 	t.Helper()
 	wA := []float64{0.8, -0.5}
 	wB := []float64{0.2, 0.9}
-	alice, err := similarity.NewAlice(wA, 0.1, fastParams(), rand.Reader)
+	alice, err := similarity.NewAlice(wA, 0.1, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,21 +154,17 @@ func TestClearShareValidation(t *testing.T) {
 
 func TestNewAliceValidation(t *testing.T) {
 	// Degenerate model: boundary misses the box.
-	if _, err := similarity.NewAlice([]float64{1, 1}, 10, fastParams(), rand.Reader); err == nil {
+	if _, err := similarity.NewAlice([]float64{1, 1}, 10, similarity.Params{}, rand.Reader); err == nil {
 		t.Fatal("no-boundary model should fail")
 	}
 	// 1-D model.
-	if _, err := similarity.NewAlice([]float64{1}, 0, fastParams(), rand.Reader); err == nil {
+	if _, err := similarity.NewAlice([]float64{1}, 0, similarity.Params{}, rand.Reader); err == nil {
 		t.Fatal("1-D model should fail")
 	}
 	// Area values no built-in field holds.
-	for _, params := range []similarity.Params{
-		{FracBits: 150},
-		{Metric: similarity.Metric{Alpha: -1, Beta: 1, L0: 1e100, Theta0: 0.1}},
-	} {
-		if _, err := similarity.NewAlice([]float64{1, 1}, 0, params, rand.Reader); !errors.Is(err, similarity.ErrFieldTooSmall) {
-			t.Errorf("%+v: err = %v, want ErrFieldTooSmall", params, err)
-		}
+	params := similarity.Params{Metric: similarity.Metric{Alpha: -1, Beta: 1, L0: 1e100, Theta0: 0.1}}
+	if _, err := similarity.NewAlice([]float64{1, 1}, 0, params, rand.Reader); !errors.Is(err, similarity.ErrFieldTooSmall) {
+		t.Errorf("%+v: err = %v, want ErrFieldTooSmall", params, err)
 	}
 }
 
@@ -193,11 +189,11 @@ func TestFreshRandomizersPerEvaluation(t *testing.T) {
 	// result.
 	wA := []float64{0.7, -0.3, 0.4}
 	wB := []float64{-0.2, 0.8, 0.1}
-	r1, err := similarity.EvaluatePrivate(wA, 0.1, wB, 0, fastParams(), rand.Reader)
+	r1, err := similarity.EvaluatePrivate(wA, 0.1, wB, 0, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := similarity.EvaluatePrivate(wA, 0.1, wB, 0, fastParams(), rand.Reader)
+	r2, err := similarity.EvaluatePrivate(wA, 0.1, wB, 0, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,13 +208,13 @@ func TestKernelRoundSequence(t *testing.T) {
 	if _, err := similarity.NewKernelBob(similarity.KernelSpec{}, nil); err == nil {
 		t.Fatal("nil model should fail")
 	}
-	if _, err := similarity.NewKernelAlice(nil, fastParams(), rand.Reader); err == nil {
+	if _, err := similarity.NewKernelAlice(nil, similarity.Params{}, rand.Reader); err == nil {
 		t.Fatal("nil model should fail")
 	}
 
 	t.Run("alice-needs-clear-share", func(t *testing.T) {
 		modelA, modelB := kernelModels(t)
-		alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+		alice, err := similarity.NewKernelAlice(modelA, similarity.Params{}, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +304,7 @@ func TestKernelClearShareRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kmbmb := range []float64{1e10, 1e20, 1e30} {
-		alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+		alice, err := similarity.NewKernelAlice(modelA, similarity.Params{}, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -369,7 +365,7 @@ func kernelModels(t *testing.T) (*svm.Model, *svm.Model) {
 func kernelPair(t *testing.T) (*similarity.KernelAlice, *similarity.KernelBob) {
 	t.Helper()
 	modelA, modelB := kernelModels(t)
-	alice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+	alice, err := similarity.NewKernelAlice(modelA, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,34 +391,28 @@ func trainSVM(x [][]float64, y []int, k svm.Kernel, c float64) (*svm.Model, erro
 	return svm.Train(x, y, svm.Config{Kernel: k, C: c})
 }
 
-// TestKernelAliceFracBits: the kernel variant defaults to 12 fractional
-// bits but honours any precision the caller sets, and 24 bits still fit
-// the field and match the plaintext metric.
+// TestKernelAliceFracBits: Alice writes the protocol constants into her
+// spec, 12 fractional bits for the kernel variant and 24 for the
+// hyperplane, with q = 2, k = 2 and a 64-bit amplifier for both.
 func TestKernelAliceFracBits(t *testing.T) {
-	modelA, modelB := kernelModels(t)
-	for _, tc := range []struct{ set, want uint }{{0, 12}, {24, 24}, {16, 16}} {
-		params := fastParams()
-		params.FracBits = tc.set
-		alice, err := similarity.NewKernelAlice(modelA, params, rand.Reader)
-		if err != nil {
-			t.Fatalf("FracBits %d: %v", tc.set, err)
-		}
-		if got := alice.Spec().FracBits; got != tc.want {
-			t.Errorf("FracBits %d: spec advertises %d, want %d", tc.set, got, tc.want)
-		}
-	}
-	params := fastParams()
-	params.FracBits = 24
-	got, err := similarity.EvaluatePrivateKernel(modelA, modelB, params, rand.Reader)
+	modelA, _ := kernelModels(t)
+	kalice, err := similarity.NewKernelAlice(modelA, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := similarity.EvaluateKernel(modelA, modelB, similarity.DefaultMetric())
+	alice, err := similarity.NewAlice([]float64{0.7, -0.4, 0.2}, 0.05, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(got.TSquared-want.TSquared) > 1e-4*(1+math.Abs(want.TSquared)) {
-		t.Fatalf("FracBits 24: T² private %g, plaintext %g", got.TSquared, want.TSquared)
+	for _, tc := range []struct {
+		spec      similarity.Spec
+		fracBits  uint
+		fieldBits int
+	}{{kalice.Spec().Spec, 12, 521}, {alice.Spec(), 24, 255}} {
+		s := tc.spec
+		if s.FracBits != tc.fracBits || s.FieldBits != tc.fieldBits || s.MaskDegree != 2 || s.CoverFactor != 2 || s.AmplifierBits != 64 {
+			t.Errorf("spec %+v: want fb = %d on %d bits, q = 2, k = 2, 64 amplifier bits", s, tc.fracBits, tc.fieldBits)
+		}
 	}
 }
 
@@ -437,12 +427,12 @@ func TestKernelAliceFracBits(t *testing.T) {
 // spec with FracBits raised from 12 to 40 and the field left at 521 bits
 // (the area round then needs 1,232).
 func TestHostileSpecRefused(t *testing.T) {
-	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, fastParams(), rand.Reader)
+	alice, err := similarity.NewAlice([]float64{0.8, -0.5}, 0.1, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	modelA, modelB := kernelModels(t)
-	kernelAlice, err := similarity.NewKernelAlice(modelA, fastParams(), rand.Reader)
+	kernelAlice, err := similarity.NewKernelAlice(modelA, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,13 +11,6 @@ import (
 	"repro/internal/svm"
 )
 
-func fastParams() similarity.Params {
-	return similarity.Params{
-		MaskDegree:  2,
-		CoverFactor: 2,
-	}
-}
-
 // TestPrivateMatchesPlaintext checks that the three-round private protocol
 // reproduces the clear-text metric to fixed-point precision.
 func TestPrivateMatchesPlaintext(t *testing.T) {
@@ -38,7 +31,7 @@ func TestPrivateMatchesPlaintext(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := similarity.EvaluatePrivate(tc.wA, tc.bA, tc.wB, tc.bB, fastParams(), rand.Reader)
+			got, err := similarity.EvaluatePrivate(tc.wA, tc.bA, tc.wB, tc.bB, similarity.Params{}, rand.Reader)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -110,17 +103,16 @@ func TestScaleInvariance(t *testing.T) {
 
 // TestLinearAreaRange: the field linearAreaBits sizes holds the area value
 // at the edge of what it admits, in the style of classify's
-// TestPolyDirectRange. At n = 8, fb = 27 is the largest precision whose
-// need still selects 2^255−19 on the default metric. On a metric with θ₀
-// near π/2 (sin²θ₀ ≈ 1), the test bisects for the largest L₀ that keeps
-// 255 bits. The two hyperplanes have orthogonal normals (sin²θ = 1) and
-// each cuts off a corner of the box, so their centroids sit near corners
-// that differ in 7 of 8 coordinates: L² ≈ 27.9 of the box's
-// n(β−α)² = 32, and T² is within a factor 1.2 of the bound B. The private
-// result must decode within 1e-6 of EvaluateLinear; sized without the
-// sign bit, the field wraps it.
+// TestPolyDirectRange. At n = 8 and Alice's precision (fb = 24) on a
+// metric with θ₀ near π/2 (sin²θ₀ ≈ 1), the test bisects for the largest
+// L₀ that keeps 255 bits. The two hyperplanes have orthogonal normals
+// (sin²θ = 1) and each cuts off a corner of the box, so their centroids
+// sit near corners that differ in 7 of 8 coordinates: L² ≈ 27.9 of the
+// box's n(β−α)² = 32, and T² is within a factor 1.2 of the bound B. The
+// private result must decode within 1e-6 of EvaluateLinear; sized without
+// the sign bit, the field wraps it.
 func TestLinearAreaRange(t *testing.T) {
-	const n, fb = 8, 27
+	const n, fb = 8, similarity.LinearFracBits
 	bits := func(m similarity.Metric, fb uint) int {
 		t.Helper()
 		need, err := similarity.LinearAreaBits(n, m, fb)
@@ -130,14 +122,8 @@ func TestLinearAreaRange(t *testing.T) {
 		return need
 	}
 	def := similarity.DefaultMetric()
-	if need := bits(def, fb); need > 255 {
-		t.Fatalf("fb = %d needs %d bits on the default metric, want <= 255", fb, need)
-	}
-	if need := bits(def, fb+1); need <= 255 {
-		t.Fatalf("fb = %d still needs only %d bits; the test must run at the largest fb that fits", fb+1, need)
-	}
 	metric := similarity.Metric{Alpha: -1, Beta: 1, Theta0: math.Pi/2 - 1e-3}
-	lo, hi := def.L0, 100.0
+	lo, hi := def.L0, 1e4
 	for _, tc := range []struct {
 		l0   float64
 		fits bool
@@ -173,7 +159,7 @@ func TestLinearAreaRange(t *testing.T) {
 	if want.CosTheta != 0 || want.L*want.L < 27 {
 		t.Fatalf("cos θ = %g, L² = %g: want orthogonal normals and L² > 27", want.CosTheta, want.L*want.L)
 	}
-	alice, err := similarity.NewAlice(wA, bA, similarity.Params{Metric: metric, FracBits: fb}, rand.Reader)
+	alice, err := similarity.NewAlice(wA, bA, similarity.Params{Metric: metric}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +195,7 @@ func TestIdenticalModelsHitFloor(t *testing.T) {
 	if math.Abs(res.T-floor) > 1e-9 {
 		t.Fatalf("identical models: T=%g, want floor %g", res.T, floor)
 	}
-	priv, err := similarity.EvaluatePrivate(w, 0.1, w, 0.1, fastParams(), rand.Reader)
+	priv, err := similarity.EvaluatePrivate(w, 0.1, w, 0.1, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +235,7 @@ func TestKernelPrivateMatchesPlaintext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := similarity.EvaluatePrivateKernel(modelA, modelB, fastParams(), rand.Reader)
+	got, err := similarity.EvaluatePrivateKernel(modelA, modelB, similarity.Params{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,13 +49,6 @@ func (m *Metric) DecodeWire(r *wire.Reader) {
 	m.Theta0 = r.Float64()
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
-// the public alias ppdc.SimilarityMetric.
-func (m *Metric) MarshalBinary() ([]byte, error) { return wire.Marshal(m) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (m *Metric) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, m) }
-
 // EncodeWire implements the wire codec.
 func (c *ClearShare) EncodeWire(w *wire.Writer) {
 	w.Float64(c.NormM2)

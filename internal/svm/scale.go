@@ -57,16 +57,3 @@ func (s *Scaler) Apply(row []float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// ApplyAll maps a whole matrix.
-func (s *Scaler) ApplyAll(x [][]float64) ([][]float64, error) {
-	out := make([][]float64, len(x))
-	for i, row := range x {
-		scaled, err := s.Apply(row)
-		if err != nil {
-			return nil, fmt.Errorf("row %d: %w", i, err)
-		}
-		out[i] = scaled
-	}
-	return out, nil
-}

@@ -324,9 +324,11 @@ func TestScaler(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scaled, err := s.ApplyAll(x)
-	if err != nil {
-		t.Fatal(err)
+	scaled := make([][]float64, len(x))
+	for i, row := range x {
+		if scaled[i], err = s.Apply(row); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if scaled[0][0] != -1 || scaled[1][0] != 1 || scaled[2][0] != 0 {
 		t.Fatalf("feature 0 scaling wrong: %v", scaled)

@@ -21,10 +21,3 @@ func (k *Kernel) DecodeWire(r *wire.Reader) {
 	k.Gamma = r.Float64()
 	k.C0 = r.Float64()
 }
-
-// MarshalBinary implements encoding.BinaryMarshaler, the byte codec of
-// the public alias ppdc.Kernel.
-func (k *Kernel) MarshalBinary() ([]byte, error) { return wire.Marshal(k) }
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler.
-func (k *Kernel) UnmarshalBinary(data []byte) error { return wire.Unmarshal(data, k) }

@@ -91,21 +91,21 @@ func TestClassifyBatchOverPipe(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cc.ClassifyBatch(samples[:5])
+	got, err := cc.ClassifyBatchContext(context.Background(), samples[:5])
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, got, want[:5], "first batch")
-	got, err = cc.ClassifyBatch(samples[5:])
+	got, err = cc.ClassifyBatchContext(context.Background(), samples[5:])
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkLabels(t, got, want[5:], "second batch")
-	if _, err := cc.ClassifyBatch(nil); err == nil {
+	if _, err := cc.ClassifyBatchContext(context.Background(), nil); err == nil {
 		t.Fatal("empty batch should fail")
 	}
 	// The refused batch never reached the wire: the session still serves.
@@ -144,11 +144,11 @@ func TestClassifyFastBatchOverPipe(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	fc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := fc.ClassifyBatch(samples)
+	got, err := fc.ClassifyBatchContext(context.Background(), samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestClassifyFastBatchOverPipe(t *testing.T) {
 	if single != want[1] {
 		t.Fatalf("post-batch query: got %d, want %d", single, want[1])
 	}
-	got2, err := fc.ClassifyBatch(samples[2:6])
+	got2, err := fc.ClassifyBatchContext(context.Background(), samples[2:6])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestClassifyPipelined(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	fc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +229,7 @@ func TestClassifyPipelinedCanceled(t *testing.T) {
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	fc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,11 +294,11 @@ func runDeterministicBatch(t *testing.T, procs int, samples [][]float64) (sent, 
 		defer close(done)
 		srv.ServeConn(serverSide)
 	}()
-	fc, err := transport.NewFastClassifyClient(rc, newDetReader("batch-determinism-client"))
+	fc, err := transport.NewFastClassifyClientContext(context.Background(), rc, transport.Options{}, newDetReader("batch-determinism-client"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.ClassifyBatch(samples); err != nil {
+	if _, err := fc.ClassifyBatchContext(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := fc.Close(); err != nil {

@@ -16,29 +16,19 @@ import (
 	"repro/internal/svm"
 )
 
-// EvaluateSimilarity runs a full linear similarity evaluation as Bob
-// against a server hosting model A, using Bob's own model (wB, bB).
-func EvaluateSimilarity(rw io.ReadWriteCloser, wB []float64, bB float64, rng io.Reader) (*similarity.Result, error) {
-	return EvaluateSimilarityContext(context.Background(), rw, wB, bB, Options{}, rng)
-}
-
-// EvaluateSimilarityContext is EvaluateSimilarity with per-message
-// deadlines from opts and cancellation via ctx.
+// EvaluateSimilarityContext runs a full linear similarity evaluation as
+// Bob against a server hosting model A, using Bob's own model (wB, bB),
+// with per-message deadlines from opts and cancellation via ctx.
 func EvaluateSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, wB []float64, bB float64, opts Options, rng io.Reader) (*similarity.Result, error) {
 	return evaluateSimilarity(ctx, rw, "similarity-linear", opts, rng, func(spec *similarity.Spec) (*similarity.Bob, error) {
 		return similarity.NewBob(*spec, wB, bB)
 	})
 }
 
-// EvaluateKernelSimilarity runs a full kernelized similarity evaluation
-// as Bob against a server hosting a polynomial-kernel model, using Bob's
-// own model.
-func EvaluateKernelSimilarity(rw io.ReadWriteCloser, modelB *svm.Model, rng io.Reader) (*similarity.Result, error) {
-	return EvaluateKernelSimilarityContext(context.Background(), rw, modelB, Options{}, rng)
-}
-
-// EvaluateKernelSimilarityContext is EvaluateKernelSimilarity with
-// per-message deadlines from opts and cancellation via ctx.
+// EvaluateKernelSimilarityContext runs a full kernelized similarity
+// evaluation as Bob against a server hosting a polynomial-kernel model,
+// using Bob's own model, with per-message deadlines from opts and
+// cancellation via ctx.
 func EvaluateKernelSimilarityContext(ctx context.Context, rw io.ReadWriteCloser, modelB *svm.Model, opts Options, rng io.Reader) (*similarity.Result, error) {
 	return evaluateSimilarity(ctx, rw, "similarity-kernel", opts, rng, func(spec *similarity.KernelSpec) (*similarity.KernelBob, error) {
 		return similarity.NewKernelBob(*spec, modelB)
@@ -162,12 +152,6 @@ func (c *FastClassifyClient) ResumeState() *ResumeState { return c.resumeState }
 // Spec reports the session spec the server sent, including the
 // resumption outcome.
 func (c *FastClassifyClient) Spec() classify.Spec { return c.session.Spec() }
-
-// NewFastClassifyClient performs the handshake and base phase on an
-// established stream with default options.
-func NewFastClassifyClient(rw io.ReadWriteCloser, rng io.Reader) (*FastClassifyClient, error) {
-	return NewFastClassifyClientContext(context.Background(), rw, Options{}, rng)
-}
 
 // NewFastClassifyClientContext performs the handshake and base phase on
 // an established stream under ctx and opts.
@@ -308,13 +292,9 @@ func DialKernelSimilarityContext(ctx context.Context, addr string, modelB *svm.M
 	return EvaluateKernelSimilarityContext(ctx, nc, modelB, opts, rng)
 }
 
-// ClassifyBatch runs B fast-path classifications in one message pair: all
-// B samples' choice bits ride a single OT-extension round.
-func (c *FastClassifyClient) ClassifyBatch(samples [][]float64) ([]int, error) {
-	return c.ClassifyBatchContext(context.Background(), samples)
-}
-
-// ClassifyBatchContext is ClassifyBatch under ctx: one pipelined batch.
+// ClassifyBatchContext runs B fast-path classifications in one message
+// pair under ctx, one pipelined batch: all B samples' choice bits ride a
+// single OT-extension round.
 func (c *FastClassifyClient) ClassifyBatchContext(ctx context.Context, samples [][]float64) ([]int, error) {
 	return c.ClassifyPipelined(ctx, samples, len(samples), 1)
 }

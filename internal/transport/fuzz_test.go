@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/ec25519"
 	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
@@ -85,12 +86,12 @@ func FuzzWireMsgs(f *testing.F) {
 	// one constraint: κ one-constraint setups.
 	legacy := make([]*ot.BatchSetup, 128)
 	for i := range legacy {
-		legacy[i] = &ot.BatchSetup{Cs: bytes.Repeat([]byte{byte(9 + i)}, ot.X25519().ElementLen())}
+		legacy[i] = &ot.BatchSetup{Cs: bytes.Repeat([]byte{byte(9 + i)}, ec25519.PointLen)}
 	}
 	f.Add(legacySeq(legacy))
 	// A base-phase setup frame, which travels under the k-of-n setup's
 	// tag 4: header and one-constraint payload.
-	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, ot.X25519().ElementLen())}))
+	f.Add(encodeFrame(f, &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, ec25519.PointLen)}))
 	// The clear shares at the sizes the services send: |mB|² of a box
 	// corner at n = 8, and a kernel share whose alpha sum is one element
 	// of 2^521−1 (66 bytes).

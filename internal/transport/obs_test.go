@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"net"
@@ -45,14 +46,14 @@ func TestClassifySessionMetrics(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cc.Classify(test.X[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.ClassifyBatch(test.X[1:3]); err != nil {
+	if _, err := cc.ClassifyBatchContext(context.Background(), test.X[1:3]); err != nil {
 		t.Fatal(err)
 	}
 	if err := cc.Close(); err != nil {
@@ -125,11 +126,11 @@ func TestSessionRejectionMetrics(t *testing.T) {
 		defer close(done1)
 		srv.ServeConn(serverSide1)
 	}()
-	cc, err := transport.NewFastClassifyClient(clientSide1, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide1, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := g.Gauge(obs.GaugeSessionsActive); v != 1 {
+	if v := g.Snapshot().Gauges[obs.GaugeSessionsActive]; v != 1 {
 		t.Errorf("sessions_active = %d with one session open, want 1", v)
 	}
 
@@ -140,7 +141,7 @@ func TestSessionRejectionMetrics(t *testing.T) {
 		defer close(done2)
 		srv.ServeConn(serverSide2)
 	}()
-	_, err = transport.NewFastClassifyClient(clientSide2, rand.Reader)
+	_, err = transport.NewFastClassifyClientContext(context.Background(), clientSide2, transport.Options{}, rand.Reader)
 	if !errors.Is(err, transport.ErrRemote) {
 		t.Fatalf("second session error = %v, want ErrRemote", err)
 	}
@@ -153,7 +154,7 @@ func TestSessionRejectionMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-done1
-	if v := g.Gauge(obs.GaugeSessionsActive); v != 0 {
+	if v := g.Snapshot().Gauges[obs.GaugeSessionsActive]; v != 0 {
 		t.Errorf("sessions_active = %d after close, want 0", v)
 	}
 }

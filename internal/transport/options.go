@@ -19,11 +19,15 @@ const (
 	DefaultDialTimeout = 10 * time.Second
 	// DefaultMaxAttempts is the total number of dial attempts.
 	DefaultMaxAttempts = 3
-	// DefaultBackoffBase is the delay before the first retry; subsequent
-	// delays double up to DefaultBackoffMax.
-	DefaultBackoffBase = 100 * time.Millisecond
-	// DefaultBackoffMax caps the retry delay.
-	DefaultBackoffMax = 5 * time.Second
+)
+
+// The dial retry schedule: the delay before the first retry is
+// backoffBase, each later one doubles up to backoffMax, and every delay is
+// jittered uniformly down to half its nominal value so synchronized
+// clients spread out.
+const (
+	backoffBase = 100 * time.Millisecond
+	backoffMax  = 5 * time.Second
 )
 
 // NoDeadline disables the per-message deadline when assigned to
@@ -44,16 +48,6 @@ type Options struct {
 	// MaxAttempts is the total number of dial attempts (1 = no retry).
 	// Zero selects DefaultMaxAttempts.
 	MaxAttempts int
-
-	// BackoffBase is the delay before the first retry. Each subsequent
-	// delay doubles, capped at BackoffMax, and is jittered uniformly down
-	// to half its nominal value so synchronized clients spread out.
-	BackoffBase time.Duration
-	BackoffMax  time.Duration
-
-	// JitterSeed, when non-zero, makes the backoff jitter deterministic
-	// (for tests). Zero draws from a process-wide seeded source.
-	JitterSeed int64
 
 	// FieldBackend is ignored: the trainer's spec fixes the field, and
 	// the field picks the engine.
@@ -97,12 +91,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = DefaultMaxAttempts
 	}
-	if o.BackoffBase <= 0 {
-		o.BackoffBase = DefaultBackoffBase
-	}
-	if o.BackoffMax <= 0 {
-		o.BackoffMax = DefaultBackoffMax
-	}
 	return o
 }
 
@@ -126,28 +114,29 @@ func (o Options) messageDeadline() time.Duration {
 	return o.MessageDeadline
 }
 
-// jitterRand is the process-wide jitter source for callers that don't pin
-// a seed. math/rand (not crypto) is deliberate: backoff jitter needs
-// spread, not unpredictability.
+// jitterRand is the process-wide jitter source of the dial retries.
+// math/rand (not crypto) is deliberate: backoff jitter needs spread, not
+// unpredictability.
 var (
 	jitterMu   sync.Mutex
 	jitterRand = mrand.New(mrand.NewSource(1))
 )
 
 // backoffDelay returns the jittered delay before retry number `retry`
-// (1-based): base·2^(retry-1) capped at max, then scaled uniformly into
-// [1/2, 1] of its nominal value.
-func backoffDelay(retry int, o Options, rng *mrand.Rand) time.Duration {
-	d := o.BackoffBase
+// (1-based): base·2^(retry-1) capped at ceiling, then scaled uniformly into
+// [1/2, 1] of its nominal value by a draw from rng, or from jitterRand
+// when rng is nil.
+func backoffDelay(retry int, base, ceiling time.Duration, rng *mrand.Rand) time.Duration {
+	d := base
 	for i := 1; i < retry; i++ {
 		d *= 2
-		if d >= o.BackoffMax {
-			d = o.BackoffMax
+		if d >= ceiling {
+			d = ceiling
 			break
 		}
 	}
-	if d > o.BackoffMax {
-		d = o.BackoffMax
+	if d > ceiling {
+		d = ceiling
 	}
 	var frac float64
 	if rng != nil {
@@ -172,16 +161,12 @@ func DialContext(ctx context.Context, addr string, opts Options) (net.Conn, erro
 // between attempts, honoring ctx throughout.
 func dialRetry(ctx context.Context, addr string, o Options) (net.Conn, error) {
 	o = o.withDefaults()
-	var rng *mrand.Rand
-	if o.JitterSeed != 0 {
-		rng = mrand.New(mrand.NewSource(o.JitterSeed))
-	}
 	var dialer net.Dialer
 	var lastErr error
 	for attempt := 1; attempt <= o.MaxAttempts; attempt++ {
 		if attempt > 1 {
 			obs.Add(obs.CtrDialRetries, 1)
-			delay := backoffDelay(attempt-1, o, rng)
+			delay := backoffDelay(attempt-1, backoffBase, backoffMax, nil)
 			t := time.NewTimer(delay)
 			select {
 			case <-t.C:

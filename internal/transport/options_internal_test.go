@@ -9,7 +9,6 @@ import (
 // TestBackoffDelaySchedule: delays double from the base, cap at the max,
 // and jitter stays within [1/2, 1] of the nominal value.
 func TestBackoffDelaySchedule(t *testing.T) {
-	o := Options{BackoffBase: 100 * time.Millisecond, BackoffMax: 800 * time.Millisecond}.withDefaults()
 	nominal := []time.Duration{
 		100 * time.Millisecond, // retry 1
 		200 * time.Millisecond, // retry 2
@@ -19,7 +18,7 @@ func TestBackoffDelaySchedule(t *testing.T) {
 	}
 	rng := mrand.New(mrand.NewSource(5))
 	for i, want := range nominal {
-		got := backoffDelay(i+1, o, rng)
+		got := backoffDelay(i+1, 100*time.Millisecond, 800*time.Millisecond, rng)
 		if got < want/2 || got > want {
 			t.Fatalf("retry %d: delay %v outside [%v, %v]", i+1, got, want/2, want)
 		}
@@ -29,11 +28,10 @@ func TestBackoffDelaySchedule(t *testing.T) {
 // TestBackoffDelayDeterministic: the same jitter seed reproduces the same
 // delay sequence.
 func TestBackoffDelayDeterministic(t *testing.T) {
-	o := Options{}.withDefaults()
 	a := mrand.New(mrand.NewSource(11))
 	b := mrand.New(mrand.NewSource(11))
 	for retry := 1; retry <= 6; retry++ {
-		if da, db := backoffDelay(retry, o, a), backoffDelay(retry, o, b); da != db {
+		if da, db := backoffDelay(retry, backoffBase, backoffMax, a), backoffDelay(retry, backoffBase, backoffMax, b); da != db {
 			t.Fatalf("retry %d: %v vs %v with identical seeds", retry, da, db)
 		}
 	}
@@ -44,7 +42,7 @@ func TestBackoffDelayDeterministic(t *testing.T) {
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.DialTimeout != DefaultDialTimeout || o.MessageDeadline != DefaultMessageDeadline ||
-		o.MaxAttempts != DefaultMaxAttempts || o.BackoffBase != DefaultBackoffBase || o.BackoffMax != DefaultBackoffMax {
+		o.MaxAttempts != DefaultMaxAttempts {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 	if d := (Options{}).messageDeadline(); d != DefaultMessageDeadline {

@@ -6,6 +6,7 @@ package transport_test
 
 import (
 	"bytes"
+	"context"
 	"net"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func runPadSession(t *testing.T, clientPad string) (got, want []int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err = fc.ClassifyBatch(samples); err != nil {
+	if got, err = fc.ClassifyBatchContext(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := fc.Close(); err != nil {
@@ -99,7 +100,7 @@ func runDeterministicAESBatch(t *testing.T, procs int, clientPad string, samples
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := fc.ClassifyBatch(samples); err != nil {
+	if _, err := fc.ClassifyBatchContext(context.Background(), samples); err != nil {
 		t.Fatal(err)
 	}
 	if err := fc.Close(); err != nil {

@@ -153,12 +153,23 @@ type ticketer struct {
 	ttl    time.Duration
 
 	mu sync.Mutex
-	// used records redeemed ticket IDs until their expiry passes (lazy
-	// sweep on each validation), making every ticket single-use.
-	used map[[ticketIDLen]byte]int64
+	// used records redeemed ticket IDs until their expiry passes, making
+	// every ticket single-use. Expired IDs are swept lazily, by the first
+	// validation at or after nextSweep (Unix ns), at most once per
+	// ledgerSweepPeriod.
+	used      map[[ticketIDLen]byte]int64
+	nextSweep int64
 	// now is the clock (a test seam for expiry coverage).
 	now func() time.Time
 }
+
+// ledgerSweepPeriod bounds how often validate walks the replay ledger to
+// drop expired IDs. The walk costs one step per live ID (up to
+// DefaultTicketTTL times the resumption rate), so doing it on every
+// resumption would hold t.mu for the whole ledger each time; an expired
+// ID left in the ledger meanwhile is harmless, because validate refuses
+// an expired ticket before it reads the ledger.
+const ledgerSweepPeriod = time.Minute
 
 func newTicketer(rand io.Reader, ttl time.Duration) (*ticketer, error) {
 	var key [ticketKeyLen]byte
@@ -251,10 +262,13 @@ func (t *ticketer) validate(ticket []byte, service string, specSum []byte) (*ot.
 	var id [ticketIDLen]byte
 	copy(id[:], payload.ID)
 	t.mu.Lock()
-	for old, exp := range t.used {
-		if exp <= nowNS {
-			delete(t.used, old)
+	if nowNS >= t.nextSweep {
+		for old, exp := range t.used {
+			if exp <= nowNS {
+				delete(t.used, old)
+			}
 		}
+		t.nextSweep = nowNS + int64(ledgerSweepPeriod)
 	}
 	if _, dup := t.used[id]; dup {
 		t.mu.Unlock()

@@ -122,6 +122,47 @@ func TestTicketUsedLedgerSweeps(t *testing.T) {
 	}
 }
 
+// TestTicketLedgerSweepsOncePerPeriod: validate walks the replay ledger
+// at most once per ledgerSweepPeriod, so an expired ID outlives a fresh
+// validation inside the period; it is still refused as expired, a replay
+// still reads "replayed", and the ledger shrinks once TTL plus the period
+// has passed.
+func TestTicketLedgerSweepsOncePerPeriod(t *testing.T) {
+	const ttl = time.Second
+	tk := mustTicketer(t, ttl)
+	base := time.Now()
+	sum := make([]byte, 32)
+	redeem := func(at time.Time) []byte {
+		t.Helper()
+		tk.now = func() time.Time { return at }
+		ticket, err := tk.mint(rand.Reader, "classify-fast", sum, testSenderState(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := tk.validate(ticket, "classify-fast", sum); err != nil {
+			t.Fatal(err)
+		}
+		return ticket
+	}
+	first := redeem(base)
+	// Past the first ticket's expiry but inside the period: no sweep.
+	later := base.Add(2 * ttl)
+	fresh := redeem(later)
+	if len(tk.used) != 2 {
+		t.Fatalf("used ledger has %d entries inside the sweep period, want 2", len(tk.used))
+	}
+	if _, err := tk.validate(fresh, "classify-fast", sum); err == nil || !strings.Contains(err.Error(), "replayed") {
+		t.Fatalf("replay error = %v, want replay rejection", err)
+	}
+	if _, err := tk.validate(first, "classify-fast", sum); err == nil || !strings.Contains(err.Error(), "expired") {
+		t.Fatalf("unswept expired ticket error = %v, want expiry rejection", err)
+	}
+	redeem(base.Add(ttl + ledgerSweepPeriod + 2*ttl))
+	if len(tk.used) != 1 {
+		t.Fatalf("used ledger has %d entries after TTL plus the period, want 1", len(tk.used))
+	}
+}
+
 func TestTicketTampering(t *testing.T) {
 	tk := mustTicketer(t, time.Minute)
 	sum := make([]byte, 32)

@@ -8,6 +8,7 @@ package transport_test
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"net"
 	"sync/atomic"
@@ -60,7 +61,7 @@ func (h *resumeHarness) session(opts transport.Options, rngSeed string) *transpo
 	if err != nil {
 		h.t.Fatal(err)
 	}
-	got, err := fc.ClassifyBatch(h.samples)
+	got, err := fc.ClassifyBatchContext(context.Background(), h.samples)
 	if err != nil {
 		h.t.Fatal(err)
 	}

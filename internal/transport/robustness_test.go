@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/classify"
+	"repro/internal/ec25519"
 	"repro/internal/faultnet"
 	"repro/internal/ompe"
 	"repro/internal/ot"
@@ -214,7 +215,7 @@ func TestSessionSlotFreedOnMidOTDisconnect(t *testing.T) {
 				defer close(doneB)
 				srv.ServeConn(serverSideB)
 			}()
-			cc, err := transport.NewFastClassifyClient(clientSideB, rand.Reader)
+			cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSideB, transport.Options{}, rand.Reader)
 			if err != nil {
 				t.Fatalf("client B rejected after A's slot should have freed: %v", err)
 			}
@@ -260,11 +261,11 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 		tag     string
 	}{
 		{"k setups", &ot.BatchSetup{}, func(n int) []byte {
-			setup := &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, (n-1)*ot.X25519().ElementLen())}
+			setup := &ot.BatchSetup{Cs: bytes.Repeat([]byte{9}, (n-1)*ec25519.PointLen)}
 			return legacySeq([]*ot.BatchSetup{setup, setup, setup})
 		}, "tag 0x04"},
 		{"k transfers", &ot.BatchTransfer{}, func(n int) []byte {
-			tr := &ot.BatchTransfer{R: bytes.Repeat([]byte{7}, ot.X25519().ElementLen()), Cts: bytes.Repeat([]byte{1}, 16*n)}
+			tr := &ot.BatchTransfer{R: bytes.Repeat([]byte{7}, ec25519.PointLen), Cts: bytes.Repeat([]byte{1}, 16*n)}
 			return legacySeq([]*ot.BatchTransfer{tr, tr, tr})
 		}, "tag 0x06"},
 	} {
@@ -309,7 +310,7 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Cs)/ot.X25519().ElementLen()+1))); err != nil {
+			if _, err := clientSideA.Write(reframe(t, tc.proto, tc.payload(len(setup.Cs)/ec25519.PointLen+1))); err != nil {
 				t.Fatal(err)
 			}
 			_, err = transport.Recv[*ot.BatchTransfer](connA)
@@ -330,7 +331,7 @@ func TestSimilaritySlotFreedOnOldLayoutKofN(t *testing.T) {
 
 			serverSideB, clientSideB := net.Pipe()
 			go srv.ServeConn(serverSideB)
-			if _, err := transport.EvaluateSimilarity(clientSideB, wB, modelB.Bias, rand.Reader); err != nil {
+			if _, err := transport.EvaluateSimilarityContext(context.Background(), clientSideB, wB, modelB.Bias, transport.Options{}, rand.Reader); err != nil {
 				t.Fatalf("client B after A's slot should have freed: %v", err)
 			}
 		})
@@ -346,7 +347,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 
 	serverSideA, clientSideA := net.Pipe()
 	go srv.ServeConn(serverSideA)
-	ccA, err := transport.NewFastClassifyClient(clientSideA, rand.Reader)
+	ccA, err := transport.NewFastClassifyClientContext(context.Background(), clientSideA, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +362,7 @@ func TestMaxSessionsRejects(t *testing.T) {
 		defer close(doneB)
 		srv.ServeConn(serverSideB)
 	}()
-	_, err = transport.NewFastClassifyClient(clientSideB, rand.Reader)
+	_, err = transport.NewFastClassifyClientContext(context.Background(), clientSideB, transport.Options{}, rand.Reader)
 	if err == nil {
 		t.Fatal("second client should be rejected at capacity 1")
 	}
@@ -591,9 +592,6 @@ func TestDialRetryExhausts(t *testing.T) {
 	opts := transport.Options{
 		DialTimeout: 200 * time.Millisecond,
 		MaxAttempts: 3,
-		BackoffBase: 10 * time.Millisecond,
-		BackoffMax:  40 * time.Millisecond,
-		JitterSeed:  99,
 	}
 	start := time.Now()
 	_, err := transport.DialClassifyFastContext(context.Background(), "127.0.0.1:1", opts, rand.Reader)
@@ -639,9 +637,6 @@ func TestDialRetryRecovers(t *testing.T) {
 	opts := transport.Options{
 		DialTimeout: time.Second,
 		MaxAttempts: 10,
-		BackoffBase: 100 * time.Millisecond,
-		BackoffMax:  400 * time.Millisecond,
-		JitterSeed:  7,
 	}
 	cc, err := transport.DialClassifyFastContext(context.Background(), addr, opts, rand.Reader)
 	if err != nil {
@@ -659,8 +654,6 @@ func TestDialRetryHonorsContext(t *testing.T) {
 	opts := transport.Options{
 		DialTimeout: 200 * time.Millisecond,
 		MaxAttempts: 50,
-		BackoffBase: 500 * time.Millisecond,
-		BackoffMax:  500 * time.Millisecond,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()

@@ -1,6 +1,7 @@
 package transport_test
 
 import (
+	"context"
 	"crypto/rand"
 	"errors"
 	"fmt"
@@ -15,6 +16,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/dataset"
+	"repro/internal/ec25519"
 	"repro/internal/ompe"
 	"repro/internal/ot"
 	"repro/internal/similarity"
@@ -67,7 +69,7 @@ func TestClassifyOverPipe(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +183,7 @@ func TestSimilarityOverPipe(t *testing.T) {
 	serverSide, clientSide := net.Pipe()
 	go srv.ServeConn(serverSide)
 
-	got, err := transport.EvaluateSimilarity(clientSide, wB, modelB.Bias, rand.Reader)
+	got, err := transport.EvaluateSimilarityContext(context.Background(), clientSide, wB, modelB.Bias, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +277,7 @@ func TestKernelSimilarityOverPipe(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	got, err := transport.EvaluateKernelSimilarity(clientSide, modelB, rand.Reader)
+	got, err := transport.EvaluateKernelSimilarityContext(context.Background(), clientSide, modelB, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +359,7 @@ func TestTruncatedStreamErrors(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	cc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	cc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +394,7 @@ func TestSimilarityServiceNotEnabled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := transport.EvaluateSimilarity(clientSide, w, model.Bias, rand.Reader); err == nil {
+	if _, err := transport.EvaluateSimilarityContext(context.Background(), clientSide, w, model.Bias, transport.Options{}, rand.Reader); err == nil {
 		t.Fatal("similarity against a classify-only server should fail")
 	}
 	select {
@@ -449,7 +451,7 @@ func TestFastClassifyOverPipe(t *testing.T) {
 		srv.ServeConn(serverSide)
 	}()
 
-	fc, err := transport.NewFastClassifyClient(clientSide, rand.Reader)
+	fc, err := transport.NewFastClassifyClientContext(context.Background(), clientSide, transport.Options{}, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,7 +560,7 @@ func TestSimilarityOutOfOrderRefused(t *testing.T) {
 	}
 	misbehave := map[string]func(*transport.Conn, similarityBob) error{
 		"choice-for-request": func(conn *transport.Conn, _ similarityBob) error {
-			return conn.Send(&ot.BatchChoice{PK0s: make([]byte, ot.X25519().ElementLen())})
+			return conn.Send(&ot.BatchChoice{PK0s: make([]byte, ec25519.PointLen)})
 		},
 		"request-after-area": func(conn *transport.Conn, bob similarityBob) error {
 			var req *ompe.EvalRequest
