@@ -39,16 +39,21 @@ import (
 // keys, keyed at cofactor-cleared points, so it draws no seeds and every
 // seed, column and response differs, and a scalar is one 64-byte read,
 // which moves every later draw in both rng streams. Every label still
+// matches the plaintext model. All six were re-recorded once more when
+// requests came to carry a 16-byte point seed instead of the points and
+// instance 0's path digests became the message keys: every request and
+// response has another layout, and the client's rng draws a seed first
+// and no points, which moves every later draw. Every label still
 // matches the plaintext model. Rewriting how the trainer computes its
 // decision function, or how the OT extension is wired, must never change
 // which bytes travel.
 var parentTranscripts = map[string]string{
-	"cubic/limb255":        "ddc8f68a25045cd34ab7809e4bd9fb4ef5b732ca07846220d9e4f57a4cbe0517",
-	"quadratic/limb16":     "6cb09e6e8448e38277a90e06cddb3b910d6f73149427acbcad8f99a79eebfaed",
-	"sigmoid/big":          "3fd133894c2242baf043e29d6f3c74e6386f59620fae337ce4e138068989e622",
-	"linear/limb16":        "5bf407f7eff00042181cdfdb98b293cb98003eabcc7c99ce44caf047c70c09cc",
-	"rbf/limb16":           "6c05e4488dca8f13f36d531a8a971591f0841b7d7a8932bfdaf80f8893895bc8",
-	"cubic-kernelform/big": "f58cbc92ca1ab393aa8a075193b358eb6e25214dee05e280ee9bf86b839baa99",
+	"cubic/limb255":        "59b41525e6148ccea0f5ba6961fe3ba1d71966785e96e9142649e2e56848534b",
+	"quadratic/limb16":     "f1176eaea51211d9be49e988df26f418d2e4fcda14f7d0f5ced68a4f2e37f697",
+	"sigmoid/big":          "5b6c6d0d8aae173b0588ebdf8b557fa9bbe50ae2ef59b6b6610c314fe447f032",
+	"linear/limb16":        "8b08c1ca97cccef7ec8802809acc6ec54e585b885be83e429ce1f8d4b6c6e33c",
+	"rbf/limb16":           "175f1f7ead45bc9665b9f5144a852fbea155979a256a7e9e36cd2e9bd78a66ed",
+	"cubic-kernelform/big": "02fe97482b0960902d78cf931fb315228c8da557c45d3d59ad13baa28ee0db93",
 }
 
 // sigmoidTerms is the Taylor truncation of the sigmoid case.

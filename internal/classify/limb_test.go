@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/classify"
 	"repro/internal/ompe"
+	"repro/internal/ot"
 	"repro/internal/similarity"
 	"repro/internal/svm"
 )
@@ -28,7 +29,10 @@ func TestFieldPicksEngine(t *testing.T) {
 	wideCubic, wideTest := trainSmallOn(t, "splice", svm.PaperPolynomial(60), 100)
 	sigmoid, _ := trainSmall(t, svm.Sigmoid(0.125, 0), 10)
 	wA, wB := []float64{0.7, -0.4, 0.2}, []float64{-0.1, 0.9, 0.3}
-	classifyRequest := func(model *svm.Model, sample []float64, params classify.Params) (int, *ompe.EvalRequest) {
+	// The request builders take the subtest's t, so one refused
+	// configuration fails its own row and the others still run.
+	classifyRequest := func(t *testing.T, model *svm.Model, sample []float64, params classify.Params) (int, *ompe.EvalRequest) {
+		t.Helper()
 		trainer, err := classify.NewTrainer(model, params)
 		if err != nil {
 			t.Fatal(err)
@@ -43,7 +47,8 @@ func TestFieldPicksEngine(t *testing.T) {
 		}
 		return trainer.Spec().FieldBits, req
 	}
-	similarityRequest := func(params similarity.Params) (int, *ompe.EvalRequest) {
+	similarityRequest := func(t *testing.T, params similarity.Params) (int, *ompe.EvalRequest) {
+		t.Helper()
 		alice, err := similarity.NewAlice(wA, 0.05, params, rand.Reader)
 		if err != nil {
 			t.Fatal(err)
@@ -60,33 +65,42 @@ func TestFieldPicksEngine(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name     string
-		run      func() (int, *ompe.EvalRequest)
+		run      func(t *testing.T) (int, *ompe.EvalRequest)
 		wantBits int
 	}{
-		{"classify-linear-defaults", func() (int, *ompe.EvalRequest) { return classifyRequest(linear, test.X[0], classify.Params{}) }, 255},
-		{"classify-paper-cubic", func() (int, *ompe.EvalRequest) { return classifyRequest(cubic, test.X[0], fastParams()) }, 255},
-		{"classify-cubic-past-rescaled-cap", func() (int, *ompe.EvalRequest) {
-			return classifyRequest(wideCubic, wideTest.X[0], fastParams())
+		{"classify-linear-defaults", func(t *testing.T) (int, *ompe.EvalRequest) {
+			return classifyRequest(t, linear, test.X[0], classify.Params{})
+		}, 255},
+		{"classify-paper-cubic", func(t *testing.T) (int, *ompe.EvalRequest) {
+			return classifyRequest(t, cubic, test.X[0], fastParams())
+		}, 255},
+		{"classify-cubic-past-rescaled-cap", func(t *testing.T) (int, *ompe.EvalRequest) {
+			return classifyRequest(t, wideCubic, wideTest.X[0], fastParams())
 		}, 521},
-		{"classify-sigmoid-7-terms", func() (int, *ompe.EvalRequest) {
+		{"classify-sigmoid-7-terms", func(t *testing.T) (int, *ompe.EvalRequest) {
 			params := fastParams()
 			params.TaylorTerms = 7
-			return classifyRequest(sigmoid, test.X[0], params)
+			return classifyRequest(t, sigmoid, test.X[0], params)
 		}, 607},
-		{"classify-sigmoid-8-terms", func() (int, *ompe.EvalRequest) {
+		{"classify-sigmoid-8-terms", func(t *testing.T) (int, *ompe.EvalRequest) {
 			params := fastParams()
 			params.TaylorTerms = 8
-			return classifyRequest(sigmoid, test.X[0], params)
+			return classifyRequest(t, sigmoid, test.X[0], params)
 		}, 1279},
-		{"similarity-defaults", func() (int, *ompe.EvalRequest) { return similarityRequest(similarity.Params{}) }, 255},
+		{"similarity-defaults", func(t *testing.T) (int, *ompe.EvalRequest) {
+			return similarityRequest(t, similarity.Params{})
+		}, 255},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			bits, req := tc.run()
+			bits, req := tc.run(t)
 			if bits != tc.wantBits {
 				t.Fatalf("%d-bit field, want %d", bits, tc.wantBits)
 			}
 			if elen := (bits + 7) / 8; len(req.Packed) == 0 || len(req.Packed)%elen != 0 {
 				t.Fatalf("%d-byte request is not a run of %d-byte elements", len(req.Packed), elen)
+			}
+			if len(req.Seed) != ot.SeedLen {
+				t.Fatalf("%d-byte point seed, want %d", len(req.Seed), ot.SeedLen)
 			}
 		})
 	}

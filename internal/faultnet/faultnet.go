@@ -16,7 +16,6 @@ import (
 	"errors"
 	"io"
 	mrand "math/rand"
-	"net"
 	"sync"
 	"time"
 )
@@ -116,13 +115,6 @@ func Wrap(rw io.ReadWriteCloser, p Profile) *Conn {
 		done:        make(chan struct{}),
 		deadlineSet: make(chan struct{}),
 	}
-}
-
-// Pipe returns the two ends of an in-memory duplex connection (net.Pipe),
-// each wrapped with its own fault profile.
-func Pipe(a, b Profile) (*Conn, *Conn) {
-	x, y := net.Pipe()
-	return Wrap(x, a), Wrap(y, b)
 }
 
 // SetDeadline bounds every subsequent Read and Write — and, like a real
@@ -349,25 +341,4 @@ func (c *Conn) Write(b []byte) (int, error) {
 		}
 	}
 	return total, nil
-}
-
-// Stalled reports whether the stall fault has triggered.
-func (c *Conn) Stalled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.stalled
-}
-
-// BytesRead returns the total bytes delivered to Read callers.
-func (c *Conn) BytesRead() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.readN
-}
-
-// BytesWritten returns the total bytes accepted from Write callers.
-func (c *Conn) BytesWritten() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writeN
 }

@@ -48,9 +48,6 @@ func TestTransparent(t *testing.T) {
 	if !bytes.Equal(got, msg) {
 		t.Fatalf("round trip corrupted: %q", got)
 	}
-	if c.BytesWritten() != int64(len(msg)) || c.BytesRead() != int64(len(msg)) {
-		t.Fatalf("counters: wrote %d read %d", c.BytesWritten(), c.BytesRead())
-	}
 }
 
 // TestChunkedWritesReassemble: fragmentation must be invisible to the
@@ -179,9 +176,6 @@ func TestStallRespectsDeadline(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("stall outlived deadline: %v", elapsed)
 	}
-	if !c.Stalled() {
-		t.Fatal("Stalled() should report the triggered fault")
-	}
 	var nerr interface{ Timeout() bool }
 	if !errors.As(err, &nerr) || !nerr.Timeout() {
 		t.Fatalf("stall error should be a timeout, got %v", err)
@@ -278,9 +272,11 @@ func TestDeadlineForwarding(t *testing.T) {
 	}
 }
 
-// TestPipeHelper: faultnet.Pipe wires two profiled ends together.
-func TestPipeHelper(t *testing.T) {
-	x, y := faultnet.Pipe(faultnet.Profile{}, faultnet.Profile{ChunkWrites: 2})
+// TestWrappedPipeEnds: both ends of a net.Pipe, each wrapped with its own
+// profile, talk to each other.
+func TestWrappedPipeEnds(t *testing.T) {
+	a, b := net.Pipe()
+	x, y := faultnet.Wrap(a, faultnet.Profile{}), faultnet.Wrap(b, faultnet.Profile{ChunkWrites: 2})
 	defer x.Close()
 	defer y.Close()
 	go func() {

@@ -43,7 +43,8 @@ func FuzzOMPEWire(f *testing.F) {
 	for _, data := range fastEdgeSeeds(f) {
 		f.Add(data)
 	}
-	f.Add(widePackedSeed(f))
+	f.Add(seededRequest(f, bigField))
+	f.Add(seededRequest(f, field.Default()))
 	f.Fuzz(func(t *testing.T, input []byte) {
 		if len(input) > 1<<16 {
 			return
@@ -69,11 +70,12 @@ func FuzzOMPEWire(f *testing.F) {
 	})
 }
 
-// widePackedSeed is a well-formed request over 2^521−1: records of
-// three 66-byte elements, the widest the served protocols send.
-func widePackedSeed(tb testing.TB) []byte {
+// seededRequest is a well-formed request over f: a point seed and records
+// of two elements, 66 bytes each over 2^521−1, the widest the served
+// protocols send, and 32 over 2^255−19.
+func seededRequest(tb testing.TB, f *field.Field) []byte {
 	tb.Helper()
-	params := Params{Field: bigField, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2}
+	params := Params{Field: f, PolyDegree: 1, MaskDegree: 2, CoverFactor: 2}
 	_, req, err := NewReceiver(params, field.Vec{big.NewInt(3), big.NewInt(4)}, newDetReader("ompe-fuzz-wide-seed"))
 	if err != nil {
 		tb.Fatal(err)
@@ -88,8 +90,8 @@ func widePackedSeed(tb testing.TB) []byte {
 // fastEdgeSeeds are fast-session encodings at the edges of the current
 // layout: the retired single-query request (a batch of one without its
 // leading sample count and trailing B), a batch response in the shape of
-// one 3-of-6 sample over 2^255−19 (3·6·16 tree ciphertexts and six
-// 32-byte evaluations, 480 bytes), and the same blob one byte longer,
+// one 3-of-6 sample over 2^255−19 (2·6·16 tree ciphertexts and six
+// 32-byte evaluations, 384 bytes), and the same blob one byte longer,
 // which decodes cleanly and is refused only when the receiver recovers
 // it.
 func fastEdgeSeeds(tb testing.TB) [][]byte {
@@ -102,7 +104,7 @@ func fastEdgeSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	out := [][]byte{req[1 : len(req)-1]}
-	for _, size := range []int{480, 481} {
+	for _, size := range []int{384, 385} {
 		resp, err := wire.Marshal(&FastBatchResponse{OT: &ot.ExtKofNBatchResponse{Cts: bytes.Repeat([]byte{0x5C}, size)}})
 		if err != nil {
 			tb.Fatal(err)

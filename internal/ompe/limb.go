@@ -10,6 +10,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/field/limb"
 	"repro/internal/obs"
+	"repro/internal/ot"
 	"repro/internal/parallel"
 	"repro/internal/poly"
 )
@@ -39,15 +40,16 @@ type LimbEvaluator interface {
 // exactly when the field is 2^255−19.
 func (p Params) limbBackend() bool { return p.Field.SupportsLimb() }
 
-// newReceiverLimb is the limb-engine half of NewReceiver: same construction
-// and rng draw order (covers, points, subset, decoys in pair order; genuine
-// cover evaluations in the parallel region), emitting the same request
-// records. Cover i is g_i(v) = t_i + Σ_{l=1..q} a_{i,l}·v^l: all n·q
-// coefficients come from one read, cover by cover in ascending degree (the
-// bytes of one Rand each; a zero leading one, probability ≈ 2^-250, is
-// redrawn after them), and a genuine record sums each coordinate's q
-// products over one power table of its point, reduced once.
-func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, *EvalRequest, error) {
+// newReceiverLimb is the limb-engine half of NewReceiver, given the point
+// seed NewReceiver drew: same construction and rng draw order (covers,
+// subset, decoys in pair order; genuine cover evaluations in the parallel
+// region), emitting the same request form. Cover i is g_i(v) = t_i +
+// Σ_{l=1..q} a_{i,l}·v^l: all n·q coefficients come from one read, cover
+// by cover in ascending degree (the bytes of one Rand each; a zero leading
+// one, probability ≈ 2^-250, is redrawn after them), and a genuine record
+// sums each coordinate's q products over one power table of its point,
+// reduced once.
+func newReceiverLimb(params Params, input field.Vec, seed []byte, rng io.Reader) (*Receiver, *EvalRequest, error) {
 	n, q := len(input), params.MaskDegree
 	lin := make([]limb.Element, n)
 	for i, x := range input {
@@ -75,8 +77,8 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 
 	decoySpan := obs.Start(obs.PhaseReceiverDecoy)
 	total := params.TotalPairs()
-	points, err := distinctNonZeroLimb(total, rng)
-	if err != nil {
+	points := make([]limb.Element, total)
+	if err := distinctNonZeroLimb(points, ot.NewKeystream(seed)); err != nil {
 		return nil, nil, err
 	}
 	genuine, err := randomSubset(total, params.GenuineCount(), rng)
@@ -94,16 +96,15 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 	stride := packedStride(params.Field, n)
 	packed := make([]byte, total*stride)
 	for i := 0; i < total; i++ {
-		rec := packed[i*stride : (i+1)*stride]
-		points[i].PutBytes(rec[:limb.ElementLen])
-		if !isGenuine[i] {
-			// A decoy's n components are drawn straight into their wire
-			// slots in one read: RandBytes consumes the same rng bytes in
-			// the same order, and yields the same canonical encodings, as
-			// one Rand+PutBytes per component.
-			if err := limb.RandBytes(rng, rec[limb.ElementLen:]); err != nil {
-				return nil, nil, err
-			}
+		if isGenuine[i] {
+			continue
+		}
+		// A decoy's n components are drawn straight into their wire
+		// slots in one read: RandBytes consumes the same rng bytes in the
+		// same order, and yields the same canonical encodings, as one
+		// Rand+PutBytes per component.
+		if err := limb.RandBytes(rng, packed[i*stride:(i+1)*stride]); err != nil {
+			return nil, nil, err
 		}
 	}
 	powers := make([]limb.Element, total*q)
@@ -125,7 +126,7 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 			for l := range a {
 				s.MulAdd(&a[l], &pow[l])
 			}
-			s.Reduce(&y).PutBytes(rec[(1+j)*limb.ElementLen : (2+j)*limb.ElementLen])
+			s.Reduce(&y).PutBytes(rec[j*limb.ElementLen : (j+1)*limb.ElementLen])
 		}
 		return nil
 	})
@@ -136,7 +137,7 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 		state:  receiverAwaitingSetup,
 		query:  query{lpoints: points, genuine: genuine},
 	}
-	return r, &EvalRequest{Packed: packed}, nil
+	return r, &EvalRequest{Seed: seed, Packed: packed}, nil
 }
 
 // coverTrace, when set, sees every sample's cover coefficients, a_{i,1..q}
@@ -144,28 +145,31 @@ func newReceiverLimb(params Params, input field.Vec, rng io.Reader) (*Receiver, 
 // two samples share a cover; when nil it costs one comparison.
 var coverTrace func(coeffs []limb.Element)
 
-// distinctNonZeroLimb samples n distinct non-zero limb elements, n in one
-// read and then one at a time for any zero or repeat: the bytes and result
-// of one RandNonZero per element. n is a few dozen at most, so a linear
-// rescan beats allocating and hashing a dedup map on every query.
-func distinctNonZeroLimb(n int, rng io.Reader) ([]limb.Element, error) {
-	drawn := make([]limb.Element, n)
-	if err := limb.RandElements(rng, drawn); err != nil {
-		return nil, err
+// distinctNonZeroLimb fills out with distinct non-zero limb elements,
+// len(out) in one read and then one at a time for any zero or repeat:
+// the bytes and result of one RandNonZero per element. A request has a
+// few dozen points at most, so a linear rescan beats allocating and
+// hashing a dedup map on every query.
+func distinctNonZeroLimb(out []limb.Element, rng io.Reader) error {
+	n := len(out)
+	if err := limb.RandElements(rng, out); err != nil {
+		return err
 	}
-	out := drawn[:0] // out never passes the draw it is filled from
-	for i := 0; len(out) < n; i++ {
+	// The kept prefix never passes the draw it is compacted from.
+	kept := 0
+	for i := 0; kept < n; i++ {
 		var x limb.Element
 		if i < n {
-			x = drawn[i]
+			x = out[i]
 		} else if err := x.Rand(rng); err != nil {
-			return nil, err
+			return err
 		}
-		if !x.IsZero() && !slices.Contains(out, x) {
-			out = append(out, x)
+		if !x.IsZero() && !slices.Contains(out[:kept], x) {
+			out[kept] = x
+			kept++
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // flatPool recycles the parsed-record buffers of parseRequestLimb: the
@@ -188,34 +192,23 @@ func getFlat(n int) []limb.Element {
 func putFlat(s []limb.Element) { flatPool.Put(s) } //nolint:staticcheck // slice header churn is fine here
 
 // parseRequestLimb is parseRequest on the limb engine: it decodes and
-// fully validates a shape-checked request, returning the records as a
-// flat slice of (1+numVars)-element groups. The returned slice comes from
-// flatPool; callers hand it back via putFlat when done.
+// fully validates a shape-checked request into one flat slice, the M
+// expanded evaluation points first and then the records, z_i at
+// flat[M+i*numVars:]. The slice comes from flatPool; callers hand it back
+// via putFlat when done.
 func parseRequestLimb(params Params, numVars int, req *EvalRequest) ([]limb.Element, error) {
 	total := params.TotalPairs()
-	stride := 1 + numVars
-	flat := getFlat(total * stride)
-	for i := 0; i < total; i++ {
-		rec := flat[i*stride : (i+1)*stride]
-		raw := req.Packed[i*stride*limb.ElementLen:]
-		for j := 0; j < stride; j++ {
-			if err := rec[j].SetBytes(raw[j*limb.ElementLen : (j+1)*limb.ElementLen]); err != nil {
-				putFlat(flat)
-				return nil, recordError(i, j)
-			}
-		}
-		if rec[0].IsZero() {
+	flat := getFlat(total * (1 + numVars))
+	zs := flat[total:]
+	for i := range zs {
+		if err := zs[i].SetBytes(req.Packed[i*limb.ElementLen : (i+1)*limb.ElementLen]); err != nil {
 			putFlat(flat)
-			return nil, recordError(i, 0)
+			return nil, componentError(i/numVars, i%numVars)
 		}
-		// Totals are a few dozen pairs; a linear rescan of the earlier
-		// evaluation points is cheaper than a per-query dedup map.
-		for k := 0; k < i; k++ {
-			if flat[k*stride] == rec[0] {
-				putFlat(flat)
-				return nil, fmt.Errorf("%w: pair %d repeats evaluation point", ErrBadRequest, i)
-			}
-		}
+	}
+	if err := distinctNonZeroLimb(flat[:total], ot.NewKeystream(req.Seed)); err != nil {
+		putFlat(flat)
+		return nil, err
 	}
 	return flat, nil
 }
@@ -236,23 +229,23 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 	amp.SetBigReduce(amplifier)
 	sh.SetBigReduce(shift)
 
-	stride := 1 + numVars
 	total := params.TotalPairs()
+	points, zs := flat[:total], flat[total:]
 	buf := make([]byte, total*limb.ElementLen)
 	msgs := make([][]byte, total)
 	le, native := eval.(LimbEvaluator)
 	f := params.Field
 	perr := parallel.For(total, func(i int) error {
-		rec := flat[i*stride : (i+1)*stride]
+		z := zs[i*numVars : (i+1)*numVars]
 		var pv, y limb.Element
 		if native {
-			if err := le.EvalLimb(rec[1:], &pv); err != nil {
+			if err := le.EvalLimb(z, &pv); err != nil {
 				return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 			}
 		} else {
 			x := make(field.Vec, numVars)
 			for j := range x {
-				x[j] = rec[1+j].ToBig()
+				x[j] = z[j].ToBig()
 			}
 			v, err := eval.Eval(x)
 			if err != nil {
@@ -260,7 +253,7 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 			}
 			pv.SetBigReduce(f.Reduce(v))
 		}
-		h.EvalInto(&y, &rec[0])
+		h.EvalInto(&y, &points[i])
 		pv.Mul(&pv, &amp)
 		y.Add(&y, &pv)
 		y.Add(&y, &sh)

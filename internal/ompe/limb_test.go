@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
+	"io"
 	"math/big"
 	mrand "math/rand/v2"
 	"slices"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/field"
 	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
+	"repro/internal/ot"
 	"repro/internal/parallel/paralleltest"
 	"repro/internal/poly"
 )
@@ -113,8 +115,8 @@ func TestLimbSessionBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, ev := range req.Evals {
-		if want := params.TotalPairs() * 3 * limb.ElementLen; len(ev.Packed) != want {
-			t.Fatalf("sample %d: request is %d bytes, want %d", i, len(ev.Packed), want)
+		if want := params.TotalPairs() * 2 * limb.ElementLen; len(ev.Packed) != want || len(ev.Seed) != ot.SeedLen {
+			t.Fatalf("sample %d: request is a %d-byte seed and %d bytes of records, want %d and %d", i, len(ev.Seed), len(ev.Packed), ot.SeedLen, want)
 		}
 	}
 	resp, err := sender.HandleBatch(req, rand.Reader)
@@ -160,15 +162,15 @@ func TestLimbParallelDeterministic(t *testing.T) {
 	base := runOnce(1)
 	for _, procs := range []int{2, 4, 8} {
 		got := runOnce(procs)
-		if string(base.Packed) != string(got.Packed) {
+		if string(base.Seed) != string(got.Seed) || string(base.Packed) != string(got.Packed) {
 			t.Fatalf("procs=%d: packed request bytes differ", procs)
 		}
 	}
 }
 
 // TestLimbSenderRejectsMalformed exercises the packed-request validation:
-// wrong sizes, non-canonical encodings, and zero and duplicate evaluation
-// points must all be rejected.
+// wrong sizes, a seed of the wrong length and non-canonical encodings
+// must all be rejected.
 func TestLimbSenderRejectsMalformed(t *testing.T) {
 	f := field.Default()
 	params := limbParams(t, 1)
@@ -182,7 +184,6 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride := packedStride(f, len(input))
 	corrupt := func(mutate func(b []byte) *EvalRequest) error {
 		cp := make([]byte, len(goodReq.Packed))
 		copy(cp, goodReq.Packed)
@@ -196,30 +197,20 @@ func TestLimbSenderRejectsMalformed(t *testing.T) {
 	}
 	cases := map[string]func(b []byte) *EvalRequest{
 		"truncated": func(b []byte) *EvalRequest {
-			return &EvalRequest{Packed: b[:len(b)-1]}
+			return &EvalRequest{Seed: goodReq.Seed, Packed: b[:len(b)-1]}
 		},
 		"nil": func(b []byte) *EvalRequest { return nil },
-		"non-canonical point": func(b []byte) *EvalRequest {
-			for i := 0; i < limb.ElementLen; i++ {
-				b[i] = 0xff
-			}
+		"no seed": func(b []byte) *EvalRequest {
 			return &EvalRequest{Packed: b}
+		},
+		"seed one byte short": func(b []byte) *EvalRequest {
+			return &EvalRequest{Seed: goodReq.Seed[1:], Packed: b}
 		},
 		"non-canonical component": func(b []byte) *EvalRequest {
 			for i := 0; i < limb.ElementLen; i++ {
 				b[limb.ElementLen+i] = 0xff
 			}
-			return &EvalRequest{Packed: b}
-		},
-		"zero point": func(b []byte) *EvalRequest {
-			for i := 0; i < limb.ElementLen; i++ {
-				b[i] = 0
-			}
-			return &EvalRequest{Packed: b}
-		},
-		"duplicate point": func(b []byte) *EvalRequest {
-			copy(b[stride:stride+limb.ElementLen], b[:limb.ElementLen])
-			return &EvalRequest{Packed: b}
+			return &EvalRequest{Seed: goodReq.Seed, Packed: b}
 		},
 	}
 	for name, mutate := range cases {
@@ -299,6 +290,10 @@ func TestLimbReceiverMatchesPerCoordinateCovers(t *testing.T) {
 			}
 
 			rng := newDetReader(seed)
+			pointSeed := make([]byte, ot.SeedLen)
+			if _, err := io.ReadFull(rng, pointSeed); err != nil {
+				t.Fatal(err)
+			}
 			covers := make([]*poly.LimbPoly, n)
 			for i, x := range input {
 				var t0 limb.Element
@@ -310,21 +305,19 @@ func TestLimbReceiverMatchesPerCoordinateCovers(t *testing.T) {
 				}
 			}
 			total := params.TotalPairs()
-			points, err := distinctNonZeroLimb(total, rng)
-			if err != nil {
+			points := make([]limb.Element, total)
+			if err := distinctNonZeroLimb(points, ot.NewKeystream(pointSeed)); err != nil {
 				t.Fatal(err)
 			}
 			genuine, err := randomSubset(total, params.GenuineCount(), rng)
 			if err != nil {
 				t.Fatal(err)
 			}
-			stride := (1 + n) * limb.ElementLen
+			stride := n * limb.ElementLen
 			want := make([]byte, total*stride)
 			for i := 0; i < total; i++ {
-				rec := want[i*stride : (i+1)*stride]
-				points[i].PutBytes(rec)
 				if !slices.Contains(genuine, i) {
-					if err := limb.RandBytes(rng, rec[limb.ElementLen:]); err != nil {
+					if err := limb.RandBytes(rng, want[i*stride:(i+1)*stride]); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -333,10 +326,10 @@ func TestLimbReceiverMatchesPerCoordinateCovers(t *testing.T) {
 				for j, g := range covers {
 					var y limb.Element
 					g.EvalInto(&y, &points[i])
-					y.PutBytes(want[i*stride+(1+j)*limb.ElementLen:])
+					y.PutBytes(want[i*stride+j*limb.ElementLen:])
 				}
 			}
-			if !bytes.Equal(req.Packed, want) {
+			if !bytes.Equal(req.Seed, pointSeed) || !bytes.Equal(req.Packed, want) {
 				t.Errorf("q=%d n=%d: request differs from per-coordinate covers", q, n)
 			}
 		}
@@ -428,8 +421,8 @@ func TestDistinctNonZeroLimbRejects(t *testing.T) {
 	limb.Modulus().FillBytes(seed[limb.ElementLen : 2*limb.ElementLen])
 	copy(seed[3*limb.ElementLen:4*limb.ElementLen], seed[2*limb.ElementLen:3*limb.ElementLen])
 	rng := bytes.NewReader(seed)
-	got, err := distinctNonZeroLimb(n, rng)
-	if err != nil {
+	got := make([]limb.Element, n)
+	if err := distinctNonZeroLimb(got, rng); err != nil {
 		t.Fatal(err)
 	}
 	if rng.Len() != 0 {

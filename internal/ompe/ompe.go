@@ -10,10 +10,11 @@
 // Construction, following §IV-A with the paper's variable names:
 //
 //  1. The receiver hides each input component α_i inside a random
-//     degree-q cover polynomial g_i with g_i(0)=α_i, samples M = m·k
-//     distinct evaluation points v_1..v_M, evaluates the cover tuple
-//     z_i = G(v_i) at m secret genuine positions, and sends random decoy
-//     vectors at the rest.
+//     degree-q cover polynomial g_i with g_i(0)=α_i, draws a seed from
+//     which both parties expand M = m·k distinct evaluation points
+//     v_1..v_M, evaluates the cover tuple z_i = G(v_i) at m secret
+//     genuine positions, and sends the seed and the z_i, with random
+//     decoy vectors at the rest.
 //  2. The sender draws a fresh masking polynomial h of degree D = p·q with
 //     h(0)=0 and a fresh amplifier, computes y_i = h(v_i) + amp·P(z_i) +
 //     shift for every pair, and the parties run an m-out-of-M oblivious
@@ -133,7 +134,7 @@ func (p Params) Validate() error {
 }
 
 // validateFor is Validate for a role that knows the input arity: one
-// request, M records of 1+numVars elements, must also fit wire.MaxBytes,
+// request, M records of numVars elements, must also fit wire.MaxBytes,
 // or it could not be encoded.
 func (p Params) validateFor(numVars int) error {
 	if err := p.Validate(); err != nil {
@@ -182,26 +183,34 @@ func sampleAmplifier(rng io.Reader, bits int) (*big.Int, error) {
 	return lo.Add(lo, off), nil
 }
 
-// EvalRequest is the receiver's first message: M pairs (v_i, z_i), of
-// which only the receiver's secret m positions carry genuine cover
-// evaluations. Packed holds the M pairs back to back as records of
-// (1+numVars)·Field.ElementLen() bytes — v_i first, then the z_i
+// EvalRequest is the receiver's first message: a seed from which both
+// parties expand the M evaluation points v_i (expandPoints), and M
+// records z_i, of which only the receiver's secret m positions carry
+// genuine cover evaluations. Seed is ot.SeedLen bytes. Packed holds the
+// M records back to back, numVars·Field.ElementLen() bytes each — the z_i
 // components, each a canonical fixed-width big-endian element — so the
 // payload is one byte slice on every field.
 type EvalRequest struct {
+	Seed   []byte
 	Packed []byte
 }
 
-// packedStride is the byte length of one (v_i, z_i) record.
-func packedStride(f *field.Field, numVars int) int { return (1 + numVars) * f.ElementLen() }
+// packedStride is the byte length of one z_i record.
+func packedStride(f *field.Field, numVars int) int { return numVars * f.ElementLen() }
 
-// recordError reports the first invalid element of record i: element 0
-// is the evaluation point v_i, element j > 0 the z_i component j−1.
-func recordError(i, j int) error {
-	if j == 0 {
-		return fmt.Errorf("%w: pair %d has invalid evaluation point", ErrBadRequest, i)
-	}
-	return fmt.Errorf("%w: pair %d component %d not in field", ErrBadRequest, i, j-1)
+// componentError reports that component j of record i is not in the
+// field.
+func componentError(i, j int) error {
+	return fmt.Errorf("%w: pair %d component %d not in field", ErrBadRequest, i, j)
+}
+
+// expandPoints expands a request's seed into its M evaluation points on
+// the math/big engine: the seed's public keystream (ot.Keystream) feeds
+// distinctNonZero, so the receiver, which draws the seed, and the sender,
+// which reads it, hold the same distinct non-zero points, and the sender
+// has no point to check.
+func expandPoints(f *field.Field, total int, seed []byte) ([]*big.Int, error) {
+	return distinctNonZero(f, total, ot.NewKeystream(seed))
 }
 
 type senderState int
@@ -313,12 +322,15 @@ func (s *Sender) HandleChoice(choice *ot.BatchChoice, rng io.Reader) (*ot.BatchT
 
 // validateEvalRequest checks a receiver's evaluation request's shape
 // against the protocol parameters (shared by the one-shot and session
-// senders, on both engines). The per-record canonical, non-zero and
-// distinct-point checks run inside the masking path, which decodes every
-// record exactly once on the engine's element type.
+// senders, on both engines). The per-record canonical check runs inside
+// the masking path, which decodes every record exactly once on the
+// engine's element type.
 func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
 	if req == nil {
 		return fmt.Errorf("%w: nil request", ErrBadRequest)
+	}
+	if len(req.Seed) != ot.SeedLen {
+		return fmt.Errorf("%w: %d-byte point seed, want %d", ErrBadRequest, len(req.Seed), ot.SeedLen)
 	}
 	if want := params.TotalPairs() * packedStride(params.Field, numVars); len(req.Packed) != want {
 		return fmt.Errorf("%w: request is %d bytes, want %d", ErrBadRequest, len(req.Packed), want)
@@ -327,36 +339,26 @@ func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
 }
 
 // parseRequest decodes and fully validates a shape-checked request on
-// the math/big engine, returning the records as a flat slice of
-// (1+numVars)-element groups: flat[i*(1+numVars)] is v_i, the rest of
-// the group is z_i.
-func parseRequest(params Params, numVars int, req *EvalRequest) (field.Vec, error) {
+// the math/big engine, returning its expanded evaluation points and its
+// records as a flat slice of numVars-element groups, z_i at
+// zs[i*numVars:].
+func parseRequest(params Params, numVars int, req *EvalRequest) (points []*big.Int, zs field.Vec, err error) {
 	f := params.Field
 	elen := f.ElementLen()
 	total := params.TotalPairs()
-	stride := 1 + numVars
-	flat := make(field.Vec, total*stride)
-	seen := make(map[string]bool, total)
-	for i := 0; i < total; i++ {
-		raw := req.Packed[i*stride*elen : (i+1)*stride*elen]
-		for j := 0; j < stride; j++ {
-			x, err := f.FromBytes(raw[j*elen : (j+1)*elen])
-			if err != nil {
-				return nil, recordError(i, j)
-			}
-			flat[i*stride+j] = x
+	zs = make(field.Vec, total*numVars)
+	for i := range zs {
+		x, err := f.FromBytes(req.Packed[i*elen : (i+1)*elen])
+		if err != nil {
+			return nil, nil, componentError(i/numVars, i%numVars)
 		}
-		if flat[i*stride].Sign() == 0 {
-			return nil, recordError(i, 0)
-		}
-		// The encoding is canonical, so equal points have equal bytes.
-		key := string(raw[:elen])
-		if seen[key] {
-			return nil, fmt.Errorf("%w: pair %d repeats evaluation point", ErrBadRequest, i)
-		}
-		seen[key] = true
+		zs[i] = x
 	}
-	return flat, nil
+	points, err = expandPoints(f, total, req.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	return points, zs, nil
 }
 
 type receiverState int
@@ -392,8 +394,13 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 			return nil, nil, fmt.Errorf("%w: input component %d not in field", ErrParams, i)
 		}
 	}
+	// The point seed is the first draw on both engines.
+	seed := make([]byte, ot.SeedLen)
+	if _, err := io.ReadFull(rng, seed); err != nil {
+		return nil, nil, err
+	}
 	if params.limbBackend() {
-		return newReceiverLimb(params, input, rng)
+		return newReceiverLimb(params, input, seed, rng)
 	}
 
 	// Cover polynomials: g_i(0) = α_i, random elsewhere (§IV-A.2).
@@ -410,7 +417,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 
 	decoySpan := obs.Start(obs.PhaseReceiverDecoy)
 	total := params.TotalPairs()
-	points, err := distinctNonZero(f, total, rng)
+	points, err := expandPoints(f, total, seed)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -432,17 +439,17 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 	stride := packedStride(f, len(input))
 	packed := make([]byte, total*stride)
 	for i := 0; i < total; i++ {
+		if isGenuine[i] {
+			continue
+		}
+		// Decoy: uniform garbage indistinguishable from cover values.
 		rec := packed[i*stride : (i+1)*stride]
-		points[i].FillBytes(rec[:elen])
-		if !isGenuine[i] {
-			// Decoy: uniform garbage indistinguishable from cover values.
-			for j := range input {
-				x, err := f.Rand(rng)
-				if err != nil {
-					return nil, nil, err
-				}
-				x.FillBytes(rec[(1+j)*elen : (2+j)*elen])
+		for j := range input {
+			x, err := f.Rand(rng)
+			if err != nil {
+				return nil, nil, err
 			}
+			x.FillBytes(rec[j*elen : (j+1)*elen])
 		}
 	}
 	_ = parallel.For(total, func(i int) error {
@@ -451,7 +458,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 		}
 		rec := packed[i*stride : (i+1)*stride]
 		for j, g := range covers {
-			g.Eval(points[i]).FillBytes(rec[(1+j)*elen : (2+j)*elen])
+			g.Eval(points[i]).FillBytes(rec[j*elen : (j+1)*elen])
 		}
 		return nil
 	})
@@ -462,7 +469,7 @@ func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *Eva
 		state:  receiverAwaitingSetup,
 		query:  query{points: points, genuine: genuine},
 	}
-	return r, &EvalRequest{Packed: packed}, nil
+	return r, &EvalRequest{Seed: seed, Packed: packed}, nil
 }
 
 // HandleSetup consumes the sender's OT setup and produces the receiver's
@@ -552,8 +559,8 @@ func randomSubset(n, m int, rng io.Reader) ([]int, error) {
 // chunked across the worker pool; a failing pair stops the batch and
 // surfaces the lowest-indexed error without deadlocking the pool.
 func maskedEvaluations(params Params, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
-	stride := 1 + eval.NumVars()
-	flat, err := parseRequest(params, eval.NumVars(), req)
+	numVars := eval.NumVars()
+	points, zs, err := parseRequest(params, numVars, req)
 	if err != nil {
 		return nil, err
 	}
@@ -561,12 +568,11 @@ func maskedEvaluations(params Params, eval Evaluator, h *poly.Poly, amplifier, s
 	msgs := make([][]byte, params.TotalPairs())
 	reducedShift := f.Reduce(shift)
 	err = parallel.For(len(msgs), func(i int) error {
-		rec := flat[i*stride : (i+1)*stride : (i+1)*stride]
-		pv, err := eval.Eval(rec[1:])
+		pv, err := eval.Eval(zs[i*numVars : (i+1)*numVars : (i+1)*numVars])
 		if err != nil {
 			return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 		}
-		y := f.Add(h.Eval(rec[0]), f.Add(f.Mul(amplifier, pv), reducedShift))
+		y := f.Add(h.Eval(points[i]), f.Add(f.Mul(amplifier, pv), reducedShift))
 		b, err := f.Bytes(y)
 		if err != nil {
 			return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"testing"
 
 	"repro/internal/field"
@@ -163,8 +164,8 @@ func TestParamsValidation(t *testing.T) {
 // by it.
 func TestRequestSizeBound(t *testing.T) {
 	good := testParams(t, 1)
-	// Two 66-byte elements per record on 2^521−1: M = 3k records fit
-	// wire.MaxBytes up to k = ⌊2^28/132⌋/3.
+	// One 66-byte element per record on 2^521−1: M = 3k records fit
+	// wire.MaxBytes up to k = ⌊2^28/66⌋/3.
 	f := good.Field
 	stride := packedStride(f, 1)
 	maxK := wire.MaxBytes / stride / 3
@@ -209,13 +210,25 @@ func buildLinear(t *testing.T, f *field.Field, n int) Evaluator {
 // the sender's request validation: every hostile request is refused with
 // a typed ErrBadRequest, without a panic, on both engines (2^255−19 runs
 // limb, 2^521−1 math/big) and through both the one-shot sender and a
-// session's HandleBatch.
+// session's HandleBatch. The three evaluation-point rows send a point of
+// the client's choosing in front of every record, the layout requests
+// had before the sender came to expand every point from the seed: a
+// request that names its own points is refused by its length.
 func TestSenderRejectsMalformedRequests(t *testing.T) {
 	const numVars = 2
+	// withPoints prefixes record i of b with the encoding of point(i).
+	withPoints := func(f *field.Field, b []byte, point func(i int) *big.Int) []byte {
+		var out []byte
+		for i, stride := 0, packedStride(f, numVars); len(b) > 0; i, b = i+1, b[stride:] {
+			out = append(out, point(i).FillBytes(make([]byte, f.ElementLen()))...)
+			out = append(out, b[:stride]...)
+		}
+		return out
+	}
 	corruptions := []struct {
 		name string
-		// corrupt rewrites a well-formed request's bytes; it returns nil
-		// for a nil request.
+		// corrupt rewrites a well-formed request's records; it returns
+		// nil for a nil request.
 		corrupt func(f *field.Field, b []byte) []byte
 	}{
 		{"nil request", func(*field.Field, []byte) []byte { return nil }},
@@ -232,21 +245,16 @@ func TestSenderRejectsMalformedRequests(t *testing.T) {
 			return out
 		}},
 		{"zero evaluation point", func(f *field.Field, b []byte) []byte {
-			clear(b[:f.ElementLen()])
-			return b
+			return withPoints(f, b, func(int) *big.Int { return new(big.Int) })
 		}},
 		{"duplicate evaluation points", func(f *field.Field, b []byte) []byte {
-			stride, elen := packedStride(f, numVars), f.ElementLen()
-			copy(b[stride:stride+elen], b[:elen])
-			return b
+			return withPoints(f, b, func(i int) *big.Int { return big.NewInt(int64(max(i, 1))) })
 		}},
 		{"out-of-field evaluation point", func(f *field.Field, b []byte) []byte {
-			f.Modulus().FillBytes(b[:f.ElementLen()])
-			return b
+			return withPoints(f, b, func(int) *big.Int { return f.Modulus() })
 		}},
 		{"out-of-field component", func(f *field.Field, b []byte) []byte {
-			elen := f.ElementLen()
-			f.Modulus().FillBytes(b[elen : 2*elen])
+			f.Modulus().FillBytes(b[:f.ElementLen()])
 			return b
 		}},
 	}
@@ -290,7 +298,7 @@ func TestSenderRejectsMalformedRequests(t *testing.T) {
 		if b == nil {
 			return nil
 		}
-		return &EvalRequest{Packed: b}
+		return &EvalRequest{Seed: req.Seed, Packed: b}
 	}
 	for _, tc := range corruptions {
 		t.Run(tc.name, func(t *testing.T) {
@@ -326,38 +334,135 @@ func TestSenderRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
-// requestRecords decodes a well-formed request into its evaluation
-// points and cover tuples.
-func requestRecords(t *testing.T, f *field.Field, numVars int, req *EvalRequest) ([]*big.Int, []field.Vec) {
+// requestRecords decodes a well-formed request's cover tuples.
+func requestRecords(t *testing.T, f *field.Field, numVars int, req *EvalRequest) []field.Vec {
 	t.Helper()
 	elen := f.ElementLen()
-	var points []*big.Int
 	var zs []field.Vec
 	for b := req.Packed; len(b) > 0; b = b[packedStride(f, numVars):] {
-		rec := make(field.Vec, 1+numVars)
-		for j := range rec {
+		z := make(field.Vec, numVars)
+		for j := range z {
 			x, err := f.FromBytes(b[j*elen : (j+1)*elen])
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec[j] = x
+			z[j] = x
 		}
-		points = append(points, rec[0])
-		zs = append(zs, rec[1:])
+		zs = append(zs, z)
 	}
-	return points, zs
+	return zs
 }
 
-// packRequest encodes evaluation points and cover tuples as a request.
-func packRequest(f *field.Field, points []*big.Int, zs []field.Vec) *EvalRequest {
+// packRequest encodes a point seed and cover tuples as a request.
+func packRequest(f *field.Field, seed []byte, zs []field.Vec) *EvalRequest {
 	elen := f.ElementLen()
 	var packed []byte
-	for i, v := range points {
-		for _, x := range append(field.Vec{v}, zs[i]...) {
+	for _, z := range zs {
+		for _, x := range z {
 			packed = append(packed, x.FillBytes(make([]byte, elen))...)
 		}
 	}
-	return &EvalRequest{Packed: packed}
+	return &EvalRequest{Seed: seed, Packed: packed}
+}
+
+// TestSeedExpandsToReceiverPoints: the sender's parse of a request
+// expands its seed into the very points the receiver built its records
+// on, on the limb engine at 2^255−19 and on math/big at 2^521−1, for a
+// one-shot request and every sample of a session batch. CI runs it at
+// one and four workers.
+func TestSeedExpandsToReceiverPoints(t *testing.T) {
+	const numVars = 2
+	for _, f := range []*field.Field{field.Default(), bigField} {
+		params := testParams(t, 1)
+		params.Field = f
+		check := func(name string, q query, req *EvalRequest) {
+			t.Helper()
+			total := params.TotalPairs()
+			if params.limbBackend() {
+				flat, err := parseRequestLimb(params, numVars, req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(flat[:total], q.lpoints) {
+					t.Errorf("%d bits, %s: the sender's points differ from the receiver's", f.Bits(), name)
+				}
+				putFlat(flat)
+				return
+			}
+			points, _, err := parseRequest(params, numVars, req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(points, q.points, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) {
+				t.Errorf("%d bits, %s: the sender's points differ from the receiver's", f.Bits(), name)
+			}
+		}
+		input := field.Vec{f.FromInt64(3), f.FromInt64(-4)}
+		r, req, err := NewReceiver(params, input, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("one-shot", r.query, req)
+		_, sr, err := NewSession(params, buildLinear(t, f, numVars), rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, breq, err := sr.NewBatch([]field.Vec{input, input, input}, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, q := range batch.queries {
+			check(fmt.Sprintf("batch sample %d", i), q, breq.Evals[i])
+		}
+	}
+}
+
+// refusingReader fails the test that reads it.
+type refusingReader struct{ t *testing.T }
+
+func (r refusingReader) Read([]byte) (int, error) {
+	r.t.Fatal("the sender drew randomness for a request it must refuse")
+	return 0, nil
+}
+
+// TestSeedLengthRefused: a point seed of 0, 15 or 17 bytes is refused
+// with ErrBadRequest, by the one-shot sender and by a session's
+// HandleBatch on both engines, before the sender draws any randomness or
+// sizes anything by the request.
+func TestSeedLengthRefused(t *testing.T) {
+	const numVars = 2
+	for _, f := range []*field.Field{field.Default(), bigField} {
+		params := testParams(t, 1)
+		params.Field = f
+		eval := buildLinear(t, f, numVars)
+		input := field.Vec{f.FromInt64(1), f.FromInt64(2)}
+		ss, sr, err := NewSession(params, eval, rand.Reader)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{0, ot.SeedLen - 1, ot.SeedLen + 1} {
+			_, req, err := NewReceiver(params, input, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Seed = make([]byte, size)
+			s, err := NewSender(params, eval)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.HandleRequest(req, refusingReader{t}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%d bits, %d-byte seed: HandleRequest err = %v, want ErrBadRequest", f.Bits(), size, err)
+			}
+			_, breq, err := sr.NewBatch([]field.Vec{input}, rand.Reader)
+			if err != nil {
+				t.Fatal(err)
+			}
+			breq.Evals[0].Seed = make([]byte, size)
+			if _, err := ss.HandleBatch(breq, refusingReader{t}); !errors.Is(err, ErrBadRequest) {
+				t.Errorf("%d bits, %d-byte seed: HandleBatch err = %v, want ErrBadRequest", f.Bits(), size, err)
+			}
+		}
+	}
 }
 
 func TestStateMachineOrder(t *testing.T) {
@@ -430,7 +535,7 @@ func TestRequestHidesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, zs := requestRecords(t, f, len(input), req)
+	zs := requestRecords(t, f, len(input), req)
 	for i, tuple := range zs {
 		for j, z := range tuple {
 			if z.Cmp(secret) == 0 {
@@ -515,7 +620,7 @@ func TestRequestStatisticallyHidesInput(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, zs := requestRecords(t, f, len(input), req)
+			zs := requestRecords(t, f, len(input), req)
 			for _, tuple := range zs {
 				for _, z := range tuple {
 					total++
@@ -743,7 +848,11 @@ func TestSessionBatchValidation(t *testing.T) {
 				{f.FromInt64(-1), f.FromInt64(-3)},
 				{f.FromInt64(3), f.FromInt64(3)},
 			}
-			points, err := distinctNonZero(f, 2*m, rand.Reader)
+			seed := make([]byte, ot.SeedLen)
+			if _, err := rand.Read(seed); err != nil {
+				t.Fatal(err)
+			}
+			points, err := expandPoints(f, 2*m, seed)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -791,7 +900,7 @@ func TestSessionBatchValidation(t *testing.T) {
 				}
 				return fmt.Sprintf("the client interpolated a quotient of %v", ratio)
 			}
-			return &FastBatchRequest{Evals: []*EvalRequest{packRequest(f, points, zs)}, OT: otReq}, learn
+			return &FastBatchRequest{Evals: []*EvalRequest{packRequest(f, seed, zs)}, OT: otReq}, learn
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

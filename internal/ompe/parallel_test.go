@@ -129,7 +129,7 @@ func TestParallelDeterministic(t *testing.T) {
 		if base.value.Cmp(got.value) != 0 {
 			t.Fatalf("procs=%d: value %v differs from serial %v", procs, got.value, base.value)
 		}
-		if string(base.req.Packed) != string(got.req.Packed) {
+		if string(base.req.Seed) != string(got.req.Seed) || string(base.req.Packed) != string(got.req.Packed) {
 			t.Fatalf("procs=%d: request bytes differ", procs)
 		}
 	}

@@ -8,11 +8,15 @@ import (
 // Binary wire encodings for the OMPE message types (see internal/wire
 // for the primitive formats and internal/transport for the frame layer).
 
-// EncodeWire implements the wire codec.
-func (e *EvalRequest) EncodeWire(w *wire.Writer) { w.ByteSlice(e.Packed) }
+// EncodeWire implements the wire codec: the seed, then the records.
+func (e *EvalRequest) EncodeWire(w *wire.Writer) {
+	w.ByteSlice(e.Seed)
+	w.ByteSlice(e.Packed)
+}
 
 // DecodeWire implements the wire codec.
 func (e *EvalRequest) DecodeWire(r *wire.Reader) {
+	e.Seed = r.ByteSlice()
 	e.Packed = r.ByteSlice()
 	if len(e.Packed) == 0 {
 		e.Packed = nil

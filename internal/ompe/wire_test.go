@@ -11,7 +11,7 @@ import (
 )
 
 func sampleEval() *EvalRequest {
-	return &EvalRequest{Packed: []byte{0xDE, 0xAD}}
+	return &EvalRequest{Seed: bytes.Repeat([]byte{0x5E}, ot.SeedLen), Packed: []byte{0xDE, 0xAD}}
 }
 
 func ompeWireSamples() map[string]wire.Msg {

@@ -138,7 +138,7 @@ func TestOTAllocs(t *testing.T) {
 			_, _, err := NewBatchReceiver(g, n, len(msgs[0]), indices, setup, rng)
 			must(err)
 		})},
-		{"Respond/9of18", 254, now(func() {
+		{"Respond/9of18", 253, now(func() {
 			_, err := sender.Respond(choice, rng)
 			must(err)
 		})},
@@ -147,7 +147,7 @@ func TestOTAllocs(t *testing.T) {
 			must(err)
 		})},
 		// The freshness tap is off: it adds nothing to either count.
-		{"ExtKofNBatchRespond/3of6/B=64", 9, now(func() {
+		{"ExtKofNBatchRespond/3of6/B=64", 8, now(func() {
 			_, err := ExtKofNBatchRespond(iknpS, extReq, extMsgs, extRng)
 			must(err)
 		})},

@@ -18,37 +18,39 @@ import (
 //     pair (H(j, q_j), H(j, q_j ⊕ s)) of one extended transfer j (iknp.go),
 //     of which the receiver, choosing bit l of its index, derives one.
 //     No key travels: the sender draws none and sends none.
-//   - Messages are sent once. Per sample the sender draws one fresh
-//     16-byte key K_m per message m and sends m once, under a pad of K_m
-//     in its own domain (padDomainMsg). Instance i carries only K_m under
-//     the tree pad of m's key path, for every m.
+//   - Messages are sent once. Per sample the sender sends each message m
+//     once, under a pad of its key K_m in its own domain (padDomainMsg).
+//     K_m is the path digest of m in instance 0's tree, so no key is
+//     drawn; every other instance i carries K_m under the tree pad of
+//     m's key path in its own tree, for every m.
 //   - Path digests are shared. A tree pad absorbs its path keys through
 //     an MMO chain (pad.go); the sender computes each chain once per
 //     low-bit prefix, Σ_l min(2^(l+1), n) AES calls per instance instead
 //     of n·⌈log₂ n⌉.
 //
-// A sample's response block is therefore k·n·16 bytes of tree
+// A sample's response block is therefore (k−1)·n·16 bytes of tree
 // ciphertexts and n·w bytes of messages, the once-sent block that the
 // Naor–Pinkas k-of-n also sends (sealOnceSent, kofn.go), and a batch's
-// response is one blob of B·(k·n·16 + n·w) bytes, from which the
+// response is one blob of B·((k−1)·n·16 + n·w) bytes, from which the
 // receiver derives w.
 //
 // Privacy. The receiver holds one key path per instance, so it can open
 // at most one K_m per instance — at most k in all — and so at most k
-// messages; every other K_m sits under a tree pad whose path includes a
-// key it lacks, which the correlation-robustness of H keeps
-// pseudorandom. The sender's view is the IKNP u-columns alone.
+// messages: every other K_m is a digest of instance 0's tree, or sits
+// under a tree pad of another instance, whose path includes a key it
+// lacks, which the correlation-robustness of H keeps pseudorandom. The
+// sender's view is the IKNP u-columns alone.
 //
 // Transfers always travel as a batch: one Extend call covers all B
 // samples' choice bits, so B transfers cost a single extension round — B·k·
 // ⌈log₂ n⌉ extended transfers in one message pair. A single transfer is a
-// batch of one. Each sample keeps its own tree keys, message keys and
-// ciphertexts; nothing is shared between samples beyond the (already
-// index-hiding) extension columns, so the per-sample secrecy argument is
-// that of one transfer. Several batches may be in flight per session
-// (each holds its own IKNPExtension state), as long as the sender answers
-// them in Extend order — its lockstep batch counter must advance in the
-// receiver's sequence.
+// batch of one. Each sample keeps its own tree keys, and so its own
+// message keys, and its own ciphertexts; nothing is shared between
+// samples beyond the (already index-hiding) extension columns, so the
+// per-sample secrecy argument is that of one transfer. Several batches
+// may be in flight per session (each holds its own IKNPExtension state),
+// as long as the sender answers them in Extend order — its lockstep
+// batch counter must advance in the receiver's sequence.
 
 // checkKofNIndices validates one sample's index set for a k-of-n query.
 func checkKofNIndices(n int, indices []int) error {
@@ -82,27 +84,25 @@ func appendPathChoices(choices []int, indices []int, depth int) []int {
 }
 
 // encryptSample writes one sample's once-sent block into dst
-// (sealOnceSent, kofn.go), padding instance i's copy of K_m under the
-// path digest of m in instance i's tree. k0 and k1 hold the sample's
-// k·depth random-OT key pairs in (instance, level) order, msgKeys its n
-// message keys, and digests is k·n·16 bytes of scratch.
-func encryptSample(dst, k0, k1, msgKeys, digests []byte, msgs [][]byte) {
+// (sealOnceSent, kofn.go), whose pad seeds are the path digests of every
+// index in every instance's tree. k0 and k1 hold the sample's k·depth
+// random-OT key pairs in (instance, level) order, and digests is k·n·16
+// bytes of scratch.
+func encryptSample(dst, k0, k1, digests []byte, msgs [][]byte) {
 	n := len(msgs)
 	k := len(digests) / (n * treeKeyLen)
 	stride := len(k0) / k
 	s := mmoPool.Get().(*mmoScratch)
 	for i := 0; i < k; i++ {
-		inst := digests[i*n*treeKeyLen : (i+1)*n*treeKeyLen]
-		s.pathDigests(inst, k0[i*stride:(i+1)*stride], k1[i*stride:(i+1)*stride], n)
-		if freshTrace != nil {
-			for m := 0; m < n; m++ {
-				s.load((*[treeKeyLen]byte)(inst[m*treeKeyLen:]), m, 0, padDomainTree)
-				freshTrace(s.x[:])
-			}
-		}
+		s.pathDigests(digests[i*n*treeKeyLen:(i+1)*n*treeKeyLen], k0[i*stride:(i+1)*stride], k1[i*stride:(i+1)*stride], n)
 	}
 	mmoPool.Put(s)
-	sealOnceSent(dst, digests, msgKeys, msgs)
+	if freshTrace != nil {
+		for off := 0; off < len(digests); off += treeKeyLen {
+			freshTrace(digests[off : off+treeKeyLen])
+		}
+	}
+	sealOnceSent(dst, digests, msgs)
 }
 
 // checkUniformLen verifies all messages share one length.
@@ -117,8 +117,8 @@ func checkUniformLen(msgs [][]byte) error {
 
 // recoverSample decrypts one sample's chosen messages from its response
 // block (checked by the caller) into out, given that sample's path keys in
-// (instance, level) order: instance i opens K_idx with the digest of its
-// path, then message idx with K_idx.
+// (instance, level) order: the digest of instance i's path is K_idx in
+// instance 0 and opens K_idx in any other, and K_idx opens message idx.
 func recoverSample(block, pathKeys []byte, indices []int, n int, out [][]byte) {
 	stride := len(pathKeys) / len(indices)
 	s := mmoPool.Get().(*mmoScratch)
@@ -138,12 +138,12 @@ type ExtKofNBatchRequest struct {
 
 // ExtKofNBatchResponse is the sender's one message for B samples.
 type ExtKofNBatchResponse struct {
-	// Cts concatenates every sample's block in batch order, B·(k·n·16 +
-	// n·w) bytes: sample b's block starts at b·(k·n·16 + n·w), and within
-	// it instance i's tree ciphertext of message key K_j occupies
-	// [(i·n+j)·16, (i·n+j+1)·16) and message j under K_j occupies
-	// [k·n·16 + j·w, k·n·16 + (j+1)·w). The message width w is not sent:
-	// the receiver, knowing B, k and n, derives it from the blob.
+	// Cts concatenates every sample's block in batch order, B·((k−1)·n·16
+	// + n·w) bytes: sample b's block starts at b·((k−1)·n·16 + n·w), and
+	// within it instance i ≥ 1's tree ciphertext of message key K_j
+	// occupies [((i−1)·n+j)·16, +16) and message j under K_j occupies
+	// [(k−1)·n·16 + j·w, +w). The message width w is not sent: the
+	// receiver, knowing B, k and n, derives it from the blob.
 	Cts []byte
 }
 
@@ -186,11 +186,11 @@ func NewExtKofNBatchQuery(r *IKNPReceiver, n int, indices [][]int) (*ExtKofNBatc
 }
 
 // ExtKofNBatchRespond answers one batch: msgs[b] holds sample b's n
-// messages (one length across the batch). The message keys are drawn
-// serially from rng, n per sample in batch order, so a deterministic rng
-// yields identical wire bytes at any worker count; the tree keys come
-// from the extension itself.
-func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byte, rng io.Reader) (*ExtKofNBatchResponse, error) {
+// messages (one length across the batch). Every key comes from the
+// extension itself, so the response reads nothing from its io.Reader, a
+// parameter it keeps for its callers, and it is bit-identical at any
+// worker count.
+func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byte, _ io.Reader) (*ExtKofNBatchResponse, error) {
 	if req == nil || req.IKNP == nil {
 		return nil, fmt.Errorf("%w: nil batch request", ErrIKNP)
 	}
@@ -215,27 +215,22 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 			return nil, fmt.Errorf("%w: sample %d message length %d, want %d across the batch", ErrIKNP, b, len(sample[0]), msgLen)
 		}
 	}
-	msgKeyBytes := n * treeKeyLen
-	msgKeys, err := drawMsgKeys(req.B*n, rng)
-	if err != nil {
-		return nil, err
-	}
 	k0, k1, err := s.Keys(req.IKNP)
 	if err != nil {
 		return nil, err
 	}
-	block := k*n*treeKeyLen + n*msgLen
+	block := (k-1)*n*treeKeyLen + n*msgLen
 	cts := make([]byte, req.B*block)
-	digests := make([]byte, req.B*k*msgKeyBytes) // per-sample scratch
-	// Every random draw happened above, so sharding the per-sample
-	// encryption across workers is pure arithmetic: the blob is
-	// bit-identical at every GOMAXPROCS.
+	digestBytes := k * n * treeKeyLen
+	digests := make([]byte, req.B*digestBytes) // per-sample scratch
+	// Sharding the per-sample encryption across workers is pure
+	// arithmetic: the blob is bit-identical at every GOMAXPROCS.
 	pathBytes := k * depth * treeKeyLen
 	span := obs.Start(obs.PhaseOTPad)
 	_ = parallel.For(req.B, func(b int) error {
 		paths := b * pathBytes
 		encryptSample(cts[b*block:(b+1)*block], k0[paths:paths+pathBytes], k1[paths:paths+pathBytes],
-			msgKeys[b*msgKeyBytes:(b+1)*msgKeyBytes], digests[b*k*msgKeyBytes:(b+1)*k*msgKeyBytes], msgs[b])
+			digests[b*digestBytes:(b+1)*digestBytes], msgs[b])
 		return nil
 	})
 	span.End()
@@ -243,17 +238,17 @@ func ExtKofNBatchRespond(s *IKNPSender, req *ExtKofNBatchRequest, msgs [][][]byt
 }
 
 // Recover decrypts every sample's chosen messages, in per-sample index
-// order. The blob must be B·(k·n·16 + n·w) bytes for some message width
-// w; any other length is refused before anything is sized by it.
+// order. The blob must be B·((k−1)·n·16 + n·w) bytes for some message
+// width w; any other length is refused before anything is sized by it.
 func (q *ExtKofNBatchQuery) Recover(resp *ExtKofNBatchResponse) ([][][]byte, error) {
 	if resp == nil {
 		return nil, fmt.Errorf("%w: nil batch response", ErrIKNP)
 	}
 	batch, k := len(q.indices), len(q.indices[0])
-	treeBytes := k * q.n * treeKeyLen
+	treeBytes := (k - 1) * q.n * treeKeyLen
 	size := len(resp.Cts)
 	if size%batch != 0 || size/batch < treeBytes || (size/batch-treeBytes)%q.n != 0 {
-		return nil, fmt.Errorf("%w: response blob of %d bytes is not B·(k·n·16 + n·w) for B=%d k=%d n=%d", ErrIKNP, size, batch, k, q.n)
+		return nil, fmt.Errorf("%w: response blob of %d bytes is not B·((k−1)·n·16 + n·w) for B=%d k=%d n=%d", ErrIKNP, size, batch, k, q.n)
 	}
 	block := size / batch
 	w := (block - treeBytes) / q.n

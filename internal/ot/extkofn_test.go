@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
-	"runtime"
 	"testing"
 )
 
@@ -86,8 +85,8 @@ func TestExtKofNPrivacyRandomShapes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if want := batch * (k*n*treeKeyLen + n*w); len(resp.Cts) != want {
-			t.Fatalf("%s: response blob of %d bytes, want B·(k·n·16 + n·w) = %d", name, len(resp.Cts), want)
+		if want := batch * ((k-1)*n*treeKeyLen + n*w); len(resp.Cts) != want {
+			t.Fatalf("%s: response blob of %d bytes, want B·((k−1)·n·16 + n·w) = %d", name, len(resp.Cts), want)
 		}
 		got, err := q.Recover(resp)
 		if err != nil {
@@ -99,9 +98,13 @@ func TestExtKofNPrivacyRandomShapes(t *testing.T) {
 
 // TestExtKofNPrivacyPathKeys: the receiver's own path keys open no index
 // but the one each path was chosen for. For every sample and instance,
-// the path is tried on every index's tree ciphertext, under the tree pad
-// of that index and of its own, and the key that falls out is tried on
-// the index's message: only the chosen index yields its message.
+// the path's digest is tried as a message key K_m on every message, as
+// instance 0's digests are, and on every index's tree ciphertext, under
+// the tree pad of that index and of its own, with the key that falls out
+// tried on the index's message: only instance 0's digest on its chosen
+// index and instance i ≥ 1's on its own chosen ciphertext yield a
+// message. So a receiver holding every chosen path opens exactly its k
+// messages per sample.
 func TestExtKofNPrivacyPathKeys(t *testing.T) {
 	sender, receiver := extSession(t)
 	rng := mrand.New(mrand.NewPCG(52, 2))
@@ -121,33 +124,58 @@ func TestExtKofNPrivacyPathKeys(t *testing.T) {
 		keys := q.ext.Keys()
 		depth := treeDepth(n)
 		s := new(mmoScratch)
-		treeBytes := k * n * treeKeyLen
+		treeBytes := (k - 1) * n * treeKeyLen
 		block := treeBytes + n*w
 		for b, idx := range indices {
 			sample := resp.Cts[b*block : (b+1)*block]
+			opens := func(key *[treeKeyLen]byte, m int) bool {
+				got := make([]byte, w)
+				s.xorPad(got, sample[treeBytes+m*w:treeBytes+(m+1)*w], key, m, padDomainMsg)
+				return bytes.Equal(got, msgs[b][m])
+			}
+			opened := 0
 			for i, chosen := range idx {
 				digest := s.pathDigest(keys[(b*k+i)*depth*treeKeyLen : (b*k+i+1)*depth*treeKeyLen])
 				for m := 0; m < n; m++ {
-					ct := sample[(i*n+m)*treeKeyLen : (i*n+m+1)*treeKeyLen]
-					for _, tweak := range []int{m, chosen} {
-						var key [treeKeyLen]byte
-						s.xorPad(key[:], ct, &digest, tweak, padDomainTree)
-						got := make([]byte, w)
-						s.xorPad(got, sample[treeBytes+m*w:treeBytes+(m+1)*w], &key, m, padDomainMsg)
-						if opened := bytes.Equal(got, msgs[b][m]); opened != (m == chosen && tweak == m) {
-							t.Fatalf("%d-of-%d sample %d instance %d (chose %d), index %d under tweak %d: opened = %v", k, n, b, i, chosen, m, tweak, opened)
+					if opens(&digest, m) {
+						opened++
+						if i != 0 || m != chosen {
+							t.Fatalf("%d-of-%d sample %d instance %d (chose %d) opened index %d as its key", k, n, b, i, chosen, m)
 						}
 					}
 				}
+				for j := 1; j < k; j++ {
+					for m := 0; m < n; m++ {
+						slot := (j-1)*n + m
+						ct := sample[slot*treeKeyLen : (slot+1)*treeKeyLen]
+						tweaks := []int{m}
+						if chosen != m {
+							tweaks = append(tweaks, chosen)
+						}
+						for _, tweak := range tweaks {
+							var key [treeKeyLen]byte
+							s.xorPad(key[:], ct, &digest, tweak, padDomainTree)
+							if opens(&key, m) {
+								opened++
+								if j != i || m != chosen || tweak != m {
+									t.Fatalf("%d-of-%d sample %d instance %d (chose %d) opened index %d of instance %d under tweak %d", k, n, b, i, chosen, m, j, tweak)
+								}
+							}
+						}
+					}
+				}
+			}
+			if opened != k {
+				t.Fatalf("%d-of-%d sample %d: the chosen paths opened %d messages, want %d", k, n, b, opened, k)
 			}
 		}
 	}
 }
 
 // TestExtKofNPrivacyBlobLength: the receiver accepts exactly the blob
-// lengths B·(k·n·16 + n·w) and refuses every other length with ErrIKNP,
-// before anything is sized by it: refusing a 1 MiB blob allocates
-// almost nothing.
+// lengths B·((k−1)·n·16 + n·w) and refuses every other length with
+// ErrIKNP, before anything is sized by it: refusing a 1 MiB blob makes no
+// allocation but its error's.
 func TestExtKofNPrivacyBlobLength(t *testing.T) {
 	sender, receiver := extSession(t)
 	const batch, k, n, w = 4, 2, 6, 8
@@ -166,10 +194,11 @@ func TestExtKofNPrivacyBlobLength(t *testing.T) {
 	for size := 0; size <= len(padded); size++ {
 		got, err := q.Recover(&ExtKofNBatchResponse{Cts: padded[:size]})
 		per := size / batch
-		fits := size%batch == 0 && per >= k*n*treeKeyLen && (per-k*n*treeKeyLen)%n == 0
+		tree := (k - 1) * n * treeKeyLen
+		fits := size%batch == 0 && per >= tree && (per-tree)%n == 0
 		switch {
 		case fits && err != nil:
-			t.Fatalf("%d-byte blob (w = %d) refused: %v", size, (per-k*n*treeKeyLen)/n, err)
+			t.Fatalf("%d-byte blob (w = %d) refused: %v", size, (per-tree)/n, err)
 		case !fits && !errors.Is(err, ErrIKNP):
 			t.Fatalf("%d-byte blob: err = %v, want ErrIKNP", size, err)
 		case size == honest:
@@ -179,22 +208,16 @@ func TestExtKofNPrivacyBlobLength(t *testing.T) {
 	if _, err := q.Recover(nil); !errors.Is(err, ErrIKNP) {
 		t.Fatalf("nil response: err = %v, want ErrIKNP", err)
 	}
-	hostile := &ExtKofNBatchResponse{Cts: make([]byte, 1<<20+1)}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	_, err = q.Recover(hostile)
-	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrIKNP) {
-		t.Fatalf("1 MiB + 1 blob: err = %v, want ErrIKNP", err)
-	}
-	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
-		t.Fatalf("refusing a 1 MiB + 1 blob allocated %d bytes", grew)
-	}
+	checkRefusalAllocs(t, "Recover", 4, func(cts []byte) bool {
+		_, err := q.Recover(&ExtKofNBatchResponse{Cts: cts})
+		return errors.Is(err, ErrIKNP)
+	})
 }
 
 // TestExtKofNFreshInputs drives the extended k-of-n under the freshTrace
-// tap — the base phase's seed pairs, every random-OT key of both halves,
-// every message key and every tree-pad seed block the sender uses —
+// tap — the base phase's seed pairs, every random-OT key of both halves
+// and every path digest the sender pads with, instance 0's being the
+// message keys —
 // through batches of 1, 4 and 64
 // samples, with one and two batches in flight, then across a resume, and
 // checks that no input repeats and none is skipped. A frozen batch
@@ -229,7 +252,7 @@ func TestExtKofNFreshInputs(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRecovered(t, fmt.Sprintf("B=%d in flight %d", batch, f), got, msgs, indices[f])
-			want += batch * (2*k*depth + n + k*n)
+			want += batch * (2*k*depth + k*n)
 		}
 	}
 	// The base phase's 2κ slot keys, the receiver's seed pairs, come

@@ -125,10 +125,10 @@ func slotBlob(slots, width int) []byte {
 }
 
 // onceSentBlob returns a stand-in for the once-sent block of a k-of-n
-// over n messages of w bytes: k·n 16-byte key ciphertexts, then n
+// over n messages of w bytes: (k−1)·n 16-byte key ciphertexts, then n
 // messages.
 func onceSentBlob(k, n, w int) []byte {
-	return append(slotBlob(k*n, treeKeyLen), slotBlob(n, w)...)
+	return append(slotBlob((k-1)*n, treeKeyLen), slotBlob(n, w)...)
 }
 
 // legacyKofN returns a 9-of-18 setup and transfer in the list layout of
@@ -213,7 +213,7 @@ func elementWidthSeeds(tb testing.TB) [][]byte {
 // kofnEdgeSeeds are k-of-n encodings at the edges of the current layout:
 // the retired single-query request (a batch request without its trailing
 // B), a response in the shape of a batch of two 3-of-6 transfers of
-// 32-byte messages (2·(3·6·16 + 6·32) bytes), and the same blob one byte
+// 32-byte messages (2·(2·6·16 + 6·32) bytes), and the same blob one byte
 // longer, which decodes cleanly and is refused only by Recover.
 func kofnEdgeSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
@@ -222,7 +222,7 @@ func kofnEdgeSeeds(tb testing.TB) [][]byte {
 		tb.Fatal(err)
 	}
 	out := [][]byte{req[:len(req)-1]}
-	for _, size := range []int{960, 961} {
+	for _, size := range []int{768, 769} {
 		resp, err := wire.Marshal(&ExtKofNBatchResponse{Cts: slotBlob(size, 1)})
 		if err != nil {
 			tb.Fatal(err)

@@ -177,22 +177,26 @@ func TestExtKofNValidation(t *testing.T) {
 	}
 }
 
-// TestExtKofNNonChosenUnreadable: an instance's path keys decrypt only
-// its chosen index.
+// TestExtKofNNonChosenUnreadable: a 2-of-8 receiver holding both its
+// chosen paths, 2 in instance 0 and 6 in instance 1, opens neither
+// unchosen message moved into its chosen places: message 5 into index
+// 2's, which instance 0's digest of 2 opens as K_2, and message 3, with
+// instance 1's tree ciphertext of K_3, into index 6's.
 func TestExtKofNNonChosenUnreadable(t *testing.T) {
 	g := ot.X25519()
 	sender, receiver, err := ot.NewIKNP(g, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
-	msgs := make([][]byte, 8)
+	const n, w = 8, 24
+	msgs := make([][]byte, n)
 	for i := range msgs {
-		msgs[i] = make([]byte, 24)
+		msgs[i] = make([]byte, w)
 		if _, err := rand.Read(msgs[i]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	q, req, err := ot.NewExtKofNBatchQuery(receiver, len(msgs), [][]int{{2}})
+	q, req, err := ot.NewExtKofNBatchQuery(receiver, n, [][]int{{2, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,19 +204,20 @@ func TestExtKofNNonChosenUnreadable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Move index 5's tree ciphertext and message into index 2's slots:
-	// the path keys of index 2 must not open them (index domain
-	// separation and a different key path).
-	const w = 24
-	tree := 1 * len(msgs) * 16
-	copy(resp.Cts[2*16:3*16], resp.Cts[5*16:6*16])
+	// Instance 1's tree ciphertext of K_m is at m·16, message m at
+	// n·16 + m·w.
+	const tree = n * 16
+	copy(resp.Cts[6*16:7*16], resp.Cts[3*16:4*16])
 	copy(resp.Cts[tree+2*w:tree+3*w], resp.Cts[tree+5*w:tree+6*w])
+	copy(resp.Cts[tree+6*w:tree+7*w], resp.Cts[tree+3*w:tree+4*w])
 	leaked, err := q.Recover(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(leaked[0][0], msgs[5]) {
-		t.Fatal("non-chosen message readable through the path keys")
+	for i, m := range []int{5, 3} {
+		if bytes.Equal(leaked[0][i], msgs[m]) {
+			t.Fatalf("instance %d read non-chosen message %d through its path keys", i, m)
+		}
 	}
 }
 

@@ -14,22 +14,21 @@ var ErrDuplicateIndex = errors.New("ot: duplicate choice index")
 // A k-out-of-n transfer is one batch of k Naor–Pinkas 1-out-of-n random
 // OTs over the same n messages (honest-but-curious; see package doc): n−1
 // constraints and one r serve all k, and instance i's slot keys are
-// bound to slots i·n + m. Each message is sent once. The sender draws one
-// fresh 16-byte key K_m per message m, sends m once under a pad of K_m,
-// and instance i carries only K_m, padded under its slot key i·n + m.
-// The transfer's Cts is the once-sent block sealOnceSent writes, the
-// layout the extended k-of-n's samples share (extkofn.go):
+// bound to slots i·n + m. Each message is sent once, under a pad of its
+// message key K_m, which is instance 0's slot key for m; every other
+// instance i carries K_m padded under its own slot key i·n + m. The
+// transfer's Cts is the once-sent block sealOnceSent writes, the layout
+// the extended k-of-n's samples share (extkofn.go):
 //
-//	[0, k·n·16)               instance i's K_m at [(i·n+m)·16, +16)
-//	[k·n·16, k·n·16 + n·w)    message m under K_m at k·n·16 + m·w
+//	[0, (k−1)·n·16)               instance i ≥ 1's K_m at [((i−1)·n+m)·16, +16)
+//	[(k−1)·n·16, (k−1)·n·16 + n·w) message m under K_m at (k−1)·n·16 + m·w
 //
-// A receiver opens one K_m per instance with the one slot key it holds,
-// so at most k messages, as in extkofn.go. One layout serves every k,
-// with no switch on size: against k copies of every message it saves
-// (k−1)·n·w − k·n·16 bytes, which is 16·n bytes more at k = 1, as many
-// or fewer at k = 2 with w ≥ 32, and fewer at every k ≥ 3 with w > 24.
-// No transfer served at the defaults has k < 3 or w < 32. A 1-out-of-n
-// is the batch of one.
+// A receiver holds one slot key per instance, so it opens one K_m per
+// instance, directly in instance 0, and at most k messages, as in
+// extkofn.go. Against k copies of every message the layout saves
+// (k−1)·n·(w−16) bytes: it is smaller at every k ≥ 2 once w > 16, and
+// the same n·w bytes at k = 1, the 1-out-of-n, which sends the n
+// messages alone.
 
 // NewBatchSender prepares a k-out-of-n transfer of the given messages.
 func NewBatchSender(group Group, msgs [][]byte, k int, rng io.Reader) (*BatchSender, *BatchSetup, error) {
@@ -55,8 +54,7 @@ func NewBatchSender(group Group, msgs [][]byte, k int, rng io.Reader) (*BatchSen
 }
 
 // Respond consumes the receiver's batched choice, which must carry one
-// public key per instance, and sends every message once. The message
-// keys are drawn after r, n·16 bytes in one read.
+// public key per instance, and sends every message once.
 func (s *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransfer, error) {
 	span := obs.Start(obs.PhaseOTSenderRespond)
 	defer span.End()
@@ -67,12 +65,8 @@ func (s *BatchSender) Respond(choice *BatchChoice, rng io.Reader) (*BatchTransfe
 	if err != nil {
 		return nil, err
 	}
-	msgKeys, err := drawMsgKeys(s.n, rng)
-	if err != nil {
-		return nil, err
-	}
-	cts := make([]byte, len(slotKeys)+s.n*len(s.msgs[0]))
-	sealOnceSent(cts, slotKeys, msgKeys, s.msgs)
+	cts := make([]byte, len(slotKeys)-s.n*treeKeyLen+s.n*len(s.msgs[0]))
+	sealOnceSent(cts, slotKeys, s.msgs)
 	return &BatchTransfer{R: bigR, Cts: cts}, nil
 }
 
@@ -93,8 +87,8 @@ func NewBatchReceiver(group Group, n, msgLen int, indices []int, setup *BatchSet
 }
 
 // Recover decrypts the k chosen messages, in choice order. The transfer
-// must carry exactly k·n·16 + n·msgLen ciphertext bytes; any other length
-// is refused before anything is sized by it.
+// must carry exactly (k−1)·n·16 + n·msgLen ciphertext bytes; any other
+// length is refused before anything is sized by it.
 func (rc *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	span := obs.Start(obs.PhaseOTReceiverRecover)
 	defer span.End()
@@ -102,8 +96,8 @@ func (rc *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 		return nil, instanceErr(0, fmt.Errorf("%w: missing transfer", ErrBadMessage))
 	}
 	k, n, w := len(rc.sigmas), rc.n, rc.msgLen
-	if want := k*n*treeKeyLen + n*w; len(tr.Cts) != want {
-		return nil, instanceErr(0, fmt.Errorf("%w: %d ciphertext bytes, want k·n·16 + n·w = %d", ErrBadMessage, len(tr.Cts), want))
+	if want := (k-1)*n*treeKeyLen + n*w; len(tr.Cts) != want {
+		return nil, instanceErr(0, fmt.Errorf("%w: %d ciphertext bytes, want (k−1)·n·16 + n·w = %d", ErrBadMessage, len(tr.Cts), want))
 	}
 	keys, err := rc.recover(tr.R)
 	if err != nil {
@@ -120,50 +114,40 @@ func (rc *BatchReceiver) Recover(tr *BatchTransfer) ([][]byte, error) {
 	return out, nil
 }
 
-// drawMsgKeys draws count 16-byte message keys K_m in one read.
-func drawMsgKeys(count int, rng io.Reader) ([]byte, error) {
-	keys := make([]byte, count*treeKeyLen)
-	if _, err := io.ReadFull(rng, keys); err != nil {
-		return nil, err
-	}
-	if freshTrace != nil {
-		for off := 0; off < len(keys); off += treeKeyLen {
-			freshTrace(keys[off : off+treeKeyLen])
-		}
-	}
-	return keys, nil
-}
-
 // sealOnceSent writes the once-sent block of one k-of-n transfer into dst,
-// k·n·16 + n·w bytes for n messages of w bytes: instance i's copy of
-// message key K_m, padded under the 16-byte seed at seeds[(i·n+m)·16:],
-// at [(i·n+m)·16, +16), then message m under K_m at k·n·16 + m·w. The
-// seeds are the slot keys of a Naor–Pinkas batch, or the path digests of
-// one extended sample's trees (extkofn.go); msgKeys holds the n K_m.
-func sealOnceSent(dst, seeds, msgKeys []byte, msgs [][]byte) {
+// (k−1)·n·16 + n·w bytes for n messages of w bytes, given the k·n 16-byte
+// pad seeds, instance i's for message m at seeds[(i·n+m)·16:]: the slot
+// keys of a Naor–Pinkas batch, or the path digests of one extended
+// sample's trees (extkofn.go). Instance 0's seed for m is the message key
+// K_m. Instance i ≥ 1's copy of K_m, padded under its own seed, goes at
+// [((i−1)·n+m)·16, +16), then message m under K_m at (k−1)·n·16 + m·w.
+func sealOnceSent(dst, seeds []byte, msgs [][]byte) {
 	n, w := len(msgs), len(msgs[0])
-	treeBytes := len(seeds)
+	treeBytes := len(seeds) - n*treeKeyLen
 	s := mmoPool.Get().(*mmoScratch)
-	for slot := 0; slot < treeBytes/treeKeyLen; slot++ {
+	for slot := n; slot < len(seeds)/treeKeyLen; slot++ {
 		m := slot % n
-		s.xorPad(dst[slot*treeKeyLen:(slot+1)*treeKeyLen], msgKeys[m*treeKeyLen:(m+1)*treeKeyLen],
+		s.xorPad(dst[(slot-n)*treeKeyLen:(slot-n+1)*treeKeyLen], seeds[m*treeKeyLen:(m+1)*treeKeyLen],
 			(*[treeKeyLen]byte)(seeds[slot*treeKeyLen:]), m, padDomainTree)
 	}
 	for m, msg := range msgs {
-		s.xorPad(dst[treeBytes+m*w:treeBytes+(m+1)*w], msg, (*[treeKeyLen]byte)(msgKeys[m*treeKeyLen:]), m, padDomainMsg)
+		s.xorPad(dst[treeBytes+m*w:treeBytes+(m+1)*w], msg, (*[treeKeyLen]byte)(seeds[m*treeKeyLen:]), m, padDomainMsg)
 	}
 	mmoPool.Put(s)
 }
 
 // openOnceSent decrypts message idx of a once-sent block into dst
-// (len(dst) = w): instance i opens K_idx from its slot with seed, the
-// pad seed it holds for idx, then the message with K_idx.
+// (len(dst) = w), given seed, the pad seed instance i holds for idx: in
+// instance 0 the seed is K_idx itself, and any other instance opens K_idx
+// from its slot with it; then the message opens with K_idx.
 func (s *mmoScratch) openOnceSent(dst, block []byte, seed *[treeKeyLen]byte, n, i, idx int) {
 	w := len(dst)
 	treeBytes := len(block) - n*w
-	slot := i*n + idx
-	var key [treeKeyLen]byte
-	s.xorPad(key[:], block[slot*treeKeyLen:(slot+1)*treeKeyLen], seed, idx, padDomainTree)
+	key := *seed
+	if i > 0 {
+		slot := (i-1)*n + idx
+		s.xorPad(key[:], block[slot*treeKeyLen:(slot+1)*treeKeyLen], seed, idx, padDomainTree)
+	}
 	s.xorPad(dst, block[treeBytes+idx*w:treeBytes+(idx+1)*w], &key, idx, padDomainMsg)
 }
 

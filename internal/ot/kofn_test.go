@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	mrand "math/rand/v2"
-	"runtime"
 	"testing"
 
 	"repro/internal/ec25519"
@@ -51,7 +50,7 @@ func newKofNRun(t *testing.T, k, n, w int, indices []int) kofnRun {
 
 // TestKofNPrivacyRandomShapes: over random k-of-n shapes with n ≤ 40 and
 // random message widths, the transfer is the once-sent block of
-// k·n·16 + n·w bytes and Recover returns exactly the chosen messages.
+// (k−1)·n·16 + n·w bytes and Recover returns exactly the chosen messages.
 func TestKofNPrivacyRandomShapes(t *testing.T) {
 	rng := mrand.New(mrand.NewPCG(53, 1))
 	for trial := 0; trial < 30; trial++ {
@@ -60,8 +59,8 @@ func TestKofNPrivacyRandomShapes(t *testing.T) {
 		w := []int{1, 16, 17, 32, 66}[rng.IntN(5)]
 		name := fmt.Sprintf("%d-of-%d w=%d", k, n, w)
 		run := newKofNRun(t, k, n, w, rng.Perm(n)[:k])
-		if want := k*n*treeKeyLen + n*w; len(run.tr.Cts) != want {
-			t.Fatalf("%s: %d ciphertext bytes, want k·n·16 + n·w = %d", name, len(run.tr.Cts), want)
+		if want := (k-1)*n*treeKeyLen + n*w; len(run.tr.Cts) != want {
+			t.Fatalf("%s: %d ciphertext bytes, want (k−1)·n·16 + n·w = %d", name, len(run.tr.Cts), want)
 		}
 		got, err := run.receiver.Recover(run.tr)
 		if err != nil {
@@ -75,11 +74,14 @@ func TestKofNPrivacyRandomShapes(t *testing.T) {
 	}
 }
 
-// TestKofNPrivacySlotKeys: the receiver's slot keys open no message key
-// but the ones they were chosen for. Each instance's key is tried as the
-// pad seed of every slot of every instance, under the slot's own tweak,
-// and the key that falls out is tried on that slot's message: only
-// instance i's own slot i·n + σ_i yields a message, σ_i's.
+// TestKofNPrivacySlotKeys: the receiver's slot keys open no message but
+// the ones they were chosen for. Each instance's key is tried as a
+// message key K_m on every message, as instance 0's keys are, and as the
+// pad seed of every key ciphertext, under the slot's own tweak, with the
+// key that falls out tried on that slot's message: only instance 0's key
+// on σ_0 and instance i ≥ 1's on its own slot (i−1)·n + σ_i yield a
+// message, σ_i's. So a receiver holding every chosen slot key opens
+// exactly its k messages.
 func TestKofNPrivacySlotKeys(t *testing.T) {
 	rng := mrand.New(mrand.NewPCG(53, 2))
 	for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}, {2, 11}, {1, 2}} {
@@ -90,29 +92,48 @@ func TestKofNPrivacySlotKeys(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		treeBytes := k * n * treeKeyLen
+		treeBytes := (k - 1) * n * treeKeyLen
 		s := mmoPool.Get().(*mmoScratch)
-		for i := range run.indices {
+		opens := func(key *[treeKeyLen]byte, m int) bool {
+			got := make([]byte, w)
+			s.xorPad(got, run.tr.Cts[treeBytes+m*w:treeBytes+(m+1)*w], key, m, padDomainMsg)
+			return bytes.Equal(got, run.msgs[m])
+		}
+		opened := 0
+		for i, sigma := range run.indices {
 			seed := (*[treeKeyLen]byte)(keys[i*treeKeyLen:])
-			for slot := 0; slot < k*n; slot++ {
+			for m := 0; m < n; m++ {
+				if got := opens(seed, m); got {
+					opened++
+					if i != 0 || m != sigma {
+						t.Fatalf("%d-of-%d: instance %d (chose %d) opened message %d as its key", k, n, i, sigma, m)
+					}
+				}
+			}
+			for slot := 0; slot < (k-1)*n; slot++ {
 				m := slot % n
 				var msgKey [treeKeyLen]byte
 				s.xorPad(msgKey[:], run.tr.Cts[slot*treeKeyLen:(slot+1)*treeKeyLen], seed, m, padDomainTree)
-				got := make([]byte, w)
-				s.xorPad(got, run.tr.Cts[treeBytes+m*w:treeBytes+(m+1)*w], &msgKey, m, padDomainMsg)
-				if opened := bytes.Equal(got, run.msgs[m]); opened != (slot == i*n+run.indices[i]) {
-					t.Fatalf("%d-of-%d: instance %d (chose %d) on slot %d: opened = %v", k, n, i, run.indices[i], slot, opened)
+				if got := opens(&msgKey, m); got {
+					opened++
+					if slot != (i-1)*n+sigma {
+						t.Fatalf("%d-of-%d: instance %d (chose %d) on slot %d opened message %d", k, n, i, sigma, slot, m)
+					}
 				}
 			}
 		}
 		mmoPool.Put(s)
+		if opened != k {
+			t.Fatalf("%d-of-%d: the chosen slot keys opened %d messages, want %d", k, n, opened, k)
+		}
 	}
 }
 
-// TestKofNPrivacyBlobLength: Recover accepts exactly k·n·16 + n·w
+// TestKofNPrivacyBlobLength: Recover accepts exactly (k−1)·n·16 + n·w
 // ciphertext bytes and refuses every other length with ErrBadMessage
 // before anything is sized by it, and BaseFinish refuses every non-empty
-// blob with ErrIKNP: refusing a 1 MiB blob allocates almost nothing.
+// blob with ErrIKNP: refusing a 1 MiB blob makes no allocation but its
+// error's.
 func TestKofNPrivacyBlobLength(t *testing.T) {
 	const k, n, w = 3, 6, 32
 	run := newKofNRun(t, k, n, w, []int{4, 0, 3})
@@ -153,29 +174,34 @@ func TestKofNPrivacyBlobLength(t *testing.T) {
 		}
 	}
 
-	hostile := make([]byte, 1<<20+1)
-	for name, refuse := range map[string]func() error{
-		"Recover": func() error {
-			_, err := run.receiver.Recover(&BatchTransfer{R: run.tr.R, Cts: hostile})
-			return err
-		},
-		"BaseFinish": func() error {
-			return send.BaseFinish(&BatchTransfer{R: tr.R, Cts: hostile})
-		},
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := refuse()
-		runtime.ReadMemStats(&after)
-		if err == nil {
-			t.Fatalf("%s accepted a 1 MiB + 1 blob", name)
-		}
-		if grew := after.TotalAlloc - before.TotalAlloc; grew > 4096 {
-			t.Fatalf("%s: refusing a 1 MiB + 1 blob allocated %d bytes", name, grew)
-		}
-	}
+	checkRefusalAllocs(t, "Recover", 6, func(cts []byte) bool {
+		_, err := run.receiver.Recover(&BatchTransfer{R: run.tr.R, Cts: cts})
+		return err != nil
+	})
+	checkRefusalAllocs(t, "BaseFinish", 3, func(cts []byte) bool {
+		return send.BaseFinish(&BatchTransfer{R: tr.R, Cts: cts}) != nil
+	})
 	if err := send.BaseFinish(tr); err != nil {
 		t.Fatalf("honest base transfer after the refusals: %v", err)
+	}
+}
+
+// checkRefusalAllocs wants refused to refuse a 1 MiB + 1 blob with at
+// most maxAllocs allocations, its error's own, counted by AllocsPerRun on
+// the call alone: a refusal that sized anything by the blob would make
+// one more. The count is not checked under -race, whose runtime adds
+// allocations of its own.
+func checkRefusalAllocs(t *testing.T, name string, maxAllocs float64, refused func(cts []byte) bool) {
+	t.Helper()
+	cts := make([]byte, 1<<20+1)
+	if !refused(cts) {
+		t.Fatalf("%s accepted a 1 MiB + 1 blob", name)
+	}
+	if raceEnabled {
+		return
+	}
+	if got := testing.AllocsPerRun(10, func() { refused(cts) }); got > maxAllocs {
+		t.Fatalf("%s: refusing a 1 MiB + 1 blob made %.0f allocations, want at most %.0f", name, got, maxAllocs)
 	}
 }
 

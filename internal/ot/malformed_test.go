@@ -162,7 +162,7 @@ func TestMalformedElementsRejected(t *testing.T) {
 
 // TestFixedWidthRefusedFirst: a batch message with one element
 // re-encoded as 33 bytes (a leading zero before its 32), or a ciphertext
-// blob that is not the k·n·16 + n·w bytes of the once-sent block for
+// blob that is not the (k−1)·n·16 + n·w bytes of the once-sent block for
 // messages of w bytes — the k·n slots of w bytes a transfer carried
 // before each message was sent once among them — crosses the codec
 // — the blobs are plain byte slices — and is refused with ErrBadMessage
@@ -225,7 +225,7 @@ func TestFixedWidthRefusedFirst(t *testing.T) {
 		}
 	}
 	slots := len(indices) * n
-	keyBytes := slots * 16
+	keyBytes := (len(indices) - 1) * n * 16
 	steps["transfer R"] = recoverFrom(widen(tr.R, 0), tr.Cts)
 	steps["ciphertexts one byte short"] = recoverFrom(tr.R, tr.Cts[:len(tr.Cts)-1])
 	steps["ciphertexts one byte over"] = recoverFrom(tr.R, append(append([]byte(nil), tr.Cts...), 0))
@@ -395,7 +395,7 @@ func TestMalformedIKNPBaseRejected(t *testing.T) {
 
 // TestMalformedExtKofNResponseRejected feeds the extended k-of-n receiver
 // (k = 2, n = 6, 8-byte messages) response blobs whose length is not
-// B·(k·n·16 + n·w) for any message width w: a batch of one answered with
+// B·((k−1)·n·16 + n·w) for any message width w: a batch of one answered with
 // 24 bytes, and batches of four answered with one byte more than the
 // honest blob or one tree ciphertext less. Each must be refused with
 // ErrIKNP before the length sizes anything — never a panic, which would

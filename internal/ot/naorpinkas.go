@@ -46,7 +46,7 @@ type BatchChoice struct {
 
 // BatchTransfer is the sender's final message: the encoding of the
 // ephemeral value R = [r]·B, and the ciphertexts the batch's keys protect.
-// A k-of-n sends its n messages once, in the block of k·n 16-byte
+// A k-of-n sends its n messages once, in the block of (k−1)·n 16-byte
 // key ciphertexts and n messages of w bytes that sealOnceSent writes
 // (kofn.go); the IKNP base phase sends none, its keys being the seeds
 // themselves.
@@ -63,8 +63,9 @@ type BatchTransfer struct {
 // instead of encrypting messages the batch yields one 16-byte key per
 // slot. The sender learns every slot's key, the receiver the key of its
 // chosen slot in each instance, and a caller encrypts under them what it
-// wants: a k-of-n (kofn.go) the once-sent message keys, and the IKNP base
-// phase (iknp.go) nothing at all, taking the keys as its seeds. Slot
+// wants: a k-of-n (kofn.go) its messages, instance 0's keys being the
+// message keys, and the IKNP base phase (iknp.go) nothing at all, taking
+// the keys as its seeds. Slot
 // i·n + j's key is the first 16 bytes of the SHA-256 KDF (slotKey) over
 // the slot and the encoding of [r]·[8]PK_{i,j}, so the slot binds it to
 // its instance; every received point enters the arithmetic

@@ -63,8 +63,8 @@ func TestBaseBatchKDFInputsFresh(t *testing.T) {
 // TestKofNKDFInputsFresh is the same check for the k-of-n: its k
 // instances share one r and one set of constraints, so the sender must
 // still feed its KDF k·n distinct (slot, key) inputs, with and without a
-// PK_0 sent for two instances. Across 20 transfers, no slot key and no
-// message key K_m repeats.
+// PK_0 sent for two instances. Across 20 transfers, no slot key repeats,
+// instance 0's among them, which are the message keys K_m.
 func TestKofNKDFInputsFresh(t *testing.T) {
 	g := X25519()
 	for _, shape := range []struct{ k, n int }{{3, 6}, {9, 18}} {
@@ -113,7 +113,7 @@ func TestKofNKDFInputsFresh(t *testing.T) {
 		if err != nil || len(got) != k {
 			t.Fatalf("transfer %d: %d messages, %v", tr, len(got), err)
 		}
-		want += k*n + n
+		want += k * n
 	}
 	seen.check(t, want)
 }

@@ -238,22 +238,17 @@ func TestNonChosenMessagesUnreadable(t *testing.T) {
 		t.Fatal("chosen message wrong")
 	}
 	// A receiver that lies about sigma post-hoc must not get message 2:
-	// move index 2's key ciphertext, then its message, into index 1's
-	// place, so the receiver opens them with its own slot key and pads.
-	const keys = 4 * 16
-	for name, span := range map[string][2]int{
-		"key ciphertext": {16, 2 * 16},
-		"message":        {keys + 24, keys + 2*24},
-	} {
-		tr := &ot.BatchTransfer{R: o.tr.R, Cts: append([]byte(nil), o.tr.Cts...)}
-		copy(tr.Cts[span[0]:span[1]], o.tr.Cts[span[1]:2*span[1]-span[0]])
-		leaked, err := o.receiver.Recover(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Equal(leaked[0], msgs[2]) {
-			t.Fatalf("receiver decrypted a non-chosen message from its %s", name)
-		}
+	// a 1-of-n's block is its n messages alone, each under its own
+	// instance-0 slot key, so move message 2 into message 1's place,
+	// where the receiver opens it with its own slot key.
+	tr := &ot.BatchTransfer{R: o.tr.R, Cts: append([]byte(nil), o.tr.Cts...)}
+	copy(tr.Cts[24:2*24], o.tr.Cts[2*24:3*24])
+	leaked, err := o.receiver.Recover(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(leaked[0], msgs[2]) {
+		t.Fatal("receiver decrypted a non-chosen message")
 	}
 }
 
@@ -290,11 +285,11 @@ func TestChoiceHidesIndex(t *testing.T) {
 // TestBatchMismatchedCounts: the k instances share one setup, so the
 // receiver cannot read k from it. A k mismatch is refused where it shows:
 // at Respond, which wants one public key per instance, and at Recover,
-// which wants the once-sent block of k·n 16-byte key ciphertexts and n
+// which wants the once-sent block of (k−1)·n 16-byte key ciphertexts and n
 // messages of the messages' width.
 func TestBatchMismatchedCounts(t *testing.T) {
 	g := ot.X25519()
-	msgs := randomMessages(t, 5, 16)
+	msgs := randomMessages(t, 5, 24)
 	sender, setup, err := ot.NewBatchSender(g, msgs, 2, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
@@ -305,13 +300,13 @@ func TestBatchMismatchedCounts(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrBadMessage", what, err)
 		}
 	}
-	receiver3, choice3, err := ot.NewBatchReceiver(g, 5, 16, []int{1, 2, 3}, setup, rand.Reader)
+	receiver3, choice3, err := ot.NewBatchReceiver(g, 5, 24, []int{1, 2, 3}, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = sender.Respond(choice3, rand.Reader)
 	want("Respond(3 choices for k=2)", err)
-	receiver, choice, err := ot.NewBatchReceiver(g, 5, 16, []int{1, 2}, setup, rand.Reader)
+	receiver, choice, err := ot.NewBatchReceiver(g, 5, 24, []int{1, 2}, setup, rand.Reader)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,16 +320,19 @@ func TestBatchMismatchedCounts(t *testing.T) {
 	}
 	_, err = receiver3.Recover(tr)
 	want("Recover(k=2 transfer, k=3 receiver)", err)
+	// The honest block is (k−1)·n = 5 key ciphertexts of 16 bytes and
+	// n = 5 messages of 24.
 	cts := tr.Cts
 	for name, bad := range map[string][]byte{
-		"k·n−1 key ciphertexts":  cts[16:],
-		"k·n+1 key ciphertexts":  append(append([]byte(nil), cts[:16]...), cts...),
-		"one byte short":         cts[:len(cts)-1],
-		"one byte over":          append(append([]byte(nil), cts...), 0),
-		"n messages, no keys":    cts[2*5*16:],
-		"k·n slots of 16 bytes":  cts[:2*5*16],
-		"k copies of n messages": make([]byte, 2*5*16),
-		"k·n keys, n+1 messages": append(append([]byte(nil), cts...), cts[len(cts)-16:]...),
+		"(k−1)·n−1 key ciphertexts":  cts[16:],
+		"(k−1)·n+1 key ciphertexts":  append(append([]byte(nil), cts[:16]...), cts...),
+		"one byte short":             cts[:len(cts)-1],
+		"one byte over":              append(append([]byte(nil), cts...), 0),
+		"n messages, no keys":        cts[5*16:],
+		"k·n slots of 16 bytes":      make([]byte, 2*5*16),
+		"k copies of n messages":     make([]byte, 2*5*24),
+		"k·n keys, n messages":       make([]byte, 2*5*16+5*24),
+		"(k−1)·n keys, n+1 messages": append(append([]byte(nil), cts...), cts[len(cts)-24:]...),
 	} {
 		_, err = receiver.Recover(&ot.BatchTransfer{R: tr.R, Cts: bad})
 		want("Recover("+name+")", err)

@@ -65,11 +65,13 @@ func (s *mmoScratch) compress() {
 	}
 }
 
-// Pad domains: the tweak's third word keeps the pads of one-time message
-// keys apart from the tree pads and row keys, whose tweak leaves it zero.
+// Pad domains: the tweak's third word keeps the message pads and the
+// public keystream apart from the tree pads and row keys, whose tweak
+// leaves it zero.
 const (
-	padDomainTree = 0
-	padDomainMsg  = 1
+	padDomainTree   = 0
+	padDomainMsg    = 1
+	padDomainStream = 2
 )
 
 // load sets s.x to seed with the tweak (index, block, domain) folded in:
@@ -156,12 +158,47 @@ func (s *mmoScratch) pathDigests(dst, k0, k1 []byte, n int) {
 	}
 }
 
+// SeedLen is the length of a Keystream seed.
+const SeedLen = aes.BlockSize
+
+// Keystream expands a public SeedLen-byte seed into a byte stream, the
+// pad xorPad lays over a zero payload at index 0 in padDomainStream, so
+// anyone holding the seed reads the same stream: ompe sends a seed in
+// place of its evaluation points. A Keystream owns its scratch, so
+// reading allocates nothing; its 2^32 blocks, 64 GiB, are distinct.
+type Keystream struct {
+	s     mmoScratch
+	seed  [SeedLen]byte
+	block uint32
+	off   int // bytes of s.y already read
+}
+
+// NewKeystream returns the stream of seed, which must be SeedLen bytes.
+func NewKeystream(seed []byte) *Keystream {
+	return &Keystream{seed: [SeedLen]byte(seed), off: aes.BlockSize}
+}
+
+// Read fills p with the next len(p) bytes of the stream; it never fails.
+func (k *Keystream) Read(p []byte) (int, error) {
+	for n := 0; n < len(p); {
+		if k.off == aes.BlockSize {
+			k.s.load(&k.seed, 0, k.block, padDomainStream)
+			k.s.compress()
+			k.block++
+			k.off = 0
+		}
+		c := copy(p[n:], k.s.y[k.off:])
+		k.off += c
+		n += c
+	}
+	return len(p), nil
+}
+
 // freshTrace, when set, sees every secret 16-byte input a k-of-n sender
-// derives or draws: every Naor–Pinkas slot key (the IKNP base phase's
-// seed pairs among them), both random-OT keys of every extended
-// transfer, every message key K_m of either k-of-n, and every block that
-// seeds an extended tree pad (a path digest with its tweak folded in). It
-// may be called from several workers at once. Tests set it to check that
-// no input ever repeats; it is nil otherwise, and the calls it guards
-// allocate nothing.
+// derives: every Naor–Pinkas slot key (the IKNP base phase's seed pairs
+// among them), both random-OT keys of every extended transfer, and every
+// path digest of an extended tree. Instance 0's slot keys or digests are
+// a k-of-n's message keys K_m. It may be called from several workers at
+// once. Tests set it to check that no input ever repeats; it is nil
+// otherwise, and the calls it guards allocate nothing.
 var freshTrace func(in []byte)

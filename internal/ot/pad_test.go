@@ -121,6 +121,41 @@ func TestMsgPadAESDifferential(t *testing.T) {
 	}
 }
 
+// TestKeystreamAESDifferential checks the public keystream against the
+// naive spec reference, the pad of its seed at index 0 in the stream
+// domain, read in chunks of every size from 1 to 33 bytes; that it
+// differs from the message-domain pad of the same seed; and that reading
+// it allocates nothing.
+func TestKeystreamAESDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	var seed [SeedLen]byte
+	rng.Read(seed[:])
+	want := naiveExpand(t, 1000, seed, 0, padDomainStream)
+	if bytes.Equal(want, naiveExpand(t, 1000, seed, 0, padDomainMsg)) {
+		t.Fatal("keystream equals the message-domain pad of its seed")
+	}
+	for chunk := 1; chunk <= 33; chunk++ {
+		ks := NewKeystream(seed[:])
+		var got []byte
+		buf := make([]byte, chunk)
+		for len(got) < len(want) {
+			n, err := ks.Read(buf[:min(chunk, len(want)-len(got))])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, buf[:n]...)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("chunks of %d bytes: keystream diverges from spec reference", chunk)
+		}
+	}
+	ks := NewKeystream(seed[:])
+	buf := make([]byte, 100)
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = ks.Read(buf) }); allocs != 0 {
+		t.Fatalf("Read allocates %.0f times, want 0", allocs)
+	}
+}
+
 // TestTreePadAESDifferential checks the production AES tree pad against
 // the naive spec reference across path depths, indices and sizes.
 func TestTreePadAESDifferential(t *testing.T) {

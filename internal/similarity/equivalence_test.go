@@ -55,11 +55,15 @@ import (
 // 64-byte read, which moves every later draw; parentRoundValues passed
 // unedited. The linear/limb-fb18 case (the hyperplane at 18 fractional
 // bits) was dropped when the precision became a protocol constant that no
-// Alice can change; the other two passed unedited.
+// Alice can change; the other two passed unedited. Both were re-recorded
+// when requests came to carry a 16-byte point seed instead of the points
+// and instance 0's slot keys became each transfer's message keys: every
+// request and transfer has another layout, and Bob's rng draws a seed
+// first and no points; parentRoundValues passed unedited.
 // Refactors change how values are computed, never which bytes travel.
 var parentTranscripts = map[string]string{
-	"linear/x25519":        "634c9d0e6388efb137913d0fb8f0e5e7263c42f2e99416f403f0fac897556ec0",
-	"kernel/diabetes-poly": "76775834584edb429f716b59bcb3157d4224e2747c9fa15bbf271d0b768726f9",
+	"linear/x25519":        "6940c3b9a30163a5eef0945c993a4b3f5b445f86704c157eb2912d7f04ff9087",
+	"kernel/diabetes-poly": "14e350f8b586d5b24ca448ac0d6558495c7b02a6d3effa97f109f83ed464047d",
 }
 
 // detReader is a deterministic byte stream: SHA-256 in counter mode.

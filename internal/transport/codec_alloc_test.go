@@ -14,12 +14,13 @@ import (
 )
 
 // allocProbeBatch builds a representative batched classification
-// request: 8 samples of 4 pairs each over 2^255−19, a record of three
-// 32-byte elements per pair, plus the OT-extension columns for them.
+// request: 8 samples of 4 pairs each over 2^255−19, a 16-byte point seed
+// and a record of two 32-byte elements per pair, plus the OT-extension
+// columns for them.
 func allocProbeBatch() *ompe.FastBatchRequest {
 	evals := make([]*ompe.EvalRequest, 8)
 	for i := range evals {
-		evals[i] = &ompe.EvalRequest{Packed: bytes.Repeat([]byte{byte(0x10 + i)}, 4*3*32)}
+		evals[i] = &ompe.EvalRequest{Seed: bytes.Repeat([]byte{byte(0x20 + i)}, ot.SeedLen), Packed: bytes.Repeat([]byte{byte(0x10 + i)}, 4*2*32)}
 	}
 	const m = 8 * 4 // one extended transfer per sample and chosen pair
 	return &ompe.FastBatchRequest{

@@ -27,7 +27,8 @@ import (
 const headerLen = 10
 
 // kappa is the IKNP base-OT count, and seedLen the length of a message
-// key, the key ciphertext of a k-of-n of either kind.
+// key, the key ciphertext of a k-of-n of either kind, and an evaluation
+// request's point seed.
 const kappa, seedLen = 128, 16
 
 // pointLen is a group element's encoding.
@@ -105,32 +106,33 @@ func checkFrames(t *testing.T, dir string, want []frame, stream []byte) {
 }
 
 // Naor–Pinkas batch messages of m instances of a 1-out-of-n. A k-of-n
-// transfer of w-byte messages carries R and the once-sent block, k·n
-// 16-byte key ciphertexts and the n messages once each; the IKNP base
-// phase's carries R alone.
+// transfer of w-byte messages carries R and the once-sent block, (k−1)·n
+// 16-byte key ciphertexts (instance 0's keys are the message keys) and
+// the n messages once each; the IKNP base phase's carries R alone.
 func setupBytes(n int) int              { return blob((n - 1) * pointLen) }
 func choiceBytes(m int) int             { return blob(m * pointLen) }
-func kofnTransferBytes(k, n, w int) int { return blob(pointLen) + blob(k*n*seedLen+n*w) }
+func kofnTransferBytes(k, n, w int) int { return blob(pointLen) + blob((k-1)*n*seedLen+n*w) }
 func baseTransferBytes() int            { return blob(pointLen) + blob(0) }
 
-// evalRequestBytes is one OMPE evaluation request: M records of 1+vars
-// elements of w bytes.
+// evalRequestBytes is one OMPE evaluation request: the point seed, then
+// M records of vars elements of w bytes.
 func evalRequestBytes(p ompe.Params, vars int) int {
-	return blob(p.TotalPairs() * (1 + vars) * p.Field.ElementLen())
+	return blob(seedLen) + blob(p.TotalPairs()*vars*p.Field.ElementLen())
 }
 
 // fastBatch returns the request and response payloads of a classify-fast
 // batch of b samples: b evaluation requests and one extended k-of-n for
 // all of them, k = m genuine pairs out of n = M, each instance a tree of
 // ⌈log₂ M⌉ random 1-of-2s whose keys never travel. The response is one
-// blob: per sample, k·n 16-byte tree ciphertexts of the message keys and
-// the n evaluations once each.
+// blob: per sample, (k−1)·n 16-byte tree ciphertexts of the message keys
+// (instance 0's path digests are the keys) and the n evaluations once
+// each.
 func fastBatch(p ompe.Params, vars, b int) (req, resp int) {
 	k, n, w := p.GenuineCount(), p.TotalPairs(), p.Field.ElementLen()
 	ext := b * k * bits.Len(uint(n-1))
 	req = uvarintLen(b) + b*evalRequestBytes(p, vars) +
 		blob(kappa*((ext+7)/8)) + varintLen(ext) + varintLen(k) + varintLen(n) + varintLen(b)
-	resp = blob(b * (k*n*seedLen + n*w))
+	resp = blob(b * ((k-1)*n*seedLen + n*w))
 	return req, resp
 }
 
