@@ -53,15 +53,17 @@ type Element [Limbs]uint64
 
 var one = Element{1, 0, 0, 0}
 
-// Modulus returns p as a big integer.
-func Modulus() *big.Int {
-	return new(big.Int).SetBytes([]byte{
-		0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
-		0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xed,
-	})
-}
+// modulus is p as a big integer, built once and only ever read: the
+// math/big bridges reduce by it on every call.
+var modulus = new(big.Int).SetBytes([]byte{
+	0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff,
+	0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xed,
+})
+
+// Modulus returns a copy of p as a big integer.
+func Modulus() *big.Int { return new(big.Int).Set(modulus) }
 
 // One returns the multiplicative identity.
 func One() Element { return one }
@@ -505,7 +507,7 @@ func (z *Element) SetBig(v *big.Int) error {
 // SetBigReduce sets z to v mod p for an arbitrary big integer (mirroring
 // field.FromBig semantics).
 func (z *Element) SetBigReduce(v *big.Int) *Element {
-	r := new(big.Int).Mod(v, Modulus())
+	r := new(big.Int).Mod(v, modulus)
 	var buf [ElementLen]byte
 	r.FillBytes(buf[:])
 	// r is canonical by construction.

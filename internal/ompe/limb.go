@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"slices"
-	"sync"
 
 	"repro/internal/field"
 	"repro/internal/field/limb"
 	"repro/internal/obs"
-	"repro/internal/ot"
 	"repro/internal/parallel"
 	"repro/internal/poly"
 )
@@ -40,104 +37,107 @@ type LimbEvaluator interface {
 // exactly when the field is 2^255−19.
 func (p Params) limbBackend() bool { return p.Field.SupportsLimb() }
 
-// newReceiverLimb is the limb-engine half of NewReceiver, given the point
-// seed NewReceiver drew: same construction and rng draw order (covers,
-// subset, decoys in pair order; genuine cover evaluations in the parallel
-// region), emitting the same request form. Cover i is g_i(v) = t_i +
-// Σ_{l=1..q} a_{i,l}·v^l: all n·q coefficients come from one read, cover
-// by cover in ascending degree (the bytes of one Rand each; a zero leading
-// one, probability ≈ 2^-250, is redrawn after them), and a genuine record
-// sums each coordinate's q products over one power table of its point,
-// reduced once.
-func newReceiverLimb(params Params, input field.Vec, seed []byte, rng io.Reader) (*Receiver, *EvalRequest, error) {
-	n, q := len(input), params.MaskDegree
-	lin := make([]limb.Element, n)
+// limbScratch is one worker's scratch for building limb requests of n
+// components, reused from sample to sample. Each sample overwrites every
+// part it reads — its input, its covers, its genuine marks, its points'
+// keystream — before reading it, so no value crosses from one sample to
+// the next.
+type limbScratch struct {
+	lin       []limb.Element // t_j = α_j, the cover constants
+	covers    []limb.Element // a_{j,1..q}, cover by cover
+	pow       []limb.Element // v, v², …, v^q of one point
+	isGenuine []bool
+	pts       pointExpander
+	decoySpan obs.Span
+}
+
+func newLimbScratch(params Params, n int) *limbScratch {
+	q, total := params.MaskDegree, params.TotalPairs()
+	sc := new(limbScratch)
+	el := make([]limb.Element, n+n*q+q)
+	sc.lin, sc.covers, sc.pow = el[:n:n], el[n:n+n*q:n+n*q], el[n+n*q:]
+	sc.isGenuine = make([]bool, total)
+	sc.pts.init(total)
+	return sc
+}
+
+// setInput sets the cover constants from an input of n components that
+// checkInput accepted, so every component converts.
+func (sc *limbScratch) setInput(input field.Vec) {
 	for i, x := range input {
-		if err := lin[i].SetBig(x); err != nil {
-			return nil, nil, fmt.Errorf("%w: input component %d not in field", ErrParams, i)
-		}
+		_ = sc.lin[i].SetBig(x)
+	}
+}
+
+// draw makes one sample's draws, in the order of the serial construction:
+// the point seed; the n·q cover coefficients in one read, cover by cover
+// in ascending degree (a zero leading one, probability ≈ 2^-250, redrawn
+// after them); the genuine subset; then each decoy record's n components
+// in one read straight into its slot of packed, in pair order. It
+// returns the genuine indices, a prefix of perm.
+func (sc *limbScratch) draw(params Params, d *drawer, seed []byte, perm []int, packed []byte) ([]int, error) {
+	if _, err := io.ReadFull(d.rng, seed); err != nil {
+		return nil, err
 	}
 
 	maskSpan := obs.Start(obs.PhaseReceiverMask)
-	covers := make([]limb.Element, n*q)
-	if err := limb.RandElements(rng, covers); err != nil {
-		return nil, nil, err
+	if err := d.elements(sc.covers); err != nil {
+		return nil, err
 	}
-	for i := q - 1; i < len(covers); i += q {
-		if covers[i].IsZero() {
-			if err := covers[i].RandNonZero(rng); err != nil {
-				return nil, nil, err
-			}
+	q := len(sc.pow)
+	for i := q; i <= len(sc.covers); i += q {
+		if err := d.nonZeroLast(sc.covers[:i]); err != nil {
+			return nil, err
 		}
 	}
 	if coverTrace != nil {
-		coverTrace(covers)
+		coverTrace(sc.covers)
 	}
 	maskSpan.End()
 
-	decoySpan := obs.Start(obs.PhaseReceiverDecoy)
-	total := params.TotalPairs()
-	points := make([]limb.Element, total)
-	if err := distinctNonZeroLimb(points, ot.NewKeystream(seed)); err != nil {
-		return nil, nil, err
-	}
-	genuine, err := randomSubset(total, params.GenuineCount(), rng)
+	sc.decoySpan = obs.Start(obs.PhaseReceiverDecoy)
+	genuine, err := d.subset(perm, params.GenuineCount())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	isGenuine := make([]bool, total)
-	for _, idx := range genuine {
-		isGenuine[idx] = true
+	clear(sc.isGenuine)
+	for _, i := range genuine {
+		sc.isGenuine[i] = true
 	}
-
-	// Serial decoy draws in pair order, then parallel pure-arithmetic
-	// cover evaluations — the same stream discipline as the big engine,
-	// so the request is deterministic at any worker count.
-	stride := packedStride(params.Field, n)
-	packed := make([]byte, total*stride)
-	for i := 0; i < total; i++ {
-		if isGenuine[i] {
+	// A decoy's n components take one read: RandBytes consumes the same
+	// rng bytes, and yields the same canonical encodings, as one
+	// Rand+PutBytes per component.
+	stride := len(sc.lin) * limb.ElementLen
+	for i, g := range sc.isGenuine {
+		if g {
 			continue
 		}
-		// A decoy's n components are drawn straight into their wire
-		// slots in one read: RandBytes consumes the same rng bytes in the
-		// same order, and yields the same canonical encodings, as one
-		// Rand+PutBytes per component.
-		if err := limb.RandBytes(rng, packed[i*stride:(i+1)*stride]); err != nil {
-			return nil, nil, err
+		if err := limb.RandBytes(d.rng, packed[i*stride:(i+1)*stride]); err != nil {
+			return nil, err
 		}
 	}
-	powers := make([]limb.Element, total*q)
-	_ = parallel.For(total, func(i int) error {
-		if !isGenuine[i] {
-			return nil
-		}
-		rec := packed[i*stride : (i+1)*stride]
-		pow := powers[i*q : (i+1)*q]
-		pow[0] = points[i]
-		for l := 1; l < q; l++ {
-			pow[l].Mul(&pow[l-1], &points[i])
-		}
-		var y limb.Element
-		for j := range lin {
-			var s limb.Sum
-			s.Add(&lin[j])
-			a := covers[j*q : (j+1)*q]
-			for l := range a {
-				s.MulAdd(&a[l], &pow[l])
-			}
-			s.Reduce(&y).PutBytes(rec[j*limb.ElementLen : (j+1)*limb.ElementLen])
-		}
-		return nil
-	})
-	decoySpan.End()
+	return genuine, nil
+}
 
-	r := &Receiver{
-		params: params,
-		state:  receiverAwaitingSetup,
-		query:  query{lpoints: points, genuine: genuine},
+// coverRecord writes one genuine record, G(v): coordinate j is
+// t_j + Σ_{l=1..q} a_{j,l}·v^l, its q products summed over one power
+// table of v and reduced once into pow, q elements of scratch.
+func coverRecord(rec []byte, lin, covers, pow []limb.Element, v *limb.Element) {
+	q := len(pow)
+	pow[0] = *v
+	for l := 1; l < q; l++ {
+		pow[l].Mul(&pow[l-1], v)
 	}
-	return r, &EvalRequest{Seed: seed, Packed: packed}, nil
+	var y limb.Element
+	for j := range lin {
+		var s limb.Sum
+		s.Add(&lin[j])
+		a := covers[j*q : (j+1)*q]
+		for l := range a {
+			s.MulAdd(&a[l], &pow[l])
+		}
+		s.Reduce(&y).PutBytes(rec[j*limb.ElementLen : (j+1)*limb.ElementLen])
+	}
 }
 
 // coverTrace, when set, sees every sample's cover coefficients, a_{i,1..q}
@@ -145,101 +145,80 @@ func newReceiverLimb(params Params, input field.Vec, seed []byte, rng io.Reader)
 // two samples share a cover; when nil it costs one comparison.
 var coverTrace func(coeffs []limb.Element)
 
-// distinctNonZeroLimb fills out with distinct non-zero limb elements,
-// len(out) in one read and then one at a time for any zero or repeat:
-// the bytes and result of one RandNonZero per element. A request has a
-// few dozen points at most, so a linear rescan beats allocating and
-// hashing a dedup map on every query.
-func distinctNonZeroLimb(out []limb.Element, rng io.Reader) error {
-	n := len(out)
-	if err := limb.RandElements(rng, out); err != nil {
-		return err
-	}
-	// The kept prefix never passes the draw it is compacted from.
-	kept := 0
-	for i := 0; kept < n; i++ {
-		var x limb.Element
-		if i < n {
-			x = out[i]
-		} else if err := x.Rand(rng); err != nil {
-			return err
-		}
-		if !x.IsZero() && !slices.Contains(out[:kept], x) {
-			out[kept] = x
-			kept++
-		}
-	}
-	return nil
+// limbMasks is the sender's per-sample state on the limb engine for a
+// batch of requests: sample s's amplifier, masking polynomial and
+// expanded points (at s·M) — and the shift, the same for every sample.
+type limbMasks struct {
+	points []limb.Element
+	amps   []limb.Element
+	hs     []poly.LimbPoly
+	shift  limb.Element
 }
 
-// flatPool recycles the parsed-record buffers of parseRequestLimb: the
-// sender decodes one per sample, and at batch sizes in the tens of
-// samples the per-query slice was a measurable share of the serving
-// allocation profile. putFlat returns a buffer once the masking pass is
-// done with it.
-var flatPool sync.Pool
-
-func getFlat(n int) []limb.Element {
-	if v := flatPool.Get(); v != nil {
-		s := v.([]limb.Element)
-		if cap(s) >= n {
-			return s[:n]
+// drawLimbMasks draws every sample's amplifier and then masking
+// polynomial, serially in sample order, into one slab per kind, and
+// expands each sample's points from its seed. A non-nil pinned amplifier
+// replaces every amplifier draw. The amplifier reads what
+// drawer.amplifier reads and h what poly.RandomLimb(rng, D, 0) reads: a
+// fresh h with h(0) = 0 and degree D, which cancels at the interpolation
+// point and drowns P's coefficients everywhere else (§IV-A.1).
+func drawLimbMasks(params Params, reqs []*EvalRequest, pinned *big.Int, rng io.Reader) (*limbMasks, error) {
+	total, deg := params.TotalPairs(), params.ComposedDegree()
+	d := newDrawer(rng)
+	pts := newPointExpander(total)
+	coeffs := make([]limb.Element, len(reqs)*(deg+1))
+	lm := &limbMasks{
+		points: make([]limb.Element, len(reqs)*total),
+		amps:   make([]limb.Element, len(reqs)),
+		hs:     make([]poly.LimbPoly, len(reqs)),
+	}
+	for s, req := range reqs {
+		if pinned != nil {
+			lm.amps[s].SetBigReduce(pinned)
+		} else if err := d.amplifierLimb(params.amplifierBitsOrDefault(), &lm.amps[s]); err != nil {
+			return nil, err
+		}
+		// h(0) = 0: the constant term stays the slab's zero.
+		h := coeffs[s*(deg+1) : (s+1)*(deg+1)]
+		if err := d.elements(h[1:]); err != nil {
+			return nil, err
+		}
+		if err := d.nonZeroLast(h); err != nil {
+			return nil, err
+		}
+		lm.hs[s] = poly.LimbPolyOf(h)
+		if err := pts.expand(lm.points[s*total:(s+1)*total], req.Seed); err != nil {
+			return nil, err
 		}
 	}
-	return make([]limb.Element, n)
+	return lm, nil
 }
 
-func putFlat(s []limb.Element) { flatPool.Put(s) } //nolint:staticcheck // slice header churn is fine here
-
-// parseRequestLimb is parseRequest on the limb engine: it decodes and
-// fully validates a shape-checked request into one flat slice, the M
-// expanded evaluation points first and then the records, z_i at
-// flat[M+i*numVars:]. The slice comes from flatPool; callers hand it back
-// via putFlat when done.
-func parseRequestLimb(params Params, numVars int, req *EvalRequest) ([]limb.Element, error) {
-	total := params.TotalPairs()
-	flat := getFlat(total * (1 + numVars))
-	zs := flat[total:]
-	for i := range zs {
-		if err := zs[i].SetBytes(req.Packed[i*limb.ElementLen : (i+1)*limb.ElementLen]); err != nil {
-			putFlat(flat)
-			return nil, componentError(i/numVars, i%numVars)
-		}
-	}
-	if err := distinctNonZeroLimb(flat[:total], ot.NewKeystream(req.Seed)); err != nil {
-		putFlat(flat)
-		return nil, err
-	}
-	return flat, nil
-}
-
-// maskedSampleLimbWith is the limb engine's sender core for one sample:
-// parse and validate the request, then compute every pair's
-// y_i = h(v_i) + amp·P(z_i) + shift into a single flat buffer (one
-// 32-byte slot per pair). Every rng draw (drawSenderMask) already
-// happened, so it can run inside a parallel region; the batch path fans
-// samples out across workers, each of which fans its pairs out again.
-func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
-	numVars := eval.NumVars()
-	flat, err := parseRequestLimb(params, numVars, req)
-	if err != nil {
-		return nil, err
-	}
-	var amp, sh limb.Element
-	amp.SetBigReduce(amplifier)
-	sh.SetBigReduce(shift)
-
-	total := params.TotalPairs()
-	points, zs := flat[:total], flat[total:]
-	buf := make([]byte, total*limb.ElementLen)
-	msgs := make([][]byte, total)
+// maskLimb is the limb engine's sender core: for every (sample, pair)
+// unit of shape-checked requests, in one fan-out, it parses and validates
+// the pair's record and writes y_i = h(v_i) + amp·P(z_i) + shift into one
+// 32-byte slot. Every draw is already in lm, so nothing here reads an
+// rng.
+func maskLimb(params Params, eval Evaluator, reqs []*EvalRequest, lm *limbMasks) ([][][]byte, error) {
+	numVars, total := eval.NumVars(), params.TotalPairs()
+	stride := numVars * limb.ElementLen
+	out := make([]byte, len(reqs)*total*limb.ElementLen)
 	le, native := eval.(LimbEvaluator)
-	f := params.Field
-	perr := parallel.For(total, func(i int) error {
-		z := zs[i*numVars : (i+1)*numVars]
-		var pv, y limb.Element
+	// A worker's scratch is one parsed record z and then P(z), which
+	// escapes through the LimbEvaluator interface, so it lives here
+	// rather than on the stack.
+	newScratch := func() []limb.Element { return make([]limb.Element, numVars+1) }
+	err := parallel.ForEach(len(reqs)*total, newScratch, func(sc []limb.Element, u int) error {
+		s, i := u/total, u%total
+		rec := reqs[s].Packed[i*stride : (i+1)*stride]
+		z, pv := sc[:numVars], &sc[numVars]
+		for j := range z {
+			if err := z[j].SetBytes(rec[j*limb.ElementLen : (j+1)*limb.ElementLen]); err != nil {
+				return componentError(i, j)
+			}
+		}
 		if native {
-			if err := le.EvalLimb(z, &pv); err != nil {
+			if err := le.EvalLimb(z, pv); err != nil {
 				return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 			}
 		} else {
@@ -251,20 +230,32 @@ func maskedSampleLimbWith(params Params, eval Evaluator, h *poly.LimbPoly, ampli
 			if err != nil {
 				return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 			}
-			pv.SetBigReduce(f.Reduce(v))
+			pv.SetBigReduce(v)
 		}
-		h.EvalInto(&y, &points[i])
-		pv.Mul(&pv, &amp)
-		y.Add(&y, &pv)
-		y.Add(&y, &sh)
-		m := buf[i*limb.ElementLen : (i+1)*limb.ElementLen]
-		y.PutBytes(m)
-		msgs[i] = m
+		var y limb.Element
+		lm.hs[s].EvalInto(&y, &lm.points[u])
+		pv.Mul(pv, &lm.amps[s])
+		y.Add(&y, pv)
+		y.Add(&y, &lm.shift)
+		y.PutBytes(out[u*limb.ElementLen:])
 		return nil
 	})
-	putFlat(flat)
-	if perr != nil {
-		return nil, perr
+	if err != nil {
+		return nil, err
 	}
-	return msgs, nil
+	return msgViews(out, len(reqs), total, limb.ElementLen), nil
+}
+
+// msgViews splits a batch's packed evaluations, w bytes each, into the
+// per-sample message lists the transfer takes.
+func msgViews(out []byte, b, total, w int) [][][]byte {
+	views := make([][]byte, b*total)
+	for u := range views {
+		views[u] = out[u*w : (u+1)*w : (u+1)*w]
+	}
+	msgs := make([][][]byte, b)
+	for s := range msgs {
+		msgs[s] = views[s*total : (s+1)*total : (s+1)*total]
+	}
+	return msgs
 }

@@ -306,10 +306,10 @@ func TestLimbReceiverMatchesPerCoordinateCovers(t *testing.T) {
 			}
 			total := params.TotalPairs()
 			points := make([]limb.Element, total)
-			if err := distinctNonZeroLimb(points, ot.NewKeystream(pointSeed)); err != nil {
+			if err := newDrawer(ot.NewKeystream(pointSeed)).distinctNonZeroLimb(points); err != nil {
 				t.Fatal(err)
 			}
-			genuine, err := randomSubset(total, params.GenuineCount(), rng)
+			genuine, err := newDrawer(rng).subset(make([]int, total), params.GenuineCount())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -422,7 +422,7 @@ func TestDistinctNonZeroLimbRejects(t *testing.T) {
 	copy(seed[3*limb.ElementLen:4*limb.ElementLen], seed[2*limb.ElementLen:3*limb.ElementLen])
 	rng := bytes.NewReader(seed)
 	got := make([]limb.Element, n)
-	if err := distinctNonZeroLimb(got, rng); err != nil {
+	if err := newDrawer(rng).distinctNonZeroLimb(got); err != nil {
 		t.Fatal(err)
 	}
 	if rng.Len() != 0 {

@@ -29,7 +29,6 @@
 package ompe
 
 import (
-	"crypto/rand"
 	"errors"
 	"fmt"
 	"io"
@@ -37,6 +36,7 @@ import (
 	"math/big"
 
 	"repro/internal/field"
+	"repro/internal/field/limb"
 	"repro/internal/obs"
 	"repro/internal/ot"
 	"repro/internal/parallel"
@@ -67,7 +67,8 @@ type Evaluator interface {
 	NumVars() int
 	// Eval evaluates the polynomial at a field point. Eval must be safe
 	// for concurrent use: the sender fans the M request pairs out across
-	// GOMAXPROCS workers. Every evaluator in this repository
+	// GOMAXPROCS workers. It must not keep x, whose backing array the
+	// worker reuses for its next pair. Every evaluator in this repository
 	// qualifies — they read shared encoded state and allocate per-call
 	// scratch.
 	Eval(x field.Vec) (*big.Int, error)
@@ -161,26 +162,6 @@ func (p Params) amplifierBitsOrDefault() int {
 		return DefaultAmplifierBits
 	}
 	return p.AmplifierBits
-}
-
-// sampleAmplifier draws a log-uniform positive amplifier: a uniform
-// exponent e in [0, bits), then a uniform value in [2^e, 2^(e+1)). A
-// log-uniform r_a makes the amplified value's magnitude scale-free, so a
-// colluding client pool cannot even regress on expected magnitudes — the
-// estimates of Fig. 5 "keep rambling" at every pool size.
-func sampleAmplifier(rng io.Reader, bits int) (*big.Int, error) {
-	eBig, err := rand.Int(rng, big.NewInt(int64(bits)))
-	if err != nil {
-		return nil, err
-	}
-	e := uint(eBig.Int64())
-	lo := new(big.Int).Lsh(big.NewInt(1), e)
-	span := new(big.Int).Set(lo) // [2^e, 2^(e+1)) has width 2^e
-	off, err := rand.Int(rng, span)
-	if err != nil {
-		return nil, err
-	}
-	return lo.Add(lo, off), nil
 }
 
 // EvalRequest is the receiver's first message: a seed from which both
@@ -281,20 +262,12 @@ func (s *Sender) HandleRequest(req *EvalRequest, rng io.Reader) (*ot.BatchSetup,
 		return nil, err
 	}
 
-	// A batch of one of the session sender's core: the amplifier (unless
-	// pinned) and a fresh masking polynomial h with h(0)=0 and degree D,
-	// which cancels at the interpolation point and drowns P's
-	// coefficients everywhere else (§IV-A.1).
 	maskSpan := obs.Start(obs.PhaseSenderMask)
-	m, err := drawSenderMask(s.params, s.fixedAmplifier, rng)
+	msgs, amp, err := maskOne(s.params, s.eval, s.fixedAmplifier, s.shift, req, rng)
 	if err != nil {
 		return nil, err
 	}
-	s.amplifier = m.amp
-	msgs, err := maskedSampleWith(s.params, s.eval, m, s.shift, req)
-	if err != nil {
-		return nil, err
-	}
+	s.amplifier = amp
 	maskSpan.End()
 
 	batch, setup, err := ot.NewBatchSender(s.params.Group, msgs, s.params.GenuineCount(), rng)
@@ -338,29 +311,6 @@ func validateEvalRequest(params Params, numVars int, req *EvalRequest) error {
 	return nil
 }
 
-// parseRequest decodes and fully validates a shape-checked request on
-// the math/big engine, returning its expanded evaluation points and its
-// records as a flat slice of numVars-element groups, z_i at
-// zs[i*numVars:].
-func parseRequest(params Params, numVars int, req *EvalRequest) (points []*big.Int, zs field.Vec, err error) {
-	f := params.Field
-	elen := f.ElementLen()
-	total := params.TotalPairs()
-	zs = make(field.Vec, total*numVars)
-	for i := range zs {
-		x, err := f.FromBytes(req.Packed[i*elen : (i+1)*elen])
-		if err != nil {
-			return nil, nil, componentError(i/numVars, i%numVars)
-		}
-		zs[i] = x
-	}
-	points, err = expandPoints(f, total, req.Seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return points, zs, nil
-}
-
 type receiverState int
 
 const (
@@ -382,94 +332,133 @@ type Receiver struct {
 // returns the evaluation request. numVars is the sender polynomial's arity
 // and must equal len(input).
 func NewReceiver(params Params, input field.Vec, rng io.Reader) (*Receiver, *EvalRequest, error) {
-	if len(input) == 0 {
-		return nil, nil, fmt.Errorf("%w: empty input", ErrParams)
-	}
-	if err := params.validateFor(len(input)); err != nil {
+	if err := checkInput(params, input); err != nil {
 		return nil, nil, err
 	}
-	f := params.Field
-	for i, x := range input {
-		if x == nil || !f.Contains(x) {
-			return nil, nil, fmt.Errorf("%w: input component %d not in field", ErrParams, i)
-		}
-	}
-	// The point seed is the first draw on both engines.
-	seed := make([]byte, ot.SeedLen)
-	if _, err := io.ReadFull(rng, seed); err != nil {
-		return nil, nil, err
-	}
+	// A batch of one whose genuine records fan out over its pairs.
+	b := newBatchBuild(params, []field.Vec{input}, rng)
 	if params.limbBackend() {
-		return newReceiverLimb(params, input, seed, rng)
-	}
-
-	// Cover polynomials: g_i(0) = α_i, random elsewhere (§IV-A.2).
-	maskSpan := obs.Start(obs.PhaseReceiverMask)
-	covers := make([]*poly.Poly, len(input))
-	for i := range input {
-		g, err := poly.Random(f, rng, params.MaskDegree, input[i])
-		if err != nil {
+		sc := b.newLimbScratch()
+		if err := b.drawLimb(sc, 0); err != nil {
 			return nil, nil, err
 		}
-		covers[i] = g
+		if err := b.prepLimb(sc, 0); err != nil {
+			return nil, nil, err
+		}
+		newPow := func() []limb.Element { return make([]limb.Element, params.MaskDegree) }
+		_ = parallel.ForEach(len(b.queries[0].genuine), newPow, func(pow []limb.Element, j int) error {
+			b.recordLimb(sc, pow, 0, j)
+			return nil
+		})
+		sc.decoySpan.End()
+	} else {
+		sc := b.newBigScratch()
+		if err := b.drawBig(sc, 0); err != nil {
+			return nil, nil, err
+		}
+		if err := b.prepBig(sc, 0); err != nil {
+			return nil, nil, err
+		}
+		_ = parallel.For(len(b.queries[0].genuine), func(j int) error {
+			b.recordBig(sc, 0, j)
+			return nil
+		})
+		sc.decoySpan.End()
+	}
+	r := &Receiver{
+		params: params,
+		state:  receiverAwaitingSetup,
+		query:  b.queries[0],
+	}
+	return r, b.request(0), nil
+}
+
+// checkInput checks an input vector against the parameters: non-empty,
+// a request for it fits the wire, every component in the field.
+func checkInput(params Params, input field.Vec) error {
+	if len(input) == 0 {
+		return fmt.Errorf("%w: empty input", ErrParams)
+	}
+	if err := params.validateFor(len(input)); err != nil {
+		return err
+	}
+	for i, x := range input {
+		if x == nil || !params.Field.Contains(x) {
+			return fmt.Errorf("%w: input component %d not in field", ErrParams, i)
+		}
+	}
+	return nil
+}
+
+// bigScratch is one worker's scratch for building math/big requests,
+// reused from sample to sample; each sample overwrites every part it
+// reads before reading it.
+type bigScratch struct {
+	covers    []*poly.Poly
+	isGenuine []bool
+	decoySpan obs.Span
+}
+
+func newBigScratch(params Params, n int) *bigScratch {
+	return &bigScratch{covers: make([]*poly.Poly, n), isGenuine: make([]bool, params.TotalPairs())}
+}
+
+// draw is limbScratch.draw on the math/big engine: the point seed, one
+// cover polynomial per input component with g_j(0) = α_j (§IV-A.2), the
+// genuine subset, then every decoy component in pair order — uniform
+// garbage indistinguishable from cover values.
+func (sc *bigScratch) draw(params Params, d *drawer, input field.Vec, seed []byte, perm []int, packed []byte) ([]int, error) {
+	f := params.Field
+	if _, err := io.ReadFull(d.rng, seed); err != nil {
+		return nil, err
+	}
+
+	maskSpan := obs.Start(obs.PhaseReceiverMask)
+	for i := range input {
+		g, err := poly.Random(f, d.rng, params.MaskDegree, input[i])
+		if err != nil {
+			return nil, err
+		}
+		sc.covers[i] = g
 	}
 	maskSpan.End()
 
-	decoySpan := obs.Start(obs.PhaseReceiverDecoy)
-	total := params.TotalPairs()
-	points, err := expandPoints(f, total, seed)
+	sc.decoySpan = obs.Start(obs.PhaseReceiverDecoy)
+	genuine, err := d.subset(perm, params.GenuineCount())
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	genuine, err := randomSubset(total, params.GenuineCount(), rng)
-	if err != nil {
-		return nil, nil, err
+	clear(sc.isGenuine)
+	for _, i := range genuine {
+		sc.isGenuine[i] = true
 	}
-	isGenuine := make(map[int]bool, len(genuine))
-	for _, idx := range genuine {
-		isGenuine[idx] = true
-	}
-
-	// Draw every decoy component serially, in pair order — exactly the
-	// stream the fully serial construction consumes — then evaluate the
-	// genuine pairs' cover tuples across the worker pool. crypto/rand
-	// draws never happen inside the parallel region, so the request is
-	// deterministic given a locked rng at any worker count.
 	elen := f.ElementLen()
 	stride := packedStride(f, len(input))
-	packed := make([]byte, total*stride)
-	for i := 0; i < total; i++ {
-		if isGenuine[i] {
+	for i, g := range sc.isGenuine {
+		if g {
 			continue
 		}
-		// Decoy: uniform garbage indistinguishable from cover values.
 		rec := packed[i*stride : (i+1)*stride]
 		for j := range input {
-			x, err := f.Rand(rng)
+			x, err := f.Rand(d.rng)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			x.FillBytes(rec[j*elen : (j+1)*elen])
 		}
 	}
-	_ = parallel.For(total, func(i int) error {
-		if !isGenuine[i] {
-			return nil
-		}
-		rec := packed[i*stride : (i+1)*stride]
-		for j, g := range covers {
-			g.Eval(points[i]).FillBytes(rec[j*elen : (j+1)*elen])
-		}
-		return nil
-	})
-	decoySpan.End()
+	return genuine, nil
+}
 
-	r := &Receiver{
-		params: params,
-		state:  receiverAwaitingSetup,
-		query:  query{points: points, genuine: genuine},
+// record writes genuine pair i's record, the cover tuple G(v_i), into
+// packed.
+func (sc *bigScratch) record(f *field.Field, packed []byte, points []*big.Int, i int) {
+	elen := f.ElementLen()
+	stride := len(sc.covers) * elen
+	rec := packed[i*stride : (i+1)*stride]
+	for j, g := range sc.covers {
+		g.Eval(points[i]).FillBytes(rec[j*elen : (j+1)*elen])
 	}
-	return r, &EvalRequest{Seed: seed, Packed: packed}, nil
 }
 
 // HandleSetup consumes the sender's OT setup and produces the receiver's
@@ -532,58 +521,48 @@ func distinctNonZero(f *field.Field, n int, rng io.Reader) ([]*big.Int, error) {
 	return out, nil
 }
 
-// randomSubset samples a uniform m-subset of [0, n) in increasing order
-// via a partial Fisher–Yates shuffle with cryptographic randomness.
-func randomSubset(n, m int, rng io.Reader) ([]int, error) {
-	if m > n {
-		return nil, fmt.Errorf("%w: subset %d of %d", ErrParams, m, n)
-	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for i := 0; i < m; i++ {
-		jBig, err := rand.Int(rng, big.NewInt(int64(n-i)))
-		if err != nil {
-			return nil, err
-		}
-		j := i + int(jBig.Int64())
-		perm[i], perm[j] = perm[j], perm[i]
-	}
-	return perm[:m], nil
+// bigMasks is limbMasks on the math/big engine: sample s's expanded
+// points and pre-drawn mask, and the shift.
+type bigMasks struct {
+	points [][]*big.Int
+	masks  []senderMask
+	shift  *big.Int
 }
 
-// maskedEvaluations computes the sender's arithmetic core: one masked,
-// amplified, shifted evaluation per request pair, serialized for OT. Each
-// pair's h(v_i) + amp·P(z_i) + shift is independent, so the M pairs are
-// chunked across the worker pool; a failing pair stops the batch and
-// surfaces the lowest-indexed error without deadlocking the pool.
-func maskedEvaluations(params Params, eval Evaluator, h *poly.Poly, amplifier, shift *big.Int, req *EvalRequest) ([][]byte, error) {
-	numVars := eval.NumVars()
-	points, zs, err := parseRequest(params, numVars, req)
-	if err != nil {
-		return nil, err
-	}
+// maskBig is maskLimb on the math/big engine: one fan-out over every
+// (sample, pair) unit, each parsing and validating its record and
+// writing h(v_i) + amp·P(z_i) + shift. A failing unit stops the fan-out
+// and surfaces the lowest-indexed error without deadlocking the pool.
+func maskBig(params Params, eval Evaluator, reqs []*EvalRequest, bm *bigMasks) ([][][]byte, error) {
 	f := params.Field
-	msgs := make([][]byte, params.TotalPairs())
-	reducedShift := f.Reduce(shift)
-	err = parallel.For(len(msgs), func(i int) error {
-		pv, err := eval.Eval(zs[i*numVars : (i+1)*numVars : (i+1)*numVars])
+	numVars, total, elen := eval.NumVars(), params.TotalPairs(), f.ElementLen()
+	stride := packedStride(f, numVars)
+	out := make([]byte, len(reqs)*total*elen)
+	shift := f.Reduce(bm.shift)
+	newScratch := func() field.Vec { return make(field.Vec, numVars) }
+	err := parallel.ForEach(len(reqs)*total, newScratch, func(z field.Vec, u int) error {
+		s, i := u/total, u%total
+		rec := reqs[s].Packed[i*stride : (i+1)*stride]
+		for j := range z {
+			x, err := f.FromBytes(rec[j*elen : (j+1)*elen])
+			if err != nil {
+				return componentError(i, j)
+			}
+			z[j] = x
+		}
+		pv, err := eval.Eval(z)
 		if err != nil {
 			return fmt.Errorf("ompe: evaluate pair %d: %w", i, err)
 		}
-		y := f.Add(h.Eval(points[i]), f.Add(f.Mul(amplifier, pv), reducedShift))
-		b, err := f.Bytes(y)
-		if err != nil {
-			return err
-		}
-		msgs[i] = b
+		m := bm.masks[s]
+		y := f.Add(m.h.Eval(bm.points[s][i]), f.Add(f.Mul(m.amp, pv), shift))
+		y.FillBytes(out[u*elen : (u+1)*elen])
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return msgs, nil
+	return msgViews(out, len(reqs), total, elen), nil
 }
 
 // MaskedEvaluations exposes the sender's arithmetic core (fresh masking
@@ -597,9 +576,6 @@ func MaskedEvaluations(params Params, eval Evaluator, req *EvalRequest, rng io.R
 	if err := validateEvalRequest(params, eval.NumVars(), req); err != nil {
 		return nil, err
 	}
-	m, err := drawSenderMask(params, nil, rng)
-	if err != nil {
-		return nil, err
-	}
-	return maskedSampleWith(params, eval, m, zeroShift, req)
+	msgs, _, err := maskOne(params, eval, nil, zeroShift, req, rng)
+	return msgs, err
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/field"
+	"repro/internal/field/limb"
 	"repro/internal/mvpoly"
 	"repro/internal/ot"
 	"repro/internal/poly"
@@ -379,17 +380,16 @@ func TestSeedExpandsToReceiverPoints(t *testing.T) {
 			t.Helper()
 			total := params.TotalPairs()
 			if params.limbBackend() {
-				flat, err := parseRequestLimb(params, numVars, req)
-				if err != nil {
+				points := make([]limb.Element, total)
+				if err := newPointExpander(total).expand(points, req.Seed); err != nil {
 					t.Fatal(err)
 				}
-				if !slices.Equal(flat[:total], q.lpoints) {
+				if !slices.Equal(points, q.lpoints) {
 					t.Errorf("%d bits, %s: the sender's points differ from the receiver's", f.Bits(), name)
 				}
-				putFlat(flat)
 				return
 			}
-			points, _, err := parseRequest(params, numVars, req)
+			points, err := expandPoints(f, total, req.Seed)
 			if err != nil {
 				t.Fatal(err)
 			}

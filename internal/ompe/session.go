@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 
 	"repro/internal/field"
 	"repro/internal/field/limb"
@@ -173,8 +174,14 @@ func interpolateQueries(params Params, qs []query, raw [][][]byte) ([]*big.Int, 
 	if err := ip.AtZeroBatch(nodes, res); err != nil {
 		return nil, err
 	}
+	// Every result's big.Int and words come from one slab each.
+	const w = limb.ElementLen / (bits.UintSize / 8)
+	ints := make([]big.Int, len(res))
+	words := make([]big.Word, len(res)*w)
+	var buf [limb.ElementLen]byte
 	for i := range res {
-		out[i] = res[i].ToBig()
+		res[i].PutBytes(buf[:])
+		out[i] = ints[i].SetBits(words[i*w : i*w : (i+1)*w]).SetBytes(buf[:])
 	}
 	return out, nil
 }
@@ -193,13 +200,15 @@ func interpolateTransferred(f *field.Field, raw [][]byte, points []*big.Int, ind
 	return poly.InterpolateAtZero(f, pts)
 }
 
-// The receiver builds B independent cover/decoy constructions (serial
-// randomness, so wire bytes stay deterministic under a fixed rng at any
-// worker count) and opens one k-of-n transfer per sample over a single IKNP
-// extension round. The sender draws B fresh (mask, amplifier) pairs —
-// per-sample masks are independent, so each sample's privacy argument is
-// exactly that of one query; batching shares only the (index-hiding)
-// extension.
+// The receiver builds B independent cover/decoy constructions and opens
+// one k-of-n transfer per sample over a single IKNP extension round; the
+// sender draws B fresh (mask, amplifier) pairs — per-sample masks are
+// independent, so each sample's privacy argument is exactly that of one
+// query; batching shares only the (index-hiding) extension. Each side
+// runs one fan-out per batch: the receiver's over samples, every draw in
+// its ordered section, and the sender's over every (sample, pair) unit,
+// after drawing serially. Draws stay in sample order, so wire bytes are
+// deterministic under a fixed rng at any worker count.
 
 // FastBatchRequest is the receiver's single message for B samples.
 type FastBatchRequest struct {
@@ -219,86 +228,262 @@ type SessionBatch struct {
 	ext     *ot.ExtKofNBatchQuery
 }
 
-// NewBatch opens one batched query covering all inputs.
+// batchBuild is one batch's receiver-side construction, and the one-shot
+// receiver's as a batch of one. Every per-sample object comes from one
+// slab per kind, made fresh for the batch, sample s owning the s-th run
+// of each; the n-sized intermediates live in per-worker scratch instead.
+type batchBuild struct {
+	params  Params
+	inputs  []field.Vec
+	d       *drawer // read only inside the ordered draw section
+	seeds   []byte
+	packed  []byte
+	perm    []int
+	points  []limb.Element // limb engine only
+	evals   []EvalRequest
+	queries []query
+}
+
+// newBatchBuild allocates the slabs for inputs, which checkInput accepted
+// and which share one width.
+func newBatchBuild(params Params, inputs []field.Vec, rng io.Reader) *batchBuild {
+	B, total := len(inputs), params.TotalPairs()
+	b := &batchBuild{
+		params:  params,
+		inputs:  inputs,
+		d:       newDrawer(rng),
+		seeds:   make([]byte, B*ot.SeedLen),
+		packed:  make([]byte, B*total*packedStride(params.Field, len(inputs[0]))),
+		perm:    make([]int, B*total),
+		evals:   make([]EvalRequest, B),
+		queries: make([]query, B),
+	}
+	if params.limbBackend() {
+		b.points = make([]limb.Element, B*total)
+	}
+	return b
+}
+
+// seed, records and perms return sample s's runs of their slabs.
+func (b *batchBuild) seed(s int) []byte {
+	return b.seeds[s*ot.SeedLen : (s+1)*ot.SeedLen : (s+1)*ot.SeedLen]
+}
+
+func (b *batchBuild) records(s int) []byte {
+	n := len(b.packed) / len(b.inputs)
+	return b.packed[s*n : (s+1)*n : (s+1)*n]
+}
+
+func (b *batchBuild) perms(s int) []int {
+	total := b.params.TotalPairs()
+	return b.perm[s*total : (s+1)*total]
+}
+
+// request returns sample s's evaluation request.
+func (b *batchBuild) request(s int) *EvalRequest {
+	b.evals[s] = EvalRequest{Seed: b.seed(s), Packed: b.records(s)}
+	return &b.evals[s]
+}
+
+// A sample's construction runs in three steps on one worker: draw, its
+// every rng read (in the ordered section on a batch); prep, which
+// expands its points; and one recordX call per genuine pair j, which
+// writes the pair's cover tuple. A batch runs the records on the
+// sample's worker (buildX); the one-shot receiver fans them out.
+
+func (b *batchBuild) newLimbScratch() *limbScratch { return newLimbScratch(b.params, len(b.inputs[0])) }
+
+func (b *batchBuild) drawLimb(sc *limbScratch, s int) error {
+	genuine, err := sc.draw(b.params, b.d, b.seed(s), b.perms(s), b.records(s))
+	if err != nil {
+		return err
+	}
+	total := b.params.TotalPairs()
+	b.queries[s] = query{lpoints: b.points[s*total : (s+1)*total], genuine: genuine}
+	return nil
+}
+
+func (b *batchBuild) prepLimb(sc *limbScratch, s int) error {
+	sc.setInput(b.inputs[s])
+	return sc.pts.expand(b.queries[s].lpoints, b.seed(s))
+}
+
+// recordLimb writes sample s's genuine record j, with pow as its q
+// elements of power-table scratch.
+func (b *batchBuild) recordLimb(sc *limbScratch, pow []limb.Element, s, j int) {
+	q := b.queries[s]
+	i, stride := q.genuine[j], len(sc.lin)*limb.ElementLen
+	coverRecord(b.records(s)[i*stride:(i+1)*stride], sc.lin, sc.covers, pow, &q.lpoints[i])
+}
+
+func (b *batchBuild) buildLimb(sc *limbScratch, s int) error {
+	if err := b.prepLimb(sc, s); err != nil {
+		return err
+	}
+	for j := range b.queries[s].genuine {
+		b.recordLimb(sc, sc.pow, s, j)
+	}
+	sc.decoySpan.End()
+	return nil
+}
+
+func (b *batchBuild) newBigScratch() *bigScratch { return newBigScratch(b.params, len(b.inputs[0])) }
+
+func (b *batchBuild) drawBig(sc *bigScratch, s int) error {
+	genuine, err := sc.draw(b.params, b.d, b.inputs[s], b.seed(s), b.perms(s), b.records(s))
+	if err != nil {
+		return err
+	}
+	b.queries[s].genuine = genuine
+	return nil
+}
+
+func (b *batchBuild) prepBig(_ *bigScratch, s int) error {
+	points, err := expandPoints(b.params.Field, b.params.TotalPairs(), b.seed(s))
+	b.queries[s].points = points
+	return err
+}
+
+func (b *batchBuild) recordBig(sc *bigScratch, s, j int) {
+	q := b.queries[s]
+	sc.record(b.params.Field, b.records(s), q.points, q.genuine[j])
+}
+
+func (b *batchBuild) buildBig(sc *bigScratch, s int) error {
+	if err := b.prepBig(sc, s); err != nil {
+		return err
+	}
+	for j := range b.queries[s].genuine {
+		b.recordBig(sc, s, j)
+	}
+	sc.decoySpan.End()
+	return nil
+}
+
+// sampleErr labels draw's errors with their batch sample.
+func sampleErr[S any](draw func(S, int) error) func(S, int) error {
+	return func(sc S, s int) error {
+		if err := draw(sc, s); err != nil {
+			return fmt.Errorf("ompe: batch sample %d: %w", s, err)
+		}
+		return nil
+	}
+}
+
+// NewBatch opens one batched query covering all inputs, which must share
+// one width. It runs one fan-out over the samples: a sample's draws run
+// in the ordered section, in sample order, into its worker's scratch,
+// and its genuine records are then evaluated on that worker.
 func (sr *SessionReceiver) NewBatch(inputs []field.Vec, rng io.Reader) (*SessionBatch, *FastBatchRequest, error) {
 	if len(inputs) == 0 {
 		return nil, nil, fmt.Errorf("%w: empty batch", ErrBadRequest)
 	}
-	evals := make([]*EvalRequest, len(inputs))
-	queries := make([]query, len(inputs))
-	genuine := make([][]int, len(inputs))
+	params := sr.params
 	for i, input := range inputs {
-		recv, req, err := NewReceiver(sr.params, input, rng)
-		if err != nil {
+		if err := checkInput(params, input); err != nil {
 			return nil, nil, fmt.Errorf("ompe: batch sample %d: %w", i, err)
 		}
-		evals[i] = req
-		queries[i] = recv.query
-		genuine[i] = recv.genuine
+		if len(input) != len(inputs[0]) {
+			return nil, nil, fmt.Errorf("%w: batch sample %d has %d components, sample 0 has %d", ErrParams, i, len(input), len(inputs[0]))
+		}
 	}
-	ext, otReq, err := ot.NewExtKofNBatchQuery(sr.iknp, sr.params.TotalPairs(), genuine)
+	b := newBatchBuild(params, inputs, rng)
+	var err error
+	if params.limbBackend() {
+		err = parallel.Ordered(len(inputs), b.newLimbScratch, sampleErr(b.drawLimb), b.buildLimb)
+	} else {
+		err = parallel.Ordered(len(inputs), b.newBigScratch, sampleErr(b.drawBig), b.buildBig)
+	}
 	if err != nil {
 		return nil, nil, err
 	}
-	b := &SessionBatch{sr: sr, queries: queries, ext: ext}
-	return b, &FastBatchRequest{Evals: evals, OT: otReq}, nil
+	evals := make([]*EvalRequest, len(inputs))
+	genuine := make([][]int, len(inputs))
+	for s := range evals {
+		evals[s] = b.request(s)
+		genuine[s] = b.queries[s].genuine
+	}
+	ext, otReq, err := ot.NewExtKofNBatchQuery(sr.iknp, params.TotalPairs(), genuine)
+	if err != nil {
+		return nil, nil, err
+	}
+	batch := &SessionBatch{sr: sr, queries: b.queries, ext: ext}
+	return batch, &FastBatchRequest{Evals: evals, OT: otReq}, nil
 }
 
-// senderMask bundles one sample's serially-drawn sender randomness (the
-// amplifier and the masking polynomial, on whichever field engine the
-// session runs) so the pure evaluation half can run on any worker.
+// senderMask is one sample's serially-drawn sender randomness on the
+// math/big engine, the amplifier and the masking polynomial, so the pure
+// evaluation half can run on any worker.
 type senderMask struct {
-	amp   *big.Int
-	hBig  *poly.Poly
-	hLimb *poly.LimbPoly
+	amp *big.Int
+	h   *poly.Poly
 }
 
-// drawSenderMask draws one sample's amplifier, unless pinned is set, and
-// then its masking polynomial from rng. Every sender role draws through
-// it, serially and in sample order, which keeps wire bytes bit-identical
-// at every worker count.
+// drawSenderMask is drawLimbMasks' draw of one sample on the math/big
+// engine: the amplifier, unless pinned is set, and then h.
 func drawSenderMask(params Params, pinned *big.Int, rng io.Reader) (senderMask, error) {
-	var m senderMask
-	if pinned != nil {
-		m.amp = new(big.Int).Set(pinned)
-	} else {
-		amp, err := sampleAmplifier(rng, params.amplifierBitsOrDefault())
+	m := senderMask{amp: pinned}
+	if pinned == nil {
+		amp, err := newDrawer(rng).amplifier(params.amplifierBitsOrDefault())
 		if err != nil {
 			return m, err
 		}
 		m.amp = amp
-	}
-	if params.limbBackend() {
-		var zero limb.Element
-		h, err := poly.RandomLimb(rng, params.ComposedDegree(), &zero)
-		if err != nil {
-			return m, err
-		}
-		m.hLimb = h
-		return m, nil
 	}
 	f := params.Field
 	h, err := poly.Random(f, rng, params.ComposedDegree(), f.Zero())
 	if err != nil {
 		return m, err
 	}
-	m.hBig = h
+	m.h = h
 	return m, nil
 }
 
-// maskedSampleWith computes one sample's masked evaluations on the
-// field's engine, given a pre-drawn senderMask.
-func maskedSampleWith(params Params, eval Evaluator, m senderMask, shift *big.Int, req *EvalRequest) ([][]byte, error) {
+// maskOne is the sender core on a batch of one, for the one-shot roles:
+// it draws the mask (a pinned amplifier, if set, in place of the
+// amplifier draw), computes the request's masked evaluations on the
+// field's engine in one fan-out over its pairs, and returns them with
+// the amplifier it used.
+func maskOne(params Params, eval Evaluator, pinned, shift *big.Int, req *EvalRequest, rng io.Reader) ([][]byte, *big.Int, error) {
+	reqs := []*EvalRequest{req}
 	if params.limbBackend() {
-		return maskedSampleLimbWith(params, eval, m.hLimb, m.amp, shift, req)
+		lm, err := drawLimbMasks(params, reqs, pinned, rng)
+		if err != nil {
+			return nil, nil, err
+		}
+		lm.shift.SetBigReduce(shift)
+		msgs, err := maskLimb(params, eval, reqs, lm)
+		if err != nil {
+			return nil, nil, err
+		}
+		amp := pinned
+		if amp == nil {
+			// A drawn amplifier is below 2^(Field.Bits()−2), so its
+			// element is the drawn integer.
+			amp = lm.amps[0].ToBig()
+		}
+		return msgs[0], amp, nil
 	}
-	return maskedEvaluations(params, eval, m.hBig, m.amp, shift, req)
+	m, err := drawSenderMask(params, pinned, rng)
+	if err != nil {
+		return nil, nil, err
+	}
+	points, err := expandPoints(params.Field, params.TotalPairs(), req.Seed)
+	if err != nil {
+		return nil, nil, err
+	}
+	msgs, err := maskBig(params, eval, reqs, &bigMasks{points: [][]*big.Int{points}, masks: []senderMask{m}, shift: shift})
+	if err != nil {
+		return nil, nil, err
+	}
+	return msgs[0], m.amp, nil
 }
 
-// HandleBatch answers one batched query. Randomness (per-sample mask,
-// amplifier, and transfer keys) is drawn serially in sample order; the
-// pure-arithmetic masked evaluations then fan the B samples out across
-// the worker pool, and each sample's pairs out again inside its worker.
+// HandleBatch answers one batched query. Every request is shape-checked
+// first; randomness (per-sample amplifier and masking polynomial) is
+// then drawn serially in sample order, and the masked evaluations run in
+// one fan-out over every (sample, pair) unit of the batch, each unit
+// parsing, validating and evaluating its own record.
 func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*FastBatchResponse, error) {
 	if req == nil || req.OT == nil || len(req.Evals) == 0 {
 		return nil, fmt.Errorf("%w: nil fast batch request", ErrBadRequest)
@@ -312,30 +497,13 @@ func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*Fas
 	if req.OT.K != ss.params.GenuineCount() || req.OT.N != ss.params.TotalPairs() {
 		return nil, fmt.Errorf("%w: OT shape %d-of-%d, want %d-of-%d", ErrBadRequest, req.OT.K, req.OT.N, ss.params.GenuineCount(), ss.params.TotalPairs())
 	}
-	span := obs.Start(obs.PhaseSenderMask)
-	masks := make([]senderMask, len(req.Evals))
 	for i, eval := range req.Evals {
-		if eval == nil {
-			return nil, fmt.Errorf("%w: nil eval request %d", ErrBadRequest, i)
-		}
 		if err := validateEvalRequest(ss.params, ss.eval.NumVars(), eval); err != nil {
 			return nil, fmt.Errorf("ompe: batch sample %d: %w", i, err)
 		}
-		m, err := drawSenderMask(ss.params, nil, rng)
-		if err != nil {
-			return nil, err
-		}
-		masks[i] = m
 	}
-	msgs := make([][][]byte, len(req.Evals))
-	err := parallel.For(len(req.Evals), func(i int) error {
-		sample, err := maskedSampleWith(ss.params, ss.eval, masks[i], zeroShift, req.Evals[i])
-		if err != nil {
-			return err
-		}
-		msgs[i] = sample
-		return nil
-	})
+	span := obs.Start(obs.PhaseSenderMask)
+	msgs, err := ss.maskBatch(req.Evals, rng)
 	span.End()
 	if err != nil {
 		return nil, err
@@ -345,6 +513,30 @@ func (ss *SessionSender) HandleBatch(req *FastBatchRequest, rng io.Reader) (*Fas
 		return nil, err
 	}
 	return &FastBatchResponse{OT: otResp}, nil
+}
+
+// maskBatch draws every sample's mask and computes the batch's masked
+// evaluations on the field's engine.
+func (ss *SessionSender) maskBatch(reqs []*EvalRequest, rng io.Reader) ([][][]byte, error) {
+	if ss.params.limbBackend() {
+		lm, err := drawLimbMasks(ss.params, reqs, nil, rng)
+		if err != nil {
+			return nil, err
+		}
+		return maskLimb(ss.params, ss.eval, reqs, lm)
+	}
+	bm := &bigMasks{masks: make([]senderMask, len(reqs)), points: make([][]*big.Int, len(reqs)), shift: zeroShift}
+	for s, req := range reqs {
+		m, err := drawSenderMask(ss.params, nil, rng)
+		if err != nil {
+			return nil, err
+		}
+		bm.masks[s] = m
+		if bm.points[s], err = expandPoints(ss.params.Field, ss.params.TotalPairs(), req.Seed); err != nil {
+			return nil, err
+		}
+	}
+	return maskBig(ss.params, ss.eval, reqs, bm)
 }
 
 // Finish recovers every sample's amp·P(α), in batch order.

@@ -173,9 +173,11 @@ func NewExtKofNBatchQuery(r *IKNPReceiver, n int, indices [][]int) (*ExtKofNBatc
 	depth := treeDepth(n)
 	choices := make([]int, 0, len(indices)*k*depth)
 	kept := make([][]int, len(indices))
+	flat := make([]int, len(indices)*k)
 	for b, idx := range indices {
 		choices = appendPathChoices(choices, idx, depth)
-		kept[b] = append([]int(nil), idx...)
+		kept[b] = flat[b*k : (b+1)*k : (b+1)*k]
+		copy(kept[b], idx)
 	}
 	ext, msg, err := r.Extend(choices)
 	if err != nil {

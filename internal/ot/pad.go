@@ -175,7 +175,15 @@ type Keystream struct {
 
 // NewKeystream returns the stream of seed, which must be SeedLen bytes.
 func NewKeystream(seed []byte) *Keystream {
-	return &Keystream{seed: [SeedLen]byte(seed), off: aes.BlockSize}
+	k := new(Keystream)
+	k.Reset(seed)
+	return k
+}
+
+// Reset restarts k as the stream of seed, which must be SeedLen bytes, so
+// one Keystream serves every seed of a batch.
+func (k *Keystream) Reset(seed []byte) {
+	*k = Keystream{seed: [SeedLen]byte(seed), off: aes.BlockSize}
 }
 
 // Read fills p with the next len(p) bytes of the stream; it never fails.

@@ -10,9 +10,9 @@ import (
 
 // LimbPoly is a univariate polynomial over the 2^255−19 field with
 // fixed-width limb coefficients, the limb-engine form of the sender's
-// masking polynomial h. RandomLimb builds it; coefficients are stored by
-// value in ascending degree order, so construction performs the only
-// allocations and evaluation is allocation-free.
+// masking polynomial h. RandomLimb or LimbPolyOf builds it; coefficients
+// are stored by value in ascending degree order, so construction
+// performs the only allocations and evaluation is allocation-free.
 type LimbPoly struct {
 	coeffs []limb.Element
 }
@@ -38,6 +38,11 @@ func RandomLimb(rng io.Reader, degree int, valueAtZero *limb.Element) (*LimbPoly
 	}
 	return &LimbPoly{coeffs: coeffs}, nil
 }
+
+// LimbPolyOf returns the polynomial with the given coefficients, in
+// ascending degree order, keeping the slice: a caller that draws many
+// polynomials' coefficients into one slab wraps each run of it.
+func LimbPolyOf(coeffs []limb.Element) LimbPoly { return LimbPoly{coeffs: coeffs} }
 
 // EvalInto evaluates p at x by Horner's rule into out, starting from the
 // leading coefficient: degree multiplications. out and x may alias. It
